@@ -79,9 +79,7 @@ def build_broker(args: argparse.Namespace) -> tuple[Broker, np.ndarray]:
     searchers = [SearcherNode(shard_id) for shard_id in range(args.shards)]
     for shard_id, searcher in enumerate(searchers):
         searcher.host("default", index.shards[shard_id])
-    broker = Broker(
-        searchers, index.config, parallel_fanout=args.shards > 1
-    )
+    broker = Broker(searchers, index.config)
     return broker, queries
 
 

@@ -18,9 +18,8 @@ fronts them with the broker, and
 4. injects a **straggler**: a fresh fleet where one searcher stalls
    every other request, served through the asyncio fan-out without and
    with hedged requests -- hedged p99 must beat unhedged p99, results
-   must stay bit-identical to in-process serving, and the fan-out must
-   hold all in-flight shard RPCs with O(1) threads (no pool thread per
-   RPC).
+   must stay bit-identical to in-process serving, and the broker must
+   report the ``loop`` venue (all in-flight shard RPCs on one thread).
 
 Run standalone::
 
@@ -39,7 +38,6 @@ import json
 import shutil
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -55,6 +53,7 @@ from repro.eval.tables import format_table
 from repro.hnsw.params import HnswParams
 from repro.net.fleet import fleet_addresses, launch_fleet, shutdown_fleet
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
 
@@ -91,14 +90,12 @@ def check_degradation(
     addresses = fleet_addresses(fleet)
     degrade = OnlineService(
         searchers=addresses,
-        parallel_fanout=True,
         partial_policy="degrade",
         request_timeout_s=args.request_timeout_s,
         rpc_retries=0,
     )
     strict = OnlineService(
         searchers=addresses,
-        parallel_fanout=True,
         partial_policy="fail",
         request_timeout_s=args.request_timeout_s,
         rpc_retries=0,
@@ -107,19 +104,17 @@ def check_degradation(
     try:
         degrade.deploy(fs, INDEX_PATH, index_name="default")
         strict.deploy(fs, INDEX_PATH, index_name="strict")
-        ids, _, info = degrade.query_batch(
-            probe, args.top_k, ef=args.ef, with_info=True
-        )
-        assert (info["shards_answered"] == args.shards).all(), (
+        request = SearchRequest(queries=probe, top_k=args.top_k, ef=args.ef)
+        response = degrade.execute(request)
+        assert (response.shards_answered == args.shards).all(), (
             "healthy fleet must answer from every shard"
         )
 
         victim = fleet[1]
         victim.kill()
-        got_ids, got_dists, info = degrade.query_batch(
-            probe, args.top_k, ef=args.ef, with_info=True
-        )
-        answered = info["shards_answered"]
+        response = degrade.execute(request)
+        got_ids, got_dists = response.ids, response.dists
+        answered = response.shards_answered
         assert (answered == args.shards - 1).all(), (
             f"expected {args.shards - 1} surviving shards, got "
             f"{answered.tolist()}"
@@ -182,9 +177,8 @@ def check_hedging(
       arrives, never *what* it is);
     - hedged p99 latency is strictly below unhedged p99 (the whole point
       of re-issuing a straggling RPC);
-    - the async fan-out held N in-flight shard RPCs with O(1) threads:
-      no ``broker-fanout`` pool thread exists, just one
-      ``broker-async-loop`` thread per broker.
+    - the broker reported the ``loop`` venue: every in-flight shard RPC
+      was multiplexed on its one ``broker-async-loop`` thread.
     """
     probe = queries[: min(32, queries.shape[0])]
     fleet = launch_fleet(
@@ -197,12 +191,10 @@ def check_hedging(
     local = OnlineService()
     unhedged = OnlineService(
         searchers=fleet_addresses(fleet),
-        async_fanout=True,
         request_timeout_s=args.request_timeout_s,
     )
     hedged = OnlineService(
         searchers=fleet_addresses(fleet),
-        async_fanout=True,
         hedge_after_s=args.hedge_after_s,
         request_timeout_s=args.request_timeout_s,
     )
@@ -245,18 +237,8 @@ def check_hedging(
             )
         if stats["hedges"] < 1:
             raise AssertionError("the straggler shard never got hedged")
-        if not stats["async_fanout"] or stats["fanout_workers"] != 0:
-            raise AssertionError("async fan-out did not run loop-native")
-        pool_threads = [
-            thread.name
-            for thread in threading.enumerate()
-            if thread.name.startswith("broker-fanout")
-        ]
-        if pool_threads:
-            raise AssertionError(
-                f"async fan-out must not burn pool threads per RPC, "
-                f"found {pool_threads}"
-            )
+        if stats["venue"] != "loop":
+            raise AssertionError("remote fan-out did not run on the loop")
         return {
             "slow_delay_ms": args.slow_delay_s * 1e3,
             "hedge_after_ms": args.hedge_after_s * 1e3,
@@ -343,7 +325,7 @@ def run(args: argparse.Namespace) -> int:
             f"{hedging['unhedged_p99_ms']:.1f}ms unhedged vs "
             f"{hedging['hedged_p99_ms']:.1f}ms hedged "
             f"({hedging['hedges']} hedges, {hedging['hedge_wins']} wins; "
-            "bit-parity ✓, O(1) fan-out threads ✓)"
+            "bit-parity ✓, loop venue ✓)"
         )
         if args.smoke:
             print("smoke OK (parity + degradation + hedging asserted)")

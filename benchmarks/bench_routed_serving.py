@@ -12,7 +12,7 @@ searcher subprocesses.  Three phases, each with in-run assertions:
    all-shards fan-out (the whole point of routing: less work per query);
 2. **``spill="all"`` parity** -- the structured API with full spill is
    bit-identical to the pre-router broker path (manual per-shard search
-   + level-2 merge) and to the deprecated ``query_batch`` shim;
+   + level-2 merge) and to the ``query_batch`` array wrapper;
 3. **Replica failover** -- a 2-replica group fleet of real searcher
    subprocesses keeps serving with ZERO degraded rows under the strict
    ``fail`` policy while one replica of a group is SIGKILLed: its
@@ -145,7 +145,6 @@ def check_routing(
     fleet = launch_fleet(args.shards, root=str(fs.root))
     service = OnlineService(
         searchers=fleet_addresses(fleet),
-        async_fanout=True,
         request_timeout_s=args.request_timeout_s,
     )
     try:
@@ -245,7 +244,7 @@ def check_spill_all_parity(
             and (legacy_dists == want_dists).all()
         ):
             raise AssertionError(
-                "the deprecated query_batch shim drifted from execute()"
+                "the query_batch wrapper drifted from execute()"
             )
     finally:
         service.close()
@@ -274,7 +273,6 @@ def check_replica_failover(
     groups = launch_replicated_fleet(FAILOVER_SHARDS, 2, root=workdir)
     service = OnlineService(
         searchers=replicated_fleet_addresses(groups),
-        async_fanout=True,
         partial_policy="fail",
         request_timeout_s=args.request_timeout_s,
         rpc_retries=0,

@@ -57,7 +57,7 @@ def main() -> None:
             build_lanns_index(embeddings_b, config=config), fs, "prod/model-b"
         )
 
-        service = OnlineService(parallel_fanout=True)
+        service = OnlineService()
         broker = service.deploy(fs, "prod/model-a", index_name="model-a")
         service.deploy(fs, "prod/model-b", index_name="model-b")
         print(f"deployed: {service.deployed_indices}")

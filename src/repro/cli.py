@@ -178,19 +178,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _query_remote(
     args: argparse.Namespace, fs: LocalHdfs, queries: np.ndarray
 ) -> int:
-    """Front a remote searcher fleet: deploy over RPC, one broker fan-out.
-
-    Remote queries always use the asyncio fan-out (the sync RPC client
-    is retired from the search hot path -- it still runs the deploy /
-    verify control plane underneath).
-    """
+    """Front a remote searcher fleet: deploy over RPC, one broker fan-out."""
     from repro.online.service import OnlineService
     from repro.online.types import SearchRequest
 
     trace_out = getattr(args, "trace_out", None)
     service = OnlineService(
         searchers=args.searchers,
-        async_fanout=True,
         hedge_after_s=args.hedge_after_s,
         partial_policy=args.partial_policy,
         request_timeout_s=args.request_timeout_s,
@@ -683,23 +677,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request fan-out deadline in seconds (remote mode)",
     )
     query.add_argument(
-        "--async-fanout",
-        action="store_true",
-        help=(
-            "multiplex all remote shard RPCs on one event loop "
-            "(now always on in remote mode; flag kept for "
-            "compatibility)"
-        ),
-    )
-    query.add_argument(
         "--hedge-after-s",
         type=_hedge_after,
         default=None,
         help=(
             "hedge a straggling shard RPC on a second connection after "
             "this many seconds ('auto' derives the delay from the live "
-            "shard_rpc latency window), budget permitting; implies "
-            "--async-fanout (remote mode)"
+            "shard_rpc latency window), budget permitting (remote mode)"
         ),
     )
     query.add_argument(

@@ -181,11 +181,11 @@ def concurrent_serving_throughput(
     cache_size: int | None = None,
     check_parity: bool = True,
 ) -> dict:
-    """Load-test the concurrent serving core against the PR-1 baseline.
+    """Load-test the concurrent serving core against a plain broker.
 
     Fronts ``index`` with two brokers over one shared searcher fleet:
 
-    - *baseline* -- the plain PR-1 broker (no admission layer, no cache),
+    - *baseline* -- a plain broker (no admission layer, no cache),
       serving the query set one call at a time (``sequential``);
     - *core* -- the micro-batching broker with a result cache, driven by
       ``clients`` closed-loop threads issuing single-query calls
@@ -210,13 +210,10 @@ def concurrent_serving_throughput(
         searcher.host("bench", index.shards[shard_id])
     if cache_size is None:
         cache_size = 2 * queries.shape[0]
-    baseline = Broker(
-        searchers, index.config, parallel_fanout=num_shards > 1
-    )
+    baseline = Broker(searchers, index.config)
     core = Broker(
         searchers,
         index.config,
-        parallel_fanout=num_shards > 1,
         max_batch=max_batch,
         max_wait_ms=max_wait_ms,
         cache_size=cache_size,
@@ -301,7 +298,6 @@ def remote_serving_throughput(
     max_wait_ms: float = 2.0,
     cache_size: int = 0,
     request_timeout_s: float | None = None,
-    async_fanout: bool = False,
     hedge_after_s: float | str | None = None,
     check_parity: bool = True,
 ) -> dict:
@@ -317,20 +313,17 @@ def remote_serving_throughput(
     dict carries both throughput reports plus the remote broker's
     ``stats()`` snapshot (per-stage latency, shard failures, hedges).
 
-    ``async_fanout`` / ``hedge_after_s`` select the event-loop fan-out
-    (and hedged shard requests) for the remote service -- see
-    :class:`~repro.online.broker.Broker`.
+    ``hedge_after_s`` turns on hedged shard requests for the remote
+    service -- see :class:`~repro.online.broker.Broker`.
     """
     from repro.online.service import OnlineService
 
     queries = np.asarray(queries, dtype=np.float32)
     if queries.shape[0] == 0:
         raise ValueError("remote_serving_throughput needs queries")
-    local = OnlineService(parallel_fanout=True)
+    local = OnlineService()
     remote = OnlineService(
         searchers=addresses,
-        parallel_fanout=True,
-        async_fanout=async_fanout,
         hedge_after_s=hedge_after_s,
         max_batch=max_batch,
         max_wait_ms=max_wait_ms,

@@ -6,7 +6,7 @@ graph hops, distance computations and candidate visits a query spends.
 into -- passed as an optional ``cost=None`` parameter so the hot path is
 bit-for-bit unchanged when accounting is off -- and the serving tier
 carries over the wire (``as_dict`` / ``from_dict`` / ``merge``) into
-``SearchResponse.info()`` and the metrics registry.
+``SearchResponse.cost`` and the metrics registry.
 
 Counter semantics (all totals over the query batch the cost was
 collected for):

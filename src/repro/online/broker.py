@@ -3,8 +3,10 @@
 "The final merge happens at the broker or the client. The broker is also
 responsible for calculating and passing the perShardTopK to each shard."
 
-PR 2 turns this into a concurrent serving core with three cooperating
-layers in front of the lockstep batch engine:
+:meth:`Broker.execute` takes a frozen
+:class:`~repro.online.types.SearchRequest` and returns a
+:class:`~repro.online.types.SearchResponse`; ``search``/``search_batch``
+are thin wrappers over it.  In front of the lockstep batch engine sit
 
 1. an LRU **result cache** (:mod:`repro.online.cache`) consulted per
    query row before admission and filled after the final merge;
@@ -12,39 +14,27 @@ layers in front of the lockstep batch engine:
    (:mod:`repro.online.microbatch`) that coalesces requests arriving from
    many client threads into one lockstep batch (flush on ``max_batch``
    rows or ``max_wait_ms``, whichever first);
-3. a **fan-out executor** sized independently of the searcher count
-   (``fanout_workers``), so in-flight batches can overlap their shard
-   requests instead of queueing behind one another on exactly
-   ``len(searchers)`` workers.
+3. a **router** (:mod:`repro.online.router`) that embeds the trained
+   segmenter and maps each query to its top-``spill`` segments, so a
+   routed request fans out only to the shard groups hosting those
+   segments and pushes the chosen segments down as explicit probes
+   (``spill=None``/``"all"`` queries every group).
 
-PR 3 moves the fan-out behind the
-:class:`~repro.net.transport.SearcherTransport` interface (one code path
-for in-process and remote searchers) and adds per-request deadlines plus
-the fail/degrade partial-result policy.  PR 4 replaces thread-per-RPC
-with an **asyncio-native fan-out** (``async_fanout=True``) and **hedged
-requests** (``hedge_after_s``).
+The fan-out itself runs in one of two **venues**, chosen from the fleet
+the broker was given, never by an option:
 
-PR 6 makes the broker replica-aware and route-aware, carried by a
-structured request/response API:
-
-- :meth:`Broker.execute` takes a frozen
-  :class:`~repro.online.types.SearchRequest` and returns a
-  :class:`~repro.online.types.SearchResponse`; the legacy
-  ``search``/``search_batch`` signatures are thin shims over it (and the
-  ``with_info=True`` tuple-shape switch is deprecated).
-- Each shard position may be served by a **replica group** (N
-  interchangeable searchers).  The broker keeps a per-replica health/load
-  ledger (:mod:`repro.online.replicas`), picks the least-loaded healthy
-  replica per request, **fails over** to a sibling on connectivity
-  failures, and **hedges across replicas** -- the straggler's retry goes
-  to a *different* process (single-replica groups keep the PR-4
-  second-connection behavior).
-- A **router** (:mod:`repro.online.router`) embeds the trained segmenter
-  and maps each query to its top-``spill`` segments, so a routed request
-  fans out only to the shard groups hosting those segments (the
-  segment-aligned build layout) and pushes the chosen segments down to
-  the searchers as explicit probes.  ``spill=None``/``"all"`` preserves
-  the pre-router fan-out bit-exactly.
+- ``"inline"`` -- every transport is a
+  :class:`~repro.net.transport.LocalSearcherTransport`.  In-process numpy
+  work cannot be shed, hedged, failed over or deadline-cancelled, so each
+  shard group is ``pick -> attempt -> part`` on the calling thread.
+  (Routing it through the event loop instead costs +0.5-0.7 ms on a
+  2.5-3.0 ms single-query request -- the whole latency budget of the
+  ledger's ``local_single`` workload.)
+- ``"loop"`` -- the fleet holds any other transport.  All shard RPCs of
+  a batch are multiplexed on one private asyncio loop thread, the only
+  home of replica **failover**, the ``OVERLOADED`` retry-after pause and
+  **hedged requests** (:mod:`repro.online.replicas` keeps the per-replica
+  health/load ledger both venues report to).
 
 Routed requests and requests overriding broker policy (per-request
 deadline/hedging) bypass the result cache and the micro-batcher: cache
@@ -58,12 +48,10 @@ import asyncio
 import contextlib
 import threading
 import time
-import warnings
 from concurrent.futures import CancelledError as FutureCancelledError
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +69,7 @@ from repro.errors import (
 from repro.eval.timing import StageLatencyRecorder
 from repro.net.transport import (
     AsyncSearcherTransport,
+    LocalSearcherTransport,
     SearcherTransport,
 )
 from repro.obs.cost import SearchCost
@@ -148,6 +137,98 @@ AUTO_HEDGE_QUANTILE = 0.5
 AUTO_HEDGE_MULTIPLIER = 3.0
 AUTO_HEDGE_MIN_SAMPLES = 32
 AUTO_HEDGE_MIN_DELAY_S = 0.001
+
+
+class _Batch(NamedTuple):
+    """What every shard RPC of one fan-out shares."""
+
+    index_name: str
+    budget: int
+    eff_ef: int
+    deadline: float | None
+    hedge_delay: float | None
+    trace: Trace | None
+    collect_cost: bool
+
+
+class _Attempt:
+    """One replica attempt in either venue: ledger slot, span, info dict.
+
+    A context manager around the shard RPC.  Construction opens the
+    ``attempt`` child span of ``group_span`` and the ``info_out`` dict
+    to hand the transport (``None`` when neither cost nor trace is
+    wanted); the ``with`` block holds the replica's in-flight slot.  On
+    exit the group's in-flight/EWMA ledger is settled and the span
+    closed with ``outcome`` ``ok`` / ``error`` / ``cancelled`` (a
+    cancelled hedge loser releases its slot without polluting the
+    latency EWMA); the searcher's own spans are spliced under a
+    successful attempt.  ``win`` is left ``False`` -- a completed loser
+    (both answered in one tick) stays a loss; :meth:`settle` flips the
+    race winner.
+    """
+
+    __slots__ = ("group", "replica", "trace", "span", "info", "_tick")
+
+    def __init__(
+        self,
+        batch: _Batch,
+        group: ReplicaGroup,
+        replica: ReplicaState,
+        group_span: dict | None,
+        *,
+        hedge: bool = False,
+    ) -> None:
+        self.group = group
+        self.replica = replica
+        self.trace = trace = batch.trace
+        self.span = (
+            trace.start_span(
+                "attempt",
+                parent=group_span,
+                replica=replica.replica_id,
+                hedge=hedge,
+            )
+            if trace is not None
+            else None
+        )
+        self.info: dict | None = (
+            {} if (batch.collect_cost or trace is not None) else None
+        )
+
+    def __enter__(self) -> _Attempt:
+        self.group.begin(self.replica)
+        self._tick = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc is None:
+            outcome = "ok"
+            self.group.finish(self.replica, time.perf_counter() - self._tick)
+        else:
+            cancelled = isinstance(exc, asyncio.CancelledError)
+            outcome = "cancelled" if cancelled else "error"
+            self.group.finish(self.replica, outcome=outcome)
+        span = self.span
+        if span is not None:
+            span["annotations"].update(outcome=outcome, win=False)
+            if outcome == "error":
+                span["annotations"]["error"] = type(exc).__name__
+            elif outcome == "ok" and self.info.get("trace"):
+                self.trace.attach_remote(span, self.info["trace"])
+            self.trace.end_span(span)
+
+    def settle(
+        self, part: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[tuple[np.ndarray, np.ndarray], int, dict | None]:
+        """Mark this attempt, which delivered ``part``, as the winner.
+
+        Returns the ``(part, replica_id, cost)`` triple both venues
+        report per shard group.
+        """
+        if self.span is not None:
+            self.span["annotations"]["win"] = True
+        cost = self.info.get("cost") if self.info else None
+        return part, self.replica.replica_id, cost
 
 
 class _FanoutLoop:
@@ -255,27 +336,18 @@ class Broker:
     request_timeout_s:
         Per-request deadline for the whole fan-out (``None`` = wait
         forever).  ``SearchRequest.deadline_s`` overrides it per request.
-    parallel_fanout:
-        Issue shard requests on a thread pool (as a real broker would);
-        sequential when ``False`` (deterministic timing for tests).
-        Superseded by ``async_fanout``.
-    async_fanout:
-        Multiplex the shard fan-out on a private asyncio event loop
-        (one background thread total) instead of one pool thread per
-        in-flight RPC.
     hedge_after_s:
-        Tail-tolerance knob (requires ``async_fanout``): when an
-        async-capable shard has not answered within this many seconds
-        and budget remains before the deadline, the same RPC is
-        re-issued -- on a *different replica* of the group when one is
-        available, else on a second connection to the same process.
-        First reply wins, the loser is cancelled.  ``None`` disables
-        hedging; ``"auto"`` derives the delay per batch from the live
-        ``shard_rpc`` window (median x ``AUTO_HEDGE_MULTIPLIER``).
-    fanout_workers:
-        Size of the fan-out pool; defaults to ``2 * num_shards``.
-        Ignored unless ``parallel_fanout``, irrelevant under
-        ``async_fanout``.
+        Tail-tolerance knob (needs at least one
+        :class:`~repro.net.transport.AsyncSearcherTransport` in the
+        fleet -- a hedge that could never fire is rejected, not
+        dropped): when an async-capable shard has not answered within
+        this many seconds and budget remains before the deadline, the
+        same RPC is re-issued -- on a *different replica* of the group
+        when one is available, else on a second connection to the same
+        process.  First reply wins, the loser is cancelled.  ``None``
+        disables hedging; ``"auto"`` derives the delay per batch from
+        the live ``shard_rpc`` window (median x
+        ``AUTO_HEDGE_MULTIPLIER``).
     max_batch, max_wait_ms:
         Micro-batching knobs.  ``max_batch <= 1`` disables admission.
     cache / cache_size / cache_epoch / cache_quantize_decimals:
@@ -310,10 +382,7 @@ class Broker:
         searchers: list,
         config: LannsConfig,
         *,
-        parallel_fanout: bool = False,
-        async_fanout: bool = False,
         hedge_after_s: float | str | None = None,
-        fanout_workers: int | None = None,
         max_batch: int = 1,
         max_wait_ms: float = 2.0,
         cache: QueryResultCache | None = None,
@@ -350,10 +419,6 @@ class Broker:
             for group in self.groups
             for transport in group.transports
         ]
-        if fanout_workers is not None and fanout_workers < 1:
-            raise ValueError(
-                f"fanout_workers must be >= 1, got {fanout_workers}"
-            )
         if partial_policy not in PARTIAL_POLICIES:
             raise ValueError(
                 f"partial_policy must be one of {PARTIAL_POLICIES}, "
@@ -374,28 +439,25 @@ class Broker:
                 raise ValueError(
                     f"hedge_after_s must be positive, got {hedge_after_s}"
                 )
-            if not async_fanout:
-                raise ValueError(
-                    "hedge_after_s requires async_fanout=True (hedges are "
-                    "raced on the fan-out event loop)"
-                )
         self.searchers = searchers
         self.transports = transports
+        #: Where the fan-out runs -- derived from the fleet, see the
+        #: module docstring.
+        self.venue = (
+            "inline"
+            if all(isinstance(t, LocalSearcherTransport) for t in transports)
+            else "loop"
+        )
+        if hedge_after_s is not None:
+            self._require_hedge_target("hedge_after_s")
         self.config = config
         self.partial_policy = partial_policy
         self.request_timeout_s = request_timeout_s
         self.cache_quantize_decimals = cache_quantize_decimals
-        self.async_fanout = bool(async_fanout)
         self.hedge_after_s = (
             hedge_after_s
             if hedge_after_s is None or isinstance(hedge_after_s, str)
             else float(hedge_after_s)
-        )
-        self.parallel_fanout = bool(parallel_fanout)
-        self.fanout_workers = (
-            int(fanout_workers)
-            if fanout_workers is not None
-            else 2 * len(searchers)
         )
         self.router: Router | None = (
             Router(
@@ -432,26 +494,8 @@ class Broker:
         #: failure (successful or not).
         self.failovers = 0
         self._last_failure: TransportError | None = None
-        # The asyncio fan-out multiplexes every in-flight shard RPC on
-        # ONE loop thread, so it replaces the thread pool entirely.
         self._fanout_loop: _FanoutLoop | None = (
-            _FanoutLoop() if self.async_fanout else None
-        )
-        # One long-lived fan-out pool, created eagerly (lazy creation
-        # would race under concurrent first requests).  Reusing it keeps
-        # the worker threads -- and therefore the per-thread
-        # visited-table caches inside each searcher's HNSW indices --
-        # alive across requests; a pool per call would re-allocate
-        # O(num_nodes) tables for every lockstep query on every request.
-        self._pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
-                max_workers=self.fanout_workers,
-                thread_name_prefix="broker-fanout",
-            )
-            if self.parallel_fanout
-            and not self.async_fanout
-            and len(searchers) > 1
-            else None
+            _FanoutLoop() if self.venue == "loop" else None
         )
         self._batcher: MicroBatcher | None = (
             MicroBatcher(
@@ -464,21 +508,34 @@ class Broker:
             else None
         )
 
+    def _require_hedge_target(self, knob: str) -> None:
+        """Reject a hedge delay no transport of this broker could honor.
+
+        Hedges race a second RPC on the fan-out loop, which only an
+        :class:`~repro.net.transport.AsyncSearcherTransport` can
+        multiplex; accepting the knob anyway would silently drop it.
+        """
+        if not any(
+            isinstance(t, AsyncSearcherTransport) for t in self.transports
+        ):
+            raise ValueError(
+                f"{knob} needs at least one AsyncSearcherTransport in the "
+                "fleet (hedges are raced on the fan-out event loop; "
+                "in-process and sync transports cannot hedge)"
+            )
+
     def close(self) -> None:
-        """Drain the admission layer and shut down the fan-out pool.
+        """Drain the admission layer and stop the fan-out loop.
 
         Idempotent and safe to call with requests in flight: pending
         micro-batches execute before the flusher exits, and requests
-        admitted after close run inline/sequentially instead of hanging.
+        the loop can no longer serve re-run their fan-out on the
+        caller's thread instead of hanging.
         """
         if self._batcher is not None:
             self._batcher.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._fanout_loop is not None:
             self._fanout_loop.close()
-            self._fanout_loop = None
 
     def stats(self) -> dict:
         """Serving counters: cache, micro-batching, per-stage latency."""
@@ -497,10 +554,7 @@ class Broker:
             if self._batcher is not None
             else None,
             "stages": self.timings.summary(),
-            "fanout_workers": self.fanout_workers
-            if self._pool is not None
-            else 0,
-            "async_fanout": self.async_fanout,
+            "venue": self.venue,
             "hedge_after_s": self.hedge_after_s,
             "hedges": hedges,
             "hedge_wins": hedge_wins,
@@ -578,30 +632,30 @@ class Broker:
     def execute(self, request: SearchRequest) -> SearchResponse:
         """Serve one :class:`SearchRequest` end to end.
 
-        The one true serving path: every legacy signature is a shim over
-        this.  Unrouted requests without policy overrides flow through
-        the result cache and the micro-batching admission layer exactly
-        as before (their responses carry ``replicas_used=None`` --
-        coalescing makes per-request replica attribution ambiguous);
-        routed requests and per-request overrides execute directly
-        through the fan-out with full metadata.
+        The one serving path: ``search``/``search_batch`` wrap this.
+        Unrouted requests without policy overrides flow through the
+        result cache and the micro-batching admission layer (their
+        responses carry ``replicas_used=None`` -- coalescing makes
+        per-request replica attribution ambiguous); routed requests and
+        per-request overrides execute directly through the fan-out with
+        full metadata.  A request the broker cannot serve is rejected
+        before it is counted or traced.
         """
         queries = request.queries
         top_k = request.top_k
         num_queries = queries.shape[0]
         num_shards = len(self.groups)
         if (
-            not self.async_fanout
-            and request.hedging != INHERIT
+            request.hedging != INHERIT
             and request.hedging is not False
             and request.hedging is not None
         ):
-            # Mirrors the constructor's hedge_after_s validation: without
-            # the fan-out loop the override would be silently ignored.
+            self._require_hedge_target("per-request hedging override")
+        if request.routed and self.router is None:
             raise ValueError(
-                "per-request hedging override requires a broker with "
-                "async_fanout=True (hedges are raced on the fan-out "
-                "event loop)"
+                "routed request (spill set) on a broker without a "
+                "router: construct the Broker with the index's "
+                "segmenter (OnlineService does this automatically)"
             )
         if num_queries == 0:
             return SearchResponse(
@@ -621,12 +675,6 @@ class Broker:
         plan: RoutingPlan | None = None
         route_s = 0.0
         if request.routed:
-            if self.router is None:
-                raise ValueError(
-                    "routed request (spill set) on a broker without a "
-                    "router: construct the Broker with the index's "
-                    "segmenter (OnlineService does this automatically)"
-                )
             route_span = (
                 trace.start_span("route", spill=request.spill)
                 if trace is not None
@@ -695,7 +743,7 @@ class Broker:
             response = replace(response, trace=trace.to_dict())
         return response
 
-    # -- legacy entry points (thin shims) ----------------------------------------------
+    # -- array-in / array-out wrappers ------------------------------------------------
     def search(
         self,
         index_name: str,
@@ -724,24 +772,13 @@ class Broker:
         top_k: int,
         *,
         ef: int | None = None,
-        with_info: bool = False,
         spill: int | str | None = None,
-    ) -> tuple:
-        """Serve a query batch: a thin shim over :meth:`execute`.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Serve a query batch: a thin wrapper over :meth:`execute`.
 
         Returns ``(B, top_k)`` id/distance arrays padded with ``-1`` /
-        ``inf``.  ``with_info=True`` (deprecated -- use :meth:`execute`
-        and read the :class:`SearchResponse`) appends the legacy info
-        dict as a third element.
+        ``inf``; call :meth:`execute` for the serving metadata.
         """
-        if with_info:
-            warnings.warn(
-                "search_batch(..., with_info=True) is deprecated; call "
-                "Broker.execute(SearchRequest(...)) and read the "
-                "SearchResponse fields instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         response = self.execute(
             SearchRequest(
                 queries=queries,
@@ -751,8 +788,6 @@ class Broker:
                 spill=spill,
             )
         )
-        if with_info:
-            return response.ids, response.dists, response.info()
         return response.ids, response.dists
 
     # -- cached/admitted serving (unrouted requests) -----------------------------------
@@ -1012,14 +1047,6 @@ class Broker:
             )
         if timeout_s == INHERIT:
             timeout_s = self.request_timeout_s
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
-        hedge_knob = (
-            self.hedge_after_s
-            if hedging == INHERIT
-            else (None if hedging is False else hedging)
-        )
         fanout_span = (
             trace.start_span("fanout", groups=len(work), budget=budget)
             if trace is not None
@@ -1031,121 +1058,27 @@ class Broker:
             else None
             for group_id, *_ in work
         ]
+        # The hedge delay is resolved once per batch: every shard of a
+        # fan-out hedges against the same delay, and an "auto" knob
+        # re-reads the live shard_rpc window between batches.
+        batch = _Batch(
+            index_name=index_name,
+            budget=budget,
+            eff_ef=eff_ef,
+            deadline=(
+                time.monotonic() + timeout_s if timeout_s is not None else None
+            ),
+            hedge_delay=self._resolve_hedge_delay(
+                None if hedging is False else hedging
+            ),
+            trace=trace,
+            collect_cost=collect_cost,
+        )
         tick = time.perf_counter()
-        outcomes: list[tuple] | None = None
-        fanout_loop = self._fanout_loop  # snapshot: close() may race
-        if fanout_loop is not None:
-            # Resolved once per batch: every shard of a fan-out hedges
-            # against the same delay, and an "auto" knob re-reads the
-            # live shard_rpc window between batches, not mid-batch.
-            hedge_delay = self._resolve_hedge_delay(hedge_knob)
-            coro = self._fanout_async(
-                index_name,
-                work,
-                budget,
-                eff_ef,
-                deadline,
-                hedge_delay,
-                trace,
-                group_spans,
-                collect_cost,
-            )
-            try:
-                future = fanout_loop.submit(coro)
-            except RuntimeError:
-                # Loop shut down mid-request: fall through to sequential.
-                coro.close()
-            else:
-                try:
-                    outcomes = future.result()
-                except (FutureCancelledError, asyncio.CancelledError):
-                    # close() tore the loop down under us (the wrapper
-                    # future raises concurrent.futures.CancelledError, a
-                    # *different* class from asyncio's); the transports
-                    # are still alive, so serve this request sequentially.
-                    pass
-        pool = self._pool  # snapshot: close() may race an in-flight call
-        if outcomes is None and pool is not None:
-            try:
-                futures = [
-                    pool.submit(
-                        self._group_search_sync,
-                        self.groups[group_id],
-                        index_name,
-                        sub_queries,
-                        budget,
-                        eff_ef,
-                        deadline,
-                        probes,
-                        trace,
-                        group_span,
-                        collect_cost,
-                    )
-                    for (
-                        group_id,
-                        sub_queries,
-                        _rows,
-                        probes,
-                    ), group_span in zip(work, group_spans)
-                ]
-            except RuntimeError:
-                # Pool shut down mid-request: fall through to sequential.
-                outcomes = None
-            else:
-                outcomes = []
-                for (group_id, *_), future in zip(work, futures):
-                    try:
-                        wait = None
-                        if deadline is not None:
-                            wait = max(deadline - time.monotonic(), 0.0)
-                        part, replica_id, part_cost = future.result(
-                            timeout=wait
-                        )
-                    except (FutureTimeoutError, TimeoutError):
-                        # The shard may still answer eventually, but this
-                        # request is done waiting; the worker thread
-                        # finishes in the background and the result is
-                        # discarded.
-                        outcomes.append(
-                            (
-                                None,
-                                DeadlineExceededError(
-                                    f"shard {group_id} missed the "
-                                    f"{timeout_s}s request deadline"
-                                ),
-                                -1,
-                                None,
-                            )
-                        )
-                    except TransportError as exc:
-                        outcomes.append((None, exc, -1, None))
-                    else:
-                        outcomes.append((part, None, replica_id, part_cost))
-        if outcomes is None:
-            outcomes = []
-            for (
-                group_id,
-                sub_queries,
-                _rows,
-                probes,
-            ), group_span in zip(work, group_spans):
-                try:
-                    part, replica_id, part_cost = self._group_search_sync(
-                        self.groups[group_id],
-                        index_name,
-                        sub_queries,
-                        budget,
-                        eff_ef,
-                        deadline,
-                        probes,
-                        trace,
-                        group_span,
-                        collect_cost,
-                    )
-                except TransportError as exc:
-                    outcomes.append((None, exc, -1, None))
-                else:
-                    outcomes.append((part, None, replica_id, part_cost))
+        fanout = (
+            self._fanout_inline if self.venue == "inline" else self._run_on_loop
+        )
+        outcomes = fanout(batch, work, group_spans)
 
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         answered = routed.copy()
@@ -1275,109 +1208,42 @@ class Broker:
             return None
         return hint
 
-    def _group_search_sync(
-        self,
-        group: ReplicaGroup,
-        index_name: str,
-        queries: np.ndarray,
-        budget: int,
-        eff_ef: int,
-        deadline: float | None,
-        probes: list[tuple[int, ...]] | None,
-        trace: Trace | None = None,
-        group_span: dict | None = None,
-        collect_cost: bool = False,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], int, dict | None]:
-        """One group's answer on the calling thread, with failover.
+    # -- inline venue (in-process fleets) -----------------------------------------------
+    def _fanout_inline(
+        self, batch: _Batch, work: list[tuple], group_spans: list
+    ) -> list[tuple]:
+        """Search every work item's shard group on the calling thread.
 
-        Picks the least-loaded replica, retries eligible failures on
-        untried siblings while deadline budget remains, and maintains
-        the group's in-flight/EWMA ledger.  Raises the last failure when
-        every eligible replica was tried.  Returns ``(part, replica_id,
-        cost_dict)``; each attempt is a child span of ``group_span``
-        (with the searcher's own spans spliced under the winner).
+        Only reached when the whole fleet is in-process: there is no
+        connection to lose, no admission queue to shed from and no way
+        to cancel numpy mid-kernel, so there is nothing to fail over,
+        retry or hedge -- each group is ``pick -> attempt -> part``, and
+        an exception (unknown index, malformed batch) is the caller's.
+        Same outcome tuples as :meth:`_fanout_async`.
         """
-        trace_ctx = trace.context() if trace is not None else None
-        tried: list[int] = []
-        last: TransportError | None = None
-        waited_retry = False
-        while True:
-            replica = group.pick(exclude=tried)
-            if replica is None:
-                assert last is not None
-                pause = self._retry_after_pause(last, deadline, waited_retry)
-                if pause is not None:
-                    # Every replica shed with OVERLOADED and the hint
-                    # fits the deadline: back off once, then re-try the
-                    # whole group.
-                    time.sleep(pause)
-                    waited_retry = True
-                    tried.clear()
-                    continue
-                raise last
-            if tried:
-                # A sibling is actually taking over, not just a dead end.
-                with self._served_lock:
-                    self.failovers += 1
-                _FAILOVERS.inc(broker=self.name)
-            tried.append(replica.replica_id)
-            attempt_span = (
-                trace.start_span(
-                    "attempt",
-                    parent=group_span,
-                    replica=replica.replica_id,
-                    hedge=False,
-                )
-                if trace is not None
-                else None
-            )
-            info: dict | None = (
-                {} if (collect_cost or trace is not None) else None
-            )
-            group.begin(replica)
-            tick = time.perf_counter()
-            try:
+        trace_ctx = batch.trace.context() if batch.trace is not None else None
+        outcomes = []
+        for (group_id, sub_queries, _rows, probes), group_span in zip(
+            work, group_spans
+        ):
+            group = self.groups[group_id]
+            replica = group.pick()
+            with _Attempt(batch, group, replica, group_span) as attempt:
                 part = replica.transport.search_batch(
-                    index_name,
-                    queries,
-                    budget,
-                    ef=eff_ef,
-                    deadline=deadline,
+                    batch.index_name,
+                    sub_queries,
+                    batch.budget,
+                    ef=batch.eff_ef,
                     probes=probes,
                     trace_ctx=trace_ctx,
-                    collect_cost=collect_cost,
-                    info_out=info,
+                    collect_cost=batch.collect_cost,
+                    info_out=attempt.info,
                 )
-            except TransportError as exc:
-                group.finish(replica, outcome="error")
-                if isinstance(exc, OverloadedError):
-                    _OVERLOADED.inc(broker=self.name)
-                if attempt_span is not None:
-                    attempt_span["annotations"].update(
-                        outcome="error", win=False, error=type(exc).__name__
-                    )
-                    trace.end_span(attempt_span)
-                expired = (
-                    deadline is not None
-                    and deadline - time.monotonic() <= 0
-                )
-                if not self._failover_eligible(exc) or expired:
-                    raise
-                last = exc
-                continue
-            group.finish(replica, time.perf_counter() - tick)
-            if attempt_span is not None:
-                attempt_span["annotations"].update(outcome="ok", win=True)
-                if info and info.get("trace"):
-                    trace.attach_remote(attempt_span, info["trace"])
-                trace.end_span(attempt_span)
-            return (
-                part,
-                replica.replica_id,
-                info.get("cost") if info else None,
-            )
+            part, replica_id, cost = attempt.settle(part)
+            outcomes.append((part, None, replica_id, cost))
+        return outcomes
 
-    # -- asyncio fan-out ---------------------------------------------------------------
+    # -- loop venue (any remote transport) ----------------------------------------------
     def _resolve_hedge_delay(
         self, knob: float | str | None = INHERIT
     ) -> float | None:
@@ -1402,66 +1268,68 @@ class Broker:
             return None
         return max(sample[1] * AUTO_HEDGE_MULTIPLIER, AUTO_HEDGE_MIN_DELAY_S)
 
+    def _run_on_loop(
+        self, batch: _Batch, work: list[tuple], group_spans: list
+    ) -> list[tuple]:
+        """Run :meth:`_fanout_async` on the loop thread and wait for it.
+
+        When :meth:`close` got there first -- the loop refuses the
+        submission, or tears the running fan-out down -- the transports
+        are still alive, so the same coroutine is re-run from the top
+        on a private loop on the caller's thread: one implementation,
+        whichever thread ends up driving it.
+        """
+        coro = self._fanout_async(batch, work, group_spans)
+        try:
+            future = self._fanout_loop.submit(coro)
+        except RuntimeError:
+            coro.close()
+        else:
+            try:
+                return future.result()
+            except (FutureCancelledError, asyncio.CancelledError):
+                # The wrapper future raises concurrent.futures'
+                # CancelledError, a *different* class from asyncio's.
+                pass
+        return asyncio.run(self._fanout_async(batch, work, group_spans))
+
     async def _fanout_async(
-        self,
-        index_name: str,
-        work: list[tuple],
-        budget: int,
-        eff_ef: int,
-        deadline: float | None,
-        hedge_delay: float | None,
-        trace: Trace | None = None,
-        group_spans: list | None = None,
-        collect_cost: bool = False,
+        self, batch: _Batch, work: list[tuple], group_spans: list
     ) -> list[tuple]:
         """Multiplex one batch's group RPCs (and their hedges) on the loop.
 
         Returns one ``(part, exc, replica_id, cost)`` tuple per work
         item, in work order.  Partial-result policy is applied by the
-        calling thread, so the counting and raise behavior is identical
-        to the thread-pool fan-out.
+        calling thread.
         """
-        if group_spans is None:
-            group_spans = [None] * len(work)
         return await asyncio.gather(
             *(
                 self._group_call_async(
-                    self.groups[group_id],
-                    index_name,
-                    sub_queries,
-                    budget,
-                    eff_ef,
-                    deadline,
-                    hedge_delay,
-                    probes,
-                    trace,
-                    group_span,
-                    collect_cost,
+                    batch, self.groups[group_id], sub_queries, probes, span
                 )
-                for (
-                    group_id,
-                    sub_queries,
-                    _rows,
-                    probes,
-                ), group_span in zip(work, group_spans)
+                for (group_id, sub_queries, _rows, probes), span in zip(
+                    work, group_spans
+                )
             )
         )
 
     async def _group_call_async(
         self,
+        batch: _Batch,
         group: ReplicaGroup,
-        index_name: str,
         queries: np.ndarray,
-        budget: int,
-        eff_ef: int,
-        deadline: float | None,
-        hedge_delay: float | None,
         probes: list[tuple[int, ...]] | None,
-        trace: Trace | None = None,
-        group_span: dict | None = None,
-        collect_cost: bool = False,
+        group_span: dict | None,
     ) -> tuple:
-        """One group's outcome on the loop: hedged search + failover."""
+        """One group's outcome on the loop: hedged search + failover.
+
+        Picks the least-loaded replica, retries failover-eligible
+        failures on untried siblings while deadline budget remains, and
+        honors one ``OVERLOADED`` retry-after pause per request.  Never
+        raises a :class:`TransportError`: the last failure travels in
+        the outcome tuple.
+        """
+        deadline = batch.deadline
         tried: list[int] = []
         last: TransportError | None = None
         waited_retry = False
@@ -1486,19 +1354,7 @@ class Broker:
             tried.append(replica.replica_id)
             try:
                 part, replica_id, part_cost = await self._hedged_search_async(
-                    group,
-                    replica,
-                    tried,
-                    index_name,
-                    queries,
-                    budget,
-                    eff_ef,
-                    deadline,
-                    hedge_delay,
-                    probes,
-                    trace,
-                    group_span,
-                    collect_cost,
+                    batch, group, replica, tried, queries, probes, group_span
                 )
             except TransportError as exc:
                 if isinstance(exc, OverloadedError):
@@ -1515,59 +1371,48 @@ class Broker:
 
     async def _search_one_async(
         self,
+        batch: _Batch,
         transport: SearcherTransport,
-        index_name: str,
         queries: np.ndarray,
-        k: int,
-        eff_ef: int,
-        deadline: float | None,
         probes: list[tuple[int, ...]] | None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
+        trace_ctx: dict | None,
+        info_out: dict | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One shard RPC on the event loop.
 
         Async-capable transports are awaited natively (the remote
         client enforces the deadline on the wire); everything else --
-        in-process shards -- runs on the loop's default executor with
-        the wait bounded by the remaining budget.  Per-RPC wall time
-        lands in the ``shard_rpc`` latency stage (the number to tune
+        a sync remote transport, or the in-process shards of a mixed
+        fleet -- runs on the loop's default executor with the wait
+        bounded by the remaining budget.  Per-RPC wall time lands in
+        the ``shard_rpc`` latency stage (the number to tune
         ``hedge_after_s`` against).
         """
+        deadline = batch.deadline
+        native = isinstance(transport, AsyncSearcherTransport)
+        call = partial(
+            transport.search_batch_async if native else transport.search_batch,
+            batch.index_name,
+            queries,
+            batch.budget,
+            ef=batch.eff_ef,
+            deadline=deadline,
+            probes=probes,
+            trace_ctx=trace_ctx,
+            collect_cost=batch.collect_cost,
+            info_out=info_out,
+        )
         tick = time.perf_counter()
         try:
-            if isinstance(transport, AsyncSearcherTransport):
-                return await transport.search_batch_async(
-                    index_name,
-                    queries,
-                    k,
-                    ef=eff_ef,
-                    deadline=deadline,
-                    probes=probes,
-                    trace_ctx=trace_ctx,
-                    collect_cost=collect_cost,
-                    info_out=info_out,
-                )
-            loop = asyncio.get_running_loop()
-            call = partial(
-                transport.search_batch,
-                index_name,
-                queries,
-                k,
-                ef=eff_ef,
-                deadline=deadline,
-                probes=probes,
-                trace_ctx=trace_ctx,
-                collect_cost=collect_cost,
-                info_out=info_out,
-            )
+            if native:
+                return await call()
             wait = None
             if deadline is not None:
                 wait = max(deadline - time.monotonic(), 0.0)
             try:
                 return await asyncio.wait_for(
-                    loop.run_in_executor(None, call), wait
+                    asyncio.get_running_loop().run_in_executor(None, call),
+                    wait,
                 )
             except (asyncio.TimeoutError, TimeoutError):
                 raise DeadlineExceededError(
@@ -1578,19 +1423,13 @@ class Broker:
 
     async def _hedged_search_async(
         self,
+        batch: _Batch,
         group: ReplicaGroup,
         replica: ReplicaState,
         tried: list[int],
-        index_name: str,
         queries: np.ndarray,
-        k: int,
-        eff_ef: int,
-        deadline: float | None,
-        hedge_delay: float | None,
         probes: list[tuple[int, ...]] | None,
-        trace: Trace | None = None,
-        group_span: dict | None = None,
-        collect_cost: bool = False,
+        group_span: dict | None,
     ) -> tuple[tuple[np.ndarray, np.ndarray], int, dict | None]:
         """One replica's answer, hedging a straggling RPC when allowed.
 
@@ -1601,126 +1440,62 @@ class Broker:
         group has an untried, non-draining, async-capable sibling --
         that is what lets it dodge a slow process, not just a slow
         connection -- and on a second connection to the same process
-        otherwise (the single-replica behavior of PR 4).  Tasks resolve
-        to ``(part, replica_id, cost, attempt_span)``; the ledger is
-        maintained per task, with cancelled hedge losers releasing
-        their in-flight slot without polluting the latency EWMA.  Each
-        attempt is a child span of ``group_span`` annotated with
-        ``hedge``/``outcome``/``win``, so a trace shows the race.
+        otherwise.  Each task is one :class:`_Attempt` (ledger slot +
+        child span of ``group_span`` annotated ``hedge`` / ``outcome``
+        / ``win``, so a trace shows the race) resolving to
+        ``(attempt, part)``.
         """
-        trace_ctx = trace.context() if trace is not None else None
+        deadline, delay = batch.deadline, batch.hedge_delay
+        trace_ctx = batch.trace.context() if batch.trace is not None else None
 
-        def issue(target: ReplicaState, *, hedge: bool = False):
-            attempt_span = (
-                trace.start_span(
-                    "attempt",
-                    parent=group_span,
-                    replica=target.replica_id,
-                    hedge=hedge,
+        async def issue(target: ReplicaState, hedge: bool = False):
+            with _Attempt(
+                batch, group, target, group_span, hedge=hedge
+            ) as attempt:
+                part = await self._search_one_async(
+                    batch,
+                    target.transport,
+                    queries,
+                    probes,
+                    trace_ctx,
+                    attempt.info,
                 )
-                if trace is not None
-                else None
-            )
-            info: dict | None = (
-                {} if (collect_cost or trace is not None) else None
-            )
+            return attempt, part
 
-            async def run():
-                group.begin(target)
-                tick = time.perf_counter()
-                try:
-                    part = await self._search_one_async(
-                        target.transport,
-                        index_name,
-                        queries,
-                        k,
-                        eff_ef,
-                        deadline,
-                        probes,
-                        trace_ctx,
-                        collect_cost,
-                        info,
-                    )
-                except asyncio.CancelledError:
-                    group.finish(target, outcome="cancelled")
-                    if attempt_span is not None:
-                        attempt_span["annotations"].update(
-                            outcome="cancelled", win=False
-                        )
-                        trace.end_span(attempt_span)
-                    raise
-                except BaseException as exc:
-                    group.finish(target, outcome="error")
-                    if attempt_span is not None:
-                        attempt_span["annotations"].update(
-                            outcome="error",
-                            win=False,
-                            error=type(exc).__name__,
-                        )
-                        trace.end_span(attempt_span)
-                    raise
-                group.finish(target, time.perf_counter() - tick)
-                if attempt_span is not None:
-                    # "win" defaults False: a completed loser (both
-                    # answered in one tick) stays a loss; the race
-                    # winner is flipped to True by _settle_winner.
-                    attempt_span["annotations"].update(
-                        outcome="ok", win=False
-                    )
-                    if info and info.get("trace"):
-                        trace.attach_remote(attempt_span, info["trace"])
-                    trace.end_span(attempt_span)
-                return (
-                    part,
-                    target.replica_id,
-                    info.get("cost") if info else None,
-                    attempt_span,
-                )
-
-            return asyncio.create_task(run())
-
-        delay = hedge_delay
-        primary = issue(replica)
-        can_hedge = (
+        primary = asyncio.create_task(issue(replica))
+        if (
             delay is not None
             and isinstance(replica.transport, AsyncSearcherTransport)
             and (deadline is None or deadline - time.monotonic() > delay)
-        )
-        if not can_hedge:
-            return self._settle_winner(await primary)
-        done, _ = await asyncio.wait({primary}, timeout=delay)
-        if primary in done:
-            return self._settle_winner(primary.result())
-        if deadline is not None and deadline - time.monotonic() <= 0:
-            # Out of budget: the in-flight primary is about to raise its
-            # own DeadlineExceededError; hedging now would be a second
-            # RPC that cannot answer in time either.
-            return self._settle_winner(await primary)
-        alternate = group.pick(exclude=tried)
-        if alternate is not None and (
-            alternate.draining
-            or not isinstance(alternate.transport, AsyncSearcherTransport)
         ):
-            alternate = None
-        hedge_target = alternate if alternate is not None else replica
-        if alternate is not None:
-            tried.append(alternate.replica_id)
-        with self._served_lock:
-            self.hedges += 1
-        _HEDGES.inc(broker=self.name)
-        return await self._first_reply_async(
-            primary, issue(hedge_target, hedge=True)
-        )
-
-    @staticmethod
-    def _settle_winner(
-        result: tuple,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], int, dict | None]:
-        """Mark a task result's attempt span as the winner and strip it."""
-        part, replica_id, cost, attempt_span = result
-        if attempt_span is not None:
-            attempt_span["annotations"]["win"] = True
-        return part, replica_id, cost
+            done, _ = await asyncio.wait({primary}, timeout=delay)
+            # Once out of budget the in-flight primary is about to raise
+            # its own DeadlineExceededError; a hedge now would be a
+            # second RPC that cannot answer in time either.
+            if not done and (
+                deadline is None or deadline - time.monotonic() > 0
+            ):
+                alternate = group.pick(exclude=tried)
+                if alternate is not None and (
+                    alternate.draining
+                    or not isinstance(
+                        alternate.transport, AsyncSearcherTransport
+                    )
+                ):
+                    alternate = None
+                if alternate is None:
+                    alternate = replica  # second connection, same process
+                else:
+                    tried.append(alternate.replica_id)
+                with self._served_lock:
+                    self.hedges += 1
+                _HEDGES.inc(broker=self.name)
+                return await self._first_reply_async(
+                    primary,
+                    asyncio.create_task(issue(alternate, hedge=True)),
+                )
+        attempt, part = await primary
+        return attempt.settle(part)
 
     async def _first_reply_async(self, primary, hedge):
         """Race the primary against its hedge; first *success* wins.
@@ -1771,7 +1546,8 @@ class Broker:
             with self._served_lock:
                 self.hedge_wins += 1
             _HEDGE_WINS.inc(broker=self.name)
-        return self._settle_winner(winner.result())
+        attempt, part = winner.result()
+        return attempt.settle(part)
 
     def _shard_failure(self, shard_id: int, exc: TransportError) -> None:
         """Handle one shard group's failure per the active policy.
@@ -1802,38 +1578,3 @@ class Broker:
         _SHARD_FAILURES.inc(broker=self.name, shard=shard_id)
         self._last_failure = exc
         return None
-
-    # -- deprecated aliases (the original serving entry points) ------------------------
-    def query(
-        self,
-        index_name: str,
-        query: np.ndarray,
-        top_k: int,
-        *,
-        ef: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated alias of :meth:`search`."""
-        warnings.warn(
-            "Broker.query is deprecated; use Broker.search or "
-            "Broker.execute(SearchRequest(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.search(index_name, query, top_k, ef=ef)
-
-    def query_batch(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        top_k: int,
-        *,
-        ef: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated alias of :meth:`search_batch`."""
-        warnings.warn(
-            "Broker.query_batch is deprecated; use Broker.search_batch or "
-            "Broker.execute(SearchRequest(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.search_batch(index_name, queries, top_k, ef=ef)

@@ -24,7 +24,6 @@ all modes.
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -38,10 +37,7 @@ from repro.errors import (
 )
 from repro.eval.timing import measure_batch_qps, measure_qps
 from repro.net.fleet import parse_fleet_spec
-from repro.net.transport import (
-    AsyncRemoteSearcherTransport,
-    RemoteSearcherTransport,
-)
+from repro.net.transport import AsyncRemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.cache import QueryResultCache
 from repro.online.searcher import SearcherNode
@@ -58,26 +54,11 @@ class OnlineService:
 
     Parameters
     ----------
-    parallel_fanout:
-        Give each broker a fan-out thread pool (see
-        :class:`~repro.online.broker.Broker`).  **Deprecated for remote
-        fleets**: thread-per-RPC over the sync client is the PR-3 hot
-        path; remote fleets should use ``async_fanout`` (the sync client
-        stays for control-plane RPCs -- deploy, verify, stats).
-    async_fanout:
-        Give each broker an asyncio fan-out loop instead: all remote
-        shard RPCs for a batch are multiplexed on one event-loop
-        thread (O(1) threads however many shards are in flight), and
-        remote fleets get async-native transports
-        (:class:`~repro.net.transport.AsyncRemoteSearcherTransport`).
-        Supersedes ``parallel_fanout``.
     hedge_after_s:
         Hedged-request delay passed to every broker: a delay in
         seconds, or ``"auto"`` to track the live ``shard_rpc`` latency
-        window (requires ``async_fanout``; see
-        :class:`~repro.online.broker.Broker`).
-    fanout_workers:
-        Fan-out pool size per broker, independent of the shard count.
+        window (remote fleets only -- in-process shards cannot hedge;
+        see :class:`~repro.online.broker.Broker`).
     max_batch, max_wait_ms:
         Micro-batching knobs passed to each broker; ``max_batch <= 1``
         (default) disables opportunistic micro-batching.
@@ -120,10 +101,11 @@ class OnlineService:
     def __init__(
         self,
         *,
-        parallel_fanout: bool = False,
+        # Accepted and ignored: selects nothing since the broker derives
+        # its fan-out venue from the fleet.  Last caller is
+        # benchmarks/ledger/workloads.py (frozen); drop both together.
         async_fanout: bool = False,
         hedge_after_s: float | str | None = None,
-        fanout_workers: int | None = None,
         max_batch: int = 1,
         max_wait_ms: float = 2.0,
         cache_size: int = 0,
@@ -146,10 +128,7 @@ class OnlineService:
         #: ``index_name -> (fs, index_path)`` for every live deploy
         #: (what :meth:`rolling_restart` re-hosts onto fresh replicas).
         self.deployments: dict[str, tuple[LocalHdfs, str]] = {}
-        self.parallel_fanout = bool(parallel_fanout)
-        self.async_fanout = bool(async_fanout)
         self.hedge_after_s = hedge_after_s
-        self.fanout_workers = fanout_workers
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.partial_policy = partial_policy
@@ -164,6 +143,13 @@ class OnlineService:
         self.cache = QueryResultCache(cache_size)
         self._deploy_epoch = 0
         if searchers is None:
+            if hedge_after_s is not None:
+                # Fail here, not at the first deploy's Broker(), which
+                # runs after the shards are already hosted.
+                raise ValueError(
+                    "hedge_after_s needs a remote fleet (in-process "
+                    "shards cannot hedge)"
+                )
             self.remote = False
             self.searchers: list = []
         else:
@@ -171,25 +157,12 @@ class OnlineService:
             if not groups:
                 raise ValueError("remote fleet needs at least one address")
             self.remote = True
-            if self.parallel_fanout and not self.async_fanout:
-                warnings.warn(
-                    "parallel_fanout with a remote fleet runs the sync "
-                    "RPC client on the search hot path, which is "
-                    "deprecated; use async_fanout=True (the sync client "
-                    "remains for control-plane RPCs)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            # Async fan-out gets async-native transports (the sync
-            # control plane -- deploy/verify/stats -- rides along).
-            transport_type = (
-                AsyncRemoteSearcherTransport
-                if self.async_fanout
-                else RemoteSearcherTransport
-            )
 
+            # The search hot path is async-native (the broker multiplexes
+            # it on its fan-out loop); the inherited sync client carries
+            # the control plane -- deploy / verify / undeploy / stats.
             def connect(address: str, shard_id: int):
-                return transport_type(
+                return AsyncRemoteSearcherTransport(
                     address,
                     shard_id,
                     timeout_s=rpc_timeout_s,
@@ -287,10 +260,7 @@ class OnlineService:
         broker = Broker(
             self.searchers,
             config,
-            parallel_fanout=self.parallel_fanout,
-            async_fanout=self.async_fanout,
             hedge_after_s=self.hedge_after_s,
-            fanout_workers=self.fanout_workers,
             max_batch=self.max_batch,
             max_wait_ms=self.max_wait_ms,
             cache=self.cache,
@@ -337,7 +307,7 @@ class OnlineService:
         # connection dropped after host()).  Only a failure to *connect*
         # proves the request never arrived.  `hosted` counts confirmed
         # deploys -- what a degraded deploy needs at least one of.
-        rollback: list[RemoteSearcherTransport] = []
+        rollback: list[AsyncRemoteSearcherTransport] = []
         hosted = 0
         unreachable: Exception | None = None
         try:
@@ -542,21 +512,19 @@ class OnlineService:
         *,
         index_name: str = "default",
         ef: int | None = None,
-        with_info: bool = False,
         spill: int | str | None = None,
-    ) -> tuple:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Serve a query batch in one broker fan-out.
 
         Returns ``(B, top_k)`` id/distance arrays padded with ``-1`` /
         ``inf``; per-query results are identical to :meth:`query`.
         ``spill`` routes the batch through the broker's router (see
-        :class:`~repro.online.types.SearchRequest`).  ``with_info=True``
-        (deprecated -- use :meth:`execute`) appends the broker's
-        partial-result annotation (``shards_answered`` per row).
+        :class:`~repro.online.types.SearchRequest`); :meth:`execute`
+        returns the partial-result annotation (``shards_answered`` per
+        row) and the rest of the serving metadata.
         """
         return self._broker(index_name).search_batch(
-            index_name, queries, top_k, ef=ef, with_info=with_info,
-            spill=spill,
+            index_name, queries, top_k, ef=ef, spill=spill
         )
 
     # The paper-facing name for the batch serving entry point.

@@ -1,9 +1,6 @@
 """Structured request/response types for the online serving API.
 
-PRs 2-5 accreted knobs onto ``Broker.search_batch`` (``with_info=True``
-tuple-shape switching, per-call ``ef``, implicit broker-wide hedging and
-deadline policy).  This module replaces that kwarg sprawl with two frozen
-dataclasses:
+Two frozen dataclasses carry a query batch through the serving tier:
 
 - :class:`SearchRequest` -- everything one query batch needs: the queries
   themselves, accuracy knobs (``top_k``, ``ef``), the routing knob
@@ -13,15 +10,13 @@ dataclasses:
   which shard groups were routed and answered per row, which replica won
   each group, and per-stage timings.
 
-``Broker.execute(request) -> response`` is the one true entry point; the
-legacy ``search``/``search_batch``/``query`` signatures are thin shims
-over it.
+``Broker.execute(request) -> response`` is the one entry point;
+``search``/``search_batch`` are array-in/array-out wrappers over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -135,7 +130,7 @@ class SearchResponse:
     """Results of one executed :class:`SearchRequest`.
 
     ``ids``/``dists`` are ``(B, top_k)`` with ``-1`` / ``inf`` padding,
-    exactly as the legacy tuple API returned them.  The metadata arrays
+    exactly as ``search_batch`` returns them.  The metadata arrays
     describe the fan-out: ``shards_routed[row]`` is how many shard groups
     the router selected for that row (== ``num_shards`` when unrouted) and
     ``shards_answered[row]`` how many of those actually contributed, so
@@ -166,13 +161,3 @@ class SearchResponse:
     def fully_answered(self) -> bool:
         """Whether every row got an answer from every routed group."""
         return self.degraded_rows == 0
-
-    def info(self) -> dict[str, Any]:
-        """The legacy ``with_info=True`` metadata dict."""
-        info: dict[str, Any] = {
-            "shards_answered": self.shards_answered,
-            "num_shards": self.num_shards,
-        }
-        if self.cost is not None:
-            info["cost"] = self.cost
-        return info

@@ -279,20 +279,6 @@ class TestBrokerBatchParity:
                 batch_dists[row, :count], single_dists
             )
 
-    def test_parallel_fanout_batch_same_results(
-        self, lanns, broker, clustered_queries
-    ):
-        parallel = Broker(
-            broker.searchers, lanns.config, parallel_fanout=True
-        )
-        sequential_ids, _ = broker.search_batch(
-            "main", clustered_queries[:12], 8
-        )
-        parallel_ids, _ = parallel.search_batch(
-            "main", clustered_queries[:12], 8
-        )
-        np.testing.assert_array_equal(sequential_ids, parallel_ids)
-
     def test_batch_matches_in_memory_index(
         self, lanns, broker, clustered_queries
     ):

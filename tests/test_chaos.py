@@ -182,7 +182,6 @@ class TestChaosFailover:
             broker = Broker(
                 [[transports[0], transports[1]], [transports[2]]],
                 config,
-                async_fanout=True,
                 partial_policy="fail",
             )
             results = [broker.search_batch("r", queries, 5) for _ in range(4)]
@@ -253,7 +252,6 @@ class TestChaosFailover:
             broker = Broker(
                 [[transports[0]], [transports[1]]],
                 config,
-                async_fanout=True,
                 partial_policy="fail",
             )
             tick = time.monotonic()
@@ -302,7 +300,6 @@ class TestRollingRestartUnderChaos:
             searchers=[
                 [server.address for server in group] for group in grid
             ],
-            async_fanout=True,
             partial_policy="fail",
             request_timeout_s=30.0,
         )

@@ -84,13 +84,13 @@ class TestBrokerConcurrentFanout:
         searchers = [SearcherNode(0), SearcherNode(1)]
         for shard_id, searcher in enumerate(searchers):
             searcher.host("main", shared_lanns.shards[shard_id])
-        broker = Broker(searchers, shared_lanns.config, parallel_fanout=True)
+        broker = Broker(searchers, shared_lanns.config)
         sequential = [
-            broker.query("main", query, 8, ef=48)[0].tolist()
+            broker.search("main", query, 8, ef=48)[0].tolist()
             for query in clustered_queries[:25]
         ]
         parallel = parallel_map(
-            lambda query: broker.query("main", query, 8, ef=48)[0].tolist(),
+            lambda query: broker.search("main", query, 8, ef=48)[0].tolist(),
             clustered_queries[:25],
         )
         assert parallel == sequential

@@ -34,10 +34,14 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.merge import merge_shard_results_batch
 from repro.net.server import SearcherServer
-from repro.net.transport import AsyncRemoteSearcherTransport
+from repro.net.transport import (
+    AsyncRemoteSearcherTransport,
+    RemoteSearcherTransport,
+)
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
 from tests.conftest import FAST_HNSW, make_clustered
@@ -144,7 +148,6 @@ class TestHedgedParity:
         broker = Broker(
             transports,
             config,
-            async_fanout=True,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
@@ -169,14 +172,14 @@ class TestHedgedParity:
         finally:
             close_all(broker, transports)
 
-    def test_unhedged_async_fanout_waits_for_straggler(
+    def test_unhedged_fanout_waits_for_straggler(
         self, fleet, config, queries, baseline
     ):
         """Without hedging the async fan-out still serves bit-identical
         results -- it just eats the straggler's stall."""
         want_ids, want_dists = baseline.search_batch("hedge", queries, 10)
         transports = make_transports(fleet)
-        broker = Broker(transports, config, async_fanout=True)
+        broker = Broker(transports, config)
         try:
             begin = time.perf_counter()
             got_ids, got_dists = broker.search_batch("hedge", queries, 10)
@@ -202,7 +205,6 @@ class TestHedgedParity:
         broker = Broker(
             transports,
             config,
-            async_fanout=True,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
             max_batch=4,
@@ -251,16 +253,16 @@ class TestHedgeDeadlineBudget:
         broker = Broker(
             transports,
             config,
-            async_fanout=True,
             hedge_after_s=0.5,
             request_timeout_s=0.3,
             partial_policy="degrade",
         )
         try:
-            ids, dists, info = broker.search_batch(
-                "hedge", probe, 10, with_info=True
+            response = broker.execute(
+                SearchRequest(queries=probe, top_k=10, index_name="hedge")
             )
-            assert (info["shards_answered"] == NUM_SHARDS - 1).all()
+            ids, dists = response.ids, response.dists
+            assert (response.shards_answered == NUM_SHARDS - 1).all()
             assert broker.stats()["hedges"] == 0, (
                 "a hedge fired although the deadline precedes the delay"
             )
@@ -289,16 +291,15 @@ class TestHedgeDeadlineBudget:
         broker = Broker(
             transports,
             config,
-            async_fanout=True,
             hedge_after_s=0.1,
             request_timeout_s=0.4,
             partial_policy="degrade",
         )
         try:
-            _, _, info = broker.search_batch(
-                "hedge", probe, 10, with_info=True
+            response = broker.execute(
+                SearchRequest(queries=probe, top_k=10, index_name="hedge")
             )
-            assert (info["shards_answered"] == NUM_SHARDS - 1).all()
+            assert (response.shards_answered == NUM_SHARDS - 1).all()
             stats = broker.stats()
             assert stats["hedges"] == 1
             assert stats["hedge_wins"] == 0
@@ -317,7 +318,6 @@ class TestConnectionHygiene:
         broker = Broker(
             transports,
             config,
-            async_fanout=True,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
@@ -349,14 +349,11 @@ class TestConnectionHygiene:
                 broker = Broker(
                     transports,
                     config,
-                    async_fanout=True,
                     request_timeout_s=30.0,
                 )
                 broker.search_batch("hedge", queries[:2], 5)
                 broker.close()
-            broker = Broker(
-                transports, config, async_fanout=True, request_timeout_s=30.0
-            )
+            broker = Broker(transports, config, request_timeout_s=30.0)
             broker.search_batch("hedge", queries[:2], 5)
             try:
                 for transport in transports:
@@ -375,15 +372,14 @@ class TestConnectionHygiene:
         for transport in transports:
             assert transport.async_client.open_connections == 0
 
-    def test_async_fanout_uses_one_loop_thread(self, fleet, config, queries):
-        """O(1) threads for N in-flight remote RPCs: the async broker
-        adds exactly one thread (the loop), never a fan-out pool."""
+    def test_loop_venue_uses_one_loop_thread(self, fleet, config, queries):
+        """O(1) threads for N in-flight remote RPCs: the loop-venue
+        broker adds exactly one thread (the loop), nothing per RPC."""
         before = set(threading.enumerate())
         transports = make_transports(fleet)
         broker = Broker(
             transports,
             config,
-            async_fanout=True,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
@@ -395,9 +391,7 @@ class TestConnectionHygiene:
                 if thread not in before and thread.name.startswith("broker-")
             ]
             assert added == ["broker-async-loop"], added
-            assert broker._pool is None
-            assert broker.stats()["fanout_workers"] == 0
-            assert broker.stats()["async_fanout"] is True
+            assert broker.stats()["venue"] == "loop"
         finally:
             close_all(broker, transports)
         alive = [
@@ -411,17 +405,16 @@ class TestConnectionHygiene:
 
 
 class TestServiceIntegration:
-    def test_service_async_fanout_hedged_end_to_end(
+    def test_service_hedged_end_to_end(
         self, shared_fs, fleet, queries, index
     ):
         """OnlineService wiring: deploy over RPC onto the straggler
-        fleet with async fan-out + hedging, parity against an in-process
+        fleet with hedging, parity against an in-process
         service, stats surfaced, clean undeploy."""
         addresses = [server.address for server in fleet]
         local = OnlineService()
         remote = OnlineService(
             searchers=addresses,
-            async_fanout=True,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
@@ -434,40 +427,54 @@ class TestServiceIntegration:
             want_ids, want_dists = local.query_batch(
                 queries, 10, index_name="svc"
             )
-            got_ids, got_dists, info = remote.query_batch(
-                queries, 10, index_name="svc", with_info=True
+            response = remote.execute(
+                SearchRequest(queries=queries, top_k=10, index_name="svc")
             )
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_array_equal(got_dists, want_dists)
-            assert (info["shards_answered"] == NUM_SHARDS).all()
+            np.testing.assert_array_equal(response.ids, want_ids)
+            np.testing.assert_array_equal(response.dists, want_dists)
+            assert (response.shards_answered == NUM_SHARDS).all()
             stats = remote.brokers["svc"].stats()
-            assert stats["async_fanout"] is True
+            assert stats["venue"] == "loop"
             assert stats["hedge_after_s"] == 0.05
             remote.undeploy("svc")
         finally:
             local.close()
             remote.close()
 
-    def test_hedging_requires_async_fanout(self, config):
+    def test_hedging_requires_async_transport(self, fleet, config):
+        """Never silently drop a hedge: a fleet with no async-capable
+        transport (in-process, or sync remote) rejects the knob; value
+        validation is independent of the fleet."""
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        with pytest.raises(ValueError, match="requires async_fanout"):
+        with pytest.raises(ValueError, match="AsyncSearcherTransport"):
             Broker(nodes, config, hedge_after_s=0.1)
+        sync = [
+            RemoteSearcherTransport(server.address, shard_id)
+            for shard_id, server in enumerate(fleet)
+        ]
+        try:
+            with pytest.raises(ValueError, match="AsyncSearcherTransport"):
+                Broker(sync, config, hedge_after_s=0.1)
+        finally:
+            for transport in sync:
+                transport.close()
         with pytest.raises(ValueError, match="must be positive"):
-            Broker(nodes, config, async_fanout=True, hedge_after_s=0.0)
+            Broker(nodes, config, hedge_after_s=0.0)
+        with pytest.raises(ValueError, match="remote fleet"):
+            OnlineService(hedge_after_s=0.1)
 
-    def test_per_request_hedging_requires_async_fanout(self, index, config):
-        """A hedging override on a loop-less broker raises instead of
-        being silently ignored (mirrors the constructor validation);
-        ``inherit``/``False`` stay valid -- they ask for no hedge."""
-        from repro.online.types import SearchRequest
-
+    def test_per_request_hedging_requires_async_transport(self, index, config):
+        """A hedging override on a broker that cannot hedge raises
+        instead of being silently ignored (mirrors the constructor
+        validation); ``inherit``/``False`` stay valid -- they ask for no
+        hedge."""
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
         for shard_id, node in enumerate(nodes):
             node.host("hedge", index.shards[shard_id])
         broker = Broker(nodes, config)
         try:
             for override in (0.05, "auto"):
-                with pytest.raises(ValueError, match="requires.*async_fanout"):
+                with pytest.raises(ValueError, match="AsyncSearcherTransport"):
                     broker.execute(
                         SearchRequest(
                             queries=np.zeros((1, 16), np.float32),
@@ -492,26 +499,23 @@ class TestServiceIntegration:
 class TestAdaptiveHedging:
     """hedge_after_s="auto": delay derived from the live shard_rpc window."""
 
-    def make_auto_broker(self, index, config):
-        nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        for shard_id, node in enumerate(nodes):
-            node.host("hedge", index.shards[shard_id])
-        return Broker(nodes, config, async_fanout=True, hedge_after_s="auto")
+    @pytest.fixture
+    def auto_broker(self, fleet, config):
+        transports = make_transports(fleet)
+        broker = Broker(transports, config, hedge_after_s="auto")
+        yield broker
+        close_all(broker, transports)
 
-    def test_no_hedging_before_min_samples(self, index, config):
+    def test_no_hedging_before_min_samples(self, auto_broker):
         from repro.online.broker import AUTO_HEDGE_MIN_SAMPLES
 
-        broker = self.make_auto_broker(index, config)
-        try:
-            for _ in range(AUTO_HEDGE_MIN_SAMPLES - 1):
-                broker.timings.record("shard_rpc", 0.01)
-            assert broker._resolve_hedge_delay() is None
-            broker.timings.record("shard_rpc", 0.01)
-            assert broker._resolve_hedge_delay() is not None
-        finally:
-            broker.close()
+        for _ in range(AUTO_HEDGE_MIN_SAMPLES - 1):
+            auto_broker.timings.record("shard_rpc", 0.01)
+        assert auto_broker._resolve_hedge_delay() is None
+        auto_broker.timings.record("shard_rpc", 0.01)
+        assert auto_broker._resolve_hedge_delay() is not None
 
-    def test_delay_tracks_injected_distribution(self, index, config):
+    def test_delay_tracks_injected_distribution(self, auto_broker):
         """The delay follows the *median* of an injected slow-shard mix:
         half the samples straggler-slow must not drag the trigger up."""
         from repro.online.broker import (
@@ -519,116 +523,93 @@ class TestAdaptiveHedging:
             AUTO_HEDGE_MULTIPLIER,
         )
 
-        broker = self.make_auto_broker(index, config)
-        try:
-            # Healthy shard: tight 5 ms RPCs.
-            for _ in range(100):
-                broker.timings.record("shard_rpc", 0.005)
-            healthy = broker._resolve_hedge_delay()
-            assert healthy == pytest.approx(0.005 * AUTO_HEDGE_MULTIPLIER)
+        # Healthy shard: tight 5 ms RPCs.
+        for _ in range(100):
+            auto_broker.timings.record("shard_rpc", 0.005)
+        healthy = auto_broker._resolve_hedge_delay()
+        assert healthy == pytest.approx(0.005 * AUTO_HEDGE_MULTIPLIER)
 
-            # Inject a straggling shard: just under half the recent
-            # window at 250 ms.  The median stays healthy, so the delay
-            # must not balloon to straggler scale.
-            for _ in range(90):
-                broker.timings.record("shard_rpc", 0.25)
-            mixed = broker._resolve_hedge_delay()
-            assert mixed == pytest.approx(0.005 * AUTO_HEDGE_MULTIPLIER)
+        # Inject a straggling shard: just under half the recent
+        # window at 250 ms.  The median stays healthy, so the delay
+        # must not balloon to straggler scale.
+        for _ in range(90):
+            auto_broker.timings.record("shard_rpc", 0.25)
+        mixed = auto_broker._resolve_hedge_delay()
+        assert mixed == pytest.approx(0.005 * AUTO_HEDGE_MULTIPLIER)
 
-            # The fleet genuinely slows down (every sample slow): the
-            # delay tracks the new median instead of hedging constantly.
-            for _ in range(8192):
-                broker.timings.record("shard_rpc", 0.05)
-            slowed = broker._resolve_hedge_delay()
-            assert slowed == pytest.approx(0.05 * AUTO_HEDGE_MULTIPLIER)
-            assert slowed >= AUTO_HEDGE_MIN_DELAY_S
-        finally:
-            broker.close()
+        # The fleet genuinely slows down (every sample slow): the
+        # delay tracks the new median instead of hedging constantly.
+        for _ in range(8192):
+            auto_broker.timings.record("shard_rpc", 0.05)
+        slowed = auto_broker._resolve_hedge_delay()
+        assert slowed == pytest.approx(0.05 * AUTO_HEDGE_MULTIPLIER)
+        assert slowed >= AUTO_HEDGE_MIN_DELAY_S
 
-    def test_delay_floor(self, index, config):
+    def test_delay_floor(self, auto_broker):
         from repro.online.broker import AUTO_HEDGE_MIN_DELAY_S
 
-        broker = self.make_auto_broker(index, config)
-        try:
-            for _ in range(64):
-                broker.timings.record("shard_rpc", 1e-7)
-            assert broker._resolve_hedge_delay() == AUTO_HEDGE_MIN_DELAY_S
-        finally:
-            broker.close()
+        for _ in range(64):
+            auto_broker.timings.record("shard_rpc", 1e-7)
+        assert auto_broker._resolve_hedge_delay() == AUTO_HEDGE_MIN_DELAY_S
 
-    def test_static_knob_unchanged(self, index, config):
-        nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        for shard_id, node in enumerate(nodes):
-            node.host("hedge", index.shards[shard_id])
-        broker = Broker(nodes, config, async_fanout=True, hedge_after_s=0.07)
+    def test_static_knob_unchanged(self, fleet, config):
+        transports = make_transports(fleet)
+        broker = Broker(transports, config, hedge_after_s=0.07)
         try:
             broker.timings.record("shard_rpc", 5.0)
             assert broker._resolve_hedge_delay() == 0.07
         finally:
-            broker.close()
+            close_all(broker, transports)
 
-    def test_validation(self, index, config):
+    def test_validation(self, fleet, config):
+        transports = make_transports(fleet)
+        try:
+            with pytest.raises(ValueError, match="auto"):
+                Broker(transports, config, hedge_after_s="fast")
+        finally:
+            for transport in transports:
+                transport.close()
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        for shard_id, node in enumerate(nodes):
-            node.host("hedge", index.shards[shard_id])
-        with pytest.raises(ValueError, match="auto"):
-            Broker(nodes, config, async_fanout=True, hedge_after_s="fast")
-        with pytest.raises(ValueError, match="async_fanout"):
+        with pytest.raises(ValueError, match="AsyncSearcherTransport"):
             Broker(nodes, config, hedge_after_s="auto")
 
-    def test_auto_end_to_end_with_straggler(self, index, config, queries):
-        """Warm the window on an in-process fleet, then verify hedges
-        actually fire under "auto" once samples exist, with results
-        identical to an unhedged broker."""
+    def test_auto_end_to_end_with_straggler(
+        self, fleet, auto_broker, queries, baseline
+    ):
+        """Warm the window on the straggler fleet (no hedging yet), then
+        verify hedges actually fire under "auto" once samples exist,
+        with results identical to the in-process reference."""
         from repro.online.broker import AUTO_HEDGE_MIN_SAMPLES
 
-        class StragglerNode(SearcherNode):
-            def __init__(self, shard_id):
-                super().__init__(shard_id)
-                self.calls = 0
-
-            def search_batch(self, *args, **kwargs):
-                self.calls += 1
-                if self.shard_id == SLOW_SHARD and self.calls % 2 == 0:
-                    time.sleep(0.08)
-                return super().search_batch(*args, **kwargs)
-
-        nodes = [StragglerNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        for shard_id, node in enumerate(nodes):
-            node.host("hedge", index.shards[shard_id])
-        broker = Broker(nodes, config, async_fanout=True, hedge_after_s="auto")
-        reference = Broker(
-            [SearcherNode(s) for s in range(NUM_SHARDS)], config
-        )
-        for shard_id, transport in enumerate(reference.searchers):
-            transport.host("hedge", index.shards[shard_id])
-        try:
-            # Warm-up: fill the shard_rpc window (no hedging yet).
-            warm = queries[:2]
-            while (
-                (broker.timings.quantile("shard_rpc", 0.5) or (0, 0.0))[0]
-                < AUTO_HEDGE_MIN_SAMPLES
-            ):
-                broker.search_batch("hedge", warm, 5)
-            assert broker.hedges == 0  # in-process shards cannot hedge...
-            delay = broker._resolve_hedge_delay()
-            assert delay is not None and delay < 0.08
-            ids, dists = broker.search_batch("hedge", queries, 5)
-            want_ids, want_dists = reference.search_batch(
-                "hedge", queries, 5
-            )
+        fleet[SLOW_SHARD].slow_delay_s = 0.08
+        warm = queries[:2]
+        while (
+            (auto_broker.timings.quantile("shard_rpc", 0.5) or (0, 0.0))[0]
+            < AUTO_HEDGE_MIN_SAMPLES
+        ):
+            auto_broker.search_batch("hedge", warm, 5)
+        assert auto_broker.hedges == 0
+        delay = auto_broker._resolve_hedge_delay()
+        assert delay is not None and delay < 0.08
+        want_ids, want_dists = baseline.search_batch("hedge", queries, 5)
+        # Every other SEARCH frame to the slow shard stalls, so one of
+        # two consecutive primaries must out-wait the derived delay.
+        for _ in range(2):
+            ids, dists = auto_broker.search_batch("hedge", queries, 5)
             assert np.array_equal(ids, want_ids)
             assert np.array_equal(dists, want_dists)
-        finally:
-            broker.close()
-            reference.close()
+        assert auto_broker.hedges >= 1
 
-    def test_service_accepts_auto(self, index, config, shared_fs):
-        service = OnlineService(async_fanout=True, hedge_after_s="auto")
+    def test_service_accepts_auto(self, fleet, shared_fs):
+        service = OnlineService(
+            searchers=[server.address for server in fleet],
+            hedge_after_s="auto",
+        )
         try:
             service.deploy(shared_fs, INDEX_PATH, index_name="auto-svc")
             stats = service.stats()
             broker_stats = stats["indices"]["auto-svc"]
             assert broker_stats["hedge_after_s"] == "auto"
+            service.undeploy("auto-svc")
         finally:
             service.close()

@@ -64,9 +64,7 @@ def expected(searchers, config, clustered_queries):
 
 
 def make_core(searchers, config, **kwargs):
-    defaults = dict(
-        parallel_fanout=True, max_batch=8, max_wait_ms=5.0, cache_size=0
-    )
+    defaults = dict(max_batch=8, max_wait_ms=5.0, cache_size=0)
     defaults.update(kwargs)
     return Broker(searchers, config, **defaults)
 

@@ -248,8 +248,7 @@ class TestBrokerObservability:
             "cache",
             "microbatch",
             "stages",
-            "fanout_workers",
-            "async_fanout",
+            "venue",
             "hedge_after_s",
             "hedges",
             "hedge_wins",
@@ -261,6 +260,7 @@ class TestBrokerObservability:
             "partial",
             "fleet_queries_served",
         }
+        assert stats["venue"] == "inline"
         assert set(stats["tracer"]) == {
             "sample_rate",
             "slow_query_threshold_s",
@@ -304,7 +304,6 @@ class TestBrokerObservability:
         assert with_cost.cost["distance_comps"] > 0
         assert with_cost.cost["hops"] > 0
         assert with_cost.cost["segments_probed"] > 0
-        assert with_cost.info()["cost"] == with_cost.cost
 
     def test_traced_request_builds_span_tree(
         self, index, config, clustered_queries

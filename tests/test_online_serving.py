@@ -86,21 +86,9 @@ class TestBroker:
             searcher.host("main", index.shards[shard_id])
         broker = Broker(searchers, config)
         for query in clustered_queries[:10]:
-            broker_ids, _ = broker.query("main", query, 10, ef=64)
+            broker_ids, _ = broker.search("main", query, 10, ef=64)
             index_ids, _ = index.query(query, 10, ef=64)
             np.testing.assert_array_equal(broker_ids, index_ids)
-
-    def test_parallel_fanout_same_results(self, index, clustered_queries, config):
-        searchers = [SearcherNode(0), SearcherNode(1)]
-        for shard_id, searcher in enumerate(searchers):
-            searcher.host("main", index.shards[shard_id])
-        sequential = Broker(searchers, config, parallel_fanout=False)
-        parallel = Broker(searchers, config, parallel_fanout=True)
-        for query in clustered_queries[:5]:
-            np.testing.assert_array_equal(
-                sequential.query("main", query, 8)[0],
-                parallel.query("main", query, 8)[0],
-            )
 
     def test_searcher_order_enforced(self, index, config):
         searchers = [SearcherNode(1), SearcherNode(0)]
@@ -127,7 +115,7 @@ class TestBroker:
         for shard_id, searcher in enumerate(searchers):
             searcher.host("main", index.shards[shard_id])
         broker = Broker(searchers, config)
-        ids, dists = broker.query_batch("main", clustered_queries[:3], 5)
+        ids, dists = broker.search_batch("main", clustered_queries[:3], 5)
         assert ids.shape == (3, 5)
 
 

@@ -378,9 +378,7 @@ class TestServiceInvalidation:
         # A long flush deadline parks admitted requests in the queue, so
         # undeploy provably starts with them still pending; its
         # close()-drain (not the timer) is what must execute them.
-        service = OnlineService(
-            parallel_fanout=True, max_batch=64, max_wait_ms=2000.0
-        )
+        service = OnlineService(max_batch=64, max_wait_ms=2000.0)
         broker = service.deploy(fs, "prod/full", index_name="x")
         results: dict[int, tuple] = {}
         errors: list[BaseException] = []

@@ -37,10 +37,14 @@ from repro.errors import (
 from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
 from repro.net.protocol import MsgType
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
+from repro.net.transport import (
+    AsyncRemoteSearcherTransport,
+    RemoteSearcherTransport,
+)
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
 from tests.conftest import FAST_HNSW, make_clustered
@@ -138,6 +142,13 @@ def black_hole():
         sock.close()
 
 
+def execute(target, queries, top_k, index_name):
+    """One structured request against a ``Broker`` or ``OnlineService``."""
+    return target.execute(
+        SearchRequest(queries=queries, top_k=top_k, index_name=index_name)
+    )
+
+
 def refused_address() -> str:
     """An address nothing listens on (bound, never listened, closed)."""
     sock = socket.socket()
@@ -152,20 +163,18 @@ class TestRemoteParity:
         self, shared_fs, addresses, queries, index
     ):
         local = OnlineService()
-        remote = OnlineService(searchers=addresses, parallel_fanout=True)
+        remote = OnlineService(searchers=addresses)
         try:
             local.deploy(shared_fs, INDEX_PATH, index_name="p")
             remote.deploy(shared_fs, INDEX_PATH, index_name="p")
             want_ids, want_dists = local.query_batch(
                 queries, 10, index_name="p"
             )
-            got_ids, got_dists, info = remote.query_batch(
-                queries, 10, index_name="p", with_info=True
-            )
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_array_equal(got_dists, want_dists)
-            assert (info["shards_answered"] == NUM_SHARDS).all()
-            assert info["num_shards"] == NUM_SHARDS
+            response = execute(remote, queries, 10, "p")
+            np.testing.assert_array_equal(response.ids, want_ids)
+            np.testing.assert_array_equal(response.dists, want_dists)
+            assert (response.shards_answered == NUM_SHARDS).all()
+            assert response.num_shards == NUM_SHARDS
             # Single-query path through the same wire.
             for row in range(5):
                 w_ids, w_dists = local.query(
@@ -184,13 +193,12 @@ class TestRemoteParity:
     def test_microbatcher_and_cache_compose_with_remote_transport(
         self, shared_fs, addresses, queries, index
     ):
-        """The PR-2 admission layer + result cache, unchanged, in front
+        """The admission layer + result cache, unchanged, in front
         of the remote fleet: concurrent singles stay bit-identical and
         repeats hit the cache."""
         local = OnlineService()
         remote = OnlineService(
             searchers=addresses,
-            parallel_fanout=True,
             max_batch=8,
             max_wait_ms=5.0,
             cache_size=256,
@@ -281,7 +289,6 @@ class TestDeployFailures:
         fleet = [addresses[0], addresses[1], refused_address()]
         service = OnlineService(
             searchers=fleet,
-            parallel_fanout=True,
             partial_policy="degrade",
             request_timeout_s=5.0,
             rpc_retries=0,
@@ -289,10 +296,9 @@ class TestDeployFailures:
         try:
             service.deploy(shared_fs, INDEX_PATH, index_name="dd")
             probe = queries[:4]
-            got_ids, got_dists, info = service.query_batch(
-                probe, 10, index_name="dd", with_info=True
-            )
-            assert (info["shards_answered"] == NUM_SHARDS - 1).all()
+            response = execute(service, probe, 10, "dd")
+            got_ids, got_dists = response.ids, response.dists
+            assert (response.shards_answered == NUM_SHARDS - 1).all()
             budget = service.brokers["dd"].per_shard_budget(10)
             parts = [
                 index.shards[shard].search_batch(probe, budget)
@@ -360,17 +366,16 @@ class TestDeployFailures:
             for client in clients[:2]:
                 client.deploy("ph", INDEX_PATH, root=str(shared_fs.root))
             transports = [
-                RemoteSearcherTransport(address, shard_id)
+                AsyncRemoteSearcherTransport(address, shard_id)
                 for shard_id, address in enumerate(addresses)
             ]
             broker = Broker(
                 transports, config, partial_policy="degrade"
             )
             try:
-                ids, dists, info = broker.search_batch(
-                    "ph", probe, 10, with_info=True
-                )
-                assert (info["shards_answered"] == 2).all()
+                response = execute(broker, probe, 10, "ph")
+                ids, dists = response.ids, response.dists
+                assert (response.shards_answered == 2).all()
                 budget = broker.per_shard_budget(10)
                 parts = [
                     index.shards[shard].search_batch(probe, budget)
@@ -406,22 +411,20 @@ class TestTimeouts:
                         "tmo", INDEX_PATH, root=str(shared_fs.root)
                     )
                 transports = [
-                    RemoteSearcherTransport(addresses[0], 0),
-                    RemoteSearcherTransport(addresses[1], 1),
-                    RemoteSearcherTransport(silent, 2, retries=0),
+                    AsyncRemoteSearcherTransport(addresses[0], 0),
+                    AsyncRemoteSearcherTransport(addresses[1], 1),
+                    AsyncRemoteSearcherTransport(silent, 2, retries=0),
                 ]
                 degrade = Broker(
                     transports,
                     config,
-                    parallel_fanout=True,
                     partial_policy="degrade",
                     request_timeout_s=0.5,
                 )
                 try:
-                    ids, dists, info = degrade.search_batch(
-                        "tmo", probe, 10, with_info=True
-                    )
-                    assert (info["shards_answered"] == 2).all()
+                    response = execute(degrade, probe, 10, "tmo")
+                    ids, dists = response.ids, response.dists
+                    assert (response.shards_answered == 2).all()
                     budget = degrade.per_shard_budget(10)
                     parts = [
                         index.shards[shard].search_batch(probe, budget)
@@ -437,15 +440,16 @@ class TestTimeouts:
                     assert stats["shard_failures"][2] >= 1
                 finally:
                     degrade.close()
+                    for transport in transports:
+                        transport.close()
 
                 strict = Broker(
                     [
-                        RemoteSearcherTransport(addresses[0], 0),
-                        RemoteSearcherTransport(addresses[1], 1),
-                        RemoteSearcherTransport(silent, 2, retries=0),
+                        AsyncRemoteSearcherTransport(addresses[0], 0),
+                        AsyncRemoteSearcherTransport(addresses[1], 1),
+                        AsyncRemoteSearcherTransport(silent, 2, retries=0),
                     ],
                     config,
-                    parallel_fanout=True,
                     partial_policy="fail",
                     request_timeout_s=0.5,
                 )
@@ -519,33 +523,28 @@ class TestKilledSearcherProcess:
         try:
             degrade = OnlineService(
                 searchers=fleet_addresses(fleet),
-                parallel_fanout=True,
                 partial_policy="degrade",
                 request_timeout_s=10.0,
                 rpc_retries=0,
             )
             strict = OnlineService(
                 searchers=fleet_addresses(fleet),
-                parallel_fanout=True,
                 partial_policy="fail",
                 request_timeout_s=10.0,
                 rpc_retries=0,
             )
             degrade.deploy(shared_fs, INDEX_PATH, index_name="kill")
             strict.deploy(shared_fs, INDEX_PATH, index_name="strictkill")
-            ids, dists, info = degrade.query_batch(
-                probe, 10, index_name="kill", with_info=True
-            )
-            assert (info["shards_answered"] == NUM_SHARDS).all()
+            response = execute(degrade, probe, 10, "kill")
+            assert (response.shards_answered == NUM_SHARDS).all()
 
             victim = fleet[1]
             victim.kill()
             assert not victim.alive()
 
-            got_ids, got_dists, info = degrade.query_batch(
-                probe, 10, index_name="kill", with_info=True
-            )
-            assert (info["shards_answered"] == NUM_SHARDS - 1).all()
+            response = execute(degrade, probe, 10, "kill")
+            got_ids, got_dists = response.ids, response.dists
+            assert (response.shards_answered == NUM_SHARDS - 1).all()
             broker = degrade.brokers["kill"]
             budget = broker.per_shard_budget(10)
             parts = [

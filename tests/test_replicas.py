@@ -357,7 +357,6 @@ class TestFailover:
         broker = Broker(
             [[connect(DEAD_ADDRESS, 0), live[0]], [live[1]]],
             config,
-            async_fanout=True,
             partial_policy="fail",
         )
         yield broker
@@ -387,7 +386,6 @@ class TestFailover:
         broker = Broker(
             [[connect(DEAD_ADDRESS, 0)], [live]],
             config,
-            async_fanout=True,
             partial_policy="fail",
         )
         try:
@@ -424,7 +422,6 @@ class TestCrossReplicaHedging:
             broker = Broker(
                 [[transports[0], transports[1]], [transports[2]]],
                 config,
-                async_fanout=True,
                 partial_policy="fail",
             )
             response = broker.execute(
@@ -471,7 +468,6 @@ class TestRollingRestart:
             searchers=[
                 [server.address for server in group] for group in grid
             ],
-            async_fanout=True,
             partial_policy="fail",
             request_timeout_s=30.0,
         )
@@ -542,7 +538,6 @@ class TestRollingRestart:
     def test_rolling_restart_requires_a_sibling(self, grid):
         service = OnlineService(
             searchers=[group[0].address for group in grid],
-            async_fanout=True,
         )
         try:
             with pytest.raises(ValueError, match="replica group of >= 2"):

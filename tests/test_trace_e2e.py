@@ -92,7 +92,6 @@ class TestRemoteTraceEndToEnd:
         try:
             service = OnlineService(
                 searchers=fleet_addresses(fleet),
-                async_fanout=True,
                 hedge_after_s=0.05,
                 request_timeout_s=30.0,
                 cache_size=64,
@@ -173,7 +172,6 @@ class TestRemoteTraceEndToEnd:
             # an untraced, unhedged service over the same fleet.
             plain = OnlineService(
                 searchers=fleet_addresses(fleet),
-                async_fanout=True,
                 request_timeout_s=30.0,
             )
             try:
