@@ -6,14 +6,13 @@ Inside ``async def`` bodies this checker bans:
 
 - ``time.sleep(...)`` (use ``asyncio.sleep``)
 - synchronous socket operations (``sock.recv``/``sendall``/``accept``,
-  ``socket.create_connection``, the sync ``send_frame``/``recv_frame``
-  protocol helpers)
+  ``socket.create_connection``)
 - ``.result()`` on futures — blocking when called on a
   ``concurrent.futures.Future``; calls on names bound to
   ``asyncio.create_task``/``ensure_future`` in the same function are
   recognised as non-blocking and skipped
-- constructing or naming the sync ``RemoteSearcherClient`` (the async
-  path must use ``AsyncRemoteSearcherClient``)
+- constructing or naming the blocking ``RemoteSearcherClient`` facade
+  (it refuses to run inside a loop; await ``AsyncRemoteSearcherClient``)
 
 Bodies of ``def``/``lambda`` nested inside an ``async def`` (executor
 thunks) run on worker threads and are deliberately out of scope.
@@ -35,7 +34,6 @@ BLOCKING_MODULE_CALLS = {
         "socket.create_connection() is a blocking dial",
     ),
 }
-SYNC_PROTOCOL_HELPERS = {"send_frame", "recv_frame"}
 SYNC_CLIENT = "RemoteSearcherClient"
 
 
@@ -103,21 +101,12 @@ class _AsyncBodyWalker(ast.NodeVisitor):
         if dotted in BLOCKING_MODULE_CALLS:
             rule, msg = BLOCKING_MODULE_CALLS[dotted]
             self._flag(node, rule, msg)
-        elif isinstance(node.func, ast.Name):
-            if node.func.id in SYNC_PROTOCOL_HELPERS:
-                self._flag(
-                    node,
-                    "sync-socket",
-                    f"sync protocol helper '{node.func.id}()' does blocking "
-                    "socket I/O; use the *_async variants",
-                )
-            elif node.func.id == SYNC_CLIENT:
-                self._flag(
-                    node,
-                    "sync-client",
-                    f"constructing sync '{SYNC_CLIENT}'; use "
-                    f"Async{SYNC_CLIENT}",
-                )
+        elif isinstance(node.func, ast.Name) and node.func.id == SYNC_CLIENT:
+            self._flag(
+                node,
+                "sync-client",
+                f"constructing sync '{SYNC_CLIENT}'; use Async{SYNC_CLIENT}",
+            )
         elif isinstance(node.func, ast.Attribute):
             attr = node.func.attr
             if attr in BLOCKING_SOCKET_METHODS:

@@ -7,10 +7,12 @@ machines*, each hosting one shard.  This package is that wire layer:
   numpy query/result blocks zero-copy;
 - :mod:`repro.net.server` -- an asyncio TCP server wrapping a
   :class:`~repro.online.searcher.SearcherNode`;
-- :mod:`repro.net.client` -- a pooled, retrying, deadline-aware RPC
-  client;
+- :mod:`repro.net.client` -- the pooled, retrying, deadline-aware
+  asyncio RPC client, and its blocking facade for plain threads;
+- :mod:`repro.net.loop` -- the event-loop thread that the broker's
+  fan-out and the blocking facade submit coroutines to;
 - :mod:`repro.net.transport` -- the ``SearcherTransport`` abstraction
-  the broker drives, with in-process and remote implementations;
+  the broker drives, with one in-process and one remote implementation;
 - :mod:`repro.net.fleet` -- spawn/await/stop real searcher subprocesses
   over loopback (benchmarks and failure-injection tests).
 """
@@ -18,7 +20,6 @@ machines*, each hosting one shard.  This package is that wire layer:
 from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
 from repro.net.server import SearcherServer
 from repro.net.transport import (
-    AsyncRemoteSearcherTransport,
     AsyncSearcherTransport,
     LocalSearcherTransport,
     RemoteSearcherTransport,
@@ -34,6 +35,5 @@ __all__ = [
     "AsyncSearcherTransport",
     "LocalSearcherTransport",
     "RemoteSearcherTransport",
-    "AsyncRemoteSearcherTransport",
     "as_transport",
 ]

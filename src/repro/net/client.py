@@ -1,14 +1,18 @@
-"""``RemoteSearcherClient``: pooled, retrying RPC client for one searcher.
+"""RPC clients for one searcher: an asyncio core and a blocking facade.
 
-The broker's fan-out threads call this client synchronously (one RPC per
-shard per batch); reliability is layered as:
+:class:`AsyncRemoteSearcherClient` is the only implementation of the
+client side of the wire.  The broker's fan-out loop awaits it natively
+(one coroutine per shard RPC, N in flight on one thread); reliability is
+layered as:
 
-- **connection pool** -- a small stack of idle sockets per searcher, so
-  concurrent batches from the fan-out pool don't serialize on one
+- **connection pool** -- a small stack of idle streams per searcher and
+  per event loop, so concurrent batches don't serialize on one
   connection and repeated requests skip the TCP handshake;
-- **request timeouts** -- every send/recv honors the per-call deadline
-  (and the client-wide ``timeout_s`` fallback); an expired deadline
-  raises :class:`~repro.errors.DeadlineExceededError`;
+- **request timeouts** -- each attempt's whole round trip runs under one
+  cumulative budget: the per-call deadline, capped by the client-wide
+  ``timeout_s``.  An expired budget raises
+  :class:`~repro.errors.DeadlineExceededError`, however slowly the peer
+  trickles bytes;
 - **bounded retries with backoff** -- connectivity failures (refused,
   reset, EOF, garbled frames) retry idempotent calls up to ``retries``
   times, reconnecting with exponential backoff plus *full jitter*
@@ -20,6 +24,12 @@ shard per batch); reliability is layered as:
 
 A dead connection is always discarded, never returned to the pool, so
 one crash can't poison later requests.
+
+:class:`RemoteSearcherClient` is the same client for plain threads --
+the control plane (deploy / verify / undeploy / stats), the CLI, test
+and benchmark drivers.  It holds no socket, pool, timeout or retry code:
+each method submits the core's coroutine to the process-wide
+:func:`~repro.net.loop.client_loop` thread and blocks for the result.
 """
 
 from __future__ import annotations
@@ -39,13 +49,12 @@ from repro.errors import (
     ProtocolError,
     TransportError,
 )
+from repro.net.loop import client_loop
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     MsgType,
     raise_if_error,
     read_frame_async,
-    recv_frame,
-    send_frame,
     write_frame_async,
 )
 
@@ -114,8 +123,26 @@ def parse_address(address: str | tuple) -> tuple[str, int]:
     return host, int(port)
 
 
-class RemoteSearcherClient:
-    """RPC client for one remote searcher process.
+class AsyncRemoteSearcherClient:
+    """Asyncio RPC client for one remote searcher process.
+
+    Every RPC is a coroutine, so a broker can keep N shard requests in
+    flight on **one** event-loop thread instead of burning a thread per
+    RPC.
+
+    Connections are pooled *per event loop*: an asyncio stream is bound
+    to the loop that opened it, and one client instance may be driven by
+    several loops (the service shares its transports across deployed
+    indices, each broker owning its own loop, and the blocking facade
+    drives the shared client loop).  Checkout inside a coroutine always
+    hands back a connection opened on the running loop.
+
+    Cancellation safety -- what hedging leans on: an RPC cancelled
+    mid-flight (the hedge race's loser) always **discards** its
+    connection instead of pooling it, because the abandoned response is
+    still in the pipe and would poison whatever request checked the
+    connection out next.  Closing the socket also tells the searcher to
+    stop caring about the abandoned request's answer.
 
     Parameters
     ----------
@@ -123,13 +150,13 @@ class RemoteSearcherClient:
         ``"host:port"`` string or ``(host, port)`` tuple.
     timeout_s:
         Default per-request time budget when the caller passes no
-        deadline (connect + send + receive).
+        deadline (send + receive).
     connect_timeout_s:
         Budget for establishing one TCP connection.
     pool_size:
-        Idle connections kept per searcher.  More concurrent requests
-        than this still work -- extras dial fresh connections and the
-        surplus is closed on return.
+        Idle connections kept per searcher and loop.  More concurrent
+        requests than this still work -- extras dial fresh connections
+        and the surplus is closed on return.
     retries:
         Connectivity-failure retries for idempotent calls.
     backoff_s / backoff_max_s:
@@ -174,359 +201,13 @@ class RemoteSearcherClient:
         )
         self.max_frame = int(max_frame)
         self._lock = threading.Lock()
-        self._idle: list[socket.socket] = []
-        self._closed = False
-        #: Lifetime counters: rows answered, RPCs sent, reconnects,
-        #: retries.  Bumped under ``_lock``: the fan-out pool calls one
-        #: client from several threads and ``+=`` is not atomic.
-        self.queries_served = 0
-        self.requests_sent = 0
-        self.connects = 0
-        self.retried = 0
-
-    def _count(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-
-    def _jitter(self, delay: float) -> float:
-        """Full-jitter backoff draw: uniform in ``[0, delay]``.
-
-        Pure exponential doubling makes every client that failed at the
-        same instant retry at the same instants forever -- a retry storm
-        that re-knocks a recovering searcher over.  Locked because the
-        fan-out pool drives one client from several threads and
-        ``random.Random`` state updates are not atomic.
-        """
-        with self._lock:
-            return self._backoff_rng.uniform(0.0, delay)
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    # -- connection management ---------------------------------------------------------
-    def _dial(self, deadline: float | None) -> socket.socket:
-        budget = self.connect_timeout_s
-        if deadline is not None:
-            budget = min(budget, self._remaining(deadline))
-        try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=budget
-            )
-        except TimeoutError:
-            # A blown *caller* deadline must not retry; a plain connect
-            # timeout (SYN dropped: firewall, host mid-reboot) is a
-            # connectivity failure like refused/reset and should get the
-            # same bounded retries.
-            if deadline is not None and deadline - time.monotonic() <= 0:
-                raise DeadlineExceededError(
-                    f"connect to {self.address} timed out after "
-                    f"{budget:.3f}s"
-                ) from None
-            raise ConnectionLostError(
-                f"connect to {self.address} timed out after {budget:.3f}s"
-            ) from None
-        except OSError as exc:
-            raise ConnectionLostError(
-                f"cannot connect to searcher {self.address}: {exc}"
-            ) from None
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._count("connects")
-        return sock
-
-    def _checkout(self, deadline: float | None) -> socket.socket:
-        with self._lock:
-            if self._closed:
-                raise ConnectionLostError(
-                    f"client for {self.address} is closed"
-                )
-            if self._idle:
-                return self._idle.pop()
-        return self._dial(deadline)
-
-    def _checkin(self, sock: socket.socket) -> None:
-        with self._lock:
-            if not self._closed and len(self._idle) < self.pool_size:
-                self._idle.append(sock)
-                return
-        _close_quietly(sock)
-
-    def close(self) -> None:
-        """Close every pooled connection; the client rejects further calls."""
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for sock in idle:
-            _close_quietly(sock)
-
-    # -- core call machinery -----------------------------------------------------------
-    @staticmethod
-    def _remaining(deadline: float) -> float:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise DeadlineExceededError("request deadline already expired")
-        return remaining
-
-    def _once(
-        self,
-        msg_type: MsgType,
-        header: dict,
-        arrays: tuple,
-        deadline: float | None,
-    ) -> tuple[MsgType, dict, list[np.ndarray]]:
-        sock = self._checkout(deadline)
-        budget = self.timeout_s
-        if deadline is not None:
-            budget = min(budget, self._remaining(deadline))
-        # One *cumulative* budget for the whole round trip: the send
-        # gets it as a socket timeout, and recv_frame re-arms the
-        # shrinking remainder before every read, so neither a slow send
-        # nor a byte-trickling peer can stretch one RPC past `budget`.
-        attempt_deadline = time.monotonic() + budget
-        try:
-            sock.settimeout(budget)
-            send_frame(sock, msg_type, header, arrays)
-            response = recv_frame(
-                sock, max_frame=self.max_frame, deadline=attempt_deadline
-            )
-        except TimeoutError:
-            _close_quietly(sock)
-            raise DeadlineExceededError(
-                f"searcher {self.address} did not answer within "
-                f"{budget:.3f}s"
-            ) from None
-        except TransportError:
-            _close_quietly(sock)
-            raise
-        except OSError as exc:
-            _close_quietly(sock)
-            raise ConnectionLostError(
-                f"connection to searcher {self.address} failed: {exc}"
-            ) from None
-        self._checkin(sock)
-        return response
-
-    def call(
-        self,
-        msg_type: MsgType,
-        header: dict | None = None,
-        arrays: tuple = (),
-        *,
-        deadline: float | None = None,
-        idempotent: bool = True,
-    ) -> tuple[MsgType, dict, list[np.ndarray]]:
-        """One RPC round trip; returns ``(msg_type, header, arrays)``.
-
-        ``deadline`` is an absolute ``time.monotonic()`` instant shared
-        across retries.  Error frames raise
-        :class:`~repro.errors.RemoteCallError` (never retried).
-        """
-        header = header or {}
-        attempts = (self.retries + 1) if idempotent else 1
-        delay = self.backoff_s
-        last: Exception | None = None
-        for attempt in range(attempts):
-            if attempt:
-                self._count("retried")
-                pause = self._jitter(delay)
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        # The deadline died during backoff: the timeout
-                        # is a symptom.  Keep the connectivity failure
-                        # that drove the retries as the cause, or a
-                        # refused connection reads as a slow searcher.
-                        raise DeadlineExceededError(
-                            "request deadline expired during retry backoff"
-                        ) from last
-                    pause = min(pause, remaining)
-                time.sleep(max(pause, 0.0))
-                delay = min(delay * 2.0, self.backoff_max_s)
-            try:
-                self._count("requests_sent")
-                resp_type, resp_header, resp_arrays = self._once(
-                    msg_type, header, arrays, deadline
-                )
-            except DeadlineExceededError as exc:
-                # Retrying a blown budget only makes it later.  Chain
-                # the connectivity error from earlier attempts (an
-                # expired deadline discovered inside _dial/_once raises
-                # bare) so the real cause isn't masked as a timeout.
-                if last is not None and exc.__cause__ is None:
-                    raise exc from last
-                raise
-            except (ConnectionLostError, ProtocolError) as exc:
-                last = exc
-                continue
-            raise_if_error(resp_type, resp_header)
-            return resp_type, resp_header, resp_arrays
-        assert last is not None
-        raise last
-
-    # -- the searcher RPC surface ------------------------------------------------------
-    def search_batch(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Remote lockstep shard search; mirrors ``SearcherNode.search_batch``.
-
-        ``info_out``, when given, receives the RESULT header's ``cost``
-        (search-cost counters) and ``trace`` (searcher span tree)
-        entries -- present only when the request asked for them *and*
-        the server speaks protocol v2.
-        """
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        _, header, arrays = self.call(
-            MsgType.SEARCH,
-            _search_header(
-                index_name,
-                k,
-                ef,
-                probes,
-                trace_ctx,
-                collect_cost,
-                deadline=deadline,
-            ),
-            (queries,),
-            deadline=deadline,
-        )
-        _fill_info_out(info_out, header)
-        if len(arrays) != 2:
-            raise ProtocolError(
-                f"search result carries {len(arrays)} arrays, expected 2"
-            )
-        ids = np.asarray(arrays[0], dtype=np.int64)
-        dists = np.asarray(arrays[1], dtype=np.float64)
-        want = (queries.shape[0], int(k))
-        if ids.shape != want or dists.shape != want:
-            raise ProtocolError(
-                f"search result shapes {ids.shape}/{dists.shape} do not "
-                f"match the requested {want}"
-            )
-        self._count("queries_served", queries.shape[0])
-        return ids, dists
-
-    def deploy(
-        self,
-        index_name: str,
-        index_path: str,
-        *,
-        root: str | None = None,
-        deadline: float | None = None,
-    ) -> list[str]:
-        """Host this searcher's shard of an exported index (not retried)."""
-        _, header, _ = self.call(
-            MsgType.DEPLOY,
-            {"index": str(index_name), "path": str(index_path), "root": root},
-            deadline=deadline,
-            idempotent=False,
-        )
-        return list(header.get("hosted", []))
-
-    def undeploy(
-        self, index_name: str, *, deadline: float | None = None
-    ) -> list[str]:
-        """Unhost an index (not retried)."""
-        _, header, _ = self.call(
-            MsgType.UNDEPLOY,
-            {"index": str(index_name)},
-            deadline=deadline,
-            idempotent=False,
-        )
-        return list(header.get("hosted", []))
-
-    def stats(self, *, deadline: float | None = None) -> dict:
-        """The remote node's counters (see ``SearcherNode.stats``)."""
-        _, header, _ = self.call(MsgType.STATS, deadline=deadline)
-        return dict(header.get("stats", {}))
-
-    def ping(self, *, deadline: float | None = None) -> int:
-        """Liveness probe; returns the remote node's shard id."""
-        _, header, _ = self.call(MsgType.PING, deadline=deadline)
-        return int(header["shard_id"])
-
-    def __repr__(self) -> str:
-        return f"RemoteSearcherClient({self.address!r})"
-
-
-def _close_quietly(sock: socket.socket) -> None:
-    try:
-        sock.close()
-    except OSError:
-        pass
-
-
-class AsyncRemoteSearcherClient:
-    """Asyncio RPC client for one remote searcher process.
-
-    The event-loop counterpart of :class:`RemoteSearcherClient`: same
-    framing (:func:`~repro.net.protocol.read_frame_async` /
-    :func:`~repro.net.protocol.write_frame_async`), same deadline and
-    retry semantics, but every RPC is a coroutine, so a broker can keep
-    N shard requests in flight on **one** event-loop thread instead of
-    burning a pool thread per RPC.
-
-    Connections are pooled *per event loop*: an asyncio stream is bound
-    to the loop that opened it, and one client instance may be driven by
-    several brokers (the service shares its transports across deployed
-    indices), each owning its own loop.  Checkout inside a coroutine
-    always hands back a connection opened on the running loop.
-
-    Cancellation safety -- what hedging leans on: an RPC cancelled
-    mid-flight (the hedge race's loser) always **discards** its
-    connection instead of pooling it, because the abandoned response is
-    still in the pipe and would poison whatever request checked the
-    connection out next.  Closing the socket also tells the searcher to
-    stop caring about the abandoned request's answer.
-    """
-
-    def __init__(
-        self,
-        address: str | tuple,
-        *,
-        timeout_s: float = 30.0,
-        connect_timeout_s: float = 5.0,
-        pool_size: int = 2,
-        retries: int = 2,
-        backoff_s: float = 0.05,
-        backoff_max_s: float = 1.0,
-        backoff_seed: int | None = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ) -> None:
-        if timeout_s <= 0 or connect_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
-        if pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        self.host, self.port = parse_address(address)
-        self.timeout_s = float(timeout_s)
-        self.connect_timeout_s = float(connect_timeout_s)
-        self.pool_size = int(pool_size)
-        self.retries = int(retries)
-        self.backoff_s = float(backoff_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self._backoff_rng = random.Random(
-            zlib.crc32(self.address.encode())
-            if backoff_seed is None
-            else backoff_seed
-        )
-        self.max_frame = int(max_frame)
-        self._lock = threading.Lock()
         self._pools: dict[object, list[tuple]] = {}
         self._closed = False
-        #: Lifetime counters, mirroring :class:`RemoteSearcherClient`;
-        #: ``connects - closes`` is the live-socket gauge the
-        #: no-connection-leak tests pin.
+        #: Lifetime counters: rows answered, RPCs sent, connections
+        #: opened / closed, retries.  Bumped under ``_lock``: several
+        #: loops (and so several threads) drive one client and ``+=`` is
+        #: not atomic.  ``connects - closes`` is the live-socket gauge
+        #: the no-connection-leak tests pin.
         self.queries_served = 0
         self.requests_sent = 0
         self.connects = 0
@@ -538,7 +219,13 @@ class AsyncRemoteSearcherClient:
             setattr(self, counter, getattr(self, counter) + amount)
 
     def _jitter(self, delay: float) -> float:
-        """Full-jitter backoff draw (see the sync client's ``_jitter``)."""
+        """Full-jitter backoff draw: uniform in ``[0, delay]``.
+
+        Pure exponential doubling makes every client that failed at the
+        same instant retry at the same instants forever -- a retry storm
+        that re-knocks a recovering searcher over.  Locked because
+        ``random.Random`` state updates are not atomic.
+        """
         with self._lock:
             return self._backoff_rng.uniform(0.0, delay)
 
@@ -562,6 +249,10 @@ class AsyncRemoteSearcherClient:
                 asyncio.open_connection(self.host, self.port), budget
             )
         except (asyncio.TimeoutError, TimeoutError):
+            # A blown *caller* deadline must not retry; a plain connect
+            # timeout (SYN dropped: firewall, host mid-reboot) is a
+            # connectivity failure like refused/reset and should get the
+            # same bounded retries.
             if deadline is not None and deadline - time.monotonic() <= 0:
                 raise DeadlineExceededError(
                     f"connect to {self.address} timed out after "
@@ -640,7 +331,10 @@ class AsyncRemoteSearcherClient:
             # a reused descriptor number).
             raw = getattr(getattr(writer, "transport", None), "_sock", None)
             if raw is not None:
-                _close_quietly(raw)
+                try:
+                    raw.close()
+                except OSError:
+                    pass
         self._count("closes")
 
     def close(self) -> None:
@@ -686,6 +380,8 @@ class AsyncRemoteSearcherClient:
             except DeadlineExceededError:
                 self._checkin(conn, loop)
                 raise
+        # One *cumulative* budget for the whole round trip, so neither a
+        # slow send nor a byte-trickling peer can stretch one RPC past it.
         try:
             response = await asyncio.wait_for(
                 self._roundtrip(conn, msg_type, header, arrays), budget
@@ -721,7 +417,12 @@ class AsyncRemoteSearcherClient:
         deadline: float | None = None,
         idempotent: bool = True,
     ) -> tuple[MsgType, dict, list[np.ndarray]]:
-        """One RPC round trip; same semantics as the sync client's."""
+        """One RPC round trip; returns ``(msg_type, header, arrays)``.
+
+        ``deadline`` is an absolute ``time.monotonic()`` instant shared
+        across retries.  Error frames raise
+        :class:`~repro.errors.RemoteCallError` (never retried).
+        """
         header = header or {}
         attempts = (self.retries + 1) if idempotent else 1
         delay = self.backoff_s
@@ -733,6 +434,10 @@ class AsyncRemoteSearcherClient:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
+                        # The deadline died during backoff: the timeout
+                        # is a symptom.  Keep the connectivity failure
+                        # that drove the retries as the cause, or a
+                        # refused connection reads as a slow searcher.
                         raise DeadlineExceededError(
                             "request deadline expired during retry backoff"
                         ) from last
@@ -745,6 +450,10 @@ class AsyncRemoteSearcherClient:
                     msg_type, header, arrays, deadline
                 )
             except DeadlineExceededError as exc:
+                # Retrying a blown budget only makes it later.  Chain
+                # the connectivity error from earlier attempts (an
+                # expired deadline discovered inside _dial/_once raises
+                # bare) so the real cause isn't masked as a timeout.
                 if last is not None and exc.__cause__ is None:
                     raise exc from last
                 raise
@@ -770,7 +479,13 @@ class AsyncRemoteSearcherClient:
         collect_cost: bool = False,
         info_out: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Remote lockstep shard search (async twin of the sync client's)."""
+        """Remote lockstep shard search; mirrors ``SearcherNode.search_batch``.
+
+        ``info_out``, when given, receives the RESULT header's ``cost``
+        (search-cost counters) and ``trace`` (searcher span tree)
+        entries -- present only when the request asked for them *and*
+        the server speaks protocol v2.
+        """
         queries = np.ascontiguousarray(queries, dtype=np.float32)
         _, header, arrays = await self.call(
             MsgType.SEARCH,
@@ -802,6 +517,40 @@ class AsyncRemoteSearcherClient:
         self._count("queries_served", queries.shape[0])
         return ids, dists
 
+    async def deploy(
+        self,
+        index_name: str,
+        index_path: str,
+        *,
+        root: str | None = None,
+        deadline: float | None = None,
+    ) -> list[str]:
+        """Host this searcher's shard of an exported index (not retried)."""
+        _, header, _ = await self.call(
+            MsgType.DEPLOY,
+            {"index": str(index_name), "path": str(index_path), "root": root},
+            deadline=deadline,
+            idempotent=False,
+        )
+        return list(header.get("hosted", []))
+
+    async def undeploy(
+        self, index_name: str, *, deadline: float | None = None
+    ) -> list[str]:
+        """Unhost an index (not retried)."""
+        _, header, _ = await self.call(
+            MsgType.UNDEPLOY,
+            {"index": str(index_name)},
+            deadline=deadline,
+            idempotent=False,
+        )
+        return list(header.get("hosted", []))
+
+    async def stats(self, *, deadline: float | None = None) -> dict:
+        """The remote node's counters (see ``SearcherNode.stats``)."""
+        _, header, _ = await self.call(MsgType.STATS, deadline=deadline)
+        return dict(header.get("stats", {}))
+
     async def ping(self, *, deadline: float | None = None) -> int:
         """Liveness probe; returns the remote node's shard id."""
         _, header, _ = await self.call(MsgType.PING, deadline=deadline)
@@ -809,3 +558,78 @@ class AsyncRemoteSearcherClient:
 
     def __repr__(self) -> str:
         return f"AsyncRemoteSearcherClient({self.address!r})"
+
+
+def _core_view(name: str) -> property:
+    """Read-only facade attribute showing the core's ``name``."""
+    return property(lambda self: getattr(self.core, name))
+
+
+class RemoteSearcherClient:
+    """Blocking facade over one :class:`AsyncRemoteSearcherClient`.
+
+    Takes the core's constructor arguments and offers its RPC surface to
+    plain threads: each method runs the same-named coroutine of
+    :attr:`core` on the shared :func:`~repro.net.loop.client_loop`
+    thread and blocks for its result (or re-raises its exception).  Safe
+    to share between threads; the connections it opens are pooled by the
+    core under that loop.
+    """
+
+    def __init__(self, address: str | tuple, **core_kwargs) -> None:
+        self.core = AsyncRemoteSearcherClient(address, **core_kwargs)
+
+    def _block(self, coroutine_fn, *args, **kwargs):
+        name = coroutine_fn.__name__
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            pass  # no loop on this thread: blocking it stalls nothing
+        else:
+            # Waiting here would stall every task of the caller's loop --
+            # and deadlock outright when that loop is the client loop.
+            raise RuntimeError(
+                f"RemoteSearcherClient.{name}() blocks and was called "
+                f"from a running event loop; await "
+                f"AsyncRemoteSearcherClient.{name}() (this client's "
+                f"`.core.{name}`) instead"
+            )
+        return client_loop().submit(coroutine_fn(*args, **kwargs)).result()
+
+    def call(self, *args, **kwargs) -> tuple[MsgType, dict, list[np.ndarray]]:
+        """Blocking :meth:`AsyncRemoteSearcherClient.call`."""
+        return self._block(self.core.call, *args, **kwargs)
+
+    def search_batch(self, *args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+        """Blocking :meth:`AsyncRemoteSearcherClient.search_batch`."""
+        return self._block(self.core.search_batch, *args, **kwargs)
+
+    def deploy(self, *args, **kwargs) -> list[str]:
+        """Blocking :meth:`AsyncRemoteSearcherClient.deploy`."""
+        return self._block(self.core.deploy, *args, **kwargs)
+
+    def undeploy(self, *args, **kwargs) -> list[str]:
+        """Blocking :meth:`AsyncRemoteSearcherClient.undeploy`."""
+        return self._block(self.core.undeploy, *args, **kwargs)
+
+    def stats(self, **kwargs) -> dict:
+        """Blocking :meth:`AsyncRemoteSearcherClient.stats`."""
+        return self._block(self.core.stats, **kwargs)
+
+    def ping(self, **kwargs) -> int:
+        """Blocking :meth:`AsyncRemoteSearcherClient.ping`."""
+        return self._block(self.core.ping, **kwargs)
+
+    def close(self) -> None:
+        """Close every pooled connection; the client rejects further calls."""
+        self.core.close()
+
+    address = _core_view("address")
+    open_connections = _core_view("open_connections")
+    queries_served = _core_view("queries_served")
+    requests_sent = _core_view("requests_sent")
+    connects = _core_view("connects")
+    retried = _core_view("retried")
+
+    def __repr__(self) -> str:
+        return f"RemoteSearcherClient({self.address!r})"

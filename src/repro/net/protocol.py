@@ -30,10 +30,9 @@ exception type and message, surfaced to callers as
 
 from __future__ import annotations
 
+import asyncio
 import json
-import socket
 import struct
-import time
 from enum import IntEnum
 
 import numpy as np
@@ -346,71 +345,6 @@ def raise_if_error(msg_type: MsgType, header: dict) -> None:
     raise RemoteCallError(error_type, message)
 
 
-# -- blocking-socket IO ----------------------------------------------------------------
-def send_frame(
-    sock: socket.socket,
-    msg_type: int,
-    header: dict | None = None,
-    arrays: tuple | list = (),
-) -> None:
-    """Write one frame to a blocking socket (honors ``sock.settimeout``)."""
-    for buffer in encode_frame(msg_type, header, arrays):
-        sock.sendall(buffer)
-
-
-def _recv_exact(
-    sock: socket.socket, nbytes: int, deadline: float | None = None
-) -> memoryview:
-    buffer = bytearray(nbytes)
-    view = memoryview(buffer)
-    received = 0
-    while received < nbytes:
-        if deadline is not None:
-            # Re-arm the timeout with the *remaining* budget before
-            # every read: a static settimeout is an idle timeout per
-            # recv, so a peer trickling bytes could stretch one frame
-            # far past the request deadline.
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("receive deadline expired mid-frame")
-            sock.settimeout(remaining)
-        count = sock.recv_into(view[received:])
-        if count == 0:
-            raise ConnectionLostError(
-                f"connection closed mid-frame ({received} of {nbytes} bytes)"
-                if received
-                else "connection closed"
-            )
-        received += count
-    return view
-
-
-def recv_frame(
-    sock: socket.socket,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    deadline: float | None = None,
-) -> tuple[MsgType, dict, list[np.ndarray]]:
-    """Read one frame from a blocking socket.
-
-    With ``deadline`` (absolute ``time.monotonic()``), the whole frame
-    must arrive before it -- the timeout shrinks with every read.
-    Without one, ``sock.settimeout`` applies per read as usual.
-    """
-    prefix = _recv_exact(sock, PREFIX_SIZE, deadline)
-    msg_type, header_len, payload_len = parse_prefix(
-        bytes(prefix), max_frame=max_frame
-    )
-    header_bytes = (
-        _recv_exact(sock, header_len, deadline) if header_len else b""
-    )
-    payload = (
-        _recv_exact(sock, payload_len, deadline) if payload_len else b""
-    )
-    header, arrays = decode_body(header_bytes, payload)
-    return msg_type, header, arrays
-
-
 # -- asyncio-stream IO -----------------------------------------------------------------
 async def read_frame_async(
     reader, *, max_frame: int = DEFAULT_MAX_FRAME
@@ -421,8 +355,6 @@ async def read_frame_async(
     starts (peer hung up between requests) and :class:`ProtocolError`
     when the stream dies mid-frame.
     """
-    import asyncio
-
     try:
         prefix = await reader.readexactly(PREFIX_SIZE)
     except asyncio.IncompleteReadError as exc:

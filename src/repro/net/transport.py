@@ -7,6 +7,11 @@ invisible above this line.  That is what lets the micro-batcher, the
 result cache, the perShardTopK math and the merge run unchanged when the
 fleet moves out of process.
 
+A transport that also implements :class:`AsyncSearcherTransport` is
+awaited on the broker's fan-out loop; the one remote transport does, so
+any fleet holding it is searched there (failover, hedging and the
+retry-after pause live only on that loop).
+
 Deadlines: ``search_batch`` takes an absolute ``time.monotonic()``
 deadline.  The remote transport enforces it on the wire; the local
 transport *ignores* it -- in-process numpy work is not cancellable, and
@@ -19,11 +24,7 @@ import abc
 
 import numpy as np
 
-from repro.net.client import (
-    CONNECTIVITY_FAILURES,
-    AsyncRemoteSearcherClient,
-    RemoteSearcherClient,
-)
+from repro.net.client import CONNECTIVITY_FAILURES, RemoteSearcherClient
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.online.searcher import SearcherNode
@@ -33,7 +34,6 @@ __all__ = [
     "AsyncSearcherTransport",
     "LocalSearcherTransport",
     "RemoteSearcherTransport",
-    "AsyncRemoteSearcherTransport",
     "as_transport",
     "CONNECTIVITY_FAILURES",
 ]
@@ -155,8 +155,14 @@ class LocalSearcherTransport(SearcherTransport):
         return f"LocalSearcherTransport({self.node!r})"
 
 
-class RemoteSearcherTransport(SearcherTransport):
-    """A shard behind TCP: delegates to a :class:`RemoteSearcherClient`.
+class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
+    """A shard behind TCP, driven through one :class:`RemoteSearcherClient`.
+
+    Both search paths are the same client code on different threads:
+    :meth:`search_batch_async` awaits the client's asyncio core on the
+    caller's event loop (the broker's fan-out), while
+    :meth:`search_batch` and the control plane (``verify`` / ``deploy``
+    / ``undeploy`` / ``stats``) block a plain thread on the facade.
 
     ``shard_id`` is the position this transport holds in the broker's
     fleet; :meth:`verify` confirms the process at ``address`` actually
@@ -216,6 +222,31 @@ class RemoteSearcherTransport(SearcherTransport):
             info_out=info_out,
         )
 
+    async def search_batch_async(
+        self,
+        index_name: str,
+        queries: np.ndarray,
+        k: int,
+        *,
+        ef: int | None = None,
+        deadline: float | None = None,
+        probes: list[tuple[int, ...]] | None = None,
+        trace_ctx: dict | None = None,
+        collect_cost: bool = False,
+        info_out: dict | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return await self.client.core.search_batch(
+            index_name,
+            queries,
+            k,
+            ef=ef,
+            deadline=deadline,
+            probes=probes,
+            trace_ctx=trace_ctx,
+            collect_cost=collect_cost,
+            info_out=info_out,
+        )
+
     def deploy(
         self,
         index_name: str,
@@ -252,76 +283,10 @@ class RemoteSearcherTransport(SearcherTransport):
         )
 
 
-class AsyncRemoteSearcherTransport(RemoteSearcherTransport, AsyncSearcherTransport):
-    """A remote shard with an asyncio-native search hot path.
-
-    The control plane (``verify`` / ``deploy`` / ``undeploy`` /
-    ``stats``) and the sync ``search_batch`` fallback stay on the
-    inherited blocking :class:`RemoteSearcherClient`; SEARCH RPCs issued
-    through :meth:`search_batch_async` ride the
-    :class:`AsyncRemoteSearcherClient`'s per-loop connection pool, so a
-    broker's event loop can hold every shard (and every hedge) in
-    flight without a thread per RPC.
-    """
-
-    def __init__(
-        self,
-        address: str | tuple,
-        shard_id: int,
-        *,
-        client: RemoteSearcherClient | None = None,
-        async_client: AsyncRemoteSearcherClient | None = None,
-        **client_kwargs,
-    ) -> None:
-        super().__init__(
-            address, shard_id, client=client, **client_kwargs
-        )
-        self.async_client = (
-            async_client
-            if async_client is not None
-            else AsyncRemoteSearcherClient(address, **client_kwargs)
-        )
-
-    async def search_batch_async(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return await self.async_client.search_batch(
-            index_name,
-            queries,
-            k,
-            ef=ef,
-            deadline=deadline,
-            probes=probes,
-            trace_ctx=trace_ctx,
-            collect_cost=collect_cost,
-            info_out=info_out,
-        )
-
-    @property
-    def queries_served(self) -> int:
-        # Both planes answer rows: sync for control-path / fallback
-        # searches, async for the multiplexed fan-out.
-        return self.client.queries_served + self.async_client.queries_served
-
-    def close(self) -> None:
-        super().close()
-        self.async_client.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"AsyncRemoteSearcherTransport({self.address!r}, "
-            f"shard_id={self.shard_id})"
-        )
+#: The name the remote transport had while a blocking-only sibling
+#: existed; the frozen ``benchmarks/ledger`` still imports (and patches
+#: ``search_batch_async`` on) it.
+AsyncRemoteSearcherTransport = RemoteSearcherTransport
 
 
 def as_transport(searcher) -> SearcherTransport:

@@ -67,6 +67,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.eval.timing import StageLatencyRecorder
+from repro.net.loop import LoopThread
 from repro.net.transport import (
     AsyncSearcherTransport,
     LocalSearcherTransport,
@@ -229,75 +230,6 @@ class _Attempt:
             self.span["annotations"]["win"] = True
         cost = self.info.get("cost") if self.info else None
         return part, self.replica.replica_id, cost
-
-
-class _FanoutLoop:
-    """One background thread running an asyncio loop for the fan-out.
-
-    The broker's public API stays synchronous (``search_batch`` callers
-    and the micro-batch flusher are plain threads); this loop is where
-    the multiplexed shard RPCs -- and their hedges -- actually run.  One
-    thread total, regardless of how many shard RPCs are in flight.
-    """
-
-    def __init__(self) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._lock = threading.Lock()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="broker-async-loop", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.call_soon(self._started.set)
-        try:
-            self.loop.run_forever()
-        finally:
-            # Cancel whatever close() interrupted, then let the
-            # cancellations unwind so client connections get discarded.
-            pending = asyncio.all_tasks(self.loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self.loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            self.loop.close()
-
-    def submit(self, coro):
-        """Schedule ``coro`` on the loop; returns a concurrent Future.
-
-        Raises ``RuntimeError`` after :meth:`close` began.  The lock
-        orders submission against shutdown: a submit that wins the lock
-        queues its task-creation callback *before* close() queues
-        ``loop.stop`` (``call_soon_threadsafe`` is FIFO), so the task
-        exists by the time the loop stops and the shutdown sweep
-        resolves its future with a cancellation -- never a silent
-        forever-pending future.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("fan-out loop is closed")
-            return asyncio.run_coroutine_threadsafe(coro, self.loop)
-
-    def close(self, timeout: float = 30.0) -> None:
-        with self._lock:
-            self._closed = True
-        with contextlib.suppress(RuntimeError):
-            self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            # A silent return here would leak a live loop thread still
-            # running shard RPCs against a broker the caller believes
-            # is gone.
-            raise TimeoutError(
-                f"fan-out loop thread still alive after {timeout}s "
-                "(an in-flight shard RPC is wedged past every deadline)"
-            )
 
 
 class Broker:
@@ -494,8 +426,8 @@ class Broker:
         #: failure (successful or not).
         self.failovers = 0
         self._last_failure: TransportError | None = None
-        self._fanout_loop: _FanoutLoop | None = (
-            _FanoutLoop() if self.venue == "loop" else None
+        self._fanout_loop: LoopThread | None = (
+            LoopThread("broker-async-loop") if self.venue == "loop" else None
         )
         self._batcher: MicroBatcher | None = (
             MicroBatcher(
@@ -521,7 +453,7 @@ class Broker:
             raise ValueError(
                 f"{knob} needs at least one AsyncSearcherTransport in the "
                 "fleet (hedges are raced on the fan-out event loop; "
-                "in-process and sync transports cannot hedge)"
+                "in-process transports cannot hedge)"
             )
 
     def close(self) -> None:
@@ -1381,11 +1313,10 @@ class Broker:
         """One shard RPC on the event loop.
 
         Async-capable transports are awaited natively (the remote
-        client enforces the deadline on the wire); everything else --
-        a sync remote transport, or the in-process shards of a mixed
-        fleet -- runs on the loop's default executor with the wait
-        bounded by the remaining budget.  Per-RPC wall time lands in
-        the ``shard_rpc`` latency stage (the number to tune
+        client enforces the deadline on the wire); the in-process
+        shards of a mixed fleet run on the loop's default executor with
+        the wait bounded by the remaining budget.  Per-RPC wall time
+        lands in the ``shard_rpc`` latency stage (the number to tune
         ``hedge_after_s`` against).
         """
         deadline = batch.deadline

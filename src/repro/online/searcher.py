@@ -6,9 +6,9 @@ happens at the machine where the shard is hosted (called a 'searcher')."
 A searcher can host the same shard of *several* indices ("to enable
 online A/B tests between different modeling techniques"), keyed by index
 name.  Hosting changes (deploy/undeploy) may race in-flight searches on
-the broker's fan-out pool, so the hosting table is copy-on-write: a
-search either sees an index fully attached or not at all, never a
-half-mutated dict.
+other threads (an in-process broker's callers, the searcher server's
+executor), so the hosting table is copy-on-write: a search either sees
+an index fully attached or not at all, never a half-mutated dict.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.eval.timing import measure_batch_qps, measure_qps
 from repro.net.fleet import parse_fleet_spec
-from repro.net.transport import AsyncRemoteSearcherTransport
+from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.cache import QueryResultCache
 from repro.online.searcher import SearcherNode
@@ -158,11 +158,11 @@ class OnlineService:
                 raise ValueError("remote fleet needs at least one address")
             self.remote = True
 
-            # The search hot path is async-native (the broker multiplexes
-            # it on its fan-out loop); the inherited sync client carries
-            # the control plane -- deploy / verify / undeploy / stats.
+            # One client per searcher: the broker awaits its asyncio
+            # core on the fan-out loop; deploy / verify / undeploy /
+            # stats block this thread on the same client's facade.
             def connect(address: str, shard_id: int):
-                return AsyncRemoteSearcherTransport(
+                return RemoteSearcherTransport(
                     address,
                     shard_id,
                     timeout_s=rpc_timeout_s,
@@ -307,7 +307,7 @@ class OnlineService:
         # connection dropped after host()).  Only a failure to *connect*
         # proves the request never arrived.  `hosted` counts confirmed
         # deploys -- what a degraded deploy needs at least one of.
-        rollback: list[AsyncRemoteSearcherTransport] = []
+        rollback: list[RemoteSearcherTransport] = []
         hosted = 0
         unreachable: Exception | None = None
         try:

@@ -205,6 +205,16 @@ class TestAsyncHygiene:
         findings = check_async.run(_mod(source))
         assert ("asyncio-hygiene", "sync-client") in _rules(findings)
 
+    def test_blocking_facade_shape_clean(self):
+        # A plain method may wait on the loop thread's future; only an
+        # 'async def' may not.
+        source = """
+            class Facade:
+                def ping(self):
+                    return client_loop().submit(self.core.ping()).result()
+            """
+        assert check_async.run(_mod(source)) == []
+
 
 # -- determinism --------------------------------------------------------------------
 

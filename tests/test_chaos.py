@@ -26,7 +26,7 @@ from repro.core.config import LannsConfig
 from repro.errors import OverloadedError
 from repro.net.chaos import FAULT_KINDS, FaultPlan
 from repro.net.server import SearcherServer
-from repro.net.transport import AsyncRemoteSearcherTransport
+from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
@@ -85,8 +85,8 @@ def start_server(shared_fs, shard_id: int, *, port: int = 0, **kwargs):
     ).start_in_thread()
 
 
-def connect(address: str, shard_id: int) -> AsyncRemoteSearcherTransport:
-    return AsyncRemoteSearcherTransport(
+def connect(address: str, shard_id: int) -> RemoteSearcherTransport:
+    return RemoteSearcherTransport(
         address, shard_id, timeout_s=10.0, retries=0, pool_size=1
     )
 

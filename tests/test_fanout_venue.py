@@ -24,10 +24,7 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import LannsError
 from repro.net.server import SearcherServer
-from repro.net.transport import (
-    AsyncRemoteSearcherTransport,
-    RemoteSearcherTransport,
-)
+from repro.net.transport import RemoteSearcherTransport
 from repro.obs.metrics import get_registry
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
@@ -90,9 +87,9 @@ def wait_until(condition, timeout_s: float = 30.0) -> None:
         time.sleep(0.005)
 
 
-def remote(servers, kind=AsyncRemoteSearcherTransport, **kwargs):
+def remote(servers, **kwargs):
     return [
-        kind(server.address, shard_id, **kwargs)
+        RemoteSearcherTransport(server.address, shard_id, **kwargs)
         for shard_id, server in enumerate(servers)
     ]
 
@@ -111,7 +108,7 @@ class TestVenueSelection:
         finally:
             broker.close()
 
-    @pytest.mark.parametrize("fleet_kind", ["async", "mixed", "sync"])
+    @pytest.mark.parametrize("fleet_kind", ["async", "mixed"])
     def test_remote_fleet_runs_one_loop_bit_identical_to_inline(
         self, nodes, servers, config, queries, fleet_kind
     ):
@@ -120,10 +117,7 @@ class TestVenueSelection:
             SearchRequest(queries=queries, top_k=10, index_name="venue")
         )
         inline.close()
-        if fleet_kind == "sync":
-            transports = remote(servers, RemoteSearcherTransport)
-        else:
-            transports = remote(servers)
+        transports = remote(servers)
         fleet = list(transports)
         if fleet_kind == "mixed":
             fleet[0] = nodes[0]
@@ -213,7 +207,7 @@ class TestCloseRace:
         assert answered >= served_after_close + 8 - 4
         assert broker_threads() == []
         for transport in transports:
-            assert transport.async_client.open_connections == 0
+            assert transport.client.open_connections == 0
 
 
 class TestRejectedRequestsAreNotCounted:

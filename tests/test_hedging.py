@@ -34,10 +34,7 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.merge import merge_shard_results_batch
 from repro.net.server import SearcherServer
-from repro.net.transport import (
-    AsyncRemoteSearcherTransport,
-    RemoteSearcherTransport,
-)
+from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
@@ -125,7 +122,7 @@ def fleet(index):
 
 def make_transports(servers, **kwargs):
     return [
-        AsyncRemoteSearcherTransport(server.address, shard_id, **kwargs)
+        RemoteSearcherTransport(server.address, shard_id, **kwargs)
         for shard_id, server in enumerate(servers)
     ]
 
@@ -325,7 +322,7 @@ class TestConnectionHygiene:
             for _ in range(5):
                 broker.search_batch("hedge", queries[:4], 10)
             assert broker.stats()["hedges"] == 5
-            slow_client = transports[SLOW_SHARD].async_client
+            slow_client = transports[SLOW_SHARD].client.core
             assert slow_client.open_connections <= slow_client.pool_size, (
                 f"{slow_client.open_connections} sockets open after 5 "
                 f"hedged batches (pool_size={slow_client.pool_size})"
@@ -333,7 +330,7 @@ class TestConnectionHygiene:
         finally:
             close_all(broker, transports)
         for transport in transports:
-            assert transport.async_client.open_connections == 0, (
+            assert transport.client.core.open_connections == 0, (
                 "close() must drain every pooled connection"
             )
 
@@ -357,7 +354,7 @@ class TestConnectionHygiene:
             broker.search_batch("hedge", queries[:2], 5)
             try:
                 for transport in transports:
-                    client = transport.async_client
+                    client = transport.client.core
                     assert (
                         client.open_connections <= client.pool_size
                     ), (
@@ -370,7 +367,7 @@ class TestConnectionHygiene:
             for transport in transports:
                 transport.close()
         for transport in transports:
-            assert transport.async_client.open_connections == 0
+            assert transport.client.core.open_connections == 0
 
     def test_loop_venue_uses_one_loop_thread(self, fleet, config, queries):
         """O(1) threads for N in-flight remote RPCs: the loop-venue
@@ -422,7 +419,7 @@ class TestServiceIntegration:
             local.deploy(shared_fs, INDEX_PATH, index_name="svc")
             remote.deploy(shared_fs, INDEX_PATH, index_name="svc")
             assert isinstance(
-                remote.searchers[0], AsyncRemoteSearcherTransport
+                remote.searchers[0], RemoteSearcherTransport
             )
             want_ids, want_dists = local.query_batch(
                 queries, 10, index_name="svc"
@@ -443,21 +440,11 @@ class TestServiceIntegration:
 
     def test_hedging_requires_async_transport(self, fleet, config):
         """Never silently drop a hedge: a fleet with no async-capable
-        transport (in-process, or sync remote) rejects the knob; value
-        validation is independent of the fleet."""
+        transport (all in-process) rejects the knob; value validation is
+        independent of the fleet."""
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
         with pytest.raises(ValueError, match="AsyncSearcherTransport"):
             Broker(nodes, config, hedge_after_s=0.1)
-        sync = [
-            RemoteSearcherTransport(server.address, shard_id)
-            for shard_id, server in enumerate(fleet)
-        ]
-        try:
-            with pytest.raises(ValueError, match="AsyncSearcherTransport"):
-                Broker(sync, config, hedge_after_s=0.1)
-        finally:
-            for transport in sync:
-                transport.close()
         with pytest.raises(ValueError, match="must be positive"):
             Broker(nodes, config, hedge_after_s=0.0)
         with pytest.raises(ValueError, match="remote fleet"):

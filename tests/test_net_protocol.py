@@ -9,6 +9,7 @@ instead of hanging, crashing inside numpy, or decoding garbage.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import struct
 import threading
@@ -35,8 +36,8 @@ from repro.net.protocol import (
     frame_to_bytes,
     parse_prefix,
     raise_if_error,
-    recv_frame,
-    send_frame,
+    read_frame_async,
+    write_frame_async,
 )
 
 
@@ -229,44 +230,63 @@ class TestHostileInput:
                 decode_frame(blob)
 
 
-class TestSocketHelpers:
-    def test_send_recv_over_socketpair(self):
-        left, right = socket.socketpair()
-        try:
-            queries = np.ones((2, 4), dtype=np.float32)
-            sender = threading.Thread(
-                target=send_frame,
-                args=(left, MsgType.SEARCH, {"top_k": 3}, (queries,)),
-            )
-            sender.start()
-            msg_type, header, arrays = recv_frame(right)
-            sender.join(timeout=10)
-            assert msg_type == MsgType.SEARCH
-            assert header["top_k"] == 3
-            np.testing.assert_array_equal(arrays[0], queries)
-        finally:
-            left.close()
-            right.close()
+class TestStreamHelpers:
+    """``read_frame_async`` / ``write_frame_async`` over a socketpair."""
 
-    def test_peer_hangup_mid_frame_raises_connection_lost(self):
-        left, right = socket.socketpair()
-        try:
-            data = search_frame()
-            left.sendall(data[: len(data) // 2])
-            left.close()
-            with pytest.raises(ConnectionLostError, match="closed"):
-                recv_frame(right)
-        finally:
-            right.close()
+    @staticmethod
+    def run_with_reader(feed, read):
+        """Run ``read(reader, writer)`` against a peer socket ``feed`` fills."""
+
+        async def scenario():
+            left, right = socket.socketpair()
+            reader, writer = await asyncio.open_connection(sock=right)
+            try:
+                feed(left)
+                return await asyncio.wait_for(read(reader, writer), 10)
+            finally:
+                left.close()
+                writer.close()
+
+        return asyncio.run(scenario())
+
+    def test_write_then_read_over_socketpair(self):
+        queries = np.ones((2, 4), dtype=np.float32)
+
+        async def echo(reader, writer):
+            # The peer socket loops our own frame back to us.
+            await write_frame_async(
+                writer, MsgType.SEARCH, {"top_k": 3}, (queries,)
+            )
+            return await read_frame_async(reader)
+
+        def loop_back(peer):
+            threading.Thread(
+                target=lambda: peer.sendall(peer.recv(1 << 16)), daemon=True
+            ).start()
+
+        msg_type, header, arrays = self.run_with_reader(loop_back, echo)
+        assert msg_type == MsgType.SEARCH
+        assert header["top_k"] == 3
+        np.testing.assert_array_equal(arrays[0], queries)
+
+    def test_peer_hangup_mid_frame_raises_protocol_error(self):
+        data = search_frame()
+
+        def half_then_hangup(peer):
+            peer.sendall(data[: len(data) // 2])
+            peer.close()
+
+        with pytest.raises(ProtocolError, match="closed mid-frame"):
+            self.run_with_reader(
+                half_then_hangup, lambda reader, _: read_frame_async(reader)
+            )
 
     def test_clean_hangup_before_frame(self):
-        left, right = socket.socketpair()
-        left.close()
-        try:
-            with pytest.raises(ConnectionLostError):
-                recv_frame(right)
-        finally:
-            right.close()
+        with pytest.raises(ConnectionLostError):
+            self.run_with_reader(
+                lambda peer: peer.close(),
+                lambda reader, _: read_frame_async(reader),
+            )
 
 
 class TestProtocolVersions:

@@ -38,7 +38,14 @@ from repro.errors import (
     RemoteCallError,
 )
 from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
-from repro.net.protocol import MsgType, raise_if_error, recv_frame, send_frame
+from repro.net.protocol import (
+    PREFIX_SIZE,
+    MsgType,
+    decode_frame,
+    frame_to_bytes,
+    parse_prefix,
+    raise_if_error,
+)
 from repro.net.server import SearcherServer
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
@@ -89,6 +96,16 @@ def start_server(shared_fs, **kwargs) -> SearcherServer:
     return server
 
 
+def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
+    data = bytearray()
+    while len(data) < nbytes:
+        chunk = sock.recv(nbytes - len(data))
+        if not chunk:
+            raise ConnectionLostError("connection closed mid-frame")
+        data += chunk
+    return bytes(data)
+
+
 def raw_search(
     address: str,
     queries: np.ndarray,
@@ -102,8 +119,12 @@ def raw_search(
         header["deadline_ms"] = float(deadline_ms)
     host, port = address.rsplit(":", 1)
     with socket.create_connection((host, int(port)), timeout=timeout_s) as s:
-        send_frame(s, MsgType.SEARCH, header, (queries,))
-        msg_type, reply, arrays = recv_frame(s)
+        s.sendall(frame_to_bytes(MsgType.SEARCH, header, (queries,)))
+        prefix = recv_exact(s, PREFIX_SIZE)
+        _, header_len, payload_len = parse_prefix(prefix)
+        msg_type, reply, arrays = decode_frame(
+            prefix + recv_exact(s, header_len + payload_len)
+        )
     raise_if_error(msg_type, reply)
     return arrays
 
@@ -257,11 +278,12 @@ class TestHangupAbandonment:
         try:
             host, port = server.address.rsplit(":", 1)
             with socket.create_connection((host, int(port))) as s:
-                send_frame(
-                    s,
-                    MsgType.SEARCH,
-                    {"index": INDEX_NAME, "top_k": 3},
-                    (queries[:1],),
+                s.sendall(
+                    frame_to_bytes(
+                        MsgType.SEARCH,
+                        {"index": INDEX_NAME, "top_k": 3},
+                        (queries[:1],),
+                    )
                 )
                 # Wait for the server to start the stalled search, then
                 # hang up -- a cancelled hedge loser, in miniature.
@@ -370,30 +392,21 @@ class TestShutdownRaises:
 
 
 class TestBackoffJitter:
-    def test_jitter_is_deterministic_per_seed_and_bounded(self):
-        first = RemoteSearcherClient("127.0.0.1:1", backoff_seed=7)
-        second = RemoteSearcherClient("127.0.0.1:1", backoff_seed=7)
-        other = RemoteSearcherClient("127.0.0.1:1", backoff_seed=8)
-        try:
-            draws_a = [first._jitter(0.2) for _ in range(16)]
-            draws_b = [second._jitter(0.2) for _ in range(16)]
-            assert draws_a == draws_b
-            assert all(0.0 <= draw <= 0.2 for draw in draws_a)
-            assert draws_a != [other._jitter(0.2) for _ in range(16)]
-        finally:
-            first.close()
-            second.close()
-            other.close()
+    def test_jitter_is_bounded_and_deterministic_per_seed(self):
+        """One RNG implementation: the facade draws through its core, so
+        a seed (or the address-hash default) fixes the schedule for
+        blocking and awaiting callers alike."""
 
-    def test_sync_and_async_clients_share_the_address_default_seed(self):
-        sync = RemoteSearcherClient("127.0.0.1:1")
-        async_ = AsyncRemoteSearcherClient("127.0.0.1:1")
-        try:
-            assert [sync._jitter(1.0) for _ in range(8)] == [
-                async_._jitter(1.0) for _ in range(8)
-            ]
-        finally:
-            sync.close()
+        def draws(**kwargs):
+            core = AsyncRemoteSearcherClient("127.0.0.1:1", **kwargs)
+            return [core._jitter(0.2) for _ in range(16)]
+
+        assert draws(backoff_seed=7) == draws(backoff_seed=7)
+        assert all(0.0 <= draw <= 0.2 for draw in draws(backoff_seed=7))
+        assert draws(backoff_seed=7) != draws(backoff_seed=8)
+        assert draws() == draws()
+        facade = RemoteSearcherClient("127.0.0.1:1")
+        assert [facade.core._jitter(0.2) for _ in range(16)] == draws()
 
     def test_retries_actually_draw_jittered_pauses(self):
         client = RemoteSearcherClient(

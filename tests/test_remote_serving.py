@@ -16,7 +16,6 @@ connection-reset paths.  Failure taxonomy under test:
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import socket
 import threading
@@ -34,13 +33,10 @@ from repro.errors import (
     RemoteCallError,
     TransportError,
 )
-from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import MsgType
 from repro.net.server import SearcherServer
-from repro.net.transport import (
-    AsyncRemoteSearcherTransport,
-    RemoteSearcherTransport,
-)
+from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
@@ -366,7 +362,7 @@ class TestDeployFailures:
             for client in clients[:2]:
                 client.deploy("ph", INDEX_PATH, root=str(shared_fs.root))
             transports = [
-                AsyncRemoteSearcherTransport(address, shard_id)
+                RemoteSearcherTransport(address, shard_id)
                 for shard_id, address in enumerate(addresses)
             ]
             broker = Broker(
@@ -411,9 +407,9 @@ class TestTimeouts:
                         "tmo", INDEX_PATH, root=str(shared_fs.root)
                     )
                 transports = [
-                    AsyncRemoteSearcherTransport(addresses[0], 0),
-                    AsyncRemoteSearcherTransport(addresses[1], 1),
-                    AsyncRemoteSearcherTransport(silent, 2, retries=0),
+                    RemoteSearcherTransport(addresses[0], 0),
+                    RemoteSearcherTransport(addresses[1], 1),
+                    RemoteSearcherTransport(silent, 2, retries=0),
                 ]
                 degrade = Broker(
                     transports,
@@ -445,9 +441,9 @@ class TestTimeouts:
 
                 strict = Broker(
                     [
-                        AsyncRemoteSearcherTransport(addresses[0], 0),
-                        AsyncRemoteSearcherTransport(addresses[1], 1),
-                        AsyncRemoteSearcherTransport(silent, 2, retries=0),
+                        RemoteSearcherTransport(addresses[0], 0),
+                        RemoteSearcherTransport(addresses[1], 1),
+                        RemoteSearcherTransport(silent, 2, retries=0),
                     ],
                     config,
                     partial_policy="fail",
@@ -475,7 +471,9 @@ class TestDeadlineCauseChaining:
     reads as a plain timeout sends the operator debugging the wrong
     thing (slow searcher vs searcher not listening at all)."""
 
-    def test_sync_client_deadline_chains_connectivity_cause(self):
+    def test_deadline_chains_connectivity_cause(self):
+        """Driven through the blocking facade, so the chain is also
+        checked to survive the hop from the loop thread to the caller."""
         client = RemoteSearcherClient(
             refused_address(), retries=3, backoff_s=0.05
         )
@@ -487,24 +485,6 @@ class TestDeadlineCauseChaining:
             assert isinstance(excinfo.value.__cause__, ConnectionLostError)
         finally:
             client.close()
-
-    def test_async_client_deadline_chains_connectivity_cause(self):
-        async def scenario():
-            client = AsyncRemoteSearcherClient(
-                refused_address(), retries=3, backoff_s=0.05
-            )
-            try:
-                with pytest.raises(DeadlineExceededError) as excinfo:
-                    await client.call(
-                        MsgType.PING, deadline=time.monotonic() + 0.02
-                    )
-                assert isinstance(
-                    excinfo.value.__cause__, ConnectionLostError
-                )
-            finally:
-                client.close()
-
-        asyncio.run(scenario())
 
 
 class TestKilledSearcherProcess:
