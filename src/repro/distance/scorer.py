@@ -531,9 +531,12 @@ class QuantizedStore:
     The store owns everything the beam search needs to run on codes:
     the trained codec, the encoded rows, and (for Euclidean) the decoded
     squared norms.  :meth:`view` binds a prepared query batch and returns
-    a scoring adapter with the same ``score_pairs`` signature the
-    lockstep kernels already use, so traversal code is unchanged --
-    quantization is purely a different scorer implementation.
+    a scoring adapter with the same ``score_pairs`` signature as
+    :meth:`Scorer.score_pairs` -- the one thing the lockstep kernels ask
+    of a scorer (:class:`repro.hnsw.search.PairScorer`) -- so the single
+    HNSW search body hands it to the unchanged traversal and rescores
+    exactly whatever it ranked: quantization is purely a different
+    scorer implementation.
     """
 
     def __init__(

@@ -8,6 +8,7 @@ Malkov & Yashunin on top of the primitives in :mod:`repro.hnsw.search` and
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,14 +17,12 @@ from repro.distance.scorer import QuantizedStore, Scorer
 from repro.errors import IndexNotBuiltError
 from repro.hnsw.graph import HnswGraph, VisitedPool
 from repro.hnsw.heuristic import (
-    select_neighbors_heuristic,
     select_neighbors_heuristic_batch,
     select_neighbors_simple,
 )
 from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (
     descend_to_level,
-    descend_to_level_batch,
     descend_to_levels_batch,
     search_layer,
     search_layer_batch,
@@ -71,12 +70,15 @@ class HnswIndex:
         self._scorer = Scorer(metric, dim)
         self._graph = HnswGraph()
         self._external_ids: list[int] = []
+        # Array form of _external_ids for the search tail, built on first
+        # use; whatever writes _external_ids resets it to None.
+        self._external_array: np.ndarray | None = None
         self._id_to_row: dict[int, int] = {}
         self._rng = np.random.default_rng(self.params.seed)
         self._visited_pool = VisitedPool()
         # Compressed-domain scoring tier: the beam search traverses on
         # codes, the final candidates are rescored exactly (see
-        # _search_many_quantized).  Construction always runs on float32.
+        # _search_many).  Construction always runs on float32.
         self._quantized: QuantizedStore | None = None
         if self.params.quantize != "none":
             self._quantized = QuantizedStore(
@@ -181,22 +183,23 @@ class HnswIndex:
         rows = self._scorer.add(vectors)
         row_list = rows.tolist()
         self._external_ids.extend(ids.tolist())
+        self._external_array = None
         for row, external_id in zip(row_list, ids.tolist()):
             self._id_to_row[external_id] = row
 
+        # One level per row, drawn up-front in row order: both paths
+        # consume the RNG stream identically.
+        levels = [self._draw_level() for _ in range(n)]
         wave = self.params.build_batch
         if wave <= 1 or n <= 1:
-            for row in row_list:
-                self._insert_row(row)
+            for row, level in zip(row_list, levels):
+                self._insert_row(row, level)
         else:
-            # Levels are drawn up-front in row order: the batched path
-            # consumes the RNG stream exactly like the sequential one.
-            levels = [self._draw_level() for _ in range(n)]
             start = 0
             if len(self._graph) == 0:
                 # Bootstrap an empty graph: the first row becomes the
                 # entry point the first wave descends from.
-                self._insert_row(row_list[0], level=levels[0])
+                self._insert_row(row_list[0], levels[0])
                 start = 1
             for begin in range(start, n, wave):
                 self._insert_wave(
@@ -209,11 +212,29 @@ class HnswIndex:
             # the same data + seed is deterministic.
             self._quantized.refresh()
 
-    def _insert_row(self, row: int, level: int | None = None) -> None:
+    def _max_degree(self, layer: int) -> int:
+        """Out-degree bound at ``layer`` (the base layer allows more)."""
+        params = self.params
+        return params.effective_max_m0 if layer == 0 else params.effective_max_m
+
+    def _select_neighbors(
+        self, problems: list[list[tuple[float, int]]], m: int, keep_pruned: bool
+    ) -> list[list[tuple[float, int]]]:
+        """Pick at most ``m`` links for each candidate list, in one round.
+
+        The diversity heuristic (Algorithm 4) unless
+        ``params.use_heuristic`` is off; the sequential insert path
+        passes a batch of one.
+        """
+        if self.params.use_heuristic:
+            return select_neighbors_heuristic_batch(
+                self._scorer, problems, m, keep_pruned=keep_pruned
+            )
+        return [select_neighbors_simple(problem, m) for problem in problems]
+
+    def _insert_row(self, row: int, level: int) -> None:
         params = self.params
         graph = self._graph
-        if level is None:
-            level = self._draw_level()
         query = self._scorer.data[row]
 
         if len(graph) == 0:
@@ -249,20 +270,11 @@ class HnswIndex:
                 visited,
                 query_sq,
             )
-            m = params.M
-            if params.use_heuristic:
-                neighbors = select_neighbors_heuristic(
-                    self._scorer,
-                    candidates,
-                    m,
-                    keep_pruned=params.keep_pruned_connections,
-                )
-            else:
-                neighbors = select_neighbors_simple(candidates, m)
-            graph.set_neighbors(row, layer, [node for _, node in neighbors])
-            max_degree = (
-                params.effective_max_m0 if layer == 0 else params.effective_max_m
+            (neighbors,) = self._select_neighbors(
+                [candidates], params.M, params.keep_pruned_connections
             )
+            graph.set_neighbors(row, layer, [node for _, node in neighbors])
+            max_degree = self._max_degree(layer)
             for dist, neighbor in neighbors:
                 self._link_back(neighbor, row, dist, layer, max_degree)
             entries = candidates  # reuse the beam as entries for the next layer
@@ -351,31 +363,20 @@ class HnswIndex:
                         candidates.append((cross_row[j], rows[j]))
                 problem_keys.append((i, layer))
                 problems.append(candidates)
-        if params.use_heuristic:
-            selections = select_neighbors_heuristic_batch(
-                scorer,
-                problems,
-                params.M,
-                keep_pruned=params.keep_pruned_connections,
-            )
-        else:
-            selections = [
-                select_neighbors_simple(problem, params.M)
-                for problem in problems
-            ]
+        selections = self._select_neighbors(
+            problems, params.M, params.keep_pruned_connections
+        )
 
         # Apply phase: deterministic row order.  Reverse links are
         # appended without per-edge shrinking; (node, layer) pairs pushed
         # over their degree bound are re-selected afterwards in one
         # vectorised round (one shrink per wave instead of one per edge,
         # and the re-selection sees every wave row that linked in).
-        max_m = params.effective_max_m
-        max_m0 = params.effective_max_m0
         overfull: dict[tuple[int, int], None] = {}
         for (i, layer), selected in zip(problem_keys, selections):
             row = rows[i]
             graph.set_neighbors(row, layer, [node for _, node in selected])
-            max_degree = max_m0 if layer == 0 else max_m
+            max_degree = self._max_degree(layer)
             for _, neighbor in selected:
                 graph.add_link(neighbor, layer, row)
                 if graph.degree(neighbor, layer) > max_degree:
@@ -414,7 +415,6 @@ class HnswIndex:
         """
         graph = self._graph
         scorer = self._scorer
-        params = self.params
         neighbor_lists = [
             graph.neighbors(node, layer) for node, layer in targets
         ]
@@ -442,27 +442,12 @@ class HnswIndex:
             nbrs = neighbor_lists[position]
             problem = list(zip(dists[offset : offset + len(nbrs)], nbrs))
             offset += len(nbrs)
-            bound = (
-                params.effective_max_m0
-                if layer == 0
-                else params.effective_max_m
-            )
+            bound = self._max_degree(layer)
             positions, problems = by_bound.setdefault(bound, ([], []))
             positions.append(position)
             problems.append(problem)
         for bound, (positions, problems) in by_bound.items():
-            if params.use_heuristic:
-                reselected = select_neighbors_heuristic_batch(
-                    scorer,
-                    problems,
-                    bound,
-                    keep_pruned=False,
-                )
-            else:
-                reselected = [
-                    select_neighbors_simple(problem, bound)
-                    for problem in problems
-                ]
+            reselected = self._select_neighbors(problems, bound, False)
             for position, selected in zip(positions, reselected):
                 node, layer = targets[position]
                 graph.set_neighbors(
@@ -486,206 +471,132 @@ class HnswIndex:
             node_vector, np.asarray(candidate_ids, dtype=_IDS_DTYPE)
         )
         candidates = list(zip(dists.tolist(), candidate_ids))
-        if self.params.use_heuristic:
-            reselected = select_neighbors_heuristic(
-                self._scorer,
-                candidates,
-                max_degree,
-                keep_pruned=self.params.keep_pruned_connections,
-            )
-        else:
-            reselected = select_neighbors_simple(candidates, max_degree)
+        (reselected,) = self._select_neighbors(
+            [candidates], max_degree, self.params.keep_pruned_connections
+        )
         graph.set_neighbors(node, layer, [nbr for _, nbr in reselected])
 
     # -- search ------------------------------------------------------------------------
     def _search_many(
         self, queries: np.ndarray, k: int, ef: int | None, cost=None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Lockstep-search a prepared batch; per-query (ids, true_dists).
+        """Search one lockstep group; per-query ``(ids, true_dists)``.
 
-        This is the single query code path: :meth:`search` runs it with a
-        batch of one.  All distance evaluations go through the
-        batch-composition-invariant :meth:`Scorer.score_pairs` kernel, so
-        results do not depend on how queries are grouped into batches.
+        The single query code path (:meth:`search` is a batch of one):
+        candidates -> exact rescore iff they were scored approximately ->
+        gather external ids.  Only who scores the candidates varies.
+        Below ``params.min_graph_size`` rows the graph buys nothing, so
+        the whole segment is the candidate set, scored exactly by
+        :meth:`Scorer.score_all_batch` (arm ``flat``).  Otherwise the
+        lockstep descend + beam kernels score with the float
+        :class:`Scorer` (``float``) or, unchanged, with a per-batch
+        :meth:`QuantizedStore.view` over compressed codes (``int8`` /
+        ``pq``) slotted in through :class:`~repro.hnsw.search.PairScorer`.
+        Approximate scores only decide *which* candidates survive: the
+        beam keeps ``max(beam, rescore_k)`` of them and every survivor is
+        rescored by the float :meth:`Scorer.score_pairs`, so returned
+        distances are bit-identical to the float arm for any candidate
+        both return.  Every arm scores a row independently of which other
+        rows share the batch, so results do not depend on how queries are
+        grouped.
 
         ``cost`` (an optional :class:`~repro.obs.cost.SearchCost`)
-        accumulates hops / candidates from the kernels plus this batch's
-        ``Scorer.ops`` delta as ``distance_comps`` -- under concurrent
-        searches of one segment the delta can misattribute work between
-        batches, but the totals stay exact.  When a tracing recorder is
-        active (:func:`~repro.obs.tracing.current_recorder`), descend /
-        beam / rescore stages are recorded as spans; with no recorder
-        and ``cost=None`` this path is bit-for-bit the pre-accounting
-        hot path.
+        accumulates hops / candidates from the kernels, ``rescore_rows``
+        and this batch's ``Scorer.ops`` delta as ``distance_comps`` --
+        under concurrent searches of one segment the delta can
+        misattribute work between batches, but the totals stay exact.
+        Under an active tracing recorder
+        (:func:`~repro.obs.tracing.current_recorder`) every stage is a
+        span -- ``scan``, or ``descend`` / ``beam`` (/ ``rescore``) --
+        tagged ``scorer=<arm>``; with no recorder and ``cost=None``
+        nothing but the search runs.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if len(self._graph) == 0:
+        graph, scorer = self._graph, self._scorer
+        if len(graph) == 0:
             raise IndexNotBuiltError("search on an empty HNSW index")
-        if len(self._graph) < self.params.min_graph_size:
-            return self._search_many_exact(queries, k, cost)
-        prepared = self._scorer.prepare_queries(queries)
-        query_sq = self._scorer.query_sq_norms(prepared)
-        beam = max(ef if ef is not None else self.params.ef_search, k)
-        if self._quantized is not None:
-            return self._search_many_quantized(
-                prepared, query_sq, k, beam, cost
-            )
-
-        ops_before = self._scorer.ops if cost is not None else 0
+        num_queries = queries.shape[0]
+        prepared = scorer.prepare_queries(queries)
         recorder = current_recorder()
-        with maybe_span(recorder, "descend"):
-            entries, entry_dists = descend_to_level_batch(
-                self._graph, self._scorer, prepared, 0, query_sq, cost
-            )
-        tables = self._visited_pool.get_many(
-            len(self._graph), queries.shape[0]
-        )
-        with maybe_span(
-            recorder, "beam", ef=beam, num_queries=queries.shape[0]
-        ):
-            per_query = search_layer_batch(
-                self._graph,
-                self._scorer,
-                prepared,
-                [
-                    [(entry_dists[i], entries[i])]
-                    for i in range(queries.shape[0])
-                ],
-                beam,
-                0,
-                tables,
-                query_sq,
-                cost,
-            )
+        ops_before = scorer.ops if cost is not None else 0
+        if len(graph) < self.params.min_graph_size:
+            # Rows are scored one at a time on purpose: BLAS accumulation
+            # order inside a multi-row GEMM varies with the batch shape,
+            # and the serving stack's coalescing layers rely on every
+            # row's result being bit-independent of which other rows
+            # share the batch.  The stable argsort breaks distance ties
+            # by internal row -- the (distance, node) order of the sorted
+            # beam below and of the blocked exact scan in
+            # :func:`repro.offline.brute_force.exact_top_k`.
+            per_query: list[list[tuple[float, int]]] = []
+            with maybe_span(
+                recorder, "scan", scorer="flat",
+                rows=len(graph), num_queries=num_queries,
+            ):
+                for row in range(num_queries):
+                    scores = scorer.score_all_batch(prepared[row : row + 1])[0]
+                    order = np.argsort(scores, kind="stable")[:k]
+                    per_query.append(
+                        list(zip(scores[order].tolist(), order.tolist()))
+                    )
+        else:
+            query_sq = scorer.query_sq_norms(prepared)
+            depth = max(ef if ef is not None else self.params.ef_search, k)
+            traversal, arm = scorer, "float"
+            if self._quantized is not None:
+                traversal = self._quantized.view(prepared)
+                arm = self._quantized.kind
+                depth = max(depth, self.params.rescore_k)
+            with maybe_span(recorder, "descend", scorer=arm):
+                entries, entry_dists = descend_to_levels_batch(
+                    graph, traversal, prepared, [0] * num_queries,
+                    query_sq, cost,
+                )
+            tables = self._visited_pool.get_many(len(graph), num_queries)
+            seeds = [[(entry_dists[i], entries[i])] for i in range(num_queries)]
+            with maybe_span(
+                recorder, "beam", scorer=arm, ef=depth, num_queries=num_queries
+            ):
+                per_query = search_layer_batch(
+                    graph, traversal, prepared, seeds, depth, 0, tables,
+                    query_sq, cost,
+                )
+            if traversal is not scorer:
+                # Exact rescore: one flat float32 scoring call for every
+                # beam survivor of the whole batch, then the same
+                # (distance, node) order the float arm's sorted beam has.
+                counts = [len(candidates) for candidates in per_query]
+                flat_ids = [
+                    node for candidates in per_query for _, node in candidates
+                ]
+                with maybe_span(
+                    recorder, "rescore", scorer=arm, rows=len(flat_ids)
+                ):
+                    exact = scorer.score_pairs(
+                        prepared,
+                        np.repeat(np.arange(num_queries), counts),
+                        np.asarray(flat_ids, dtype=_IDS_DTYPE),
+                        query_sq,
+                    ).tolist()
+                if cost is not None:
+                    cost.rescore_rows += len(flat_ids)
+                per_query, offset = [], 0
+                for count in counts:
+                    span = slice(offset, offset + count)
+                    per_query.append(sorted(zip(exact[span], flat_ids[span])))
+                    offset += count
         if cost is not None:
-            cost.distance_comps += self._scorer.ops - ops_before
-        external = self.external_ids  # one O(n) list->array conversion
+            cost.distance_comps += scorer.ops_since(ops_before)
+        external = self._external_array
+        if external is None:
+            external = self._external_array = self.external_ids
         output: list[tuple[np.ndarray, np.ndarray]] = []
         for candidates in per_query:
             top = candidates[:k]
             rows = np.asarray([node for _, node in top], dtype=_IDS_DTYPE)
             reduced = np.asarray([dist for dist, _ in top], dtype=np.float64)
-            output.append(
-                (external[rows], self._scorer.to_true(reduced))
-            )
-        return output
-
-    def _search_many_quantized(
-        self,
-        prepared: np.ndarray,
-        query_sq: np.ndarray,
-        k: int,
-        beam: int,
-        cost=None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Quantized beam search + exact rescore over a prepared batch.
-
-        The descent and beam traversal run entirely on compressed codes:
-        a per-batch :meth:`QuantizedStore.view` slots into the unchanged
-        lockstep kernels in place of the float scorer, so each scoring
-        round gathers int8 rows (or PQ lookup tables) instead of float32
-        vectors.  Approximate scores only decide *which* candidates
-        survive -- the beam keeps ``max(beam, rescore_k)`` of them, every
-        survivor is then rescored by the same batch-composition-invariant
-        float32 :meth:`Scorer.score_pairs` kernel the float path scores
-        with, and the top ``k`` after the exact re-sort are returned.
-        Returned distances are therefore bit-identical to the float path
-        for any candidate both paths return.
-        """
-        num_queries = prepared.shape[0]
-        depth = max(beam, self.params.rescore_k)
-        view = self._quantized.view(prepared)
-        ops_before = self._scorer.ops if cost is not None else 0
-        recorder = current_recorder()
-        with maybe_span(recorder, "descend", quantized=True):
-            entries, entry_dists = descend_to_level_batch(
-                self._graph, view, prepared, 0, query_sq, cost
-            )
-        tables = self._visited_pool.get_many(len(self._graph), num_queries)
-        with maybe_span(
-            recorder, "beam", ef=depth, num_queries=num_queries,
-            quantized=True,
-        ):
-            per_query = search_layer_batch(
-                self._graph,
-                view,
-                prepared,
-                [[(entry_dists[i], entries[i])] for i in range(num_queries)],
-                depth,
-                0,
-                tables,
-                query_sq,
-                cost,
-            )
-        # Exact rescore: one flat float32 scoring call for every beam
-        # survivor of the whole batch.
-        flat_ids: list[int] = []
-        span_counts: list[int] = []
-        for candidates in per_query:
-            span_counts.append(len(candidates))
-            flat_ids.extend(node for _, node in candidates)
-        with maybe_span(recorder, "rescore", rows=len(flat_ids)):
-            exact = self._scorer.score_pairs(
-                prepared,
-                np.repeat(np.arange(num_queries), span_counts),
-                np.asarray(flat_ids, dtype=_IDS_DTYPE),
-                query_sq,
-            ).tolist()
-        if cost is not None:
-            cost.rescore_rows += len(flat_ids)
-            cost.distance_comps += self._scorer.ops - ops_before
-        external = self.external_ids
-        output: list[tuple[np.ndarray, np.ndarray]] = []
-        offset = 0
-        for count in span_counts:
-            nodes = flat_ids[offset : offset + count]
-            # Same (distance, node) tie-break the float path's sorted
-            # beam produces.
-            top = sorted(zip(exact[offset : offset + count], nodes))[:k]
-            offset += count
-            rows = np.asarray([node for _, node in top], dtype=_IDS_DTYPE)
-            reduced = np.asarray([dist for dist, _ in top], dtype=np.float64)
-            output.append((external[rows], self._scorer.to_true(reduced)))
-        return output
-
-    def _search_many_exact(
-        self, queries: np.ndarray, k: int, cost=None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Exact fallback for tiny indices: one GEMM scan, no traversal.
-
-        Used when the index holds fewer than ``params.min_graph_size``
-        vectors: ``Scorer.score_all_batch`` scores the whole segment as
-        a flat ``(1, d) @ (d, n)`` product per row, which beats beam
-        search on segments small enough that the graph buys nothing --
-        and is exact by construction.  Rows are scored one at a time on
-        purpose: BLAS accumulation order inside a multi-row GEMM varies
-        with the batch shape, and the serving stack's coalescing layers
-        rely on every row's result being bit-independent of which other
-        rows share the batch.  Results are sorted ascending by reduced
-        distance with ties broken by internal row (stable argsort), the
-        same order the blocked exact scan in
-        :func:`repro.offline.brute_force.exact_top_k` produces.
-        """
-        ops_before = self._scorer.ops if cost is not None else 0
-        prepared = self._scorer.prepare_queries(queries)
-        scores = np.vstack(
-            [
-                self._scorer.score_all_batch(prepared[row : row + 1])
-                for row in range(prepared.shape[0])
-            ]
-        )
-        if cost is not None:
-            cost.distance_comps += self._scorer.ops - ops_before
-        count = scores.shape[1]
-        keep = min(k, count)
-        order = np.argsort(scores, axis=1, kind="stable")[:, :keep]
-        external = self.external_ids
-        output: list[tuple[np.ndarray, np.ndarray]] = []
-        for row in range(queries.shape[0]):
-            rows = order[row]
-            reduced = scores[row, rows].astype(np.float64)
-            output.append((external[rows], self._scorer.to_true(reduced)))
+            output.append((external[rows], scorer.to_true(reduced)))
         return output
 
     def search(
@@ -768,7 +679,7 @@ class HnswIndex:
             "levels": np.asarray(self._graph.levels, dtype=np.int32),
             "external_ids": self.external_ids,
             "vectors": np.array(self._scorer.data),
-            "params_json": np.asarray(_params_to_json(self.params)),
+            "params_json": np.asarray(json.dumps(self.params.to_dict())),
         }
         levels = np.asarray(self._graph.levels, dtype=np.int64)
         for level in range(self._graph.max_level + 1):
@@ -799,7 +710,7 @@ class HnswIndex:
     @classmethod
     def from_arrays(cls, payload: dict) -> "HnswIndex":
         """Inverse of :meth:`to_arrays`."""
-        params = _params_from_json(str(payload["params_json"]))
+        params = HnswParams.from_dict(json.loads(str(payload["params_json"])))
         index = cls(
             dim=int(payload["dim"]),
             metric=str(payload["metric"]),
@@ -863,18 +774,6 @@ class HnswIndex:
         with np.load(path, allow_pickle=False) as archive:
             payload = {key: archive[key] for key in archive.files}
         return cls.from_arrays(payload)
-
-
-def _params_to_json(params: HnswParams) -> str:
-    import json
-
-    return json.dumps(params.to_dict())
-
-
-def _params_from_json(text: str) -> HnswParams:
-    import json
-
-    return HnswParams.from_dict(json.loads(text))
 
 
 def build_hnsw(

@@ -11,6 +11,7 @@ Distances are in the scorer's *reduced* space throughout (see
 from __future__ import annotations
 
 import heapq
+from typing import Protocol
 
 import numpy as np
 
@@ -160,32 +161,29 @@ def descend_to_level(
 # bit-identical to any larger batch.
 
 
-def descend_to_level_batch(
-    graph: HnswGraph,
-    scorer: Scorer,
-    queries: np.ndarray,
-    target_level: int,
-    query_sq: np.ndarray | None = None,
-    cost=None,
-) -> tuple[list[int], list[float]]:
-    """Batched :func:`descend_to_level` over a *prepared* ``(B, d)`` batch.
+class PairScorer(Protocol):
+    """The scorer seam of the lockstep kernels: one flat scoring call.
 
-    Returns per-query entry nodes and reduced entry distances for
-    ``target_level``.  The graph must be non-empty.
+    Satisfied by the float :class:`~repro.distance.scorer.Scorer` and by
+    the per-batch compressed-code views
+    :meth:`QuantizedStore.view <repro.distance.scorer.QuantizedStore.view>`
+    returns; the kernels below ask nothing else of whoever scores, so a
+    new scoring tier plugs in by implementing this one method with
+    :meth:`Scorer.score_pairs`'s batch-composition invariance.
     """
-    return descend_to_levels_batch(
-        graph,
-        scorer,
-        queries,
-        [target_level] * queries.shape[0],
-        query_sq,
-        cost,
-    )
+
+    def score_pairs(
+        self,
+        queries: np.ndarray,
+        query_rows: np.ndarray,
+        ids: np.ndarray,
+        query_sq: np.ndarray | None = None,
+    ) -> np.ndarray: ...
 
 
 def descend_to_levels_batch(
     graph: HnswGraph,
-    scorer: Scorer,
+    scorer: PairScorer,
     queries: np.ndarray,
     target_levels: list[int],
     query_sq: np.ndarray | None = None,
@@ -193,11 +191,14 @@ def descend_to_levels_batch(
 ) -> tuple[list[int], list[float]]:
     """Batched greedy descent with a *per-query* target level.
 
-    Query ``i`` walks from the global entry point down through layers
-    ``max_level .. target_levels[i] + 1`` and settles where
-    :func:`descend_to_level` would.  The construction wave needs the
-    per-query targets: each new row stops descending at its own drawn
-    level, yet all rows of a wave share every round's scoring call.
+    Query ``i`` of the *prepared* ``(B, d)`` batch walks from the global
+    entry point down through layers ``max_level .. target_levels[i] + 1``
+    and settles where :func:`descend_to_level` would; the result is the
+    per-query entry nodes and reduced entry distances.  The construction
+    wave needs the per-query targets: each new row stops descending at
+    its own drawn level, yet all rows of a wave share every round's
+    scoring call (the query path passes all zeros).  The graph must be
+    non-empty.
 
     ``cost`` is an optional :class:`~repro.obs.cost.SearchCost`: when
     given, each round adds the queries that moved to ``hops`` -- one
@@ -254,7 +255,7 @@ def descend_to_levels_batch(
 
 def search_layer_batch(
     graph: HnswGraph,
-    scorer: Scorer,
+    scorer: PairScorer,
     queries: np.ndarray,
     entry_points: list[list[tuple[float, int]]],
     ef: int,

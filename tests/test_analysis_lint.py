@@ -561,6 +561,14 @@ class TestBaseline:
 # -- driver / diagnostics -----------------------------------------------------------
 
 
+def test_hnsw_index_has_one_search_body():
+    """The float / quantized / flat-scan fork must not quietly regrow."""
+    from repro.hnsw.index import HnswIndex
+
+    bodies = [name for name in vars(HnswIndex) if name.startswith("_search_many")]
+    assert bodies == ["_search_many"]
+
+
 class TestDriver:
 
     def test_enclosing_symbol(self):

@@ -6,6 +6,8 @@ the single-query ``search`` over the same queries, because both run the
 same lockstep kernel and the scoring primitives are batch-composition
 invariant.  These tests pin that contract at the HNSW, shard, index,
 broker and service levels, plus the batch-merge primitive underneath.
+(Per-scorer, per-metric and lockstep-group-boundary cells of the HNSW
+level live in ``test_search_body.py``.)
 """
 
 import numpy as np
@@ -170,40 +172,12 @@ class TestHnswBatchParity:
         np.testing.assert_array_equal(whole_ids, chunked_ids)
         assert whole_dists.shape == (len(clustered_queries), 8)
 
-    @pytest.mark.parametrize("metric", ["cosine", "inner_product"])
-    def test_batch_parity_other_metrics(
-        self, metric, clustered_data, clustered_queries
-    ):
-        index = build_hnsw(
-            clustered_data[:300], metric=metric, params=FAST_HNSW
-        )
-        batch_ids, batch_dists = index.search_batch(
-            clustered_queries[:10], 5, ef=48
-        )
-        for row in range(10):
-            single_ids, single_dists = index.search(
-                clustered_queries[row], 5, ef=48
-            )
-            np.testing.assert_array_equal(batch_ids[row], single_ids)
-            np.testing.assert_array_equal(batch_dists[row], single_dists)
-
     def test_empty_batch(self, hnsw):
         ids, dists = hnsw.search_batch(
             np.empty((0, hnsw.dim), dtype=np.float32), 5
         )
         assert ids.shape == (0, 5)
         assert dists.shape == (0, 5)
-
-    def test_batch_larger_than_lockstep_group(self, hnsw, clustered_queries):
-        """Batches above the internal lockstep cap chunk transparently."""
-        from repro.hnsw.index import _MAX_LOCKSTEP
-
-        big = np.tile(clustered_queries, (2, 1))[: _MAX_LOCKSTEP + 11]
-        batch_ids, _ = hnsw.search_batch(big, 5, ef=48)
-        assert batch_ids.shape == (_MAX_LOCKSTEP + 11, 5)
-        for row in (0, _MAX_LOCKSTEP - 1, _MAX_LOCKSTEP, _MAX_LOCKSTEP + 10):
-            single_ids, _ = hnsw.search(big[row], 5, ef=48)
-            np.testing.assert_array_equal(batch_ids[row], single_ids)
 
     def test_negative_external_ids_rejected(self, clustered_data):
         """-1 is the batch padding sentinel, so ids must be >= 0."""
@@ -222,13 +196,6 @@ class TestHnswBatchParity:
         payload["external_ids"] = payload["external_ids"] - 5
         with pytest.raises(ValueError, match="negative external ids"):
             HnswIndex.from_arrays(payload)
-
-    def test_single_row_batch(self, hnsw, clustered_queries):
-        ids, dists = hnsw.search_batch(clustered_queries[:1], 6, ef=48)
-        single_ids, single_dists = hnsw.search(clustered_queries[0], 6, ef=48)
-        assert ids.shape == (1, 6)
-        np.testing.assert_array_equal(ids[0], single_ids)
-        np.testing.assert_array_equal(dists[0], single_dists)
 
 
 class TestLannsIndexBatchParity:

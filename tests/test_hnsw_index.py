@@ -186,14 +186,6 @@ class TestBruteForceFallback:
         # vs one GEMM): distances agree to float32 precision, not bits.
         np.testing.assert_allclose(got_dists, want_dists, rtol=1e-4, atol=1e-4)
 
-    def test_single_query_is_batch_of_one(self, clustered_data):
-        index = build_hnsw(clustered_data[:50], params=self.make_params(100))
-        batch_ids, batch_dists = index.search_batch(clustered_data[:3], 5)
-        for row in range(3):
-            ids, dists = index.search(clustered_data[row], 5)
-            np.testing.assert_array_equal(ids, batch_ids[row])
-            np.testing.assert_array_equal(dists, batch_dists[row])
-
     def test_threshold_boundary_switches_paths(self, clustered_data):
         """At exactly `min_graph_size` vectors the graph path serves; one
         below, the scan does.  Both are exact on well-separated data, so

@@ -2,9 +2,9 @@
 
 Covers the compressed-domain scoring tier end to end: codec round
 trips, the not-fitted error contract, wire-boundary bit-parity of the
-quantized-then-rescored path against the float path, the batch-of-one
-invariance the serving stack relies on, recall floors for both
-backends, and persistence through the manifest layer.
+quantized-then-rescored path against the float path, recall floors for
+both backends, and persistence through the manifest layer.  (The
+batch-of-one invariance is a cell of ``test_search_body.py``.)
 """
 
 from __future__ import annotations
@@ -267,15 +267,6 @@ class TestQuantizedSearchParity:
         # The overlap must be substantial for the parity check to mean
         # anything (recall floors are pinned separately below).
         assert compared >= 300
-
-    @pytest.mark.parametrize("kind", ["int8", "pq"])
-    def test_single_query_equals_batch_of_one(self, kind):
-        _, queries, _, quant_index = _parity_case("euclidean", kind)
-        batch_ids, batch_dists = quant_index.search_batch(queries, 10)
-        for row in range(0, queries.shape[0], 7):
-            ids, dists = quant_index.search(queries[row], 10)
-            np.testing.assert_array_equal(ids, batch_ids[row])
-            np.testing.assert_array_equal(dists, batch_dists[row])
 
     @pytest.mark.parametrize("kind", ["int8", "pq"])
     def test_returned_distances_are_exact(self, kind):
