@@ -14,6 +14,15 @@ source inside them is a latent parity break, so this checker bans:
 - wall-clock reads (``time.time``, ``time.time_ns``,
   ``datetime.now/utcnow/today``) — ``perf_counter``/``monotonic`` are
   allowed for instrumentation because they never feed results
+
+and, in the modules that rank candidates (:func:`run_order`; ``hnsw/``,
+``distance/``, ``core/topk.py``, ``core/merge.py``), orderings that
+leave the place of equal keys to the sorting algorithm:
+
+- ``sort`` / ``argsort`` without ``kind="stable"``
+- any ``partition`` / ``argpartition``: which of several equal keys
+  lands on which side of the pivot is unspecified, so it is only sound
+  when a total-order fix-up follows, argued in ``baseline.toml``
 """
 
 from __future__ import annotations
@@ -62,21 +71,56 @@ def _dotted(node: ast.expr) -> tuple[str, ...]:
     return ()
 
 
+def _finding(
+    module: ModuleSource, node: ast.AST, rule: str, message: str
+) -> Finding:
+    return Finding(
+        checker=CHECKER,
+        rule=rule,
+        path=module.path,
+        line=node.lineno,
+        col=node.col_offset,
+        symbol=enclosing_symbol(module.tree, node.lineno),
+        message=message,
+    )
+
+
+def run_order(module: ModuleSource) -> list[Finding]:
+    """The ``unstable-order`` rule (see the module docstring)."""
+    findings: list[Finding] = []
+    for node in ast.walk(module.tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        stable = any(
+            keyword.arg == "kind"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value == "stable"
+            for keyword in node.keywords
+        )
+        if name in ("partition", "argpartition"):
+            message = (
+                f"'{name}()' leaves the choice among equal keys "
+                "unspecified; sort with kind=\"stable\", or follow it with "
+                "a total-order fix-up and justify that in baseline.toml"
+            )
+        elif name in ("sort", "argsort") and not stable:
+            message = (
+                f"'{name}()' without kind=\"stable\" orders equal keys "
+                "differently from one algorithm or numpy build to the "
+                "next; pass kind=\"stable\" (the builtin sorted() is stable)"
+            )
+        else:
+            continue
+        findings.append(_finding(module, node, "unstable-order", message))
+    return findings
+
+
 def run(module: ModuleSource) -> list[Finding]:
     findings: list[Finding] = []
 
     def flag(node: ast.AST, rule: str, message: str) -> None:
-        findings.append(
-            Finding(
-                checker=CHECKER,
-                rule=rule,
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                symbol=enclosing_symbol(module.tree, node.lineno),
-                message=message,
-            )
-        )
+        findings.append(_finding(module, node, rule, message))
 
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):

@@ -25,6 +25,13 @@ from .diagnostics import Finding, ModuleSource
 
 #: Kernel modules whose outputs are pinned bit-identical.
 DETERMINISM_SCOPE = ("repro/hnsw/", "repro/distance/", "repro/segmenters/")
+#: Modules that rank candidates: equal keys must order the same everywhere.
+ORDER_SCOPE = (
+    "repro/hnsw/",
+    "repro/distance/",
+    "repro/core/topk.py",
+    "repro/core/merge.py",
+)
 #: Event-loop modules where a blocking call stalls the fan-out.
 ASYNC_SCOPE = ("repro/net/", "repro/online/")
 #: Modules whose exceptions are routed on by type.
@@ -94,6 +101,8 @@ def run_lint(
             findings.extend(check_async.run(module))
         if _in_scope(rel, DETERMINISM_SCOPE):
             findings.extend(check_determinism.run(module))
+        if _in_scope(rel, ORDER_SCOPE):
+            findings.extend(check_determinism.run_order(module))
         if _in_scope(rel, ERROR_SCOPE):
             findings.extend(check_errors.run(module, taxonomy))
 

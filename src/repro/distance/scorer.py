@@ -477,7 +477,7 @@ class PqAdcCodec:
             rows = rng.choice(
                 data.shape[0], size=_PQ_TRAIN_SAMPLE, replace=False
             )
-            train = data[np.sort(rows)]
+            train = data[np.sort(rows, kind="stable")]
         self._pq = ProductQuantizer(
             subspaces, max(2, min(256, train.shape[0])), seed=self.seed
         ).fit(train)

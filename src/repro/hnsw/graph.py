@@ -1,14 +1,23 @@
 """Layered adjacency storage for HNSW plus the visited-set machinery.
 
 The graph is deliberately simple: for each node we keep one Python list of
-neighbor ids per level the node participates in.  Python lists beat numpy
-arrays here because neighbor lists are short (<= 2M entries), mutated on
-every insert, and iterated in the hot loop.
+neighbor ids per level the node participates in.  For construction and
+for the *heap* search venue (one query at a time, or a lockstep group too
+small to amortise array overhead) Python lists beat numpy arrays:
+neighbor lists are short (<= 2M entries), mutated on every insert, and
+iterated one node at a time in the hot loop.  The *array* venue
+(:func:`repro.hnsw.search.search_arrays`, large query groups) reads a
+frozen padded copy instead (:class:`PaddedAdjacency`) and keeps its
+visited sets in one array (:class:`VisitedEpochs`).
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
+from typing import NamedTuple
+
+import numpy as np
 
 
 class HnswGraph:
@@ -95,6 +104,25 @@ class HnswGraph:
         """Out-degree of ``node`` at ``level``."""
         return len(self._neighbors[node][level])
 
+    def padded(self) -> "PaddedAdjacency":
+        """A frozen array copy of every level's adjacency.
+
+        The copy does not follow later mutations: whoever caches it drops
+        it when the graph changes.
+        """
+        lists = list(itertools.chain.from_iterable(self._neighbors))
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        spans = np.asarray(self.levels, dtype=np.int64) + 1
+        owners = np.repeat(np.arange(len(self), dtype=np.int32), spans)
+        width = max(int(counts.max(initial=0)), 1)
+        table = np.repeat(owners[:, np.newaxis], width, axis=1)
+        table[np.arange(width) < counts[:, np.newaxis]] = np.fromiter(
+            itertools.chain.from_iterable(lists),
+            dtype=np.int32,
+            count=int(counts.sum()),
+        )
+        return PaddedAdjacency(table, np.cumsum(spans) - spans)
+
     # -- invariants (used by tests and sanity checks) ------------------------------
     def check_invariants(self, max_m: int, max_m0: int) -> None:
         """Raise ``AssertionError`` if structural invariants are violated.
@@ -126,17 +154,40 @@ class HnswGraph:
                     )
 
 
+class PaddedAdjacency(NamedTuple):
+    """Every neighbor list of a graph as rows of one ``int32`` table.
+
+    Row ``base[node] + level`` holds the neighbors of ``node`` at
+    ``level`` in list order, padded to the largest degree present with
+    ``node`` itself -- a node never links to itself, and a search that
+    expands a node has already visited it, so padding slots filter out
+    like any visited neighbor.  Rows are node-major (one per level the
+    node participates in), so the table costs one base-layer row per node
+    plus the few upper-layer rows.
+    """
+
+    table: np.ndarray
+    base: np.ndarray
+
+    def neighbors(self, nodes: np.ndarray, level: int) -> np.ndarray:
+        """The ``(len(nodes), width)`` neighbor rows of ``nodes`` at ``level``."""
+        return self.table.take(self.base[nodes] + level, axis=0)
+
+
 class VisitedTable:
-    """Epoch-based visited marker: O(1) reset between searches.
+    """The heap venue's visited marker, epoch-based: O(1) reset between
+    searches.
 
     A plain ``set`` allocates per search; a boolean array needs an O(n)
     clear.  Tagging each slot with the epoch of its last visit makes reset a
     single integer increment.
 
-    The tags live in a plain Python list (not numpy): the search inner
-    loop tests one node at a time, and CPython list indexing is an order
-    of magnitude faster than numpy scalar indexing.  ``search_layer``
-    accesses ``tags`` / ``epoch`` directly for the same reason.
+    The tags live in a plain Python list (not numpy): the heap kernels'
+    inner loop tests one node at a time, and CPython list indexing is an
+    order of magnitude faster than numpy scalar indexing.  ``search_layer``
+    accesses ``tags`` / ``epoch`` directly for the same reason.  The
+    array kernel tests a whole round at once and keeps its tags in
+    :class:`VisitedEpochs` instead.
     """
 
     __slots__ = ("tags", "epoch")
@@ -160,11 +211,42 @@ class VisitedTable:
         return self.tags[node] == self.epoch
 
 
+class VisitedEpochs:
+    """The array venue's visited sets: one epoch byte per (row, node).
+
+    The array kernel tests a whole round's neighbors with one gather, so
+    its tags live in one flat ``uint8`` array -- row ``r`` of a lockstep
+    group owns ``tags[r * stride : (r + 1) * stride]`` -- at ``rows x n``
+    bytes per thread and segment, where the per-query
+    :class:`VisitedTable` lists cost 8 bytes per slot per table.  Reset is
+    an epoch increment; every 255th reset wraps the byte and pays one
+    clear.
+    """
+
+    __slots__ = ("tags", "stride", "epoch")
+
+    def __init__(self) -> None:
+        self.tags = np.zeros(0, dtype=np.uint8)
+        self.stride = 0
+        self.epoch = 0
+
+    def reset(self, capacity: int, rows: int) -> None:
+        """Start a new group search: ``rows`` queries over ``capacity`` nodes."""
+        if capacity > self.stride or rows * self.stride > self.tags.size:
+            self.stride = max(capacity, self.stride)
+            self.tags = np.zeros(rows * self.stride, dtype=np.uint8)
+            self.epoch = 0
+        elif self.epoch == np.iinfo(np.uint8).max:
+            self.tags[:] = 0
+            self.epoch = 0
+        self.epoch += 1
+
+
 class VisitedPool:
-    """Thread-local pool of :class:`VisitedTable` instances.
+    """Thread-local pool of visited sets, one flavour per search venue.
 
     Offline query pipelines search one index from several threads; giving
-    each thread its own table avoids both locking and per-query allocation.
+    each thread its own tables avoids both locking and per-query allocation.
     """
 
     def __init__(self) -> None:
@@ -205,3 +287,11 @@ class VisitedPool:
         for table in borrowed:
             table.reset(capacity)
         return borrowed
+
+    def get_epochs(self, capacity: int, rows: int) -> VisitedEpochs:
+        """Borrow this thread's :class:`VisitedEpochs`, reset for one group."""
+        epochs = getattr(self._local, "epochs", None)
+        if epochs is None:
+            epochs = self._local.epochs = VisitedEpochs()
+        epochs.reset(capacity, rows)
+        return epochs

@@ -124,6 +124,6 @@ def select_neighbors_heuristic_batch(
             # Discard order is candidate order, exactly as the scan.
             for index in np.flatnonzero(keep)[: m - len(selected)]:
                 selected.append(ordered[index])
-            selected.sort()
+            selected = sorted(selected)
         output[position] = selected
     return output  # type: ignore[return-value]

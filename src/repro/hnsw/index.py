@@ -15,17 +15,21 @@ import numpy as np
 
 from repro.distance.scorer import QuantizedStore, Scorer
 from repro.errors import IndexNotBuiltError
-from repro.hnsw.graph import HnswGraph, VisitedPool
+from repro.hnsw.graph import HnswGraph, PaddedAdjacency, VisitedPool
 from repro.hnsw.heuristic import (
     select_neighbors_heuristic_batch,
     select_neighbors_simple,
 )
 from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (
+    beams_as_arrays,
+    descend_arrays,
     descend_to_level,
     descend_to_levels_batch,
+    search_arrays,
     search_layer,
     search_layer_batch,
+    sort_candidates,
 )
 from repro.obs.tracing import current_recorder, maybe_span
 from repro.utils.validation import as_matrix, as_vector
@@ -33,11 +37,35 @@ from repro.utils.validation import as_matrix, as_vector
 _IDS_DTYPE = np.int64
 
 #: Upper bound on queries searched in one lockstep round.  Each lockstep
-#: query needs its own O(num_nodes) visited table (pooled per thread), so
-#: an unbounded batch would cost O(B * num_nodes) memory; larger groups
-#: also stop amortising once the flat scoring calls are a few thousand
-#: rows wide.  search_batch slices big batches into groups of this size.
+#: query needs its own O(num_nodes) visited set, pooled per thread: on
+#: the heap venue one Python-list :class:`VisitedTable` per query (8
+#: bytes per slot), on the array venue one row of a shared
+#: :class:`VisitedEpochs` (1 byte per slot, ``rows x num_nodes`` in all).
+#: An unbounded batch would cost O(B * num_nodes) memory either way;
+#: larger groups also stop amortising once the flat scoring calls are a
+#: few thousand rows wide.  search_batch slices big batches into groups
+#: of this size.
 _MAX_LOCKSTEP = 64
+
+#: Smallest lockstep group searched on the array venue
+#: (``search.descend_arrays`` / ``search_arrays``); smaller groups, and
+#: the construction wave, run the heap kernels.  An array round costs a
+#: fixed ~25 numpy calls however many rows are live; a heap round costs
+#: interpreter time per row and per neighbor.  Measured on one 4000 x 64
+#: segment (M = 12, ef = 64; ms per query, heap / array, min of 21):
+#:
+#:     rows     1     4     8     10    12    16    24    32    64
+#:     int8    1.21  0.65  0.51  0.54  0.48  0.44  0.46  0.44  0.43
+#:             3.18  0.92  0.50  0.43  0.41  0.28  0.21  0.17  0.15
+#:     float   1.25  0.53  0.40  0.40  0.37  0.36  0.36  0.36  0.38
+#:             2.47  0.72  0.43  0.35  0.30  0.27  0.21  0.14  0.11
+#:
+#: The curves cross at 8-10 rows (4-10 on 2400 x 32 / M = 6 / ef = 10
+#: and 20000 x 32 / M = 16 / ef = 128); 12 is the first size at which
+#: arrays won on every shape tried.  Both venues apply the same beam
+#: rule (see :mod:`repro.hnsw.search`), so the constant moves time and
+#: never a result.
+_ARRAY_MIN_ROWS = 12
 
 
 class HnswIndex:
@@ -70,9 +98,14 @@ class HnswIndex:
         self._scorer = Scorer(metric, dim)
         self._graph = HnswGraph()
         self._external_ids: list[int] = []
-        # Array form of _external_ids for the search tail, built on first
-        # use; whatever writes _external_ids resets it to None.
+        # Array form of _external_ids (plus a padding slot) for the search
+        # tail, built on first use; whatever writes _external_ids resets
+        # it to None.
         self._external_array: np.ndarray | None = None
+        # Array copy of the adjacency for the array search venue
+        # (HnswGraph.padded), same lifecycle: built by the first group
+        # that needs it, dropped by add().
+        self._adjacency: PaddedAdjacency | None = None
         self._id_to_row: dict[int, int] = {}
         self._rng = np.random.default_rng(self.params.seed)
         self._visited_pool = VisitedPool()
@@ -184,6 +217,7 @@ class HnswIndex:
         row_list = rows.tolist()
         self._external_ids.extend(ids.tolist())
         self._external_array = None
+        self._adjacency = None
         for row, external_id in zip(row_list, ids.tolist()):
             self._id_to_row[external_id] = row
 
@@ -479,8 +513,9 @@ class HnswIndex:
     # -- search ------------------------------------------------------------------------
     def _search_many(
         self, queries: np.ndarray, k: int, ef: int | None, cost=None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Search one lockstep group; per-query ``(ids, true_dists)``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Search one lockstep group: ``(B, <= k)`` ids and true distances,
+        rows that found fewer padded with ``-1`` / ``inf``.
 
         The single query code path (:meth:`search` is a batch of one):
         candidates -> exact rescore iff they were scored approximately ->
@@ -496,9 +531,12 @@ class HnswIndex:
         beam keeps ``max(beam, rescore_k)`` of them and every survivor is
         rescored by the float :meth:`Scorer.score_pairs`, so returned
         distances are bit-identical to the float arm for any candidate
-        both return.  Every arm scores a row independently of which other
-        rows share the batch, so results do not depend on how queries are
-        grouped.
+        both return.  A group of ``_ARRAY_MIN_ROWS`` rows or more runs
+        descend + beam on the array kernels, a smaller one on the heap
+        kernels.  Every arm scores a row independently of which other
+        rows share the batch and both venues apply one beam rule
+        (:mod:`repro.hnsw.search`), so results do not depend on how
+        queries are grouped.
 
         ``cost`` (an optional :class:`~repro.obs.cost.SearchCost`)
         accumulates hops / candidates from the kernels, ``rescore_rows``
@@ -508,8 +546,9 @@ class HnswIndex:
         Under an active tracing recorder
         (:func:`~repro.obs.tracing.current_recorder`) every stage is a
         span -- ``scan``, or ``descend`` / ``beam`` (/ ``rescore``) --
-        tagged ``scorer=<arm>``; with no recorder and ``cost=None``
-        nothing but the search runs.
+        tagged ``scorer=<arm>`` and, for the two graph stages,
+        ``kernel=heap|array`` and ``rounds=<n>``; with no recorder and
+        ``cost=None`` nothing but the search runs.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -529,17 +568,17 @@ class HnswIndex:
             # by internal row -- the (distance, node) order of the sorted
             # beam below and of the blocked exact scan in
             # :func:`repro.offline.brute_force.exact_top_k`.
-            per_query: list[list[tuple[float, int]]] = []
+            width = min(k, len(graph))
+            rows = np.empty((num_queries, width), dtype=_IDS_DTYPE)
+            reduced = np.empty((num_queries, width), dtype=np.float32)
             with maybe_span(
                 recorder, "scan", scorer="flat",
                 rows=len(graph), num_queries=num_queries,
             ):
                 for row in range(num_queries):
                     scores = scorer.score_all_batch(prepared[row : row + 1])[0]
-                    order = np.argsort(scores, kind="stable")[:k]
-                    per_query.append(
-                        list(zip(scores[order].tolist(), order.tolist()))
-                    )
+                    rows[row] = np.argsort(scores, kind="stable")[:k]
+                    reduced[row] = scores[rows[row]]
         else:
             query_sq = scorer.query_sq_norms(prepared)
             depth = max(ef if ef is not None else self.params.ef_search, k)
@@ -548,56 +587,81 @@ class HnswIndex:
                 traversal = self._quantized.view(prepared)
                 arm = self._quantized.kind
                 depth = max(depth, self.params.rescore_k)
-            with maybe_span(recorder, "descend", scorer=arm):
-                entries, entry_dists = descend_to_levels_batch(
-                    graph, traversal, prepared, [0] * num_queries,
-                    query_sq, cost,
-                )
-            tables = self._visited_pool.get_many(len(graph), num_queries)
-            seeds = [[(entry_dists[i], entries[i])] for i in range(num_queries)]
+            # The venue is a property of the group: wide ones run on
+            # arrays, narrow ones on heaps; both apply the same beam rule.
+            arrays = num_queries >= _ARRAY_MIN_ROWS
+            kernel = "array" if arrays else "heap"
+            if arrays:
+                adjacency = self._adjacency
+                if adjacency is None:
+                    adjacency = self._adjacency = graph.padded()
             with maybe_span(
-                recorder, "beam", scorer=arm, ef=depth, num_queries=num_queries
-            ):
-                per_query = search_layer_batch(
-                    graph, traversal, prepared, seeds, depth, 0, tables,
-                    query_sq, cost,
-                )
+                recorder, "descend", scorer=arm, kernel=kernel
+            ) as span:
+                notes = span["annotations"] if span is not None else None
+                if arrays:
+                    entries, entry_dists = descend_arrays(
+                        adjacency, graph.entry_point, graph.max_level,
+                        traversal, prepared, query_sq, cost, notes,
+                    )
+                else:
+                    entries, entry_dists = descend_to_levels_batch(
+                        graph, traversal, prepared, [0] * num_queries,
+                        query_sq, cost, notes,
+                    )
+            with maybe_span(
+                recorder, "beam", scorer=arm, kernel=kernel,
+                ef=depth, num_queries=num_queries,
+            ) as span:
+                notes = span["annotations"] if span is not None else None
+                if arrays:
+                    rows, reduced = search_arrays(
+                        adjacency, traversal, prepared, entries, entry_dists,
+                        depth,
+                        self._visited_pool.get_epochs(len(graph), num_queries),
+                        query_sq, cost, notes,
+                    )
+                else:
+                    rows, reduced = beams_as_arrays(
+                        search_layer_batch(
+                            graph, traversal, prepared,
+                            [[seed] for seed in zip(entry_dists, entries)],
+                            depth, 0,
+                            self._visited_pool.get_many(len(graph), num_queries),
+                            query_sq, cost, notes,
+                        ),
+                        k if traversal is scorer else depth,
+                    )
             if traversal is not scorer:
                 # Exact rescore: one flat float32 scoring call for every
                 # beam survivor of the whole batch, then the same
                 # (distance, node) order the float arm's sorted beam has.
-                counts = [len(candidates) for candidates in per_query]
-                flat_ids = [
-                    node for candidates in per_query for _, node in candidates
-                ]
+                found = rows >= 0
+                flat_rows = rows[found]
                 with maybe_span(
-                    recorder, "rescore", scorer=arm, rows=len(flat_ids)
+                    recorder, "rescore", scorer=arm, rows=flat_rows.size
                 ):
-                    exact = scorer.score_pairs(
+                    reduced[found] = scorer.score_pairs(
                         prepared,
-                        np.repeat(np.arange(num_queries), counts),
-                        np.asarray(flat_ids, dtype=_IDS_DTYPE),
+                        np.nonzero(found)[0],
+                        flat_rows,
                         query_sq,
-                    ).tolist()
+                    )
+                    rows, reduced = sort_candidates(rows, reduced)
                 if cost is not None:
-                    cost.rescore_rows += len(flat_ids)
-                per_query, offset = [], 0
-                for count in counts:
-                    span = slice(offset, offset + count)
-                    per_query.append(sorted(zip(exact[span], flat_ids[span])))
-                    offset += count
+                    cost.rescore_rows += int(flat_rows.size)
         if cost is not None:
             cost.distance_comps += scorer.ops_since(ops_before)
         external = self._external_array
         if external is None:
-            external = self._external_array = self.external_ids
-        output: list[tuple[np.ndarray, np.ndarray]] = []
-        for candidates in per_query:
-            top = candidates[:k]
-            rows = np.asarray([node for _, node in top], dtype=_IDS_DTYPE)
-            reduced = np.asarray([dist for dist, _ in top], dtype=np.float64)
-            output.append((external[rows], scorer.to_true(reduced)))
-        return output
+            # One trailing -1, so that an unused slot (row -1) gathers
+            # the padding id.
+            external = self._external_array = np.append(self.external_ids, -1)
+        # + 0.0: a zero distance is +0.0 whichever kernel found it.
+        return (
+            external[rows[:, :k]],
+            scorer.to_true(reduced[:, :k].astype(np.float64) + 0.0),
+        )
 
     def search(
         self, query: np.ndarray, k: int, ef: int | None = None
@@ -622,7 +686,9 @@ class HnswIndex:
             ``min(k, len(index))``.
         """
         query = as_vector(query, dim=self.dim, name="query")
-        return self._search_many(query[np.newaxis, :], k, ef)[0]
+        ids, dists = self._search_many(query[np.newaxis, :], k, ef)
+        found = np.count_nonzero(ids[0] >= 0)  # padding comes last
+        return ids[0, :found], dists[0, :found]
 
     def search_batch(
         self,
@@ -652,13 +718,13 @@ class HnswIndex:
         if n == 0:
             return ids, dists
         for start in range(0, n, _MAX_LOCKSTEP):
-            group = queries[start : start + _MAX_LOCKSTEP]
-            for i, (found_ids, found_dists) in enumerate(
-                self._search_many(group, k, ef, cost), start=start
-            ):
-                count = len(found_ids)
-                ids[i, :count] = found_ids
-                dists[i, :count] = found_dists
+            group = slice(start, start + _MAX_LOCKSTEP)
+            found_ids, found_dists = self._search_many(
+                queries[group], k, ef, cost
+            )
+            width = found_ids.shape[1]  # < k on a segment smaller than k
+            ids[group, :width] = found_ids
+            dists[group, :width] = found_dists
         return ids, dists
 
     # -- persistence --------------------------------------------------------------------

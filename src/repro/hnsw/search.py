@@ -6,6 +6,25 @@ Both the build path and the query path share them.
 
 Distances are in the scorer's *reduced* space throughout (see
 :mod:`repro.distance.scorer`).
+
+**The beam rule.**  Every beam search in this module -- the sequential
+:func:`search_layer`, the lockstep heaps of :func:`search_layer_batch`
+and the array kernel :func:`search_arrays` -- is the same function of
+its inputs, exact distance ties included:
+
+    *the beam is the* ``ef`` *smallest* ``(distance, node)`` *pairs seen;
+    expand the smallest unexpanded member; stop when none is left.*
+
+``(distance, node)`` is a total order, so the rule has one answer no
+matter in which order a kernel meets the pairs.  Micro-batching makes
+the kernel a query runs on depend on arrival timing, which is why "equal
+up to ties" would not be enough.  In the heap loops the rule reads: a
+newcomer enters a full beam iff ``d < worst or (d == worst and node <
+worst_node)``; result heaps are keyed ``(-d, -node)`` so the root is the
+largest pair; and a popped candidate that is larger than the root has
+been evicted, as has everything still queued behind it.  (The loops
+test ``d <= worst`` / ``d >= worst`` first, so the node comparison and
+the root's node are only touched on an exact distance tie.)
 """
 
 from __future__ import annotations
@@ -16,7 +35,12 @@ from typing import Protocol
 import numpy as np
 
 from repro.distance.scorer import Scorer
-from repro.hnsw.graph import HnswGraph, VisitedTable
+from repro.hnsw.graph import (
+    HnswGraph,
+    PaddedAdjacency,
+    VisitedEpochs,
+    VisitedTable,
+)
 
 _IDS_DTYPE = np.int64
 
@@ -81,22 +105,26 @@ def search_layer(
     -------
     Up to ``ef`` ``(reduced_distance, node)`` pairs sorted ascending.
     """
-    # candidates: min-heap of frontier nodes; results: max-heap (negated)
-    # of the best `ef` found so far.
+    # candidates: min-heap of unexpanded pairs; results: the beam, a
+    # max-heap keyed (-dist, -node) whose root is its largest pair.
     candidates: list[tuple[float, int]] = []
     results: list[tuple[float, int]] = []
     tags, epoch = visited.tags, visited.epoch  # direct access: hot loop
     for dist, node in entry_points:
         tags[node] = epoch
         candidates.append((dist, node))
-        results.append((-dist, node))
+        results.append((-dist, -node))
     heapq.heapify(candidates)
     heapq.heapify(results)
 
     while candidates:
         dist, node = heapq.heappop(candidates)
-        if dist > -results[0][0] and len(results) >= ef:
-            break  # frontier is strictly worse than the full beam
+        if (
+            dist >= -results[0][0]
+            and len(results) >= ef
+            and (dist > -results[0][0] or node > -results[0][1])
+        ):
+            break  # evicted from the full beam, like all behind it
         fresh = [
             neighbor
             for neighbor in graph.neighbors(node, level)
@@ -113,15 +141,17 @@ def search_layer(
         full = len(results) >= ef
         for neighbor_dist, neighbor in zip(dists.tolist(), fresh):
             if not full:
-                heapq.heappush(results, (-neighbor_dist, neighbor))
+                heapq.heappush(results, (-neighbor_dist, -neighbor))
                 heapq.heappush(candidates, (neighbor_dist, neighbor))
                 full = len(results) >= ef
                 worst = -results[0][0]
-            elif neighbor_dist < worst:
-                heapq.heapreplace(results, (-neighbor_dist, neighbor))
+            elif neighbor_dist <= worst and (
+                neighbor_dist < worst or neighbor < -results[0][1]
+            ):
+                heapq.heapreplace(results, (-neighbor_dist, -neighbor))
                 heapq.heappush(candidates, (neighbor_dist, neighbor))
                 worst = -results[0][0]
-    return sorted((-neg_dist, node) for neg_dist, node in results)
+    return sorted((-neg_dist, -neg_node) for neg_dist, neg_node in results)
 
 
 def descend_to_level(
@@ -169,7 +199,8 @@ class PairScorer(Protocol):
     :meth:`QuantizedStore.view <repro.distance.scorer.QuantizedStore.view>`
     returns; the kernels below ask nothing else of whoever scores, so a
     new scoring tier plugs in by implementing this one method with
-    :meth:`Scorer.score_pairs`'s batch-composition invariance.
+    :meth:`Scorer.score_pairs`'s batch-composition invariance and its
+    float32 result (the array venue packs distances into 32 bits).
     """
 
     def score_pairs(
@@ -188,6 +219,7 @@ def descend_to_levels_batch(
     target_levels: list[int],
     query_sq: np.ndarray | None = None,
     cost=None,
+    notes: dict | None = None,
 ) -> tuple[list[int], list[float]]:
     """Batched greedy descent with a *per-query* target level.
 
@@ -203,9 +235,11 @@ def descend_to_levels_batch(
     ``cost`` is an optional :class:`~repro.obs.cost.SearchCost`: when
     given, each round adds the queries that moved to ``hops`` -- one
     bounded increment per round, so ``cost=None`` leaves the hot path
-    untouched.
+    untouched.  ``notes``, when given, receives ``rounds``: the lockstep
+    scoring rounds run (a trace span's annotations, in practice).
     """
     num_queries = queries.shape[0]
+    rounds = 0
     entry = graph.entry_point
     entry_dists = scorer.score_pairs(
         queries,
@@ -230,6 +264,7 @@ def descend_to_levels_batch(
                 flat_ids.extend(neighbors)
             if not flat_ids:
                 break
+            rounds += 1
             dists = scorer.score_pairs(
                 queries,
                 np.repeat(span_rows, span_counts),
@@ -250,6 +285,8 @@ def descend_to_levels_batch(
             if cost is not None:
                 cost.hops += len(moved)
             active = moved
+    if notes is not None:
+        notes["rounds"] = rounds
     return current, current_dist
 
 
@@ -263,6 +300,7 @@ def search_layer_batch(
     visited_tables: list[VisitedTable],
     query_sq: np.ndarray | None = None,
     cost=None,
+    notes: dict | None = None,
 ) -> list[list[tuple[float, int]]]:
     """Batched :func:`search_layer`: one beam search per query, in lockstep.
 
@@ -279,6 +317,8 @@ def search_layer_batch(
         the queries that advanced to ``hops`` and the fresh neighbors
         scored to ``candidates_visited`` (two bounded increments per
         round; ``None`` leaves the hot path untouched).
+    notes:
+        When given, receives ``rounds``: the lockstep scoring rounds run.
 
     Returns
     -------
@@ -297,12 +337,13 @@ def search_layer_batch(
         for dist, node in entry_points[i]:
             tags[node] = epoch
             cand.append((dist, node))
-            res.append((-dist, node))
+            res.append((-dist, -node))
         heapq.heapify(cand)
         heapq.heapify(res)
         candidates.append(cand)
         results.append(res)
 
+    rounds = 0
     active = [i for i in range(num_queries) if candidates[i]]
     while active:
         # Phase 1: advance each query to its next scoring point (or done).
@@ -317,8 +358,12 @@ def search_layer_batch(
             fresh: list[int] = []
             while cand:
                 dist, node = heapq.heappop(cand)
-                if dist > -res[0][0] and len(res) >= ef:
-                    cand.clear()  # frontier strictly worse: terminate
+                if (
+                    dist >= -res[0][0]
+                    and len(res) >= ef
+                    and (dist > -res[0][0] or node > -res[0][1])
+                ):
+                    cand.clear()  # evicted, like all behind it: done
                     break
                 fresh = [
                     neighbor
@@ -335,6 +380,7 @@ def search_layer_batch(
                 flat_ids.extend(fresh)
         if not flat_ids:
             break
+        rounds += 1
         if cost is not None:
             cost.hops += len(span_rows)
             cost.candidates_visited += len(flat_ids)
@@ -360,18 +406,243 @@ def search_layer_batch(
                 neighbor_dist = flat_dists[position]
                 neighbor = flat_ids[position]
                 if not full:
-                    heapq.heappush(res, (-neighbor_dist, neighbor))
+                    heapq.heappush(res, (-neighbor_dist, -neighbor))
                     heapq.heappush(cand, (neighbor_dist, neighbor))
                     full = len(res) >= ef
                     worst = -res[0][0]
-                elif neighbor_dist < worst:
-                    heapq.heapreplace(res, (-neighbor_dist, neighbor))
+                elif neighbor_dist <= worst and (
+                    neighbor_dist < worst or neighbor < -res[0][1]
+                ):
+                    heapq.heapreplace(res, (-neighbor_dist, -neighbor))
                     heapq.heappush(cand, (neighbor_dist, neighbor))
                     worst = -res[0][0]
             offset += count
             if cand:
                 still_active.append(i)
         active = still_active
+    if notes is not None:
+        notes["rounds"] = rounds
     return [
-        sorted((-neg_dist, node) for neg_dist, node in res) for res in results
+        sorted((-neg_dist, -neg_node) for neg_dist, neg_node in res)
+        for res in results
     ]
+
+
+# -- array venue ----------------------------------------------------------------------
+#
+# The same lockstep searches with the per-query state held in arrays: a
+# round is a fixed handful of numpy calls over every live row, however
+# many rows there are, where the heap kernels above pay interpreter time
+# per row and per neighbor.  That trade only wins for a group that is
+# wide enough (HnswIndex picks the venue from the group it was handed),
+# and it needs a graph that holds still -- the construction wave links
+# nodes between searches, so it stays on the heaps.
+#
+# A beam row is ``ef`` sorted int64 keys.  One key is one member,
+#
+#     [ distance: 32 bits, order-preserving ][ node: 31 bits ][ expanded: 1 ]
+#
+# so integer order *is* the ``(distance, node)`` order of the beam rule
+# (nodes are unique within a row, so the flag bit never decides), one
+# in-place ``sort`` per round merges a round's newcomers into every row,
+# and the first key with a clear low bit is the smallest unexpanded
+# member.  Unused slots hold ``_PAD``: larger than any real key, flag
+# bit set.
+
+_PAD = np.iinfo(np.int64).max
+#: The low 31 bits: a key's node field, or a float32's magnitude.
+_LOW31 = (1 << 31) - 1
+
+
+def _ordered_bits(values: np.ndarray) -> np.ndarray:
+    """Map float32 bit patterns to int32 with the same order, and back.
+
+    Non-negative floats already order like their bits; negative ones
+    order in reverse, which flipping their low 31 bits undoes.  The map
+    is its own inverse.
+    """
+    return values ^ ((values >> 31) & _LOW31)
+
+
+def _pack(dists: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Unexpanded beam keys for float32 ``dists`` and int64 ``ids``."""
+    if dists.dtype != np.float32:
+        raise TypeError(
+            f"the array venue packs float32 distances, got {dists.dtype}"
+        )
+    # + 0.0 turns -0.0 into +0.0: equal distances must share one pattern.
+    bits = _ordered_bits((dists + 0.0).view(np.int32))
+    return (bits.astype(np.int64) << 32) | (ids << 1)
+
+
+def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, dists)`` of a key array; ``_PAD`` slots become ``-1`` / ``inf``."""
+    real = keys != _PAD
+    ids = np.where(real, (keys >> 1) & _LOW31, -1)
+    dists = _ordered_bits((keys >> 32).astype(np.int32)).view(np.float32)
+    return ids, np.where(real, dists, np.float32(np.inf))
+
+
+def sort_candidates(
+    ids: np.ndarray, dists: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each row of ``(rows, width)`` candidates by ``(distance, node)``.
+
+    ``ids`` is int64 with ``-1`` marking unused slots, which come back
+    last as ``-1`` / ``inf``; ``dists`` is float32.
+    """
+    keys = np.where(ids >= 0, _pack(dists, ids), _PAD)
+    keys.sort(axis=1, kind="stable")
+    return _unpack(keys)
+
+
+def beams_as_arrays(
+    beams: list[list[tuple[float, int]]], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``width`` members of heap-kernel beams, in the form
+    :func:`search_arrays` returns (``-1`` / ``inf`` past a short beam)."""
+    ids = np.full((len(beams), width), -1, dtype=_IDS_DTYPE)
+    dists = np.full((len(beams), width), np.inf, dtype=np.float32)
+    for row, beam in enumerate(beams):
+        beam_dists, beam_ids = zip(*beam[:width])
+        dists[row, : len(beam_dists)] = beam_dists
+        ids[row, : len(beam_ids)] = beam_ids
+    return ids, dists
+
+
+def descend_arrays(
+    adjacency: PaddedAdjacency,
+    entry_point: int,
+    max_level: int,
+    scorer: PairScorer,
+    queries: np.ndarray,
+    query_sq: np.ndarray | None = None,
+    cost=None,
+    notes: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`descend_to_levels_batch` to layer 0 over a padded adjacency.
+
+    Returns the per-query entry nodes (int64) and their reduced entry
+    distances (float32): the same walk, and the same ``cost.hops`` and
+    ``notes["rounds"]``, with each round's argmin taken over one padded
+    ``(rows, width)`` array.
+    """
+    num_queries = queries.shape[0]
+    rounds = 0
+    current = np.full(num_queries, entry_point, dtype=_IDS_DTYPE)
+    current_dist = scorer.score_pairs(
+        queries, np.arange(num_queries), current, query_sq
+    )
+    for level in range(max_level, 0, -1):
+        active = np.arange(num_queries)
+        while active.size:
+            nodes = current[active]
+            neighbors = adjacency.neighbors(nodes, level)
+            linked = neighbors != nodes[:, np.newaxis]  # not padding
+            ids = neighbors[linked].astype(_IDS_DTYPE)
+            if ids.size == 0:
+                break
+            rounds += 1
+            dists = np.full(neighbors.shape, np.inf, dtype=np.float32)
+            dists[linked] = scorer.score_pairs(
+                queries, active[np.nonzero(linked)[0]], ids, query_sq
+            )
+            # argmin takes the first of equal minima: list order, as the
+            # heap venue's per-row argmin does.
+            best = dists.argmin(axis=1)
+            rows = np.arange(active.size)
+            best_dist = dists[rows, best]
+            moved = best_dist < current_dist[active]
+            active = active[moved]
+            current[active] = neighbors[rows[moved], best[moved]]
+            current_dist[active] = best_dist[moved]
+            if cost is not None:
+                cost.hops += int(active.size)
+    if notes is not None:
+        notes["rounds"] = rounds
+    return current, current_dist
+
+
+def search_arrays(
+    adjacency: PaddedAdjacency,
+    scorer: PairScorer,
+    queries: np.ndarray,
+    entries: np.ndarray,
+    entry_dists: np.ndarray,
+    ef: int,
+    visited: VisitedEpochs,
+    query_sq: np.ndarray | None = None,
+    cost=None,
+    notes: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Base-layer :func:`search_layer_batch` over a padded adjacency.
+
+    Parameters
+    ----------
+    entries, entry_dists:
+        One seed node (int64) and its reduced distance (float32) per
+        query, as :func:`descend_arrays` returns them.
+    visited:
+        A reset :class:`VisitedEpochs` with at least one row per query.
+
+    Returns
+    -------
+    ``(ids, dists)``: ``(B, ef)`` int64 / float32 beams sorted by
+    ``(distance, node)`` and padded with ``-1`` / ``inf`` -- per query
+    what :func:`search_layer_batch` returns.  ``cost`` is charged exactly
+    as the heap kernel charges it: a hop per expansion that found an
+    unvisited neighbor, a candidate per neighbor scored.  ``notes``
+    receives ``rounds``, here the expansions of the busiest query: unlike
+    a heap row, which pops on within the round, an array row whose
+    frontier had no unvisited neighbor sits the round out.
+    """
+    num_queries = queries.shape[0]
+    width = adjacency.table.shape[1]
+    tags, epoch = visited.tags, visited.epoch
+    live = np.arange(num_queries)
+    offsets = live * visited.stride
+    tags[offsets + entries] = epoch
+    # Columns [:ef] are the beam, columns [ef:] the round's newcomers.
+    merged = np.full((num_queries, ef + width), _PAD, dtype=np.int64)
+    merged[:, 0] = _pack(entry_dists, entries)
+    beams = np.empty((num_queries, ef), dtype=np.int64)
+    rounds = 0
+    beam, newcomers, rows = merged[:, :ef], merged[:, ef:], live
+    while True:
+        # The smallest unexpanded member is the first key with a clear
+        # flag bit; a row without one answers position 0, whose flag is
+        # set, and is finished.
+        position = (beam & 1).argmin(axis=1)
+        frontier = beam[rows, position]
+        going = (frontier & 1) == 0
+        if not going.all():
+            beams[live[~going]] = beam[~going]
+            live, offsets, merged = live[going], offsets[going], merged[going]
+            if live.size == 0:
+                break
+            frontier, position = frontier[going], position[going]
+            beam, newcomers = merged[:, :ef], merged[:, ef:]
+            rows = np.arange(live.size)
+        rounds += 1
+        beam[rows, position] = frontier | 1
+        neighbors = adjacency.neighbors((frontier >> 1) & _LOW31, 0)
+        slots = offsets[:, np.newaxis] + neighbors
+        # Flat positions, in the (live rows, width) grid, of the
+        # neighbors this round is the first to see.
+        unseen = tags[slots] != epoch
+        fresh = np.flatnonzero(unseen)
+        if fresh.size == 0:
+            continue
+        tags[slots.reshape(-1)[fresh]] = epoch
+        fresh_rows = fresh // width
+        ids = neighbors.reshape(-1)[fresh].astype(_IDS_DTYPE)
+        if cost is not None:
+            cost.hops += int(np.count_nonzero(unseen.any(axis=1)))
+            cost.candidates_visited += int(ids.size)
+        dists = scorer.score_pairs(queries, live[fresh_rows], ids, query_sq)
+        newcomers[...] = _PAD
+        newcomers[fresh_rows, fresh - fresh_rows * width] = _pack(dists, ids)
+        merged.sort(axis=1)
+    if notes is not None:
+        notes["rounds"] = rounds
+    return _unpack(beams)

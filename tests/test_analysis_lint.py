@@ -283,6 +283,76 @@ class TestDeterminism:
             """
         assert check_determinism.run(_mod(source, self.PATH)) == []
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.argsort(scores)",
+            "np.argsort(scores, axis=1)",
+            "np.sort(keys, axis=1)",
+            "keys.sort(axis=1)",
+            "scores[rows].argsort()",
+            'np.argsort(scores, kind="quicksort")',
+            "np.argpartition(scores, k)[:k]",
+            "scores.partition(k)",
+            # Stability does not rescue a partition.
+            'np.argpartition(scores, k, kind="stable")',
+        ],
+    )
+    def test_unstable_order_flagged(self, call):
+        source = f"""
+            import numpy as np
+
+            def rank(scores, keys, rows, k):
+                return {call}
+            """
+        findings = check_determinism.run_order(_mod(source, self.PATH))
+        assert _rules(findings) == {("determinism", "unstable-order")}
+        assert len(findings) == 1
+        assert findings[0].symbol == "rank"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'np.argsort(scores, kind="stable")',
+            'np.argsort(scores, axis=1, kind="stable")[:, :k]',
+            'keys.sort(axis=1, kind="stable")',
+            "np.lexsort((rows, scores), axis=-1)",
+            "sorted(zip(scores, rows))",
+        ],
+    )
+    def test_stable_order_clean(self, call):
+        source = f"""
+            import numpy as np
+
+            def rank(scores, keys, rows, k):
+                return {call}
+            """
+        assert check_determinism.run_order(_mod(source, self.PATH)) == []
+
+    def test_unstable_order_scope(self, tmp_path):
+        """The rule follows the modules that rank candidates, which is
+        not the scope of the rules above: the merge and top-k modules of
+        ``core/`` are in, ``segmenters/`` (k-means, never a ranking a
+        caller sees) is out."""
+        source = "import numpy as np\n\ndef f(x):\n    return np.argsort(x)\n"
+        expected = {
+            "src/repro/hnsw/a.py": True,
+            "src/repro/distance/b.py": True,
+            "src/repro/core/topk.py": True,
+            "src/repro/core/merge.py": True,
+            "src/repro/core/index.py": False,
+            "src/repro/segmenters/c.py": False,
+        }
+        for rel in expected:
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        findings, errors = run_lint(tmp_path, [tmp_path / "src"])
+        assert errors == []
+        flagged = {finding.path for finding in findings}
+        assert flagged == {rel for rel, want in expected.items() if want}
+        assert {finding.rule for finding in findings} == {"unstable-order"}
+
 
 # -- error-discipline ---------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Tests for the layered graph storage and visited-set machinery."""
 
+import numpy as np
 import pytest
 
-from repro.hnsw.graph import HnswGraph, VisitedPool, VisitedTable
+from repro.hnsw.graph import HnswGraph, VisitedEpochs, VisitedPool, VisitedTable
 
 
 class TestHnswGraph:
@@ -104,6 +105,59 @@ class TestVisitedTable:
             table.visit(3)
 
 
+class TestPaddedAdjacency:
+    def test_rows_are_node_major_and_padded_with_the_owner(self):
+        graph = HnswGraph()
+        for level in (1, 0, 2):
+            graph.add_node(level)
+        graph.set_neighbors(0, 0, [2, 1])
+        graph.set_neighbors(0, 1, [2])
+        graph.set_neighbors(2, 0, [0])
+        table, base = graph.padded()
+        assert table.dtype.name == "int32"
+        assert base.tolist() == [0, 2, 3]
+        assert table.tolist() == [
+            [2, 1],  # node 0, level 0: list order kept
+            [2, 0],  # node 0, level 1: padded with the owner
+            [1, 1],  # node 1, level 0: no links
+            [0, 2],  # node 2, levels 0..2
+            [2, 2],
+            [2, 2],
+        ]
+        nodes = np.array([2, 0])
+        assert graph.padded().neighbors(nodes, 0).tolist() == [[0, 2], [2, 1]]
+        assert graph.padded().neighbors(nodes, 1).tolist() == [[2, 2], [2, 0]]
+
+    def test_a_copy_not_a_view(self):
+        graph = HnswGraph()
+        graph.add_node(0)
+        graph.add_node(0)
+        frozen = graph.padded()
+        graph.add_link(0, 0, 1)
+        assert frozen.table.tolist() == [[0], [1]]
+        assert graph.padded().table.tolist() == [[1], [1]]
+
+
+class TestVisitedEpochs:
+    def test_reset_forgets_and_the_byte_wraps_clean(self):
+        epochs = VisitedEpochs()
+        for _ in range(600):
+            epochs.reset(5, 2)
+            assert 1 <= epochs.epoch <= 255
+            assert not (epochs.tags == epochs.epoch).any()
+            epochs.tags[epochs.stride + 3] = epochs.epoch
+
+    def test_grows_with_rows_and_capacity(self):
+        epochs = VisitedEpochs()
+        epochs.reset(5, 2)
+        assert (epochs.stride, epochs.tags.size) == (5, 10)
+        epochs.reset(3, 4)  # more rows, fewer nodes: rows stay 5 wide
+        assert epochs.stride == 5 and epochs.tags.size >= 20
+        epochs.reset(9, 1)
+        assert epochs.stride == 9 and epochs.tags.size >= 9
+        assert not epochs.tags.any()
+
+
 class TestVisitedPool:
     def test_same_thread_reuses_table(self):
         pool = VisitedPool()
@@ -127,3 +181,18 @@ class TestVisitedPool:
         thread.start()
         thread.join()
         assert seen["table"] is not main_table
+
+    def test_epochs_are_per_thread_and_reused(self):
+        import threading
+
+        pool = VisitedPool()
+        mine = pool.get_epochs(10, 2)
+        assert pool.get_epochs(10, 2) is mine
+        seen = {}
+        thread = threading.Thread(
+            target=lambda: seen.update(epochs=pool.get_epochs(10, 2))
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen["epochs"] is not mine

@@ -11,6 +11,13 @@ scorer x metric x batch size checks the same three promises:
     returned row, bit for bit, in ``(distance, row)`` order;
 (c) a batch's ``SearchCost`` is the merged cost of its rows run singly.
 
+A single row always runs the heap kernels and a group of
+``_ARRAY_MIN_ROWS`` or more the array kernels, so with the batch sizes
+straddling that constant (a) and (c) are also heap-vs-array
+differentials.  The ``lattice`` corpus makes them bite: integer
+coordinates and duplicated rows put an exact distance tie at every beam
+boundary, where only one shared tie rule keeps two kernels equal.
+
 The ``flat`` arm is built with ``quantize="int8"`` *and* a
 ``min_graph_size`` above the segment size: the flat scan wins and
 distances stay exact.
@@ -18,15 +25,28 @@ distances stay exact.
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.builder import build_lanns_index
+from repro.core.config import LannsConfig
 from repro.distance.scorer import Scorer
-from repro.hnsw.index import _MAX_LOCKSTEP, HnswIndex, build_hnsw
+from repro.hnsw.graph import VisitedPool
+from repro.hnsw.index import (
+    _ARRAY_MIN_ROWS,
+    _MAX_LOCKSTEP,
+    HnswIndex,
+    build_hnsw,
+)
+from repro.hnsw.search import search_arrays, search_layer, search_layer_batch
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
+from repro.online.microbatch import MicroBatcher
 from tests.conftest import FAST_HNSW
 
 ARMS = {
@@ -36,74 +56,127 @@ ARMS = {
     "flat": {"quantize": "int8", "min_graph_size": 10_000},
 }
 METRICS = ("euclidean", "cosine", "inner_product")
-BATCHES = (1, 7, _MAX_LOCKSTEP, _MAX_LOCKSTEP + 1)
+CORPORA = ("clustered", "lattice")
+BATCHES = (
+    1,
+    7,
+    _ARRAY_MIN_ROWS - 1,
+    _ARRAY_MIN_ROWS,
+    _MAX_LOCKSTEP,
+    _MAX_LOCKSTEP + 1,
+)
 K = 10
+#: Beam width per corpus: on the lattice the beam is no wider than the
+#: result, so a tie decided differently at the beam boundary shows in
+#: the returned ids, not only in the cost.
+EF = {"clustered": None, "lattice": K}
 #: External id of internal row ``r`` is ``3 r + 7``: a gather that
 #: returned rows instead of ids cannot pass.
 ID_STRIDE, ID_BASE = 3, 7
 
 
+def make_lattice() -> np.ndarray:
+    """The 3^6 points of ``{-1, 0, 1}^6`` plus 200 of them again, shuffled."""
+    points = np.array(
+        list(itertools.product((-1.0, 0.0, 1.0), repeat=6)), dtype=np.float32
+    )
+    rng = np.random.default_rng(11)
+    again = points[rng.choice(len(points), size=200, replace=False)]
+    return rng.permutation(np.concatenate([points, again]))
+
+
 @pytest.fixture(scope="module")
-def queries(clustered_data) -> np.ndarray:
+def corpora(clustered_data) -> dict[str, np.ndarray]:
+    return {"clustered": clustered_data, "lattice": make_lattice()}
+
+
+@pytest.fixture(scope="module")
+def query_sets(corpora) -> dict[str, np.ndarray]:
+    """``_MAX_LOCKSTEP + 1`` queries per corpus: noisy rows of the
+    clustered one, on- and half-lattice points of the lattice."""
     rng = np.random.default_rng(5)
-    rows = rng.integers(0, clustered_data.shape[0], size=_MAX_LOCKSTEP + 1)
-    noise = rng.normal(scale=0.2, size=(rows.size, clustered_data.shape[1]))
-    return (clustered_data[rows] + noise).astype(np.float32)
+    count = _MAX_LOCKSTEP + 1
+    data = corpora["clustered"]
+    rows = rng.integers(0, data.shape[0], size=count)
+    noise = rng.normal(scale=0.2, size=(count, data.shape[1]))
+    half = rng.integers(-2, 3, size=(count, 6)) / 2.0
+    return {
+        "clustered": (data[rows] + noise).astype(np.float32),
+        "lattice": half.astype(np.float32),
+    }
 
 
 @pytest.fixture(scope="module")
-def indices(clustered_data) -> dict[tuple[str, str], HnswIndex]:
-    ids = np.arange(clustered_data.shape[0]) * ID_STRIDE + ID_BASE
+def queries(query_sets) -> np.ndarray:
+    return query_sets["clustered"]
+
+
+@pytest.fixture(scope="module")
+def all_indices(corpora) -> dict[tuple[str, str, str], HnswIndex]:
     return {
-        (arm, metric): build_hnsw(
-            clustered_data,
-            ids=ids,
+        (corpus, arm, metric): build_hnsw(
+            data,
+            ids=np.arange(data.shape[0]) * ID_STRIDE + ID_BASE,
             metric=metric,
             params=replace(FAST_HNSW, **extra),
         )
+        for corpus, data in corpora.items()
         for arm, extra in ARMS.items()
         for metric in METRICS
     }
 
 
 @pytest.fixture(scope="module")
-def references(clustered_data) -> dict[str, Scorer]:
-    """One independent float scorer per metric over the same rows."""
+def indices(all_indices) -> dict[tuple[str, str], HnswIndex]:
+    """The clustered corpus's indices, keyed ``(arm, metric)``."""
+    return {
+        key[1:]: index
+        for key, index in all_indices.items()
+        if key[0] == "clustered"
+    }
+
+
+@pytest.fixture(scope="module")
+def references(corpora) -> dict[tuple[str, str], Scorer]:
+    """One independent float scorer per corpus and metric."""
     scorers = {}
-    for metric in METRICS:
-        scorer = Scorer(metric, clustered_data.shape[1])
-        scorer.add(clustered_data)
-        scorers[metric] = scorer
+    for corpus, data in corpora.items():
+        for metric in METRICS:
+            scorer = Scorer(metric, data.shape[1])
+            scorer.add(data)
+            scorers[corpus, metric] = scorer
     return scorers
 
 
-def _single_cost(index: HnswIndex, query: np.ndarray) -> SearchCost:
+def _single_cost(index: HnswIndex, query: np.ndarray, ef=None) -> SearchCost:
     cost = SearchCost()
-    index.search_batch(query[np.newaxis, :], K, cost=cost)
+    index.search_batch(query[np.newaxis, :], K, ef, cost=cost)
     return cost
 
 
 @pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("arm", ARMS)
+@pytest.mark.parametrize("corpus", CORPORA)
 class TestCell:
     def test_search_is_a_row_of_search_batch(
-        self, indices, queries, arm, metric, batch
+        self, all_indices, query_sets, corpus, arm, metric, batch
     ):
-        index = indices[arm, metric]
-        ids, dists = index.search_batch(queries[:batch], K)
+        index, queries = all_indices[corpus, arm, metric], query_sets[corpus]
+        ids, dists = index.search_batch(queries[:batch], K, EF[corpus])
         assert ids.shape == dists.shape == (batch, K)
         for row in range(batch):
-            single_ids, single_dists = index.search(queries[row], K)
+            single_ids, single_dists = index.search(queries[row], K, EF[corpus])
             assert len(single_ids) == K
             np.testing.assert_array_equal(ids[row], single_ids)
             np.testing.assert_array_equal(dists[row], single_dists)
 
     def test_distances_are_the_exact_kernel_in_order(
-        self, indices, references, queries, arm, metric, batch
+        self, all_indices, references, query_sets, corpus, arm, metric, batch
     ):
-        index, scorer = indices[arm, metric], references[metric]
-        ids, dists = index.search_batch(queries[:batch], K)
+        index, queries = all_indices[corpus, arm, metric], query_sets[corpus]
+        scorer = references[corpus, metric]
+        ids, dists = index.search_batch(queries[:batch], K, EF[corpus])
         rows = (ids - ID_BASE) // ID_STRIDE
         np.testing.assert_array_equal(rows * ID_STRIDE + ID_BASE, ids)
         prepared = scorer.prepare_queries(queries[:batch])
@@ -124,14 +197,14 @@ class TestCell:
             assert order == sorted(order)
 
     def test_batch_cost_is_the_merged_single_costs(
-        self, indices, queries, arm, metric, batch
+        self, all_indices, query_sets, corpus, arm, metric, batch
     ):
-        index = indices[arm, metric]
+        index, queries = all_indices[corpus, arm, metric], query_sets[corpus]
         batch_cost = SearchCost()
-        index.search_batch(queries[:batch], K, cost=batch_cost)
+        index.search_batch(queries[:batch], K, EF[corpus], cost=batch_cost)
         merged = SearchCost()
         for row in range(batch):
-            merged.merge(_single_cost(index, queries[row]))
+            merged.merge(_single_cost(index, queries[row], EF[corpus]))
         assert batch_cost == merged
         assert (batch_cost.rescore_rows > 0) == (arm in ("int8", "pq"))
         if arm == "flat":
@@ -143,17 +216,19 @@ class TestCell:
             assert batch_cost.distance_comps > batch_cost.candidates_visited
 
 
+@pytest.mark.parametrize("batch", (3, _ARRAY_MIN_ROWS))
 @pytest.mark.parametrize("arm", ARMS)
-def test_every_candidate_source_records_its_stage(indices, queries, arm):
+def test_every_candidate_source_records_its_stage(indices, queries, arm, batch):
     """A traced request shows the searcher subtree whichever arm serves
-    it, every stage tagged with who scored the candidates -- and tracing
-    never changes a result."""
+    it, every stage tagged with who scored the candidates and the graph
+    stages with the venue that ran them -- and tracing never changes a
+    result."""
     index = indices[arm, "euclidean"]
-    plain = index.search_batch(queries[:3], K)
+    plain = index.search_batch(queries[:batch], K)
     recorder, cost = SpanRecorder(), SearchCost()
     token = activate(recorder)
     try:
-        traced = index.search_batch(queries[:3], K, cost=cost)
+        traced = index.search_batch(queries[:batch], K, cost=cost)
     finally:
         deactivate(token)
     np.testing.assert_array_equal(traced[0], plain[0])
@@ -169,12 +244,160 @@ def test_every_candidate_source_records_its_stage(indices, queries, arm):
     assert all(notes["scorer"] == arm for notes in spans.values())
     if arm == "flat":
         assert spans["scan"]["rows"] == len(index)
-        assert spans["scan"]["num_queries"] == 3
+        assert spans["scan"]["num_queries"] == batch
     else:
-        assert spans["beam"]["num_queries"] == 3
+        assert spans["beam"]["num_queries"] == batch
         assert spans["beam"]["ef"] >= K
+        kernel = "array" if batch >= _ARRAY_MIN_ROWS else "heap"
+        for stage in ("descend", "beam"):
+            assert spans[stage]["kernel"] == kernel
+            assert spans[stage]["rounds"] >= 0
+        # No beam settles in fewer rounds than it takes to fill up.
+        widest = index.params.effective_max_m0
+        assert spans["beam"]["rounds"] > spans["beam"]["ef"] // widest
     if "rescore" in spans:
         assert spans["rescore"]["rows"] == cost.rescore_rows
+
+
+class TestVenues:
+    """What only the array venue has: a coalescing caller upstream, a
+    per-thread scratch, and a snapshot to invalidate."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_three_kernels_one_beam_rule(self, all_indices, query_sets, metric):
+        """``search_layer`` (the sequential build path) is never a query
+        path, so the matrix above cannot reach it: here all three beam
+        kernels search the tied corpus from the same seed."""
+        index = all_indices["lattice", "float", metric]
+        graph, scorer = index.graph, index._scorer
+        queries = scorer.prepare_queries(query_sets["lattice"][:_ARRAY_MIN_ROWS])
+        query_sq = scorer.query_sq_norms(queries)
+        rows = queries.shape[0]
+        entries = np.full(rows, graph.entry_point, dtype=np.int64)
+        entry_dists = scorer.score_pairs(queries, np.arange(rows), entries, query_sq)
+        seeds = [[(float(dist), graph.entry_point)] for dist in entry_dists]
+        pool = VisitedPool()
+        lockstep = search_layer_batch(
+            graph, scorer, queries, seeds, K, 0,
+            pool.get_many(len(graph), rows), query_sq,
+        )
+
+        class PairArithmetic:
+            """``score_ids`` through ``score_pairs``: the sequential
+            kernel's own scoring call is a matvec with other rounding."""
+
+            @staticmethod
+            def score_ids(query, ids, query_sq=None):
+                return scorer.score_pairs(
+                    query[np.newaxis, :], np.zeros(len(ids), dtype=np.int64), ids
+                )
+
+        sequential = [
+            search_layer(
+                graph, PairArithmetic, queries[row], seeds[row], K, 0,
+                pool.get(len(graph)),
+            )
+            for row in range(rows)
+        ]
+        ids, dists = search_arrays(
+            graph.padded(), scorer, queries, entries, entry_dists, K,
+            pool.get_epochs(len(graph), rows), query_sq,
+        )
+        arrays = [
+            [
+                (float(dist), int(node))
+                for dist, node in zip(dists[row], ids[row])
+                if node >= 0
+            ]
+            for row in range(rows)
+        ]
+        assert sequential == lockstep == arrays
+        # The corpus does what it is for: beams end inside a tie.
+        assert any(beam[-1][0] == beam[-2][0] for beam in lockstep)
+
+    def test_a_coalesced_query_equals_the_same_query_alone(self, corpora):
+        """Micro-batching decides a query's group size by arrival timing;
+        through ``ShardIndex.search_batch`` the bits must not care."""
+        data = corpora["lattice"]
+        shard = build_lanns_index(
+            data,
+            config=LannsConfig(
+                num_shards=1, num_segments=2, segmenter="rh",
+                hnsw=replace(FAST_HNSW, ef_search=K), seed=3,
+            ),
+        ).shards[0]
+        rows = 2 * _ARRAY_MIN_ROWS
+        queries = data[:rows] + np.float32(0.5)
+        # Segment-level groups really are on both sides of the constant.
+        probes = shard.segmenter.route_query_batch(queries)
+        routed = np.bincount([segment for probe in probes for segment in probe])
+        assert routed.max() >= _ARRAY_MIN_ROWS
+        batcher = MicroBatcher(
+            lambda _key, block: shard.search_batch(block, K),
+            max_batch=rows,
+            max_wait_ms=60_000.0,
+        )
+        try:
+            futures = [
+                batcher.submit("k", queries[row : row + 1]) for row in range(rows)
+            ]
+            coalesced = [future.result(timeout=60) for future in futures]
+        finally:
+            batcher.close()
+        assert batcher.stats["largest_batch"] == rows
+        for row, (ids, dists) in enumerate(coalesced):
+            alone_ids, alone_dists = shard.search_batch(queries[row : row + 1], K)
+            assert ids.tobytes() == alone_ids.tobytes()
+            assert dists.tobytes() == alone_dists.tobytes()
+
+    def test_visited_epochs_wrap_around(self, all_indices, query_sets):
+        """The array venue's visited tags are one byte, so the 255th
+        later group search on a thread draws the same epoch again: it
+        must not take the first search's marks for its own."""
+        index = all_indices["lattice", "float", "euclidean"]
+        queries = query_sets["lattice"]
+        first = queries[:_ARRAY_MIN_ROWS]
+        others = queries[_ARRAY_MIN_ROWS : 2 * _ARRAY_MIN_ROWS]
+        want = index.search_batch(first, K)
+        for _ in range(254):
+            index.search_batch(others, K)
+        got = index.search_batch(first, K)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_two_threads_search_one_segment(self, all_indices, query_sets):
+        """Snapshot shared, scratch per thread: concurrent groups on one
+        segment return what they return alone."""
+        index = all_indices["lattice", "int8", "euclidean"]
+        queries = query_sets["lattice"]
+        groups = [
+            queries[:_ARRAY_MIN_ROWS],
+            queries[_ARRAY_MIN_ROWS : 3 * _ARRAY_MIN_ROWS],
+        ]
+        want = [index.search_batch(group, K) for group in groups]
+        wrong: list[int] = []
+
+        def hammer(which: int) -> None:
+            for _ in range(60):
+                ids, dists = index.search_batch(groups[which], K)
+                if (
+                    ids.tobytes() != want[which][0].tobytes()
+                    or dists.tobytes() != want[which][1].tobytes()
+                ):
+                    wrong.append(which)
+
+        threads = [threading.Thread(target=hammer, args=(which,)) for which in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestExternalIdGather:
@@ -193,9 +416,15 @@ class TestExternalIdGather:
         params = replace(FAST_HNSW, **ARMS[arm])
         index = build_hnsw(clustered_data[:200], params=params)
         index.search(clustered_data[0], K)  # the array now exists
+        # ... and so do the array venue's adjacency snapshot and scratch.
+        index.search_batch(clustered_data[:_ARRAY_MIN_ROWS], K)
         index.add(clustered_data[200:260], ids=np.arange(5000, 5060))
         ids, _ = index.search(clustered_data[230], 1, ef=64)
         assert ids.tolist() == [5030]
+        ids, _ = index.search_batch(
+            clustered_data[200 : 200 + _ARRAY_MIN_ROWS], 1, ef=64
+        )
+        assert ids[:, 0].tolist() == list(range(5000, 5000 + _ARRAY_MIN_ROWS))
         restored = HnswIndex.from_arrays(index.to_arrays())
         want = index.search_batch(clustered_data[195:205], K)
         got = restored.search_batch(clustered_data[195:205], K)
