@@ -1,8 +1,9 @@
 """Asyncio-hygiene checker.
 
-The fan-out hot path (``net/``, ``online/broker.py``) runs on a single
-event-loop thread; one blocking call stalls every in-flight shard RPC.
-Inside ``async def`` bodies this checker bans:
+The fan-out hot path (``net/``, ``online/fanout.py`` and the hedge race
+in ``online/hedging.py``) runs on a single event-loop thread; one
+blocking call stalls every in-flight shard RPC.  Inside ``async def``
+bodies this checker bans:
 
 - ``time.sleep(...)`` (use ``asyncio.sleep``)
 - synchronous socket operations (``sock.recv``/``sendall``/``accept``,

@@ -89,6 +89,19 @@ def merge_segment_results_batch(
     return batch_top_k(dists, ids, k, dedupe=True)
 
 
+def empty_part(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(rows, width)`` (ids, dists) block holding only padding.
+
+    The ``-1`` id / ``inf`` distance sentinels are what both merges
+    treat as absent: the stand-in for a shard that did not answer and
+    the canvas a routed sub-batch is scattered onto.
+    """
+    return (
+        np.full((rows, width), -1, dtype=np.int64),
+        np.full((rows, width), np.inf, dtype=np.float64),
+    )
+
+
 def merge_shard_results_batch(
     parts: Sequence[tuple[np.ndarray, np.ndarray]],
     k: int,

@@ -2,7 +2,6 @@
 behind every benchmark in ``benchmarks/``."""
 
 from repro.eval.timing import (
-    StageLatencyRecorder,
     Timer,
     measure_concurrent_qps,
     measure_latency,
@@ -19,7 +18,6 @@ from repro.eval.harness import (
 )
 
 __all__ = [
-    "StageLatencyRecorder",
     "Timer",
     "measure_qps",
     "measure_concurrent_qps",

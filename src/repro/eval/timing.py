@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from collections.abc import Callable
 
 import numpy as np
+
+from repro.obs.clock import quantile_summary
 
 
 class Timer:
@@ -28,123 +29,6 @@ class Timer:
 
     def __exit__(self, *exc_info) -> None:
         self.elapsed = time.perf_counter() - self._start
-
-
-def quantile_summary(
-    latencies_s: np.ndarray, *, infix: str = ""
-) -> dict[str, float]:
-    """The shared latency-quantile block: p50/p90/p99/max in milliseconds.
-
-    Every throughput helper in this module (and the broker's per-stage
-    summary) reports the same four quantile keys, so they are computed
-    in exactly one place.  ``infix`` is inserted before the ``_ms``
-    suffix (``infix="_batch"`` yields ``p99_batch_ms``), letting the
-    batch-granular helpers keep their historical key names.  An empty
-    sample set reports zeros.
-    """
-    values = np.asarray(latencies_s, dtype=np.float64)
-    if values.size == 0:
-        stats = {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-    else:
-        stats = {
-            "p50": float(np.quantile(values, 0.50) * 1e3),
-            "p90": float(np.quantile(values, 0.90) * 1e3),
-            "p99": float(np.quantile(values, 0.99) * 1e3),
-            "max": float(values.max() * 1e3),
-        }
-    return {f"{name}{infix}_ms": value for name, value in stats.items()}
-
-
-class StageLatencyRecorder:
-    """Thread-safe accumulator of per-stage serving latencies.
-
-    The broker records one sample per request into each named stage
-    (``queue_wait`` from the admission layer, ``fanout`` and ``merge``
-    from the execute path), so a load test can decompose end-to-end
-    latency into where the time actually went.
-
-    Memory is bounded for long-lived brokers: exact ``count`` and
-    ``total`` run forever, while the percentiles come from a sliding
-    window of the most recent ``window`` samples per stage.  Recording
-    happens under a lock (client and flusher threads record
-    concurrently); :meth:`summary` snapshots count / total / mean /
-    p50 / p99 per stage in milliseconds.
-    """
-
-    def __init__(self, window: int = 8192) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = int(window)
-        self._lock = threading.Lock()
-        self._recent: dict[str, deque[float]] = {}
-        self._count: dict[str, int] = {}
-        self._total: dict[str, float] = {}
-
-    def record(self, stage: str, seconds: float) -> None:
-        """Append one latency sample (seconds) to ``stage``."""
-        seconds = float(seconds)
-        with self._lock:
-            recent = self._recent.get(stage)
-            if recent is None:
-                recent = self._recent[stage] = deque(maxlen=self.window)
-                self._count[stage] = 0
-                self._total[stage] = 0.0
-            recent.append(seconds)
-            self._count[stage] += 1
-            self._total[stage] += seconds
-
-    def recorder(self, stage: str) -> Callable[[float], None]:
-        """A single-argument callback bound to ``stage``."""
-        return lambda seconds: self.record(stage, seconds)
-
-    def reset(self) -> None:
-        """Drop all samples and counters."""
-        with self._lock:
-            self._recent.clear()
-            self._count.clear()
-            self._total.clear()
-
-    def quantile(self, stage: str, q: float) -> tuple[int, float] | None:
-        """``(window_count, value)`` of ``stage``'s recent-window quantile.
-
-        Returns ``None`` when the stage has no samples yet.  This is the
-        live read the broker's adaptive hedging uses: the sliding window
-        keeps it current, the exact-forever counters are irrelevant to
-        it.
-        """
-        with self._lock:
-            recent = self._recent.get(stage)
-            if not recent:
-                return None
-            values = np.asarray(recent, dtype=np.float64)
-        return len(values), float(np.quantile(values, q))
-
-    def summary(self) -> dict[str, dict]:
-        """Per-stage stats: count, total_ms, mean_ms plus the quantiles.
-
-        ``count``/``total_ms``/``mean_ms`` cover every sample ever
-        recorded; the :func:`quantile_summary` block (p50/p90/p99/max)
-        covers the recent window.
-        """
-        with self._lock:
-            snapshot = {
-                stage: (
-                    self._count[stage],
-                    self._total[stage],
-                    np.asarray(values, dtype=np.float64),
-                )
-                for stage, values in self._recent.items()
-                if values
-            }
-        return {
-            stage: {
-                "count": int(count),
-                "total_ms": float(total * 1e3),
-                "mean_ms": float(total / count * 1e3),
-                **quantile_summary(recent),
-            }
-            for stage, (count, total, recent) in snapshot.items()
-        }
 
 
 def measure_latency(

@@ -63,7 +63,7 @@ from repro.net.protocol import (
 from repro.obs.cost import SearchCost
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import SpanRecorder, activate, deactivate, maybe_span
-from repro.online.microbatch import MicroBatcher
+from repro.online.microbatch import AdmissionKey, MicroBatcher, admission_key
 from repro.online.searcher import SearcherNode
 
 _SHED = get_registry().counter(
@@ -504,9 +504,10 @@ class SearcherServer:
             and cost is None
             and recorder is None
         ):
-            key = (index_name, top_k, ef, int(queries.shape[1]))
             return await asyncio.wrap_future(
-                self._batcher.submit(key, queries)
+                self._batcher.submit(
+                    admission_key(index_name, top_k, ef, queries), queries
+                )
             )
 
         def _search():
@@ -530,10 +531,13 @@ class SearcherServer:
 
         return await loop.run_in_executor(None, _search)
 
-    def _batched_search(self, key, queries) -> tuple[np.ndarray, np.ndarray]:
+    def _batched_search(
+        self, key: AdmissionKey, queries: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Micro-batcher execute hook (runs on the flusher thread)."""
-        index_name, top_k, ef, _dim = key
-        return self.node.search_batch(index_name, queries, top_k, ef=ef)
+        return self.node.search_batch(
+            key.index_name, queries, key.top_k, ef=key.ef
+        )
 
     def _deploy(self, header: dict) -> None:
         # Imported here: the server must start fast and the storage stack

@@ -1,6 +1,6 @@
 """Observability: metrics registry, request tracing, search-cost accounting.
 
-Three small, dependency-free building blocks shared by every serving
+Four small, dependency-free building blocks shared by every serving
 layer:
 
 - :mod:`repro.obs.metrics` -- a process-wide registry of labelled
@@ -11,6 +11,9 @@ layer:
   cross the wire (the SEARCH frame carries the trace context, the RESULT
   frame carries the searcher's spans back), plus a slow-query log that
   force-keeps any request over a threshold.
+- :mod:`repro.obs.clock` -- the stage clock: one timing per pipeline
+  stage, handed to the latency window, the histogram, the span and the
+  response alike.
 - :mod:`repro.obs.cost` -- per-query-batch search-cost counters (hops,
   distance computations, candidates visited, segments probed, rescore
   rows) threaded through the lockstep HNSW kernels.

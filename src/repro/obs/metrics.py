@@ -16,6 +16,9 @@ private registries.  Registration is idempotent: asking for an existing
 process shares one ``lanns_broker_queries_total``, distinguished by
 labels), while re-registering a name under a different kind raises.
 
+:class:`Tally` is one owner's handle on a set of counters: a single
+``count(name)`` feeds the shared series and the owner's own totals.
+
 ``snapshot()`` returns a plain JSON-safe dict; ``merge_snapshot()``
 folds such a dict (typically from another process, via the STATS RPC)
 into this registry -- counters and histograms add, gauges add too (fleet
@@ -318,6 +321,38 @@ def _format_number(value) -> str:
             return str(int(value))
         return repr(value)
     return str(value)
+
+
+class Tally:
+    """One owner's counts, each kept once: in the registry *and* readable back.
+
+    Registry series are shared by every owner that reports under the same
+    labels (two brokers both named ``"broker"`` add into one
+    ``lanns_broker_hedges_total{broker="broker"}``), so an owner's
+    ``stats()`` cannot read its own share back from there.  ``count``
+    therefore bumps the owner's private total and the labelled registry
+    series in one call -- the only call site an event needs -- and
+    ``snapshot`` is the consistent view of the private totals.
+    """
+
+    def __init__(self, counters: dict[str, Counter], **labels) -> None:
+        self._counters = counters
+        self._labels = labels
+        self._lock = threading.Lock()
+        self._totals: dict = {}
+
+    def count(self, name: str, value: int = 1, **labels) -> None:
+        """Add ``value`` to counter ``name``; extra ``labels`` (``shard=3``)
+        select a sub-series, totalled under ``(name, *label values)``."""
+        key = (name, *labels.values()) if labels else name
+        with self._lock:
+            self._totals[key] = self._totals.get(key, 0) + value
+        self._counters[name].inc(value, **self._labels, **labels)
+
+    def snapshot(self) -> dict:
+        """Every total counted so far (absent = never counted = 0)."""
+        with self._lock:
+            return dict(self._totals)
 
 
 #: The process-wide registry all serving code reports into.

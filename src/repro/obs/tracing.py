@@ -31,6 +31,7 @@ separate event-loop thread where context variables do not follow.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import random
@@ -51,6 +52,15 @@ def _new_span(name: str, start_ms: float, annotations: dict) -> dict:
         "annotations": annotations,
         "children": [],
     }
+
+
+def failure_annotations(exc: BaseException) -> dict:
+    """What a span (or a trace's root) says about the exception that
+    ended it: ``outcome=error`` + ``error=<type>``, or
+    ``outcome=cancelled`` for an asyncio cancellation."""
+    if isinstance(exc, asyncio.CancelledError):
+        return {"outcome": "cancelled"}
+    return {"outcome": "error", "error": type(exc).__name__}
 
 
 def rebase_spans(spans: list[dict], base_ms: float) -> list[dict]:
@@ -84,8 +94,9 @@ class SpanRecorder:
         self.spans: list[dict] = []
         self._stack: list[dict] = []
 
-    def _now_ms(self) -> float:
-        return (time.perf_counter() - self._t0) * 1e3
+    def _now_ms(self, at: float | None = None) -> float:
+        reading = time.perf_counter() if at is None else at
+        return (reading - self._t0) * 1e3
 
     @contextmanager
     def span(self, name: str, **annotations):
@@ -98,10 +109,19 @@ class SpanRecorder:
             self.end_span(entry)
 
     def start_span(
-        self, name: str, parent: dict | None = None, **annotations
+        self,
+        name: str,
+        parent: dict | None = None,
+        at: float | None = None,
+        **annotations,
     ) -> dict:
-        """Open a span under ``parent`` (or the current nesting level)."""
-        entry = _new_span(name, self._now_ms(), annotations)
+        """Open a span under ``parent`` (or the current nesting level).
+
+        ``at`` is the caller's own ``perf_counter`` reading of the
+        opening edge (:mod:`repro.obs.clock` hands the same reading to
+        its other consumers); without it the recorder reads the clock.
+        """
+        entry = _new_span(name, self._now_ms(at), annotations)
         if parent is not None:
             parent["children"].append(entry)
         elif self._stack:
@@ -110,8 +130,14 @@ class SpanRecorder:
             self.spans.append(entry)
         return entry
 
-    def end_span(self, span: dict) -> dict:
-        span["dur_ms"] = self._now_ms() - span["start_ms"]
+    def end_span(self, span: dict, seconds: float | None = None) -> dict:
+        """Close ``span``: ``seconds`` long when the caller timed it
+        itself, else up to the recorder's own reading of the clock."""
+        span["dur_ms"] = (
+            self._now_ms() - span["start_ms"]
+            if seconds is None
+            else seconds * 1e3
+        )
         return span
 
     def attach_remote(self, parent: dict, remote_spans: list[dict]) -> None:
@@ -132,6 +158,9 @@ class Trace(SpanRecorder):
         self.trace_id = trace_id
         self.sampled = sampled
         self.duration_ms: float = 0.0
+        #: The root's own annotations: ``outcome=error`` + ``error=<type>``
+        #: on a request that raised, empty on one that answered.
+        self.annotations: dict = {}
 
     def context(self) -> dict:
         """The wire form propagated in the SEARCH frame header."""
@@ -142,6 +171,7 @@ class Trace(SpanRecorder):
             "trace_id": self.trace_id,
             "sampled": self.sampled,
             "duration_ms": self.duration_ms,
+            "annotations": self.annotations,
             "spans": self.spans,
         }
 
@@ -216,11 +246,23 @@ class Tracer:
             trace_id = f"{self._rng.getrandbits(64):016x}"
         return Trace(trace_id, sampled)
 
-    def finish(self, trace: Trace | None, duration_s: float) -> bool:
-        """Close out a request's trace; returns whether it was kept."""
+    def finish(
+        self,
+        trace: Trace | None,
+        duration_s: float,
+        error: BaseException | None = None,
+    ) -> bool:
+        """Close out a request's trace; returns whether it was kept.
+
+        ``error`` is what the request raised instead of answering: the
+        trace is judged (sampled / slow) like any other and its root is
+        annotated with the failure.
+        """
         if trace is None:
             return False
         trace.duration_ms = duration_s * 1e3
+        if error is not None:
+            trace.annotations.update(failure_annotations(error))
         slow = (
             self.slow_query_threshold_s is not None
             and duration_s >= self.slow_query_threshold_s
@@ -306,6 +348,10 @@ def format_trace(trace: dict) -> str:
         f"trace {trace.get('trace_id', '?')}  "
         f"{trace.get('duration_ms', 0.0):.2f} ms"
         + ("" if trace.get("sampled", True) else "  [slow-query]")
+        + "".join(
+            f"  {key}={value}"
+            for key, value in (trace.get("annotations") or {}).items()
+        )
     ]
 
     def walk(spans: list[dict], depth: int) -> None:

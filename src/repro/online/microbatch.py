@@ -13,31 +13,54 @@ under sustained load the oldest pending request has usually already aged
 past ``max_wait_ms`` by the time the flusher is free and the flush is
 immediate.  Under light load a lone request waits at most ``max_wait_ms``.
 
-Requests are grouped by an opaque *admission key* (for the broker:
-``(index_name, top_k, ef, dim)``) because only requests with identical
-search parameters can share a lockstep batch.  Correctness rests on the
-batch kernels being batch-composition invariant -- a row's result never
-depends on which other rows share the batch -- which
-``tests/test_properties_cross_module.py`` pins down.
+Requests are grouped by an *admission key* (:func:`admission_key`, the
+one the broker and ``SearcherServer(batch_max=)`` both build) because
+only requests with identical search parameters can share a lockstep
+batch.  Correctness rests on the batch kernels being batch-composition
+invariant -- a row's result never depends on which other rows share the
+batch -- which ``tests/test_properties_cross_module.py`` pins down.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from collections.abc import Callable, Hashable
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.obs.clock import now
 from repro.obs.metrics import get_registry
 
 _FLUSHES = get_registry().counter(
     "lanns_microbatch_flushes_total",
     "Micro-batch flushes, labelled by reason (size/timeout/close).",
 )
+
+
+class AdmissionKey(NamedTuple):
+    """What must match for two requests to share one lockstep batch."""
+
+    index_name: str
+    top_k: int
+    ef: int | None
+    dim: int
+
+
+def admission_key(
+    index_name: str, top_k: int, ef: int | None, queries: np.ndarray
+) -> AdmissionKey:
+    """The admission key of one ``(B, d)`` block.
+
+    The index, the requested ``top_k`` (hence the per-shard budget), the
+    beam width, and the dimensionality -- so a malformed request cannot
+    poison a well-formed one it happens to coalesce with.
+    """
+    return AdmissionKey(index_name, int(top_k), ef, int(queries.shape[1]))
+
 
 #: ``execute(key, queries)`` -> a tuple of per-row arrays, each with one
 #: entry per query row (e.g. ``(ids, dists)`` or, with partial-result
@@ -53,7 +76,7 @@ class _Pending:
 
     queries: np.ndarray
     future: Future
-    enqueued_at: float = field(default_factory=time.perf_counter)
+    enqueued_at: float = field(default_factory=now)
 
 
 class MicroBatcher:
@@ -71,7 +94,8 @@ class MicroBatcher:
         if the batch is not full.
     on_queue_wait:
         Optional callback receiving each block's admission-to-flush wait
-        in seconds (feeds the broker's queue-wait stage latency).
+        in seconds, measured on :data:`repro.obs.clock.now` (the broker
+        passes its stage clock's ``queue_wait`` window).
 
     Notes
     -----
@@ -191,14 +215,14 @@ class MicroBatcher:
         the batch filled, ``timeout`` -- its oldest request aged out,
         ``close`` -- the batcher is draining), else the wait until one
         ripens."""
-        now = time.perf_counter()
+        tick = now()
         ready: Hashable | None = None
         ready_reason: str | None = None
         ready_age = -1.0
         timeout: float | None = None
         for key, pending in self._groups.items():
             rows = sum(block.queries.shape[0] for block in pending)
-            age = now - pending[0].enqueued_at
+            age = tick - pending[0].enqueued_at
             if rows >= self.max_batch:
                 reason = "size"
             elif age >= self.max_wait_s:
@@ -234,7 +258,7 @@ class MicroBatcher:
         # so ANY failure here (even in stacking/slicing, not just in the
         # execute call) must reach the waiting futures, never the thread.
         try:
-            flushed_at = time.perf_counter()
+            flushed_at = now()
             if self._on_queue_wait is not None:
                 for block in blocks:
                     self._on_queue_wait(flushed_at - block.enqueued_at)

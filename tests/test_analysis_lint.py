@@ -7,6 +7,7 @@ including the known false-positive traps: lock-free initialisation in
 async defs, and ``.result()`` on a completed asyncio task.
 """
 
+import ast
 import textwrap
 
 import pytest
@@ -637,6 +638,42 @@ def test_hnsw_index_has_one_search_body():
 
     bodies = [name for name in vars(HnswIndex) if name.startswith("_search_many")]
     assert bodies == ["_search_many"]
+
+
+class TestServingTierShape:
+    """The broker stays a pipeline over four modules and one clock."""
+
+    src = default_repo_root() / "src" / "repro"
+    seams = ("admission", "fanout", "failover", "hedging")
+
+    def test_no_online_module_over_700_lines(self):
+        sizes = {
+            path.name: len(path.read_text().splitlines())
+            for path in (self.src / "online").glob("*.py")
+        }
+        assert {name: n for name, n in sizes.items() if n > 700} == {}
+
+    def test_seams_never_import_the_broker(self):
+        for seam in self.seams:
+            tree = ast.parse((self.src / "online" / f"{seam}.py").read_text())
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+                    imported.update(
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    )
+            assert "repro.online.broker" not in imported, seam
+
+    def test_one_clock(self):
+        """No second stage recorder anywhere, and nothing under
+        ``online/`` reads ``perf_counter`` behind the obs clock's back."""
+        for path in self.src.rglob("*.py"):
+            assert "StageLatencyRecorder" not in path.read_text(), path
+        for path in (self.src / "online").glob("*.py"):
+            assert "perf_counter" not in path.read_text(), path
 
 
 class TestDriver:

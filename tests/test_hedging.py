@@ -36,6 +36,7 @@ from repro.core.merge import merge_shard_results_batch
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
+from repro.online.hedging import resolve_hedge_delay
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
@@ -47,6 +48,11 @@ NUM_SHARDS = 3
 SLOW_SHARD = 1
 SLOW_DELAY_S = 0.4
 INDEX_PATH = "prod/hedged"
+
+
+def hedge_delay(broker):
+    """The delay the broker's next batch would hedge against."""
+    return resolve_hedge_delay(broker.hedge_after_s, broker.timings)
 
 
 @pytest.fixture(scope="module")
@@ -494,18 +500,18 @@ class TestAdaptiveHedging:
         close_all(broker, transports)
 
     def test_no_hedging_before_min_samples(self, auto_broker):
-        from repro.online.broker import AUTO_HEDGE_MIN_SAMPLES
+        from repro.online.hedging import AUTO_HEDGE_MIN_SAMPLES
 
         for _ in range(AUTO_HEDGE_MIN_SAMPLES - 1):
             auto_broker.timings.record("shard_rpc", 0.01)
-        assert auto_broker._resolve_hedge_delay() is None
+        assert hedge_delay(auto_broker) is None
         auto_broker.timings.record("shard_rpc", 0.01)
-        assert auto_broker._resolve_hedge_delay() is not None
+        assert hedge_delay(auto_broker) is not None
 
     def test_delay_tracks_injected_distribution(self, auto_broker):
         """The delay follows the *median* of an injected slow-shard mix:
         half the samples straggler-slow must not drag the trigger up."""
-        from repro.online.broker import (
+        from repro.online.hedging import (
             AUTO_HEDGE_MIN_DELAY_S,
             AUTO_HEDGE_MULTIPLIER,
         )
@@ -513,7 +519,7 @@ class TestAdaptiveHedging:
         # Healthy shard: tight 5 ms RPCs.
         for _ in range(100):
             auto_broker.timings.record("shard_rpc", 0.005)
-        healthy = auto_broker._resolve_hedge_delay()
+        healthy = hedge_delay(auto_broker)
         assert healthy == pytest.approx(0.005 * AUTO_HEDGE_MULTIPLIER)
 
         # Inject a straggling shard: just under half the recent
@@ -521,30 +527,30 @@ class TestAdaptiveHedging:
         # must not balloon to straggler scale.
         for _ in range(90):
             auto_broker.timings.record("shard_rpc", 0.25)
-        mixed = auto_broker._resolve_hedge_delay()
+        mixed = hedge_delay(auto_broker)
         assert mixed == pytest.approx(0.005 * AUTO_HEDGE_MULTIPLIER)
 
         # The fleet genuinely slows down (every sample slow): the
         # delay tracks the new median instead of hedging constantly.
         for _ in range(8192):
             auto_broker.timings.record("shard_rpc", 0.05)
-        slowed = auto_broker._resolve_hedge_delay()
+        slowed = hedge_delay(auto_broker)
         assert slowed == pytest.approx(0.05 * AUTO_HEDGE_MULTIPLIER)
         assert slowed >= AUTO_HEDGE_MIN_DELAY_S
 
     def test_delay_floor(self, auto_broker):
-        from repro.online.broker import AUTO_HEDGE_MIN_DELAY_S
+        from repro.online.hedging import AUTO_HEDGE_MIN_DELAY_S
 
         for _ in range(64):
             auto_broker.timings.record("shard_rpc", 1e-7)
-        assert auto_broker._resolve_hedge_delay() == AUTO_HEDGE_MIN_DELAY_S
+        assert hedge_delay(auto_broker) == AUTO_HEDGE_MIN_DELAY_S
 
     def test_static_knob_unchanged(self, fleet, config):
         transports = make_transports(fleet)
         broker = Broker(transports, config, hedge_after_s=0.07)
         try:
             broker.timings.record("shard_rpc", 5.0)
-            assert broker._resolve_hedge_delay() == 0.07
+            assert hedge_delay(broker) == 0.07
         finally:
             close_all(broker, transports)
 
@@ -566,7 +572,7 @@ class TestAdaptiveHedging:
         """Warm the window on the straggler fleet (no hedging yet), then
         verify hedges actually fire under "auto" once samples exist,
         with results identical to the in-process reference."""
-        from repro.online.broker import AUTO_HEDGE_MIN_SAMPLES
+        from repro.online.hedging import AUTO_HEDGE_MIN_SAMPLES
 
         fleet[SLOW_SHARD].slow_delay_s = 0.08
         warm = queries[:2]
@@ -575,8 +581,8 @@ class TestAdaptiveHedging:
             < AUTO_HEDGE_MIN_SAMPLES
         ):
             auto_broker.search_batch("hedge", warm, 5)
-        assert auto_broker.hedges == 0
-        delay = auto_broker._resolve_hedge_delay()
+        assert auto_broker.stats()["hedges"] == 0
+        delay = hedge_delay(auto_broker)
         assert delay is not None and delay < 0.08
         want_ids, want_dists = baseline.search_batch("hedge", queries, 5)
         # Every other SEARCH frame to the slow shard stalls, so one of
@@ -585,7 +591,7 @@ class TestAdaptiveHedging:
             ids, dists = auto_broker.search_batch("hedge", queries, 5)
             assert np.array_equal(ids, want_ids)
             assert np.array_equal(dists, want_dists)
-        assert auto_broker.hedges >= 1
+        assert auto_broker.stats()["hedges"] >= 1
 
     def test_service_accepts_auto(self, fleet, shared_fs):
         service = OnlineService(

@@ -48,6 +48,7 @@ from repro.net.protocol import (
 )
 from repro.net.server import SearcherServer
 from repro.online.broker import Broker
+from repro.online.failover import failover_eligible, retry_after_pause
 from repro.online.searcher import SearcherNode
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
@@ -426,26 +427,21 @@ class TestBackoffJitter:
 
 class TestBrokerOverloadPolicy:
     def test_overloaded_is_failover_eligible(self):
-        assert Broker._failover_eligible(OverloadedError("full"))
-        assert not Broker._failover_eligible(
+        assert failover_eligible(OverloadedError("full"))
+        assert not failover_eligible(
             RemoteCallError("ValueError", "boom")
         )
 
     def test_retry_after_pause_honored_once_within_budget(self):
         shed = OverloadedError("full", retry_after_s=0.05)
-        assert Broker._retry_after_pause(shed, None, False) == 0.05
+        assert retry_after_pause(shed, None, False) == 0.05
         # Only once per request.
-        assert Broker._retry_after_pause(shed, None, True) is None
+        assert retry_after_pause(shed, None, True) is None
         # Only for overload, and only with a hint.
-        assert Broker._retry_after_pause(None, None, False) is None
-        assert (
-            Broker._retry_after_pause(
-                OverloadedError("no hint"), None, False
-            )
-            is None
-        )
+        assert retry_after_pause(None, None, False) is None
+        assert retry_after_pause(OverloadedError("no hint"), None, False) is None
         # The hint must fit the remaining deadline budget.
         tight = time.monotonic() + 0.01
         roomy = time.monotonic() + 10.0
-        assert Broker._retry_after_pause(shed, tight, False) is None
-        assert Broker._retry_after_pause(shed, roomy, False) == 0.05
+        assert retry_after_pause(shed, tight, False) is None
+        assert retry_after_pause(shed, roomy, False) == 0.05

@@ -399,11 +399,11 @@ class TestServiceInvalidation:
             thread.start()
         deadline = time.perf_counter() + 30.0
         while (
-            broker._batcher.stats["blocks_admitted"] < 4
+            broker._admission.batcher.stats["blocks_admitted"] < 4
             and time.perf_counter() < deadline
         ):
             time.sleep(0.001)
-        assert broker._batcher.stats["blocks_admitted"] == 4
+        assert broker._admission.batcher.stats["blocks_admitted"] == 4
         service.undeploy("x")
         for thread in threads:
             thread.join(timeout=60)
