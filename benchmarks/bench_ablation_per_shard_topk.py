@@ -13,11 +13,11 @@ recall cost; ``literal`` under-fetches and costs recall, evidence that
 the intended reading is the standard interval.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
+from repro.core.merge import merge_shard_results_batch
 from repro.core.topk import per_shard_top_k
 from repro.data.datasets import load_dataset
 from repro.offline.recall import recall_at_k
@@ -43,19 +43,12 @@ def sharded_people():
 
 
 def query_with_budget(index, queries, top_k, budget):
-    ids = np.full((len(queries), top_k), -1, dtype=np.int64)
-    fetched = 0
-    from repro.core.merge import merge_shard_results
-
-    for row, query in enumerate(queries):
-        shard_results = [
-            shard.search(query, budget, ef=BENCH_EF)
-            for shard in index.shards
-        ]
-        fetched += sum(len(results) for results in shard_results)
-        merged = merge_shard_results(shard_results, top_k)
-        for rank, (_dist, item) in enumerate(merged[:top_k]):
-            ids[row, rank] = item
+    parts = [
+        shard.search_batch(queries, budget, ef=BENCH_EF)
+        for shard in index.shards
+    ]
+    fetched = sum(int((shard_ids >= 0).sum()) for shard_ids, _ in parts)
+    ids, _ = merge_shard_results_batch(parts, top_k)
     return ids, fetched / len(queries)
 
 

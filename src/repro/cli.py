@@ -499,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help=(
-            "construction wave size for the batched lockstep insert "
-            "path (<= 1 falls back to one-row-at-a-time insertion)"
+            "construction wave size: rows inserted per lockstep wave "
+            "(0 and 1 both mean one row per wave)"
         ),
     )
     build.add_argument(
@@ -791,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--build-batch",
         type=int,
         default=64,
-        help="construction wave size (<= 1 = sequential insertion)",
+        help="construction wave size (0 and 1 = one row per wave)",
     )
     bench.add_argument(
         "--quantize",

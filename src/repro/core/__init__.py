@@ -8,7 +8,10 @@
 
 from repro.core.config import LannsConfig
 from repro.core.topk import per_shard_top_k
-from repro.core.merge import merge_segment_results, merge_shard_results
+from repro.core.merge import (
+    merge_segment_results_batch,
+    merge_shard_results_batch,
+)
 from repro.core.index import LannsIndex, ShardIndex
 from repro.core.builder import LannsBuilder, build_lanns_index
 from repro.core.contextual import ContextualLannsIndex, build_contextual_index
@@ -16,8 +19,8 @@ from repro.core.contextual import ContextualLannsIndex, build_contextual_index
 __all__ = [
     "LannsConfig",
     "per_shard_top_k",
-    "merge_segment_results",
-    "merge_shard_results",
+    "merge_segment_results_batch",
+    "merge_shard_results_batch",
     "LannsIndex",
     "ShardIndex",
     "LannsBuilder",

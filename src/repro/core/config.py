@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.core.topk import per_shard_top_k
 from repro.errors import ConfigError
 from repro.hnsw.params import HnswParams
 
@@ -157,6 +158,27 @@ class LannsConfig:
     def total_partitions(self) -> int:
         """Number of (shard, segment) HNSW indices built."""
         return self.num_shards * self.num_segments
+
+    def per_shard_budget(
+        self, top_k: int, num_groups: int | None = None
+    ) -> int:
+        """The perShardTopK each queried shard is asked for (Eq. 5-6).
+
+        ``num_groups`` is the fan-out width the budget must cover
+        (default: every shard).  Eq. 5-6 model a query's neighbors as
+        uniformly hashed across the shards queried; the segment-aligned
+        layout concentrates them in a few nearby segments instead, so
+        there -- as with ``use_per_shard_topk`` off -- the only budget
+        that cannot truncate answers below ``top_k`` is ``top_k`` itself.
+        """
+        if not self.use_per_shard_topk or self.sharding == "segment":
+            return int(top_k)
+        return per_shard_top_k(
+            top_k,
+            self.num_shards if num_groups is None else num_groups,
+            self.topk_confidence,
+            paper_literal=self.paper_literal_probit,
+        )
 
     def with_updates(self, **changes) -> "LannsConfig":
         """A copy with the given fields replaced (validates again)."""

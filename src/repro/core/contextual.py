@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.config import LannsConfig
 from repro.core.index import ShardIndex
-from repro.core.merge import merge_segment_results, merge_shard_results
+from repro.core.merge import merge_shard_results_batch
 from repro.errors import ConfigError
 from repro.hnsw.index import HnswIndex
 from repro.hnsw.params import HnswParams
@@ -80,42 +80,22 @@ class ContextualLannsIndex:
         if top_k <= 0:
             raise ValueError(f"top_k must be positive, got {top_k}")
         query = as_vector(query, name="query")
-        segments = (
-            self.segmenter.route_contexts(contexts)
-            if contexts is not None
-            else tuple(range(self.segmenter.num_segments))
+        # Unscoped, the context segmenter's own routing probes everything.
+        probes = (
+            None
+            if contexts is None
+            else [self.segmenter.route_contexts(contexts)]
         )
-        from repro.core.topk import per_shard_top_k
-
-        budget = (
-            per_shard_top_k(
-                top_k,
-                self.config.num_shards,
-                self.config.topk_confidence,
-                paper_literal=self.config.paper_literal_probit,
+        budget = self.config.per_shard_budget(top_k)
+        parts = [
+            shard.search_batch(
+                query[np.newaxis, :], budget, ef=ef, probes=probes
             )
-            if self.config.use_per_shard_topk
-            else top_k
-        )
-        shard_results = []
-        for shard in self.shards:
-            partials = []
-            for segment_id in segments:
-                segment = shard.segments[segment_id]
-                if len(segment) == 0:
-                    continue
-                ids, dists = segment.search(
-                    query, min(budget, len(segment)), ef=ef
-                )
-                partials.append(list(zip(dists.tolist(), ids.tolist())))
-            if partials:
-                shard_results.append(
-                    merge_segment_results(partials, budget)
-                )
-        merged = merge_shard_results(shard_results, top_k)
-        ids = np.asarray([item for _, item in merged], dtype=np.int64)
-        dists = np.asarray([dist for dist, _ in merged], dtype=np.float64)
-        return ids, dists
+            for shard in self.shards
+        ]
+        ids, dists = merge_shard_results_batch(parts, top_k)
+        found = ids[0] >= 0
+        return ids[0][found], dists[0][found]
 
 
 def build_contextual_index(

@@ -15,7 +15,6 @@ from repro.core.merge import (
     merge_segment_results_batch,
     merge_shard_results_batch,
 )
-from repro.core.topk import per_shard_top_k
 from repro.errors import IndexNotBuiltError
 from repro.hnsw.index import HnswIndex
 from repro.segmenters.base import Segmenter
@@ -229,23 +228,9 @@ class LannsIndex:
 
     # -- querying ----------------------------------------------------------------
     def per_shard_budget(self, top_k: int) -> int:
-        """The perShardTopK each shard is asked for (Eq. 5-6).
-
-        Eq. 5-6 model a query's neighbors as uniformly hashed across
-        shards; the segment-aligned layout concentrates them in a few
-        nearby segments instead, so there the only budget that cannot
-        truncate answers below ``top_k`` is ``top_k`` itself.
-        """
-        if not self.config.use_per_shard_topk:
-            return int(top_k)
-        if self.config.sharding == "segment":
-            return int(top_k)
-        return per_shard_top_k(
-            top_k,
-            self.config.num_shards,
-            self.config.topk_confidence,
-            paper_literal=self.config.paper_literal_probit,
-        )
+        """The perShardTopK each shard is asked for
+        (:meth:`LannsConfig.per_shard_budget`)."""
+        return self.config.per_shard_budget(top_k)
 
     def query(
         self,

@@ -8,7 +8,9 @@ LANNS merges in two stages that mirror the serving topology:
 
 Both stages are top-k merges over ``(distance, id)`` pairs; physical spill
 can surface the same id from two segments, so the segment-level merge
-dedupes by id (keeping the best distance).
+dedupes by id (keeping the best distance).  Hash sharding stores every id
+in exactly one shard, so the shard-level merge needs no dedupe; it keeps
+it anyway for safety.
 """
 
 from __future__ import annotations
@@ -18,43 +20,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.topk import batch_top_k
-from repro.utils.heap import merge_top_k
 
-#: A search result: list of (distance, external_id), ascending distance.
-ResultList = "list[tuple[float, int]]"
-
-
-def merge_segment_results(
-    segment_results: Sequence[Sequence[tuple[float, int]]],
-    k: int,
-) -> list[tuple[float, int]]:
-    """First-level merge: segment candidates -> shard result.
-
-    Physical spill stores boundary points in several segments of the same
-    shard, so duplicates are possible and are deduped here.
-    """
-    return merge_top_k(segment_results, k, dedupe=True)
-
-
-def merge_shard_results(
-    shard_results: Sequence[Sequence[tuple[float, int]]],
-    k: int,
-) -> list[tuple[float, int]]:
-    """Second-level merge: shard results -> final topK.
-
-    Hash sharding stores every id in exactly one shard, so no dedupe is
-    needed; we keep it anyway for safety (it is O(total results)).
-    """
-    return merge_top_k(shard_results, k, dedupe=True)
-
-
-# -- batched (multi-query) merges -----------------------------------------------------
-#
-# The batch serving path carries ``(B, k_i)`` id/distance arrays instead of
-# per-query Python lists; both merge levels reduce to one vectorised
+# Online and offline alike carry ``(B, k_i)`` id/distance arrays; both
+# merge levels reduce to one vectorised
 # :func:`~repro.core.topk.batch_top_k` call over the horizontally stacked
-# candidates.  Ordering and dedupe semantics match the list-based merges
-# exactly (ascending ``(distance, id)``, best distance kept per id).
+# candidates: ascending ``(distance, id)``, best distance kept per id.
 
 
 def merge_candidates_batch(
@@ -81,10 +51,12 @@ def merge_segment_results_batch(
     dists: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched first-level merge (dedupes physical-spill duplicates).
+    """First-level merge: segment candidates -> shard result.
 
-    Takes one pre-packed ``(B, C)`` candidate matrix pair -- the shard
-    packs each query's probed-segment results into per-row slots.
+    Physical spill stores boundary points in several segments of the same
+    shard, so duplicates are possible and are deduped here.  Takes one
+    pre-packed ``(B, C)`` candidate matrix pair -- the shard packs each
+    query's probed-segment results into per-row slots.
     """
     return batch_top_k(dists, ids, k, dedupe=True)
 
@@ -106,5 +78,5 @@ def merge_shard_results_batch(
     parts: Sequence[tuple[np.ndarray, np.ndarray]],
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched second-level merge: per-shard blocks -> final topK."""
+    """Second-level merge: per-shard blocks -> final topK."""
     return merge_candidates_batch(parts, k, dedupe=True)

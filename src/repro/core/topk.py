@@ -95,11 +95,10 @@ def batch_top_k(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised per-row top-k over ``(B, C)`` candidate arrays.
 
-    The multi-query counterpart of :func:`repro.utils.heap.merge_top_k`:
-    every row is reduced to its ``k`` best ``(distance, id)`` pairs,
-    ordered ascending by ``(distance, id)`` -- the same tie-break the
-    single-query :class:`~repro.utils.heap.TopKHeap` uses -- with one
-    ``lexsort`` over the whole batch instead of B Python heaps.
+    Every row is reduced to its ``k`` smallest ``(distance, id)`` pairs
+    in ascending ``(distance, id)`` order -- equal distances are ordered
+    by id, so the result is a function of the row's set of pairs, not of
+    their column order -- with one ``lexsort`` over the whole batch.
 
     Parameters
     ----------

@@ -2,9 +2,10 @@
 
 A :class:`Scorer` binds a metric to a data matrix and precomputes whatever
 the metric can reuse across queries (squared norms for Euclidean, row
-normalisation for cosine).  The HNSW inner loop calls
-:meth:`Scorer.score_ids` thousands of times per query, so this path is kept
-allocation-light: a gather (``data[ids]``) plus one fused expression.
+normalisation for cosine).  The HNSW kernels call
+:meth:`Scorer.score_pairs` once per lockstep round -- the one traversal
+scoring call, build side included -- so that path is kept
+allocation-light: two gathers plus one fused expression.
 """
 
 from __future__ import annotations
@@ -116,21 +117,11 @@ class Scorer:
         return rows
 
     # -- query preparation --------------------------------------------------------
-    def prepare_query(self, query: np.ndarray) -> np.ndarray:
-        """Canonicalise one query vector: a batch of one."""
-        query = np.asarray(query, dtype=np.float32)
-        if query.ndim != 1 or query.shape[0] != self.dim:
-            raise ValueError(
-                f"query has shape {query.shape}, expected ({self.dim},)"
-            )
-        return self.prepare_queries(query[np.newaxis, :])[0]
-
     def prepare_queries(self, queries: np.ndarray) -> np.ndarray:
         """Canonicalise a ``(B, d)`` query batch in one pass.
 
-        Row ``i`` of the result equals ``prepare_query(queries[i])``: the
-        per-row operations (norm, divide) are rowwise-independent, so
-        preparation does not depend on batch composition.
+        The per-row operations (norm, divide) are rowwise-independent, so
+        a row's preparation does not depend on batch composition.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
@@ -152,35 +143,6 @@ class Scorer:
         return np.einsum("bd,bd->b", prepared, prepared)
 
     # -- scoring ------------------------------------------------------------------
-    def score_ids(
-        self,
-        query: np.ndarray,
-        ids: np.ndarray,
-        query_sq: float | None = None,
-    ) -> np.ndarray:
-        """Reduced distances from a *prepared* query to rows ``ids``.
-
-        This is the hot path: one gather + one matvec.  ``query_sq`` is
-        the precomputed ``float(query @ query)``; the sequential beam
-        search calls this thousands of times per query with the same
-        query, so callers should compute the norm once and thread it
-        through (mirrors the ``query_sq`` parameter of
-        :meth:`score_pairs`).
-        """
-        self.ops += len(ids)
-        rows = self._data[ids]
-        if self._is_euclidean:
-            dots = rows @ query
-            scores = self._sq_norms[ids] - 2.0 * dots
-            scores += (
-                float(query @ query) if query_sq is None else query_sq
-            )
-            np.maximum(scores, 0.0, out=scores)
-            return scores
-        if self._is_cosine:
-            return 1.0 - rows @ query
-        return -(rows @ query)
-
     def score_pairs(
         self,
         queries: np.ndarray,
@@ -190,12 +152,11 @@ class Scorer:
     ) -> np.ndarray:
         """Reduced distances ``d(queries[query_rows[i]], data[ids[i]])``.
 
-        This is the batched-traversal hot path: the flat counterpart of
-        :meth:`score_ids` that scores many (query, candidate) pairs of a
-        *prepared* ``(B, d)`` batch in one vectorised call.  The per-pair
-        dot is an ``einsum`` row reduction, so every pair's value is
-        independent of which other pairs share the call -- a batch of one
-        produces bit-identical scores to any larger batch.
+        This is the traversal hot path: many (query, candidate) pairs of
+        a *prepared* ``(B, d)`` batch scored in one vectorised call.  The
+        per-pair dot is an ``einsum`` row reduction, so every pair's value
+        is independent of which other pairs share the call -- a batch of
+        one produces bit-identical scores to any larger batch.
 
         Parameters
         ----------
@@ -222,19 +183,6 @@ class Scorer:
         if self._is_cosine:
             return 1.0 - dots
         return -dots
-
-    def score_all(self, query: np.ndarray) -> np.ndarray:
-        """Reduced distances from a *prepared* query to every stored row."""
-        self.ops += self._count
-        data = self.data
-        if self._is_euclidean:
-            scores = self._sq_norms[: self._count] - 2.0 * (data @ query)
-            scores += float(query @ query)
-            np.maximum(scores, 0.0, out=scores)
-            return scores
-        if self._is_cosine:
-            return 1.0 - data @ query
-        return -(data @ query)
 
     def score_all_batch(self, queries: np.ndarray) -> np.ndarray:
         """Reduced distances from a *prepared* ``(B, d)`` batch to all rows.
@@ -282,7 +230,8 @@ class Scorer:
         pending neighbor-selection problem in one vectorised round.  Each
         stack slice is an independent ``(C, d) @ (d, C)`` product, so a
         stack of one is bit-identical to any larger stack (the heuristic
-        relies on this: the sequential insert path is a batch of one).
+        relies on this: a selection never depends on which other
+        problems share its round).
         Padding slots may repeat any valid id; callers mask them out.
         (Padding pairs are counted as work too: they ride the same GEMM.)
         """

@@ -2,8 +2,8 @@
 
 The graph is deliberately simple: for each node we keep one Python list of
 neighbor ids per level the node participates in.  For construction and
-for the *heap* search venue (one query at a time, or a lockstep group too
-small to amortise array overhead) Python lists beat numpy arrays:
+for the *heap* search venue (a lockstep group too small to amortise
+array overhead, down to a single query) Python lists beat numpy arrays:
 neighbor lists are short (<= 2M entries), mutated on every insert, and
 iterated one node at a time in the hot loop.  The *array* venue
 (:func:`repro.hnsw.search.search_arrays`, large query groups) reads a
@@ -182,12 +182,13 @@ class VisitedTable:
     clear.  Tagging each slot with the epoch of its last visit makes reset a
     single integer increment.
 
-    The tags live in a plain Python list (not numpy): the heap kernels'
+    The tags live in a plain Python list (not numpy): the heap kernel's
     inner loop tests one node at a time, and CPython list indexing is an
-    order of magnitude faster than numpy scalar indexing.  ``search_layer``
-    accesses ``tags`` / ``epoch`` directly for the same reason.  The
-    array kernel tests a whole round at once and keeps its tags in
-    :class:`VisitedEpochs` instead.
+    order of magnitude faster than numpy scalar indexing.
+    :func:`~repro.hnsw.search.search_layer_batch` reads and writes
+    ``tags`` / ``epoch`` directly for the same reason: slot ``node`` is
+    visited iff ``tags[node] == epoch``.  The array kernel tests a whole
+    round at once and keeps its tags in :class:`VisitedEpochs` instead.
     """
 
     __slots__ = ("tags", "epoch")
@@ -201,14 +202,6 @@ class VisitedTable:
         if capacity > len(self.tags):
             self.tags.extend([0] * (2 * capacity - len(self.tags)))
         self.epoch += 1
-
-    def visit(self, node: int) -> None:
-        """Mark ``node`` visited in the current epoch."""
-        self.tags[node] = self.epoch
-
-    def visited(self, node: int) -> bool:
-        """Whether ``node`` was visited in the current epoch."""
-        return self.tags[node] == self.epoch
 
 
 class VisitedEpochs:
@@ -260,15 +253,6 @@ class VisitedPool:
 
     def __setstate__(self, state: dict) -> None:
         self._local = threading.local()
-
-    def get(self, capacity: int) -> VisitedTable:
-        """Borrow this thread's table, reset for ``capacity`` nodes."""
-        table = getattr(self._local, "table", None)
-        if table is None:
-            table = VisitedTable(capacity)
-            self._local.table = table
-        table.reset(capacity)
-        return table
 
     def get_many(self, capacity: int, count: int) -> list[VisitedTable]:
         """Borrow ``count`` reset tables for one lockstep batch search.

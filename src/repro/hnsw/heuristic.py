@@ -24,36 +24,6 @@ def select_neighbors_simple(
     return sorted(candidates)[:m]
 
 
-def select_neighbors_heuristic(
-    scorer: Scorer,
-    candidates: list[tuple[float, int]],
-    m: int,
-    *,
-    keep_pruned: bool = True,
-) -> list[tuple[float, int]]:
-    """Diversity-aware neighbor selection (a batch of one problem).
-
-    Parameters
-    ----------
-    scorer:
-        Used to measure candidate-to-candidate distances (reduced space).
-    candidates:
-        ``(reduced_distance_to_query, node)`` pairs, any order.
-    m:
-        Maximum number of neighbors to select.
-    keep_pruned:
-        When ``True``, pad the result with the best discarded candidates
-        (``keepPrunedConnections`` in the paper).
-
-    Returns
-    -------
-    Selected ``(reduced_distance, node)`` pairs, at most ``m``.
-    """
-    return select_neighbors_heuristic_batch(
-        scorer, [candidates], m, keep_pruned=keep_pruned
-    )[0]
-
-
 def select_neighbors_heuristic_batch(
     scorer: Scorer,
     problems: list[list[tuple[float, int]]],
@@ -61,17 +31,35 @@ def select_neighbors_heuristic_batch(
     *,
     keep_pruned: bool = True,
 ) -> list[list[tuple[float, int]]]:
-    """Run many independent neighbor selections in one vectorised round.
+    """Diversity-aware neighbor selection, many problems in one round.
 
-    Problem ``p`` gets exactly the result of
-    :func:`select_neighbors_heuristic` on ``problems[p]``: the candidate
-    ids of every problem that actually needs pruning are padded into one
-    ``(P, C)`` stack and all candidate-to-candidate distances come from a
-    single :meth:`~repro.distance.scorer.Scorer.pairwise_ids_batch` call
-    (each stack slice is an independent GEMM, so grouping problems never
-    changes any problem's distances).  The selection loop then runs on
-    plain Python floats.  This is what the batched construction wave uses
-    to select every (row, layer) neighbor list of a wave at once.
+    The candidate ids of every problem that actually needs pruning are
+    padded into one ``(P, C)`` stack and all candidate-to-candidate
+    distances come from a single
+    :meth:`~repro.distance.scorer.Scorer.pairwise_ids_batch` call (each
+    stack slice is an independent GEMM, so grouping problems never
+    changes any problem's distances: a batch of one selects what any
+    larger batch would).  The selection loop then runs on plain Python
+    floats.  This is what the construction wave uses to select every
+    (row, layer) neighbor list of a wave at once.
+
+    Parameters
+    ----------
+    scorer:
+        Used to measure candidate-to-candidate distances (reduced space).
+    problems:
+        One candidate list per selection: ``(reduced_distance_to_query,
+        node)`` pairs, any order.
+    m:
+        Maximum number of neighbors to select per problem.
+    keep_pruned:
+        When ``True``, pad each result with the best discarded candidates
+        (``keepPrunedConnections`` in the paper).
+
+    Returns
+    -------
+    Per problem, the selected ``(reduced_distance, node)`` pairs, at most
+    ``m``.
     """
     if m <= 0:
         return [[] for _ in problems]

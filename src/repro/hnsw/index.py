@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from repro.distance.scorer import QuantizedStore, Scorer
-from repro.errors import IndexNotBuiltError
+from repro.errors import IndexNotBuiltError, SerializationError
 from repro.hnsw.graph import HnswGraph, PaddedAdjacency, VisitedPool
 from repro.hnsw.heuristic import (
     select_neighbors_heuristic_batch,
@@ -24,10 +24,8 @@ from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (
     beams_as_arrays,
     descend_arrays,
-    descend_to_level,
     descend_to_levels_batch,
     search_arrays,
-    search_layer,
     search_layer_batch,
     sort_candidates,
 )
@@ -35,6 +33,10 @@ from repro.obs.tracing import current_recorder, maybe_span
 from repro.utils.validation import as_matrix, as_vector
 
 _IDS_DTYPE = np.int64
+
+#: Layout version :meth:`HnswIndex.to_arrays` writes and ``from_arrays``
+#: accepts.
+_FORMAT_VERSION = 1
 
 #: Upper bound on queries searched in one lockstep round.  Each lockstep
 #: query needs its own O(num_nodes) visited set, pooled per thread: on
@@ -107,6 +109,9 @@ class HnswIndex:
         # that needs it, dropped by add().
         self._adjacency: PaddedAdjacency | None = None
         self._id_to_row: dict[int, int] = {}
+        # The id add() numbers from when none are given: one past the
+        # largest external id ever stored.
+        self._next_id = 0
         self._rng = np.random.default_rng(self.params.seed)
         self._visited_pool = VisitedPool()
         # Compressed-domain scoring tier: the beam search traverses on
@@ -168,23 +173,23 @@ class HnswIndex:
     def add(self, vectors: np.ndarray, ids: np.ndarray | None = None) -> None:
         """Insert vectors (Algorithm 1 of Malkov & Yashunin).
 
-        With ``params.build_batch > 1`` (the default) rows are inserted
-        in lockstep construction waves (:meth:`_insert_wave`); ``<= 1``
-        keeps the one-row-at-a-time sequential path.  Both paths draw one
-        level per row from the same RNG stream, in row order.
+        Rows are inserted in lockstep construction waves of
+        ``params.build_batch`` rows (:meth:`_insert_wave`); a single row
+        is a wave of one.  One level per row is drawn from the index's
+        RNG stream, in row order, whatever the wave size.
 
         Parameters
         ----------
         vectors:
             Shape ``(n, dim)`` or a single ``(dim,)`` vector.
         ids:
-            Optional external ids, one per vector; must be new.
+            Optional external ids, one per vector; must be new.  Omitted,
+            rows are numbered on from the largest id ever added.
         """
         vectors = as_matrix(vectors, dim=self.dim, name="vectors")
         n = vectors.shape[0]
         if ids is None:
-            start = (max(self._id_to_row) + 1) if self._id_to_row else 0
-            ids = np.arange(start, start + n, dtype=_IDS_DTYPE)
+            ids = np.arange(self._next_id, self._next_id + n, dtype=_IDS_DTYPE)
         else:
             ids = np.asarray(ids, dtype=_IDS_DTYPE)
             if ids.shape != (n,):
@@ -197,6 +202,8 @@ class HnswIndex:
                 raise ValueError("external ids must be non-negative")
             if np.unique(ids).size != n:
                 raise ValueError("duplicate ids within one add() call")
+        if n == 0:
+            return
         if self._id_to_row and n >= 1024:
             # Bulk insert: one vectorised membership check.  The
             # existing-id array costs O(len(index)) to materialise, so
@@ -216,30 +223,30 @@ class HnswIndex:
         rows = self._scorer.add(vectors)
         row_list = rows.tolist()
         self._external_ids.extend(ids.tolist())
+        self._next_id = max(self._next_id, int(ids.max()) + 1)
         self._external_array = None
         self._adjacency = None
         for row, external_id in zip(row_list, ids.tolist()):
             self._id_to_row[external_id] = row
 
-        # One level per row, drawn up-front in row order: both paths
-        # consume the RNG stream identically.
+        # One level per row, drawn up-front in row order: the RNG stream
+        # is consumed identically whatever the wave size.
         levels = [self._draw_level() for _ in range(n)]
-        wave = self.params.build_batch
-        if wave <= 1 or n <= 1:
-            for row, level in zip(row_list, levels):
-                self._insert_row(row, level)
-        else:
-            start = 0
-            if len(self._graph) == 0:
-                # Bootstrap an empty graph: the first row becomes the
-                # entry point the first wave descends from.
-                self._insert_row(row_list[0], levels[0])
-                start = 1
-            for begin in range(start, n, wave):
-                self._insert_wave(
-                    row_list[begin : begin + wave],
-                    levels[begin : begin + wave],
-                )
+        graph = self._graph
+        start = 0
+        if len(graph) == 0:
+            # Bootstrap an empty graph: the first row becomes the entry
+            # point the first wave descends from.
+            graph.add_node(levels[0])
+            graph.entry_point = row_list[0]
+            graph.max_level = levels[0]
+            start = 1
+        wave = max(self.params.build_batch, 1)
+        for begin in range(start, n, wave):
+            self._insert_wave(
+                row_list[begin : begin + wave],
+                levels[begin : begin + wave],
+            )
         if self._quantized is not None:
             # Retrain the codec over the full stored matrix: codes must
             # cover every row before the next search, and refitting on
@@ -257,64 +264,13 @@ class HnswIndex:
         """Pick at most ``m`` links for each candidate list, in one round.
 
         The diversity heuristic (Algorithm 4) unless
-        ``params.use_heuristic`` is off; the sequential insert path
-        passes a batch of one.
+        ``params.use_heuristic`` is off.
         """
         if self.params.use_heuristic:
             return select_neighbors_heuristic_batch(
                 self._scorer, problems, m, keep_pruned=keep_pruned
             )
         return [select_neighbors_simple(problem, m) for problem in problems]
-
-    def _insert_row(self, row: int, level: int) -> None:
-        params = self.params
-        graph = self._graph
-        query = self._scorer.data[row]
-
-        if len(graph) == 0:
-            graph.add_node(level)
-            graph.entry_point = row
-            graph.max_level = level
-            return
-
-        previous_max = graph.max_level
-        graph.add_node(level)
-        visited = self._visited_pool.get(len(graph))
-        # The squared query norm is constant across the whole insert;
-        # hoist it out of the thousands of score_ids calls below.
-        query_sq = float(query @ query)
-
-        # Phase 1: greedy descent through layers above `level`.
-        entry, entry_dist = descend_to_level(
-            graph, self._scorer, query, level, query_sq
-        )
-
-        # Phase 2: beam search and linking from min(level, previous_max) to 0.
-        ef = max(params.ef_construction, 1)
-        entries = [(entry_dist, entry)]
-        for layer in range(min(level, previous_max), -1, -1):
-            visited.reset(len(graph))
-            candidates = search_layer(
-                graph,
-                self._scorer,
-                query,
-                entries,
-                ef,
-                layer,
-                visited,
-                query_sq,
-            )
-            (neighbors,) = self._select_neighbors(
-                [candidates], params.M, params.keep_pruned_connections
-            )
-            graph.set_neighbors(row, layer, [node for _, node in neighbors])
-            max_degree = self._max_degree(layer)
-            for dist, neighbor in neighbors:
-                self._link_back(neighbor, row, dist, layer, max_degree)
-            entries = candidates  # reuse the beam as entries for the next layer
-        if level > previous_max:
-            graph.entry_point = row
-            graph.max_level = level
 
     def _insert_wave(self, rows: list[int], levels: list[int]) -> None:
         """Insert one construction wave through the lockstep batch kernels.
@@ -325,9 +281,9 @@ class HnswIndex:
         distance evaluations into one vectorised call exactly like the
         batched query path.  Because wave members cannot find each other
         by traversal, every row's candidate lists are augmented with its
-        *earlier* wave-mates -- the neighbors sequential insertion would
-        have been able to reach -- scored by one wave-wide GEMM.  Neighbor
-        selection for all (row, layer) problems runs as one
+        *earlier* wave-mates -- the neighbors one-row-at-a-time insertion
+        would have been able to reach -- scored by one wave-wide GEMM.
+        Neighbor selection for all (row, layer) problems runs as one
         :func:`select_neighbors_heuristic_batch` round, and links (forward
         lists plus reverse-link shrinking) are applied in ascending row
         order, so the same seed and wave size always produce the same
@@ -418,7 +374,7 @@ class HnswIndex:
         if overfull:
             self._shrink_links_wave(list(overfull))
 
-        # Entry-point evolution mirrors sequential insertion: the first
+        # Entry point, as if the rows had arrived one by one: the first
         # row to exceed the running maximum takes over.
         running_max = previous_max
         for i in range(count):
@@ -430,22 +386,21 @@ class HnswIndex:
     def _shrink_links_wave(self, targets: list[tuple[int, int]]) -> None:
         """Re-select the out-links of over-full ``(node, layer)`` pairs.
 
-        The wave counterpart of the shrink inside :meth:`_link_back`: all
-        node-to-neighbor distances come from one
+        All node-to-neighbor distances come from one
         :meth:`~repro.distance.scorer.Scorer.score_pairs` call and the
         re-selections run as (at most) two
         :func:`select_neighbors_heuristic_batch` rounds -- one per degree
-        bound -- instead of one small GEMM per over-full edge.  Unlike the
-        sequential path, each node is shrunk once per wave with *every*
-        wave row that linked to it in the candidate set, which can only
-        widen the pool the diversity heuristic picks from.
+        bound -- instead of one small GEMM per over-full edge.  Each node
+        is shrunk once per wave with *every* wave row that linked to it
+        in the candidate set, which can only widen the pool the diversity
+        heuristic picks from.
 
-        Also unlike the sequential shrink, pruned candidates are never
-        kept: an over-full list is being *pruned*, and padding it
-        straight back to the degree bound densifies the graph far beyond
-        the sequential path's degree profile -- which measurably slows
-        every later wave's beam search.  hnswlib's reverse-link shrink
-        makes the same call.
+        Pruned candidates are never kept (``keep_pruned=False``, whatever
+        ``params.keep_pruned_connections`` says): an over-full list is
+        being *pruned*, and padding it straight back to the degree bound
+        densifies the graph far beyond the degree profile a per-edge
+        shrink gives -- which measurably slows every later wave's beam
+        search.  hnswlib's reverse-link shrink makes the same call.
         """
         graph = self._graph
         scorer = self._scorer
@@ -487,28 +442,6 @@ class HnswIndex:
                 graph.set_neighbors(
                     node, layer, [nbr for _, nbr in selected]
                 )
-
-    def _link_back(
-        self, node: int, new_row: int, dist: float, layer: int, max_degree: int
-    ) -> None:
-        """Add the reverse edge ``node -> new_row``, shrinking if over-full."""
-        graph = self._graph
-        neighbors = graph.neighbors(node, layer)
-        if len(neighbors) < max_degree:
-            graph.add_link(node, layer, new_row)
-            return
-        # Over-full: re-select the best `max_degree` among old + new using
-        # the same diversity heuristic, measured from `node`.
-        node_vector = self._scorer.data[node]
-        candidate_ids = neighbors + [new_row]
-        dists = self._scorer.score_ids(
-            node_vector, np.asarray(candidate_ids, dtype=_IDS_DTYPE)
-        )
-        candidates = list(zip(dists.tolist(), candidate_ids))
-        (reselected,) = self._select_neighbors(
-            [candidates], max_degree, self.params.keep_pruned_connections
-        )
-        graph.set_neighbors(node, layer, [nbr for _, nbr in reselected])
 
     # -- search ------------------------------------------------------------------------
     def _search_many(
@@ -736,7 +669,7 @@ class HnswIndex:
         """
         n = len(self._graph)
         payload: dict = {
-            "format_version": np.asarray(1),
+            "format_version": np.asarray(_FORMAT_VERSION),
             "metric": np.asarray(self.metric_name),
             "dim": np.asarray(self.dim),
             "count": np.asarray(n),
@@ -776,6 +709,15 @@ class HnswIndex:
     @classmethod
     def from_arrays(cls, payload: dict) -> "HnswIndex":
         """Inverse of :meth:`to_arrays`."""
+        found = payload.get("format_version")
+        if found is not None:
+            found = np.asarray(found).tolist()
+        if found != _FORMAT_VERSION:
+            raise SerializationError(
+                "HNSW payload format_version is "
+                f"{'missing' if found is None else repr(found)}; "
+                f"this build reads {_FORMAT_VERSION}"
+            )
         params = HnswParams.from_dict(json.loads(str(payload["params_json"])))
         index = cls(
             dim=int(payload["dim"]),
@@ -819,6 +761,7 @@ class HnswIndex:
             )
         index._external_ids = external.tolist()
         index._id_to_row = {ext: row for row, ext in enumerate(index._external_ids)}
+        index._next_id = int(external.max()) + 1
         if index._quantized is not None and "codec_kind" in payload:
             # Codes are restored, not retrained: the persisted codec is
             # the one the offline build fitted on this segment.

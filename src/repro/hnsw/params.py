@@ -29,7 +29,6 @@ class HnswParams:
     max_m0: int | None = None
     ml: float | None = None
     seed: int = 0
-    extend_candidates: bool = False
     keep_pruned_connections: bool = True
     #: Use SELECT-NEIGHBORS-HEURISTIC (True, the paper's choice) or plain
     #: closest-M selection (False; ablation only -- hurts recall on
@@ -43,12 +42,11 @@ class HnswParams:
     #: either way, so a segment that grows past the threshold switches
     #: to graph search transparently.
     min_graph_size: int = 0
-    #: Construction wave size for the batched lockstep insert path:
-    #: :meth:`~repro.hnsw.HnswIndex.add` groups incoming rows into waves
-    #: of this many, descends and beam-searches each wave against a
-    #: snapshot of the graph through the lockstep batch kernels, then
-    #: links in deterministic row order.  ``<= 1`` falls back to the
-    #: one-row-at-a-time sequential insert.  Larger waves amortise more
+    #: Construction wave size: :meth:`~repro.hnsw.HnswIndex.add` groups
+    #: incoming rows into waves of this many, descends and beam-searches
+    #: each wave against a snapshot of the graph through the lockstep
+    #: batch kernels, then links in deterministic row order.  ``0`` and
+    #: ``1`` both mean waves of one row.  Larger waves amortise more
     #: numpy dispatch but search a slightly staler snapshot; the default
     #: matches the serving path's lockstep group size.
     build_batch: int = 64
@@ -133,7 +131,6 @@ class HnswParams:
             "max_m0": self.max_m0,
             "ml": self.ml,
             "seed": self.seed,
-            "extend_candidates": self.extend_candidates,
             "keep_pruned_connections": self.keep_pruned_connections,
             "use_heuristic": self.use_heuristic,
             "min_graph_size": self.min_graph_size,

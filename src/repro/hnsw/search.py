@@ -1,16 +1,18 @@
 """HNSW search primitives: greedy descent and beam search.
 
 These free functions implement ``SEARCH-LAYER`` (Algorithm 2 of Malkov &
-Yashunin) and the greedy single-entry descent used on the upper layers.
-Both the build path and the query path share them.
+Yashunin) and the greedy single-entry descent used on the upper layers,
+for a lockstep group of queries at a time; a single query or a single
+inserted row is a group of one.  Both the build path and the query path
+share them.
 
 Distances are in the scorer's *reduced* space throughout (see
 :mod:`repro.distance.scorer`).
 
-**The beam rule.**  Every beam search in this module -- the sequential
-:func:`search_layer`, the lockstep heaps of :func:`search_layer_batch`
-and the array kernel :func:`search_arrays` -- is the same function of
-its inputs, exact distance ties included:
+**The beam rule.**  Both beam kernels in this module -- the lockstep
+heaps of :func:`search_layer_batch` and the array kernel
+:func:`search_arrays` -- are the same function of their inputs, exact
+distance ties included:
 
     *the beam is the* ``ef`` *smallest* ``(distance, node)`` *pairs seen;
     expand the smallest unexpanded member; stop when none is left.*
@@ -34,7 +36,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.distance.scorer import Scorer
 from repro.hnsw.graph import (
     HnswGraph,
     PaddedAdjacency,
@@ -45,149 +46,15 @@ from repro.hnsw.graph import (
 _IDS_DTYPE = np.int64
 
 
-def greedy_descent(
-    graph: HnswGraph,
-    scorer: Scorer,
-    query: np.ndarray,
-    entry_point: int,
-    entry_dist: float,
-    level: int,
-    query_sq: float | None = None,
-) -> tuple[int, float]:
-    """Greedily walk to the local minimum of ``query`` at ``level``.
-
-    Equivalent to ``SEARCH-LAYER`` with ``ef=1`` but cheaper: it keeps a
-    single current node and moves to any strictly closer neighbor.
-    ``query_sq`` optionally carries the precomputed squared query norm so
-    the caller hoists it out of the descent loop.
-
-    Returns
-    -------
-    (node, reduced_distance) of the local minimum reached.
-    """
-    current, current_dist = entry_point, entry_dist
-    while True:
-        neighbors = graph.neighbors(current, level)
-        if not neighbors:
-            return current, current_dist
-        ids = np.asarray(neighbors, dtype=_IDS_DTYPE)
-        dists = scorer.score_ids(query, ids, query_sq)
-        best = int(np.argmin(dists))
-        best_dist = float(dists[best])
-        if best_dist >= current_dist:
-            return current, current_dist
-        current, current_dist = neighbors[best], best_dist
-
-
-def search_layer(
-    graph: HnswGraph,
-    scorer: Scorer,
-    query: np.ndarray,
-    entry_points: list[tuple[float, int]],
-    ef: int,
-    level: int,
-    visited: VisitedTable,
-    query_sq: float | None = None,
-) -> list[tuple[float, int]]:
-    """Beam search at one layer (``SEARCH-LAYER``, Algorithm 2).
-
-    Parameters
-    ----------
-    entry_points:
-        ``(reduced_distance, node)`` seeds; all are marked visited.
-    ef:
-        Beam width: the size of the dynamic result list.
-    query_sq:
-        Optional precomputed squared query norm, hoisted out of the
-        per-round :meth:`Scorer.score_ids` calls.
-
-    Returns
-    -------
-    Up to ``ef`` ``(reduced_distance, node)`` pairs sorted ascending.
-    """
-    # candidates: min-heap of unexpanded pairs; results: the beam, a
-    # max-heap keyed (-dist, -node) whose root is its largest pair.
-    candidates: list[tuple[float, int]] = []
-    results: list[tuple[float, int]] = []
-    tags, epoch = visited.tags, visited.epoch  # direct access: hot loop
-    for dist, node in entry_points:
-        tags[node] = epoch
-        candidates.append((dist, node))
-        results.append((-dist, -node))
-    heapq.heapify(candidates)
-    heapq.heapify(results)
-
-    while candidates:
-        dist, node = heapq.heappop(candidates)
-        if (
-            dist >= -results[0][0]
-            and len(results) >= ef
-            and (dist > -results[0][0] or node > -results[0][1])
-        ):
-            break  # evicted from the full beam, like all behind it
-        fresh = [
-            neighbor
-            for neighbor in graph.neighbors(node, level)
-            if tags[neighbor] != epoch
-        ]
-        if not fresh:
-            continue
-        for neighbor in fresh:
-            tags[neighbor] = epoch
-        dists = scorer.score_ids(
-            query, np.asarray(fresh, dtype=_IDS_DTYPE), query_sq
-        )
-        worst = -results[0][0]
-        full = len(results) >= ef
-        for neighbor_dist, neighbor in zip(dists.tolist(), fresh):
-            if not full:
-                heapq.heappush(results, (-neighbor_dist, -neighbor))
-                heapq.heappush(candidates, (neighbor_dist, neighbor))
-                full = len(results) >= ef
-                worst = -results[0][0]
-            elif neighbor_dist <= worst and (
-                neighbor_dist < worst or neighbor < -results[0][1]
-            ):
-                heapq.heapreplace(results, (-neighbor_dist, -neighbor))
-                heapq.heappush(candidates, (neighbor_dist, neighbor))
-                worst = -results[0][0]
-    return sorted((-neg_dist, -neg_node) for neg_dist, neg_node in results)
-
-
-def descend_to_level(
-    graph: HnswGraph,
-    scorer: Scorer,
-    query: np.ndarray,
-    target_level: int,
-    query_sq: float | None = None,
-) -> tuple[int, float]:
-    """Greedy-descend from the global entry point down to ``target_level + 1``.
-
-    Returns the entry ``(node, reduced_distance)`` to use at
-    ``target_level``.  The graph must be non-empty.
-    """
-    entry = graph.entry_point
-    entry_dist = float(
-        scorer.score_ids(
-            query, np.asarray([entry], dtype=_IDS_DTYPE), query_sq
-        )[0]
-    )
-    for level in range(graph.max_level, target_level, -1):
-        entry, entry_dist = greedy_descent(
-            graph, scorer, query, entry, entry_dist, level, query_sq
-        )
-    return entry, entry_dist
-
-
 # -- lockstep batch kernels ----------------------------------------------------------
 #
-# The batched query path runs B independent searches "in lockstep": each
-# round, every still-active query contributes the candidate ids it needs
-# scored, the flat union is scored in ONE vectorised Scorer.score_pairs
-# call, and the per-query heap logic then consumes its slice.  Each
-# query's control flow (pop order, visited set, termination) is exactly
-# the single-query algorithm -- only the distance evaluations are pooled
-# -- and score_pairs is batch-composition-invariant, so a batch of one is
+# B independent searches run "in lockstep": each round, every
+# still-active query contributes the candidate ids it needs scored, the
+# flat union is scored in ONE vectorised Scorer.score_pairs call, and the
+# per-query heap logic then consumes its slice.  Each query's control
+# flow (pop order, visited set, termination) is exactly the single-query
+# algorithm -- only the distance evaluations are pooled -- and
+# score_pairs is batch-composition-invariant, so a batch of one is
 # bit-identical to any larger batch.
 
 
@@ -224,9 +91,10 @@ def descend_to_levels_batch(
     """Batched greedy descent with a *per-query* target level.
 
     Query ``i`` of the *prepared* ``(B, d)`` batch walks from the global
-    entry point down through layers ``max_level .. target_levels[i] + 1``
-    and settles where :func:`descend_to_level` would; the result is the
-    per-query entry nodes and reduced entry distances.  The construction
+    entry point down through layers ``max_level .. target_levels[i] + 1``,
+    moving at each to a strictly closer neighbor until none is (a local
+    minimum); the result is the per-query entry nodes and reduced entry
+    distances to use at ``target_levels[i]``.  The construction
     wave needs the per-query targets: each new row stops descending at
     its own drawn level, yet all rows of a wave share every round's
     scoring call (the query path passes all zeros).  The graph must be
@@ -302,14 +170,18 @@ def search_layer_batch(
     cost=None,
     notes: dict | None = None,
 ) -> list[list[tuple[float, int]]]:
-    """Batched :func:`search_layer`: one beam search per query, in lockstep.
+    """Beam search at one layer (``SEARCH-LAYER``, Algorithm 2), one per
+    query, in lockstep.
 
     Parameters
     ----------
     queries:
         Prepared ``(B, d)`` query batch.
     entry_points:
-        Per-query ``(reduced_distance, node)`` seeds.
+        Per-query ``(reduced_distance, node)`` seeds; all are marked
+        visited.
+    ef:
+        Beam width: the size of each query's dynamic result list.
     visited_tables:
         One reset :class:`VisitedTable` per query.
     cost:
@@ -322,11 +194,13 @@ def search_layer_batch(
 
     Returns
     -------
-    Per-query sorted ``(reduced_distance, node)`` lists, each at most
-    ``ef`` long -- identical to running :func:`search_layer` per query.
+    Per-query ``(reduced_distance, node)`` lists sorted ascending, each
+    at most ``ef`` long.
     """
     num_queries = queries.shape[0]
     adjacency = graph._neighbors  # direct slot access: hot loop
+    # Per query -- candidates: min-heap of unexpanded pairs; results: the
+    # beam, a max-heap keyed (-dist, -node) whose root is its largest pair.
     candidates: list[list[tuple[float, int]]] = []
     results: list[list[tuple[float, int]]] = []
     for i in range(num_queries):
@@ -394,7 +268,7 @@ def search_layer_batch(
         )
         flat_dists = dists.tolist()
 
-        # Phase 3: per-query heap updates (same inner loop as search_layer).
+        # Phase 3: per-query heap updates.
         still_active: list[int] = []
         offset = 0
         for i, count in zip(span_rows, span_counts):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.merge import merge_shard_results
+from repro.core.merge import merge_shard_results_batch
 from repro.distance.metrics import get_metric
 from repro.sparklite.cluster import LocalCluster
 from repro.utils.validation import as_matrix
@@ -114,24 +114,13 @@ def brute_force_job(
 
     def make_merge_task(query_rows: np.ndarray):
         def task():
-            merged_ids = np.full((query_rows.size, k), -1, dtype=np.int64)
-            merged_dists = np.full((query_rows.size, k), np.inf)
-            for position, query_row in enumerate(query_rows.tolist()):
-                candidate_lists = [
-                    [
-                        (float(dist), int(item))
-                        for dist, item in zip(
-                            part_dists[query_row], part_ids[query_row]
-                        )
-                        if item >= 0
-                    ]
+            return query_rows, merge_shard_results_batch(
+                [
+                    (part_ids[query_rows], part_dists[query_rows])
                     for part_ids, part_dists in outcome.results
-                ]
-                merged = merge_shard_results(candidate_lists, k)
-                for rank, (dist, item) in enumerate(merged):
-                    merged_ids[position, rank] = item
-                    merged_dists[position, rank] = dist
-            return query_rows, merged_ids, merged_dists
+                ],
+                k,
+            )
 
         return task
 
@@ -149,7 +138,7 @@ def brute_force_job(
     )
     final_ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
     final_dists = np.full((queries.shape[0], k), np.inf)
-    for query_rows, merged_ids, merged_dists in merge_outcome.results:
+    for query_rows, (merged_ids, merged_dists) in merge_outcome.results:
         final_ids[query_rows] = merged_ids
         final_dists[query_rows] = merged_dists
     return final_ids, final_dists

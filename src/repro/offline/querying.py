@@ -24,8 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.merge import merge_segment_results, merge_shard_results
-from repro.core.topk import per_shard_top_k
+from repro.core.merge import (
+    empty_part,
+    merge_segment_results_batch,
+    merge_shard_results_batch,
+)
 from repro.sparklite.cluster import LocalCluster
 from repro.sparklite.metrics import StageMetrics
 from repro.storage.hdfs import LocalHdfs
@@ -134,16 +137,7 @@ def query_index_job(
         if part.size
     ]
 
-    budget = (
-        per_shard_top_k(
-            top_k,
-            config.num_shards,
-            config.topk_confidence,
-            paper_literal=config.paper_literal_probit,
-        )
-        if config.use_per_shard_topk
-        else top_k
-    )
+    budget = config.per_shard_budget(top_k)
 
     # Driver-side routing: which segments does each query probe?
     routes = segmenter.route_query_batch(queries)
@@ -184,64 +178,52 @@ def query_index_job(
     stages.append(outcome.metrics)
 
     # -- stage 2: segment-level merge per (query partition, shard) ----------------
+    # A partition's rows are one contiguous run of query ids, so a global
+    # row's place in its partition's blocks is its offset from the first.
     by_part_shard: dict[tuple[int, int], list] = {}
-    for partial in outcome.results:
-        part_index, shard, rows, ids, dists = partial
+    for part_index, shard, rows, ids, dists in outcome.results:
         if ids is None:
             continue
         by_part_shard.setdefault((part_index, shard), []).append(
-            (rows, ids, dists)
+            (rows - query_parts[part_index][0], ids, dists)
         )
 
     def make_segment_merge_task(key):
         partials = by_part_shard[key]
+        num_rows = query_parts[key[0]].size
 
         def task():
-            merged: dict[int, list[tuple[float, int]]] = {}
-            per_query: dict[int, list] = {}
-            for rows, ids, dists in partials:
-                for position, row in enumerate(rows.tolist()):
-                    found = [
-                        (float(dist), int(item))
-                        for dist, item in zip(dists[position], ids[position])
-                        if item >= 0
-                    ]
-                    per_query.setdefault(row, []).append(found)
-            for row, candidate_lists in per_query.items():
-                merged[row] = merge_segment_results(candidate_lists, budget)
-            return key, merged
+            # One column block per searched segment; rows the segment was
+            # not probed for keep the canvas padding.
+            cand_ids, cand_dists = empty_part(num_rows, len(partials) * budget)
+            for slot, (local_rows, ids, dists) in enumerate(partials):
+                columns = slice(slot * budget, slot * budget + ids.shape[1])
+                cand_ids[local_rows, columns] = ids
+                cand_dists[local_rows, columns] = dists
+            return key, merge_segment_results_batch(cand_ids, cand_dists, budget)
 
         return task
 
-    part_shard_keys = sorted(by_part_shard)
     outcome = cluster.run_tasks(
-        [make_segment_merge_task(key) for key in part_shard_keys],
+        [make_segment_merge_task(key) for key in sorted(by_part_shard)],
         stage="segment-merge",
         checkpoint=checkpoint,
     )
     stages.append(outcome.metrics)
 
     # -- stage 3: shard-level merge per query partition ----------------------------
-    by_part: dict[int, list[dict]] = {}
-    for (part_index, _shard), merged in outcome.results:
-        by_part.setdefault(part_index, []).append(merged)
+    by_part: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for (part_index, _shard), block in outcome.results:
+        by_part.setdefault(part_index, []).append(block)
 
     def make_shard_merge_task(part_index):
-        shard_maps = by_part.get(part_index, [])
+        # No block at all: every segment the partition probed was empty.
+        blocks = by_part.get(part_index) or [
+            empty_part(query_parts[part_index].size, top_k)
+        ]
 
         def task():
-            final: dict[int, list[tuple[float, int]]] = {}
-            rows = set()
-            for shard_map in shard_maps:
-                rows.update(shard_map)
-            for row in rows:
-                shard_lists = [
-                    shard_map[row]
-                    for shard_map in shard_maps
-                    if row in shard_map
-                ]
-                final[row] = merge_shard_results(shard_lists, top_k)
-            return final
+            return merge_shard_results_batch(blocks, top_k)
 
         return task
 
@@ -253,13 +235,10 @@ def query_index_job(
     stages.append(outcome.metrics)
 
     # -- assemble ---------------------------------------------------------------------
-    ids = np.full((num_queries, top_k), -1, dtype=np.int64)
-    dists = np.full((num_queries, top_k), np.inf, dtype=np.float64)
-    for final in outcome.results:
-        for row, results in final.items():
-            for rank, (dist, item) in enumerate(results[:top_k]):
-                ids[row, rank] = item
-                dists[row, rank] = dist
+    ids, dists = empty_part(num_queries, top_k)
+    for part_rows, (part_ids, part_dists) in zip(query_parts, outcome.results):
+        ids[part_rows] = part_ids
+        dists[part_rows] = part_dists
     if output_path is not None:
         import io
 

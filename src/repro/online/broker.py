@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.core.config import LannsConfig
 from repro.core.merge import empty_part, merge_shard_results_batch
-from repro.core.topk import per_shard_top_k
 from repro.net.transport import AsyncSearcherTransport, SearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.cost import SearchCost
@@ -380,16 +379,7 @@ class Broker:
         - **empty batch**: no fan-out happens at all; the budget is only
           computed for batches with at least one row.
         """
-        if not self.config.use_per_shard_topk:
-            return int(top_k)
-        if self.config.sharding == "segment":
-            return int(top_k)
-        return per_shard_top_k(
-            top_k,
-            self.config.num_shards if num_groups is None else num_groups,
-            self.config.topk_confidence,
-            paper_literal=self.config.paper_literal_probit,
-        )
+        return self.config.per_shard_budget(top_k, num_groups)
 
     def effective_ef(self, ef: int | None) -> int:
         """Canonicalise ``ef``: ``None`` means the config's ``ef_search``.

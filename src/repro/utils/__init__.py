@@ -1,6 +1,5 @@
-"""Shared low-level utilities: bounded heaps, RNG helpers, validation."""
+"""Shared low-level utilities: RNG helpers, validation."""
 
-from repro.utils.heap import TopKHeap, merge_top_k
 from repro.utils.rng import resolve_rng, spawn_seeds
 from repro.utils.validation import (
     as_matrix,
@@ -10,8 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "TopKHeap",
-    "merge_top_k",
     "resolve_rng",
     "spawn_seeds",
     "as_matrix",

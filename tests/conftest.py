@@ -33,6 +33,20 @@ def make_clustered(
     return data.astype(np.float32)
 
 
+def prepare_one(scorer, query) -> np.ndarray:
+    """One canonicalised query: row 0 of a prepared batch of one."""
+    return scorer.prepare_queries(np.asarray([query], dtype=np.float32))[0]
+
+
+def score_one(scorer, query: np.ndarray, ids) -> np.ndarray:
+    """Reduced distances from one *prepared* query to stored rows ``ids``:
+    ``score_pairs`` with a batch of one."""
+    ids = np.asarray(ids)
+    return scorer.score_pairs(
+        query[np.newaxis, :], np.zeros(len(ids), dtype=np.int64), ids
+    )
+
+
 @pytest.fixture(scope="session")
 def clustered_data() -> np.ndarray:
     """600 x 16 clustered base vectors."""

@@ -640,6 +640,60 @@ def test_hnsw_index_has_one_search_body():
     assert bodies == ["_search_many"]
 
 
+def test_retired_scalar_paths_stay_deleted():
+    """One construction path, one merge: the sequential insert, its
+    private kernels and the tuple-list merge must not quietly regrow."""
+    retired = {
+        "_insert_row", "_link_back", "search_layer", "greedy_descent",
+        "descend_to_level", "score_ids", "merge_top_k", "TopKHeap",
+    }
+    defined = set()
+    for path in (default_repo_root() / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                defined.add(node.name)
+    assert defined & retired == set()
+
+
+def test_every_config_field_is_read():
+    """A ``HnswParams`` / ``LannsConfig`` field that nothing reads outside
+    the class's own validation and (de)serialization is a dead knob."""
+    from dataclasses import fields
+
+    from repro.core.config import LannsConfig
+    from repro.hnsw.params import HnswParams
+
+    configs = {"HnswParams": HnswParams, "LannsConfig": LannsConfig}
+    plumbing = {"to_dict", "from_dict", "__post_init__"}
+    read = set()
+
+    def collect(node, owner=None):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif (
+            isinstance(node, ast.FunctionDef)
+            and owner in configs
+            and node.name in plumbing
+        ):
+            return
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            collect(child, owner)
+
+    for path in (default_repo_root() / "src" / "repro").rglob("*.py"):
+        collect(ast.parse(path.read_text()))
+    dead = {
+        f"{name}.{field.name}"
+        for name, cls in configs.items()
+        for field in fields(cls)
+        if field.name not in read
+    }
+    assert dead == set()
+
+
 class TestServingTierShape:
     """The broker stays a pipeline over four modules and one clock."""
 

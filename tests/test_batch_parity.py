@@ -50,14 +50,16 @@ def broker(lanns):
 
 
 class TestScorerBatchKernels:
-    def test_prepare_queries_matches_prepare_query(self, clustered_data):
+    def test_prepare_queries_is_batch_invariant(self, clustered_data):
         for metric in ("euclidean", "cosine", "inner_product"):
             scorer = Scorer(metric, clustered_data.shape[1])
             scorer.add(clustered_data[:50])
             batch = scorer.prepare_queries(clustered_data[50:60])
             for row in range(10):
-                single = scorer.prepare_query(clustered_data[50 + row])
-                np.testing.assert_array_equal(batch[row], single)
+                (alone,) = scorer.prepare_queries(
+                    clustered_data[50 + row : 51 + row]
+                )
+                np.testing.assert_array_equal(batch[row], alone)
 
     def test_score_pairs_is_batch_invariant(self, clustered_data):
         """The same (query, id) pair scores identically in any batch."""
@@ -80,7 +82,7 @@ class TestScorerBatchKernels:
                 )
                 assert alone[0] == full[pair], (metric, pair)
 
-    def test_score_all_batch_matches_score_all(self, clustered_data):
+    def test_score_all_batch_rows_match_a_batch_of_one(self, clustered_data):
         for metric in ("euclidean", "cosine", "inner_product"):
             scorer = Scorer(metric, clustered_data.shape[1])
             scorer.add(clustered_data[:80])
@@ -90,7 +92,7 @@ class TestScorerBatchKernels:
             for row in range(5):
                 np.testing.assert_allclose(
                     block[row],
-                    scorer.score_all(queries[row]),
+                    scorer.score_all_batch(queries[row : row + 1])[0],
                     rtol=1e-5,
                     atol=1e-4,
                 )

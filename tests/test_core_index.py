@@ -6,7 +6,7 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.index import LannsIndex, ShardIndex
-from repro.core.merge import merge_segment_results, merge_shard_results
+from repro.core.merge import merge_segment_results_batch, merge_shard_results_batch
 from repro.errors import IndexNotBuiltError
 from repro.hnsw.index import build_hnsw
 from repro.segmenters.random_segmenter import RandomSegmenter
@@ -32,14 +32,23 @@ def lanns(clustered_data, config):
 
 class TestMergeFunctions:
     def test_segment_merge_dedupes(self):
-        merged = merge_segment_results([[(2.0, 5)], [(1.0, 5), (3.0, 6)]], 2)
-        assert merged == [(1.0, 5), (3.0, 6)]
+        ids, dists = merge_segment_results_batch(
+            np.array([[5, 5, 6]]), np.array([[2.0, 1.0, 3.0]]), 2
+        )
+        assert ids.tolist() == [[5, 6]]
+        assert dists.tolist() == [[1.0, 3.0]]
 
     def test_shard_merge_global_topk(self):
-        merged = merge_shard_results(
-            [[(4.0, 1), (5.0, 2)], [(1.0, 3)], [(2.0, 4)]], 3
+        ids, dists = merge_shard_results_batch(
+            [
+                (np.array([[1, 2]]), np.array([[4.0, 5.0]])),
+                (np.array([[3, -1]]), np.array([[1.0, np.inf]])),
+                (np.array([[4, -1]]), np.array([[2.0, np.inf]])),
+            ],
+            3,
         )
-        assert merged == [(1.0, 3), (2.0, 4), (4.0, 1)]
+        assert ids.tolist() == [[3, 4, 1]]
+        assert dists.tolist() == [[1.0, 2.0, 4.0]]
 
 
 class TestShardIndex:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.distance.metrics import get_metric
 from repro.distance.scorer import Scorer
+from tests.conftest import prepare_one, score_one
 
 
 @pytest.fixture
@@ -47,13 +48,13 @@ class TestStorage:
 
 class TestScoring:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "inner_product"])
-    def test_score_ids_matches_metric(self, rng, metric):
+    def test_score_pairs_matches_metric(self, rng, metric):
         data = rng.normal(size=(30, 12)).astype(np.float32)
         scorer = Scorer(metric, 12)
         scorer.add(data)
-        query = scorer.prepare_query(rng.normal(size=12).astype(np.float32))
+        query = prepare_one(scorer, rng.normal(size=12))
         ids = np.array([0, 5, 7, 29])
-        reduced = scorer.score_ids(query, ids)
+        reduced = score_one(scorer, query, ids)
         true = scorer.to_true(reduced)
         # Compare against the metric applied to the *stored* vectors
         # (cosine stores normalised rows) to the *prepared* query.
@@ -61,15 +62,15 @@ class TestScoring:
         np.testing.assert_allclose(true, expected, rtol=1e-4, atol=1e-4)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "inner_product"])
-    def test_score_all_matches_score_ids(self, rng, metric):
+    def test_score_all_batch_matches_score_pairs(self, rng, metric):
         data = rng.normal(size=(25, 6)).astype(np.float32)
         scorer = Scorer(metric, 6)
         scorer.add(data)
-        query = scorer.prepare_query(rng.normal(size=6).astype(np.float32))
-        all_scores = scorer.score_all(query)
+        query = prepare_one(scorer, rng.normal(size=6))
+        (all_scores,) = scorer.score_all_batch(query[np.newaxis, :])
         ids = np.arange(25)
         np.testing.assert_allclose(
-            all_scores, scorer.score_ids(query, ids), rtol=1e-5, atol=1e-5
+            all_scores, score_one(scorer, query, ids), rtol=1e-5, atol=1e-5
         )
 
     def test_cosine_rows_are_normalised(self, rng):
@@ -84,24 +85,24 @@ class TestScoring:
         scorer.add(np.zeros((1, 3), dtype=np.float32))
         np.testing.assert_array_equal(scorer.data[0], 0.0)
 
-    def test_prepare_query_normalises_for_cosine(self, rng):
+    def test_prepare_queries_normalises_for_cosine(self, rng):
         scorer = Scorer("cosine", 4)
-        query = scorer.prepare_query(
-            np.array([3.0, 0.0, 0.0, 4.0], dtype=np.float32)
-        )
+        query = prepare_one(scorer, [3.0, 0.0, 0.0, 4.0])
         assert np.linalg.norm(query) == pytest.approx(1.0)
 
-    def test_prepare_query_shape_check(self):
+    def test_prepare_queries_shape_check(self):
         scorer = Scorer("euclidean", 4)
         with pytest.raises(ValueError):
-            scorer.prepare_query(np.ones(5, dtype=np.float32))
+            scorer.prepare_queries(np.ones((1, 5), dtype=np.float32))
+        with pytest.raises(ValueError):
+            scorer.prepare_queries(np.ones(4, dtype=np.float32))
 
     def test_euclidean_scores_non_negative(self, rng):
         data = rng.normal(size=(40, 7)).astype(np.float32)
         scorer = Scorer("euclidean", 7)
         scorer.add(data)
-        query = scorer.prepare_query(data[3])
-        assert (scorer.score_all(query) >= 0.0).all()
+        queries = scorer.prepare_queries(data[3:4])
+        assert (scorer.score_all_batch(queries) >= 0.0).all()
 
 
 class TestPairwiseIds:
@@ -113,7 +114,7 @@ class TestPairwiseIds:
         ids = np.array([1, 4, 9, 15])
         cross = scorer.pairwise_ids(ids)
         for i, a in enumerate(ids):
-            row = scorer.score_ids(scorer.data[a], ids)
+            row = score_one(scorer, scorer.data[a], ids)
             np.testing.assert_allclose(cross[i], row, rtol=1e-4, atol=1e-3)
 
     def test_diagonal_is_self_distance(self, rng):

@@ -82,27 +82,30 @@ class TestHnswGraph:
 
 
 class TestVisitedTable:
+    """The kernels read ``tags`` / ``epoch`` directly: slot ``node`` is
+    visited iff ``tags[node] == epoch``."""
+
     def test_visit_and_reset(self):
         table = VisitedTable(4)
         table.reset(4)
-        assert not table.visited(2)
-        table.visit(2)
-        assert table.visited(2)
+        assert table.tags[2] != table.epoch
+        table.tags[2] = table.epoch
+        assert table.tags[2] == table.epoch
         table.reset(4)
-        assert not table.visited(2)
+        assert table.tags[2] != table.epoch
 
     def test_grows_on_demand(self):
         table = VisitedTable(2)
         table.reset(100)
-        table.visit(99)
-        assert table.visited(99)
+        table.tags[99] = table.epoch
+        assert table.tags[99] == table.epoch
 
     def test_epochs_isolate_searches(self):
         table = VisitedTable(8)
         for _ in range(100):
             table.reset(8)
-            assert not table.visited(3)
-            table.visit(3)
+            assert table.tags[3] != table.epoch
+            table.tags[3] = table.epoch
 
 
 class TestPaddedAdjacency:
@@ -161,21 +164,21 @@ class TestVisitedEpochs:
 class TestVisitedPool:
     def test_same_thread_reuses_table(self):
         pool = VisitedPool()
-        first = pool.get(10)
-        first.visit(5)
-        second = pool.get(10)
+        (first,) = pool.get_many(10, 1)
+        first.tags[5] = first.epoch
+        (second,) = pool.get_many(10, 1)
         assert second is first
-        assert not second.visited(5)  # reset happened
+        assert second.tags[5] != second.epoch  # reset happened
 
     def test_threads_get_distinct_tables(self):
         import threading
 
         pool = VisitedPool()
-        main_table = pool.get(10)
+        (main_table,) = pool.get_many(10, 1)
         seen = {}
 
         def worker():
-            seen["table"] = pool.get(10)
+            (seen["table"],) = pool.get_many(10, 1)
 
         thread = threading.Thread(target=worker)
         thread.start()

@@ -4,9 +4,10 @@ import numpy as np
 
 from repro.distance.scorer import Scorer
 from repro.hnsw.heuristic import (
-    select_neighbors_heuristic,
+    select_neighbors_heuristic_batch,
     select_neighbors_simple,
 )
+from tests.conftest import prepare_one, score_one
 
 
 def scorer_with(points):
@@ -17,9 +18,16 @@ def scorer_with(points):
 
 
 def candidates_for(scorer, query, ids):
-    query = scorer.prepare_query(np.asarray(query, dtype=np.float32))
-    dists = scorer.score_ids(query, np.asarray(ids))
+    dists = score_one(scorer, prepare_one(scorer, query), ids)
     return list(zip(dists.tolist(), ids))
+
+
+def select_one(scorer, candidates, m, **options):
+    """One selection problem: a batch of one."""
+    (selected,) = select_neighbors_heuristic_batch(
+        scorer, [candidates], m, **options
+    )
+    return selected
 
 
 class TestSimpleSelection:
@@ -35,12 +43,12 @@ class TestSimpleSelection:
 
 class TestHeuristicSelection:
     def test_zero_m(self):
-        assert select_neighbors_heuristic(scorer_with([[0.0, 0.0]]), [(1.0, 0)], 0) == []
+        assert select_one(scorer_with([[0.0, 0.0]]), [(1.0, 0)], 0) == []
 
     def test_short_input_passthrough(self):
         scorer = scorer_with([[0.0, 0.0], [1.0, 0.0]])
         candidates = [(1.0, 1), (0.5, 0)]
-        assert select_neighbors_heuristic(scorer, candidates, 5) == sorted(
+        assert select_one(scorer, candidates, 5) == sorted(
             candidates
         )
 
@@ -60,7 +68,7 @@ class TestHeuristicSelection:
         ]
         scorer = scorer_with(points)
         candidates = candidates_for(scorer, [0.0, 0.0], [0, 1, 2, 3])
-        selected = select_neighbors_heuristic(
+        selected = select_one(
             scorer, candidates, 2, keep_pruned=False
         )
         selected_ids = {node for _, node in selected}
@@ -80,10 +88,10 @@ class TestHeuristicSelection:
         ]
         scorer = scorer_with(points)
         candidates = candidates_for(scorer, [0.0, 0.0], [0, 1, 2, 3])
-        padded = select_neighbors_heuristic(
+        padded = select_one(
             scorer, candidates, 3, keep_pruned=True
         )
-        unpadded = select_neighbors_heuristic(
+        unpadded = select_one(
             scorer, candidates, 3, keep_pruned=False
         )
         assert len(padded) == 3
@@ -95,7 +103,7 @@ class TestHeuristicSelection:
         scorer = scorer_with(points)
         candidates = candidates_for(scorer, rng.normal(size=4), list(range(50)))
         for m in (1, 5, 20):
-            assert len(select_neighbors_heuristic(scorer, candidates, m)) <= m
+            assert len(select_one(scorer, candidates, m)) <= m
 
     def test_selected_are_subset_of_candidates(self):
         rng = np.random.default_rng(1)
@@ -103,5 +111,5 @@ class TestHeuristicSelection:
         scorer = scorer_with(points)
         ids = list(range(0, 30, 2))
         candidates = candidates_for(scorer, rng.normal(size=3), ids)
-        selected = select_neighbors_heuristic(scorer, candidates, 5)
+        selected = select_one(scorer, candidates, 5)
         assert {node for _, node in selected} <= set(ids)

@@ -46,6 +46,16 @@ class TestConstruction:
         index.add(clustered_data[3:5])
         assert set(index.external_ids.tolist()) == {10, 20, 30, 31, 32}
 
+    def test_auto_ids_follow_the_largest_id_ever_added(self, clustered_data):
+        """Mixed explicit / implicit adds: the running next id is one past
+        the maximum, not one past the last."""
+        index = HnswIndex(dim=clustered_data.shape[1], params=FAST_HNSW)
+        index.add(clustered_data[:2], ids=np.array([10, 3]))
+        index.add(clustered_data[2])
+        index.add(clustered_data[3:5], ids=np.array([4, 7]))
+        index.add(clustered_data[5:7])
+        assert index.external_ids.tolist() == [10, 3, 11, 4, 7, 12, 13]
+
     def test_id_shape_mismatch_rejected(self, clustered_data):
         index = HnswIndex(dim=clustered_data.shape[1], params=FAST_HNSW)
         with pytest.raises(ValueError, match="shape"):

@@ -1,111 +1,108 @@
-"""Tests for the HNSW search primitives on hand-built graphs."""
+"""Tests for the HNSW search primitives on hand-built graphs.
+
+Every case drives the lockstep kernels with a batch of one: a single
+query is a group of one, so these are the kernels' single-query
+semantics.
+"""
 
 import numpy as np
 import pytest
 
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import HnswGraph, VisitedTable
-from repro.hnsw.search import descend_to_level, greedy_descent, search_layer
+from repro.hnsw.search import descend_to_levels_batch, search_layer_batch
+from tests.conftest import prepare_one, score_one
 
 
-def line_graph(num_points: int):
-    """Points at x=0..n-1 on a line, chained bidirectionally at level 0."""
+def line_graph(num_points: int, level: int = 0):
+    """Points at x=0..n-1 on a line, chained bidirectionally at ``level``
+    (every node participates in layers ``0..level``; lower layers stay
+    unlinked)."""
     scorer = Scorer("euclidean", 2)
     points = np.zeros((num_points, 2), dtype=np.float32)
     points[:, 0] = np.arange(num_points)
     scorer.add(points)
     graph = HnswGraph()
     for _index in range(num_points):
-        graph.add_node(0)
+        graph.add_node(level)
     for index in range(num_points - 1):
-        graph.add_link(index, 0, index + 1)
-        graph.add_link(index + 1, 0, index)
+        graph.add_link(index, level, index + 1)
+        graph.add_link(index + 1, level, index)
     graph.entry_point = 0
-    graph.max_level = 0
+    graph.max_level = level
     return graph, scorer
+
+
+def descend(graph, scorer, point, target_level=0):
+    """Greedy descent of one query to ``target_level``: (node, distance)."""
+    nodes, dists = descend_to_levels_batch(
+        graph, scorer, prepare_one(scorer, point)[np.newaxis, :], [target_level]
+    )
+    return nodes[0], dists[0]
+
+
+def beam(graph, scorer, point, entry, ef):
+    """Base-layer beam search of one query seeded at ``entry``."""
+    query = prepare_one(scorer, point)
+    entry_dist = float(score_one(scorer, query, [entry])[0])
+    table = VisitedTable(len(graph))
+    table.reset(len(graph))
+    (results,) = search_layer_batch(
+        graph, scorer, query[np.newaxis, :], [[(entry_dist, entry)]], ef, 0, [table]
+    )
+    return results
 
 
 class TestGreedyDescent:
     def test_walks_to_local_minimum(self):
-        graph, scorer = line_graph(10)
-        query = scorer.prepare_query(np.array([7.2, 0.0], dtype=np.float32))
-        entry_dist = float(scorer.score_ids(query, np.array([0]))[0])
-        node, dist = greedy_descent(graph, scorer, query, 0, entry_dist, 0)
+        # The chain lives on layer 1, so descending to layer 0 walks it.
+        graph, scorer = line_graph(10, level=1)
+        node, dist = descend(graph, scorer, [7.2, 0.0])
         assert node == 7
         assert dist == pytest.approx((7.2 - 7.0) ** 2, abs=1e-4)
 
     def test_stays_put_when_no_improvement(self):
-        graph, scorer = line_graph(5)
-        query = scorer.prepare_query(np.array([0.0, 0.0], dtype=np.float32))
-        entry_dist = float(scorer.score_ids(query, np.array([0]))[0])
-        node, _ = greedy_descent(graph, scorer, query, 0, entry_dist, 0)
+        graph, scorer = line_graph(5, level=1)
+        node, _ = descend(graph, scorer, [0.0, 0.0])
         assert node == 0
 
     def test_isolated_node_returns_itself(self):
         scorer = Scorer("euclidean", 2)
         scorer.add(np.zeros((1, 2), dtype=np.float32))
         graph = HnswGraph()
-        graph.add_node(0)
+        graph.add_node(1)
         graph.entry_point = 0
-        graph.max_level = 0
-        query = scorer.prepare_query(np.ones(2, dtype=np.float32))
-        node, _ = greedy_descent(graph, scorer, query, 0, 2.0, 0)
+        graph.max_level = 1
+        node, dist = descend(graph, scorer, [1.0, 1.0])
         assert node == 0
+        assert dist == pytest.approx(2.0)
 
 
 class TestSearchLayer:
     def test_finds_all_near_neighbors_on_line(self):
         graph, scorer = line_graph(20)
-        query = scorer.prepare_query(np.array([10.0, 0.0], dtype=np.float32))
-        visited = VisitedTable(20)
-        visited.reset(20)
-        entry_dist = float(scorer.score_ids(query, np.array([0]))[0])
-        results = search_layer(
-            graph, scorer, query, [(entry_dist, 0)], ef=5, level=0,
-            visited=visited,
-        )
+        results = beam(graph, scorer, [10.0, 0.0], entry=0, ef=5)
         found = [node for _, node in results]
         assert found[0] == 10
         assert set(found) == {8, 9, 10, 11, 12}
 
     def test_results_sorted_ascending(self):
         graph, scorer = line_graph(15)
-        query = scorer.prepare_query(np.array([3.4, 0.0], dtype=np.float32))
-        visited = VisitedTable(15)
-        visited.reset(15)
-        entry_dist = float(scorer.score_ids(query, np.array([14]))[0])
-        results = search_layer(
-            graph, scorer, query, [(entry_dist, 14)], ef=6, level=0,
-            visited=visited,
-        )
+        results = beam(graph, scorer, [3.4, 0.0], entry=14, ef=6)
         dists = [dist for dist, _ in results]
         assert dists == sorted(dists)
 
     def test_beam_width_bounds_results(self):
         graph, scorer = line_graph(30)
-        query = scorer.prepare_query(np.array([15.0, 0.0], dtype=np.float32))
         for ef in (1, 3, 8):
-            visited = VisitedTable(30)
-            visited.reset(30)
-            entry_dist = float(scorer.score_ids(query, np.array([0]))[0])
-            results = search_layer(
-                graph, scorer, query, [(entry_dist, 0)], ef=ef, level=0,
-                visited=visited,
-            )
+            results = beam(graph, scorer, [15.0, 0.0], entry=0, ef=ef)
             assert len(results) <= ef
 
     def test_respects_pre_visited_entries(self):
         graph, scorer = line_graph(6)
-        query = scorer.prepare_query(np.array([0.0, 0.0], dtype=np.float32))
-        visited = VisitedTable(6)
-        visited.reset(6)
-        entry_dist = float(scorer.score_ids(query, np.array([0]))[0])
-        results = search_layer(
-            graph, scorer, query, [(entry_dist, 0)], ef=10, level=0,
-            visited=visited,
-        )
-        # Every reachable node fits in the beam.
-        assert len(results) == 6
+        results = beam(graph, scorer, [0.0, 0.0], entry=0, ef=10)
+        # Every reachable node fits in the beam, the seed exactly once.
+        assert sorted(node for _, node in results) == list(range(6))
 
 
 class TestDescendToLevel:
@@ -127,7 +124,6 @@ class TestDescendToLevel:
         graph.add_link(9, 1, 0)
         graph.entry_point = 0
         graph.max_level = 1
-        query = scorer.prepare_query(np.array([8.6, 0.0], dtype=np.float32))
-        entry, dist = descend_to_level(graph, scorer, query, 0)
+        entry, _ = descend(graph, scorer, [8.6, 0.0])
         # Level-1 descent should jump to node 9 (closer than node 0).
         assert entry == 9

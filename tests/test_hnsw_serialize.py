@@ -1,8 +1,11 @@
 """Tests for HNSW persistence: array payloads, files, byte buffers."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.errors import SerializationError
 from repro.hnsw.index import HnswIndex, build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.storage.manifest import hnsw_from_bytes, hnsw_to_bytes
@@ -67,6 +70,37 @@ class TestArrayRoundtrip:
             restored.params.effective_max_m,
             restored.params.effective_max_m0,
         )
+
+
+    def test_restored_index_numbers_new_rows_on(self, small_index, clustered_data):
+        """Ids run to 597 (3 * 199); an id-less add continues at 598."""
+        restored = HnswIndex.from_arrays(small_index.to_arrays())
+        restored.add(clustered_data[200:202])
+        assert restored.external_ids[-2:].tolist() == [598, 599]
+
+    @pytest.mark.parametrize("version", [2, 0, "1"])
+    def test_unknown_format_version_rejected(self, small_index, version):
+        payload = small_index.to_arrays()
+        payload["format_version"] = np.asarray(version)
+        with pytest.raises(SerializationError, match=f"format_version is {version!r}"):
+            HnswIndex.from_arrays(payload)
+
+    def test_missing_format_version_rejected(self, small_index):
+        payload = small_index.to_arrays()
+        del payload["format_version"]
+        with pytest.raises(SerializationError, match="format_version is missing"):
+            HnswIndex.from_arrays(payload)
+
+    def test_params_json_from_an_older_build_loads(self, small_index):
+        """``extend_candidates`` was a field nothing read; payloads that
+        still carry it load, and the key is simply dropped."""
+        payload = small_index.to_arrays()
+        params = json.loads(str(payload["params_json"]))
+        assert "extend_candidates" not in params
+        payload["params_json"] = np.asarray(
+            json.dumps({**params, "extend_candidates": False})
+        )
+        assert HnswIndex.from_arrays(payload).params == small_index.params
 
 
 class TestFileRoundtrip:

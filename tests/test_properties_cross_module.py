@@ -16,7 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge import merge_segment_results, merge_shard_results
+from repro.core.merge import (
+    empty_part,
+    merge_segment_results_batch,
+    merge_shard_results_batch,
+)
 from repro.core.topk import batch_top_k, per_shard_top_k
 from repro.distance.scorer import Scorer
 from repro.hnsw.index import build_hnsw
@@ -63,9 +67,10 @@ class TestPartitioningTransparency:
         sharder = HashSharder(num_shards)
         rng = np.random.default_rng(0)
         segment_of = rng.integers(0, num_segments, size=n)
-        shard_results = []
+        shard_parts = []
         for shard in range(num_shards):
-            segment_lists = []
+            # One k-wide block per segment, side by side on one canvas.
+            cand_ids, cand_dists = empty_part(1, num_segments * k)
             for segment in range(num_segments):
                 rows = np.asarray(
                     [
@@ -81,18 +86,14 @@ class TestPartitioningTransparency:
                 ids, dists = exact_top_k(
                     data[rows], query[np.newaxis], min(k, rows.size)
                 )
-                segment_lists.append(
-                    [
-                        (float(dist), int(rows[item]))
-                        for dist, item in zip(dists[0], ids[0])
-                    ]
-                )
-            if segment_lists:
-                shard_results.append(
-                    merge_segment_results(segment_lists, k)
-                )
-        merged = merge_shard_results(shard_results, k)
-        assert [item for _, item in merged] == global_ids[0].tolist()
+                columns = slice(segment * k, segment * k + ids.shape[1])
+                cand_ids[0, columns] = rows[ids[0]]
+                cand_dists[0, columns] = dists[0]
+            shard_parts.append(
+                merge_segment_results_batch(cand_ids, cand_dists, k)
+            )
+        merged_ids, _ = merge_shard_results_batch(shard_parts, k)
+        assert merged_ids[0].tolist() == global_ids[0].tolist()
 
     @given(st.integers(1, 64), st.integers(1, 1000))
     @settings(max_examples=60, deadline=None)
@@ -100,6 +101,60 @@ class TestPartitioningTransparency:
         budget = per_shard_top_k(top_k, num_shards, 0.95)
         assert 1 <= budget <= top_k
         assert budget * num_shards >= top_k
+
+
+def top_k_oracle(pairs, k, dedupe):
+    """The ``k`` smallest ``(distance, id)`` pairs, one per id if ``dedupe``."""
+    # Descending order, so an id's last write is its smallest distance.
+    best = {}
+    for slot, (dist, item) in enumerate(sorted(pairs, reverse=True)):
+        best[item if dedupe else slot] = (dist, item)
+    return sorted(best.values())[:k]
+
+
+#: One candidate slot: padding, or a pair drawn from few distinct
+#: distances and ids, so exact ties and duplicate ids are the rule.
+candidate_slot = st.none() | st.tuples(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(0, 10, allow_nan=False),
+    st.integers(0, 12),
+)
+
+
+class TestBatchTopKAgainstOracle:
+    """``batch_top_k`` is the one implementation of both merge levels;
+    its reference is a sort over a dict, written here."""
+
+    @given(
+        st.integers(0, 16).flatmap(
+            lambda num_cols: st.lists(
+                st.lists(candidate_slot, min_size=num_cols, max_size=num_cols),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.integers(1, 20),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_sorted_dict(self, rows, k, dedupe):
+        dists = np.array(
+            [[np.inf if slot is None else slot[0] for slot in row] for row in rows],
+            dtype=np.float64,
+        ).reshape(len(rows), -1)
+        ids = np.array(
+            [[-1 if slot is None else slot[1] for slot in row] for row in rows],
+            dtype=np.int64,
+        ).reshape(len(rows), -1)
+        got_ids, got_dists = batch_top_k(dists, ids, k, dedupe=dedupe)
+        assert got_ids.shape == got_dists.shape == (len(rows), k)
+        for row, slots in enumerate(rows):
+            pairs = [slot for slot in slots if slot is not None]
+            expected = top_k_oracle(pairs, k, dedupe)
+            found = len(expected)
+            assert list(zip(got_dists[row], got_ids[row]))[:found] == expected
+            # Past the real results: only padding.
+            assert (got_ids[row, found:] == -1).all()
+            assert np.isinf(got_dists[row, found:]).all()
 
 
 def random_candidates(rng, num_rows, num_cols):

@@ -102,10 +102,10 @@ class TestProductQuantizerFixes:
             np.testing.assert_allclose(dists, exact)
 
 
-# -- satellite: score_ids query_sq --------------------------------------------------
+# -- satellite: score_pairs query_sq ------------------------------------------------
 
 
-class TestScoreIdsQuerySq:
+class TestScorePairsQuerySq:
     @pytest.mark.parametrize(
         "metric", ["euclidean", "cosine", "inner_product"]
     )
@@ -113,10 +113,13 @@ class TestScoreIdsQuerySq:
         data = _corpus(n=200, dim=12)
         scorer = Scorer(metric, 12)
         scorer.add(data)
-        query = scorer.prepare_query(_corpus(n=1, dim=12, seed=9)[0])
+        queries = scorer.prepare_queries(_corpus(n=1, dim=12, seed=9))
         ids = np.arange(0, 200, 3, dtype=np.int64)
-        baseline = scorer.score_ids(query, ids)
-        threaded = scorer.score_ids(query, ids, float(query @ query))
+        rows = np.zeros(ids.size, dtype=np.int64)
+        baseline = scorer.score_pairs(queries, rows, ids)
+        threaded = scorer.score_pairs(
+            queries, rows, ids, scorer.query_sq_norms(queries)
+        )
         np.testing.assert_array_equal(baseline, threaded)
 
 

@@ -43,7 +43,7 @@ from repro.hnsw.index import (
     HnswIndex,
     build_hnsw,
 )
-from repro.hnsw.search import search_arrays, search_layer, search_layer_batch
+from repro.hnsw.search import search_arrays, search_layer_batch
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.online.microbatch import MicroBatcher
@@ -264,10 +264,9 @@ class TestVenues:
     per-thread scratch, and a snapshot to invalidate."""
 
     @pytest.mark.parametrize("metric", METRICS)
-    def test_three_kernels_one_beam_rule(self, all_indices, query_sets, metric):
-        """``search_layer`` (the sequential build path) is never a query
-        path, so the matrix above cannot reach it: here all three beam
-        kernels search the tied corpus from the same seed."""
+    def test_two_kernels_one_beam_rule(self, all_indices, query_sets, metric):
+        """Both beam kernels search the tied corpus from the same seed,
+        below the index's venue choice: heap vs array, kernel to kernel."""
         index = all_indices["lattice", "float", metric]
         graph, scorer = index.graph, index._scorer
         queries = scorer.prepare_queries(query_sets["lattice"][:_ARRAY_MIN_ROWS])
@@ -282,23 +281,6 @@ class TestVenues:
             pool.get_many(len(graph), rows), query_sq,
         )
 
-        class PairArithmetic:
-            """``score_ids`` through ``score_pairs``: the sequential
-            kernel's own scoring call is a matvec with other rounding."""
-
-            @staticmethod
-            def score_ids(query, ids, query_sq=None):
-                return scorer.score_pairs(
-                    query[np.newaxis, :], np.zeros(len(ids), dtype=np.int64), ids
-                )
-
-        sequential = [
-            search_layer(
-                graph, PairArithmetic, queries[row], seeds[row], K, 0,
-                pool.get(len(graph)),
-            )
-            for row in range(rows)
-        ]
         ids, dists = search_arrays(
             graph.padded(), scorer, queries, entries, entry_dists, K,
             pool.get_epochs(len(graph), rows), query_sq,
@@ -311,7 +293,7 @@ class TestVenues:
             ]
             for row in range(rows)
         ]
-        assert sequential == lockstep == arrays
+        assert lockstep == arrays
         # The corpus does what it is for: beams end inside a tie.
         assert any(beam[-1][0] == beam[-2][0] for beam in lockstep)
 
