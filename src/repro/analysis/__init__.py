@@ -3,10 +3,10 @@
 Two halves:
 
 - an AST invariant linter (``python -m repro.analysis`` /
-  ``repro.cli lint``) with five checkers tuned to this codebase:
-  lock-discipline, asyncio-hygiene, determinism, error-discipline and
-  wire-protocol sync, filtered through a justified suppression
-  baseline (``baseline.toml``);
+  ``repro.cli lint``) with four checkers tuned to this codebase:
+  lock-discipline, asyncio-hygiene, determinism and error-discipline,
+  filtered through a justified suppression baseline
+  (``baseline.toml``);
 - a runtime concurrency sanitizer (:mod:`repro.analysis.sanitizer`)
   enabled by ``REPRO_SANITIZE=1`` that instruments every lock created
   after install, detects lock-order inversions and blocking calls made

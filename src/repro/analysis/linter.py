@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import check_async, check_determinism, check_errors, check_locks
 from .baseline import BaselineError, apply_baseline, load_baseline
-from .check_wire import run_wire
 from .diagnostics import Finding, ModuleSource
 
 #: Kernel modules whose outputs are pinned bit-identical.
@@ -36,12 +35,6 @@ ORDER_SCOPE = (
 ASYNC_SCOPE = ("repro/net/", "repro/online/")
 #: Modules whose exceptions are routed on by type.
 ERROR_SCOPE = ("repro/net/", "repro/online/", "repro/cli.py")
-
-WIRE_TRIO = (
-    "repro/net/protocol.py",
-    "repro/net/client.py",
-    "repro/net/server.py",
-)
 
 
 def _rel(path: Path, root: Path) -> str:
@@ -87,7 +80,6 @@ def run_lint(
     if errors_py.exists():
         taxonomy = check_errors.load_taxonomy(errors_py)
 
-    modules: dict[str, ModuleSource] = {}
     for path in collect_files(root, paths):
         rel = _rel(path, root)
         try:
@@ -95,7 +87,6 @@ def run_lint(
         except (OSError, SyntaxError) as exc:
             errors.append(f"{rel}: {exc}")
             continue
-        modules[rel] = module
         findings.extend(check_locks.run(module))
         if _in_scope(rel, ASYNC_SCOPE):
             findings.extend(check_async.run(module))
@@ -106,12 +97,6 @@ def run_lint(
         if _in_scope(rel, ERROR_SCOPE):
             findings.extend(check_errors.run(module, taxonomy))
 
-    trio = [
-        next((m for r, m in modules.items() if r.endswith(part)), None)
-        for part in WIRE_TRIO
-    ]
-    if trio[0] is not None:
-        findings.extend(run_wire(trio[0], trio[1], trio[2]))
     findings.sort(key=Finding.sort_key)
     return findings, errors
 
@@ -121,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro.cli lint",
         description="Repo-specific invariant linter "
         "(lock discipline, asyncio hygiene, determinism, "
-        "error discipline, wire-protocol sync).",
+        "error discipline).",
     )
     parser.add_argument(
         "paths",

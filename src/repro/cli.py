@@ -806,8 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the repo-specific invariant linter (lock discipline, "
-            "asyncio hygiene, determinism, error discipline, wire-protocol "
-            "sync)"
+            "asyncio hygiene, determinism, error discipline)"
         ),
     )
     lint.add_argument(

@@ -116,6 +116,45 @@ class LannsBuilder:
         return result
 
     # -- build ---------------------------------------------------------------------
+    def plan(
+        self,
+        vectors: np.ndarray,
+        ids: np.ndarray | None = None,
+        segmenter: Segmenter | None = None,
+    ) -> tuple[np.ndarray, Segmenter, list[tuple]]:
+        """The prologue every build shares, in memory or on the cluster.
+
+        Validates ``vectors`` / ``ids`` (default keys ``0..n-1``),
+        learns the segmenter unless a pre-learnt one is given (the
+        optional input of Figure 6), partitions, and draws one seed per
+        partition.  Returns ``(vectors, segmenter, tasks)`` with
+        ``tasks`` the ``(key, part_vectors, part_ids, seed)`` of every
+        (shard, segment) partition in key order.
+        """
+        vectors = as_matrix(vectors, name="vectors")
+        n = vectors.shape[0]
+        if ids is None:
+            ids = np.arange(n, dtype=np.int64)
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.shape != (n,):
+                raise ValueError(f"ids has shape {ids.shape}, expected ({n},)")
+        config = self.config
+        if segmenter is None:
+            segmenter = self.learn_segmenter(vectors)
+        if segmenter.num_segments != config.num_segments:
+            raise ValueError(
+                f"segmenter has {segmenter.num_segments} segments, config "
+                f"expects {config.num_segments}"
+            )
+        partitions = self.partition(vectors, ids, segmenter)
+        seeds = spawn_seeds(config.seed, config.total_partitions)
+        tasks = [
+            (key, partitions[key][1], partitions[key][0], seeds[position])
+            for position, key in enumerate(sorted(partitions))
+        ]
+        return vectors, segmenter, tasks
+
     def build(
         self,
         vectors: np.ndarray,
@@ -141,38 +180,12 @@ class LannsBuilder:
             given, per-partition HNSW builds run as cluster tasks (and are
             timed for the build-time experiments).
         """
-        vectors = as_matrix(vectors, name="vectors")
-        n = vectors.shape[0]
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (n,):
-                raise ValueError(f"ids has shape {ids.shape}, expected ({n},)")
         config = self.config
-        if segmenter is None:
-            segmenter = self.learn_segmenter(vectors)
-        if segmenter.num_segments != config.num_segments:
-            raise ValueError(
-                f"segmenter has {segmenter.num_segments} segments, config "
-                f"expects {config.num_segments}"
-            )
-        partitions = self.partition(vectors, ids, segmenter)
-        seeds = spawn_seeds(config.seed, config.total_partitions)
-
-        keys = sorted(partitions)
+        _, segmenter, planned = self.plan(vectors, ids, segmenter)
         # functools.partial of a module-level function, not a closure:
         # cluster mode "processes" has to pickle each task.
         tasks = [
-            partial(
-                _build_partition_task,
-                key,
-                partitions[key][1],
-                partitions[key][0],
-                config,
-                seeds[position],
-            )
-            for position, key in enumerate(keys)
+            partial(_build_partition_task, config, *task) for task in planned
         ]
         if cluster is not None:
             outcome = cluster.run_tasks(tasks, stage="hnsw-build")
@@ -190,17 +203,17 @@ class LannsBuilder:
 
 
 def _build_partition_task(
+    config: LannsConfig,
     key: tuple[int, int],
     part_vectors: np.ndarray,
     part_ids: np.ndarray,
-    config: LannsConfig,
     seed: int,
 ) -> tuple[tuple[int, int], HnswIndex]:
     """Build one (shard, segment) partition; picklable for any cluster mode."""
-    return key, _build_segment_index(part_vectors, part_ids, config, seed)
+    return key, build_segment_index(part_vectors, part_ids, config, seed)
 
 
-def _build_segment_index(
+def build_segment_index(
     vectors: np.ndarray,
     ids: np.ndarray,
     config: LannsConfig,

@@ -52,9 +52,12 @@ from repro.errors import (
 from repro.net.loop import client_loop
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
+    REPLY_TYPE,
     MsgType,
+    pack,
     raise_if_error,
     read_frame_async,
+    unpack,
     write_frame_async,
 )
 
@@ -68,46 +71,13 @@ CONNECTIVITY_FAILURES = (
 )
 
 
-def _search_header(
-    index_name: str,
-    k: int,
-    ef: int | None,
-    probes: list[tuple[int, ...]] | None,
-    trace_ctx: dict | None = None,
-    collect_cost: bool = False,
-    deadline: float | None = None,
-) -> dict:
-    """SEARCH frame header; ``probes`` is the router's per-row segment
-    push-down, ``trace_ctx`` the broker's trace context (the searcher
-    then returns its span tree in the RESULT header) and ``collect_cost``
-    asks for per-batch search-cost counters.  ``deadline`` (absolute
-    ``time.monotonic()``) ships as ``deadline_ms`` *remaining* budget --
-    monotonic clocks don't compare across hosts, a relative budget does
-    -- so the searcher can reject already-expired work before burning
-    CPU on it.  All extras are omitted entirely when absent (old servers
-    ignore unknown keys, so the fields are wire-compatible both ways)."""
-    header = {"index": str(index_name), "top_k": int(k), "ef": ef}
-    if probes is not None:
-        header["probes"] = [
-            [int(segment) for segment in row] for row in probes
-        ]
-    if trace_ctx is not None:
-        header["trace"] = dict(trace_ctx)
-    if collect_cost:
-        header["cost"] = True
-    if deadline is not None:
-        remaining_ms = (deadline - time.monotonic()) * 1e3
-        header["deadline_ms"] = max(remaining_ms, 0.0)
-    return header
-
-
-def _fill_info_out(info_out: dict | None, header: dict) -> None:
-    """Copy a RESULT header's observability extras into the out-param."""
-    if info_out is None:
-        return
-    for key in ("cost", "trace"):
-        if key in header:
-            info_out[key] = header[key]
+def fill_info_out(info_out: dict | None, **extras) -> None:
+    """Copy a search's observability extras (``cost``, ``trace``) into
+    the caller's out-param; an extra that was not produced leaves no key."""
+    if info_out is not None:
+        info_out.update(
+            (name, value) for name, value in extras.items() if value is not None
+        )
 
 
 def parse_address(address: str | tuple) -> tuple[str, int]:
@@ -465,6 +435,32 @@ class AsyncRemoteSearcherClient:
         assert last is not None
         raise last
 
+    async def _request(
+        self,
+        msg_type: MsgType,
+        arrays: tuple = (),
+        *,
+        deadline: float | None = None,
+        idempotent: bool = True,
+        **fields,
+    ) -> tuple:
+        """One schema-checked RPC: pack ``fields`` into the request
+        header, :meth:`call`, and unpack the reply, which must be of the
+        type that answers ``msg_type``.  Returns ``(reply, arrays)``."""
+        reply_type, header, reply_arrays = await self.call(
+            msg_type,
+            pack(msg_type, **fields),
+            arrays,
+            deadline=deadline,
+            idempotent=idempotent,
+        )
+        if reply_type != REPLY_TYPE[msg_type]:
+            raise ProtocolError(
+                f"{msg_type.name} was answered with {reply_type.name}, "
+                f"expected {REPLY_TYPE[msg_type].name}"
+            )
+        return unpack(reply_type, header), reply_arrays
+
     # -- the searcher RPC surface ------------------------------------------------------
     async def search_batch(
         self,
@@ -481,27 +477,34 @@ class AsyncRemoteSearcherClient:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Remote lockstep shard search; mirrors ``SearcherNode.search_batch``.
 
-        ``info_out``, when given, receives the RESULT header's ``cost``
-        (search-cost counters) and ``trace`` (searcher span tree)
-        entries -- present only when the request asked for them *and*
-        the server speaks protocol v2.
+        ``probes`` is the router's per-row segment push-down,
+        ``trace_ctx`` the broker's trace context and ``collect_cost``
+        asks for per-batch search-cost counters.  ``info_out``, when
+        given, receives the reply's ``cost`` (search-cost counters) and
+        ``trace`` (searcher span tree) -- present only when the request
+        asked for them *and* the server speaks protocol v2.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float32)
-        _, header, arrays = await self.call(
+        # The deadline ships as *remaining* budget -- monotonic clocks
+        # don't compare across hosts, a relative budget does -- so the
+        # searcher can reject already-expired work before burning CPU.
+        reply, arrays = await self._request(
             MsgType.SEARCH,
-            _search_header(
-                index_name,
-                k,
-                ef,
-                probes,
-                trace_ctx,
-                collect_cost,
-                deadline=deadline,
-            ),
             (queries,),
             deadline=deadline,
+            index=index_name,
+            top_k=k,
+            ef=ef,
+            probes=probes,
+            trace=trace_ctx,
+            cost=collect_cost or None,
+            deadline_ms=(
+                None
+                if deadline is None
+                else max((deadline - time.monotonic()) * 1e3, 0.0)
+            ),
         )
-        _fill_info_out(info_out, header)
+        fill_info_out(info_out, cost=reply.cost, trace=reply.trace)
         if len(arrays) != 2:
             raise ProtocolError(
                 f"search result carries {len(arrays)} arrays, expected 2"
@@ -526,35 +529,39 @@ class AsyncRemoteSearcherClient:
         deadline: float | None = None,
     ) -> list[str]:
         """Host this searcher's shard of an exported index (not retried)."""
-        _, header, _ = await self.call(
+        reply, _ = await self._request(
             MsgType.DEPLOY,
-            {"index": str(index_name), "path": str(index_path), "root": root},
             deadline=deadline,
             idempotent=False,
+            index=index_name,
+            path=index_path,
+            root=root,
         )
-        return list(header.get("hosted", []))
+        return reply.hosted or []
 
     async def undeploy(
         self, index_name: str, *, deadline: float | None = None
     ) -> list[str]:
         """Unhost an index (not retried)."""
-        _, header, _ = await self.call(
+        reply, _ = await self._request(
             MsgType.UNDEPLOY,
-            {"index": str(index_name)},
             deadline=deadline,
             idempotent=False,
+            index=index_name,
         )
-        return list(header.get("hosted", []))
+        return reply.hosted or []
 
     async def stats(self, *, deadline: float | None = None) -> dict:
         """The remote node's counters (see ``SearcherNode.stats``)."""
-        _, header, _ = await self.call(MsgType.STATS, deadline=deadline)
-        return dict(header.get("stats", {}))
+        reply, _ = await self._request(MsgType.STATS, deadline=deadline)
+        return reply.stats or {}
 
     async def ping(self, *, deadline: float | None = None) -> int:
         """Liveness probe; returns the remote node's shard id."""
-        _, header, _ = await self.call(MsgType.PING, deadline=deadline)
-        return int(header["shard_id"])
+        reply, _ = await self._request(MsgType.PING, deadline=deadline)
+        if reply.shard_id is None:
+            raise ProtocolError("the OK reply to PING names no shard id")
+        return reply.shard_id
 
     def __repr__(self) -> str:
         return f"AsyncRemoteSearcherClient({self.address!r})"

@@ -13,7 +13,9 @@ One frame per message::
 
 The JSON header carries the request metadata (index name, ``top_k``,
 ``ef``, ...) plus an ``arrays`` list of ``{"dtype", "shape"}`` entries
-describing the payload layout.  Array payloads are the raw C-contiguous
+describing the payload layout.  Which fields each message type carries
+is declared once, in :data:`FRAME_FIELDS`; :func:`pack` and
+:func:`unpack` build and read every header through that table.  Array payloads are the raw C-contiguous
 bytes of ``float32`` / ``float64`` / ``int64`` numpy buffers: encoding
 writes :class:`memoryview` s of the arrays (no serialization pass, no
 copy) and decoding reconstructs them with ``np.frombuffer`` over slices
@@ -22,7 +24,8 @@ of the received buffer (no copy either).
 Robustness contract, pinned by ``tests/test_net_protocol.py``: any
 truncated, oversized, wrong-magic, wrong-version or otherwise garbled
 frame raises :class:`~repro.errors.ProtocolError` -- never a hang, a
-numpy error, or a silent wrong answer.  Server-side failures travel back
+numpy error, or a silent wrong answer -- and so does a well-framed
+header with a missing or ill-typed field.  Server-side failures travel back
 as *structured error frames* (:data:`MsgType.ERROR`) carrying the
 exception type and message, surfaced to callers as
 :class:`~repro.errors.RemoteCallError`.
@@ -34,6 +37,7 @@ import asyncio
 import json
 import struct
 from enum import IntEnum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,16 +93,15 @@ class MsgType(IntEnum):
     ERROR = 18
 
 
-#: Canonical JSON-header field registry, per message type and protocol
-#: version: ``{msg_name: {version: (field, ...)}}``.  A trailing ``?``
-#: marks a field the encoder may omit (decoders must use
-#: ``header.get``); unmarked fields are always present.  The protocol
-#: evolves additively: each version's tuple must be a *prefix* of the
-#: next one — new fields append, nothing reorders or disappears — so a
-#: v1 peer can always decode the required core of a v2 frame.  The
-#: ``wire-protocol`` checker in :mod:`repro.analysis` cross-references
-#: this table against the actual encode/decode sites in ``client.py``
-#: and ``server.py``; extend it in the same change as the code.
+#: The JSON-header schema, per message type and protocol version:
+#: ``{msg_name: {version: (field, ...)}}``.  This table *executes*:
+#: :func:`pack` builds and :func:`unpack` reads every header from it, so
+#: it is the only place a header field is named.  A trailing ``?`` marks
+#: a field the sender may omit (it unpacks as ``None``); unmarked fields
+#: are always present.  The protocol evolves additively: each version's
+#: tuple must be a *prefix* of the next one -- new fields append,
+#: optional, and nothing reorders or disappears -- so a v1 peer can
+#: always decode the required core of a v3 frame.
 #:
 #: ``OK`` is a union: it answers DEPLOY/UNDEPLOY (``hosted``), STATS
 #: (``stats``) and PING (``shard_id``), so all of its fields are
@@ -131,6 +134,117 @@ FRAME_FIELDS = {
         3: ("error_type", "message", "retry_after_s?"),
     },
 }
+
+#: Which response type answers each request type.
+REPLY_TYPE = {
+    MsgType.SEARCH: MsgType.RESULT,
+    MsgType.DEPLOY: MsgType.OK,
+    MsgType.UNDEPLOY: MsgType.OK,
+    MsgType.STATS: MsgType.OK,
+    MsgType.PING: MsgType.OK,
+}
+
+#: Value conversion per field name, applied on both sides of the wire: a
+#: value the converter rejects (``TypeError`` / ``ValueError``) is an
+#: ill-typed field.  Fields without an entry are opaque JSON (``trace``
+#: and ``cost`` mean different things in SEARCH and RESULT).
+_FIELD_TYPES = {
+    "index": str,
+    "top_k": int,
+    "ef": lambda value: None if value is None else int(value),
+    "probes": lambda rows: [tuple(int(seg) for seg in row) for row in rows],
+    "deadline_ms": float,
+    "path": str,
+    "root": str,
+    "hosted": list,
+    "stats": dict,
+    "shard_id": int,
+    "error_type": str,
+    "message": str,
+    "retry_after_s": float,
+}
+
+
+def _schema(versions: dict[int, tuple[str, ...]]) -> dict[str, bool]:
+    """``{name: required}``, in table order, for one message's versions.
+
+    Names come from the newest version; a field is required only when
+    the *base* version already required it -- anything appended later is
+    absent from older peers' frames whatever its marker says.
+    """
+    required = {f for f in versions[min(versions)] if not f.endswith("?")}
+    return {
+        field.rstrip("?"): field in required
+        for field in versions[max(versions)]
+    }
+
+
+_SCHEMA = {
+    MsgType[name]: _schema(versions) for name, versions in FRAME_FIELDS.items()
+}
+
+
+def _field(msg_type: MsgType, name: str, required: bool, source):
+    """One declared field out of ``source`` -- :func:`pack`'s keyword
+    arguments or a decoded header -- converted; ``None`` when an
+    optional field is absent (or null)."""
+    if name not in source:
+        if required:
+            raise ProtocolError(
+                f"{msg_type.name} header is missing required field {name!r}"
+            )
+        return None
+    value = source[name]
+    convert = _FIELD_TYPES.get(name)
+    if convert is None or (value is None and not required):
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"{msg_type.name} header field {name!r} is ill-typed: "
+            f"{value!r} ({exc})"
+        ) from None
+
+
+def pack(msg_type: MsgType, **fields) -> dict:
+    """The header of one ``msg_type`` message, keys in table order.
+
+    Every required field must be named (``ef=None`` ships as ``null``),
+    optional fields that are absent or ``None`` are omitted -- older
+    peers ignore unknown keys and newer ones read absence as ``None``,
+    so the extras are wire-compatible both ways -- and a name the table
+    does not declare for ``msg_type`` is rejected.
+    """
+    schema = _SCHEMA[msg_type]
+    undeclared = fields.keys() - schema.keys()
+    if undeclared:
+        raise ProtocolError(
+            f"{msg_type.name} header declares no field {sorted(undeclared)}"
+        )
+    header = {}
+    for name, required in schema.items():
+        value = _field(msg_type, name, required, fields)
+        if required or value is not None:
+            header[name] = value
+    return header
+
+
+def unpack(msg_type: MsgType, header: dict) -> SimpleNamespace:
+    """Read a decoded header as one ``msg_type`` message.
+
+    Every declared field is an attribute of the result (absent optionals
+    are ``None``); keys the table does not declare are ignored, which is
+    what lets a newer peer's extras through.  A missing or ill-typed
+    required field raises :class:`ProtocolError` naming message and
+    field.
+    """
+    return SimpleNamespace(
+        **{
+            name: _field(msg_type, name, required, header)
+            for name, required in _SCHEMA[msg_type].items()
+        }
+    )
 
 
 # -- encoding ------------------------------------------------------------------------
@@ -201,11 +315,15 @@ def error_frame(exc: BaseException) -> list:
     a ``retry_after_s`` attribute) ships its backoff hint so the peer can
     wait before re-offering the work instead of hammering the searcher.
     """
-    header = {"error_type": type(exc).__name__, "message": str(exc)}
-    retry_after_s = getattr(exc, "retry_after_s", None)
-    if retry_after_s is not None:
-        header["retry_after_s"] = float(retry_after_s)
-    return encode_frame(MsgType.ERROR, header)
+    return encode_frame(
+        MsgType.ERROR,
+        pack(
+            MsgType.ERROR,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            retry_after_s=getattr(exc, "retry_after_s", None),
+        ),
+    )
 
 
 # -- decoding ------------------------------------------------------------------------
@@ -330,19 +448,14 @@ def raise_if_error(msg_type: MsgType, header: dict) -> None:
     """
     if msg_type != MsgType.ERROR:
         return
-    error_type = str(header.get("error_type", "RemoteError"))
-    message = str(header.get("message", ""))
-    if error_type == "OverloadedError":
-        retry_after_s = header.get("retry_after_s")
+    error = unpack(MsgType.ERROR, header)
+    if error.error_type == "OverloadedError":
         raise OverloadedError(
-            message,
-            retry_after_s=(
-                float(retry_after_s) if retry_after_s is not None else None
-            ),
+            error.message, retry_after_s=error.retry_after_s
         )
-    if error_type == "DeadlineExceededError":
-        raise DeadlineExceededError(message)
-    raise RemoteCallError(error_type, message)
+    if error.error_type == "DeadlineExceededError":
+        raise DeadlineExceededError(error.message)
+    raise RemoteCallError(error.error_type, error.message)
 
 
 # -- asyncio-stream IO -----------------------------------------------------------------

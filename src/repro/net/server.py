@@ -58,13 +58,14 @@ from repro.net.protocol import (
     MsgType,
     encode_frame,
     error_frame,
+    pack,
     read_frame_async,
+    unpack,
 )
-from repro.obs.cost import SearchCost
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import SpanRecorder, activate, deactivate, maybe_span
+from repro.obs.tracing import SpanRecorder, maybe_span
 from repro.online.microbatch import AdmissionKey, MicroBatcher, admission_key
-from repro.online.searcher import SearcherNode
+from repro.online.searcher import SearcherNode, observed_search_batch
 
 _SHED = get_registry().counter(
     "lanns_searcher_shed_total",
@@ -375,37 +376,29 @@ class SearcherServer:
     ) -> list:
         loop = asyncio.get_running_loop()
         if msg_type == MsgType.PING:
-            return self._ok({"shard_id": self.node.shard_id})
+            return self._ok(shard_id=self.node.shard_id)
         if msg_type == MsgType.SEARCH:
-            # Observability extras (protocol v2, absent on v1 peers):
-            # a trace context turns on span recording for this request,
-            # a cost flag turns on search-cost accounting.
-            recorder = (
-                SpanRecorder() if header.get("trace") is not None else None
-            )
-            cost = SearchCost() if header.get("cost") else None
-            with maybe_span(recorder, "decode"):
-                index_name = str(header["index"])
-                top_k = int(header["top_k"])
-                ef = header.get("ef")
-                ef = int(ef) if ef is not None else None
-                probes = header.get("probes")
-                if probes is not None:
-                    probes = [
-                        tuple(int(segment) for segment in row)
-                        for row in probes
-                    ]
-                deadline_ms = header.get("deadline_ms")
-                if len(arrays) != 1:
-                    raise ProtocolError(
-                        f"SEARCH expects 1 query array, got {len(arrays)}"
-                    )
+            # The "decode" span has to open before the header says
+            # whether this request is traced at all (protocol v2: a
+            # trace context turns on span recording, a cost flag
+            # search-cost accounting); an untraced request drops it.
+            recorder = SpanRecorder()
+            decoding = recorder.start_span("decode")
+            request = unpack(MsgType.SEARCH, header)
+            if len(arrays) != 1:
+                raise ProtocolError(
+                    f"SEARCH expects 1 query array, got {len(arrays)}"
+                )
+            recorder.end_span(decoding)
+            if request.trace is None:
+                recorder = None
+            deadline_ms = request.deadline_ms
             self.searches_seen += 1
             # The peer shipped its *remaining* budget; pin it to this
             # host's clock once, then every later check is a cheap
             # comparison.
             expires_at = (
-                time.monotonic() + float(deadline_ms) / 1e3
+                time.monotonic() + deadline_ms / 1e3
                 if deadline_ms is not None
                 else None
             )
@@ -413,7 +406,7 @@ class SearcherServer:
                 self.searches_expired += 1
                 _EXPIRED.inc()
                 raise DeadlineExceededError(
-                    f"request budget of {float(deadline_ms):.1f}ms was "
+                    f"request budget of {deadline_ms:.1f}ms was "
                     "already spent on arrival"
                 )
             admitted = await self._admit()
@@ -438,28 +431,33 @@ class SearcherServer:
                     # request occupies real capacity.
                     with maybe_span(recorder, "stall", injected=True):
                         await asyncio.sleep(self.slow_delay_s)
-                ids, dists = await self._execute_search(
-                    loop, index_name, arrays[0], top_k, ef, probes,
-                    cost, recorder,
+                ids, dists, cost = await self._execute_search(
+                    loop, request, arrays[0], recorder
                 )
             finally:
                 if admitted:
                     self._admission.release()
-            result_header: dict = {"index": index_name}
-            if cost is not None:
-                result_header["cost"] = cost.as_dict()
             if recorder is not None:
                 with recorder.span("encode"):
                     ids = np.ascontiguousarray(ids)
                     dists = np.ascontiguousarray(dists)
-                result_header["trace"] = recorder.export()
-            return self._result(result_header, [ids, dists])
+            return encode_frame(
+                MsgType.RESULT,
+                pack(
+                    MsgType.RESULT,
+                    index=request.index,
+                    cost=cost,
+                    trace=recorder.export() if recorder is not None else None,
+                ),
+                [ids, dists],
+            )
         if msg_type == MsgType.DEPLOY:
-            await loop.run_in_executor(None, partial(self._deploy, header))
-            return self._ok({"hosted": self.node.hosted_indices})
+            request = unpack(MsgType.DEPLOY, header)
+            await loop.run_in_executor(None, partial(self._deploy, request))
+            return self._ok(hosted=self.node.hosted_indices)
         if msg_type == MsgType.UNDEPLOY:
-            self.node.unhost(str(header["index"]))
-            return self._ok({"hosted": self.node.hosted_indices})
+            self.node.unhost(unpack(MsgType.UNDEPLOY, header).index)
+            return self._ok(hosted=self.node.hosted_indices)
         if msg_type == MsgType.STATS:
             stats = self.node.stats()
             stats["connections_accepted"] = self.connections_accepted
@@ -483,12 +481,12 @@ class SearcherServer:
             # The process-wide metrics snapshot rides along so a broker
             # (or `repro.cli stats`) can merge a fleet into one view.
             stats["metrics"] = get_registry().snapshot()
-            return self._ok({"stats": stats})
+            return self._ok(stats=stats)
         raise ProtocolError(f"unexpected message type {msg_type!r}")
 
     async def _execute_search(
-        self, loop, index_name, queries, top_k, ef, probes, cost, recorder
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, loop, request, queries, recorder
+    ) -> tuple[np.ndarray, np.ndarray, dict | None]:
         """Run one admitted search: coalesced server-side when possible.
 
         Plain requests (no per-request probes/trace/cost extras) go
@@ -500,36 +498,31 @@ class SearcherServer:
         """
         if (
             self._batcher is not None
-            and probes is None
-            and cost is None
+            and request.probes is None
+            and not request.cost
             and recorder is None
         ):
-            return await asyncio.wrap_future(
-                self._batcher.submit(
-                    admission_key(index_name, top_k, ef, queries), queries
-                )
+            key = admission_key(
+                request.index, request.top_k, request.ef, queries
             )
-
-        def _search():
-            # The ambient recorder must be installed inside the
-            # executor worker: contextvars do not follow
-            # run_in_executor.  The kernels then report their
-            # descend/beam/rescore spans into it.
-            token = activate(recorder) if recorder is not None else None
-            try:
-                return self.node.search_batch(
-                    index_name,
-                    queries,
-                    top_k,
-                    ef=ef,
-                    probes=probes,
-                    cost=cost,
-                )
-            finally:
-                if token is not None:
-                    deactivate(token)
-
-        return await loop.run_in_executor(None, _search)
+            ids, dists = await asyncio.wrap_future(
+                self._batcher.submit(key, queries)
+            )
+            return ids, dists, None
+        return await loop.run_in_executor(
+            None,
+            partial(
+                observed_search_batch,
+                self.node,
+                request.index,
+                queries,
+                request.top_k,
+                ef=request.ef,
+                probes=request.probes,
+                collect_cost=bool(request.cost),
+                recorder=recorder,
+            ),
+        )
 
     def _batched_search(
         self, key: AdmissionKey, queries: np.ndarray
@@ -539,30 +532,24 @@ class SearcherServer:
             key.index_name, queries, key.top_k, ef=key.ef
         )
 
-    def _deploy(self, header: dict) -> None:
+    def _deploy(self, request) -> None:
         # Imported here: the server must start fast and the storage stack
         # pulls in the whole offline layer.
         from repro.storage.hdfs import LocalHdfs
         from repro.storage.manifest import load_shard
 
-        root = self.root if self.root is not None else header.get("root")
+        root = self.root if self.root is not None else request.root
         if not root:
             raise ValueError(
                 "DEPLOY needs a filesystem root: start the server with "
                 "--root or include 'root' in the request"
             )
-        index_path = str(header["path"])
-        fs = LocalHdfs(root)
-        shard = load_shard(fs, index_path, self.node.shard_id)
-        self.node.host(str(header["index"]), shard)
+        shard = load_shard(LocalHdfs(root), request.path, self.node.shard_id)
+        self.node.host(request.index, shard)
 
     @staticmethod
-    def _ok(header: dict) -> list:
-        return encode_frame(MsgType.OK, header)
-
-    @staticmethod
-    def _result(header: dict, arrays: list) -> list:
-        return encode_frame(MsgType.RESULT, header, arrays)
+    def _ok(**fields) -> list:
+        return encode_frame(MsgType.OK, pack(MsgType.OK, **fields))
 
     # -- lifecycle ---------------------------------------------------------------------
     async def _serve(self, on_ready=None) -> None:

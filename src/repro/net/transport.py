@@ -24,10 +24,13 @@ import abc
 
 import numpy as np
 
-from repro.net.client import CONNECTIVITY_FAILURES, RemoteSearcherClient
-from repro.obs.cost import SearchCost
-from repro.obs.tracing import SpanRecorder, activate, deactivate
-from repro.online.searcher import SearcherNode
+from repro.net.client import (
+    CONNECTIVITY_FAILURES,
+    RemoteSearcherClient,
+    fill_info_out,
+)
+from repro.obs.tracing import SpanRecorder
+from repro.online.searcher import SearcherNode, observed_search_batch
 
 __all__ = [
     "SearcherTransport",
@@ -127,22 +130,23 @@ class LocalSearcherTransport(SearcherTransport):
         collect_cost: bool = False,
         info_out: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        cost = SearchCost() if collect_cost else None
         recorder = SpanRecorder() if trace_ctx is not None else None
-        token = activate(recorder) if recorder is not None else None
-        try:
-            result = self.node.search_batch(
-                index_name, queries, k, ef=ef, probes=probes, cost=cost
-            )
-        finally:
-            if token is not None:
-                deactivate(token)
-        if info_out is not None:
-            if cost is not None:
-                info_out["cost"] = cost.as_dict()
-            if recorder is not None:
-                info_out["trace"] = recorder.export()
-        return result
+        ids, dists, cost = observed_search_batch(
+            self.node,
+            index_name,
+            queries,
+            k,
+            ef=ef,
+            probes=probes,
+            collect_cost=collect_cost,
+            recorder=recorder,
+        )
+        fill_info_out(
+            info_out,
+            cost=cost,
+            trace=recorder.export() if recorder is not None else None,
+        )
+        return ids, dists
 
     @property
     def queries_served(self) -> int:

@@ -10,9 +10,11 @@ writes the coupled metadata (manifest + segmenter).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.core.builder import LannsBuilder, _build_segment_index
+from repro.core.builder import LannsBuilder, build_segment_index
 from repro.core.config import LannsConfig
 from repro.segmenters.base import Segmenter
 from repro.sparklite.cluster import LocalCluster
@@ -20,39 +22,27 @@ from repro.sparklite.metrics import StageMetrics
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import (
     IndexManifest,
-    _checksum,
-    hnsw_to_bytes,
-    segment_file,
+    write_metadata,
+    write_segment,
 )
-from repro.utils.rng import spawn_seeds
-from repro.utils.validation import as_matrix
-from repro.version import __version__
-
-import json
-
-from functools import partial
 
 
 def _build_and_persist_partition(
+    fs: LocalHdfs,
+    output_path: str,
+    config: LannsConfig,
     key: tuple[int, int],
     part_vectors: np.ndarray,
     part_ids: np.ndarray,
-    config: LannsConfig,
     seed: int,
-    fs: LocalHdfs,
-    output_path: str,
-) -> tuple[tuple[int, int], str, int]:
+) -> tuple[tuple[int, int], tuple[str, str], int]:
     """Build one partition and write it from "the executor".
 
     Module-level and picklable, so the build stage can run under any
     cluster execution mode (inline / threads / processes).
     """
-    index = _build_segment_index(part_vectors, part_ids, config, seed)
-    data = hnsw_to_bytes(index)
-    shard, segment = key
-    relative = segment_file(shard, segment)
-    fs.write_bytes(f"{output_path}/{relative}", data)
-    return key, _checksum(data), len(index)
+    index = build_segment_index(part_vectors, part_ids, config, seed)
+    return key, write_segment(fs, output_path, *key, index), len(index)
 
 
 def build_index_job(
@@ -81,35 +71,15 @@ def build_index_job(
         metrics of the per-partition HNSW build stage (whose simulated
         makespan is what Tables 2 and 5 report).
     """
-    vectors = as_matrix(vectors, name="vectors")
-    n = vectors.shape[0]
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
-    else:
-        ids = np.asarray(ids, dtype=np.int64)
-
-    builder = LannsBuilder(config)
-    if segmenter is None:
-        segmenter = builder.learn_segmenter(vectors)
-    partitions = builder.partition(vectors, ids, segmenter)
-    seeds = spawn_seeds(config.seed, config.total_partitions)
-    keys = sorted(partitions)
-
+    vectors, segmenter, planned = LannsBuilder(config).plan(
+        vectors, ids, segmenter
+    )
     # functools.partial of a module-level function, not a closure: the
     # cluster's "processes" mode pickles each task into a worker process
     # (which is what lets multi-partition builds escape the GIL).
     tasks = [
-        partial(
-            _build_and_persist_partition,
-            key,
-            partitions[key][1],
-            partitions[key][0],
-            config,
-            seeds[position],
-            fs,
-            output_path,
-        )
-        for position, key in enumerate(keys)
+        partial(_build_and_persist_partition, fs, output_path, config, *task)
+        for task in planned
     ]
     outcome = cluster.run_tasks(
         tasks, stage="hnsw-build", checkpoint=checkpoint
@@ -117,26 +87,19 @@ def build_index_job(
 
     # Driver side: couple metadata + segmenter with the written indices.
     checksums: dict[str, str] = {}
-    shard_sizes = [0] * config.num_shards
     segment_sizes = [
         [0] * config.num_segments for _ in range(config.num_shards)
     ]
-    for key, checksum, count in outcome.results:
-        shard, segment = key
-        checksums[segment_file(shard, segment)] = checksum
-        shard_sizes[shard] += count
+    for (shard, segment), (relative, checksum), count in outcome.results:
+        checksums[relative] = checksum
         segment_sizes[shard][segment] = count
-    segmenter_raw = json.dumps(segmenter.to_dict()).encode()
-    fs.write_bytes(f"{output_path}/segmenter.json", segmenter_raw)
-    checksums["segmenter.json"] = _checksum(segmenter_raw)
-    manifest = IndexManifest(
-        config=config.to_dict(),
-        dim=vectors.shape[1],
-        total_vectors=sum(shard_sizes),
-        shard_sizes=shard_sizes,
-        checksums=checksums,
-        segment_sizes=segment_sizes,
-        created_by=f"repro-lanns/{__version__}",
+    manifest = write_metadata(
+        fs,
+        output_path,
+        config,
+        segmenter,
+        vectors.shape[1],
+        segment_sizes,
+        checksums,
     )
-    fs.write_json(f"{output_path}/metadata.json", manifest.to_dict())
     return manifest, outcome.metrics

@@ -9,12 +9,13 @@ share one copy.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 
+from repro.core.builder import LannsBuilder
 from repro.core.config import LannsConfig
 from repro.segmenters.base import Segmenter, segmenter_from_dict
-from repro.segmenters.learner import learn_segmenter
 from repro.sparklite.cluster import LocalCluster
 from repro.storage.hdfs import LocalHdfs
 
@@ -43,17 +44,7 @@ def learn_segmenter_job(
     The fitted segmenter.
     """
 
-    def fit_task() -> Segmenter:
-        return learn_segmenter(
-            vectors,
-            config.segmenter,
-            config.num_segments,
-            alpha=config.alpha,
-            spill_mode=config.spill_mode,
-            sample_size=config.segmenter_sample_size,
-            seed=config.seed,
-        )
-
+    fit_task = partial(LannsBuilder(config).learn_segmenter, vectors)
     outcome = cluster.run_tasks([fit_task], stage="learn-segmenter")
     segmenter = outcome.results[0]
     if fs is not None and output_path is not None:

@@ -19,7 +19,9 @@ import numpy as np
 
 from repro.core.index import ShardIndex
 from repro.obs.cost import FIELDS as _COST_FIELDS
+from repro.obs.cost import SearchCost
 from repro.obs.metrics import get_registry
+from repro.obs.tracing import SpanRecorder, activate, deactivate
 
 _REGISTRY = get_registry()
 _REQUESTS = _REGISTRY.counter(
@@ -196,3 +198,36 @@ class SearcherNode:
             f"SearcherNode(shard_id={self.shard_id}, "
             f"indices={self.hosted_indices})"
         )
+
+
+def observed_search_batch(
+    node: SearcherNode,
+    index_name: str,
+    queries: np.ndarray,
+    k: int,
+    *,
+    ef: int | None = None,
+    probes: list[tuple[int, ...]] | None = None,
+    collect_cost: bool = False,
+    recorder: SpanRecorder | None = None,
+) -> tuple[np.ndarray, np.ndarray, dict | None]:
+    """:meth:`SearcherNode.search_batch` under a request's observability
+    extras; returns ``(ids, dists, cost)``.
+
+    ``collect_cost`` accounts the search work (``cost`` is the counters
+    dict, else ``None``); ``recorder`` is installed as the ambient span
+    recorder for the duration, so the kernels report their
+    descend/beam/rescore spans into it.  Call it on the thread that
+    searches: context variables do not follow ``run_in_executor``.
+    Results are bit-identical with or without the extras.
+    """
+    cost = SearchCost() if collect_cost else None
+    token = activate(recorder) if recorder is not None else None
+    try:
+        ids, dists = node.search_batch(
+            index_name, queries, k, ef=ef, probes=probes, cost=cost
+        )
+    finally:
+        if token is not None:
+            deactivate(token)
+    return ids, dists, (cost.as_dict() if cost is not None else None)

@@ -131,6 +131,48 @@ class IndexManifest:
         return LannsConfig.from_dict(self.config)
 
 
+def write_segment(
+    fs: LocalHdfs, path: str, shard: int, segment: int, index: HnswIndex
+) -> tuple[str, str]:
+    """Serialize one partition's index under ``path``; returns its
+    ``(relative file, checksum)`` manifest entry."""
+    relative = segment_file(shard, segment)
+    data = hnsw_to_bytes(index)
+    fs.write_bytes(f"{path}/{relative}", data)
+    return relative, _checksum(data)
+
+
+def write_metadata(
+    fs: LocalHdfs,
+    path: str,
+    config: LannsConfig,
+    segmenter: Segmenter,
+    dim: int,
+    segment_sizes: list[list[int]],
+    checksums: dict[str, str],
+) -> IndexManifest:
+    """Couple the written segments with ``segmenter.json`` and the
+    manifest (``metadata.json``), which is returned.
+
+    ``segment_sizes`` is the ``[shard][segment]`` vector-count table and
+    ``checksums`` the :func:`write_segment` entries of every partition.
+    """
+    segmenter_raw = json.dumps(segmenter.to_dict()).encode()
+    fs.write_bytes(f"{path}/segmenter.json", segmenter_raw)
+    shard_sizes = [sum(row) for row in segment_sizes]
+    manifest = IndexManifest(
+        config=config.to_dict(),
+        dim=dim,
+        total_vectors=sum(shard_sizes),
+        shard_sizes=shard_sizes,
+        checksums={**checksums, "segmenter.json": _checksum(segmenter_raw)},
+        segment_sizes=segment_sizes,
+        quantize=config.quantize,
+    )
+    fs.write_json(f"{path}/metadata.json", manifest.to_dict())
+    return manifest
+
+
 def save_lanns_index(
     index: LannsIndex, fs: LocalHdfs, path: str
 ) -> IndexManifest:
@@ -138,30 +180,20 @@ def save_lanns_index(
 
     Returns the manifest that was written to ``<path>/metadata.json``.
     """
-    checksums: dict[str, str] = {}
-    for shard in index.shards:
-        for segment_id, segment in enumerate(shard.segments):
-            relative = segment_file(shard.shard_id, segment_id)
-            data = hnsw_to_bytes(segment)
-            fs.write_bytes(f"{path}/{relative}", data)
-            checksums[relative] = _checksum(data)
-    segmenter_raw = json.dumps(index.segmenter.to_dict()).encode()
-    fs.write_bytes(f"{path}/segmenter.json", segmenter_raw)
-    checksums["segmenter.json"] = _checksum(segmenter_raw)
-    manifest = IndexManifest(
-        config=index.config.to_dict(),
-        dim=index.dim,
-        total_vectors=len(index),
-        shard_sizes=[len(shard) for shard in index.shards],
-        checksums=checksums,
-        segment_sizes=[
-            [len(segment) for segment in shard.segments]
-            for shard in index.shards
-        ],
-        quantize=index.config.quantize,
+    checksums = dict(
+        write_segment(fs, path, shard.shard_id, segment_id, segment)
+        for shard in index.shards
+        for segment_id, segment in enumerate(shard.segments)
     )
-    fs.write_json(f"{path}/metadata.json", manifest.to_dict())
-    return manifest
+    return write_metadata(
+        fs,
+        path,
+        index.config,
+        index.segmenter,
+        index.dim,
+        [shard.segment_sizes for shard in index.shards],
+        checksums,
+    )
 
 
 def load_manifest(fs: LocalHdfs, path: str) -> IndexManifest:

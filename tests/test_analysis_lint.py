@@ -8,6 +8,7 @@ async defs, and ``.result()`` on a completed asyncio task.
 """
 
 import ast
+import re
 import textwrap
 
 import pytest
@@ -19,7 +20,6 @@ from repro.analysis.baseline import (
     apply_baseline,
     parse_baseline,
 )
-from repro.analysis.check_wire import run_wire
 from repro.analysis.diagnostics import Finding, ModuleSource, enclosing_symbol
 from repro.analysis.linter import default_repo_root, main, run_lint
 
@@ -449,123 +449,6 @@ class TestErrorDiscipline:
         assert self._run(source) == []
 
 
-# -- wire-protocol ------------------------------------------------------------------
-
-
-PROTOCOL_TEMPLATE = """
-    class MsgType:
-        SEARCH = "search"
-        RESULT = "result"
-        ERROR = "error"
-
-    SUPPORTED_VERSIONS = (1, 2)
-
-    FRAME_FIELDS = {registry}
-    """
-
-GOOD_REGISTRY = """{
-        "SEARCH": {1: ("index", "top_k"), 2: ("index", "top_k", "trace?")},
-        "RESULT": {1: ("index",)},
-        "ERROR": {1: ("error_type", "message")},
-    }"""
-
-
-class TestWireProtocol:
-
-    def _protocol(self, registry: str) -> ModuleSource:
-        return _mod(
-            PROTOCOL_TEMPLATE.format(registry=registry),
-            "src/repro/net/protocol.py",
-        )
-
-    def test_consistent_registry_clean(self):
-        assert run_wire(self._protocol(GOOD_REGISTRY)) == []
-
-    def test_missing_entry_flagged(self):
-        registry = """{
-            "SEARCH": {1: ("index", "top_k")},
-            "RESULT": {1: ("index",)},
-        }"""
-        findings = run_wire(self._protocol(registry))
-        assert any(
-            f.rule == "registry" and "ERROR" in f.message for f in findings
-        )
-
-    def test_non_prefix_evolution_flagged(self):
-        # v2 reorders v1's fields: decoding a v1 frame with v2 framing
-        # would silently shear the header, so this must be fatal.
-        registry = """{
-            "SEARCH": {1: ("index", "top_k"), 2: ("top_k", "index", "trace?")},
-            "RESULT": {1: ("index",)},
-            "ERROR": {1: ("error_type", "message")},
-        }"""
-        findings = run_wire(self._protocol(registry))
-        assert any(
-            f.rule == "registry" and "prefix" in f.message for f in findings
-        )
-
-    def test_unknown_version_flagged(self):
-        registry = """{
-            "SEARCH": {1: ("index", "top_k"), 7: ("index", "top_k", "x?")},
-            "RESULT": {1: ("index",)},
-            "ERROR": {1: ("error_type", "message")},
-        }"""
-        findings = run_wire(self._protocol(registry))
-        assert any(
-            f.rule == "registry" and "SUPPORTED_VERSIONS" in f.message
-            for f in findings
-        )
-
-    def test_encoder_undeclared_field_flagged(self):
-        client = _mod(
-            """
-            from repro.net.protocol import MsgType, encode_frame
-
-            def search(index, top_k):
-                return encode_frame(
-                    MsgType.SEARCH,
-                    {"index": index, "top_k": top_k, "bogus": 1},
-                )
-            """,
-            "src/repro/net/client.py",
-        )
-        findings = run_wire(self._protocol(GOOD_REGISTRY), client=client)
-        assert any(
-            f.rule == "undeclared-field" and "bogus" in f.message
-            for f in findings
-        )
-
-    def test_encoder_missing_required_field_flagged(self):
-        client = _mod(
-            """
-            from repro.net.protocol import MsgType, encode_frame
-
-            def report(error_type):
-                return encode_frame(MsgType.ERROR, {"error_type": error_type})
-            """,
-            "src/repro/net/client.py",
-        )
-        findings = run_wire(self._protocol(GOOD_REGISTRY), client=client)
-        assert any(
-            f.rule == "missing-required-field" and "message" in f.message
-            for f in findings
-        )
-
-    def test_complete_encoder_clean(self):
-        client = _mod(
-            """
-            from repro.net.protocol import MsgType, encode_frame
-
-            def search(index, top_k):
-                return encode_frame(
-                    MsgType.SEARCH, {"index": index, "top_k": top_k}
-                )
-            """,
-            "src/repro/net/client.py",
-        )
-        assert run_wire(self._protocol(GOOD_REGISTRY), client=client) == []
-
-
 # -- baseline -----------------------------------------------------------------------
 
 
@@ -694,6 +577,29 @@ def test_every_config_field_is_read():
     assert dead == set()
 
 
+def test_every_frame_field_is_written_and_read():
+    """A ``FRAME_FIELDS`` name that no sender passes to ``pack`` (as a
+    keyword) or no receiver reads off an unpacked message (as an
+    attribute) is a dead wire field."""
+    from repro.net.protocol import FRAME_FIELDS
+
+    written, read = set(), set()
+    for name in ("client", "server", "protocol"):
+        path = default_repo_root() / "src" / "repro" / "net" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword):
+                written.add(node.arg)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    declared = {
+        field.rstrip("?")
+        for versions in FRAME_FIELDS.values()
+        for fields in versions.values()
+        for field in fields
+    }
+    assert declared - (written & read) == set()
+
+
 class TestServingTierShape:
     """The broker stays a pipeline over four modules and one clock."""
 
@@ -720,6 +626,14 @@ class TestServingTierShape:
                         f"{node.module}.{alias.name}" for alias in node.names
                     )
             assert "repro.online.broker" not in imported, seam
+
+    def test_headers_are_only_read_through_the_schema(self):
+        """``FRAME_FIELDS`` names the header fields; no net module
+        subscripts or ``.get``s a raw header with a string key."""
+        raw_read = re.compile(r"""\b(result_)?header(\.get\(|\[)["']""")
+        for name in ("client", "server", "transport"):
+            source = (self.src / "net" / f"{name}.py").read_text()
+            assert raw_read.search(source) is None, name
 
     def test_one_clock(self):
         """No second stage recorder anywhere, and nothing under

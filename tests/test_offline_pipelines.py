@@ -10,7 +10,11 @@ from repro.offline.learn import learn_segmenter_job, load_learnt_segmenter
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
 from repro.sparklite.cluster import LocalCluster
-from repro.storage.manifest import load_lanns_index
+from repro.storage.manifest import (
+    load_lanns_index,
+    load_manifest,
+    save_lanns_index,
+)
 from tests.conftest import FAST_HNSW
 
 
@@ -73,6 +77,31 @@ class TestBuildJob:
         assert index.segmenter.route_data_batch(clustered_data[:10]) == (
             segmenter.route_data_batch(clustered_data[:10])
         )
+
+    def test_manifest_equals_the_in_memory_export(
+        self, cluster, fs, clustered_data, config
+    ):
+        """Both writers share one metadata function: for the same config,
+        data and seed the two manifests agree field for field (the
+        cluster build must not drop ``quantize`` again)."""
+        quantized = LannsConfig.from_dict(
+            {**config.to_dict(), "hnsw": {**FAST_HNSW.to_dict(), "quantize": "int8"}}
+        )
+        job_manifest, _ = build_index_job(
+            cluster, fs, clustered_data, quantized, "job"
+        )
+        export_manifest = save_lanns_index(
+            build_lanns_index(clustered_data, config=quantized), fs, "export"
+        )
+        assert job_manifest.quantize == "int8"
+        assert load_manifest(fs, "job").quantize == "int8"
+        assert job_manifest.to_dict() == export_manifest.to_dict()
+
+    def test_mismatched_ids_rejected(self, cluster, fs, clustered_data, config):
+        with pytest.raises(ValueError, match="ids has shape"):
+            build_index_job(
+                cluster, fs, clustered_data, config, "idx", ids=np.arange(5)
+            )
 
     @pytest.mark.parametrize("mode", ["threads", "processes"])
     def test_execution_mode_parity(

@@ -43,6 +43,7 @@ from repro.net.protocol import (
     MsgType,
     decode_frame,
     frame_to_bytes,
+    pack,
     parse_prefix,
     raise_if_error,
 )
@@ -115,9 +116,13 @@ def raw_search(
     timeout_s: float = 10.0,
 ):
     """One SEARCH over a bare socket; returns or raises like the client."""
-    header: dict = {"index": INDEX_NAME, "top_k": 3}
-    if deadline_ms is not None:
-        header["deadline_ms"] = float(deadline_ms)
+    header = pack(
+        MsgType.SEARCH,
+        index=INDEX_NAME,
+        top_k=3,
+        ef=None,
+        deadline_ms=deadline_ms,
+    )
     host, port = address.rsplit(":", 1)
     with socket.create_connection((host, int(port)), timeout=timeout_s) as s:
         s.sendall(frame_to_bytes(MsgType.SEARCH, header, (queries,)))
@@ -282,7 +287,9 @@ class TestHangupAbandonment:
                 s.sendall(
                     frame_to_bytes(
                         MsgType.SEARCH,
-                        {"index": INDEX_NAME, "top_k": 3},
+                        pack(
+                            MsgType.SEARCH, index=INDEX_NAME, top_k=3, ef=None
+                        ),
                         (queries[:1],),
                     )
                 )
