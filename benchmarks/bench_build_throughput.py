@@ -11,7 +11,9 @@ This benchmark measures the reproduction's analogue at two levels:
    per wave.  The wide-wave build must be >= 2x faster at bench scale,
    its recall against an exact scan must be no worse than the one-row
    waves' (minus a small tolerance), and building twice with the same
-   seed must produce bit-identical serialized graphs.
+   seed must produce bit-identical serialized graphs.  A traced wave of
+   each size must report the venue its size implies: the wide wave's
+   base-layer beam on the array kernels, the one-row wave's on the heaps.
 
 2. *End to end* -- ``build_index_job`` over a multi-segment config on a
    ``LocalCluster``, once per execution mode (``inline`` / ``threads`` /
@@ -49,6 +51,7 @@ from repro.data.synthetic import clustered_gaussians
 from repro.eval.tables import format_table
 from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
+from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.offline.brute_force import exact_top_k
 from repro.offline.indexing import build_index_job
 from repro.offline.recall import recall_at_k
@@ -70,6 +73,23 @@ def payloads_identical(a: dict, b: dict) -> bool:
     return a.keys() == b.keys() and all(
         np.array_equal(a[key], b[key]) for key in a
     )
+
+
+def wave_kernels(index, rows: np.ndarray) -> set[str]:
+    """The venues one traced ``add(rows)`` -- one construction wave --
+    searched the base layer on (every row of a wave reaches it)."""
+    recorder = SpanRecorder()
+    token = activate(recorder)
+    try:
+        index.add(rows)
+    finally:
+        deactivate(token)
+    return {
+        span["annotations"]["kernel"]
+        for span in recorder.export()
+        if span["name"] == "beam"
+        and span["annotations"]["num_queries"] == len(rows)
+    }
 
 
 def run_single_segment(args: argparse.Namespace) -> tuple[list[dict], bool]:
@@ -142,7 +162,22 @@ def run_single_segment(args: argparse.Namespace) -> tuple[list[dict], bool]:
         f"bit-identical: {deterministic}"
     )
 
+    # The venue follows from the wave's size, nothing else: extend each
+    # index by one traced wave of its own width.
+    extra = clustered_gaussians(args.build_batch, args.dim, seed=args.seed + 2)
+    venues = {
+        "wave = 1": wave_kernels(one_index, extra[:1]),
+        f"wave = {args.build_batch}": wave_kernels(repeat_index, extra),
+    }
+    print(f"venues: {venues}")
+
     ok = True
+    if venues != {"wave = 1": {"heap"}, f"wave = {args.build_batch}": {"array"}}:
+        print(
+            "FAIL: a one-row wave must trace kernel=heap and a "
+            f"{args.build_batch}-row wave kernel=array"
+        )
+        ok = False
     if not deterministic:
         print("FAIL: the build is not deterministic across runs")
         ok = False

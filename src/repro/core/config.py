@@ -14,6 +14,7 @@ apart (Section 7 of the paper, enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.core.topk import per_shard_top_k
 from repro.errors import ConfigError
@@ -27,6 +28,11 @@ SPILL_MODES = ("virtual", "physical")
 METRICS = ("euclidean", "cosine", "inner_product")
 #: First-level placement strategies.
 SHARDING_MODES = ("hash", "segment")
+
+#: Eq. 5-6 is a pure function of four scalars, a broker evaluates it on
+#: every multi-shard request, and its ``norm.ppf`` costs ~60 us a call:
+#: keep the few distinct answers a process ever asks for.
+_per_shard_top_k = lru_cache(maxsize=1024)(per_shard_top_k)
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,8 @@ class LannsConfig:
         """
         if not self.use_per_shard_topk or self.sharding == "segment":
             return int(top_k)
-        return per_shard_top_k(
-            top_k,
+        return _per_shard_top_k(
+            int(top_k),
             self.num_shards if num_groups is None else num_groups,
             self.topk_confidence,
             paper_literal=self.paper_literal_probit,

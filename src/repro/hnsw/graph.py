@@ -1,134 +1,261 @@
 """Layered adjacency storage for HNSW plus the visited-set machinery.
 
-The graph is deliberately simple: for each node we keep one Python list of
-neighbor ids per level the node participates in.  For construction and
-for the *heap* search venue (a lockstep group too small to amortise
-array overhead, down to a single query) Python lists beat numpy arrays:
-neighbor lists are short (<= 2M entries), mutated on every insert, and
-iterated one node at a time in the hot loop.  The *array* venue
-(:func:`repro.hnsw.search.search_arrays`, large query groups) reads a
-frozen padded copy instead (:class:`PaddedAdjacency`) and keeps its
-visited sets in one array (:class:`VisitedEpochs`).
+HNSW bounds every out-degree by construction (``max_m`` above the base
+layer, ``max_m0`` on it), so the graph is stored as what it is: one
+growable ``int32`` table with a row per (node, level) *slot*, as wide as
+the larger bound.  Row ``base[node] + level`` holds the neighbors of
+``node`` at ``level`` in link order, then ``node`` itself as padding --
+a node never links to itself, and a search that expands a node has
+already visited it, so padding filters out like any visited neighbor.
+Rows are node-major (one per level the node participates in): one
+base-layer row per node plus the few upper-layer rows.
+
+Both search venues, the construction wave and persistence read and
+write this one table in place.  The *array* venue
+(:func:`repro.hnsw.search.search_arrays`) gathers whole rounds of rows
+from it and keeps its visited sets in one array
+(:class:`VisitedEpochs`); the *heap* venue
+(:func:`repro.hnsw.search.search_layer_batch`, lockstep groups too
+small to amortise array overhead, down to a single query) reads one row
+per expansion and keeps per-query :class:`VisitedTable` lists.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-from typing import NamedTuple
 
 import numpy as np
+
+from repro.errors import SerializationError
 
 
 class HnswGraph:
     """The multi-layer proximity graph.
 
+    Parameters
+    ----------
+    width:
+        Columns of the adjacency table: the largest out-degree any slot
+        may hold.
+
     Attributes
     ----------
+    table:
+        The ``(capacity, width)`` ``int32`` adjacency; rows past the
+        slots in use are unwritten.
+    degrees:
+        Out-degree per slot: row ``s`` links to ``table[s, :degrees[s]]``.
+    base:
+        ``base[node]`` is the slot of ``node`` at level 0; its level
+        ``l`` row is ``base[node] + l``.
     levels:
         ``levels[node]`` is the top level of ``node`` (0 = base layer only).
     entry_point:
         Node id used as the global entry point, or ``-1`` when empty.
     """
 
-    __slots__ = ("_neighbors", "levels", "entry_point", "max_level")
+    __slots__ = (
+        "table", "degrees", "base", "levels", "entry_point", "max_level",
+        "_slots",
+    )
 
-    def __init__(self) -> None:
-        # _neighbors[node][level] -> list[int]
-        self._neighbors: list[list[list[int]]] = []
+    def __init__(self, width: int) -> None:
+        if width < 1:
+            raise ValueError(f"width must be positive, got {width}")
+        self.table = np.empty((0, width), dtype=np.int32)
+        self.degrees = np.empty(0, dtype=np.int32)
+        self.base = np.empty(0, dtype=np.int64)
         self.levels: list[int] = []
         self.entry_point: int = -1
         self.max_level: int = -1
+        self._slots = 0  # table rows in use
 
     def __len__(self) -> int:
         return len(self.levels)
 
+    @property
+    def capacity(self) -> int:
+        """Slots allocated; it changes only when the table doubles, and no
+        node id reaches it (every node owns at least one slot)."""
+        return self.table.shape[0]
+
     def add_node(self, level: int) -> int:
         """Create a node participating in layers ``0..level``; return its id."""
-        if level < 0:
-            raise ValueError(f"level must be non-negative, got {level}")
-        node = len(self.levels)
-        self.levels.append(level)
-        self._neighbors.append([[] for _ in range(level + 1)])
-        return node
+        return self.add_nodes([level])
 
-    def add_nodes(self, levels: list[int]) -> int:
-        """Bulk :meth:`add_node`: create one node per level, in order.
+    def add_nodes(self, levels: list[int] | np.ndarray) -> int:
+        """Create one unlinked node per level, in order.
 
         Returns the id of the first created node; ids are consecutive.
-        Used by the batched insert path (a whole construction wave joins
-        the graph before any of it is linked) and by the bulk loader.
+        A whole construction wave joins the graph before any of it is
+        linked; the loader adds every node at once.
         """
-        if any(level < 0 for level in levels):
+        spans = np.asarray(levels, dtype=np.int64) + 1
+        if (spans < 1).any():
             raise ValueError("levels must be non-negative")
-        first = len(self.levels)
-        self.levels.extend(int(level) for level in levels)
-        self._neighbors.extend(
-            [[] for _ in range(level + 1)] for level in levels
-        )
+        first, start = len(self.levels), self._slots
+        stop = start + int(spans.sum())
+        if stop > self.capacity:
+            # Geometric growth: O(1) amortised copies per slot, and the
+            # capacity-derived sizes downstream (VisitedEpochs) move
+            # only when this doubles.
+            capacity = max(stop, 2 * self.capacity)
+            table = np.empty((capacity, self.table.shape[1]), dtype=np.int32)
+            table[:start] = self.table[:start]
+            degrees = np.empty(capacity, dtype=np.int32)
+            degrees[:start] = self.degrees[:start]
+            base = np.empty(capacity, dtype=np.int64)
+            base[:first] = self.base[:first]
+            self.table, self.degrees, self.base = table, degrees, base
+        nodes = np.arange(first, first + spans.size)
+        self.base[first : first + spans.size] = start + np.cumsum(spans) - spans
+        self.table[start:stop] = np.repeat(nodes, spans)[:, np.newaxis]
+        self.degrees[start:stop] = 0
+        self.levels.extend((spans - 1).tolist())
+        self._slots = stop
         return first
 
+    def _slot(self, node: int, level: int) -> int:
+        """The table row of ``node`` at ``level``."""
+        if not 0 <= level <= self.levels[node]:
+            raise IndexError(f"node {node} has no level {level}")
+        return int(self.base[node]) + level
+
     def neighbors(self, node: int, level: int) -> list[int]:
-        """The (mutable) neighbor list of ``node`` at ``level``."""
-        return self._neighbors[node][level]
-
-    def set_level_csr(
-        self,
-        level: int,
-        nodes: list[int],
-        indptr: list[int],
-        indices: list[int],
-    ) -> None:
-        """Bulk-load one layer's adjacency from a CSR (indptr, indices) pair.
-
-        ``indptr`` is indexed by node id (``len(self) + 1`` entries,
-        absent nodes spanning empty ranges); ``nodes`` lists the nodes
-        that participate at ``level``.  Both are flat Python lists so each
-        neighbor list is one list slice -- no per-node array slicing or
-        ``tolist()`` calls, which keeps bulk index loads O(edges) instead
-        of O(nodes) numpy round-trips.
-        """
-        neighbors = self._neighbors
-        for node in nodes:
-            neighbors[node][level] = indices[indptr[node] : indptr[node + 1]]
-
-    def set_neighbors(self, node: int, level: int, neighbor_ids: list[int]) -> None:
-        """Replace the neighbor list of ``node`` at ``level``."""
-        self._neighbors[node][level] = list(neighbor_ids)
-
-    def add_link(self, node: int, level: int, neighbor: int) -> None:
-        """Append a directed edge ``node -> neighbor`` at ``level``."""
-        self._neighbors[node][level].append(neighbor)
+        """A copy of the neighbor list of ``node`` at ``level``."""
+        slot = self._slot(node, level)
+        return self.table[slot, : self.degrees[slot]].tolist()
 
     def degree(self, node: int, level: int) -> int:
         """Out-degree of ``node`` at ``level``."""
-        return len(self._neighbors[node][level])
+        return int(self.degrees[self._slot(node, level)])
 
-    def padded(self) -> "PaddedAdjacency":
-        """A frozen array copy of every level's adjacency.
+    def neighbor_rows(self, nodes: np.ndarray, level: int) -> np.ndarray:
+        """The padded ``(len(nodes), width)`` neighbor rows of ``nodes`` at
+        ``level`` (every node must participate there)."""
+        return self.table.take(self.base[nodes] + level, axis=0)
 
-        The copy does not follow later mutations: whoever caches it drops
-        it when the graph changes.
+    def set_neighbors(self, node: int, level: int, neighbor_ids: list[int]) -> None:
+        """Replace the neighbor list of ``node`` at ``level``."""
+        slot = self._slot(node, level)
+        count = len(neighbor_ids)
+        if count > self.table.shape[1]:
+            raise ValueError(
+                f"{count} neighbors do not fit a row of {self.table.shape[1]}"
+            )
+        self.table[slot, :count] = neighbor_ids
+        self.table[slot, count:] = node
+        self.degrees[slot] = count
+
+    def add_link(self, node: int, level: int, neighbor: int) -> None:
+        """Append a directed edge ``node -> neighbor`` at ``level``."""
+        slot = self._slot(node, level)
+        count = int(self.degrees[slot])
+        if count >= self.table.shape[1]:
+            raise ValueError(f"node {node} level {level} is full")
+        self.table[slot, count] = neighbor
+        self.degrees[slot] = count + 1
+
+    def set_neighbor_lists(
+        self,
+        nodes: np.ndarray,
+        levels: np.ndarray,
+        counts: np.ndarray,
+        neighbor_ids: np.ndarray,
+    ) -> None:
+        """Bulk :meth:`set_neighbors`: list ``p`` -- the next ``counts[p]``
+        entries of ``neighbor_ids`` -- replaces the neighbors of
+        ``nodes[p]`` at ``levels[p]`` (distinct slots, lists within the
+        table width)."""
+        slots = self.base[nodes] + levels
+        width = self.table.shape[1]
+        rows = np.repeat(nodes.astype(np.int32)[:, np.newaxis], width, axis=1)
+        rows[np.arange(width) < counts[:, np.newaxis]] = neighbor_ids
+        self.table[slots] = rows
+        self.degrees[slots] = counts
+
+    def add_links(
+        self,
+        nodes: np.ndarray,
+        levels: np.ndarray,
+        neighbors: np.ndarray,
+        bounds: np.ndarray,
+    ) -> np.ndarray:
+        """Bulk :meth:`add_link`, bounded: append edge ``nodes[e] ->
+        neighbors[e]`` at ``levels[e]``, in order, while the row holds
+        fewer than ``bounds[e]`` links.
+
+        Returns the mask of edges that did not fit -- their rows are
+        full to the bound and the caller re-selects them -- so a row
+        never overflows.
         """
-        lists = list(itertools.chain.from_iterable(self._neighbors))
-        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        spans = np.asarray(self.levels, dtype=np.int64) + 1
-        owners = np.repeat(np.arange(len(self), dtype=np.int32), spans)
-        width = max(int(counts.max(initial=0)), 1)
-        table = np.repeat(owners[:, np.newaxis], width, axis=1)
-        table[np.arange(width) < counts[:, np.newaxis]] = np.fromiter(
-            itertools.chain.from_iterable(lists),
-            dtype=np.int32,
-            count=int(counts.sum()),
+        slots = self.base[nodes] + levels
+        if slots.size == 0:
+            return np.zeros(0, dtype=bool)
+        order = np.argsort(slots, kind="stable")
+        ordered = slots[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        sizes = np.diff(np.r_[starts, ordered.size])
+        rank = np.arange(ordered.size) - np.repeat(starts, sizes)
+        columns = self.degrees[ordered] + rank
+        fits = columns < bounds[order]
+        self.table[ordered[fits], columns[fits]] = neighbors[order[fits]]
+        self.degrees[ordered[starts]] += np.add.reduceat(
+            fits.astype(np.int32), starts
         )
-        return PaddedAdjacency(table, np.cumsum(spans) - spans)
+        refused = np.zeros(slots.size, dtype=bool)
+        refused[order[~fits]] = True
+        return refused
+
+    # -- one level as CSR (the persisted layout) ----------------------------------
+    def level_csr(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of one layer over all nodes, ``int64``;
+        nodes below ``level`` span empty ranges."""
+        n = len(self)
+        nodes = np.flatnonzero(np.asarray(self.levels) >= level)
+        slots = self.base[nodes] + level
+        counts = self.degrees[slots]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[nodes + 1] = counts
+        np.cumsum(indptr, out=indptr)
+        linked = np.arange(self.table.shape[1]) < counts[:, np.newaxis]
+        return indptr, self.table[slots][linked].astype(np.int64)
+
+    def load_level_csr(
+        self, level: int, indptr: np.ndarray, indices: np.ndarray
+    ) -> None:
+        """Inverse of :meth:`level_csr` onto existing, unlinked nodes.
+
+        Raises :class:`~repro.errors.SerializationError` when the pair
+        does not describe this graph's nodes at ``level`` or a list
+        exceeds the table width.
+        """
+        nodes = np.flatnonzero(np.asarray(self.levels) >= level)
+        counts = np.diff(indptr)[nodes] if indptr.size == len(self) + 1 else None
+        if (
+            counts is None
+            or counts.sum() != indices.size
+            or counts.min(initial=0) < 0
+            or counts.max(initial=0) > self.table.shape[1]
+        ):
+            raise SerializationError(
+                f"level {level} adjacency does not fit a graph of {len(self)} "
+                f"nodes and out-degree <= {self.table.shape[1]}"
+            )
+        slots = self.base[nodes] + level
+        rows = self.table[slots]
+        rows[np.arange(self.table.shape[1]) < counts[:, np.newaxis]] = indices
+        self.table[slots] = rows
+        self.degrees[slots] = counts
 
     # -- invariants (used by tests and sanity checks) ------------------------------
     def check_invariants(self, max_m: int, max_m0: int) -> None:
         """Raise ``AssertionError`` if structural invariants are violated.
 
-        Checks: degrees within bounds, neighbors exist at the same level,
-        no self-loops, entry point is at ``max_level``.
+        Checks: slot layout and degree column consistent with the
+        padding, degrees within bounds, neighbors exist at the same
+        level, no self-loops or duplicates, entry point is at
+        ``max_level``.
         """
         n = len(self)
         if n == 0:
@@ -136,42 +263,53 @@ class HnswGraph:
             return
         assert 0 <= self.entry_point < n
         assert self.levels[self.entry_point] == self.max_level
-        for node in range(n):
-            for level in range(self.levels[node] + 1):
-                nbrs = self._neighbors[node][level]
-                bound = max_m0 if level == 0 else max_m
-                assert len(nbrs) <= bound, (
-                    f"node {node} level {level} degree {len(nbrs)} > {bound}"
-                )
-                assert node not in nbrs, f"self-loop at node {node}"
-                assert len(set(nbrs)) == len(nbrs), (
-                    f"duplicate neighbors at node {node} level {level}"
-                )
-                for nbr in nbrs:
-                    assert 0 <= nbr < n
-                    assert self.levels[nbr] >= level, (
-                        f"node {node} links to {nbr} above its top level"
-                    )
+        levels = np.asarray(self.levels)
+        spans = levels + 1
+        assert self._slots == spans.sum() <= self.capacity
+        assert (self.base[:n] == np.cumsum(spans) - spans).all()
+        owners = np.repeat(np.arange(n), spans)
+        slot_levels = np.arange(self._slots) - self.base[owners]
+        table, degrees = self.table[: self._slots], self.degrees[: self._slots]
+        width = table.shape[1]
 
+        def first(bad: np.ndarray) -> tuple[int, int, int]:
+            """(node, level, slot) of the first offending slot."""
+            slot = int(np.flatnonzero(bad)[0])
+            return int(owners[slot]), int(slot_levels[slot]), slot
 
-class PaddedAdjacency(NamedTuple):
-    """Every neighbor list of a graph as rows of one ``int32`` table.
-
-    Row ``base[node] + level`` holds the neighbors of ``node`` at
-    ``level`` in list order, padded to the largest degree present with
-    ``node`` itself -- a node never links to itself, and a search that
-    expands a node has already visited it, so padding slots filter out
-    like any visited neighbor.  Rows are node-major (one per level the
-    node participates in), so the table costs one base-layer row per node
-    plus the few upper-layer rows.
-    """
-
-    table: np.ndarray
-    base: np.ndarray
-
-    def neighbors(self, nodes: np.ndarray, level: int) -> np.ndarray:
-        """The ``(len(nodes), width)`` neighbor rows of ``nodes`` at ``level``."""
-        return self.table.take(self.base[nodes] + level, axis=0)
+        bounds = np.where(slot_levels == 0, max_m0, max_m)
+        over = (degrees < 0) | (degrees > np.minimum(bounds, width))
+        if over.any():
+            node, level, slot = first(over)
+            raise AssertionError(
+                f"node {node} level {level} degree {degrees[slot]} > "
+                f"{bounds[slot]}"
+            )
+        linked = np.arange(width) < degrees[:, np.newaxis]
+        own = table == owners[:, np.newaxis]
+        loops = (linked & own).any(axis=1)
+        if loops.any():
+            raise AssertionError(f"self-loop at node {first(loops)[0]}")
+        assert (linked | own).all(), "padding is not the owner node"
+        ids = table[linked]
+        assert ((ids >= 0) & (ids < n)).all(), "neighbor id out of range"
+        # Padding sorts as distinct negatives, so only real repeats tie.
+        ordered = np.sort(
+            np.where(linked, table, -1 - np.arange(width)), axis=1, kind="stable"
+        )
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeats.any():
+            node, level, _ = first(repeats)
+            raise AssertionError(
+                f"duplicate neighbors at node {node} level {level}"
+            )
+        above = (linked & (levels[table] < slot_levels[:, np.newaxis])).any(axis=1)
+        if above.any():
+            node, level, slot = first(above)
+            nbr = table[slot][levels[table[slot]] < level][0]
+            raise AssertionError(
+                f"node {node} links to {nbr} above its top level"
+            )
 
 
 class VisitedTable:
@@ -224,7 +362,14 @@ class VisitedEpochs:
         self.epoch = 0
 
     def reset(self, capacity: int, rows: int) -> None:
-        """Start a new group search: ``rows`` queries over ``capacity`` nodes."""
+        """Start a new group search: ``rows`` queries over node ids below
+        ``capacity``.
+
+        Growing reallocates and zeroes ``rows x capacity`` bytes, so a
+        caller whose node count creeps up (a build searches a larger
+        graph every wave) passes a capacity that grows geometrically --
+        :attr:`HnswGraph.capacity` -- not the node count.
+        """
         if capacity > self.stride or rows * self.stride > self.tags.size:
             self.stride = max(capacity, self.stride)
             self.tags = np.zeros(rows * self.stride, dtype=np.uint8)

@@ -7,7 +7,6 @@ Malkov & Yashunin on top of the primitives in :mod:`repro.hnsw.search` and
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.distance.scorer import QuantizedStore, Scorer
 from repro.errors import IndexNotBuiltError, SerializationError
-from repro.hnsw.graph import HnswGraph, PaddedAdjacency, VisitedPool
+from repro.hnsw.graph import HnswGraph, VisitedPool
 from repro.hnsw.heuristic import (
     select_neighbors_heuristic_batch,
     select_neighbors_simple,
@@ -49,24 +48,26 @@ _FORMAT_VERSION = 1
 #: of this size.
 _MAX_LOCKSTEP = 64
 
-#: Smallest lockstep group searched on the array venue
-#: (``search.descend_arrays`` / ``search_arrays``); smaller groups, and
-#: the construction wave, run the heap kernels.  An array round costs a
-#: fixed ~25 numpy calls however many rows are live; a heap round costs
-#: interpreter time per row and per neighbor.  Measured on one 4000 x 64
+#: Smallest lockstep group -- query group or construction wave -- run on
+#: the array venue (``search.descend_arrays`` / ``search_arrays``);
+#: smaller groups run the heap kernels.  An array round costs a fixed ~25
+#: numpy calls however many rows are live; a heap round costs interpreter
+#: time per row and per neighbor (one table row read per expansion).
+#: Both read the graph's one in-place table.  Measured on one 4000 x 64
 #: segment (M = 12, ef = 64; ms per query, heap / array, min of 21):
 #:
 #:     rows     1     4     8     10    12    16    24    32    64
-#:     int8    1.21  0.65  0.51  0.54  0.48  0.44  0.46  0.44  0.43
-#:             3.18  0.92  0.50  0.43  0.41  0.28  0.21  0.17  0.15
-#:     float   1.25  0.53  0.40  0.40  0.37  0.36  0.36  0.36  0.38
-#:             2.47  0.72  0.43  0.35  0.30  0.27  0.21  0.14  0.11
+#:     int8    1.42  0.68  0.53  0.54  0.55  0.48  0.47  0.44  0.55
+#:             2.89  0.82  0.67  0.53  0.35  0.28  0.31  0.18  0.12
+#:     float   1.12  0.56  0.48  0.46  0.47  0.48  0.40  0.45  0.73
+#:             3.06  0.93  0.55  0.41  0.36  0.27  0.23  0.17  0.11
 #:
-#: The curves cross at 8-10 rows (4-10 on 2400 x 32 / M = 6 / ef = 10
-#: and 20000 x 32 / M = 16 / ef = 128); 12 is the first size at which
-#: arrays won on every shape tried.  Both venues apply the same beam
-#: rule (see :mod:`repro.hnsw.search`), so the constant moves time and
-#: never a result.
+#: The curves cross at 8-12 rows (8-10 on 2400 x 32 / M = 6 / ef = 10,
+#: 4-8 on 20000 x 32 / M = 16 / ef = 128); 12 is the first size at which
+#: arrays won on every shape tried, and a default 64-row construction
+#: wave sits x4-6 past it.  Both venues apply the same beam rule (see
+#: :mod:`repro.hnsw.search`), so the constant moves time and never a
+#: result.
 _ARRAY_MIN_ROWS = 12
 
 
@@ -98,16 +99,14 @@ class HnswIndex:
         self.params = params or HnswParams()
         self.metric_name = metric if isinstance(metric, str) else metric.name
         self._scorer = Scorer(metric, dim)
-        self._graph = HnswGraph()
+        self._graph = HnswGraph(
+            max(self.params.effective_max_m, self.params.effective_max_m0)
+        )
         self._external_ids: list[int] = []
         # Array form of _external_ids (plus a padding slot) for the search
         # tail, built on first use; whatever writes _external_ids resets
         # it to None.
         self._external_array: np.ndarray | None = None
-        # Array copy of the adjacency for the array search venue
-        # (HnswGraph.padded), same lifecycle: built by the first group
-        # that needs it, dropped by add().
-        self._adjacency: PaddedAdjacency | None = None
         self._id_to_row: dict[int, int] = {}
         # The id add() numbers from when none are given: one past the
         # largest external id ever stored.
@@ -225,7 +224,6 @@ class HnswIndex:
         self._external_ids.extend(ids.tolist())
         self._next_id = max(self._next_id, int(ids.max()) + 1)
         self._external_array = None
-        self._adjacency = None
         for row, external_id in zip(row_list, ids.tolist()):
             self._id_to_row[external_id] = row
 
@@ -253,10 +251,13 @@ class HnswIndex:
             # the same data + seed is deterministic.
             self._quantized.refresh()
 
-    def _max_degree(self, layer: int) -> int:
-        """Out-degree bound at ``layer`` (the base layer allows more)."""
+    def _max_degrees(self, layers: np.ndarray) -> np.ndarray:
+        """Out-degree bound at each of ``layers`` (the base layer allows
+        more)."""
         params = self.params
-        return params.effective_max_m0 if layer == 0 else params.effective_max_m
+        return np.where(
+            layers == 0, params.effective_max_m0, params.effective_max_m
+        )
 
     def _select_neighbors(
         self, problems: list[list[tuple[float, int]]], m: int, keep_pruned: bool
@@ -279,7 +280,10 @@ class HnswIndex:
         the graph (wave members are unreachable until the apply phase, so
         every row sees the same pre-wave links), pooling each round's
         distance evaluations into one vectorised call exactly like the
-        batched query path.  Because wave members cannot find each other
+        batched query path -- through the same :meth:`_descend` /
+        :meth:`_beam`, so a wide wave runs on the array kernels and a
+        narrow one (or the few rows of a wave that reach an upper layer)
+        on the heaps.  Because wave members cannot find each other
         by traversal, every row's candidate lists are augmented with its
         *earlier* wave-mates -- the neighbors one-row-at-a-time insertion
         would have been able to reach -- scored by one wave-wide GEMM.
@@ -308,71 +312,85 @@ class HnswIndex:
         wave_cross_np = scorer.pairwise_ids(wave_ids)
         wave_cross = wave_cross_np.tolist()
         mate_cap = 2 * params.M
-        nearest_mates: list[list[int]] = [[]]
-        for i in range(1, count):
-            order = np.argsort(wave_cross_np[i, :i], kind="stable")
-            nearest_mates.append(order[:mate_cap].tolist())
-
-        join = [min(level, previous_max) for level in levels]
-        entries, entry_dists = descend_to_levels_batch(
-            graph, scorer, queries, join, query_sq
+        # Row i's earlier mates, nearest first (ties by wave position):
+        # later mates sort behind every real distance and are cut off.
+        earlier = np.tri(count, k=-1, dtype=bool)
+        order = np.argsort(
+            np.where(earlier, wave_cross_np, np.inf), axis=1, kind="stable"
         )
-        beams: list[list[tuple[float, int]]] = [
-            [(entry_dists[i], entries[i])] for i in range(count)
+        nearest_mates = [
+            order[i, : min(i, mate_cap)].tolist() for i in range(count)
         ]
+
+        join = np.minimum(levels, previous_max)
+        entries, entry_dists = self._descend(scorer, "float", queries, query_sq, join)
+        # Each row's beam at the layer above seeds its search of the next.
         ef = max(params.ef_construction, 1)
+        beam_ids = np.full((count, ef), -1, dtype=_IDS_DTYPE)
+        beam_dists = np.full((count, ef), np.inf, dtype=np.float32)
+        beam_ids[:, 0], beam_dists[:, 0] = entries, entry_dists
         layer_candidates: dict[tuple[int, int], list[tuple[float, int]]] = {}
-        for layer in range(max(join), -1, -1):
-            active = [i for i in range(count) if join[i] >= layer]
-            sub_queries = queries[active]
-            tables = self._visited_pool.get_many(len(graph), len(active))
-            found = search_layer_batch(
-                graph,
-                scorer,
-                sub_queries,
-                [beams[i] for i in active],
-                ef,
-                layer,
-                tables,
-                query_sq[active],
+        for layer in range(int(join.max()), -1, -1):
+            active = np.flatnonzero(join >= layer)
+            found_ids, found_dists = self._beam(
+                scorer, "float", queries[active], query_sq[active],
+                beam_ids[active], beam_dists[active], ef, layer,
             )
-            for i, candidates in zip(active, found):
-                layer_candidates[(i, layer)] = candidates
-                beams[i] = candidates
+            beam_ids[active], beam_dists[active] = found_ids, found_dists
+            for i, size, ids_row, dists_row in zip(
+                active.tolist(),
+                np.count_nonzero(found_ids >= 0, axis=1).tolist(),
+                found_ids.tolist(),
+                found_dists.tolist(),
+            ):
+                layer_candidates[(i, layer)] = list(
+                    zip(dists_row[:size], ids_row[:size])
+                )
 
         # One vectorised selection round for every (row, layer) problem,
         # in apply order: row ascending, layer descending.
-        problem_keys: list[tuple[int, int]] = []
+        problem_rows: list[int] = []
+        problem_layers: list[int] = []
         problems: list[list[tuple[float, int]]] = []
         for i in range(count):
-            for layer in range(join[i], -1, -1):
-                candidates = list(layer_candidates[(i, layer)])
+            for layer in range(int(join[i]), -1, -1):
+                candidates = layer_candidates[(i, layer)]
                 cross_row = wave_cross[i]
                 for j in nearest_mates[i]:
                     if levels[j] >= layer:
                         candidates.append((cross_row[j], rows[j]))
-                problem_keys.append((i, layer))
+                problem_rows.append(rows[i])
+                problem_layers.append(layer)
                 problems.append(candidates)
         selections = self._select_neighbors(
             problems, params.M, params.keep_pruned_connections
         )
 
-        # Apply phase: deterministic row order.  Reverse links are
-        # appended without per-edge shrinking; (node, layer) pairs pushed
-        # over their degree bound are re-selected afterwards in one
+        # Apply phase: deterministic row order.  Every forward list is
+        # written, then every reverse link is appended in that same order
+        # while its row is below the degree bound (a wave row is only
+        # linked to by later rows, so its own list is in place first).
+        # Reverse links that would overflow a row are held back, and
+        # those (node, layer) pairs are re-selected afterwards in one
         # vectorised round (one shrink per wave instead of one per edge,
         # and the re-selection sees every wave row that linked in).
-        overfull: dict[tuple[int, int], None] = {}
-        for (i, layer), selected in zip(problem_keys, selections):
-            row = rows[i]
-            graph.set_neighbors(row, layer, [node for _, node in selected])
-            max_degree = self._max_degree(layer)
-            for _, neighbor in selected:
-                graph.add_link(neighbor, layer, row)
-                if graph.degree(neighbor, layer) > max_degree:
-                    overfull[(neighbor, layer)] = None
-        if overfull:
-            self._shrink_links_wave(list(overfull))
+        sizes = np.asarray([len(selected) for selected in selections])
+        nodes = np.asarray(problem_rows, dtype=_IDS_DTYPE)
+        layers = np.asarray(problem_layers, dtype=_IDS_DTYPE)
+        linked = np.asarray(
+            [node for selected in selections for _, node in selected],
+            dtype=_IDS_DTYPE,
+        )
+        graph.set_neighbor_lists(nodes, layers, sizes, linked)
+        link_layers = layers.repeat(sizes)
+        sources = nodes.repeat(sizes)
+        refused = graph.add_links(
+            linked, link_layers, sources, self._max_degrees(link_layers)
+        )
+        if refused.any():
+            self._shrink_links_wave(
+                linked[refused], link_layers[refused], sources[refused]
+            )
 
         # Entry point, as if the rows had arrived one by one: the first
         # row to exceed the running maximum takes over.
@@ -383,10 +401,15 @@ class HnswIndex:
                 running_max = levels[i]
         graph.max_level = running_max
 
-    def _shrink_links_wave(self, targets: list[tuple[int, int]]) -> None:
-        """Re-select the out-links of over-full ``(node, layer)`` pairs.
+    def _shrink_links_wave(
+        self, nodes: np.ndarray, layers: np.ndarray, sources: np.ndarray
+    ) -> None:
+        """Re-select the out-links of full rows that were offered more.
 
-        All node-to-neighbor distances come from one
+        ``nodes[e]`` at ``layers[e]`` is at its degree bound and
+        ``sources[e]`` would have linked in; the candidates of each such
+        (node, layer) are its row plus every source held back.  All
+        node-to-neighbor distances come from one
         :meth:`~repro.distance.scorer.Scorer.score_pairs` call and the
         re-selections run as (at most) two
         :func:`select_neighbors_heuristic_batch` rounds -- one per degree
@@ -404,46 +427,150 @@ class HnswIndex:
         """
         graph = self._graph
         scorer = self._scorer
+        slots = graph.base[nodes] + layers
+        order = np.argsort(slots, kind="stable")
+        slots, starts = np.unique(slots[order], return_index=True)
+        nodes, layers = nodes[order][starts], layers[order][starts]
         neighbor_lists = [
-            graph.neighbors(node, layer) for node, layer in targets
+            row[:degree] + held.tolist()
+            for row, degree, held in zip(
+                graph.table[slots].tolist(),
+                graph.degrees[slots].tolist(),
+                np.split(sources[order], starts[1:]),
+            )
         ]
-        flat_rows: list[int] = []
-        flat_ids: list[int] = []
-        for position, nbrs in enumerate(neighbor_lists):
-            flat_rows.extend([position] * len(nbrs))
-            flat_ids.extend(nbrs)
-        node_ids = np.asarray(
-            [node for node, _ in targets], dtype=_IDS_DTYPE
-        )
-        queries = scorer.data[node_ids]
+        counts = np.asarray([len(nbrs) for nbrs in neighbor_lists])
+        queries = scorer.data[nodes]
         dists = scorer.score_pairs(
             queries,
-            np.asarray(flat_rows),
-            np.asarray(flat_ids, dtype=_IDS_DTYPE),
+            np.arange(len(neighbor_lists)).repeat(counts),
+            np.asarray(
+                [nbr for nbrs in neighbor_lists for nbr in nbrs],
+                dtype=_IDS_DTYPE,
+            ),
             scorer.query_sq_norms(queries),
         ).tolist()
+        problems = []
+        offset = 0
+        for nbrs in neighbor_lists:
+            problems.append(list(zip(dists[offset : offset + len(nbrs)], nbrs)))
+            offset += len(nbrs)
         # Two batch rounds at most: the degree bound differs between the
         # base layer and the upper layers.
-        by_bound: dict[int, tuple[list[int], list[list[tuple[float, int]]]]]
-        by_bound = {}
-        offset = 0
-        for position, (_node, layer) in enumerate(targets):
-            nbrs = neighbor_lists[position]
-            problem = list(zip(dists[offset : offset + len(nbrs)], nbrs))
-            offset += len(nbrs)
-            bound = self._max_degree(layer)
-            positions, problems = by_bound.setdefault(bound, ([], []))
-            positions.append(position)
-            problems.append(problem)
-        for bound, (positions, problems) in by_bound.items():
-            reselected = self._select_neighbors(problems, bound, False)
-            for position, selected in zip(positions, reselected):
-                node, layer = targets[position]
-                graph.set_neighbors(
-                    node, layer, [nbr for _, nbr in selected]
-                )
+        bounds = self._max_degrees(layers)
+        reselected: list = [None] * len(problems)
+        for bound in np.unique(bounds).tolist():
+            positions = np.flatnonzero(bounds == bound).tolist()
+            for position, selected in zip(
+                positions,
+                self._select_neighbors(
+                    [problems[position] for position in positions], bound, False
+                ),
+            ):
+                reselected[position] = [nbr for _, nbr in selected]
+        graph.set_neighbor_lists(
+            nodes,
+            layers,
+            np.asarray([len(selected) for selected in reselected]),
+            np.asarray(
+                [nbr for selected in reselected for nbr in selected],
+                dtype=_IDS_DTYPE,
+            ),
+        )
 
     # -- search ------------------------------------------------------------------------
+    def _descend(
+        self,
+        traversal,
+        arm: str,
+        queries: np.ndarray,
+        query_sq: np.ndarray,
+        target_levels: np.ndarray,
+        cost=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy descent of one lockstep group -- a query group or a
+        construction wave -- to its per-row ``target_levels``: entry
+        nodes (int64) and reduced entry distances (float32).
+
+        The venue is a property of the group: ``_ARRAY_MIN_ROWS`` rows or
+        more run on the array kernel, fewer on the heap kernel; both walk
+        the same path.  Under an active tracing recorder the stage is a
+        ``descend`` span tagged ``scorer=<arm>``, ``kernel=heap|array``
+        and ``rounds=<n>``.
+        """
+        graph = self._graph
+        arrays = queries.shape[0] >= _ARRAY_MIN_ROWS
+        with maybe_span(
+            current_recorder(), "descend",
+            scorer=arm, kernel="array" if arrays else "heap",
+        ) as span:
+            notes = span["annotations"] if span is not None else None
+            if arrays:
+                return descend_arrays(
+                    graph, traversal, queries, target_levels, query_sq,
+                    cost, notes,
+                )
+            entries, entry_dists = descend_to_levels_batch(
+                graph, traversal, queries, target_levels.tolist(), query_sq,
+                cost, notes,
+            )
+            return (
+                np.asarray(entries, dtype=_IDS_DTYPE),
+                np.asarray(entry_dists, dtype=np.float32),
+            )
+
+    def _beam(
+        self,
+        traversal,
+        arm: str,
+        queries: np.ndarray,
+        query_sq: np.ndarray,
+        entries: np.ndarray,
+        entry_dists: np.ndarray,
+        ef: int,
+        level: int,
+        cost=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Beam search of one lockstep group at ``level`` from ``(rows,
+        <= ef)`` seed beams: ``(rows, ef)`` ids / reduced distances
+        sorted by ``(distance, node)``, ``-1`` / ``inf`` past a short
+        beam (seeds come in the same form).
+
+        The venue is chosen as in :meth:`_descend`; both kernels apply
+        one beam rule (:mod:`repro.hnsw.search`), so the choice moves
+        time and never a result.  The ``beam`` span carries the same tags
+        plus ``ef`` and ``num_queries``.
+        """
+        graph = self._graph
+        num_queries = queries.shape[0]
+        arrays = num_queries >= _ARRAY_MIN_ROWS
+        with maybe_span(
+            current_recorder(), "beam",
+            scorer=arm, kernel="array" if arrays else "heap",
+            ef=ef, num_queries=num_queries,
+        ) as span:
+            notes = span["annotations"] if span is not None else None
+            if arrays:
+                return search_arrays(
+                    graph, traversal, queries, entries, entry_dists, ef, level,
+                    self._visited_pool.get_epochs(graph.capacity, num_queries),
+                    query_sq, cost, notes,
+                )
+            seeds = [
+                [seed for seed in zip(dists_row, ids_row) if seed[1] >= 0]
+                for dists_row, ids_row in zip(
+                    entry_dists.tolist(), entries.tolist()
+                )
+            ]
+            return beams_as_arrays(
+                search_layer_batch(
+                    graph, traversal, queries, seeds, ef, level,
+                    self._visited_pool.get_many(len(graph), num_queries),
+                    query_sq, cost, notes,
+                ),
+                ef,
+            )
+
     def _search_many(
         self, queries: np.ndarray, k: int, ef: int | None, cost=None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -520,51 +647,15 @@ class HnswIndex:
                 traversal = self._quantized.view(prepared)
                 arm = self._quantized.kind
                 depth = max(depth, self.params.rescore_k)
-            # The venue is a property of the group: wide ones run on
-            # arrays, narrow ones on heaps; both apply the same beam rule.
-            arrays = num_queries >= _ARRAY_MIN_ROWS
-            kernel = "array" if arrays else "heap"
-            if arrays:
-                adjacency = self._adjacency
-                if adjacency is None:
-                    adjacency = self._adjacency = graph.padded()
-            with maybe_span(
-                recorder, "descend", scorer=arm, kernel=kernel
-            ) as span:
-                notes = span["annotations"] if span is not None else None
-                if arrays:
-                    entries, entry_dists = descend_arrays(
-                        adjacency, graph.entry_point, graph.max_level,
-                        traversal, prepared, query_sq, cost, notes,
-                    )
-                else:
-                    entries, entry_dists = descend_to_levels_batch(
-                        graph, traversal, prepared, [0] * num_queries,
-                        query_sq, cost, notes,
-                    )
-            with maybe_span(
-                recorder, "beam", scorer=arm, kernel=kernel,
-                ef=depth, num_queries=num_queries,
-            ) as span:
-                notes = span["annotations"] if span is not None else None
-                if arrays:
-                    rows, reduced = search_arrays(
-                        adjacency, traversal, prepared, entries, entry_dists,
-                        depth,
-                        self._visited_pool.get_epochs(len(graph), num_queries),
-                        query_sq, cost, notes,
-                    )
-                else:
-                    rows, reduced = beams_as_arrays(
-                        search_layer_batch(
-                            graph, traversal, prepared,
-                            [[seed] for seed in zip(entry_dists, entries)],
-                            depth, 0,
-                            self._visited_pool.get_many(len(graph), num_queries),
-                            query_sq, cost, notes,
-                        ),
-                        k if traversal is scorer else depth,
-                    )
+            entries, entry_dists = self._descend(
+                traversal, arm, prepared, query_sq,
+                np.zeros(num_queries, dtype=_IDS_DTYPE), cost,
+            )
+            rows, reduced = self._beam(
+                traversal, arm, prepared, query_sq,
+                entries[:, np.newaxis], entry_dists[:, np.newaxis],
+                depth, 0, cost,
+            )
             if traversal is not scorer:
                 # Exact rescore: one flat float32 scoring call for every
                 # beam survivor of the whole batch, then the same
@@ -680,24 +771,8 @@ class HnswIndex:
             "vectors": np.array(self._scorer.data),
             "params_json": np.asarray(json.dumps(self.params.to_dict())),
         }
-        levels = np.asarray(self._graph.levels, dtype=np.int64)
         for level in range(self._graph.max_level + 1):
-            # indptr/indices are assembled with numpy (counts -> cumsum,
-            # one chained fromiter) instead of a per-node Python
-            # accumulation; absent nodes contribute empty ranges.
-            counts = np.zeros(n, dtype=np.int64)
-            chunks: list[list[int]] = []
-            for node in np.flatnonzero(levels >= level).tolist():
-                nbrs = self._graph.neighbors(node, level)
-                counts[node] = len(nbrs)
-                chunks.append(nbrs)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.fromiter(
-                itertools.chain.from_iterable(chunks),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
+            indptr, indices = self._graph.level_csr(level)
             payload[f"indptr_{level}"] = indptr
             payload[f"indices_{level}"] = indices
         if self._quantized is not None:
@@ -736,21 +811,14 @@ class HnswIndex:
         index._scorer._data[:n] = vectors
         index._scorer._sq_norms[:n] = np.einsum("ij,ij->i", vectors, vectors)
         index._scorer._count = n
-        graph.add_nodes(levels.tolist())
+        graph.add_nodes(levels)
         graph.entry_point = int(payload["entry_point"])
         graph.max_level = int(payload["max_level"])
         for level in range(graph.max_level + 1):
-            indptr = np.asarray(
-                payload[f"indptr_{level}"], dtype=np.int64
-            ).tolist()
-            indices = np.asarray(
-                payload[f"indices_{level}"], dtype=np.int64
-            ).tolist()
-            graph.set_level_csr(
+            graph.load_level_csr(
                 level,
-                np.flatnonzero(levels >= level).tolist(),
-                indptr,
-                indices,
+                np.asarray(payload[f"indptr_{level}"], dtype=np.int64),
+                np.asarray(payload[f"indices_{level}"], dtype=np.int64),
             )
         external = np.asarray(payload["external_ids"], dtype=np.int64)
         if (external < 0).any():

@@ -36,12 +36,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.hnsw.graph import (
-    HnswGraph,
-    PaddedAdjacency,
-    VisitedEpochs,
-    VisitedTable,
-)
+from repro.hnsw.graph import HnswGraph, VisitedEpochs, VisitedTable
 
 _IDS_DTYPE = np.int64
 
@@ -117,6 +112,7 @@ def descend_to_levels_batch(
     )
     current = [entry] * num_queries
     current_dist = [float(dist) for dist in entry_dists]
+    table, degrees, base = graph.table, graph.degrees, graph.base
     for level in range(graph.max_level, min(target_levels, default=0), -1):
         active = [i for i in range(num_queries) if target_levels[i] < level]
         while active:
@@ -124,18 +120,19 @@ def descend_to_levels_batch(
             span_rows: list[int] = []
             span_counts: list[int] = []
             for i in active:
-                neighbors = graph.neighbors(current[i], level)
-                if not neighbors:
+                slot = base[current[i]] + level
+                count = int(degrees[slot])
+                if not count:
                     continue  # local minimum: settled at this level
                 span_rows.append(i)
-                span_counts.append(len(neighbors))
-                flat_ids.extend(neighbors)
+                span_counts.append(count)
+                flat_ids.extend(table[slot, :count].tolist())
             if not flat_ids:
                 break
             rounds += 1
             dists = scorer.score_pairs(
                 queries,
-                np.repeat(span_rows, span_counts),
+                np.asarray(span_rows).repeat(span_counts),
                 np.asarray(flat_ids, dtype=_IDS_DTYPE),
                 query_sq,
             )
@@ -198,7 +195,7 @@ def search_layer_batch(
     at most ``ef`` long.
     """
     num_queries = queries.shape[0]
-    adjacency = graph._neighbors  # direct slot access: hot loop
+    adjacency, base = graph.table, graph.base  # direct access: hot loop
     # Per query -- candidates: min-heap of unexpanded pairs; results: the
     # beam, a max-heap keyed (-dist, -node) whose root is its largest pair.
     candidates: list[list[tuple[float, int]]] = []
@@ -239,9 +236,11 @@ def search_layer_batch(
                 ):
                     cand.clear()  # evicted, like all behind it: done
                     break
+                # The row's padding is ``node`` itself: visited, so it
+                # filters out with the visited neighbors.
                 fresh = [
                     neighbor
-                    for neighbor in adjacency[node][level]
+                    for neighbor in adjacency[base[node] + level].tolist()
                     if tags[neighbor] != epoch
                 ]
                 if fresh:
@@ -262,7 +261,7 @@ def search_layer_batch(
         # Phase 2: one vectorised scoring call for the whole round.
         dists = scorer.score_pairs(
             queries,
-            np.repeat(span_rows, span_counts),
+            np.asarray(span_rows).repeat(span_counts),
             np.asarray(flat_ids, dtype=_IDS_DTYPE),
             query_sq,
         )
@@ -308,9 +307,9 @@ def search_layer_batch(
 # round is a fixed handful of numpy calls over every live row, however
 # many rows there are, where the heap kernels above pay interpreter time
 # per row and per neighbor.  That trade only wins for a group that is
-# wide enough (HnswIndex picks the venue from the group it was handed),
-# and it needs a graph that holds still -- the construction wave links
-# nodes between searches, so it stays on the heaps.
+# wide enough: HnswIndex picks the venue from the group it was handed,
+# a query group and a construction wave alike.  Each round gathers its
+# neighbor rows straight from the graph's table.
 #
 # A beam row is ``ef`` sorted int64 keys.  One key is one member,
 #
@@ -385,33 +384,34 @@ def beams_as_arrays(
 
 
 def descend_arrays(
-    adjacency: PaddedAdjacency,
-    entry_point: int,
-    max_level: int,
+    graph: HnswGraph,
     scorer: PairScorer,
     queries: np.ndarray,
+    target_levels: np.ndarray,
     query_sq: np.ndarray | None = None,
     cost=None,
     notes: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`descend_to_levels_batch` to layer 0 over a padded adjacency.
+    """:func:`descend_to_levels_batch` with the per-query state in arrays.
 
-    Returns the per-query entry nodes (int64) and their reduced entry
-    distances (float32): the same walk, and the same ``cost.hops`` and
+    ``target_levels`` is an integer array, one level per query.  Returns
+    the per-query entry nodes (int64) and their reduced entry distances
+    (float32): the same walk, and the same ``cost.hops`` and
     ``notes["rounds"]``, with each round's argmin taken over one padded
     ``(rows, width)`` array.
     """
     num_queries = queries.shape[0]
     rounds = 0
-    current = np.full(num_queries, entry_point, dtype=_IDS_DTYPE)
+    current = np.full(num_queries, graph.entry_point, dtype=_IDS_DTYPE)
     current_dist = scorer.score_pairs(
         queries, np.arange(num_queries), current, query_sq
     )
-    for level in range(max_level, 0, -1):
-        active = np.arange(num_queries)
+    lowest = int(target_levels.min(initial=graph.max_level))
+    for level in range(graph.max_level, lowest, -1):
+        active = np.flatnonzero(target_levels < level)
         while active.size:
             nodes = current[active]
-            neighbors = adjacency.neighbors(nodes, level)
+            neighbors = graph.neighbor_rows(nodes, level)
             linked = neighbors != nodes[:, np.newaxis]  # not padding
             ids = neighbors[linked].astype(_IDS_DTYPE)
             if ids.size == 0:
@@ -438,24 +438,29 @@ def descend_arrays(
 
 
 def search_arrays(
-    adjacency: PaddedAdjacency,
+    graph: HnswGraph,
     scorer: PairScorer,
     queries: np.ndarray,
     entries: np.ndarray,
     entry_dists: np.ndarray,
     ef: int,
+    level: int,
     visited: VisitedEpochs,
     query_sq: np.ndarray | None = None,
     cost=None,
     notes: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Base-layer :func:`search_layer_batch` over a padded adjacency.
+    """:func:`search_layer_batch` with the per-query state in arrays.
 
     Parameters
     ----------
     entries, entry_dists:
-        One seed node (int64) and its reduced distance (float32) per
-        query, as :func:`descend_arrays` returns them.
+        ``(B, s)`` seed nodes (int64) and their reduced distances
+        (float32), ``s <= ef``, in the form this function returns beams:
+        distinct nodes per row, ``-1`` marking an unused slot.  One
+        column of :func:`descend_arrays` output seeds a query; a
+        construction wave seeds each layer with the beams of the one
+        above.
     visited:
         A reset :class:`VisitedEpochs` with at least one row per query.
 
@@ -470,15 +475,17 @@ def search_arrays(
     a heap row, which pops on within the round, an array row whose
     frontier had no unvisited neighbor sits the round out.
     """
-    num_queries = queries.shape[0]
-    width = adjacency.table.shape[1]
+    num_queries, seeds = entries.shape
+    width = graph.table.shape[1]
     tags, epoch = visited.tags, visited.epoch
     live = np.arange(num_queries)
     offsets = live * visited.stride
-    tags[offsets + entries] = epoch
+    seeded = entries >= 0
+    tags[(offsets[:, np.newaxis] + entries)[seeded]] = epoch
     # Columns [:ef] are the beam, columns [ef:] the round's newcomers.
     merged = np.full((num_queries, ef + width), _PAD, dtype=np.int64)
-    merged[:, 0] = _pack(entry_dists, entries)
+    merged[:, :seeds] = np.where(seeded, _pack(entry_dists, entries), _PAD)
+    merged.sort(axis=1)
     beams = np.empty((num_queries, ef), dtype=np.int64)
     rounds = 0
     beam, newcomers, rows = merged[:, :ef], merged[:, ef:], live
@@ -499,7 +506,7 @@ def search_arrays(
             rows = np.arange(live.size)
         rounds += 1
         beam[rows, position] = frontier | 1
-        neighbors = adjacency.neighbors((frontier >> 1) & _LOW31, 0)
+        neighbors = graph.neighbor_rows((frontier >> 1) & _LOW31, level)
         slots = offsets[:, np.newaxis] + neighbors
         # Flat positions, in the (live rows, width) grid, of the
         # neighbors this round is the first to see.

@@ -523,12 +523,57 @@ def test_hnsw_index_has_one_search_body():
     assert bodies == ["_search_many"]
 
 
+def test_hnsw_graph_has_one_adjacency():
+    """The table is the graph: a list-of-lists twin, a frozen padded
+    copy or a cached CSR must not quietly regrow beside it.  On a built
+    index exactly one ``HnswGraph`` / ``HnswIndex`` attribute holds a
+    neighbor id per edge -- anything else that large is an adjacency."""
+    import numpy as np
+
+    from repro.hnsw.graph import HnswGraph
+    from repro.hnsw.index import build_hnsw
+    from repro.hnsw.params import HnswParams
+
+    rng = np.random.default_rng(0)
+    index = build_hnsw(
+        rng.standard_normal((300, 8)).astype(np.float32),
+        params=HnswParams(M=4, ef_construction=16),
+    )
+    index.search_batch(index.vector(0)[np.newaxis].repeat(16, axis=0), 3)
+    graph = index.graph
+    edges = int(graph.degrees[: sum(graph.levels) + len(graph)].sum())
+    assert edges > 4 * len(graph)
+
+    def elements(value) -> int:
+        if isinstance(value, np.ndarray):
+            return value.size
+        if isinstance(value, (list, tuple, dict)):
+            items = value.values() if isinstance(value, dict) else value
+            return sum(max(elements(item), 1) for item in items)
+        return 0
+
+    held = {name: elements(getattr(graph, name)) for name in HnswGraph.__slots__}
+    assert [name for name, size in held.items() if size >= edges] == ["table"]
+    assert graph.table.ndim == 2 and graph.table.dtype == np.int32
+    # ... and the index keeps no graph-sized integer array of its own.
+    beside = {
+        name: value
+        for name, value in vars(index).items()
+        if isinstance(value, np.ndarray)
+        and value.dtype.kind == "i"
+        and value.size >= edges
+    }
+    assert beside == {}
+
+
 def test_retired_scalar_paths_stay_deleted():
-    """One construction path, one merge: the sequential insert, its
-    private kernels and the tuple-list merge must not quietly regrow."""
+    """One construction path, one merge, one adjacency: the sequential
+    insert, its private kernels, the tuple-list merge and the graph's
+    second and third representations must not quietly regrow."""
     retired = {
         "_insert_row", "_link_back", "search_layer", "greedy_descent",
         "descend_to_level", "score_ids", "merge_top_k", "TopKHeap",
+        "padded", "PaddedAdjacency", "set_level_csr",
     }
     defined = set()
     for path in (default_repo_root() / "src").rglob("*.py"):

@@ -6,11 +6,15 @@ at every wave size down to one row, recall across wave sizes, and the
 vectorised serialization / id-validation paths.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.synthetic import clustered_gaussians
-from repro.hnsw.graph import HnswGraph
+from repro.hnsw.graph import HnswGraph, VisitedEpochs
 from repro.hnsw.heuristic import select_neighbors_heuristic_batch
 from repro.hnsw.index import HnswIndex, build_hnsw
 from repro.hnsw.params import HnswParams
@@ -244,6 +248,144 @@ class TestBatchedBuildStructure:
         assert np.array_equal(a[1], b[1])
 
 
+def graph_digest(index: HnswIndex) -> str:
+    """sha256 over entry point, max level and every neighbor list in
+    (node, level) order -- through the public accessor, so the value does
+    not depend on how the graph stores them."""
+    graph = index.graph
+    digest = hashlib.sha256(f"{graph.entry_point}/{graph.max_level}/".encode())
+    for node in range(len(graph)):
+        for level in range(graph.levels[node] + 1):
+            digest.update(
+                np.asarray(graph.neighbors(node, level), dtype=np.int64).tobytes()
+            )
+            digest.update(b"|")
+    return digest.hexdigest()[:16]
+
+
+def payload_digest(payload: dict) -> str:
+    """sha256 over every ``to_arrays()`` member: name, dtype, shape, bytes."""
+    digest = hashlib.sha256()
+    for key in sorted(payload):
+        array = np.asarray(payload[key])
+        digest.update(f"{key}:{array.dtype.str}:{array.shape}:".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
+
+
+#: ``(seed, rows, build_batch) -> (graph digest, to_arrays digest)`` of
+#: ``make_clustered(rows, 16, seed=seed + 10)`` under ``fast_params``,
+#: recorded at commit 727d78d (list-of-lists adjacency, every wave on the
+#: heap kernels, node-by-node CSR export).  Both beam kernels apply one
+#: rule and format_version 1 is unchanged, so neither column may move.
+PINNED_GRAPHS = {
+    (0, 250, 1): ("29d74e8db615eebc", "63742d299d724e06"),
+    (0, 250, 64): ("f2aad883f1e76b78", "ce6f05b48064a0ea"),
+    (0, 4000, 1): ("0662f307bf1990ff", "73ccfd6e3f5fac7b"),
+    (0, 4000, 64): ("38f81053ce4f5029", "a91c8aa6a46cde3f"),
+    (1, 250, 1): ("4f445d71ad2d8cf2", "d67b3d31dfa3da7a"),
+    (1, 250, 64): ("efc2ae0373cd2e04", "f5ece212af9d096f"),
+    (1, 4000, 1): ("29bb3b2b18829395", "c92c6209f681b4a6"),
+    (1, 4000, 64): ("11c217c2e6766894", "67c1bbc7f0ba1840"),
+    (2, 250, 1): ("d7fd724c8f8b2ead", "07e9ec7f8546fba1"),
+    (2, 250, 64): ("1d4a73ed22ac7743", "5106bb129c18ad29"),
+    (2, 4000, 1): ("f35e86f6f2e4f777", "7d849d32a022eac2"),
+    (2, 4000, 64): ("b914e3d4ae976b19", "d635bf3648c1521f"),
+}
+
+
+class TestPinnedGraphs:
+    @pytest.mark.parametrize("seed, rows, build_batch", list(PINNED_GRAPHS))
+    def test_graph_and_export_digests(self, seed, rows, build_batch):
+        index = build_hnsw(
+            make_clustered(rows, 16, seed=seed + 10),
+            params=fast_params(seed=seed, build_batch=build_batch),
+        )
+        assert (
+            graph_digest(index), payload_digest(index.to_arrays())
+        ) == PINNED_GRAPHS[seed, rows, build_batch]
+
+
+class TestTableUnderRandomAdds:
+    @given(
+        st.integers(0, 2**16),
+        st.sampled_from([1, 3, 16, 64]),
+        st.lists(st.integers(1, 90), min_size=1, max_size=5),
+        st.sampled_from(["euclidean", "cosine"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_invariants_every_wave_and_an_exact_round_trip(
+        self, seed, build_batch, splits, metric
+    ):
+        """However ``add()`` calls cut the rows into waves (one-row heap
+        waves, wide array waves, a wave that reallocates the table), the
+        table satisfies ``check_invariants`` after every wave and
+        ``from_arrays(to_arrays())`` rebuilds it cell for cell."""
+        params = fast_params(M=4, ef_construction=12, seed=seed, build_batch=build_batch)
+        index = HnswIndex(dim=6, metric=metric, params=params)
+        data = make_clustered(sum(splits), 6, seed=seed)
+        insert_wave = index._insert_wave
+        waves = []
+
+        def checked_wave(rows, levels):
+            insert_wave(rows, levels)
+            index.graph.check_invariants(
+                params.effective_max_m, params.effective_max_m0
+            )
+            waves.append(len(rows))
+
+        index._insert_wave = checked_wave
+        start = 0
+        for size in splits:
+            index.add(data[start : start + size])
+            start += size
+        assert sum(waves) == len(index) - 1  # the first row is placed inline
+        graph = index.graph
+        graph.check_invariants(params.effective_max_m, params.effective_max_m0)
+
+        restored = HnswIndex.from_arrays(index.to_arrays()).graph
+        slots = sum(graph.levels) + len(graph)
+        assert restored.levels == graph.levels
+        assert (restored.entry_point, restored.max_level) == (
+            graph.entry_point, graph.max_level,
+        )
+        for name in ("table", "degrees"):
+            np.testing.assert_array_equal(
+                getattr(restored, name)[:slots], getattr(graph, name)[:slots]
+            )
+        np.testing.assert_array_equal(
+            restored.base[: len(graph)], graph.base[: len(graph)]
+        )
+        assert restored.table.dtype == graph.table.dtype == np.int32
+
+
+class TestVisitedScratchDuringBuild:
+    def test_the_array_venue_scratch_is_reallocated_per_doubling_not_per_wave(
+        self, monkeypatch
+    ):
+        """Every wave searches a larger graph than the last; sized from the
+        node count the ``rows x n`` visited bytes would be reallocated and
+        zeroed every wave (O(n^2) bytes over a build).  Sized from the
+        table's capacity they move only when the table doubles."""
+        reallocations = []
+        reset = VisitedEpochs.reset
+
+        def counting_reset(self, capacity, rows):
+            before = self.tags
+            reset(self, capacity, rows)
+            if self.tags is not before:
+                reallocations.append((capacity, rows))
+
+        monkeypatch.setattr(VisitedEpochs, "reset", counting_reset)
+        index = build_hnsw(make_clustered(2000, 8, seed=2), params=fast_params())
+        waves = -(-1999 // index.params.build_batch)
+        doublings = len({capacity for capacity, _ in reallocations})
+        assert 4 <= doublings <= 8  # ~log2(2000 / 64)
+        # One per doubling, plus the odd narrower-then-wider group.
+        assert len(reallocations) <= 2 * doublings < waves
+        assert index.graph.capacity >= len(index)
+
+
 class TestBatchedBuildRecall:
     def test_recall_across_wave_sizes(self):
         base = clustered_gaussians(2000, 16, seed=0)
@@ -322,25 +464,17 @@ class TestVectorisedValidation:
 
 class TestBulkGraphOps:
     def test_add_nodes_matches_add_node(self):
-        a, b = HnswGraph(), HnswGraph()
+        a, b = HnswGraph(4), HnswGraph(4)
         levels = [0, 2, 1, 0, 3]
         for level in levels:
             a.add_node(level)
         assert b.add_nodes(levels) == 0
         assert a.levels == b.levels
-        assert all(
-            a.neighbors(node, 0) == b.neighbors(node, 0)
-            for node in range(len(levels))
-        )
+        slots = sum(levels) + len(levels)
+        assert a.base[: len(levels)].tolist() == b.base[: len(levels)].tolist()
+        assert a.table[:slots].tolist() == b.table[:slots].tolist()
+        assert not a.degrees[:slots].any() and not b.degrees[:slots].any()
 
     def test_add_nodes_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
-            HnswGraph().add_nodes([0, -1])
-
-    def test_set_level_csr(self):
-        graph = HnswGraph()
-        graph.add_nodes([1, 0, 1])
-        # Level-1 adjacency: node 0 -> [2], node 2 -> [0]; node 1 absent.
-        graph.set_level_csr(1, [0, 2], [0, 1, 1, 2], [2, 0])
-        assert graph.neighbors(0, 1) == [2]
-        assert graph.neighbors(2, 1) == [0]
+            HnswGraph(4).add_nodes([0, -1])

@@ -1,14 +1,29 @@
-"""Tests for the layered graph storage and visited-set machinery."""
+"""Tests for the layered graph storage and visited-set machinery.
+
+The adjacency is one in-place ``int32`` table, so the cases that pinned
+the former frozen array copy and the CSR list loader are replaced:
+
+- ``TestPaddedAdjacency.test_rows_are_node_major_and_padded_with_the_owner``
+  -> ``TestAdjacencyTable.test_rows_are_node_major_and_padded_with_the_owner``
+- ``TestPaddedAdjacency.test_a_copy_not_a_view`` (a copy no longer
+  exists) -> ``TestAdjacencyTable.test_writes_land_in_the_one_table``
+- ``TestHnswGraph.test_set_neighbors_copies`` -> kept, plus
+  ``test_neighbors_returns_a_copy`` (the list handed out is not storage)
+- ``test_hnsw_build_batch.py::TestBulkGraphOps.test_set_level_csr``
+  -> ``TestAdjacencyTable.test_level_csr_round_trip`` and
+  ``test_malformed_csr_is_a_serialization_error``
+"""
 
 import numpy as np
 import pytest
 
+from repro.errors import SerializationError
 from repro.hnsw.graph import HnswGraph, VisitedEpochs, VisitedPool, VisitedTable
 
 
 class TestHnswGraph:
     def test_add_node_assigns_sequential_ids(self):
-        graph = HnswGraph()
+        graph = HnswGraph(4)
         assert graph.add_node(0) == 0
         assert graph.add_node(2) == 1
         assert len(graph) == 2
@@ -16,10 +31,14 @@ class TestHnswGraph:
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            HnswGraph().add_node(-1)
+            HnswGraph(4).add_node(-1)
+
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValueError):
+            HnswGraph(0)
 
     def test_links_per_level(self):
-        graph = HnswGraph()
+        graph = HnswGraph(4)
         graph.add_node(1)
         graph.add_node(1)
         graph.add_link(0, 0, 1)
@@ -29,8 +48,17 @@ class TestHnswGraph:
         assert graph.neighbors(1, 0) == []
         assert graph.degree(0, 0) == 1
 
+    def test_a_level_the_node_lacks_is_an_error(self):
+        graph = HnswGraph(4)
+        graph.add_node(0)
+        graph.add_node(1)
+        with pytest.raises(IndexError):
+            graph.neighbors(0, 1)  # would be node 1's base row
+        with pytest.raises(IndexError):
+            graph.add_link(2, 0, 0)
+
     def test_set_neighbors_copies(self):
-        graph = HnswGraph()
+        graph = HnswGraph(4)
         graph.add_node(0)
         graph.add_node(0)
         source = [1]
@@ -38,8 +66,27 @@ class TestHnswGraph:
         source.append(99)
         assert graph.neighbors(0, 0) == [1]
 
+    def test_neighbors_returns_a_copy(self):
+        graph = HnswGraph(4)
+        graph.add_node(0)
+        graph.add_node(0)
+        graph.add_link(0, 0, 1)
+        graph.neighbors(0, 0).append(99)
+        assert graph.neighbors(0, 0) == [1]
+
+    def test_a_row_never_overflows(self):
+        graph = HnswGraph(2)
+        for _ in range(4):
+            graph.add_node(0)
+        with pytest.raises(ValueError):
+            graph.set_neighbors(0, 0, [1, 2, 3])
+        graph.set_neighbors(0, 0, [1, 2])
+        with pytest.raises(ValueError):
+            graph.add_link(0, 0, 3)
+        assert graph.neighbors(0, 0) == [1, 2]
+
     def test_invariants_pass_on_valid_graph(self):
-        graph = HnswGraph()
+        graph = HnswGraph(8)
         graph.add_node(1)
         graph.add_node(0)
         graph.entry_point = 0
@@ -49,7 +96,7 @@ class TestHnswGraph:
         graph.check_invariants(max_m=4, max_m0=8)
 
     def test_invariants_catch_self_loop(self):
-        graph = HnswGraph()
+        graph = HnswGraph(8)
         graph.add_node(0)
         graph.entry_point = 0
         graph.max_level = 0
@@ -58,7 +105,7 @@ class TestHnswGraph:
             graph.check_invariants(max_m=4, max_m0=8)
 
     def test_invariants_catch_degree_overflow(self):
-        graph = HnswGraph()
+        graph = HnswGraph(8)
         for _ in range(4):
             graph.add_node(0)
         graph.entry_point = 0
@@ -68,7 +115,7 @@ class TestHnswGraph:
             graph.check_invariants(max_m=2, max_m0=2)
 
     def test_invariants_catch_link_above_neighbor_level(self):
-        graph = HnswGraph()
+        graph = HnswGraph(8)
         graph.add_node(1)
         graph.add_node(0)
         graph.entry_point = 0
@@ -77,8 +124,147 @@ class TestHnswGraph:
         with pytest.raises(AssertionError, match="above its top level"):
             graph.check_invariants(max_m=4, max_m0=8)
 
+    def test_invariants_catch_duplicates(self):
+        graph = HnswGraph(8)
+        for _ in range(3):
+            graph.add_node(0)
+        graph.entry_point = 0
+        graph.max_level = 0
+        graph.set_neighbors(0, 0, [1, 2, 1])
+        with pytest.raises(AssertionError, match="duplicate"):
+            graph.check_invariants(max_m=4, max_m0=8)
+
+    def test_invariants_catch_a_degree_column_that_disagrees_with_padding(self):
+        graph = HnswGraph(8)
+        for _ in range(3):
+            graph.add_node(0)
+        graph.entry_point = 0
+        graph.max_level = 0
+        graph.set_neighbors(0, 0, [1, 2])
+        graph.degrees[0] = 1  # the row still holds a second link
+        with pytest.raises(AssertionError, match="padding"):
+            graph.check_invariants(max_m=4, max_m0=8)
+
     def test_empty_graph_invariants(self):
-        HnswGraph().check_invariants(max_m=4, max_m0=8)
+        HnswGraph(8).check_invariants(max_m=4, max_m0=8)
+
+
+class TestAdjacencyTable:
+    def small_graph(self) -> HnswGraph:
+        graph = HnswGraph(2)
+        for level in (1, 0, 2):
+            graph.add_node(level)
+        graph.set_neighbors(0, 0, [2, 1])
+        graph.set_neighbors(0, 1, [2])
+        graph.set_neighbors(2, 0, [0])
+        return graph
+
+    def test_rows_are_node_major_and_padded_with_the_owner(self):
+        graph = self.small_graph()
+        assert graph.table.dtype.name == "int32"
+        assert graph.base[:3].tolist() == [0, 2, 3]
+        assert graph.table[:6].tolist() == [
+            [2, 1],  # node 0, level 0: list order kept
+            [2, 0],  # node 0, level 1: padded with the owner
+            [1, 1],  # node 1, level 0: no links
+            [0, 2],  # node 2, levels 0..2
+            [2, 2],
+            [2, 2],
+        ]
+        assert graph.degrees[:6].tolist() == [2, 1, 0, 1, 0, 0]
+        nodes = np.array([2, 0])
+        assert graph.neighbor_rows(nodes, 0).tolist() == [[0, 2], [2, 1]]
+        assert graph.neighbor_rows(nodes, 1).tolist() == [[2, 2], [2, 0]]
+
+    def test_writes_land_in_the_one_table(self):
+        """No snapshot to go stale: what a mutation writes is what the
+        next gather reads, across a reallocation too."""
+        graph = HnswGraph(2)
+        graph.add_node(0)
+        graph.add_node(0)
+        assert graph.neighbor_rows(np.array([0, 1]), 0).tolist() == [[0, 0], [1, 1]]
+        graph.add_link(0, 0, 1)
+        assert graph.neighbor_rows(np.array([0]), 0).tolist() == [[1, 0]]
+        before = graph.capacity
+        graph.add_nodes([0] * 100)
+        assert graph.capacity > before
+        graph.add_link(1, 0, 57)
+        assert graph.neighbor_rows(np.array([0, 1, 57]), 0).tolist() == [
+            [1, 0], [57, 1], [57, 57],
+        ]
+
+    def test_capacity_grows_geometrically(self):
+        graph = HnswGraph(2)
+        capacities = set()
+        for _ in range(3000):
+            graph.add_node(0)
+            capacities.add(graph.capacity)
+        assert len(capacities) <= 13  # ~log2(3000) doublings
+        assert all(node < graph.capacity for node in range(len(graph)))
+
+    def test_bulk_writers_match_the_scalar_ones(self):
+        levels = [1, 0, 0, 2, 0]
+        one, many = HnswGraph(3), HnswGraph(3)
+        for graph in (one, many):
+            graph.add_nodes(levels)
+        lists = {(0, 0): [1, 2], (0, 1): [3], (3, 2): [], (4, 0): [0, 1, 2]}
+        for (node, level), ids in lists.items():
+            one.set_neighbors(node, level, ids)
+        many.set_neighbor_lists(
+            np.array([node for node, _ in lists]),
+            np.array([level for _, level in lists]),
+            np.array([len(ids) for ids in lists.values()]),
+            np.array([nbr for ids in lists.values() for nbr in ids]),
+        )
+        # Reverse edges in apply order; node 0 level 0 may hold 3, node 4 is full.
+        edges = [(0, 0, 4), (1, 0, 0), (0, 0, 3), (4, 0, 3), (0, 1, 0), (1, 0, 4)]
+        bound = {0: 3, 1: 1}
+        refused = []
+        for node, level, source in edges:
+            if one.degree(node, level) < bound[level]:
+                one.add_link(node, level, source)
+                refused.append(False)
+            else:
+                refused.append(True)
+        got = many.add_links(
+            np.array([node for node, _, _ in edges]),
+            np.array([level for _, level, _ in edges]),
+            np.array([source for _, _, source in edges]),
+            np.array([bound[level] for _, level, _ in edges]),
+        )
+        assert got.tolist() == refused == [False, False, True, True, True, False]
+        assert many.table[: many._slots].tolist() == one.table[: one._slots].tolist()
+        assert many.degrees[: many._slots].tolist() == one.degrees[: one._slots].tolist()
+
+    def test_level_csr_round_trip(self):
+        graph = self.small_graph()
+        indptr, indices = graph.level_csr(0)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.tolist() == [0, 2, 2, 3]
+        assert indices.tolist() == [2, 1, 0]
+        indptr, indices = graph.level_csr(1)
+        assert (indptr.tolist(), indices.tolist()) == ([0, 1, 1, 1], [2])
+        restored = HnswGraph(2)
+        restored.add_nodes(graph.levels)
+        for level in range(3):
+            restored.load_level_csr(level, *graph.level_csr(level))
+        assert restored.table[:6].tolist() == graph.table[:6].tolist()
+        assert restored.degrees[:6].tolist() == graph.degrees[:6].tolist()
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 1, 1], [2]),  # too few nodes
+            ([0, 1, 2, 2], [2, 0]),  # node 1 has no level 1
+            ([0, 3, 3, 3], [2, 1, 0]),  # wider than the table
+            ([0, 1, 1, 1], [2, 0]),  # stray indices
+        ],
+    )
+    def test_malformed_csr_is_a_serialization_error(self, indptr, indices):
+        graph = HnswGraph(2)
+        graph.add_nodes([1, 0, 2])
+        with pytest.raises(SerializationError):
+            graph.load_level_csr(1, np.array(indptr), np.array(indices))
 
 
 class TestVisitedTable:
@@ -106,39 +292,6 @@ class TestVisitedTable:
             table.reset(8)
             assert table.tags[3] != table.epoch
             table.tags[3] = table.epoch
-
-
-class TestPaddedAdjacency:
-    def test_rows_are_node_major_and_padded_with_the_owner(self):
-        graph = HnswGraph()
-        for level in (1, 0, 2):
-            graph.add_node(level)
-        graph.set_neighbors(0, 0, [2, 1])
-        graph.set_neighbors(0, 1, [2])
-        graph.set_neighbors(2, 0, [0])
-        table, base = graph.padded()
-        assert table.dtype.name == "int32"
-        assert base.tolist() == [0, 2, 3]
-        assert table.tolist() == [
-            [2, 1],  # node 0, level 0: list order kept
-            [2, 0],  # node 0, level 1: padded with the owner
-            [1, 1],  # node 1, level 0: no links
-            [0, 2],  # node 2, levels 0..2
-            [2, 2],
-            [2, 2],
-        ]
-        nodes = np.array([2, 0])
-        assert graph.padded().neighbors(nodes, 0).tolist() == [[0, 2], [2, 1]]
-        assert graph.padded().neighbors(nodes, 1).tolist() == [[2, 2], [2, 0]]
-
-    def test_a_copy_not_a_view(self):
-        graph = HnswGraph()
-        graph.add_node(0)
-        graph.add_node(0)
-        frozen = graph.padded()
-        graph.add_link(0, 0, 1)
-        assert frozen.table.tolist() == [[0], [1]]
-        assert graph.padded().table.tolist() == [[1], [1]]
 
 
 class TestVisitedEpochs:

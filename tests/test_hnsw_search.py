@@ -22,7 +22,7 @@ def line_graph(num_points: int, level: int = 0):
     points = np.zeros((num_points, 2), dtype=np.float32)
     points[:, 0] = np.arange(num_points)
     scorer.add(points)
-    graph = HnswGraph()
+    graph = HnswGraph(2)
     for _index in range(num_points):
         graph.add_node(level)
     for index in range(num_points - 1):
@@ -69,7 +69,7 @@ class TestGreedyDescent:
     def test_isolated_node_returns_itself(self):
         scorer = Scorer("euclidean", 2)
         scorer.add(np.zeros((1, 2), dtype=np.float32))
-        graph = HnswGraph()
+        graph = HnswGraph(2)
         graph.add_node(1)
         graph.entry_point = 0
         graph.max_level = 1
@@ -112,7 +112,7 @@ class TestDescendToLevel:
         points = np.zeros((10, 2), dtype=np.float32)
         points[:, 0] = np.arange(10)
         scorer.add(points)
-        graph = HnswGraph()
+        graph = HnswGraph(2)
         graph.add_node(1)  # node 0 on levels 0 and 1
         for _ in range(8):
             graph.add_node(0)

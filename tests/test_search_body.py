@@ -260,30 +260,30 @@ def test_every_candidate_source_records_its_stage(indices, queries, arm, batch):
 
 
 class TestVenues:
-    """What only the array venue has: a coalescing caller upstream, a
-    per-thread scratch, and a snapshot to invalidate."""
+    """What only the array venue has: a coalescing caller upstream and a
+    per-thread scratch."""
 
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_two_kernels_one_beam_rule(self, all_indices, query_sets, metric):
-        """Both beam kernels search the tied corpus from the same seed,
-        below the index's venue choice: heap vs array, kernel to kernel."""
-        index = all_indices["lattice", "float", metric]
+    @staticmethod
+    def both_kernels(index, queries, entries, entry_dists, level):
+        """Run the heap and the array beam kernel from the same ``(rows,
+        s)`` seeds at ``level``: each one's beams as tuple lists, and what
+        each charged."""
         graph, scorer = index.graph, index._scorer
-        queries = scorer.prepare_queries(query_sets["lattice"][:_ARRAY_MIN_ROWS])
         query_sq = scorer.query_sq_norms(queries)
         rows = queries.shape[0]
-        entries = np.full(rows, graph.entry_point, dtype=np.int64)
-        entry_dists = scorer.score_pairs(queries, np.arange(rows), entries, query_sq)
-        seeds = [[(float(dist), graph.entry_point)] for dist in entry_dists]
+        seeds = [
+            [(float(dist), int(node)) for dist, node in zip(*pair) if node >= 0]
+            for pair in zip(entry_dists, entries)
+        ]
         pool = VisitedPool()
+        heap_cost, array_cost = SearchCost(), SearchCost()
         lockstep = search_layer_batch(
-            graph, scorer, queries, seeds, K, 0,
-            pool.get_many(len(graph), rows), query_sq,
+            graph, scorer, queries, seeds, K, level,
+            pool.get_many(len(graph), rows), query_sq, heap_cost,
         )
-
         ids, dists = search_arrays(
-            graph.padded(), scorer, queries, entries, entry_dists, K,
-            pool.get_epochs(len(graph), rows), query_sq,
+            graph, scorer, queries, entries, entry_dists, K, level,
+            pool.get_epochs(graph.capacity, rows), query_sq, array_cost,
         )
         arrays = [
             [
@@ -293,8 +293,54 @@ class TestVenues:
             ]
             for row in range(rows)
         ]
+        return lockstep, arrays, heap_cost, array_cost
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_two_kernels_one_beam_rule(self, all_indices, query_sets, metric):
+        """Both beam kernels search the tied corpus from the same seed,
+        below the index's venue choice: heap vs array, kernel to kernel."""
+        index = all_indices["lattice", "float", metric]
+        graph, scorer = index.graph, index._scorer
+        queries = scorer.prepare_queries(query_sets["lattice"][:_ARRAY_MIN_ROWS])
+        rows = queries.shape[0]
+        entries = np.full(rows, graph.entry_point, dtype=np.int64)
+        entry_dists = scorer.score_pairs(queries, np.arange(rows), entries)
+        lockstep, arrays, heap_cost, array_cost = self.both_kernels(
+            index, queries, entries[:, np.newaxis], entry_dists[:, np.newaxis], 0
+        )
         assert lockstep == arrays
+        assert heap_cost == array_cost
         # The corpus does what it is for: beams end inside a tie.
+        assert any(beam[-1][0] == beam[-2][0] for beam in lockstep)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_one_beam_rule_above_the_base_layer_from_many_seeds(
+        self, all_indices, query_sets, metric
+    ):
+        """What a construction wave asks of the kernels and a query never
+        does: ``level > 0`` and a whole seed beam per row -- unsorted
+        here, some rows a seed short -- on the tied corpus."""
+        index = all_indices["lattice", "float", metric]
+        graph, scorer = index.graph, index._scorer
+        level, seeds = 1, K // 2
+        members = np.flatnonzero(np.asarray(graph.levels) >= level)
+        assert members.size > 4 * K
+        queries = scorer.prepare_queries(query_sets["lattice"][:_ARRAY_MIN_ROWS])
+        rows = queries.shape[0]
+        rng = np.random.default_rng(17)
+        entries = np.stack(
+            [rng.choice(members, size=seeds, replace=False) for _ in range(rows)]
+        )
+        entry_dists = scorer.score_pairs(
+            queries, np.arange(rows).repeat(seeds), entries.reshape(-1)
+        ).reshape(rows, seeds)
+        entries[::3, -1], entry_dists[::3, -1] = -1, np.inf
+        lockstep, arrays, heap_cost, array_cost = self.both_kernels(
+            index, queries, entries, entry_dists, level
+        )
+        assert lockstep == arrays
+        assert heap_cost == array_cost and heap_cost.hops > 0
+        assert all(graph.levels[node] >= level for beam in arrays for _, node in beam)
         assert any(beam[-1][0] == beam[-2][0] for beam in lockstep)
 
     def test_a_coalesced_query_equals_the_same_query_alone(self, corpora):
@@ -348,7 +394,7 @@ class TestVenues:
         assert got[1].tobytes() == want[1].tobytes()
 
     def test_two_threads_search_one_segment(self, all_indices, query_sets):
-        """Snapshot shared, scratch per thread: concurrent groups on one
+        """Graph shared, scratch per thread: concurrent groups on one
         segment return what they return alone."""
         index = all_indices["lattice", "int8", "euclidean"]
         queries = query_sets["lattice"]
@@ -395,10 +441,13 @@ class TestExternalIdGather:
 
     @pytest.mark.parametrize("arm", ARMS)
     def test_add_and_reload_invalidate_it(self, clustered_data, arm):
+        """search -> add() -> search: the id gather is rebuilt, and both
+        venues read the graph add() wrote -- there is no adjacency copy
+        for an array-venue group to have kept."""
         params = replace(FAST_HNSW, **ARMS[arm])
         index = build_hnsw(clustered_data[:200], params=params)
         index.search(clustered_data[0], K)  # the array now exists
-        # ... and so do the array venue's adjacency snapshot and scratch.
+        # ... and the array venue has searched the pre-add graph.
         index.search_batch(clustered_data[:_ARRAY_MIN_ROWS], K)
         index.add(clustered_data[200:260], ids=np.arange(5000, 5060))
         ids, _ = index.search(clustered_data[230], 1, ef=64)
