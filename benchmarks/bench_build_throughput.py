@@ -13,7 +13,8 @@ This benchmark measures the reproduction's analogue at two levels:
    waves' (minus a small tolerance), and building twice with the same
    seed must produce bit-identical serialized graphs.  A traced wave of
    each size must report the venue its size implies: the wide wave's
-   base-layer beam on the array kernels, the one-row wave's on the heaps.
+   base-layer beam on the array kernels, the one-row wave's on the heaps
+   -- and all three of its stages: ``descend``, ``beam`` and ``select``.
 
 2. *End to end* -- ``build_index_job`` over a multi-segment config on a
    ``LocalCluster``, once per execution mode (``inline`` / ``threads`` /
@@ -75,21 +76,26 @@ def payloads_identical(a: dict, b: dict) -> bool:
     )
 
 
-def wave_kernels(index, rows: np.ndarray) -> set[str]:
-    """The venues one traced ``add(rows)`` -- one construction wave --
-    searched the base layer on (every row of a wave reaches it)."""
+def traced_wave(index, rows: np.ndarray) -> tuple[set[str], dict[str, float]]:
+    """One traced ``add(rows)`` -- one construction wave: the venues it
+    searched the base layer on (every row of a wave reaches it), and the
+    milliseconds each stage's spans add up to."""
     recorder = SpanRecorder()
     token = activate(recorder)
     try:
         index.add(rows)
     finally:
         deactivate(token)
+    spans = recorder.export()
+    stages: dict[str, float] = {}
+    for span in spans:
+        stages[span["name"]] = stages.get(span["name"], 0.0) + span["dur_ms"]
     return {
         span["annotations"]["kernel"]
-        for span in recorder.export()
+        for span in spans
         if span["name"] == "beam"
         and span["annotations"]["num_queries"] == len(rows)
-    }
+    }, stages
 
 
 def run_single_segment(args: argparse.Namespace) -> tuple[list[dict], bool]:
@@ -165,13 +171,22 @@ def run_single_segment(args: argparse.Namespace) -> tuple[list[dict], bool]:
     # The venue follows from the wave's size, nothing else: extend each
     # index by one traced wave of its own width.
     extra = clustered_gaussians(args.build_batch, args.dim, seed=args.seed + 2)
-    venues = {
-        "wave = 1": wave_kernels(one_index, extra[:1]),
-        f"wave = {args.build_batch}": wave_kernels(repeat_index, extra),
-    }
+    one_venues, _ = traced_wave(one_index, extra[:1])
+    wide_venues, stages = traced_wave(repeat_index, extra)
+    venues = {"wave = 1": one_venues, f"wave = {args.build_batch}": wide_venues}
     print(f"venues: {venues}")
+    traced = sum(stages.values())
+    print(
+        f"stages of the traced {args.build_batch}-row wave: "
+        + ", ".join(
+            f"{name} {ms:.1f} ms ({ms / traced:.0%})" for name, ms in stages.items()
+        )
+    )
 
     ok = True
+    if not {"descend", "beam", "select"} <= stages.keys():
+        print("FAIL: a traced wave must report descend, beam and select spans")
+        ok = False
     if venues != {"wave = 1": {"heap"}, f"wave = {args.build_batch}": {"array"}}:
         print(
             "FAIL: a one-row wave must trace kernel=heap and a "

@@ -160,19 +160,23 @@ class HnswGraph:
         self,
         nodes: np.ndarray,
         levels: np.ndarray,
-        counts: np.ndarray,
         neighbor_ids: np.ndarray,
     ) -> None:
-        """Bulk :meth:`set_neighbors`: list ``p`` -- the next ``counts[p]``
-        entries of ``neighbor_ids`` -- replaces the neighbors of
-        ``nodes[p]`` at ``levels[p]`` (distinct slots, lists within the
+        """Bulk :meth:`set_neighbors`: row ``p`` of ``neighbor_ids`` -- a
+        list, then ``-1`` to the end, in the form the beam kernels and
+        neighbor selection return -- replaces the neighbors of
+        ``nodes[p]`` at ``levels[p]`` (distinct slots, rows within the
         table width)."""
         slots = self.base[nodes] + levels
-        width = self.table.shape[1]
-        rows = np.repeat(nodes.astype(np.int32)[:, np.newaxis], width, axis=1)
-        rows[np.arange(width) < counts[:, np.newaxis]] = neighbor_ids
+        linked = neighbor_ids >= 0
+        rows = np.repeat(
+            nodes.astype(np.int32)[:, np.newaxis], self.table.shape[1], axis=1
+        )
+        rows[:, : neighbor_ids.shape[1]] = np.where(
+            linked, neighbor_ids, nodes[:, np.newaxis]
+        )
         self.table[slots] = rows
-        self.degrees[slots] = counts
+        self.degrees[slots] = np.count_nonzero(linked, axis=1)
 
     def add_links(
         self,
@@ -227,8 +231,9 @@ class HnswGraph:
         """Inverse of :meth:`level_csr` onto existing, unlinked nodes.
 
         Raises :class:`~repro.errors.SerializationError` when the pair
-        does not describe this graph's nodes at ``level`` or a list
-        exceeds the table width.
+        (the payload's ``indptr_<level>`` / ``indices_<level>``) does not
+        describe this graph's nodes at ``level``, a list exceeds the
+        table width or a neighbor id is not a node.
         """
         nodes = np.flatnonzero(np.asarray(self.levels) >= level)
         counts = np.diff(indptr)[nodes] if indptr.size == len(self) + 1 else None
@@ -239,8 +244,12 @@ class HnswGraph:
             or counts.max(initial=0) > self.table.shape[1]
         ):
             raise SerializationError(
-                f"level {level} adjacency does not fit a graph of {len(self)} "
-                f"nodes and out-degree <= {self.table.shape[1]}"
+                f"indptr_{level} / indices_{level} do not fit a graph of "
+                f"{len(self)} nodes and out-degree <= {self.table.shape[1]}"
+            )
+        if indices.min(initial=0) < 0 or indices.max(initial=0) >= len(self):
+            raise SerializationError(
+                f"indices_{level} holds a neighbor id outside [0, {len(self)})"
             )
         slots = self.base[nodes] + level
         rows = self.table[slots]

@@ -6,6 +6,15 @@ point than to every already-selected neighbor.  This favours edges that
 span *different* directions, which is what keeps the graph navigable in
 clustered data; plain "closest M" selection degrades recall noticeably
 (see ``benchmarks/bench_ablation_heuristic.py``).
+
+Candidates come and go in the form the beam kernels return
+(:func:`repro.hnsw.search.search_arrays`): a ``(P, C)`` stack of int64
+ids and float32 reduced distances, one selection problem per row, any
+order within a row, ``-1`` / ``inf`` in the unused slots of a short
+row.  The answer is the same form, at most ``m`` wide, sorted by
+``(distance, node)``.  Algorithm 4 written literally over ``(distance,
+node)`` tuples lives in ``tests/test_hnsw_heuristic.py`` as the
+reference both functions are checked against.
 """
 
 from __future__ import annotations
@@ -13,43 +22,47 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distance.scorer import Scorer
-
-_IDS_DTYPE = np.int64
+from repro.hnsw.search import sort_candidates
 
 
 def select_neighbors_simple(
-    candidates: list[tuple[float, int]], m: int
-) -> list[tuple[float, int]]:
+    ids: np.ndarray, dists: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Plain closest-``m`` selection (``SELECT-NEIGHBORS-SIMPLE``)."""
-    return sorted(candidates)[:m]
+    ids, dists = sort_candidates(ids, dists)
+    return ids[:, : max(m, 0)], dists[:, : max(m, 0)]
 
 
 def select_neighbors_heuristic_batch(
     scorer: Scorer,
-    problems: list[list[tuple[float, int]]],
+    ids: np.ndarray,
+    dists: np.ndarray,
     m: int,
     *,
     keep_pruned: bool = True,
-) -> list[list[tuple[float, int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Diversity-aware neighbor selection, many problems in one round.
 
-    The candidate ids of every problem that actually needs pruning are
-    padded into one ``(P, C)`` stack and all candidate-to-candidate
+    The rows that actually need pruning (more than ``m`` candidates) are
+    cut to their widest member and all their candidate-to-candidate
     distances come from a single
     :meth:`~repro.distance.scorer.Scorer.pairwise_ids_batch` call (each
     stack slice is an independent GEMM, so grouping problems never
-    changes any problem's distances: a batch of one selects what any
-    larger batch would).  The selection loop then runs on plain Python
-    floats.  This is what the construction wave uses to select every
-    (row, layer) neighbor list of a wave at once.
+    changes any problem's distances: a stack of one selects what any
+    larger stack would).  Selection then takes at most ``m`` vectorised
+    rounds over all of them: every row still deciding picks its nearest
+    undecided candidate ``s``, which discards every undecided ``t`` with
+    ``cross[t, s] < dist[t]`` -- ``t`` is closer to a selected neighbor
+    than to the query.  This is what the construction wave uses to
+    select every (row, layer) neighbor list of a wave at once.
 
     Parameters
     ----------
     scorer:
         Used to measure candidate-to-candidate distances (reduced space).
-    problems:
-        One candidate list per selection: ``(reduced_distance_to_query,
-        node)`` pairs, any order.
+    ids, dists:
+        The ``(P, C)`` candidate stack: distinct nodes per row and their
+        reduced distances to that row's query.
     m:
         Maximum number of neighbors to select per problem.
     keep_pruned:
@@ -58,60 +71,37 @@ def select_neighbors_heuristic_batch(
 
     Returns
     -------
-    Per problem, the selected ``(reduced_distance, node)`` pairs, at most
-    ``m``.
+    ``(ids, dists)`` of the selected candidates, ``(P, min(m, C))``.
     """
-    if m <= 0:
-        return [[] for _ in problems]
-    output: list[list[tuple[float, int]] | None] = [None] * len(problems)
-    pending: list[tuple[int, list[tuple[float, int]]]] = []
-    for position, candidates in enumerate(problems):
-        ordered = sorted(candidates)
-        if len(ordered) <= m:
-            output[position] = ordered
-        else:
-            pending.append((position, ordered))
-    if not pending:
-        return output  # type: ignore[return-value]
-
-    # One batched GEMM gives every pending problem's cross distances.
-    # Padding repeats the problem's own first id; the selection loop
-    # below never looks past each problem's true candidate count.
-    width = max(len(ordered) for _, ordered in pending)
-    ids = np.empty((len(pending), width), dtype=_IDS_DTYPE)
-    for row, (_, ordered) in enumerate(pending):
-        ids[row, : len(ordered)] = [node for _, node in ordered]
-        ids[row, len(ordered) :] = ordered[0][1]
-    cross_stack = scorer.pairwise_ids_batch(ids)
-
-    for row, (position, ordered) in enumerate(pending):
-        count = len(ordered)
-        cross = cross_stack[row]
-        query_dists = np.asarray([dist for dist, _ in ordered])
-        # Column-wise formulation of the selection loop: a candidate is
-        # discarded iff it is closer to some already-selected neighbor
-        # than to the query, so *selecting* index ``s`` dominates every
-        # later candidate ``t`` with ``cross[t, s] < dist_to_query[t]``.
-        # One boolean vector op per selected neighbor (<= m of them)
-        # replaces the per-pair Python scan over the full cross matrix.
-        dominated = np.zeros(count, dtype=bool)
-        selected_idx: list[int] = []
-        for index in range(count):
-            if dominated[index]:
-                continue
-            selected_idx.append(index)
-            if len(selected_idx) >= m:
+    ids, dists = sort_candidates(ids, dists)
+    keep = ids >= 0  # a row of at most m candidates keeps them all
+    counts = np.count_nonzero(keep, axis=1)
+    pending = np.flatnonzero(counts > m)
+    if m > 0 and pending.size:
+        span = int(counts[pending].max())
+        cut_ids, cut_dists = ids[pending, :span], dists[pending, :span]
+        real = cut_ids >= 0
+        # Padding repeats the row's own first id; its cross distances are
+        # never read for a real candidate's decision.
+        cross = scorer.pairwise_ids_batch(np.where(real, cut_ids, cut_ids[:, :1]))
+        rows = np.arange(pending.size)
+        selected = np.zeros_like(real)
+        undecided = real.copy()
+        for _ in range(m):
+            # Everything before a row's first undecided candidate has been
+            # selected or discarded, so this is the scan of Algorithm 4.
+            # (A row with none left re-picks column 0, its first pick.)
+            pick = undecided.argmax(axis=1)
+            selected[rows, pick] = True
+            undecided[rows, pick] = False
+            undecided &= ~(cross[rows, :, pick] < cut_dists)
+            if not undecided.any():
                 break
-            closer = cross[:count, index] < query_dists
-            closer[: index + 1] = False
-            dominated |= closer
-        selected = [ordered[index] for index in selected_idx]
-        if keep_pruned and len(selected) < m:
-            keep = np.ones(count, dtype=bool)
-            keep[selected_idx] = False
-            # Discard order is candidate order, exactly as the scan.
-            for index in np.flatnonzero(keep)[: m - len(selected)]:
-                selected.append(ordered[index])
-            selected = sorted(selected)
-        output[position] = selected
-    return output  # type: ignore[return-value]
+        if keep_pruned:
+            # Discard order is candidate order; a row still short of m has
+            # decided every candidate, so its unselected are its discarded.
+            spare = real & ~selected
+            room = m - np.count_nonzero(selected, axis=1)
+            selected |= spare & (np.cumsum(spare, axis=1) <= room[:, np.newaxis])
+        keep[pending, :span] = selected
+    return select_neighbors_simple(np.where(keep, ids, -1), dists, m)

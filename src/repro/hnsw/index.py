@@ -21,7 +21,6 @@ from repro.hnsw.heuristic import (
 )
 from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (
-    beams_as_arrays,
     descend_arrays,
     descend_to_levels_batch,
     search_arrays,
@@ -260,18 +259,28 @@ class HnswIndex:
         )
 
     def _select_neighbors(
-        self, problems: list[list[tuple[float, int]]], m: int, keep_pruned: bool
-    ) -> list[list[tuple[float, int]]]:
-        """Pick at most ``m`` links for each candidate list, in one round.
+        self, ids: np.ndarray, dists: np.ndarray, m: int, keep_pruned: bool
+    ) -> np.ndarray:
+        """Pick at most ``m`` links for each row of a ``(P, C)`` candidate
+        stack, in one round: ``(P, <= m)`` ids, ``-1`` past a short list.
 
         The diversity heuristic (Algorithm 4) unless
-        ``params.use_heuristic`` is off.
+        ``params.use_heuristic`` is off.  Under an active tracing
+        recorder the round is a ``select`` span.
         """
-        if self.params.use_heuristic:
-            return select_neighbors_heuristic_batch(
-                self._scorer, problems, m, keep_pruned=keep_pruned
-            )
-        return [select_neighbors_simple(problem, m) for problem in problems]
+        with maybe_span(current_recorder(), "select") as span:
+            if span is not None:
+                counts = np.count_nonzero(ids >= 0, axis=1)
+                span["annotations"].update(
+                    problems=ids.shape[0],
+                    width=int(counts.max(initial=0)),
+                    pending=int(np.count_nonzero(counts > m)),
+                )
+            if self.params.use_heuristic:
+                return select_neighbors_heuristic_batch(
+                    self._scorer, ids, dists, m, keep_pruned=keep_pruned
+                )[0]
+            return select_neighbors_simple(ids, dists, m)[0]
 
     def _insert_wave(self, rows: list[int], levels: list[int]) -> None:
         """Insert one construction wave through the lockstep batch kernels.
@@ -284,14 +293,17 @@ class HnswIndex:
         :meth:`_beam`, so a wide wave runs on the array kernels and a
         narrow one (or the few rows of a wave that reach an upper layer)
         on the heaps.  Because wave members cannot find each other
-        by traversal, every row's candidate lists are augmented with its
+        by traversal, every row's candidates are augmented with its
         *earlier* wave-mates -- the neighbors one-row-at-a-time insertion
         would have been able to reach -- scored by one wave-wide GEMM.
-        Neighbor selection for all (row, layer) problems runs as one
-        :func:`select_neighbors_heuristic_batch` round, and links (forward
-        lists plus reverse-link shrinking) are applied in ascending row
-        order, so the same seed and wave size always produce the same
-        graph.  The graph must be non-empty.
+        Candidates stay in the kernels' ``(ids, dists)`` array form from
+        the beam to the table: each (row, layer) problem is one row of a
+        ``(P, ef + 2M)`` stack -- the layer's beam, then the offered
+        mates -- and one :meth:`_select_neighbors` round turns the stack
+        into the ``(P, M)`` lists ``set_neighbor_lists`` writes.  Links
+        (forward lists plus reverse-link shrinking) are applied in
+        ascending row order, so the same seed and wave size always
+        produce the same graph.  The graph must be non-empty.
         """
         params = self.params
         graph = self._graph
@@ -303,24 +315,26 @@ class HnswIndex:
         queries = scorer.data[rows]  # fancy indexing: a true snapshot copy
         query_sq = scorer.query_sq_norms(queries)
         wave_ids = np.asarray(rows, dtype=_IDS_DTYPE)
+        levels = np.asarray(levels)
         # Intra-wave candidate distances: earlier rows of the wave are
         # legitimate neighbors for later ones even though no traversal
         # can reach them yet.  Each row only offers its nearest earlier
         # wave-mates to the selection heuristic -- selection keeps at
         # most M links, so a 2x pool preserves the diversity choice while
-        # keeping the padded selection problems small.
-        wave_cross_np = scorer.pairwise_ids(wave_ids)
-        wave_cross = wave_cross_np.tolist()
-        mate_cap = 2 * params.M
+        # keeping the selection stack narrow.
+        wave_cross = scorer.pairwise_ids(wave_ids)
         # Row i's earlier mates, nearest first (ties by wave position):
-        # later mates sort behind every real distance and are cut off.
+        # later mates sort behind every real distance and are never
+        # offered (level -1).
         earlier = np.tri(count, k=-1, dtype=bool)
-        order = np.argsort(
-            np.where(earlier, wave_cross_np, np.inf), axis=1, kind="stable"
+        mates = np.argsort(
+            np.where(earlier, wave_cross, np.inf), axis=1, kind="stable"
+        )[:, : 2 * params.M]
+        mate_ids = wave_ids[mates]
+        mate_dists = np.take_along_axis(wave_cross, mates, axis=1)
+        mate_levels = np.where(
+            np.take_along_axis(earlier, mates, axis=1), levels[mates], -1
         )
-        nearest_mates = [
-            order[i, : min(i, mate_cap)].tolist() for i in range(count)
-        ]
 
         join = np.minimum(levels, previous_max)
         entries, entry_dists = self._descend(scorer, "float", queries, query_sq, join)
@@ -329,41 +343,31 @@ class HnswIndex:
         beam_ids = np.full((count, ef), -1, dtype=_IDS_DTYPE)
         beam_dists = np.full((count, ef), np.inf, dtype=np.float32)
         beam_ids[:, 0], beam_dists[:, 0] = entries, entry_dists
-        layer_candidates: dict[tuple[int, int], list[tuple[float, int]]] = {}
+        # One selection problem per (row, layer), stacked in apply order
+        # -- row ascending, layer descending: row i's start at first[i].
+        spans = join + 1
+        first = np.cumsum(spans) - spans
+        nodes = wave_ids.repeat(spans)
+        layers = np.empty(nodes.size, dtype=_IDS_DTYPE)
+        cand_ids = np.full((nodes.size, ef + mates.shape[1]), -1, dtype=_IDS_DTYPE)
+        cand_dists = np.full(cand_ids.shape, np.inf, dtype=np.float32)
         for layer in range(int(join.max()), -1, -1):
             active = np.flatnonzero(join >= layer)
-            found_ids, found_dists = self._beam(
+            found = self._beam(
                 scorer, "float", queries[active], query_sq[active],
                 beam_ids[active], beam_dists[active], ef, layer,
             )
-            beam_ids[active], beam_dists[active] = found_ids, found_dists
-            for i, size, ids_row, dists_row in zip(
-                active.tolist(),
-                np.count_nonzero(found_ids >= 0, axis=1).tolist(),
-                found_ids.tolist(),
-                found_dists.tolist(),
-            ):
-                layer_candidates[(i, layer)] = list(
-                    zip(dists_row[:size], ids_row[:size])
-                )
-
-        # One vectorised selection round for every (row, layer) problem,
-        # in apply order: row ascending, layer descending.
-        problem_rows: list[int] = []
-        problem_layers: list[int] = []
-        problems: list[list[tuple[float, int]]] = []
-        for i in range(count):
-            for layer in range(int(join[i]), -1, -1):
-                candidates = layer_candidates[(i, layer)]
-                cross_row = wave_cross[i]
-                for j in nearest_mates[i]:
-                    if levels[j] >= layer:
-                        candidates.append((cross_row[j], rows[j]))
-                problem_rows.append(rows[i])
-                problem_layers.append(layer)
-                problems.append(candidates)
-        selections = self._select_neighbors(
-            problems, params.M, params.keep_pruned_connections
+            beam_ids[active], beam_dists[active] = found
+            problems = first[active] + join[active] - layer
+            layers[problems] = layer
+            cand_ids[problems, :ef], cand_dists[problems, :ef] = found
+            offered = mate_levels[active] >= layer
+            cand_ids[problems, ef:] = np.where(offered, mate_ids[active], -1)
+            cand_dists[problems, ef:] = np.where(
+                offered, mate_dists[active], np.inf
+            )
+        selected = self._select_neighbors(
+            cand_ids, cand_dists, params.M, params.keep_pruned_connections
         )
 
         # Apply phase: deterministic row order.  Every forward list is
@@ -374,16 +378,10 @@ class HnswIndex:
         # those (node, layer) pairs are re-selected afterwards in one
         # vectorised round (one shrink per wave instead of one per edge,
         # and the re-selection sees every wave row that linked in).
-        sizes = np.asarray([len(selected) for selected in selections])
-        nodes = np.asarray(problem_rows, dtype=_IDS_DTYPE)
-        layers = np.asarray(problem_layers, dtype=_IDS_DTYPE)
-        linked = np.asarray(
-            [node for selected in selections for _, node in selected],
-            dtype=_IDS_DTYPE,
-        )
-        graph.set_neighbor_lists(nodes, layers, sizes, linked)
-        link_layers = layers.repeat(sizes)
-        sources = nodes.repeat(sizes)
+        graph.set_neighbor_lists(nodes, layers, selected)
+        problems, columns = np.nonzero(selected >= 0)
+        linked = selected[problems, columns]
+        link_layers, sources = layers[problems], nodes[problems]
         refused = graph.add_links(
             linked, link_layers, sources, self._max_degrees(link_layers)
         )
@@ -393,13 +391,10 @@ class HnswIndex:
             )
 
         # Entry point, as if the rows had arrived one by one: the first
-        # row to exceed the running maximum takes over.
-        running_max = previous_max
-        for i in range(count):
-            if levels[i] > running_max:
-                graph.entry_point = rows[i]
-                running_max = levels[i]
-        graph.max_level = running_max
+        # row of the wave's top level, if that is a new maximum.
+        top = int(levels.argmax())
+        if levels[top] > previous_max:
+            graph.entry_point, graph.max_level = rows[top], int(levels[top])
 
     def _shrink_links_wave(
         self, nodes: np.ndarray, layers: np.ndarray, sources: np.ndarray
@@ -408,15 +403,15 @@ class HnswIndex:
 
         ``nodes[e]`` at ``layers[e]`` is at its degree bound and
         ``sources[e]`` would have linked in; the candidates of each such
-        (node, layer) are its row plus every source held back.  All
+        (node, layer) are its table row plus every source held back, one
+        row of a ``(P, width + most held back)`` stack.  All
         node-to-neighbor distances come from one
         :meth:`~repro.distance.scorer.Scorer.score_pairs` call and the
-        re-selections run as (at most) two
-        :func:`select_neighbors_heuristic_batch` rounds -- one per degree
-        bound -- instead of one small GEMM per over-full edge.  Each node
-        is shrunk once per wave with *every* wave row that linked to it
-        in the candidate set, which can only widen the pool the diversity
-        heuristic picks from.
+        re-selections run as (at most) two :meth:`_select_neighbors`
+        rounds -- one per degree bound -- instead of one small GEMM per
+        over-full edge.  Each node is shrunk once per wave with *every*
+        wave row that linked to it in the candidate set, which can only
+        widen the pool the diversity heuristic picks from.
 
         Pruned candidates are never kept (``keep_pruned=False``, whatever
         ``params.keep_pruned_connections`` says): an over-full list is
@@ -431,52 +426,34 @@ class HnswIndex:
         order = np.argsort(slots, kind="stable")
         slots, starts = np.unique(slots[order], return_index=True)
         nodes, layers = nodes[order][starts], layers[order][starts]
-        neighbor_lists = [
-            row[:degree] + held.tolist()
-            for row, degree, held in zip(
-                graph.table[slots].tolist(),
-                graph.degrees[slots].tolist(),
-                np.split(sources[order], starts[1:]),
-            )
-        ]
-        counts = np.asarray([len(nbrs) for nbrs in neighbor_lists])
-        queries = scorer.data[nodes]
-        dists = scorer.score_pairs(
-            queries,
-            np.arange(len(neighbor_lists)).repeat(counts),
-            np.asarray(
-                [nbr for nbrs in neighbor_lists for nbr in nbrs],
-                dtype=_IDS_DTYPE,
-            ),
-            scorer.query_sq_norms(queries),
-        ).tolist()
-        problems = []
-        offset = 0
-        for nbrs in neighbor_lists:
-            problems.append(list(zip(dists[offset : offset + len(nbrs)], nbrs)))
-            offset += len(nbrs)
-        # Two batch rounds at most: the degree bound differs between the
-        # base layer and the upper layers.
-        bounds = self._max_degrees(layers)
-        reselected: list = [None] * len(problems)
-        for bound in np.unique(bounds).tolist():
-            positions = np.flatnonzero(bounds == bound).tolist()
-            for position, selected in zip(
-                positions,
-                self._select_neighbors(
-                    [problems[position] for position in positions], bound, False
-                ),
-            ):
-                reselected[position] = [nbr for _, nbr in selected]
-        graph.set_neighbor_lists(
-            nodes,
-            layers,
-            np.asarray([len(selected) for selected in reselected]),
-            np.asarray(
-                [nbr for selected in reselected for nbr in selected],
-                dtype=_IDS_DTYPE,
-            ),
+        # Problem p: its table row (padding is the node itself), then the
+        # sizes[p] sources held back from it.
+        held = sources[order]
+        sizes = np.diff(np.append(starts, held.size))
+        problems = np.arange(slots.size).repeat(sizes)
+        width = graph.table.shape[1]
+        cand_ids = np.full(
+            (slots.size, width + int(sizes.max())), -1, dtype=_IDS_DTYPE
         )
+        row = graph.table[slots]
+        cand_ids[:, :width] = np.where(row != nodes[:, np.newaxis], row, -1)
+        cand_ids[problems, width + np.arange(held.size) - starts[problems]] = held
+        real = cand_ids >= 0
+        queries = scorer.data[nodes]
+        cand_dists = np.full(cand_ids.shape, np.inf, dtype=np.float32)
+        cand_dists[real] = scorer.score_pairs(
+            queries, np.nonzero(real)[0], cand_ids[real],
+            scorer.query_sq_norms(queries),
+        )
+        # Two rounds at most: the degree bound differs between the base
+        # layer and the upper layers.
+        bounds = self._max_degrees(layers)
+        for bound in np.unique(bounds).tolist():
+            at = bounds == bound
+            graph.set_neighbor_lists(
+                nodes[at], layers[at],
+                self._select_neighbors(cand_ids[at], cand_dists[at], bound, False),
+            )
 
     # -- search ------------------------------------------------------------------------
     def _descend(
@@ -498,25 +475,15 @@ class HnswIndex:
         ``descend`` span tagged ``scorer=<arm>``, ``kernel=heap|array``
         and ``rounds=<n>``.
         """
-        graph = self._graph
         arrays = queries.shape[0] >= _ARRAY_MIN_ROWS
         with maybe_span(
             current_recorder(), "descend",
             scorer=arm, kernel="array" if arrays else "heap",
         ) as span:
-            notes = span["annotations"] if span is not None else None
-            if arrays:
-                return descend_arrays(
-                    graph, traversal, queries, target_levels, query_sq,
-                    cost, notes,
-                )
-            entries, entry_dists = descend_to_levels_batch(
-                graph, traversal, queries, target_levels.tolist(), query_sq,
-                cost, notes,
-            )
-            return (
-                np.asarray(entries, dtype=_IDS_DTYPE),
-                np.asarray(entry_dists, dtype=np.float32),
+            kernel = descend_arrays if arrays else descend_to_levels_batch
+            return kernel(
+                self._graph, traversal, queries, target_levels, query_sq, cost,
+                span["annotations"] if span is not None else None,
             )
 
     def _beam(
@@ -549,26 +516,17 @@ class HnswIndex:
             scorer=arm, kernel="array" if arrays else "heap",
             ef=ef, num_queries=num_queries,
         ) as span:
-            notes = span["annotations"] if span is not None else None
+            pool = self._visited_pool
             if arrays:
-                return search_arrays(
-                    graph, traversal, queries, entries, entry_dists, ef, level,
-                    self._visited_pool.get_epochs(graph.capacity, num_queries),
-                    query_sq, cost, notes,
-                )
-            seeds = [
-                [seed for seed in zip(dists_row, ids_row) if seed[1] >= 0]
-                for dists_row, ids_row in zip(
-                    entry_dists.tolist(), entries.tolist()
-                )
-            ]
-            return beams_as_arrays(
-                search_layer_batch(
-                    graph, traversal, queries, seeds, ef, level,
-                    self._visited_pool.get_many(len(graph), num_queries),
-                    query_sq, cost, notes,
-                ),
-                ef,
+                kernel = search_arrays
+                visited = pool.get_epochs(graph.capacity, num_queries)
+            else:
+                kernel = search_layer_batch
+                visited = pool.get_many(len(graph), num_queries)
+            return kernel(
+                graph, traversal, queries, entries, entry_dists, ef, level,
+                visited, query_sq, cost,
+                span["annotations"] if span is not None else None,
             )
 
     def _search_many(
@@ -793,17 +751,46 @@ class HnswIndex:
                 f"{'missing' if found is None else repr(found)}; "
                 f"this build reads {_FORMAT_VERSION}"
             )
-        params = HnswParams.from_dict(json.loads(str(payload["params_json"])))
+
+        def member(name: str, dtype=None) -> np.ndarray:
+            if name not in payload:
+                raise SerializationError(f"HNSW payload has no member {name!r}")
+            return np.asarray(payload[name], dtype=dtype)
+
+        params = HnswParams.from_dict(json.loads(str(member("params_json"))))
         index = cls(
-            dim=int(payload["dim"]),
-            metric=str(payload["metric"]),
+            dim=int(member("dim")),
+            metric=str(member("metric")),
             params=params,
         )
-        n = int(payload["count"])
+        n = int(member("count"))
         if n == 0:
             return index
-        levels = np.asarray(payload["levels"], dtype=np.int64)
-        vectors = np.asarray(payload["vectors"], dtype=np.float32)
+        # Everything is checked here, before any state is built: a payload
+        # that loads also searches.
+        levels = member("levels", np.int64)
+        vectors = member("vectors", np.float32)
+        external = member("external_ids", np.int64)
+        for name, array, shape in (
+            ("levels", levels, (n,)),
+            ("vectors", vectors, (n, index.dim)),
+            ("external_ids", external, (n,)),
+        ):
+            if array.shape != shape:
+                raise SerializationError(
+                    f"HNSW payload member {name!r} has shape {array.shape}, "
+                    f"expected {shape} for count {n}"
+                )
+        entry, top = int(member("entry_point")), int(member("max_level"))
+        if not (0 <= entry < n and levels[entry] == top == levels.max()):
+            raise SerializationError(
+                f"HNSW payload entry_point {entry} / max_level {top} do not "
+                f"name a top-level node ('levels' peaks at {levels.max()})"
+            )
+        adjacency = [
+            (member(f"indptr_{level}", np.int64), member(f"indices_{level}", np.int64))
+            for level in range(top + 1)
+        ]
         graph = index._graph
         # Rebuild storage directly (vectors are already normalised for
         # cosine, so bypass Scorer.add's re-normalisation).
@@ -812,15 +799,9 @@ class HnswIndex:
         index._scorer._sq_norms[:n] = np.einsum("ij,ij->i", vectors, vectors)
         index._scorer._count = n
         graph.add_nodes(levels)
-        graph.entry_point = int(payload["entry_point"])
-        graph.max_level = int(payload["max_level"])
-        for level in range(graph.max_level + 1):
-            graph.load_level_csr(
-                level,
-                np.asarray(payload[f"indptr_{level}"], dtype=np.int64),
-                np.asarray(payload[f"indices_{level}"], dtype=np.int64),
-            )
-        external = np.asarray(payload["external_ids"], dtype=np.int64)
+        graph.entry_point, graph.max_level = entry, top
+        for level, (indptr, indices) in enumerate(adjacency):
+            graph.load_level_csr(level, indptr, indices)
         if (external < 0).any():
             # Same invariant add() enforces: -1 is the batch padding
             # sentinel, so a loaded index must not carry negative ids.

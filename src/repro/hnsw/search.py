@@ -9,6 +9,17 @@ share them.
 Distances are in the scorer's *reduced* space throughout (see
 :mod:`repro.distance.scorer`).
 
+**One candidate currency.**  Each job has a heap kernel and an array
+kernel -- :func:`descend_to_levels_batch` / :func:`descend_arrays`,
+:func:`search_layer_batch` / :func:`search_arrays` -- with one
+signature (the visited scratch aside) and one result, bit for bit: a
+set of candidates is ``(rows, width)`` int64 ids plus float32 reduced
+distances, sorted by ``(distance, node)``, ``-1`` / ``inf`` in the
+unused slots of a short row.  Seeds go in and beams come out in that
+form, neighbor selection (:mod:`repro.hnsw.heuristic`) consumes and
+returns it, and :func:`sort_candidates` restores its order; the heap
+kernels' heaps and Python lists never leave them.
+
 **The beam rule.**  Both beam kernels in this module -- the lockstep
 heaps of :func:`search_layer_batch` and the array kernel
 :func:`search_arrays` -- are the same function of their inputs, exact
@@ -78,22 +89,22 @@ def descend_to_levels_batch(
     graph: HnswGraph,
     scorer: PairScorer,
     queries: np.ndarray,
-    target_levels: list[int],
+    target_levels: np.ndarray,
     query_sq: np.ndarray | None = None,
     cost=None,
     notes: dict | None = None,
-) -> tuple[list[int], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Batched greedy descent with a *per-query* target level.
 
     Query ``i`` of the *prepared* ``(B, d)`` batch walks from the global
     entry point down through layers ``max_level .. target_levels[i] + 1``,
     moving at each to a strictly closer neighbor until none is (a local
-    minimum); the result is the per-query entry nodes and reduced entry
-    distances to use at ``target_levels[i]``.  The construction
-    wave needs the per-query targets: each new row stops descending at
-    its own drawn level, yet all rows of a wave share every round's
-    scoring call (the query path passes all zeros).  The graph must be
-    non-empty.
+    minimum); the result is the per-query entry nodes (int64) and
+    reduced entry distances (float32) to use at ``target_levels[i]``, an
+    integer array.  The construction wave needs the per-query targets:
+    each new row stops descending at its own drawn level, yet all rows
+    of a wave share every round's scoring call (the query path passes
+    all zeros).  The graph must be non-empty.
 
     ``cost`` is an optional :class:`~repro.obs.cost.SearchCost`: when
     given, each round adds the queries that moved to ``hops`` -- one
@@ -102,6 +113,7 @@ def descend_to_levels_batch(
     scoring rounds run (a trace span's annotations, in practice).
     """
     num_queries = queries.shape[0]
+    target_levels = target_levels.tolist()
     rounds = 0
     entry = graph.entry_point
     entry_dists = scorer.score_pairs(
@@ -111,7 +123,7 @@ def descend_to_levels_batch(
         query_sq,
     )
     current = [entry] * num_queries
-    current_dist = [float(dist) for dist in entry_dists]
+    current_dist = entry_dists.tolist()
     table, degrees, base = graph.table, graph.degrees, graph.base
     for level in range(graph.max_level, min(target_levels, default=0), -1):
         active = [i for i in range(num_queries) if target_levels[i] < level]
@@ -152,21 +164,25 @@ def descend_to_levels_batch(
             active = moved
     if notes is not None:
         notes["rounds"] = rounds
-    return current, current_dist
+    return (
+        np.asarray(current, dtype=_IDS_DTYPE),
+        np.asarray(current_dist, dtype=np.float32),
+    )
 
 
 def search_layer_batch(
     graph: HnswGraph,
     scorer: PairScorer,
     queries: np.ndarray,
-    entry_points: list[list[tuple[float, int]]],
+    entries: np.ndarray,
+    entry_dists: np.ndarray,
     ef: int,
     level: int,
-    visited_tables: list[VisitedTable],
+    visited: list[VisitedTable],
     query_sq: np.ndarray | None = None,
     cost=None,
     notes: dict | None = None,
-) -> list[list[tuple[float, int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Beam search at one layer (``SEARCH-LAYER``, Algorithm 2), one per
     query, in lockstep.
 
@@ -174,12 +190,13 @@ def search_layer_batch(
     ----------
     queries:
         Prepared ``(B, d)`` query batch.
-    entry_points:
-        Per-query ``(reduced_distance, node)`` seeds; all are marked
-        visited.
+    entries, entry_dists:
+        ``(B, s)`` seed nodes (int64) and their reduced distances
+        (float32) in the form beams are returned: distinct nodes per
+        row, ``-1`` marking an unused slot.  All are marked visited.
     ef:
         Beam width: the size of each query's dynamic result list.
-    visited_tables:
+    visited:
         One reset :class:`VisitedTable` per query.
     cost:
         Optional :class:`~repro.obs.cost.SearchCost`: each round adds
@@ -191,8 +208,9 @@ def search_layer_batch(
 
     Returns
     -------
-    Per-query ``(reduced_distance, node)`` lists sorted ascending, each
-    at most ``ef`` long.
+    ``(ids, dists)``: ``(B, ef)`` int64 / float32 beams sorted by
+    ``(distance, node)`` and padded with ``-1`` / ``inf``.  The heaps and
+    Python lists below never leave this function.
     """
     num_queries = queries.shape[0]
     adjacency, base = graph.table, graph.base  # direct access: hot loop
@@ -201,11 +219,13 @@ def search_layer_batch(
     candidates: list[list[tuple[float, int]]] = []
     results: list[list[tuple[float, int]]] = []
     for i in range(num_queries):
-        table = visited_tables[i]
+        table = visited[i]
         tags, epoch = table.tags, table.epoch
         cand: list[tuple[float, int]] = []
         res: list[tuple[float, int]] = []
-        for dist, node in entry_points[i]:
+        for dist, node in zip(entry_dists[i].tolist(), entries[i].tolist()):
+            if node < 0:
+                continue
             tags[node] = epoch
             cand.append((dist, node))
             res.append((-dist, -node))
@@ -224,7 +244,7 @@ def search_layer_batch(
         for i in active:
             cand = candidates[i]
             res = results[i]
-            table = visited_tables[i]
+            table = visited[i]
             tags, epoch = table.tags, table.epoch
             fresh: list[int] = []
             while cand:
@@ -295,10 +315,13 @@ def search_layer_batch(
         active = still_active
     if notes is not None:
         notes["rounds"] = rounds
-    return [
-        sorted((-neg_dist, -neg_node) for neg_dist, neg_node in res)
-        for res in results
-    ]
+    ids = np.full((num_queries, ef), -1, dtype=_IDS_DTYPE)
+    dists = np.full((num_queries, ef), np.inf, dtype=np.float32)
+    for i, res in enumerate(results):
+        beam = sorted((-neg_dist, -neg_node) for neg_dist, neg_node in res)
+        if beam:
+            dists[i, : len(beam)], ids[i, : len(beam)] = zip(*beam)
+    return ids, dists
 
 
 # -- array venue ----------------------------------------------------------------------
@@ -367,20 +390,6 @@ def sort_candidates(
     keys = np.where(ids >= 0, _pack(dists, ids), _PAD)
     keys.sort(axis=1, kind="stable")
     return _unpack(keys)
-
-
-def beams_as_arrays(
-    beams: list[list[tuple[float, int]]], width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``width`` members of heap-kernel beams, in the form
-    :func:`search_arrays` returns (``-1`` / ``inf`` past a short beam)."""
-    ids = np.full((len(beams), width), -1, dtype=_IDS_DTYPE)
-    dists = np.full((len(beams), width), np.inf, dtype=np.float32)
-    for row, beam in enumerate(beams):
-        beam_dists, beam_ids = zip(*beam[:width])
-        dists[row, : len(beam_dists)] = beam_dists
-        ids[row, : len(beam_ids)] = beam_ids
-    return ids, dists
 
 
 def descend_arrays(

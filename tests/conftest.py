@@ -47,6 +47,26 @@ def score_one(scorer, query: np.ndarray, ids) -> np.ndarray:
     )
 
 
+def as_stack(problems: list[list[tuple[float, int]]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(dist, node)`` lists as the kernels' padded ``(ids, dists)``
+    arrays: int64 / float32, ``-1`` / ``inf`` past a short row."""
+    width = max(map(len, problems), default=0)
+    ids = np.full((len(problems), width), -1, dtype=np.int64)
+    dists = np.full((len(problems), width), np.inf, dtype=np.float32)
+    for row, pairs in enumerate(problems):
+        for column, (dist, node) in enumerate(pairs):
+            ids[row, column], dists[row, column] = node, dist
+    return ids, dists
+
+
+def as_pairs(ids: np.ndarray, dists: np.ndarray) -> list[list[tuple[float, int]]]:
+    """Inverse of :func:`as_stack`: each row's real slots, in column order."""
+    return [
+        [(dist, node) for dist, node in zip(dists_row, ids_row) if node >= 0]
+        for ids_row, dists_row in zip(ids.tolist(), dists.tolist())
+    ]
+
+
 @pytest.fixture(scope="session")
 def clustered_data() -> np.ndarray:
     """600 x 16 clustered base vectors."""

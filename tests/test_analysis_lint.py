@@ -566,6 +566,39 @@ def test_hnsw_graph_has_one_adjacency():
     assert beside == {}
 
 
+def test_both_venues_speak_one_candidate_currency():
+    """A heap kernel and its array twin are interchangeable: apart from
+    the visited scratch each brings, the signatures are one -- so no
+    adapter has a place to grow between them and their one caller."""
+    import inspect
+
+    from repro.hnsw import search
+
+    def signature(kernel):
+        parameters = inspect.signature(kernel).parameters.values()
+        return [
+            (p.name, p.annotation, p.default) for p in parameters if p.name != "visited"
+        ], inspect.signature(kernel).return_annotation
+
+    assert signature(search.search_layer_batch) == signature(search.search_arrays)
+    assert "visited" in inspect.signature(search.search_arrays).parameters
+    assert signature(search.descend_to_levels_batch) == signature(
+        search.descend_arrays
+    )
+    assert "visited" not in inspect.signature(search.descend_arrays).parameters
+
+
+def test_construction_keeps_candidates_in_arrays():
+    """From beam kernel to adjacency table a candidate set is ``(ids,
+    dists)`` arrays: the ``(dist, node)`` tuple lists and the adapter
+    that fed them must not quietly regrow."""
+    hnsw = default_repo_root() / "src" / "repro" / "hnsw"
+    for name in ("index.py", "heuristic.py"):
+        source = (hnsw / name).read_text()
+        assert "tuple[float, int]" not in source, name
+        assert "beams_as_arrays" not in source, name
+
+
 def test_retired_scalar_paths_stay_deleted():
     """One construction path, one merge, one adjacency: the sequential
     insert, its private kernels, the tuple-list merge and the graph's
@@ -573,7 +606,7 @@ def test_retired_scalar_paths_stay_deleted():
     retired = {
         "_insert_row", "_link_back", "search_layer", "greedy_descent",
         "descend_to_level", "score_ids", "merge_top_k", "TopKHeap",
-        "padded", "PaddedAdjacency", "set_level_csr",
+        "padded", "PaddedAdjacency", "set_level_csr", "beams_as_arrays",
     }
     defined = set()
     for path in (default_repo_root() / "src").rglob("*.py"):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.synthetic import clustered_gaussians
+from repro.distance.scorer import Scorer
 from repro.hnsw.graph import HnswGraph, VisitedEpochs
 from repro.hnsw.heuristic import select_neighbors_heuristic_batch
 from repro.hnsw.index import HnswIndex, build_hnsw
@@ -37,6 +38,8 @@ def payloads_equal(a: dict, b: dict, *, ignore: tuple[str, ...] = ()) -> bool:
 
 
 class TestDescendToLevelsBatch:
+    """Array signature (was lists in, lists out); same two tests."""
+
     def test_a_batch_equals_its_rows_alone(self, clustered_data):
         index = build_hnsw(clustered_data, params=fast_params())
         graph, scorer = index.graph, index._scorer
@@ -44,17 +47,18 @@ class TestDescendToLevelsBatch:
         queries = scorer.prepare_queries(
             clustered_data[rng.integers(0, len(clustered_data), 24)]
         )
-        targets = rng.integers(0, max(graph.max_level, 1), 24).tolist()
+        targets = rng.integers(0, max(graph.max_level, 1), 24)
         entries, dists = descend_to_levels_batch(
             graph, scorer, queries, targets, scorer.query_sq_norms(queries)
         )
+        assert (entries.dtype, dists.dtype) == (np.int64, np.float32)
         for row in range(queries.shape[0]):
-            (entry,), (dist,) = descend_to_levels_batch(
-                graph, scorer, queries[row : row + 1], [targets[row]]
+            entry, dist = descend_to_levels_batch(
+                graph, scorer, queries[row : row + 1], targets[row : row + 1]
             )
             # score_pairs is batch-composition invariant: same walk,
             # same bits, whoever shares the rounds.
-            assert (entries[row], dists[row]) == (entry, dist)
+            assert (entries[row], dists[row]) == (entry[0], dist[0])
 
     def test_empty_batch(self, clustered_data):
         index = build_hnsw(clustered_data[:50], params=fast_params())
@@ -62,44 +66,49 @@ class TestDescendToLevelsBatch:
             index.graph,
             index._scorer,
             np.empty((0, clustered_data.shape[1]), dtype=np.float32),
-            [],
+            np.empty(0, dtype=np.int64),
         )
-        assert entries == [] and dists == []
+        assert entries.shape == dists.shape == (0,)
 
 
 class TestHeuristicBatch:
+    """Array signature (was tuple lists); same two tests."""
+
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "inner_product"])
     @pytest.mark.parametrize("keep_pruned", [True, False])
-    def test_a_batch_equals_its_problems_alone(self, metric, keep_pruned):
-        """A problem's result must not depend on its batch-mates."""
+    def test_a_stack_of_one_equals_any_larger_stack(self, metric, keep_pruned):
+        """A problem's result must not depend on its stack-mates (was
+        ``test_a_batch_equals_its_problems_alone``)."""
         rng = np.random.default_rng(3)
-        from repro.distance.scorer import Scorer
-
         scorer = Scorer(metric, 12)
         scorer.add(rng.standard_normal((200, 12)).astype(np.float32))
-        problems = []
-        for size in (1, 3, 8, 20, 40):
-            ids = rng.choice(200, size=size, replace=False)
-            dists = rng.random(size).tolist()
-            problems.append(list(zip(dists, ids.tolist())))
+        ids = np.full((5, 40), -1, dtype=np.int64)
+        dists = np.full((5, 40), np.inf, dtype=np.float32)
+        for row, size in enumerate((1, 3, 8, 20, 40)):
+            ids[row, :size] = rng.choice(200, size=size, replace=False)
+            dists[row, :size] = rng.random(size)
         for m in (1, 4, 10):
-            batched = select_neighbors_heuristic_batch(
-                scorer, problems, m, keep_pruned=keep_pruned
+            stacked = select_neighbors_heuristic_batch(
+                scorer, ids, dists, m, keep_pruned=keep_pruned
             )
-            for problem, result in zip(problems, batched):
-                (alone,) = select_neighbors_heuristic_batch(
-                    scorer, [problem], m, keep_pruned=keep_pruned
+            for row in range(5):
+                alone = select_neighbors_heuristic_batch(
+                    scorer, ids[row : row + 1], dists[row : row + 1], m,
+                    keep_pruned=keep_pruned,
                 )
-                assert result == alone
+                for got, want in zip(stacked, alone):
+                    assert got[row].tobytes() == want[0].tobytes()
 
     def test_zero_m(self):
-        from repro.distance.scorer import Scorer
-
         scorer = Scorer("euclidean", 4)
         scorer.add(np.eye(4, dtype=np.float32))
-        assert select_neighbors_heuristic_batch(
-            scorer, [[(0.5, 0)], [(0.1, 1)]], 0
-        ) == [[], []]
+        ids, dists = select_neighbors_heuristic_batch(
+            scorer,
+            np.array([[0], [1]]),
+            np.array([[0.5], [0.1]], dtype=np.float32),
+            0,
+        )
+        assert ids.shape == dists.shape == (2, 0)
 
 
 class TestBatchedBuildDeterminism:
@@ -294,6 +303,26 @@ PINNED_GRAPHS = {
 }
 
 
+#: The selection modes the pins above never reach -- closest-``M``
+#: selection, no ``keepPrunedConnections`` padding, cosine -- as
+#: ``(mode, rows) -> digests`` of ``make_clustered(rows, 16, seed=10)``
+#: under ``fast_params(seed=0)`` plus the mode's overrides, recorded at
+#: commit a219e4e (selection over ``(dist, node)`` tuple lists).
+PINNED_MODES = {
+    "simple": {"params": {"use_heuristic": False}},
+    "no_keep_pruned": {"params": {"keep_pruned_connections": False}},
+    "cosine": {"metric": "cosine"},
+}
+PINNED_MODE_GRAPHS = {
+    ("simple", 250): ("ecd4709462eecce0", "4dfdc38a96465444"),
+    ("simple", 4000): ("2c047431bf1b0e76", "9e4eebebc5cad61e"),
+    ("no_keep_pruned", 250): ("4b35da1d40a08372", "6ba0a3085932b2ae"),
+    ("no_keep_pruned", 4000): ("f624bbb019146d8d", "3e1b17465cfe96e2"),
+    ("cosine", 250): ("d0405283ddcd7bcb", "569e268454688e04"),
+    ("cosine", 4000): ("ce5610896922227d", "abebe9941a3b59e5"),
+}
+
+
 class TestPinnedGraphs:
     @pytest.mark.parametrize("seed, rows, build_batch", list(PINNED_GRAPHS))
     def test_graph_and_export_digests(self, seed, rows, build_batch):
@@ -304,6 +333,18 @@ class TestPinnedGraphs:
         assert (
             graph_digest(index), payload_digest(index.to_arrays())
         ) == PINNED_GRAPHS[seed, rows, build_batch]
+
+    @pytest.mark.parametrize("mode, rows", list(PINNED_MODE_GRAPHS))
+    def test_selection_mode_digests(self, mode, rows):
+        spec = PINNED_MODES[mode]
+        index = build_hnsw(
+            make_clustered(rows, 16, seed=10),
+            metric=spec.get("metric", "euclidean"),
+            params=fast_params(seed=0, **spec.get("params", {})),
+        )
+        assert (
+            graph_digest(index), payload_digest(index.to_arrays())
+        ) == PINNED_MODE_GRAPHS[mode, rows]
 
 
 class TestTableUnderRandomAdds:

@@ -213,8 +213,7 @@ class TestAdjacencyTable:
         many.set_neighbor_lists(
             np.array([node for node, _ in lists]),
             np.array([level for _, level in lists]),
-            np.array([len(ids) for ids in lists.values()]),
-            np.array([nbr for ids in lists.values() for nbr in ids]),
+            np.array([ids + [-1] * (3 - len(ids)) for ids in lists.values()]),
         )
         # Reverse edges in apply order; node 0 level 0 may hold 3, node 4 is full.
         edges = [(0, 0, 4), (1, 0, 0), (0, 0, 3), (4, 0, 3), (0, 1, 0), (1, 0, 4)]

@@ -1,8 +1,11 @@
 """Tests for the HNSW search primitives on hand-built graphs.
 
-Every case drives the lockstep kernels with a batch of one: a single
-query is a group of one, so these are the kernels' single-query
-semantics.
+Every case drives the lockstep heap kernels with a batch of one: a
+single query is a group of one, so these are the kernels' single-query
+semantics.  The kernels take and return the array venue's ``(ids,
+dists)`` arrays; ``descend`` / ``beam`` below (unchanged names, same
+tests) read the one row back as ``(node, distance)`` / ``(dist, node)``
+pairs.
 """
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import HnswGraph, VisitedTable
 from repro.hnsw.search import descend_to_levels_batch, search_layer_batch
-from tests.conftest import prepare_one, score_one
+from tests.conftest import as_pairs, prepare_one, score_one
 
 
 def line_graph(num_points: int, level: int = 0):
@@ -36,20 +39,25 @@ def line_graph(num_points: int, level: int = 0):
 def descend(graph, scorer, point, target_level=0):
     """Greedy descent of one query to ``target_level``: (node, distance)."""
     nodes, dists = descend_to_levels_batch(
-        graph, scorer, prepare_one(scorer, point)[np.newaxis, :], [target_level]
+        graph, scorer, prepare_one(scorer, point)[np.newaxis, :],
+        np.array([target_level]),
     )
+    assert (nodes.dtype, dists.dtype) == (np.int64, np.float32)
     return nodes[0], dists[0]
 
 
 def beam(graph, scorer, point, entry, ef):
     """Base-layer beam search of one query seeded at ``entry``."""
     query = prepare_one(scorer, point)
-    entry_dist = float(score_one(scorer, query, [entry])[0])
     table = VisitedTable(len(graph))
     table.reset(len(graph))
-    (results,) = search_layer_batch(
-        graph, scorer, query[np.newaxis, :], [[(entry_dist, entry)]], ef, 0, [table]
+    ids, dists = search_layer_batch(
+        graph, scorer, query[np.newaxis, :],
+        np.array([[entry]]), score_one(scorer, query, [entry])[np.newaxis, :],
+        ef, 0, [table],
     )
+    assert ids.shape == dists.shape == (1, ef)
+    (results,) = as_pairs(ids, dists)
     return results
 
 

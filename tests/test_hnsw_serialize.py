@@ -91,6 +91,39 @@ class TestArrayRoundtrip:
         with pytest.raises(SerializationError, match="format_version is missing"):
             HnswIndex.from_arrays(payload)
 
+    @pytest.mark.parametrize(
+        "member, value, named",
+        [
+            ("levels", None, "'levels'"),
+            ("indptr_0", None, "'indptr_0'"),
+            ("max_level", lambda p: p["max_level"] + 1, "max_level"),
+            ("vectors", lambda p: p["vectors"][:-1], "'vectors'"),
+            ("external_ids", lambda p: p["external_ids"][:-1], "'external_ids'"),
+            ("levels", lambda p: p["levels"][:-1], "'levels'"),
+            ("entry_point", lambda p: p["count"], "entry_point"),
+            ("entry_point", lambda p: np.asarray(-1), "entry_point"),
+            ("indices_0", lambda p: np.append(p["indices_0"][1:], -1), "indices_0"),
+            (
+                "indices_0",
+                lambda p: np.append(p["indices_0"][1:], p["count"]),
+                "indices_0",
+            ),
+        ],
+    )
+    def test_a_payload_that_cannot_search_does_not_load(
+        self, small_index, member, value, named
+    ):
+        """One payload member dropped (``value`` None) or replaced: each
+        of these used to load, or die on a ``KeyError`` / numpy broadcast
+        error, and fail -- if at all -- at the first search."""
+        payload = small_index.to_arrays()
+        if value is None:
+            del payload[member]
+        else:
+            payload[member] = value(payload)
+        with pytest.raises(SerializationError, match=named):
+            HnswIndex.from_arrays(payload)
+
     def test_params_json_from_an_older_build_loads(self, small_index):
         """``extend_candidates`` was a field nothing read; payloads that
         still carry it load, and the key is simply dropped."""

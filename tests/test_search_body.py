@@ -266,34 +266,30 @@ class TestVenues:
     @staticmethod
     def both_kernels(index, queries, entries, entry_dists, level):
         """Run the heap and the array beam kernel from the same ``(rows,
-        s)`` seeds at ``level``: each one's beams as tuple lists, and what
-        each charged."""
+        s)`` seeds at ``level``: each one's ``(ids, dists)`` beams, and
+        what each charged."""
         graph, scorer = index.graph, index._scorer
         query_sq = scorer.query_sq_norms(queries)
         rows = queries.shape[0]
-        seeds = [
-            [(float(dist), int(node)) for dist, node in zip(*pair) if node >= 0]
-            for pair in zip(entry_dists, entries)
-        ]
         pool = VisitedPool()
         heap_cost, array_cost = SearchCost(), SearchCost()
         lockstep = search_layer_batch(
-            graph, scorer, queries, seeds, K, level,
+            graph, scorer, queries, entries, entry_dists, K, level,
             pool.get_many(len(graph), rows), query_sq, heap_cost,
         )
-        ids, dists = search_arrays(
+        arrays = search_arrays(
             graph, scorer, queries, entries, entry_dists, K, level,
             pool.get_epochs(graph.capacity, rows), query_sq, array_cost,
         )
-        arrays = [
-            [
-                (float(dist), int(node))
-                for dist, node in zip(dists[row], ids[row])
-                if node >= 0
-            ]
-            for row in range(rows)
-        ]
         return lockstep, arrays, heap_cost, array_cost
+
+    @staticmethod
+    def assert_same_beams(lockstep, arrays):
+        """Ids, distances, padding and dtypes: the two kernels' whole
+        output."""
+        for heap, array in zip(lockstep, arrays):
+            assert heap.dtype == array.dtype
+            np.testing.assert_array_equal(heap, array)
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_two_kernels_one_beam_rule(self, all_indices, query_sets, metric):
@@ -308,10 +304,10 @@ class TestVenues:
         lockstep, arrays, heap_cost, array_cost = self.both_kernels(
             index, queries, entries[:, np.newaxis], entry_dists[:, np.newaxis], 0
         )
-        assert lockstep == arrays
+        self.assert_same_beams(lockstep, arrays)
         assert heap_cost == array_cost
         # The corpus does what it is for: beams end inside a tie.
-        assert any(beam[-1][0] == beam[-2][0] for beam in lockstep)
+        assert (lockstep[1][:, -1] == lockstep[1][:, -2]).any()
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_one_beam_rule_above_the_base_layer_from_many_seeds(
@@ -338,10 +334,11 @@ class TestVenues:
         lockstep, arrays, heap_cost, array_cost = self.both_kernels(
             index, queries, entries, entry_dists, level
         )
-        assert lockstep == arrays
+        self.assert_same_beams(lockstep, arrays)
         assert heap_cost == array_cost and heap_cost.hops > 0
-        assert all(graph.levels[node] >= level for beam in arrays for _, node in beam)
-        assert any(beam[-1][0] == beam[-2][0] for beam in lockstep)
+        found = arrays[0][arrays[0] >= 0]
+        assert (np.asarray(graph.levels)[found] >= level).all()
+        assert (lockstep[1][:, -1] == lockstep[1][:, -2]).any()
 
     def test_a_coalesced_query_equals_the_same_query_alone(self, corpora):
         """Micro-batching decides a query's group size by arrival timing;
