@@ -30,7 +30,10 @@ Run standalone::
 
 ``--smoke`` shrinks the workload to a few seconds and skips the speedup
 assertions (tiny runs are timing noise); it still verifies parity, which
-is what CI's benchmark smoke job guards.
+is what CI's benchmark smoke job guards, and that a single query -- a
+lockstep group of one row, the serving path -- runs on the heap kernels
+and pays less per scoring call than the same pairs do as rows of a
+larger batch.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import timeit
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +50,12 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.index import LannsIndex
 from repro.data.synthetic import clustered_gaussians, make_queries
+from repro.distance.scorer import Scorer
 from repro.eval.harness import concurrent_serving_throughput
 from repro.eval.tables import format_table
 from repro.eval.timing import measure_batch_qps, measure_qps
 from repro.hnsw.params import HnswParams
+from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 
@@ -73,14 +79,16 @@ def build_index(args: argparse.Namespace) -> tuple[LannsIndex, np.ndarray]:
     return build_lanns_index(base, config=config), queries
 
 
-def build_broker(args: argparse.Namespace) -> tuple[Broker, np.ndarray]:
+def build_broker(
+    args: argparse.Namespace,
+) -> tuple[Broker, LannsIndex, np.ndarray]:
     """Build the synthetic corpus, index it, and front it with a broker."""
     index, queries = build_index(args)
     searchers = [SearcherNode(shard_id) for shard_id in range(args.shards)]
     for shard_id, searcher in enumerate(searchers):
         searcher.host("default", index.shards[shard_id])
     broker = Broker(searchers, index.config)
-    return broker, queries
+    return broker, index, queries
 
 
 def check_parity(
@@ -104,6 +112,52 @@ def check_parity(
         assert (batch_dists[row, :count] == single_dists).all(), (
             f"batch/single distance mismatch at query {row}"
         )
+
+
+def check_one_row_path(index: LannsIndex, queries: np.ndarray, args) -> None:
+    """A single query is a lockstep group of one row: it must trace
+    ``kernel=heap`` for both graph stages, and its scoring call -- one
+    gather, one reduction against the row -- must not be the slower way
+    to score 24 pairs (a relative check: safe on a noisy runner)."""
+    segment = max(
+        (segment for shard in index.shards for segment in shard.segments),
+        key=len,
+    )
+    recorder = SpanRecorder()
+    token = activate(recorder)
+    try:
+        segment.search_batch(queries[:1], args.top_k, ef=args.ef)
+    finally:
+        deactivate(token)
+    venues = {
+        span["name"]: span["annotations"]["kernel"]
+        for span in recorder.export()
+        if span["name"] in ("descend", "beam")
+    }
+    assert venues == {"descend": "heap", "beam": "heap"}, venues
+
+    scorer = Scorer(index.config.metric, queries.shape[1])
+    scorer.add(queries)
+    prepared = scorer.prepare_queries(queries[:2])
+    query_sq = scorer.query_sq_norms(prepared)
+    ids = np.random.default_rng(args.seed).integers(0, len(scorer), size=24)
+    ones = np.ones(ids.size, dtype=np.int64)
+
+    def best_us(call) -> float:
+        return min(timeit.repeat(call, number=200, repeat=25)) / 200 * 1e6
+
+    one_row = best_us(
+        lambda: scorer.score_pairs(prepared[1:], None, ids, query_sq[1:])
+    )
+    in_batch = best_us(
+        lambda: scorer.score_pairs(prepared, ones, ids, query_sq)
+    )
+    print(
+        f"score_pairs, 24 pairs: {one_row:.2f} us as a batch of one row, "
+        f"{in_batch:.2f} us as row 1 of a two-row batch; a traced single "
+        "query ran descend + beam on the heap kernels ✓"
+    )
+    assert one_row <= in_batch, (one_row, in_batch)
 
 
 def run_concurrent(args: argparse.Namespace) -> int:
@@ -222,7 +276,7 @@ def run_concurrent(args: argparse.Namespace) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    broker, queries = build_broker(args)
+    broker, index, queries = build_broker(args)
     print(
         f"corpus: {args.num_base} x {args.dim}, {args.shards} shard(s) x "
         f"{args.segments} segment(s), {queries.shape[0]} queries, "
@@ -230,6 +284,7 @@ def run(args: argparse.Namespace) -> int:
     )
     check_parity(broker, queries[: min(24, queries.shape[0])], args.top_k, args.ef)
     print("parity: batched results identical to sequential ✓")
+    check_one_row_path(index, queries, args)
 
     sequential_qps = measure_qps(
         lambda query: broker.search("default", query, args.top_k, ef=args.ef),

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core.config import LannsConfig
 from repro.core.merge import (
+    empty_part,
     merge_segment_results_batch,
     merge_shard_results_batch,
 )
@@ -119,10 +120,8 @@ class ShardIndex:
             raise ValueError(f"k must be positive, got {k}")
         queries = as_matrix(queries, name="queries")
         num_queries = queries.shape[0]
-        empty_ids = np.full((num_queries, k), -1, dtype=np.int64)
-        empty_dists = np.full((num_queries, k), np.inf, dtype=np.float64)
         if num_queries == 0:
-            return empty_ids, empty_dists
+            return empty_part(num_queries, k)
         if probes is not None:
             if len(probes) != num_queries:
                 raise ValueError(
@@ -149,13 +148,8 @@ class ShardIndex:
         # virtual spill), not with the shard's total segment count.
         max_probes = max((len(probed) for probed in routes), default=0)
         if max_probes == 0:
-            return empty_ids, empty_dists
-        cand_ids = np.full(
-            (num_queries, max_probes * k), -1, dtype=np.int64
-        )
-        cand_dists = np.full(
-            (num_queries, max_probes * k), np.inf, dtype=np.float64
-        )
+            return empty_part(num_queries, k)
+        cand_ids, cand_dists = empty_part(num_queries, max_probes * k)
         next_slot = np.zeros(num_queries, dtype=np.int64)
         any_results = False
         for segment_id in sorted(segment_rows):
@@ -175,7 +169,7 @@ class ShardIndex:
             next_slot[rows] += 1
             any_results = True
         if not any_results:
-            return empty_ids, empty_dists
+            return empty_part(num_queries, k)
         return merge_segment_results_batch(cand_ids, cand_dists, k)
 
 

@@ -130,9 +130,14 @@ def batch_top_k(
     if num_rows == 0 or num_cols == 0:
         return out_ids, out_dists
 
+    # One (B, 1) row index serves every gather and the scatter below:
+    # ``x[row, order]`` is ``take_along_axis(x, order, axis=1)`` without
+    # numpy's Python-level helper rebuilding the same index tuple on each
+    # call (two merges per request sit on the serving path).
+    row = np.arange(num_rows)[:, np.newaxis]
     order = np.lexsort((ids, dists), axis=-1)
-    ids_sorted = np.take_along_axis(ids, order, axis=1)
-    dists_sorted = np.take_along_axis(dists, order, axis=1)
+    ids_sorted = ids[row, order]
+    dists_sorted = dists[row, order]
     if dedupe:
         # Keep an entry iff its id has no earlier (better-distance)
         # occurrence in the same row.  A stable per-row argsort on id
@@ -141,11 +146,11 @@ def batch_top_k(
         # best; scattering that mask back through the argsort gives the
         # keep mask.  No arithmetic on ids, so any int64 ids are safe.
         by_id = np.argsort(ids_sorted, axis=1, kind="stable")
-        grouped = np.take_along_axis(ids_sorted, by_id, axis=1)
+        grouped = ids_sorted[row, by_id]
         first_of_run = np.ones((num_rows, num_cols), dtype=bool)
         first_of_run[:, 1:] = grouped[:, 1:] != grouped[:, :-1]
         keep = np.empty((num_rows, num_cols), dtype=bool)
-        np.put_along_axis(keep, by_id, first_of_run, axis=1)
+        keep[row, by_id] = first_of_run
     else:
         keep = np.ones((num_rows, num_cols), dtype=bool)
     rank = np.cumsum(keep, axis=1)

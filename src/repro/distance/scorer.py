@@ -4,8 +4,12 @@ A :class:`Scorer` binds a metric to a data matrix and precomputes whatever
 the metric can reuse across queries (squared norms for Euclidean, row
 normalisation for cosine).  The HNSW kernels call
 :meth:`Scorer.score_pairs` once per lockstep round -- the one traversal
-scoring call, build side included -- so that path is kept
-allocation-light: two gathers plus one fused expression.
+scoring call, build side included -- and a serving request is a lockstep
+group of one row making ~80 such calls for ~5 pairs each, so what that
+path costs is numpy dispatch, not FLOPs.  :func:`_gather_dot` is the one
+place a round's pairs are gathered and reduced: a batch of one row pays
+for one gather and one reduction against that row, a larger batch for
+the two ``(pairs, d)`` gathers it needs.
 """
 
 from __future__ import annotations
@@ -19,6 +23,63 @@ from repro.distance.metrics import (
     Metric,
     get_metric,
 )
+
+#: A float32 zero to clamp with: a Python ``0.0`` operand sends a small
+#: ufunc call down numpy's slower weak-scalar path.
+_ZERO = np.float32(0.0)
+
+
+def _gather_dot(
+    data: np.ndarray,
+    ids: np.ndarray,
+    query_side: np.ndarray,
+    query_rows: np.ndarray | None,
+    query_const: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gather rows, dot against the query side: the scoring core of every
+    dot-product :class:`~repro.hnsw.search.PairScorer`.
+
+    Returns ``dots[i] = data[ids[i]] . query_side[query_rows[i]]`` and,
+    when the per-query ``(B,)`` ``query_const`` is given, each pair's
+    ``query_const[query_rows[i]]`` in a form that broadcasts against
+    ``dots``.
+
+    **The one-row contract.**  When ``query_side`` has exactly one row --
+    a property of the batch, not an option -- every pair is scored
+    against that row: ``query_rows`` can only be zeros, is not read and
+    may be ``None``; the ``(pairs, d)`` query-side copy is never built
+    and the constant comes back as the ``(1,)`` array it is.  The two
+    branches are bit-equal pair for pair (float32 and int8-widening; see
+    ``tests/test_batch_parity.py``), because both reduce each pair with
+    ``einsum``'s sum-of-products loop over ``d``.  BLAS does not:
+    ``data[ids] @ query`` (gemv) accumulates in a blocked order that
+    depends on the number of rows -- it differs from the ``einsum`` of
+    the same pair from 8 rows up -- so no ``@`` / ``dot`` / ``matmul``
+    may score a pair.
+    """
+    if query_side.shape[0] == 1:
+        dots = np.einsum("nd,d->n", data.take(ids, axis=0), query_side[0])
+        return dots, query_const
+    dots = np.einsum("nd,nd->n", data[ids], query_side[query_rows])
+    if query_const is not None:
+        query_const = query_const[query_rows]
+    return dots, query_const
+
+
+def _euclidean_from_dots(
+    row_sq: np.ndarray,
+    ids: np.ndarray,
+    dots: np.ndarray,
+    pair_const: np.ndarray,
+) -> np.ndarray:
+    """``max(row_sq[ids] - 2 dots + pair_const, 0)``, in place on the
+    gathered norms: the Euclidean expansion both the float and the int8
+    scorer finish a :func:`_gather_dot` with."""
+    scores = row_sq[ids]
+    dots += dots  # 2 * dots, exactly, without a scalar operand
+    scores -= dots
+    scores += pair_const
+    return np.maximum(scores, _ZERO, out=scores)
 
 
 class Scorer:
@@ -146,7 +207,7 @@ class Scorer:
     def score_pairs(
         self,
         queries: np.ndarray,
-        query_rows: np.ndarray,
+        query_rows: np.ndarray | None,
         ids: np.ndarray,
         query_sq: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -154,32 +215,33 @@ class Scorer:
 
         This is the traversal hot path: many (query, candidate) pairs of
         a *prepared* ``(B, d)`` batch scored in one vectorised call.  The
-        per-pair dot is an ``einsum`` row reduction, so every pair's value
-        is independent of which other pairs share the call -- a batch of
-        one produces bit-identical scores to any larger batch.
+        per-pair dot is an ``einsum`` row reduction
+        (:func:`_gather_dot`), so every pair's value is independent of
+        which other pairs share the call -- a batch of one produces
+        bit-identical scores to any larger batch.
 
         Parameters
         ----------
         queries:
             Prepared ``(B, d)`` query batch (:meth:`prepare_queries`).
         query_rows:
-            ``(n,)`` row index into ``queries`` for each pair.
+            ``(n,)`` row index into ``queries`` for each pair.  Not read
+            when ``queries`` has one row (the heap kernels pass ``None``
+            for a group of one): see :func:`_gather_dot`.
         ids:
             ``(n,)`` stored-row index for each pair.
         query_sq:
             Optional precomputed :meth:`query_sq_norms` of ``queries``.
         """
         self.ops += len(ids)
-        rows = self._data[ids]
-        q_rows = queries[query_rows]
-        dots = np.einsum("nd,nd->n", rows, q_rows)
         if self._is_euclidean:
             if query_sq is None:
                 query_sq = self.query_sq_norms(queries)
-            scores = self._sq_norms[ids] - 2.0 * dots
-            scores += query_sq[query_rows]
-            np.maximum(scores, 0.0, out=scores)
-            return scores
+            dots, pair_sq = _gather_dot(
+                self._data, ids, queries, query_rows, query_sq
+            )
+            return _euclidean_from_dots(self._sq_norms, ids, dots, pair_sq)
+        dots, _ = _gather_dot(self._data, ids, queries, query_rows)
         if self._is_cosine:
             return 1.0 - dots
         return -dots
@@ -615,7 +677,11 @@ class _Int8View:
         self._code_sq = store.code_sq
         codec = store.codec
         self._qs = prepared * codec.scale
-        bias = prepared @ codec.offset
+        # A row reduction, not ``prepared @ offset``: BLAS gemv rounds a
+        # row's dot differently depending on how many rows share the
+        # call, which made a query's approximate scores depend on its
+        # batch.
+        bias = np.einsum("bd,d->b", prepared, codec.offset)
         # Everything that depends only on the query folds into one
         # per-query constant, so the hot loop is one code gather, one
         # widening einsum and one constant gather:
@@ -633,28 +699,28 @@ class _Int8View:
     def score_pairs(
         self,
         queries: np.ndarray,
-        query_rows: np.ndarray,
+        query_rows: np.ndarray | None,
         ids: np.ndarray,
         query_sq: np.ndarray | None = None,
     ) -> np.ndarray:
         """Approximate reduced distances for (query, candidate) pairs.
 
-        Same signature and batch-composition invariance as
-        :meth:`Scorer.score_pairs`; ``queries``/``query_sq`` are accepted
-        for interface compatibility but the view's precomputed transforms
-        are what actually score.
+        Same signature, batch-composition invariance and one-row
+        contract as :meth:`Scorer.score_pairs` (``query_rows`` is not
+        read when the view was bound to a batch of one row);
+        ``queries``/``query_sq`` are accepted for interface compatibility
+        but the view's precomputed transforms are what actually score,
+        through the same :func:`_gather_dot`.
         """
         scorer = self._scorer
         scorer.ops += len(ids)
-        rows = self._codes[ids]
-        dots = np.einsum("nd,nd->n", rows, self._qs[query_rows])
+        dots, pair_const = _gather_dot(
+            self._codes, ids, self._qs, query_rows, self._q_const
+        )
         if scorer._is_euclidean:
-            scores = self._code_sq[ids] - 2.0 * dots
-            scores += self._q_const[query_rows]
-            np.maximum(scores, 0.0, out=scores)
-            return scores
+            return _euclidean_from_dots(self._code_sq, ids, dots, pair_const)
         # cosine and inner product share the shape const - dot.
-        return self._q_const[query_rows] - dots
+        return pair_const - dots
 
 
 class _PqAdcView:
@@ -695,15 +761,24 @@ class _PqAdcView:
     def score_pairs(
         self,
         queries: np.ndarray,
-        query_rows: np.ndarray,
+        query_rows: np.ndarray | None,
         ids: np.ndarray,
         query_sq: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Approximate reduced distances for (query, candidate) pairs."""
+        """Approximate reduced distances for (query, candidate) pairs.
+
+        A pair's score is a sum of table lookups, not a dot, so this is
+        the one scorer outside :func:`_gather_dot`; it keeps the same
+        one-row contract: a view bound to one row looks every pair up in
+        that row's table and does not read ``query_rows``.
+        """
         scorer = self._scorer
         scorer.ops += len(ids)
         flat = self._codes[ids] + self._flat_offsets
-        sums = self._tables[query_rows[:, np.newaxis], flat].sum(axis=1)
+        if self._tables.shape[0] == 1:
+            sums = self._tables[0].take(flat).sum(axis=1)
+        else:
+            sums = self._tables[query_rows[:, np.newaxis], flat].sum(axis=1)
         if scorer._is_euclidean:
             np.maximum(sums, 0.0, out=sums)
             return sums

@@ -61,6 +61,15 @@ _MAX_LOCKSTEP = 64
 #:     float   1.12  0.56  0.48  0.46  0.47  0.48  0.40  0.45  0.73
 #:             3.06  0.93  0.55  0.41  0.36  0.27  0.23  0.17  0.11
 #:
+#: The ``rows = 1`` column predates the one-row scoring path (a group of
+#: one scores each round with one gather and one reduction against its
+#: row, ``distance/scorer.py::_gather_dot``; from 4 rows up a batch keeps
+#: the two-sided gather, so those columns stand).  With it, on a faster
+#: box than the table's -- compare before -> after, min of 21:
+#:
+#:     rows = 1    heap int8 1.08 -> 0.95    heap float 1.03 -> 0.86
+#:                 array int8 2.28 -> 2.29   array float 2.30 -> 2.28
+#:
 #: The curves cross at 8-12 rows (8-10 on 2400 x 32 / M = 6 / ef = 10,
 #: 4-8 on 20000 x 32 / M = 16 / ef = 128); 12 is the first size at which
 #: arrays won on every shape tried, and a default 64-row construction
@@ -695,18 +704,22 @@ class HnswIndex:
             raise ValueError(f"k must be positive, got {k}")
         queries = as_matrix(queries, dim=self.dim, name="queries")
         n = queries.shape[0]
+        found = [
+            self._search_many(queries[start : start + _MAX_LOCKSTEP], k, ef, cost)
+            for start in range(0, n, _MAX_LOCKSTEP)
+        ]
+        if len(found) == 1 and found[0][0].shape[1] == k:
+            # One lockstep group, every request of the serving path: its
+            # int64 / float64 arrays are the answer as they stand.
+            return found[0]
         ids = np.full((n, k), -1, dtype=_IDS_DTYPE)
         dists = np.full((n, k), np.inf, dtype=np.float64)
-        if n == 0:
-            return ids, dists
-        for start in range(0, n, _MAX_LOCKSTEP):
-            group = slice(start, start + _MAX_LOCKSTEP)
-            found_ids, found_dists = self._search_many(
-                queries[group], k, ef, cost
-            )
+        for start, (found_ids, found_dists) in zip(
+            range(0, n, _MAX_LOCKSTEP), found
+        ):
             width = found_ids.shape[1]  # < k on a segment smaller than k
-            ids[group, :width] = found_ids
-            dists[group, :width] = found_dists
+            ids[start : start + _MAX_LOCKSTEP, :width] = found_ids
+            dists[start : start + _MAX_LOCKSTEP, :width] = found_dists
         return ids, dists
 
     # -- persistence --------------------------------------------------------------------

@@ -72,14 +72,18 @@ class PairScorer(Protocol):
     :meth:`QuantizedStore.view <repro.distance.scorer.QuantizedStore.view>`
     returns; the kernels below ask nothing else of whoever scores, so a
     new scoring tier plugs in by implementing this one method with
-    :meth:`Scorer.score_pairs`'s batch-composition invariance and its
-    float32 result (the array venue packs distances into 32 bits).
+    :meth:`Scorer.score_pairs`'s batch-composition invariance, its
+    float32 result (the array venue packs distances into 32 bits) and
+    its one-row contract: when ``queries`` has exactly one row every
+    pair belongs to it, so ``query_rows`` must not be read -- the heap
+    kernels pass ``None`` for a group of one, the serving path, rather
+    than build "row 0, ``n`` times" every hop.
     """
 
     def score_pairs(
         self,
         queries: np.ndarray,
-        query_rows: np.ndarray,
+        query_rows: np.ndarray | None,
         ids: np.ndarray,
         query_sq: np.ndarray | None = None,
     ) -> np.ndarray: ...
@@ -113,12 +117,15 @@ def descend_to_levels_batch(
     scoring rounds run (a trace span's annotations, in practice).
     """
     num_queries = queries.shape[0]
+    # A group of one row scores every pair against that row: no
+    # ``query_rows`` operand is built (see :class:`PairScorer`).
+    one_row = num_queries == 1
     target_levels = target_levels.tolist()
     rounds = 0
     entry = graph.entry_point
     entry_dists = scorer.score_pairs(
         queries,
-        np.arange(num_queries),
+        None if one_row else np.arange(num_queries),
         np.full(num_queries, entry, dtype=_IDS_DTYPE),
         query_sq,
     )
@@ -144,7 +151,7 @@ def descend_to_levels_batch(
             rounds += 1
             dists = scorer.score_pairs(
                 queries,
-                np.asarray(span_rows).repeat(span_counts),
+                None if one_row else np.asarray(span_rows).repeat(span_counts),
                 np.asarray(flat_ids, dtype=_IDS_DTYPE),
                 query_sq,
             )
@@ -152,7 +159,7 @@ def descend_to_levels_batch(
             offset = 0
             for i, count in zip(span_rows, span_counts):
                 segment = dists[offset : offset + count]
-                best = int(np.argmin(segment))
+                best = int(segment.argmin())
                 best_dist = float(segment[best])
                 if best_dist < current_dist[i]:
                     current[i] = flat_ids[offset + best]
@@ -213,6 +220,7 @@ def search_layer_batch(
     Python lists below never leave this function.
     """
     num_queries = queries.shape[0]
+    one_row = num_queries == 1  # no ``query_rows`` operand: see PairScorer
     adjacency, base = graph.table, graph.base  # direct access: hot loop
     # Per query -- candidates: min-heap of unexpanded pairs; results: the
     # beam, a max-heap keyed (-dist, -node) whose root is its largest pair.
@@ -281,7 +289,7 @@ def search_layer_batch(
         # Phase 2: one vectorised scoring call for the whole round.
         dists = scorer.score_pairs(
             queries,
-            np.asarray(span_rows).repeat(span_counts),
+            None if one_row else np.asarray(span_rows).repeat(span_counts),
             np.asarray(flat_ids, dtype=_IDS_DTYPE),
             query_sq,
         )

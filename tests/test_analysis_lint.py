@@ -523,6 +523,42 @@ def test_hnsw_index_has_one_search_body():
     assert bodies == ["_search_many"]
 
 
+def test_the_one_row_scoring_branch_is_written_once():
+    """A group of one row is a branch inside the existing seam: one
+    helper holds the ``"nd,d->n"`` reduction every dot-product scorer
+    shares, and no one-row twin sits beside the two beam and two descend
+    kernels."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    from repro.hnsw import search
+
+    holders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(leaf, ast.Constant) and leaf.value == "nd,d->n"
+                for leaf in ast.walk(node)
+            ):
+                holders.append((path.name, node.name))
+    assert holders == [("scorer.py", "_gather_dot")]
+
+    kernels = sorted(
+        name
+        for name, value in vars(search).items()
+        if callable(value)
+        and getattr(value, "__module__", None) == search.__name__
+        and name.startswith(("search_", "descend_"))
+    )
+    assert kernels == [
+        "descend_arrays",
+        "descend_to_levels_batch",
+        "search_arrays",
+        "search_layer_batch",
+    ]
+
+
 def test_hnsw_graph_has_one_adjacency():
     """The table is the graph: a list-of-lists twin, a frozen padded
     copy or a cached CSR must not quietly regrow beside it.  On a built

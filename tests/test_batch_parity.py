@@ -12,11 +12,14 @@ level live in ``test_search_body.py``.)
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.topk import batch_top_k
-from repro.distance.scorer import Scorer
+from repro.distance import scorer as scorer_module
+from repro.distance.scorer import QuantizedStore, Scorer
 from repro.hnsw.index import build_hnsw
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
@@ -98,7 +101,102 @@ class TestScorerBatchKernels:
                 )
 
 
+def check_one_row_parity(kind, metric, dim, pairs, lattice, seed):
+    """``score_pairs(q[None], <not read>, ids, q_sq)`` is, bit for bit,
+    the same pairs scored from wherever ``q`` sits in a 2-, 7- or 64-row
+    batch -- for the float scorer and both compressed views, with and
+    without ``query_sq``.  ``lattice`` draws small integers, so equal
+    distances (and exact zeros) are the common case, not the rare one."""
+    rng = np.random.default_rng(seed)
+
+    def draw(rows):
+        if lattice:
+            return rng.integers(-2, 3, size=(rows, dim)).astype(np.float32)
+        return rng.standard_normal((rows, dim)).astype(np.float32)
+
+    scorer = Scorer(metric, dim)
+    scorer.add(draw(48))
+    store = None if kind == "float" else QuantizedStore(scorer, kind)
+    prepared = scorer.prepare_queries(draw(64))
+    ids = rng.integers(0, len(scorer), size=pairs)
+
+    def score(batch, query_rows, some_ids, with_sq):
+        who = scorer if store is None else store.view(batch)
+        query_sq = scorer.query_sq_norms(batch) if with_sq else None
+        return who.score_pairs(batch, query_rows, some_ids, query_sq)
+
+    for batch_rows in (2, 7, 64):
+        batch = prepared[:batch_rows]
+        query_rows = rng.integers(0, batch_rows, size=pairs)
+        for with_sq in (True, False):
+            full = score(batch, query_rows, ids, with_sq)
+            assert full.dtype == np.float32
+            for row in np.unique(query_rows):
+                mine = query_rows == row
+                zeros = np.zeros(int(mine.sum()), dtype=np.int64)
+                for unread in (None, zeros):  # the kernels' / the ledger's
+                    alone = score(
+                        batch[row : row + 1], unread, ids[mine], with_sq
+                    )
+                    assert alone.tobytes() == full[mine].tobytes(), (
+                        kind, metric, dim, pairs, batch_rows, int(row), with_sq,
+                    )
+
+
+class TestOneRowEqualsItsPlaceInAnyBatch:
+    """The serving path scores a lockstep group of one row through its
+    own branch of ``scorer._gather_dot``; micro-batching decides at run
+    time whether a query is that row or one of many."""
+
+    @given(
+        st.sampled_from(["float", "int8", "pq"]),
+        st.sampled_from(["euclidean", "cosine", "inner_product"]),
+        st.integers(1, 130),
+        st.integers(1, 80),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_score_pairs(self, kind, metric, dim, pairs, lattice, seed):
+        check_one_row_parity(kind, metric, dim, pairs, lattice, seed)
+
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    @pytest.mark.parametrize("dim", [33, 64, 129])
+    def test_a_blas_reduction_in_the_one_row_branch_is_caught(
+        self, monkeypatch, kind, dim
+    ):
+        """``rows @ q`` (gemv) accumulates in another order than the
+        ``einsum`` the other rows of a batch are reduced with: planted in
+        the one-row branch, the property above must fail."""
+        gather_dot = scorer_module._gather_dot
+
+        def planted(data, ids, query_side, query_rows, query_const=None):
+            if query_side.shape[0] != 1:
+                return gather_dot(data, ids, query_side, query_rows, query_const)
+            rows = data.take(ids, axis=0).astype(np.float32)
+            return rows @ query_side[0], query_const
+
+        check_one_row_parity(kind, "inner_product", dim, 77, False, 3)
+        monkeypatch.setattr(scorer_module, "_gather_dot", planted)
+        with pytest.raises(AssertionError):
+            check_one_row_parity(kind, "inner_product", dim, 77, False, 3)
+
+
 class TestBatchTopK:
+    def test_a_canonical_block_re_merges_to_itself(self):
+        """What a one-shard broker does on every request: merging the
+        output of a merge is the identity, padding included."""
+        rng = np.random.default_rng(4)
+        for rows, cols, k in ((1, 10, 10), (3, 7, 10), (5, 30, 4)):
+            dists = rng.integers(0, 6, size=(rows, cols)).astype(np.float64)
+            ids = rng.integers(-1, 12, size=(rows, cols))
+            dists[ids < 0] = np.inf
+            merged = batch_top_k(dists, ids, k)
+            again = batch_top_k(*merged[::-1], k)
+            for want, got in zip(merged, again):
+                assert want.dtype == got.dtype
+                np.testing.assert_array_equal(want, got)
+
     def test_sorts_and_pads(self):
         ids = np.array([[3, 1, 2], [7, -1, -1]], dtype=np.int64)
         dists = np.array([[0.3, 0.1, 0.2], [0.5, np.inf, np.inf]])

@@ -334,6 +334,33 @@ class TestPinnedGraphs:
             graph_digest(index), payload_digest(index.to_arrays())
         ) == PINNED_GRAPHS[seed, rows, build_batch]
 
+    def test_a_lone_upper_layer_row_of_a_wide_wave_scores_as_a_batch_of_one(
+        self, monkeypatch
+    ):
+        """A row that is alone on an upper layer of its 64-row wave searches
+        that layer as a lockstep group of one: the heap kernels build no
+        ``query_rows`` for it, ``score_pairs`` takes its one-row branch,
+        and the graph is still the pinned one."""
+        score_pairs = Scorer.score_pairs
+        lone = []
+
+        def spying(self, queries, query_rows, ids, query_sq=None):
+            if queries.shape[0] == 1:
+                lone.append(query_rows)
+            return score_pairs(self, queries, query_rows, ids, query_sq)
+
+        monkeypatch.setattr(Scorer, "score_pairs", spying)
+        index = build_hnsw(
+            make_clustered(250, 16, seed=10),
+            params=fast_params(seed=0, build_batch=64),
+        )
+        # Every wave of this build is wide (249 = 3 x 64 + 57), so a
+        # one-row call can only be an upper-layer group.
+        assert lone and all(rows is None for rows in lone)
+        assert (
+            graph_digest(index), payload_digest(index.to_arrays())
+        ) == PINNED_GRAPHS[0, 250, 64]
+
     @pytest.mark.parametrize("mode, rows", list(PINNED_MODE_GRAPHS))
     def test_selection_mode_digests(self, mode, rows):
         spec = PINNED_MODES[mode]

@@ -106,21 +106,37 @@ class TestProductQuantizerFixes:
 
 
 class TestScorePairsQuerySq:
+    @pytest.mark.parametrize("kind", ["float", "int8", "pq"])
     @pytest.mark.parametrize(
         "metric", ["euclidean", "cosine", "inner_product"]
     )
-    def test_precomputed_norm_is_bit_identical(self, metric):
+    def test_precomputed_norm_is_bit_identical(self, metric, kind):
+        """With or without ``query_sq``, with ``query_rows`` given or not
+        (a batch of one row does not read it), and as row 3 of a 4-row
+        batch: one value per pair, for the float scorer and both views."""
         data = _corpus(n=200, dim=12)
         scorer = Scorer(metric, 12)
         scorer.add(data)
-        queries = scorer.prepare_queries(_corpus(n=1, dim=12, seed=9))
+        batch = scorer.prepare_queries(_corpus(n=4, dim=12, seed=9))
+        queries = batch[3:]
         ids = np.arange(0, 200, 3, dtype=np.int64)
         rows = np.zeros(ids.size, dtype=np.int64)
-        baseline = scorer.score_pairs(queries, rows, ids)
-        threaded = scorer.score_pairs(
-            queries, rows, ids, scorer.query_sq_norms(queries)
+
+        store = None if kind == "float" else QuantizedStore(scorer, kind)
+
+        def bound(prepared):
+            return scorer if store is None else store.view(prepared)
+
+        baseline = bound(queries).score_pairs(queries, rows, ids)
+        for unread in (rows, None):
+            threaded = bound(queries).score_pairs(
+                queries, unread, ids, scorer.query_sq_norms(queries)
+            )
+            np.testing.assert_array_equal(baseline, threaded)
+        in_batch = bound(batch).score_pairs(
+            batch, rows + 3, ids, scorer.query_sq_norms(batch)
         )
-        np.testing.assert_array_equal(baseline, threaded)
+        assert in_batch.tobytes() == baseline.tobytes()
 
 
 # -- codecs -------------------------------------------------------------------------
