@@ -19,7 +19,11 @@ fronts them with the broker, and
    every other request, served through the asyncio fan-out without and
    with hedged requests -- hedged p99 must beat unhedged p99, results
    must stay bit-identical to in-process serving, and the broker must
-   report the ``loop`` venue (all in-flight shard RPCs on one thread).
+   report the ``loop`` venue (all in-flight shard RPCs on one thread);
+5. prices **one RPC**: min-of-N PING round trip, one-query SEARCH round
+   trip and the same search in process, against an in-thread server
+   whose transports count write calls -- a SEARCH round trip must be
+   exactly one write per side, and a PING must be cheaper than a SEARCH.
 
 Run standalone::
 
@@ -39,6 +43,8 @@ import shutil
 import sys
 import tempfile
 import time
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +57,11 @@ from repro.errors import TransportError
 from repro.eval.harness import remote_serving_throughput
 from repro.eval.tables import format_table
 from repro.hnsw.params import HnswParams
+from repro.net import client as net_client
+from repro.net import server as net_server
+from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import fleet_addresses, launch_fleet, shutdown_fleet
+from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
 from repro.storage.hdfs import LocalHdfs
@@ -254,6 +264,101 @@ def check_hedging(
         shutdown_fleet(fleet)
 
 
+class CountingTransport:
+    """A transport that counts the write calls made on it."""
+
+    def __init__(self, transport, counts: Counter, side: str) -> None:
+        self._transport = transport
+        self._counts = counts
+        self._side = side
+
+    def write(self, data) -> None:
+        self._counts[self._side] += 1
+        self._transport.write(data)
+
+    def writelines(self, buffers) -> None:
+        self._counts[self._side] += 1
+        self._transport.writelines(buffers)
+
+    def __getattr__(self, name: str):
+        return getattr(self._transport, name)
+
+
+@contextmanager
+def counted_writes():
+    """Connections made inside the block (either side of the wire, this
+    process) write through a :class:`CountingTransport`; yields the
+    ``{"client": n, "server": n}`` counter."""
+    counts: Counter = Counter()
+    originals = {}
+    for side, module in (("client", net_client), ("server", net_server)):
+        connection = module._Connection
+        originals[connection] = made = connection.connection_made
+
+        def connection_made(self, transport, made=made, side=side):
+            made(self, CountingTransport(transport, counts, side))
+
+        connection.connection_made = connection_made
+    try:
+        yield counts
+    finally:
+        for connection, made in originals.items():
+            connection.connection_made = made
+
+
+def min_ms(call, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        tick = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - tick)
+    return best * 1e3
+
+
+def check_rpc_cost(args: argparse.Namespace, index, queries: np.ndarray) -> dict:
+    """What one RPC costs over what it carries, and how many writes."""
+    node = SearcherNode(0)
+    node.host("default", index.shards[0])
+    query = queries[:1]
+    repeats = 100 if args.smoke else 400
+    with counted_writes() as writes:
+        server = net_server.SearcherServer(node).start_in_thread()
+        client = RemoteSearcherClient(server.address)
+        try:
+            def search():
+                return client.search_batch(
+                    "default", query, args.top_k, ef=args.ef
+                )
+
+            want = node.search_batch("default", query, args.top_k, ef=args.ef)
+            got = search()  # also dials the one pooled connection
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+            writes.clear()
+            search()
+            assert dict(writes) == {"client": 1, "server": 1}, (
+                f"one SEARCH round trip made {dict(writes)} write calls; "
+                "a frame is one write per side"
+            )
+            report = {
+                "ping_rtt_ms": min_ms(client.ping, repeats),
+                "search_rpc_ms": min_ms(search, repeats),
+                "search_in_process_ms": min_ms(
+                    lambda: node.search_batch(
+                        "default", query, args.top_k, ef=args.ef
+                    ),
+                    repeats,
+                ),
+            }
+        finally:
+            client.close()
+            server.stop()
+    assert report["ping_rtt_ms"] < report["search_rpc_ms"], (
+        f"a PING ({report['ping_rtt_ms']:.3f}ms) must be cheaper than a "
+        f"SEARCH RPC ({report['search_rpc_ms']:.3f}ms)"
+    )
+    return report
+
+
 def run(args: argparse.Namespace) -> int:
     workdir = tempfile.mkdtemp(prefix="lanns-remote-bench-")
     fleet = []
@@ -327,8 +432,18 @@ def run(args: argparse.Namespace) -> int:
             f"({hedging['hedges']} hedges, {hedging['hedge_wins']} wins; "
             "bit-parity ✓, loop venue ✓)"
         )
+        rpc = check_rpc_cost(args, index, queries)
+        print(
+            f"rpc cost (min of N, in-thread server): PING "
+            f"{rpc['ping_rtt_ms']:.3f}ms, one-query SEARCH RPC "
+            f"{rpc['search_rpc_ms']:.3f}ms of which the search itself is "
+            f"{rpc['search_in_process_ms']:.3f}ms; one write per side ✓"
+        )
         if args.smoke:
-            print("smoke OK (parity + degradation + hedging asserted)")
+            print(
+                "smoke OK (parity + degradation + hedging + one write per "
+                "frame asserted)"
+            )
             return 0
         RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -338,6 +453,7 @@ def run(args: argparse.Namespace) -> int:
             "remote_stats": report["remote_stats"]["stages"],
             "degradation": degradation,
             "hedging": hedging,
+            "rpc_cost": rpc,
         }
         (RESULTS_DIR / "remote_serving.json").write_text(
             json.dumps(payload, indent=2), encoding="utf-8"

@@ -5,14 +5,19 @@ client side of the wire.  The broker's fan-out loop awaits it natively
 (one coroutine per shard RPC, N in flight on one thread); reliability is
 layered as:
 
-- **connection pool** -- a small stack of idle streams per searcher and
-  per event loop, so concurrent batches don't serialize on one
-  connection and repeated requests skip the TCP handshake;
+- **connection pool** -- a small stack of idle connections per searcher
+  and per event loop, so concurrent batches don't serialize on one
+  connection and repeated requests skip the TCP handshake.  A
+  connection is a :class:`_Connection` (an :class:`asyncio.Protocol`
+  over a sans-IO :class:`~repro.net.protocol.FrameReader`) and its
+  transport; one round trip is **one** ``transport.writelines`` of the
+  encoded frame and **one** future the reply's ``data_received``
+  resolves;
 - **request timeouts** -- each attempt's whole round trip runs under one
   cumulative budget: the per-call deadline, capped by the client-wide
-  ``timeout_s``.  An expired budget raises
-  :class:`~repro.errors.DeadlineExceededError`, however slowly the peer
-  trickles bytes;
+  ``timeout_s``.  One ``loop.call_later`` timer fails that future with
+  :class:`~repro.errors.DeadlineExceededError` when the budget expires,
+  however slowly the peer trickles bytes;
 - **bounded retries with backoff** -- connectivity failures (refused,
   reset, EOF, garbled frames) retry idempotent calls up to ``retries``
   times, reconnecting with exponential backoff plus *full jitter*
@@ -36,10 +41,10 @@ from __future__ import annotations
 
 import asyncio
 import random
-import socket
 import threading
 import time
 import zlib
+from functools import partial
 
 import numpy as np
 
@@ -53,12 +58,12 @@ from repro.net.loop import client_loop
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     REPLY_TYPE,
+    FrameReader,
     MsgType,
+    encode_frame,
     pack,
     raise_if_error,
-    read_frame_async,
     unpack,
-    write_frame_async,
 )
 
 #: Failures that mean "the searcher is unreachable/broken", as opposed to
@@ -93,6 +98,56 @@ def parse_address(address: str | tuple) -> tuple[str, int]:
     return host, int(port)
 
 
+class _Connection(asyncio.Protocol):
+    """One pooled socket: at most one RPC in flight.
+
+    :meth:`expect` parks the future the next frame (or the hang-up, or
+    the caller's timer through :meth:`fail`) resolves.  A connection
+    that died while idle in the pool stays there, and fails the request
+    that next draws it with the error it died of -- which is what makes
+    that request retry on a fresh dial.
+    """
+
+    def __init__(self, max_frame: int) -> None:
+        self.transport: asyncio.Transport | None = None
+        self._reader = FrameReader(max_frame=max_frame)
+        self._reply: asyncio.Future | None = None
+        self._lost: TransportError | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def expect(self, loop) -> asyncio.Future:
+        self._reply = loop.create_future()
+        if self._lost is not None:
+            self.fail(self._lost)
+        return self._reply
+
+    def fail(self, exc: TransportError) -> None:
+        if self._reply is not None and not self._reply.done():
+            self._reply.set_exception(exc)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self._reader.feed(data):
+                if self._reply is None or self._reply.done():
+                    raise ProtocolError("the searcher sent an unrequested frame")
+                self._reply.set_result(frame)
+        except ProtocolError as exc:
+            self._lost = exc
+            self.fail(exc)
+            self.transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._lost is None:
+            self._lost = (
+                self._reader.eof_error()
+                if exc is None
+                else ConnectionLostError(f"connection failed: {exc}")
+            )
+        self.fail(self._lost)
+
+
 class AsyncRemoteSearcherClient:
     """Asyncio RPC client for one remote searcher process.
 
@@ -100,8 +155,8 @@ class AsyncRemoteSearcherClient:
     flight on **one** event-loop thread instead of burning a thread per
     RPC.
 
-    Connections are pooled *per event loop*: an asyncio stream is bound
-    to the loop that opened it, and one client instance may be driven by
+    Connections are pooled *per event loop*: an asyncio transport is
+    bound to the loop that opened it, and one client instance may be driven by
     several loops (the service shares its transports across deployed
     indices, each broker owning its own loop, and the blocking facade
     drives the shared client loop).  Checkout inside a coroutine always
@@ -210,15 +265,23 @@ class AsyncRemoteSearcherClient:
             return self.connects - self.closes
 
     # -- connection management ---------------------------------------------------------
-    async def _dial(self, deadline: float | None) -> tuple:
+    async def _dial(self, deadline: float | None) -> _Connection:
         budget = self.connect_timeout_s
         if deadline is not None:
             budget = min(budget, self._remaining(deadline))
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port), budget
+        loop = asyncio.get_running_loop()
+        dialing = asyncio.ensure_future(
+            loop.create_connection(
+                partial(_Connection, self.max_frame), self.host, self.port
             )
-        except (asyncio.TimeoutError, TimeoutError):
+        )
+        try:
+            done, _ = await asyncio.wait({dialing}, timeout=budget)
+        except asyncio.CancelledError:
+            dialing.cancel()
+            raise
+        if not done:
+            dialing.cancel()
             # A blown *caller* deadline must not retry; a plain connect
             # timeout (SYN dropped: firewall, host mid-reboot) is a
             # connectivity failure like refused/reset and should get the
@@ -227,38 +290,41 @@ class AsyncRemoteSearcherClient:
                 raise DeadlineExceededError(
                     f"connect to {self.address} timed out after "
                     f"{budget:.3f}s"
-                ) from None
+                )
             raise ConnectionLostError(
                 f"connect to {self.address} timed out after {budget:.3f}s"
-            ) from None
+            )
+        try:
+            _, conn = dialing.result()
         except OSError as exc:
             raise ConnectionLostError(
                 f"cannot connect to searcher {self.address}: {exc}"
             ) from None
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._count("connects")
-        return reader, writer
+        return conn
 
-    async def _checkout(self, deadline: float | None) -> tuple:
-        self._reap_dead_pools()
+    async def _checkout(self, deadline: float | None) -> _Connection:
         loop = asyncio.get_running_loop()
         with self._lock:
             if self._closed:
                 raise ConnectionLostError(
                     f"client for {self.address} is closed"
                 )
-            pool = self._pools.setdefault(loop, [])
+            pool = self._pools.get(loop)
             if pool:
                 return pool.pop()
+        if pool is None:
+            # A loop can only have died since the last time a *new* loop
+            # showed up, so this is the one place that needs to look.
+            self._reap_dead_pools()
+            with self._lock:
+                self._pools.setdefault(loop, [])
         return await self._dial(deadline)
 
-    def _checkin(self, conn: tuple, loop) -> None:
-        self._reap_dead_pools()
+    def _checkin(self, conn: _Connection, loop) -> None:
         with self._lock:
             if not self._closed:
-                pool = self._pools.setdefault(loop, [])
+                pool = self._pools[loop]  # _checkout put it there
                 if len(pool) < self.pool_size:
                     pool.append(conn)
                     return
@@ -278,28 +344,22 @@ class AsyncRemoteSearcherClient:
             reaped = [(loop, self._pools.pop(loop)) for loop in dead]
         for loop, pool in reaped:
             for conn in pool:
-                self._close_stream(loop, conn[1])
+                self._close_pooled(loop, conn)
 
-    def _discard(self, conn: tuple) -> None:
-        _, writer = conn
-        try:
-            writer.close()
-        except (OSError, RuntimeError):
-            # Already-dead transport or already-closed event loop: the
-            # connection is gone either way, which is all close() wanted.
-            pass
+    def _discard(self, conn: _Connection) -> None:
+        conn.transport.close()
         self._count("closes")
 
-    def _close_stream(self, loop, writer) -> None:
-        """Close a pooled stream from any thread, loop alive or not."""
+    def _close_pooled(self, loop, conn: _Connection) -> None:
+        """Close a pooled connection from any thread, loop alive or not."""
         try:
-            loop.call_soon_threadsafe(writer.close)
+            loop.call_soon_threadsafe(conn.transport.close)
         except RuntimeError:
             # Loop already gone: close the underlying socket *object*
             # (idempotent, so the transport destructor's double-close
             # is a no-op -- unlike closing the raw fd, which could hit
             # a reused descriptor number).
-            raw = getattr(getattr(writer, "transport", None), "_sock", None)
+            raw = getattr(conn.transport, "_sock", None)
             if raw is not None:
                 try:
                     raw.close()
@@ -310,16 +370,16 @@ class AsyncRemoteSearcherClient:
     def close(self) -> None:
         """Close every pooled connection; the client rejects further calls.
 
-        Callable from any thread: pooled streams are closed via their
-        owning loop when it is still running, or at the socket level
-        when the loop is already gone (broker shut down first).
+        Callable from any thread: pooled connections are closed via
+        their owning loop when it is still running, or at the socket
+        level when the loop is already gone (broker shut down first).
         """
         with self._lock:
             self._closed = True
             pools, self._pools = self._pools, {}
         for loop, pool in pools.items():
-            for _, writer in pool:
-                self._close_stream(loop, writer)
+            for conn in pool:
+                self._close_pooled(loop, conn)
 
     # -- core call machinery -----------------------------------------------------------
     @staticmethod
@@ -329,10 +389,12 @@ class AsyncRemoteSearcherClient:
             raise DeadlineExceededError("request deadline already expired")
         return remaining
 
-    async def _roundtrip(self, conn: tuple, msg_type, header, arrays):
-        reader, writer = conn
-        await write_frame_async(writer, msg_type, header, arrays)
-        return await read_frame_async(reader, max_frame=self.max_frame)
+    def _expire(self, conn: _Connection, budget: float) -> None:
+        conn.fail(
+            DeadlineExceededError(
+                f"searcher {self.address} did not answer within {budget:.3f}s"
+            )
+        )
 
     async def _once(
         self,
@@ -350,31 +412,22 @@ class AsyncRemoteSearcherClient:
             except DeadlineExceededError:
                 self._checkin(conn, loop)
                 raise
-        # One *cumulative* budget for the whole round trip, so neither a
-        # slow send nor a byte-trickling peer can stretch one RPC past it.
+        # One frame, one write, one future: the reply (or the hang-up)
+        # resolves it from data_received, and one timer bounds the whole
+        # round trip, however slowly the peer trickles bytes.
+        reply = conn.expect(loop)
+        timer = loop.call_later(budget, self._expire, conn, budget)
         try:
-            response = await asyncio.wait_for(
-                self._roundtrip(conn, msg_type, header, arrays), budget
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            self._discard(conn)
-            raise DeadlineExceededError(
-                f"searcher {self.address} did not answer within "
-                f"{budget:.3f}s"
-            ) from None
-        except asyncio.CancelledError:
-            # A cancelled RPC (hedge loser, torn-down fan-out) leaves
-            # its response in the pipe: never pool this connection.
+            conn.transport.writelines(encode_frame(msg_type, header, arrays))
+            response = await reply
+        except BaseException:
+            # A timed-out or cancelled RPC (hedge loser, torn-down
+            # fan-out) leaves its response in the pipe, a failed one a
+            # dead socket: never pool this connection.
             self._discard(conn)
             raise
-        except TransportError:
-            self._discard(conn)
-            raise
-        except OSError as exc:
-            self._discard(conn)
-            raise ConnectionLostError(
-                f"connection to searcher {self.address} failed: {exc}"
-            ) from None
+        finally:
+            timer.cancel()
         self._checkin(conn, loop)
         return response
 

@@ -15,11 +15,25 @@ The JSON header carries the request metadata (index name, ``top_k``,
 ``ef``, ...) plus an ``arrays`` list of ``{"dtype", "shape"}`` entries
 describing the payload layout.  Which fields each message type carries
 is declared once, in :data:`FRAME_FIELDS`; :func:`pack` and
-:func:`unpack` build and read every header through that table.  Array payloads are the raw C-contiguous
-bytes of ``float32`` / ``float64`` / ``int64`` numpy buffers: encoding
-writes :class:`memoryview` s of the arrays (no serialization pass, no
-copy) and decoding reconstructs them with ``np.frombuffer`` over slices
-of the received buffer (no copy either).
+:func:`unpack` build and read every header through that table.  Array
+payloads are the raw C-contiguous bytes of ``float32`` / ``float64`` /
+``int64`` numpy buffers: encoding hands out :class:`memoryview` s of the
+arrays (no serialization pass) and decoding reconstructs them with
+``np.frombuffer`` over slices of the received buffer (no copy).
+
+Sockets: this module does no IO.  A sender passes :func:`encode_frame`'s
+buffer list to **one** ``transport.writelines`` -- one frame, one write
+call, one ``send`` (``sendmsg`` on Python 3.12+) -- and a receiver feeds
+whatever ``data_received`` hands it to a :class:`FrameReader`, the only
+caller of :func:`parse_prefix` / :func:`decode_body` on a socket path.
+The reader's contract: a prefix is validated as soon as its
+:data:`PREFIX_SIZE` bytes exist, i.e. before any of an oversized or
+garbled frame's payload is buffered; a frame lying whole in one chunk
+(the common case: a request is one segment) is decoded from the chunk
+itself, and only a frame that straddles chunks is assembled, once; at
+end of stream :meth:`FrameReader.eof_error` says whether the peer hung
+up cleanly between frames (:class:`~repro.errors.ConnectionLostError`)
+or inside one (:class:`~repro.errors.ProtocolError`).
 
 Robustness contract, pinned by ``tests/test_net_protocol.py``: any
 truncated, oversized, wrong-magic, wrong-version or otherwise garbled
@@ -33,7 +47,6 @@ exception type and message, surfaced to callers as
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 from enum import IntEnum
@@ -47,6 +60,7 @@ from repro.errors import (
     OverloadedError,
     ProtocolError,
     RemoteCallError,
+    TransportError,
 )
 
 #: Bump on any frame-layout or semantics change.  Version 2 (PR 8) adds
@@ -257,9 +271,13 @@ def encode_frame(
 ) -> list:
     """Build one frame as a list of buffers (prefix, header, raw arrays).
 
-    Returned buffers are written to the socket back to back; the array
+    The list goes to one ``transport.writelines`` call.  The array
     entries are :class:`memoryview` s over the (C-contiguous) inputs, so
-    large query/result blocks are never copied into the frame.
+    building the frame copies nothing; what the transport then does
+    depends on the interpreter: on Python 3.12+ ``writelines`` hands the
+    views to ``sendmsg`` and a query/result block is never copied in
+    user space, on 3.10 / 3.11 it joins them into one ``bytes`` first
+    (one copy, one ``send``).
     ``version`` lets tests (and a peer pinned to an older dialect) emit
     any :data:`SUPPORTED_VERSIONS` frame.
     """
@@ -458,65 +476,71 @@ def raise_if_error(msg_type: MsgType, header: dict) -> None:
     raise RemoteCallError(error.error_type, error.message)
 
 
-# -- asyncio-stream IO -----------------------------------------------------------------
-async def read_frame_async(
-    reader, *, max_frame: int = DEFAULT_MAX_FRAME
-) -> tuple[MsgType, dict, list[np.ndarray]]:
-    """Read one frame from an :class:`asyncio.StreamReader`.
+# -- sans-IO stream reader --------------------------------------------------------------
+class FrameReader:
+    """Cut a byte stream into frames (contract: the module docstring).
 
-    Raises :class:`ConnectionLostError` on clean EOF *before* a frame
-    starts (peer hung up between requests) and :class:`ProtocolError`
-    when the stream dies mid-frame.
+    ``for frame in reader.feed(chunk)`` iterates the ``(msg_type,
+    header, arrays)`` frames ``chunk`` completes; the generator is lazy,
+    a ``feed`` that is not iterated buffers nothing.  After a
+    :class:`ProtocolError` the stream offset is unknown: drop the
+    connection, the reader is not reusable.
     """
-    try:
-        prefix = await reader.readexactly(PREFIX_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise ConnectionLostError("connection closed") from None
-        raise ProtocolError(
-            f"truncated frame prefix: {len(exc.partial)} of "
-            f"{PREFIX_SIZE} bytes"
-        ) from None
-    msg_type, header_len, payload_len = parse_prefix(
-        prefix, max_frame=max_frame
-    )
-    try:
-        header_bytes = (
-            await reader.readexactly(header_len) if header_len else b""
+
+    __slots__ = ("max_frame", "_buffer", "_head")
+
+    def __init__(self, *, max_frame: int = DEFAULT_MAX_FRAME) -> None:
+        self.max_frame = max_frame
+        #: The unconsumed tail of the stream: at most one partial frame.
+        self._buffer = bytearray()
+        #: That frame's parsed prefix, once ``PREFIX_SIZE`` bytes of it came.
+        self._head: tuple[MsgType, int, int] | None = None
+
+    @property
+    def _need(self) -> int:
+        """Buffered bytes required before anything more can be decided."""
+        if self._head is None:
+            return PREFIX_SIZE
+        return PREFIX_SIZE + self._head[1] + self._head[2]
+
+    def feed(self, data):
+        if self._buffer:
+            self._buffer += data
+            if len(self._buffer) < self._need:
+                return
+            data = bytes(self._buffer)  # the one copy of a straddling frame
+            self._buffer.clear()
+        view = memoryview(data)
+        start = 0
+        while True:
+            if self._head is None:
+                if len(view) - start < PREFIX_SIZE:
+                    break
+                self._head = parse_prefix(
+                    view[start : start + PREFIX_SIZE], max_frame=self.max_frame
+                )
+            msg_type, header_len, payload_len = self._head
+            body = start + PREFIX_SIZE + header_len
+            if len(view) < body + payload_len:
+                break
+            header, arrays = decode_body(
+                view[start + PREFIX_SIZE : body], view[body : body + payload_len]
+            )
+            start, self._head = body + payload_len, None
+            yield msg_type, header, arrays
+        self._buffer += view[start:]
+
+    def eof_error(self) -> TransportError:
+        """What to report when the stream ends here: a
+        :class:`ConnectionLostError` between frames (a clean hang-up),
+        a :class:`ProtocolError` inside one."""
+        have = len(self._buffer)
+        if not have:
+            return ConnectionLostError("connection closed")
+        if self._head is None:
+            return ProtocolError(
+                f"truncated frame prefix: {have} of {PREFIX_SIZE} bytes"
+            )
+        return ProtocolError(
+            f"connection closed mid-frame ({self._need - have} bytes short)"
         )
-        payload = (
-            await reader.readexactly(payload_len) if payload_len else b""
-        )
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} bytes short)"
-        ) from None
-    header, arrays = decode_body(header_bytes, payload)
-    return msg_type, header, arrays
-
-
-def write_frame(
-    writer,
-    msg_type: int,
-    header: dict | None = None,
-    arrays: tuple | list = (),
-) -> None:
-    """Queue one frame on an :class:`asyncio.StreamWriter` (caller drains)."""
-    for buffer in encode_frame(msg_type, header, arrays):
-        writer.write(buffer)
-
-
-async def write_frame_async(
-    writer,
-    msg_type: int,
-    header: dict | None = None,
-    arrays: tuple | list = (),
-) -> None:
-    """Write one frame to an :class:`asyncio.StreamWriter` and drain it.
-
-    Draining applies the stream's flow control: a peer that stops
-    reading back-pressures the writer instead of buffering the frame
-    (and every retry of it) in process memory.
-    """
-    write_frame(writer, msg_type, header, arrays)
-    await writer.drain()

@@ -11,11 +11,24 @@ RPCs over the :mod:`repro.net.protocol` framing:
 - ``STATS``     -- node counters + hosted indices;
 - ``PING``      -- liveness + shard-id handshake.
 
-Searches and shard loads run on a thread-pool executor so the event loop
-keeps accepting connections (and answering pings) while numpy works.
-Request handling is per-connection sequential -- one frame in, one frame
-out -- which keeps the protocol trivially orderable; concurrency comes
-from the client's connection pool, not from pipelining.
+One :class:`_Connection` (an :class:`asyncio.Protocol`) per accepted
+socket feeds ``data_received`` chunks to a sans-IO
+:class:`~repro.net.protocol.FrameReader`; a complete frame starts **one
+task** running :meth:`SearcherServer._dispatch`, and that task's last
+act is the response's single ``transport.writelines`` -- one frame in,
+one wake-up, one write out.  Request handling is per-connection
+sequential, which keeps the protocol trivially orderable (a pipelined
+frame waits its turn, and the socket is not read while one waits);
+concurrency comes from the client's connection pool.  A hang-up is
+``connection_lost`` / ``eof_received`` cancelling the in-flight task.
+
+What stays off the loop, and why: searches and shard loads run on a
+thread-pool executor (or the micro-batcher's flusher thread), so the
+loop keeps accepting connections, answering pings, shedding with
+``OVERLOADED`` and noticing hang-ups while numpy works.  Running a
+search inline on the loop would save its two thread hand-offs but
+serialise every search of the process on one thread and make
+``max_in_flight`` meaningless.
 
 Overload safety (PR 10): the server *admits* SEARCH work instead of
 executing everything that arrives.  ``max_in_flight`` bounds concurrent
@@ -42,12 +55,12 @@ import asyncio
 import contextlib
 import threading
 import time
+from collections import deque
 from functools import partial
 
 import numpy as np
 
 from repro.errors import (
-    ConnectionLostError,
     DeadlineExceededError,
     OverloadedError,
     ProtocolError,
@@ -55,11 +68,11 @@ from repro.errors import (
 from repro.net.chaos import FaultPlan
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
+    FrameReader,
     MsgType,
     encode_frame,
     error_frame,
     pack,
-    read_frame_async,
     unpack,
 )
 from repro.obs.metrics import get_registry
@@ -204,6 +217,8 @@ class SearcherServer:
             if batch_max > 1
             else None
         )
+        #: Live connections; only the event-loop thread touches the set.
+        self._connections: set[_Connection] = set()
         self._admission: asyncio.Semaphore | None = None
         #: SEARCH frames currently waiting for an admission slot.  Only
         #: the event-loop thread touches this, so no lock is needed.
@@ -215,66 +230,11 @@ class SearcherServer:
         self._failed: BaseException | None = None
 
     # -- request handling --------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_accepted += 1
-        try:
-            while True:
-                try:
-                    msg_type, header, arrays = await read_frame_async(
-                        reader, max_frame=self.max_frame
-                    )
-                except ConnectionLostError:
-                    return  # clean hang-up between requests
-                except ProtocolError as exc:
-                    # Tell the peer what broke, then drop the connection:
-                    # after a garbled frame the stream offset is unknown.
-                    with contextlib.suppress(OSError, RuntimeError):
-                        for buffer in error_frame(exc):
-                            writer.write(buffer)
-                        await writer.drain()
-                    return
-                if msg_type == MsgType.SEARCH and self.chaos is not None:
-                    action = await self._inject_fault(writer)
-                    if action == "reset":
-                        return
-                    if action in ("drop", "overload"):
-                        continue
-                try:
-                    if msg_type == MsgType.SEARCH:
-                        response = await self._dispatch_watched(
-                            reader, msg_type, header, arrays
-                        )
-                        if response is None:
-                            # Peer hung up mid-request: the answer has
-                            # no audience and the connection is dead.
-                            return
-                    else:
-                        response = await self._dispatch(
-                            msg_type, header, arrays
-                        )
-                except Exception as exc:  # -> structured error frame
-                    response = error_frame(exc)
-                self.frames_served += 1
-                for buffer in response:
-                    writer.write(buffer)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            # Shutdown cancels in-flight handler tasks; swallowing the
-            # CancelledError here is fine -- the connection is closed
-            # and the task has nothing left to do.
-            with contextlib.suppress(OSError, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    async def _inject_fault(self, writer: asyncio.StreamWriter) -> str | None:
+    async def _inject_fault(self, transport: asyncio.Transport) -> str | None:
         """Apply the chaos plan's next decision to this SEARCH frame.
 
-        Returns the drawn kind so the connection loop knows whether to
-        keep serving (``None``/``"delay"``), skip the response
+        Returns the drawn kind so the connection knows whether to keep
+        serving (``None``/``"delay"``), skip the response
         (``"drop"``/``"overload"``) or kill the connection (``"reset"``).
         """
         kind = self.chaos.draw()
@@ -288,63 +248,21 @@ class SearcherServer:
                 f"injected overload (shard {self.node.shard_id})",
                 retry_after_s=self.retry_after_s,
             )
-            with contextlib.suppress(OSError, RuntimeError):
-                for buffer in error_frame(shed):
-                    writer.write(buffer)
-                await writer.drain()
+            transport.writelines(error_frame(shed))
             self.frames_served += 1
         # "reset" and "drop" need no action here: the caller closes the
         # connection / withholds the response respectively.
         return kind
 
-    async def _dispatch_watched(
-        self,
-        reader: asyncio.StreamReader,
-        msg_type: MsgType,
-        header: dict,
-        arrays: list,
-    ) -> list | None:
-        """Run a SEARCH dispatch, abandoning it if the client hangs up.
-
-        The protocol is one-frame-in/one-frame-out per connection, so
-        while a request is in flight the only legitimate inbound event
-        is EOF -- the client timing out, failing over, or cancelling a
-        hedge loser.  A 1-byte peek read races the dispatch: if the
-        peek wins, nobody wants the answer any more, so the work is
-        cancelled (queued work frees its admission slot instantly;
-        work already on an executor thread finishes but its result is
-        discarded) and the connection is closed.
-        """
-        work = asyncio.ensure_future(self._dispatch(msg_type, header, arrays))
-        watch = asyncio.ensure_future(reader.read(1))
-        try:
-            await asyncio.wait(
-                {work, watch}, return_when=asyncio.FIRST_COMPLETED
-            )
-        except asyncio.CancelledError:
-            work.cancel()
-            watch.cancel()
-            raise
-        if work.done():
-            watch.cancel()
-            # Cancelling a pending StreamReader.read consumes nothing,
-            # so a not-yet-arrived next frame is untouched.
-            with contextlib.suppress(asyncio.CancelledError):
-                await watch
-            return work.result()
-        work.cancel()
-        try:
-            await work
-        except asyncio.CancelledError:
-            pass
-        except Exception as exc:
+    def _abandoned(self, exc: BaseException) -> None:
+        """A SEARCH whose client hung up ended in ``exc``, not an answer."""
+        if not isinstance(exc, asyncio.CancelledError):
             # Nobody is listening for this error any more; keep it
-            # visible in stats rather than folding it into a success.
+            # visible in stats rather than folding it into a clean cancel.
             self.abandoned_errors += 1
             self._last_abandoned_error = repr(exc)
         self.searches_abandoned += 1
         _ABANDONED.inc()
-        return None
 
     async def _admit(self) -> bool:
         """Take an admission slot, or shed the request with OVERLOADED.
@@ -378,20 +296,20 @@ class SearcherServer:
         if msg_type == MsgType.PING:
             return self._ok(shard_id=self.node.shard_id)
         if msg_type == MsgType.SEARCH:
-            # The "decode" span has to open before the header says
-            # whether this request is traced at all (protocol v2: a
-            # trace context turns on span recording, a cost flag
-            # search-cost accounting); an untraced request drops it.
-            recorder = SpanRecorder()
-            decoding = recorder.start_span("decode")
+            arrived = time.perf_counter()
             request = unpack(MsgType.SEARCH, header)
             if len(arrays) != 1:
                 raise ProtocolError(
                     f"SEARCH expects 1 query array, got {len(arrays)}"
                 )
-            recorder.end_span(decoding)
-            if request.trace is None:
-                recorder = None
+            # Only the unpacked header says whether this request is
+            # traced (protocol v2: a trace context turns on span
+            # recording, a cost flag search-cost accounting); an
+            # untraced one builds no recorder at all.
+            recorder = None
+            if request.trace is not None:
+                recorder = SpanRecorder(at=arrived)
+                recorder.end_span(recorder.start_span("decode", at=arrived))
             deadline_ms = request.deadline_ms
             self.searches_seen += 1
             # The peer shipped its *remaining* budget; pin it to this
@@ -564,8 +482,8 @@ class SearcherServer:
             else None
         )
         self._queued = 0
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        server = await self._loop.create_server(
+            partial(_Connection, self), self.host, self.port
         )
         self.port = server.sockets[0].getsockname()[1]
         if on_ready is not None:
@@ -573,6 +491,12 @@ class SearcherServer:
         self._ready.set()
         async with server:
             await self._stop.wait()
+            # No task owns a connection, so nothing else would close the
+            # idle ones; an in-flight request is cancelled (not counted
+            # as abandoned) by its connection_lost.
+            for connection in list(self._connections):
+                connection.transport.abort()
+            await asyncio.sleep(0)
 
     def run(self, *, announce: bool = True) -> int:
         """Serve until interrupted (the ``serve-searcher`` entry point)."""
@@ -643,3 +567,117 @@ class SearcherServer:
     def address(self) -> str:
         """``host:port`` once the server is listening."""
         return f"{self.host}:{self.port}"
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted socket: frames in, one request at a time, frames out.
+
+    ``data_received`` feeds the frame reader and queues what it
+    completes; the head of the queue runs as one task (:meth:`_answer`)
+    that ends with the response's single ``writelines``.  The next
+    frame starts when that task is done *and* the transport is not
+    holding an unflushed response (``pause_writing``), and while frames
+    are queued behind it the socket is not read, so a peer that
+    pipelines or stops reading is back-pressured instead of buffered.
+    """
+
+    def __init__(self, server: SearcherServer) -> None:
+        self.server = server
+        self.reader = FrameReader(max_frame=server.max_frame)
+        self.transport: asyncio.Transport | None = None
+        #: Decoded frames not started yet -- or, last, the
+        #: :class:`ProtocolError` that ended the stream.
+        self.pending: deque = deque()
+        self.task: asyncio.Task | None = None
+        self.write_paused = False
+        #: The peer went away while ``task`` was running.
+        self.hung_up = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server.connections_accepted += 1
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.pending.extend(self.reader.feed(data))
+        except ProtocolError as exc:
+            self.pending.append(exc)
+        self._pump()
+
+    def eof_received(self) -> None:
+        """The protocol is one frame in, one frame out, so a peer that
+        closes its sending side is gone: returning ``None`` closes the
+        transport and :meth:`connection_lost` abandons what is in flight."""
+        if self.task is None:
+            error = self.reader.eof_error()
+            if isinstance(error, ProtocolError):  # cut off mid-frame
+                self.pending.append(error)
+                self._pump()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        """Hang-up (client timed out, failed over, or cancelled a hedge
+        loser): nobody wants the answer any more, so the request is
+        cancelled -- queued work frees its admission slot at once, work
+        already on an executor thread finishes and is discarded."""
+        self.server._connections.discard(self)
+        self.pending.clear()
+        if self.task is not None:
+            self.hung_up = not self.server._stop.is_set()
+            self.task.cancel()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._pump()
+
+    def _hang_up(self) -> None:
+        self.pending.clear()
+        self.transport.close()  # after flushing what was already written
+
+    def _pump(self) -> None:
+        """Start the next queued request if the connection is free."""
+        if self.task is None and not self.write_paused and self.pending:
+            item = self.pending.popleft()
+            if isinstance(item, ProtocolError):
+                # Tell the peer what broke, then drop the connection:
+                # after a garbled frame the stream offset is unknown.
+                self.transport.writelines(error_frame(item))
+                self._hang_up()
+            else:
+                self.task = self.server._loop.create_task(self._answer(*item))
+        # Both calls are idempotent: read only while nothing is waiting.
+        if self.pending:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+
+    async def _answer(
+        self, msg_type: MsgType, header: dict, arrays: list
+    ) -> None:
+        server = self.server
+        try:
+            if msg_type == MsgType.SEARCH and server.chaos is not None:
+                action = await server._inject_fault(self.transport)
+                if action == "reset":
+                    self._hang_up()
+                if action in ("reset", "drop", "overload"):
+                    return
+            try:
+                response = await server._dispatch(msg_type, header, arrays)
+            except Exception as exc:  # -> structured error frame
+                if self.hung_up:
+                    raise
+                response = error_frame(exc)
+            server.frames_served += 1
+            self.transport.writelines(response)
+        except BaseException as exc:
+            if not self.hung_up:
+                raise  # server shutdown, or a bug asyncio should report
+            if msg_type == MsgType.SEARCH:
+                server._abandoned(exc)
+        finally:
+            self.task = None
+            self._pump()

@@ -89,8 +89,11 @@ class SpanRecorder:
     nesting-by-stack would race.
     """
 
-    def __init__(self) -> None:
-        self._t0 = time.perf_counter()
+    def __init__(self, at: float | None = None) -> None:
+        """``at``: the caller's own ``perf_counter`` reading of the
+        moment the request began, when that was before it knew it
+        wanted a recorder."""
+        self._t0 = time.perf_counter() if at is None else at
         self.spans: list[dict] = []
         self._stack: list[dict] = []
 

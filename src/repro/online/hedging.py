@@ -79,33 +79,34 @@ async def hedged_search(
     connection to the same process otherwise.  Returns whatever the
     winning ``issue`` task returned.
     """
-    primary = asyncio.create_task(issue(replica))
-    if (
+    if not (
         delay is not None
         and isinstance(replica.transport, AsyncSearcherTransport)
         and budget_left(deadline) > delay
     ):
-        done, _ = await asyncio.wait({primary}, timeout=delay)
-        # Once out of budget the in-flight primary is about to raise
-        # its own DeadlineExceededError; a hedge now would be a
-        # second RPC that cannot answer in time either.
-        if not done and budget_left(deadline) > 0:
-            alternate = group.pick(exclude=tried)
-            if alternate is not None and (
-                alternate.draining
-                or not isinstance(alternate.transport, AsyncSearcherTransport)
-            ):
-                alternate = None
-            if alternate is None:
-                alternate = replica  # second connection, same process
-            else:
-                tried.append(alternate.replica_id)
-            tally.count("hedges")
-            hedge = asyncio.create_task(issue(alternate, hedge=True))
-            winner = await first_reply(primary, hedge)
-            if winner is hedge:
-                tally.count("hedge_wins")
-            return await winner
+        return await issue(replica)  # no hedge can fire: nothing to race
+    primary = asyncio.create_task(issue(replica))
+    done, _ = await asyncio.wait({primary}, timeout=delay)
+    # Once out of budget the in-flight primary is about to raise
+    # its own DeadlineExceededError; a hedge now would be a
+    # second RPC that cannot answer in time either.
+    if not done and budget_left(deadline) > 0:
+        alternate = group.pick(exclude=tried)
+        if alternate is not None and (
+            alternate.draining
+            or not isinstance(alternate.transport, AsyncSearcherTransport)
+        ):
+            alternate = None
+        if alternate is None:
+            alternate = replica  # second connection, same process
+        else:
+            tried.append(alternate.replica_id)
+        tally.count("hedges")
+        hedge = asyncio.create_task(issue(alternate, hedge=True))
+        winner = await first_reply(primary, hedge)
+        if winner is hedge:
+            tally.count("hedge_wins")
+        return await winner
     return await primary
 
 

@@ -9,6 +9,7 @@ one does not.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def make_clustered(
     assignment = rng.integers(0, num_clusters, size=n)
     data = centers[assignment] + rng.normal(size=(n, dim))
     return data.astype(np.float32)
+
+
+def wait_until(condition, timeout_s: float = 30.0) -> None:
+    """Poll ``condition`` (state another thread is about to reach)."""
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 def prepare_one(scorer, query) -> np.ndarray:

@@ -749,6 +749,34 @@ class TestServingTierShape:
             source = (self.src / "net" / f"{name}.py").read_text()
             assert raw_read.search(source) is None, name
 
+    def test_the_wire_runs_on_protocols_over_one_frame_reader(self):
+        """No asyncio-streams code, stream helper or per-RPC ``wait_for``
+        under ``net/``, and exactly one function besides ``decode_frame``
+        (the sans-IO reader's ``feed``) parses a frame off a buffer."""
+        retired = {
+            "StreamReader", "StreamWriter", "open_connection", "start_server",
+            "wait_for", "readexactly", "read_frame_async", "write_frame",
+            "write_frame_async", "_handle_connection", "_dispatch_watched",
+        }
+        named, parsers = set(), set()
+        for path in (self.src / "net").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    named.add(node.name)
+                    calls = {
+                        getattr(call.func, "id", None)
+                        for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                    }
+                    if calls & {"parse_prefix", "decode_body"}:
+                        parsers.add(node.name)
+        assert named & retired == set()
+        assert parsers == {"decode_frame", "feed"}
+
     def test_one_clock(self):
         """No second stage recorder anywhere, and nothing under
         ``online/`` reads ``perf_counter`` behind the obs clock's back."""

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -29,7 +30,7 @@ from repro.obs.metrics import get_registry
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.types import SearchRequest
-from tests.conftest import FAST_HNSW, make_clustered
+from tests.conftest import FAST_HNSW, make_clustered, wait_until
 
 NUM_SHARDS = 3
 
@@ -78,13 +79,6 @@ def broker_threads() -> list[str]:
         for thread in threading.enumerate()
         if thread.name.startswith("broker-")
     )
-
-
-def wait_until(condition, timeout_s: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.005)
 
 
 def remote(servers, **kwargs):
@@ -139,6 +133,35 @@ class TestVenueSelection:
             for transport in transports:
                 transport.close()
         assert broker_threads() == []
+
+
+    def test_unhedged_fanout_creates_one_task_per_group(
+        self, servers, config, queries
+    ):
+        """With no hedge to race, a shard RPC is awaited in its group's
+        task: the only tasks of a warm fan-out are ``_gather`` (the
+        submission) and ``gather``'s one per group -- no per-RPC task,
+        timeout wrapper or peek."""
+        transports = remote(servers)
+        broker = Broker(transports, config, request_timeout_s=30.0)
+        loop = broker._fanout._loop.loop
+        created: list[str] = []
+
+        def counting(loop, coro, **kwargs):
+            created.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        try:
+            broker.search_batch("venue", queries, 10)  # dials the pool
+            loop.call_soon_threadsafe(loop.set_task_factory, counting)
+            broker.search_batch("venue", queries, 10)
+            assert sorted(created) == ["FanOut._gather"] + [
+                "FanOut._group_call"
+            ] * NUM_SHARDS
+        finally:
+            broker.close()
+            for transport in transports:
+                transport.close()
 
 
 class TestCloseRace:

@@ -9,13 +9,18 @@ instead of hanging, crashing inside numpy, or decoding garbage.
 
 from __future__ import annotations
 
-import asyncio
+import logging
+import re
 import socket
 import struct
-import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.builder import build_lanns_index
+from repro.core.config import LannsConfig
 
 from repro.errors import (
     ConnectionLostError,
@@ -26,19 +31,24 @@ from repro.errors import (
 )
 from repro.net.protocol import (
     MAGIC,
-    SUPPORTED_VERSIONS,
     MAX_HEADER_BYTES,
-    MsgType,
+    PREFIX_SIZE,
     PROTOCOL_VERSION,
+    SUPPORTED_VERSIONS,
+    FrameReader,
+    MsgType,
     decode_frame,
     encode_frame,
     error_frame,
     frame_to_bytes,
+    pack,
     parse_prefix,
     raise_if_error,
-    read_frame_async,
-    write_frame_async,
+    unpack,
 )
+from repro.net.server import SearcherServer
+from repro.online.searcher import SearcherNode
+from tests.conftest import FAST_HNSW, make_clustered, wait_until
 
 
 def search_frame(num_queries: int = 3, dim: int = 8) -> bytes:
@@ -230,63 +240,332 @@ class TestHostileInput:
                 decode_frame(blob)
 
 
-class TestStreamHelpers:
-    """``read_frame_async`` / ``write_frame_async`` over a socketpair."""
+def garbled(frame: bytes, **prefix_fields) -> bytes:
+    """``frame`` with prefix fields overwritten (the body is untouched)."""
+    magic, version, msg_type, header_len, payload_len = struct.unpack_from(
+        ">2sBBIQ", frame
+    )
+    fields = {
+        "magic": magic,
+        "version": version,
+        "msg_type": msg_type,
+        "header_len": header_len,
+        "payload_len": payload_len,
+        **prefix_fields,
+    }
+    return struct.pack(">2sBBIQ", *fields.values()) + frame[PREFIX_SIZE:]
 
-    @staticmethod
-    def run_with_reader(feed, read):
-        """Run ``read(reader, writer)`` against a peer socket ``feed`` fills."""
 
-        async def scenario():
-            left, right = socket.socketpair()
-            reader, writer = await asyncio.open_connection(sock=right)
-            try:
-                feed(left)
-                return await asyncio.wait_for(read(reader, writer), 10)
-            finally:
-                left.close()
-                writer.close()
+#: Streams a peer must never get decoded: ``name -> (bytes, message)``.
+#: Each is refused with a ``ProtocolError`` matching ``message`` -- by
+#: the reader, and as an ERROR frame (or a closed socket) by a server.
+MALFORMED = {
+    "bad magic": (garbled(search_frame(), magic=b"XN"), "magic"),
+    "unsupported version": (
+        garbled(search_frame(), version=PROTOCOL_VERSION + 1),
+        "version",
+    ),
+    "oversized header": (
+        garbled(search_frame(), header_len=MAX_HEADER_BYTES + 1),
+        "header length",
+    ),
+    # Rejected on the prefix alone: not one payload byte is sent.
+    "oversized frame": (
+        garbled(search_frame(), payload_len=1 << 40)[:PREFIX_SIZE],
+        "exceeds",
+    ),
+    "unknown message type": (
+        garbled(search_frame(), msg_type=250),
+        "message type",
+    ),
+    "trailing garbage payload": (
+        garbled(search_frame(), payload_len=3 * 8 * 4 + 5) + b"\xff" * 5,
+        "trailing payload",
+    ),
+    "garbled header": (
+        struct.pack(">2sBBIQ", MAGIC, 1, int(MsgType.PING), 9, 0) + b"{not json",
+        "unparseable",
+    ),
+}
 
-        return asyncio.run(scenario())
+#: Streams that end inside a frame: ``name -> (bytes, message)``.
+TRUNCATED = {
+    "truncated prefix": (search_frame()[:7], "truncated frame prefix: 7 of"),
+    "truncated body": (search_frame()[:-9], r"closed mid-frame \(9 bytes"),
+}
 
-    def test_write_then_read_over_socketpair(self):
-        queries = np.ones((2, 4), dtype=np.float32)
+json_headers = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key != "arrays"),
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | st.text(max_size=6),
+    max_size=3,
+)
+wire_arrays = st.tuples(
+    st.sampled_from(["<f4", "<f8", "<i8"]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    st.integers(0, 2**31),
+).map(
+    lambda drawn: np.random.default_rng(drawn[2])
+    .integers(-99, 99, size=drawn[1])
+    .astype(drawn[0])
+)
+frames = st.builds(
+    lambda msg_type, header, arrays, version: garbled(
+        frame_to_bytes(msg_type, header, arrays), version=version
+    ),
+    st.sampled_from(list(MsgType)),
+    json_headers,
+    st.lists(wire_arrays, max_size=3),
+    st.sampled_from(SUPPORTED_VERSIONS),
+)
 
-        async def echo(reader, writer):
-            # The peer socket loops our own frame back to us.
-            await write_frame_async(
-                writer, MsgType.SEARCH, {"top_k": 3}, (queries,)
-            )
-            return await read_frame_async(reader)
 
-        def loop_back(peer):
-            threading.Thread(
-                target=lambda: peer.sendall(peer.recv(1 << 16)), daemon=True
-            ).start()
+def assert_same_frame(got, want) -> None:
+    assert got[:2] == want[:2]
+    assert len(got[2]) == len(want[2])
+    for mine, theirs in zip(got[2], want[2]):
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        np.testing.assert_array_equal(mine, theirs)
 
-        msg_type, header, arrays = self.run_with_reader(loop_back, echo)
-        assert msg_type == MsgType.SEARCH
-        assert header["top_k"] == 3
-        np.testing.assert_array_equal(arrays[0], queries)
 
-    def test_peer_hangup_mid_frame_raises_protocol_error(self):
+class TestFrameReader:
+    """The sans-IO reader both ends of every socket run on.
+
+    Replaces the socketpair tests of the deleted stream helpers:
+    ``test_write_then_read_over_socketpair`` ->
+    ``test_any_chunking_yields_the_same_frames`` (and, over a real
+    socket, ``TestLiveServer.test_trickled_search_is_answered``);
+    ``test_peer_hangup_mid_frame_raises_protocol_error`` ->
+    ``test_eof_inside_a_frame_is_a_protocol_error``;
+    ``test_clean_hangup_before_frame`` ->
+    ``test_eof_between_frames_is_a_clean_hangup``.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(frames, min_size=1, max_size=4), st.data())
+    def test_any_chunking_yields_the_same_frames(self, stream, data):
+        """The reader is a pure function of the byte stream: however
+        the bytes are cut, out come ``decode_frame`` of each frame, in
+        order, and nothing stays buffered."""
+        blob = b"".join(stream)
+        cuts = data.draw(
+            st.sampled_from(["whole", "bytewise"])
+            | st.lists(st.integers(0, len(blob)), max_size=8)
+        )
+        if cuts == "whole":
+            cuts = []
+        elif cuts == "bytewise":
+            cuts = range(1, len(blob))
+        edges = [0, *sorted(cuts), len(blob)]
+        reader = FrameReader()
+        got = [
+            frame
+            for lo, hi in zip(edges, edges[1:])
+            for frame in reader.feed(blob[lo:hi])
+        ]
+        assert len(got) == len(stream)
+        for mine, frame in zip(got, stream):
+            assert_same_frame(mine, decode_frame(frame))
+        assert isinstance(reader.eof_error(), ConnectionLostError)
+
+    def test_a_whole_frame_is_decoded_in_place(self):
+        """One frame, one chunk: the arrays alias the chunk (no copy);
+        a frame that straddles chunks is assembled once."""
+        chunk = search_frame()
+        (_, _, (queries,)), = FrameReader().feed(chunk)
+        assert np.shares_memory(queries, np.frombuffer(chunk, dtype=np.uint8))
+        reader = FrameReader()
+        assert list(reader.feed(chunk[:40])) == []
+        (_, _, (queries,)), = reader.feed(chunk[40:])
+        assert not np.shares_memory(
+            queries, np.frombuffer(chunk, dtype=np.uint8)
+        )
+
+    def test_eof_between_frames_is_a_clean_hangup(self):
+        reader = FrameReader()
+        assert isinstance(reader.eof_error(), ConnectionLostError)
+        assert len(list(reader.feed(search_frame()))) == 1
+        assert isinstance(reader.eof_error(), ConnectionLostError)
+
+    @pytest.mark.parametrize("name", TRUNCATED)
+    def test_eof_inside_a_frame_is_a_protocol_error(self, name):
+        data, message = TRUNCATED[name]
+        reader = FrameReader()
+        assert list(reader.feed(data)) == []
+        with pytest.raises(ProtocolError, match=message):
+            raise reader.eof_error()
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_streams_raise_protocol_error(self, name):
+        data, message = MALFORMED[name]
+        with pytest.raises(ProtocolError, match=message):
+            list(FrameReader().feed(data))
+        # ... and after a good frame, which still comes out first.
+        reader = FrameReader()
+        got = []
+        with pytest.raises(ProtocolError, match=message):
+            for frame in reader.feed(search_frame() + data):
+                got.append(frame)
+        assert len(got) == 1
+
+    def test_max_frame_is_enforced_on_the_prefix(self):
         data = search_frame()
+        with pytest.raises(ProtocolError, match="exceeds the 64-byte limit"):
+            list(FrameReader(max_frame=64).feed(data[:PREFIX_SIZE]))
 
-        def half_then_hangup(peer):
-            peer.sendall(data[: len(data) // 2])
-            peer.close()
 
-        with pytest.raises(ProtocolError, match="closed mid-frame"):
-            self.run_with_reader(
-                half_then_hangup, lambda reader, _: read_frame_async(reader)
+# -- against a live server ---------------------------------------------------------------
+
+INDEX_NAME = "fuzzed"
+
+
+@pytest.fixture(scope="module")
+def shard():
+    config = LannsConfig(
+        num_shards=1,
+        num_segments=2,
+        segmenter="rh",
+        hnsw=FAST_HNSW,
+        segmenter_sample_size=300,
+        seed=51,
+    )
+    return build_lanns_index(make_clustered(400, 16, seed=52), config=config).shards[0]
+
+
+@pytest.fixture
+def server(shard, request):
+    node = SearcherNode(0)
+    node.host(INDEX_NAME, shard)
+    live = SearcherServer(
+        node, max_in_flight=2, **getattr(request, "param", {})
+    ).start_in_thread()
+    yield live
+    live.stop()
+
+
+def connect(server) -> socket.socket:
+    host, port = server.address.rsplit(":", 1)
+    return socket.create_connection((host, int(port)), timeout=10)
+
+
+def live_search_frame(rows: int = 2) -> bytes:
+    return frame_to_bytes(
+        MsgType.SEARCH,
+        pack(MsgType.SEARCH, index=INDEX_NAME, top_k=3, ef=None),
+        (make_clustered(rows, 16, seed=53),),
+    )
+
+
+def recv_frames(sock: socket.socket, count: int) -> list:
+    """The next ``count`` frames off ``sock``; stops early at EOF."""
+    reader, got = FrameReader(), []
+    while len(got) < count:
+        data = sock.recv(1 << 16)
+        if not data:
+            break
+        got.extend(reader.feed(data))
+    return got
+
+
+def assert_serving_and_idle(server, *, abandoned: int) -> None:
+    """A fresh connection is served and nothing leaked: no queued
+    request, every admission slot free, no surprise abandonment."""
+    with connect(server) as sock:
+        sock.sendall(live_search_frame())
+        ((msg_type, _, arrays),) = recv_frames(sock, 1)
+    assert msg_type == MsgType.RESULT
+    assert arrays[0].shape == (2, 3)
+    assert server._queued == 0
+    assert server._admission._value == server.max_in_flight
+    assert server.searches_abandoned == abandoned
+    assert server._thread.is_alive()
+
+
+class TestLiveServer:
+    """Whatever bytes arrive, the server answers or hangs up -- it never
+    dies, and it never leaks a connection's admission slot."""
+
+    def test_trickled_search_is_answered(self, server):
+        with connect(server) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in live_search_frame():
+                sock.send(bytes([byte]))
+            ((msg_type, header, arrays),) = recv_frames(sock, 1)
+        assert msg_type == MsgType.RESULT
+        assert unpack(msg_type, header).index == INDEX_NAME
+        assert arrays[0].shape == arrays[1].shape == (2, 3)
+        assert_serving_and_idle(server, abandoned=0)
+
+    def test_two_frames_in_one_segment_are_answered_in_order(self, server):
+        with connect(server) as sock:
+            sock.sendall(
+                live_search_frame(rows=1)
+                + frame_to_bytes(MsgType.PING)
+                + live_search_frame(rows=4)
             )
+            replies = recv_frames(sock, 3)
+        assert [reply[0] for reply in replies] == [
+            MsgType.RESULT,
+            MsgType.OK,
+            MsgType.RESULT,
+        ]
+        assert replies[0][2][0].shape == (1, 3)
+        assert unpack(MsgType.OK, replies[1][1]).shard_id == 0
+        assert replies[2][2][0].shape == (4, 3)
+        assert_serving_and_idle(server, abandoned=0)
 
-    def test_clean_hangup_before_frame(self):
-        with pytest.raises(ConnectionLostError):
-            self.run_with_reader(
-                lambda peer: peer.close(),
-                lambda reader, _: read_frame_async(reader),
-            )
+    @pytest.mark.parametrize("name", [*MALFORMED, *TRUNCATED])
+    def test_malformed_stream_gets_an_error_frame_and_a_hangup(
+        self, server, name, caplog
+    ):
+        data, message = {**MALFORMED, **TRUNCATED}[name]
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with connect(server) as sock:
+                if name in MALFORMED:
+                    # Behind a good request, in the same segment: the
+                    # request is answered first, then the server hangs up.
+                    sock.sendall(live_search_frame() + data)
+                    replies = recv_frames(sock, 3)
+                else:
+                    # EOF mid-request is a hang-up, so let the good
+                    # request finish before cutting the next one short.
+                    sock.sendall(live_search_frame())
+                    replies = recv_frames(sock, 1)
+                    sock.sendall(data)
+                    sock.shutdown(socket.SHUT_WR)
+                    replies += recv_frames(sock, 2)
+            assert_serving_and_idle(server, abandoned=0)
+        assert [reply[0] for reply in replies] == [MsgType.RESULT, MsgType.ERROR]
+        error = unpack(MsgType.ERROR, replies[1][1])
+        assert error.error_type == "ProtocolError"
+        assert re.search(message, error.message)
+        assert caplog.records == []  # no traceback in the server thread
+
+    def test_random_blobs_never_kill_the_server(self, server, caplog):
+        rng = np.random.default_rng(17)
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            for _ in range(40):
+                blob = rng.integers(
+                    0, 256, size=int(rng.integers(1, 200)), dtype=np.uint8
+                ).tobytes()
+                with connect(server) as sock:
+                    sock.sendall(blob)
+                    sock.shutdown(socket.SHUT_WR)
+                    replies = recv_frames(sock, 2)
+                assert [reply[0] for reply in replies] == [MsgType.ERROR]
+            assert_serving_and_idle(server, abandoned=0)
+        assert caplog.records == []
+
+    @pytest.mark.parametrize(
+        "server", [{"slow_every": 1, "slow_delay_s": 0.3}], indirect=True
+    )
+    def test_hangup_mid_search_abandons_it_and_frees_the_slot(self, server):
+        with connect(server) as sock:
+            sock.sendall(live_search_frame())
+            wait_until(lambda: server.searches_seen == 1)
+            assert server._admission._value == server.max_in_flight - 1
+        wait_until(lambda: server.searches_abandoned == 1)
+        assert server.abandoned_errors == 0
+        assert_serving_and_idle(server, abandoned=1)
 
 
 class TestProtocolVersions:
