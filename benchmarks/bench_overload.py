@@ -60,6 +60,7 @@ from repro.eval.tables import format_table
 from repro.hnsw.params import HnswParams
 from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import launch_searcher, shutdown_fleet
+from repro.net.protocol import ShardCall
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
 
@@ -95,8 +96,8 @@ def measure_closed_loop(
     for request in range(args.measure_requests):
         row = request % probe.shape[0]
         start = time.perf_counter()
-        client.search_batch(
-            INDEX_NAME, probe[row : row + 1], args.top_k, ef=args.ef
+        client.search(
+            ShardCall(INDEX_NAME, probe[row : row + 1], args.top_k, ef=args.ef)
         )
         latencies[request] = time.perf_counter() - start
     elapsed = time.perf_counter() - tick
@@ -146,12 +147,14 @@ def run_burst(
                 deadline = time.monotonic() + args.request_timeout_s
                 start = time.perf_counter()
                 try:
-                    ids, dists = client.search_batch(
-                        INDEX_NAME,
-                        probe[row : row + 1],
-                        args.top_k,
-                        ef=args.ef,
-                        deadline=deadline,
+                    reply = client.search(
+                        ShardCall(
+                            INDEX_NAME,
+                            probe[row : row + 1],
+                            args.top_k,
+                            ef=args.ef,
+                            deadline=deadline,
+                        )
                     )
                 except OverloadedError as exc:
                     tally["overloaded"] += 1
@@ -163,8 +166,8 @@ def run_burst(
                     tally["ok"] += 1
                     tally["latencies"].append(time.perf_counter() - start)
                     if not (
-                        (ids == expected_ids[row : row + 1]).all()
-                        and (dists == expected_dists[row : row + 1]).all()
+                        (reply.ids == expected_ids[row : row + 1]).all()
+                        and (reply.dists == expected_dists[row : row + 1]).all()
                     ):
                         tally["mismatches"] += 1
                 row = (row + 1) % probe.shape[0]
@@ -267,10 +270,12 @@ def check_chaos_repro(
             for request in range(args.chaos_requests):
                 row = request % probe.shape[0]
                 try:
-                    ids, _ = client.search_batch(
-                        INDEX_NAME, probe[row : row + 1], args.top_k,
-                        ef=args.ef,
-                    )
+                    ids = client.search(
+                        ShardCall(
+                            INDEX_NAME, probe[row : row + 1], args.top_k,
+                            ef=args.ef,
+                        )
+                    ).ids
                 except OverloadedError:
                     outcomes.append("overloaded")
                 except ConnectionLostError:

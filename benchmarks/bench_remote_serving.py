@@ -61,6 +61,7 @@ from repro.net import client as net_client
 from repro.net import server as net_server
 from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import fleet_addresses, launch_fleet, shutdown_fleet
+from repro.net.protocol import ShardCall
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
@@ -325,14 +326,14 @@ def check_rpc_cost(args: argparse.Namespace, index, queries: np.ndarray) -> dict
         server = net_server.SearcherServer(node).start_in_thread()
         client = RemoteSearcherClient(server.address)
         try:
+            call = ShardCall("default", query, args.top_k, ef=args.ef)
+
             def search():
-                return client.search_batch(
-                    "default", query, args.top_k, ef=args.ef
-                )
+                return client.search(call)
 
             want = node.search_batch("default", query, args.top_k, ef=args.ef)
             got = search()  # also dials the one pooled connection
-            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+            assert (got.ids == want[0]).all() and (got.dists == want[1]).all()
             writes.clear()
             search()
             assert dict(writes) == {"client": 1, "server": 1}, (

@@ -65,27 +65,6 @@ class ShardIndex:
         """Segment ids the segmenter would probe for ``query``."""
         return self.segmenter.route_query(query)
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-    ) -> list[tuple[float, int]]:
-        """Search the shard: probe routed segments, merge (level 1).
-
-        A thin wrapper over :meth:`search_batch` with a batch of one.
-        Returns ``(distance, external_id)`` pairs, ascending, at most
-        ``k`` of them.
-        """
-        query = as_vector(query, name="query")
-        ids, dists = self.search_batch(query[np.newaxis, :], k, ef=ef)
-        return [
-            (float(dist), int(item))
-            for dist, item in zip(dists[0], ids[0])
-            if item >= 0
-        ]
-
     def search_batch(
         self,
         queries: np.ndarray,

@@ -60,6 +60,8 @@ from repro.net.protocol import (
     REPLY_TYPE,
     FrameReader,
     MsgType,
+    ShardCall,
+    ShardReply,
     encode_frame,
     pack,
     raise_if_error,
@@ -74,15 +76,6 @@ CONNECTIVITY_FAILURES = (
     ProtocolError,
     DeadlineExceededError,
 )
-
-
-def fill_info_out(info_out: dict | None, **extras) -> None:
-    """Copy a search's observability extras (``cost``, ``trace``) into
-    the caller's out-param; an extra that was not produced leaves no key."""
-    if info_out is not None:
-        info_out.update(
-            (name, value) for name, value in extras.items() if value is not None
-        )
 
 
 def parse_address(address: str | tuple) -> tuple[str, int]:
@@ -515,63 +508,46 @@ class AsyncRemoteSearcherClient:
         return unpack(reply_type, header), reply_arrays
 
     # -- the searcher RPC surface ------------------------------------------------------
-    async def search_batch(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Remote lockstep shard search; mirrors ``SearcherNode.search_batch``.
+    async def search(self, call: ShardCall) -> ShardReply:
+        """One shard search over the wire: the one place a
+        :class:`ShardCall` is packed and a :class:`ShardReply` unpacked.
 
-        ``probes`` is the router's per-row segment push-down,
-        ``trace_ctx`` the broker's trace context and ``collect_cost``
-        asks for per-batch search-cost counters.  ``info_out``, when
-        given, receives the reply's ``cost`` (search-cost counters) and
-        ``trace`` (searcher span tree) -- present only when the request
-        asked for them *and* the server speaks protocol v2.
+        Every field of the call ships under its own name, so a field
+        appended to ``FRAME_FIELDS`` and to the dataclass needs no edit
+        here; ``reply.cost`` / ``reply.trace`` are present only when the
+        call asked for them *and* the server speaks protocol v2.
         """
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        # The deadline ships as *remaining* budget -- monotonic clocks
-        # don't compare across hosts, a relative budget does -- so the
-        # searcher can reject already-expired work before burning CPU.
-        reply, arrays = await self._request(
+        fields = dict(vars(call))
+        queries = np.ascontiguousarray(fields.pop("queries"), dtype=np.float32)
+        # Ships as *remaining* budget, so the searcher can reject
+        # already-expired work before burning CPU.
+        deadline = fields.pop("deadline")
+        result, arrays = await self._request(
             MsgType.SEARCH,
             (queries,),
             deadline=deadline,
-            index=index_name,
-            top_k=k,
-            ef=ef,
-            probes=probes,
-            trace=trace_ctx,
-            cost=collect_cost or None,
             deadline_ms=(
                 None
                 if deadline is None
                 else max((deadline - time.monotonic()) * 1e3, 0.0)
             ),
+            **fields,
         )
-        fill_info_out(info_out, cost=reply.cost, trace=reply.trace)
         if len(arrays) != 2:
             raise ProtocolError(
                 f"search result carries {len(arrays)} arrays, expected 2"
             )
         ids = np.asarray(arrays[0], dtype=np.int64)
         dists = np.asarray(arrays[1], dtype=np.float64)
-        want = (queries.shape[0], int(k))
+        want = (queries.shape[0], int(call.top_k))
         if ids.shape != want or dists.shape != want:
             raise ProtocolError(
                 f"search result shapes {ids.shape}/{dists.shape} do not "
                 f"match the requested {want}"
             )
         self._count("queries_served", queries.shape[0])
-        return ids, dists
+        del result.index  # the RESULT's echo of the call's own field
+        return ShardReply(ids, dists, **vars(result))
 
     async def deploy(
         self,
@@ -656,13 +632,9 @@ class RemoteSearcherClient:
             )
         return client_loop().submit(coroutine_fn(*args, **kwargs)).result()
 
-    def call(self, *args, **kwargs) -> tuple[MsgType, dict, list[np.ndarray]]:
-        """Blocking :meth:`AsyncRemoteSearcherClient.call`."""
-        return self._block(self.core.call, *args, **kwargs)
-
-    def search_batch(self, *args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-        """Blocking :meth:`AsyncRemoteSearcherClient.search_batch`."""
-        return self._block(self.core.search_batch, *args, **kwargs)
+    def search(self, call: ShardCall) -> ShardReply:
+        """Blocking :meth:`AsyncRemoteSearcherClient.search`."""
+        return self._block(self.core.search, call)
 
     def deploy(self, *args, **kwargs) -> list[str]:
         """Blocking :meth:`AsyncRemoteSearcherClient.deploy`."""

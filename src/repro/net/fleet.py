@@ -457,28 +457,3 @@ def replicated_fleet_addresses(
 ) -> list[list[str]]:
     """Per-group ``host:port`` lists, in shard order (a fleet spec)."""
     return [[member.address for member in group] for group in groups]
-
-
-def relaunch_searcher(
-    member: SearcherProcess,
-    *,
-    root: str | None = None,
-    ready_timeout_s: float = 120.0,
-    log_dir: str | Path | None = None,
-) -> SearcherProcess:
-    """Start a fresh searcher process at ``member``'s exact address.
-
-    The rolling-restart primitive: the old process must already be dead
-    (or about to be -- the listener sets ``SO_REUSEADDR``, but two live
-    servers on one port would split traffic).  Returns the replacement
-    ``SearcherProcess`` announcing the same shard on the same port; the
-    broker's pooled transports reconnect to it transparently.
-    """
-    return launch_searcher(
-        member.shard_id,
-        root=root,
-        host=member.host,
-        port=member.port,
-        ready_timeout_s=ready_timeout_s,
-        log_dir=log_dir,
-    )

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass
 from enum import IntEnum
 from types import SimpleNamespace
 
@@ -259,6 +260,52 @@ def unpack(msg_type: MsgType, header: dict) -> SimpleNamespace:
             for name, required in _SCHEMA[msg_type].items()
         }
     )
+
+
+# -- the shard call, as a value ------------------------------------------------------
+@dataclass(frozen=True)
+class ShardCall:
+    """One SEARCH message: the whole of what a searcher is asked.
+
+    The fields are the newest ``FRAME_FIELDS["SEARCH"]`` entry under its
+    own names, plus the payload (``queries``, the ``(B, dim)`` block):
+    ``top_k`` is the perShardTopK budget, ``probes`` the router's per-row
+    segment push-down, ``trace`` the broker's trace context (the shard
+    then reports its span tree), ``cost`` asks for search-cost counters.
+    The one exception: ``deadline`` is an absolute ``time.monotonic()``
+    instant on *this* host and becomes the table's ``deadline_ms`` --
+    remaining budget, because monotonic clocks do not compare across
+    hosts -- only where the client packs the frame; the server pins it
+    back to its own clock.
+
+    Immutable because it is shared: every shard of an unrouted fan-out,
+    a hedge and a failover get the same object, on the fan-out loop and
+    on executor threads alike.  Results are bit-identical whatever
+    ``trace`` / ``cost`` say.
+    """
+
+    index: str
+    queries: np.ndarray
+    top_k: int
+    ef: int | None = None
+    probes: list[tuple[int, ...]] | None = None
+    trace: dict | None = None
+    cost: bool | None = None
+    deadline: float | None = None
+
+
+@dataclass(frozen=True)
+class ShardReply:
+    """One RESULT message: the ``(B, top_k)`` id / distance blocks
+    (``-1`` / ``inf`` past a short row) plus the newest
+    ``FRAME_FIELDS["RESULT"]`` entry's optional fields -- ``cost`` (the
+    counters dict) and ``trace`` (the searcher's span tree), each present
+    only when the call asked for it."""
+
+    ids: np.ndarray
+    dists: np.ndarray
+    cost: dict | None = None
+    trace: list | None = None
 
 
 # -- encoding ------------------------------------------------------------------------

@@ -70,6 +70,7 @@ from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     FrameReader,
     MsgType,
+    ShardCall,
     encode_frame,
     error_frame,
     pack,
@@ -78,7 +79,7 @@ from repro.net.protocol import (
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import SpanRecorder, maybe_span
 from repro.online.microbatch import AdmissionKey, MicroBatcher, admission_key
-from repro.online.searcher import SearcherNode, observed_search_batch
+from repro.online.searcher import SearcherNode, observed_search
 
 _SHED = get_registry().counter(
     "lanns_searcher_shed_total",
@@ -302,42 +303,38 @@ class SearcherServer:
                 raise ProtocolError(
                     f"SEARCH expects 1 query array, got {len(arrays)}"
                 )
-            # Only the unpacked header says whether this request is
-            # traced (protocol v2: a trace context turns on span
-            # recording, a cost flag search-cost accounting); an
-            # untraced one builds no recorder at all.
-            recorder = None
-            if request.trace is not None:
-                recorder = SpanRecorder(at=arrived)
-                recorder.end_span(recorder.start_span("decode", at=arrived))
-            deadline_ms = request.deadline_ms
             self.searches_seen += 1
             # The peer shipped its *remaining* budget; pin it to this
             # host's clock once, then every later check is a cheap
-            # comparison.
-            expires_at = (
-                time.monotonic() + deadline_ms / 1e3
-                if deadline_ms is not None
-                else None
+            # comparison.  Everything else in the header is the call,
+            # field for field.
+            deadline_ms = request.deadline_ms
+            del request.deadline_ms
+            call = ShardCall(
+                queries=arrays[0],
+                deadline=(
+                    time.monotonic() + deadline_ms / 1e3
+                    if deadline_ms is not None
+                    else None
+                ),
+                **vars(request),
             )
-            if expires_at is not None and time.monotonic() >= expires_at:
-                self.searches_expired += 1
-                _EXPIRED.inc()
-                raise DeadlineExceededError(
-                    f"request budget of {deadline_ms:.1f}ms was "
-                    "already spent on arrival"
-                )
+            self._check(call)
+            # Only the call says whether this request is traced
+            # (protocol v2: a trace context turns on span recording, a
+            # cost flag search-cost accounting); an untraced one builds
+            # no recorder at all.
+            recorder = None
+            if call.trace is not None:
+                recorder = SpanRecorder(at=arrived)
+                recorder.end_span(recorder.start_span("decode", at=arrived))
+            self._refuse_if_spent(call, "on arrival")
             admitted = await self._admit()
             try:
-                if expires_at is not None and time.monotonic() >= expires_at:
-                    # Queueing ate the rest of the budget: the client
-                    # has already given up, so executing now would burn
-                    # CPU on an answer nobody reads.
-                    self.searches_expired += 1
-                    _EXPIRED.inc()
-                    raise DeadlineExceededError(
-                        "request budget spent waiting for admission"
-                    )
+                # Queueing may have eaten the rest of the budget: the
+                # client has already given up, so executing now would
+                # burn CPU on an answer nobody reads.
+                self._refuse_if_spent(call, "waiting for admission")
                 if (
                     self.slow_every
                     and self.slow_delay_s > 0
@@ -349,9 +346,7 @@ class SearcherServer:
                     # request occupies real capacity.
                     with maybe_span(recorder, "stall", injected=True):
                         await asyncio.sleep(self.slow_delay_s)
-                ids, dists, cost = await self._execute_search(
-                    loop, request, arrays[0], recorder
-                )
+                ids, dists, cost = await self._execute_search(loop, call, recorder)
             finally:
                 if admitted:
                     self._admission.release()
@@ -363,7 +358,7 @@ class SearcherServer:
                 MsgType.RESULT,
                 pack(
                     MsgType.RESULT,
-                    index=request.index,
+                    index=call.index,
                     cost=cost,
                     trace=recorder.export() if recorder is not None else None,
                 ),
@@ -371,7 +366,7 @@ class SearcherServer:
             )
         if msg_type == MsgType.DEPLOY:
             request = unpack(MsgType.DEPLOY, header)
-            await loop.run_in_executor(None, partial(self._deploy, request))
+            await loop.run_in_executor(None, self._deploy, request)
             return self._ok(hosted=self.node.hosted_indices)
         if msg_type == MsgType.UNDEPLOY:
             self.node.unhost(unpack(MsgType.UNDEPLOY, header).index)
@@ -402,44 +397,58 @@ class SearcherServer:
             return self._ok(stats=stats)
         raise ProtocolError(f"unexpected message type {msg_type!r}")
 
+    def _refuse_if_spent(self, call: ShardCall, where: str) -> None:
+        if call.deadline is not None and time.monotonic() >= call.deadline:
+            self.searches_expired += 1
+            _EXPIRED.inc()
+            raise DeadlineExceededError(f"request budget was spent {where}")
+
+    def _check(self, call: ShardCall) -> None:
+        """Reject, before admission, a call the shard must not run.
+
+        The header was well-typed; the *values* are still the peer's.
+        A reply block is ``rows x top_k`` ids and as many distances (16
+        bytes a cell), so one that cannot fit a frame this server may
+        send is refused before anything allocates it, and non-finite
+        query rows would search to garbage.  (``top_k < 1``, a dimension
+        mismatch and bad ``probes`` are the shard's own ``ValueError`` s.)
+        """
+        queries = call.queries
+        if queries.ndim != 2:
+            raise ValueError(f"SEARCH queries must be (rows, dim), got {queries.shape}")
+        if queries.shape[0] * call.top_k * 16 > self.max_frame:
+            raise ValueError(
+                f"a reply of {queries.shape[0]} rows x top_k={call.top_k} "
+                f"cannot fit the {self.max_frame}-byte frame limit"
+            )
+        if not np.isfinite(queries).all():
+            raise ValueError("SEARCH queries hold NaN or infinite values")
+
     async def _execute_search(
-        self, loop, request, queries, recorder
+        self, loop, call: ShardCall, recorder
     ) -> tuple[np.ndarray, np.ndarray, dict | None]:
         """Run one admitted search: coalesced server-side when possible.
 
-        Plain requests (no per-request probes/trace/cost extras) go
+        Plain calls (no per-request probes/trace/cost extras) go
         through the server-side micro-batcher, which merges frames from
         *different* broker connections into one lockstep batch --
         batch-composition invariance guarantees the rows come back
-        bit-identical to a solo execution.  Requests carrying extras
-        execute alone on the thread-pool executor, exactly as before.
+        bit-identical to a solo execution.  Calls carrying extras
+        execute alone on the thread-pool executor.
         """
         if (
             self._batcher is not None
-            and request.probes is None
-            and not request.cost
+            and call.probes is None
+            and not call.cost
             and recorder is None
         ):
-            key = admission_key(
-                request.index, request.top_k, request.ef, queries
-            )
+            key = admission_key(call.index, call.top_k, call.ef, call.queries)
             ids, dists = await asyncio.wrap_future(
-                self._batcher.submit(key, queries)
+                self._batcher.submit(key, call.queries)
             )
             return ids, dists, None
         return await loop.run_in_executor(
-            None,
-            partial(
-                observed_search_batch,
-                self.node,
-                request.index,
-                queries,
-                request.top_k,
-                ef=request.ef,
-                probes=request.probes,
-                collect_cost=bool(request.cost),
-                recorder=recorder,
-            ),
+            None, observed_search, self.node, call, recorder
         )
 
     def _batched_search(

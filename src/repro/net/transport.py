@@ -7,30 +7,33 @@ invisible above this line.  That is what lets the micro-batcher, the
 result cache, the perShardTopK math and the merge run unchanged when the
 fleet moves out of process.
 
+The whole shard contract is ``search(call) -> reply``: one immutable
+:class:`~repro.net.protocol.ShardCall` (the SEARCH message: index, query
+block, ``top_k``, ``ef``, ``probes``, ``trace``, ``cost``, ``deadline``)
+in, one :class:`~repro.net.protocol.ShardReply` (ids, dists, ``cost``,
+``trace``) out.  No transport spells those fields: a new per-request
+signal is one entry appended to ``FRAME_FIELDS`` and one dataclass
+field, set where the call is built and read where it is served.
+
 A transport that also implements :class:`AsyncSearcherTransport` is
 awaited on the broker's fan-out loop; the one remote transport does, so
 any fleet holding it is searched there (failover, hedging and the
 retry-after pause live only on that loop).
 
-Deadlines: ``search_batch`` takes an absolute ``time.monotonic()``
-deadline.  The remote transport enforces it on the wire; the local
-transport *ignores* it -- in-process numpy work is not cancellable, and
-the broker already bounds its own wait on the fan-out future.
+Deadlines: ``call.deadline`` is an absolute ``time.monotonic()`` instant.
+The remote transport enforces it on the wire; the local transport
+*ignores* it -- in-process numpy work is not cancellable, and the broker
+already bounds its own wait on the fan-out future.
 """
 
 from __future__ import annotations
 
 import abc
 
-import numpy as np
-
-from repro.net.client import (
-    CONNECTIVITY_FAILURES,
-    RemoteSearcherClient,
-    fill_info_out,
-)
+from repro.net.client import CONNECTIVITY_FAILURES, RemoteSearcherClient
+from repro.net.protocol import ShardCall, ShardReply
 from repro.obs.tracing import SpanRecorder
-from repro.online.searcher import SearcherNode, observed_search_batch
+from repro.online.searcher import SearcherNode, observed_search
 
 __all__ = [
     "SearcherTransport",
@@ -48,27 +51,8 @@ class SearcherTransport(abc.ABC):
     shard_id: int
 
     @abc.abstractmethod
-    def search_batch(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lockstep shard search; ``(B, k)`` id/distance arrays.
-
-        ``trace_ctx`` propagates the broker's trace context (the shard
-        then reports its span tree), ``collect_cost`` asks for
-        search-cost counters; both land in ``info_out`` under the
-        ``"trace"`` / ``"cost"`` keys when produced.  Results are
-        bit-identical with or without them.
-        """
+    def search(self, call: ShardCall) -> ShardReply:
+        """Lockstep shard search of ``call.queries``."""
 
     @property
     @abc.abstractmethod
@@ -94,59 +78,24 @@ class AsyncSearcherTransport(abc.ABC):
     """
 
     @abc.abstractmethod
-    async def search_batch_async(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Coroutine twin of :meth:`SearcherTransport.search_batch`."""
+    async def search_batch_async(self, call: ShardCall) -> ShardReply:
+        """Coroutine twin of :meth:`SearcherTransport.search` (the name
+        is the frozen ledger's patch point; goes with ROADMAP 1(a))."""
 
 
 class LocalSearcherTransport(SearcherTransport):
-    """In-process shard: direct method calls on a :class:`SearcherNode`."""
+    """In-process shard: the observed search of a :class:`SearcherNode`."""
 
     def __init__(self, node: SearcherNode) -> None:
         self.node = node
         self.shard_id = node.shard_id
 
-    def search_batch(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        recorder = SpanRecorder() if trace_ctx is not None else None
-        ids, dists, cost = observed_search_batch(
-            self.node,
-            index_name,
-            queries,
-            k,
-            ef=ef,
-            probes=probes,
-            collect_cost=collect_cost,
-            recorder=recorder,
+    def search(self, call: ShardCall) -> ShardReply:
+        recorder = SpanRecorder() if call.trace is not None else None
+        ids, dists, cost = observed_search(self.node, call, recorder)
+        return ShardReply(
+            ids, dists, cost, recorder.export() if recorder is not None else None
         )
-        fill_info_out(
-            info_out,
-            cost=cost,
-            trace=recorder.export() if recorder is not None else None,
-        )
-        return ids, dists
 
     @property
     def queries_served(self) -> int:
@@ -164,9 +113,9 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
 
     Both search paths are the same client code on different threads:
     :meth:`search_batch_async` awaits the client's asyncio core on the
-    caller's event loop (the broker's fan-out), while
-    :meth:`search_batch` and the control plane (``verify`` / ``deploy``
-    / ``undeploy`` / ``stats``) block a plain thread on the facade.
+    caller's event loop (the broker's fan-out), while :meth:`search`
+    and the control plane (``verify`` / ``deploy`` / ``undeploy`` /
+    ``stats``) block a plain thread on the facade.
 
     ``shard_id`` is the position this transport holds in the broker's
     fleet; :meth:`verify` confirms the process at ``address`` actually
@@ -174,99 +123,41 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
     """
 
     def __init__(
-        self,
-        address: str | tuple,
-        shard_id: int,
-        *,
-        client: RemoteSearcherClient | None = None,
-        **client_kwargs,
+        self, address: str | tuple, shard_id: int, **client_kwargs
     ) -> None:
-        self.client = (
-            client
-            if client is not None
-            else RemoteSearcherClient(address, **client_kwargs)
-        )
+        self.client = RemoteSearcherClient(address, **client_kwargs)
         self.shard_id = int(shard_id)
 
     @property
     def address(self) -> str:
         return self.client.address
 
-    def verify(self, *, deadline: float | None = None) -> None:
+    def verify(self) -> None:
         """Ping the remote process and check it serves our shard."""
-        remote_shard = self.client.ping(deadline=deadline)
+        remote_shard = self.client.ping()
         if remote_shard != self.shard_id:
             raise ValueError(
                 f"searcher at {self.address} serves shard {remote_shard}, "
                 f"expected shard {self.shard_id}"
             )
 
-    def search_batch(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.client.search_batch(
-            index_name,
-            queries,
-            k,
-            ef=ef,
-            deadline=deadline,
-            probes=probes,
-            trace_ctx=trace_ctx,
-            collect_cost=collect_cost,
-            info_out=info_out,
-        )
+    def search(self, call: ShardCall) -> ShardReply:
+        return self.client.search(call)
 
-    async def search_batch_async(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-        deadline: float | None = None,
-        probes: list[tuple[int, ...]] | None = None,
-        trace_ctx: dict | None = None,
-        collect_cost: bool = False,
-        info_out: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return await self.client.core.search_batch(
-            index_name,
-            queries,
-            k,
-            ef=ef,
-            deadline=deadline,
-            probes=probes,
-            trace_ctx=trace_ctx,
-            collect_cost=collect_cost,
-            info_out=info_out,
-        )
+    async def search_batch_async(self, call: ShardCall) -> ShardReply:
+        return await self.client.core.search(call)
+
+    def search_batch(self, *call, **fields) -> ShardReply:
+        """The frozen ledger's blocking probe; goes with ROADMAP 1(a)."""
+        return self.search(ShardCall(*call, **fields))
 
     def deploy(
-        self,
-        index_name: str,
-        index_path: str,
-        *,
-        root: str | None = None,
-        deadline: float | None = None,
+        self, index_name: str, index_path: str, *, root: str | None = None
     ) -> None:
-        self.client.deploy(
-            index_name, index_path, root=root, deadline=deadline
-        )
+        self.client.deploy(index_name, index_path, root=root)
 
-    def undeploy(
-        self, index_name: str, *, deadline: float | None = None
-    ) -> None:
-        self.client.undeploy(index_name, deadline=deadline)
+    def undeploy(self, index_name: str) -> None:
+        self.client.undeploy(index_name)
 
     @property
     def queries_served(self) -> int:
@@ -289,7 +180,7 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
 
 #: The name the remote transport had while a blocking-only sibling
 #: existed; the frozen ``benchmarks/ledger`` still imports (and patches
-#: ``search_batch_async`` on) it.
+#: ``search_batch_async`` on) it.  Goes with ROADMAP 1(a).
 AsyncRemoteSearcherTransport = RemoteSearcherTransport
 
 

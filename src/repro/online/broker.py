@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.config import LannsConfig
 from repro.core.merge import empty_part, merge_shard_results_batch
+from repro.net.protocol import ShardCall
 from repro.net.transport import AsyncSearcherTransport, SearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.cost import SearchCost
@@ -513,15 +514,19 @@ class Broker:
         if hedging == INHERIT:
             hedging = self.hedge_after_s
         batch = Batch(
-            index_name=key.index_name,
-            budget=budget,
-            eff_ef=key.ef,
-            deadline=deadline_after(timeout_s),
+            call=ShardCall(
+                key.index_name,
+                queries,
+                budget,
+                key.ef,
+                trace=trace.context() if trace is not None else None,
+                cost=self.collect_cost or None,
+                deadline=deadline_after(timeout_s),
+            ),
             hedge_delay=resolve_hedge_delay(
                 None if hedging is False else hedging, self.timings
             ),
             trace=trace,
-            collect_cost=self.collect_cost,
         )
         with self.timings.stage(
             "fanout", trace, window="fanout", groups=len(work), budget=budget

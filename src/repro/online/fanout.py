@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import CancelledError as FutureCancelledError
-from functools import partial
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.merge import empty_part
 from repro.errors import DeadlineExceededError, OverloadedError, TransportError
 from repro.net.loop import LoopThread
+from repro.net.protocol import ShardCall, ShardReply
 from repro.net.transport import (
     AsyncSearcherTransport,
     LocalSearcherTransport,
@@ -57,31 +58,22 @@ Part = tuple[np.ndarray, np.ndarray]
 
 
 class Batch(NamedTuple):
-    """What every shard RPC of one fan-out shares."""
+    """What every shard RPC of one fan-out shares: the unrouted
+    :class:`~repro.net.protocol.ShardCall` (all rows, no probes --
+    index, perShardTopK budget, ``ef``, trace context, cost flag and
+    deadline live there and nowhere else) plus what never crosses the
+    wire."""
 
-    index_name: str
-    budget: int
-    eff_ef: int
-    deadline: float | None
+    call: ShardCall
     hedge_delay: float | None
     trace: Trace | None
-    collect_cost: bool
 
-    def rpc(self, search, item: Work, info_out: dict | None, **extra):
-        """``search`` (a transport's ``search_batch[_async]``) bound to
-        this batch's arguments for one work item."""
-        return partial(
-            search,
-            self.index_name,
-            item.queries,
-            self.budget,
-            ef=self.eff_ef,
-            probes=item.probes,
-            trace_ctx=self.trace.context() if self.trace is not None else None,
-            collect_cost=self.collect_cost,
-            info_out=info_out,
-            **extra,
-        )
+    def call_for(self, item: Work) -> ShardCall:
+        """``item``'s call, built once: a hedge or a failover re-issues
+        the same object.  An unrouted item *is* the batch's call."""
+        if item.rows is None:
+            return self.call
+        return replace(self.call, queries=item.queries, probes=item.probes)
 
 
 class Work(NamedTuple):
@@ -209,27 +201,26 @@ def assemble(
 
 
 class Attempt(Stage):
-    """One replica attempt in either venue: ledger slot, span, info dict.
+    """One replica attempt in either venue: ledger slot, span, reply.
 
     The ``attempt`` stage around the shard RPC, a child span of the
-    group's ``shard_rpc`` span.  ``info`` is the dict to hand the
-    transport (``None`` when neither cost nor trace is wanted); the
-    ``with`` block holds the replica's in-flight slot.  On exit the
-    group's in-flight/EWMA ledger is settled from the stage's own
-    duration and the span closes with ``outcome`` ``ok`` / ``error`` /
-    ``cancelled`` (a cancelled hedge loser releases its slot without
+    group's ``shard_rpc`` span.  The ``with`` block holds the replica's
+    in-flight slot and stores the transport's answer in ``reply``.  On
+    exit the group's in-flight/EWMA ledger is settled from the stage's
+    own duration and the span closes with ``outcome`` ``ok`` / ``error``
+    / ``cancelled`` (a cancelled hedge loser releases its slot without
     polluting the latency EWMA); the searcher's own spans are spliced
-    under a successful attempt.  ``win`` is left ``False`` -- a completed
-    loser (both answered in one tick) stays a loss; :meth:`settle` flips
-    the race winner.
+    under the successful attempt that produced them.  ``win`` is left
+    ``False`` -- a completed loser (both answered in one tick) stays a
+    loss; :meth:`settle` flips the race winner.
     """
 
-    __slots__ = ("group", "replica", "info")
+    __slots__ = ("group", "replica", "reply")
 
     def __init__(
         self,
         clock: StageClock,
-        batch: Batch,
+        trace: Trace | None,
         group: ReplicaGroup,
         replica: ReplicaState,
         group_span: dict | None,
@@ -238,7 +229,7 @@ class Attempt(Stage):
         hedge: bool = False,
     ) -> None:
         super().__init__(
-            clock, "attempt", batch.trace, group_span, window, None,
+            clock, "attempt", trace, group_span, window, None,
             {
                 "replica": replica.replica_id,
                 "hedge": hedge,
@@ -248,9 +239,7 @@ class Attempt(Stage):
         )
         self.group = group
         self.replica = replica
-        self.info: dict | None = (
-            {} if (batch.collect_cost or batch.trace is not None) else None
-        )
+        self.reply: ShardReply | None = None
 
     def __enter__(self) -> Attempt:
         self.group.begin(self.replica)
@@ -260,19 +249,21 @@ class Attempt(Stage):
         super().__exit__(exc_type, exc, traceback)
         if exc is None:
             self.group.finish(self.replica, self.seconds)
-            if self.span is not None and self.info.get("trace"):
-                self.trace.attach_remote(self.span, self.info["trace"])
+            if self.span is not None and self.reply.trace:
+                self.trace.attach_remote(self.span, self.reply.trace)
         else:
             cancelled = isinstance(exc, asyncio.CancelledError)
             self.group.finish(
                 self.replica, outcome="cancelled" if cancelled else "error"
             )
 
-    def settle(self, part: Part) -> Outcome:
-        """Mark this attempt, which delivered ``part``, as the winner."""
+    def settle(self) -> Outcome:
+        """Mark this attempt, which delivered ``reply``, as the winner."""
         self.annotate(win=True)
-        cost = self.info.get("cost") if self.info else None
-        return Outcome(part, None, self.replica.replica_id, cost)
+        reply = self.reply
+        return Outcome(
+            (reply.ids, reply.dists), None, self.replica.replica_id, reply.cost
+        )
 
 
 class FanOut:
@@ -334,10 +325,10 @@ class FanOut:
             venue(batch, work, fanout_span),
             routed,
             len(self.groups),
-            batch.budget,
+            batch.call.top_k,
             self.partial_policy,
             self.tally,
-            batch.collect_cost,
+            bool(batch.call.cost),
         )
 
     # -- inline venue (in-process fleets) -----------------------------------------------
@@ -357,12 +348,10 @@ class FanOut:
             ) as rpc:
                 replica = group.pick()
                 with Attempt(
-                    self.clock, batch, group, replica, rpc.span, window=None
+                    self.clock, batch.trace, group, replica, rpc.span, window=None
                 ) as attempt:
-                    part = batch.rpc(
-                        replica.transport.search_batch, item, attempt.info
-                    )()
-                outcome = attempt.settle(part)
+                    attempt.reply = replica.transport.search(batch.call_for(item))
+                outcome = attempt.settle()
                 rpc.annotate(ok=True, replica=outcome.replica_id)
             outcomes.append(outcome)
         return outcomes
@@ -413,6 +402,8 @@ class FanOut:
         the outcome.
         """
         group = self.groups[item.group_id]
+        call = batch.call_for(item)
+        deadline = call.deadline
         tried: list[int] = []
         last: TransportError | None = None
         waited_retry = False
@@ -422,20 +413,16 @@ class FanOut:
 
             async def issue(target: ReplicaState, hedge: bool = False):
                 with Attempt(
-                    self.clock, batch, group, target, rpc.span,
+                    self.clock, batch.trace, group, target, rpc.span,
                     window="shard_rpc", hedge=hedge,
                 ) as attempt:
-                    part = await self._search_one(
-                        batch, target.transport, item, attempt.info
-                    )
-                return attempt, part
+                    attempt.reply = await self._search_one(target.transport, call)
+                return attempt
 
             while True:
                 replica = group.pick(exclude=tried)
                 if replica is None:
-                    pause = retry_after_pause(
-                        last, batch.deadline, waited_retry
-                    )
+                    pause = retry_after_pause(last, deadline, waited_retry)
                     if pause is None:
                         break
                     # Every replica shed with OVERLOADED and the hint
@@ -450,30 +437,27 @@ class FanOut:
                     self.tally.count("failovers")
                 tried.append(replica.replica_id)
                 try:
-                    attempt, part = await hedged_search(
+                    attempt = await hedged_search(
                         issue, group, replica, tried,
-                        batch.deadline, batch.hedge_delay, self.tally,
+                        deadline, batch.hedge_delay, self.tally,
                     )
                 except TransportError as exc:
                     last = exc
                     if isinstance(exc, OverloadedError):
                         self.tally.count("overloaded")
-                    if not should_fail_over(exc, batch.deadline):
+                    if not should_fail_over(exc, deadline):
                         break
                 else:
-                    outcome = attempt.settle(part)
+                    outcome = attempt.settle()
                     rpc.annotate(ok=True, replica=outcome.replica_id)
                     return outcome
             rpc.annotate(ok=False, replica=-1)
         return Outcome(None, last, -1, None)
 
+    @staticmethod
     async def _search_one(
-        self,
-        batch: Batch,
-        transport: SearcherTransport,
-        item: Work,
-        info_out: dict | None,
-    ) -> Part:
+        transport: SearcherTransport, call: ShardCall
+    ) -> ShardReply:
         """One shard RPC on the event loop.
 
         Async-capable transports are awaited natively (the remote
@@ -481,16 +465,16 @@ class FanOut:
         shards of a mixed fleet run on the loop's default executor with
         the wait bounded by the remaining budget.
         """
-        deadline = batch.deadline
         if isinstance(transport, AsyncSearcherTransport):
-            return await batch.rpc(
-                transport.search_batch_async, item, info_out, deadline=deadline
-            )()
-        call = batch.rpc(transport.search_batch, item, info_out, deadline=deadline)
+            return await transport.search_batch_async(call)
+        deadline = call.deadline
         wait = None if deadline is None else max(budget_left(deadline), 0.0)
         try:
             return await asyncio.wait_for(
-                asyncio.get_running_loop().run_in_executor(None, call), wait
+                asyncio.get_running_loop().run_in_executor(
+                    None, transport.search, call
+                ),
+                wait,
             )
         except (asyncio.TimeoutError, TimeoutError):
             raise DeadlineExceededError(

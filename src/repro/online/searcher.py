@@ -14,6 +14,7 @@ an index fully attached or not at all, never a half-mutated dict.
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from repro.obs.cost import FIELDS as _COST_FIELDS
 from repro.obs.cost import SearchCost
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import SpanRecorder, activate, deactivate
+
+if TYPE_CHECKING:  # repro.net imports this module: annotation only
+    from repro.net.protocol import ShardCall
 
 _REGISTRY = get_registry()
 _REQUESTS = _REGISTRY.counter(
@@ -133,23 +137,6 @@ class SearcherNode:
         return sum(len(shard) for shard in self._indices.values())
 
     # -- serving --------------------------------------------------------------------
-    def search(
-        self,
-        index_name: str,
-        query: np.ndarray,
-        k: int,
-        *,
-        ef: int | None = None,
-    ) -> list[tuple[float, int]]:
-        """Serve one query against the hosted shard of ``index_name``.
-
-        Performs segment routing + the in-node (level 1) merge; returns at
-        most ``k`` ``(distance, id)`` pairs -- the ``perShardTopK`` budget
-        the broker asked for.
-        """
-        self._count_request(1)
-        return self._shard(index_name).search(query, k, ef=ef)
-
     def search_batch(
         self,
         index_name: str,
@@ -200,32 +187,29 @@ class SearcherNode:
         )
 
 
-def observed_search_batch(
-    node: SearcherNode,
-    index_name: str,
-    queries: np.ndarray,
-    k: int,
-    *,
-    ef: int | None = None,
-    probes: list[tuple[int, ...]] | None = None,
-    collect_cost: bool = False,
-    recorder: SpanRecorder | None = None,
+def observed_search(
+    node: SearcherNode, call: ShardCall, recorder: SpanRecorder | None = None
 ) -> tuple[np.ndarray, np.ndarray, dict | None]:
-    """:meth:`SearcherNode.search_batch` under a request's observability
-    extras; returns ``(ids, dists, cost)``.
+    """Serve one :class:`~repro.net.protocol.ShardCall` on ``node`` under
+    the call's observability extras; returns ``(ids, dists, cost)``.
 
-    ``collect_cost`` accounts the search work (``cost`` is the counters
+    ``call.cost`` accounts the search work (``cost`` is the counters
     dict, else ``None``); ``recorder`` is installed as the ambient span
     recorder for the duration, so the kernels report their
     descend/beam/rescore spans into it.  Call it on the thread that
     searches: context variables do not follow ``run_in_executor``.
     Results are bit-identical with or without the extras.
     """
-    cost = SearchCost() if collect_cost else None
+    cost = SearchCost() if call.cost else None
     token = activate(recorder) if recorder is not None else None
     try:
         ids, dists = node.search_batch(
-            index_name, queries, k, ef=ef, probes=probes, cost=cost
+            call.index,
+            call.queries,
+            call.top_k,
+            ef=call.ef,
+            probes=call.probes,
+            cost=cost,
         )
     finally:
         if token is not None:

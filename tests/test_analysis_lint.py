@@ -643,6 +643,7 @@ def test_retired_scalar_paths_stay_deleted():
         "_insert_row", "_link_back", "search_layer", "greedy_descent",
         "descend_to_level", "score_ids", "merge_top_k", "TopKHeap",
         "padded", "PaddedAdjacency", "set_level_csr", "beams_as_arrays",
+        "fill_info_out", "observed_search_batch",
     }
     defined = set()
     for path in (default_repo_root() / "src").rglob("*.py"):
@@ -694,10 +695,16 @@ def test_every_config_field_is_read():
 def test_every_frame_field_is_written_and_read():
     """A ``FRAME_FIELDS`` name that no sender passes to ``pack`` (as a
     keyword) or no receiver reads off an unpacked message (as an
-    attribute) is a dead wire field."""
-    from repro.net.protocol import FRAME_FIELDS
+    attribute) is a dead wire field.  SEARCH is written and RESULT read
+    field for field through :class:`ShardCall` / :class:`ShardReply`
+    (next test), so their dataclass fields count as the keyword."""
+    from dataclasses import fields
 
-    written, read = set(), set()
+    from repro.net.protocol import FRAME_FIELDS, ShardCall, ShardReply
+
+    written = {field.name for field in fields(ShardCall)}
+    written |= {field.name for field in fields(ShardReply)}
+    read = set()
     for name in ("client", "server", "protocol"):
         path = default_repo_root() / "src" / "repro" / "net" / f"{name}.py"
         for node in ast.walk(ast.parse(path.read_text())):
@@ -712,6 +719,73 @@ def test_every_frame_field_is_written_and_read():
         for field in fields
     }
     assert declared - (written & read) == set()
+
+
+def test_the_shard_call_is_the_search_message():
+    """``ShardCall`` / ``ShardReply`` are the newest SEARCH / RESULT
+    table entries as values -- payload arrays aside, ``deadline`` for
+    ``deadline_ms``, RESULT's echo of ``index`` dropped -- and the far
+    side reads every field: the searcher off the call, the fan-out off
+    the reply."""
+    from dataclasses import fields
+
+    from repro.net.protocol import FRAME_FIELDS, ShardCall, ShardReply
+
+    def newest(message):
+        versions = FRAME_FIELDS[message]
+        return {field.rstrip("?") for field in versions[max(versions)]}
+
+    call = {field.name for field in fields(ShardCall)}
+    reply = {field.name for field in fields(ShardReply)}
+    assert call - {"queries", "deadline"} == newest("SEARCH") - {"deadline_ms"}
+    assert {"queries", "deadline"} <= call
+    assert reply - {"ids", "dists"} == newest("RESULT") - {"index"}
+
+    src = default_repo_root() / "src" / "repro"
+
+    def attributes_read(*paths):
+        return {
+            node.attr
+            for path in paths
+            for node in ast.walk(ast.parse((src / path).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+
+    assert call - attributes_read("net/server.py", "online/searcher.py") == set()
+    assert reply - attributes_read("online/fanout.py") == set()
+
+
+def test_the_shard_call_field_list_is_spelled_once():
+    """No out-parameter and no re-spelled keyword list: nothing under
+    ``src/`` takes ``info_out``, and nothing on the wire side of the
+    broker (``net/``, ``online/searcher.py``) takes the two extras the
+    call carries (``collect_cost`` stays the ``Broker`` /
+    ``OnlineService`` policy keyword)."""
+    src = default_repo_root() / "src" / "repro"
+    wire_side = {*(src / "net").glob("*.py"), src / "online" / "searcher.py"}
+    offenders = []
+    for path in src.rglob("*.py"):
+        banned = {"info_out"}
+        if path in wire_side:
+            banned |= {"trace_ctx", "collect_cost"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spec = node.args
+                names = {
+                    arg.arg
+                    for arg in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs)
+                }
+                offenders += [
+                    f"{path.name}:{node.name}({name})" for name in names & banned
+                ]
+    assert offenders == []
+    # One abstract search per transport contract, taking just the call.
+    from repro.net.transport import AsyncSearcherTransport, SearcherTransport
+
+    assert SearcherTransport.__abstractmethods__ == {
+        "search", "queries_served", "stats",
+    }
+    assert AsyncSearcherTransport.__abstractmethods__ == {"search_batch_async"}
 
 
 class TestServingTierShape:

@@ -311,20 +311,6 @@ class TestLannsIndexBatchParity:
                 batch_dists[row, :count], single_dists
             )
 
-    def test_shard_search_batch_matches_search(self, lanns, clustered_queries):
-        shard = lanns.shards[0]
-        batch_ids, batch_dists = shard.search_batch(
-            clustered_queries[:15], 7, ef=48
-        )
-        for row in range(15):
-            single = shard.search(clustered_queries[row], 7, ef=48)
-            pairs = [
-                (float(dist), int(item))
-                for dist, item in zip(batch_dists[row], batch_ids[row])
-                if item >= 0
-            ]
-            assert pairs == single
-
     def test_empty_batch(self, lanns):
         ids, dists = lanns.query_batch(
             np.empty((0, lanns.dim), dtype=np.float32), 4

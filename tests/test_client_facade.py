@@ -9,18 +9,22 @@
 - All facades of a process share one lazily started loop thread; an
   in-process service starts none.
 - One facade shared by many threads, and one transport driven through
-  both ``search_batch`` and ``search_batch_async``, answer
-  bit-identically to the in-process shard.
+  both ``search`` and ``search_batch_async``, answer bit-identically to
+  the in-process shard.
+- The names the frozen ``benchmarks/ledger`` reaches the shard call by
+  stay reachable (they go with ROADMAP 1(a)).
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import socket
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,30 +33,34 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import DeadlineExceededError
 from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
-from repro.net.protocol import MsgType, frame_to_bytes
+from repro.net.protocol import MsgType, ShardCall, frame_to_bytes
 from repro.net.server import SearcherServer
 from repro.net.transport import (
     AsyncRemoteSearcherTransport,
     RemoteSearcherTransport,
 )
+from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
+from repro.online.service import OnlineService
 from tests.conftest import FAST_HNSW, make_clustered
 
 INDEX_NAME = "facade"
 
 
+CONFIG = LannsConfig(
+    num_shards=1,
+    num_segments=2,
+    segmenter="rh",
+    hnsw=FAST_HNSW,
+    segmenter_sample_size=300,
+    seed=41,
+)
+
+
 @pytest.fixture(scope="module")
 def shard():
-    config = LannsConfig(
-        num_shards=1,
-        num_segments=2,
-        segmenter="rh",
-        hnsw=FAST_HNSW,
-        segmenter_sample_size=300,
-        seed=41,
-    )
     corpus = make_clustered(400, 16, seed=42)
-    return build_lanns_index(corpus, config=config).shards[0]
+    return build_lanns_index(corpus, config=CONFIG).shards[0]
 
 
 @pytest.fixture(scope="module")
@@ -100,11 +108,13 @@ class TestCoreBudget:
         try:
             with pytest.raises(DeadlineExceededError, match="did not answer"):
                 asyncio.run(
-                    client.search_batch(
-                        INDEX_NAME,
-                        np.zeros((1, 16), np.float32),
-                        3,
-                        deadline=began + 0.15,
+                    client.search(
+                        ShardCall(
+                            INDEX_NAME,
+                            np.zeros((1, 16), np.float32),
+                            3,
+                            deadline=began + 0.15,
+                        )
                     )
                 )
             assert time.monotonic() - began < len(reply) * 0.02 / 2
@@ -161,12 +171,14 @@ class TestFacade:
             try:
                 for call in range(50):
                     row = (seed * 50 + call) % (queries.shape[0] - 1)
-                    ids, dists = client.search_batch(
-                        INDEX_NAME, queries[row : row + 2], 5
+                    reply = client.search(
+                        ShardCall(INDEX_NAME, queries[row : row + 2], 5)
                     )
-                    np.testing.assert_array_equal(ids, want_ids[row : row + 2])
                     np.testing.assert_array_equal(
-                        dists, want_dists[row : row + 2]
+                        reply.ids, want_ids[row : row + 2]
+                    )
+                    np.testing.assert_array_equal(
+                        reply.dists, want_dists[row : row + 2]
                     )
             except BaseException as exc:
                 errors.append(exc)
@@ -199,19 +211,91 @@ class TestOneRemoteTransport:
     ):
         want_ids, want_dists = shard.search_batch(queries, 5)
         transport = RemoteSearcherTransport(server.address, 0)
+        call = ShardCall(INDEX_NAME, queries, 5)
         try:
             transport.verify()
-            blocking = transport.search_batch(INDEX_NAME, queries, 5)
-            awaited = asyncio.run(
-                transport.search_batch_async(INDEX_NAME, queries, 5)
-            )
-            for ids, dists in (blocking, awaited):
-                np.testing.assert_array_equal(ids, want_ids)
-                np.testing.assert_array_equal(dists, want_dists)
+            blocking = transport.search(call)
+            awaited = asyncio.run(transport.search_batch_async(call))
+            for reply in (blocking, awaited):
+                np.testing.assert_array_equal(reply.ids, want_ids)
+                np.testing.assert_array_equal(reply.dists, want_dists)
+                assert reply.cost is None and reply.trace is None
             assert transport.queries_served == 2 * queries.shape[0]
         finally:
             transport.close()
         assert transport.client.open_connections == 0
+
+    def test_the_positional_shim_is_search_of_the_same_call(
+        self, server, queries
+    ):
+        """The frozen ledger's blocking probe spells the call
+        positionally; it must stay ``search`` of that very call."""
+        transport = RemoteSearcherTransport(server.address, 0)
+        try:
+            shim = transport.search_batch(INDEX_NAME, queries, 5, ef=48)
+            direct = transport.search(ShardCall(INDEX_NAME, queries, 5, ef=48))
+        finally:
+            transport.close()
+        assert shim.ids.tobytes() == direct.ids.tobytes()
+        assert shim.dists.tobytes() == direct.dists.tobytes()
+
+    def test_the_frozen_ledgers_patch_points_are_crossed(
+        self, server, shard, queries, monkeypatch
+    ):
+        """``benchmarks/ledger/layers.py`` times a shard RPC by wrapping
+        two class attributes with ``(*args, **kwargs)`` functions; every
+        loop-venue RPC must cross the first and every search a process
+        runs the second, or its ``net.transport`` / ``online.searcher``
+        rows silently go empty (only CI's bench-smoke would notice)."""
+        crossed = Counter()
+
+        def counting(owner, attribute, is_async):
+            original = getattr(owner, attribute)
+
+            if is_async:
+
+                @functools.wraps(original)
+                async def wrapper(*args, **kwargs):
+                    crossed[attribute] += 1
+                    return await original(*args, **kwargs)
+
+            else:
+
+                @functools.wraps(original)
+                def wrapper(*args, **kwargs):
+                    crossed[attribute] += 1
+                    return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, wrapper)
+
+        counting(RemoteSearcherTransport, "search_batch_async", True)
+        counting(SearcherNode, "search_batch", False)
+        want = shard.search_batch(queries[:3], 5)
+
+        transport = RemoteSearcherTransport(server.address, 0)
+        remote = Broker([transport], CONFIG)
+        try:
+            assert remote.venue == "loop"
+            got = remote.search_batch(INDEX_NAME, queries[:3], 5)
+        finally:
+            remote.close()
+            transport.close()
+        # One shard RPC, and the server's search of it in this process.
+        assert crossed == {"search_batch_async": 1, "search_batch": 1}
+
+        local = Broker([server.node], CONFIG)
+        try:
+            assert local.venue == "inline"
+            inline = local.search_batch(INDEX_NAME, queries[:3], 5)
+        finally:
+            local.close()
+        assert crossed == {"search_batch_async": 1, "search_batch": 2}
+        for ids, dists in (got, inline):
+            np.testing.assert_array_equal(ids, want[0])
+            np.testing.assert_array_equal(dists, want[1])
+
+    def test_the_ledgers_service_keyword_is_still_accepted(self):
+        OnlineService(async_fanout=True).close()
 
 
 CENSUS_SCRIPT = """

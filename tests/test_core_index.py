@@ -61,10 +61,9 @@ class TestShardIndex:
         shard = lanns.shards[0]
         probed = shard.probed_segments(clustered_queries[0])
         assert len(probed) >= 1
-        results = shard.search(clustered_queries[0], 5)
-        assert len(results) <= 5
-        dists = [dist for dist, _ in results]
-        assert dists == sorted(dists)
+        ids, dists = shard.search_batch(clustered_queries[:1], 5)
+        assert ids.shape == (1, 5)
+        assert dists[0].tolist() == sorted(dists[0].tolist())
 
     def test_len_counts_all_segments(self, lanns):
         shard = lanns.shards[0]

@@ -33,10 +33,10 @@ class StubTransport(SearcherTransport, AsyncSearcherTransport):
     shard_id = 0
     queries_served = 0
 
-    def search_batch(self, *args, **kwargs):
+    def search(self, call):
         raise AssertionError("the race never reaches a transport")
 
-    async def search_batch_async(self, *args, **kwargs):
+    async def search_batch_async(self, call):
         raise AssertionError("the race never reaches a transport")
 
     def stats(self) -> dict:
@@ -46,7 +46,7 @@ class StubTransport(SearcherTransport, AsyncSearcherTransport):
 class SyncOnlyTransport(SearcherTransport):
     shard_id = 0
     queries_served = 0
-    search_batch = StubTransport.search_batch
+    search = StubTransport.search
     stats = StubTransport.stats
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.merge import merge_shard_results_batch
+from repro.net.protocol import ShardCall
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
@@ -240,6 +242,100 @@ class TestHedgedParity:
             assert broker.stats()["hedges"] >= 1
         finally:
             close_all(broker, transports)
+
+
+class RecordingTransport(RemoteSearcherTransport):
+    """Remembers every call the fan-out hands it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls: list[ShardCall] = []
+
+    async def search_batch_async(self, call: ShardCall):
+        self.calls.append(call)
+        return await super().search_batch_async(call)
+
+
+def flatten(spans):
+    for span in spans:
+        yield span
+        yield from flatten(span["children"])
+
+
+class TestOneCallPerWorkItem:
+    """The fan-out builds a work item's :class:`ShardCall` once; a hedge
+    and a failover re-issue that object, they never rebuild it."""
+
+    def test_both_attempts_of_a_hedge_race_get_the_same_call(
+        self, fleet, config, queries, baseline
+    ):
+        transports = [
+            RecordingTransport(server.address, shard_id)
+            for shard_id, server in enumerate(fleet)
+        ]
+        broker = Broker(
+            transports,
+            config,
+            hedge_after_s=0.05,
+            request_timeout_s=30.0,
+            trace_sample_rate=1.0,
+            trace_seed=0,
+        )
+        request = SearchRequest(queries=queries, top_k=10, index_name="hedge")
+        try:
+            response = broker.execute(request)
+            assert broker.stats()["hedges"] == 1
+        finally:
+            close_all(broker, transports)
+        primary, hedge = transports[SLOW_SHARD].calls
+        assert primary is hedge
+        # Unrouted: the batch's one call is every shard's call.
+        assert {id(c) for t in transports for c in t.calls} == {id(primary)}
+        assert primary.cost and primary.trace is not None
+        with pytest.raises(FrozenInstanceError):
+            primary.deadline = None
+        # Four attempts ran, three won: only the winners' counters are
+        # in the response, so it equals the unhedged in-process answer.
+        want = baseline.execute(request)
+        np.testing.assert_array_equal(response.ids, want.ids)
+        assert response.cost == want.cost
+        # The searcher's span tree hangs under the attempt that
+        # produced it -- the hedge -- and the cancelled primary has none.
+        slow_rpc = next(
+            span
+            for span in flatten(response.trace["spans"])
+            if span["name"] == "shard_rpc"
+            and span["annotations"]["shard"] == SLOW_SHARD
+        )
+        lost, won = sorted(
+            slow_rpc["children"], key=lambda a: a["annotations"]["win"]
+        )
+        assert lost["annotations"]["outcome"] == "cancelled"
+        assert not lost["annotations"]["hedge"] and lost["children"] == []
+        assert won["annotations"]["hedge"]
+        assert "decode" in [s["name"] for s in flatten(won["children"])]
+
+    def test_both_replicas_of_a_failover_get_the_same_call(
+        self, fleet, config, queries, baseline
+    ):
+        dead = RecordingTransport("127.0.0.1:1", 0, retries=0)
+        transports = [
+            RecordingTransport(server.address, shard_id)
+            for shard_id, server in enumerate(fleet)
+        ]
+        broker = Broker([[dead, transports[0]], *transports[1:]], config)
+        request = SearchRequest(queries=queries[:4], top_k=10, index_name="hedge")
+        try:
+            response = broker.execute(request)
+            assert broker.stats()["failovers"] == 1
+        finally:
+            close_all(broker, [dead, *transports])
+        (refused,), (served,) = dead.calls, transports[0].calls
+        assert refused is served
+        want = baseline.execute(request)
+        np.testing.assert_array_equal(response.ids, want.ids)
+        np.testing.assert_array_equal(response.dists, want.dists)
+        assert response.cost == want.cost
 
 
 class TestHedgeDeadlineBudget:

@@ -455,6 +455,33 @@ def live_search_frame(rows: int = 2) -> bytes:
     )
 
 
+def _rows(planted: float | None = None) -> np.ndarray:
+    """Two good query rows, with ``planted`` in one cell when given."""
+    rows = make_clustered(2, 16, seed=53)
+    if planted is not None:
+        rows[1, 3] = planted
+    return rows
+
+
+#: Well-framed, well-typed SEARCH requests a searcher must refuse:
+#: ``{name: (header fields over the good ones, query block)}``.
+HOSTILE_CALLS = {
+    "top_k=0": ({"top_k": 0}, _rows()),
+    "top_k=-1": ({"top_k": -1}, _rows()),
+    "top_k=10**9": ({"top_k": 10**9}, _rows()),
+    "(B, 0) block": ({}, np.empty((2, 0), dtype=np.float32)),
+    "1-d block": ({}, np.zeros(16, dtype=np.float32)),
+    "nan": ({}, _rows(np.nan)),
+    "inf": ({}, _rows(np.inf)),
+    "-inf": ({}, _rows(-np.inf)),
+    "probes one row short": ({"probes": [(0,)]}, _rows()),
+    "probe segment out of range": ({"probes": [(0,), (7,)]}, _rows()),
+    "negative probe segment": ({"probes": [(0,), (-1,)]}, _rows()),
+}
+#: The ones only the server can judge; the shard never sees them.
+REFUSED_BEFORE_ADMISSION = {"top_k=10**9", "1-d block", "nan", "inf", "-inf"}
+
+
 def recv_frames(sock: socket.socket, count: int) -> list:
     """The next ``count`` frames off ``sock``; stops early at EOF."""
     reader, got = FrameReader(), []
@@ -554,6 +581,52 @@ class TestLiveServer:
                 assert [reply[0] for reply in replies] == [MsgType.ERROR]
             assert_serving_and_idle(server, abandoned=0)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_CALLS))
+    def test_a_hostile_call_in_a_valid_frame_is_a_value_error(
+        self, server, name, caplog, recwarn
+    ):
+        """A well-framed, well-typed SEARCH whose *values* are hostile is
+        refused with a ``ValueError`` frame -- before admission for what
+        only the server can judge (a reply that could not fit a frame,
+        non-finite rows), by the shard for the rest -- and the same
+        connection keeps serving."""
+        fields, queries = HOSTILE_CALLS[name]
+        hostile = frame_to_bytes(
+            MsgType.SEARCH,
+            pack(
+                MsgType.SEARCH,
+                **{"index": INDEX_NAME, "top_k": 3, "ef": None, **fields},
+            ),
+            (queries,),
+        )
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with connect(server) as sock:
+                sock.sendall(hostile + live_search_frame())
+                replies = recv_frames(sock, 2)
+            assert_serving_and_idle(server, abandoned=0)
+        assert [reply[0] for reply in replies] == [MsgType.ERROR, MsgType.RESULT]
+        error = unpack(MsgType.ERROR, replies[0][1])
+        assert error.error_type == "ValueError", error.message
+        # The two good requests, plus the hostile one only where the
+        # shard (not the server, before admission) was the judge.
+        assert server.node.requests_served == (
+            2 if name in REFUSED_BEFORE_ADMISSION else 3
+        )
+        assert caplog.records == [] and len(recwarn) == 0
+
+    def test_an_empty_query_block_is_answered_empty(self, server):
+        empty = frame_to_bytes(
+            MsgType.SEARCH,
+            pack(MsgType.SEARCH, index=INDEX_NAME, top_k=3, ef=None),
+            (np.empty((0, 16), dtype=np.float32),),
+        )
+        with connect(server) as sock:
+            sock.sendall(empty)
+            ((msg_type, _, arrays),) = recv_frames(sock, 1)
+        assert msg_type == MsgType.RESULT
+        assert arrays[0].shape == arrays[1].shape == (0, 3)
+        assert_serving_and_idle(server, abandoned=0)
 
     @pytest.mark.parametrize(
         "server", [{"slow_every": 1, "slow_delay_s": 0.3}], indirect=True

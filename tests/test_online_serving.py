@@ -42,8 +42,8 @@ class TestSearcherNode:
     def test_host_and_search(self, index, clustered_queries):
         searcher = SearcherNode(0)
         searcher.host("main", index.shards[0])
-        results = searcher.search("main", clustered_queries[0], 5)
-        assert len(results) <= 5
+        ids, dists = searcher.search_batch("main", clustered_queries[:1], 5)
+        assert ids.shape == dists.shape == (1, 5)
 
     def test_shard_id_must_match(self, index):
         searcher = SearcherNode(1)
@@ -59,7 +59,7 @@ class TestSearcherNode:
     def test_unknown_index_search(self, index, clustered_queries):
         searcher = SearcherNode(0)
         with pytest.raises(KeyError, match="does not host"):
-            searcher.search("ghost", clustered_queries[0], 5)
+            searcher.search_batch("ghost", clustered_queries[:1], 5)
 
     def test_ab_hosting_and_unhost(self, index, clustered_data):
         searcher = SearcherNode(0)

@@ -41,6 +41,7 @@ from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
 from repro.net.protocol import (
     PREFIX_SIZE,
     MsgType,
+    ShardCall,
     decode_frame,
     frame_to_bytes,
     pack,
@@ -142,7 +143,7 @@ def occupy_slot(server: SearcherServer, queries: np.ndarray):
 
     def request():
         try:
-            client.search_batch(INDEX_NAME, queries[:1], 3)
+            client.search(ShardCall(INDEX_NAME, queries[:1], 3))
         finally:
             client.close()
 
@@ -201,7 +202,7 @@ class TestAdmission:
         server = start_server(shared_fs, max_in_flight=2, queue_cap=5)
         client = RemoteSearcherClient(server.address, retries=0)
         try:
-            client.search_batch(INDEX_NAME, queries, 3)
+            client.search(ShardCall(INDEX_NAME, queries, 3))
             admission = client.stats()["admission"]
             assert admission["max_in_flight"] == 2
             assert admission["queue_cap"] == 5
@@ -264,11 +265,13 @@ class TestDeadlinePropagation:
         try:
             before = server.node.stats()["requests_served"]
             with pytest.raises(DeadlineExceededError):
-                client.search_batch(
-                    INDEX_NAME,
-                    queries[:1],
-                    3,
-                    deadline=time.monotonic() + 1e-9,
+                client.search(
+                    ShardCall(
+                        INDEX_NAME,
+                        queries[:1],
+                        3,
+                        deadline=time.monotonic() + 1e-9,
+                    )
                 )
             assert server.node.stats()["requests_served"] == before
         finally:
@@ -327,8 +330,8 @@ class TestServerSideMicroBatch:
             client = RemoteSearcherClient(server.address, retries=0)
             try:
                 barrier.wait(timeout=10)
-                results[slot] = client.search_batch(
-                    INDEX_NAME, queries[slot : slot + 1], 3
+                results[slot] = client.search(
+                    ShardCall(INDEX_NAME, queries[slot : slot + 1], 3)
                 )
             except BaseException as exc:
                 errors.append(exc)
@@ -345,12 +348,12 @@ class TestServerSideMicroBatch:
             for thread in threads:
                 thread.join(timeout=30)
             assert not errors, f"batched request failed: {errors[:1]!r}"
-            for slot, (ids, dists) in enumerate(results):
+            for slot, reply in enumerate(results):
                 np.testing.assert_array_equal(
-                    ids, want_ids[slot : slot + 1]
+                    reply.ids, want_ids[slot : slot + 1]
                 )
                 np.testing.assert_array_equal(
-                    dists, want_dists[slot : slot + 1]
+                    reply.dists, want_dists[slot : slot + 1]
                 )
             stats = RemoteSearcherClient(server.address, retries=0)
             try:
@@ -370,11 +373,8 @@ class TestServerSideMicroBatch:
         server = start_server(shared_fs, batch_max=4, batch_wait_ms=5.0)
         client = RemoteSearcherClient(server.address, retries=0)
         try:
-            info: dict = {}
-            client.search_batch(
-                INDEX_NAME, queries[:2], 3, collect_cost=True, info_out=info
-            )
-            assert info.get("cost"), "cost accounting lost server-side"
+            reply = client.search(ShardCall(INDEX_NAME, queries[:2], 3, cost=True))
+            assert reply.cost, "cost accounting lost server-side"
             batch = client.stats()["server_microbatch"]
             assert batch["rows_admitted"] == 0
         finally:

@@ -34,7 +34,6 @@ from repro.errors import (
     TransportError,
 )
 from repro.net.client import RemoteSearcherClient
-from repro.net.protocol import MsgType
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
@@ -479,9 +478,7 @@ class TestDeadlineCauseChaining:
         )
         try:
             with pytest.raises(DeadlineExceededError) as excinfo:
-                client.call(
-                    MsgType.PING, deadline=time.monotonic() + 0.02
-                )
+                client.ping(deadline=time.monotonic() + 0.02)
             assert isinstance(excinfo.value.__cause__, ConnectionLostError)
         finally:
             client.close()

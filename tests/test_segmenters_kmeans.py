@@ -147,8 +147,7 @@ class TestEndToEnd:
         queries = data[:40]
         truth, _ = exact_top_k(data, queries, 5)
         hits = 0
-        for row, query in enumerate(queries):
-            results = shard.search(query, 5, ef=48)
-            found = {item for _, item in results}
-            hits += len(found & set(truth[row].tolist()))
+        for row in range(len(queries)):
+            ids, _ = shard.search_batch(queries[row : row + 1], 5, ef=48)
+            hits += len(set(ids[0].tolist()) & set(truth[row].tolist()))
         assert hits / (len(queries) * 5) >= 0.85

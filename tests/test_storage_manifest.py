@@ -66,9 +66,9 @@ class TestSaveLoad:
         shard = load_shard(fs, "idx", 1)
         assert shard.shard_id == 1
         assert len(shard) == len(index.shards[1])
-        results = shard.search(clustered_queries[0], 5)
-        expected = index.shards[1].search(clustered_queries[0], 5)
-        assert [item for _, item in results] == [item for _, item in expected]
+        ids, _ = shard.search_batch(clustered_queries[:1], 5)
+        expected, _ = index.shards[1].search_batch(clustered_queries[:1], 5)
+        np.testing.assert_array_equal(ids, expected)
 
     def test_load_shard_range_checked(self, index, fs):
         save_lanns_index(index, fs, "idx")

@@ -34,6 +34,7 @@ from repro.net.protocol import (
     SUPPORTED_VERSIONS,
     _FIELD_TYPES,
     MsgType,
+    ShardCall,
     decode_frame,
     encode_frame,
     error_frame,
@@ -224,10 +225,12 @@ class TestGoldenBytes:
             ]
 
         client.call = record
-        asyncio.run(client.search_batch("main", self.QUERIES, 1))
+        asyncio.run(client.search(ShardCall("main", self.QUERIES, 1)))
         asyncio.run(
-            client.search_batch(
-                "main", self.QUERIES, 1, ef=16, probes=[(), ()], deadline=0.0
+            client.search(
+                ShardCall(
+                    "main", self.QUERIES, 1, ef=16, probes=[(), ()], deadline=0.0
+                )
             )
         )
         assert sent == [
