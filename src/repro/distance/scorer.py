@@ -177,6 +177,15 @@ class Scorer:
         self._count += n
         return rows
 
+    def adopt_rows(self, vectors: np.ndarray) -> None:
+        """Replace the stored rows by ``vectors`` as they stand: a float32
+        ``(n, dim)`` matrix of rows a scorer of this metric stored before
+        (so already normalised for cosine).  Not copied; capacity equals
+        ``n``, so the next :meth:`add` reallocates."""
+        self._data = vectors
+        self._sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+        self._count = vectors.shape[0]
+
     # -- query preparation --------------------------------------------------------
     def prepare_queries(self, queries: np.ndarray) -> np.ndarray:
         """Canonicalise a ``(B, d)`` query batch in one pass.

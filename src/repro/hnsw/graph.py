@@ -29,6 +29,14 @@ import numpy as np
 from repro.errors import SerializationError
 
 
+def payload_member(payload: dict, name: str, dtype=None) -> np.ndarray:
+    """``payload[name]`` as an array; a payload without it is a
+    :class:`~repro.errors.SerializationError` naming the member."""
+    if name not in payload:
+        raise SerializationError(f"HNSW payload has no member {name!r}")
+    return np.asarray(payload[name], dtype=dtype)
+
+
 class HnswGraph:
     """The multi-layer proximity graph.
 
@@ -88,7 +96,7 @@ class HnswGraph:
 
         Returns the id of the first created node; ids are consecutive.
         A whole construction wave joins the graph before any of it is
-        linked; the loader adds every node at once.
+        linked.
         """
         spans = np.asarray(levels, dtype=np.int64) + 1
         if (spans < 1).any():
@@ -211,71 +219,85 @@ class HnswGraph:
         refused[order[~fits]] = True
         return refused
 
-    # -- one level as CSR (the persisted layout) ----------------------------------
-    def level_csr(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` of one layer over all nodes, ``int64``;
-        nodes below ``level`` span empty ranges."""
-        n = len(self)
-        nodes = np.flatnonzero(np.asarray(self.levels) >= level)
-        slots = self.base[nodes] + level
-        counts = self.degrees[slots]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[nodes + 1] = counts
-        np.cumsum(indptr, out=indptr)
-        linked = np.arange(self.table.shape[1]) < counts[:, np.newaxis]
-        return indptr, self.table[slots][linked].astype(np.int64)
+    # -- the persisted form: the table as it stands -------------------------------
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """A snapshot of the slots in use, npz-friendly: ``table`` and
+        ``degrees`` keep dtype and layout (the persisted adjacency *is* the
+        in-memory one); ``base`` is one cumsum over ``levels``, not stored."""
+        return {
+            "table": self.table[: self._slots].copy(),
+            "degrees": self.degrees[: self._slots].copy(),
+            "levels": np.asarray(self.levels, dtype=np.int32),
+            "entry_point": np.asarray(self.entry_point),
+            "max_level": np.asarray(self.max_level),
+        }
 
-    def load_level_csr(
-        self, level: int, indptr: np.ndarray, indices: np.ndarray
-    ) -> None:
-        """Inverse of :meth:`level_csr` onto existing, unlinked nodes.
-
-        Raises :class:`~repro.errors.SerializationError` when the pair
-        (the payload's ``indptr_<level>`` / ``indices_<level>``) does not
-        describe this graph's nodes at ``level``, a list exceeds the
-        table width or a neighbor id is not a node.
-        """
-        nodes = np.flatnonzero(np.asarray(self.levels) >= level)
-        counts = np.diff(indptr)[nodes] if indptr.size == len(self) + 1 else None
-        if (
-            counts is None
-            or counts.sum() != indices.size
-            or counts.min(initial=0) < 0
-            or counts.max(initial=0) > self.table.shape[1]
+    @classmethod
+    def from_arrays(
+        cls, payload: dict, count: int, max_m: int, max_m0: int
+    ) -> "HnswGraph":
+        """Inverse of :meth:`to_arrays` for ``count`` nodes under the given
+        degree bounds.  The arrays are adopted, not copied or cast (capacity
+        equals the slots in use, so the first ``add_nodes`` reallocates); a
+        member that is missing, mistyped, misshapen or breaks an invariant
+        of :meth:`check_invariants` is a ``SerializationError`` naming it."""
+        levels, table, degrees = (
+            payload_member(payload, name) for name in ("levels", "table", "degrees")
+        )
+        width = max(max_m, max_m0)
+        # One table row per (node, level): known once 'levels' is well-typed.
+        slots = count + int(levels.sum()) if levels.dtype == np.int32 else -1
+        for name, got, shape in (
+            ("levels", levels, (count,)),
+            ("table", table, (slots, width)),
+            ("degrees", degrees, (slots,)),
         ):
-            raise SerializationError(
-                f"indptr_{level} / indices_{level} do not fit a graph of "
-                f"{len(self)} nodes and out-degree <= {self.table.shape[1]}"
-            )
-        if indices.min(initial=0) < 0 or indices.max(initial=0) >= len(self):
-            raise SerializationError(
-                f"indices_{level} holds a neighbor id outside [0, {len(self)})"
-            )
-        slots = self.base[nodes] + level
-        rows = self.table[slots]
-        rows[np.arange(self.table.shape[1]) < counts[:, np.newaxis]] = indices
-        self.table[slots] = rows
-        self.degrees[slots] = counts
+            if got.dtype != np.int32 or got.shape != shape or got.min(initial=0) < 0:
+                raise SerializationError(
+                    f"HNSW payload member {name!r} is {got.dtype.name} {got.shape}, "
+                    f"expected non-negative int32 {shape}: count {count}, "
+                    f"out-degree <= {width}, one row per level in 'levels'"
+                )
+        graph = cls(width)
+        graph.table, graph.degrees, graph._slots = table, degrees, slots
+        graph.levels = levels.tolist()
+        graph.base = np.cumsum(levels + 1, dtype=np.int64) - levels - 1
+        graph.entry_point = int(payload_member(payload, "entry_point"))
+        graph.max_level = int(payload_member(payload, "max_level"))
+        problem = graph._violation(max_m, max_m0)
+        if problem is not None:
+            raise SerializationError(f"HNSW payload member {problem}")
+        return graph
 
-    # -- invariants (used by tests and sanity checks) ------------------------------
+    # -- invariants (the loader's checks and the tests' are one body) ---------------
     def check_invariants(self, max_m: int, max_m0: int) -> None:
         """Raise ``AssertionError`` if structural invariants are violated.
 
-        Checks: slot layout and degree column consistent with the
-        padding, degrees within bounds, neighbors exist at the same
-        level, no self-loops or duplicates, entry point is at
-        ``max_level``.
+        Checks: entry point is at ``max_level``, slot layout and degree
+        column consistent with the padding, degrees within bounds,
+        neighbors exist at the same level, no self-loops or duplicates.
         """
+        problem = self._violation(max_m, max_m0)
+        if problem is not None:
+            raise AssertionError(problem)
+
+    def _violation(self, max_m: int, max_m0: int) -> str | None:
+        """The first invariant this graph breaks -- a message that opens
+        with the attribute (and payload member) at fault -- or ``None``."""
         n = len(self)
         if n == 0:
-            assert self.entry_point == -1
-            return
-        assert 0 <= self.entry_point < n
-        assert self.levels[self.entry_point] == self.max_level
+            return None if self.entry_point == -1 else "'entry_point' of an empty graph"
         levels = np.asarray(self.levels)
+        entry, top = self.entry_point, self.max_level
+        if not (0 <= entry < n and levels[entry] == top == levels.max()):
+            return (
+                f"'entry_point' {entry} / 'max_level' {top} do not name a "
+                f"top-level node ('levels' peaks at {levels.max()})"
+            )
         spans = levels + 1
-        assert self._slots == spans.sum() <= self.capacity
-        assert (self.base[:n] == np.cumsum(spans) - spans).all()
+        laid_out = self._slots == spans.sum() <= self.capacity
+        if not (laid_out and (self.base[:n] == np.cumsum(spans) - spans).all()):
+            return "'table' / 'base' do not lay out one slot per (node, level)"
         owners = np.repeat(np.arange(n), spans)
         slot_levels = np.arange(self._slots) - self.base[owners]
         table, degrees = self.table[: self._slots], self.degrees[: self._slots]
@@ -290,18 +312,20 @@ class HnswGraph:
         over = (degrees < 0) | (degrees > np.minimum(bounds, width))
         if over.any():
             node, level, slot = first(over)
-            raise AssertionError(
-                f"node {node} level {level} degree {degrees[slot]} > "
-                f"{bounds[slot]}"
+            return (
+                f"'degrees': node {node} level {level} degree {degrees[slot]} "
+                f"> {bounds[slot]}"
             )
         linked = np.arange(width) < degrees[:, np.newaxis]
         own = table == owners[:, np.newaxis]
         loops = (linked & own).any(axis=1)
         if loops.any():
-            raise AssertionError(f"self-loop at node {first(loops)[0]}")
-        assert (linked | own).all(), "padding is not the owner node"
+            return f"'table': self-loop at node {first(loops)[0]}"
+        if not (linked | own).all():
+            return "'table': padding is not the owner node"
         ids = table[linked]
-        assert ((ids >= 0) & (ids < n)).all(), "neighbor id out of range"
+        if not ((ids >= 0) & (ids < n)).all():
+            return f"'table': neighbor id outside [0, {n})"
         # Padding sorts as distinct negatives, so only real repeats tie.
         ordered = np.sort(
             np.where(linked, table, -1 - np.arange(width)), axis=1, kind="stable"
@@ -309,16 +333,13 @@ class HnswGraph:
         repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         if repeats.any():
             node, level, _ = first(repeats)
-            raise AssertionError(
-                f"duplicate neighbors at node {node} level {level}"
-            )
+            return f"'table': duplicate neighbors at node {node} level {level}"
         above = (linked & (levels[table] < slot_levels[:, np.newaxis])).any(axis=1)
         if above.any():
             node, level, slot = first(above)
             nbr = table[slot][levels[table[slot]] < level][0]
-            raise AssertionError(
-                f"node {node} links to {nbr} above its top level"
-            )
+            return f"'table': node {node} links to {nbr} above its top level"
+        return None
 
 
 class VisitedTable:

@@ -7,6 +7,7 @@ Malkov & Yashunin on top of the primitives in :mod:`repro.hnsw.search` and
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from repro.distance.scorer import QuantizedStore, Scorer
 from repro.errors import IndexNotBuiltError, SerializationError
-from repro.hnsw.graph import HnswGraph, VisitedPool
+from repro.hnsw.graph import HnswGraph, VisitedPool, payload_member
 from repro.hnsw.heuristic import (
     select_neighbors_heuristic_batch,
     select_neighbors_simple,
@@ -34,7 +35,7 @@ _IDS_DTYPE = np.int64
 
 #: Layout version :meth:`HnswIndex.to_arrays` writes and ``from_arrays``
 #: accepts.
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: Upper bound on queries searched in one lockstep round.  Each lockstep
 #: query needs its own O(num_nodes) visited set, pooled per thread: on
@@ -724,28 +725,19 @@ class HnswIndex:
 
     # -- persistence --------------------------------------------------------------------
     def to_arrays(self) -> dict:
-        """Serialize to a dict of numpy arrays + metadata (npz-friendly).
-
-        Adjacency is stored per level as a CSR-style (indptr, indices)
-        pair over all nodes; nodes below a level contribute empty ranges.
-        """
+        """Serialize to a dict of numpy arrays + metadata (npz-friendly);
+        the adjacency members are :meth:`HnswGraph.to_arrays`'s."""
         n = len(self._graph)
         payload: dict = {
             "format_version": np.asarray(_FORMAT_VERSION),
             "metric": np.asarray(self.metric_name),
             "dim": np.asarray(self.dim),
             "count": np.asarray(n),
-            "entry_point": np.asarray(self._graph.entry_point),
-            "max_level": np.asarray(self._graph.max_level),
-            "levels": np.asarray(self._graph.levels, dtype=np.int32),
+            **self._graph.to_arrays(),
             "external_ids": self.external_ids,
             "vectors": np.array(self._scorer.data),
             "params_json": np.asarray(json.dumps(self.params.to_dict())),
         }
-        for level in range(self._graph.max_level + 1):
-            indptr, indices = self._graph.level_csr(level)
-            payload[f"indptr_{level}"] = indptr
-            payload[f"indices_{level}"] = indices
         if self._quantized is not None:
             if not self._quantized.is_trained and n:
                 self._quantized.refresh()
@@ -754,7 +746,10 @@ class HnswIndex:
 
     @classmethod
     def from_arrays(cls, payload: dict) -> "HnswIndex":
-        """Inverse of :meth:`to_arrays`."""
+        """Inverse of :meth:`to_arrays`; the arrays are adopted, not copied.
+        Every member is checked before any state is built -- a payload
+        that loads also searches -- and a bad one is a
+        ``SerializationError`` naming it."""
         found = payload.get("format_version")
         if found is not None:
             found = np.asarray(found).tolist()
@@ -764,12 +759,7 @@ class HnswIndex:
                 f"{'missing' if found is None else repr(found)}; "
                 f"this build reads {_FORMAT_VERSION}"
             )
-
-        def member(name: str, dtype=None) -> np.ndarray:
-            if name not in payload:
-                raise SerializationError(f"HNSW payload has no member {name!r}")
-            return np.asarray(payload[name], dtype=dtype)
-
+        member = functools.partial(payload_member, payload)
         params = HnswParams.from_dict(json.loads(str(member("params_json"))))
         index = cls(
             dim=int(member("dim")),
@@ -779,13 +769,9 @@ class HnswIndex:
         n = int(member("count"))
         if n == 0:
             return index
-        # Everything is checked here, before any state is built: a payload
-        # that loads also searches.
-        levels = member("levels", np.int64)
         vectors = member("vectors", np.float32)
-        external = member("external_ids", np.int64)
+        external = member("external_ids", _IDS_DTYPE)
         for name, array, shape in (
-            ("levels", levels, (n,)),
             ("vectors", vectors, (n, index.dim)),
             ("external_ids", external, (n,)),
         ):
@@ -794,56 +780,57 @@ class HnswIndex:
                     f"HNSW payload member {name!r} has shape {array.shape}, "
                     f"expected {shape} for count {n}"
                 )
-        entry, top = int(member("entry_point")), int(member("max_level"))
-        if not (0 <= entry < n and levels[entry] == top == levels.max()):
+        external_ids = external.tolist()
+        id_to_row = {ext: row for row, ext in enumerate(external_ids)}
+        # The invariants add() enforces: -1 is the batch padding sentinel,
+        # and two rows under one id would collapse in _id_to_row.
+        if external.min() < 0 or len(id_to_row) != n:
             raise SerializationError(
-                f"HNSW payload entry_point {entry} / max_level {top} do not "
-                f"name a top-level node ('levels' peaks at {levels.max()})"
+                "HNSW payload member 'external_ids' holds a negative or a "
+                "repeated id"
             )
-        adjacency = [
-            (member(f"indptr_{level}", np.int64), member(f"indices_{level}", np.int64))
-            for level in range(top + 1)
-        ]
-        graph = index._graph
-        # Rebuild storage directly (vectors are already normalised for
-        # cosine, so bypass Scorer.add's re-normalisation).
-        index._scorer._grow(n)
-        index._scorer._data[:n] = vectors
-        index._scorer._sq_norms[:n] = np.einsum("ij,ij->i", vectors, vectors)
-        index._scorer._count = n
-        graph.add_nodes(levels)
-        graph.entry_point, graph.max_level = entry, top
-        for level, (indptr, indices) in enumerate(adjacency):
-            graph.load_level_csr(level, indptr, indices)
-        if (external < 0).any():
-            # Same invariant add() enforces: -1 is the batch padding
-            # sentinel, so a loaded index must not carry negative ids.
-            raise ValueError(
-                "persisted index contains negative external ids"
-            )
-        index._external_ids = external.tolist()
-        index._id_to_row = {ext: row for row, ext in enumerate(index._external_ids)}
-        index._next_id = int(external.max()) + 1
-        if index._quantized is not None and "codec_kind" in payload:
+        graph = HnswGraph.from_arrays(
+            payload, n, params.effective_max_m, params.effective_max_m0
+        )
+        quantized = index._quantized
+        if quantized is not None and "codec_kind" in payload:
             # Codes are restored, not retrained: the persisted codec is
             # the one the offline build fitted on this segment.
-            index._quantized = QuantizedStore.from_arrays(
+            quantized = QuantizedStore.from_arrays(
                 index._scorer,
                 payload,
                 pq_subspaces=params.pq_subspaces,
                 seed=params.seed,
             )
+            if quantized.codes is not None and quantized.count != n:
+                raise SerializationError(
+                    f"HNSW payload member 'codec_codes' has {quantized.count} "
+                    f"rows, expected {n}"
+                )
+        index._scorer.adopt_rows(vectors)
+        index._graph, index._quantized = graph, quantized
+        index._external_ids, index._id_to_row = external_ids, id_to_row
+        index._next_id = int(external.max()) + 1
         return index
 
-    def save(self, path: str) -> None:
-        """Save to an ``.npz`` file."""
-        np.savez_compressed(path, **self.to_arrays())
+    def save(self, file) -> None:
+        """Write :meth:`to_arrays` as one compressed ``.npz`` -- the one
+        container codec -- to a path or a binary file object."""
+        np.savez_compressed(file, **self.to_arrays())
 
     @classmethod
-    def load(cls, path: str) -> "HnswIndex":
-        """Load from an ``.npz`` file written by :meth:`save`."""
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {key: archive[key] for key in archive.files}
+    def load(cls, file) -> "HnswIndex":
+        """Read what :meth:`save` wrote; anything else -- empty, torn,
+        bit-flipped, missing -- is a ``SerializationError`` naming ``file``."""
+        try:
+            with np.load(file, allow_pickle=False) as archive:
+                payload = {key: archive[key] for key in archive.files}
+        except Exception as error:
+            # Only numpy's reader ran; it fails seven ways (BadZipFile,
+            # zlib.error, EOFError, ...) by where the damage is.
+            raise SerializationError(
+                f"HNSW index {file!r} is not a readable npz archive ({error!r})"
+            ) from error
         return cls.from_arrays(payload)
 
 

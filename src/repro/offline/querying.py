@@ -20,6 +20,7 @@ finishes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,7 @@ from repro.core.merge import (
 from repro.sparklite.cluster import LocalCluster
 from repro.sparklite.metrics import StageMetrics
 from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import (
-    hnsw_from_bytes,
-    load_manifest,
-    load_segmenter,
-    segment_file,
-)
+from repro.storage.manifest import load_manifest, load_segmenter, read_segment
 from repro.utils.validation import as_matrix
 
 
@@ -70,29 +66,6 @@ class QueryJobResult:
         return sum(
             metrics.makespan(num_executors) for metrics in self.stages
         )
-
-
-class _SegmentCache:
-    """Executor-local cache of deserialized segment indices.
-
-    "The respective HNSW Indices and query partitions are loaded inside
-    the executor"; loading once per (shard, segment) mirrors an executor
-    keeping its assigned index in memory across its task queue.
-    """
-
-    def __init__(self, fs: LocalHdfs, index_path: str) -> None:
-        self._fs = fs
-        self._index_path = index_path
-        self._cache: dict[tuple[int, int], object] = {}
-
-    def get(self, shard: int, segment: int):
-        key = (shard, segment)
-        if key not in self._cache:
-            raw = self._fs.read_bytes(
-                f"{self._index_path}/{segment_file(shard, segment)}"
-            )
-            self._cache[key] = hnsw_from_bytes(raw)
-        return self._cache[key]
 
 
 def query_index_job(
@@ -141,7 +114,14 @@ def query_index_job(
 
     # Driver-side routing: which segments does each query probe?
     routes = segmenter.route_query_batch(queries)
-    cache = _SegmentCache(fs, index_path)
+
+    # "The respective HNSW Indices and query partitions are loaded inside
+    # the executor": each (shard, segment) is read -- checksum-verified,
+    # like a searcher node's -- once and kept across the task queue.
+    @functools.cache
+    def load_segment(shard: int, segment: int):
+        return read_segment(fs, index_path, manifest, shard, segment)
+
     stages: list[StageMetrics] = []
 
     # -- stage 1: partial search ------------------------------------------------
@@ -161,7 +141,7 @@ def query_index_job(
         part_index, shard, segment, rows = context
 
         def task():
-            index = cache.get(shard, segment)
+            index = load_segment(shard, segment)
             if len(index) == 0:
                 return (part_index, shard, rows, None, None)
             k = min(budget, len(index))

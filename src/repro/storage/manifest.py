@@ -6,6 +6,15 @@ Layout under an index root path on the filesystem::
     <root>/segmenter.json                -- the shared pre-learnt segmenter
     <root>/shard=<s>/segment=<g>.npz     -- one serialized HNSW per partition
 
+A segment file is :meth:`HnswIndex.save`'s compressed ``.npz`` of HNSW
+payload format 2, a fixed member set whatever the graph's height: the
+adjacency as a searcher holds it in memory (``table`` ``(slots, width)``
+and ``degrees`` ``(slots,)`` int32, rows padded with their own node;
+``levels`` ``(n,)`` int32; ``entry_point``; ``max_level``), ``vectors``
+``(n, dim)`` float32, ``external_ids`` ``(n,)`` int64, ``params_json``,
+``metric``, ``dim``, ``count``, ``format_version`` and, when quantized,
+the ``codec_*`` members.
+
 "The serialized index consists of the graph index, the actual embeddings
 (vectors) and additional metadata (like the segmenter, distance function
 used during index build, etc) ... This ensures that the platform doesn't
@@ -25,8 +34,6 @@ import io
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.config import LannsConfig
 from repro.core.index import LannsIndex, ShardIndex
 from repro.errors import MetadataMismatchError, SerializationError
@@ -39,18 +46,15 @@ _FORMAT_VERSION = 1
 
 
 def hnsw_to_bytes(index: HnswIndex) -> bytes:
-    """Serialize an HNSW index to compressed npz bytes."""
+    """Serialize an HNSW index to the bytes of one segment file."""
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **index.to_arrays())
+    index.save(buffer)
     return buffer.getvalue()
 
 
 def hnsw_from_bytes(data: bytes) -> HnswIndex:
-    """Inverse of :func:`hnsw_to_bytes`."""
-    buffer = io.BytesIO(data)
-    with np.load(buffer, allow_pickle=False) as archive:
-        payload = {key: archive[key] for key in archive.files}
-    return HnswIndex.from_arrays(payload)
+    """Inverse of :func:`hnsw_to_bytes`; other bytes: ``SerializationError``."""
+    return HnswIndex.load(io.BytesIO(data))
 
 
 def _checksum(data: bytes) -> str:
@@ -211,6 +215,17 @@ def load_segmenter(
     return segmenter_from_dict(json.loads(raw.decode("utf-8")))
 
 
+def read_segment(
+    fs: LocalHdfs, path: str, manifest: IndexManifest, shard: int, segment: int
+) -> HnswIndex:
+    """Read, checksum-verify and parse one partition's index: the one way
+    a segment file becomes an index, online and offline."""
+    relative = segment_file(shard, segment)
+    raw = fs.read_bytes(f"{path}/{relative}")
+    _verify(manifest, relative, raw)
+    return hnsw_from_bytes(raw)
+
+
 def load_shard(
     fs: LocalHdfs,
     path: str,
@@ -227,12 +242,10 @@ def load_shard(
             f"shard_id {shard_id} out of range for {config.num_shards} shards"
         )
     segmenter = segmenter or load_segmenter(fs, path, manifest)
-    segments = []
-    for segment_id in range(config.num_segments):
-        relative = segment_file(shard_id, segment_id)
-        raw = fs.read_bytes(f"{path}/{relative}")
-        _verify(manifest, relative, raw)
-        segments.append(hnsw_from_bytes(raw))
+    segments = [
+        read_segment(fs, path, manifest, shard_id, segment_id)
+        for segment_id in range(config.num_segments)
+    ]
     return ShardIndex(shard_id, segments, segmenter)
 
 

@@ -643,16 +643,40 @@ def test_retired_scalar_paths_stay_deleted():
         "_insert_row", "_link_back", "search_layer", "greedy_descent",
         "descend_to_level", "score_ids", "merge_top_k", "TopKHeap",
         "padded", "PaddedAdjacency", "set_level_csr", "beams_as_arrays",
-        "fill_info_out", "observed_search_batch",
+        "fill_info_out", "observed_search_batch", "level_csr",
+        "load_level_csr",
     }
-    defined = set()
+    defined, csr_members = set(), set()
     for path in (default_repo_root() / "src").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 defined.add(node.name)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.startswith(("indptr_", "indices_"))
+            ):
+                # Format 1's per-level member family (f-string heads too).
+                csr_members.add(f"{path.name}:{node.lineno}")
     assert defined & retired == set()
+    assert csr_members == set()
+
+
+def test_the_index_reaches_its_scorer_through_public_names():
+    """``from_arrays`` used to write four private fields of ``Scorer``;
+    loading goes through ``Scorer.adopt_rows`` and nothing in
+    ``hnsw/index.py`` reads or writes a ``_``-prefixed scorer attribute."""
+    path = default_repo_root() / "src" / "repro" / "hnsw" / "index.py"
+    private = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and "scorer" in ast.unparse(node.value).rsplit(".", 1)[-1]
+    ]
+    assert private == []
 
 
 def test_every_config_field_is_read():

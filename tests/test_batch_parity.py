@@ -20,6 +20,7 @@ from repro.core.config import LannsConfig
 from repro.core.topk import batch_top_k
 from repro.distance import scorer as scorer_module
 from repro.distance.scorer import QuantizedStore, Scorer
+from repro.errors import SerializationError
 from repro.hnsw.index import build_hnsw
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
@@ -294,7 +295,7 @@ class TestHnswBatchParity:
         index = build_hnsw(clustered_data[:20], params=FAST_HNSW)
         payload = index.to_arrays()
         payload["external_ids"] = payload["external_ids"] - 5
-        with pytest.raises(ValueError, match="negative external ids"):
+        with pytest.raises(SerializationError, match="'external_ids'"):
             HnswIndex.from_arrays(payload)
 
 

@@ -9,9 +9,17 @@ the former frozen array copy and the CSR list loader are replaced:
   exists) -> ``TestAdjacencyTable.test_writes_land_in_the_one_table``
 - ``TestHnswGraph.test_set_neighbors_copies`` -> kept, plus
   ``test_neighbors_returns_a_copy`` (the list handed out is not storage)
-- ``test_hnsw_build_batch.py::TestBulkGraphOps.test_set_level_csr``
-  -> ``TestAdjacencyTable.test_level_csr_round_trip`` and
-  ``test_malformed_csr_is_a_serialization_error``
+
+Format 2 persists that table as it stands, so the per-level CSR cases
+went with the converters:
+
+- ``TestAdjacencyTable.test_level_csr_round_trip`` ->
+  ``TestAdjacencyTable.test_table_round_trip``
+- ``TestAdjacencyTable.test_malformed_csr_is_a_serialization_error``
+  (too few nodes, a row for a level the node lacks, wider than the
+  table, stray indices) -> ``test_malformed_arrays_are_a_serialization_error``
+  here, and member by member through a whole payload in
+  ``test_hnsw_serialize.py::test_a_payload_that_cannot_search_does_not_load``
 """
 
 import numpy as np
@@ -157,6 +165,7 @@ class TestAdjacencyTable:
         graph.set_neighbors(0, 0, [2, 1])
         graph.set_neighbors(0, 1, [2])
         graph.set_neighbors(2, 0, [0])
+        graph.entry_point, graph.max_level = 2, 2
         return graph
 
     def test_rows_are_node_major_and_padded_with_the_owner(self):
@@ -235,35 +244,55 @@ class TestAdjacencyTable:
         assert many.table[: many._slots].tolist() == one.table[: one._slots].tolist()
         assert many.degrees[: many._slots].tolist() == one.degrees[: one._slots].tolist()
 
-    def test_level_csr_round_trip(self):
+    def test_table_round_trip(self):
         graph = self.small_graph()
-        indptr, indices = graph.level_csr(0)
-        assert indptr.dtype == indices.dtype == np.int64
-        assert indptr.tolist() == [0, 2, 2, 3]
-        assert indices.tolist() == [2, 1, 0]
-        indptr, indices = graph.level_csr(1)
-        assert (indptr.tolist(), indices.tolist()) == ([0, 1, 1, 1], [2])
-        restored = HnswGraph(2)
-        restored.add_nodes(graph.levels)
-        for level in range(3):
-            restored.load_level_csr(level, *graph.level_csr(level))
-        assert restored.table[:6].tolist() == graph.table[:6].tolist()
-        assert restored.degrees[:6].tolist() == graph.degrees[:6].tolist()
+        arrays = graph.to_arrays()
+        assert sorted(arrays) == [
+            "degrees", "entry_point", "levels", "max_level", "table",
+        ]
+        assert arrays["table"].dtype == arrays["degrees"].dtype == np.int32
+        assert arrays["table"].tolist() == graph.table[:6].tolist()
+        assert arrays["degrees"].tolist() == graph.degrees[:6].tolist()
+        assert arrays["levels"].tolist() == graph.levels
+        assert not np.shares_memory(arrays["table"], graph.table)  # a snapshot
+        restored = HnswGraph.from_arrays(arrays, 3, max_m=2, max_m0=2)
+        assert restored.table is arrays["table"]  # adopted
+        assert restored.base.tolist() == graph.base[:3].tolist()
+        assert (restored.entry_point, restored.max_level, restored.levels) == (
+            graph.entry_point, graph.max_level, graph.levels,
+        )
+        restored.check_invariants(max_m=2, max_m0=2)
+        assert restored.capacity == 6
+        assert restored.add_node(0) == 3  # exactly full: this reallocates
+        assert restored.capacity == 12 and len(arrays["table"]) == 6
 
     @pytest.mark.parametrize(
-        "indptr, indices",
+        "member, value, named",
         [
-            ([0, 1, 1], [2]),  # too few nodes
-            ([0, 1, 2, 2], [2, 0]),  # node 1 has no level 1
-            ([0, 3, 3, 3], [2, 1, 0]),  # wider than the table
-            ([0, 1, 1, 1], [2, 0]),  # stray indices
+            ("levels", [1, 0], "'levels'"),  # too few nodes
+            ("levels", [1, 1, 2], "'table'"),  # a row the table lacks
+            ("table", np.zeros((6, 3), np.int32), "'table'"),  # wider than the bounds
+            ("degrees", [2, 1, 0, 1, 0, 0, 0], "'degrees'"),  # stray entries
+            ("degrees", [1, 1, 0, 1, 0, 0], "'table': padding"),
+            ("degrees", [2, 1, 0, 1, 3, 0], "'degrees': node 2 level 1"),
         ],
     )
-    def test_malformed_csr_is_a_serialization_error(self, indptr, indices):
-        graph = HnswGraph(2)
-        graph.add_nodes([1, 0, 2])
-        with pytest.raises(SerializationError):
-            graph.load_level_csr(1, np.array(indptr), np.array(indices))
+    def test_malformed_arrays_are_a_serialization_error(self, member, value, named):
+        arrays = self.small_graph().to_arrays()
+        arrays[member] = np.asarray(value, dtype=np.int32)
+        with pytest.raises(SerializationError, match=named):
+            HnswGraph.from_arrays(arrays, 3, max_m=2, max_m0=2)
+
+    def test_the_loader_and_check_invariants_are_one_rule_set(self):
+        """Whatever ``check_invariants`` refuses in memory, the loader
+        refuses on the way in, in the same words."""
+        graph = self.small_graph()
+        graph.table[0, 0] = 0  # node 0 links to itself
+        with pytest.raises(AssertionError, match="self-loop at node 0") as live:
+            graph.check_invariants(max_m=2, max_m0=2)
+        with pytest.raises(SerializationError) as loaded:
+            HnswGraph.from_arrays(graph.to_arrays(), 3, max_m=2, max_m0=2)
+        assert str(live.value) in str(loaded.value)
 
 
 class TestVisitedTable:

@@ -5,14 +5,17 @@ import pytest
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
+from repro.errors import MetadataMismatchError
 from repro.offline.indexing import build_index_job
 from repro.offline.learn import learn_segmenter_job, load_learnt_segmenter
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
 from repro.sparklite.cluster import LocalCluster
 from repro.storage.manifest import (
+    hnsw_from_bytes,
     load_lanns_index,
     load_manifest,
+    load_segmenter,
     save_lanns_index,
 )
 from tests.conftest import FAST_HNSW
@@ -239,6 +242,26 @@ class TestQueryJob:
         assert recall_at_k(result.ids, clustered_truth, 10) >= 0.85
         # Temp checkpoint paths were cleaned.
         assert fs.ls_recursive("_tmp") == []
+
+    def test_a_tampered_segment_is_refused_like_online(
+        self, cluster, fs, persisted, clustered_queries
+    ):
+        """The job reads segments through the same read + verify + parse
+        as ``load_shard``: one flipped byte (here in zip metadata nothing
+        parses, so the file still loads) fails the manifest checksum."""
+        segment = load_segmenter(fs, persisted).route_query_batch(
+            clustered_queries[:1]
+        )[0][0]
+        relative = f"shard=1/segment={segment}.npz"
+        raw = bytearray(fs.read_bytes(f"{persisted}/{relative}"))
+        raw[10] ^= 0x01  # the local header's modification time
+        fs.write_bytes(f"{persisted}/{relative}", bytes(raw))
+        assert len(hnsw_from_bytes(bytes(raw)))  # parses: only the checksum tells
+        with pytest.raises(MetadataMismatchError, match=f"checksum.*{relative}"):
+            query_index_job(
+                cluster, fs, persisted, clustered_queries, top_k=5,
+                checkpoint=False,
+            )
 
     def test_invalid_topk(self, cluster, fs, persisted, clustered_queries):
         with pytest.raises(ValueError):
