@@ -14,11 +14,11 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.data.datasets import load_dataset
-from repro.eval.harness import swap_segmenter
 from repro.offline.recall import recall_at_k
 from repro.segmenters.learner import learn_segmenter
 
-from benchmarks.conftest import BENCH_EF, BENCH_HNSW, write_table
+from benchmarks.conftest import BENCH_EF, BENCH_HNSW
+from benchmarks.harness import report, swap_segmenter
 
 ALPHAS = [0.0, 0.05, 0.10, 0.15, 0.25]
 TOP_K = 10
@@ -44,7 +44,7 @@ def alpha_setup():
     return dataset, config, index
 
 
-def test_ablation_alpha_sweep(benchmark, alpha_setup, results_dir):
+def test_ablation_alpha_sweep(benchmark, alpha_setup):
     dataset, config, index = alpha_setup
 
     def run():
@@ -84,7 +84,7 @@ def test_ablation_alpha_sweep(benchmark, alpha_setup, results_dir):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_table(
+    report(
         "ablation_alpha",
         rows,
         title=(

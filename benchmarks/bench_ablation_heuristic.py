@@ -16,7 +16,8 @@ from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.offline.recall import recall_at_k
 
-from benchmarks.conftest import BENCH_HNSW, write_table
+from benchmarks.conftest import BENCH_HNSW
+from benchmarks.harness import report
 
 TOP_K = 10
 EFS = [12, 24, 48, 96]
@@ -39,7 +40,7 @@ def heuristic_setup():
     return base, queries, truth, with_heuristic, without_heuristic
 
 
-def test_ablation_neighbor_heuristic(benchmark, heuristic_setup, results_dir):
+def test_ablation_neighbor_heuristic(benchmark, heuristic_setup):
     base, queries, truth, with_h, without_h = heuristic_setup
 
     def run():
@@ -64,7 +65,7 @@ def test_ablation_neighbor_heuristic(benchmark, heuristic_setup, results_dir):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_table(
+    report(
         "ablation_neighbor_heuristic",
         rows,
         title=(

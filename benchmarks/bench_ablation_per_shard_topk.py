@@ -22,7 +22,8 @@ from repro.core.topk import per_shard_top_k
 from repro.data.datasets import load_dataset
 from repro.offline.recall import recall_at_k
 
-from benchmarks.conftest import BENCH_EF, BENCH_HNSW, write_table
+from benchmarks.conftest import BENCH_EF, BENCH_HNSW
+from benchmarks.harness import report
 
 TOP_K = 100
 NUM_SHARDS = 8
@@ -52,7 +53,7 @@ def query_with_budget(index, queries, top_k, budget):
     return ids, fetched / len(queries)
 
 
-def test_ablation_per_shard_topk(benchmark, sharded_people, results_dir):
+def test_ablation_per_shard_topk(benchmark, sharded_people):
     dataset, index = sharded_people
 
     def run():
@@ -83,7 +84,7 @@ def test_ablation_per_shard_topk(benchmark, sharded_people, results_dir):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_table(
+    report(
         "ablation_per_shard_topk",
         rows,
         title=(

@@ -34,7 +34,8 @@ from repro.baselines.pq import PqIndex
 from repro.eval.timing import measure_qps
 from repro.offline.recall import recall_at_k
 
-from benchmarks.conftest import BENCH_HNSW, write_table
+from benchmarks.conftest import BENCH_HNSW
+from benchmarks.harness import report
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,7 @@ def assert_hnsw_dominates(rows, competitors, slack=2.0):
         )
 
 
-def test_figure1_frontier(benchmark, frontier_data, results_dir):
+def test_figure1_frontier(benchmark, frontier_data):
     base, queries, truth = frontier_data
 
     def run():
@@ -178,7 +179,7 @@ def test_figure1_frontier(benchmark, frontier_data, results_dir):
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
     for k, rows in series.items():
-        write_table(
+        report(
             f"figure1_recall_qps_k{k}",
             rows,
             title=(

@@ -18,14 +18,14 @@ from repro.segmenters.theory import (
 )
 from repro.offline.brute_force import exact_top_k
 
-from benchmarks.conftest import write_table
+from benchmarks.harness import report
 
 ALPHAS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
 MAX_LEVEL = 10
 N = 10_000  # the paper's n
 
 
-def test_figure4_curves(benchmark, results_dir):
+def test_figure4_curves(benchmark):
     def run():
         curves = {
             alpha: figure4_failure_probability(N, alpha, MAX_LEVEL)
@@ -40,7 +40,7 @@ def test_figure4_curves(benchmark, results_dir):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_table(
+    report(
         "figure4_failure_probability",
         rows,
         title=(
@@ -67,7 +67,7 @@ def test_figure4_curves(benchmark, results_dir):
     assert rows[2][f"alpha={0.15}"] < 0.01
 
 
-def test_figure4_empirical_vs_bound(benchmark, results_dir):
+def test_figure4_empirical_vs_bound(benchmark):
     """Measured RH miss rate stays under the Theorem 1 bound (averaged)."""
 
     def run():
@@ -107,7 +107,7 @@ def test_figure4_empirical_vs_bound(benchmark, results_dir):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_table(
+    report(
         "figure4_empirical_validation",
         rows,
         title=(

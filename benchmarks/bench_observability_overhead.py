@@ -2,238 +2,121 @@
 
 PR 8 wired a metrics registry, per-query search-cost accounting and
 sampled request tracing through the serving path.  This benchmark pins
-the deal those features were sold under:
+the deal those features were sold under, as QPS ratios against the
+pre-PR baseline path (``collect_cost=False``, tracing off):
 
 1. **Accounting-on is the default** -- a broker with ``collect_cost=True``
-   (today's default) must serve at >= 0.97x the QPS of the pre-PR
-   baseline path (``collect_cost=False``, tracing off), with
-   bit-identical ids and distances.
-2. **Tracing off is free, sampled tracing is cheap** -- a broker with
-   1%-sampled tracing must hold >= 0.90x baseline QPS, still
-   bit-identical.
+   (today's default) serves at >= 0.97x baseline;
+2. **Sampled tracing is cheap** -- with 1 %-sampled tracing on top,
+   >= 0.90x baseline.
 
-Configurations are interleaved and the best of ``--trials`` runs per
-configuration is compared (best-of-N cancels one-sided noise: a
-transient stall can only make a config look *slower*, so taking each
-config's best run compares their true floors).  The assertions run
-in-process (local transports) so the ratios measure the accounting
-itself, not socket noise.
+The three configurations serve the same query stream in process (local
+transports, so the ratios measure the accounting, not socket noise)
+through the harness's interleaved timing.  That the answers are
+bit-identical with accounting on and off, and what the cost dict holds,
+is ``tests/test_obs.py::test_cost_accounting_without_changing_results``.
 
-Run standalone::
-
-    PYTHONPATH=src python benchmarks/bench_observability_overhead.py
-    PYTHONPATH=src python benchmarks/bench_observability_overhead.py --smoke
+    PYTHONPATH=src python benchmarks/bench_observability_overhead.py [--smoke]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import shutil
 import sys
-import tempfile
-import time
-from pathlib import Path
+from functools import partial
 
-import numpy as np
-
+from harness import (
+    INDEX_PATH,
+    Gate,
+    corpus,
+    exported,
+    interleaved,
+    main,
+    report,
+    speedup,
+    summary,
+)
 from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
-from repro.data.synthetic import clustered_gaussians, make_queries
-from repro.eval.tables import format_table
-from repro.eval.timing import measure_qps
-from repro.hnsw.params import HnswParams
-from repro.obs.cost import FIELDS
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
-from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import save_lanns_index
 
-RESULTS_DIR = Path(__file__).parent / "results"
-INDEX_PATH = "bench/obs"
+FULL = dict(
+    num_base=20_000, num_queries=400, dim=32, shards=2, segments=4,
+    top_k=10, ef=64, passes=5,
+)
+SIZES = {
+    "full": FULL,
+    "smoke": FULL | dict(num_base=4000, num_queries=150, passes=3),
+}
+#: QPS of the configuration over QPS of the baseline path.  At smoke
+#: size a query is ~3.4 ms and the accounting's fixed ~80 us per query is
+#: over 2 % of it: 69 smoke runs read default / baseline 0.966x-0.997x
+#: (median 0.981x, sigma 0.006) and three of them were under 0.97x.  The
+#: smoke floor is that median minus five sigma; the full-size floor
+#: (queries ~2x longer) is the promise as sold.
+GATES = {
+    "default_vs_baseline": Gate(full=0.97, smoke=0.95),
+    "sampled_vs_baseline": Gate(full=0.90, smoke=0.90),
+}
+CONFIGS = {
+    "baseline": dict(collect_cost=False),
+    "default": dict(collect_cost=True),
+    "sampled": dict(collect_cost=True, trace_sample_rate=0.01, trace_seed=0),
+}
 
-#: In-run floors: QPS ratio vs the pre-PR baseline path.
-MIN_RATIO_DEFAULT = 0.97  # cost accounting on, tracing off (the default)
-MIN_RATIO_SAMPLED = 0.90  # cost accounting on, 1%-sampled tracing
 
-
-def build_services(fs: LocalHdfs, args: argparse.Namespace) -> dict:
-    """One OnlineService per configuration, all over the same export."""
-    configs = {
-        "baseline": dict(collect_cost=False),
-        "default": dict(collect_cost=True),
-        "sampled": dict(
-            collect_cost=True, trace_sample_rate=0.01, trace_seed=args.seed
-        ),
-    }
+def check_overhead(run, _env) -> None:
+    vectors, queries, config = corpus(run)
+    index = build_lanns_index(vectors, config=config)
     services = {}
-    for name, kwargs in configs.items():
-        service = OnlineService(**kwargs)
-        service.deploy(fs, INDEX_PATH, index_name=name)
-        services[name] = service
-    return services
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--num-base", type=int, default=20_000)
-    parser.add_argument("--num-queries", type=int, default=400)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--segments", type=int, default=4)
-    parser.add_argument("--top-k", type=int, default=10)
-    parser.add_argument("--ef", type=int, default=64)
-    parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny sizes for CI; every assertion still runs",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.num_base = 4000
-        args.num_queries = 150
-        args.trials = 3
-
-    base = clustered_gaussians(args.num_base, args.dim, seed=args.seed)
-    queries = make_queries(base, args.num_queries, seed=args.seed + 1)
-    config = LannsConfig(
-        num_shards=args.shards,
-        num_segments=args.segments,
-        segmenter="rh",
-        hnsw=HnswParams(
-            M=12, ef_construction=56, ef_search=args.ef, seed=args.seed
-        ),
-        segmenter_sample_size=min(2000, args.num_base),
-        seed=args.seed,
-    )
-    print(
-        f"corpus: {args.num_base} x {args.dim}, {args.num_queries} queries, "
-        f"{args.shards} shards"
-    )
-    tick = time.perf_counter()
-    index = build_lanns_index(base, config=config)
-    print(f"build: {time.perf_counter() - tick:.1f}s")
-
-    tmp = Path(tempfile.mkdtemp(prefix="bench-obs-"))
-    fs = LocalHdfs(tmp)
-    save_lanns_index(index, fs, INDEX_PATH)
-    services = build_services(fs, args)
-    try:
-        def query_fn(name: str):
-            service = services[name]
-            return lambda q: service.execute(
-                SearchRequest(
-                    queries=q, top_k=args.top_k, index_name=name, ef=args.ef
-                )
+    with exported(index) as fs:
+        try:
+            for name, options in CONFIGS.items():
+                services[name] = OnlineService(**options)
+                services[name].deploy(fs, INDEX_PATH, index_name=name)
+            scores = interleaved(
+                {
+                    name: [
+                        partial(
+                            service.execute,
+                            SearchRequest(
+                                queries=query, top_k=run.top_k,
+                                index_name=name, ef=run.ef,
+                            ),
+                        )
+                        for query in queries
+                    ]
+                    for name, service in services.items()
+                },
+                run.passes,
             )
-
-        # Parity first: accounting and sampling must not change results.
-        responses = {
-            name: services[name].execute(
-                SearchRequest(
-                    queries=queries,
-                    top_k=args.top_k,
-                    index_name=name,
-                    ef=args.ef,
-                )
-            )
-            for name in services
-        }
-        for name in ("default", "sampled"):
-            np.testing.assert_array_equal(
-                responses[name].ids,
-                responses["baseline"].ids,
-                err_msg=f"{name}: ids drifted from the baseline path",
-            )
-            np.testing.assert_array_equal(
-                responses[name].dists,
-                responses["baseline"].dists,
-                err_msg=f"{name}: distances drifted from the baseline path",
-            )
-        assert responses["baseline"].cost is None, (
-            "collect_cost=False must not attach a cost"
-        )
-        cost = responses["default"].cost
-        assert cost is not None and set(cost) == set(FIELDS), (
-            f"default path must attach the full cost dict, got {cost!r}"
-        )
-        assert cost["distance_comps"] > 0 and cost["hops"] > 0, (
-            f"cost counters cannot be zero after a real search: {cost}"
-        )
-        print(f"parity: ok  cost sample: {cost}")
-
-        # Interleaved best-of-N throughput.
-        best: dict[str, dict] = {}
-        for trial in range(args.trials):
-            for name in services:
-                stats = measure_qps(query_fn(name), queries)
-                if (
-                    name not in best
-                    or stats["qps"] > best[name]["qps"]
-                ):
-                    best[name] = stats
-            print(
-                f"trial {trial + 1}/{args.trials}: "
-                + "  ".join(
-                    f"{name} {best[name]['qps']:.0f} qps"
-                    for name in services
-                )
-            )
-
-        baseline_qps = best["baseline"]["qps"]
-        ratios = {
-            name: best[name]["qps"] / baseline_qps for name in services
-        }
-        rows = [
+        finally:
+            for service in services.values():
+                service.close()
+    ratios = {name: speedup(scores, name, over="baseline") for name in CONFIGS}
+    rows = []
+    for name in CONFIGS:
+        stats = summary(scores[name])
+        rows.append(
             {
                 "config": name,
-                "qps": round(best[name]["qps"], 1),
-                "p50_ms": round(best[name]["p50_ms"], 3),
-                "p99_ms": round(best[name]["p99_ms"], 3),
+                "qps": round(stats["qps"], 1),
+                "p50_ms": round(stats["p50_ms"], 3),
+                "p99_ms": round(stats["p99_ms"], 3),
                 "vs_baseline": round(ratios[name], 4),
             }
-            for name in services
-        ]
-        print(format_table(rows, title="Observability overhead"))
-
-        assert ratios["default"] >= MIN_RATIO_DEFAULT, (
-            f"cost accounting costs too much: {ratios['default']:.3f}x "
-            f"baseline (floor {MIN_RATIO_DEFAULT}x)"
         )
-        assert ratios["sampled"] >= MIN_RATIO_SAMPLED, (
-            f"1%-sampled tracing costs too much: {ratios['sampled']:.3f}x "
-            f"baseline (floor {MIN_RATIO_SAMPLED}x)"
-        )
-        print(
-            f"floors held: default {ratios['default']:.3f}x >= "
-            f"{MIN_RATIO_DEFAULT}x, sampled {ratios['sampled']:.3f}x >= "
-            f"{MIN_RATIO_SAMPLED}x"
-        )
-
-        RESULTS_DIR.mkdir(exist_ok=True)
-        out = RESULTS_DIR / "observability_overhead.json"
-        out.write_text(
-            json.dumps(
-                {
-                    "smoke": args.smoke,
-                    "num_base": args.num_base,
-                    "num_queries": args.num_queries,
-                    "trials": args.trials,
-                    "rows": rows,
-                    "cost_sample": cost,
-                },
-                indent=2,
-            )
-        )
-        print(f"wrote {out}")
-    finally:
-        for service in services.values():
-            service.close()
-        shutil.rmtree(tmp, ignore_errors=True)
-    return 0
+    report(
+        "observability_overhead",
+        rows,
+        title=(
+            f"Observability overhead ({run.num_base} x {run.dim}, "
+            f"{run.num_queries} queries, {run.passes} interleaved passes)"
+        ),
+        payload={"smoke": run.smoke, "passes": run.passes},
+    )
+    run.gate("default_vs_baseline", ratios["default"])
+    run.gate("sampled_vs_baseline", ratios["sampled"])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main([check_overhead], SIZES, GATES))

@@ -1,392 +1,180 @@
-"""Quantized beam search vs the float32 path: recall, QPS, storage, parity.
+"""Quantized beam search vs the float32 path: recall, QPS, rescore parity.
 
 The compressed-domain scoring tier exists for one reason: per-shard
 serving capacity is memory-bandwidth-bound, and an int8 beam round
 gathers 4x fewer bytes per candidate than the float32 GEMM path.  On
 top of that, the exact float32 rescore of the beam survivors means the
 returned top-k ordering does not lean on the approximate scores -- so
-the int8 path can serve a leaner beam (``--int8-ef``, default 80 vs
-the float path's ``--ef`` 96) without giving up the recall floor.
-That is where the serving win comes from, same shape as the routed
-bench (fewer shards at equal recall): fewer beam rounds per query, and
-each round 4x lighter.  This benchmark builds the same segment per
-backend (float, int8, PQ -- PQ is reported alongside, not gated) and
-asserts the claim end to end, in-run:
+the int8 path can serve a leaner beam (``int8_ef`` 84 vs the float
+path's ``ef`` 96) without giving up the recall floor.  That is where
+the serving win comes from, same shape as the routed bench (fewer
+shards at equal recall): fewer beam rounds per query, and each round
+4x lighter.  This benchmark builds the same segment per backend
+(float, int8, PQ -- PQ is reported alongside, not gated) and asserts:
 
-1. *Recall* -- int8-quantized beam + exact rescore at its serving
-   operating point must reach at least ``--min-recall-ratio`` (default
-   0.95) of the float path's recall@10 against an exact scan.
-2. *Throughput* -- at those operating points the int8 path must serve
-   strictly more QPS than the float path (interleaved min-of-N
-   timing).
-3. *Storage* -- the int8 codes must be ~4x smaller than the float32
-   vectors they stand in for (asserted at >= 3.9x).
-4. *Wire parity* -- for every id the float and quantized paths both
-   return, the distances must be bit-identical: the rescore runs the
-   same batch-composition-invariant float32 kernel the float traversal
-   scores with.
-5. *Opt-out parity* -- an index built with ``quantize="none"`` and
-   served through the full persistence + OnlineService stack must be
-   bit-identical to today's float serving path.
+``recall`` -- int8-quantized beam + exact rescore at its serving
+operating point reaches >= 0.95x the float path's recall@10 against an
+exact scan, and every id the float and a quantized path both return
+carries bit-identical distances (the rescore runs the same
+batch-composition-invariant float32 kernel the float traversal scores
+with).
 
-All five are asserted in ``--smoke`` too: the QPS margin is mostly
-algorithmic (a leaner beam), so it holds at CI sizes where a pure
+``throughput`` -- at those operating points the int8 path serves
+strictly more QPS than the float path.  Held at smoke size too: the
+margin is mostly algorithmic (a leaner beam), so it holds where a pure
 kernel-bandwidth effect would drown in Python traversal overhead.
 
-Run standalone::
+Held by tier-1 instead: the 4x code shrink
+(``tests/test_quantized_scoring.py::test_codes_are_four_times_smaller``)
+and ``quantize="none"`` being today's path through build / persist /
+deploy / serve (``::test_quantize_none_is_todays_path``,
+``tests/test_storage_manifest.py::test_roundtrip_query_equivalence``,
+``tests/test_online_serving.py::test_broker_matches_in_memory_index``).
 
-    PYTHONPATH=src python benchmarks/bench_quantized_scoring.py
-    PYTHONPATH=src python benchmarks/bench_quantized_scoring.py --smoke
+    PYTHONPATH=src python benchmarks/bench_quantized_scoring.py [--smoke]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import tempfile
-import time
-from pathlib import Path
+from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
+from harness import (
+    SEED,
+    Gate,
+    interleaved,
+    main,
+    report,
+    require,
+    speedup,
+    summary,
+)
 from repro.data.synthetic import clustered_gaussians
-from repro.eval.tables import format_table
 from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.offline.brute_force import exact_top_k
 from repro.offline.recall import recall_at_k
-from repro.online.service import OnlineService
-from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import save_lanns_index
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def _params(args: argparse.Namespace, quantize: str) -> HnswParams:
-    # Each backend serves at its own operating point: int8 runs a
-    # leaner beam (the exact rescore keeps the top-k trustworthy), PQ
-    # runs the float beam width but a deeper rescore depth to buy back
-    # what its much lossier codes cost.
-    ef_search = args.int8_ef if quantize == "int8" else args.ef
-    rescore_k = args.pq_rescore_k if quantize == "pq" else args.rescore_k
-    return HnswParams(
-        M=args.hnsw_m,
-        ef_construction=args.ef_construction,
-        ef_search=ef_search,
-        seed=args.seed,
-        quantize=quantize,
-        rescore_k=rescore_k,
-        pq_subspaces=args.pq_subspaces,
-    )
-
-
-def _timed_pass(index, queries, top_k, batch_size) -> float:
-    begin = time.perf_counter()
-    for start in range(0, queries.shape[0], batch_size):
-        index.search_batch(queries[start : start + batch_size], top_k)
-    return time.perf_counter() - begin
+#: Required int8 / float recall@k ratio.
+MIN_RECALL_RATIO = 0.95
+#: Lockstep serving batch size.
+BATCH = 64
+# 512 queries are 8 requests per backend and pass.  A 64-query request
+# takes ~25 ms, longer than this box holds one speed, so its minimum
+# over passes converges slowly and only the number of requests averages
+# the rest out: with 2 requests (128 queries, 3 passes) 20 smoke runs
+# read int8 / float 0.979x-1.230x and two failed the strict gate.
+FULL = dict(num_base=20_000, num_queries=512, dim=256, top_k=10, ef=96, passes=5)
+# Shrink the builds, not the timing: passes are cheap.
+SIZES = {"full": FULL, "smoke": FULL | dict(num_base=12_000)}
+GATES = {"int8_over_float": Gate(full=1.0, smoke=1.0, strict=True)}
+# Each backend serves at its own operating point: int8 runs a leaner
+# beam (the exact rescore keeps the top-k trustworthy), PQ runs the
+# float beam width but a deeper rescore to buy back what its much
+# lossier ADC codes cost.
+BACKENDS = {
+    "float32": dict(quantize="none"),
+    "int8": dict(quantize="int8", ef_search=84),
+    "pq": dict(quantize="pq", rescore_k=192, pq_subspaces=32),
+}
 
 
-def run(args: argparse.Namespace) -> int:
-    base = clustered_gaussians(
-        args.num_base, args.dim, num_clusters=32, seed=args.seed
-    )
+@contextmanager
+def setup(run):
+    # One segment, and queries drawn around their own cluster centres
+    # rather than `corpus()`'s perturbed base rows: far queries walk long
+    # beams, which is where a beam's width and its bytes per round show
+    # (int8 / float QPS 1.06x-1.17x here, 1.00x-1.15x on in-distribution
+    # queries; 15 trials each, `benchmarks/results/pairs/PR27.md`).
+    vectors = clustered_gaussians(run.num_base, run.dim, num_clusters=32, seed=SEED)
     queries = clustered_gaussians(
-        args.num_queries, args.dim, num_clusters=32, seed=args.seed + 1
+        run.num_queries, run.dim, num_clusters=32, seed=SEED + 1
     )
-    truth_ids, _ = exact_top_k(base, queries, args.top_k)
-    print(
-        f"corpus {args.num_base} x {args.dim} "
-        f"({base.nbytes / 1e6:.1f} MB float32), "
-        f"{args.num_queries} queries, float ef={args.ef}, "
-        f"int8 ef={args.int8_ef}, "
-        f"pq ef={args.ef}/rescore_k={args.pq_rescore_k}, "
-        f"B={args.batch_size}"
-    )
+    truth, _ = exact_top_k(vectors, queries, run.top_k)
+    params = HnswParams(M=16, ef_construction=56, ef_search=run.ef, seed=SEED)
+    yield {
+        name: build_hnsw(vectors, params=replace(params, **backend))
+        for name, backend in BACKENDS.items()
+    }, queries, truth
 
-    indices = {
-        kind: build_hnsw(base, params=_params(args, kind))
-        for kind in ("none", "int8", "pq")
-    }
 
-    # Interleaved min-of-N timing: each pass serves the whole query set
-    # through search_batch; a noisy stretch on a shared runner hits all
-    # paths alike instead of biasing the ratios.
-    best = {kind: float("inf") for kind in indices}
-    for _ in range(max(args.repeats, 2)):
-        for kind, index in indices.items():
-            best[kind] = min(
-                best[kind],
-                _timed_pass(index, queries, args.top_k, args.batch_size),
-            )
-    qps = {kind: args.num_queries / best[kind] for kind in indices}
-
+def check_recall(run, env) -> None:
+    indices, queries, truth = env
     results = {
-        kind: index.search_batch(queries, args.top_k)
-        for kind, index in indices.items()
+        name: index.search_batch(queries, run.top_k)
+        for name, index in indices.items()
     }
     recall = {
-        kind: recall_at_k(ids, truth_ids, args.top_k)
-        for kind, (ids, _) in results.items()
+        name: recall_at_k(ids, truth, run.top_k) for name, (ids, _) in results.items()
     }
-    vector_bytes = indices["none"]._scorer.data.nbytes
-    code_bytes = {
-        kind: indices[kind]._quantized.codes.nbytes
-        for kind in ("int8", "pq")
-    }
-
-    rows = []
-    for kind in ("none", "int8", "pq"):
-        rows.append(
-            {
-                "path": "float32" if kind == "none" else kind,
-                "ef": indices[kind].params.ef_search,
-                "rescore_k": indices[kind].params.rescore_k,
-                f"recall@{args.top_k}": recall[kind],
-                "qps": qps[kind],
-                "vs_float": qps[kind] / qps["none"],
-                "code_mb": (
-                    vector_bytes if kind == "none" else code_bytes[kind]
-                )
-                / 1e6,
-            }
+    print("recall@%d: %s" % (run.top_k, recall))
+    require(
+        recall["int8"] >= MIN_RECALL_RATIO * recall["float32"],
+        f"int8 recall@{run.top_k} {recall['int8']:.4f} is below "
+        f"{MIN_RECALL_RATIO}x the float path's {recall['float32']:.4f}",
+    )
+    float_ids, float_dists = results["float32"]
+    shared = 0
+    for name in ("int8", "pq"):
+        ids, dists = results[name]
+        query, mine, theirs = np.nonzero(ids[:, :, None] == float_ids[:, None, :])
+        shared += query.size
+        require(
+            (dists[query, mine] == float_dists[query, theirs]).all(),
+            f"{name} returned an id the float path also returns at a "
+            "different distance",
         )
+    require(shared > 0, "the quantized paths share no id with the float path")
     print(
-        "\n"
-        + format_table(
-            rows,
-            title=(
-                "Quantized beam search + exact rescore vs the float32 "
-                "path (same graph, per-backend operating points)"
+        f"rescore parity: all {shared} candidates shared with the float "
+        "path carry bit-identical distances ✓"
+    )
+
+
+def check_throughput(run, env) -> None:
+    indices, queries, _ = env
+    scores = interleaved(
+        {
+            name: [
+                partial(index.search_batch, queries[start : start + BATCH], run.top_k)
+                for start in range(0, len(queries), BATCH)
+            ]
+            for name, index in indices.items()
+        },
+        run.passes,
+    )
+    vector_mb = indices["float32"]._scorer.data.nbytes / 1e6
+    rows = [
+        {
+            "path": name,
+            "ef": index.params.ef_search,
+            "rescore_k": index.params.rescore_k,
+            "qps": summary(scores[name], len(queries))["qps"],
+            "vs_float": speedup(scores, name, over="float32"),
+            "code_mb": (
+                vector_mb
+                if index._quantized is None
+                else index._quantized.codes.nbytes / 1e6
             ),
-        )
-        + "\n"
-    )
-
-    ok = True
-
-    # 1. Recall floor.
-    ratio = recall["int8"] / recall["none"] if recall["none"] else 0.0
-    if ratio < args.min_recall_ratio:
-        print(
-            f"FAIL: int8 recall@{args.top_k} {recall['int8']:.4f} is "
-            f"{ratio:.3f}x the float path's {recall['none']:.4f} "
-            f"(need >= {args.min_recall_ratio:.2f}x)"
-        )
-        ok = False
-    else:
-        print(
-            f"OK: int8 recall@{args.top_k} {recall['int8']:.4f} is "
-            f"{ratio:.3f}x float ({recall['none']:.4f}) "
-            f">= {args.min_recall_ratio:.2f}x"
-        )
-
-    # 2. Strictly higher QPS at the serving operating points.
-    if qps["int8"] <= qps["none"]:
-        print(
-            f"FAIL: int8 QPS {qps['int8']:.0f} (ef={args.int8_ef}) is "
-            f"not strictly above float QPS {qps['none']:.0f} "
-            f"(ef={args.ef})"
-        )
-        ok = False
-    else:
-        print(
-            f"OK: int8 QPS {qps['int8']:.0f} (ef={args.int8_ef}) > "
-            f"float QPS {qps['none']:.0f} (ef={args.ef}) "
-            f"({qps['int8'] / qps['none']:.2f}x)"
-        )
-
-    # 3. ~4x smaller code storage.
-    shrink = vector_bytes / code_bytes["int8"]
-    if shrink < args.min_shrink:
-        print(
-            f"FAIL: int8 codes are only {shrink:.2f}x smaller than the "
-            f"float32 vectors (need >= {args.min_shrink:.1f}x)"
-        )
-        ok = False
-    else:
-        print(
-            f"OK: int8 codes {code_bytes['int8'] / 1e6:.2f} MB vs "
-            f"float32 {vector_bytes / 1e6:.2f} MB "
-            f"({shrink:.2f}x >= {args.min_shrink:.1f}x)"
-        )
-
-    # 4. Bit-identical distances for shared candidates.
-    mismatched = 0
-    compared = 0
-    float_ids, float_dists = results["none"]
-    for kind in ("int8", "pq"):
-        quant_ids, quant_dists = results[kind]
-        for row in range(args.num_queries):
-            quant_map = dict(
-                zip(quant_ids[row].tolist(), quant_dists[row].tolist())
-            )
-            for candidate, dist in zip(
-                float_ids[row].tolist(), float_dists[row].tolist()
-            ):
-                if candidate in quant_map:
-                    compared += 1
-                    if quant_map[candidate] != dist:
-                        mismatched += 1
-    if mismatched or compared == 0:
-        print(
-            f"FAIL: {mismatched} of {compared} shared candidates have "
-            "distances that are not bit-identical to the float path"
-        )
-        ok = False
-    else:
-        print(
-            f"OK: all {compared} candidates shared with the float path "
-            "carry bit-identical distances"
-        )
-
-    # 5. quantize="none" through the full serving stack is today's path.
-    config = LannsConfig(
-        num_shards=2,
-        num_segments=2,
-        segmenter="rh",
-        hnsw=_params(args, "none"),
-        segmenter_sample_size=min(2000, args.num_base),
-        seed=args.seed,
-    )
-    direct = build_lanns_index(base, config=config)
-    direct_ids, direct_dists = direct.query_batch(queries, args.top_k)
-    with tempfile.TemporaryDirectory() as root:
-        fs = LocalHdfs(root)
-        save_lanns_index(direct, fs, "bench-idx")
-        service = OnlineService()
-        service.deploy(fs, "bench-idx")
-        served_ids, served_dists = service.query_batch(
-            queries, args.top_k
-        )
-    if np.array_equal(served_ids, direct_ids) and np.array_equal(
-        served_dists, direct_dists
-    ):
-        print(
-            "OK: quantize=none through build/persist/deploy/serve is "
-            "bit-identical to the direct float index"
-        )
-    else:
-        print(
-            "FAIL: quantize=none serving results differ from the "
-            "direct float index"
-        )
-        ok = False
-
-    if not args.smoke:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "name": "quantized_scoring",
-            "rows": rows,
-            "recall_ratio_int8": ratio,
-            "qps": qps,
-            "int8_shrink": shrink,
-            "shared_candidates": compared,
         }
-        (RESULTS_DIR / "quantized_scoring.json").write_text(
-            json.dumps(payload, indent=2), encoding="utf-8"
-        )
-    if ok:
-        print("quantized scoring benchmark: all assertions passed")
-        return 0
-    return 1
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        description=(
-            "Measure quantized beam search (int8 / PQ codes + exact "
-            "rescore) against the float32 path"
-        )
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=(
-            "CI sizes; every assertion still runs -- the QPS win is a "
-            "per-candidate memory-traffic effect that holds at small "
-            "scale"
+        for name, index in indices.items()
+    ]
+    report(
+        "quantized_scoring",
+        rows,
+        title=(
+            "Quantized beam search + exact rescore vs the float32 path "
+            f"(same graph, per-backend operating points; {run.num_base} x "
+            f"{run.dim}, {len(queries)} queries, B={BATCH})"
         ),
+        payload={"smoke": run.smoke},
     )
-    parser.add_argument("--num-base", type=int, default=20000)
-    parser.add_argument("--num-queries", type=int, default=256)
-    parser.add_argument("--dim", type=int, default=256)
-    parser.add_argument("--top-k", type=int, default=10)
-    parser.add_argument(
-        "--ef", type=int, default=96, help="float and PQ serving beam"
-    )
-    parser.add_argument(
-        "--int8-ef",
-        type=int,
-        default=84,
-        help=(
-            "int8 serving beam; leaner than --ef because the exact "
-            "rescore keeps the returned top-k trustworthy"
-        ),
-    )
-    parser.add_argument("--hnsw-m", type=int, default=16)
-    parser.add_argument("--ef-construction", type=int, default=56)
-    parser.add_argument(
-        "--rescore-k",
-        type=int,
-        default=0,
-        help="exact-rescore depth for the int8 path",
-    )
-    parser.add_argument(
-        "--pq-rescore-k",
-        type=int,
-        default=192,
-        help=(
-            "exact-rescore depth for the PQ path; deeper than the "
-            "beam because ADC codes are far lossier than int8"
-        ),
-    )
-    parser.add_argument("--pq-subspaces", type=int, default=32)
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        help="lockstep serving batch size",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="interleaved timing passes per path (scored by fastest)",
-    )
-    parser.add_argument(
-        "--min-recall-ratio",
-        type=float,
-        default=0.95,
-        help="required int8/float recall@k ratio",
-    )
-    parser.add_argument(
-        "--min-shrink",
-        type=float,
-        default=3.9,
-        help="required float-bytes / int8-code-bytes ratio",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.num_base <= 0 or args.num_queries <= 0 or args.dim <= 0:
-        parser.error("--num-base, --num-queries and --dim must be positive")
-    if args.ef <= 0 or args.int8_ef <= 0:
-        parser.error("--ef and --int8-ef must be positive")
-    if args.smoke:
-        # Shrink the builds, not the timing: passes are cheap and the
-        # QPS assertion wants the full interleaved min-of-N.
-        args.num_base = min(args.num_base, 12000)
-        args.num_queries = min(args.num_queries, 128)
-    return run(args)
+    run.gate("int8_over_float", speedup(scores, "int8", over="float32"))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main([check_recall, check_throughput], SIZES, GATES, setup=setup))

@@ -1,268 +1,214 @@
-"""Remote serving over loopback RPC: parity, throughput, degradation.
+"""Remote serving over loopback RPC: parity, throughput, hedging, RPC cost.
 
 This benchmark exercises the full multi-process topology of the paper's
 Section 7: it builds and exports an index, spawns one **real searcher
 subprocess per shard** (``repro.cli serve-searcher`` over loopback TCP),
 fronts them with the broker, and
 
-1. asserts **remote parity** -- ids and distances served through the
-   RPC fleet are bit-identical to an in-process fleet serving the same
-   exported index;
-2. measures sequential and batched QPS through both fleets (the remote
-   numbers include real framing + socket round-trips);
-3. injects a **failure**: one of the (>= 3) searcher processes is
-   SIGKILLed mid-serving, and the broker's ``degrade`` partial-result
-   policy must keep answering from the survivors, annotate responses
-   with ``shards_answered``, and match the exact merge of the surviving
-   shards -- while the ``fail`` policy must raise;
-4. injects a **straggler**: a fresh fleet where one searcher stalls
-   every other request, served through the asyncio fan-out without and
-   with hedged requests -- hedged p99 must beat unhedged p99, results
-   must stay bit-identical to in-process serving, and the broker must
-   report the ``loop`` venue (all in-flight shard RPCs on one thread);
-5. prices **one RPC**: min-of-N PING round trip, one-query SEARCH round
-   trip and the same search in process, against an in-thread server
-   whose transports count write calls -- a SEARCH round trip must be
-   exactly one write per side, and a PING must be cheaper than a SEARCH.
+``throughput`` -- serves the query set through the RPC fleet one query
+at a time and in batches, interleaved with an in-process fleet over the
+same export (the remote numbers include real framing + socket round
+trips); every remote answer, ids and distances, must be bit-identical
+to the in-process one;
 
-Run standalone::
+``hedging`` -- injects a **straggler**: a fresh fleet where one searcher
+stalls every other request, served through the asyncio fan-out without
+and with hedged requests -- hedged p99 must beat unhedged p99, results
+must stay bit-identical to in-process serving, and the broker must
+report the ``loop`` venue (all in-flight shard RPCs on one thread);
 
-    PYTHONPATH=src python benchmarks/bench_remote_serving.py
-    PYTHONPATH=src python benchmarks/bench_remote_serving.py --smoke
+``rpc_cost`` -- prices **one RPC**: PING round trip, one-query SEARCH
+round trip and the same search in process, against an in-thread server
+whose transports count write calls -- a SEARCH round trip must be
+exactly one write per side, and a PING must be cheaper than a SEARCH.
 
-``--smoke`` shrinks the corpus so the whole run (including three
-interpreter launches) fits CI; every correctness assertion still runs --
-parity and failure semantics are the point, not the QPS figures.
+What a SIGKILLed searcher does to the ``degrade`` and ``fail`` policies
+is ``tests/test_remote_serving.py::
+test_kill_one_of_three_processes_mid_flight``.
+
+    PYTHONPATH=src python benchmarks/bench_remote_serving.py [--smoke]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import shutil
 import sys
-import tempfile
-import time
 from collections import Counter
 from contextlib import contextmanager
-from pathlib import Path
+from functools import partial
 
-import numpy as np
-
+from harness import (
+    INDEX_NAME,
+    INDEX_PATH,
+    Gate,
+    corpus,
+    exported,
+    fleet,
+    interleaved,
+    main,
+    report,
+    require,
+    speedup,
+    summary,
+)
 from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
-from repro.core.merge import merge_shard_results_batch
-from repro.data.synthetic import clustered_gaussians, make_queries
-from repro.errors import TransportError
-from repro.eval.harness import remote_serving_throughput
-from repro.eval.tables import format_table
-from repro.hnsw.params import HnswParams
 from repro.net import client as net_client
 from repro.net import server as net_server
 from repro.net.client import RemoteSearcherClient
-from repro.net.fleet import fleet_addresses, launch_fleet, shutdown_fleet
 from repro.net.protocol import ShardCall
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
-from repro.online.types import SearchRequest
-from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import save_lanns_index
 
-RESULTS_DIR = Path(__file__).parent / "results"
-INDEX_PATH = "bench/remote"
+#: Per-request fan-out deadline.
+REQUEST_TIMEOUT_S = 30.0
+#: The straggler scenario: shard 1 stalls every other SEARCH this long,
+#: and the hedged service re-issues after the (shorter) hedge delay.
+SLOW_DELAY_S = 0.25
+HEDGE_AFTER_S = 0.05
+#: Queries per request of the batched streams.
+BATCH = 32
+# Three shards: a fan-out worth hedging, one of them the straggler.
+FULL = dict(
+    num_base=6000, num_queries=128, dim=32, shards=3, segments=2,
+    top_k=10, ef=48, passes=3, rpc_repeats=400,
+)
+SIZES = {
+    "full": FULL,
+    "smoke": FULL | dict(num_base=1200, num_queries=32, rpc_repeats=100),
+}
+#: Both strict: unhedged p99 over hedged p99, SEARCH RPC time over PING's.
+GATES = {
+    "hedged_p99": Gate(full=1.0, smoke=1.0, strict=True),
+    "ping_under_search": Gate(full=1.0, smoke=1.0, strict=True),
+}
 
 
-def export_index(args: argparse.Namespace, fs: LocalHdfs):
-    base = clustered_gaussians(args.num_base, args.dim, seed=args.seed)
-    queries = make_queries(base, args.num_queries, seed=args.seed + 1)
-    config = LannsConfig(
-        num_shards=args.shards,
-        num_segments=args.segments,
-        segmenter="rh",
-        hnsw=HnswParams(
-            M=12, ef_construction=56, ef_search=args.ef, seed=args.seed
-        ),
-        segmenter_sample_size=min(2000, args.num_base),
-        seed=args.seed,
-    )
-    index = build_lanns_index(base, config=config)
-    save_lanns_index(index, fs, INDEX_PATH)
-    return config, index, queries
-
-
-def check_degradation(
-    args: argparse.Namespace,
-    fs: LocalHdfs,
-    index,
-    fleet,
-    queries: np.ndarray,
-) -> dict:
-    """Kill one searcher; ``degrade`` keeps serving, ``fail`` raises."""
-    addresses = fleet_addresses(fleet)
-    degrade = OnlineService(
-        searchers=addresses,
-        partial_policy="degrade",
-        request_timeout_s=args.request_timeout_s,
-        rpc_retries=0,
-    )
-    strict = OnlineService(
-        searchers=addresses,
-        partial_policy="fail",
-        request_timeout_s=args.request_timeout_s,
-        rpc_retries=0,
-    )
-    probe = queries[: min(16, queries.shape[0])]
-    try:
-        degrade.deploy(fs, INDEX_PATH, index_name="default")
-        strict.deploy(fs, INDEX_PATH, index_name="strict")
-        request = SearchRequest(queries=probe, top_k=args.top_k, ef=args.ef)
-        response = degrade.execute(request)
-        assert (response.shards_answered == args.shards).all(), (
-            "healthy fleet must answer from every shard"
-        )
-
-        victim = fleet[1]
-        victim.kill()
-        response = degrade.execute(request)
-        got_ids, got_dists = response.ids, response.dists
-        answered = response.shards_answered
-        assert (answered == args.shards - 1).all(), (
-            f"expected {args.shards - 1} surviving shards, got "
-            f"{answered.tolist()}"
-        )
-        # The degraded answer must be exactly the merge of the
-        # surviving shards (same perShardTopK budget, dead rows dropped).
-        broker = degrade.brokers["default"]
-        budget = broker.per_shard_budget(args.top_k)
-        parts = [
-            index.shards[shard_id].search_batch(
-                probe, budget, ef=args.ef
-            )
-            for shard_id in range(args.shards)
-            if shard_id != victim.shard_id
-        ]
-        want_ids, want_dists = merge_shard_results_batch(parts, args.top_k)
-        assert (got_ids == want_ids).all(), (
-            "degraded ids differ from the surviving shards' merge"
-        )
-        assert (got_dists == want_dists).all(), (
-            "degraded distances differ from the surviving shards' merge"
-        )
-
+@contextmanager
+def setup(run):
+    vectors, queries, config = corpus(run)
+    index = build_lanns_index(vectors, config=config)
+    local = OnlineService()
+    with exported(index) as fs:
         try:
-            strict.query_batch(
-                probe, args.top_k, index_name="strict", ef=args.ef
-            )
-        except TransportError:
-            strict_raised = True
-        else:
-            strict_raised = False
-        assert strict_raised, (
-            "the fail policy must raise when a searcher is dead"
+            local.deploy(fs, INDEX_PATH)
+            yield fs, index, queries, local
+        finally:
+            local.close()
+
+
+def served(service, queries, run, rows_per_request: int, answers: dict) -> list:
+    """The request stream serving ``queries`` through ``service``
+    ``rows_per_request`` at a time; each answer lands in ``answers``."""
+
+    def serve(start: int) -> None:
+        answers[start] = service.query_batch(
+            queries[start : start + rows_per_request], run.top_k, ef=run.ef
         )
-        stats = broker.stats()["partial"]
-        return {
-            "killed_shard": victim.shard_id,
-            "shards_answered": int(answered[0]),
-            "degraded_batches": stats["degraded_batches"],
-            "shard_failures": stats["shard_failures"],
-        }
-    finally:
-        degrade.close()
-        strict.close()
+
+    return [
+        partial(serve, start) for start in range(0, len(queries), rows_per_request)
+    ]
 
 
-def check_hedging(
-    args: argparse.Namespace, fs: LocalHdfs, queries: np.ndarray
-) -> dict:
+def require_parity(answers: dict, want_ids, want_dists, what: str) -> None:
+    for start, (ids, dists) in answers.items():
+        stop = start + len(ids)
+        require(
+            (ids == want_ids[start:stop]).all()
+            and (dists == want_dists[start:stop]).all(),
+            f"{what} result differs from in-process serving at query {start}",
+        )
+
+
+def check_throughput(run, env) -> None:
+    fs, _, queries, local = env
+    want_ids, want_dists = local.query_batch(queries, run.top_k, ef=run.ef)
+    with fleet(fs, run.shards) as (groups, addresses):
+        print(
+            "fleet: "
+            + ", ".join(
+                f"shard {member.shard_id} @ {member.address} "
+                f"(pid {member.process.pid})"
+                for (member,) in groups
+            )
+        )
+        remote = OnlineService(
+            searchers=addresses, request_timeout_s=REQUEST_TIMEOUT_S
+        )
+        try:
+            remote.deploy(fs, INDEX_PATH)
+            singles, batches = {}, {}
+            streams = {
+                "in-process fleet (batched)": (local, BATCH, {}),
+                "remote fleet (sequential RPC)": (remote, 1, singles),
+                f"remote fleet (batched x{BATCH})": (remote, BATCH, batches),
+            }
+            streams = {
+                name: served(service, queries, run, rows, answers)
+                for name, (service, rows, answers) in streams.items()
+            }
+            scores = interleaved(streams, run.passes)
+            stages = remote.stats()["indices"][INDEX_NAME]["stages"]
+        finally:
+            remote.close()
+    require_parity(singles, want_ids, want_dists, "remote single-query")
+    require_parity(batches, want_ids, want_dists, "remote batched")
+    print("parity: remote fleet results bit-identical to in-process ✓")
+    report(
+        "remote_serving",
+        [
+            {"mode": name, "qps": summary(scores[name], len(queries))["qps"]}
+            for name in streams
+        ],
+        title=(
+            f"Remote serving over loopback RPC ({run.shards} searcher "
+            f"subprocesses; {run.num_base} x {run.dim}, {len(queries)} queries)"
+        ),
+        payload={"smoke": run.smoke, "remote_stages": stages},
+    )
+
+
+def check_hedging(run, env) -> None:
     """Slow-shard scenario: hedged tail latency must beat unhedged.
 
-    Launches a fresh 3-searcher fleet with ONE straggler (shard 1 stalls
-    every other SEARCH by ``--slow-delay-s``, modelling per-request
-    pauses rather than a uniformly slow machine), then serves the query
-    set through two asyncio fan-out services -- without and with hedging
-    -- asserting in-run that
-
-    - every answer (ids AND distances) is bit-identical to in-process
-      serving under both modes (hedging may change *when* an answer
-      arrives, never *what* it is);
-    - hedged p99 latency is strictly below unhedged p99 (the whole point
-      of re-issuing a straggling RPC);
-    - the broker reported the ``loop`` venue: every in-flight shard RPC
-      was multiplexed on its one ``broker-async-loop`` thread.
+    The two services are *not* interleaved: the straggler stalls every
+    other SEARCH it receives, so alternating them would hand one service
+    all the stalls.  Hedging may change *when* an answer arrives, never
+    *what* it is.
     """
-    probe = queries[: min(32, queries.shape[0])]
-    fleet = launch_fleet(
-        args.shards,
-        root=str(fs.root),
-        slow_shard=1,
-        slow_every=2,
-        slow_delay_s=args.slow_delay_s,
-    )
-    local = OnlineService()
-    unhedged = OnlineService(
-        searchers=fleet_addresses(fleet),
-        request_timeout_s=args.request_timeout_s,
-    )
-    hedged = OnlineService(
-        searchers=fleet_addresses(fleet),
-        hedge_after_s=args.hedge_after_s,
-        request_timeout_s=args.request_timeout_s,
-    )
-    try:
-        local.deploy(fs, INDEX_PATH, index_name="default")
-        want_ids, want_dists = local.query_batch(probe, args.top_k, ef=args.ef)
-
-        def serve(service: OnlineService, label: str) -> np.ndarray:
-            latencies = np.empty(probe.shape[0], dtype=np.float64)
-            for row in range(probe.shape[0]):
-                tick = time.perf_counter()
-                ids, dists = service.query_batch(
-                    probe[row : row + 1], args.top_k, ef=args.ef
-                )
-                latencies[row] = time.perf_counter() - tick
-                if not (
-                    (ids == want_ids[row : row + 1]).all()
-                    and (dists == want_dists[row : row + 1]).all()
-                ):
-                    raise AssertionError(
-                        f"{label} remote result differs from in-process "
-                        f"serving at query {row}"
-                    )
-            return latencies
-
-        unhedged.deploy(fs, INDEX_PATH, index_name="default")
-        unhedged_lat = serve(unhedged, "unhedged")
-        unhedged.undeploy("default")
-        hedged.deploy(fs, INDEX_PATH, index_name="default")
-        hedged_lat = serve(hedged, "hedged")
-        stats = hedged.brokers["default"].stats()
-        hedged.undeploy("default")
-
-        unhedged_p99 = float(np.quantile(unhedged_lat, 0.99) * 1e3)
-        hedged_p99 = float(np.quantile(hedged_lat, 0.99) * 1e3)
-        if not hedged_p99 < unhedged_p99:
-            raise AssertionError(
-                f"hedged p99 {hedged_p99:.1f}ms is not below unhedged "
-                f"p99 {unhedged_p99:.1f}ms with an injected straggler"
+    fs, _, queries, local = env
+    probe = queries[:32]
+    want_ids, want_dists = local.query_batch(probe, run.top_k, ef=run.ef)
+    p99_ms, stats = {}, {}
+    with fleet(
+        fs, run.shards, slow_shard=1, slow_every=2, slow_delay_s=SLOW_DELAY_S
+    ) as (_, addresses):
+        for name, hedge_after_s in (("unhedged", None), ("hedged", HEDGE_AFTER_S)):
+            service = OnlineService(
+                searchers=addresses,
+                hedge_after_s=hedge_after_s,
+                request_timeout_s=REQUEST_TIMEOUT_S,
             )
-        if stats["hedges"] < 1:
-            raise AssertionError("the straggler shard never got hedged")
-        if stats["venue"] != "loop":
-            raise AssertionError("remote fan-out did not run on the loop")
-        return {
-            "slow_delay_ms": args.slow_delay_s * 1e3,
-            "hedge_after_ms": args.hedge_after_s * 1e3,
-            "unhedged_p99_ms": unhedged_p99,
-            "hedged_p99_ms": hedged_p99,
-            "hedges": stats["hedges"],
-            "hedge_wins": stats["hedge_wins"],
-        }
-    finally:
-        local.close()
-        unhedged.close()
-        hedged.close()
-        shutdown_fleet(fleet)
+            try:
+                service.deploy(fs, INDEX_PATH)
+                answers: dict = {}
+                scores = interleaved(
+                    {name: served(service, probe, run, 1, answers)}, 1
+                )
+                require_parity(answers, want_ids, want_dists, name)
+                p99_ms[name] = summary(scores[name])["p99_ms"]
+                stats = service.brokers[INDEX_NAME].stats()
+                service.undeploy(INDEX_NAME)
+            finally:
+                service.close()
+    require(stats["hedges"] >= 1, "the straggler shard never got hedged")
+    require(stats["venue"] == "loop", "remote fan-out did not run on the loop")
+    print(
+        f"hedging: straggler stalls {SLOW_DELAY_S * 1e3:.0f}ms, hedge after "
+        f"{HEDGE_AFTER_S * 1e3:.0f}ms -> p99 {p99_ms['unhedged']:.1f}ms "
+        f"unhedged vs {p99_ms['hedged']:.1f}ms hedged ({stats['hedges']} "
+        f"hedges, {stats['hedge_wins']} wins; bit-parity ✓, loop venue ✓)"
+    )
+    run.gate("hedged_p99", p99_ms["unhedged"] / p99_ms["hedged"])
 
 
 class CountingTransport:
@@ -307,233 +253,60 @@ def counted_writes():
             connection.connection_made = made
 
 
-def min_ms(call, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        tick = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - tick)
-    return best * 1e3
-
-
-def check_rpc_cost(args: argparse.Namespace, index, queries: np.ndarray) -> dict:
+def check_rpc_cost(run, env) -> None:
     """What one RPC costs over what it carries, and how many writes."""
+    _, index, queries, _ = env
     node = SearcherNode(0)
-    node.host("default", index.shards[0])
+    node.host(INDEX_NAME, index.shards[0])
     query = queries[:1]
-    repeats = 100 if args.smoke else 400
+    in_process = partial(node.search_batch, INDEX_NAME, query, run.top_k, ef=run.ef)
     with counted_writes() as writes:
         server = net_server.SearcherServer(node).start_in_thread()
         client = RemoteSearcherClient(server.address)
         try:
-            call = ShardCall("default", query, args.top_k, ef=args.ef)
-
-            def search():
-                return client.search(call)
-
-            want = node.search_batch("default", query, args.top_k, ef=args.ef)
+            search = partial(
+                client.search, ShardCall(INDEX_NAME, query, run.top_k, ef=run.ef)
+            )
+            want_ids, want_dists = in_process()
             got = search()  # also dials the one pooled connection
-            assert (got.ids == want[0]).all() and (got.dists == want[1]).all()
+            require(
+                (got.ids == want_ids).all() and (got.dists == want_dists).all(),
+                "the SEARCH RPC's answer differs from the in-process search",
+            )
             writes.clear()
             search()
-            assert dict(writes) == {"client": 1, "server": 1}, (
+            require(
+                dict(writes) == {"client": 1, "server": 1},
                 f"one SEARCH round trip made {dict(writes)} write calls; "
-                "a frame is one write per side"
+                "a frame is one write per side",
             )
-            report = {
-                "ping_rtt_ms": min_ms(client.ping, repeats),
-                "search_rpc_ms": min_ms(search, repeats),
-                "search_in_process_ms": min_ms(
-                    lambda: node.search_batch(
-                        "default", query, args.top_k, ef=args.ef
-                    ),
-                    repeats,
-                ),
-            }
+            scores = interleaved(
+                {
+                    "ping": [client.ping],
+                    "search": [search],
+                    "in_process": [in_process],
+                },
+                run.rpc_repeats,
+            )
         finally:
             client.close()
             server.stop()
-    assert report["ping_rtt_ms"] < report["search_rpc_ms"], (
-        f"a PING ({report['ping_rtt_ms']:.3f}ms) must be cheaper than a "
-        f"SEARCH RPC ({report['search_rpc_ms']:.3f}ms)"
+    ms = {name: float(score[0] * 1e3) for name, score in scores.items()}
+    print(
+        f"rpc cost (min of {run.rpc_repeats}, in-thread server): PING "
+        f"{ms['ping']:.3f}ms, one-query SEARCH RPC {ms['search']:.3f}ms of "
+        f"which the search itself is {ms['in_process']:.3f}ms; one write "
+        "per side ✓"
     )
-    return report
-
-
-def run(args: argparse.Namespace) -> int:
-    workdir = tempfile.mkdtemp(prefix="lanns-remote-bench-")
-    fleet = []
-    try:
-        fs = LocalHdfs(workdir)
-        config, index, queries = export_index(args, fs)
-        print(
-            f"corpus: {args.num_base} x {args.dim}, {args.shards} shard(s) "
-            f"x {args.segments} segment(s), {queries.shape[0]} queries, "
-            f"top_k={args.top_k}, ef={args.ef}"
-        )
-        fleet = launch_fleet(args.shards, root=workdir)
-        print(
-            "fleet: "
-            + ", ".join(
-                f"shard {member.shard_id} @ {member.address} "
-                f"(pid {member.process.pid})"
-                for member in fleet
-            )
-        )
-        report = remote_serving_throughput(
-            fs,
-            INDEX_PATH,
-            queries,
-            args.top_k,
-            addresses=fleet_addresses(fleet),
-            ef=args.ef,
-            batch_size=args.batch_size,
-            request_timeout_s=args.request_timeout_s,
-        )
-        print(
-            "parity: remote fleet results bit-identical to in-process ✓"
-        )
-        rows = [
-            {
-                "mode": "in-process fleet (batched)",
-                "qps": report["local"]["qps"],
-            },
-            {
-                "mode": "remote fleet (sequential RPC)",
-                "qps": report["remote_sequential"]["qps"],
-            },
-            {
-                "mode": f"remote fleet (batched x{args.batch_size})",
-                "qps": report["remote_batched"]["qps"],
-            },
-        ]
-        text = format_table(
-            rows,
-            title=(
-                "Remote serving over loopback RPC "
-                f"({args.shards} searcher subprocesses)"
-            ),
-        )
-        print("\n" + text + "\n")
-
-        degradation = check_degradation(args, fs, index, fleet, queries)
-        print(
-            f"degradation: killed shard {degradation['killed_shard']}; "
-            f"degrade policy answered from "
-            f"{degradation['shards_answered']}/{args.shards} shards "
-            "(exact merge of survivors ✓), fail policy raised ✓"
-        )
-
-        hedging = check_hedging(args, fs, queries)
-        print(
-            f"hedging: straggler stalls {hedging['slow_delay_ms']:.0f}ms, "
-            f"hedge after {hedging['hedge_after_ms']:.0f}ms -> p99 "
-            f"{hedging['unhedged_p99_ms']:.1f}ms unhedged vs "
-            f"{hedging['hedged_p99_ms']:.1f}ms hedged "
-            f"({hedging['hedges']} hedges, {hedging['hedge_wins']} wins; "
-            "bit-parity ✓, loop venue ✓)"
-        )
-        rpc = check_rpc_cost(args, index, queries)
-        print(
-            f"rpc cost (min of N, in-thread server): PING "
-            f"{rpc['ping_rtt_ms']:.3f}ms, one-query SEARCH RPC "
-            f"{rpc['search_rpc_ms']:.3f}ms of which the search itself is "
-            f"{rpc['search_in_process_ms']:.3f}ms; one write per side ✓"
-        )
-        if args.smoke:
-            print(
-                "smoke OK (parity + degradation + hedging + one write per "
-                "frame asserted)"
-            )
-            return 0
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "name": "remote_serving",
-            "shards": args.shards,
-            "rows": rows,
-            "remote_stats": report["remote_stats"]["stages"],
-            "degradation": degradation,
-            "hedging": hedging,
-            "rpc_cost": rpc,
-        }
-        (RESULTS_DIR / "remote_serving.json").write_text(
-            json.dumps(payload, indent=2), encoding="utf-8"
-        )
-        (RESULTS_DIR / "remote_serving.txt").write_text(
-            text + "\n", encoding="utf-8"
-        )
-        print("OK: remote parity + degrade/fail semantics hold")
-        return 0
-    finally:
-        shutdown_fleet(fleet)
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        description=(
-            "Serve through real searcher subprocesses over loopback RPC"
-        )
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny sizes for CI; all correctness assertions still run",
-    )
-    parser.add_argument("--num-base", type=int, default=6000)
-    parser.add_argument("--num-queries", type=int, default=128)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=3,
-        help="searcher subprocesses (>= 3 so the kill test has survivors)",
-    )
-    parser.add_argument("--segments", type=int, default=2)
-    parser.add_argument("--top-k", type=int, default=10)
-    parser.add_argument("--ef", type=int, default=48)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument(
-        "--request-timeout-s",
-        type=float,
-        default=30.0,
-        help="per-request fan-out deadline",
-    )
-    parser.add_argument(
-        "--hedge-after-s",
-        type=float,
-        default=0.05,
-        help="hedge delay for the slow-shard scenario",
-    )
-    parser.add_argument(
-        "--slow-delay-s",
-        type=float,
-        default=0.25,
-        help="injected straggler stall for the slow-shard scenario",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.shards < 3:
-        parser.error("--shards must be >= 3 (the kill test needs survivors)")
-    if args.num_base <= 0 or args.num_queries <= 0 or args.dim <= 0:
-        parser.error("--num-base, --num-queries and --dim must be positive")
-    if args.hedge_after_s <= 0 or args.slow_delay_s <= 0:
-        parser.error("--hedge-after-s and --slow-delay-s must be positive")
-    if args.hedge_after_s >= args.slow_delay_s:
-        parser.error(
-            "--hedge-after-s must be below --slow-delay-s or the "
-            "straggler scenario cannot show a hedging win"
-        )
-    if args.smoke:
-        args.num_base = min(args.num_base, 1200)
-        args.num_queries = min(args.num_queries, 32)
-    return run(args)
+    run.gate("ping_under_search", speedup(scores, "ping", over="search"))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(
+        main(
+            [check_throughput, check_hedging, check_rpc_cost],
+            SIZES,
+            GATES,
+            setup=setup,
+        )
+    )

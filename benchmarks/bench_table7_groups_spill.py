@@ -30,12 +30,12 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.data.datasets import load_dataset
-from repro.eval.harness import swap_segmenter
 from repro.eval.timing import measure_qps
 from repro.offline.recall import recall_at_k
 from repro.segmenters.learner import learn_segmenter
 
-from benchmarks.conftest import BENCH_EF, BENCH_HNSW, write_table
+from benchmarks.conftest import BENCH_EF, BENCH_HNSW
+from benchmarks.harness import report, swap_segmenter
 
 SEGMENT_COUNTS = [1, 4, 8, 16]
 SPILLS = [0.10, 0.20, 0.30]  # fraction routed to both children per level
@@ -68,7 +68,7 @@ def run_cell(dataset, index, top_k):
     return recall, stats["qps"]
 
 
-def test_table7_spill_tradeoff(benchmark, groups, results_dir):
+def test_table7_spill_tradeoff(benchmark, groups):
     def run_experiment():
         rows = []
         base_config = LannsConfig(
@@ -139,7 +139,7 @@ def test_table7_spill_tradeoff(benchmark, groups, results_dir):
         return rows
 
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    write_table(
+    report(
         "table7_groups_spill",
         rows,
         title=(

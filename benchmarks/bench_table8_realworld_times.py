@@ -21,11 +21,11 @@ import pytest
 
 from repro.core.config import LannsConfig
 from repro.data.datasets import load_dataset
-from repro.eval.harness import build_partitioned
 from repro.sparklite.cluster import LocalCluster
 from repro.storage.hdfs import LocalHdfs
 
-from benchmarks.conftest import BENCH_EF, BENCH_HNSW, write_table
+from benchmarks.conftest import BENCH_EF, BENCH_HNSW
+from benchmarks.harness import build_partitioned, report
 
 #: dataset -> (num_shards, num_segments, segmenter, alpha, top_k)
 #: Shard counts are the paper's scaled down ~5x; NearDupe is "HNSW with
@@ -83,7 +83,7 @@ def realworld_runs(bench_tmp):
     return runs
 
 
-def test_table8_build_and_query_times(benchmark, realworld_runs, results_dir):
+def test_table8_build_and_query_times(benchmark, realworld_runs):
     def collect_rows():
         rows = []
         for name, run in realworld_runs.items():
@@ -105,7 +105,7 @@ def test_table8_build_and_query_times(benchmark, realworld_runs, results_dir):
         return rows
 
     rows = benchmark.pedantic(collect_rows, rounds=1, iterations=1)
-    write_table(
+    report(
         "table8_realworld_times",
         rows,
         title="Table 8 -- Build and query times, real-world-like datasets",

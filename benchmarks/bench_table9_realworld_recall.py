@@ -14,13 +14,13 @@ scale; the paper reports >= 95%).
 
 from repro.offline.recall import recall_at_k
 
-from benchmarks.conftest import write_table
+from benchmarks.harness import report
 from benchmarks.bench_table8_realworld_times import realworld_runs  # fixture
 
 PAPER_RECALL = {"people": 0.97, "pymk": 0.95, "neardupe": 0.97, "groups": 0.97}
 
 
-def test_table9_realworld_recall(benchmark, realworld_runs, results_dir):
+def test_table9_realworld_recall(benchmark, realworld_runs):
     def collect_rows():
         rows = []
         for name, run in realworld_runs.items():
@@ -43,7 +43,7 @@ def test_table9_realworld_recall(benchmark, realworld_runs, results_dir):
         return rows
 
     rows = benchmark.pedantic(collect_rows, rounds=1, iterations=1)
-    write_table(
+    report(
         "table9_realworld_recall",
         rows,
         title="Table 9 -- Recall, real-world-like datasets",

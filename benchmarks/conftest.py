@@ -1,9 +1,10 @@
 """Shared machinery for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the LANNS paper and
-writes it to ``benchmarks/results/<exp>.txt`` (+ ``.json``).  Expensive
-artifacts (built indices, query sweeps) are session-scoped fixtures so
-Tables 1/2/3 (and 4/5/6) share one SIFT (GIST) sweep.
+writes it to ``benchmarks/results/<exp>.txt`` (+ ``.json``) through
+``benchmarks.harness.report``.  Expensive artifacts (built indices,
+query sweeps) are session-scoped fixtures so Tables 1/2/3 (and 4/5/6)
+share one SIFT (GIST) sweep.
 
 Scaling: dataset sizes default to the registry's scaled-down sizes
 (~10k/4k/8k vectors); set ``REPRO_SCALE`` to grow them.  Absolute times
@@ -18,21 +19,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import LannsConfig
-from repro.data.datasets import Dataset, load_dataset
-from repro.eval.harness import (
+from benchmarks.harness import (
     SegmentedExperiment,
     build_partitioned,
     evaluate_recall,
 )
-from repro.eval.tables import write_result_table
+from repro.core.config import LannsConfig
+from repro.data.datasets import Dataset, load_dataset
 from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.offline.querying import QueryJobResult
 from repro.sparklite.cluster import LocalCluster
 from repro.storage.hdfs import LocalHdfs
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 #: HNSW settings shared by all benchmarks (kept modest for 2-core hosts).
 BENCH_HNSW = HnswParams(M=12, ef_construction=56, ef_search=64, seed=0)
@@ -42,26 +40,6 @@ BENCH_EF = 96
 RECALL_KS = [1, 5, 10, 15, 50, 100]
 #: Executor counts swept by Tables 2/3/5/6.
 EXECUTOR_SWEEP = [2, 4, 8]
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
-
-
-def write_table(name, rows, *, title, columns=None, notes=None):
-    """Write + print one paper-style results table."""
-    text = write_result_table(
-        name,
-        rows,
-        results_dir=RESULTS_DIR,
-        title=title,
-        columns=columns,
-        notes=notes,
-    )
-    print("\n" + text + "\n")
-    return text
 
 
 @dataclass

@@ -18,7 +18,9 @@ paper *"LANNS: A Web-Scale Approximate Nearest Neighbor Lookup System"*
 - :mod:`repro.baselines` -- from-scratch ANN baselines (Annoy-like RP
   forest, LSH, IVF, IVF-PQ, brute force) used for the Figure 1 frontier.
 - :mod:`repro.data` / :mod:`repro.eval` -- synthetic dataset recipes with
-  the paper's dimensionalities, ground truth, and the evaluation harness.
+  the paper's dimensionalities and ground truth; the qps definitions and
+  serving load tests behind ``OnlineService.measure_qps`` and
+  ``repro.cli bench`` (the benchmark harness is ``benchmarks/harness.py``).
 
 Quickstart::
 

@@ -366,7 +366,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.core.builder import build_lanns_index
     from repro.data.datasets import load_dataset
-    from repro.eval.harness import serving_throughput
+    from repro.eval.serving import serving_throughput
     from repro.offline.recall import recall_at_k
 
     dataset = load_dataset(args.dataset)
@@ -407,7 +407,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"speedup: {report['speedup']:.2f}x"
     )
     if args.clients > 0:
-        from repro.eval.harness import concurrent_serving_throughput
+        from repro.eval.serving import concurrent_serving_throughput
 
         load = concurrent_serving_throughput(
             index,

@@ -1,33 +1,14 @@
-"""Evaluation: timing, table formatting, and the shared experiment harness
-behind every benchmark in ``benchmarks/``."""
+"""What ``src/`` itself measures with: the qps definitions behind
+``OnlineService.measure_qps`` (:mod:`repro.eval.timing`) and the two
+serving load tests behind ``repro.cli bench`` (:mod:`repro.eval.serving`).
+The benchmark harness lives with the benchmarks (``benchmarks/harness.py``)."""
 
-from repro.eval.timing import (
-    Timer,
-    measure_concurrent_qps,
-    measure_latency,
-    measure_qps,
-)
-from repro.eval.tables import format_table, write_result_table
-from repro.eval.harness import (
-    SegmentedExperiment,
-    build_partitioned,
-    concurrent_serving_throughput,
-    evaluate_recall,
-    query_experiment,
-    swap_segmenter,
-)
+from repro.eval.serving import concurrent_serving_throughput, serving_throughput
+from repro.eval.timing import measure_batch_qps, measure_qps
 
 __all__ = [
-    "Timer",
     "measure_qps",
-    "measure_concurrent_qps",
-    "measure_latency",
+    "measure_batch_qps",
+    "serving_throughput",
     "concurrent_serving_throughput",
-    "format_table",
-    "write_result_table",
-    "SegmentedExperiment",
-    "build_partitioned",
-    "evaluate_recall",
-    "query_experiment",
-    "swap_segmenter",
 ]

@@ -884,6 +884,99 @@ class TestServingTierShape:
             assert "perf_counter" not in path.read_text(), path
 
 
+class TestBenchSurface:
+    """Docs and CI never claim a gate that does not run, and the bench
+    scripts have no knob nobody turns (ROADMAP 1(d) + 5(c))."""
+
+    root = default_repo_root()
+    #: Bench files no ``ci.yml`` step runs -- say so here, on purpose.
+    NOT_IN_CI: set = set()
+    #: "in CI" / "bench-smoke", but not "not in CI" / "never in CI".
+    CLAIM = re.compile(r"(?<!not )(?<!never )in CI\b|bench-smoke")
+
+    def ci(self) -> str:
+        return (self.root / ".github" / "workflows" / "ci.yml").read_text()
+
+    def benches_ci_runs(self) -> set:
+        return {
+            path.name
+            for pattern in re.findall(r"benchmarks/(bench_[\w*]+\.py)", self.ci())
+            for path in (self.root / "benchmarks").glob(pattern)
+        }
+
+    def test_every_bench_is_in_ci_or_listed_as_not(self):
+        benches = {path.name for path in (self.root / "benchmarks").glob("bench_*.py")}
+        assert len(benches) >= 18  # 7 scripts + 11 table / figure / ablation files
+        assert benches - self.benches_ci_runs() == self.NOT_IN_CI
+
+    def test_every_bench_a_doc_calls_in_ci_is_in_ci(self):
+        """A paragraph of README / ROADMAP / a bench README, or one of
+        the last five CHANGES.md entries, that says "in CI" or
+        "bench-smoke" names only bench files a ``ci.yml`` step runs
+        (PR 10's phantom ``bench_overload`` gate went four PRs unseen)."""
+        docs = [self.root / "README.md", self.root / "ROADMAP.md"]
+        docs += sorted((self.root / "benchmarks").rglob("README.md"))
+        units = [para for doc in docs for para in doc.read_text().split("\n\n")]
+        changes = (self.root / "CHANGES.md").read_text()
+        units += re.split(r"(?m)^(?=- PR )", changes)[-5:]
+        claimed = {
+            name
+            for unit in units
+            if self.CLAIM.search(unit)
+            for name in re.findall(r"bench_\w+\.py", unit)
+        }
+        assert claimed - self.benches_ci_runs() == set()
+
+    def test_every_bench_flag_is_set_by_ci_or_readme(self):
+        """An ``add_argument`` flag of a ``benchmarks/*.py`` parser that no
+        ``ci.yml`` step and no README command line passes to a bench
+        script is a dead knob (101 of them at c9e3740)."""
+        declared = {
+            arg.value
+            for path in (self.root / "benchmarks").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+        }
+        assert "--smoke" in declared  # the walk sees the harness's parser
+        commands = self.ci() + (self.root / "README.md").read_text()
+        dead = {
+            flag
+            for flag in declared
+            if not re.search(rf"bench_\w+\.py[^\n|]* {flag}\b", commands)
+        }
+        assert dead == set()
+
+    def test_bench_scripts_carry_no_scaffolding_of_their_own(self):
+        """Corpus, export, fleet, timing, report and ``main`` exist once,
+        in ``benchmarks/harness.py``: no script parses arguments, opens
+        a temp dir, launches a fleet or defines a timer again -- not
+        under a retired name, not under a ``repro.eval`` one."""
+        import repro.eval
+
+        retired = {"export_index", "build_parser", "main", "min_ms", "best_us"}
+        retired |= {"_timed_pass", "measure_closed_loop", *repro.eval.__all__}
+        for path in (self.root / "benchmarks").glob("bench_*.py"):
+            tree = ast.parse(path.read_text())
+            defined = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+            }
+            assert defined & retired == set(), path.name
+            imported = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            own = {"argparse", "tempfile", "launch_fleet", "launch_searcher"}
+            own |= {"perf_counter", "timeit", "save_lanns_index"}
+            assert imported & own == set(), path.name
+
+
 class TestDriver:
 
     def test_enclosing_symbol(self):
