@@ -20,7 +20,7 @@ time is pinned by straggler injection, so the capacity math is known:
    must recover to >= 0.95x baseline QPS (shedding must leave no debris:
    no wedged slots, no leaked connections).
 
-``chaos`` -- two fresh searchers launched with the same ``chaos_spec``
+``chaos`` -- two fresh searchers launched with the same ``chaos`` spec
 (seeded :class:`~repro.net.chaos.FaultPlan`) are driven with the same
 request sequence; the per-request outcome sequences (ok/reset/
 overloaded, including returned ids) and the servers' fault counters
@@ -284,7 +284,7 @@ def check_chaos(run, env) -> None:
     runs, snapshots = [], []
     for _ in range(2):
         with fleet(
-            fs, 1, chaos_spec=CHAOS_SPEC, retry_after_s=RETRY_AFTER_S
+            fs, 1, chaos=CHAOS_SPEC, retry_after_s=RETRY_AFTER_S
         ) as (groups, _):
             client = RemoteSearcherClient(
                 groups[0][0].address, retries=0, timeout_s=10.0, pool_size=1

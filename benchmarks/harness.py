@@ -46,7 +46,6 @@ from repro.data.datasets import Dataset
 from repro.data.synthetic import clustered_gaussians, make_queries
 from repro.hnsw.params import HnswParams
 from repro.net.fleet import (
-    launch_fleet,
     launch_replicated_fleet,
     replicated_fleet_addresses,
     shutdown_replicated_fleet,
@@ -116,22 +115,19 @@ def exported(index: LannsIndex):
 
 
 @contextmanager
-def fleet(fs: LocalHdfs, num_shards: int, *, replicas: int = 1, **searcher):
+def fleet(fs: LocalHdfs, num_shards: int, *, replicas: int = 1, **launch):
     """Searcher subprocesses over ``fs``, shut down on exit whatever happens.
 
     Yields ``(groups, addresses)``: the ``SearcherProcess`` replicas of
     each shard, and the matching fleet spec ``OnlineService(searchers=)``
-    takes.  ``searcher`` keywords are ``launch_fleet``'s (straggler,
-    admission and chaos injection) and apply to unreplicated fleets.
+    takes.  ``launch`` keywords are ``launch_replicated_fleet``'s:
+    ``slow_shard`` and the ``ServerOptions`` fields (straggler,
+    admission and chaos injection), for any replica count.
     """
-    root = str(fs.root)
-    groups: list = []
+    groups = launch_replicated_fleet(
+        num_shards, replicas, root=str(fs.root), **launch
+    )
     try:
-        if replicas == 1:
-            members = launch_fleet(num_shards, root=root, **searcher)
-            groups = [[member] for member in members]
-        else:
-            groups = launch_replicated_fleet(num_shards, replicas, root=root)
         yield groups, replicated_fleet_addresses(groups)
     finally:
         shutdown_replicated_fleet(groups)

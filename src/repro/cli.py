@@ -39,6 +39,7 @@ from repro.core.config import LannsConfig
 from repro.data.io import read_fvecs
 from repro.errors import LannsError
 from repro.hnsw.params import HnswParams
+from repro.net.server import ServerOptions
 from repro.offline.indexing import build_index_job
 from repro.offline.querying import query_index_job
 from repro.sparklite.cluster import LocalCluster
@@ -266,26 +267,15 @@ def _query_remote(
 
 
 def _cmd_serve_searcher(args: argparse.Namespace) -> int:
-    from repro.net.chaos import FaultPlan
     from repro.net.server import SearcherServer
     from repro.online.searcher import SearcherNode
 
-    chaos = (
-        FaultPlan.parse(args.chaos_spec) if args.chaos_spec else None
-    )
     server = SearcherServer(
         SearcherNode(args.shard_id),
         host=args.host,
         port=args.port,
         root=args.root,
-        slow_every=args.slow_every,
-        slow_delay_s=args.slow_delay_s,
-        max_in_flight=args.max_in_flight,
-        queue_cap=args.queue_cap,
-        retry_after_s=args.retry_after_s,
-        batch_max=args.batch_max,
-        batch_wait_ms=args.batch_wait_ms,
-        chaos=chaos,
+        options=ServerOptions.from_args(args),
     )
     return server.run()
 
@@ -568,69 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
             "sent with each deploy request)"
         ),
     )
-    serve.add_argument(
-        "--slow-every",
-        type=int,
-        default=0,
-        help=(
-            "straggler injection: stall every Nth SEARCH request "
-            "(benchmarks/tests; 0 disables)"
-        ),
-    )
-    serve.add_argument(
-        "--slow-delay-s",
-        type=float,
-        default=0.0,
-        help="stall duration in seconds for --slow-every",
-    )
-    serve.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=0,
-        help=(
-            "admission control: concurrent SEARCH executions before "
-            "requests queue (0 = unbounded, admission disabled)"
-        ),
-    )
-    serve.add_argument(
-        "--queue-cap",
-        type=int,
-        default=0,
-        help=(
-            "admission control: SEARCH requests allowed to wait for a "
-            "slot; beyond this the server sheds with OVERLOADED"
-        ),
-    )
-    serve.add_argument(
-        "--retry-after-s",
-        type=float,
-        default=0.05,
-        help="backoff hint carried inside OVERLOADED error frames",
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=1,
-        help=(
-            "server-side micro-batching: coalesce up to this many query "
-            "rows across connections per lockstep batch (1 disables)"
-        ),
-    )
-    serve.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=2.0,
-        help="max wait before a partial server-side micro-batch flushes",
-    )
-    serve.add_argument(
-        "--chaos-spec",
-        default=None,
-        help=(
-            "seeded fault injection, e.g. "
-            "'seed=42,reset_rate=0.05,delay_rate=0.1,delay_s=0.02' "
-            "(see repro.net.chaos.FaultPlan)"
-        ),
-    )
+    ServerOptions.add_flags(serve)  # one knob flag per field
     serve.set_defaults(handler=_cmd_serve_searcher)
 
     query = commands.add_parser("query", help="query a persisted index")

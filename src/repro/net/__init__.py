@@ -18,7 +18,7 @@ machines*, each hosting one shard.  This package is that wire layer:
 """
 
 from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
-from repro.net.server import SearcherServer
+from repro.net.server import SearcherServer, ServerOptions
 from repro.net.transport import (
     AsyncSearcherTransport,
     LocalSearcherTransport,
@@ -31,6 +31,7 @@ __all__ = [
     "RemoteSearcherClient",
     "AsyncRemoteSearcherClient",
     "SearcherServer",
+    "ServerOptions",
     "SearcherTransport",
     "AsyncSearcherTransport",
     "LocalSearcherTransport",

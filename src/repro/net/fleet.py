@@ -23,8 +23,12 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.net.server import ServerOptions
 
 
 def _src_path() -> str:
@@ -82,16 +86,10 @@ def launch_searcher(
     host: str = "127.0.0.1",
     port: int = 0,
     ready_timeout_s: float = 120.0,
-    slow_every: int = 0,
-    slow_delay_s: float = 0.0,
-    max_in_flight: int = 0,
-    queue_cap: int = 0,
-    retry_after_s: float | None = None,
-    batch_max: int = 1,
-    batch_wait_ms: float | None = None,
-    chaos_spec: str | None = None,
     command: list[str] | None = None,
     log_dir: str | Path | None = None,
+    options: ServerOptions | None = None,
+    **fields,
 ) -> SearcherProcess:
     """Spawn one ``serve-searcher`` subprocess and wait until it listens.
 
@@ -113,14 +111,18 @@ def launch_searcher(
     between lines.  On expiry the child is SIGKILLed and reaped, then
     :class:`TimeoutError` raises.
 
-    ``slow_every`` / ``slow_delay_s`` forward straggler injection, the
-    admission knobs (``max_in_flight`` / ``queue_cap`` /
-    ``retry_after_s``), server-side micro-batching (``batch_max`` /
-    ``batch_wait_ms``) and ``chaos_spec`` (a
-    :meth:`~repro.net.chaos.FaultPlan.parse` spec string) to the server
-    (see :class:`~repro.net.server.SearcherServer`); ``command``
-    overrides the spawned argv entirely (readiness-failure tests).
+    ``options`` and / or its fields as keywords are the child's
+    :class:`~repro.net.server.ServerOptions`: the argv carries one flag
+    per field that differs from its default, so a bare launch spawns
+    the bare command.  ``command`` overrides the spawned argv entirely
+    (readiness-failure tests).
     """
+    # Imported here, not at module level: the server module pulls in the
+    # online package, which imports the service, which imports this
+    # module's parse_fleet_spec -- a cycle at import time.
+    from repro.net.server import ServerOptions
+
+    options = replace(options or ServerOptions(), **fields)
     if command is None:
         command = [
             sys.executable,
@@ -136,25 +138,7 @@ def launch_searcher(
         ]
         if root is not None:
             command += ["--root", str(root)]
-        if slow_every:
-            command += [
-                "--slow-every",
-                str(slow_every),
-                "--slow-delay-s",
-                str(slow_delay_s),
-            ]
-        if max_in_flight:
-            command += ["--max-in-flight", str(max_in_flight)]
-        if queue_cap:
-            command += ["--queue-cap", str(queue_cap)]
-        if retry_after_s is not None:
-            command += ["--retry-after-s", str(retry_after_s)]
-        if batch_max > 1:
-            command += ["--batch-max", str(batch_max)]
-        if batch_wait_ms is not None:
-            command += ["--batch-wait-ms", str(batch_wait_ms)]
-        if chaos_spec:
-            command += ["--chaos-spec", str(chaos_spec)]
+        command += options.argv()
     env = dict(os.environ)
     src = _src_path()
     existing = env.get("PYTHONPATH")
@@ -221,10 +205,7 @@ def _await_ready(
     shard -- both name ``log_path``.  The caller kills/reaps on any
     raise.
     """
-    # Imported here, not at module level: the server module pulls in the
-    # online package, which imports the service, which imports this
-    # module's parse_fleet_spec -- a cycle at import time.
-    from repro.net.server import parse_ready_line
+    from repro.net.server import parse_ready_line  # lazy: see launch_searcher
 
     assert process.stdout is not None
     deadline = time.monotonic() + ready_timeout_s
@@ -305,56 +286,15 @@ def _drain_output(process: subprocess.Popen, log_file) -> None:
     threading.Thread(target=drain, daemon=True).start()
 
 
-def launch_fleet(
-    num_shards: int,
-    *,
-    root: str | None = None,
-    host: str = "127.0.0.1",
-    ready_timeout_s: float = 120.0,
-    slow_shard: int | None = None,
-    slow_every: int = 0,
-    slow_delay_s: float = 0.0,
-    max_in_flight: int = 0,
-    queue_cap: int = 0,
-    retry_after_s: float | None = None,
-    batch_max: int = 1,
-    batch_wait_ms: float | None = None,
-    chaos_spec: str | None = None,
-    log_dir: str | Path | None = None,
-) -> list[SearcherProcess]:
-    """Spawn one searcher subprocess per shard; tears down on any failure.
+def launch_fleet(num_shards: int, **launch) -> list[SearcherProcess]:
+    """One searcher subprocess per shard, in shard order.
 
-    ``slow_shard`` selects one fleet member to launch with straggler
-    injection (``slow_every`` / ``slow_delay_s``) -- the slow-shard
-    hedging benchmark's setup.  The admission / micro-batching / chaos
-    knobs apply to *every* member (overload and chaos benchmarks want a
-    uniformly configured fleet).
+    :func:`launch_replicated_fleet` with groups of one, flattened; the
+    keywords are its own.
     """
-    fleet: list[SearcherProcess] = []
-    try:
-        for shard_id in range(num_shards):
-            slow = slow_shard is not None and shard_id == slow_shard
-            fleet.append(
-                launch_searcher(
-                    shard_id,
-                    root=root,
-                    host=host,
-                    ready_timeout_s=ready_timeout_s,
-                    slow_every=slow_every if slow else 0,
-                    slow_delay_s=slow_delay_s if slow else 0.0,
-                    max_in_flight=max_in_flight,
-                    queue_cap=queue_cap,
-                    retry_after_s=retry_after_s,
-                    batch_max=batch_max,
-                    batch_wait_ms=batch_wait_ms,
-                    chaos_spec=chaos_spec,
-                    log_dir=log_dir,
-                )
-            )
-    except BaseException:
-        shutdown_fleet(fleet)
-        raise
-    return fleet
+    return [
+        group[0] for group in launch_replicated_fleet(num_shards, 1, **launch)
+    ]
 
 
 def shutdown_fleet(fleet: list[SearcherProcess]) -> None:
@@ -415,17 +355,27 @@ def launch_replicated_fleet(
     root: str | None = None,
     host: str = "127.0.0.1",
     ready_timeout_s: float = 120.0,
+    slow_shard: int | None = None,
     log_dir: str | Path | None = None,
+    options: ServerOptions | None = None,
+    **fields,
 ) -> list[list[SearcherProcess]]:
     """Spawn ``replicas`` searcher subprocesses per shard position.
 
     Every member of group ``s`` announces shard ``s`` -- they are
     interchangeable servers of the same shard, which is what the
-    broker's replica groups expect.  Tears the whole fleet down on any
-    launch failure.
+    broker's replica groups expect.  Every member starts with the same
+    ``options`` / ``fields`` (see :func:`launch_searcher`), except that
+    only group ``slow_shard`` keeps the straggler-injection fields --
+    the slow-shard hedging benchmark's setup; ``slow_shard=None``
+    injects on nobody.  Tears the whole fleet down on any launch
+    failure.
     """
+    from repro.net.server import ServerOptions  # lazy: see launch_searcher
+
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    options = replace(options or ServerOptions(), **fields)
     groups: list[list[SearcherProcess]] = []
     try:
         for shard_id in range(num_shards):
@@ -436,6 +386,11 @@ def launch_replicated_fleet(
                     host=host,
                     ready_timeout_s=ready_timeout_s,
                     log_dir=log_dir,
+                    options=(
+                        options
+                        if shard_id == slow_shard
+                        else options.without_straggler()
+                    ),
                 )
                 for _replica in range(replicas)
             ]

@@ -56,6 +56,7 @@ import contextlib
 import threading
 import time
 from collections import deque
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -119,6 +120,134 @@ def parse_ready_line(line: str) -> tuple[int, int] | None:
         return None
 
 
+#: A field's annotation -> what parses its flag and normalises its value.
+_CASTS = {"int": int, "float": float}
+
+
+def _knob(default, help: str, flag: str | None = None):
+    return field(default=default, metadata={"help": help, "flag": flag})
+
+
+@dataclass(frozen=True)
+class ServerOptions:
+    """How one searcher admits, batches and perturbs its SEARCH work.
+
+    The one place a server knob's name, type, default, validation and
+    help line are written.  The ``serve-searcher`` flags
+    (:meth:`add_flags` / :meth:`from_args`), the child argv of
+    :func:`~repro.net.fleet.launch_searcher` (:meth:`argv`), the
+    keywords :class:`SearcherServer` and the ``launch_*`` functions
+    accept (``replace(options or ServerOptions(), **fields)``: a keyword
+    that is no field is a ``TypeError`` naming it) and the ``options``
+    echo of the STATS RPC are loops over these fields: a new knob is
+    one more field here.
+    """
+
+    #: Every ``slow_every``-th SEARCH (starting with the first) sleeps
+    #: ``slow_delay_s`` before executing: a per-request stall (GC pause,
+    #: queueing spike), not a uniformly slow machine.  ``slow_every=2``
+    #: lets a hedged retry of a stalled request land on a fast slot;
+    #: ``1`` stalls every request.
+    slow_every: int = _knob(
+        0,
+        "straggler injection: stall every Nth SEARCH request "
+        "(benchmarks/tests; 0 disables)",
+    )
+    slow_delay_s: float = _knob(
+        0.0, "stall duration in seconds for --slow-every"
+    )
+    max_in_flight: int = _knob(
+        0,
+        "admission control: concurrent SEARCH executions before "
+        "requests queue (0 = unbounded, admission disabled)",
+    )
+    queue_cap: int = _knob(
+        0,
+        "admission control: SEARCH requests allowed to wait for a "
+        "slot; beyond this the server sheds with OVERLOADED",
+    )
+    retry_after_s: float = _knob(
+        0.05, "backoff hint carried inside OVERLOADED error frames"
+    )
+    #: Only plain SEARCH frames (no probes/trace/cost extras) coalesce.
+    batch_max: int = _knob(
+        1,
+        "server-side micro-batching: coalesce up to this many query "
+        "rows across connections per lockstep batch (1 disables)",
+    )
+    batch_wait_ms: float = _knob(
+        2.0, "max wait before a partial server-side micro-batch flushes"
+    )
+    #: A seeded :class:`~repro.net.chaos.FaultPlan` in its ``spec()``
+    #: form (a plan is accepted and stored as that string, which is what
+    #: crosses the process boundary); one fault decision is drawn per
+    #: SEARCH frame in arrival order.
+    chaos: str | None = _knob(
+        None,
+        "seeded fault injection, e.g. "
+        "'seed=42,reset_rate=0.05,delay_rate=0.1,delay_s=0.02' "
+        "(see repro.net.chaos.FaultPlan)",
+        flag="--chaos-spec",
+    )
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            if spec.type in _CASTS:
+                value = _CASTS[spec.type](getattr(self, spec.name))
+                object.__setattr__(self, spec.name, value)
+        if self.slow_every < 0 or self.slow_delay_s < 0:
+            raise ValueError("slow_every / slow_delay_s must be >= 0")
+        if self.max_in_flight < 0 or self.queue_cap < 0:
+            raise ValueError("max_in_flight / queue_cap must be >= 0")
+        if self.retry_after_s < 0:
+            raise ValueError(
+                f"retry_after_s must be >= 0, got {self.retry_after_s}"
+            )
+        if self.batch_max < 1:
+            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
+        chaos = self.chaos
+        if isinstance(chaos, FaultPlan):
+            chaos = chaos.spec()
+        elif chaos:
+            FaultPlan.parse(chaos)  # a bad spec is refused here, not at serve time
+        object.__setattr__(self, "chaos", chaos or None)
+
+    def without_straggler(self) -> ServerOptions:
+        """This value for the members ``launch_fleet(slow_shard=)`` did not pick."""
+        return replace(self, slow_every=0, slow_delay_s=0.0)
+
+    # -- the command line ------------------------------------------------------------
+    @staticmethod
+    def _flag(spec) -> str:
+        return spec.metadata["flag"] or "--" + spec.name.replace("_", "-")
+
+    @classmethod
+    def add_flags(cls, parser) -> None:
+        """One ``serve-searcher`` flag per field: its name with dashes."""
+        for spec in fields(cls):
+            parser.add_argument(
+                cls._flag(spec),
+                dest=spec.name,
+                type=_CASTS.get(spec.type, str),
+                default=spec.default,
+                help=spec.metadata["help"],
+            )
+
+    @classmethod
+    def from_args(cls, args) -> ServerOptions:
+        """The value a namespace parsed by :meth:`add_flags` holds."""
+        return cls(**{spec.name: getattr(args, spec.name) for spec in fields(cls)})
+
+    def argv(self) -> list[str]:
+        """The flags that rebuild this value; fields at their default add none."""
+        return [
+            token
+            for spec in fields(self)
+            if getattr(self, spec.name) != spec.default
+            for token in (self._flag(spec), str(getattr(self, spec.name)))
+        ]
+
+
 class SearcherServer:
     """Serve one :class:`SearcherNode` over TCP.
 
@@ -133,32 +262,13 @@ class SearcherServer:
         Optional :class:`LocalHdfs` root this server loads shards from.
         When ``None``, each ``DEPLOY`` request must carry a ``root`` --
         fine over loopback, where broker and searcher share a disk.
-    max_frame:
-        Per-frame byte ceiling (both directions).
-    slow_every, slow_delay_s:
-        Straggler injection for benchmarks and hedging tests: every
-        ``slow_every``-th SEARCH request (starting with the first)
-        sleeps ``slow_delay_s`` seconds before executing, modelling a
-        per-request stall (GC pause, queueing spike) rather than a
-        uniformly slow machine.  ``slow_every=2`` makes a hedged retry
-        of a stalled request land on a fast slot; ``slow_every=1``
-        stalls every request.  ``0`` (default) disables injection.
-    max_in_flight, queue_cap:
-        Admission control: at most ``max_in_flight`` SEARCH requests
-        execute concurrently and at most ``queue_cap`` more wait for a
-        slot; anything beyond is shed with ``OVERLOADED``.
-        ``max_in_flight=0`` (default) disables admission entirely.
-    retry_after_s:
-        Backoff hint shipped inside OVERLOADED error frames.
-    batch_max, batch_wait_ms:
-        Server-side micro-batching: with ``batch_max > 1``, plain SEARCH
-        frames (no probes/trace/cost extras) from *different*
-        connections coalesce into one lockstep batch of up to
-        ``batch_max`` rows, flushing after ``batch_wait_ms`` at the
-        latest.  ``batch_max=1`` (default) executes each frame alone.
-    chaos:
-        Optional seeded :class:`~repro.net.chaos.FaultPlan`; one fault
-        decision is drawn per SEARCH frame in arrival order.
+    options, **fields:
+        The knobs: a :class:`ServerOptions`, its fields as keywords, or
+        both (the keywords win).  The straggler, ``queue_cap`` and
+        ``retry_after_s`` fields are read off ``self.options`` per
+        request, so a test may assign a ``dataclasses.replace`` copy to
+        a live server; the rest is consumed when serving starts.  Frames
+        are capped at ``DEFAULT_MAX_FRAME`` bytes both ways.
     """
 
     def __init__(
@@ -168,35 +278,18 @@ class SearcherServer:
         host: str = "127.0.0.1",
         port: int = 0,
         root: str | None = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        slow_every: int = 0,
-        slow_delay_s: float = 0.0,
-        max_in_flight: int = 0,
-        queue_cap: int = 0,
-        retry_after_s: float = 0.05,
-        batch_max: int = 1,
-        batch_wait_ms: float = 2.0,
-        chaos: FaultPlan | None = None,
+        options: ServerOptions | None = None,
+        **fields,
     ) -> None:
-        if slow_every < 0 or slow_delay_s < 0:
-            raise ValueError("slow_every / slow_delay_s must be >= 0")
-        if max_in_flight < 0 or queue_cap < 0:
-            raise ValueError("max_in_flight / queue_cap must be >= 0")
-        if retry_after_s < 0:
-            raise ValueError(f"retry_after_s must be >= 0, got {retry_after_s}")
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
+        self.options = replace(options or ServerOptions(), **fields)
         self.node = node
         self.host = host
         self.port = int(port)
         self.root = root
-        self.max_frame = int(max_frame)
-        self.slow_every = int(slow_every)
-        self.slow_delay_s = float(slow_delay_s)
-        self.max_in_flight = int(max_in_flight)
-        self.queue_cap = int(queue_cap)
-        self.retry_after_s = float(retry_after_s)
-        self.chaos = chaos
+        #: The live plan ``options.chaos`` describes (its RNG is the schedule).
+        self.chaos = (
+            FaultPlan.parse(self.options.chaos) if self.options.chaos else None
+        )
         #: Lifetime counters (surfaced through the STATS RPC).
         self.connections_accepted = 0
         self.frames_served = 0
@@ -212,10 +305,10 @@ class SearcherServer:
         self._batcher = (
             MicroBatcher(
                 self._batched_search,
-                max_batch=int(batch_max),
-                max_wait_ms=float(batch_wait_ms),
+                max_batch=self.options.batch_max,
+                max_wait_ms=self.options.batch_wait_ms,
             )
-            if batch_max > 1
+            if self.options.batch_max > 1
             else None
         )
         #: Live connections; only the event-loop thread touches the set.
@@ -247,7 +340,7 @@ class SearcherServer:
         elif kind == "overload":
             shed = OverloadedError(
                 f"injected overload (shard {self.node.shard_id})",
-                retry_after_s=self.retry_after_s,
+                retry_after_s=self.options.retry_after_s,
             )
             transport.writelines(error_frame(shed))
             self.frames_served += 1
@@ -275,13 +368,14 @@ class SearcherServer:
         """
         if self._admission is None:
             return False
-        if self._admission.locked() and self._queued >= self.queue_cap:
+        options = self.options
+        if self._admission.locked() and self._queued >= options.queue_cap:
             self.searches_shed += 1
             _SHED.inc()
             raise OverloadedError(
                 f"searcher shard {self.node.shard_id} is at capacity "
-                f"({self.max_in_flight} in flight, {self._queued} queued)",
-                retry_after_s=self.retry_after_s,
+                f"({options.max_in_flight} in flight, {self._queued} queued)",
+                retry_after_s=options.retry_after_s,
             )
         self._queued += 1
         try:
@@ -335,17 +429,18 @@ class SearcherServer:
                 # client has already given up, so executing now would
                 # burn CPU on an answer nobody reads.
                 self._refuse_if_spent(call, "waiting for admission")
+                options = self.options
                 if (
-                    self.slow_every
-                    and self.slow_delay_s > 0
-                    and (self.searches_seen - 1) % self.slow_every == 0
+                    options.slow_every
+                    and options.slow_delay_s > 0
+                    and (self.searches_seen - 1) % options.slow_every == 0
                 ):
                     # Injected straggler: stall this request only (the
                     # event loop keeps serving other connections).  The
                     # stall holds its admission slot -- a stalled
                     # request occupies real capacity.
                     with maybe_span(recorder, "stall", injected=True):
-                        await asyncio.sleep(self.slow_delay_s)
+                        await asyncio.sleep(options.slow_delay_s)
                 ids, dists, cost = await self._execute_search(loop, call, recorder)
             finally:
                 if admitted:
@@ -375,9 +470,10 @@ class SearcherServer:
             stats = self.node.stats()
             stats["connections_accepted"] = self.connections_accepted
             stats["frames_served"] = self.frames_served
+            stats["options"] = asdict(self.options)
             stats["admission"] = {
-                "max_in_flight": self.max_in_flight,
-                "queue_cap": self.queue_cap,
+                "max_in_flight": self.options.max_in_flight,
+                "queue_cap": self.options.queue_cap,
                 "searches_shed": self.searches_shed,
                 "searches_expired": self.searches_expired,
                 "searches_abandoned": self.searches_abandoned,
@@ -416,10 +512,10 @@ class SearcherServer:
         queries = call.queries
         if queries.ndim != 2:
             raise ValueError(f"SEARCH queries must be (rows, dim), got {queries.shape}")
-        if queries.shape[0] * call.top_k * 16 > self.max_frame:
+        if queries.shape[0] * call.top_k * 16 > DEFAULT_MAX_FRAME:
             raise ValueError(
                 f"a reply of {queries.shape[0]} rows x top_k={call.top_k} "
-                f"cannot fit the {self.max_frame}-byte frame limit"
+                f"cannot fit the {DEFAULT_MAX_FRAME}-byte frame limit"
             )
         if not np.isfinite(queries).all():
             raise ValueError("SEARCH queries hold NaN or infinite values")
@@ -486,8 +582,8 @@ class SearcherServer:
         # first awaits it, and each run()/start_in_thread() owns a new
         # loop.
         self._admission = (
-            asyncio.Semaphore(self.max_in_flight)
-            if self.max_in_flight > 0
+            asyncio.Semaphore(self.options.max_in_flight)
+            if self.options.max_in_flight > 0
             else None
         )
         self._queued = 0
@@ -592,7 +688,7 @@ class _Connection(asyncio.Protocol):
 
     def __init__(self, server: SearcherServer) -> None:
         self.server = server
-        self.reader = FrameReader(max_frame=server.max_frame)
+        self.reader = FrameReader()
         self.transport: asyncio.Transport | None = None
         #: Decoded frames not started yet -- or, last, the
         #: :class:`ProtocolError` that ended the stream.

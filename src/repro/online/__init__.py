@@ -17,7 +17,7 @@
 """
 
 from repro.online.searcher import SearcherNode
-from repro.online.broker import Broker
+from repro.online.broker import Broker, BrokerPolicy
 from repro.online.cache import QueryResultCache
 from repro.online.microbatch import MicroBatcher
 from repro.online.service import OnlineService
@@ -25,6 +25,7 @@ from repro.online.service import OnlineService
 __all__ = [
     "SearcherNode",
     "Broker",
+    "BrokerPolicy",
     "MicroBatcher",
     "QueryResultCache",
     "OnlineService",

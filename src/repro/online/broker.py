@@ -29,7 +29,7 @@ broker's :class:`~repro.obs.clock.StageClock`::
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +93,95 @@ _REQUEST_SECONDS = _REGISTRY.histogram(
 )
 
 
+@dataclass(frozen=True)
+class BrokerPolicy:
+    """How a broker batches, hedges, degrades, caches and observes.
+
+    The one place a broker knob's name, type, default and validation are
+    written: :class:`Broker` and
+    :class:`~repro.online.service.OnlineService` accept a policy, its
+    fields as keywords, or both (``replace(policy or BrokerPolicy(),
+    **fields)``: a keyword that is no field is a ``TypeError`` naming
+    it), keep it whole (``broker.policy``) and hand the fields to the
+    components that consume them.  A new knob is one more field here.
+    """
+
+    #: Tail-tolerance knob (needs at least one
+    #: :class:`~repro.net.transport.AsyncSearcherTransport` in the
+    #: fleet -- a hedge that could never fire is rejected, not dropped):
+    #: when an async-capable shard has not answered within this many
+    #: seconds and budget remains before the deadline, the same RPC is
+    #: re-issued -- on a *different replica* of the group when one is
+    #: available, else on a second connection to the same process.
+    #: First reply wins, the loser is cancelled.  ``None`` disables
+    #: hedging; ``"auto"`` derives the delay per batch from the live
+    #: ``shard_rpc`` window (median x ``AUTO_HEDGE_MULTIPLIER``).
+    hedge_after_s: float | str | None = None
+    #: Micro-batching: coalesce up to ``max_batch`` rows, flushing after
+    #: ``max_wait_ms`` at the latest.  ``max_batch <= 1`` disables it.
+    max_batch: int = 1
+    max_wait_ms: float = 2.0
+    #: ``"fail"``: any shard failure fails the request.  ``"degrade"``:
+    #: connectivity failures drop that shard's rows from the merge and
+    #: the response is annotated with ``shards_answered``; requests
+    #: where *every* shard failed still raise.  With replica groups, a
+    #: shard only counts as failed after every eligible replica was
+    #: tried.
+    partial_policy: str = "fail"
+    #: Per-request deadline for the whole fan-out (``None`` = wait
+    #: forever).  ``SearchRequest.deadline_s`` overrides it per request.
+    request_timeout_s: float | None = None
+    #: Per-replica circuit breakers (see
+    #: :class:`~repro.online.replicas.ReplicaGroup`):
+    #: ``breaker_threshold`` consecutive transport failures open the
+    #: breaker for ``breaker_cooldown_s`` seconds, after which one
+    #: half-open probe decides recovery.  ``0`` disables breakers.
+    breaker_threshold: int = 3
+    breaker_cooldown_s: float = 1.0
+    #: Cosine cache-key quantization; see :mod:`repro.online.cache`.
+    cache_quantize_decimals: int | None = None
+    #: Ask the searchers for per-batch search-cost counters (hops,
+    #: distance computations, ...; see :mod:`repro.obs.cost`) and attach
+    #: the aggregate to ``SearchResponse.cost``.  Requests coalesced by
+    #: the micro-batcher report costs to the metrics registry only:
+    #: per-request attribution of a shared lockstep batch is ambiguous.
+    collect_cost: bool = True
+    #: Request tracing (see :mod:`repro.obs.tracing`): the probability
+    #: a request is traced end to end, the wall-time threshold beyond
+    #: which a request is force-kept and logged as a slow query, and the
+    #: sampling seed (tests want determinism).  Both default off, so the
+    #: hot path never builds a span.
+    trace_sample_rate: float = 0.0
+    slow_query_log_s: float | None = None
+    trace_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.partial_policy not in PARTIAL_POLICIES:
+            raise ValueError(
+                f"partial_policy must be one of {PARTIAL_POLICIES}, "
+                f"got {self.partial_policy!r}"
+            )
+        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+            raise ValueError(
+                "request_timeout_s must be positive, "
+                f"got {self.request_timeout_s}"
+            )
+        hedge_after_s = self.hedge_after_s
+        if isinstance(hedge_after_s, str):
+            if hedge_after_s != "auto":
+                raise ValueError(
+                    "hedge_after_s must be a positive delay in seconds "
+                    f"or 'auto', got {hedge_after_s!r}"
+                )
+        elif hedge_after_s is not None:
+            if hedge_after_s <= 0:
+                raise ValueError(
+                    f"hedge_after_s must be positive, got {hedge_after_s}"
+                )
+            object.__setattr__(self, "hedge_after_s", float(hedge_after_s))
+        object.__setattr__(self, "collect_cost", bool(self.collect_cost))
+
+
 class Broker:
     """Fans queries out to a searcher fleet and merges shard results.
 
@@ -119,55 +208,14 @@ class Broker:
         ``segment_sizes``), letting the router prune fan-out to the
         shards actually hosting a segment.  ``None`` assumes full
         occupancy (probes are restricted, fan-out is not).
-    partial_policy:
-        ``"fail"`` (default): any shard failure fails the request.
-        ``"degrade"``: connectivity failures drop that shard's rows from
-        the merge and the response is annotated with ``shards_answered``;
-        requests where *every* shard failed still raise.  With replica
-        groups, a shard only counts as failed after every eligible
-        replica was tried.
-    request_timeout_s:
-        Per-request deadline for the whole fan-out (``None`` = wait
-        forever).  ``SearchRequest.deadline_s`` overrides it per request.
-    hedge_after_s:
-        Tail-tolerance knob (needs at least one
-        :class:`~repro.net.transport.AsyncSearcherTransport` in the
-        fleet -- a hedge that could never fire is rejected, not
-        dropped): when an async-capable shard has not answered within
-        this many seconds and budget remains before the deadline, the
-        same RPC is re-issued -- on a *different replica* of the group
-        when one is available, else on a second connection to the same
-        process.  First reply wins, the loser is cancelled.  ``None``
-        disables hedging; ``"auto"`` derives the delay per batch from
-        the live ``shard_rpc`` window (median x
-        ``AUTO_HEDGE_MULTIPLIER``).
-    max_batch, max_wait_ms:
-        Micro-batching knobs.  ``max_batch <= 1`` disables admission.
-    cache / cache_size / cache_epoch / cache_quantize_decimals:
+    cache / cache_size / cache_epoch:
         Result-cache wiring; see :mod:`repro.online.cache`.
-    collect_cost:
-        Ask the searchers for per-batch search-cost counters (hops,
-        distance computations, ...; see :mod:`repro.obs.cost`) and
-        attach the aggregate to ``SearchResponse.cost``.  Requests
-        coalesced by the micro-batcher report costs to the metrics
-        registry only: per-request attribution of a shared lockstep
-        batch is ambiguous.
-    trace_sample_rate / slow_query_log_s / trace_seed:
-        Request-tracing knobs (see :mod:`repro.obs.tracing`):
-        the probability a request is traced end to end, the wall-time
-        threshold beyond which a request is force-kept and logged as a
-        slow query, and the sampling seed (tests want determinism).
-        Both knobs default off, so the hot path never builds a span.
-    breaker_threshold, breaker_cooldown_s:
-        Per-replica circuit breakers (see
-        :class:`~repro.online.replicas.ReplicaGroup`):
-        ``breaker_threshold`` consecutive transport failures open the
-        breaker for ``breaker_cooldown_s`` seconds, after which one
-        half-open probe decides recovery.  ``breaker_threshold=0``
-        disables breakers.
     name:
         Label under which this broker reports to the metrics registry
         (A/B deployments run several brokers in one process).
+    policy, **fields:
+        The knobs: a :class:`BrokerPolicy`, its fields as keywords, or
+        both (the keywords win).
     """
 
     def __init__(
@@ -175,25 +223,16 @@ class Broker:
         searchers: list,
         config: LannsConfig,
         *,
-        hedge_after_s: float | str | None = None,
-        max_batch: int = 1,
-        max_wait_ms: float = 2.0,
         cache: QueryResultCache | None = None,
         cache_size: int = 0,
         cache_epoch: int = 0,
-        cache_quantize_decimals: int | None = None,
-        partial_policy: str = "fail",
-        request_timeout_s: float | None = None,
         segmenter: Segmenter | None = None,
         segment_sizes: list[list[int]] | None = None,
-        collect_cost: bool = True,
-        trace_sample_rate: float = 0.0,
-        slow_query_log_s: float | None = None,
-        trace_seed: int | None = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 1.0,
         name: str = "broker",
+        policy: BrokerPolicy | None = None,
+        **fields,
     ) -> None:
+        self.policy = policy = replace(policy or BrokerPolicy(), **fields)
         if len(searchers) != config.num_shards:
             raise ValueError(
                 f"{len(searchers)} searchers for {config.num_shards} shards"
@@ -202,47 +241,20 @@ class Broker:
             ReplicaGroup(
                 shard_id,
                 entry if isinstance(entry, (list, tuple)) else [entry],
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown_s=breaker_cooldown_s,
+                breaker_threshold=policy.breaker_threshold,
+                breaker_cooldown_s=policy.breaker_cooldown_s,
             )
             for shard_id, entry in enumerate(searchers)
         ]
-        if partial_policy not in PARTIAL_POLICIES:
-            raise ValueError(
-                f"partial_policy must be one of {PARTIAL_POLICIES}, "
-                f"got {partial_policy!r}"
-            )
-        if request_timeout_s is not None and request_timeout_s <= 0:
-            raise ValueError(
-                f"request_timeout_s must be positive, got {request_timeout_s}"
-            )
-        if hedge_after_s is not None:
-            if isinstance(hedge_after_s, str):
-                if hedge_after_s != "auto":
-                    raise ValueError(
-                        "hedge_after_s must be a positive delay in seconds "
-                        f"or 'auto', got {hedge_after_s!r}"
-                    )
-            elif hedge_after_s <= 0:
-                raise ValueError(
-                    f"hedge_after_s must be positive, got {hedge_after_s}"
-                )
         self.searchers = searchers
         self.transports: list[SearcherTransport] = [
             transport
             for group in self.groups
             for transport in group.transports
         ]
-        if hedge_after_s is not None:
+        if policy.hedge_after_s is not None:
             self._require_hedge_target("hedge_after_s")
         self.config = config
-        self.partial_policy = partial_policy
-        self.request_timeout_s = request_timeout_s
-        self.hedge_after_s = (
-            hedge_after_s
-            if hedge_after_s is None or isinstance(hedge_after_s, str)
-            else float(hedge_after_s)
-        )
         self.router: Router | None = (
             Router(
                 segmenter,
@@ -261,16 +273,17 @@ class Broker:
         #: wins, failovers, degraded batches, per-shard failures (a shard
         #: counts once per request, after replica failover is exhausted).
         self.tally = Tally(_COUNTERS, broker=self.name)
-        self.collect_cost = bool(collect_cost)
         self.tracer = Tracer(
-            trace_sample_rate, slow_query_log_s, seed=trace_seed
+            policy.trace_sample_rate,
+            policy.slow_query_log_s,
+            seed=policy.trace_seed,
         )
         self.cache = (
             cache if cache is not None else QueryResultCache(cache_size)
         )
         self.cache_epoch = int(cache_epoch)
         self._fanout = FanOut(
-            self.groups, self.timings, self.tally, partial_policy
+            self.groups, self.timings, self.tally, policy.partial_policy
         )
         #: Where the fan-out runs -- derived from the fleet, see
         #: :mod:`repro.online.fanout`.
@@ -282,9 +295,9 @@ class Broker:
             num_shards=config.num_shards,
             metric=config.metric,
             epoch=self.cache_epoch,
-            quantize_decimals=cache_quantize_decimals,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
+            quantize_decimals=policy.cache_quantize_decimals,
+            max_batch=policy.max_batch,
+            max_wait_ms=policy.max_wait_ms,
         )
 
     def _require_hedge_target(self, knob: str) -> None:
@@ -302,7 +315,6 @@ class Broker:
                 "fleet (hedges are raced on the fan-out event loop; "
                 "in-process transports cannot hedge)"
             )
-
 
     def close(self) -> None:
         """Drain the admission layer and stop the fan-out loop.
@@ -326,17 +338,17 @@ class Broker:
             "microbatch": dict(batcher.stats) if batcher is not None else None,
             "stages": self.timings.summary(),
             "venue": self.venue,
-            "hedge_after_s": self.hedge_after_s,
+            "hedge_after_s": self.policy.hedge_after_s,
             "hedges": counts.get("hedges", 0),
             "hedge_wins": counts.get("hedge_wins", 0),
             "failovers": counts.get("failovers", 0),
             "queries_served": counts.get("queries_served", 0),
-            "collect_cost": self.collect_cost,
+            "collect_cost": self.policy.collect_cost,
             "tracer": self.tracer.stats(),
             "replicas": [group.stats() for group in self.groups],
             "partial": {
-                "policy": self.partial_policy,
-                "request_timeout_s": self.request_timeout_s,
+                "policy": self.policy.partial_policy,
+                "request_timeout_s": self.policy.request_timeout_s,
                 "degraded_batches": counts.get("degraded_batches", 0),
                 "shard_failures": [
                     counts.get(("shard_failures", shard), 0)
@@ -490,6 +502,7 @@ class Broker:
         asks each group about its routed rows only, so the per-shard
         budget must cover the plan's width, not the full deployment's.
         """
+        policy = self.policy
         num_queries = queries.shape[0]
         num_shards = len(self.groups)
         work, routed = work_list(queries, plan, num_shards)
@@ -503,16 +516,16 @@ class Broker:
                 shards_routed=routed,
                 num_shards=num_shards,
                 replicas_used=(-1,) * num_shards,
-                cost=SearchCost().as_dict() if self.collect_cost else None,
+                cost=SearchCost().as_dict() if policy.collect_cost else None,
             )
         budget = self.per_shard_budget(
             key.top_k,
             None if plan is None else int(plan.routed_counts.max()),
         )
         if timeout_s == INHERIT:
-            timeout_s = self.request_timeout_s
+            timeout_s = policy.request_timeout_s
         if hedging == INHERIT:
-            hedging = self.hedge_after_s
+            hedging = policy.hedge_after_s
         batch = Batch(
             call=ShardCall(
                 key.index_name,
@@ -520,7 +533,7 @@ class Broker:
                 budget,
                 key.ef,
                 trace=trace.context() if trace is not None else None,
-                cost=self.collect_cost or None,
+                cost=policy.collect_cost or None,
                 deadline=deadline_after(timeout_s),
             ),
             hedge_delay=resolve_hedge_delay(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from repro.errors import (
 from repro.eval.timing import measure_batch_qps, measure_qps
 from repro.net.fleet import parse_fleet_spec
 from repro.net.transport import RemoteSearcherTransport
-from repro.online.broker import Broker
+from repro.online.broker import Broker, BrokerPolicy
 from repro.online.cache import QueryResultCache
 from repro.online.searcher import SearcherNode
 from repro.online.types import SearchRequest, SearchResponse
@@ -54,14 +55,6 @@ class OnlineService:
 
     Parameters
     ----------
-    hedge_after_s:
-        Hedged-request delay passed to every broker: a delay in
-        seconds, or ``"auto"`` to track the live ``shard_rpc`` latency
-        window (remote fleets only -- in-process shards cannot hedge;
-        see :class:`~repro.online.broker.Broker`).
-    max_batch, max_wait_ms:
-        Micro-batching knobs passed to each broker; ``max_batch <= 1``
-        (default) disables opportunistic micro-batching.
     cache_size:
         Capacity of the service-wide query result cache, shared by all
         deployed indices (keys carry the index name).  ``0`` disables
@@ -76,26 +69,15 @@ class OnlineService:
         (``"h1:9000,h2:9000;h1:9001,h2:9001"`` or
         ``[["h1:9000", "h2:9000"], ...]``); each address must be a
         running ``serve-searcher`` process.
-    partial_policy, request_timeout_s:
-        Fan-out failure semantics, passed to every broker (see
-        :class:`~repro.online.broker.Broker`).
-    breaker_threshold, breaker_cooldown_s:
-        Per-replica circuit breaker knobs, passed to every broker's
-        replica groups: ``breaker_threshold`` consecutive transport
-        failures open a replica's breaker for ``breaker_cooldown_s``
-        seconds (``0`` disables breakers; see
-        :class:`~repro.online.replicas.ReplicaGroup`).
-    cache_quantize_decimals:
-        Cosine cache-key quantization, passed to every broker.
-    rpc_timeout_s, rpc_retries, rpc_pool_size:
-        Per-searcher RPC client knobs (remote fleets only).
-    collect_cost, trace_sample_rate, slow_query_log_s, trace_seed:
-        Observability knobs passed to every broker: per-batch
-        search-cost accounting (on by default) and sampled request
-        tracing with a slow-query log (off by default); see
-        :class:`~repro.online.broker.Broker` and :mod:`repro.obs`.
-        Each broker registers under its index name in the metrics
-        registry.
+    rpc_retries:
+        Reconnect-and-retry budget of each per-searcher RPC client
+        (remote fleets only).
+    policy, **fields:
+        See :class:`~repro.online.broker.BrokerPolicy`: the policy every
+        deployed index's broker runs under (each registers under its
+        index name in the metrics registry), built and validated here,
+        before any shard is hosted.  ``hedge_after_s`` needs a remote
+        fleet -- in-process shards cannot hedge.
     """
 
     def __init__(
@@ -105,45 +87,22 @@ class OnlineService:
         # its fan-out venue from the fleet.  Last caller is
         # benchmarks/ledger/workloads.py (frozen); drop both together.
         async_fanout: bool = False,
-        hedge_after_s: float | str | None = None,
-        max_batch: int = 1,
-        max_wait_ms: float = 2.0,
         cache_size: int = 0,
         searchers: str | Sequence | None = None,
-        partial_policy: str = "fail",
-        request_timeout_s: float | None = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 1.0,
-        cache_quantize_decimals: int | None = None,
-        rpc_timeout_s: float = 30.0,
         rpc_retries: int = 2,
-        rpc_pool_size: int = 2,
-        collect_cost: bool = True,
-        trace_sample_rate: float = 0.0,
-        slow_query_log_s: float | None = None,
-        trace_seed: int | None = None,
+        policy: BrokerPolicy | None = None,
+        **fields,
     ) -> None:
+        self.policy = replace(policy or BrokerPolicy(), **fields)
         self.brokers: dict[str, Broker] = {}
         self.configs: dict[str, LannsConfig] = {}
         #: ``index_name -> (fs, index_path)`` for every live deploy
         #: (what :meth:`rolling_restart` re-hosts onto fresh replicas).
         self.deployments: dict[str, tuple[LocalHdfs, str]] = {}
-        self.hedge_after_s = hedge_after_s
-        self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
-        self.partial_policy = partial_policy
-        self.request_timeout_s = request_timeout_s
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self.cache_quantize_decimals = cache_quantize_decimals
-        self.collect_cost = bool(collect_cost)
-        self.trace_sample_rate = float(trace_sample_rate)
-        self.slow_query_log_s = slow_query_log_s
-        self.trace_seed = trace_seed
         self.cache = QueryResultCache(cache_size)
         self._deploy_epoch = 0
         if searchers is None:
-            if hedge_after_s is not None:
+            if self.policy.hedge_after_s is not None:
                 # Fail here, not at the first deploy's Broker(), which
                 # runs after the shards are already hosted.
                 raise ValueError(
@@ -163,11 +122,7 @@ class OnlineService:
             # stats block this thread on the same client's facade.
             def connect(address: str, shard_id: int):
                 return RemoteSearcherTransport(
-                    address,
-                    shard_id,
-                    timeout_s=rpc_timeout_s,
-                    retries=rpc_retries,
-                    pool_size=rpc_pool_size,
+                    address, shard_id, retries=rpc_retries
                 )
 
             # Single-replica groups stay bare transports so the legacy
@@ -233,68 +188,87 @@ class OnlineService:
         # query to its top-spill segments) -- the persisted-metadata
         # coupling the paper insists on, now reaching the serving tier.
         segmenter = load_segmenter(fs, index_path, manifest)
-        if self.remote:
-            self._deploy_remote(fs, index_path, index_name)
-        else:
-            if not self.searchers:
-                self.searchers = [
-                    SearcherNode(shard_id)
-                    for shard_id in range(config.num_shards)
-                ]
-            for shard_id, searcher in enumerate(self.searchers):
-                shard = load_shard(
-                    fs,
-                    index_path,
-                    shard_id,
-                    manifest=manifest,
-                    segmenter=segmenter,
-                )
-                searcher.host(index_name, shard)
-        # A previous deployment under this name may have left cached
-        # results behind (the cache outlives brokers); drop them before
-        # the new index starts answering.  The bumped epoch additionally
-        # fences off late inserts from the old deployment's in-flight
-        # requests, which can land *after* this invalidation.
-        self.cache.invalidate(index_name)
-        self._deploy_epoch += 1
-        broker = Broker(
-            self.searchers,
-            config,
-            hedge_after_s=self.hedge_after_s,
-            max_batch=self.max_batch,
-            max_wait_ms=self.max_wait_ms,
-            cache=self.cache,
-            cache_epoch=self._deploy_epoch,
-            cache_quantize_decimals=self.cache_quantize_decimals,
-            partial_policy=self.partial_policy,
-            request_timeout_s=self.request_timeout_s,
-            breaker_threshold=self.breaker_threshold,
-            breaker_cooldown_s=self.breaker_cooldown_s,
-            segmenter=segmenter,
-            segment_sizes=manifest.segment_sizes,
-            collect_cost=self.collect_cost,
-            trace_sample_rate=self.trace_sample_rate,
-            slow_query_log_s=self.slow_query_log_s,
-            trace_seed=self.trace_seed,
-            name=index_name,
-        )
+        # Who may be hosting ``index_name`` on behalf of this deploy:
+        # whatever raises from here on -- a shard that fails to load, a
+        # broker the fleet cannot honor (a hedge delay nobody can race, a
+        # segmenter / ``segment_sizes`` mismatch) -- takes it back off
+        # every one of them, so a failed deploy leaves nothing hosted and
+        # a corrected one can reuse the name.
+        hosting: list = []
+        try:
+            if self.remote:
+                self._deploy_remote(fs, index_path, index_name, hosting)
+            else:
+                if not self.searchers:
+                    self.searchers = [
+                        SearcherNode(shard_id)
+                        for shard_id in range(config.num_shards)
+                    ]
+                for shard_id, searcher in enumerate(self.searchers):
+                    shard = load_shard(
+                        fs,
+                        index_path,
+                        shard_id,
+                        manifest=manifest,
+                        segmenter=segmenter,
+                    )
+                    searcher.host(index_name, shard)
+                    hosting.append(searcher)
+            # A previous deployment under this name may have left cached
+            # results behind (the cache outlives brokers); drop them
+            # before the new index starts answering.  The bumped epoch
+            # additionally fences off late inserts from the old
+            # deployment's in-flight requests, which can land *after*
+            # this invalidation.
+            self.cache.invalidate(index_name)
+            self._deploy_epoch += 1
+            broker = Broker(
+                self.searchers,
+                config,
+                cache=self.cache,
+                cache_epoch=self._deploy_epoch,
+                segmenter=segmenter,
+                segment_sizes=manifest.segment_sizes,
+                name=index_name,
+                policy=self.policy,
+            )
+        except Exception:
+            # Broad on purpose, and NOT a swallow: roll back, re-raise.
+            self._unhost(hosting, index_name)
+            raise
         self.brokers[index_name] = broker
         self.configs[index_name] = config
         self.deployments[index_name] = (fs, index_path)
         return broker
 
+    def _unhost(self, members: list, index_name: str) -> None:
+        """Best-effort removal of ``index_name`` from ``members``.
+
+        A crashed searcher cannot unhost, and one that never received
+        the deploy has nothing to; neither may stop the rest of the
+        fleet from being cleared.
+        """
+        for member in members:
+            try:
+                if self.remote:
+                    member.undeploy(index_name)
+                else:
+                    member.unhost(index_name)
+            except (TransportError, OSError):
+                pass
+
     def _deploy_remote(
-        self, fs: LocalHdfs, index_path: str, index_name: str
+        self, fs: LocalHdfs, index_path: str, index_name: str, rollback: list
     ) -> None:
-        """One DEPLOY RPC per searcher, with rollback on partial failure.
+        """One DEPLOY RPC per searcher; ``rollback`` collects who to undo.
 
         Each searcher process loads its own shard from ``fs``'s root
         (shared over loopback; a real cluster would point every server
         at the same HDFS).  Replica groups deploy onto every member.
         Under the ``fail`` policy any failure -- connection refused,
-        checksum mismatch, wrong shard id -- aborts the deploy and
-        best-effort undeploys the searchers already hosting, so a
-        failed deploy leaves no half-hosted index behind.  Under
+        checksum mismatch, wrong shard id -- aborts the deploy
+        (:meth:`deploy` then undeploys ``rollback``, so a failed deploy
+        leaves no half-hosted index behind).  Under
         ``degrade``, *connectivity* failures are tolerated (the index
         deploys onto whoever is up, and searches return partial results
         annotated with ``shards_answered``); only a fully unreachable
@@ -307,39 +281,28 @@ class OnlineService:
         # connection dropped after host()).  Only a failure to *connect*
         # proves the request never arrived.  `hosted` counts confirmed
         # deploys -- what a degraded deploy needs at least one of.
-        rollback: list[RemoteSearcherTransport] = []
         hosted = 0
         unreachable: Exception | None = None
-        try:
-            for transport in self._all_transports():
-                rollback.append(transport)
-                try:
-                    transport.verify()
-                    transport.deploy(index_name, index_path, root=root)
-                except TransportError as exc:
-                    degradeable = self.partial_policy == "degrade" and not (
-                        isinstance(exc, RemoteCallError)
-                    )
-                    if not degradeable:
-                        raise
-                    unreachable = exc
-                    if isinstance(exc, ConnectionLostError):
-                        rollback.pop()  # provably never reached the server
-                else:
-                    hosted += 1
-            if hosted == 0:
-                raise TransportError(
-                    "no searcher in the fleet confirmed the deploy"
-                ) from unreachable
-        except Exception:
-            # Broad on purpose, and NOT a swallow: any failure rolls the
-            # partially-deployed index back off the fleet, then re-raises.
-            for transport in rollback:
-                try:
-                    transport.undeploy(index_name)
-                except (TransportError, OSError):
-                    pass
-            raise
+        for transport in self._all_transports():
+            rollback.append(transport)
+            try:
+                transport.verify()
+                transport.deploy(index_name, index_path, root=root)
+            except TransportError as exc:
+                degradeable = self.policy.partial_policy == "degrade" and not (
+                    isinstance(exc, RemoteCallError)
+                )
+                if not degradeable:
+                    raise
+                unreachable = exc
+                if isinstance(exc, ConnectionLostError):
+                    rollback.pop()  # provably never reached the server
+            else:
+                hosted += 1
+        if hosted == 0:
+            raise TransportError(
+                "no searcher in the fleet confirmed the deploy"
+            ) from unreachable
 
     def undeploy(self, index_name: str) -> None:
         """Remove an index from every searcher (end of an A/B test).
@@ -351,18 +314,7 @@ class OnlineService:
         if index_name not in self.brokers:
             raise KeyError(f"index {index_name!r} is not deployed")
         self.brokers[index_name].close()
-        if self.remote:
-            # Best-effort against connectivity failures: a crashed
-            # searcher cannot unhost, but the undeploy must still clear
-            # the surviving fleet members and this service's tables.
-            for transport in self._all_transports():
-                try:
-                    transport.undeploy(index_name)
-                except TransportError:
-                    pass
-        else:
-            for searcher in self.searchers:
-                searcher.unhost(index_name)
+        self._unhost(self._all_transports(), index_name)
         self.cache.invalidate(index_name)
         del self.brokers[index_name]
         del self.configs[index_name]

@@ -716,6 +716,125 @@ def test_every_config_field_is_read():
     assert dead == set()
 
 
+class TestServingKnobSurface:
+    """A serving knob is one field of ``ServerOptions`` / ``BrokerPolicy``
+    (ROADMAP 5(c), constructor keywords): everything downstream is a
+    loop over the fields, so none is dead and none is spelled twice."""
+
+    root = default_repo_root()
+    src = root / "src" / "repro"
+    #: Leaf components that take single fields under their own names --
+    #: and two parameters that only share a name with a knob.
+    LEAVES = {
+        "online/replicas.py:__init__": {"breaker_threshold", "breaker_cooldown_s"},
+        "online/microbatch.py:__init__": {"max_batch", "max_wait_ms"},
+        "online/admission.py:__init__": {"max_batch", "max_wait_ms"},
+        "online/fanout.py:__init__": {"partial_policy"},
+        "online/fanout.py:assemble": {"partial_policy", "collect_cost"},
+        "online/failover.py:degrades": {"partial_policy"},
+        # The hint an OVERLOADED error carries, not the server's setting.
+        "errors.py:__init__": {"retry_after_s"},
+        # The load test's own sizes (it defaults to 32 rows, not 1).
+        "eval/serving.py:concurrent_serving_throughput": {
+            "max_batch", "max_wait_ms",
+        },
+    }
+    #: Keywords that became constants (zero call sites at b863b1d).
+    RETIRED = {"rpc_timeout_s", "rpc_pool_size"}
+
+    @staticmethod
+    def knobs() -> dict:
+        from dataclasses import fields
+
+        from repro.net.server import ServerOptions
+        from repro.online.broker import BrokerPolicy
+
+        return {
+            cls.__name__: {field.name for field in fields(cls)}
+            for cls in (ServerOptions, BrokerPolicy)
+        }
+
+    def functions(self):
+        """``(where, parameter names, owning class)`` of every def."""
+
+        def walk(node, where, owner):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, ast.ClassDef) else owner
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    spec = child.args
+                    names = {
+                        arg.arg
+                        for arg in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs)
+                    }
+                    yield f"{where}:{child.name}", names, owner
+                yield from walk(child, where, inner)
+
+        for path in self.src.rglob("*.py"):
+            where = path.relative_to(self.src).as_posix()
+            yield from walk(ast.parse(path.read_text()), where, None)
+
+    def test_every_field_is_read_outside_its_dataclass(self):
+        knobs = self.knobs()
+        read = set()
+
+        def collect(node):
+            if isinstance(node, ast.ClassDef) and node.name in knobs:
+                return
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            for child in ast.iter_child_nodes(node):
+                collect(child)
+
+        for path in self.src.rglob("*.py"):
+            collect(ast.parse(path.read_text()))
+        dead = {
+            f"{cls}.{name}"
+            for cls, names in knobs.items()
+            for name in names
+            if name not in read
+        }
+        assert dead == set()
+
+    def test_no_function_respells_a_field_as_a_parameter(self):
+        """Fails at b863b1d with the six spellings: ``SearcherServer``,
+        ``launch_searcher``, ``launch_fleet``, ``Broker`` and
+        ``OnlineService`` each listed the knobs as keywords."""
+        knobs = self.knobs()
+        every = set().union(*knobs.values()) | self.RETIRED
+        respelled = {
+            where: names & every
+            for where, names, owner in self.functions()
+            if owner not in knobs and names & every
+        }
+        assert respelled == self.LEAVES
+        (server_init,) = (
+            names
+            for where, names, owner in self.functions()
+            if where == "net/server.py:__init__" and owner == "SearcherServer"
+        )
+        assert "max_frame" not in server_init
+
+    def test_a_new_server_field_needs_no_edit_in_cli_or_fleet(self):
+        """``cli.py`` generates the flags and ``net/fleet.py`` the child
+        argv from the field list; neither names a field -- as identifier,
+        string or flag, comments and docstrings included."""
+        names = self.knobs()["ServerOptions"]
+        names |= {name.replace("_", "-") for name in names}
+        spelled = re.compile(r"\b(" + "|".join(sorted(names)) + r")\b")
+        for path in (self.src / "cli.py", self.src / "net" / "fleet.py"):
+            assert spelled.findall(path.read_text()) == [], path.name
+
+    def test_readme_knob_table_names_every_field_and_no_retired_one(self):
+        readme = (self.root / "README.md").read_text()
+        table = readme.split("Useful knobs", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"`(?:--)?([\w-]+)`", table))
+        named |= {name.replace("-", "_") for name in named}
+        missing = set().union(*self.knobs().values()) - named
+        assert missing == set()
+        retired = self.RETIRED | {"max_frame"}
+        assert {name for name in retired if name in readme} == set()
+
+
 def test_every_frame_field_is_written_and_read():
     """A ``FRAME_FIELDS`` name that no sender passes to ``pack`` (as a
     keyword) or no receiver reads off an unpacked message (as an
@@ -948,6 +1067,36 @@ class TestBenchSurface:
             if not re.search(rf"bench_\w+\.py[^\n|]* {flag}\b", commands)
         }
         assert dead == set()
+
+    def test_every_cli_flag_is_generated_or_driven(self):
+        """The same rule for ``repro.cli``'s own flags (ROADMAP 5(c)):
+        a hand-written ``add_argument`` flag of ``cli.py`` is named by
+        the README, ``ci.yml`` or the verify skill, or passed by a test
+        that calls ``repro.cli.main`` (12 were not at b863b1d; they are
+        ``tests/test_cli.py::TestEveryFlagReachesItsConsumer``).  The
+        ``serve-searcher`` knob flags are not in this walk at all:
+        ``ServerOptions.add_flags`` generates them from fields that
+        ``TestServingKnobSurface`` holds to a reader."""
+        declared = {
+            arg.value
+            for node in ast.walk(
+                ast.parse((self.root / "src" / "repro" / "cli.py").read_text())
+            )
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+        }
+        assert {"--root", "--shard-id"} <= declared
+        assert "--max-in-flight" not in declared
+        docs = self.ci() + (self.root / "README.md").read_text()
+        docs += (self.root / ".claude/skills/verify/SKILL.md").read_text()
+        driven = set(re.findall(r"--[a-z][\w-]*", docs))
+        for path in (self.root / "tests").glob("*.py"):
+            text = path.read_text()
+            if "from repro.cli import" in text:
+                driven |= set(re.findall(r'"(--[a-z][\w-]*)"', text))
+        assert declared - driven == set()
 
     def test_bench_scripts_carry_no_scaffolding_of_their_own(self):
         """Corpus, export, fleet, timing, report and ``main`` exist once,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,8 +179,9 @@ class TestCloseRace:
         inline.close()
         # Every SEARCH stalls a little, so close() finds RPCs in flight.
         for server in servers:
-            server.slow_every = 1
-            server.slow_delay_s = 0.05
+            server.options = replace(
+                server.options, slow_every=1, slow_delay_s=0.05
+            )
         transports = remote(servers, retries=0)
         deadline_s = 5.0
         broker = Broker(transports, config, request_timeout_s=deadline_s)

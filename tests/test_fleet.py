@@ -16,10 +16,13 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
+from dataclasses import asdict, fields
 
 import pytest
 
 from repro.net import fleet as fleet_mod
+from repro.net.client import RemoteSearcherClient
+from repro.net.server import ServerOptions
 
 #: Slack on top of ``ready_timeout_s``: generous enough for a loaded CI
 #: box, tiny next to the 600 s the fake children would otherwise hang.
@@ -201,3 +204,83 @@ class TestReadinessOutcomes:
         finally:
             searcher.kill()
         assert not searcher.alive()
+
+
+def stats_of(searcher: fleet_mod.SearcherProcess) -> dict:
+    client = RemoteSearcherClient(searcher.address)
+    try:
+        return client.stats()
+    finally:
+        client.close()
+
+
+class TestOptionsCrossTheProcessBoundary:
+    """The generated child argv is the one place a ``ServerOptions``
+    field crosses a process boundary: what the launcher was given is
+    what the child's STATS reports, for real ``serve-searcher``
+    processes."""
+
+    EVERY_FIELD = ServerOptions(
+        slow_every=3,
+        slow_delay_s=0.001,
+        max_in_flight=2,
+        queue_cap=5,
+        retry_after_s=0.125,
+        batch_max=4,
+        batch_wait_ms=1.5,
+        chaos="seed=7,delay_rate=0.25,delay_s=0.001",
+    )
+
+    def test_every_field_reaches_the_child(self, spawned, tmp_path):
+        options = self.EVERY_FIELD
+        at_default = [
+            spec.name
+            for spec in fields(options)
+            if getattr(options, spec.name) == spec.default
+        ]
+        assert at_default == [], "give the new field a non-default value here"
+        searcher = fleet_mod.launch_searcher(0, log_dir=tmp_path, options=options)
+        try:
+            stats = stats_of(searcher)
+        finally:
+            searcher.kill()
+        assert stats["options"] == asdict(options)
+        assert stats["chaos"]["seed"] == 7
+
+    def test_default_options_spawn_the_bare_command(self, spawned, tmp_path):
+        searcher = fleet_mod.launch_searcher(0, log_dir=tmp_path)
+        try:
+            assert stats_of(searcher)["options"] == asdict(ServerOptions())
+        finally:
+            searcher.kill()
+        (child,) = spawned
+        assert child.args == [
+            sys.executable, "-m", "repro.cli", "serve-searcher",
+            "--shard-id", "0", "--host", "127.0.0.1", "--port", "0",
+        ]  # b863b1d's bare launch, token for token
+
+    def test_an_unknown_field_is_a_type_error_naming_it(self):
+        with pytest.raises(TypeError, match="batch_maxx"):
+            fleet_mod.launch_searcher(0, batch_maxx=2)
+
+    def test_every_member_of_a_replicated_fleet_takes_the_options(
+        self, spawned, tmp_path
+    ):
+        """At b863b1d ``launch_replicated_fleet`` forwarded no server
+        knob, so admission / chaos / stragglers were single-replica only."""
+        groups = fleet_mod.launch_replicated_fleet(
+            2, 2, log_dir=tmp_path, max_in_flight=1, queue_cap=0, slow_shard=1,
+            slow_every=2, slow_delay_s=0.001,
+        )
+        try:
+            assert [len(group) for group in groups] == [2, 2]
+            for shard_id, group in enumerate(groups):
+                for member in group:
+                    stats = stats_of(member)
+                    assert stats["shard_id"] == shard_id
+                    assert stats["admission"]["max_in_flight"] == 1
+                    assert stats["admission"]["queue_cap"] == 0
+                    # Only group ``slow_shard`` keeps the straggler fields.
+                    assert stats["options"]["slow_every"] == (2 if shard_id == 1 else 0)
+        finally:
+            fleet_mod.shutdown_replicated_fleet(groups)

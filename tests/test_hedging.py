@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -54,7 +54,12 @@ INDEX_PATH = "prod/hedged"
 
 def hedge_delay(broker):
     """The delay the broker's next batch would hedge against."""
-    return resolve_hedge_delay(broker.hedge_after_s, broker.timings)
+    return resolve_hedge_delay(broker.policy.hedge_after_s, broker.timings)
+
+
+def stall_every_request(server, delay_s: float) -> None:
+    """Swap a live server's options: it reads them per request."""
+    server.options = replace(server.options, slow_every=1, slow_delay_s=delay_s)
 
 
 @pytest.fixture(scope="module")
@@ -345,8 +350,7 @@ class TestHedgeDeadlineBudget:
         """Deadline below the hedge delay: the straggler shard times out
         and degrades, and no hedge is ever issued."""
         # Every request to the slow shard stalls well past the deadline.
-        fleet[SLOW_SHARD].slow_every = 1
-        fleet[SLOW_SHARD].slow_delay_s = 2.0
+        stall_every_request(fleet[SLOW_SHARD], 2.0)
         probe = queries[:4]
         transports = make_transports(fleet, retries=0)
         broker = Broker(
@@ -383,8 +387,7 @@ class TestHedgeDeadlineBudget:
         """A hedge issued in time against a shard whose every request
         stalls: both RPCs miss the deadline, the shard degrades, and the
         hedge is still counted (it fired before the deadline)."""
-        fleet[SLOW_SHARD].slow_every = 1
-        fleet[SLOW_SHARD].slow_delay_s = 2.0
+        stall_every_request(fleet[SLOW_SHARD], 2.0)
         probe = queries[:4]
         transports = make_transports(fleet, retries=0)
         broker = Broker(
@@ -670,7 +673,8 @@ class TestAdaptiveHedging:
         with results identical to the in-process reference."""
         from repro.online.hedging import AUTO_HEDGE_MIN_SAMPLES
 
-        fleet[SLOW_SHARD].slow_delay_s = 0.08
+        slow = fleet[SLOW_SHARD]
+        slow.options = replace(slow.options, slow_delay_s=0.08)
         warm = queries[:2]
         while (
             (auto_broker.timings.quantile("shard_rpc", 0.5) or (0, 0.0))[0]

@@ -502,7 +502,7 @@ def assert_serving_and_idle(server, *, abandoned: int) -> None:
     assert msg_type == MsgType.RESULT
     assert arrays[0].shape == (2, 3)
     assert server._queued == 0
-    assert server._admission._value == server.max_in_flight
+    assert server._admission._value == server.options.max_in_flight
     assert server.searches_abandoned == abandoned
     assert server._thread.is_alive()
 
@@ -635,7 +635,7 @@ class TestLiveServer:
         with connect(server) as sock:
             sock.sendall(live_search_frame())
             wait_until(lambda: server.searches_seen == 1)
-            assert server._admission._value == server.max_in_flight - 1
+            assert server._admission._value == server.options.max_in_flight - 1
         wait_until(lambda: server.searches_abandoned == 1)
         assert server.abandoned_errors == 0
         assert_serving_and_idle(server, abandoned=1)

@@ -275,6 +275,58 @@ class TestDeployFailures:
             finally:
                 client.close()
 
+    @pytest.mark.parametrize("remote", [False, True], ids=["in-process", "loopback"])
+    def test_failed_broker_step_leaves_nothing_hosted(
+        self, monkeypatch, shared_fs, servers, addresses, queries, index, remote
+    ):
+        """Whatever raises after hosting began -- here the ``Broker``
+        construction itself -- takes the index back off every searcher,
+        so the corrected deploy can reuse the name (at b863b1d the
+        shards stayed hosted and it raised "already hosts")."""
+        import repro.online.service as service_module
+
+        def refuse(*args, **kwargs):
+            raise ValueError("this fleet cannot run that policy")
+
+        service = OnlineService(searchers=addresses if remote else None)
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(service_module, "Broker", refuse)
+                with pytest.raises(ValueError, match="cannot run that policy"):
+                    service.deploy(shared_fs, INDEX_PATH, index_name="fb")
+            nodes = [server.node for server in servers] if remote else service.searchers
+            assert len(nodes) == NUM_SHARDS
+            assert ["fb" in node.hosted_indices for node in nodes] == [False] * NUM_SHARDS
+            assert service.deployed_indices == []
+            with pytest.raises(KeyError):
+                service.undeploy("fb")
+            service.deploy(shared_fs, INDEX_PATH, index_name="fb")
+            ids, _ = service.query_batch(queries[:4], 5, index_name="fb")
+            assert ids.shape == (4, 5) and (ids >= 0).all()
+            service.undeploy("fb")
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"partial_policy": "degrad"}, ValueError),
+            ({"request_timeout_s": -1}, ValueError),
+            ({"hedge_after_s": "soon"}, ValueError),
+            ({"rpc_timeout_s": 5.0}, TypeError),  # retired: a constant now
+            ({"partial_polic": "fail"}, TypeError),
+        ],
+    )
+    def test_a_bad_policy_fails_at_construction(self, addresses, config, bad, error):
+        """Before any shard is hosted, not at the first ``deploy()``; an
+        unknown keyword is a ``TypeError`` naming it."""
+        (name,) = bad
+        with pytest.raises(error, match=name):
+            OnlineService(searchers=addresses, **bad)
+        nodes = [SearcherNode(shard) for shard in range(NUM_SHARDS)]
+        with pytest.raises(error, match=name):
+            Broker(nodes, config, **bad)
+
     def test_degrade_policy_deploys_onto_surviving_fleet(
         self, shared_fs, addresses, queries, index
     ):
