@@ -38,11 +38,14 @@ import numpy as np
 from repro.core.config import LannsConfig
 from repro.data.io import read_fvecs
 from repro.errors import LannsError
-from repro.hnsw.params import HnswParams
-from repro.net.server import ServerOptions
+from repro.net.server import SearcherServer, ServerOptions
 from repro.offline.indexing import build_index_job
 from repro.offline.querying import query_index_job
-from repro.sparklite.cluster import LocalCluster
+from repro.online.broker import BrokerPolicy
+from repro.online.searcher import SearcherNode
+from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
+from repro.sparklite.cluster import EXECUTION_MODES, LocalCluster
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import load_manifest
 
@@ -74,21 +77,14 @@ def _spill(value: str):
     return parsed
 
 
-def _hedge_after(value: str):
-    """Parse --hedge-after-s: a positive float, or the string 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a delay in seconds or 'auto', got {value!r}"
-        ) from None
-    if not parsed > 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(
-            f"delay must be positive, got {value!r}"
-        )
-    return parsed
+#: ``bench`` builds a small registry dataset: its own defaults for four
+#: config fields, and the ``build`` flags it has never had (the dataset
+#: fixes the metric; the rest are layouts and scorers it does not sweep).
+_BENCH_DEFAULTS = dict(num_segments=4, segmenter="apd", M=12, ef_construction=56)
+_BENCH_OMITS = {
+    "sharding", "alpha", "spill_mode", "metric",
+    "min_graph_size", "rescore_k", "pq_subspaces",
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -102,25 +98,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     vectors = _load_vectors(args.data)
-    config = LannsConfig(
-        num_shards=args.shards,
-        num_segments=args.segments,
-        sharding=args.sharding,
-        segmenter=args.segmenter,
-        alpha=args.alpha,
-        spill_mode=args.spill_mode,
-        metric=args.metric,
-        hnsw=HnswParams(
-            M=args.hnsw_m,
-            ef_construction=args.ef_construction,
-            min_graph_size=args.min_graph_size,
-            build_batch=args.build_batch,
-            quantize=args.quantize,
-            rescore_k=args.rescore_k,
-            pq_subspaces=args.pq_subspaces,
-        ),
-        seed=args.seed,
-    )
+    config = LannsConfig.from_args(args)
     fs = LocalHdfs(args.root)
     cluster = LocalCluster(
         num_executors=args.executors, mode=args.cluster_mode, fs=fs
@@ -144,7 +122,24 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_query_mode(args: argparse.Namespace) -> None:
+    """A flag that only one of ``query``'s two modes reads is refused in
+    the other, not silently dropped."""
+    remote_only = [
+        flag
+        for flag, spec in BrokerPolicy.flags().items()
+        if getattr(args, spec.name) != spec.default
+    ]
+    extras = (("--spill", args.spill), ("--trace-out", args.trace_out))
+    remote_only += [flag for flag, value in extras if value is not None]
+    if args.searchers and args.no_checkpoint:
+        args.error("--no-checkpoint belongs to the offline job (no --searchers)")
+    if remote_only and not args.searchers:
+        args.error(f"{remote_only[0]} belongs to remote mode (--searchers)")
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
+    _check_query_mode(args)
     queries = _load_vectors(args.queries)
     fs = LocalHdfs(args.root)
     if args.searchers:
@@ -170,8 +165,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         np.savez_compressed(args.out, ids=result.ids, dists=result.dists)
         print(f"wrote ids/dists to {args.out}")
     else:
-        preview = min(5, queries.shape[0])
-        for row in range(preview):
+        for row in range(min(5, queries.shape[0])):
             print(f"  query {row}: {result.ids[row][:10].tolist()}")
     return 0
 
@@ -180,18 +174,12 @@ def _query_remote(
     args: argparse.Namespace, fs: LocalHdfs, queries: np.ndarray
 ) -> int:
     """Front a remote searcher fleet: deploy over RPC, one broker fan-out."""
-    from repro.online.service import OnlineService
-    from repro.online.types import SearchRequest
-
-    trace_out = getattr(args, "trace_out", None)
     service = OnlineService(
         searchers=args.searchers,
-        hedge_after_s=args.hedge_after_s,
-        partial_policy=args.partial_policy,
-        request_timeout_s=args.request_timeout_s,
+        policy=BrokerPolicy.from_args(args),
         # --trace-out force-samples this one request so the exported
         # trace is guaranteed to exist.
-        trace_sample_rate=1.0 if trace_out else 0.0,
+        trace_sample_rate=1.0 if args.trace_out else 0.0,
     )
     deployed = False
     try:
@@ -234,16 +222,15 @@ def _query_remote(
                 f"{cost.get('hops', 0)} hops, "
                 f"{cost.get('segments_probed', 0)} segments probed"
             )
-        if trace_out:
+        if args.trace_out:
             if response.trace is None:
                 print("  no trace captured (request served from cache?)")
             else:
-                with open(trace_out, "w") as handle:
+                with open(args.trace_out, "w") as handle:
                     json.dump(response.trace, handle, indent=2)
                 print(
-                    f"wrote trace to {trace_out} "
-                    f"(pretty-print: python -m repro.cli trace "
-                    f"--file {trace_out})"
+                    f"wrote trace to {args.trace_out} (pretty-print: "
+                    f"python -m repro.cli trace --file {args.trace_out})"
                 )
         if args.out:
             np.savez_compressed(args.out, ids=ids, dists=dists)
@@ -267,9 +254,6 @@ def _query_remote(
 
 
 def _cmd_serve_searcher(args: argparse.Namespace) -> int:
-    from repro.net.server import SearcherServer
-    from repro.online.searcher import SearcherNode
-
     server = SearcherServer(
         SearcherNode(args.shard_id),
         host=args.host,
@@ -360,18 +344,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.offline.recall import recall_at_k
 
     dataset = load_dataset(args.dataset)
-    config = LannsConfig(
-        num_shards=args.shards,
-        num_segments=args.segments,
-        segmenter=args.segmenter,
-        hnsw=HnswParams(
-            M=args.hnsw_m,
-            ef_construction=args.ef_construction,
-            build_batch=args.build_batch,
-            quantize=args.quantize,
-        ),
-        seed=args.seed,
-    )
+    config = LannsConfig.from_args(args)
     print(f"dataset {dataset!r}")
     begin = time.perf_counter()
     index = build_lanns_index(dataset.base, config=config)
@@ -427,13 +400,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.linter import main as lint_main
 
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    return lint_main(argv)
+    return lint_main(args.argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,84 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(build)
     build.add_argument("--data", required=True, help=".npy or .fvecs matrix")
     build.add_argument("--out", required=True, help="index path under root")
-    build.add_argument("--shards", type=int, default=1)
-    build.add_argument("--segments", type=int, default=1)
-    build.add_argument(
-        "--sharding",
-        choices=["hash", "segment"],
-        default="hash",
-        help=(
-            "'segment' aligns shards with segments (requires shards == "
-            "segments): each shard hosts exactly one segment, which "
-            "lets the online router prune fan-out to the top-spill "
-            "shard groups"
-        ),
-    )
-    build.add_argument(
-        "--segmenter", choices=["rs", "rh", "apd"], default="rs"
-    )
-    build.add_argument("--alpha", type=float, default=0.15)
-    build.add_argument(
-        "--spill-mode", choices=["virtual", "physical"], default="virtual"
-    )
-    build.add_argument(
-        "--metric",
-        choices=["euclidean", "cosine", "inner_product"],
-        default="euclidean",
-    )
-    build.add_argument("--hnsw-m", type=int, default=16)
-    build.add_argument("--ef-construction", type=int, default=100)
-    build.add_argument(
-        "--min-graph-size",
-        type=int,
-        default=0,
-        help=(
-            "segments smaller than this answer by exact GEMM scan "
-            "instead of graph search (0 disables)"
-        ),
-    )
-    build.add_argument(
-        "--build-batch",
-        type=int,
-        default=64,
-        help=(
-            "construction wave size: rows inserted per lockstep wave "
-            "(0 and 1 both mean one row per wave)"
-        ),
-    )
-    build.add_argument(
-        "--quantize",
-        choices=["none", "int8", "pq"],
-        default="none",
-        help=(
-            "compressed-domain scoring: beam search runs on int8 or "
-            "PQ codes and the final candidates are rescored exactly "
-            "against the retained float32 vectors ('none' keeps the "
-            "all-float path)"
-        ),
-    )
-    build.add_argument(
-        "--rescore-k",
-        type=int,
-        default=0,
-        help=(
-            "rescore depth for quantized search: the beam keeps "
-            "max(ef, k, rescore_k) candidates on codes before the "
-            "exact rescore (0 = just the beam)"
-        ),
-    )
-    build.add_argument(
-        "--pq-subspaces",
-        type=int,
-        default=8,
-        help=(
-            "subspace count for --quantize pq (clamped to the largest "
-            "divisor of the dimensionality)"
-        ),
-    )
+    LannsConfig.add_flags(build)  # one flag per knob field, hnsw's included
     build.add_argument(
         "--cluster-mode",
-        choices=["inline", "threads", "processes"],
+        choices=EXECUTION_MODES,
         default="inline",
         help=(
             "how per-partition build tasks execute: 'processes' runs "
@@ -533,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
             "segment builds)"
         ),
     )
-    build.add_argument("--seed", type=int, default=0)
     build.set_defaults(handler=_cmd_build)
 
     serve = commands.add_parser(
@@ -592,28 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
             "for real fan-out savings)"
         ),
     )
-    query.add_argument(
-        "--partial-policy",
-        choices=["fail", "degrade"],
-        default="fail",
-        help="what a dead searcher does to a request (remote mode)",
-    )
-    query.add_argument(
-        "--request-timeout-s",
-        type=float,
-        default=None,
-        help="per-request fan-out deadline in seconds (remote mode)",
-    )
-    query.add_argument(
-        "--hedge-after-s",
-        type=_hedge_after,
-        default=None,
-        help=(
-            "hedge a straggling shard RPC on a second connection after "
-            "this many seconds ('auto' derives the delay from the live "
-            "shard_rpc latency window), budget permitting (remote mode)"
-        ),
-    )
+    BrokerPolicy.add_flags(query)  # the knob fields: remote mode's policy
     query.add_argument(
         "--trace-out",
         default=None,
@@ -623,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
             "with 'repro.cli trace')"
         ),
     )
-    query.set_defaults(handler=_cmd_query)
+    # ``error``: how the handler refuses a flag of the mode it is not in.
+    query.set_defaults(handler=_cmd_query, error=query.error)
 
     info = commands.add_parser("info", help="print an index's manifest")
     _add_common(info)
@@ -708,62 +580,28 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: 2x the query count)"
         ),
     )
-    bench.add_argument("--shards", type=int, default=1)
-    bench.add_argument("--segments", type=int, default=4)
-    bench.add_argument(
-        "--segmenter", choices=["rs", "rh", "apd"], default="apd"
-    )
-    bench.add_argument("--hnsw-m", type=int, default=12)
-    bench.add_argument("--ef-construction", type=int, default=56)
-    bench.add_argument(
-        "--build-batch",
-        type=int,
-        default=64,
-        help="construction wave size (0 and 1 = one row per wave)",
-    )
-    bench.add_argument(
-        "--quantize",
-        choices=["none", "int8", "pq"],
-        default="none",
-        help="compressed-domain scoring backend for the built segments",
-    )
-    bench.add_argument("--seed", type=int, default=0)
+    LannsConfig.add_flags(bench, defaults=_BENCH_DEFAULTS, omit=_BENCH_OMITS)
     bench.set_defaults(handler=_cmd_bench)
 
     lint = commands.add_parser(
         "lint",
+        # No token is an option of this parser, "--help" included: all
+        # that follows goes to the linter's own parser as it stands.
+        prefix_chars="+",
+        add_help=False,
         help=(
             "run the repo-specific invariant linter (lock discipline, "
             "asyncio hygiene, determinism, error discipline)"
         ),
     )
-    lint.add_argument(
-        "paths", nargs="*", help="files or directories (default: src/repro)"
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "github"],
-        default="text",
-        help="diagnostic format: human text or GitHub ::error annotations",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help="suppression baseline (default: src/repro/analysis/baseline.toml)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
+    lint.add_argument("argv", nargs="*", help="the linter's arguments")
     lint.set_defaults(handler=_cmd_lint)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.handler(args)
 
 

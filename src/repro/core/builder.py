@@ -14,6 +14,7 @@ The HDFS-integrated version of the same flow lives in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from repro.core.config import LannsConfig
 from repro.core.index import LannsIndex, ShardIndex
 from repro.hnsw.index import HnswIndex
-from repro.hnsw.params import HnswParams
 from repro.segmenters.base import Segmenter
 from repro.segmenters.learner import learn_segmenter
 from repro.sharding.sharder import HashSharder
@@ -220,9 +220,7 @@ def build_segment_index(
     seed: int,
 ) -> HnswIndex:
     """Build one segment's HNSW index (runs inside an executor)."""
-    params_dict = config.hnsw.to_dict()
-    params_dict["seed"] = seed % (2**31)
-    params = HnswParams.from_dict(params_dict)
+    params = replace(config.hnsw, seed=seed % (2**31))
     index = HnswIndex(dim=vectors.shape[1], metric=config.metric, params=params)
     if vectors.shape[0]:
         index.add(vectors, ids=ids)

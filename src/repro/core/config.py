@@ -13,17 +13,17 @@ apart (Section 7 of the paper, enforced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 
 from repro.core.topk import per_shard_top_k
 from repro.errors import ConfigError
 from repro.hnsw.params import HnswParams
+from repro.segmenters.base import SPILL_MODES
+from repro.utils.flags import FlagFields, knob
 
 #: Segmenter kinds accepted by the platform.
 SEGMENTER_KINDS = ("rs", "rh", "apd")
-#: Spill modes (Section 4.3.2 / Table 7).
-SPILL_MODES = ("virtual", "physical")
 #: Metrics supported end-to-end.
 METRICS = ("euclidean", "cosine", "inner_product")
 #: First-level placement strategies.
@@ -36,8 +36,11 @@ _per_shard_top_k = lru_cache(maxsize=1024)(per_shard_top_k)
 
 
 @dataclass(frozen=True)
-class LannsConfig:
+class LannsConfig(FlagFields):
     """All tunables of a LANNS deployment.
+
+    A :func:`~repro.utils.flags.knob` field is also a ``build`` /
+    ``bench`` flag of ``repro.cli``, as are the knob fields of ``hnsw``.
 
     Parameters
     ----------
@@ -80,19 +83,35 @@ class LannsConfig:
         Master seed; per-segment HNSW seeds are derived from it.
     """
 
-    num_shards: int = 1
-    num_segments: int = 1
-    sharding: str = "hash"
-    segmenter: str = "rs"
-    alpha: float = 0.15
-    spill_mode: str = "virtual"
-    metric: str = "euclidean"
+    num_shards: int = knob(1, "first-level partitions (n)", flag="--shards")
+    num_segments: int = knob(
+        1, "second-level partitions per shard (m)", flag="--segments"
+    )
+    sharding: str = knob(
+        "hash",
+        "'segment' aligns shards with segments (requires shards == "
+        "segments): each shard hosts exactly one segment, which lets the "
+        "online router prune fan-out to the top-spill shard groups",
+        choices=SHARDING_MODES,
+    )
+    segmenter: str = knob(
+        "rs", "segmentation strategy", choices=SEGMENTER_KINDS
+    )
+    alpha: float = knob(0.15, "spill fraction, in [0, 0.5)")
+    spill_mode: str = knob(
+        "virtual",
+        "query-side spill, or 'physical' data-side duplication",
+        choices=SPILL_MODES,
+    )
+    metric: str = knob(
+        "euclidean", "distance shared by segmenter and HNSW", choices=METRICS
+    )
     hnsw: HnswParams = field(default_factory=HnswParams)
     topk_confidence: float = 0.95
     use_per_shard_topk: bool = True
     paper_literal_probit: bool = False
     segmenter_sample_size: int = 250_000
-    seed: int = 0
+    seed: int = knob(0, "master seed; per-segment HNSW seeds derive from it")
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -101,21 +120,12 @@ class LannsConfig:
             raise ConfigError(
                 f"num_segments must be >= 1, got {self.num_segments}"
             )
-        if self.sharding not in SHARDING_MODES:
-            raise ConfigError(
-                f"sharding must be one of {SHARDING_MODES}, "
-                f"got {self.sharding!r}"
-            )
+        self.check_choices(ConfigError)
         if self.sharding == "segment" and self.num_shards != self.num_segments:
             raise ConfigError(
                 "segment-aligned sharding requires num_shards == "
                 f"num_segments, got {self.num_shards} shards for "
                 f"{self.num_segments} segments"
-            )
-        if self.segmenter not in SEGMENTER_KINDS:
-            raise ConfigError(
-                f"segmenter must be one of {SEGMENTER_KINDS}, "
-                f"got {self.segmenter!r}"
             )
         if self.segmenter in ("rh", "apd") and (
             self.num_segments & (self.num_segments - 1)
@@ -126,15 +136,6 @@ class LannsConfig:
             )
         if not 0.0 <= self.alpha < 0.5:
             raise ConfigError(f"alpha must be in [0, 0.5), got {self.alpha}")
-        if self.spill_mode not in SPILL_MODES:
-            raise ConfigError(
-                f"spill_mode must be one of {SPILL_MODES}, "
-                f"got {self.spill_mode!r}"
-            )
-        if self.metric not in METRICS:
-            raise ConfigError(
-                f"metric must be one of {METRICS}, got {self.metric!r}"
-            )
         if not 0.0 < self.topk_confidence < 1.0:
             raise ConfigError(
                 f"topk_confidence must be in (0, 1), got {self.topk_confidence}"
@@ -191,22 +192,9 @@ class LannsConfig:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        """Plain-dict form (used in persisted index metadata)."""
-        return {
-            "num_shards": self.num_shards,
-            "num_segments": self.num_segments,
-            "sharding": self.sharding,
-            "segmenter": self.segmenter,
-            "alpha": self.alpha,
-            "spill_mode": self.spill_mode,
-            "metric": self.metric,
-            "hnsw": self.hnsw.to_dict(),
-            "topk_confidence": self.topk_confidence,
-            "use_per_shard_topk": self.use_per_shard_topk,
-            "paper_literal_probit": self.paper_literal_probit,
-            "segmenter_sample_size": self.segmenter_sample_size,
-            "seed": self.seed,
-        }
+        """Plain-dict form (used in persisted index metadata): every
+        field in declaration order, ``hnsw`` as its own dict."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LannsConfig":
@@ -214,7 +202,7 @@ class LannsConfig:
         payload = dict(payload)
         hnsw_payload = payload.pop("hnsw", None)
         hnsw = HnswParams.from_dict(hnsw_payload) if hnsw_payload else HnswParams()
-        known = {f for f in cls.__dataclass_fields__ if f != "hnsw"}
+        known = {spec.name for spec in fields(cls)} - {"hnsw"}
         return cls(
             hnsw=hnsw, **{k: v for k, v in payload.items() if k in known}
         )

@@ -16,6 +16,7 @@ Example::
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -168,15 +169,11 @@ def build_contextual_index(
                 [position for position, route in enumerate(routes)
                  if route[0] == segment_id]
             ]
-            params_dict = hnsw.to_dict()
-            params_dict["seed"] = (
-                seeds[shard_id * segmenter.num_segments + segment_id]
-                % (2**31)
-            )
+            segment_seed = seeds[shard_id * segmenter.num_segments + segment_id]
             segment = HnswIndex(
                 dim=vectors.shape[1],
                 metric=metric,
-                params=HnswParams.from_dict(params_dict),
+                params=replace(hnsw, seed=segment_seed % (2**31)),
             )
             if member_rows.size:
                 segment.add(vectors[member_rows], ids=ids[member_rows])

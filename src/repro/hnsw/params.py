@@ -15,15 +15,22 @@ Names follow the original paper / hnswlib conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from repro.distance.scorer import QUANTIZE_KINDS
+from repro.utils.flags import FlagFields, knob
 
 
 @dataclass(frozen=True)
-class HnswParams:
-    """Immutable bundle of HNSW hyper-parameters (validated on creation)."""
+class HnswParams(FlagFields):
+    """Immutable bundle of HNSW hyper-parameters (validated on creation).
 
-    M: int = 16
-    ef_construction: int = 100
+    A :func:`~repro.utils.flags.knob` field is also a ``build`` /
+    ``bench`` flag of ``repro.cli`` (its help line is the flag's).
+    """
+
+    M: int = knob(16, "target out-degree (base layer: twice it)", flag="--hnsw-m")
+    ef_construction: int = knob(100, "beam width while inserting")
     ef_search: int = 50
     max_m: int | None = None
     max_m0: int | None = None
@@ -41,7 +48,11 @@ class HnswParams:
     #: (default) disables the fallback; the graph is still *built*
     #: either way, so a segment that grows past the threshold switches
     #: to graph search transparently.
-    min_graph_size: int = 0
+    min_graph_size: int = knob(
+        0,
+        "segments smaller than this answer by exact GEMM scan instead of "
+        "graph search (0 disables)",
+    )
     #: Construction wave size: :meth:`~repro.hnsw.HnswIndex.add` groups
     #: incoming rows into waves of this many, descends and beam-searches
     #: each wave against a snapshot of the graph through the lockstep
@@ -49,7 +60,11 @@ class HnswParams:
     #: ``1`` both mean waves of one row.  Larger waves amortise more
     #: numpy dispatch but search a slightly staler snapshot; the default
     #: matches the serving path's lockstep group size.
-    build_batch: int = 64
+    build_batch: int = knob(
+        64,
+        "construction wave size: rows inserted per lockstep wave "
+        "(0 and 1 both mean one row per wave)",
+    )
     #: Compressed-domain scoring backend for the beam search: ``"none"``
     #: (float32 rows, today's path), ``"int8"`` (per-dimension scalar
     #: quantization, ~4x less memory traffic per beam round) or ``"pq"``
@@ -58,16 +73,31 @@ class HnswParams:
     #: final candidate set is rescored exactly against the retained
     #: float32 rows, so returned distances are bit-identical to the
     #: float path for the candidates both would return.
-    quantize: str = "none"
+    quantize: str = knob(
+        "none",
+        "compressed-domain scoring: beam search runs on int8 or PQ codes "
+        "and the final candidates are rescored exactly against the "
+        "retained float32 vectors ('none' keeps the all-float path)",
+        choices=QUANTIZE_KINDS,
+    )
     #: Rescore depth for quantized search: the beam keeps
     #: ``max(ef, k, rescore_k)`` candidates on codes and all of them are
     #: rescored exactly before the top ``k`` are returned.  ``0`` means
     #: "just the beam" (``max(ef, k)``).  Ignored when ``quantize`` is
     #: ``"none"``.
-    rescore_k: int = 0
+    rescore_k: int = knob(
+        0,
+        "rescore depth for quantized search: the beam keeps "
+        "max(ef, k, rescore_k) candidates on codes before the exact "
+        "rescore (0 = just the beam)",
+    )
     #: Subspace count for the ``"pq"`` backend (clamped to the largest
     #: divisor of the dimensionality that does not exceed it).
-    pq_subspaces: int = 8
+    pq_subspaces: int = knob(
+        8,
+        "subspace count for --quantize pq (clamped to the largest divisor "
+        "of the dimensionality)",
+    )
 
     def __post_init__(self) -> None:
         if self.M < 2:
@@ -92,11 +122,7 @@ class HnswParams:
             raise ValueError(
                 f"build_batch must be >= 0, got {self.build_batch}"
             )
-        if self.quantize not in ("none", "int8", "pq"):
-            raise ValueError(
-                f"quantize must be one of 'none', 'int8', 'pq', got "
-                f"{self.quantize!r}"
-            )
+        self.check_choices()
         if self.rescore_k < 0:
             raise ValueError(
                 f"rescore_k must be >= 0, got {self.rescore_k}"
@@ -122,23 +148,8 @@ class HnswParams:
         return self.ml if self.ml is not None else 1.0 / math.log(self.M)
 
     def to_dict(self) -> dict:
-        """Plain-dict form used by the serialization layer."""
-        return {
-            "M": self.M,
-            "ef_construction": self.ef_construction,
-            "ef_search": self.ef_search,
-            "max_m": self.max_m,
-            "max_m0": self.max_m0,
-            "ml": self.ml,
-            "seed": self.seed,
-            "keep_pruned_connections": self.keep_pruned_connections,
-            "use_heuristic": self.use_heuristic,
-            "min_graph_size": self.min_graph_size,
-            "build_batch": self.build_batch,
-            "quantize": self.quantize,
-            "rescore_k": self.rescore_k,
-            "pq_subspaces": self.pq_subspaces,
-        }
+        """Plain-dict form used by the serialization layer (field order)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HnswParams":

@@ -379,22 +379,24 @@ def launch_replicated_fleet(
     groups: list[list[SearcherProcess]] = []
     try:
         for shard_id in range(num_shards):
-            group = [
-                launch_searcher(
-                    shard_id,
-                    root=root,
-                    host=host,
-                    ready_timeout_s=ready_timeout_s,
-                    log_dir=log_dir,
-                    options=(
-                        options
-                        if shard_id == slow_shard
-                        else options.without_straggler()
-                    ),
-                )
-                for _replica in range(replicas)
-            ]
+            member = (
+                options if shard_id == slow_shard else options.without_straggler()
+            )
+            # Listed before it fills: a replica that fails to launch must
+            # not leak the ones of its group that are already running.
+            group: list[SearcherProcess] = []
             groups.append(group)
+            for _replica in range(replicas):
+                group.append(
+                    launch_searcher(
+                        shard_id,
+                        root=root,
+                        host=host,
+                        ready_timeout_s=ready_timeout_s,
+                        log_dir=log_dir,
+                        options=member,
+                    )
+                )
     except BaseException:
         shutdown_replicated_fleet(groups)
         raise

@@ -56,7 +56,7 @@ import contextlib
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -81,6 +81,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracing import SpanRecorder, maybe_span
 from repro.online.microbatch import AdmissionKey, MicroBatcher, admission_key
 from repro.online.searcher import SearcherNode, observed_search
+from repro.utils.flags import CASTS, FlagFields, knob
 
 _SHED = get_registry().counter(
     "lanns_searcher_shed_total",
@@ -120,16 +121,8 @@ def parse_ready_line(line: str) -> tuple[int, int] | None:
         return None
 
 
-#: A field's annotation -> what parses its flag and normalises its value.
-_CASTS = {"int": int, "float": float}
-
-
-def _knob(default, help: str, flag: str | None = None):
-    return field(default=default, metadata={"help": help, "flag": flag})
-
-
 @dataclass(frozen=True)
-class ServerOptions:
+class ServerOptions(FlagFields):
     """How one searcher admits, batches and perturbs its SEARCH work.
 
     The one place a server knob's name, type, default, validation and
@@ -148,41 +141,41 @@ class ServerOptions:
     #: queueing spike), not a uniformly slow machine.  ``slow_every=2``
     #: lets a hedged retry of a stalled request land on a fast slot;
     #: ``1`` stalls every request.
-    slow_every: int = _knob(
+    slow_every: int = knob(
         0,
         "straggler injection: stall every Nth SEARCH request "
         "(benchmarks/tests; 0 disables)",
     )
-    slow_delay_s: float = _knob(
+    slow_delay_s: float = knob(
         0.0, "stall duration in seconds for --slow-every"
     )
-    max_in_flight: int = _knob(
+    max_in_flight: int = knob(
         0,
         "admission control: concurrent SEARCH executions before "
         "requests queue (0 = unbounded, admission disabled)",
     )
-    queue_cap: int = _knob(
+    queue_cap: int = knob(
         0,
         "admission control: SEARCH requests allowed to wait for a "
         "slot; beyond this the server sheds with OVERLOADED",
     )
-    retry_after_s: float = _knob(
+    retry_after_s: float = knob(
         0.05, "backoff hint carried inside OVERLOADED error frames"
     )
     #: Only plain SEARCH frames (no probes/trace/cost extras) coalesce.
-    batch_max: int = _knob(
+    batch_max: int = knob(
         1,
         "server-side micro-batching: coalesce up to this many query "
         "rows across connections per lockstep batch (1 disables)",
     )
-    batch_wait_ms: float = _knob(
+    batch_wait_ms: float = knob(
         2.0, "max wait before a partial server-side micro-batch flushes"
     )
     #: A seeded :class:`~repro.net.chaos.FaultPlan` in its ``spec()``
     #: form (a plan is accepted and stored as that string, which is what
     #: crosses the process boundary); one fault decision is drawn per
     #: SEARCH frame in arrival order.
-    chaos: str | None = _knob(
+    chaos: str | None = knob(
         None,
         "seeded fault injection, e.g. "
         "'seed=42,reset_rate=0.05,delay_rate=0.1,delay_s=0.02' "
@@ -192,8 +185,8 @@ class ServerOptions:
 
     def __post_init__(self) -> None:
         for spec in fields(self):
-            if spec.type in _CASTS:
-                value = _CASTS[spec.type](getattr(self, spec.name))
+            if spec.type in CASTS:
+                value = CASTS[spec.type](getattr(self, spec.name))
                 object.__setattr__(self, spec.name, value)
         if self.slow_every < 0 or self.slow_delay_s < 0:
             raise ValueError("slow_every / slow_delay_s must be >= 0")
@@ -215,37 +208,6 @@ class ServerOptions:
     def without_straggler(self) -> ServerOptions:
         """This value for the members ``launch_fleet(slow_shard=)`` did not pick."""
         return replace(self, slow_every=0, slow_delay_s=0.0)
-
-    # -- the command line ------------------------------------------------------------
-    @staticmethod
-    def _flag(spec) -> str:
-        return spec.metadata["flag"] or "--" + spec.name.replace("_", "-")
-
-    @classmethod
-    def add_flags(cls, parser) -> None:
-        """One ``serve-searcher`` flag per field: its name with dashes."""
-        for spec in fields(cls):
-            parser.add_argument(
-                cls._flag(spec),
-                dest=spec.name,
-                type=_CASTS.get(spec.type, str),
-                default=spec.default,
-                help=spec.metadata["help"],
-            )
-
-    @classmethod
-    def from_args(cls, args) -> ServerOptions:
-        """The value a namespace parsed by :meth:`add_flags` holds."""
-        return cls(**{spec.name: getattr(args, spec.name) for spec in fields(cls)})
-
-    def argv(self) -> list[str]:
-        """The flags that rebuild this value; fields at their default add none."""
-        return [
-            token
-            for spec in fields(self)
-            if getattr(self, spec.name) != spec.default
-            for token in (self._flag(spec), str(getattr(self, spec.name)))
-        ]
 
 
 class SearcherServer:

@@ -52,6 +52,7 @@ from repro.online.router import Router, RoutingPlan
 from repro.online.searcher import SearcherNode  # noqa: F401 (re-export)
 from repro.online.types import INHERIT, SearchRequest, SearchResponse
 from repro.segmenters.base import Segmenter
+from repro.utils.flags import FlagFields, knob
 from repro.utils.validation import as_vector
 
 _REGISTRY = get_registry()
@@ -93,8 +94,12 @@ _REQUEST_SECONDS = _REGISTRY.histogram(
 )
 
 
+def _seconds_or_auto(text: str) -> float | str:
+    return text if text == "auto" else float(text)
+
+
 @dataclass(frozen=True)
-class BrokerPolicy:
+class BrokerPolicy(FlagFields):
     """How a broker batches, hedges, degrades, caches and observes.
 
     The one place a broker knob's name, type, default and validation are
@@ -103,7 +108,9 @@ class BrokerPolicy:
     fields as keywords, or both (``replace(policy or BrokerPolicy(),
     **fields)``: a keyword that is no field is a ``TypeError`` naming
     it), keep it whole (``broker.policy``) and hand the fields to the
-    components that consume them.  A new knob is one more field here.
+    components that consume them.  A new knob is one more field here;
+    a :func:`~repro.utils.flags.knob` field is also a flag of
+    ``repro.cli query --searchers``.
     """
 
     #: Tail-tolerance knob (needs at least one
@@ -116,7 +123,13 @@ class BrokerPolicy:
     #: First reply wins, the loser is cancelled.  ``None`` disables
     #: hedging; ``"auto"`` derives the delay per batch from the live
     #: ``shard_rpc`` window (median x ``AUTO_HEDGE_MULTIPLIER``).
-    hedge_after_s: float | str | None = None
+    hedge_after_s: float | str | None = knob(
+        None,
+        "hedge a straggling shard RPC on a second connection after this "
+        "many seconds ('auto' derives the delay from the live shard_rpc "
+        "latency window), budget permitting (remote mode)",
+        parse=_seconds_or_auto,
+    )
     #: Micro-batching: coalesce up to ``max_batch`` rows, flushing after
     #: ``max_wait_ms`` at the latest.  ``max_batch <= 1`` disables it.
     max_batch: int = 1
@@ -127,10 +140,16 @@ class BrokerPolicy:
     #: where *every* shard failed still raise.  With replica groups, a
     #: shard only counts as failed after every eligible replica was
     #: tried.
-    partial_policy: str = "fail"
+    partial_policy: str = knob(
+        "fail",
+        "what a dead searcher does to a request (remote mode)",
+        choices=PARTIAL_POLICIES,
+    )
     #: Per-request deadline for the whole fan-out (``None`` = wait
     #: forever).  ``SearchRequest.deadline_s`` overrides it per request.
-    request_timeout_s: float | None = None
+    request_timeout_s: float | None = knob(
+        None, "per-request fan-out deadline in seconds (remote mode)"
+    )
     #: Per-replica circuit breakers (see
     #: :class:`~repro.online.replicas.ReplicaGroup`):
     #: ``breaker_threshold`` consecutive transport failures open the
@@ -156,12 +175,9 @@ class BrokerPolicy:
     trace_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.partial_policy not in PARTIAL_POLICIES:
-            raise ValueError(
-                f"partial_policy must be one of {PARTIAL_POLICIES}, "
-                f"got {self.partial_policy!r}"
-            )
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+        self.check_choices()
+        # ``not x > 0`` rather than ``x <= 0``: NaN is refused too.
+        if self.request_timeout_s is not None and not self.request_timeout_s > 0:
             raise ValueError(
                 "request_timeout_s must be positive, "
                 f"got {self.request_timeout_s}"
@@ -174,7 +190,7 @@ class BrokerPolicy:
                     f"or 'auto', got {hedge_after_s!r}"
                 )
         elif hedge_after_s is not None:
-            if hedge_after_s <= 0:
+            if not hedge_after_s > 0:
                 raise ValueError(
                     f"hedge_after_s must be positive, got {hedge_after_s}"
                 )

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.config import LannsConfig
 from repro.errors import (
     ConnectionLostError,
-    MetadataMismatchError,
     RemoteCallError,
     TransportError,
 )
@@ -173,12 +172,7 @@ class OnlineService:
         if index_name in self.brokers:
             raise ValueError(f"index {index_name!r} is already deployed")
         manifest = load_manifest(fs, index_path)
-        config = manifest.lanns_config
-        if expected_config is not None and expected_config != config:
-            raise MetadataMismatchError(
-                "deploy-time configuration mismatch:\n  persisted: "
-                f"{config}\n  expected:  {expected_config}"
-            )
+        config = manifest.expect_config(expected_config)
         if self.searchers and len(self.searchers) != config.num_shards:
             raise ValueError(
                 f"fleet has {len(self.searchers)} searchers but index "

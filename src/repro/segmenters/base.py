@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import SegmenterNotFittedError
 from repro.utils.validation import as_matrix
 
-#: Spill modes supported by hyperplane segmenters.
+#: Spill modes (Section 4.3.2 / Table 7): query-side or data-side.
 SPILL_MODES = ("virtual", "physical")
 
 

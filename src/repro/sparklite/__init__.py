@@ -8,9 +8,6 @@ pieces LANNS actually uses:
   and optionally checkpoints completed task outputs to
   :class:`~repro.storage.hdfs.LocalHdfs` (Section 5.3.1's defence against
   cascading "time-out" errors).
-- :class:`~repro.sparklite.dataset.Dataset` -- eager partitioned
-  collections with ``map_partitions`` / ``repartition_by_key`` /
-  ``group_by_key``, the operations behind Figures 6-8.
 - :mod:`~repro.sparklite.scheduler` -- LPT simulated makespan: measured
   task durations scheduled onto E virtual executors.  The build/query
   "executors" sweeps of Tables 2/3/5/6 report this makespan, because the
@@ -18,14 +15,12 @@ pieces LANNS actually uses:
 """
 
 from repro.sparklite.cluster import LocalCluster, StageResult
-from repro.sparklite.dataset import Dataset
 from repro.sparklite.metrics import StageMetrics, TaskRecord
 from repro.sparklite.scheduler import lpt_assignment, simulated_makespan
 
 __all__ = [
     "LocalCluster",
     "StageResult",
-    "Dataset",
     "StageMetrics",
     "TaskRecord",
     "lpt_assignment",

@@ -146,12 +146,6 @@ class LocalCluster:
         self.stages: list[StageMetrics] = []
 
     # -- public API -----------------------------------------------------------------
-    def parallelize(self, items: Sequence, num_partitions: int | None = None):
-        """Create a :class:`~repro.sparklite.dataset.Dataset` from a sequence."""
-        from repro.sparklite.dataset import Dataset
-
-        return Dataset.from_items(self, items, num_partitions)
-
     def run_tasks(
         self,
         tasks: Sequence[Callable[[], object]],

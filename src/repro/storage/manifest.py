@@ -134,6 +134,20 @@ class IndexManifest:
         """The persisted configuration as a validated object."""
         return LannsConfig.from_dict(self.config)
 
+    def expect_config(self, expected: LannsConfig | None) -> LannsConfig:
+        """The persisted configuration, held to ``expected`` when given:
+        the paper's offline/online drift guard, for loading and
+        deploying alike (raises
+        :class:`~repro.errors.MetadataMismatchError` naming both)."""
+        config = self.lanns_config
+        if expected is not None and expected != config:
+            raise MetadataMismatchError(
+                "persisted index configuration does not match the expected "
+                f"configuration:\n  persisted: {config}\n  expected:  "
+                f"{expected}"
+            )
+        return config
+
 
 def write_segment(
     fs: LocalHdfs, path: str, shard: int, segment: int, index: HnswIndex
@@ -265,13 +279,7 @@ def load_lanns_index(
         offline/online drift guard).
     """
     manifest = load_manifest(fs, path)
-    config = manifest.lanns_config
-    if expected_config is not None and expected_config != config:
-        raise MetadataMismatchError(
-            "persisted index configuration does not match the expected "
-            f"configuration:\n  persisted: {config}\n  expected:  "
-            f"{expected_config}"
-        )
+    config = manifest.expect_config(expected_config)
     segmenter = load_segmenter(fs, path, manifest)
     shards = [
         load_shard(

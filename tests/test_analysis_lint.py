@@ -835,6 +835,161 @@ class TestServingKnobSurface:
         assert {name for name in retired if name in readme} == set()
 
 
+class TestIndexKnobSurface:
+    """The index-side twin: a ``LannsConfig`` / ``HnswParams`` /
+    ``BrokerPolicy`` knob a user can type is written once, on its field
+    (``repro.utils.flags.knob``), and ``cli.py`` generates the rest."""
+
+    src = default_repo_root() / "src" / "repro"
+    #: The seven sets of values a knob may take, and each one's home.
+    CHOICES = {
+        "SEGMENTER_KINDS": "core/config.py",
+        "METRICS": "core/config.py",
+        "SHARDING_MODES": "core/config.py",
+        "SPILL_MODES": "segmenters/base.py",
+        "QUANTIZE_KINDS": "distance/scorer.py",
+        "PARTIAL_POLICIES": "online/failover.py",
+        "EXECUTION_MODES": "sparklite/cluster.py",
+    }
+
+    def test_cli_names_no_flagged_field(self):
+        """At 4d7059d ``cli.py`` hand-wrote these flags 26 times (15 on
+        ``build``, 8 on ``bench``, 3 on ``query``) and handed each parsed
+        value to a constructor by keyword.  (``--max-batch`` /
+        ``--max-wait-ms`` of ``bench`` are the load test's own sizes, and
+        no knob of ``BrokerPolicy``.)"""
+        from repro.core.config import LannsConfig
+        from repro.online.broker import BrokerPolicy
+
+        flags = {**LannsConfig.flags(), **BrokerPolicy.flags()}
+        tree = ast.parse((self.src / "cli.py").read_text())
+        literals = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        read_off_args = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        assert len(flags) == 18 and literals & set(flags) == set()
+        assert read_off_args & {spec.name for spec in flags.values()} == set()
+        for constructor in ("LannsConfig", "HnswParams", "BrokerPolicy"):
+            handed = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == constructor
+            ]
+            assert handed == [], constructor
+
+    def test_readme_knob_table_names_every_flagged_field(self):
+        """The serving-side README check's twin (that one, in
+        ``TestServingKnobSurface``, stays as PR 28 wrote it): a row per
+        field a user can type, naming its flag and each value it may
+        take -- read off the field, as argparse and ``__post_init__`` do."""
+        from repro.core.config import LannsConfig
+
+        readme = (default_repo_root() / "README.md").read_text()
+        table = readme.split("Useful knobs", 1)[1].split("\n## ", 1)[0]
+        for flag, spec in LannsConfig.flags().items():
+            rows = [line for line in table.splitlines() if f"`{spec.name}`" in line]
+            assert len(rows) == 1, spec.name
+            assert f"`{flag}`" in rows[0], flag
+            for choice in spec.metadata["choices"] or ():
+                assert f"`{choice}`" in rows[0], (flag, choice)
+
+    def test_each_choices_tuple_is_typed_once(self):
+        """A second literal with the same members -- tuple, list or set,
+        named or inline -- is a second place to forget a new value."""
+        import importlib
+
+        members = {}
+        for name, home in self.CHOICES.items():
+            module = "repro." + home.removesuffix(".py").replace("/", ".")
+            members[name] = frozenset(getattr(importlib.import_module(module), name))
+        typed = {name: [] for name in self.CHOICES}
+        for path in sorted(self.src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and all(
+                    isinstance(item, ast.Constant) for item in node.elts
+                ):
+                    literal = frozenset(item.value for item in node.elts)
+                    for name, values in members.items():
+                        if literal == values:
+                            typed[name].append(path.relative_to(self.src).as_posix())
+        assert typed == {name: [home] for name, home in self.CHOICES.items()}
+
+
+def test_every_module_has_a_caller_besides_its_own_tests():
+    """A ``src/repro`` module is imported by another ``src`` module, a
+    benchmark or an example -- through its own name or through a name
+    its package re-exports -- not only by its test file: at 4d7059d
+    ``storage/records.py`` (an Avro-like container nothing wrote) was,
+    and ``sparklite/dataset.py`` hung off one method nothing called."""
+    root = default_repo_root()
+    src = root / "src"
+    kept = {
+        "repro.cli": "the entry point: `python -m repro.cli`, fleet children",
+        "repro.analysis.sanitizer": "tests/conftest.py installs it under "
+        "REPRO_SANITIZE=1 (CI's sanitized tier-1 run)",
+        "repro.core.contextual": "the paper's Section 8 extension (context-"
+        "scoped indices), end to end; a library feature with no CLI",
+        "repro.segmenters.kmeans_segmenter": "registers segmenter kind 'kmeans' "
+        "on import (the paper's 'built to be extensible' demonstration); "
+        "reached by kind through segmenter_from_dict, not by an import",
+    }
+
+    def module_name(path):
+        parts = path.relative_to(src).with_suffix("").parts
+        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    def imported(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from ((alias.name, None) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:  # relative: resolve against the package
+                    package = module_name(path).split(".")
+                    package = package if path.name == "__init__.py" else package[:-1]
+                    package = package[: len(package) - node.level + 1]
+                    base = ".".join([*package, base] if base else package)
+                yield from ((base, alias.name) for alias in node.names)
+
+    files = {module_name(path): path for path in (src / "repro").rglob("*.py")}
+    reexports = {
+        name: {alias: module for module, alias in imported(path) if alias}
+        for name, path in files.items()
+        if path.name == "__init__.py"
+    }
+    callers = [*files.values(), *(root / "examples").glob("*.py")]
+    callers += [
+        path
+        for path in (root / "benchmarks").rglob("*.py")
+        if not path.name.startswith(("test_", "conftest"))
+    ]
+    reached = set()
+    for path in callers:
+        me = module_name(path) if src in path.parents else None
+        for module, alias in imported(path):
+            targets = {module, f"{module}.{alias}", reexports.get(module, {}).get(alias)}
+            if me is not None and path.name == "__init__.py":
+                # A package re-exporting its own modules is not a caller.
+                targets = {t for t in targets if t and not t.startswith(me + ".")}
+            reached |= targets - {me}
+    modules = {
+        name
+        for name, path in files.items()
+        if path.name not in ("__init__.py", "__main__.py")
+    }
+    assert len(modules) > 80
+    assert modules - reached == set(kept)
+
+
 def test_every_frame_field_is_written_and_read():
     """A ``FRAME_FIELDS`` name that no sender passes to ``pack`` (as a
     keyword) or no receiver reads off an unpacked message (as an
@@ -1064,7 +1219,9 @@ class TestBenchSurface:
         dead = {
             flag
             for flag in declared
-            if not re.search(rf"bench_\w+\.py[^\n|]* {flag}\b", commands)
+            if not re.search(
+                rf"(?:bench_\w+|trajectory)\.py[^\n|]* {flag}\b", commands
+            )
         }
         assert dead == set()
 

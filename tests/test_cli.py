@@ -1,12 +1,20 @@
 """Tests for the command-line interface (build / query / info)."""
 
+import argparse
 import json
+from dataclasses import asdict, fields, make_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.config import LannsConfig
 from repro.data.io import write_fvecs
+from repro.hnsw.params import HnswParams
+from repro.net.server import ServerOptions
+from repro.online.broker import BrokerPolicy
+from repro.utils.flags import knob
 from tests.conftest import make_clustered
 
 
@@ -121,11 +129,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_bad_segmenter_rejected(self, corpus):
-        root, _, _ = corpus
-        with pytest.raises(SystemExit):
-            main(build_args(root, extra=["--segmenter", "annoy"]))
-
 
 class TestServeAndRemoteQuery:
     def test_query_through_remote_searchers(self, corpus, capsys):
@@ -164,10 +167,6 @@ class TestServeAndRemoteQuery:
         finally:
             for server in servers:
                 server.stop()
-
-    def test_serve_searcher_requires_shard_id(self):
-        with pytest.raises(SystemExit):
-            main(["serve-searcher"])
 
     def test_stats_and_traced_query_against_live_fleet(
         self, corpus, capsys, tmp_path
@@ -228,17 +227,6 @@ class TestServeAndRemoteQuery:
             for server in servers:
                 server.stop()
 
-    def test_min_graph_size_flag_flows_into_build(self, corpus):
-        from repro.storage.hdfs import LocalHdfs
-        from repro.storage.manifest import load_manifest
-
-        root, _, _ = corpus
-        args = build_args(root, extra=["--min-graph-size", "64"])
-        args[args.index("--out") + 1] = "idx-scan"
-        assert main(args) == 0
-        manifest = load_manifest(LocalHdfs(root / "hdfs"), "idx-scan")
-        assert manifest.lanns_config.hnsw.min_graph_size == 64
-
 
 def spy(monkeypatch, owner, name: str) -> list:
     """Record ``(args, kwargs)`` of every ``owner.name`` call, and make it."""
@@ -253,35 +241,12 @@ def spy(monkeypatch, owner, name: str) -> list:
     return calls
 
 
-def manifest_config(root, index):
-    from repro.storage.hdfs import LocalHdfs
-    from repro.storage.manifest import load_manifest
-
-    return load_manifest(LocalHdfs(root / "hdfs"), index).lanns_config
-
-
 class TestEveryFlagReachesItsConsumer:
     """The flags no test, README, ``ci.yml`` or ``SKILL.md`` line named
     at b863b1d (ROADMAP 5(c)): each is driven through ``main([...])``
     with a non-default value and must arrive where it is consumed.
     ``TestCliSurface`` in ``tests/test_analysis_lint.py`` holds every
     flag of ``cli.py`` to a line like these."""
-
-    BUILD = {
-        "--alpha": ("0.3", lambda config: config.alpha == 0.3),
-        "--spill-mode": ("physical", lambda config: config.spill_mode == "physical"),
-        "--metric": ("cosine", lambda config: config.metric == "cosine"),
-        "--seed": ("5", lambda config: config.seed == 5),
-    }
-
-    @pytest.mark.parametrize("flag", sorted(BUILD))
-    def test_build_flag_reaches_the_manifest(self, corpus, flag):
-        root, _, _ = corpus
-        value, arrived = self.BUILD[flag]
-        args = build_args(root, extra=[flag, value])
-        args[args.index("--out") + 1] = f"idx{flag}"
-        assert main(args) == 0
-        assert arrived(manifest_config(root, f"idx{flag}"))
 
     def test_executors_reach_the_cluster(self, corpus, monkeypatch):
         import repro.cli
@@ -319,12 +284,10 @@ class TestEveryFlagReachesItsConsumer:
         ((_, kwargs),) = jobs
         assert kwargs == arrived
 
-    def test_bench_flags_reach_the_build_and_the_load_test(self, monkeypatch):
-        import repro.core.builder
+    def test_bench_flags_reach_the_load_test(self, monkeypatch):
         import repro.eval.serving
 
         monkeypatch.setenv("REPRO_SCALE", "0.02")  # 200 vectors, 10 queries
-        builds = spy(monkeypatch, repro.core.builder, "build_lanns_index")
         sweeps = spy(monkeypatch, repro.eval.serving, "serving_throughput")
         loads = spy(monkeypatch, repro.eval.serving, "concurrent_serving_throughput")
         argv = [
@@ -333,8 +296,6 @@ class TestEveryFlagReachesItsConsumer:
             "--max-batch", "5", "--max-wait-ms", "0.5", "--cache-size", "7",
         ]
         assert main(argv) == 0
-        ((_, built),) = builds
-        assert (built["config"].hnsw.M, built["config"].hnsw.ef_construction) == (6, 30)
         ((_, swept),) = sweeps
         assert swept["ef"] == 33
         ((_, loaded),) = loads
@@ -437,3 +398,203 @@ class TestServeSearcherFlags:
         assert server.chaos.seed == 9
         with pytest.raises(ValueError, match="batch_max must be >= 1"):
             main(["serve-searcher", "--shard-id", "0", "--batch-max", "0"])
+
+
+def subparser(name: str) -> argparse.ArgumentParser:
+    (commands,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return commands.choices[name]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+#: Which dataclass a subcommand's generated flags build, and the row key.
+GENERATED = {
+    "build": (LannsConfig, "config"),
+    "bench": (LannsConfig, "config"),
+    "query": (BrokerPolicy, "policy"),
+    "serve-searcher": (ServerOptions, "options"),
+}
+
+
+class TestGoldenCommandLines:
+    """``cli_golden.json`` was recorded at 4d7059d, where every config /
+    policy flag was hand-written and handed off keyword by keyword: for
+    each ``repro.cli`` line of README, ``ci.yml``, the verify skill and
+    this file (plus one line per subcommand with every generated flag
+    non-default) it holds the subcommand, the ``LannsConfig`` /
+    ``BrokerPolicy`` / ``ServerOptions`` value the line meant (``to_dict``
+    / ``asdict``, key order included) and the rest of the namespace; and
+    per subcommand every flag's default, choices and requiredness."""
+
+    @staticmethod
+    def linter_namespace(argv, monkeypatch) -> dict:
+        """What the linter's own parser makes of what ``lint`` forwards."""
+        seen = []
+        real = argparse.ArgumentParser.parse_args
+
+        def spying(self, args=None, namespace=None):
+            parsed = real(self, args, namespace)
+            if self.prog == "repro.cli lint":
+                seen.append(parsed)
+                raise KeyboardInterrupt  # before the lint itself runs
+            return parsed
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spying)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        (parsed,) = seen
+        return {
+            name: [str(path) for path in value]
+            if isinstance(value, list)
+            else value if value is None or isinstance(value, bool) else str(value)
+            for name, value in vars(parsed).items()
+        }
+
+    @pytest.mark.parametrize("row", GOLDEN["rows"], ids=lambda row: " ".join(row["argv"]))
+    def test_a_line_means_what_it_meant(self, row, monkeypatch, capsys):
+        try:
+            args = build_parser().parse_args(row["argv"])
+        except SystemExit as refused:
+            assert {"argv": row["argv"], "exit": refused.code} == row
+            return
+        seen = {"argv": row["argv"], "command": args.command}
+        consumed = {"command"}
+        if args.command == "lint":
+            seen["linter"] = self.linter_namespace(row["argv"], monkeypatch)
+            assert seen == row
+            return
+        if args.command in GENERATED:
+            cls, key = GENERATED[args.command]
+            value = cls.from_args(args)
+            seen[key] = value.to_dict() if cls is LannsConfig else asdict(value)
+            consumed |= {spec.name for spec in cls.flags().values()}
+            assert json.dumps(seen[key]) == json.dumps(row[key])  # key order too
+        seen["rest"] = {
+            name: value
+            for name, value in vars(args).items()
+            if name not in consumed and not callable(value)
+        }
+        assert seen == row
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN["flags"]))
+    def test_every_flag_keeps_its_default_and_choices(self, command):
+        declared = {
+            flag: {
+                "default": action.default,
+                "choices": None if action.choices is None else list(action.choices),
+                "required": action.required,
+            }
+            for action in subparser(command)._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert declared == GOLDEN["flags"][command]
+
+
+def away_from_default(spec):
+    """A valid value for a knob field that is not its default (all of
+    them together make a valid ``LannsConfig``: 4 x 4, segment-aligned)."""
+    if spec.metadata["choices"]:
+        return spec.metadata["choices"][-1]
+    return spec.default + 3 if isinstance(spec.default, int) else 0.2
+
+
+class TestConfigFlags:
+    """One test per *field*, not per flag somebody remembered: replaces
+    ``test_build_flag_reaches_the_manifest[--alpha / --metric / --seed /
+    --spill-mode]``, ``test_min_graph_size_flag_flows_into_build`` and
+    the ``--hnsw-m`` / ``--ef-construction`` half of the bench test."""
+
+    FLAGS = LannsConfig.flags()
+
+    @staticmethod
+    def held(config: LannsConfig, spec):
+        owner = config if spec in fields(LannsConfig) else config.hnsw
+        return getattr(owner, spec.name)
+
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    def test_flag_to_config_to_dict_and_back(self, flag):
+        spec, value = self.FLAGS[flag], away_from_default(self.FLAGS[flag])
+        lines = [["build", "--root", "r", "--data", "d", "--out", "o"]]
+        if flag in subparser("bench")._option_string_actions:
+            lines.append(["bench"])
+        for line in lines:
+            args = build_parser().parse_args([*line, flag, str(value)])
+            config = LannsConfig.from_args(args)
+            assert self.held(config, spec) == value != spec.default
+            wire = json.loads(json.dumps(config.to_dict()))
+            assert LannsConfig.from_dict(wire) == config
+
+    def test_every_flag_shows_in_info_after_build(self, corpus, capsys):
+        root, _, _ = corpus
+        argv = ["build", "--root", str(root / "hdfs"), "--data", str(root / "data.npy")]
+        argv += ["--out", "idx-every-flag"]
+        for flag, spec in self.FLAGS.items():
+            argv += [flag, str(away_from_default(spec))]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["info", "--root", str(root / "hdfs"), "--index", "idx-every-flag"]) == 0
+        shown = LannsConfig.from_dict(json.loads(capsys.readouterr().out)["config"])
+        assert {
+            flag: self.held(shown, spec) for flag, spec in self.FLAGS.items()
+        } == {flag: away_from_default(spec) for flag, spec in self.FLAGS.items()}
+
+    def test_a_new_field_is_a_flag_with_no_edit_to_cli(self, corpus, capsys, monkeypatch):
+        """A throwaway knob on ``HnswParams`` shows up in ``build --help``,
+        ``bench --help``, ``to_dict()`` and ``info`` -- ``cli.py`` untouched."""
+        extended = make_dataclass(
+            "HnswParams",
+            [("throwaway", "int", knob(7, "a knob that exists for one test"))],
+            bases=(HnswParams,),
+            frozen=True,
+        )
+        (hnsw,) = (spec for spec in fields(LannsConfig) if spec.name == "hnsw")
+        monkeypatch.setattr(hnsw, "default_factory", extended)
+        for command in ("build", "bench"):
+            assert "--throwaway THROWAWAY" in subparser(command).format_help()
+        root, _, _ = corpus
+        argv = build_args(root, extra=["--throwaway", "9"])
+        argv[argv.index("--out") + 1] = "idx-throwaway"
+        config = LannsConfig.from_args(build_parser().parse_args(argv))
+        assert config.to_dict()["hnsw"]["throwaway"] == 9
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["info", "--root", str(root / "hdfs"), "--index", "idx-throwaway"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["hnsw"]["throwaway"] == 9
+
+
+class TestQueryModes:
+    """``query`` has two modes; a flag only the other one reads used to
+    be dropped without a word."""
+
+    @pytest.mark.parametrize(
+        "extra, belongs_to",
+        [
+            (["--spill", "2"], "remote mode"),
+            (["--partial-policy", "degrade"], "remote mode"),
+            (["--request-timeout-s", "2"], "remote mode"),
+            (["--hedge-after-s", "auto"], "remote mode"),
+            (["--trace-out", "trace.json"], "remote mode"),
+            (["--no-checkpoint", "--searchers", "127.0.0.1:1"], "offline job"),
+        ],
+    )
+    def test_a_flag_of_the_other_mode_is_refused(self, extra, belongs_to, capsys):
+        argv = ["query", "--root", "r", "--index", "idx", "--queries", "q.npy"]
+        with pytest.raises(SystemExit) as refused:
+            main(argv + extra)
+        assert refused.value.code == 2
+        message = capsys.readouterr().err
+        assert f"{extra[0]} belongs to" in message and belongs_to in message
+
+    def test_the_policy_refuses_what_the_deleted_flag_parser_did(self, corpus):
+        """``_hedge_after`` turned 0, -1 and NaN into a usage error; now
+        ``BrokerPolicy`` itself refuses them, for every caller."""
+        root, _, _ = corpus
+        argv = ["query", "--root", "r", "--index", "idx", "--searchers", "127.0.0.1:1"]
+        argv += ["--queries", str(root / "queries.npy"), "--hedge-after-s"]
+        for delay in ("0", "-1", "nan"):
+            with pytest.raises(ValueError, match="hedge_after_s must be positive"):
+                main([*argv, delay])

@@ -284,3 +284,23 @@ class TestOptionsCrossTheProcessBoundary:
                     assert stats["options"]["slow_every"] == (2 if shard_id == 1 else 0)
         finally:
             fleet_mod.shutdown_replicated_fleet(groups)
+
+    def test_a_failed_replica_takes_its_started_siblings_down(
+        self, spawned, tmp_path, monkeypatch
+    ):
+        """At 4d7059d a group joined ``groups`` only once complete, so when
+        replica 2 of group 0 failed to launch, replica 1 outlived the call."""
+        real, launches = fleet_mod.launch_searcher, []
+
+        def second_launch_dies(shard_id, **launch):
+            launches.append(shard_id)
+            if len(launches) == 2:
+                launch["command"] = _script("raise SystemExit(3)")
+            return real(shard_id, **launch)
+
+        monkeypatch.setattr(fleet_mod, "launch_searcher", second_launch_dies)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            fleet_mod.launch_replicated_fleet(2, 2, log_dir=tmp_path)
+        assert launches == [0, 0]
+        assert len(spawned) == 2
+        assert [child.poll() is None for child in spawned] == [False, False]
