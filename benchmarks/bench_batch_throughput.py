@@ -15,6 +15,11 @@ and every timed batch answer must equal the timed single-query answers
 bit for bit.  ``one_row``: a single query -- a lockstep group of one
 row, the serving path -- runs on the heap kernels and pays no more per
 scoring call than the same pairs do as a row of a larger batch.
+``venues``: the table beside ``hnsw/index.py::_ARRAY_MIN_ROWS`` as a
+command -- one segment group of 1 ... 64 rows on the heap kernels and
+on the array kernels, int8 and float, per corpus shape: ids, distances
+and ``SearchCost`` must be equal; ms per query per venue is printed,
+not gated.
 
 With ``--clients N`` the benchmark instead load-tests the concurrent
 serving core (``repro.eval.concurrent_serving_throughput``, the body of
@@ -36,6 +41,7 @@ from functools import partial
 
 import numpy as np
 
+import repro.hnsw.index as hnsw_index
 from harness import (
     INDEX_NAME,
     SEED,
@@ -49,8 +55,11 @@ from harness import (
     summary,
 )
 from repro.core.builder import build_lanns_index
+from repro.data.synthetic import clustered_gaussians, make_queries
 from repro.distance.scorer import Scorer
 from repro.eval.serving import concurrent_serving_throughput
+from repro.hnsw.params import HnswParams
+from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
@@ -59,10 +68,16 @@ FULL = dict(
     num_base=8000, num_queries=256, dim=32, shards=2, segments=2,
     top_k=10, ef=48, batch_sizes=(16, 32, 64), passes=3,
     max_batch=32, max_wait_ms=2.0,  # --clients: the micro-batch flush rule
+    # venues: (rows, dim, M, ef) per segment, group sizes, min-of-N passes
+    venue_shapes=((4000, 64, 12, 64), (2400, 32, 6, 10)),
+    venue_rows=(1, 4, 8, 10, 12, 16, 24, 32, 64), venue_passes=21,
 )
 SIZES = {
     "full": FULL,
-    "smoke": FULL | dict(num_base=1200, num_queries=48, batch_sizes=(16,)),
+    "smoke": FULL | dict(
+        num_base=1200, num_queries=48, batch_sizes=(16,),
+        venue_shapes=((600, 16, 6, 10),), venue_passes=2,
+    ),
 }
 GATES = {
     "batched_speedup": Gate(full=2.0, smoke=None),
@@ -137,23 +152,29 @@ def check_batched(run, env) -> None:
     run.gate("batched_speedup", max(row["speedup"] for row in rows))
 
 
+def traced_kernels(segment, queries, top_k: int, ef: int | None = None) -> dict:
+    """``{"descend": kernel, "beam": kernel}``: the venue tags of one
+    traced segment group."""
+    recorder = SpanRecorder()
+    token = activate(recorder)
+    try:
+        segment.search_batch(queries, top_k, ef=ef)
+    finally:
+        deactivate(token)
+    return {
+        span["name"]: span["annotations"]["kernel"]
+        for span in recorder.export()
+        if span["name"] in ("descend", "beam")
+    }
+
+
 def check_one_row(run, env) -> None:
     index, queries = env
     segment = max(
         (segment for shard in index.shards for segment in shard.segments),
         key=len,
     )
-    recorder = SpanRecorder()
-    token = activate(recorder)
-    try:
-        segment.search_batch(queries[:1], run.top_k, ef=run.ef)
-    finally:
-        deactivate(token)
-    venues = {
-        span["name"]: span["annotations"]["kernel"]
-        for span in recorder.export()
-        if span["name"] in ("descend", "beam")
-    }
+    venues = traced_kernels(segment, queries[:1], run.top_k, run.ef)
     require(venues == {"descend": "heap", "beam": "heap"}, f"traced {venues}")
 
     scorer = Scorer(index.config.metric, queries.shape[1])
@@ -184,6 +205,77 @@ def check_one_row(run, env) -> None:
         "batch; a traced single query ran descend + beam on the heap kernels ✓"
     )
     run.gate("one_row_scoring", speedup(scores, "one_row", over="in_batch"))
+
+
+def check_venues(run, env) -> None:
+    floors = {"heap": sys.maxsize, "array": 1}  # _ARRAY_MIN_ROWS per venue
+    chosen = hnsw_index._ARRAY_MIN_ROWS
+    answers: dict = {}
+
+    def group(segment, queries, venue: str) -> None:
+        cost = SearchCost()
+        hnsw_index._ARRAY_MIN_ROWS = floors[venue]
+        answers[venue] = *segment.search_batch(queries, run.top_k, cost=cost), cost
+
+    table = []
+    try:
+        for num_base, dim, m, ef in run.venue_shapes:
+            vectors = clustered_gaussians(num_base, dim, seed=SEED)
+            queries = make_queries(vectors, max(run.venue_rows), seed=SEED + 1)
+            for quantize in ("int8", "none"):
+                segment = hnsw_index.build_hnsw(
+                    vectors,
+                    params=HnswParams(
+                        M=m, ef_construction=56, ef_search=ef, seed=SEED,
+                        quantize=quantize,
+                    ),
+                )
+                lines = {
+                    venue: {
+                        "segment": f"{num_base} x {dim}",
+                        "scorer": "float" if quantize == "none" else quantize,
+                        "venue": venue,
+                    }
+                    for venue in floors
+                }
+                for venue, floor in floors.items():
+                    hnsw_index._ARRAY_MIN_ROWS = floor
+                    ran = traced_kernels(segment, queries, run.top_k)
+                    require(
+                        ran == {"descend": venue, "beam": venue},
+                        f"asked for {venue}, traced {ran}",
+                    )
+                for rows in run.venue_rows:
+                    scores = interleaved(
+                        {
+                            venue: [partial(group, segment, queries[:rows], venue)]
+                            for venue in floors
+                        },
+                        run.venue_passes,
+                    )
+                    heap, array = answers["heap"], answers["array"]
+                    require(
+                        (heap[0] == array[0]).all()
+                        and heap[1].tobytes() == array[1].tobytes()
+                        and heap[2] == array[2],
+                        f"{rows} rows of {num_base} x {dim} ({quantize}): "
+                        "the venues differ in ids, distances or cost",
+                    )
+                    for venue in floors:
+                        lines[venue][str(rows)] = scores[venue][0] / rows * 1e3
+                table += lines.values()
+    finally:
+        hnsw_index._ARRAY_MIN_ROWS = chosen
+    report(
+        "venues",
+        table,
+        title=(
+            "One segment group per venue, ms per query by rows in the group "
+            f"(min of {run.venue_passes}; _ARRAY_MIN_ROWS = {chosen})"
+        ),
+        payload={"smoke": run.smoke},
+    )
+    print("parity: ids, distances and SearchCost equal on both venues ✓")
 
 
 def check_concurrent(run, env) -> None:
@@ -243,7 +335,7 @@ def check_concurrent(run, env) -> None:
 if __name__ == "__main__":
     sys.exit(
         main(
-            [check_batched, check_one_row],
+            [check_batched, check_one_row, check_venues],
             SIZES,
             GATES,
             setup=setup,

@@ -22,7 +22,14 @@ never the working tree, so what is measured is what a commit holds.
     against the metric's ``BENCHMARK.json`` bound -- ``BREACH`` exits
     non-zero; a lean smaller than the parent's own spread, or a spread
     wider than the bound, is ``unresolved``, never "unchanged".  Every
-    run made is in the per-pair lists under the table.
+    run made is in the per-pair lists under the table -- and, with
+    ``--record <n>`` beside ``--compare``, appended to ``BENCH_<n>.json``
+    under ``pairs`` (nothing is re-recorded; the file is created if the
+    PR has none yet).
+
+``--seed <s>`` is forwarded to the benchmark command by either mode (the
+ledger's inputs, graphs and segmenters all derive from it); without it
+the command runs as ``BENCHMARK.json`` spells it, on its default seed.
 
 Scratch directories come from :mod:`tempfile` (set ``TMPDIR`` to move
 them) and are removed afterwards.
@@ -65,11 +72,15 @@ def export(root: Path, rev: str | None, into: Path) -> Path:
     return into
 
 
-def run_once(tree: Path, benchmark: dict, workload: str, trace: int) -> dict:
+def run_once(
+    tree: Path, benchmark: dict, workload: str, trace: int, seed: int | None
+) -> dict:
     """One benchmark run in ``tree``: its last stdout line (the JSON object)
     plus its ``# environment`` line."""
     command = [*benchmark["command"], "--workload", workload]
     command += ["--seconds", str(benchmark["run_seconds"]), "--trace", str(trace)]
+    if seed is not None:
+        command += ["--seed", str(seed)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -97,23 +108,35 @@ def quartiles(samples: list[float]) -> tuple[float, float, float]:
 
 
 # -- record ---------------------------------------------------------------------------
-def record(root: Path, number: int, scratch: Path) -> int:
-    tree = export(root, None, scratch / "tree")
-    benchmark = json.loads((tree / "BENCHMARK.json").read_text())
-    payload = {
+def bench_file(root: Path, number: int, benchmark: dict) -> tuple[Path, dict]:
+    """``BENCH_<number>.json`` and its payload: what is there, else a header."""
+    target = root / f"BENCH_{number}.json"
+    if target.exists():
+        return target, json.loads(target.read_text())
+    return target, {
         "schema": SCHEMA_VERSION,
         "pr": number,
         "commit": git(root, "rev-parse", "HEAD"),
         "tree": "the index staged on top of `commit` (git checkout-index)",
         "command": benchmark["command"],
         "run_seconds": benchmark["run_seconds"],
+    }
+
+
+def record(root: Path, number: int, seed: int | None, scratch: Path) -> int:
+    tree = export(root, None, scratch / "tree")
+    benchmark = json.loads((tree / "BENCHMARK.json").read_text())
+    target, payload = bench_file(root, number, benchmark)
+    payload |= {
+        "commit": git(root, "rev-parse", "HEAD"),
+        "seed": seed,
         "runs_per_workload": RECORD_RUNS,
         "workloads": {},
     }
     for spec in benchmark["workloads"]:
         name = spec["name"]
-        runs = [run_once(tree, benchmark, name, 0) for _ in range(RECORD_RUNS)]
-        traced = run_once(tree, benchmark, name, 1)
+        runs = [run_once(tree, benchmark, name, 0, seed) for _ in range(RECORD_RUNS)]
+        traced = run_once(tree, benchmark, name, 1, seed)
         print(f"recorded {name}", file=sys.stderr)
         payload["workloads"][name] = {
             "end_to_end": {
@@ -130,7 +153,6 @@ def record(root: Path, number: int, scratch: Path) -> int:
             "correct": all(run["correct"] for run in (*runs, traced)),
             "environment": runs[-1].get("environment"),
         }
-    target = root / f"BENCH_{number}.json"
     target.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {target}", file=sys.stderr)
     return 0 if all(w["correct"] for w in payload["workloads"].values()) else 1
@@ -167,7 +189,15 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str
     return cells, breached
 
 
-def compare(root: Path, rev: str, pairs: int, only: list[str], scratch: Path) -> int:
+def compare(
+    root: Path,
+    rev: str,
+    pairs: int,
+    only: list[str],
+    seed: int | None,
+    number: int | None,
+    scratch: Path,
+) -> int:
     sides = {
         "parent": export(root, rev, scratch / "parent"),
         "change": export(root, None, scratch / "change"),
@@ -181,18 +211,20 @@ def compare(root: Path, rev: str, pairs: int, only: list[str], scratch: Path) ->
         f"# {git(root, 'rev-parse', '--short', rev)} (parent) vs the staged tree "
         f"on {git(root, 'rev-parse', '--short', 'HEAD')} (change): {pairs} "
         f"alternating pairs, {benchmark['run_seconds']} s runs"
+        + ("" if seed is None else f", seed {seed}")
     )
     breached = False
+    made = []
     for name in only or names:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(sides[side], benchmark, name, 0))
+                runs[side].append(run_once(sides[side], benchmark, name, 0, seed))
             print(f"{name}: pair {pair + 1}/{pairs}", file=sys.stderr)
         failed = {
-            side: sum(run["failed"] for run in made) / sum(run["attempted"] for run in made)
-            for side, made in runs.items()
+            side: sum(run["failed"] for run in ran) / sum(run["attempted"] for run in ran)
+            for side, ran in runs.items()
         }
         more_fail = failed["change"] > failed["parent"]
         wrong = not all(run["correct"] for run in runs["change"])
@@ -209,6 +241,13 @@ def compare(root: Path, rev: str, pairs: int, only: list[str], scratch: Path) ->
         )
         print("|---|---|---|---|---|---|---|")
         listed = []
+        entry = {
+            "workload": name,
+            "parent": git(root, "rev-parse", rev),
+            "seed": seed,
+            "failed_share": failed,
+            "metrics": {},
+        }
         for metric in benchmark["end_to_end"]:
             parent = [values(run)[metric["name"]] for run in runs["parent"]]
             change = [values(run)[metric["name"]] for run in runs["change"]]
@@ -219,26 +258,43 @@ def compare(root: Path, rev: str, pairs: int, only: list[str], scratch: Path) ->
                 f"`{metric['name']}` pairs (parent, change): "
                 + " ".join(f"({p:.5g}, {c:.5g})" for p, c in zip(parent, change))
             )
+            entry["metrics"][metric["name"]] = {"parent": parent, "change": change}
         print("\n" + "\n".join(listed))
+        made.append(entry)
+    if number is not None:
+        target, payload = bench_file(root, number, benchmark)
+        payload.setdefault("pairs", []).extend(made)
+        target.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+        print(f"added {len(made)} pair lists to {target}", file=sys.stderr)
     return 1 if breached else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--record", type=int, metavar="N", help="write BENCH_<N>.json")
-    mode.add_argument("--compare", metavar="REV", help="parent revision to pair against")
+    parser.add_argument(
+        "--record", type=int, metavar="N",
+        help="write BENCH_<N>.json; beside --compare, add the pairs to it instead",
+    )  # fmt: skip
+    parser.add_argument("--compare", metavar="REV", help="parent revision to pair against")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument(
         "--workloads", nargs="+", default=[], help="compare only these (default: all)"
     )
+    parser.add_argument(
+        "--seed", type=int, help="forwarded to the benchmark command (default: its own)"
+    )
     args = parser.parse_args(argv)
+    if args.record is None and args.compare is None:
+        parser.error("one of --record, --compare is required")
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     scratch = Path(tempfile.mkdtemp(prefix="trajectory-"))
     try:
-        if args.record is not None:
-            return record(root, args.record, scratch)
-        return compare(root, args.compare, args.pairs, args.workloads, scratch)
+        if args.compare is None:
+            return record(root, args.record, args.seed, scratch)
+        return compare(
+            root, args.compare, args.pairs, args.workloads, args.seed, args.record,
+            scratch,
+        )  # fmt: skip
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

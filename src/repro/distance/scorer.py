@@ -60,9 +60,11 @@ def _gather_dot(
     if query_side.shape[0] == 1:
         dots = np.einsum("nd,d->n", data.take(ids, axis=0), query_side[0])
         return dots, query_const
-    dots = np.einsum("nd,nd->n", data[ids], query_side[query_rows])
+    dots = np.einsum(
+        "nd,nd->n", data.take(ids, axis=0), query_side.take(query_rows, axis=0)
+    )
     if query_const is not None:
-        query_const = query_const[query_rows]
+        query_const = query_const.take(query_rows)
     return dots, query_const
 
 
@@ -75,7 +77,7 @@ def _euclidean_from_dots(
     """``max(row_sq[ids] - 2 dots + pair_const, 0)``, in place on the
     gathered norms: the Euclidean expansion both the float and the int8
     scorer finish a :func:`_gather_dot` with."""
-    scores = row_sq[ids]
+    scores = row_sq.take(ids)
     dots += dots  # 2 * dots, exactly, without a scalar operand
     scores -= dots
     scores += pair_const
@@ -783,11 +785,12 @@ class _PqAdcView:
         """
         scorer = self._scorer
         scorer.ops += len(ids)
-        flat = self._codes[ids] + self._flat_offsets
-        if self._tables.shape[0] == 1:
-            sums = self._tables[0].take(flat).sum(axis=1)
-        else:
-            sums = self._tables[query_rows[:, np.newaxis], flat].sum(axis=1)
+        flat = self._codes.take(ids, axis=0) + self._flat_offsets
+        if self._tables.shape[0] > 1:
+            # Each pair's lookups, offset to its query's table in the
+            # flattened (B, m * ks) stack.
+            flat += (query_rows * self._tables.shape[1])[:, np.newaxis]
+        sums = self._tables.take(flat).sum(axis=1)
         if scorer._is_euclidean:
             np.maximum(sums, 0.0, out=sums)
             return sums

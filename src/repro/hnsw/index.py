@@ -50,34 +50,36 @@ _MAX_LOCKSTEP = 64
 
 #: Smallest lockstep group -- query group or construction wave -- run on
 #: the array venue (``search.descend_arrays`` / ``search_arrays``);
-#: smaller groups run the heap kernels.  An array round costs a fixed ~25
-#: numpy calls however many rows are live; a heap round costs interpreter
-#: time per row and per neighbor (one table row read per expansion).
-#: Both read the graph's one in-place table.  Measured on one 4000 x 64
-#: segment (M = 12, ef = 64; ms per query, heap / array, min of 21):
+#: smaller groups run the heap kernels.  An array round costs a fixed 40
+#: numpy calls however many rows are live (counted call by call in
+#: ``benchmarks/results/pairs/PR30.md``; 48 before its gathers became
+#: flat ``take`` s); a heap round costs interpreter time per row and per
+#: neighbor (one table row read per expansion).  Both read the graph's
+#: one in-place table.  The table below is a command --
+#: ``benchmarks/bench_batch_throughput.py --check venues`` -- which also
+#: asserts that both venues return the same ids, distances and
+#: ``SearchCost``: one segment, ms per query, heap over array, min of 21
+#: (4000 x 64: M = 12, ef = 64; 2400 x 32: M = 6, ef = 10):
 #:
-#:     rows     1     4     8     10    12    16    24    32    64
-#:     int8    1.42  0.68  0.53  0.54  0.55  0.48  0.47  0.44  0.55
-#:             2.89  0.82  0.67  0.53  0.35  0.28  0.31  0.18  0.12
-#:     float   1.12  0.56  0.48  0.46  0.47  0.48  0.40  0.45  0.73
-#:             3.06  0.93  0.55  0.41  0.36  0.27  0.23  0.17  0.11
+#:     rows              1     4     8     10    12    16    24    32    64
+#:     4000 x 64 int8   0.87  0.51  0.42  0.40  0.39  0.37  0.36  0.36  0.36
+#:                      1.79  0.59  0.34  0.29  0.26  0.20  0.15  0.13  0.10
+#:     4000 x 64 float  0.83  0.51  0.41  0.40  0.39  0.37  0.37  0.36  0.37
+#:                      1.88  0.60  0.33  0.28  0.24  0.20  0.15  0.13  0.09
+#:     2400 x 32 int8   0.29  0.17  0.12  0.11  0.10  0.09  0.08  0.08  0.07
+#:                      0.55  0.20  0.12  0.10  0.09  0.07  0.05  0.04  0.02
+#:     2400 x 32 float  0.23  0.14  0.10  0.10  0.09  0.08  0.07  0.07  0.07
+#:                      0.51  0.19  0.11  0.08  0.08  0.06  0.04  0.04  0.03
 #:
-#: The ``rows = 1`` column predates the one-row scoring path (a group of
-#: one scores each round with one gather and one reduction against its
-#: row, ``distance/scorer.py::_gather_dot``; from 4 rows up a batch keeps
-#: the two-sided gather, so those columns stand).  With it, on a faster
-#: box than the table's -- compare before -> after, min of 21:
-#:
-#:     rows = 1    heap int8 1.08 -> 0.95    heap float 1.03 -> 0.86
-#:                 array int8 2.28 -> 2.29   array float 2.30 -> 2.28
-#:
-#: The curves cross at 8-12 rows (8-10 on 2400 x 32 / M = 6 / ef = 10,
-#: 4-8 on 20000 x 32 / M = 16 / ef = 128); 12 is the first size at which
-#: arrays won on every shape tried, and a default 64-row construction
-#: wave sits x4-6 past it.  Both venues apply the same beam rule (see
+#: The curves cross at 8-9 rows on both shapes (at 8 rows the 2400 x 32
+#: cells read 0.92x-1.02x from run to run); 10 is the first size at which
+#: arrays won every cell of every run (12 before the round was rebuilt),
+#: and a default 64-row construction wave sits x3-4 past it.  A single
+#: row is x2.1-2.3 slower on arrays than on heaps -- the floor ROADMAP
+#: 2(c) asks for.  Both venues apply the same beam rule (see
 #: :mod:`repro.hnsw.search`), so the constant moves time and never a
 #: result.
-_ARRAY_MIN_ROWS = 12
+_ARRAY_MIN_ROWS = 10
 
 
 class HnswIndex:

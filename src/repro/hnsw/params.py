@@ -59,7 +59,11 @@ class HnswParams(FlagFields):
     #: batch kernels, then links in deterministic row order.  ``0`` and
     #: ``1`` both mean waves of one row.  Larger waves amortise more
     #: numpy dispatch but search a slightly staler snapshot; the default
-    #: matches the serving path's lockstep group size.
+    #: matches the serving path's lockstep group size.  One-row
+    #: waves search on the heap kernels and select neighbors ~13 % slower
+    #: than 64-row waves do: ~100 us per row through the stacked
+    #: ``(P, C, C)`` round, where the tuple loop it replaced took ~40
+    #: (stated, not fixed: ROADMAP 2(d); no ledger workload builds so).
     build_batch: int = knob(
         64,
         "construction wave size: rows inserted per lockstep wave "

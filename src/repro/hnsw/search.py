@@ -43,6 +43,7 @@ the root's node are only touched on an exact distance tie.)
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Protocol
 
 import numpy as np
@@ -335,12 +336,17 @@ def search_layer_batch(
 # -- array venue ----------------------------------------------------------------------
 #
 # The same lockstep searches with the per-query state held in arrays: a
-# round is a fixed handful of numpy calls over every live row, however
-# many rows there are, where the heap kernels above pay interpreter time
+# round is 40 numpy calls over every live row, however many rows there
+# are -- 5 find the frontier, 4 mark it and read its node, 3 gather the
+# neighbor rows, 8 test the visited tags and gather the fresh pairs, 2
+# charge the cost, 9 score (Euclidean, float or int8), 5 pack the keys
+# and 4 merge them -- where the heap kernels above pay interpreter time
 # per row and per neighbor.  That trade only wins for a group that is
 # wide enough: HnswIndex picks the venue from the group it was handed,
-# a query group and a construction wave alike.  Each round gathers its
-# neighbor rows straight from the graph's table.
+# a query group and a construction wave alike.  What a round costs is
+# dispatch and copies, not FLOPs, so every gather is a flat ``take``
+# (neighbor rows straight from the graph's table) into state the group
+# allocates once, and nothing is gathered twice.
 #
 # A beam row is ``ef`` sorted int64 keys.  One key is one member,
 #
@@ -355,28 +361,42 @@ def search_layer_batch(
 
 _PAD = np.iinfo(np.int64).max
 #: The low 31 bits: a key's node field, or a float32's magnitude.
-_LOW31 = (1 << 31) - 1
+_LOW31 = np.int32((1 << 31) - 1)
+_ZERO = np.float32(0.0)  # a Python 0.0 operand takes a slower path
+#: Which 32-bit word of an int64 key is its ``node, expanded`` half.
+_NODE_WORD = 0 if sys.byteorder == "little" else 1
 
 
-def _ordered_bits(values: np.ndarray) -> np.ndarray:
+def _ordered_bits(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map float32 bit patterns to int32 with the same order, and back.
 
     Non-negative floats already order like their bits; negative ones
     order in reverse, which flipping their low 31 bits undoes.  The map
     is its own inverse.
     """
-    return values ^ ((values >> 31) & _LOW31)
+    flip = values >> 31
+    flip &= _LOW31
+    return np.bitwise_xor(values, flip, out=flip if out is None else out)
 
 
-def _pack(dists: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Unexpanded beam keys for float32 ``dists`` and int64 ``ids``."""
+def _pack(
+    dists: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unexpanded beam keys for float32 ``dists`` and integer ``ids``,
+    written word by word into ``out`` (int64, their shape) when given."""
     if dists.dtype != np.float32:
         raise TypeError(
             f"the array venue packs float32 distances, got {dists.dtype}"
         )
+    if out is None:
+        out = np.empty(dists.shape, dtype=np.int64)
+    words = out.view(np.int32)
     # + 0.0 turns -0.0 into +0.0: equal distances must share one pattern.
-    bits = _ordered_bits((dists + 0.0).view(np.int32))
-    return (bits.astype(np.int64) << 32) | (ids << 1)
+    bits = (dists + _ZERO).view(np.int32)
+    _ordered_bits(bits, words[..., 1 - _NODE_WORD :: 2])
+    # node << 1 as a sum: from node 2**30 up it wraps to the word's bits.
+    np.add(ids, ids, out=words[..., _NODE_WORD::2], casting="unsafe")
+    return out
 
 
 def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,37 +438,46 @@ def descend_arrays(
     ``(rows, width)`` array.
     """
     num_queries = queries.shape[0]
-    rounds = 0
+    width = graph.table.shape[1]
+    rounds = hops = 0
     current = np.full(num_queries, graph.entry_point, dtype=_IDS_DTYPE)
     current_dist = scorer.score_pairs(
         queries, np.arange(num_queries), current, query_sq
     )
+    # Row starts of the flat (rows, width) grid, and its unscored state.
+    starts = np.arange(0, num_queries * width, width)
+    unlinked = np.full(num_queries * width, np.inf, dtype=np.float32)
     lowest = int(target_levels.min(initial=graph.max_level))
     for level in range(graph.max_level, lowest, -1):
         active = np.flatnonzero(target_levels < level)
         while active.size:
-            nodes = current[active]
+            nodes = current.take(active)
             neighbors = graph.neighbor_rows(nodes, level)
-            linked = neighbors != nodes[:, np.newaxis]  # not padding
-            ids = neighbors[linked].astype(_IDS_DTYPE)
-            if ids.size == 0:
+            # Flat grid positions of the real links: padding is the owner.
+            linked = (neighbors != nodes[:, np.newaxis]).reshape(-1).nonzero()[0]
+            if linked.size == 0:
                 break
             rounds += 1
-            dists = np.full(neighbors.shape, np.inf, dtype=np.float32)
+            neighbors = neighbors.reshape(-1)
+            dists = unlinked[: neighbors.size].copy()
             dists[linked] = scorer.score_pairs(
-                queries, active[np.nonzero(linked)[0]], ids, query_sq
+                queries,
+                active.repeat(width).take(linked),
+                neighbors.take(linked),
+                query_sq,
             )
             # argmin takes the first of equal minima: list order, as the
             # heap venue's per-row argmin does.
-            best = dists.argmin(axis=1)
-            rows = np.arange(active.size)
-            best_dist = dists[rows, best]
-            moved = best_dist < current_dist[active]
+            best = dists.reshape(-1, width).argmin(axis=1)
+            best += starts[: active.size]
+            best_dist = dists.take(best)
+            moved = best_dist < current_dist.take(active)
             active = active[moved]
-            current[active] = neighbors[rows[moved], best[moved]]
+            current[active] = neighbors.take(best[moved])
             current_dist[active] = best_dist[moved]
-            if cost is not None:
-                cost.hops += int(active.size)
+            hops += active.size
+    if cost is not None:
+        cost.hops += hops
     if notes is not None:
         notes["rounds"] = rounds
     return current, current_dist
@@ -494,53 +523,68 @@ def search_arrays(
     """
     num_queries, seeds = entries.shape
     width = graph.table.shape[1]
-    tags, epoch = visited.tags, visited.epoch
+    tags, epoch = visited.tags, np.uint8(visited.epoch)
     live = np.arange(num_queries)
-    offsets = live * visited.stride
+    offsets = (live * visited.stride)[:, np.newaxis]
     seeded = entries >= 0
-    tags[(offsets[:, np.newaxis] + entries)[seeded]] = epoch
+    tags[(offsets + entries)[seeded]] = epoch
     # Columns [:ef] are the beam, columns [ef:] the round's newcomers.
     merged = np.full((num_queries, ef + width), _PAD, dtype=np.int64)
     merged[:, :seeds] = np.where(seeded, _pack(entry_dists, entries), _PAD)
     merged.sort(axis=1)
     beams = np.empty((num_queries, ef), dtype=np.int64)
-    rounds = 0
-    beam, newcomers, rows = merged[:, :ef], merged[:, ef:], live
+    # Flat state, allocated once per group and read by prefix as rows
+    # retire: where row r starts in ``merged``, the (live, width) grid a
+    # round's newcomers are laid out in, the buffer their keys are packed
+    # into, and which query owns each cell of the grid.
+    starts = live * (ef + width)
+    grid = np.empty(num_queries * width, dtype=np.int64)
+    keys = np.empty_like(grid)
+    owners = live.repeat(width)
+    flat = merged.reshape(-1)
+    charged = cost is not None
+    rounds = hops = candidates = 0
     while True:
         # The smallest unexpanded member is the first key with a clear
         # flag bit; a row without one answers position 0, whose flag is
         # set, and is finished.
-        position = (beam & 1).argmin(axis=1)
-        frontier = beam[rows, position]
-        going = (frontier & 1) == 0
-        if not going.all():
-            beams[live[~going]] = beam[~going]
+        column = (merged[:, :ef] & 1).argmin(axis=1)
+        position = column + starts[: live.size]
+        frontier = flat.take(position)
+        if np.bitwise_or.reduce(frontier) & 1:
+            going = (frontier & 1) == 0
+            beams[live[~going]] = merged[~going, :ef]
             live, offsets, merged = live[going], offsets[going], merged[going]
             if live.size == 0:
                 break
-            frontier, position = frontier[going], position[going]
-            beam, newcomers = merged[:, :ef], merged[:, ef:]
-            rows = np.arange(live.size)
+            flat, owners = merged.reshape(-1), live.repeat(width)
+            frontier = frontier[going]
+            position = column[going] + starts[: live.size]
         rounds += 1
-        beam[rows, position] = frontier | 1
+        flat[position] = frontier | 1
         neighbors = graph.neighbor_rows((frontier >> 1) & _LOW31, level)
-        slots = offsets[:, np.newaxis] + neighbors
+        slots = offsets + neighbors
         # Flat positions, in the (live rows, width) grid, of the
         # neighbors this round is the first to see.
-        unseen = tags[slots] != epoch
-        fresh = np.flatnonzero(unseen)
+        fresh = (tags.take(slots) != epoch).reshape(-1).nonzero()[0]
         if fresh.size == 0:
             continue
-        tags[slots.reshape(-1)[fresh]] = epoch
-        fresh_rows = fresh // width
-        ids = neighbors.reshape(-1)[fresh].astype(_IDS_DTYPE)
-        if cost is not None:
-            cost.hops += int(np.count_nonzero(unseen.any(axis=1)))
-            cost.candidates_visited += int(ids.size)
-        dists = scorer.score_pairs(queries, live[fresh_rows], ids, query_sq)
-        newcomers[...] = _PAD
-        newcomers[fresh_rows, fresh - fresh_rows * width] = _pack(dists, ids)
+        tags[slots.reshape(-1).take(fresh)] = epoch
+        ids = neighbors.reshape(-1).take(fresh)
+        pair_rows = owners.take(fresh)
+        if charged:
+            # ``fresh`` ascends, so a hop is a change of owner.
+            hops += np.count_nonzero(pair_rows[1:] != pair_rows[:-1]) + 1
+            candidates += fresh.size
+        dists = scorer.score_pairs(queries, pair_rows, ids, query_sq)
+        newcomers = grid[: live.size * width]
+        newcomers.fill(_PAD)
+        newcomers[fresh] = _pack(dists, ids, keys[: fresh.size])
+        merged[:, ef:] = newcomers.reshape(-1, width)
         merged.sort(axis=1)
+    if charged:
+        cost.hops += int(hops)  # count_nonzero hands back a numpy integer
+        cost.candidates_visited += candidates
     if notes is not None:
         notes["rounds"] = rounds
     return _unpack(beams)

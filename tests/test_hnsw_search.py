@@ -5,16 +5,26 @@ single query is a group of one, so these are the kernels' single-query
 semantics.  The kernels take and return the array venue's ``(ids,
 dists)`` arrays; ``descend`` / ``beam`` below (unchanged names, same
 tests) read the one row back as ``(node, distance)`` / ``(dist, node)``
-pairs.
+pairs.  ``TestBeamKeys`` holds the array venue's packed key on its own:
+every array-venue parity test passes through it, none looked at it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import HnswGraph, VisitedTable
-from repro.hnsw.search import descend_to_levels_batch, search_layer_batch
-from tests.conftest import as_pairs, prepare_one, score_one
+from repro.hnsw.search import (
+    _PAD,
+    _pack,
+    _unpack,
+    descend_to_levels_batch,
+    search_layer_batch,
+    sort_candidates,
+)
+from tests.conftest import as_pairs, as_stack, prepare_one, score_one
 
 
 def line_graph(num_points: int, level: int = 0):
@@ -135,3 +145,67 @@ class TestDescendToLevel:
         entry, _ = descend(graph, scorer, [8.6, 0.0])
         # Level-1 descent should jump to node 9 (closer than node 0).
         assert entry == 9
+
+
+#: Reduced distances a scorer can hand the array venue: any float32 but
+#: NaN -- negative (inner product, cosine rounding), both zeros,
+#: subnormal, infinite -- and the ids around the half-word's edges.
+DISTS = st.floats(width=32, allow_nan=False) | st.sampled_from(
+    [-0.0, 0.0, 1e-45, -1e-45, float("inf"), float("-inf")]
+)
+IDS = st.integers(0, 2**31 - 1) | st.sampled_from(
+    [0, 1, 2**30 - 1, 2**30, 2**31 - 2, 2**31 - 1]
+)
+PAIRS = st.lists(st.tuples(DISTS, IDS), min_size=1, max_size=24)
+
+
+class TestBeamKeys:
+    """``_pack`` / ``_unpack`` / ``sort_candidates``: the array venue's
+    ``[distance 32][node 31][expanded 1]`` key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(PAIRS)
+    def test_round_trip_and_order(self, pairs):
+        dists = np.array([dist for dist, _ in pairs], dtype=np.float32)
+        ids = np.array([node for _, node in pairs], dtype=np.int64)
+        keys = _pack(dists, ids)
+        assert keys.dtype == np.int64 and keys.shape == ids.shape
+        assert not (keys & 1).any() and (keys < _PAD).all()  # unexpanded, real
+        # int32 ids (what a table gather yields) into a caller's buffer:
+        # the same keys -- the node word neither sign-extends nor overflows.
+        buffer = np.full(ids.size + 3, -1, dtype=np.int64)
+        into = _pack(dists, ids.astype(np.int32), buffer[: ids.size])
+        assert into.base is buffer and (buffer[ids.size :] == -1).all()
+        np.testing.assert_array_equal(into, keys)
+        back_ids, back_dists = _unpack(keys | 1)  # the flag is not the node
+        np.testing.assert_array_equal(back_ids, ids)
+        # Equal as floats, and the two zeros share the key of +0.0.
+        np.testing.assert_array_equal(back_dists, dists)
+        assert not np.signbit(back_dists[dists == 0]).any()
+        # Integer order is (distance, node) order, pair against pair.
+        want = [(float(dist), int(node)) for dist, node in zip(dists, ids)]
+        for i, key in enumerate(keys.tolist()):
+            for j, other in enumerate(keys.tolist()):
+                assert (key < other) == (want[i] < want[j])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(PAIRS, min_size=1, max_size=4))
+    def test_sort_candidates_is_sorted_pairs_then_padding(self, rows):
+        ids, dists = sort_candidates(*as_stack(rows))
+        assert (ids.dtype, dists.dtype) == (np.int64, np.float32)
+        want = [
+            sorted((float(np.float32(dist)), node) for dist, node in row) for row in rows
+        ]
+        assert as_pairs(ids, dists) == want
+        unused = ids < 0
+        assert (ids[unused] == -1).all() and np.isposinf(dists[unused]).all()
+        # Padding is last: no real slot to the right of an unused one.
+        assert not (unused[:, :-1] & ~unused[:, 1:]).any()
+
+    def test_only_float32_distances_pack(self):
+        ids = np.arange(3)
+        for dtype in (np.float64, np.float16, np.int32):
+            with pytest.raises(TypeError, match="float32"):
+                _pack(np.zeros(3, dtype=dtype), ids)
+        with pytest.raises(TypeError, match="float32"):
+            sort_candidates(ids[np.newaxis], np.zeros((1, 3)))

@@ -25,6 +25,7 @@ distances stay exact.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import sys
 import threading
@@ -43,7 +44,7 @@ from repro.hnsw.index import (
     HnswIndex,
     build_hnsw,
 )
-from repro.hnsw.search import search_arrays, search_layer_batch
+from repro.hnsw.search import descend_arrays, search_arrays, search_layer_batch
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.online.microbatch import MicroBatcher
@@ -423,6 +424,95 @@ class TestVenues:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+def array_venue_digest(index: HnswIndex, queries: np.ndarray) -> str:
+    """sha256 over everything the two array kernels hand back -- ids,
+    distances, ``SearchCost``, ``rounds`` -- for groups of 12 and 41 rows
+    in both shapes they are called in.  *Query*: descend to layer 0, one
+    seed, one beam.  *Construction wave*: mixed per-row descent targets,
+    then a beam above the base layer whose (partly blanked) result seeds
+    the base-layer beam -- many seeds per row, rows short of seeds."""
+    graph, scorer = index.graph, index._scorer
+    assert graph.max_level >= 2
+    pool, cost, digest = VisitedPool(), SearchCost(), hashlib.sha256()
+
+    def absorb(found, notes):
+        for array in found:
+            digest.update(array.tobytes())
+        # Plain ints: a numpy integer here does not survive the wire's JSON.
+        assert {type(value) for value in cost.as_dict().values()} == {int}
+        digest.update(f"{cost!r} {notes['rounds']}".encode())
+
+    for rows in (12, 41):
+        prepared = scorer.prepare_queries(queries[:rows])
+        query_sq = scorer.query_sq_norms(prepared)
+        traversal = scorer
+        if index._quantized is not None:
+            traversal = index._quantized.view(prepared)
+
+        def descend(targets):
+            notes: dict = {}
+            found = descend_arrays(
+                graph, traversal, prepared, targets, query_sq, cost, notes
+            )
+            absorb(found, notes)
+            return found
+
+        def beam(seeds, seed_dists, ef, level):
+            notes: dict = {}
+            found = search_arrays(
+                graph, traversal, prepared, seeds, seed_dists, ef, level,
+                pool.get_epochs(graph.capacity, rows), query_sq, cost, notes,
+            )
+            absorb(found, notes)
+            return found
+
+        entries, entry_dists = descend(np.zeros(rows, dtype=np.int64))
+        beam(entries[:, np.newaxis], entry_dists[:, np.newaxis], 2 * K, 0)
+        descend(np.arange(rows) % 3)
+        entries, entry_dists = descend(np.ones(rows, dtype=np.int64))
+        seeds, seed_dists = beam(
+            entries[:, np.newaxis], entry_dists[:, np.newaxis], K, 1
+        )
+        seeds[::3, -2:], seed_dists[::3, -2:] = -1, np.inf
+        beam(seeds, seed_dists, K, 0)
+    return digest.hexdigest()[:16]
+
+
+#: :func:`array_venue_digest` of every graph-searching index of this
+#: module, computed at d0dc44a -- the commit before the array round was
+#: rebuilt around flat ``take`` gathers (PR 30) -- so the rebuilt kernels
+#: answer, charge and count rounds as the ones they replaced, bit for bit.
+#: Cosine and inner product reach negative reduced distances (the key's
+#: sign path), the lattice an exact tie at every beam boundary.  To add
+#: a pin, compute it in a ``git clone`` of the parent, never here.
+ARRAY_VENUE_PINS = {
+    ("clustered", "float", "euclidean"): "887c073fe5ab6b56",
+    ("clustered", "float", "cosine"): "6255f0332693aa22",
+    ("clustered", "float", "inner_product"): "6a249f86777d8848",
+    ("clustered", "int8", "euclidean"): "cf39f8b1b928ad98",
+    ("clustered", "int8", "cosine"): "99b6a1e7eac7beb4",
+    ("clustered", "int8", "inner_product"): "5835b545161e2e28",
+    ("clustered", "pq", "euclidean"): "0a9a7547eb8d6d17",
+    ("clustered", "pq", "cosine"): "9eda799a1a1a824c",
+    ("clustered", "pq", "inner_product"): "46adfc35064c491c",
+    ("lattice", "float", "euclidean"): "931f7980c0b6731e",
+    ("lattice", "float", "cosine"): "a15bf95f390eeb82",
+    ("lattice", "float", "inner_product"): "172b88a86ea2e861",
+    ("lattice", "int8", "euclidean"): "e841b6f8d4b426be",
+    ("lattice", "int8", "cosine"): "0661e7936681c99d",
+    ("lattice", "int8", "inner_product"): "f55d2fa9c1e8f80e",
+    ("lattice", "pq", "euclidean"): "931f7980c0b6731e",
+    ("lattice", "pq", "cosine"): "1def75efeb015271",
+    ("lattice", "pq", "inner_product"): "172b88a86ea2e861",
+}
+
+
+@pytest.mark.parametrize("corpus, arm, metric", ARRAY_VENUE_PINS)
+def test_array_venue_is_pinned(all_indices, query_sets, corpus, arm, metric):
+    digest = array_venue_digest(all_indices[corpus, arm, metric], query_sets[corpus])
+    assert digest == ARRAY_VENUE_PINS[corpus, arm, metric]
 
 
 class TestExternalIdGather:

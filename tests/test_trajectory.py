@@ -21,7 +21,8 @@ import json, os, sys
 flags = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 speed = float(open("speed.txt").read())
 with open(os.environ["STUB_LOG"], "a") as log:
-    log.write(f"{os.path.basename(os.getcwd())} {flags['--workload']} {flags['--trace']}\\n")
+    log.write(f"{os.path.basename(os.getcwd())} {flags['--workload']} {flags['--trace']}"
+              f" {flags.get('--seed', '-')}\\n")
 if flags["--trace"] == "1":
     metrics = {"hnsw.search_ms_per_query": {"value": speed / 2, "unit": "ms"}}
 else:
@@ -86,6 +87,7 @@ def test_compare_pairs_the_staged_tree_against_a_revision(repo, tmp_path):
         "parent", "change", "change", "parent", "parent", "change",
     ]  # who goes first alternates
     assert {line.split()[1] for line in runs} == {"w1"}
+    assert {line.split()[3] for line in runs} == {"-"}  # no --seed given, none passed
     latency, throughput = (
         line for line in done.stdout.splitlines() if line.startswith("| `")
     )
@@ -110,12 +112,43 @@ def test_compare_exits_non_zero_on_a_breach_and_calls_a_tie_equal(repo):
     ).stderr
 
 
+def test_compare_beside_record_adds_its_pairs_to_the_bench_file(repo, tmp_path):
+    """``--seed`` reaches the benchmark command on both sides, and the
+    per-pair lists land in ``BENCH_<n>.json`` under ``pairs`` -- created
+    by the first compare, appended to by the next, kept by a later
+    ``--record`` of the same PR."""
+    stage(repo, "8")
+    compare = ("--compare", "HEAD", "--pairs", "2", "--record", "7")
+    done = trajectory(repo, *compare, "--workloads", "w1", "--seed", "5")
+    assert done.returncode == 0, done.stderr
+    assert ", seed 5" in done.stdout.splitlines()[0]
+    runs = (tmp_path / "runs.log").read_text().splitlines()
+    assert [line.split()[3] for line in runs] == ["5"] * 4
+    payload = json.loads((repo / "BENCH_7.json").read_text())
+    assert (payload["schema"], payload["pr"], "workloads" in payload) == (1, 7, False)
+    (entry,) = payload["pairs"]
+    assert (entry["workload"], entry["seed"]) == ("w1", 5)
+    assert entry["parent"] == git(repo, "rev-parse", "HEAD")
+    assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert entry["metrics"]["latency_p50_ms"] == {
+        "parent": [10.0, 10.0], "change": [8.0, 8.0],
+    }  # fmt: skip
+    assert trajectory(repo, *compare, "--workloads", "w2").returncode == 0
+    assert trajectory(repo, "--record", "7", "--seed", "5").returncode == 0
+    payload = json.loads((repo / "BENCH_7.json").read_text())
+    assert [(e["workload"], e["seed"]) for e in payload["pairs"]] == [
+        ("w1", 5), ("w2", None),
+    ]  # fmt: skip
+    assert (payload["seed"], sorted(payload["workloads"])) == (5, ["w1", "w2"])
+    assert "one of --record, --compare is required" in trajectory(repo).stderr
+
+
 def test_record_writes_a_versioned_bench_file_at_the_repo_root(repo, tmp_path):
     stage(repo, "12")
     done = trajectory(repo, "--record", "7")
     assert done.returncode == 0, done.stderr
     payload = json.loads((repo / "BENCH_7.json").read_text())
-    assert (payload["schema"], payload["pr"]) == (1, 7)
+    assert (payload["schema"], payload["pr"], payload["seed"]) == (1, 7, None)
     assert payload["commit"] == git(repo, "rev-parse", "HEAD")
     assert sorted(payload["workloads"]) == ["w1", "w2"]
     w1 = payload["workloads"]["w1"]
