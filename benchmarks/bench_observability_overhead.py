@@ -13,8 +13,9 @@ pre-PR baseline path (``collect_cost=False``, tracing off):
 The three configurations serve the same query stream in process (local
 transports, so the ratios measure the accounting, not socket noise)
 through the harness's interleaved timing.  That the answers are
-bit-identical with accounting on and off, and what the cost dict holds,
-is ``tests/test_obs.py::test_cost_accounting_without_changing_results``.
+bit-identical with accounting on and off is ``tests/test_path_matrix.py``
+(its ``server`` cells turn it off); what the cost dict holds is
+``tests/test_obs.py::test_cost_accounting_counts_the_work``.
 
     PYTHONPATH=src python benchmarks/bench_observability_overhead.py [--smoke]
 """

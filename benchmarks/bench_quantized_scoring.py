@@ -26,10 +26,10 @@ kernel-bandwidth effect would drown in Python traversal overhead.
 
 Held by tier-1 instead: the 4x code shrink
 (``tests/test_quantized_scoring.py::test_codes_are_four_times_smaller``)
-and ``quantize="none"`` being today's path through build / persist /
-deploy / serve (``::test_quantize_none_is_todays_path``,
-``tests/test_storage_manifest.py::test_roundtrip_query_equivalence``,
-``tests/test_online_serving.py::test_broker_matches_in_memory_index``).
+and every ``quantize`` kind answering alike through build / persist /
+deploy / serve (the ``quantize`` factor of
+``tests/test_path_matrix.py``;
+``tests/test_quantized_scoring.py::test_manifest_records_quantize``).
 
     PYTHONPATH=src python benchmarks/bench_quantized_scoring.py [--smoke]
 """

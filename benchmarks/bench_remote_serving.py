@@ -24,7 +24,7 @@ exactly one write per side, and a PING must be cheaper than a SEARCH.
 
 What a SIGKILLed searcher does to the ``degrade`` and ``fail`` policies
 is ``tests/test_remote_serving.py::
-test_kill_one_of_three_processes_mid_flight``.
+test_kill_one_searcher_process_mid_flight``.
 
     PYTHONPATH=src python benchmarks/bench_remote_serving.py [--smoke]
 """

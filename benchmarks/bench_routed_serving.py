@@ -19,10 +19,9 @@ keeps serving with ZERO degraded rows and unchanged answers under the
 strict ``fail`` policy while one replica of a group is SIGKILLed: its
 sibling absorbs the traffic via the broker's failover.
 
-That ``spill="all"`` is bit-identical to the pre-router path (manual
-per-shard search + level-2 merge) and to the ``query_batch`` wrapper is
-``tests/test_router.py::test_spill_all_bit_identical_to_manual_merge``
-and ``::test_legacy_shim_matches_execute``.
+That ``spill="all"`` is bit-identical to the pre-router path, and a
+routed ``spill`` to the shards asked with the router's probes and
+merged, is the ``spill`` factor of ``tests/test_path_matrix.py``.
 
     PYTHONPATH=src python benchmarks/bench_routed_serving.py [--smoke]
 """

@@ -50,8 +50,9 @@ def _gather_dot(
     may be ``None``; the ``(pairs, d)`` query-side copy is never built
     and the constant comes back as the ``(1,)`` array it is.  The two
     branches are bit-equal pair for pair (float32 and int8-widening; see
-    ``tests/test_batch_parity.py``), because both reduce each pair with
-    ``einsum``'s sum-of-products loop over ``d``.  BLAS does not:
+    ``tests/test_path_matrix.py::check_one_row_parity``), because both
+    reduce each pair with ``einsum``'s sum-of-products loop over ``d``.
+    BLAS does not:
     ``data[ids] @ query`` (gemv) accumulates in a blocked order that
     depends on the number of rows -- it differs from the ``einsum`` of
     the same pair from 8 rows up -- so no ``@`` / ``dot`` / ``matmul``

@@ -392,7 +392,9 @@ class Broker:
         querying ``spill`` groups would cap each answer below ``top_k``.
 
         Degenerate cases (all reachable through micro-batch coalescing,
-        pinned by ``tests/test_online_serving.py``):
+        pinned by ``tests/test_online_serving.py::
+        TestBudgetAndPaddingDegenerateCases``; the segment-aligned one by
+        the ``segment`` cells of ``tests/test_path_matrix.py``):
 
         - **single shard**: the budget is exactly ``top_k`` -- Eq. 5-6
           degrade to the identity, so one-shard serving never truncates.

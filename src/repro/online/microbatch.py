@@ -18,7 +18,8 @@ one the broker and ``SearcherServer(batch_max=)`` both build) because
 only requests with identical search parameters can share a lockstep
 batch.  Correctness rests on the batch kernels being batch-composition
 invariant -- a row's result never depends on which other rows share the
-batch -- which ``tests/test_properties_cross_module.py`` pins down.
+batch -- which the ``micro`` and ``server`` cells of
+``tests/test_path_matrix.py`` pin down.
 """
 
 from __future__ import annotations

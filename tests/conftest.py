@@ -8,19 +8,35 @@ one does not.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.builder import build_lanns_index
+from repro.core.config import LannsConfig
 from repro.hnsw.params import HnswParams
 from repro.offline.brute_force import exact_top_k
+from repro.online.searcher import SearcherNode
 from repro.sparklite.cluster import LocalCluster
 from repro.storage.hdfs import LocalHdfs
+from repro.storage.manifest import save_lanns_index
 
 #: Small HNSW parameters shared by tests that build indices.
 FAST_HNSW = HnswParams(M=8, ef_construction=48, ef_search=48, seed=0)
+#: The two-shard, two-segment deployment most serving tests run on.
+LANNS_2X2 = LannsConfig(
+    num_shards=2,
+    num_segments=2,
+    segmenter="rh",
+    hnsw=FAST_HNSW,
+    segmenter_sample_size=600,
+    seed=11,
+)
+#: Where :func:`lanns_fs` holds the export of :func:`lanns`.
+LANNS_PATH = "prod/lanns"
 
 
 def make_clustered(
@@ -32,6 +48,36 @@ def make_clustered(
     assignment = rng.integers(0, num_clusters, size=n)
     data = centers[assignment] + rng.normal(size=(n, dim))
     return data.astype(np.float32)
+
+
+def make_lattice() -> np.ndarray:
+    """The 3^6 points of ``{-1, 0, 1}^6`` plus 200 of them again, shuffled:
+    integer coordinates and duplicated rows put an exact distance tie at
+    every beam boundary."""
+    points = np.array(
+        list(itertools.product((-1.0, 0.0, 1.0), repeat=6)), dtype=np.float32
+    )
+    rng = np.random.default_rng(11)
+    again = points[rng.choice(len(points), size=200, replace=False)]
+    return rng.permutation(np.concatenate([points, again]))
+
+
+def assert_same_payload(first: dict, second: dict) -> None:
+    """Two ``HnswIndex.to_arrays()`` payloads, member for member: the
+    same names, dtypes, shapes and bytes."""
+    assert list(first) == list(second)
+    for name in first:
+        a, b = np.asarray(first[name]), np.asarray(second[name])
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def host_all(index, name: str = "main") -> list[SearcherNode]:
+    """One in-process searcher per shard of ``index``, hosting it as ``name``."""
+    nodes = [SearcherNode(shard.shard_id) for shard in index.shards]
+    for node, shard in zip(nodes, index.shards):
+        node.host(name, shard)
+    return nodes
 
 
 def wait_until(condition, timeout_s: float = 30.0) -> None:
@@ -96,6 +142,20 @@ def clustered_truth(clustered_data, clustered_queries) -> np.ndarray:
     """Exact top-20 ids for the clustered fixture."""
     ids, _ = exact_top_k(clustered_data, clustered_queries, 20)
     return ids
+
+
+@pytest.fixture(scope="session")
+def lanns(clustered_data):
+    """:data:`LANNS_2X2` over the clustered fixture, built once."""
+    return build_lanns_index(clustered_data, config=LANNS_2X2)
+
+
+@pytest.fixture(scope="session")
+def lanns_fs(tmp_path_factory, lanns) -> LocalHdfs:
+    """A filesystem holding :func:`lanns` exported at :data:`LANNS_PATH`."""
+    fs = LocalHdfs(tmp_path_factory.mktemp("lanns"))
+    save_lanns_index(lanns, fs, LANNS_PATH)
+    return fs
 
 
 @pytest.fixture

@@ -635,33 +635,84 @@ def test_construction_keeps_candidates_in_arrays():
         assert "beams_as_arrays" not in source, name
 
 
-def test_retired_scalar_paths_stay_deleted():
-    """One construction path, one merge, one adjacency: the sequential
-    insert, its private kernels, the tuple-list merge and the graph's
-    second and third representations must not quietly regrow."""
-    retired = {
-        "_insert_row", "_link_back", "search_layer", "greedy_descent",
-        "descend_to_level", "score_ids", "merge_top_k", "TopKHeap",
-        "padded", "PaddedAdjacency", "set_level_csr", "beams_as_arrays",
-        "fill_info_out", "observed_search_batch", "level_csr",
-        "load_level_csr",
-    }
-    defined, csr_members = set(), set()
-    for path in (default_repo_root() / "src").rglob("*.py"):
+#: Names deleted on purpose: ``name -> (where it must not come back, the
+#: commit that retired it)``.  The places are name sets one walk collects:
+#: defs under ``src/`` ("src def"); parameters under ``src/`` ("src
+#: parameter") and of ``SearcherServer`` ("server parameter"); every
+#: name, attribute and def under ``src/repro/net`` ("net name"); string
+#: constants under ``src/``, by prefix ("src string"); the words of
+#: README.md ("readme"); defs of ``benchmarks/bench_*.py`` ("bench def").
+RETIRED = {
+    # One construction path and one merge: the sequential insert, its
+    # private kernels and the tuple-list merge.
+    **dict.fromkeys(
+        ["_insert_row", "_link_back", "search_layer", "greedy_descent",
+         "descend_to_level", "score_ids", "merge_top_k", "TopKHeap"],
+        (("src def",), "b7a06f6"),
+    ),
+    # One adjacency: the graph's second and third representations, and
+    # format 1's per-level member family (f-string heads too).
+    **dict.fromkeys(["padded", "PaddedAdjacency", "set_level_csr"], (("src def",), "a219e4e")),
+    "beams_as_arrays": (("src def",), "5cf6190"),
+    **dict.fromkeys(["fill_info_out", "observed_search_batch"], (("src def",), "6145b78")),
+    **dict.fromkeys(["level_csr", "load_level_csr"], (("src def",), "c9e3740")),
+    **dict.fromkeys(["indptr_", "indices_"], (("src string",), "c9e3740")),
+    # The wire on asyncio streams, its helpers and per-RPC ``wait_for``.
+    **dict.fromkeys(
+        ["StreamReader", "StreamWriter", "open_connection", "start_server",
+         "wait_for", "readexactly", "read_frame_async", "write_frame",
+         "write_frame_async", "_handle_connection", "_dispatch_watched"],
+        (("net name",), "470cfea"),
+    ),
+    # Serving keywords that became constants (zero call sites at their parent).
+    **dict.fromkeys(["rpc_timeout_s", "rpc_pool_size"], (("src parameter", "readme"), "4d7059d")),
+    "max_frame": (("server parameter", "readme"), "4d7059d"),
+    # Scaffolding every bench script carried before the shared harness.
+    **dict.fromkeys(
+        ["export_index", "build_parser", "main", "min_ms", "best_us",
+         "_timed_pass", "measure_closed_loop"],
+        (("bench def",), "b863b1d"),
+    ),
+}
+
+
+def test_retired_names_stay_retired():
+    root = default_repo_root()
+    seen = {place: set() for places, _ in RETIRED.values() for place in places}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in (root / "src").rglob("*.py"):
+        in_net = path.parent.name == "net"
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                defined.add(node.name)
-            elif (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value.startswith(("indptr_", "indices_"))
-            ):
-                # Format 1's per-level member family (f-string heads too).
-                csr_members.add(f"{path.name}:{node.lineno}")
-    assert defined & retired == set()
-    assert csr_members == set()
+            if isinstance(node, defs):
+                seen["src def"].add(node.name)
+                if in_net:
+                    seen["net name"].add(node.name)
+                if node.name == "SearcherServer":
+                    seen["server parameter"] |= {
+                        arg.arg for fn in ast.walk(node) if isinstance(fn, ast.arguments)
+                        for arg in (*fn.args, *fn.kwonlyargs)
+                    }
+            if isinstance(node, ast.arg):
+                seen["src parameter"].add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                seen["src string"].add(node.value)
+            elif in_net and isinstance(node, (ast.Name, ast.Attribute)):
+                seen["net name"].add(getattr(node, "id", None) or node.attr)
+    seen["readme"] = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for path in (root / "benchmarks").glob("bench_*.py"):
+        seen["bench def"] |= {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+    back = {
+        (name, place)
+        for name, (places, _) in RETIRED.items()
+        for place in places
+        if name in seen[place]
+        or (place == "src string" and any(s.startswith(name) for s in seen[place]))
+    }
+    assert back == set()
 
 
 def test_the_index_reaches_its_scorer_through_public_names():
@@ -739,9 +790,6 @@ class TestServingKnobSurface:
             "max_batch", "max_wait_ms",
         },
     }
-    #: Keywords that became constants (zero call sites at b863b1d).
-    RETIRED = {"rpc_timeout_s", "rpc_pool_size"}
-
     @staticmethod
     def knobs() -> dict:
         from dataclasses import fields
@@ -800,19 +848,13 @@ class TestServingKnobSurface:
         ``launch_searcher``, ``launch_fleet``, ``Broker`` and
         ``OnlineService`` each listed the knobs as keywords."""
         knobs = self.knobs()
-        every = set().union(*knobs.values()) | self.RETIRED
+        every = set().union(*knobs.values())
         respelled = {
             where: names & every
             for where, names, owner in self.functions()
             if owner not in knobs and names & every
         }
         assert respelled == self.LEAVES
-        (server_init,) = (
-            names
-            for where, names, owner in self.functions()
-            if where == "net/server.py:__init__" and owner == "SearcherServer"
-        )
-        assert "max_frame" not in server_init
 
     def test_a_new_server_field_needs_no_edit_in_cli_or_fleet(self):
         """``cli.py`` generates the flags and ``net/fleet.py`` the child
@@ -824,15 +866,13 @@ class TestServingKnobSurface:
         for path in (self.src / "cli.py", self.src / "net" / "fleet.py"):
             assert spelled.findall(path.read_text()) == [], path.name
 
-    def test_readme_knob_table_names_every_field_and_no_retired_one(self):
+    def test_readme_knob_table_names_every_field(self):
         readme = (self.root / "README.md").read_text()
         table = readme.split("Useful knobs", 1)[1].split("\n## ", 1)[0]
         named = set(re.findall(r"`(?:--)?([\w-]+)`", table))
         named |= {name.replace("-", "_") for name in named}
         missing = set().union(*self.knobs().values()) - named
         assert missing == set()
-        retired = self.RETIRED | {"max_frame"}
-        assert {name for name in retired if name in readme} == set()
 
 
 class TestIndexKnobSurface:
@@ -1121,24 +1161,14 @@ class TestServingTierShape:
             source = (self.src / "net" / f"{name}.py").read_text()
             assert raw_read.search(source) is None, name
 
-    def test_the_wire_runs_on_protocols_over_one_frame_reader(self):
-        """No asyncio-streams code, stream helper or per-RPC ``wait_for``
-        under ``net/``, and exactly one function besides ``decode_frame``
-        (the sans-IO reader's ``feed``) parses a frame off a buffer."""
-        retired = {
-            "StreamReader", "StreamWriter", "open_connection", "start_server",
-            "wait_for", "readexactly", "read_frame_async", "write_frame",
-            "write_frame_async", "_handle_connection", "_dispatch_watched",
-        }
-        named, parsers = set(), set()
+    def test_the_wire_runs_on_one_frame_reader(self):
+        """Exactly one function besides ``decode_frame`` (the sans-IO
+        reader's ``feed``) parses a frame off a buffer (the asyncio-streams
+        code it replaced is in ``RETIRED``)."""
+        parsers = set()
         for path in (self.src / "net").glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    named.add(node.name)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     calls = {
                         getattr(call.func, "id", None)
                         for call in ast.walk(node)
@@ -1146,7 +1176,6 @@ class TestServingTierShape:
                     }
                     if calls & {"parse_prefix", "decode_body"}:
                         parsers.add(node.name)
-        assert named & retired == set()
         assert parsers == {"decode_frame", "feed"}
 
     def test_one_clock(self):
@@ -1200,6 +1229,28 @@ class TestBenchSurface:
             for name in re.findall(r"bench_\w+\.py", unit)
         }
         assert claimed - self.benches_ci_runs() == set()
+
+    def test_every_cited_test_exists(self):
+        """A ``tests/<file>.py`` or ``tests/<file>.py::<name>`` cited by
+        ``src/``, the README, a bench script or the verify skill names a
+        test file, and a ``def`` / ``class`` of that name in it."""
+        docs = [*(self.root / "src").rglob("*.py"), self.root / "README.md"]
+        docs += [*(self.root / "benchmarks").glob("*.py")]
+        docs += [self.root / ".claude/skills/verify/SKILL.md"]
+        dangling = set()
+        for doc in docs:
+            for stem, name in re.findall(
+                r"tests/(\w+)\.py(?:::\s*(\w+))?", doc.read_text()
+            ):
+                test = self.root / "tests" / f"{stem}.py"
+                if not test.exists() or (
+                    name
+                    and not re.search(
+                        rf"^\s*(def|class) {name}\b", test.read_text(), re.M
+                    )
+                ):
+                    dangling.add(f"{doc.name}: tests/{stem}.py::{name}")
+        assert dangling == set()
 
     def test_every_bench_flag_is_set_by_ci_or_readme(self):
         """An ``add_argument`` flag of a ``benchmarks/*.py`` parser that no
@@ -1259,11 +1310,10 @@ class TestBenchSurface:
         """Corpus, export, fleet, timing, report and ``main`` exist once,
         in ``benchmarks/harness.py``: no script parses arguments, opens
         a temp dir, launches a fleet or defines a timer again -- not
-        under a retired name, not under a ``repro.eval`` one."""
+        under a ``repro.eval`` name, nor (``RETIRED``) a retired one."""
         import repro.eval
 
-        retired = {"export_index", "build_parser", "main", "min_ms", "best_us"}
-        retired |= {"_timed_pass", "measure_closed_loop", *repro.eval.__all__}
+        retired = set(repro.eval.__all__)
         for path in (self.root / "benchmarks").glob("bench_*.py"):
             tree = ast.parse(path.read_text())
             defined = {

@@ -5,8 +5,8 @@ seed IS the schedule -- and then used against real in-thread searcher
 servers to prove the recovery paths built in PRs 3-10 survive injected
 faults rather than merely mocked ones:
 
-- replica failover keeps answering (bit-identically) when one replica
-  resets every connection or sheds every request with ``OVERLOADED``;
+- replica failover keeps answering when one replica resets every
+  connection or sheds every request with ``OVERLOADED``;
 - a broker facing a fully overloaded group honors the server's
   retry-after hint once before giving up with the structured error;
 - a rolling restart under a background of injected resets and delays
@@ -18,11 +18,8 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
 from repro.errors import OverloadedError
 from repro.net.chaos import FAULT_KINDS, FaultPlan
 from repro.net.server import SearcherServer
@@ -31,56 +28,21 @@ from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
-from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import save_lanns_index
-from tests.conftest import FAST_HNSW, make_clustered
+from tests.conftest import LANNS_2X2, LANNS_PATH
 
 NUM_SHARDS = 2
-INDEX_PATH = "prod/chaotic"
 
 
 @pytest.fixture(scope="module")
-def config():
-    return LannsConfig(
-        num_shards=NUM_SHARDS,
-        num_segments=2,
-        segmenter="rh",
-        hnsw=FAST_HNSW,
-        segmenter_sample_size=400,
-        seed=13,
-    )
+def queries(clustered_queries):
+    return clustered_queries[:16]
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    return make_clustered(500, 16, seed=41)
-
-
-@pytest.fixture(scope="module")
-def queries(corpus):
-    rng = np.random.default_rng(42)
-    rows = rng.integers(0, corpus.shape[0], size=16)
-    noise = rng.normal(scale=0.2, size=(16, corpus.shape[1]))
-    return (corpus[rows] + noise).astype(np.float32)
-
-
-@pytest.fixture(scope="module")
-def shared_fs(tmp_path_factory):
-    return LocalHdfs(tmp_path_factory.mktemp("chaos-hdfs"))
-
-
-@pytest.fixture(scope="module")
-def index(corpus, config, shared_fs):
-    built = build_lanns_index(corpus, config=config)
-    save_lanns_index(built, shared_fs, INDEX_PATH)
-    return built
-
-
-def start_server(shared_fs, shard_id: int, *, port: int = 0, **kwargs):
+def start_server(lanns_fs, shard_id: int, *, port: int = 0, **kwargs):
     return SearcherServer(
         SearcherNode(shard_id),
         port=port,
-        root=str(shared_fs.root),
+        root=str(lanns_fs.root),
         **kwargs,
     ).start_in_thread()
 
@@ -154,21 +116,16 @@ class TestFaultPlan:
 
 
 class TestChaosFailover:
-    def expected(self, config, shared_fs, queries):
-        clean = OnlineService()
-        try:
-            clean.deploy(shared_fs, INDEX_PATH, index_name="r")
-            return clean.query_batch(queries, 5, index_name="r")
-        finally:
-            clean.close()
+    """That failed-over answers equal calm ones is the ``faults`` cells of
+    ``tests/test_path_matrix.py``; here, that each fault kind fails over."""
 
     def run_against(
-        self, chaotic_server, shared_fs, config, queries, index
+        self, chaotic_server, lanns_fs, queries
     ) -> tuple:
         """Serve through [chaotic, clean] x [clean] groups; return results
         and the broker stats."""
-        clean_sibling = start_server(shared_fs, 0)
-        other = start_server(shared_fs, 1)
+        clean_sibling = start_server(lanns_fs, 0)
+        other = start_server(lanns_fs, 1)
         transports = []
         broker = None
         try:
@@ -177,11 +134,11 @@ class TestChaosFailover:
             ):
                 transport = connect(server.address, shard_id)
                 transport.verify()
-                transport.deploy("r", INDEX_PATH, root=str(shared_fs.root))
+                transport.deploy("r", LANNS_PATH, root=str(lanns_fs.root))
                 transports.append(transport)
             broker = Broker(
                 [[transports[0], transports[1]], [transports[2]]],
-                config,
+                LANNS_2X2,
                 partial_policy="fail",
             )
             results = [broker.search_batch("r", queries, 5) for _ in range(4)]
@@ -195,63 +152,57 @@ class TestChaosFailover:
             other.stop()
 
     def test_failover_covers_injected_resets(
-        self, shared_fs, config, queries, index
+        self, lanns_fs, queries
     ):
         chaotic = start_server(
-            shared_fs, 0, chaos=FaultPlan(seed=11, reset_rate=1.0)
+            lanns_fs, 0, chaos=FaultPlan(seed=11, reset_rate=1.0)
         )
         try:
             results, stats = self.run_against(
-                chaotic, shared_fs, config, queries, index
+                chaotic, lanns_fs, queries
             )
         finally:
             chaotic.stop()
-        want_ids, want_dists = self.expected(config, shared_fs, queries)
-        for ids, dists in results:
-            np.testing.assert_array_equal(ids, want_ids)
-            np.testing.assert_array_equal(dists, want_dists)
+        assert all((ids >= 0).all() for ids, _ in results)
         assert stats["failovers"] >= 1
 
     def test_failover_covers_injected_overload(
-        self, shared_fs, config, queries, index
+        self, lanns_fs, queries
     ):
         chaotic = start_server(
-            shared_fs, 0, chaos=FaultPlan(seed=11, overload_rate=1.0)
+            lanns_fs, 0, chaos=FaultPlan(seed=11, overload_rate=1.0)
         )
         try:
             results, stats = self.run_against(
-                chaotic, shared_fs, config, queries, index
+                chaotic, lanns_fs, queries
             )
         finally:
             chaotic.stop()
-        want_ids, want_dists = self.expected(config, shared_fs, queries)
-        for ids, dists in results:
-            np.testing.assert_array_equal(ids, want_ids)
-            np.testing.assert_array_equal(dists, want_dists)
+        assert all((ids >= 0).all() for ids, _ in results)
         assert stats["failovers"] >= 1
 
     def test_fully_overloaded_group_waits_retry_after_then_raises(
-        self, shared_fs, config, queries, index
+        self, lanns_fs, queries
     ):
         hint = 0.08
         chaotic = start_server(
-            shared_fs,
+            lanns_fs,
             0,
             chaos=FaultPlan(seed=11, overload_rate=1.0),
             retry_after_s=hint,
         )
-        other = start_server(shared_fs, 1)
+        other = start_server(lanns_fs, 1)
         transports = []
         broker = None
         try:
             for server, shard_id in ((chaotic, 0), (other, 1)):
                 transport = connect(server.address, shard_id)
                 transport.verify()
-                transport.deploy("r", INDEX_PATH, root=str(shared_fs.root))
+                transport.deploy("r", LANNS_PATH, root=str(lanns_fs.root))
                 transports.append(transport)
             broker = Broker(
                 [[transports[0]], [transports[1]]],
-                config,
+                LANNS_2X2,
                 partial_policy="fail",
             )
             tick = time.monotonic()
@@ -274,12 +225,12 @@ class TestRollingRestartUnderChaos:
     CHAOS = "seed={seed},delay_rate=0.2,delay_s=0.02,reset_rate=0.15"
 
     @pytest.fixture()
-    def grid(self, shared_fs, index):
+    def grid(self, lanns_fs):
         """Two replica groups of two chaotic in-thread servers each."""
         servers = [
             [
                 start_server(
-                    shared_fs,
+                    lanns_fs,
                     shard,
                     chaos=FaultPlan.parse(
                         self.CHAOS.format(seed=17 + shard * 2 + replica)
@@ -295,7 +246,7 @@ class TestRollingRestartUnderChaos:
                 server.stop()
 
     @pytest.fixture()
-    def service(self, grid, shared_fs):
+    def service(self, grid, lanns_fs):
         service = OnlineService(
             searchers=[
                 [server.address for server in group] for group in grid
@@ -303,12 +254,12 @@ class TestRollingRestartUnderChaos:
             partial_policy="fail",
             request_timeout_s=30.0,
         )
-        service.deploy(shared_fs, INDEX_PATH)
+        service.deploy(lanns_fs, LANNS_PATH)
         yield service
         service.close()
 
     def test_restart_drops_zero_queries_despite_faults(
-        self, grid, service, shared_fs, queries
+        self, grid, service, lanns_fs, queries
     ):
         stop = threading.Event()
         errors: list[BaseException] = []
@@ -336,7 +287,7 @@ class TestRollingRestartUnderChaos:
             # The replacement comes back clean: a restart is how an
             # operator *removes* a faulty process from the fleet.
             grid[shard_id][replica_id] = start_server(
-                shared_fs, shard_id, port=old.port
+                lanns_fs, shard_id, port=old.port
             )
             restarted.append((shard_id, replica_id))
 

@@ -105,14 +105,6 @@ class TestLannsIndex:
         with pytest.raises(ValueError):
             lanns.query(clustered_queries[0], 0)
 
-    def test_query_batch_matches_single(self, lanns, clustered_queries):
-        batch_ids, _ = lanns.query_batch(clustered_queries[:5], 7, ef=48)
-        for row in range(5):
-            single_ids, _ = lanns.query(clustered_queries[row], 7, ef=48)
-            np.testing.assert_array_equal(
-                batch_ids[row][: len(single_ids)], single_ids
-            )
-
     def test_shard_count_validated(self, lanns, config):
         with pytest.raises(ValueError, match="shards"):
             LannsIndex(config, lanns.shards[:1], lanns.segmenter)

@@ -1,10 +1,12 @@
-"""Tests for the perShardTopK normal-approximation budget (Eq. 5-6)."""
+"""Tests for the perShardTopK budget (Eq. 5-6) and the batched top-k
+merge primitive."""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.topk import per_shard_top_k, probit
+from repro.core.topk import batch_top_k, per_shard_top_k, probit
 
 
 class TestProbit:
@@ -77,3 +79,68 @@ class TestPerShardTopK:
         for shards in (2, 4, 8, 20, 32):
             budget = per_shard_top_k(100, shards, 0.95)
             assert shards * budget >= 100
+
+
+class TestBatchTopK:
+    def test_a_canonical_block_re_merges_to_itself(self):
+        """What a one-shard broker does on every request: merging the
+        output of a merge is the identity, padding included."""
+        rng = np.random.default_rng(4)
+        for rows, cols, k in ((1, 10, 10), (3, 7, 10), (5, 30, 4)):
+            dists = rng.integers(0, 6, size=(rows, cols)).astype(np.float64)
+            ids = rng.integers(-1, 12, size=(rows, cols))
+            dists[ids < 0] = np.inf
+            merged = batch_top_k(dists, ids, k)
+            again = batch_top_k(*merged[::-1], k)
+            for want, got in zip(merged, again):
+                assert want.dtype == got.dtype
+                np.testing.assert_array_equal(want, got)
+
+    def test_sorts_and_pads(self):
+        ids = np.array([[3, 1, 2], [7, -1, -1]], dtype=np.int64)
+        dists = np.array([[0.3, 0.1, 0.2], [0.5, np.inf, np.inf]])
+        out_ids, out_dists = batch_top_k(dists, ids, 2)
+        np.testing.assert_array_equal(out_ids, [[1, 2], [7, -1]])
+        np.testing.assert_array_equal(out_dists, [[0.1, 0.2], [0.5, np.inf]])
+
+    def test_dedupe_keeps_best_distance(self):
+        ids = np.array([[4, 4, 9]], dtype=np.int64)
+        dists = np.array([[0.8, 0.2, 0.5]])
+        out_ids, out_dists = batch_top_k(dists, ids, 3)
+        np.testing.assert_array_equal(out_ids, [[4, 9, -1]])
+        np.testing.assert_array_equal(out_dists, [[0.2, 0.5, np.inf]])
+
+    def test_tie_break_by_id(self):
+        ids = np.array([[9, 2, 5]], dtype=np.int64)
+        dists = np.array([[0.5, 0.5, 0.5]])
+        out_ids, _ = batch_top_k(dists, ids, 3)
+        np.testing.assert_array_equal(out_ids, [[2, 5, 9]])
+
+    def test_no_cross_row_dedupe(self):
+        """The same id in different rows must survive in both."""
+        ids = np.array([[6, -1], [6, -1]], dtype=np.int64)
+        dists = np.array([[0.4, np.inf], [0.9, np.inf]])
+        out_ids, out_dists = batch_top_k(dists, ids, 1)
+        np.testing.assert_array_equal(out_ids, [[6], [6]])
+        np.testing.assert_array_equal(out_dists, [[0.4], [0.9]])
+
+    def test_invalid_k(self):
+        with pytest.raises(ValueError):
+            batch_top_k(np.zeros((1, 1)), np.zeros((1, 1), np.int64), 0)
+
+    def test_no_cross_row_key_collision_with_negative_ids(self):
+        """Arbitrary int ids must not alias across rows in the dedupe."""
+        ids = np.array([[3, 1], [-2, 0]], dtype=np.int64)
+        dists = np.array([[0.1, 0.2], [0.3, 0.1]])
+        out_ids, out_dists = batch_top_k(dists, ids, 2)
+        np.testing.assert_array_equal(out_ids, [[3, 1], [0, -2]])
+        np.testing.assert_array_equal(out_dists, [[0.1, 0.2], [0.1, 0.3]])
+
+    def test_huge_ids_no_overflow(self):
+        """Snowflake-scale int64 ids must dedupe without key overflow."""
+        huge = 2**62 - 1
+        ids = np.tile(np.array([[huge, 0, -1]], dtype=np.int64), (5, 1))
+        dists = np.tile(np.array([[0.2, 0.3, np.inf]]), (5, 1))
+        out_ids, out_dists = batch_top_k(dists, ids, 2)
+        np.testing.assert_array_equal(out_ids, np.tile([[huge, 0]], (5, 1)))
+        np.testing.assert_array_equal(out_dists, np.tile([[0.2, 0.3]], (5, 1)))

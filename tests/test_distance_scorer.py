@@ -97,6 +97,30 @@ class TestScoring:
         with pytest.raises(ValueError):
             scorer.prepare_queries(np.ones(4, dtype=np.float32))
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "inner_product"])
+    def test_prepare_queries_is_batch_invariant(self, rng, metric):
+        scorer = Scorer(metric, 16)
+        queries = rng.normal(size=(10, 16)).astype(np.float32)
+        batch = scorer.prepare_queries(queries)
+        for row in range(10):
+            (alone,) = scorer.prepare_queries(queries[row : row + 1])
+            np.testing.assert_array_equal(batch[row], alone)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "inner_product"])
+    def test_score_all_batch_rows_match_a_batch_of_one(self, rng, metric):
+        scorer = Scorer(metric, 16)
+        scorer.add(rng.normal(size=(80, 16)).astype(np.float32))
+        queries = scorer.prepare_queries(rng.normal(size=(5, 16)).astype(np.float32))
+        block = scorer.score_all_batch(queries)
+        assert block.shape == (5, 80)
+        for row in range(5):
+            np.testing.assert_allclose(
+                block[row],
+                scorer.score_all_batch(queries[row : row + 1])[0],
+                rtol=1e-5,
+                atol=1e-4,
+            )
+
     def test_euclidean_scores_non_negative(self, rng):
         data = rng.normal(size=(40, 7)).astype(np.float32)
         scorer = Scorer("euclidean", 7)

@@ -1,4 +1,4 @@
-"""Asyncio fan-out + hedged shard requests: parity, budget, no leaks.
+"""Asyncio fan-out + hedged shard requests: counts, budget, no leaks.
 
 The straggler model: one searcher (shard 1) stalls every other SEARCH
 request (``slow_every=2``) -- a per-request pause (GC, queueing), not a
@@ -10,8 +10,8 @@ hedge counts.
 
 Invariants under test:
 
-- hedged results are bit-identical to unhedged and to in-process
-  serving (hedging changes *when* an answer arrives, never *what*);
+- hedging changes *when* an answer arrives, never *what* (the
+  ``faults`` cells of ``tests/test_path_matrix.py``);
 - a hedge never fires once the request deadline has passed, and a
   hedge that fires in time but cannot answer in time does not rescue
   the shard (degrade semantics unchanged);
@@ -31,8 +31,6 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
 from repro.core.merge import merge_shard_results_batch
 from repro.net.protocol import ShardCall
 from repro.net.server import SearcherServer
@@ -42,14 +40,11 @@ from repro.online.hedging import resolve_hedge_delay
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
-from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import save_lanns_index
-from tests.conftest import FAST_HNSW, make_clustered
+from tests.conftest import LANNS_2X2, LANNS_PATH, host_all
 
-NUM_SHARDS = 3
+NUM_SHARDS = LANNS_2X2.num_shards
 SLOW_SHARD = 1
 SLOW_DELAY_S = 0.4
-INDEX_PATH = "prod/hedged"
 
 
 def hedge_delay(broker):
@@ -63,55 +58,20 @@ def stall_every_request(server, delay_s: float) -> None:
 
 
 @pytest.fixture(scope="module")
-def config():
-    return LannsConfig(
-        num_shards=NUM_SHARDS,
-        num_segments=1,
-        segmenter="rs",
-        hnsw=FAST_HNSW,
-        segmenter_sample_size=400,
-        seed=11,
-    )
+def queries(clustered_queries):
+    return clustered_queries[:12]
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return make_clustered(540, 16, seed=12)
-
-
-@pytest.fixture(scope="module")
-def queries(corpus):
-    rng = np.random.default_rng(13)
-    rows = rng.integers(0, corpus.shape[0], size=12)
-    noise = rng.normal(scale=0.2, size=(12, corpus.shape[1]))
-    return (corpus[rows] + noise).astype(np.float32)
-
-
-@pytest.fixture(scope="module")
-def shared_fs(tmp_path_factory):
-    return LocalHdfs(tmp_path_factory.mktemp("hedge-hdfs"))
-
-
-@pytest.fixture(scope="module")
-def index(corpus, config, shared_fs):
-    built = build_lanns_index(corpus, config=config)
-    save_lanns_index(built, shared_fs, INDEX_PATH)
-    return built
-
-
-@pytest.fixture(scope="module")
-def baseline(index, config):
+def baseline(lanns):
     """In-process broker: the bit-parity reference."""
-    nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-    for shard_id, node in enumerate(nodes):
-        node.host("hedge", index.shards[shard_id])
-    broker = Broker(nodes, config)
+    broker = Broker(host_all(lanns, "hedge"), LANNS_2X2)
     yield broker
     broker.close()
 
 
 @pytest.fixture
-def fleet(index):
+def fleet(lanns):
     """Fresh in-thread servers per test: shard 1 is the straggler.
 
     Function-scoped on purpose -- the straggler injection counts SEARCH
@@ -126,7 +86,7 @@ def fleet(index):
             slow_every=2 if slow else 0,
             slow_delay_s=SLOW_DELAY_S if slow else 0.0,
         ).start_in_thread()
-        server.node.host("hedge", index.shards[shard_id])
+        server.node.host("hedge", lanns.shards[shard_id])
         servers.append(server)
     yield servers
     for server in servers:
@@ -146,56 +106,40 @@ def close_all(broker, transports):
         transport.close()
 
 
-class TestHedgedParity:
-    def test_hedged_results_bit_identical_and_hedges_counted(
-        self, fleet, config, queries, baseline
-    ):
+class TestHedgeCounts:
+    """That hedged answers equal unhedged ones is the ``faults`` cells of
+    ``tests/test_path_matrix.py``; here, when hedges fire and who wins."""
+
+    def test_hedges_are_counted(self, fleet, queries):
         """Sequential batches through the straggler fleet: every primary
-        to the slow shard stalls, every hedge wins, and ids+distances
-        stay bit-identical to in-process serving."""
-        want_ids, want_dists = baseline.search_batch("hedge", queries, 10)
+        to the slow shard stalls and every hedge wins."""
         transports = make_transports(fleet)
         broker = Broker(
             transports,
-            config,
+            LANNS_2X2,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
         try:
-            got_ids, got_dists = broker.search_batch("hedge", queries, 10)
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_array_equal(got_dists, want_dists)
+            broker.search_batch("hedge", queries, 10)
             assert broker.stats()["hedges"] == 1
             assert broker.stats()["hedge_wins"] == 1
-
             # Second batch: the hedge cycle repeats deterministically.
-            got_ids, got_dists = broker.search_batch("hedge", queries, 10)
-            np.testing.assert_array_equal(got_ids, want_ids)
+            broker.search_batch("hedge", queries, 10)
             assert broker.stats()["hedges"] == 2
-
             # Single-query path through the same hedged fan-out.
-            one_ids, one_dists = broker.search("hedge", queries[0], 10)
-            valid = want_ids[0] >= 0
-            np.testing.assert_array_equal(one_ids, want_ids[0][valid])
-            np.testing.assert_array_equal(one_dists, want_dists[0][valid])
+            broker.search("hedge", queries[0], 10)
             assert broker.stats()["hedges"] == 3
         finally:
             close_all(broker, transports)
 
-    def test_unhedged_fanout_waits_for_straggler(
-        self, fleet, config, queries, baseline
-    ):
-        """Without hedging the async fan-out still serves bit-identical
-        results -- it just eats the straggler's stall."""
-        want_ids, want_dists = baseline.search_batch("hedge", queries, 10)
+    def test_unhedged_fanout_waits_for_straggler(self, fleet, queries):
         transports = make_transports(fleet)
-        broker = Broker(transports, config)
+        broker = Broker(transports, LANNS_2X2)
         try:
             begin = time.perf_counter()
-            got_ids, got_dists = broker.search_batch("hedge", queries, 10)
+            broker.search_batch("hedge", queries, 10)
             elapsed = time.perf_counter() - begin
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_array_equal(got_dists, want_dists)
             assert broker.stats()["hedges"] == 0
             assert elapsed >= SLOW_DELAY_S * 0.8, (
                 "first request to the straggler shard must have stalled"
@@ -203,18 +147,13 @@ class TestHedgedParity:
         finally:
             close_all(broker, transports)
 
-    def test_hedged_concurrent_stress_parity(
-        self, fleet, config, queries, baseline
-    ):
+    def test_hedged_concurrent_clients(self, fleet, queries):
         """Concurrent single-row clients through a hedged micro-batching
-        broker: every answer bit-identical, no errors, hedges observed."""
-        expected = [
-            baseline.search("hedge", query, 8) for query in queries
-        ]
+        broker: no errors, hedges observed."""
         transports = make_transports(fleet, pool_size=4)
         broker = Broker(
             transports,
-            config,
+            LANNS_2X2,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
             max_batch=4,
@@ -225,9 +164,7 @@ class TestHedgedParity:
         def client(worker: int) -> None:
             try:
                 for row in range(worker, queries.shape[0], 4):
-                    ids, dists = broker.search("hedge", queries[row], 8)
-                    np.testing.assert_array_equal(ids, expected[row][0])
-                    np.testing.assert_array_equal(dists, expected[row][1])
+                    broker.search("hedge", queries[row], 8)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -272,7 +209,7 @@ class TestOneCallPerWorkItem:
     and a failover re-issue that object, they never rebuild it."""
 
     def test_both_attempts_of_a_hedge_race_get_the_same_call(
-        self, fleet, config, queries, baseline
+        self, fleet, queries, baseline
     ):
         transports = [
             RecordingTransport(server.address, shard_id)
@@ -280,7 +217,7 @@ class TestOneCallPerWorkItem:
         ]
         broker = Broker(
             transports,
-            config,
+            LANNS_2X2,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
             trace_sample_rate=1.0,
@@ -299,7 +236,7 @@ class TestOneCallPerWorkItem:
         assert primary.cost and primary.trace is not None
         with pytest.raises(FrozenInstanceError):
             primary.deadline = None
-        # Four attempts ran, three won: only the winners' counters are
+        # Three attempts ran, two won: only the winners' counters are
         # in the response, so it equals the unhedged in-process answer.
         want = baseline.execute(request)
         np.testing.assert_array_equal(response.ids, want.ids)
@@ -321,14 +258,14 @@ class TestOneCallPerWorkItem:
         assert "decode" in [s["name"] for s in flatten(won["children"])]
 
     def test_both_replicas_of_a_failover_get_the_same_call(
-        self, fleet, config, queries, baseline
+        self, fleet, queries, baseline
     ):
         dead = RecordingTransport("127.0.0.1:1", 0, retries=0)
         transports = [
             RecordingTransport(server.address, shard_id)
             for shard_id, server in enumerate(fleet)
         ]
-        broker = Broker([[dead, transports[0]], *transports[1:]], config)
+        broker = Broker([[dead, transports[0]], *transports[1:]], LANNS_2X2)
         request = SearchRequest(queries=queries[:4], top_k=10, index_name="hedge")
         try:
             response = broker.execute(request)
@@ -345,7 +282,7 @@ class TestOneCallPerWorkItem:
 
 class TestHedgeDeadlineBudget:
     def test_hedge_never_fires_after_request_deadline(
-        self, fleet, config, queries, index
+        self, fleet, queries, lanns
     ):
         """Deadline below the hedge delay: the straggler shard times out
         and degrades, and no hedge is ever issued."""
@@ -355,7 +292,7 @@ class TestHedgeDeadlineBudget:
         transports = make_transports(fleet, retries=0)
         broker = Broker(
             transports,
-            config,
+            LANNS_2X2,
             hedge_after_s=0.5,
             request_timeout_s=0.3,
             partial_policy="degrade",
@@ -371,7 +308,7 @@ class TestHedgeDeadlineBudget:
             )
             budget = broker.per_shard_budget(10)
             parts = [
-                index.shards[shard].search_batch(probe, budget)
+                lanns.shards[shard].search_batch(probe, budget)
                 for shard in range(NUM_SHARDS)
                 if shard != SLOW_SHARD
             ]
@@ -382,7 +319,7 @@ class TestHedgeDeadlineBudget:
             close_all(broker, transports)
 
     def test_in_time_hedge_cannot_rescue_past_deadline(
-        self, fleet, config, queries, index
+        self, fleet, queries, lanns
     ):
         """A hedge issued in time against a shard whose every request
         stalls: both RPCs miss the deadline, the shard degrades, and the
@@ -392,7 +329,7 @@ class TestHedgeDeadlineBudget:
         transports = make_transports(fleet, retries=0)
         broker = Broker(
             transports,
-            config,
+            LANNS_2X2,
             hedge_after_s=0.1,
             request_timeout_s=0.4,
             partial_policy="degrade",
@@ -411,7 +348,7 @@ class TestHedgeDeadlineBudget:
 
 class TestConnectionHygiene:
     def test_cancelled_losers_do_not_leak_connections(
-        self, fleet, config, queries
+        self, fleet, queries
     ):
         """Each batch hedges the straggler and cancels the losing
         primary; its connection must be discarded, not pooled, and the
@@ -419,7 +356,7 @@ class TestConnectionHygiene:
         transports = make_transports(fleet)
         broker = Broker(
             transports,
-            config,
+            LANNS_2X2,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
@@ -440,7 +377,7 @@ class TestConnectionHygiene:
             )
 
     def test_dead_loop_pools_reaped_across_broker_cycles(
-        self, fleet, config, queries
+        self, fleet, queries
     ):
         """Transports outlive brokers (deploy/undeploy cycles): pooled
         connections keyed by a closed broker's loop must be reaped, not
@@ -450,12 +387,12 @@ class TestConnectionHygiene:
             for _ in range(3):
                 broker = Broker(
                     transports,
-                    config,
+                    LANNS_2X2,
                     request_timeout_s=30.0,
                 )
                 broker.search_batch("hedge", queries[:2], 5)
                 broker.close()
-            broker = Broker(transports, config, request_timeout_s=30.0)
+            broker = Broker(transports, LANNS_2X2, request_timeout_s=30.0)
             broker.search_batch("hedge", queries[:2], 5)
             try:
                 for transport in transports:
@@ -474,14 +411,14 @@ class TestConnectionHygiene:
         for transport in transports:
             assert transport.client.core.open_connections == 0
 
-    def test_loop_venue_uses_one_loop_thread(self, fleet, config, queries):
+    def test_loop_venue_uses_one_loop_thread(self, fleet, queries):
         """O(1) threads for N in-flight remote RPCs: the loop-venue
         broker adds exactly one thread (the loop), nothing per RPC."""
         before = set(threading.enumerate())
         transports = make_transports(fleet)
         broker = Broker(
             transports,
-            config,
+            LANNS_2X2,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
@@ -507,63 +444,49 @@ class TestConnectionHygiene:
 
 
 class TestServiceIntegration:
-    def test_service_hedged_end_to_end(
-        self, shared_fs, fleet, queries, index
-    ):
-        """OnlineService wiring: deploy over RPC onto the straggler
-        fleet with hedging, parity against an in-process
-        service, stats surfaced, clean undeploy."""
-        addresses = [server.address for server in fleet]
-        local = OnlineService()
+    def test_service_hedged_end_to_end(self, lanns_fs, fleet, queries):
+        """OnlineService wiring: deploy over RPC onto the straggler fleet
+        with hedging, stats surfaced, clean undeploy."""
         remote = OnlineService(
-            searchers=addresses,
+            searchers=[server.address for server in fleet],
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
         try:
-            local.deploy(shared_fs, INDEX_PATH, index_name="svc")
-            remote.deploy(shared_fs, INDEX_PATH, index_name="svc")
-            assert isinstance(
-                remote.searchers[0], RemoteSearcherTransport
-            )
-            want_ids, want_dists = local.query_batch(
-                queries, 10, index_name="svc"
-            )
+            remote.deploy(lanns_fs, LANNS_PATH, index_name="svc")
+            assert isinstance(remote.searchers[0], RemoteSearcherTransport)
             response = remote.execute(
                 SearchRequest(queries=queries, top_k=10, index_name="svc")
             )
-            np.testing.assert_array_equal(response.ids, want_ids)
-            np.testing.assert_array_equal(response.dists, want_dists)
             assert (response.shards_answered == NUM_SHARDS).all()
             stats = remote.brokers["svc"].stats()
             assert stats["venue"] == "loop"
             assert stats["hedge_after_s"] == 0.05
             remote.undeploy("svc")
         finally:
-            local.close()
             remote.close()
 
-    def test_hedging_requires_async_transport(self, fleet, config):
+    def test_hedging_requires_async_transport(self, fleet):
         """Never silently drop a hedge: a fleet with no async-capable
         transport (all in-process) rejects the knob; value validation is
         independent of the fleet."""
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
         with pytest.raises(ValueError, match="AsyncSearcherTransport"):
-            Broker(nodes, config, hedge_after_s=0.1)
+            Broker(nodes, LANNS_2X2, hedge_after_s=0.1)
         with pytest.raises(ValueError, match="must be positive"):
-            Broker(nodes, config, hedge_after_s=0.0)
+            Broker(nodes, LANNS_2X2, hedge_after_s=0.0)
         with pytest.raises(ValueError, match="remote fleet"):
             OnlineService(hedge_after_s=0.1)
 
-    def test_per_request_hedging_requires_async_transport(self, index, config):
+    def test_per_request_hedging_requires_async_transport(self, lanns):
         """A hedging override on a broker that cannot hedge raises
         instead of being silently ignored (mirrors the constructor
         validation); ``inherit``/``False`` stay valid -- they ask for no
         hedge."""
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
         for shard_id, node in enumerate(nodes):
-            node.host("hedge", index.shards[shard_id])
-        broker = Broker(nodes, config)
+            node.host("hedge", lanns.shards[shard_id])
+        broker = Broker(nodes, LANNS_2X2)
         try:
             for override in (0.05, "auto"):
                 with pytest.raises(ValueError, match="AsyncSearcherTransport"):
@@ -592,9 +515,9 @@ class TestAdaptiveHedging:
     """hedge_after_s="auto": delay derived from the live shard_rpc window."""
 
     @pytest.fixture
-    def auto_broker(self, fleet, config):
+    def auto_broker(self, fleet):
         transports = make_transports(fleet)
-        broker = Broker(transports, config, hedge_after_s="auto")
+        broker = Broker(transports, LANNS_2X2, hedge_after_s="auto")
         yield broker
         close_all(broker, transports)
 
@@ -644,26 +567,26 @@ class TestAdaptiveHedging:
             auto_broker.timings.record("shard_rpc", 1e-7)
         assert hedge_delay(auto_broker) == AUTO_HEDGE_MIN_DELAY_S
 
-    def test_static_knob_unchanged(self, fleet, config):
+    def test_static_knob_unchanged(self, fleet):
         transports = make_transports(fleet)
-        broker = Broker(transports, config, hedge_after_s=0.07)
+        broker = Broker(transports, LANNS_2X2, hedge_after_s=0.07)
         try:
             broker.timings.record("shard_rpc", 5.0)
             assert hedge_delay(broker) == 0.07
         finally:
             close_all(broker, transports)
 
-    def test_validation(self, fleet, config):
+    def test_validation(self, fleet):
         transports = make_transports(fleet)
         try:
             with pytest.raises(ValueError, match="auto"):
-                Broker(transports, config, hedge_after_s="fast")
+                Broker(transports, LANNS_2X2, hedge_after_s="fast")
         finally:
             for transport in transports:
                 transport.close()
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
         with pytest.raises(ValueError, match="AsyncSearcherTransport"):
-            Broker(nodes, config, hedge_after_s="auto")
+            Broker(nodes, LANNS_2X2, hedge_after_s="auto")
 
     def test_auto_end_to_end_with_straggler(
         self, fleet, auto_broker, queries, baseline
@@ -693,13 +616,13 @@ class TestAdaptiveHedging:
             assert np.array_equal(dists, want_dists)
         assert auto_broker.stats()["hedges"] >= 1
 
-    def test_service_accepts_auto(self, fleet, shared_fs):
+    def test_service_accepts_auto(self, fleet, lanns_fs):
         service = OnlineService(
             searchers=[server.address for server in fleet],
             hedge_after_s="auto",
         )
         try:
-            service.deploy(shared_fs, INDEX_PATH, index_name="auto-svc")
+            service.deploy(lanns_fs, LANNS_PATH, index_name="auto-svc")
             stats = service.stats()
             broker_stats = stats["indices"]["auto-svc"]
             assert broker_stats["hedge_after_s"] == "auto"

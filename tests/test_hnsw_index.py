@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import IndexNotBuiltError
+from repro.errors import IndexNotBuiltError, SerializationError
 from repro.hnsw.index import HnswIndex, build_hnsw
 from repro.offline.brute_force import exact_top_k
 from tests.conftest import FAST_HNSW
@@ -125,11 +125,20 @@ class TestSearch:
         assert (ids[:, 5:] == -1).all()
         assert np.isinf(dists[:, 5:]).all()
 
-    def test_search_batch_matches_single(self, built, clustered_queries):
-        batch_ids, _ = built.search_batch(clustered_queries[:5], 7, ef=48)
-        for row in range(5):
-            single_ids, _ = built.search(clustered_queries[row], 7, ef=48)
-            np.testing.assert_array_equal(batch_ids[row], single_ids)
+    def test_empty_batch(self, built):
+        ids, dists = built.search_batch(np.empty((0, built.dim), dtype=np.float32), 5)
+        assert ids.shape == dists.shape == (0, 5)
+
+    def test_negative_external_ids_rejected(self, clustered_data):
+        """-1 is the batch padding sentinel, so ids must be >= 0 -- on
+        ``add()`` and, the same invariant, in ``from_arrays``."""
+        index = HnswIndex(dim=clustered_data.shape[1], params=FAST_HNSW)
+        with pytest.raises(ValueError, match="non-negative"):
+            index.add(clustered_data[:2], ids=np.array([-1, 4]))
+        payload = build_hnsw(clustered_data[:20], params=FAST_HNSW).to_arrays()
+        payload["external_ids"] = payload["external_ids"] - 5
+        with pytest.raises(SerializationError, match="'external_ids'"):
+            HnswIndex.from_arrays(payload)
 
     def test_higher_ef_never_lowers_recall_much(self, built, clustered_queries, clustered_truth):
         """ef is the accuracy knob: ef=96 must beat ef=4 on average."""

@@ -1,9 +1,10 @@
-"""Stress tests for the micro-batching admission layer.
+"""Tests for the micro-batching admission layer.
 
-The broker's concurrency contract: any interleaving of single-query and
-batch calls from any number of client threads returns exactly what
-sequential execution returns; ``close()`` never deadlocks, even with
-requests in flight, and is idempotent.
+The unit tests drive :class:`MicroBatcher` with a stub executor; the
+broker tests pin its shutdown contract: ``close()`` never deadlocks, even
+with requests in flight, and is idempotent.  That micro-batched answers
+equal the reference under concurrent clients is a cell family of
+``tests/test_path_matrix.py`` (admission ``micro``).
 """
 
 from __future__ import annotations
@@ -14,59 +15,29 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
 from repro.online.broker import Broker
 from repro.online.microbatch import MicroBatcher
-from repro.online.searcher import SearcherNode
-from tests.conftest import FAST_HNSW
+from tests.conftest import LANNS_2X2, host_all
 
 NUM_CLIENTS = 8
 
 
 @pytest.fixture(scope="module")
-def config():
-    return LannsConfig(
-        num_shards=2,
-        num_segments=2,
-        segmenter="rh",
-        hnsw=FAST_HNSW,
-        segmenter_sample_size=600,
-        seed=11,
-    )
+def searchers(lanns):
+    return host_all(lanns)
 
 
 @pytest.fixture(scope="module")
-def index(clustered_data, config):
-    return build_lanns_index(clustered_data, config=config)
+def singles(searchers, clustered_queries):
+    """Sequential answers from a plain broker."""
+    plain = Broker(searchers, LANNS_2X2)
+    return [plain.search("main", query, 8, ef=48) for query in clustered_queries]
 
 
-@pytest.fixture(scope="module")
-def searchers(index):
-    fleet = [SearcherNode(0), SearcherNode(1)]
-    for shard_id, searcher in enumerate(fleet):
-        searcher.host("main", index.shards[shard_id])
-    return fleet
-
-
-@pytest.fixture(scope="module")
-def expected(searchers, config, clustered_queries):
-    """Sequential ground truth from a plain (PR-1) broker."""
-    plain = Broker(searchers, config)
-    singles = [
-        plain.search("main", query, 8, ef=48)
-        for query in clustered_queries
-    ]
-    batch_ids, batch_dists = plain.search_batch(
-        "main", clustered_queries, 8, ef=48
-    )
-    return singles, (batch_ids, batch_dists)
-
-
-def make_core(searchers, config, **kwargs):
+def make_core(searchers, **kwargs):
     defaults = dict(max_batch=8, max_wait_ms=5.0, cache_size=0)
     defaults.update(kwargs)
-    return Broker(searchers, config, **defaults)
+    return Broker(searchers, LANNS_2X2, **defaults)
 
 
 def run_clients(worker, num_clients=NUM_CLIENTS, join_timeout=60.0):
@@ -230,80 +201,12 @@ class TestMicroBatcherUnit:
             MicroBatcher(execute, max_wait_ms=-1.0)
 
 
-class TestBrokerStress:
-    def test_mixed_calls_match_sequential(
-        self, searchers, config, clustered_queries, expected
-    ):
-        """8 threads of interleaved query/query_batch == sequential."""
-        singles, (batch_ids, batch_dists) = expected
-        core = make_core(searchers, config)
-        num_queries = clustered_queries.shape[0]
-        got_singles: list = [None] * num_queries
-        got_blocks: dict[int, tuple] = {}
-        try:
-
-            def worker(client):
-                # Strided singles...
-                for row in range(client, num_queries, NUM_CLIENTS):
-                    got_singles[row] = core.search(
-                        "main", clustered_queries[row], 8, ef=48
-                    )
-                # ...interleaved with one multi-row batch per client.
-                lo = client * 4
-                hi = min(lo + 4, num_queries)
-                got_blocks[client] = (
-                    (lo, hi),
-                    core.search_batch(
-                        "main", clustered_queries[lo:hi], 8, ef=48
-                    ),
-                )
-
-            run_clients(worker)
-        finally:
-            core.close()
-        for row in range(num_queries):
-            want_ids, want_dists = singles[row]
-            got_ids, got_dists = got_singles[row]
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_array_equal(got_dists, want_dists)
-        for (lo, hi), (ids, dists) in got_blocks.values():
-            np.testing.assert_array_equal(ids, batch_ids[lo:hi])
-            np.testing.assert_array_equal(dists, batch_dists[lo:hi])
-        stats = core.stats()
-        assert stats["microbatch"]["rows_executed"] >= num_queries
-
-    def test_stress_with_cache_enabled(
-        self, searchers, config, clustered_queries, expected
-    ):
-        """Repeated queries under load: cache hits stay bit-identical."""
-        singles, _ = expected
-        core = make_core(searchers, config, cache_size=256)
-        num_queries = clustered_queries.shape[0]
-        try:
-
-            def worker(client):
-                for _repeat in range(3):
-                    for row in range(client, num_queries, NUM_CLIENTS):
-                        ids, dists = core.search(
-                            "main", clustered_queries[row], 8, ef=48
-                        )
-                        want_ids, want_dists = singles[row]
-                        np.testing.assert_array_equal(ids, want_ids)
-                        np.testing.assert_array_equal(dists, want_dists)
-
-            run_clients(worker)
-        finally:
-            core.close()
-        cache = core.stats()["cache"]
-        assert cache["hits"] > 0
-        assert cache["misses"] <= num_queries
-
+class TestBrokerShutdown:
     def test_close_during_inflight_requests_no_deadlock(
-        self, searchers, config, clustered_queries, expected
+        self, searchers, clustered_queries, singles
     ):
         """close() drains in-flight work; late requests run inline."""
-        singles, _ = expected
-        core = make_core(searchers, config, max_wait_ms=10.0)
+        core = make_core(searchers, max_wait_ms=10.0)
         num_queries = clustered_queries.shape[0]
         started = threading.Barrier(NUM_CLIENTS + 1)
 
@@ -337,8 +240,8 @@ class TestBrokerStress:
         np.testing.assert_array_equal(ids, singles[0][0])
         core.close()  # idempotent after full shutdown
 
-    def test_empty_batch_skips_admission(self, searchers, config):
-        core = make_core(searchers, config, cache_size=16)
+    def test_empty_batch_skips_admission(self, searchers):
+        core = make_core(searchers, cache_size=16)
         try:
             empty = np.empty((0, 16), dtype=np.float32)
             ids, dists = core.search_batch("main", empty, 7, ef=48)

@@ -9,10 +9,13 @@ instead of hanging, crashing inside numpy, or decoding garbage.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import re
 import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.errors import (
     ProtocolError,
     RemoteCallError,
 )
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import (
     MAGIC,
     MAX_HEADER_BYTES,
@@ -37,6 +41,7 @@ from repro.net.protocol import (
     SUPPORTED_VERSIONS,
     FrameReader,
     MsgType,
+    ShardCall,
     decode_frame,
     encode_frame,
     error_frame,
@@ -639,6 +644,70 @@ class TestLiveServer:
         wait_until(lambda: server.searches_abandoned == 1)
         assert server.abandoned_errors == 0
         assert_serving_and_idle(server, abandoned=1)
+
+
+@contextlib.contextmanager
+def hostile_searcher(reply: bytes):
+    """A fake searcher on loopback: the first SEARCH it reads is answered
+    with ``reply`` and a hang-up, every later one with a proper RESULT."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    replies, stop = [reply], threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                ((_, header, (queries,)),) = recv_frames(conn, 1)
+                shape = (len(queries), unpack(MsgType.SEARCH, header).top_k)
+                conn.sendall(
+                    replies.pop()
+                    if replies
+                    else frame_to_bytes(
+                        MsgType.RESULT,
+                        pack(MsgType.RESULT, index=INDEX_NAME),
+                        (np.zeros(shape, np.int64), np.zeros(shape)),
+                    )
+                )
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+
+
+class TestHostileReplies:
+    """The client's side of the same tables: a searcher answering a
+    SEARCH with a stream no reader may decode costs the caller one
+    ``ProtocolError`` within its deadline and one discarded connection --
+    never a hang, never a numpy / struct traceback -- and its next call
+    is served."""
+
+    @pytest.mark.parametrize("name", [*MALFORMED, *TRUNCATED])
+    def test_one_error_and_one_discarded_connection(self, name):
+        data, message = {**MALFORMED, **TRUNCATED}[name]
+        rows = make_clustered(2, 16, seed=53)
+        with hostile_searcher(data) as address:
+            client = RemoteSearcherClient(address, retries=0)
+            try:
+                began = time.monotonic()
+                with pytest.raises(ProtocolError, match=message):
+                    client.search(ShardCall(INDEX_NAME, rows, 3, deadline=began + 5))
+                assert time.monotonic() - began < 5
+                assert (client.connects, client.open_connections) == (1, 0)
+                reply = client.search(
+                    ShardCall(INDEX_NAME, rows, 3, deadline=time.monotonic() + 5)
+                )
+                assert reply.ids.shape == reply.dists.shape == (2, 3)
+            finally:
+                client.close()
 
 
 class TestProtocolVersions:

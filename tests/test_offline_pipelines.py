@@ -163,39 +163,6 @@ class TestQueryJob:
         build_index_job(cluster, fs, clustered_data, config, "idx")
         return "idx"
 
-    def test_matches_in_memory_index(
-        self, cluster, fs, persisted, clustered_data, clustered_queries, config
-    ):
-        result = query_index_job(
-            cluster, fs, persisted, clustered_queries, top_k=10, ef=64,
-            checkpoint=False,
-        )
-        memory_index = build_lanns_index(clustered_data, config=config)
-        memory_ids, _ = memory_index.query_batch(clustered_queries, 10, ef=64)
-        agreement = (result.ids == memory_ids).mean()
-        assert agreement > 0.99
-
-    @pytest.mark.parametrize("sharding", ["hash", "segment"])
-    def test_equals_the_loaded_index_bit_for_bit(
-        self, cluster, fs, clustered_data, clustered_queries, config, sharding
-    ):
-        """The job and ``LannsIndex.query_batch`` share one budget rule and
-        one merge.  Segment-aligned shards concentrate a query's neighbors,
-        so Eq. 5-6 must not shrink the per-shard budget there."""
-        layout = config.with_updates(
-            num_shards=4, num_segments=4, sharding=sharding
-        )
-        build_index_job(cluster, fs, clustered_data, layout, "idx")
-        result = query_index_job(
-            cluster, fs, "idx", clustered_queries, top_k=30, ef=64,
-            num_query_partitions=3,
-        )
-        want_ids, want_dists = load_lanns_index(fs, "idx").query_batch(
-            clustered_queries, 30, ef=64
-        )
-        np.testing.assert_array_equal(result.ids, want_ids)
-        np.testing.assert_array_equal(result.dists, want_dists)
-
     def test_three_stages_recorded(self, cluster, fs, persisted, clustered_queries):
         result = query_index_job(
             cluster, fs, persisted, clustered_queries, top_k=5,

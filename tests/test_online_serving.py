@@ -10,67 +10,50 @@ from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.storage.manifest import save_lanns_index
-from tests.conftest import FAST_HNSW
-
-
-@pytest.fixture(scope="module")
-def config():
-    return LannsConfig(
-        num_shards=2,
-        num_segments=2,
-        segmenter="rh",
-        hnsw=FAST_HNSW,
-        segmenter_sample_size=600,
-        seed=6,
-    )
-
-
-@pytest.fixture(scope="module")
-def index(clustered_data, config):
-    return build_lanns_index(clustered_data, config=config)
+from tests.conftest import FAST_HNSW, LANNS_2X2, host_all
 
 
 @pytest.fixture
-def service(index, fs):
-    save_lanns_index(index, fs, "prod/main")
+def service(lanns, fs):
+    save_lanns_index(lanns, fs, "prod/main")
     service = OnlineService()
     service.deploy(fs, "prod/main")
     return service
 
 
 class TestSearcherNode:
-    def test_host_and_search(self, index, clustered_queries):
+    def test_host_and_search(self, lanns, clustered_queries):
         searcher = SearcherNode(0)
-        searcher.host("main", index.shards[0])
+        searcher.host("main", lanns.shards[0])
         ids, dists = searcher.search_batch("main", clustered_queries[:1], 5)
         assert ids.shape == dists.shape == (1, 5)
 
-    def test_shard_id_must_match(self, index):
+    def test_shard_id_must_match(self, lanns):
         searcher = SearcherNode(1)
         with pytest.raises(ValueError, match="cannot host"):
-            searcher.host("main", index.shards[0])
+            searcher.host("main", lanns.shards[0])
 
-    def test_double_host_rejected(self, index):
+    def test_double_host_rejected(self, lanns):
         searcher = SearcherNode(0)
-        searcher.host("main", index.shards[0])
+        searcher.host("main", lanns.shards[0])
         with pytest.raises(ValueError, match="already hosts"):
-            searcher.host("main", index.shards[0])
+            searcher.host("main", lanns.shards[0])
 
-    def test_unknown_index_search(self, index, clustered_queries):
+    def test_unknown_index_search(self, lanns, clustered_queries):
         searcher = SearcherNode(0)
         with pytest.raises(KeyError, match="does not host"):
             searcher.search_batch("ghost", clustered_queries[:1], 5)
 
-    def test_ab_hosting_and_unhost(self, index, clustered_data):
+    def test_ab_hosting_and_unhost(self, lanns, clustered_data):
         searcher = SearcherNode(0)
-        searcher.host("model-a", index.shards[0])
+        searcher.host("model-a", lanns.shards[0])
         variant = build_lanns_index(
             clustered_data[:300],
-            config=index.config.with_updates(seed=99),
+            config=lanns.config.with_updates(seed=99),
         )
         searcher.host("model-b", variant.shards[0])
         assert searcher.hosted_indices == ["model-a", "model-b"]
-        assert searcher.memory_vectors() == len(index.shards[0]) + len(
+        assert searcher.memory_vectors() == len(lanns.shards[0]) + len(
             variant.shards[0]
         )
         searcher.unhost("model-b")
@@ -80,41 +63,26 @@ class TestSearcherNode:
 
 
 class TestBroker:
-    def test_broker_matches_in_memory_index(self, index, clustered_queries, config):
-        searchers = [SearcherNode(0), SearcherNode(1)]
-        for shard_id, searcher in enumerate(searchers):
-            searcher.host("main", index.shards[shard_id])
-        broker = Broker(searchers, config)
-        for query in clustered_queries[:10]:
-            broker_ids, _ = broker.search("main", query, 10, ef=64)
-            index_ids, _ = index.query(query, 10, ef=64)
-            np.testing.assert_array_equal(broker_ids, index_ids)
-
-    def test_searcher_order_enforced(self, index, config):
+    def test_searcher_order_enforced(self):
         searchers = [SearcherNode(1), SearcherNode(0)]
         with pytest.raises(ValueError, match="shard order"):
-            Broker(searchers, config)
+            Broker(searchers, LANNS_2X2)
 
-    def test_searcher_count_enforced(self, index, config):
+    def test_searcher_count_enforced(self):
         with pytest.raises(ValueError, match="searchers"):
-            Broker([SearcherNode(0)], config)
+            Broker([SearcherNode(0)], LANNS_2X2)
 
-    def test_budget_passed_to_shards(self, index, config):
-        searchers = [SearcherNode(0), SearcherNode(1)]
-        for shard_id, searcher in enumerate(searchers):
-            searcher.host("main", index.shards[shard_id])
-        broker = Broker(searchers, config)
+    def test_budget_passed_to_shards(self, lanns):
+        searchers = host_all(lanns)
+        broker = Broker(searchers, LANNS_2X2)
         assert broker.per_shard_budget(100) < 100
         off = Broker(
-            searchers, config.with_updates(use_per_shard_topk=False)
+            searchers, LANNS_2X2.with_updates(use_per_shard_topk=False)
         )
         assert off.per_shard_budget(100) == 100
 
-    def test_query_batch_padding(self, index, clustered_queries, config):
-        searchers = [SearcherNode(0), SearcherNode(1)]
-        for shard_id, searcher in enumerate(searchers):
-            searcher.host("main", index.shards[shard_id])
-        broker = Broker(searchers, config)
+    def test_query_batch_padding(self, lanns, clustered_queries):
+        broker = Broker(host_all(lanns), LANNS_2X2)
         ids, dists = broker.search_batch("main", clustered_queries[:3], 5)
         assert ids.shape == (3, 5)
 
@@ -124,35 +92,27 @@ class TestBudgetAndPaddingDegenerateCases:
     coalescing can produce: top_k beyond the corpus, one shard, and
     empty batches."""
 
-    def make_broker(self, index, config, **kwargs):
-        searchers = [SearcherNode(0), SearcherNode(1)]
-        for shard_id, searcher in enumerate(searchers):
-            searcher.host("main", index.shards[shard_id])
-        return Broker(searchers, config, **kwargs)
-
     def test_single_shard_budget_is_exactly_topk(self, clustered_data):
         config = LannsConfig(
             num_shards=1, hnsw=FAST_HNSW, segmenter_sample_size=600
         )
         index = build_lanns_index(clustered_data[:200], config=config)
-        searcher = SearcherNode(0)
-        searcher.host("main", index.shards[0])
-        broker = Broker([searcher], config)
+        broker = Broker(host_all(index), config)
         for top_k in (1, 7, 100, 1000):
             assert broker.per_shard_budget(top_k) == top_k
 
-    def test_budget_bounds_for_many_shards(self, index, config):
-        broker = self.make_broker(index, config)
+    def test_budget_bounds_for_many_shards(self, lanns):
+        broker = Broker(host_all(lanns), LANNS_2X2)
         for top_k in (1, 2, 10, 100):
             budget = broker.per_shard_budget(top_k)
             assert 1 <= budget <= top_k
-            assert budget * config.num_shards >= top_k
+            assert budget * LANNS_2X2.num_shards >= top_k
 
     def test_topk_beyond_corpus_pads_with_sentinels(
-        self, index, clustered_queries, config
+        self, lanns, clustered_queries
     ):
-        broker = self.make_broker(index, config)
-        top_k = len(index) + 17  # more than every stored vector
+        broker = Broker(host_all(lanns), LANNS_2X2)
+        top_k = len(lanns) + 17  # more than every stored vector
         ids, dists = broker.search_batch(
             "main", clustered_queries[:4], top_k, ef=48
         )
@@ -160,7 +120,7 @@ class TestBudgetAndPaddingDegenerateCases:
         for row in range(4):
             valid = ids[row] >= 0
             count = int(valid.sum())
-            assert 0 < count <= len(index)
+            assert 0 < count <= len(lanns)
             # Valid results first, then sentinel padding -- contiguously.
             assert valid[:count].all() and not valid[count:].any()
             assert np.isinf(dists[row][~valid]).all()
@@ -176,13 +136,14 @@ class TestBudgetAndPaddingDegenerateCases:
         np.testing.assert_array_equal(single_ids, ids[0][ids[0] >= 0])
 
     def test_topk_beyond_corpus_matches_sequential_under_microbatch(
-        self, index, clustered_queries, config
+        self, lanns, clustered_queries
     ):
-        plain = self.make_broker(index, config)
-        core = self.make_broker(
-            index, config, max_batch=4, max_wait_ms=5.0, cache_size=16
+        searchers = host_all(lanns)
+        plain = Broker(searchers, LANNS_2X2)
+        core = Broker(
+            searchers, LANNS_2X2, max_batch=4, max_wait_ms=5.0, cache_size=16
         )
-        top_k = len(index) + 5
+        top_k = len(lanns) + 5
         try:
             for query in clustered_queries[:3]:
                 want = plain.search("main", query, top_k, ef=48)
@@ -195,10 +156,8 @@ class TestBudgetAndPaddingDegenerateCases:
             plain.close()
             core.close()
 
-    def test_empty_batch_returns_shaped_sentinels_without_fanout(
-        self, index, config
-    ):
-        broker = self.make_broker(index, config)
+    def test_empty_batch_returns_shaped_sentinels_without_fanout(self, lanns):
+        broker = Broker(host_all(lanns), LANNS_2X2)
         before = sum(s.requests_served for s in broker.searchers)
         ids, dists = broker.search_batch(
             "main", np.empty((0, 16), dtype=np.float32), 9
@@ -210,30 +169,24 @@ class TestBudgetAndPaddingDegenerateCases:
 
 
 class TestOnlineService:
-    def test_deploy_and_query(self, service, index, clustered_queries):
-        for query in clustered_queries[:10]:
-            online_ids, _ = service.query(query, 10, ef=64)
-            memory_ids, _ = index.query(query, 10, ef=64)
-            np.testing.assert_array_equal(online_ids, memory_ids)
-
     def test_double_deploy_rejected(self, service, fs):
         with pytest.raises(ValueError, match="already deployed"):
             service.deploy(fs, "prod/main")
 
-    def test_config_drift_guard(self, index, fs, config):
-        save_lanns_index(index, fs, "prod/main")
+    def test_config_drift_guard(self, lanns, fs):
+        save_lanns_index(lanns, fs, "prod/main")
         service = OnlineService()
         with pytest.raises(MetadataMismatchError):
             service.deploy(
                 fs,
                 "prod/main",
-                expected_config=config.with_updates(topk_confidence=0.9),
+                expected_config=LANNS_2X2.with_updates(topk_confidence=0.9),
             )
 
-    def test_ab_deployment(self, service, fs, clustered_data, index, clustered_queries):
+    def test_ab_deployment(self, service, fs, clustered_data, lanns, clustered_queries):
         variant = build_lanns_index(
             clustered_data,
-            config=index.config.with_updates(seed=123),
+            config=lanns.config.with_updates(seed=123),
         )
         save_lanns_index(variant, fs, "prod/variant")
         service.deploy(fs, "prod/variant", index_name="variant")
@@ -255,6 +208,14 @@ class TestOnlineService:
         assert stats["count"] == 10
         assert stats["qps"] > 0
         assert stats["p99_latency_ms"] >= stats["mean_latency_ms"] * 0.5
+
+    def test_measure_qps_batch_mode(self, service, clustered_queries):
+        stats = service.measure_qps(clustered_queries[:16], 5, batch_size=8)
+        assert stats["count"] == 16
+        assert stats["batch_size"] == 8
+        assert stats["qps"] > 0
+        with pytest.raises(ValueError, match="batch_size"):
+            service.measure_qps(clustered_queries[:4], 5, batch_size=0)
 
     def test_shard_count_mismatch_on_shared_fleet(self, service, fs, clustered_data):
         other = build_lanns_index(

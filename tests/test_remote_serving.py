@@ -1,9 +1,11 @@
-"""Remote serving tests: loopback RPC parity and transport failure modes.
+"""Remote serving tests: the transport's failure modes.
 
-Parity, micro-batching and caching run against *in-thread* asyncio
-searcher servers (real sockets, fast startup); the kill-mid-flight test
-spawns *real searcher subprocesses* so a SIGKILL exercises genuine
-connection-reset paths.  Failure taxonomy under test:
+Most run against *in-thread* asyncio searcher servers (real sockets,
+fast startup); the kill-mid-flight test spawns *real searcher
+subprocesses* so a SIGKILL exercises genuine connection-reset paths.
+That answers over the wire -- micro-batched, cached, server-batched --
+equal in-process serving is the ``loop`` / ``mixed`` venue of
+``tests/test_path_matrix.py``.  Failure taxonomy under test:
 
 - connection refused at deploy -> raises (and rolls back the fleet);
 - request timeout under ``degrade`` -> annotated partial results, under
@@ -24,8 +26,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
 from repro.core.merge import merge_shard_results_batch
 from repro.errors import (
     ConnectionLostError,
@@ -40,57 +40,22 @@ from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
-from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import save_lanns_index
-from tests.conftest import FAST_HNSW, make_clustered
+from tests.conftest import LANNS_2X2, LANNS_PATH
 
-NUM_SHARDS = 3
-INDEX_PATH = "prod/remote"
+NUM_SHARDS = LANNS_2X2.num_shards
 
 
 @pytest.fixture(scope="module")
-def config():
-    return LannsConfig(
-        num_shards=NUM_SHARDS,
-        num_segments=2,
-        segmenter="rh",
-        hnsw=FAST_HNSW,
-        segmenter_sample_size=600,
-        seed=17,
-    )
+def queries(clustered_queries):
+    return clustered_queries[:24]
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return make_clustered(600, 16, seed=21)
-
-
-@pytest.fixture(scope="module")
-def queries(corpus):
-    rng = np.random.default_rng(22)
-    rows = rng.integers(0, corpus.shape[0], size=24)
-    noise = rng.normal(scale=0.2, size=(24, corpus.shape[1]))
-    return (corpus[rows] + noise).astype(np.float32)
-
-
-@pytest.fixture(scope="module")
-def shared_fs(tmp_path_factory):
-    return LocalHdfs(tmp_path_factory.mktemp("remote-hdfs"))
-
-
-@pytest.fixture(scope="module")
-def index(corpus, config, shared_fs):
-    built = build_lanns_index(corpus, config=config)
-    save_lanns_index(built, shared_fs, INDEX_PATH)
-    return built
-
-
-@pytest.fixture(scope="module")
-def servers(shared_fs, index):
-    """Three in-thread asyncio searcher servers over loopback."""
+def servers(lanns_fs):
+    """One in-thread asyncio searcher server per shard, over loopback."""
     fleet = [
         SearcherServer(
-            SearcherNode(shard_id), root=str(shared_fs.root)
+            SearcherNode(shard_id), root=str(lanns_fs.root)
         ).start_in_thread()
         for shard_id in range(NUM_SHARDS)
     ]
@@ -153,99 +118,11 @@ def refused_address() -> str:
     return f"127.0.0.1:{port}"
 
 
-class TestRemoteParity:
-    def test_remote_results_bit_identical_to_in_process(
-        self, shared_fs, addresses, queries, index
-    ):
-        local = OnlineService()
+class TestRemoteStats:
+    def test_remote_stats_rpc(self, lanns_fs, addresses, lanns):
         remote = OnlineService(searchers=addresses)
         try:
-            local.deploy(shared_fs, INDEX_PATH, index_name="p")
-            remote.deploy(shared_fs, INDEX_PATH, index_name="p")
-            want_ids, want_dists = local.query_batch(
-                queries, 10, index_name="p"
-            )
-            response = execute(remote, queries, 10, "p")
-            np.testing.assert_array_equal(response.ids, want_ids)
-            np.testing.assert_array_equal(response.dists, want_dists)
-            assert (response.shards_answered == NUM_SHARDS).all()
-            assert response.num_shards == NUM_SHARDS
-            # Single-query path through the same wire.
-            for row in range(5):
-                w_ids, w_dists = local.query(
-                    queries[row], 10, index_name="p"
-                )
-                r_ids, r_dists = remote.query(
-                    queries[row], 10, index_name="p"
-                )
-                np.testing.assert_array_equal(r_ids, w_ids)
-                np.testing.assert_array_equal(r_dists, w_dists)
-            remote.undeploy("p")
-        finally:
-            local.close()
-            remote.close()
-
-    def test_microbatcher_and_cache_compose_with_remote_transport(
-        self, shared_fs, addresses, queries, index
-    ):
-        """The admission layer + result cache, unchanged, in front
-        of the remote fleet: concurrent singles stay bit-identical and
-        repeats hit the cache."""
-        local = OnlineService()
-        remote = OnlineService(
-            searchers=addresses,
-            max_batch=8,
-            max_wait_ms=5.0,
-            cache_size=256,
-        )
-        try:
-            local.deploy(shared_fs, INDEX_PATH, index_name="mb")
-            remote.deploy(shared_fs, INDEX_PATH, index_name="mb")
-            expected = [
-                local.query(query, 8, index_name="mb") for query in queries
-            ]
-            errors: list[BaseException] = []
-
-            def client(worker: int) -> None:
-                try:
-                    for _repeat in range(2):
-                        for row in range(
-                            worker, queries.shape[0], 6
-                        ):
-                            ids, dists = remote.query(
-                                queries[row], 8, index_name="mb"
-                            )
-                            np.testing.assert_array_equal(
-                                ids, expected[row][0]
-                            )
-                            np.testing.assert_array_equal(
-                                dists, expected[row][1]
-                            )
-                except BaseException as exc:
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(worker,), daemon=True)
-                for worker in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-            assert not errors, f"concurrent remote client failed: {errors[0]}"
-            stats = remote.brokers["mb"].stats()
-            assert stats["cache"]["hits"] > 0
-            assert stats["microbatch"]["rows_executed"] > 0
-            remote.undeploy("mb")
-        finally:
-            local.close()
-            remote.close()
-
-    def test_remote_stats_rpc(self, shared_fs, addresses, index):
-        remote = OnlineService(searchers=addresses)
-        try:
-            remote.deploy(shared_fs, INDEX_PATH, index_name="st")
+            remote.deploy(lanns_fs, LANNS_PATH, index_name="st")
             stats = remote.searchers[0].stats()
             assert stats["shard_id"] == 0
             assert "st" in stats["hosted_indices"]
@@ -258,17 +135,17 @@ class TestRemoteParity:
 
 class TestDeployFailures:
     def test_connection_refused_at_deploy_raises_and_rolls_back(
-        self, shared_fs, addresses, index
+        self, lanns_fs, addresses, lanns
     ):
-        fleet = [addresses[0], addresses[1], refused_address()]
+        fleet = [addresses[0], refused_address()]
         service = OnlineService(searchers=fleet, rpc_retries=0)
         try:
             with pytest.raises(ConnectionLostError, match="connect"):
-                service.deploy(shared_fs, INDEX_PATH, index_name="cr")
+                service.deploy(lanns_fs, LANNS_PATH, index_name="cr")
         finally:
             service.close()
-        # The two reachable searchers must not be left half-deployed.
-        for address in addresses[:2]:
+        # The reachable searcher must not be left half-deployed.
+        for address in addresses[:1]:
             client = RemoteSearcherClient(address)
             try:
                 assert "cr" not in client.stats()["hosted_indices"]
@@ -277,7 +154,7 @@ class TestDeployFailures:
 
     @pytest.mark.parametrize("remote", [False, True], ids=["in-process", "loopback"])
     def test_failed_broker_step_leaves_nothing_hosted(
-        self, monkeypatch, shared_fs, servers, addresses, queries, index, remote
+        self, monkeypatch, lanns_fs, servers, addresses, queries, lanns, remote
     ):
         """Whatever raises after hosting began -- here the ``Broker``
         construction itself -- takes the index back off every searcher,
@@ -293,14 +170,14 @@ class TestDeployFailures:
             with monkeypatch.context() as patched:
                 patched.setattr(service_module, "Broker", refuse)
                 with pytest.raises(ValueError, match="cannot run that policy"):
-                    service.deploy(shared_fs, INDEX_PATH, index_name="fb")
+                    service.deploy(lanns_fs, LANNS_PATH, index_name="fb")
             nodes = [server.node for server in servers] if remote else service.searchers
             assert len(nodes) == NUM_SHARDS
             assert ["fb" in node.hosted_indices for node in nodes] == [False] * NUM_SHARDS
             assert service.deployed_indices == []
             with pytest.raises(KeyError):
                 service.undeploy("fb")
-            service.deploy(shared_fs, INDEX_PATH, index_name="fb")
+            service.deploy(lanns_fs, LANNS_PATH, index_name="fb")
             ids, _ = service.query_batch(queries[:4], 5, index_name="fb")
             assert ids.shape == (4, 5) and (ids >= 0).all()
             service.undeploy("fb")
@@ -317,7 +194,7 @@ class TestDeployFailures:
             ({"partial_polic": "fail"}, TypeError),
         ],
     )
-    def test_a_bad_policy_fails_at_construction(self, addresses, config, bad, error):
+    def test_a_bad_policy_fails_at_construction(self, addresses, bad, error):
         """Before any shard is hosted, not at the first ``deploy()``; an
         unknown keyword is a ``TypeError`` naming it."""
         (name,) = bad
@@ -325,15 +202,15 @@ class TestDeployFailures:
             OnlineService(searchers=addresses, **bad)
         nodes = [SearcherNode(shard) for shard in range(NUM_SHARDS)]
         with pytest.raises(error, match=name):
-            Broker(nodes, config, **bad)
+            Broker(nodes, LANNS_2X2, **bad)
 
     def test_degrade_policy_deploys_onto_surviving_fleet(
-        self, shared_fs, addresses, queries, index
+        self, lanns_fs, addresses, queries, lanns
     ):
         """Under ``degrade``, a dead fleet member at deploy time is
         tolerated: the index deploys onto the survivors and serving
         returns annotated partial results immediately."""
-        fleet = [addresses[0], addresses[1], refused_address()]
+        fleet = [addresses[0], refused_address()]
         service = OnlineService(
             searchers=fleet,
             partial_policy="degrade",
@@ -341,16 +218,13 @@ class TestDeployFailures:
             rpc_retries=0,
         )
         try:
-            service.deploy(shared_fs, INDEX_PATH, index_name="dd")
+            service.deploy(lanns_fs, LANNS_PATH, index_name="dd")
             probe = queries[:4]
             response = execute(service, probe, 10, "dd")
             got_ids, got_dists = response.ids, response.dists
             assert (response.shards_answered == NUM_SHARDS - 1).all()
             budget = service.brokers["dd"].per_shard_budget(10)
-            parts = [
-                index.shards[shard].search_batch(probe, budget)
-                for shard in (0, 1)
-            ]
+            parts = [lanns.shards[0].search_batch(probe, budget)]
             want_ids, want_dists = merge_shard_results_batch(parts, 10)
             np.testing.assert_array_equal(got_ids, want_ids)
             np.testing.assert_array_equal(got_dists, want_dists)
@@ -359,20 +233,20 @@ class TestDeployFailures:
             service.close()
 
     def test_wrong_shard_position_rejected_at_deploy(
-        self, shared_fs, addresses, index
+        self, lanns_fs, addresses, lanns
     ):
         # Shard 1's server listed at position 0: the ping handshake
         # must catch the mis-wiring before any deploy RPC.
-        fleet = [addresses[1], addresses[0], addresses[2]]
+        fleet = [addresses[1], addresses[0]]
         service = OnlineService(searchers=fleet)
         try:
             with pytest.raises(ValueError, match="serves shard"):
-                service.deploy(shared_fs, INDEX_PATH, index_name="mw")
+                service.deploy(lanns_fs, LANNS_PATH, index_name="mw")
         finally:
             service.close()
 
     def test_unknown_index_fails_under_both_policies(
-        self, config, addresses, servers, index
+        self, addresses, servers, lanns
     ):
         """An index NO shard hosts is a caller bug and must raise: under
         ``fail`` as the shard's own error, under ``degrade`` as
@@ -386,7 +260,7 @@ class TestDeployFailures:
                 RemoteSearcherTransport(address, shard_id)
                 for shard_id, address in enumerate(addresses)
             ]
-            broker = Broker(transports, config, partial_policy=policy)
+            broker = Broker(transports, LANNS_2X2, partial_policy=policy)
             try:
                 with pytest.raises(expected) as excinfo:
                     broker.search_batch(
@@ -401,7 +275,7 @@ class TestDeployFailures:
                     transport.close()
 
     def test_partially_hosted_index_degrades_like_a_dead_shard(
-        self, shared_fs, config, addresses, queries, servers, index
+        self, lanns_fs, addresses, queries, servers, lanns
     ):
         """A live searcher that does not host the index (restarted, or
         missed a degraded deploy) must degrade, not poison every
@@ -409,25 +283,22 @@ class TestDeployFailures:
         clients = [RemoteSearcherClient(address) for address in addresses]
         probe = queries[:4]
         try:
-            # Host on shards 0 and 1 only; shard 2 is alive but empty.
-            for client in clients[:2]:
-                client.deploy("ph", INDEX_PATH, root=str(shared_fs.root))
+            # Host on shard 0 only; shard 1 is alive but empty.
+            for client in clients[:1]:
+                client.deploy("ph", LANNS_PATH, root=str(lanns_fs.root))
             transports = [
                 RemoteSearcherTransport(address, shard_id)
                 for shard_id, address in enumerate(addresses)
             ]
             broker = Broker(
-                transports, config, partial_policy="degrade"
+                transports, LANNS_2X2, partial_policy="degrade"
             )
             try:
                 response = execute(broker, probe, 10, "ph")
                 ids, dists = response.ids, response.dists
-                assert (response.shards_answered == 2).all()
+                assert (response.shards_answered == 1).all()
                 budget = broker.per_shard_budget(10)
-                parts = [
-                    index.shards[shard].search_batch(probe, budget)
-                    for shard in (0, 1)
-                ]
+                parts = [lanns.shards[0].search_batch(probe, budget)]
                 want_ids, want_dists = merge_shard_results_batch(parts, 10)
                 np.testing.assert_array_equal(ids, want_ids)
                 np.testing.assert_array_equal(dists, want_dists)
@@ -436,7 +307,7 @@ class TestDeployFailures:
                 for transport in transports:
                     transport.close()
         finally:
-            for client in clients[:2]:
+            for client in clients[:1]:
                 with contextlib.suppress(TransportError):
                     client.undeploy("ph")
             for client in clients:
@@ -445,38 +316,34 @@ class TestDeployFailures:
 
 class TestTimeouts:
     def test_timeout_degrades_with_annotation_and_fail_raises(
-        self, shared_fs, config, queries, index, servers, addresses
+        self, lanns_fs, queries, lanns, servers, addresses
     ):
         probe = queries[:6]
         with black_hole() as silent:
             live = [
-                RemoteSearcherClient(address) for address in addresses[:2]
+                RemoteSearcherClient(address) for address in addresses[:1]
             ]
             try:
                 for client in live:
                     client.deploy(
-                        "tmo", INDEX_PATH, root=str(shared_fs.root)
+                        "tmo", LANNS_PATH, root=str(lanns_fs.root)
                     )
                 transports = [
                     RemoteSearcherTransport(addresses[0], 0),
-                    RemoteSearcherTransport(addresses[1], 1),
-                    RemoteSearcherTransport(silent, 2, retries=0),
+                    RemoteSearcherTransport(silent, 1, retries=0),
                 ]
                 degrade = Broker(
                     transports,
-                    config,
+                    LANNS_2X2,
                     partial_policy="degrade",
                     request_timeout_s=0.5,
                 )
                 try:
                     response = execute(degrade, probe, 10, "tmo")
                     ids, dists = response.ids, response.dists
-                    assert (response.shards_answered == 2).all()
+                    assert (response.shards_answered == 1).all()
                     budget = degrade.per_shard_budget(10)
-                    parts = [
-                        index.shards[shard].search_batch(probe, budget)
-                        for shard in (0, 1)
-                    ]
+                    parts = [lanns.shards[0].search_batch(probe, budget)]
                     want_ids, want_dists = merge_shard_results_batch(
                         parts, 10
                     )
@@ -484,7 +351,7 @@ class TestTimeouts:
                     np.testing.assert_array_equal(dists, want_dists)
                     stats = degrade.stats()["partial"]
                     assert stats["degraded_batches"] >= 1
-                    assert stats["shard_failures"][2] >= 1
+                    assert stats["shard_failures"][1] >= 1
                 finally:
                     degrade.close()
                     for transport in transports:
@@ -493,10 +360,9 @@ class TestTimeouts:
                 strict = Broker(
                     [
                         RemoteSearcherTransport(addresses[0], 0),
-                        RemoteSearcherTransport(addresses[1], 1),
-                        RemoteSearcherTransport(silent, 2, retries=0),
+                        RemoteSearcherTransport(silent, 1, retries=0),
                     ],
-                    config,
+                    LANNS_2X2,
                     partial_policy="fail",
                     request_timeout_s=0.5,
                 )
@@ -537,15 +403,15 @@ class TestDeadlineCauseChaining:
 
 
 class TestKilledSearcherProcess:
-    def test_kill_one_of_three_processes_mid_flight(
-        self, shared_fs, queries, index
+    def test_kill_one_searcher_process_mid_flight(
+        self, lanns_fs, queries, lanns
     ):
         """Real subprocesses: SIGKILL one searcher between requests; the
         degrade policy answers from the survivors with annotation, the
         fail policy raises."""
         from repro.net.fleet import fleet_addresses, launch_fleet, shutdown_fleet
 
-        fleet = launch_fleet(NUM_SHARDS, root=str(shared_fs.root))
+        fleet = launch_fleet(NUM_SHARDS, root=str(lanns_fs.root))
         probe = queries[:8]
         degrade = None
         strict = None
@@ -562,8 +428,8 @@ class TestKilledSearcherProcess:
                 request_timeout_s=10.0,
                 rpc_retries=0,
             )
-            degrade.deploy(shared_fs, INDEX_PATH, index_name="kill")
-            strict.deploy(shared_fs, INDEX_PATH, index_name="strictkill")
+            degrade.deploy(lanns_fs, LANNS_PATH, index_name="kill")
+            strict.deploy(lanns_fs, LANNS_PATH, index_name="strictkill")
             response = execute(degrade, probe, 10, "kill")
             assert (response.shards_answered == NUM_SHARDS).all()
 
@@ -577,7 +443,7 @@ class TestKilledSearcherProcess:
             broker = degrade.brokers["kill"]
             budget = broker.per_shard_budget(10)
             parts = [
-                index.shards[shard].search_batch(probe, budget)
+                lanns.shards[shard].search_batch(probe, budget)
                 for shard in range(NUM_SHARDS)
                 if shard != victim.shard_id
             ]

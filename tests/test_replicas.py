@@ -20,11 +20,8 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.core.builder import build_lanns_index
-from repro.core.config import LannsConfig
 from repro.errors import TransportError
 from repro.net.fleet import parse_fleet_spec
 from repro.net.server import SearcherServer
@@ -34,58 +31,23 @@ from repro.online.replicas import ReplicaGroup
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
-from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import save_lanns_index
-from tests.conftest import FAST_HNSW, make_clustered
+from tests.conftest import LANNS_2X2, LANNS_PATH
 
 NUM_SHARDS = 2
-INDEX_PATH = "prod/replicated"
 #: An address nothing listens on (port 1 is reserved, never bound here).
 DEAD_ADDRESS = "127.0.0.1:1"
 
 
 @pytest.fixture(scope="module")
-def config():
-    return LannsConfig(
-        num_shards=NUM_SHARDS,
-        num_segments=2,
-        segmenter="rh",
-        hnsw=FAST_HNSW,
-        segmenter_sample_size=400,
-        seed=13,
-    )
+def queries(clustered_queries):
+    return clustered_queries[:16]
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    return make_clustered(500, 16, seed=41)
-
-
-@pytest.fixture(scope="module")
-def queries(corpus):
-    rng = np.random.default_rng(42)
-    rows = rng.integers(0, corpus.shape[0], size=16)
-    noise = rng.normal(scale=0.2, size=(16, corpus.shape[1]))
-    return (corpus[rows] + noise).astype(np.float32)
-
-
-@pytest.fixture(scope="module")
-def shared_fs(tmp_path_factory):
-    return LocalHdfs(tmp_path_factory.mktemp("replica-hdfs"))
-
-
-@pytest.fixture(scope="module")
-def index(corpus, config, shared_fs):
-    built = build_lanns_index(corpus, config=config)
-    save_lanns_index(built, shared_fs, INDEX_PATH)
-    return built
-
-
-def start_server(shared_fs, shard_id: int, *, port: int = 0, **kwargs):
+def start_server(lanns_fs, shard_id: int, *, port: int = 0, **kwargs):
     return SearcherServer(
         SearcherNode(shard_id),
         port=port,
-        root=str(shared_fs.root),
+        root=str(lanns_fs.root),
         **kwargs,
     ).start_in_thread()
 
@@ -339,24 +301,24 @@ class TestFleetSpec:
 
 class TestFailover:
     @pytest.fixture()
-    def servers(self, shared_fs, index):
-        fleet = [start_server(shared_fs, shard) for shard in range(NUM_SHARDS)]
+    def servers(self, lanns_fs):
+        fleet = [start_server(lanns_fs, shard) for shard in range(NUM_SHARDS)]
         yield fleet
         for server in fleet:
             server.stop()
 
     @pytest.fixture()
-    def broker(self, servers, shared_fs, config):
+    def broker(self, servers, lanns_fs):
         live = []
         for shard_id, server in enumerate(servers):
             transport = connect(server.address, shard_id)
             transport.verify()
-            transport.deploy("r", INDEX_PATH, root=str(shared_fs.root))
+            transport.deploy("r", LANNS_PATH, root=str(lanns_fs.root))
             live.append(transport)
         # Replica 0 of group 0 is unreachable; its sibling must cover.
         broker = Broker(
             [[connect(DEAD_ADDRESS, 0), live[0]], [live[1]]],
-            config,
+            LANNS_2X2,
             partial_policy="fail",
         )
         yield broker
@@ -378,14 +340,14 @@ class TestFailover:
         assert (ids2 >= 0).all()
 
     def test_exhausted_group_still_raises_under_fail(
-        self, servers, shared_fs, config, queries
+        self, servers, lanns_fs, queries
     ):
         live = connect(servers[1].address, 1)
         live.verify()
-        live.deploy("r", INDEX_PATH, root=str(shared_fs.root))
+        live.deploy("r", LANNS_PATH, root=str(lanns_fs.root))
         broker = Broker(
             [[connect(DEAD_ADDRESS, 0)], [live]],
-            config,
+            LANNS_2X2,
             partial_policy="fail",
         )
         try:
@@ -401,27 +363,27 @@ class TestFailover:
 
 class TestCrossReplicaHedging:
     def test_hedge_lands_on_sibling_and_wins(
-        self, shared_fs, index, config, queries
+        self, lanns_fs, queries
     ):
         # Replica 0 of group 0 stalls EVERY search by 0.4s; its sibling
         # is fast.  With a 30ms hedge delay the retry must land on the
         # sibling and win, keeping latency far under the stall.
         slow = start_server(
-            shared_fs, 0, slow_every=1, slow_delay_s=0.4
+            lanns_fs, 0, slow_every=1, slow_delay_s=0.4
         )
-        fast = start_server(shared_fs, 0)
-        other = start_server(shared_fs, 1)
+        fast = start_server(lanns_fs, 0)
+        other = start_server(lanns_fs, 1)
         transports = []
         broker = None
         try:
             for server, shard_id in ((slow, 0), (fast, 0), (other, 1)):
                 transport = connect(server.address, shard_id)
                 transport.verify()
-                transport.deploy("r", INDEX_PATH, root=str(shared_fs.root))
+                transport.deploy("r", LANNS_PATH, root=str(lanns_fs.root))
                 transports.append(transport)
             broker = Broker(
                 [[transports[0], transports[1]], [transports[2]]],
-                config,
+                LANNS_2X2,
                 partial_policy="fail",
             )
             response = broker.execute(
@@ -451,10 +413,10 @@ class TestCrossReplicaHedging:
 
 class TestRollingRestart:
     @pytest.fixture()
-    def grid(self, shared_fs, index):
+    def grid(self, lanns_fs):
         """Two replica groups of two in-thread servers each."""
         servers = [
-            [start_server(shared_fs, shard) for _ in range(2)]
+            [start_server(lanns_fs, shard) for _ in range(2)]
             for shard in range(NUM_SHARDS)
         ]
         yield servers
@@ -463,7 +425,7 @@ class TestRollingRestart:
                 server.stop()
 
     @pytest.fixture()
-    def service(self, grid, shared_fs):
+    def service(self, grid, lanns_fs):
         service = OnlineService(
             searchers=[
                 [server.address for server in group] for group in grid
@@ -471,12 +433,12 @@ class TestRollingRestart:
             partial_policy="fail",
             request_timeout_s=30.0,
         )
-        service.deploy(shared_fs, INDEX_PATH)
+        service.deploy(lanns_fs, LANNS_PATH)
         yield service
         service.close()
 
     def test_rolling_restart_drops_zero_queries(
-        self, grid, service, shared_fs, queries
+        self, grid, service, lanns_fs, queries
     ):
         stop = threading.Event()
         errors: list[BaseException] = []
@@ -503,7 +465,7 @@ class TestRollingRestart:
             old = grid[shard_id][replica_id]
             old.stop()
             grid[shard_id][replica_id] = start_server(
-                shared_fs, shard_id, port=old.port
+                lanns_fs, shard_id, port=old.port
             )
             restarted.append((shard_id, replica_id))
 

@@ -7,9 +7,10 @@ groups hosting those segments.  Pinned here:
 
 - margin-scored top-segment sets are *nested* as spill grows, and the
   top-1 segment is the segmenter's natural no-spill route;
-- ``spill="all"`` (and ``spill=None``) through the broker is
-  bit-identical to the manual per-shard search + level-2 merge -- the
-  pre-router serving path;
+- ``spill="all"`` (and ``spill=None``) fans out to every shard group
+  (that it answers bit-identically to the pre-router path, and a routed
+  ``spill`` like the shards asked with the router's probes, is the
+  ``spill`` factor of ``tests/test_path_matrix.py``);
 - recall against exact ground truth is monotone non-decreasing in
   ``spill`` (nested probe sets + batch-invariant lockstep searches);
 - segments empty on every shard route nowhere (occupancy pruning), and
@@ -24,7 +25,6 @@ import pytest
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import ConfigError, LannsConfig
-from repro.core.merge import merge_shard_results_batch
 from repro.offline.brute_force import exact_top_k
 from repro.online.broker import Broker
 from repro.online.router import Router
@@ -129,35 +129,20 @@ class TestMarginScoring:
             router.top_segments(queries, 0)
 
 
-class TestSpillAllParity:
-    def test_spill_all_bit_identical_to_manual_merge(
-        self, broker, index, queries
-    ):
-        budget = broker.per_shard_budget(TOP_K)
-        parts = [
-            shard.search_batch(queries, budget) for shard in index.shards
-        ]
-        want_ids, want_dists = merge_shard_results_batch(parts, TOP_K)
+class TestSpillAll:
+    def test_spill_all_fans_out_to_every_group(self, broker, queries):
+        """Byte-identical to the pre-router path: the matrix's
+        ``unrouted`` cells; here, the annotation that says so."""
         for spill in (None, "all"):
             response = broker.execute(
                 SearchRequest(
                     queries=queries, top_k=TOP_K, index_name="r", spill=spill
                 )
             )
-            np.testing.assert_array_equal(response.ids, want_ids)
-            np.testing.assert_array_equal(response.dists, want_dists)
             assert (response.shards_answered == NUM_SHARDS).all()
             assert (response.shards_routed == NUM_SHARDS).all()
             assert response.degraded_rows == 0
             assert response.fully_answered
-
-    def test_legacy_shim_matches_execute(self, broker, queries):
-        response = broker.execute(
-            SearchRequest(queries=queries, top_k=TOP_K, index_name="r")
-        )
-        ids, dists = broker.search_batch("r", queries, TOP_K)
-        np.testing.assert_array_equal(ids, response.ids)
-        np.testing.assert_array_equal(dists, response.dists)
 
 
 class TestSpillRouting:

@@ -3,20 +3,20 @@
 ``HnswIndex._search_many`` is candidates -> exact rescore iff the
 candidates were scored approximately -> gather; float / int8 / PQ-ADC /
 flat scan differ only in who scores the candidates.  Every cell of
-scorer x metric x batch size checks the same three promises:
+scorer x metric x batch size checks two promises:
 
-(a) ``search`` equals its row of ``search_batch`` bit for bit, across
-    the lockstep-group boundary;
-(b) every returned distance is the exact float kernel's score of the
+(a) every returned distance is the exact float kernel's score of the
     returned row, bit for bit, in ``(distance, row)`` order;
-(c) a batch's ``SearchCost`` is the merged cost of its rows run singly.
+(b) a batch's ``SearchCost`` is the merged cost of its rows run singly.
 
 A single row always runs the heap kernels and a group of
 ``_ARRAY_MIN_ROWS`` or more the array kernels, so with the batch sizes
-straddling that constant (a) and (c) are also heap-vs-array
-differentials.  The ``lattice`` corpus makes them bite: integer
-coordinates and duplicated rows put an exact distance tie at every beam
-boundary, where only one shared tie rule keeps two kernels equal.
+straddling that constant (b) is also a heap-vs-array differential.  The
+``lattice`` corpus makes it bite: integer coordinates and duplicated
+rows put an exact distance tie at every beam boundary, where only one
+shared tie rule keeps two kernels equal.  (That ``search`` is a row of
+``search_batch`` is the ``call`` factor of ``tests/test_path_matrix.py``,
+on the same two corpora.)
 
 The ``flat`` arm is built with ``quantize="int8"`` *and* a
 ``min_graph_size`` above the segment size: the flat scan wins and
@@ -26,7 +26,6 @@ distances stay exact.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import sys
 import threading
 from dataclasses import replace
@@ -48,7 +47,7 @@ from repro.hnsw.search import descend_arrays, search_arrays, search_layer_batch
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.online.microbatch import MicroBatcher
-from tests.conftest import FAST_HNSW
+from tests.conftest import FAST_HNSW, make_lattice
 
 ARMS = {
     "float": {},
@@ -74,16 +73,6 @@ EF = {"clustered": None, "lattice": K}
 #: External id of internal row ``r`` is ``3 r + 7``: a gather that
 #: returned rows instead of ids cannot pass.
 ID_STRIDE, ID_BASE = 3, 7
-
-
-def make_lattice() -> np.ndarray:
-    """The 3^6 points of ``{-1, 0, 1}^6`` plus 200 of them again, shuffled."""
-    points = np.array(
-        list(itertools.product((-1.0, 0.0, 1.0), repeat=6)), dtype=np.float32
-    )
-    rng = np.random.default_rng(11)
-    again = points[rng.choice(len(points), size=200, replace=False)]
-    return rng.permutation(np.concatenate([points, again]))
 
 
 @pytest.fixture(scope="module")
@@ -160,18 +149,6 @@ def _single_cost(index: HnswIndex, query: np.ndarray, ef=None) -> SearchCost:
 @pytest.mark.parametrize("arm", ARMS)
 @pytest.mark.parametrize("corpus", CORPORA)
 class TestCell:
-    def test_search_is_a_row_of_search_batch(
-        self, all_indices, query_sets, corpus, arm, metric, batch
-    ):
-        index, queries = all_indices[corpus, arm, metric], query_sets[corpus]
-        ids, dists = index.search_batch(queries[:batch], K, EF[corpus])
-        assert ids.shape == dists.shape == (batch, K)
-        for row in range(batch):
-            single_ids, single_dists = index.search(queries[row], K, EF[corpus])
-            assert len(single_ids) == K
-            np.testing.assert_array_equal(ids[row], single_ids)
-            np.testing.assert_array_equal(dists[row], single_dists)
-
     def test_distances_are_the_exact_kernel_in_order(
         self, all_indices, references, query_sets, corpus, arm, metric, batch
     ):
@@ -185,12 +162,14 @@ class TestCell:
             reduced = scorer.score_pairs(prepared, np.full(K, row), rows[row])
             if arm == "flat":
                 # The flat scan's exact kernel is the row-at-a-time GEMM;
-                # its bits need not match score_pairs' einsum.
+                # its bits need not match score_pairs' einsum.  Whatever
+                # the batch, a row's answer is that kernel's stable top-k.
                 pairs = reduced
-                reduced = scorer.score_all_batch(prepared[row : row + 1])[0][
-                    rows[row]
-                ]
+                scores = scorer.score_all_batch(prepared[row : row + 1])[0]
+                reduced = scores[rows[row]]
                 np.testing.assert_allclose(reduced, pairs, rtol=1e-4, atol=1e-4)
+                top = np.argsort(scores, kind="stable")[:K]
+                np.testing.assert_array_equal(rows[row], top)
             np.testing.assert_array_equal(
                 dists[row], scorer.to_true(reduced.astype(np.float64))
             )
@@ -222,18 +201,15 @@ class TestCell:
 def test_every_candidate_source_records_its_stage(indices, queries, arm, batch):
     """A traced request shows the searcher subtree whichever arm serves
     it, every stage tagged with who scored the candidates and the graph
-    stages with the venue that ran them -- and tracing never changes a
-    result."""
+    stages with the venue that ran them (that tracing changes no answer
+    is the ``trace`` factor of ``tests/test_path_matrix.py``)."""
     index = indices[arm, "euclidean"]
-    plain = index.search_batch(queries[:batch], K)
     recorder, cost = SpanRecorder(), SearchCost()
     token = activate(recorder)
     try:
-        traced = index.search_batch(queries[:batch], K, cost=cost)
+        index.search_batch(queries[:batch], K, cost=cost)
     finally:
         deactivate(token)
-    np.testing.assert_array_equal(traced[0], plain[0])
-    np.testing.assert_array_equal(traced[1], plain[1])
     spans = {span["name"]: span["annotations"] for span in recorder.export()}
     want = {
         "flat": ["scan"],

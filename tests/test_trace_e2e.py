@@ -168,27 +168,6 @@ class TestRemoteTraceEndToEnd:
             assert response.cost["rescore_rows"] > 0
             assert response.cost["distance_comps"] > 0
 
-            # The slow-path request still answers correctly: parity with
-            # an untraced, unhedged service over the same fleet.
-            plain = OnlineService(
-                searchers=fleet_addresses(fleet),
-                request_timeout_s=30.0,
-            )
-            try:
-                plain.deploy(shared_fs, INDEX_PATH, index_name="plain")
-                want = plain.execute(
-                    SearchRequest(
-                        queries=queries,
-                        top_k=5,
-                        index_name="plain",
-                        spill=NUM_SHARDS,
-                    )
-                )
-                np.testing.assert_array_equal(response.ids, want.ids)
-                np.testing.assert_array_equal(response.dists, want.dists)
-            finally:
-                plain.close()
-
             # Unrouted traced request: the admission-layer spans appear.
             unrouted = service.execute(
                 SearchRequest(queries=queries, top_k=5, index_name="traced")
