@@ -221,7 +221,7 @@ class HnswGraph:
 
     # -- the persisted form: the table as it stands -------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """A snapshot of the slots in use, npz-friendly: ``table`` and
+        """A snapshot of the slots in use, as persisted: ``table`` and
         ``degrees`` keep dtype and layout (the persisted adjacency *is* the
         in-memory one); ``base`` is one cumsum over ``levels``, not stored."""
         return {

@@ -29,6 +29,7 @@ from repro.hnsw.search import (
     sort_candidates,
 )
 from repro.obs.tracing import current_recorder, maybe_span
+from repro.utils import container
 from repro.utils.validation import as_matrix, as_vector
 
 _IDS_DTYPE = np.int64
@@ -727,8 +728,8 @@ class HnswIndex:
 
     # -- persistence --------------------------------------------------------------------
     def to_arrays(self) -> dict:
-        """Serialize to a dict of numpy arrays + metadata (npz-friendly);
-        the adjacency members are :meth:`HnswGraph.to_arrays`'s."""
+        """Serialize to a dict of numpy arrays + metadata (what :meth:`save`
+        writes); the adjacency members are :meth:`HnswGraph.to_arrays`'s."""
         n = len(self._graph)
         payload: dict = {
             "format_version": np.asarray(_FORMAT_VERSION),
@@ -816,22 +817,29 @@ class HnswIndex:
         return index
 
     def save(self, file) -> None:
-        """Write :meth:`to_arrays` as one compressed ``.npz`` -- the one
-        container codec -- to a path or a binary file object."""
-        np.savez_compressed(file, **self.to_arrays())
+        """Write :meth:`to_arrays` as one byte-plane container
+        (:mod:`repro.utils.container`, the one segment codec) to a path
+        or a binary file object."""
+        data = container.pack(self.to_arrays())
+        if hasattr(file, "write"):
+            file.write(data)
+            return
+        with open(file, "wb") as handle:
+            handle.write(data)
 
     @classmethod
     def load(cls, file) -> "HnswIndex":
         """Read what :meth:`save` wrote; anything else -- empty, torn,
         bit-flipped, missing -- is a ``SerializationError`` naming ``file``."""
         try:
-            with np.load(file, allow_pickle=False) as archive:
-                payload = {key: archive[key] for key in archive.files}
-        except Exception as error:
-            # Only numpy's reader ran; it fails seven ways (BadZipFile,
-            # zlib.error, EOFError, ...) by where the damage is.
+            if hasattr(file, "read"):
+                payload = container.unpack(file.read())
+            else:
+                with open(file, "rb") as handle:
+                    payload = container.unpack(handle.read())
+        except (OSError, SerializationError) as error:
             raise SerializationError(
-                f"HNSW index {file!r} is not a readable npz archive ({error!r})"
+                f"HNSW index {file!r} is not a readable segment ({error})"
             ) from error
         return cls.from_arrays(payload)
 

@@ -18,6 +18,7 @@ from repro.core.config import LannsConfig
 from repro.segmenters.base import Segmenter, segmenter_from_dict
 from repro.sparklite.cluster import LocalCluster
 from repro.storage.hdfs import LocalHdfs
+from repro.storage.manifest import parse_document
 
 
 def learn_segmenter_job(
@@ -54,4 +55,4 @@ def learn_segmenter_job(
 
 def load_learnt_segmenter(fs: LocalHdfs, path: str) -> Segmenter:
     """Load a segmenter persisted by :func:`learn_segmenter_job`."""
-    return segmenter_from_dict(json.loads(fs.read_text(path)))
+    return parse_document(fs.read_bytes(path), path, segmenter_from_dict)

@@ -3,8 +3,9 @@
 Gives the offline pipelines the same contract the paper relies on:
 
 - namespaced paths (``jobs/my-job/part-00000``) under one root;
-- *atomic* file writes (write temp + rename), so a reader never observes a
-  half-written file -- this is what makes executor-checkpointing safe in
+- *atomic* file writes (write temp + fsync + rename + fsync the
+  directory), so a reader never observes a half-written file, even after
+  a crash -- this is what makes executor-checkpointing safe in
   :mod:`repro.sparklite`;
 - recursive listing and deletion for temp-path cleanup (Section 5.3.1:
   "As soon as our two-level merging finishes, this temporary directory is
@@ -45,7 +46,9 @@ class LocalHdfs:
 
     # -- writes ----------------------------------------------------------------------
     def write_bytes(self, path: str, data: bytes) -> None:
-        """Atomically write ``data`` to ``path`` (parents auto-created)."""
+        """Atomically and durably write ``data`` to ``path`` (parents
+        auto-created): the temp file is synced before the rename, and the
+        directory after it, so a crash leaves the old file or the new one."""
         target = self._resolve(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         descriptor, temp_name = tempfile.mkstemp(
@@ -54,11 +57,18 @@ class LocalHdfs:
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(temp_name, target)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(temp_name)
             raise
+        directory = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     def write_text(self, path: str, text: str) -> None:
         """Atomically write UTF-8 text."""

@@ -4,9 +4,11 @@ Layout under an index root path on the filesystem::
 
     <root>/metadata.json                 -- manifest: config, layout, checksums
     <root>/segmenter.json                -- the shared pre-learnt segmenter
-    <root>/shard=<s>/segment=<g>.npz     -- one serialized HNSW per partition
+    <root>/shard=<s>/segment=<g>.hnsw    -- one serialized HNSW per partition
 
-A segment file is :meth:`HnswIndex.save`'s compressed ``.npz`` of HNSW
+A segment file is :meth:`HnswIndex.save`'s byte-plane container
+(:mod:`repro.utils.container`: a CRC-checked header and member table,
+then each member's byte planes, deflated only where that pays) of HNSW
 payload format 2, a fixed member set whatever the graph's height: the
 adjacency as a searcher holds it in memory (``table`` ``(slots, width)``
 and ``degrees`` ``(slots,)`` int32, rows padded with their own node;
@@ -32,11 +34,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.config import LannsConfig
 from repro.core.index import LannsIndex, ShardIndex
-from repro.errors import MetadataMismatchError, SerializationError
+from repro.errors import ConfigError, MetadataMismatchError, SerializationError
 from repro.hnsw.index import HnswIndex
 from repro.segmenters.base import Segmenter, segmenter_from_dict
 from repro.storage.hdfs import LocalHdfs
@@ -63,7 +66,7 @@ def _checksum(data: bytes) -> str:
 
 def segment_file(shard: int, segment: int) -> str:
     """Relative path of one partition's serialized index."""
-    return f"shard={shard}/segment={segment}.npz"
+    return f"shard={shard}/segment={segment}.hnsw"
 
 
 @dataclass
@@ -84,7 +87,7 @@ class IndexManifest:
     #: (``"none"``, ``"int8"`` or ``"pq"``).  A summary of
     #: ``config["hnsw"]["quantize"]``: the codec itself (scale/offset or
     #: codebooks plus the per-row codes) is persisted inside each
-    #: segment ``.npz`` and covered by the per-file checksums, exactly
+    #: segment file and covered by the per-file checksums, exactly
     #: like the segmenter rides in ``segmenter.json``.  Optional so
     #: manifests written before the field existed still load.
     quantize: str | None = None
@@ -214,9 +217,30 @@ def save_lanns_index(
     )
 
 
+def parse_document(raw: bytes, file: str, parse: Callable[[dict], object]):
+    """``parse`` of the JSON object in ``raw``: a torn, empty or
+    wrong-shape document is a ``SerializationError`` naming ``file``."""
+    try:
+        payload = json.loads(raw)
+        if not isinstance(payload, dict):
+            raise TypeError(f"a JSON {type(payload).__name__}, not an object")
+        return parse(payload)
+    except (ValueError, TypeError, KeyError, ConfigError) as error:
+        raise SerializationError(
+            f"{file!r} is not a readable document ({error!r})"
+        ) from error
+
+
+def _manifest_with_config(payload: dict) -> IndexManifest:
+    manifest = IndexManifest.from_dict(payload)
+    LannsConfig.from_dict(manifest.config)  # refuse now what would fail later
+    return manifest
+
+
 def load_manifest(fs: LocalHdfs, path: str) -> IndexManifest:
     """Read just the manifest of an exported index."""
-    return IndexManifest.from_dict(fs.read_json(f"{path}/metadata.json"))
+    file = f"{path}/metadata.json"
+    return parse_document(fs.read_bytes(file), file, _manifest_with_config)
 
 
 def load_segmenter(
@@ -226,7 +250,7 @@ def load_segmenter(
     manifest = manifest or load_manifest(fs, path)
     raw = fs.read_bytes(f"{path}/segmenter.json")
     _verify(manifest, "segmenter.json", raw)
-    return segmenter_from_dict(json.loads(raw.decode("utf-8")))
+    return parse_document(raw, f"{path}/segmenter.json", segmenter_from_dict)
 
 
 def read_segment(

@@ -9,8 +9,10 @@ one does not.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -70,6 +72,19 @@ def assert_same_payload(first: dict, second: dict) -> None:
         a, b = np.asarray(first[name]), np.asarray(second[name])
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+
+
+def member_table(segment: bytes) -> list[dict]:
+    """The JSON member table of a segment file: after the 8-byte magic,
+    the CRC32 and the table length (4 bytes each, little-endian)."""
+    length = int.from_bytes(segment[12:16], "little")
+    return json.loads(segment[16 : 16 + length])
+
+
+def restamped(segment: bytes) -> bytes:
+    """``segment`` with its CRC32 recomputed over its (edited) body, so the
+    container reads it and only a parse or the manifest's sha256 can tell."""
+    return segment[:8] + zlib.crc32(segment[12:]).to_bytes(4, "little") + segment[12:]
 
 
 def host_all(index, name: str = "main") -> list[SearcherNode]:

@@ -246,7 +246,7 @@ class TestBatchedBuildStructure:
     def test_serialization_roundtrip(self, tmp_path):
         base = make_clustered(300, 12, seed=9)
         index = build_hnsw(base, params=fast_params(build_batch=32))
-        path = str(tmp_path / "index.npz")
+        path = str(tmp_path / "index.hnsw")
         index.save(path)
         loaded = HnswIndex.load(path)
         assert payloads_equal(index.to_arrays(), loaded.to_arrays())

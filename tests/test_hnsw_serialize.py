@@ -5,12 +5,35 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import SerializationError
 from repro.hnsw.index import HnswIndex, build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.storage.manifest import hnsw_from_bytes, hnsw_to_bytes
-from tests.conftest import FAST_HNSW, assert_same_payload
+from repro.utils import container
+from tests.conftest import FAST_HNSW, assert_same_payload, member_table, restamped
+
+NUMERIC_DTYPES = ["i1", "<i4", "<i8", "<f4", "<f8"]
+MEMBERS = st.one_of(
+    hnp.arrays(
+        st.sampled_from([*NUMERIC_DTYPES, "<U3"]),
+        st.sampled_from([(), (0,), (0, 4), (1, 1), (7,), (5, 3)]),
+    ),
+    hnp.arrays("<f4", hnp.array_shapes(min_dims=2, max_dims=2, max_side=40)),
+)
+
+
+def encode_table(table) -> bytes:
+    return json.dumps(table, separators=(",", ":")).encode()
+
+
+def with_table(segment: bytes, table, blobs: bytes) -> bytes:
+    """``segment``'s magic over another member table, CRC re-stamped."""
+    head = encode_table(table)
+    return restamped(segment[:12] + len(head).to_bytes(4, "little") + head + blobs)
 
 
 @pytest.fixture(scope="module")
@@ -299,14 +322,55 @@ class TestArrayRoundtrip:
 
 class TestFileRoundtrip:
     def test_save_load(self, small_index, tmp_path):
-        path = str(tmp_path / "index.npz")
+        path = str(tmp_path / "index.hnsw")
         small_index.save(path)
         assert_same_payload(small_index.to_arrays(), HnswIndex.load(path).to_arrays())
+
+    def test_loaded_arrays_are_writeable(self, small_index):
+        payload = container.unpack(hnsw_to_bytes(small_index))
+        assert all(array.flags.writeable for array in payload.values())
+
+
+class TestContainer:
+    @settings(max_examples=60, deadline=None)
+    @given(members=st.dictionaries(
+        st.text(min_size=1, max_size=8), MEMBERS, max_size=5
+    ))
+    def test_dtype_shape_and_bytes_round_trip(self, members):
+        back = container.unpack(container.pack(members))
+        assert list(back) == list(members)
+        for name, array in members.items():
+            assert back[name].dtype == array.dtype
+            assert back[name].shape == array.shape
+            assert back[name].tobytes() == array.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dtype=st.sampled_from(NUMERIC_DTYPES),
+        rows=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_an_incompressible_member_is_stored_raw(self, dtype, rows, seed):
+        """Random bytes deflate to more than they are: every plane is
+        stored raw, and the file is the raw bytes plus header and table."""
+        raw = np.random.default_rng(seed).bytes(rows * 3 * np.dtype(dtype).itemsize)
+        array = np.frombuffer(raw, dtype).reshape(rows, 3)
+        data = container.pack({"random": array})
+        table = member_table(data)
+        assert all(not deflated for _, deflated in table[0]["planes"])
+        assert len(data) == 16 + len(encode_table(table)) + array.nbytes
+
+    def test_a_flat_plane_deflates(self):
+        """The high bytes of small int32 ids are all zero: those planes
+        deflate, the noisy low plane does not."""
+        ids = np.random.default_rng(0).integers(0, 256, 4000, dtype=np.int32)
+        planes = member_table(container.pack({"ids": ids}))[0]["planes"]
+        assert [deflated for _, deflated in planes] == [0, 1, 1, 1]
 
 
 class TestUnreadableBytes:
     """Empty, torn and bit-flipped files are a typed error naming what was
-    read -- never a ``zipfile`` / ``zlib`` / ``EOFError`` traceback."""
+    read -- never a ``zlib`` / ``json`` / numpy traceback."""
 
     @pytest.fixture(scope="class")
     def segment(self, small_index):
@@ -319,25 +383,25 @@ class TestUnreadableBytes:
         return {
             "empty": b"",
             "half": segment[: len(segment) // 2],
-            "no_directory": segment[:-10],
+            "no_tail": segment[:-10],
             "flipped": bytes(flipped),
-            "not_an_archive": b"segment=0.npz\n" * 9,
+            "not_a_segment": b"segment=0.hnsw\n" * 9,
         }
 
     @pytest.mark.parametrize(
-        "kind", ["empty", "half", "no_directory", "flipped", "not_an_archive"]
+        "kind", ["empty", "half", "no_tail", "flipped", "not_a_segment"]
     )
     def test_bytes_and_files_alike(self, damaged, tmp_path, kind):
         with pytest.raises(SerializationError, match="HNSW index .* is not a readable"):
             hnsw_from_bytes(damaged[kind])
-        path = tmp_path / "segment.npz"
+        path = tmp_path / "segment.hnsw"
         path.write_bytes(damaged[kind])
-        with pytest.raises(SerializationError, match="segment.npz"):
+        with pytest.raises(SerializationError, match="segment.hnsw"):
             HnswIndex.load(str(path))
 
     def test_every_cut_and_a_flip_in_every_64_bytes(self, segment):
-        """A flip may land in zip metadata nothing reads (a timestamp):
-        then the segment loads, and is the one that was saved."""
+        """The CRC covers every byte after the magic, so no byte is left
+        that nothing reads: every cut and every flip is refused."""
         cuts = [segment[:cut] for cut in range(0, len(segment), 97)]
         flips = []
         for position in range(0, len(segment), 64):
@@ -345,14 +409,33 @@ class TestUnreadableBytes:
             flipped[position] ^= 1 << (position % 8)
             flips.append(bytes(flipped))
         for data in cuts + flips:
-            try:
+            with pytest.raises(SerializationError):
                 hnsw_from_bytes(data)
-            except SerializationError:
-                pass
+
+    def test_a_checked_but_malformed_table_is_refused(self, segment):
+        """A table the CRC vouches for can still be nonsense (another
+        writer's bug): each kind is refused, never a traceback."""
+        table = member_table(segment)
+        blobs = segment[16 + len(encode_table(table)) :]
+        entry = table[-1]
+        for bad in (
+            {**entry, "dtype": "O"},
+            {**entry, "dtype": "not a dtype"},
+            {**entry, "shape": [-1]},
+            {**entry, "planes": entry["planes"] * 2},
+            {**entry, "planes": [[10**9, 0]] * len(entry["planes"])},
+            {key: value for key, value in entry.items() if key != "shape"},
+        ):
+            data = with_table(segment, table[:-1] + [bad], blobs)
+            with pytest.raises(SerializationError, match="bad member table"):
+                container.unpack(data)
+        trailing = with_table(segment, table, blobs + b"\0")
+        with pytest.raises(SerializationError, match="1 bytes past the last"):
+            container.unpack(trailing)
 
     def test_a_missing_file_names_the_path(self, tmp_path):
-        with pytest.raises(SerializationError, match="absent.npz"):
-            HnswIndex.load(str(tmp_path / "absent.npz"))
+        with pytest.raises(SerializationError, match="absent.hnsw"):
+            HnswIndex.load(str(tmp_path / "absent.hnsw"))
 
     def test_save_and_load_take_a_binary_file_object(self, small_index, tmp_path):
         with open(tmp_path / "index.bin", "wb") as handle:

@@ -18,7 +18,7 @@ from repro.storage.manifest import (
     load_segmenter,
     save_lanns_index,
 )
-from tests.conftest import FAST_HNSW
+from tests.conftest import FAST_HNSW, member_table, restamped
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ class TestBuildJob:
         assert len(metrics.tasks) == config.total_partitions
         files = fs.ls_recursive("idx")
         assert "idx/metadata.json" in files
-        assert len([f for f in files if f.endswith(".npz")]) == 4
+        assert len([f for f in files if f.endswith(".hnsw")]) == 4
 
     def test_built_index_loads_and_answers(self, cluster, fs, clustered_data, clustered_queries, clustered_truth, config):
         build_index_job(cluster, fs, clustered_data, config, "idx")
@@ -214,16 +214,22 @@ class TestQueryJob:
         self, cluster, fs, persisted, clustered_queries
     ):
         """The job reads segments through the same read + verify + parse
-        as ``load_shard``: one flipped byte (here in zip metadata nothing
-        parses, so the file still loads) fails the manifest checksum."""
+        as ``load_shard``: one flipped body byte under a re-stamped CRC
+        (so the file still loads) fails the manifest checksum."""
         segment = load_segmenter(fs, persisted).route_query_batch(
             clustered_queries[:1]
         )[0][0]
-        relative = f"shard=1/segment={segment}.npz"
+        relative = f"shard=1/segment={segment}.hnsw"
         raw = bytearray(fs.read_bytes(f"{persisted}/{relative}"))
-        raw[10] ^= 0x01  # the local header's modification time
-        fs.write_bytes(f"{persisted}/{relative}", bytes(raw))
-        assert len(hnsw_from_bytes(bytes(raw)))  # parses: only the checksum tells
+        position = 16 + int.from_bytes(raw[12:16], "little")
+        for entry in member_table(bytes(raw)):
+            if entry["name"] == "vectors":
+                break
+            position += sum(length for length, _ in entry["planes"])
+        raw[position] ^= 0x01  # the low byte of a coordinate: a raw plane
+        raw = restamped(bytes(raw))
+        fs.write_bytes(f"{persisted}/{relative}", raw)
+        assert len(hnsw_from_bytes(raw))  # parses: only the checksum tells
         with pytest.raises(MetadataMismatchError, match=f"checksum.*{relative}"):
             query_index_job(
                 cluster, fs, persisted, clustered_queries, top_k=5,

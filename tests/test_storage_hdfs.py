@@ -1,5 +1,9 @@
 """Tests for the LocalHdfs filesystem abstraction."""
 
+import os
+import stat
+from pathlib import Path
+
 import pytest
 
 from repro.errors import StorageError
@@ -27,6 +31,29 @@ class TestReadWrite:
     def test_missing_file(self, fs):
         with pytest.raises(StorageError, match="no such file"):
             fs.read_bytes("missing")
+
+    def test_a_write_is_synced_then_renamed_then_its_directory_synced(
+        self, fs, monkeypatch
+    ):
+        """The data reaches the disk before the rename publishes it, and
+        the rename reaches the disk before the write returns."""
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recorded_fsync(descriptor):
+            mode = os.fstat(descriptor).st_mode
+            calls.append(("fsync", "dir" if stat.S_ISDIR(mode) else "file"))
+            fsync(descriptor)
+
+        def recorded_replace(source, target):
+            calls.append(("replace", Path(source).read_bytes()))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", recorded_fsync)
+        monkeypatch.setattr(os, "replace", recorded_replace)
+        fs.write_bytes("a/b/c.bin", b"payload")
+        assert calls == [("fsync", "file"), ("replace", b"payload"), ("fsync", "dir")]
+        assert fs.read_bytes("a/b/c.bin") == b"payload"
 
     def test_no_temp_files_left_behind(self, fs):
         """Atomic writes must not leak .part files."""

@@ -1,8 +1,12 @@
 """Tests for the index export format and its metadata coupling."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import MetadataMismatchError, SerializationError
+from repro.offline.learn import load_learnt_segmenter
 from repro.storage.manifest import (
     IndexManifest,
     load_lanns_index,
@@ -20,8 +24,8 @@ class TestSaveLoad:
         files = fs.ls_recursive("idx")
         assert "idx/metadata.json" in files
         assert "idx/segmenter.json" in files
-        assert "idx/shard=0/segment=0.npz" in files
-        assert "idx/shard=1/segment=1.npz" in files
+        assert "idx/shard=0/segment=0.hnsw" in files
+        assert "idx/shard=1/segment=1.hnsw" in files
 
     def test_manifest_contents(self, lanns, fs, clustered_data):
         manifest = save_lanns_index(lanns, fs, "idx")
@@ -73,9 +77,9 @@ class TestMetadataGuards:
 
     def test_tampered_segment_detected(self, lanns, fs):
         save_lanns_index(lanns, fs, "idx")
-        raw = fs.read_bytes("idx/shard=0/segment=0.npz")
+        raw = fs.read_bytes("idx/shard=0/segment=0.hnsw")
         tampered = raw[:-1] + bytes([raw[-1] ^ 0xFF])
-        fs.write_bytes("idx/shard=0/segment=0.npz", tampered)
+        fs.write_bytes("idx/shard=0/segment=0.hnsw", tampered)
         with pytest.raises(MetadataMismatchError, match="checksum"):
             load_lanns_index(fs, "idx")
 
@@ -91,3 +95,74 @@ class TestMetadataGuards:
         payload["format_version"] = 99
         with pytest.raises(SerializationError, match="version"):
             IndexManifest.from_dict(payload)
+
+
+def _without(key):
+    return lambda raw: json.dumps(
+        {k: v for k, v in json.loads(raw).items() if k != key}
+    ).encode()
+
+
+def _with(key, value):
+    return lambda raw: json.dumps({**json.loads(raw), key: value}).encode()
+
+
+#: One injected fault per row: what the damaged document holds, as a
+#: function of the bytes that were written.
+DOCUMENT_FAULTS = {
+    "empty": lambda raw: b"",
+    "torn": lambda raw: raw[: len(raw) // 2],
+    "not_utf8": lambda raw: b"\xff\xfe" + raw,
+    "a_list": lambda raw: b"[]",
+}
+MANIFEST_FAULTS = {
+    **DOCUMENT_FAULTS,
+    "no_config": _without("config"),
+    "dim_not_a_number": _with("dim", "eight"),
+    "config_not_an_object": _with("config", 5),
+    "config_out_of_range": lambda raw: json.dumps({
+        **json.loads(raw),
+        "config": {**json.loads(raw)["config"], "num_shards": 0},
+    }).encode(),
+}
+SEGMENTER_FAULTS = {
+    **DOCUMENT_FAULTS,
+    "no_kind": _without("kind"),
+    "unknown_kind": _with("kind", "voronoi"),
+    "no_nodes": _without("nodes"),
+}
+
+
+class TestBadDocuments:
+    """A torn, empty or wrong-shape ``metadata.json`` / ``segmenter.json``
+    is a ``SerializationError`` naming the file -- never a json, key or
+    attribute traceback."""
+
+    @pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+    def test_a_bad_manifest_names_the_file(self, lanns, fs, fault):
+        save_lanns_index(lanns, fs, "idx")
+        raw = fs.read_bytes("idx/metadata.json")
+        fs.write_bytes("idx/metadata.json", MANIFEST_FAULTS[fault](raw))
+        for load in (load_manifest, load_lanns_index):
+            with pytest.raises(SerializationError, match="idx/metadata.json"):
+                load(fs, "idx")
+
+    @pytest.mark.parametrize("fault", sorted(SEGMENTER_FAULTS))
+    def test_a_bad_segmenter_names_the_file(self, lanns, fs, fault):
+        """The manifest's checksum is re-stamped, so only the parse can
+        refuse the document."""
+        save_lanns_index(lanns, fs, "idx")
+        raw = SEGMENTER_FAULTS[fault](fs.read_bytes("idx/segmenter.json"))
+        fs.write_bytes("idx/segmenter.json", raw)
+        manifest = fs.read_json("idx/metadata.json")
+        manifest["checksums"]["segmenter.json"] = hashlib.sha256(raw).hexdigest()
+        fs.write_json("idx/metadata.json", manifest)
+        with pytest.raises(SerializationError, match="idx/segmenter.json"):
+            load_segmenter(fs, "idx")
+
+    @pytest.mark.parametrize("fault", sorted(SEGMENTER_FAULTS))
+    def test_a_bad_learnt_segmenter_names_the_file(self, lanns, fs, fault):
+        raw = json.dumps(lanns.segmenter.to_dict()).encode()
+        fs.write_bytes("segmenters/s1", SEGMENTER_FAULTS[fault](raw))
+        with pytest.raises(SerializationError, match="segmenters/s1"):
+            load_learnt_segmenter(fs, "segmenters/s1")
