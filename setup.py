@@ -32,7 +32,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.22",
-        "scipy>=1.8",
     ],
     entry_points={
         "console_scripts": [

@@ -23,18 +23,20 @@ standard ``(1 + p) / 2`` quantile and expose the literal reading behind
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.utils.validation import check_positive
+
+_STANDARD_NORMAL = NormalDist()
 
 
 def probit(quantile: float) -> float:
     """Inverse CDF of the standard normal distribution."""
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-    return float(norm.ppf(quantile))
+    return _STANDARD_NORMAL.inv_cdf(quantile)
 
 
 def per_shard_top_k(

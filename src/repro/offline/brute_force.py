@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.merge import merge_shard_results_batch
-from repro.distance.metrics import get_metric
+from repro.distance.metrics import Metric, get_metric
 from repro.sparklite.cluster import LocalCluster
 from repro.utils.validation import as_matrix
 
@@ -28,7 +28,11 @@ def exact_top_k(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact k-NN by blocked full scan (single process).
 
-    Blocks the data axis so memory stays at ``O(block_size * queries)``.
+    Tiles the query axis and blocks the data axis, so memory stays at
+    ``O(block_size ** 2)`` whatever the number of queries.  The query
+    tiles are balanced (``ceil(queries / block_size)`` near-equal parts):
+    a BLAS may round a GEMM of one to three rows differently from the
+    same rows inside a larger one, and no tile is such a tail.
 
     Returns
     -------
@@ -40,6 +44,15 @@ def exact_top_k(
         raise ValueError(f"k must be positive, got {k}")
     k = min(k, data.shape[0])
     metric_obj = get_metric(metric)
+    tiles = np.array_split(queries, max(-(-queries.shape[0] // block_size), 1))
+    ids, dists = zip(*(_scan(data, tile, k, metric_obj, block_size) for tile in tiles))
+    return np.concatenate(ids), np.concatenate(dists)
+
+
+def _scan(
+    data: np.ndarray, queries: np.ndarray, k: int, metric_obj: Metric, block_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`exact_top_k` of one query tile, one data block at a time."""
     num_queries = queries.shape[0]
     best_dists = np.full((num_queries, k), np.inf, dtype=np.float64)
     best_ids = np.full((num_queries, k), -1, dtype=np.int64)

@@ -8,7 +8,10 @@ async defs, and ``.result()`` on a completed asyncio task.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -1028,6 +1031,31 @@ def test_every_module_has_a_caller_besides_its_own_tests():
     }
     assert len(modules) > 80
     assert modules - reached == set(kept)
+
+
+def test_a_serving_process_loads_no_heavy_library():
+    """A searcher is one process per shard, many to a host, so what its
+    imports keep resident is paid per shard: ``scipy.stats``, loaded
+    for one probit until 3816ffb, was ~67 of a searcher's ~107 MiB.
+    The CLI (every fleet child's entry point) and the server import
+    numpy and the package, never an analysis, plotting or test library."""
+    heavy = {"scipy", "pandas", "sklearn", "matplotlib", "hypothesis", "pytest"}
+    code = (
+        "import sys, repro.cli, repro.net.server\n"
+        "print(' '.join(sorted({name.split('.')[0] for name in sys.modules})))"
+    )
+    src = str(default_repo_root() / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    assert "numpy" in loaded
+    assert heavy.intersection(loaded) == set()
 
 
 def test_every_frame_field_is_written_and_read():

@@ -82,25 +82,13 @@ class TestUpdatesAndSerialization:
 
 
 class TestPerShardBudget:
-    def test_budget_is_eq_5_6_and_the_probit_runs_once_per_key(self, monkeypatch):
-        """``norm.ppf`` is most of a multi-shard request's budget cost: a
-        repeated (top_k, groups, confidence, literal) key must not pay it
-        again, and a new key must."""
+    def test_budget_is_eq_5_6(self):
+        """The budget a config asks for is ``per_shard_top_k`` of its
+        fan-out width, confidence and probit reading."""
         from repro.core import topk
 
-        calls = []
-        real = topk.probit
-
-        def counting(quantile):
-            calls.append(quantile)
-            return real(quantile)
-
-        monkeypatch.setattr(topk, "probit", counting)
         config = LannsConfig(num_shards=4, num_segments=2, topk_confidence=0.9173)
-        want = topk.per_shard_top_k(37, 4, 0.9173)
-        calls.clear()
-        assert [config.per_shard_budget(37) for _ in range(5)] == [want] * 5
-        assert len(calls) == 1
+        assert config.per_shard_budget(37) == topk.per_shard_top_k(37, 4, 0.9173)
         assert config.per_shard_budget(37, num_groups=3) == topk.per_shard_top_k(
             37, 3, 0.9173
         )
@@ -108,7 +96,6 @@ class TestPerShardBudget:
         assert literal.per_shard_budget(37) == topk.per_shard_top_k(
             37, 4, 0.9173, paper_literal=True
         )
-        assert len(calls) == 5  # two new keys, each also computed directly
 
     def test_bad_arguments_still_raise_every_time(self):
         config = LannsConfig(num_shards=4, num_segments=2)

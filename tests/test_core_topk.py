@@ -1,6 +1,8 @@
 """Tests for the perShardTopK budget (Eq. 5-6) and the batched top-k
 merge primitive."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +10,33 @@ import pytest
 
 from repro.core.topk import batch_top_k, per_shard_top_k, probit
 
+#: ``scipy.stats.norm.ppf`` at these quantiles, recorded at 3816ffb (the
+#: last commit whose probit was scipy's).
+SCIPY_PROBIT = {
+    0.975: 1.959963984540054,
+    0.95: 1.6448536269514722,
+    0.995: 2.5758293035489004,
+    0.025: -1.9599639845400545,
+}
+
+#: The Eq. 5-6 grid: every budget for literal off / on x these
+#: confidences x 1..128 shards x top_k 1..1000 (1,792,000 keys).
+GRID_CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+#: sha256 of that grid as a little-endian int32 ``(2, 7, 128, 1000)``
+#: array, recorded at 3816ffb with the scipy probit.
+GRID_SHA256 = "755f8be33abda0c7da3629baa6699d229cc7aab1f43bfa89efa45487bdbe3e65"
+
 
 class TestProbit:
     def test_known_quantiles(self):
         assert probit(0.975) == pytest.approx(1.959964, abs=1e-4)
         assert probit(0.5) == pytest.approx(0.0, abs=1e-9)
         assert probit(0.025) == pytest.approx(-1.959964, abs=1e-4)
+
+    @pytest.mark.parametrize("quantile", sorted(SCIPY_PROBIT))
+    def test_within_four_ulps_of_the_scipy_era_values(self, quantile):
+        want = SCIPY_PROBIT[quantile]
+        assert abs(probit(quantile) - want) <= 4 * math.ulp(want)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -79,6 +102,21 @@ class TestPerShardTopK:
         for shards in (2, 4, 8, 20, 32):
             budget = per_shard_top_k(100, shards, 0.95)
             assert shards * budget >= 100
+
+    def test_every_budget_of_the_grid_is_pinned(self):
+        """A probit that moves one budget on the grid -- a rounding that
+        flips one ``ceil`` -- changes what every broker asks for."""
+        keys = itertools.product(
+            (False, True), GRID_CONFIDENCES, range(1, 129), range(1, 1001)
+        )
+        table = np.array(
+            [
+                per_shard_top_k(top_k, shards, confidence, paper_literal=literal)
+                for literal, confidence, shards, top_k in keys
+            ],
+            dtype="<i4",
+        )
+        assert hashlib.sha256(table.tobytes()).hexdigest() == GRID_SHA256
 
 
 class TestBatchTopK:

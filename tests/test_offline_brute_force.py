@@ -32,6 +32,22 @@ class TestExactTopK:
         )
         np.testing.assert_array_equal(small_blocks, big_blocks)
 
+    @pytest.mark.parametrize("num_queries", [65, 129, 192, 5000])
+    def test_query_tiles_match_one_shot(self, num_queries):
+        """With ``block_size`` 64 these are 2, 3, 3 and 79 balanced query
+        tiles; one ``block_size >= queries`` scan is the reference.  The
+        float32 distances may round differently per GEMM shape, by at
+        most one ulp."""
+        rng = np.random.default_rng(num_queries)
+        data = rng.standard_normal((300, 16), dtype=np.float32)
+        queries = rng.standard_normal((num_queries, 16), dtype=np.float32)
+        tiled_ids, tiled_dists = exact_top_k(data, queries, 10, block_size=64)
+        want_ids, want_dists = exact_top_k(data, queries, 10, block_size=num_queries)
+        np.testing.assert_array_equal(tiled_ids, want_ids)
+        np.testing.assert_array_max_ulp(
+            tiled_dists.astype(np.float32), want_dists.astype(np.float32), maxulp=1
+        )
+
     def test_k_clamped_to_n(self, clustered_data, clustered_queries):
         ids, _ = exact_top_k(clustered_data[:5], clustered_queries[:3], 10)
         assert ids.shape == (3, 5)
