@@ -167,8 +167,7 @@ def check_failover(run, _env) -> None:
         try:
             service.deploy(fs, INDEX_PATH)
             request = SearchRequest(
-                queries=queries[:32], top_k=run.top_k, ef=run.ef,
-                deadline_s=REQUEST_TIMEOUT_S,
+                queries=queries[:32], top_k=run.top_k, ef=run.ef
             )
             healthy = service.execute(request)
             require(healthy.fully_answered, "healthy replicated fleet degraded")

@@ -1,9 +1,9 @@
 """Admission: the result cache and the micro-batcher in front of a search.
 
-An unrouted request with the broker's own policy is answered per row
-from the LRU **result cache** (:mod:`repro.online.cache`, filled with the
-fresh rows that came back fully answered); its misses are one block that
-opportunistic **micro-batching** (:mod:`repro.online.microbatch`) may
+An unrouted request is answered per row from the LRU **result cache**
+(:mod:`repro.online.cache`, keyed by each row's bytes and filled with
+the fresh rows that came back fully answered); its misses are one block
+that opportunistic **micro-batching** (:mod:`repro.online.microbatch`) may
 coalesce with other threads' blocks under the same
 :func:`~repro.online.microbatch.admission_key`.  :class:`Admission` is
 handed the search to run, ``execute(key, queries, trace)``, and knows
@@ -29,11 +29,10 @@ from repro.online.types import SearchResponse
 class Admission:
     """Cache -> micro-batch -> ``execute`` for the default fan-out.
 
-    ``num_shards`` / ``metric`` / ``epoch`` / ``quantize_decimals`` are
-    the deployment's share of every cache key (see
-    :func:`~repro.online.cache.result_cache_key`); ``max_batch <= 1``
-    disables coalescing.  ``clock`` receives the ``cache`` and
-    ``queue_wait`` stages.
+    ``num_shards`` / ``epoch`` are the deployment's share of every cache
+    key (see :func:`~repro.online.cache.result_cache_key`);
+    ``max_batch <= 1`` disables coalescing.  ``clock`` receives the
+    ``cache`` and ``queue_wait`` stages.
     """
 
     def __init__(
@@ -43,9 +42,7 @@ class Admission:
         clock: StageClock,
         *,
         num_shards: int,
-        metric: str,
         epoch: int,
-        quantize_decimals: int | None,
         max_batch: int,
         max_wait_ms: float,
     ) -> None:
@@ -54,11 +51,7 @@ class Admission:
         self.clock = clock
         self.num_shards = int(num_shards)
         self._row_key = partial(
-            result_cache_key,
-            num_shards=self.num_shards,
-            epoch=epoch,
-            metric=metric,
-            quantize_decimals=quantize_decimals,
+            result_cache_key, num_shards=self.num_shards, epoch=epoch
         )
         self.batcher: MicroBatcher | None = (
             MicroBatcher(

@@ -15,10 +15,10 @@ broker's :class:`~repro.obs.clock.StageClock`::
   query to its top-``spill`` segments and fans out only to the shard
   groups hosting them (``spill=None``/``"all"`` queries every group).
 - **cache -> admit** (:mod:`repro.online.admission`).  Routed requests
-  and requests overriding broker policy (per-request deadline/hedging)
-  bypass both: cache keys and admission keys do not carry the
-  spill/policy knobs, and coalescing rows with different fan-out shapes
-  would change answers.
+  bypass both: cache keys and admission keys do not carry ``spill``,
+  and coalescing rows with different fan-out shapes would change
+  answers.  Everything else a request could vary is the broker's one
+  :class:`BrokerPolicy`, so no other request skips admission.
 - **fan out** (:mod:`repro.online.fanout`), inline or on one event loop
   as the fleet dictates, with replica failover
   (:mod:`repro.online.failover`) and hedged requests
@@ -50,7 +50,7 @@ from repro.online.microbatch import AdmissionKey, admission_key
 from repro.online.replicas import ReplicaGroup
 from repro.online.router import Router, RoutingPlan
 from repro.online.searcher import SearcherNode  # noqa: F401 (re-export)
-from repro.online.types import INHERIT, SearchRequest, SearchResponse
+from repro.online.types import SearchRequest, SearchResponse
 from repro.segmenters.base import Segmenter
 from repro.utils.flags import FlagFields, knob
 from repro.utils.validation import as_vector
@@ -145,8 +145,8 @@ class BrokerPolicy(FlagFields):
         "what a dead searcher does to a request (remote mode)",
         choices=PARTIAL_POLICIES,
     )
-    #: Per-request deadline for the whole fan-out (``None`` = wait
-    #: forever).  ``SearchRequest.deadline_s`` overrides it per request.
+    #: Deadline for each request's whole fan-out (``None`` = wait
+    #: forever).
     request_timeout_s: float | None = knob(
         None, "per-request fan-out deadline in seconds (remote mode)"
     )
@@ -157,8 +157,6 @@ class BrokerPolicy(FlagFields):
     #: half-open probe decides recovery.  ``0`` disables breakers.
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 1.0
-    #: Cosine cache-key quantization; see :mod:`repro.online.cache`.
-    cache_quantize_decimals: int | None = None
     #: Ask the searchers for per-batch search-cost counters (hops,
     #: distance computations, ...; see :mod:`repro.obs.cost`) and attach
     #: the aggregate to ``SearchResponse.cost``.  Requests coalesced by
@@ -268,8 +266,17 @@ class Broker:
             for group in self.groups
             for transport in group.transports
         ]
-        if policy.hedge_after_s is not None:
-            self._require_hedge_target("hedge_after_s")
+        # Hedges race a second RPC on the fan-out loop, which only an
+        # AsyncSearcherTransport can multiplex: a hedge delay no
+        # transport could honor is refused, not silently dropped.
+        if policy.hedge_after_s is not None and not any(
+            isinstance(t, AsyncSearcherTransport) for t in self.transports
+        ):
+            raise ValueError(
+                "hedge_after_s needs at least one AsyncSearcherTransport "
+                "in the fleet (hedges are raced on the fan-out event loop; "
+                "in-process transports cannot hedge)"
+            )
         self.config = config
         self.router: Router | None = (
             Router(
@@ -309,28 +316,10 @@ class Broker:
             self.cache,
             self.timings,
             num_shards=config.num_shards,
-            metric=config.metric,
             epoch=self.cache_epoch,
-            quantize_decimals=policy.cache_quantize_decimals,
             max_batch=policy.max_batch,
             max_wait_ms=policy.max_wait_ms,
         )
-
-    def _require_hedge_target(self, knob: str) -> None:
-        """Reject a hedge delay no transport of this broker could honor.
-
-        Hedges race a second RPC on the fan-out loop, which only an
-        :class:`~repro.net.transport.AsyncSearcherTransport` can
-        multiplex; accepting the knob anyway would silently drop it.
-        """
-        if not any(
-            isinstance(t, AsyncSearcherTransport) for t in self.transports
-        ):
-            raise ValueError(
-                f"{knob} needs at least one AsyncSearcherTransport in the "
-                "fleet (hedges are raced on the fan-out event loop; "
-                "in-process transports cannot hedge)"
-            )
 
     def close(self) -> None:
         """Drain the admission layer and stop the fan-out loop.
@@ -428,24 +417,18 @@ class Broker:
         """Serve one :class:`SearchRequest` end to end.
 
         The one serving path: ``search``/``search_batch`` wrap this.
-        Unrouted requests without policy overrides flow through the
-        result cache and the micro-batching admission layer (their
-        responses carry ``replicas_used=None`` -- coalescing makes
-        per-request replica attribution ambiguous); routed requests and
-        per-request overrides go straight to the fan-out with full
-        metadata.  A request the broker cannot serve is rejected
-        before it is counted or traced; one that fails later is in the
-        latency histogram and the slow-query log like any other.
+        Unrouted requests flow through the result cache and the
+        micro-batching admission layer (their responses carry
+        ``replicas_used=None`` -- coalescing makes per-request replica
+        attribution ambiguous); routed requests go straight to the
+        fan-out with full metadata.  A request the broker cannot serve
+        is rejected before it is counted or traced; one that fails later
+        is in the latency histogram and the slow-query log like any
+        other.
         """
         queries = request.queries
         num_queries = queries.shape[0]
         num_shards = len(self.groups)
-        if (
-            request.hedging != INHERIT
-            and request.hedging is not False
-            and request.hedging is not None
-        ):
-            self._require_hedge_target("per-request hedging override")
         if request.routed and self.router is None:
             raise ValueError(
                 "routed request (spill set) on a broker without a "
@@ -472,33 +455,16 @@ class Broker:
         whole = self.timings.stage("request", histogram=_REQUEST_SECONDS)
         try:
             with whole:
-                plan: RoutingPlan | None = None
-                route_s = 0.0
-                if request.routed:
+                if not request.routed:
+                    response = self._admission.serve(key, queries, trace)
+                else:
                     with self.timings.stage(
                         "route", trace, window="route", spill=request.spill
                     ) as route:
-                        plan = self.router.plan(
-                            queries,
-                            request.spill
-                            if isinstance(request.spill, int)
-                            else self.config.num_segments,
-                            hints=request.routing_hints,
-                        )
+                        plan = self.router.plan(queries, request.spill)
                         route.annotate(groups=plan.groups_queried)
-                    route_s = route.seconds
-                if plan is None and not request.overrides_policy:
-                    response = self._admission.serve(key, queries, trace)
-                else:
-                    response = self._search(
-                        key,
-                        queries,
-                        trace,
-                        plan=plan,
-                        timeout_s=request.deadline_s,
-                        hedging=request.hedging,
-                    )
-                    response.timings["route_ms"] = route_s * 1000.0
+                    response = self._search(key, queries, trace, plan=plan)
+                    response.timings["route_ms"] = route.seconds * 1000.0
         finally:
             kept = self.tracer.finish(trace, whole.seconds, whole.error)
         return replace(response, trace=trace.to_dict()) if kept else response
@@ -510,8 +476,6 @@ class Broker:
         trace: Trace | None = None,
         *,
         plan: RoutingPlan | None = None,
-        timeout_s: float | str | None = INHERIT,
-        hedging: bool | float | str | None = INHERIT,
     ) -> SearchResponse:
         """Fan out -> merge: one lockstep batch, full serving metadata.
 
@@ -525,7 +489,8 @@ class Broker:
         num_shards = len(self.groups)
         work, routed = work_list(queries, plan, num_shards)
         if not work:
-            # Every row routed nowhere (empty hints): nothing to ask.
+            # Every row routed nowhere (its segments are hosted on no
+            # shard): nothing to ask.
             ids, dists = empty_part(num_queries, key.top_k)
             return SearchResponse(
                 ids=ids,
@@ -540,10 +505,6 @@ class Broker:
             key.top_k,
             None if plan is None else int(plan.routed_counts.max()),
         )
-        if timeout_s == INHERIT:
-            timeout_s = policy.request_timeout_s
-        if hedging == INHERIT:
-            hedging = policy.hedge_after_s
         batch = Batch(
             call=ShardCall(
                 key.index_name,
@@ -552,11 +513,9 @@ class Broker:
                 key.ef,
                 trace=trace.context() if trace is not None else None,
                 cost=policy.collect_cost or None,
-                deadline=deadline_after(timeout_s),
+                deadline=deadline_after(policy.request_timeout_s),
             ),
-            hedge_delay=resolve_hedge_delay(
-                None if hedging is False else hedging, self.timings
-            ),
+            hedge_delay=resolve_hedge_delay(policy.hedge_after_s, self.timings),
             trace=trace,
         )
         with self.timings.stage(

@@ -8,11 +8,11 @@ admission layer: hits skip the whole fan-out, misses are filled after the
 final merge.
 
 Keys are exact-match tuples ``(index_name, query_bytes, top_k, ef,
-num_shards)`` over the *canonicalised* query (C-contiguous float32), so a
-hit is guaranteed to be bit-identical to the search it replaces.  Any
-parameter that changes the answer -- the index, the query vector, the
-requested ``top_k``, the beam width, or the shard layout -- changes the
-key.
+num_shards, epoch)`` over the *canonicalised* query's bytes
+(C-contiguous float32) on every metric, so a hit is guaranteed to be
+bit-identical to the search it replaces.  Any parameter that changes the
+answer -- the index, the query vector, the requested ``top_k``, the beam
+width, or the shard layout -- changes the key.
 
 Entries are invalidated explicitly per index on ``deploy`` / ``undeploy``
 (the only events that change an answer without changing the key).
@@ -45,15 +45,15 @@ def result_cache_key(
     ef: int,
     num_shards: int,
     epoch: int = 0,
-    *,
-    metric: str = "euclidean",
-    quantize_decimals: int | None = None,
 ) -> CacheKey:
     """Build the exact-match key for one canonicalised query row.
 
     ``query_row`` must already be the C-contiguous float32 row the
     serving path searches with (``as_matrix`` output), so equal bytes
-    imply an identical search.
+    imply an identical search -- on every metric.  (Cosine scores are
+    scale-free, but routing is not: a hyperplane segmenter sends ``q``
+    and ``2q`` to different segments, so a key folded over the scale
+    would serve one the other's answer.)
 
     ``epoch`` is the broker's deployment generation: a client thread
     descheduled between computing a result and ``put`` can complete its
@@ -61,54 +61,15 @@ def result_cache_key(
     without the epoch that stale row would be served by the new
     deployment.  Epoch-tagged keys make such late inserts unreachable
     (they age out of the LRU instead).
-
-    **Cosine-aware keying**: cosine distance is scale-invariant (the
-    scorer normalises both sides), so when ``metric="cosine"`` the key
-    is computed over the *normalised* query -- scaled copies of one
-    heavy-hitter query (``q`` and ``2q``) share a cache entry instead of
-    missing on raw bytes.  ``quantize_decimals`` additionally rounds the
-    normalised components, coalescing *near*-duplicate queries onto one
-    key.  Both weaken the bit-identity guarantee from "identical to the
-    search this exact request would run" to "identical to the search of
-    the first query mapped to this key" -- for normalisation the two
-    differ by at most float32 rounding of mathematically equal scores;
-    for quantization the tolerance is chosen by the operator.
     """
-    key_bytes = _canonical_query_bytes(
-        query_row, metric=metric, quantize_decimals=quantize_decimals
-    )
     return (
         str(index_name),
-        key_bytes,
+        query_row.tobytes(),
         int(top_k),
         int(ef),
         int(num_shards),
         int(epoch),
     )
-
-
-def _canonical_query_bytes(
-    query_row: np.ndarray,
-    *,
-    metric: str,
-    quantize_decimals: int | None,
-) -> bytes:
-    if metric != "cosine":
-        return query_row.tobytes()
-    # Normalise in float64 so the key bucket does not depend on float32
-    # accumulation order, then round-trip through float32 (the serving
-    # dtype) for a stable byte representation.
-    row = np.asarray(query_row, dtype=np.float64)
-    norm = float(np.linalg.norm(row))
-    if norm > 0.0:
-        row = row / norm
-    if quantize_decimals is not None:
-        # + 0.0 collapses the -0.0 np.round produces for small negative
-        # components onto +0.0: near-duplicates straddling zero on some
-        # coordinate must land on one key, and the two zeros have
-        # different byte patterns.
-        row = np.round(row, int(quantize_decimals)) + 0.0
-    return np.ascontiguousarray(row, dtype=np.float32).tobytes()
 
 
 @dataclass

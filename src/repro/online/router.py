@@ -138,31 +138,14 @@ class Router:
         order = np.argsort(-scores, axis=1, kind="stable")[:, :spill]
         return [tuple(sorted(int(s) for s in row)) for row in order]
 
-    def plan(
-        self,
-        queries: np.ndarray,
-        spill: int,
-        *,
-        hints: tuple[tuple[int, ...], ...] | None = None,
-    ) -> RoutingPlan:
+    def plan(self, queries: np.ndarray, spill: int) -> RoutingPlan:
         """Build the per-group work assignment for one batch.
 
-        ``hints`` (per-row segment ids from the request) bypass segment
-        scoring entirely; rows with an empty hint tuple are routed
-        nowhere and come back as ``-1`` padding.
+        A row whose top-``spill`` segments no shard hosts (empty in the
+        occupancy table) is routed nowhere and comes back as ``-1``
+        padding.
         """
-        if hints is not None:
-            num_segments = self.segmenter.num_segments
-            for row, segments in enumerate(hints):
-                for segment in segments:
-                    if not 0 <= segment < num_segments:
-                        raise ValueError(
-                            f"routing hint {segment} of row {row} out of "
-                            f"range for {num_segments} segments"
-                        )
-            probes_per_row = hints
-        else:
-            probes_per_row = self.top_segments(queries, spill)
+        probes_per_row = self.top_segments(queries, spill)
         plan = RoutingPlan(
             num_shards=self.num_shards,
             routed_counts=np.zeros(len(probes_per_row), dtype=np.int64),

@@ -473,9 +473,6 @@ class OnlineService:
             index_name, queries, top_k, ef=ef, spill=spill
         )
 
-    # The paper-facing name for the batch serving entry point.
-    search_batch = query_batch
-
     def measure_qps(
         self,
         queries: np.ndarray,

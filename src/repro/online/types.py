@@ -2,10 +2,11 @@
 
 Two frozen dataclasses carry a query batch through the serving tier:
 
-- :class:`SearchRequest` -- everything one query batch needs: the queries
-  themselves, accuracy knobs (``top_k``, ``ef``), the routing knob
-  (``spill``), and per-request overrides of broker policy (``deadline_s``,
-  ``hedging``, ``routing_hints``).
+- :class:`SearchRequest` -- what changes a query batch's answer and
+  nothing else: the queries themselves, the index, the accuracy knobs
+  (``top_k``, ``ef``) and the routing knob (``spill``).  How the answer
+  is obtained -- deadlines, hedging, caching, batching -- is the
+  broker's one :class:`~repro.online.broker.BrokerPolicy`.
 - :class:`SearchResponse` -- results plus structured serving metadata:
   which shard groups were routed and answered per row, which replica won
   each group, and per-stage timings.
@@ -16,6 +17,7 @@ Two frozen dataclasses carry a query batch through the serving tier:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,13 +27,10 @@ from repro.utils.validation import as_matrix
 #: ``spill`` value requesting the legacy fan-out to every shard group.
 SPILL_ALL = "all"
 
-#: Sentinel for "use the broker-wide default" in per-request overrides.
-INHERIT = "inherit"
-
 
 @dataclass(frozen=True)
 class SearchRequest:
-    """One immutable query batch plus its serving policy.
+    """One immutable query batch: the five values that change its answer.
 
     Parameters
     ----------
@@ -47,20 +46,10 @@ class SearchRequest:
     spill:
         Segment-routing knob.  ``None`` or :data:`SPILL_ALL` fans out to
         every shard group (bit-identical to the pre-router broker);
-        a positive int routes each query to its top-``spill`` segments
-        and fans out only to the shard groups hosting them.
-    deadline_s:
-        Per-request deadline override.  :data:`INHERIT` (default) uses the
-        broker's ``request_timeout_s``; ``None`` disables the deadline;
-        a float sets one for this request.
-    hedging:
-        Per-request hedging override.  :data:`INHERIT` uses the broker's
-        ``hedge_after_s``; ``False`` disables hedging; a float or
-        ``"auto"`` overrides the delay for this request.
-    routing_hints:
-        Optional per-row segment ids (one tuple per query) that bypass
-        the router's segment scoring; requires ``spill`` to be a
-        positive int (hints on an unrouted request are rejected).
+        a positive integer (any ``operator.index``-able value but a
+        bool, stored as an ``int``) routes each query to its
+        top-``spill`` segments and fans out only to the shard groups
+        hosting them.
     """
 
     queries: np.ndarray
@@ -68,61 +57,31 @@ class SearchRequest:
     index_name: str = "default"
     ef: int | None = None
     spill: int | str | None = None
-    deadline_s: float | str | None = INHERIT
-    hedging: bool | float | str | None = INHERIT
-    routing_hints: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         queries = as_matrix(self.queries, name="queries")
         object.__setattr__(self, "queries", queries)
         if self.top_k <= 0:
             raise ValueError(f"top_k must be positive, got {self.top_k}")
-        if isinstance(self.spill, str) and self.spill != SPILL_ALL:
-            raise ValueError(
-                f"spill must be None, {SPILL_ALL!r} or a positive int, "
-                f"got {self.spill!r}"
-            )
-        if isinstance(self.spill, int) and self.spill < 1:
-            raise ValueError(f"spill must be >= 1, got {self.spill}")
-        if isinstance(self.deadline_s, str) and self.deadline_s != INHERIT:
-            raise ValueError(
-                f"deadline_s must be {INHERIT!r}, None or a float, "
-                f"got {self.deadline_s!r}"
-            )
-        if isinstance(self.hedging, str) and self.hedging not in (
-            INHERIT,
-            "auto",
-        ):
-            raise ValueError(
-                f"hedging must be {INHERIT!r}, False, 'auto' or a float "
-                f"delay, got {self.hedging!r}"
-            )
-        if self.routing_hints is not None:
-            if not self.routed:
+        spill = self.spill
+        if spill is None or isinstance(spill, str):
+            if spill not in (None, SPILL_ALL):
                 raise ValueError(
-                    "routing_hints requires routed execution: set spill "
-                    f"to a positive int, got spill={self.spill!r}"
+                    f"spill must be None, {SPILL_ALL!r} or a positive int, "
+                    f"got {spill!r}"
                 )
-            hints = tuple(
-                tuple(int(segment) for segment in row)
-                for row in self.routing_hints
-            )
-            if len(hints) != queries.shape[0]:
-                raise ValueError(
-                    f"routing_hints has {len(hints)} rows for "
-                    f"{queries.shape[0]} queries"
-                )
-            object.__setattr__(self, "routing_hints", hints)
+            return
+        if isinstance(spill, (bool, np.bool_)):
+            raise TypeError(f"spill must be an int, not a bool: {spill!r}")
+        spill = operator.index(spill)
+        if spill < 1:
+            raise ValueError(f"spill must be >= 1, got {spill}")
+        object.__setattr__(self, "spill", spill)
 
     @property
     def routed(self) -> bool:
         """Whether this request asks for segment-aware (pruned) fan-out."""
         return self.spill is not None and self.spill != SPILL_ALL
-
-    @property
-    def overrides_policy(self) -> bool:
-        """Whether any broker-wide policy is overridden per-request."""
-        return self.deadline_s != INHERIT or self.hedging != INHERIT
 
 
 @dataclass(frozen=True)

@@ -642,7 +642,9 @@ def test_construction_keeps_candidates_in_arrays():
 #: commit that retired it)``.  The places are name sets one walk collects:
 #: defs under ``src/`` ("src def"); parameters under ``src/`` ("src
 #: parameter") and of ``SearcherServer`` ("server parameter"); every
-#: name, attribute and def under ``src/repro/net`` ("net name"); string
+#: name, attribute and def under ``src/repro/net`` ("net name"); every
+#: name, attribute and keyword under ``src/`` ("src name") and in
+#: ``examples/*.py`` / ``benchmarks/*.py`` ("script name"); string
 #: constants under ``src/``, by prefix ("src string"); the words of
 #: README.md ("readme"); defs of ``benchmarks/bench_*.py`` ("bench def").
 RETIRED = {
@@ -676,6 +678,15 @@ RETIRED = {
          "_timed_pass", "measure_closed_loop"],
         (("bench def",), "b863b1d"),
     ),
+    # A request carries only what changes its answer: per-request policy
+    # overrides, routing hints and scale-folded cosine cache keys went
+    # (``SearchRequest``'s fields are pinned below).  Recorded against
+    # the parent: the retiring commit's own id was not known yet.
+    **dict.fromkeys(
+        ["INHERIT", "overrides_policy", "routing_hints", "cache_quantize_decimals",
+         "quantize_decimals", "_canonical_query_bytes"],
+        (("src def", "src parameter", "src name", "script name", "readme"), "4eb3f8c"),
+    ),
 }
 
 
@@ -683,6 +694,15 @@ def test_retired_names_stay_retired():
     root = default_repo_root()
     seen = {place: set() for places, _ in RETIRED.values() for place in places}
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def names(node) -> set:
+        """The identifier a name, an attribute or a keyword spells."""
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        return {node.arg} if isinstance(node, ast.keyword) else set()
+
     for path in (root / "src").rglob("*.py"):
         in_net = path.parent.name == "net"
         for node in ast.walk(ast.parse(path.read_text())):
@@ -695,6 +715,7 @@ def test_retired_names_stay_retired():
                         arg.arg for fn in ast.walk(node) if isinstance(fn, ast.arguments)
                         for arg in (*fn.args, *fn.kwonlyargs)
                     }
+            seen["src name"] |= names(node)
             if isinstance(node, ast.arg):
                 seen["src parameter"].add(node.arg)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -702,6 +723,10 @@ def test_retired_names_stay_retired():
             elif in_net and isinstance(node, (ast.Name, ast.Attribute)):
                 seen["net name"].add(getattr(node, "id", None) or node.attr)
     seen["readme"] = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    scripts = [*(root / "examples").glob("*.py"), *(root / "benchmarks").glob("*.py")]
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text())):
+            seen["script name"] |= names(node)
     for path in (root / "benchmarks").glob("bench_*.py"):
         seen["bench def"] |= {
             node.name
@@ -716,6 +741,18 @@ def test_retired_names_stay_retired():
         or (place == "src string" and any(s.startswith(name) for s in seen[place]))
     }
     assert back == set()
+
+
+def test_a_request_carries_only_what_changes_its_answer():
+    """``deadline_s`` / ``hedging`` are too generic to retire as bare
+    names (``hedging`` is also a module): the field list pins them."""
+    from dataclasses import fields
+
+    from repro.online.types import SearchRequest
+
+    assert [field.name for field in fields(SearchRequest)] == [
+        "queries", "top_k", "index_name", "ef", "spill",
+    ]
 
 
 def test_the_index_reaches_its_scorer_through_public_names():

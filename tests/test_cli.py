@@ -427,7 +427,9 @@ class TestGoldenCommandLines:
     non-default) it holds the subcommand, the ``LannsConfig`` /
     ``BrokerPolicy`` / ``ServerOptions`` value the line meant (``to_dict``
     / ``asdict``, key order included) and the rest of the namespace; and
-    per subcommand every flag's default, choices and requiredness."""
+    per subcommand every flag's default, choices and requiredness.  The
+    one edit since: the retired ``BrokerPolicy.cache_quantize_decimals``
+    key (``null`` in all ten ``policy`` rows) left with its field."""
 
     @staticmethod
     def linter_namespace(argv, monkeypatch) -> dict:

@@ -478,38 +478,6 @@ class TestServiceIntegration:
         with pytest.raises(ValueError, match="remote fleet"):
             OnlineService(hedge_after_s=0.1)
 
-    def test_per_request_hedging_requires_async_transport(self, lanns):
-        """A hedging override on a broker that cannot hedge raises
-        instead of being silently ignored (mirrors the constructor
-        validation); ``inherit``/``False`` stay valid -- they ask for no
-        hedge."""
-        nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        for shard_id, node in enumerate(nodes):
-            node.host("hedge", lanns.shards[shard_id])
-        broker = Broker(nodes, LANNS_2X2)
-        try:
-            for override in (0.05, "auto"):
-                with pytest.raises(ValueError, match="AsyncSearcherTransport"):
-                    broker.execute(
-                        SearchRequest(
-                            queries=np.zeros((1, 16), np.float32),
-                            top_k=5,
-                            index_name="hedge",
-                            hedging=override,
-                        )
-                    )
-            response = broker.execute(
-                SearchRequest(
-                    queries=np.zeros((1, 16), np.float32),
-                    top_k=5,
-                    index_name="hedge",
-                    hedging=False,
-                )
-            )
-            assert response.fully_answered
-        finally:
-            broker.close()
-
 
 class TestAdaptiveHedging:
     """hedge_after_s="auto": delay derived from the live shard_rpc window."""

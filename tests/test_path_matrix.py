@@ -9,7 +9,9 @@ index and one brute-force oracle, in every cell of a generated matrix:
 1. **Every path answers like the reference.**  Ids and distances are
    byte-identical to the cell's reference: ``LannsIndex.query_batch``
    over the whole query pool or, for a routed request, the same shards
-   asked with the router's probes and merged.
+   asked with each row's top-``spill`` segments and merged -- a rule
+   :func:`top_segments` restates, so a router bug cannot move the
+   reference along with the path under test.
 2. **The reference is right.**  Its recall@10 against
    :func:`~repro.offline.brute_force.exact_top_k` meets ``RECALL_FLOOR``,
    and every distance it returns is the exact float kernel's score of the
@@ -283,6 +285,16 @@ def world(tmp_path_factory, clustered_data, clustered_queries):
     built.close()
 
 
+def top_segments(segmenter, queries: np.ndarray, spill: int) -> list[tuple]:
+    """The routing rule: the ``spill`` leaves of largest margin, or a
+    segmenter's first ``spill`` routes when it has no margins."""
+    spill = min(spill, segmenter.num_segments)
+    if not hasattr(segmenter, "leaf_margins"):
+        return [tuple(route[:spill]) for route in segmenter.route_query_batch(queries)]
+    order = np.argsort(-segmenter.leaf_margins(queries), axis=1, kind="stable")
+    return [tuple(sorted(row)) for row in order[:, :spill].tolist()]
+
+
 def reference(world: World, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
     """The cell's reference answers for the whole pool, after checking
     promise 2 on them.  The recall floor is the index's: it is held by
@@ -293,8 +305,7 @@ def reference(world: World, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
         recall = recall_at_k(ids, world.oracle(cell), K)
         assert recall >= RECALL_FLOOR[cell.corpus], (cell, recall)
     else:
-        router = Router(index.segmenter, len(index.shards))
-        probes = router.top_segments(queries, SPILL[cell.spill])
+        probes = top_segments(index.segmenter, queries, SPILL[cell.spill])
         budget = index.config.per_shard_budget(K)
         parts = [
             shard.search_batch(queries, budget, ef=ef, probes=probes)
@@ -612,16 +623,14 @@ BUGS = {
         (QueryResultCache, "invalidate", lambda f: lambda self, name: 0),
         (admission_module, "result_cache_key", lambda f: lambda *a, epoch=0, **kw: f(*a, **kw)),
     ],
+    # Planted where the plan reads its segments, so the plan drops them.
     "Router.plan-drops-last-spill-segment": [
         (
             Router,
-            "plan",
-            lambda f: lambda self, queries, spill, *, hints=None: f(
-                self,
-                queries,
-                spill,
-                hints=[route[:-1] for route in hints or self.top_segments(queries, spill)],
-            ),
+            "top_segments",
+            lambda f: lambda self, queries, spill: [
+                route[:-1] for route in f(self, queries, spill)
+            ],
         )
     ],
     "segment-budget-sized-as-hash": [

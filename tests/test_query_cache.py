@@ -35,15 +35,6 @@ def searchers(lanns):
     return host_all(lanns)
 
 
-@pytest.fixture(scope="module")
-def cosine_searcher(clustered_data):
-    """One shard, one segment, cosine: ``q`` and ``2q`` search alike."""
-    config = LANNS_2X2.with_updates(
-        num_shards=1, num_segments=1, metric="cosine", seed=9
-    )
-    return host_all(build_lanns_index(clustered_data, config=config), "cos"), config
-
-
 class TestQueryResultCacheUnit:
     def test_roundtrip_is_bit_identical(self):
         cache = QueryResultCache(4)
@@ -129,101 +120,49 @@ class TestQueryResultCacheUnit:
 
 
 class TestCosineCacheKeys:
-    """Cosine-aware keying: scale-invariant (and optionally quantized)."""
-
-    def test_scaled_queries_share_a_cosine_key(self):
-        rng = np.random.default_rng(3)
-        query = rng.normal(size=12).astype(np.float32)
-        base = result_cache_key("idx", query, 10, 48, 2, metric="cosine")
-        scaled = result_cache_key(
-            "idx", 2.0 * query, 10, 48, 2, metric="cosine"
-        )
-        assert scaled == base
-        # Euclidean keys must keep the raw bytes: scale changes answers.
-        assert result_cache_key(
-            "idx", 2.0 * query, 10, 48, 2
-        ) != result_cache_key("idx", query, 10, 48, 2)
+    """A cosine row is keyed by its bytes, like a row of any metric."""
 
     def test_different_directions_still_differ(self):
         query = np.ones(8, dtype=np.float32)
         other = np.ones(8, dtype=np.float32)
         other[0] = -1.0
-        assert result_cache_key(
-            "idx", query, 10, 48, 2, metric="cosine"
-        ) != result_cache_key("idx", other, 10, 48, 2, metric="cosine")
+        assert result_cache_key("idx", query, 10, 48, 2) != result_cache_key(
+            "idx", other, 10, 48, 2
+        )
 
     def test_zero_vector_is_keyable(self):
         zero = np.zeros(8, dtype=np.float32)
-        key = result_cache_key("idx", zero, 10, 48, 2, metric="cosine")
-        assert key == result_cache_key("idx", zero, 10, 48, 2, metric="cosine")
+        key = result_cache_key("idx", zero, 10, 48, 2)
+        assert key == result_cache_key("idx", zero.copy(), 10, 48, 2)
+        assert hash(key) == hash(result_cache_key("idx", zero, 10, 48, 2))
 
-    def test_quantization_coalesces_near_duplicates(self):
-        rng = np.random.default_rng(4)
-        query = rng.normal(size=12).astype(np.float32)
-        nearby = query + np.float32(1e-6)
-        exact = dict(metric="cosine", quantize_decimals=None)
-        fuzzy = dict(metric="cosine", quantize_decimals=3)
-        assert result_cache_key(
-            "idx", query, 10, 48, 2, **exact
-        ) != result_cache_key("idx", nearby, 10, 48, 2, **exact)
-        assert result_cache_key(
-            "idx", query, 10, 48, 2, **fuzzy
-        ) == result_cache_key("idx", nearby, 10, 48, 2, **fuzzy)
-        # Quantization buckets, it does not erase direction.
-        far = query + np.float32(0.05)
-        assert result_cache_key(
-            "idx", query, 10, 48, 2, **fuzzy
-        ) != result_cache_key("idx", far, 10, 48, 2, **fuzzy)
 
-    def test_quantization_merges_signed_zeros(self):
-        """Components straddling zero round to -0.0 vs +0.0, whose byte
-        patterns differ; the key must collapse them onto one bucket."""
-        up = np.array([1.0, 2e-4], dtype=np.float32)
-        down = np.array([1.0, -2e-4], dtype=np.float32)
-        fuzzy = dict(metric="cosine", quantize_decimals=3)
-        assert result_cache_key(
-            "idx", up, 10, 48, 2, **fuzzy
-        ) == result_cache_key("idx", down, 10, 48, 2, **fuzzy)
-
-    def test_broker_serves_scaled_heavy_hitter_from_cache(
-        self, cosine_searcher, clustered_queries
+class TestScaledQueries:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "inner_product"])
+    def test_a_warm_hit_answers_like_a_cold_search(
+        self, metric, clustered_data, clustered_queries
     ):
-        """End to end: on a cosine index, q and 2q share a cache entry
-        and the hit is bit-identical to the cold result.
-
-        (Power-of-two scales are exact in float32, so the normalised
-        key bytes match exactly; arbitrary scales like 3q land on the
-        same key only under ``cache_quantize_decimals`` -- see the next
-        test.)"""
-        broker = Broker(*cosine_searcher, cache_size=64)
+        """``q`` cached, then ``2q``: every row is answered as a cold
+        broker answers ``2q``.  Cosine scores are scale-free, but
+        hyperplane routing is not, so a key folded over the scale served
+        ``q``'s row here."""
+        config = LANNS_2X2.with_updates(metric=metric)
+        nodes = host_all(build_lanns_index(clustered_data, config=config))
+        scaled = 2.0 * clustered_queries
+        cold = Broker(nodes, config)
+        warm = Broker(nodes, config, cache_size=128)
         try:
-            query = clustered_queries[0]
-            cold_ids, cold_dists = broker.search("cos", query, 10, ef=48)
-            for scale in (2.0, 0.5):
-                hot_ids, hot_dists = broker.search(
-                    "cos", scale * query, 10, ef=48
-                )
-                np.testing.assert_array_equal(hot_ids, cold_ids)
-                np.testing.assert_array_equal(hot_dists, cold_dists)
-            stats = broker.stats()["cache"]
-            assert stats["hits"] == 2 and stats["misses"] == 1
+            want = cold.search_batch("main", scaled, 10)
+            unscaled = cold.search_batch("main", clustered_queries, 10)
+            # The answers differ, so serving q's rows for 2q would show.
+            assert not all(map(np.array_equal, want, unscaled))
+            warm.search_batch("main", clustered_queries, 10)
+            got = warm.search_batch("main", scaled, 10)
         finally:
-            broker.close()
-
-    def test_broker_quantized_keys_hit_on_near_duplicates(
-        self, cosine_searcher, clustered_queries
-    ):
-        broker = Broker(
-            *cosine_searcher, cache_size=64, cache_quantize_decimals=3
-        )
-        try:
-            query = clustered_queries[1]
-            jittered = query * (1.0 + np.float32(1e-6))
-            broker.search("cos", query, 10, ef=48)
-            broker.search("cos", jittered, 10, ef=48)
-            assert broker.stats()["cache"]["hits"] == 1
-        finally:
-            broker.close()
+            cold.close()
+            warm.close()
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestBrokerCaching:

@@ -385,23 +385,20 @@ class TestCrossReplicaHedging:
                 [[transports[0], transports[1]], [transports[2]]],
                 LANNS_2X2,
                 partial_policy="fail",
+                hedge_after_s=0.03,
             )
             response = broker.execute(
-                SearchRequest(
-                    queries=queries,
-                    top_k=5,
-                    index_name="r",
-                    hedging=0.03,
-                )
+                SearchRequest(queries=queries, top_k=5, index_name="r")
             )
             assert response.fully_answered
-            assert response.replicas_used is not None
-            assert len(response.replicas_used) == NUM_SHARDS
             stats = broker.stats()
             assert stats["hedges"] >= 1
             assert stats["hedge_wins"] >= 1
-            # The winning replica of group 0 was the fast sibling.
-            assert response.replicas_used[0] == 1
+            # The winning replica of group 0 was the fast sibling: only a
+            # reply records a latency, the cancelled loser records none.
+            slow_stats, fast_stats = stats["replicas"][0]["replicas"]
+            assert slow_stats["ewma_latency_s"] is None
+            assert fast_stats["ewma_latency_s"] is not None
         finally:
             if broker is not None:
                 broker.close()

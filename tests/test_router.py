@@ -193,21 +193,34 @@ class TestSpillRouting:
             assert (response.ids >= 0).all()
             assert np.isfinite(response.dists).all()
 
-    def test_routing_hints_require_spill(self, queries):
-        with pytest.raises(ValueError, match="routing_hints"):
-            SearchRequest(
-                queries=queries[:1],
-                top_k=TOP_K,
-                index_name="r",
-                routing_hints=[(0,)],
+    def test_a_numpy_spill_routes_like_an_int(self, broker, queries):
+        def request(spill):
+            return SearchRequest(
+                queries=queries, top_k=TOP_K, index_name="r", spill=spill
             )
-        with pytest.raises(ValueError, match="routing_hints"):
+
+        numpy_spill = request(np.int64(1))
+        want, got = broker.execute(request(1)), broker.execute(numpy_spill)
+        assert (got.shards_routed == 1).all()
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.dists, want.dists)
+        assert type(numpy_spill.spill) is int
+
+    @pytest.mark.parametrize(
+        "spill, error, match",
+        [
+            (np.int64(0), ValueError, ">= 1"),
+            (0, ValueError, ">= 1"),
+            (True, TypeError, "bool"),
+            (np.bool_(True), TypeError, "bool"),
+            (2.0, TypeError, "integer"),
+            ("most", ValueError, "positive int"),
+        ],
+    )
+    def test_a_bad_spill_is_refused(self, queries, spill, error, match):
+        with pytest.raises(error, match=match):
             SearchRequest(
-                queries=queries[:1],
-                top_k=TOP_K,
-                index_name="r",
-                spill="all",
-                routing_hints=[(0,)],
+                queries=queries, top_k=TOP_K, index_name="r", spill=spill
             )
 
     def test_routed_fanout_prunes_shard_groups(self, broker, queries):
@@ -264,44 +277,56 @@ class TestSpillRouting:
 
 
 class TestEmptySegmentRouting:
+    @staticmethod
+    def unhosted(index, segment):
+        """The diagonal occupancy table with ``segment`` hosted nowhere."""
+        sizes = [list(shard.segment_sizes) for shard in index.shards]
+        for shard_sizes in sizes:
+            shard_sizes[segment] = 0
+        return sizes
+
     def test_unhosted_segments_route_nowhere(self, index, queries):
         # Segment 2 is empty on EVERY shard: occupancy pruning must drop
         # it from the fan-out instead of asking a shard for nothing.
-        sizes = [[10, 10, 0, 10] for _ in range(NUM_SHARDS)]
-        router = Router(index.segmenter, NUM_SHARDS, segment_sizes=sizes)
-        plan = router.plan(queries[:3], 1, hints=[(2,), (2,), (2,)])
+        router = Router(
+            index.segmenter, NUM_SHARDS, segment_sizes=self.unhosted(index, 2)
+        )
+        tops = router.top_segments(queries, 1)
+        rows = [row for row, top in enumerate(tops) if top == (2,)]
+        assert rows, "no query routes to segment 2"
+        plan = router.plan(queries[rows], 1)
         assert plan.shard_rows == {}
         assert (plan.routed_counts == 0).all()
 
-    def test_rows_routed_nowhere_return_sentinels(self, broker, queries):
-        response = broker.execute(
-            SearchRequest(
-                queries=queries[:2],
-                top_k=TOP_K,
-                index_name="r",
-                spill=1,
-                # Hint both rows at a segment the occupancy table shows
-                # on exactly one shard; empty-hint rows use (): nothing
-                # is queried for them.
-                routing_hints=[(0,), ()],
-            )
+    def test_rows_routed_nowhere_return_sentinels(self, index, config, queries):
+        nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
+        for shard_id, node in enumerate(nodes):
+            node.host("r", index.shards[shard_id])
+        tops = Router(index.segmenter, NUM_SHARDS).top_segments(queries, 1)
+        hosted = next(row for row, top in enumerate(tops) if top != tops[0])
+        broker = Broker(
+            nodes,
+            config,
+            segmenter=index.segmenter,
+            segment_sizes=self.unhosted(index, tops[0][0]),
         )
+        try:
+            # Row 0's one segment is hosted on no shard: nothing is
+            # queried for it; the other row's is hosted on exactly one.
+            response = broker.execute(
+                SearchRequest(
+                    queries=queries[[hosted, 0]],
+                    top_k=TOP_K,
+                    index_name="r",
+                    spill=1,
+                )
+            )
+        finally:
+            broker.close()
         assert response.shards_routed.tolist() == [1, 0]
         assert (response.ids[1] == -1).all()
         assert np.isinf(response.dists[1]).all()
         assert response.shards_answered[1] == 0
-
-    def test_hint_out_of_range_raises(self, broker, queries):
-        with pytest.raises(ValueError, match="segment"):
-            broker.execute(
-                SearchRequest(
-                    queries=queries[:1],
-                    top_k=TOP_K,
-                    index_name="r",
-                    spill=1,
-                    routing_hints=[(NUM_SHARDS + 3,)],
-                )
-            )
 
     def test_empty_segment_on_one_shard_still_served_by_probes(
         self, broker, queries
