@@ -317,7 +317,7 @@ def check_concurrent(run, env) -> None:
     )
     micro = core["microbatch"]
     print(
-        f"micro-batches: {micro['batches_executed']} for "
+        f"micro-batches: {sum(micro['flushes'].values())} for "
         f"{micro['rows_executed']} rows (largest {micro['largest_batch']}); "
         f"cache: {core['cache']['hits']} hits / {core['cache']['misses']} misses"
     )

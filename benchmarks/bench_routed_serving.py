@@ -187,7 +187,7 @@ def check_failover(run, _env) -> None:
                     and (response.dists == healthy.dists).all(),
                     "failover answers differ from the healthy fleet's",
                 )
-            stats = service.brokers[INDEX_NAME].stats()
+            counts = service.brokers[INDEX_NAME].stats()["counts"]
         finally:
             service.close()
     require(
@@ -196,16 +196,16 @@ def check_failover(run, _env) -> None:
         "2-replica group: the sibling must absorb the load",
     )
     require(
-        stats["failovers"] >= 1,
+        counts.get("failovers", 0) >= 1,
         "the broker never failed over to the sibling replica",
     )
     require(
-        stats["partial"]["degraded_batches"] == 0,
+        "degraded_batches" not in counts,
         "a replicated group must not degrade on a single kill",
     )
     print(
         f"failover: killed shard 0 replica 0; {run.kill_rounds} query rounds "
-        f"with 0 degraded rows ({stats['failovers']} failovers) under the "
+        f"with 0 degraded rows ({counts['failovers']} failovers) under the "
         "fail policy ✓"
     )
 

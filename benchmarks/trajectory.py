@@ -27,6 +27,12 @@ never the working tree, so what is measured is what a commit holds.
     under ``pairs`` (nothing is re-recorded; the file is created if the
     PR has none yet).
 
+``python3 benchmarks/trajectory.py --series``
+    Print one markdown table of the trajectory so far: per workload and
+    gated metric (``BENCHMARK.json``'s ``end_to_end``), the recorded
+    median of every tracked ``BENCH_<n>.json``, oldest PR first (``-``
+    where a file has no such entry).  Runs nothing.
+
 ``--seed <s>`` is forwarded to the benchmark command by either mode (the
 ledger's inputs, graphs and segmenters all derive from it); without it
 the command runs as ``BENCHMARK.json`` spells it, on its default seed.
@@ -158,6 +164,33 @@ def record(root: Path, number: int, seed: int | None, scratch: Path) -> int:
     return 0 if all(w["correct"] for w in payload["workloads"].values()) else 1
 
 
+# -- series ---------------------------------------------------------------------------
+def series(root: Path) -> int:
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    tracked = git(root, "ls-files", "BENCH_*.json").split()
+    numbers = sorted(
+        int(name.removeprefix("BENCH_").removesuffix(".json")) for name in tracked
+    )
+    workloads = [
+        json.loads((root / f"BENCH_{n}.json").read_text()).get("workloads", {})
+        for n in numbers
+    ]
+    print("| workload | metric | " + " | ".join(f"PR {n}" for n in numbers) + " |")
+    print("|---|---|" + "---|" * len(numbers))
+    for spec in benchmark["workloads"]:
+        for metric in benchmark["end_to_end"]:
+            cells = [
+                entry.get(spec["name"], {}).get("end_to_end", {}).get(metric["name"])
+                for entry in workloads
+            ]
+            print(
+                f"| {spec['name']} | `{metric['name']}` ({metric['unit']}) | "
+                + " | ".join("-" if c is None else f"{c['median']:.5g}" for c in cells)
+                + " |"
+            )
+    return 0
+
+
 # -- compare --------------------------------------------------------------------------
 def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str, bool]:
     """``(table cells after the metric name, breached)`` for one metric."""
@@ -276,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         help="write BENCH_<N>.json; beside --compare, add the pairs to it instead",
     )  # fmt: skip
     parser.add_argument("--compare", metavar="REV", help="parent revision to pair against")
+    parser.add_argument(
+        "--series", action="store_true", help="print the recorded medians of every PR"
+    )
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument(
         "--workloads", nargs="+", default=[], help="compare only these (default: all)"
@@ -284,9 +320,11 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, help="forwarded to the benchmark command (default: its own)"
     )
     args = parser.parse_args(argv)
-    if args.record is None and args.compare is None:
-        parser.error("one of --record, --compare is required")
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    if args.series:
+        return series(root)
+    if args.record is None and args.compare is None:
+        parser.error("one of --record, --compare, --series is required")
     scratch = Path(tempfile.mkdtemp(prefix="trajectory-"))
     try:
         if args.compare is None:

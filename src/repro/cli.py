@@ -328,10 +328,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(json.dumps(dict(nodes), indent=2, sort_keys=True, default=str))
         return 0
     for address, stats in nodes:
+        counts = stats["counts"]
         print(
-            f"# searcher {address}: shard {stats.get('shard_id')}, "
-            f"{stats.get('requests_served', 0)} requests, "
-            f"{stats.get('queries_served', 0)} queries"
+            f"# searcher {address}: shard {stats['shard_id']}, "
+            f"{counts.get('requests_served', 0)} requests, "
+            f"{counts.get('queries_served', 0)} queries"
         )
     print(merged.render_text(), end="")
     return 0

@@ -79,26 +79,22 @@ class FaultPlan:
         self.delay_s = float(delay_s)
         self._rng = random.Random(self.seed)
         self._lock = threading.Lock()
-        #: Lifetime count of decisions drawn, per kind (``None`` -> "ok").
-        self.injected = {kind: 0 for kind in FAULT_KINDS}
-        self.decisions = 0
 
     def draw(self) -> str | None:
         """The next fault decision: a :data:`FAULT_KINDS` entry or ``None``.
 
         One draw per request, in arrival order -- the RNG stream *is*
-        the schedule, so callers must not draw speculatively.
+        the schedule, so callers must not draw speculatively.  The server
+        counts what it injects (``lanns_chaos_faults_total``).
         """
         with self._lock:
-            self.decisions += 1
             u = self._rng.random()
-            threshold = 0.0
-            for kind in FAULT_KINDS:
-                threshold += self.rates[kind]
-                if u < threshold:
-                    self.injected[kind] += 1
-                    return kind
-            return None
+        threshold = 0.0
+        for kind in FAULT_KINDS:
+            threshold += self.rates[kind]
+            if u < threshold:
+                return kind
+        return None
 
     # -- spec round trip ---------------------------------------------------------------
     def spec(self) -> str:
@@ -135,15 +131,6 @@ class FaultPlan:
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"invalid chaos spec {spec!r}: {exc}") from None
-
-    def snapshot(self) -> dict:
-        """Decision counters for stats endpoints and bench reports."""
-        with self._lock:
-            return {
-                "seed": self.seed,
-                "decisions": self.decisions,
-                "injected": dict(self.injected),
-            }
 
     def __repr__(self) -> str:
         return f"FaultPlan({self.spec()!r})"

@@ -581,7 +581,7 @@ class AsyncRemoteSearcherClient:
         return reply.hosted or []
 
     async def stats(self, *, deadline: float | None = None) -> dict:
-        """The remote node's counters (see ``SearcherNode.stats``)."""
+        """The remote server's STATS reply (see ``SearcherServer.stats``)."""
         reply, _ = await self._request(MsgType.STATS, deadline=deadline)
         return reply.stats or {}
 

@@ -8,7 +8,8 @@ RPCs over the :mod:`repro.net.protocol` framing:
 - ``DEPLOY``    -- load this node's shard of an exported index from a
   :class:`~repro.storage.hdfs.LocalHdfs` root and host it;
 - ``UNDEPLOY``  -- unhost an index;
-- ``STATS``     -- node counters + hosted indices;
+- ``STATS``     -- identity, ``options`` and ``counts`` (one
+  :meth:`SearcherServer.stats` dict, see there);
 - ``PING``      -- liveness + shard-id handshake.
 
 One :class:`_Connection` (an :class:`asyncio.Protocol`) per accepted
@@ -77,28 +78,29 @@ from repro.net.protocol import (
     pack,
     unpack,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Tally, get_registry
 from repro.obs.tracing import SpanRecorder, maybe_span
 from repro.online.microbatch import AdmissionKey, MicroBatcher, admission_key
 from repro.online.searcher import SearcherNode, observed_search
 from repro.utils.flags import CASTS, FlagFields, knob
 
-_SHED = get_registry().counter(
-    "lanns_searcher_shed_total",
-    "SEARCH frames refused at admission with an OVERLOADED error frame.",
-)
-_EXPIRED = get_registry().counter(
-    "lanns_searcher_expired_total",
-    "SEARCH frames rejected because their deadline budget was spent.",
-)
-_ABANDONED = get_registry().counter(
-    "lanns_searcher_abandoned_total",
-    "In-flight SEARCH frames abandoned because the client hung up.",
-)
-_FAULTS = get_registry().counter(
-    "lanns_chaos_faults_total",
-    "Chaos faults injected at the server boundary, labelled by kind.",
-)
+_REGISTRY = get_registry()
+#: What a server counts, by :class:`~repro.obs.metrics.Tally` name.
+_COUNTERS = {
+    **_REGISTRY.counters(
+        "lanns_searcher",
+        connections_accepted="Connections a searcher server accepted.",
+        frames_served="Response frames a searcher server wrote (errors included).",
+        shed="SEARCH frames refused at admission with an OVERLOADED error frame.",
+        expired="SEARCH frames rejected because their deadline budget was spent.",
+        abandoned="In-flight SEARCH frames abandoned because the client hung up.",
+        abandoned_errors="Abandoned SEARCH frames that ended in an error.",
+    ),
+    **_REGISTRY.counters(
+        "lanns_chaos",
+        faults="Chaos faults injected at the server boundary, labelled by kind.",
+    ),
+}
 
 #: Stdout line a launched server prints once it is accepting connections.
 READY_PREFIX = "SEARCHER-READY"
@@ -252,17 +254,13 @@ class SearcherServer:
         self.chaos = (
             FaultPlan.parse(self.options.chaos) if self.options.chaos else None
         )
-        #: Lifetime counters (surfaced through the STATS RPC).
-        self.connections_accepted = 0
-        self.frames_served = 0
+        #: Connections, frames, sheds, expiries, abandonments and
+        #: injected faults: the ``counts`` of the STATS reply.
+        self.tally = Tally(_COUNTERS, shard=node.shard_id)
         #: SEARCH requests seen (drives the straggler injection cycle).
         self.searches_seen = 0
-        self.searches_shed = 0
-        self.searches_expired = 0
-        self.searches_abandoned = 0
-        #: Abandoned dispatches that died with an error rather than a
-        #: clean cancel; the repr of the last one aids postmortems.
-        self.abandoned_errors = 0
+        #: The repr of the last abandoned dispatch that died with an
+        #: error rather than a clean cancel, for postmortems.
         self._last_abandoned_error: str | None = None
         self._batcher = (
             MicroBatcher(
@@ -296,7 +294,7 @@ class SearcherServer:
         kind = self.chaos.draw()
         if kind is None:
             return None
-        _FAULTS.inc(kind=kind)
+        self.tally.count("faults", kind=kind)
         if kind == "delay":
             await asyncio.sleep(self.chaos.delay_s)
         elif kind == "overload":
@@ -305,7 +303,7 @@ class SearcherServer:
                 retry_after_s=self.options.retry_after_s,
             )
             transport.writelines(error_frame(shed))
-            self.frames_served += 1
+            self.tally.count("frames_served")
         # "reset" and "drop" need no action here: the caller closes the
         # connection / withholds the response respectively.
         return kind
@@ -315,10 +313,9 @@ class SearcherServer:
         if not isinstance(exc, asyncio.CancelledError):
             # Nobody is listening for this error any more; keep it
             # visible in stats rather than folding it into a clean cancel.
-            self.abandoned_errors += 1
+            self.tally.count("abandoned_errors")
             self._last_abandoned_error = repr(exc)
-        self.searches_abandoned += 1
-        _ABANDONED.inc()
+        self.tally.count("abandoned")
 
     async def _admit(self) -> bool:
         """Take an admission slot, or shed the request with OVERLOADED.
@@ -332,8 +329,7 @@ class SearcherServer:
             return False
         options = self.options
         if self._admission.locked() and self._queued >= options.queue_cap:
-            self.searches_shed += 1
-            _SHED.inc()
+            self.tally.count("shed")
             raise OverloadedError(
                 f"searcher shard {self.node.shard_id} is at capacity "
                 f"({options.max_in_flight} in flight, {self._queued} queued)",
@@ -429,36 +425,27 @@ class SearcherServer:
             self.node.unhost(unpack(MsgType.UNDEPLOY, header).index)
             return self._ok(hosted=self.node.hosted_indices)
         if msg_type == MsgType.STATS:
-            stats = self.node.stats()
-            stats["connections_accepted"] = self.connections_accepted
-            stats["frames_served"] = self.frames_served
-            stats["options"] = asdict(self.options)
-            stats["admission"] = {
-                "max_in_flight": self.options.max_in_flight,
-                "queue_cap": self.options.queue_cap,
-                "searches_shed": self.searches_shed,
-                "searches_expired": self.searches_expired,
-                "searches_abandoned": self.searches_abandoned,
-                "abandoned_errors": self.abandoned_errors,
-                "last_abandoned_error": self._last_abandoned_error,
-            }
-            if self._batcher is not None:
-                stats["server_microbatch"] = {
-                    key: (dict(value) if isinstance(value, dict) else value)
-                    for key, value in self._batcher.stats.items()
-                }
-            if self.chaos is not None:
-                stats["chaos"] = self.chaos.snapshot()
-            # The process-wide metrics snapshot rides along so a broker
-            # (or `repro.cli stats`) can merge a fleet into one view.
-            stats["metrics"] = get_registry().snapshot()
-            return self._ok(stats=stats)
+            return self._ok(stats=self.stats())
         raise ProtocolError(f"unexpected message type {msg_type!r}")
+
+    def stats(self) -> dict:
+        """The STATS reply: the node's identity, ``options``, ``counts``
+        (the node's, this server's and its micro-batcher's tallies),
+        ``last_abandoned_error`` and the process-wide ``metrics``
+        snapshot, which a broker (or ``repro.cli stats``) merges across
+        a fleet into one view."""
+        stats = self.node.stats()
+        if self._batcher is not None:
+            stats["counts"].update(self._batcher.tally.snapshot())
+        stats["counts"].update(self.tally.snapshot())
+        stats["options"] = asdict(self.options)
+        stats["last_abandoned_error"] = self._last_abandoned_error
+        stats["metrics"] = _REGISTRY.snapshot()
+        return stats
 
     def _refuse_if_spent(self, call: ShardCall, where: str) -> None:
         if call.deadline is not None and time.monotonic() >= call.deadline:
-            self.searches_expired += 1
-            _EXPIRED.inc()
+            self.tally.count("expired")
             raise DeadlineExceededError(f"request budget was spent {where}")
 
     def _check(self, call: ShardCall) -> None:
@@ -662,7 +649,7 @@ class _Connection(asyncio.Protocol):
 
     def connection_made(self, transport) -> None:
         self.transport = transport
-        self.server.connections_accepted += 1
+        self.server.tally.count("connections_accepted")
         self.server._connections.add(self)
 
     def data_received(self, data: bytes) -> None:
@@ -738,7 +725,7 @@ class _Connection(asyncio.Protocol):
                 if self.hung_up:
                     raise
                 response = error_frame(exc)
-            server.frames_served += 1
+            server.tally.count("frames_served")
             self.transport.writelines(response)
         except BaseException as exc:
             if not self.hung_up:

@@ -54,14 +54,10 @@ class SearcherTransport(abc.ABC):
     def search(self, call: ShardCall) -> ShardReply:
         """Lockstep shard search of ``call.queries``."""
 
-    @property
-    @abc.abstractmethod
-    def queries_served(self) -> int:
-        """Query rows this transport answered (fleet traffic counter)."""
-
     @abc.abstractmethod
     def stats(self) -> dict:
-        """Counters of the underlying searcher."""
+        """The underlying searcher's identity and ``counts`` (in process
+        ``SearcherNode.stats``, remotely its STATS reply)."""
 
     def close(self) -> None:
         """Release transport resources (no-op for in-process shards)."""
@@ -96,10 +92,6 @@ class LocalSearcherTransport(SearcherTransport):
         return ShardReply(
             ids, dists, cost, recorder.export() if recorder is not None else None
         )
-
-    @property
-    def queries_served(self) -> int:
-        return self.node.queries_served
 
     def stats(self) -> dict:
         return self.node.stats()
@@ -158,12 +150,6 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
 
     def undeploy(self, index_name: str) -> None:
         self.client.undeploy(index_name)
-
-    @property
-    def queries_served(self) -> int:
-        # Client-side count of rows answered: stats() would cost an RPC
-        # (and fail for a dead searcher) on every Broker.stats() call.
-        return self.client.queries_served
 
     def stats(self) -> dict:
         return self.client.stats()

@@ -29,6 +29,7 @@ emits the Prometheus text exposition format.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 
@@ -90,7 +91,9 @@ class Counter(_Metric):
     def inc(self, value: float = 1, **labels) -> None:
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
+        self._add(_label_key(labels), value)
+
+    def _add(self, key: tuple, value: float) -> None:
         with self._lock:
             self._series[key] = self._series.get(key, 0) + value
 
@@ -218,6 +221,13 @@ class MetricsRegistry:
     def counter(self, name: str, help_text: str = "") -> Counter:
         return self._register(Counter, name, help_text)
 
+    def counters(self, prefix: str, **help_texts: str) -> dict[str, Counter]:
+        """A :class:`Tally`'s counters: ``{name: <prefix>_<name>_total}``."""
+        return {
+            name: self.counter(f"{prefix}_{name}_total", text)
+            for name, text in help_texts.items()
+        }
+
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         return self._register(Gauge, name, help_text)
 
@@ -332,27 +342,37 @@ class Tally:
     ``stats()`` cannot read its own share back from there.  ``count``
     therefore bumps the owner's private total and the labelled registry
     series in one call -- the only call site an event needs -- and
-    ``snapshot`` is the consistent view of the private totals.
+    ``snapshot`` is the consistent view of the private totals.  Serving
+    code bumps a registry counter through nothing else.
     """
 
     def __init__(self, counters: dict[str, Counter], **labels) -> None:
         self._counters = counters
         self._labels = labels
+        self._key = _label_key(labels)
         self._lock = threading.Lock()
         self._totals: dict = {}
 
     def count(self, name: str, value: int = 1, **labels) -> None:
         """Add ``value`` to counter ``name``; extra ``labels`` (``shard=3``)
-        select a sub-series, totalled under ``(name, *label values)``."""
-        key = (name, *labels.values()) if labels else name
+        select a sub-series, totalled under ``name`` keyed by label value
+        (``{"shard_failures": {"3": 1}}``)."""
         with self._lock:
-            self._totals[key] = self._totals.get(key, 0) + value
-        self._counters[name].inc(value, **self._labels, **labels)
+            totals, key = self._totals, name
+            for label in labels.values():
+                totals = totals.setdefault(key, {})
+                key = str(label)
+            totals[key] = totals.get(key, 0) + value
+        if labels:
+            self._counters[name].inc(value, **self._labels, **labels)
+        else:
+            self._counters[name]._add(self._key, value)
 
     def snapshot(self) -> dict:
-        """Every total counted so far (absent = never counted = 0)."""
+        """Every total counted so far, as a fresh JSON-safe dict (absent =
+        never counted = 0): later counts never show through it."""
         with self._lock:
-            return dict(self._totals)
+            return copy.deepcopy(self._totals)
 
 
 #: The process-wide registry all serving code reports into.

@@ -303,10 +303,10 @@ class Tracer:
         return json.dumps(self.export(), indent=indent)
 
     def stats(self) -> dict:
+        """Traces started and kept, and slow queries logged (the rate and
+        threshold are the owner's policy)."""
         with self._lock:
             return {
-                "sample_rate": self.sample_rate,
-                "slow_query_threshold_s": self.slow_query_threshold_s,
                 "started": self.started,
                 "kept": self.kept,
                 "slow_queries": self.slow_queries,

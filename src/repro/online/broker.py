@@ -62,30 +62,18 @@ _COUNTERS = {
         "lanns_broker_queries_total",
         "Query rows admitted per broker (cache hits included).",
     ),
-    "hedges": _REGISTRY.counter(
-        "lanns_broker_hedges_total",
-        "Hedged shard RPCs issued per broker.",
+    **_REGISTRY.counters(
+        "lanns_broker",
+        hedges="Hedged shard RPCs issued per broker.",
+        hedge_wins="Hedge races where the hedge, not the primary, answered.",
+        failovers="Requests re-issued on a sibling replica after a failure.",
+        degraded_batches="Batches that returned partial results (degrade policy).",
+        shard_failures="Shard groups failed after replica failover, by shard.",
+        overloaded="Shard RPCs shed by a searcher's admission control (OVERLOADED).",
     ),
-    "hedge_wins": _REGISTRY.counter(
-        "lanns_broker_hedge_wins_total",
-        "Hedge races where the hedge, not the primary, delivered the reply.",
-    ),
-    "failovers": _REGISTRY.counter(
-        "lanns_broker_failovers_total",
-        "Requests re-issued on a sibling replica after a failure.",
-    ),
-    "degraded_batches": _REGISTRY.counter(
-        "lanns_broker_degraded_batches_total",
-        "Batches that returned partial results under the degrade policy.",
-    ),
-    "shard_failures": _REGISTRY.counter(
-        "lanns_broker_shard_failures_total",
-        "Shard-group failures after replica failover was exhausted, "
-        "labelled by shard.",
-    ),
-    "overloaded": _REGISTRY.counter(
-        "lanns_broker_overloaded_total",
-        "Shard RPCs shed by a searcher's admission control (OVERLOADED).",
+    **_REGISTRY.counters(
+        "lanns_router",
+        routed_rows="Query rows routed, labelled by fan-out width (groups selected).",
     ),
 }
 _REQUEST_SECONDS = _REGISTRY.histogram(
@@ -293,8 +281,9 @@ class Broker:
         #: ``shard_rpc`` median included -- is recorded through it.
         self.timings = StageClock(broker=self.name)
         #: Query rows answered (cache hits included), hedges and hedge
-        #: wins, failovers, degraded batches, per-shard failures (a shard
-        #: counts once per request, after replica failover is exhausted).
+        #: wins, failovers, sheds, degraded batches, per-shard failures (a
+        #: shard counts once per request, after replica failover is
+        #: exhausted) and routed rows by fan-out width.
         self.tally = Tally(_COUNTERS, broker=self.name)
         self.tracer = Tracer(
             policy.trace_sample_rate,
@@ -333,40 +322,24 @@ class Broker:
         self._fanout.close()
 
     def stats(self) -> dict:
-        """Serving counters: cache, micro-batching, per-stage latency."""
-        # One snapshot of every count, so a stats() scrape never reads a
-        # half-updated view.
-        counts = self.tally.snapshot()
+        """Serving state: this broker's ``counts`` (its tally's snapshot),
+        the cache's and the micro-batcher's, the per-stage latency
+        windows, the venue, the tracer and the replica ledgers.  The
+        knobs are ``self.policy``; a searcher's own counts are its STATS
+        reply."""
         batcher = self._admission.batcher
         return {
+            "counts": self.tally.snapshot(),
             "cache": self.cache.stats.as_dict(),
-            "microbatch": dict(batcher.stats) if batcher is not None else None,
+            "microbatch": (
+                dict(batcher.tally.snapshot(), largest_batch=batcher.largest_batch)
+                if batcher is not None
+                else None
+            ),
             "stages": self.timings.summary(),
             "venue": self.venue,
-            "hedge_after_s": self.policy.hedge_after_s,
-            "hedges": counts.get("hedges", 0),
-            "hedge_wins": counts.get("hedge_wins", 0),
-            "failovers": counts.get("failovers", 0),
-            "queries_served": counts.get("queries_served", 0),
-            "collect_cost": self.policy.collect_cost,
             "tracer": self.tracer.stats(),
             "replicas": [group.stats() for group in self.groups],
-            "partial": {
-                "policy": self.policy.partial_policy,
-                "request_timeout_s": self.policy.request_timeout_s,
-                "degraded_batches": counts.get("degraded_batches", 0),
-                "shard_failures": [
-                    counts.get(("shard_failures", shard), 0)
-                    for shard in range(len(self.groups))
-                ],
-            },
-            # The fleet is shared between brokers (A/B deployments), so
-            # this counts ALL traffic the searchers saw, not just ours.
-            # (For remote transports this is the rows *this process*
-            # shipped -- a per-node view needs the STATS RPC.)
-            "fleet_queries_served": sum(
-                transport.queries_served for transport in self.transports
-            ),
         }
 
     def per_shard_budget(
@@ -463,6 +436,9 @@ class Broker:
                     ) as route:
                         plan = self.router.plan(queries, request.spill)
                         route.annotate(groups=plan.groups_queried)
+                    widths, rows = np.unique(plan.routed_counts, return_counts=True)
+                    for width, count in zip(widths.tolist(), rows.tolist()):
+                        self.tally.count("routed_rows", count, groups=width)
                     response = self._search(key, queries, trace, plan=plan)
                     response.timings["route_ms"] = route.seconds * 1000.0
         finally:

@@ -22,16 +22,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Tally, get_registry
 
-_EVENTS = get_registry().counter(
-    "lanns_cache_events_total",
-    "Result-cache events, labelled by event "
-    "(hit/miss/eviction/invalidation).",
+#: What a cache counts: ``events`` labelled hit/miss/eviction/invalidation.
+_COUNTERS = get_registry().counters(
+    "lanns_cache",
+    events="Result-cache events, labelled by event (hit/miss/eviction/invalidation).",
 )
 
 #: A cache key: (index_name, query bytes, top_k, ef, num_shards, epoch).
@@ -72,9 +72,9 @@ def result_cache_key(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Monotonic hit/miss/eviction counters (snapshot via ``as_dict``)."""
+    """One tally snapshot of a cache's hit/miss/eviction/invalidation totals."""
 
     hits: int = 0
     misses: int = 0
@@ -83,13 +83,7 @@ class CacheStats:
 
     def as_dict(self) -> dict:
         total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": (self.hits / total) if total else 0.0,
-        }
+        return {**asdict(self), "hit_rate": (self.hits / total) if total else 0.0}
 
 
 class QueryResultCache:
@@ -114,7 +108,7 @@ class QueryResultCache:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self.stats = CacheStats()
+        self.tally = Tally(_COUNTERS)
         self._lock = threading.Lock()
         self._entries: OrderedDict[
             CacheKey, tuple[np.ndarray, np.ndarray]
@@ -129,21 +123,25 @@ class QueryResultCache:
         with self._lock:
             return len(self._entries)
 
+    @property
+    def stats(self) -> CacheStats:
+        """This cache's counts, read in one tally snapshot."""
+        events = self.tally.snapshot().get("events", {})
+        return CacheStats(
+            *(events.get(e, 0) for e in ("hit", "miss", "eviction", "invalidation"))
+        )
+
     def get(self, key: CacheKey) -> tuple[np.ndarray, np.ndarray] | None:
         """Look up one result row; refreshes LRU recency on hit."""
         if not self.enabled:
             return None
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                _EVENTS.inc(event="miss")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            _EVENTS.inc(event="hit")
-            ids, dists = entry
-            return ids.copy(), dists.copy()
+            if entry is not None:
+                self._entries.move_to_end(key)
+                entry = entry[0].copy(), entry[1].copy()
+        self.tally.count("events", event="miss" if entry is None else "hit")
+        return entry
 
     def put(self, key: CacheKey, ids: np.ndarray, dists: np.ndarray) -> None:
         """Insert (or refresh) one result row, evicting the LRU tail."""
@@ -155,10 +153,11 @@ class QueryResultCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = (ids, dists)
-            while len(self._entries) > self.capacity:
+            evicted = len(self._entries) - self.capacity
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                _EVENTS.inc(event="eviction")
+        if evicted > 0:
+            self.tally.count("events", evicted, event="eviction")
 
     def invalidate(self, index_name: str) -> int:
         """Drop every entry cached for ``index_name``; returns the count.
@@ -174,18 +173,17 @@ class QueryResultCache:
             ]
             for key in stale:
                 del self._entries[key]
-            self.stats.invalidations += len(stale)
-            if stale:
-                _EVENTS.inc(len(stale), event="invalidation")
-            return len(stale)
+        if stale:
+            self.tally.count("events", len(stale), event="invalidation")
+        return len(stale)
 
     def clear(self) -> None:
         """Drop all entries (stats are kept)."""
         with self._lock:
-            if self._entries:
-                _EVENTS.inc(len(self._entries), event="invalidation")
-            self.stats.invalidations += len(self._entries)
+            dropped = len(self._entries)
             self._entries.clear()
+        if dropped:
+            self.tally.count("events", dropped, event="invalidation")
 
     def keys(self) -> list[CacheKey]:
         """Snapshot of cached keys in LRU order (oldest first)."""

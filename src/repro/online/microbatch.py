@@ -34,11 +34,16 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.obs.clock import now
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Tally, get_registry
 
-_FLUSHES = get_registry().counter(
-    "lanns_microbatch_flushes_total",
-    "Micro-batch flushes, labelled by reason (size/timeout/close).",
+#: What a micro-batcher counts, by :class:`~repro.obs.metrics.Tally` name.
+_COUNTERS = get_registry().counters(
+    "lanns_microbatch",
+    blocks_admitted="Query blocks admitted to a micro-batcher.",
+    rows_admitted="Query rows admitted to a micro-batcher.",
+    rows_executed="Query rows a micro-batcher's flushes executed.",
+    flushes="Micro-batch flushes, labelled by reason (size/timeout/close).",
+    inline_after_close="Blocks a closed micro-batcher ran on the caller's thread.",
 )
 
 
@@ -128,16 +133,11 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._groups: dict[Hashable, deque[_Pending]] = {}
         self._stopped = False
-        #: Lifetime counters: admitted blocks/rows, executed batches/rows.
-        self.stats = {
-            "blocks_admitted": 0,
-            "rows_admitted": 0,
-            "batches_executed": 0,
-            "rows_executed": 0,
-            "largest_batch": 0,
-            "inline_after_close": 0,
-            "flush_reasons": {"size": 0, "timeout": 0, "close": 0},
-        }
+        #: Admitted blocks / rows, executed rows, flushes by reason and
+        #: blocks served inline after close.
+        self.tally = Tally(_COUNTERS)
+        #: Rows of the largest flush so far (a maximum, not a count).
+        self.largest_batch = 0
         self._flusher = threading.Thread(
             target=self._run, name="broker-microbatch", daemon=True
         )
@@ -152,14 +152,16 @@ class MicroBatcher:
         """
         future: Future = Future()
         with self._cond:
-            if not self._stopped:
+            admitted = not self._stopped
+            if admitted:
                 pending = _Pending(queries=queries, future=future)
                 self._groups.setdefault(key, deque()).append(pending)
-                self.stats["blocks_admitted"] += 1
-                self.stats["rows_admitted"] += int(queries.shape[0])
                 self._cond.notify_all()
-                return future
-            self.stats["inline_after_close"] += 1
+        if admitted:
+            self.tally.count("blocks_admitted")
+            self.tally.count("rows_admitted", int(queries.shape[0]))
+            return future
+        self.tally.count("inline_after_close")
         # Closed: serve the caller inline rather than failing or hanging.
         try:
             future.set_result(self._execute(key, queries))
@@ -270,17 +272,11 @@ class MicroBatcher:
                     [block.queries for block in blocks], axis=0
                 )
             )
+            rows = int(stacked.shape[0])
             with self._cond:
-                # submit() mutates these counters under the condition's
-                # lock; the flusher thread must too, or concurrent bumps
-                # lose increments.
-                self.stats["batches_executed"] += 1
-                self.stats["rows_executed"] += int(stacked.shape[0])
-                self.stats["flush_reasons"][reason] += 1
-                self.stats["largest_batch"] = max(
-                    self.stats["largest_batch"], int(stacked.shape[0])
-                )
-            _FLUSHES.inc(reason=reason)
+                self.largest_batch = max(self.largest_batch, rows)
+            self.tally.count("flushes", reason=reason)
+            self.tally.count("rows_executed", rows)
             # Claim each future before computing: a waiter cancelled
             # after flush (e.g. an abandoned server-side request) is
             # skipped here and can no longer race result delivery for

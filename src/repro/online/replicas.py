@@ -38,7 +38,7 @@ from collections.abc import Iterable, Sequence
 from statistics import median
 
 from repro.net.transport import SearcherTransport, as_transport
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Tally, get_registry
 
 #: Smoothing factor for the per-replica latency EWMA.
 EWMA_ALPHA = 0.2
@@ -55,9 +55,10 @@ _BREAKER_STATE = get_registry().gauge(
     "lanns_replica_breaker_state",
     "Per-replica circuit breaker state (0=closed, 1=open, 2=half-open).",
 )
-_BREAKER_TRIPS = get_registry().counter(
-    "lanns_replica_breaker_trips_total",
-    "Circuit-breaker openings (closed/half-open -> open) per replica.",
+#: What a group counts: ``breaker_trips`` labelled by replica.
+_COUNTERS = get_registry().counters(
+    "lanns_replica",
+    breaker_trips="Circuit-breaker openings (closed/half-open -> open) per replica.",
 )
 
 #: ``_BREAKER_STATE`` gauge values, index-aligned with the state names.
@@ -78,7 +79,6 @@ class ReplicaState:
         "draining",
         "breaker_open_until",
         "breaker_probing",
-        "breaker_trips",
     )
 
     def __init__(self, transport: SearcherTransport, replica_id: int) -> None:
@@ -91,11 +91,10 @@ class ReplicaState:
         self.consecutive_failures = 0
         self.draining = False
         #: Circuit breaker: the instant (``time.monotonic``) the open
-        #: state expires into half-open, whether the half-open probe is
-        #: currently outstanding, and lifetime openings.
+        #: state expires into half-open, and whether the half-open probe
+        #: is currently outstanding.
         self.breaker_open_until = 0.0
         self.breaker_probing = False
-        self.breaker_trips = 0
 
     def snapshot(self) -> dict:
         return {
@@ -106,7 +105,6 @@ class ReplicaState:
             "failures": self.failures,
             "consecutive_failures": self.consecutive_failures,
             "draining": self.draining,
-            "breaker_trips": self.breaker_trips,
         }
 
 
@@ -152,6 +150,7 @@ class ReplicaGroup:
                     f"shard {replica.transport.shard_id}"
                 )
         self._lock = threading.Lock()
+        self.tally = Tally(_COUNTERS, shard=self.shard_id)
 
     def __len__(self) -> int:
         with self._lock:
@@ -275,6 +274,7 @@ class ReplicaGroup:
         (and free a half-open probe slot, so an abandoned probe does not
         wedge the breaker)."""
         now = time.monotonic()
+        tripped = False
         with self._lock:
             replica.in_flight = max(0, replica.in_flight - 1)
             _IN_FLIGHT.set(
@@ -298,35 +298,31 @@ class ReplicaGroup:
                     # landing while already open -- stragglers issued
                     # before the trip -- extend the cooldown without
                     # counting another trip.
-                    was_open = now < replica.breaker_open_until
+                    tripped = now >= replica.breaker_open_until
                     replica.breaker_open_until = (
                         now + self.breaker_cooldown_s
                     )
-                    if not was_open:
-                        replica.breaker_trips += 1
-                        _BREAKER_TRIPS.inc(
-                            shard=self.shard_id,
-                            replica=replica.replica_id,
-                        )
                 self._publish_breaker_locked(replica, now)
-                return
-            replica.consecutive_failures = 0
-            replica.breaker_probing = False
-            replica.breaker_open_until = 0.0
-            self._publish_breaker_locked(replica, now)
-            if latency_s is not None:
-                if replica.ewma_latency_s is None:
-                    replica.ewma_latency_s = latency_s
-                else:
-                    replica.ewma_latency_s = (
-                        EWMA_ALPHA * latency_s
-                        + (1.0 - EWMA_ALPHA) * replica.ewma_latency_s
+            else:
+                replica.consecutive_failures = 0
+                replica.breaker_probing = False
+                replica.breaker_open_until = 0.0
+                self._publish_breaker_locked(replica, now)
+                if latency_s is not None:
+                    if replica.ewma_latency_s is None:
+                        replica.ewma_latency_s = latency_s
+                    else:
+                        replica.ewma_latency_s = (
+                            EWMA_ALPHA * latency_s
+                            + (1.0 - EWMA_ALPHA) * replica.ewma_latency_s
+                        )
+                    _EWMA_MS.set(
+                        replica.ewma_latency_s * 1e3,
+                        shard=self.shard_id,
+                        replica=replica.replica_id,
                     )
-                _EWMA_MS.set(
-                    replica.ewma_latency_s * 1e3,
-                    shard=self.shard_id,
-                    replica=replica.replica_id,
-                )
+        if tripped:
+            self.tally.count("breaker_trips", replica=replica.replica_id)
 
     # -- administration ----------------------------------------------------------
     def drain(self, replica_id: int) -> None:
@@ -360,8 +356,8 @@ class ReplicaGroup:
                     self._breaker_state_locked(replica, now)
                 ]
                 snapshots.append(snapshot)
-            return {
-                "shard_id": self.shard_id,
-                "breaker_threshold": self.breaker_threshold,
-                "replicas": snapshots,
-            }
+        return {
+            "shard_id": self.shard_id,
+            "counts": self.tally.snapshot(),
+            "replicas": snapshots,
+        }

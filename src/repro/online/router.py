@@ -28,14 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
 from repro.segmenters.base import Segmenter
-
-_ROUTED_ROWS = get_registry().counter(
-    "lanns_router_routed_rows_total",
-    "Query rows routed, labelled by spilled fan-out width "
-    "(shard groups selected for the row).",
-)
 
 
 @dataclass
@@ -170,7 +163,4 @@ class Router:
         plan.shard_probes = {
             shard: probes_by_shard[shard] for shard in plan.shard_rows
         }
-        widths, counts = np.unique(plan.routed_counts, return_counts=True)
-        for width, count in zip(widths.tolist(), counts.tolist()):
-            _ROUTED_ROWS.inc(count, groups=width)
         return plan

@@ -21,30 +21,32 @@ import numpy as np
 from repro.core.index import ShardIndex
 from repro.obs.cost import FIELDS as _COST_FIELDS
 from repro.obs.cost import SearchCost
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Tally, get_registry
 from repro.obs.tracing import SpanRecorder, activate, deactivate
 
 if TYPE_CHECKING:  # repro.net imports this module: annotation only
     from repro.net.protocol import ShardCall
 
 _REGISTRY = get_registry()
-_REQUESTS = _REGISTRY.counter(
-    "lanns_searcher_requests_total", "Fan-out requests served by a searcher."
-)
-_QUERIES = _REGISTRY.counter(
-    "lanns_searcher_queries_total", "Query rows served by a searcher."
-)
+#: What a searcher counts, by :class:`~repro.obs.metrics.Tally` name: the
+#: fan-out requests and query rows it served, and the search work of
+#: the requests that asked for cost accounting.
+_COUNTERS = {
+    "requests_served": _REGISTRY.counter(
+        "lanns_searcher_requests_total", "Fan-out requests served by a searcher."
+    ),
+    "queries_served": _REGISTRY.counter(
+        "lanns_searcher_queries_total", "Query rows served by a searcher."
+    ),
+    **_REGISTRY.counters(
+        "lanns_search_cost",
+        **{field: f"Accumulated search cost: {field}." for field in _COST_FIELDS},
+    ),
+}
 _MEMORY_VECTORS = _REGISTRY.gauge(
     "lanns_searcher_memory_vectors",
     "Vectors resident on a searcher across hosted indices.",
 )
-_COST_COUNTERS = {
-    field: _REGISTRY.counter(
-        f"lanns_search_cost_{field}_total",
-        f"Accumulated per-query search cost: {field}.",
-    )
-    for field in _COST_FIELDS
-}
 
 
 class SearcherNode:
@@ -54,19 +56,7 @@ class SearcherNode:
         self.shard_id = int(shard_id)
         self._indices: dict[str, ShardIndex] = {}
         self._host_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        #: Lifetime counters: fan-out requests and query rows served.
-        self.requests_served = 0
-        self.queries_served = 0
-
-    def _count_request(self, num_queries: int) -> None:
-        # Fan-out pools may run several batches against this searcher at
-        # once; += on an attribute is not atomic, so take the lock.
-        with self._stats_lock:
-            self.requests_served += 1
-            self.queries_served += num_queries
-        _REQUESTS.inc(shard=self.shard_id)
-        _QUERIES.inc(num_queries, shard=self.shard_id)
+        self.tally = Tally(_COUNTERS, shard=self.shard_id)
 
     # -- hosting -----------------------------------------------------------------
     def host(self, index_name: str, shard: ShardIndex) -> None:
@@ -107,24 +97,19 @@ class SearcherNode:
         return sorted(self._indices)
 
     def stats(self) -> dict:
-        """Counters snapshot (served verbatim by the STATS RPC).
+        """Identity and counts: the core of the STATS RPC's reply.
 
-        One *consistent* snapshot: the hosting table reference and the
-        counters are captured under the same lock, so a concurrent
-        deploy/undeploy cannot yield a report whose ``hosted_indices``
-        and ``memory_vectors`` disagree with the counters' point in
-        time.  (The table itself is copy-on-write, so the captured
-        reference is immutable.)
+        ``hosted_indices`` and ``memory_vectors`` come from one read of
+        the copy-on-write hosting table, so a concurrent deploy cannot
+        make them disagree.
         """
-        with self._stats_lock:
+        with self._host_lock:
             indices = self._indices
-            requests, queries = self.requests_served, self.queries_served
         return {
             "shard_id": self.shard_id,
             "hosted_indices": sorted(indices),
             "memory_vectors": sum(len(shard) for shard in indices.values()),
-            "requests_served": requests,
-            "queries_served": queries,
+            "counts": self.tally.snapshot(),
         }
 
     def memory_vectors(self) -> int:
@@ -156,19 +141,19 @@ class SearcherNode:
         segment choice (see :meth:`ShardIndex.search_batch`).
 
         ``cost`` optionally accumulates this request's search work; the
-        collected increments are also flushed into the process metrics
-        registry under this searcher's ``shard`` label.
+        collected increments are also counted into this searcher's tally.
         """
-        self._count_request(int(np.asarray(queries).shape[0]))
+        self.tally.count("requests_served")
+        self.tally.count("queries_served", int(np.asarray(queries).shape[0]))
         before = cost.as_dict() if cost is not None else None
         result = self._shard(index_name).search_batch(
             queries, k, ef=ef, probes=probes, cost=cost
         )
         if cost is not None:
-            for field, counter in _COST_COUNTERS.items():
+            for field in _COST_FIELDS:
                 delta = getattr(cost, field) - before[field]
                 if delta:
-                    counter.inc(delta, shard=self.shard_id)
+                    self.tally.count(field, delta)
         return result
 
     def _shard(self, index_name: str):

@@ -687,6 +687,15 @@ RETIRED = {
          "quantize_decimals", "_canonical_query_bytes"],
         (("src def", "src parameter", "src name", "script name", "readme"), "4eb3f8c"),
     ),
+    # A count is written once: the private twins of tallied counters and
+    # the hand-built STATS nesting went (the parent's id, as above).
+    "_count_request": (("src def",), "2b563c3"),
+    **dict.fromkeys(
+        ["searches_shed", "searches_expired", "searches_abandoned",
+         "fleet_queries_served", "server_microbatch", "flush_reasons",
+         "batches_executed"],
+        (("src name", "src string", "script name", "readme"), "2b563c3"),
+    ),
 }
 
 
@@ -1095,6 +1104,54 @@ def test_a_serving_process_loads_no_heavy_library():
     assert heavy.intersection(loaded) == set()
 
 
+def test_tally_count_is_the_only_way_to_count():
+    """No serving module bumps a registry counter itself: an ``.inc(``
+    under ``online/`` or ``net/`` is a second count of an event some
+    owner's ``Tally.count`` should write once (and its ``stats()`` read
+    back from that tally's snapshot)."""
+    src = default_repo_root() / "src" / "repro"
+    bumps = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for package in ("online", "net")
+        for path in sorted((src / package).glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inc"
+    ]
+    assert bumps == []
+
+
+def test_the_readme_metrics_table_names_every_registered_series():
+    """README's Metrics table lists exactly the series a serving process
+    registers (``{a,b}`` in a row expands; ``x`` / ``y`` is two)."""
+    readme = (default_repo_root() / "README.md").read_text()
+    section = readme.split("### Metrics", 1)[1].split("\n### ", 1)[0]
+    listed = set()
+    for row in re.findall(r"^\| (`lanns_.*?) \|", section, flags=re.M):
+        for name in re.findall(r"`([^`]+)`", row):
+            head, _, rest = name.partition("{")
+            choices, _, tail = rest.partition("}")
+            listed |= {head + choice + tail for choice in choices.split(",")}
+    code = (
+        "import repro.net.server, repro.online.service\n"
+        "from repro.obs.metrics import get_registry\n"
+        "print(' '.join(m.name for m in get_registry().metrics()))"
+    )
+    src = str(default_repo_root() / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    registered = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    assert len(registered) > 20
+    assert listed == set(registered)
+
+
 def test_every_frame_field_is_written_and_read():
     """A ``FRAME_FIELDS`` name that no sender passes to ``pack`` (as a
     keyword) or no receiver reads off an unpacked message (as an
@@ -1185,9 +1242,7 @@ def test_the_shard_call_field_list_is_spelled_once():
     # One abstract search per transport contract, taking just the call.
     from repro.net.transport import AsyncSearcherTransport, SearcherTransport
 
-    assert SearcherTransport.__abstractmethods__ == {
-        "search", "queries_served", "stats",
-    }
+    assert SearcherTransport.__abstractmethods__ == {"search", "stats"}
     assert AsyncSearcherTransport.__abstractmethods__ == {"search_batch_async"}
 
 

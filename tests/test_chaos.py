@@ -15,6 +15,7 @@ faults rather than merely mocked ones:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -22,6 +23,7 @@ import pytest
 
 from repro.errors import OverloadedError
 from repro.net.chaos import FAULT_KINDS, FaultPlan
+from repro.net.protocol import ShardCall
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
@@ -63,7 +65,6 @@ class TestFaultPlan:
         first = [plan_a.draw() for _ in range(200)]
         second = [plan_b.draw() for _ in range(200)]
         assert first == second
-        assert plan_a.snapshot() == plan_b.snapshot()
 
     def test_different_seed_different_schedule(self):
         rates = dict(delay_rate=0.25, reset_rate=0.25, overload_rate=0.25)
@@ -77,13 +78,23 @@ class TestFaultPlan:
         quiet = FaultPlan(seed=3)
         assert all(quiet.draw() is None for _ in range(50))
 
-    def test_snapshot_counts_by_kind(self):
-        plan = FaultPlan(seed=5, delay_rate=0.5, overload_rate=0.5)
-        drawn = [plan.draw() for _ in range(100)]
-        snapshot = plan.snapshot()
-        assert snapshot["decisions"] == 100
-        for kind in FAULT_KINDS:
-            assert snapshot["injected"][kind] == drawn.count(kind)
+    def test_the_server_counts_each_fault_by_kind(self, lanns_fs, queries):
+        spec = "seed=5,delay_rate=0.5,delay_s=0.001,overload_rate=0.5"
+        plan = FaultPlan.parse(spec)
+        drawn = [plan.draw() for _ in range(20)]
+        server = start_server(lanns_fs, 0, chaos=spec)
+        transport = connect(server.address, 0)
+        try:
+            transport.deploy("r", LANNS_PATH, root=str(lanns_fs.root))
+            for _ in drawn:
+                with contextlib.suppress(OverloadedError):
+                    transport.search(ShardCall("r", queries[:1], 3))
+            assert server.tally.snapshot()["faults"] == {
+                kind: drawn.count(kind) for kind in FAULT_KINDS if kind in drawn
+            }
+        finally:
+            transport.close()
+            server.stop()
 
     def test_spec_round_trip(self):
         plan = FaultPlan(
@@ -164,7 +175,7 @@ class TestChaosFailover:
         finally:
             chaotic.stop()
         assert all((ids >= 0).all() for ids, _ in results)
-        assert stats["failovers"] >= 1
+        assert stats["counts"].get("failovers", 0) >= 1
 
     def test_failover_covers_injected_overload(
         self, lanns_fs, queries
@@ -179,7 +190,7 @@ class TestChaosFailover:
         finally:
             chaotic.stop()
         assert all((ids >= 0).all() for ids, _ in results)
-        assert stats["failovers"] >= 1
+        assert stats["counts"].get("failovers", 0) >= 1
 
     def test_fully_overloaded_group_waits_retry_after_then_raises(
         self, lanns_fs, queries
@@ -306,7 +317,7 @@ class TestRollingRestartUnderChaos:
 
         def faults_injected() -> int:
             return sum(
-                sum(server.chaos.snapshot()["injected"].values())
+                sum(server.tally.snapshot().get("faults", {}).values())
                 for server in (grid[1][0], grid[1][1])
             )
 

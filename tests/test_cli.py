@@ -216,7 +216,13 @@ class TestServeAndRemoteQuery:
             assert main(["stats", "--searchers", spec]) == 0
             out = capsys.readouterr().out
             for server in servers:
-                assert f"# searcher {server.address}: shard" in out
+                counts = server.node.tally.snapshot()
+                assert counts["queries_served"] > 0
+                assert (
+                    f"# searcher {server.address}: shard {server.node.shard_id}, "
+                    f"{counts['requests_served']} requests, "
+                    f"{counts['queries_served']} queries\n"
+                ) in out
             assert "# TYPE" in out  # merged Prometheus exposition
             assert "lanns_" in out
 

@@ -220,7 +220,7 @@ class TestOneRemoteTransport:
                 np.testing.assert_array_equal(reply.ids, want_ids)
                 np.testing.assert_array_equal(reply.dists, want_dists)
                 assert reply.cost is None and reply.trace is None
-            assert transport.queries_served == 2 * queries.shape[0]
+            assert transport.client.queries_served == 2 * queries.shape[0]
         finally:
             transport.close()
         assert transport.client.open_connections == 0

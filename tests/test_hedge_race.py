@@ -31,7 +31,6 @@ class StubTransport(SearcherTransport, AsyncSearcherTransport):
     """An async-capable transport that is never actually called."""
 
     shard_id = 0
-    queries_served = 0
 
     def search(self, call):
         raise AssertionError("the race never reaches a transport")
@@ -45,7 +44,6 @@ class StubTransport(SearcherTransport, AsyncSearcherTransport):
 
 class SyncOnlyTransport(SearcherTransport):
     shard_id = 0
-    queries_served = 0
     search = StubTransport.search
     stats = StubTransport.stats
 

@@ -508,7 +508,7 @@ def assert_serving_and_idle(server, *, abandoned: int) -> None:
     assert arrays[0].shape == (2, 3)
     assert server._queued == 0
     assert server._admission._value == server.options.max_in_flight
-    assert server.searches_abandoned == abandoned
+    assert server.tally.snapshot().get("abandoned", 0) == abandoned
     assert server._thread.is_alive()
 
 
@@ -615,7 +615,7 @@ class TestLiveServer:
         assert error.error_type == "ValueError", error.message
         # The two good requests, plus the hostile one only where the
         # shard (not the server, before admission) was the judge.
-        assert server.node.requests_served == (
+        assert server.node.tally.snapshot()["requests_served"] == (
             2 if name in REFUSED_BEFORE_ADMISSION else 3
         )
         assert caplog.records == [] and len(recwarn) == 0
@@ -641,8 +641,8 @@ class TestLiveServer:
             sock.sendall(live_search_frame())
             wait_until(lambda: server.searches_seen == 1)
             assert server._admission._value == server.options.max_in_flight - 1
-        wait_until(lambda: server.searches_abandoned == 1)
-        assert server.abandoned_errors == 0
+        wait_until(lambda: "abandoned" in server.tally.snapshot())
+        assert "abandoned_errors" not in server.tally.snapshot()
         assert_serving_and_idle(server, abandoned=1)
 
 

@@ -158,13 +158,13 @@ class TestBudgetAndPaddingDegenerateCases:
 
     def test_empty_batch_returns_shaped_sentinels_without_fanout(self, lanns):
         broker = Broker(host_all(lanns), LANNS_2X2)
-        before = sum(s.requests_served for s in broker.searchers)
+        before = [searcher.tally.snapshot() for searcher in broker.searchers]
         ids, dists = broker.search_batch(
             "main", np.empty((0, 16), dtype=np.float32), 9
         )
         assert ids.shape == (0, 9) and dists.shape == (0, 9)
         assert ids.dtype == np.int64 and dists.dtype == np.float64
-        after = sum(s.requests_served for s in broker.searchers)
+        after = [searcher.tally.snapshot() for searcher in broker.searchers]
         assert after == before  # no shard was bothered
 
 

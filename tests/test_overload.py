@@ -98,6 +98,10 @@ def start_server(shared_fs, **kwargs) -> SearcherServer:
     return server
 
 
+def counted(server: SearcherServer, name: str) -> int:
+    return server.tally.snapshot().get(name, 0)
+
+
 def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
     data = bytearray()
     while len(data) < nbytes:
@@ -177,7 +181,7 @@ class TestAdmission:
             # Load gone: the very next request is admitted and served.
             ids, dists = raw_search(server.address, queries[:1])
             assert ids.shape == (1, 3)
-            assert server.searches_shed == 1
+            assert counted(server, "shed") == 1
         finally:
             server.stop()
 
@@ -191,7 +195,7 @@ class TestAdmission:
             assert ids.shape == (1, 3)
             for holder in holders:
                 holder.join(timeout=10)
-            assert server.searches_shed == 0
+            assert counted(server, "shed") == 0
         finally:
             server.stop()
 
@@ -202,12 +206,10 @@ class TestAdmission:
         client = RemoteSearcherClient(server.address, retries=0)
         try:
             client.search(ShardCall(INDEX_NAME, queries, 3))
-            admission = client.stats()["admission"]
-            assert admission["max_in_flight"] == 2
-            assert admission["queue_cap"] == 5
-            assert admission["searches_shed"] == 0
-            assert admission["searches_expired"] == 0
-            assert admission["searches_abandoned"] == 0
+            stats = client.stats()
+            assert stats["options"]["max_in_flight"] == 2
+            assert stats["options"]["queue_cap"] == 5
+            assert not {"shed", "expired", "abandoned"} & set(stats["counts"])
         finally:
             client.close()
             server.stop()
@@ -227,7 +229,7 @@ class TestDeadlinePropagation:
         try:
             with pytest.raises(DeadlineExceededError, match="arrival"):
                 raw_search(server.address, queries[:1], deadline_ms=0.0)
-            assert server.searches_expired == 1
+            assert counted(server, "expired") == 1
             # A healthy budget still serves.
             ids, _ = raw_search(
                 server.address, queries[:1], deadline_ms=5000.0
@@ -251,8 +253,8 @@ class TestDeadlinePropagation:
             with pytest.raises(DeadlineExceededError, match="waiting"):
                 raw_search(server.address, queries[:1], deadline_ms=50.0)
             holder.join(timeout=10)
-            assert server.searches_expired == 1
-            assert server.searches_shed == 0
+            assert counted(server, "expired") == 1
+            assert counted(server, "shed") == 0
         finally:
             server.stop()
 
@@ -262,7 +264,7 @@ class TestDeadlinePropagation:
         server = start_server(shared_fs)
         client = RemoteSearcherClient(server.address, retries=0)
         try:
-            before = server.node.stats()["requests_served"]
+            before = server.node.stats()["counts"]
             with pytest.raises(DeadlineExceededError):
                 client.search(
                     ShardCall(
@@ -272,7 +274,7 @@ class TestDeadlinePropagation:
                         deadline=time.monotonic() + 1e-9,
                     )
                 )
-            assert server.node.stats()["requests_served"] == before
+            assert server.node.stats()["counts"] == before
         finally:
             client.close()
             server.stop()
@@ -303,11 +305,11 @@ class TestHangupAbandonment:
                         raise TimeoutError("request never arrived")
                     time.sleep(0.005)
             deadline = time.monotonic() + 5.0
-            while server.searches_abandoned == 0:
+            while counted(server, "abandoned") == 0:
                 if time.monotonic() > deadline:
                     raise TimeoutError("hang-up never abandoned the work")
                 time.sleep(0.005)
-            assert server.searches_abandoned == 1
+            assert counted(server, "abandoned") == 1
             # The server survives the abandonment and keeps serving.
             ids, _ = raw_search(server.address, queries[:1])
             assert ids.shape == (1, 3)
@@ -349,11 +351,11 @@ class TestServerSideMicroBatch:
             assert [reply.ids.shape for reply in results] == [(1, 3)] * 3
             stats = RemoteSearcherClient(server.address, retries=0)
             try:
-                batch = stats.stats()["server_microbatch"]
+                counts = stats.stats()["counts"]
             finally:
                 stats.close()
-            assert batch["rows_executed"] == 3
-            assert batch["largest_batch"] >= 2, (
+            assert counts["rows_executed"] == 3
+            assert sum(counts["flushes"].values()) < 3, (
                 "three simultaneous frames never coalesced"
             )
         finally:
@@ -367,8 +369,7 @@ class TestServerSideMicroBatch:
         try:
             reply = client.search(ShardCall(INDEX_NAME, queries[:2], 3, cost=True))
             assert reply.cost, "cost accounting lost server-side"
-            batch = client.stats()["server_microbatch"]
-            assert batch["rows_admitted"] == 0
+            assert "rows_admitted" not in client.stats()["counts"]
         finally:
             client.close()
             server.stop()

@@ -447,8 +447,8 @@ def serve(world: World, cell: Cell):
             redeploy(world.export(cell._replace(quantize="none", sharding="hash"), DECOY))
             ask(pool[rows], seed)  # the decoy's answers, cached under this name
             redeploy(world.export(cell))
-        coalesced = world.fleets["batched"][1]._batcher.stats
-        admitted = coalesced["rows_admitted"]
+        coalesced = world.fleets["batched"][1]._batcher.tally
+        admitted = coalesced.snapshot().get("rows_admitted", 0)
         if cell.cache == "warm":
             # Every other row first: then the warm pass mixes hits and misses.
             check(rows[::2], *ask(pool[rows[::2]], seed))
@@ -460,7 +460,10 @@ def serve(world: World, cell: Cell):
                 cell.admission != "micro"
                 or stats["microbatch"]["rows_executed"] >= len(rows)
             )
-            assert cell.admission != "server" or coalesced["rows_admitted"] > admitted
+            assert (
+                cell.admission != "server"
+                or coalesced.snapshot()["rows_admitted"] > admitted
+            )
             assert cell.trace == "untraced" or stats["tracer"]["kept"] > 0
 
     try:
@@ -468,7 +471,8 @@ def serve(world: World, cell: Cell):
             redeploy(world.export(cell))
         yield run
         if faults:
-            assert broker.stats()["failovers"] + broker.stats()["hedges"] >= 1
+            counts = broker.stats()["counts"]
+            assert counts.get("failovers", 0) + counts.get("hedges", 0) >= 1
     finally:
         if service is not None:
             if name in service.brokers:

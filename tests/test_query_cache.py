@@ -271,12 +271,13 @@ class TestServiceInvalidation:
         for thread in threads:
             thread.start()
         deadline = time.perf_counter() + 30.0
+        tally = broker._admission.batcher.tally
         while (
-            broker._admission.batcher.stats["blocks_admitted"] < 4
+            tally.snapshot().get("blocks_admitted", 0) < 4
             and time.perf_counter() < deadline
         ):
             time.sleep(0.001)
-        assert broker._admission.batcher.stats["blocks_admitted"] == 4
+        assert tally.snapshot()["blocks_admitted"] == 4
         service.undeploy("x")
         for thread in threads:
             thread.join(timeout=60)

@@ -349,9 +349,9 @@ class TestTimeouts:
                     )
                     np.testing.assert_array_equal(ids, want_ids)
                     np.testing.assert_array_equal(dists, want_dists)
-                    stats = degrade.stats()["partial"]
-                    assert stats["degraded_batches"] >= 1
-                    assert stats["shard_failures"][1] >= 1
+                    counts = degrade.stats()["counts"]
+                    assert counts["degraded_batches"] >= 1
+                    assert counts["shard_failures"]["1"] >= 1
                 finally:
                     degrade.close()
                     for transport in transports:
@@ -450,7 +450,7 @@ class TestKilledSearcherProcess:
             want_ids, want_dists = merge_shard_results_batch(parts, 10)
             np.testing.assert_array_equal(got_ids, want_ids)
             np.testing.assert_array_equal(got_dists, want_dists)
-            assert broker.stats()["partial"]["shard_failures"][1] >= 1
+            assert broker.stats()["counts"]["shard_failures"]["1"] >= 1
 
             with pytest.raises(TransportError):
                 strict.query_batch(probe, 10, index_name="strictkill")

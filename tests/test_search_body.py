@@ -346,7 +346,7 @@ class TestVenues:
             coalesced = [future.result(timeout=60) for future in futures]
         finally:
             batcher.close()
-        assert batcher.stats["largest_batch"] == rows
+        assert batcher.largest_batch == rows
         for row, (ids, dists) in enumerate(coalesced):
             alone_ids, alone_dists = shard.search_batch(queries[row : row + 1], K)
             assert ids.tobytes() == alone_ids.tobytes()

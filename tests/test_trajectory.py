@@ -140,7 +140,7 @@ def test_compare_beside_record_adds_its_pairs_to_the_bench_file(repo, tmp_path):
         ("w1", 5), ("w2", None),
     ]  # fmt: skip
     assert (payload["seed"], sorted(payload["workloads"])) == (5, ["w1", "w2"])
-    assert "one of --record, --compare is required" in trajectory(repo).stderr
+    assert "one of --record, --compare, --series is required" in trajectory(repo).stderr
 
 
 def test_record_writes_a_versioned_bench_file_at_the_repo_root(repo, tmp_path):
@@ -160,3 +160,22 @@ def test_record_writes_a_versioned_bench_file_at_the_repo_root(repo, tmp_path):
     assert (w1["failed"], w1["correct"]) == ([0, 0, 0], True)
     traced = [line.split()[2] for line in (tmp_path / "runs.log").read_text().splitlines()]
     assert traced == ["0", "0", "0", "1"] * 2
+
+
+def test_series_tables_the_median_of_every_tracked_bench_file(repo):
+    for number, speed in ((29, 10.0), (31, 12.5)):
+        latency = {"median": speed, "runs": [speed], "unit": "ms"}
+        payload = {"workloads": {"w1": {"end_to_end": {"latency_p50_ms": latency}}}}
+        (repo / f"BENCH_{number}.json").write_text(json.dumps(payload))
+    git(repo, "add", "BENCH_29.json", "BENCH_31.json")
+    (repo / "BENCH_30.json").write_text("{}")  # untracked: not in the series
+    done = trajectory(repo, "--series")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "| workload | metric | PR 29 | PR 31 |",
+        "|---|---|---|---|",
+        "| w1 | `latency_p50_ms` (ms) | 10 | 12.5 |",
+        "| w1 | `throughput_per_s` (1/s) | - | - |",
+        "| w2 | `latency_p50_ms` (ms) | - | - |",
+        "| w2 | `throughput_per_s` (1/s) | - | - |",
+    ]
