@@ -15,7 +15,8 @@ implies -- the wide wave's base-layer beam on the array kernels, the
 one-row wave's on the heaps -- and all three of its stages: ``descend``,
 ``beam`` and ``select``.  (That the same seed builds the same graph is
 ``tests/test_hnsw_build_batch.py::test_same_seed_same_graph`` and the 18
-digests of ``TestPinnedGraphs``.)
+builds ``TestPinnedGraphs`` pins by graph and export digest -- each
+digest moves only if a distance selection compares changes its bits.)
 
 ``job_modes`` -- ``build_index_job`` over a multi-segment config on a
 ``LocalCluster``, once per execution mode (``inline`` / ``threads`` /

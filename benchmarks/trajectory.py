@@ -21,11 +21,15 @@ never the working tree, so what is measured is what a commit holds.
     the per-pair ratios, how many pairs the change won, and a verdict
     against the metric's ``BENCHMARK.json`` bound -- ``BREACH`` exits
     non-zero; a lean smaller than the parent's own spread, or a spread
-    wider than the bound, is ``unresolved``, never "unchanged".  Every
-    run made is in the per-pair lists under the table -- and, with
-    ``--record <n>`` beside ``--compare``, appended to ``BENCH_<n>.json``
-    under ``pairs`` (nothing is re-recorded; the file is created if the
-    PR has none yet).
+    wider than the bound, is ``unresolved``, never "unchanged".  When a
+    timing metric's median of ratios moves by more than half its bound,
+    the same number of pairs runs the parent against a second export of
+    itself (an A/A control) and its lean and win count are printed
+    beside the change's.  Every run made is in the per-pair lists under
+    the table -- and, with ``--record <n>`` beside ``--compare``,
+    appended to ``BENCH_<n>.json`` under ``pairs`` (the control's under
+    ``control``; nothing is re-recorded; the file is created if the PR
+    has none yet).
 
 ``python3 benchmarks/trajectory.py --series``
     Print one markdown table of the trajectory so far: per workload and
@@ -55,6 +59,9 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 #: Untraced runs per workload behind each recorded median.
 RECORD_RUNS = 3
+#: Units of the metrics a run's timing decides; a lean past half the
+#: bound in one of them earns an A/A control.
+TIMING_UNITS = {"s", "ms", "1/s"}
 
 
 def git(root: Path, *args: str) -> str:
@@ -192,16 +199,36 @@ def series(root: Path) -> int:
 
 
 # -- compare --------------------------------------------------------------------------
+def lean(metric: dict, parent: list[float], change: list[float]) -> tuple[list, int]:
+    """Per-pair ratios change / parent, and how many pairs the change won."""
+    ratios = [c / p if p else 1.0 for p, c in zip(parent, change)]
+    lower = metric["better"] == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    return ratios, wins
+
+
+def run_pairs(
+    sides: dict[str, Path], benchmark: dict, name: str, pairs: int, seed: int | None
+) -> dict[str, list[dict]]:
+    """``pairs`` untraced runs of workload ``name`` in each of the two trees,
+    alternating which goes first."""
+    first, second = sides
+    runs: dict[str, list[dict]] = {first: [], second: []}
+    for pair in range(pairs):
+        for side in (first, second) if pair % 2 == 0 else (second, first):
+            runs[side].append(run_once(sides[side], benchmark, name, 0, seed))
+        print(f"{name}: {first} / {second} pair {pair + 1}/{pairs}", file=sys.stderr)
+    return runs
+
+
 def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str, bool]:
     """``(table cells after the metric name, breached)`` for one metric."""
     q1, parent_median, q3 = quartiles(parent)
     change_median = statistics.median(change)
-    ratios = [c / p if p else 1.0 for p, c in zip(parent, change)]
-    lower = metric["better"] == "lower"
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    ratios, wins = lean(metric, parent, change)
     spread = (q3 - q1) / parent_median if parent_median else 0.0
     worse = (change_median - parent_median) / parent_median if parent_median else 0.0
-    worse = worse if lower else -worse
+    worse = worse if metric["better"] == "lower" else -worse
     breached = worse > metric["bound"]
     if breached:
         word = f"**BREACH** (worse by {worse:.1%})"
@@ -220,6 +247,34 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str
         f"{metric['bound']:.0%} | {word}"
     )
     return cells, breached
+
+
+def control_table(moved: list[dict], runs: dict, aa: dict) -> dict:
+    """Print the A/A control's lean beside the change's for each ``moved``
+    metric; return the control's per-pair lists."""
+    pairs = len(aa["parent"])
+    print(
+        f"\nA/A control: {pairs} pairs of the parent against a second export of "
+        "itself, for the timing metrics whose median of ratios moved by more "
+        "than half their bound"
+    )
+    print("| metric | change: median of ratios, better in | control: same |")
+    print("|---|---|---|")
+    record = {}
+    for metric in moved:
+        cells = []
+        for a, b in ((runs["parent"], runs["change"]), (aa["parent"], aa["control"])):
+            ratios, wins = lean(
+                metric, [values(run)[metric["name"]] for run in a],
+                [values(run)[metric["name"]] for run in b],
+            )  # fmt: skip
+            cells.append(f"x{statistics.median(ratios):.3f}, {wins}/{len(ratios)}")
+        print(f"| `{metric['name']}` | {cells[0]} | {cells[1]} |")
+        record[metric["name"]] = {
+            side: [values(run)[metric["name"]] for run in aa[side]]
+            for side in ("parent", "control")
+        }
+    return record
 
 
 def compare(
@@ -248,13 +303,9 @@ def compare(
     )
     breached = False
     made = []
+    again = None  # the parent's second export, made when a control first runs
     for name in only or names:
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for pair in range(pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(sides[side], benchmark, name, 0, seed))
-            print(f"{name}: pair {pair + 1}/{pairs}", file=sys.stderr)
+        runs = run_pairs(sides, benchmark, name, pairs, seed)
         failed = {
             side: sum(run["failed"] for run in ran) / sum(run["attempted"] for run in ran)
             for side, ran in runs.items()
@@ -281,6 +332,7 @@ def compare(
             "failed_share": failed,
             "metrics": {},
         }
+        moved = []
         for metric in benchmark["end_to_end"]:
             parent = [values(run)[metric["name"]] for run in runs["parent"]]
             change = [values(run)[metric["name"]] for run in runs["change"]]
@@ -292,7 +344,19 @@ def compare(
                 + " ".join(f"({p:.5g}, {c:.5g})" for p, c in zip(parent, change))
             )
             entry["metrics"][metric["name"]] = {"parent": parent, "change": change}
+            ratios, _ = lean(metric, parent, change)
+            if metric["unit"] in TIMING_UNITS and (
+                abs(statistics.median(ratios) - 1.0) > metric["bound"] / 2
+            ):
+                moved.append(metric)
         print("\n" + "\n".join(listed))
+        if moved:
+            if again is None:
+                again = export(root, rev, scratch / "control")
+            aa = run_pairs(
+                {"parent": sides["parent"], "control": again}, benchmark, name, pairs, seed
+            )
+            entry["control"] = control_table(moved, runs, aa)
         made.append(entry)
     if number is not None:
         target, payload = bench_file(root, number, benchmark)

@@ -56,7 +56,8 @@ def _gather_dot(
     ``data[ids] @ query`` (gemv) accumulates in a blocked order that
     depends on the number of rows -- it differs from the ``einsum`` of
     the same pair from 8 rows up -- so no ``@`` / ``dot`` / ``matmul``
-    may score a pair.
+    may score a pair.  That covers neighbor selection too:
+    :meth:`Scorer.score_gathered` reduces the same way.
     """
     if query_side.shape[0] == 1:
         dots = np.einsum("nd,d->n", data.take(ids, axis=0), query_side[0])
@@ -295,33 +296,26 @@ class Scorer:
             return 1.0 - gram
         return -gram
 
-    def pairwise_ids_batch(self, ids: np.ndarray) -> np.ndarray:
-        """All-pairs reduced distances for a ``(P, C)`` stack of id rows.
+    def score_gathered(
+        self, block: np.ndarray, ids: np.ndarray, picks: np.ndarray
+    ) -> np.ndarray:
+        """Reduced distances from stored row ``picks[p]`` to every stored
+        row of ``ids[p]``, ``(P, C)``, with ``block = data[ids]`` gathered
+        once by the caller: the neighbor heuristic's one scoring call.
 
-        Row ``p`` of the result is ``pairwise_ids(ids[p])`` -- one batched
-        GEMM (``np.matmul`` over the stacked axis) replaces P separate
-        calls, which is what lets the construction wave score every
-        pending neighbor-selection problem in one vectorised round.  Each
-        stack slice is an independent ``(C, d) @ (d, C)`` product, so a
-        stack of one is bit-identical to any larger stack (the heuristic
-        relies on this: a selection never depends on which other
-        problems share its round).
-        Padding slots may repeat any valid id; callers mask them out.
-        (Padding pairs are counted as work too: they ride the same GEMM.)
+        Each value is bit-equal to ``score_pairs`` of the pair with the
+        picked row as the query (``data[picks]`` is a prepared batch as
+        it stands): the same ``einsum`` sum of products over ``d`` as
+        :func:`_gather_dot`, finished the same way.
         """
-        ids = np.asarray(ids)
-        self.ops += int(ids.shape[0]) * int(ids.shape[1]) * int(ids.shape[1])
-        rows = self._data[ids]
-        gram = np.matmul(rows, rows.transpose(0, 2, 1))
+        self.ops += ids.size
+        dots = np.einsum("pcd,pd->pc", block, self._data.take(picks, axis=0))
         if self._is_euclidean:
-            norms = self._sq_norms[ids]
-            squared = norms[:, :, np.newaxis] + norms[:, np.newaxis, :]
-            squared -= 2.0 * gram
-            np.maximum(squared, 0.0, out=squared)
-            return squared
+            pick_sq = self._sq_norms.take(picks)[:, np.newaxis]
+            return _euclidean_from_dots(self._sq_norms, ids, dots, pick_sq)
         if self._is_cosine:
-            return 1.0 - gram
-        return -gram
+            return 1.0 - dots
+        return -dots
 
     def to_true(self, reduced: np.ndarray) -> np.ndarray:
         """Convert reduced scores to true metric distances."""

@@ -12,7 +12,9 @@ Candidates come and go in the form the beam kernels return
 ids and float32 reduced distances, one selection problem per row, any
 order within a row, ``-1`` / ``inf`` in the unused slots of a short
 row.  The answer is the same form, at most ``m`` wide, sorted by
-``(distance, node)``.  Algorithm 4 written literally over ``(distance,
+``(distance, node)``.  A node-to-node distance is scored only when a
+round reads it, by the same ``einsum`` reduction as every traversal
+pair.  Algorithm 4 written literally over ``(distance,
 node)`` tuples lives in ``tests/test_hnsw_heuristic.py`` as the
 reference both functions are checked against.
 """
@@ -44,17 +46,18 @@ def select_neighbors_heuristic_batch(
     """Diversity-aware neighbor selection, many problems in one round.
 
     The rows that actually need pruning (more than ``m`` candidates) are
-    cut to their widest member and all their candidate-to-candidate
-    distances come from a single
-    :meth:`~repro.distance.scorer.Scorer.pairwise_ids_batch` call (each
-    stack slice is an independent GEMM, so grouping problems never
-    changes any problem's distances: a stack of one selects what any
-    larger stack would).  Selection then takes at most ``m`` vectorised
-    rounds over all of them: every row still deciding picks its nearest
-    undecided candidate ``s``, which discards every undecided ``t`` with
-    ``cross[t, s] < dist[t]`` -- ``t`` is closer to a selected neighbor
-    than to the query.  This is what the construction wave uses to
-    select every (row, layer) neighbor list of a wave at once.
+    cut to their widest member and their stored vectors gathered once.
+    Selection then takes at most ``m`` vectorised rounds over all of
+    them: every row still deciding picks its nearest undecided candidate
+    ``s``, one :meth:`~repro.distance.scorer.Scorer.score_gathered` call
+    scores each row's ``s`` against its whole row, and that discards
+    every undecided ``t`` with ``d(s, t) < dist[t]`` -- ``t`` is closer
+    to a selected neighbor than to the query.  Only picked columns are
+    scored, each pair bit-equal to ``score_pairs`` of it, so grouping
+    problems never changes any problem's distances: a stack of one
+    selects what any larger stack would.  This is what the construction
+    wave uses to select every (row, layer) neighbor list of a wave at
+    once.
 
     Parameters
     ----------
@@ -83,20 +86,22 @@ def select_neighbors_heuristic_batch(
         real = cut_ids >= 0
         # Padding repeats the row's own first id; its cross distances are
         # never read for a real candidate's decision.
-        cross = scorer.pairwise_ids_batch(np.where(real, cut_ids, cut_ids[:, :1]))
+        cut_ids = np.where(real, cut_ids, cut_ids[:, :1])
+        block = scorer.data.take(cut_ids, axis=0)
         rows = np.arange(pending.size)
         selected = np.zeros_like(real)
         undecided = real.copy()
-        for _ in range(m):
+        for picked in range(1, m + 1):
             # Everything before a row's first undecided candidate has been
             # selected or discarded, so this is the scan of Algorithm 4.
             # (A row with none left re-picks column 0, its first pick.)
             pick = undecided.argmax(axis=1)
             selected[rows, pick] = True
             undecided[rows, pick] = False
-            undecided &= ~(cross[rows, :, pick] < cut_dists)
-            if not undecided.any():
-                break
+            if picked == m or not undecided.any():
+                break  # what is left undecided now is never read
+            cross = scorer.score_gathered(block, cut_ids, cut_ids[rows, pick])
+            undecided &= ~(cross < cut_dists)
         if keep_pruned:
             # Discard order is candidate order; a row still short of m has
             # decided every candidate, so its unselected are its discarded.

@@ -30,7 +30,6 @@ from repro.hnsw.heuristic import (
     select_neighbors_heuristic_batch,
     select_neighbors_simple,
 )
-from repro.hnsw.search import sort_candidates
 from tests.conftest import as_pairs, as_stack, prepare_one, score_one
 
 
@@ -87,24 +86,53 @@ def reference_select(candidates, m, keep_pruned, distance):
     return sorted(linked)
 
 
-def stack_distances(scorer, ids, dists, m):
-    """Per problem, node-to-node ``distance(a, b)`` with the bits the
-    documented scoring call gives them: one ``pairwise_ids_batch`` over
-    the rows holding more than ``m`` candidates, sorted, cut to the
-    widest of them and padded with each row's first id."""
-    ids, _ = sort_candidates(ids, dists)
-    counts = np.count_nonzero(ids >= 0, axis=1)
-    pending = np.flatnonzero(counts > m)
-    lookups = [None] * ids.shape[0]
-    if pending.size:
-        cut = ids[pending, : counts[pending].max()]
-        cross = scorer.pairwise_ids_batch(np.where(cut >= 0, cut, cut[:, :1]))
-        for position, nodes, matrix in zip(pending, cut.tolist(), cross):
-            column = {node: at for at, node in enumerate(nodes) if node >= 0}
-            lookups[position] = (
-                lambda a, b, column=column, matrix=matrix: matrix[column[a], column[b]]
-            )
-    return lookups
+def stack_distances(scorer):
+    """Node-to-node ``distance(a, b)`` for every problem of a stack, one
+    pair at a time: ``score_pairs`` with the linked node ``b`` as a
+    prepared batch of one (a stored row is already prepared) -- the bits
+    the selection must compare, measured without calling it."""
+
+    def distance(a, b):
+        return scorer.score_pairs(scorer.data[[b]], None, np.array([a]))[0]
+
+    return distance
+
+
+def random_stack(seed, metric, lattice, m, width):
+    """A scorer and a ``(P, width)`` stack mixing every row shape: full
+    width, ``<= m``, exactly ``m + 1`` and a single candidate among
+    padding, real slots scattered between unused ones.  On the
+    ``lattice`` corpus -- integer coordinates, repeated points -- query
+    and cross distances tie exactly."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        points = rng.integers(-1, 2, size=(48, 4)).astype(np.float32)
+        queries = rng.integers(-2, 3, size=(6, 4)) / 2.0
+    else:
+        points = rng.standard_normal((48, 4)).astype(np.float32)
+        queries = rng.standard_normal((6, 4))
+    scorer = scorer_with(points, metric)
+    prepared = scorer.prepare_queries(queries.astype(np.float32))
+    sizes = [width, min(m, width), min(m + 1, width), 1]
+    sizes += rng.integers(1, width + 1, size=2).tolist()
+    ids = np.full((len(sizes), width), -1, dtype=np.int64)
+    for row, size in enumerate(sizes):
+        slots = rng.choice(width, size=size, replace=False)
+        ids[row, slots] = rng.choice(len(points), size=size, replace=False)
+    dists = np.full(ids.shape, np.inf, dtype=np.float32)
+    real = ids >= 0
+    dists[real] = scorer.score_pairs(prepared, np.nonzero(real)[0], ids[real])
+    return scorer, ids, dists
+
+
+STACKS = dict(
+    seed=st.integers(0, 2**16),
+    metric=st.sampled_from(["euclidean", "cosine", "inner_product"]),
+    lattice=st.booleans(),
+    keep_pruned=st.booleans(),
+    m=st.integers(1, 13),
+    width=st.integers(1, 40),
+)
 
 
 class TestSimpleSelection:
@@ -192,57 +220,81 @@ class TestHeuristicSelection:
 
 
 class TestAgainstTheReference:
-    @given(
-        seed=st.integers(0, 2**16),
-        metric=st.sampled_from(["euclidean", "cosine", "inner_product"]),
-        lattice=st.booleans(),
-        keep_pruned=st.booleans(),
-        m=st.integers(1, 13),
-        width=st.integers(1, 40),
-    )
+    @given(**STACKS)
     @settings(max_examples=150, deadline=None)
     def test_array_selection_is_algorithm_4(
         self, seed, metric, lattice, keep_pruned, m, width
     ):
-        """Both array selections equal the tuple reference on stacks that
-        mix every row shape: full width, ``<= m``, exactly ``m + 1`` and
-        a single candidate among padding, real slots scattered between
-        unused ones.  On the ``lattice`` corpus -- integer coordinates,
-        repeated points -- query and cross distances tie exactly, so the
-        ``(distance, node)`` order and the strict ``<`` of the discard
-        rule both decide."""
-        rng = np.random.default_rng(seed)
-        if lattice:
-            points = rng.integers(-1, 2, size=(48, 4)).astype(np.float32)
-            queries = rng.integers(-2, 3, size=(6, 4)) / 2.0
-        else:
-            points = rng.standard_normal((48, 4)).astype(np.float32)
-            queries = rng.standard_normal((6, 4))
-        scorer = scorer_with(points, metric)
-        prepared = scorer.prepare_queries(queries.astype(np.float32))
-        sizes = [width, min(m, width), min(m + 1, width), 1]
-        sizes += rng.integers(1, width + 1, size=2).tolist()
-        ids = np.full((len(sizes), width), -1, dtype=np.int64)
-        for row, size in enumerate(sizes):
-            slots = rng.choice(width, size=size, replace=False)
-            ids[row, slots] = rng.choice(len(points), size=size, replace=False)
-        dists = np.full(ids.shape, np.inf, dtype=np.float32)
-        real = ids >= 0
-        dists[real] = scorer.score_pairs(prepared, np.nonzero(real)[0], ids[real])
-
+        """Both array selections equal the tuple reference on every row
+        shape of :func:`random_stack`.  On the lattice the ``(distance,
+        node)`` order and the strict ``<`` of the discard rule both
+        decide."""
+        scorer, ids, dists = random_stack(seed, metric, lattice, m, width)
         problems = as_pairs(ids, dists)
-        distances = stack_distances(scorer, ids, dists, m)
+        distance = stack_distances(scorer)
         got = select_neighbors_heuristic_batch(
             scorer, ids, dists, m, keep_pruned=keep_pruned
         )
-        assert got[0].shape == got[1].shape == (len(sizes), min(m, width))
+        assert got[0].shape == got[1].shape == (ids.shape[0], min(m, width))
         assert as_pairs(*got) == [
             reference_select(problem, m, keep_pruned, distance)
-            for problem, distance in zip(problems, distances)
+            for problem in problems
         ]
         assert as_pairs(*select_neighbors_simple(ids, dists, m)) == [
             sorted(problem)[:m] for problem in problems
         ]
+
+    @given(**STACKS)
+    @settings(max_examples=60, deadline=None)
+    def test_every_compared_distance_is_score_pairs(
+        self, seed, metric, lattice, keep_pruned, m, width
+    ):
+        """Each cross distance a selection round compares -- padding
+        columns included -- is ``score_pairs`` of the same ``(pick,
+        candidate)`` pair, bit for bit: one scoring kernel decides
+        traversal and selection alike."""
+        scorer, ids, dists = random_stack(seed, metric, lattice, m, width)
+        rounds = []
+        score_gathered = Scorer.score_gathered
+
+        def spying(self, block, cut, picks):
+            cross = score_gathered(self, block, cut, picks)
+            rounds.append((cut.copy(), picks.copy(), cross.copy()))
+            return cross
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Scorer, "score_gathered", spying)
+            select_neighbors_heuristic_batch(
+                scorer, ids, dists, m, keep_pruned=keep_pruned
+            )
+        if m > 1 and np.count_nonzero(ids >= 0, axis=1).max() > m:
+            assert rounds  # (an m-th pick is never scored)
+        for cut, picks, cross in rounds:
+            want = scorer.score_pairs(
+                scorer.data[picks], np.arange(picks.size).repeat(cut.shape[1]),
+                cut.ravel(),
+            )  # fmt: skip
+            assert cross.tobytes() == want.reshape(cross.shape).tobytes()
+
+    @given(**STACKS)
+    @settings(max_examples=60, deadline=None)
+    def test_a_stack_selects_what_its_rows_select_alone(
+        self, seed, metric, lattice, keep_pruned, m, width
+    ):
+        """Grouping problems never changes any problem's answer: a stack
+        selects, row for row and bit for bit, what each of its rows
+        selects as a stack of one."""
+        scorer, ids, dists = random_stack(seed, metric, lattice, m, width)
+        stacked = select_neighbors_heuristic_batch(
+            scorer, ids, dists, m, keep_pruned=keep_pruned
+        )
+        for row in range(ids.shape[0]):
+            alone = select_neighbors_heuristic_batch(
+                scorer, ids[row : row + 1], dists[row : row + 1], m,
+                keep_pruned=keep_pruned,
+            )  # fmt: skip
+            assert alone[0].tobytes() == stacked[0][row : row + 1].tobytes()
+            assert alone[1].tobytes() == stacked[1][row : row + 1].tobytes()
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "inner_product"])

@@ -462,7 +462,11 @@ def array_venue_digest(index: HnswIndex, queries: np.ndarray) -> str:
 #: answer, charge and count rounds as the ones they replaced, bit for bit.
 #: Cosine and inner product reach negative reduced distances (the key's
 #: sign path), the lattice an exact tie at every beam boundary.  To add
-#: a pin, compute it in a ``git clone`` of the parent, never here.
+#: a pin, compute it in a ``git clone`` of the parent, never here.  The
+#: three lattice-cosine pins were re-recorded once, with their values at
+#: the parent 9823991 beside them: the graph they search moved when
+#: neighbor selection switched from a stacked GEMM to the ``einsum`` of
+#: every other pair, which flipped a ulp-level ``cross < dist``.
 ARRAY_VENUE_PINS = {
     ("clustered", "float", "euclidean"): "887c073fe5ab6b56",
     ("clustered", "float", "cosine"): "6255f0332693aa22",
@@ -474,13 +478,13 @@ ARRAY_VENUE_PINS = {
     ("clustered", "pq", "cosine"): "9eda799a1a1a824c",
     ("clustered", "pq", "inner_product"): "46adfc35064c491c",
     ("lattice", "float", "euclidean"): "931f7980c0b6731e",
-    ("lattice", "float", "cosine"): "a15bf95f390eeb82",
+    ("lattice", "float", "cosine"): "5d031a2a0aa9447a",  # 9823991: a15bf95f390eeb82
     ("lattice", "float", "inner_product"): "172b88a86ea2e861",
     ("lattice", "int8", "euclidean"): "e841b6f8d4b426be",
-    ("lattice", "int8", "cosine"): "0661e7936681c99d",
+    ("lattice", "int8", "cosine"): "856f177611e35599",  # 9823991: 0661e7936681c99d
     ("lattice", "int8", "inner_product"): "f55d2fa9c1e8f80e",
     ("lattice", "pq", "euclidean"): "931f7980c0b6731e",
-    ("lattice", "pq", "cosine"): "1def75efeb015271",
+    ("lattice", "pq", "cosine"): "f05e6c501e8bad2e",  # 9823991: 1def75efeb015271
     ("lattice", "pq", "inner_product"): "172b88a86ea2e861",
 }
 

@@ -8,9 +8,11 @@ the exit code are the real ones; only the measured program is fake (its
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -123,7 +125,11 @@ def test_compare_beside_record_adds_its_pairs_to_the_bench_file(repo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert ", seed 5" in done.stdout.splitlines()[0]
     runs = (tmp_path / "runs.log").read_text().splitlines()
-    assert [line.split()[3] for line in runs] == ["5"] * 4
+    # A 20 % lean is past half the bound: an A/A control of as many pairs.
+    assert [line.split()[3] for line in runs] == ["5"] * 8
+    assert [line.split()[0] for line in runs[4:]] == [
+        "parent", "control", "control", "parent",
+    ]  # fmt: skip
     payload = json.loads((repo / "BENCH_7.json").read_text())
     assert (payload["schema"], payload["pr"], "workloads" in payload) == (1, 7, False)
     (entry,) = payload["pairs"]
@@ -133,6 +139,9 @@ def test_compare_beside_record_adds_its_pairs_to_the_bench_file(repo, tmp_path):
     assert entry["metrics"]["latency_p50_ms"] == {
         "parent": [10.0, 10.0], "change": [8.0, 8.0],
     }  # fmt: skip
+    assert entry["control"]["latency_p50_ms"] == {
+        "parent": [10.0, 10.0], "control": [10.0, 10.0],
+    }  # fmt: skip
     assert trajectory(repo, *compare, "--workloads", "w2").returncode == 0
     assert trajectory(repo, "--record", "7", "--seed", "5").returncode == 0
     payload = json.loads((repo / "BENCH_7.json").read_text())
@@ -141,6 +150,46 @@ def test_compare_beside_record_adds_its_pairs_to_the_bench_file(repo, tmp_path):
     ]  # fmt: skip
     assert (payload["seed"], sorted(payload["workloads"])) == (5, ["w1", "w2"])
     assert "one of --record, --compare, --series is required" in trajectory(repo).stderr
+
+
+def test_a_timing_lean_past_half_its_bound_runs_an_a_a_control(
+    repo, tmp_path, monkeypatch, capsys
+):
+    """With ``run_once`` stubbed in process: ``w1``'s change is 20 %
+    faster (past half the 20 % bound), so the parent is paired against a
+    second export of itself for as many pairs, and the control's lean --
+    here one pair of three won by noise -- is printed beside the
+    change's.  ``w2`` leans 4 %: no control runs for it."""
+    spec = importlib.util.spec_from_file_location("trajectory", TRAJECTORY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    made = []
+
+    def run_once(tree, benchmark, workload, trace, seed):
+        made.append((workload, tree.name))
+        speed = {"parent": 10.0, "change": {"w1": 8.0, "w2": 10.4}[workload]}.get(
+            tree.name, 9.9 if len(made) == 9 else 10.0
+        )  # the control's run of its second pair (it goes first) wins
+        metrics = {"latency_p50_ms": speed, "throughput_per_s": 1000 / speed}
+        return {
+            "correct": True, "attempted": 10, "failed": 0,
+            "metrics": {name: {"value": value} for name, value in metrics.items()},
+        }  # fmt: skip
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.chdir(repo)
+    assert module.main(["--compare", "HEAD", "--pairs", "3"]) == 0
+    alternating = ("parent", "change", "change", "parent", "parent", "change")
+    assert made == [
+        *[("w1", side) for side in alternating],
+        *[("w1", side.replace("change", "control")) for side in alternating],
+        *[("w2", side) for side in alternating],
+    ]
+    out = capsys.readouterr().out
+    assert out.count("A/A control: 3 pairs") == 1
+    assert "| `latency_p50_ms` | x0.800, 3/3 | x1.000, 1/3 |" in out
+    assert "| `throughput_per_s` | x1.250, 3/3 | x1.000, 1/3 |" in out
 
 
 def test_record_writes_a_versioned_bench_file_at_the_repo_root(repo, tmp_path):
