@@ -5,7 +5,8 @@ serving tier degrades the way PR 10 promises instead of collapsing.
 
 ``burst``, three phases against one searcher whose admission knobs are
 live (``MAX_IN_FLIGHT`` / ``QUEUE_CAP``) and whose per-request service
-time is pinned by straggler injection, so the capacity math is known:
+time is pinned by an injected stall on every request, so the capacity
+math is known:
 
 1. **baseline** -- a single closed-loop client measures unloaded QPS;
 2. **burst** -- 4x the searcher's concurrency capacity in client threads
@@ -77,7 +78,7 @@ P99_SLACK = 5.0
 #: Closed-loop passes per baseline / recovery measurement.
 PASSES = 2
 CHAOS_SPEC = (
-    "seed=42,delay_rate=0.15,delay_s=0.02,reset_rate=0.15,overload_rate=0.2"
+    "seed=42,delay_every=7,delay_s=0.02,reset_rate=0.15,overload_rate=0.2"
 )
 FULL = dict(
     num_base=4000, num_queries=64, dim=24, shards=1, segments=2,
@@ -216,15 +217,13 @@ def require_burst_semantics(burst: dict, baseline_mean_s: float) -> None:
 
 def check_burst(run, env) -> None:
     fs, probe, (expected_ids, expected_dists) = env
-    # Straggler injection on EVERY request pins the service time, so
-    # capacity (= MAX_IN_FLIGHT / service) is known and a 4x burst is
+    # A stall held in its slot on EVERY request pins the service time,
+    # so capacity (= MAX_IN_FLIGHT / service) is known and a 4x burst is
     # actually 4x.
     with fleet(
         fs,
         1,
-        slow_shard=0,
-        slow_every=1,
-        slow_delay_s=SERVICE_DELAY_S,
+        chaos=f"delay_every=1,delay_s={SERVICE_DELAY_S}",
         max_in_flight=MAX_IN_FLIGHT,
         queue_cap=QUEUE_CAP,
         retry_after_s=RETRY_AFTER_S,

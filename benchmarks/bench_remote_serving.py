@@ -11,11 +11,12 @@ same export (the remote numbers include real framing + socket round
 trips); every remote answer, ids and distances, must be bit-identical
 to the in-process one;
 
-``hedging`` -- injects a **straggler**: a fresh fleet where one searcher
-stalls every other request, served through the asyncio fan-out without
-and with hedged requests -- hedged p99 must beat unhedged p99, results
-must stay bit-identical to in-process serving, and the broker must
-report the ``loop`` venue (all in-flight shard RPCs on one thread);
+``hedging`` -- injects a **straggler**: a fresh fleet where one
+searcher's fault plan stalls every other request, served through the
+asyncio fan-out without and with hedged requests -- hedged p99 must
+beat unhedged p99, results must stay bit-identical to in-process
+serving, and the broker must report the ``loop`` venue (all in-flight
+shard RPCs on one thread);
 
 ``rpc_cost`` -- prices **one RPC**: PING round trip, one-query SEARCH
 round trip and the same search in process, against an in-thread server
@@ -180,7 +181,7 @@ def check_hedging(run, env) -> None:
     want_ids, want_dists = local.query_batch(probe, run.top_k, ef=run.ef)
     p99_ms, stats = {}, {}
     with fleet(
-        fs, run.shards, slow_shard=1, slow_every=2, slow_delay_s=SLOW_DELAY_S
+        fs, run.shards, chaos_shard=1, chaos=f"delay_every=2,delay_s={SLOW_DELAY_S}"
     ) as (_, addresses):
         for name, hedge_after_s in (("unhedged", None), ("hedged", HEDGE_AFTER_S)):
             service = OnlineService(

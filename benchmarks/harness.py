@@ -121,8 +121,8 @@ def fleet(fs: LocalHdfs, num_shards: int, *, replicas: int = 1, **launch):
     Yields ``(groups, addresses)``: the ``SearcherProcess`` replicas of
     each shard, and the matching fleet spec ``OnlineService(searchers=)``
     takes.  ``launch`` keywords are ``launch_replicated_fleet``'s:
-    ``slow_shard`` and the ``ServerOptions`` fields (straggler,
-    admission and chaos injection), for any replica count.
+    ``chaos_shard`` and the ``ServerOptions`` fields (admission and
+    fault injection), for any replica count.
     """
     groups = launch_replicated_fleet(
         num_shards, replicas, root=str(fs.root), **launch

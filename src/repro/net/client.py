@@ -67,6 +67,7 @@ from repro.net.protocol import (
     raise_if_error,
     unpack,
 )
+from repro.obs.metrics import Tally, get_registry
 
 #: Failures that mean "the searcher is unreachable/broken", as opposed to
 #: "the searcher answered with an error".  The broker's ``degrade``
@@ -75,6 +76,15 @@ CONNECTIVITY_FAILURES = (
     ConnectionLostError,
     ProtocolError,
     DeadlineExceededError,
+)
+#: What a client counts, by :class:`~repro.obs.metrics.Tally` name.
+_COUNTERS = get_registry().counters(
+    "lanns_client",
+    queries_served="Query rows searchers answered a client.",
+    requests_sent="RPC attempts a client sent, retries included.",
+    connects="Connections a client opened.",
+    closes="Connections a client closed.",
+    retried="RPC retries a client made after a connectivity failure.",
 )
 
 
@@ -221,20 +231,9 @@ class AsyncRemoteSearcherClient:
         self._lock = threading.Lock()
         self._pools: dict[object, list[tuple]] = {}
         self._closed = False
-        #: Lifetime counters: rows answered, RPCs sent, connections
-        #: opened / closed, retries.  Bumped under ``_lock``: several
-        #: loops (and so several threads) drive one client and ``+=`` is
-        #: not atomic.  ``connects - closes`` is the live-socket gauge
-        #: the no-connection-leak tests pin.
-        self.queries_served = 0
-        self.requests_sent = 0
-        self.connects = 0
-        self.closes = 0
-        self.retried = 0
-
-    def _count(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
+        #: Rows answered, RPCs sent, connections opened / closed and
+        #: retries; ``connects - closes`` is :attr:`open_connections`.
+        self.tally = Tally(_COUNTERS, searcher=self.address)
 
     def _jitter(self, delay: float) -> float:
         """Full-jitter backoff draw: uniform in ``[0, delay]``.
@@ -254,8 +253,8 @@ class AsyncRemoteSearcherClient:
     @property
     def open_connections(self) -> int:
         """Sockets this client currently holds open (pooled + in flight)."""
-        with self._lock:
-            return self.connects - self.closes
+        counts = self.tally.snapshot()
+        return counts.get("connects", 0) - counts.get("closes", 0)
 
     # -- connection management ---------------------------------------------------------
     async def _dial(self, deadline: float | None) -> _Connection:
@@ -293,7 +292,7 @@ class AsyncRemoteSearcherClient:
             raise ConnectionLostError(
                 f"cannot connect to searcher {self.address}: {exc}"
             ) from None
-        self._count("connects")
+        self.tally.count("connects")
         return conn
 
     async def _checkout(self, deadline: float | None) -> _Connection:
@@ -341,7 +340,7 @@ class AsyncRemoteSearcherClient:
 
     def _discard(self, conn: _Connection) -> None:
         conn.transport.close()
-        self._count("closes")
+        self.tally.count("closes")
 
     def _close_pooled(self, loop, conn: _Connection) -> None:
         """Close a pooled connection from any thread, loop alive or not."""
@@ -358,7 +357,7 @@ class AsyncRemoteSearcherClient:
                     raw.close()
                 except OSError:
                     pass
-        self._count("closes")
+        self.tally.count("closes")
 
     def close(self) -> None:
         """Close every pooled connection; the client rejects further calls.
@@ -445,7 +444,7 @@ class AsyncRemoteSearcherClient:
         last: Exception | None = None
         for attempt in range(attempts):
             if attempt:
-                self._count("retried")
+                self.tally.count("retried")
                 pause = self._jitter(delay)
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -461,7 +460,7 @@ class AsyncRemoteSearcherClient:
                 await asyncio.sleep(max(pause, 0.0))
                 delay = min(delay * 2.0, self.backoff_max_s)
             try:
-                self._count("requests_sent")
+                self.tally.count("requests_sent")
                 resp_type, resp_header, resp_arrays = await self._once(
                     msg_type, header, arrays, deadline
                 )
@@ -545,7 +544,7 @@ class AsyncRemoteSearcherClient:
                 f"search result shapes {ids.shape}/{dists.shape} do not "
                 f"match the requested {want}"
             )
-        self._count("queries_served", queries.shape[0])
+        self.tally.count("queries_served", queries.shape[0])
         del result.index  # the RESULT's echo of the call's own field
         return ShardReply(ids, dists, **vars(result))
 
@@ -658,10 +657,7 @@ class RemoteSearcherClient:
 
     address = _core_view("address")
     open_connections = _core_view("open_connections")
-    queries_served = _core_view("queries_served")
-    requests_sent = _core_view("requests_sent")
-    connects = _core_view("connects")
-    retried = _core_view("retried")
+    tally = _core_view("tally")
 
     def __repr__(self) -> str:
         return f"RemoteSearcherClient({self.address!r})"

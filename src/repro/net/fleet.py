@@ -355,7 +355,7 @@ def launch_replicated_fleet(
     root: str | None = None,
     host: str = "127.0.0.1",
     ready_timeout_s: float = 120.0,
-    slow_shard: int | None = None,
+    chaos_shard: int | None = None,
     log_dir: str | Path | None = None,
     options: ServerOptions | None = None,
     **fields,
@@ -366,10 +366,9 @@ def launch_replicated_fleet(
     interchangeable servers of the same shard, which is what the
     broker's replica groups expect.  Every member starts with the same
     ``options`` / ``fields`` (see :func:`launch_searcher`), except that
-    only group ``slow_shard`` keeps the straggler-injection fields --
-    the slow-shard hedging benchmark's setup; ``slow_shard=None``
-    injects on nobody.  Tears the whole fleet down on any launch
-    failure.
+    a ``chaos_shard`` leaves the fault plan to that group alone (the
+    slow-shard hedging benchmark's setup); ``None`` keeps it on every
+    member.  Tears the whole fleet down on any launch failure.
     """
     from repro.net.server import ServerOptions  # lazy: see launch_searcher
 
@@ -379,9 +378,9 @@ def launch_replicated_fleet(
     groups: list[list[SearcherProcess]] = []
     try:
         for shard_id in range(num_shards):
-            member = (
-                options if shard_id == slow_shard else options.without_straggler()
-            )
+            member = options
+            if chaos_shard not in (None, shard_id):
+                member = replace(options, chaos=None)
             # Listed before it fills: a replica that fails to launch must
             # not leak the ones of its group that are already running.
             group: list[SearcherProcess] = []

@@ -138,19 +138,6 @@ class ServerOptions(FlagFields):
     one more field here.
     """
 
-    #: Every ``slow_every``-th SEARCH (starting with the first) sleeps
-    #: ``slow_delay_s`` before executing: a per-request stall (GC pause,
-    #: queueing spike), not a uniformly slow machine.  ``slow_every=2``
-    #: lets a hedged retry of a stalled request land on a fast slot;
-    #: ``1`` stalls every request.
-    slow_every: int = knob(
-        0,
-        "straggler injection: stall every Nth SEARCH request "
-        "(benchmarks/tests; 0 disables)",
-    )
-    slow_delay_s: float = knob(
-        0.0, "stall duration in seconds for --slow-every"
-    )
     max_in_flight: int = knob(
         0,
         "admission control: concurrent SEARCH executions before "
@@ -180,7 +167,7 @@ class ServerOptions(FlagFields):
     chaos: str | None = knob(
         None,
         "seeded fault injection, e.g. "
-        "'seed=42,reset_rate=0.05,delay_rate=0.1,delay_s=0.02' "
+        "'seed=42,reset_rate=0.05,delay_every=10,delay_s=0.02' "
         "(see repro.net.chaos.FaultPlan)",
         flag="--chaos-spec",
     )
@@ -190,8 +177,6 @@ class ServerOptions(FlagFields):
             if spec.type in CASTS:
                 value = CASTS[spec.type](getattr(self, spec.name))
                 object.__setattr__(self, spec.name, value)
-        if self.slow_every < 0 or self.slow_delay_s < 0:
-            raise ValueError("slow_every / slow_delay_s must be >= 0")
         if self.max_in_flight < 0 or self.queue_cap < 0:
             raise ValueError("max_in_flight / queue_cap must be >= 0")
         if self.retry_after_s < 0:
@@ -206,10 +191,6 @@ class ServerOptions(FlagFields):
         elif chaos:
             FaultPlan.parse(chaos)  # a bad spec is refused here, not at serve time
         object.__setattr__(self, "chaos", chaos or None)
-
-    def without_straggler(self) -> ServerOptions:
-        """This value for the members ``launch_fleet(slow_shard=)`` did not pick."""
-        return replace(self, slow_every=0, slow_delay_s=0.0)
 
 
 class SearcherServer:
@@ -228,11 +209,11 @@ class SearcherServer:
         fine over loopback, where broker and searcher share a disk.
     options, **fields:
         The knobs: a :class:`ServerOptions`, its fields as keywords, or
-        both (the keywords win).  The straggler, ``queue_cap`` and
-        ``retry_after_s`` fields are read off ``self.options`` per
-        request, so a test may assign a ``dataclasses.replace`` copy to
-        a live server; the rest is consumed when serving starts.  Frames
-        are capped at ``DEFAULT_MAX_FRAME`` bytes both ways.
+        both (the keywords win).  ``queue_cap`` and ``retry_after_s``
+        are read off ``self.options`` per request, and ``self.chaos`` is
+        the live :class:`FaultPlan` (a test may assign a fresh one); the
+        rest is consumed when serving starts.  Frames are capped at
+        ``DEFAULT_MAX_FRAME`` bytes both ways.
     """
 
     def __init__(
@@ -257,8 +238,6 @@ class SearcherServer:
         #: Connections, frames, sheds, expiries, abandonments and
         #: injected faults: the ``counts`` of the STATS reply.
         self.tally = Tally(_COUNTERS, shard=node.shard_id)
-        #: SEARCH requests seen (drives the straggler injection cycle).
-        self.searches_seen = 0
         #: The repr of the last abandoned dispatch that died with an
         #: error rather than a clean cancel, for postmortems.
         self._last_abandoned_error: str | None = None
@@ -284,20 +263,19 @@ class SearcherServer:
         self._failed: BaseException | None = None
 
     # -- request handling --------------------------------------------------------------
-    async def _inject_fault(self, transport: asyncio.Transport) -> str | None:
+    def _inject_fault(self, transport: asyncio.Transport) -> str | None:
         """Apply the chaos plan's next decision to this SEARCH frame.
 
-        Returns the drawn kind so the connection knows whether to keep
-        serving (``None``/``"delay"``), skip the response
+        Returns the drawn kind so the connection knows whether to serve
+        (``None``), serve after a stall (``"delay"``, which
+        :meth:`_dispatch` holds and counts), skip the response
         (``"drop"``/``"overload"``) or kill the connection (``"reset"``).
         """
         kind = self.chaos.draw()
-        if kind is None:
-            return None
+        if kind in (None, "delay"):  # a stall is counted where it is slept
+            return kind
         self.tally.count("faults", kind=kind)
-        if kind == "delay":
-            await asyncio.sleep(self.chaos.delay_s)
-        elif kind == "overload":
+        if kind == "overload":
             shed = OverloadedError(
                 f"injected overload (shard {self.node.shard_id})",
                 retry_after_s=self.options.retry_after_s,
@@ -343,7 +321,7 @@ class SearcherServer:
         return True
 
     async def _dispatch(
-        self, msg_type: MsgType, header: dict, arrays: list
+        self, msg_type: MsgType, header: dict, arrays: list, stall_s: float = 0.0
     ) -> list:
         loop = asyncio.get_running_loop()
         if msg_type == MsgType.PING:
@@ -355,7 +333,6 @@ class SearcherServer:
                 raise ProtocolError(
                     f"SEARCH expects 1 query array, got {len(arrays)}"
                 )
-            self.searches_seen += 1
             # The peer shipped its *remaining* budget; pin it to this
             # host's clock once, then every later check is a cheap
             # comparison.  Everything else in the header is the call,
@@ -387,18 +364,13 @@ class SearcherServer:
                 # client has already given up, so executing now would
                 # burn CPU on an answer nobody reads.
                 self._refuse_if_spent(call, "waiting for admission")
-                options = self.options
-                if (
-                    options.slow_every
-                    and options.slow_delay_s > 0
-                    and (self.searches_seen - 1) % options.slow_every == 0
-                ):
-                    # Injected straggler: stall this request only (the
-                    # event loop keeps serving other connections).  The
-                    # stall holds its admission slot -- a stalled
-                    # request occupies real capacity.
+                if stall_s:
+                    # An injected ``delay`` stalls this request only (the
+                    # event loop keeps serving other connections) and
+                    # holds its admission slot, as a real stall would.
+                    self.tally.count("faults", kind="delay")
                     with maybe_span(recorder, "stall", injected=True):
-                        await asyncio.sleep(options.slow_delay_s)
+                        await asyncio.sleep(stall_s)
                 ids, dists, cost = await self._execute_search(loop, call, recorder)
             finally:
                 if admitted:
@@ -713,14 +685,17 @@ class _Connection(asyncio.Protocol):
     ) -> None:
         server = self.server
         try:
+            stall_s = 0.0
             if msg_type == MsgType.SEARCH and server.chaos is not None:
-                action = await server._inject_fault(self.transport)
+                action = server._inject_fault(self.transport)
                 if action == "reset":
                     self._hang_up()
                 if action in ("reset", "drop", "overload"):
                     return
+                if action == "delay":
+                    stall_s = server.chaos.delay_s
             try:
-                response = await server._dispatch(msg_type, header, arrays)
+                response = await server._dispatch(msg_type, header, arrays, stall_s)
             except Exception as exc:  # -> structured error frame
                 if self.hung_up:
                     raise

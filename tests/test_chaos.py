@@ -58,7 +58,7 @@ def connect(address: str, shard_id: int) -> RemoteSearcherTransport:
 class TestFaultPlan:
     def test_same_seed_same_schedule(self):
         rates = dict(
-            delay_rate=0.2, reset_rate=0.2, drop_rate=0.1, overload_rate=0.2
+            delay_every=2, reset_rate=0.2, drop_rate=0.1, overload_rate=0.2
         )
         plan_a = FaultPlan(seed=7, **rates)
         plan_b = FaultPlan(seed=7, **rates)
@@ -67,7 +67,7 @@ class TestFaultPlan:
         assert first == second
 
     def test_different_seed_different_schedule(self):
-        rates = dict(delay_rate=0.25, reset_rate=0.25, overload_rate=0.25)
+        rates = dict(delay_every=3, reset_rate=0.25, overload_rate=0.25)
         first = [FaultPlan(seed=1, **rates).draw() for _ in range(200)]
         second = [FaultPlan(seed=2, **rates).draw() for _ in range(200)]
         assert first != second
@@ -78,8 +78,23 @@ class TestFaultPlan:
         quiet = FaultPlan(seed=3)
         assert all(quiet.draw() is None for _ in range(50))
 
+    def test_delay_is_periodic_where_no_random_fault_fires(self):
+        """Frame ``n`` stalls iff ``(n - 1) % delay_every == 0`` and the
+        draw picked no random kind; the draw is still one per frame, so a
+        plan without ``delay`` keeps its random schedule bit for bit."""
+        plan = FaultPlan(delay_every=3)
+        assert [plan.draw() for _ in range(7)] == [
+            "delay", None, None, "delay", None, None, "delay",
+        ]
+        rates = dict(seed=9, reset_rate=0.3, overload_rate=0.2)
+        calm, delayed = FaultPlan(**rates), FaultPlan(delay_every=2, **rates)
+        for frame in range(200):
+            kind, with_delay = calm.draw(), delayed.draw()
+            periodic = "delay" if frame % 2 == 0 else None
+            assert with_delay == (kind if kind is not None else periodic)
+
     def test_the_server_counts_each_fault_by_kind(self, lanns_fs, queries):
-        spec = "seed=5,delay_rate=0.5,delay_s=0.001,overload_rate=0.5"
+        spec = "seed=5,delay_every=2,delay_s=0.001,overload_rate=0.5"
         plan = FaultPlan.parse(spec)
         drawn = [plan.draw() for _ in range(20)]
         server = start_server(lanns_fs, 0, chaos=spec)
@@ -98,13 +113,13 @@ class TestFaultPlan:
 
     def test_spec_round_trip(self):
         plan = FaultPlan(
-            seed=42, delay_rate=0.1, delay_s=0.02, reset_rate=0.15,
+            seed=42, delay_every=4, delay_s=0.02, reset_rate=0.15,
             overload_rate=0.05,
         )
         parsed = FaultPlan.parse(plan.spec())
-        assert parsed.seed == plan.seed
-        assert parsed.rates == plan.rates
-        assert parsed.delay_s == plan.delay_s
+        assert parsed.spec() == plan.spec()
+        assert (parsed.seed, parsed.rates) == (plan.seed, plan.rates)
+        assert (parsed.delay_every, parsed.delay_s) == (4, 0.02)
         assert [parsed.draw() for _ in range(50)] == [
             plan.draw() for _ in range(50)
         ]
@@ -116,6 +131,8 @@ class TestFaultPlan:
             FaultPlan.parse("seed=1,banana=2")
         with pytest.raises(ValueError, match="invalid chaos spec"):
             FaultPlan.parse("bogus_rate=0.1")
+        with pytest.raises(ValueError, match="invalid chaos spec"):
+            FaultPlan.parse("seed=1,delay_rate=0.2")  # a stall is periodic now
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError, match="must be in"):
@@ -124,6 +141,8 @@ class TestFaultPlan:
             FaultPlan(reset_rate=0.6, drop_rate=0.6)
         with pytest.raises(ValueError, match="delay_s"):
             FaultPlan(delay_s=-1.0)
+        with pytest.raises(ValueError, match="delay_every"):
+            FaultPlan(delay_every=-1)
 
 
 class TestChaosFailover:
@@ -233,7 +252,7 @@ class TestChaosFailover:
 
 
 class TestRollingRestartUnderChaos:
-    CHAOS = "seed={seed},delay_rate=0.2,delay_s=0.02,reset_rate=0.15"
+    CHAOS = "seed={seed},delay_every=5,delay_s=0.02,reset_rate=0.15"
 
     @pytest.fixture()
     def grid(self, lanns_fs):
@@ -323,10 +342,9 @@ class TestRollingRestartUnderChaos:
 
         # Group 1 keeps its chaos plans (only group 0 was restarted):
         # keep traffic flowing until faults demonstrably fire and are
-        # absorbed.  A short restart may have seen only lucky draws, so
-        # the bound is on draws, not wall time -- at a 35% fault rate,
-        # 200 clean draws has probability ~1e-37.
-        for _ in range(200):
+        # absorbed.  The bound is on draws, not wall time: every fifth
+        # frame a plan does not reset, it stalls.
+        for _ in range(20):
             if faults_injected() > 0:
                 break
             response = service.execute(

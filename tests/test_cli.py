@@ -347,8 +347,6 @@ class TestServeSearcherFlags:
     ``ServerOptions``; names and defaults are b863b1d's, pinned here."""
 
     GOLDEN = {
-        "--slow-every": 0,
-        "--slow-delay-s": 0.0,
         "--max-in-flight": 0,
         "--queue-cap": 0,
         "--retry-after-s": 0.05,
@@ -391,19 +389,29 @@ class TestServeSearcherFlags:
         argv = [
             "serve-searcher", "--shard-id", "4", "--host", "127.0.0.9",
             "--max-in-flight", "3", "--retry-after-s", "0.25",
-            "--chaos-spec", "seed=9,drop_rate=0.5", "--slow-every", "2",
-            "--slow-delay-s", "0.01",
+            "--chaos-spec", "seed=9,drop_rate=0.5,delay_every=2,delay_s=0.01",
         ]
         assert main(argv) == 0
         (server,) = started
         assert (server.node.shard_id, server.host) == (4, "127.0.0.9")
         assert server.options == ServerOptions(
-            max_in_flight=3, retry_after_s=0.25, chaos="seed=9,drop_rate=0.5",
-            slow_every=2, slow_delay_s=0.01,
+            max_in_flight=3, retry_after_s=0.25,
+            chaos="seed=9,drop_rate=0.5,delay_every=2,delay_s=0.01",
         )
-        assert server.chaos.seed == 9
+        assert (server.chaos.seed, server.chaos.delay_every) == (9, 2)
         with pytest.raises(ValueError, match="batch_max must be >= 1"):
             main(["serve-searcher", "--shard-id", "0", "--batch-max", "0"])
+
+    def test_the_retired_straggler_flags_are_refused(self, capsys):
+        """A stall is a ``FaultPlan`` ``delay`` (``--chaos-spec
+        delay_every=N,delay_s=S``); the straggler's own flags left with
+        their fields, so argparse refuses them."""
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(
+                ["serve-searcher", "--shard-id", "0", "--slow-every", "2"]
+            )
+        assert refused.value.code == 2
+        assert "--slow-every" in capsys.readouterr().err
 
 
 def subparser(name: str) -> argparse.ArgumentParser:
@@ -433,9 +441,12 @@ class TestGoldenCommandLines:
     non-default) it holds the subcommand, the ``LannsConfig`` /
     ``BrokerPolicy`` / ``ServerOptions`` value the line meant (``to_dict``
     / ``asdict``, key order included) and the rest of the namespace; and
-    per subcommand every flag's default, choices and requiredness.  The
-    one edit since: the retired ``BrokerPolicy.cache_quantize_decimals``
-    key (``null`` in all ten ``policy`` rows) left with its field."""
+    per subcommand every flag's default, choices and requiredness.  Two
+    edits since, each a retired field leaving with its key: the
+    ``BrokerPolicy.cache_quantize_decimals`` key (``null`` in all ten
+    ``policy`` rows), and the straggler's ``slow_every`` /
+    ``slow_delay_s`` (their flags became ``delay_every`` / ``delay_s``
+    of the two rows' ``--chaos-spec``)."""
 
     @staticmethod
     def linter_namespace(argv, monkeypatch) -> dict:

@@ -133,13 +133,15 @@ class TestFacade:
         client = RemoteSearcherClient(server.address, retries=0)
         try:
             client.ping()  # warm one pooled connection
-            assert (client.connects, client.open_connections) == (1, 1)
+            assert client.tally.snapshot()["connects"] == 1
+            assert client.open_connections == 1
             with pytest.raises(DeadlineExceededError, match="already expired"):
                 client.ping(deadline=time.monotonic() - 1.0)
             assert client.open_connections == 1
             # Still pooled: the next call dials nothing.
             client.ping()
-            assert (client.connects, client.open_connections) == (1, 1)
+            assert client.tally.snapshot()["connects"] == 1
+            assert client.open_connections == 1
         finally:
             client.close()
         assert client.open_connections == 0
@@ -155,7 +157,7 @@ class TestFacade:
         try:
             with pytest.raises(RuntimeError, match=r"await .*\.ping\(\)"):
                 asyncio.run(misuse())
-            assert client.requests_sent == 0
+            assert client.tally.snapshot() == {}
             assert asyncio.run(client.core.ping()) == 0
         finally:
             client.close()
@@ -193,8 +195,9 @@ class TestFacade:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert not errors, repr(errors[:1])
-            assert client.queries_served == 8 * 50 * 2
-            assert client.requests_sent == 8 * 50
+            counts = client.tally.snapshot()
+            assert counts["queries_served"] == 8 * 50 * 2
+            assert counts["requests_sent"] == 8 * 50
             # Quiescent: whatever is still open is idle in the pool.
             assert 1 <= client.open_connections <= client.core.pool_size
         finally:
@@ -220,7 +223,8 @@ class TestOneRemoteTransport:
                 np.testing.assert_array_equal(reply.ids, want_ids)
                 np.testing.assert_array_equal(reply.dists, want_dists)
                 assert reply.cost is None and reply.trace is None
-            assert transport.client.queries_served == 2 * queries.shape[0]
+            counts = transport.client.tally.snapshot()
+            assert counts["queries_served"] == 2 * queries.shape[0]
         finally:
             transport.close()
         assert transport.client.open_connections == 0

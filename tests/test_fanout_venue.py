@@ -17,12 +17,12 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import LannsError
+from repro.net.chaos import FaultPlan
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
 from repro.obs.metrics import get_registry
@@ -145,9 +145,7 @@ class TestCloseRace:
         inline.close()
         # Every SEARCH stalls a little, so close() finds RPCs in flight.
         for server in servers:
-            server.options = replace(
-                server.options, slow_every=1, slow_delay_s=0.05
-            )
+            server.chaos = FaultPlan(delay_every=1, delay_s=0.05)
         transports = remote(servers, retries=0)
         deadline_s = 5.0
         broker = Broker(transports, LANNS_2X2, request_timeout_s=deadline_s)

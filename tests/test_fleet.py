@@ -221,14 +221,12 @@ class TestOptionsCrossTheProcessBoundary:
     processes."""
 
     EVERY_FIELD = ServerOptions(
-        slow_every=3,
-        slow_delay_s=0.001,
         max_in_flight=2,
         queue_cap=5,
         retry_after_s=0.125,
         batch_max=4,
         batch_wait_ms=1.5,
-        chaos="seed=7,delay_rate=0.25,delay_s=0.001",
+        chaos="seed=7,delay_every=4,delay_s=0.001",
     )
 
     def test_every_field_reaches_the_child(self, spawned, tmp_path):
@@ -262,14 +260,18 @@ class TestOptionsCrossTheProcessBoundary:
         with pytest.raises(TypeError, match="batch_maxx"):
             fleet_mod.launch_searcher(0, batch_maxx=2)
 
+    @pytest.mark.parametrize("chaos_shard", [None, 1])
     def test_every_member_of_a_replicated_fleet_takes_the_options(
-        self, spawned, tmp_path
+        self, spawned, tmp_path, chaos_shard
     ):
         """At b863b1d ``launch_replicated_fleet`` forwarded no server
-        knob, so admission / chaos / stragglers were single-replica only."""
+        knob, so admission / chaos / stragglers were single-replica only;
+        until the straggler folded into the plan, a perturbation launched
+        without naming its shard reached no member at all."""
+        plan = "seed=0,delay_every=2,delay_s=0.001"
         groups = fleet_mod.launch_replicated_fleet(
-            2, 2, log_dir=tmp_path, max_in_flight=1, queue_cap=0, slow_shard=1,
-            slow_every=2, slow_delay_s=0.001,
+            2, 2, log_dir=tmp_path, max_in_flight=1, queue_cap=0,
+            chaos_shard=chaos_shard, chaos=plan,
         )
         try:
             assert [len(group) for group in groups] == [2, 2]
@@ -279,8 +281,9 @@ class TestOptionsCrossTheProcessBoundary:
                     assert stats["shard_id"] == shard_id
                     assert stats["options"]["max_in_flight"] == 1
                     assert stats["options"]["queue_cap"] == 0
-                    # Only group ``slow_shard`` keeps the straggler fields.
-                    assert stats["options"]["slow_every"] == (2 if shard_id == 1 else 0)
+                    # ``chaos_shard`` alone keeps the plan; ``None``: all do.
+                    kept = chaos_shard in (None, shard_id)
+                    assert stats["options"]["chaos"] == (plan if kept else None)
         finally:
             fleet_mod.shutdown_replicated_fleet(groups)
 

@@ -1,9 +1,9 @@
 """Asyncio fan-out + hedged shard requests: counts, budget, no leaks.
 
 The straggler model: one searcher (shard 1) stalls every other SEARCH
-request (``slow_every=2``) -- a per-request pause (GC, queueing), not a
-uniformly slow machine -- so a hedge re-issued on a second connection
-lands on a fast slot.  With strictly sequential requests the injection
+request (a ``FaultPlan`` with ``delay_every=2``) -- a per-request pause
+(GC, queueing), not a uniformly slow machine -- so a hedge re-issued on
+a second connection lands on a fast slot.  With strictly sequential requests the injection
 is deterministic: every *primary* RPC to the slow shard hits a slow
 slot and every hedge hits a fast one, which lets the tests pin exact
 hedge counts.
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from repro.core.merge import merge_shard_results_batch
+from repro.net.chaos import FaultPlan
 from repro.net.protocol import ShardCall
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
@@ -53,8 +54,8 @@ def hedge_delay(broker):
 
 
 def stall_every_request(server, delay_s: float) -> None:
-    """Swap a live server's options: it reads them per request."""
-    server.options = replace(server.options, slow_every=1, slow_delay_s=delay_s)
+    """Swap a live server's fault plan: it draws from it per request."""
+    server.chaos = FaultPlan(delay_every=1, delay_s=delay_s)
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +75,16 @@ def baseline(lanns):
 def fleet(lanns):
     """Fresh in-thread servers per test: shard 1 is the straggler.
 
-    Function-scoped on purpose -- the straggler injection counts SEARCH
-    frames, so sharing servers across tests would make slow/fast slots
-    depend on test order.
+    Function-scoped on purpose -- the plan counts SEARCH frames, so
+    sharing servers across tests would make slow/fast slots depend on
+    test order.
     """
     servers = []
     for shard_id in range(NUM_SHARDS):
         slow = shard_id == SLOW_SHARD
         server = SearcherServer(
             SearcherNode(shard_id),
-            slow_every=2 if slow else 0,
-            slow_delay_s=SLOW_DELAY_S if slow else 0.0,
+            chaos=FaultPlan(delay_every=2, delay_s=SLOW_DELAY_S) if slow else None,
         ).start_in_thread()
         server.node.host("hedge", lanns.shards[shard_id])
         servers.append(server)
@@ -563,8 +563,7 @@ class TestAdaptiveHedging:
         with results identical to the in-process reference."""
         from repro.online.hedging import AUTO_HEDGE_MIN_SAMPLES
 
-        slow = fleet[SLOW_SHARD]
-        slow.options = replace(slow.options, slow_delay_s=0.08)
+        fleet[SLOW_SHARD].chaos = FaultPlan(delay_every=2, delay_s=0.08)
         warm = queries[:2]
         while (
             (auto_broker.timings.quantile("shard_rpc", 0.5) or (0, 0.0))[0]

@@ -634,12 +634,12 @@ class TestLiveServer:
         assert_serving_and_idle(server, abandoned=0)
 
     @pytest.mark.parametrize(
-        "server", [{"slow_every": 1, "slow_delay_s": 0.3}], indirect=True
+        "server", [{"chaos": "delay_every=1,delay_s=0.3"}], indirect=True
     )
     def test_hangup_mid_search_abandons_it_and_frees_the_slot(self, server):
         with connect(server) as sock:
             sock.sendall(live_search_frame())
-            wait_until(lambda: server.searches_seen == 1)
+            wait_until(lambda: "faults" in server.tally.snapshot())
             assert server._admission._value == server.options.max_in_flight - 1
         wait_until(lambda: "abandoned" in server.tally.snapshot())
         assert "abandoned_errors" not in server.tally.snapshot()
@@ -701,7 +701,8 @@ class TestHostileReplies:
                 with pytest.raises(ProtocolError, match=message):
                     client.search(ShardCall(INDEX_NAME, rows, 3, deadline=began + 5))
                 assert time.monotonic() - began < 5
-                assert (client.connects, client.open_connections) == (1, 0)
+                assert client.tally.snapshot()["connects"] == 1
+                assert client.open_connections == 0
                 reply = client.search(
                     ShardCall(INDEX_NAME, rows, 3, deadline=time.monotonic() + 5)
                 )

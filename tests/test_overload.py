@@ -139,9 +139,15 @@ def raw_search(
     return arrays
 
 
+def stalls(server: SearcherServer) -> int:
+    return server.tally.snapshot().get("faults", {}).get("delay", 0)
+
+
 def occupy_slot(server: SearcherServer, queries: np.ndarray):
-    """Issue one search on a helper thread; wait until it is executing."""
-    seen_before = server.searches_seen
+    """Issue one search on a helper thread; wait until its injected
+    stall holds an admission slot (a stall is counted once its slot is
+    taken, right before it sleeps)."""
+    stalled_before = stalls(server)
     client = RemoteSearcherClient(server.address, retries=0)
 
     def request():
@@ -153,7 +159,7 @@ def occupy_slot(server: SearcherServer, queries: np.ndarray):
     thread = threading.Thread(target=request)
     thread.start()
     deadline = time.monotonic() + 5.0
-    while server.searches_seen == seen_before:
+    while stalls(server) == stalled_before:
         if time.monotonic() > deadline:
             raise TimeoutError("helper request never reached the server")
         time.sleep(0.005)
@@ -169,8 +175,7 @@ class TestAdmission:
             max_in_flight=1,
             queue_cap=0,
             retry_after_s=0.123,
-            slow_every=1,
-            slow_delay_s=0.5,
+            chaos="delay_every=1,delay_s=0.5",
         )
         try:
             holder = occupy_slot(server, queries)
@@ -185,8 +190,35 @@ class TestAdmission:
         finally:
             server.stop()
 
+    def test_an_injected_stall_holds_its_slot_and_shows_in_the_trace(
+        self, shared_fs, index, queries
+    ):
+        """A ``delay`` fault stalls after admission, holding its slot, so
+        a concurrent SEARCH is shed; a traced call's searcher spans carry
+        the ``stall``."""
+        server = start_server(
+            shared_fs, max_in_flight=1, queue_cap=0,
+            chaos="delay_every=1,delay_s=0.3",
+        )
+        client = RemoteSearcherClient(server.address, retries=0)
+        try:
+            holder = occupy_slot(server, queries)
+            with pytest.raises(OverloadedError, match="capacity"):
+                raw_search(server.address, queries[:1])
+            holder.join(timeout=10)
+            trace = {"trace_id": "stall", "sampled": True}
+            reply = client.search(ShardCall(INDEX_NAME, queries[:1], 3, trace=trace))
+            (stall,) = [span for span in reply.trace if span["name"] == "stall"]
+            assert stall["annotations"] == {"injected": True}
+            assert stall["dur_ms"] >= 0.9 * 300
+            # The shed frame drew a stall too, but never slept it.
+            assert counted(server, "shed") == 1 and stalls(server) == 2
+        finally:
+            client.close()
+            server.stop()
+
     def test_admission_disabled_by_default(self, shared_fs, index, queries):
-        server = start_server(shared_fs, slow_every=1, slow_delay_s=0.2)
+        server = start_server(shared_fs, chaos="delay_every=1,delay_s=0.2")
         try:
             holders = [occupy_slot(server, queries) for _ in range(2)]
             # No admission bound: a third concurrent request executes
@@ -243,8 +275,7 @@ class TestDeadlinePropagation:
             shared_fs,
             max_in_flight=1,
             queue_cap=1,
-            slow_every=1,
-            slow_delay_s=0.4,
+            chaos="delay_every=1,delay_s=0.4",
         )
         try:
             holder = occupy_slot(server, queries)
@@ -284,7 +315,7 @@ class TestHangupAbandonment:
     def test_disconnect_mid_request_abandons_work(
         self, shared_fs, index, queries
     ):
-        server = start_server(shared_fs, slow_every=1, slow_delay_s=0.5)
+        server = start_server(shared_fs, chaos="delay_every=1,delay_s=0.5")
         try:
             host, port = server.address.rsplit(":", 1)
             with socket.create_connection((host, int(port))) as s:
@@ -300,7 +331,7 @@ class TestHangupAbandonment:
                 # Wait for the server to start the stalled search, then
                 # hang up -- a cancelled hedge loser, in miniature.
                 deadline = time.monotonic() + 5.0
-                while server.searches_seen == 0:
+                while stalls(server) == 0:
                     if time.monotonic() > deadline:
                         raise TimeoutError("request never arrived")
                     time.sleep(0.005)
@@ -420,7 +451,7 @@ class TestBackoffJitter:
         try:
             with pytest.raises(ConnectionLostError):
                 client.ping()
-            assert client.retried == 2
+            assert client.tally.snapshot()["retried"] == 2
         finally:
             client.close()
 

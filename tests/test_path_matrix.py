@@ -128,7 +128,7 @@ FLEETS = {
     # Every SEARCH a chaotic replica sees fails, sheds or stalls.
     "chaotic": {
         "chaos": FaultPlan(
-            reset_rate=0.4, overload_rate=0.3, delay_rate=0.3, delay_s=0.02
+            reset_rate=0.4, overload_rate=0.3, delay_every=1, delay_s=0.02
         )
     },
 }

@@ -372,9 +372,7 @@ class TestCrossReplicaHedging:
         # Replica 0 of group 0 stalls EVERY search by 0.4s; its sibling
         # is fast.  With a 30ms hedge delay the retry must land on the
         # sibling and win, keeping latency far under the stall.
-        slow = start_server(
-            lanns_fs, 0, slow_every=1, slow_delay_s=0.4
-        )
+        slow = start_server(lanns_fs, 0, chaos="delay_every=1,delay_s=0.4")
         fast = start_server(lanns_fs, 0)
         other = start_server(lanns_fs, 1)
         transports = []

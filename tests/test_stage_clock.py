@@ -186,9 +186,7 @@ def test_failed_request_stays_in_the_latency_record():
     index = build_lanns_index(make_clustered(300, 16, seed=29), config=config)
     node = SearcherNode(0)
     node.host("stall", index.shards[0])
-    server = SearcherServer(
-        node, slow_every=1, slow_delay_s=1.0
-    ).start_in_thread()
+    server = SearcherServer(node, chaos="delay_every=1,delay_s=1.0").start_in_thread()
     transport = RemoteSearcherTransport(server.address, 0, retries=0)
     broker = Broker(
         [transport], config, request_timeout_s=0.15, slow_query_log_s=0.05,

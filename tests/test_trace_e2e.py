@@ -11,8 +11,8 @@ of the wire:
   -> spliced under the attempt that won, rebased onto the broker's
   clock.
 
-The straggler is injected on shard 1 (``slow_every=2``: every second
-SEARCH frame stalls), so the hedged request deterministically spawns a
+The straggler is injected on shard 1 (a ``FaultPlan`` with
+``delay_every=2``: every second SEARCH frame stalls), so the hedged request deterministically spawns a
 hedge attempt; the winner is timing-dependent, so the assertions pin
 the *structure* (a hedge child exists; exactly one attempt per group
 wins) rather than who won.
@@ -26,6 +26,7 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.hnsw.params import HnswParams
+from repro.net.chaos import FaultPlan
 from repro.net.fleet import fleet_addresses, launch_fleet, shutdown_fleet
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
@@ -83,9 +84,8 @@ class TestRemoteTraceEndToEnd:
         fleet = launch_fleet(
             NUM_SHARDS,
             root=str(shared_fs.root),
-            slow_shard=SLOW_SHARD,
-            slow_every=2,
-            slow_delay_s=SLOW_DELAY_S,
+            chaos_shard=SLOW_SHARD,
+            chaos=FaultPlan(delay_every=2, delay_s=SLOW_DELAY_S),
             log_dir=tmp_path,
         )
         service = None

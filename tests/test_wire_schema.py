@@ -394,8 +394,9 @@ class TestWellFramedGarbage:
             stats = unpack(MsgType.OK, reply).stats
             assert "shed" not in stats["counts"]
             assert stats["hosted_indices"] == [INDEX_NAME]
-            # Only the decodable searches count.
-            assert server.searches_seen == len(garbage)
+            # Every frame was answered; only the decodable searches ran.
+            assert stats["counts"]["frames_served"] == 2 * len(garbage)
+            assert stats["counts"]["requests_served"] == len(garbage)
         finally:
             server.stop()
 
