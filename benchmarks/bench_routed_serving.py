@@ -1,27 +1,31 @@
-"""Replicated, routed serving: spilled fan-out and replica kills.
+"""Replicated, routed serving: pruned fan-out and replica kills.
 
-This benchmark exercises the PR-6 serving surface end to end: a
+This benchmark exercises the serving surface end to end: a
 **segment-aligned** index build (shard ``s`` hosts exactly segment
-``s``), the broker's :class:`~repro.online.router.Router` mapping each
-query to its top-``spill`` segments, and replica groups fronting real
-searcher subprocesses.
+``s``), the broker's :class:`~repro.online.router.Router` sending each
+query only to the shard groups hosting the segments the segmenter
+routes it to (the rule every shard runs), and replica groups fronting
+real searcher subprocesses.
 
-``routing`` -- queries served with ``spill`` segments reach at least 95%
-of the all-shards recall@k while querying at most *half* the shard
-groups, and per-query QPS is strictly higher than the all-shards
-fan-out (the whole point of routing: less work per query).  Served
-through a real subprocess fleet, one searcher per shard group: the win
-is pruned *fan-out* -- fewer RPCs and fewer rows shipped per query --
-which only costs something real over a wire.
+``routing`` -- the routed answers *are* the full answers: ids and
+distances are bit-identical to a broker over the same fleet built
+without the occupancy table (the unpruned fan-out an export without one
+gets), while querying at most *half* the shard groups per query on
+average, and per-query QPS is strictly higher (the whole point of
+routing: less work per query).  Served through a real subprocess fleet,
+one searcher per shard group: the win is pruned *fan-out* -- fewer RPCs
+and fewer rows shipped per query -- which only costs something real over
+a wire.  Under virtual spill a boundary query's width is bounded only by
+the shard count; the expected width is ``(1 + 2 alpha) ** depth``, about
+2.2 of 8 groups at the paper's alpha 0.15.
 
 ``failover`` -- a 2-replica group fleet of real searcher subprocesses
 keeps serving with ZERO degraded rows and unchanged answers under the
 strict ``fail`` policy while one replica of a group is SIGKILLed: its
 sibling absorbs the traffic via the broker's failover.
 
-That ``spill="all"`` is bit-identical to the pre-router path, and a
-routed ``spill`` to the shards asked with the router's probes and
-merged, is the ``spill`` factor of ``tests/test_path_matrix.py``.
+That every path answers like ``LannsIndex.query_batch`` and asks exactly
+the hosting groups is ``tests/test_path_matrix.py``.
 
     PYTHONPATH=src python benchmarks/bench_routed_serving.py [--smoke]
 """
@@ -48,25 +52,24 @@ from harness import (
 from repro.core.builder import build_lanns_index
 from repro.offline.brute_force import exact_top_k
 from repro.offline.recall import recall_at_k
+from repro.online.broker import Broker
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
 
 #: Per-request fan-out deadline.
 REQUEST_TIMEOUT_S = 30.0
-#: Routed recall@k over all-shards recall@k.
-MIN_RECALL_RATIO = 0.95
-# ``shards`` groups == ``segments`` (a power of two, segment-aligned) and
-# ``spill`` <= shards / 2 segments routed per query.  The failover phase
-# serves the first ``failover_rows`` vectors from its own 2 x 2 index.
+# ``shards`` groups == ``segments`` (a power of two, segment-aligned).
+# The failover phase serves the first ``failover_rows`` vectors from its
+# own 2 x 2 index.
 FULL = dict(
-    num_base=12_000, num_queries=256, dim=32, shards=8, segments=8, spill=3,
+    num_base=12_000, num_queries=256, dim=32, shards=8, segments=8,
     top_k=10, ef=48, passes=5, kill_rounds=8, failover_rows=1500,
 )
 SIZES = {
     "full": FULL,
     "smoke": FULL
     | dict(
-        num_base=2000, num_queries=48, shards=4, segments=4, spill=2, passes=3,
+        num_base=2000, num_queries=48, shards=4, segments=4, passes=3,
         kill_rounds=4,
     ),
 }
@@ -83,72 +86,78 @@ def check_routing(run, _env) -> None:
         service = OnlineService(
             searchers=addresses, request_timeout_s=REQUEST_TIMEOUT_S
         )
+        brokers = {}
         try:
-            service.deploy(fs, INDEX_PATH)
-            full = service.execute(request(queries=queries))
-            routed = service.execute(request(queries=queries, spill=run.spill))
+            brokers["routed"] = service.deploy(fs, INDEX_PATH)
+            # No occupancy table, no router: every group gets every row.
+            brokers["full"] = Broker(
+                service.searchers,
+                config,
+                name="full",
+                request_timeout_s=REQUEST_TIMEOUT_S,
+            )
+            answers = {
+                name: broker.execute(request(queries=queries))
+                for name, broker in brokers.items()
+            }
             # One query per request, so the fan-out width is exactly what
-            # the router decides: ``spill`` shard-group RPCs routed versus
-            # one RPC per group unrouted.
+            # the router decides for that query.
             scores = interleaved(
                 {
                     name: [
                         partial(
-                            service.execute,
-                            request(queries=queries[row : row + 1], spill=spill),
+                            broker.execute,
+                            request(queries=queries[row : row + 1]),
                         )
                         for row in range(len(queries))
                     ]
-                    for name, spill in (("full", None), ("routed", run.spill))
+                    for name, broker in brokers.items()
                 },
                 run.passes,
             )
         finally:
+            if "full" in brokers:
+                brokers["full"].close()
             service.close()
-    recall = {
-        "full": recall_at_k(full.ids, truth, run.top_k),
-        "routed": recall_at_k(routed.ids, truth, run.top_k),
+    groups = {
+        name: float(answer.shards_routed.mean()) for name, answer in answers.items()
     }
-    groups = {"full": float(run.shards), "routed": float(routed.shards_routed.mean())}
     report(
         "routed_serving",
         [
             {
                 "mode": name,
                 "groups/query": groups[name],
-                "recall": recall[name],
+                "recall": recall_at_k(answers[name].ids, truth, run.top_k),
                 "qps": summary(scores[name])["qps"],
             }
             for name in ("full", "routed")
         ],
         title=(
-            f"Segment-routed fan-out (spill={run.spill}) vs all shards "
-            f"({run.shards} shard groups, recall@{run.top_k}; {run.num_base} "
-            f"x {run.dim}, {len(queries)} queries)"
+            f"Segment-routed fan-out vs all shards ({run.shards} shard "
+            f"groups, recall@{run.top_k}; {run.num_base} x {run.dim}, "
+            f"{len(queries)} queries)"
         ),
-        payload={
-            "smoke": run.smoke,
-            "route_ms": routed.timings.get("route_ms", 0.0),
-        },
+        payload={"smoke": run.smoke},
+    )
+    routed, full = answers["routed"], answers["full"]
+    require(
+        routed.ids.tobytes() == full.ids.tobytes()
+        and routed.dists.tobytes() == full.dists.tobytes(),
+        "routed answers differ from the full fan-out's",
     )
     require(
-        (routed.shards_routed <= run.shards / 2).all(),
-        f"routing with spill={run.spill} queried more than half of the "
-        f"{run.shards} shard groups for some query",
+        groups["routed"] <= run.shards / 2,
+        f"routing queried {groups['routed']:.2f} of {run.shards} shard "
+        "groups per query on average, more than half",
     )
     require(
         not routed.degraded_rows,
         f"{routed.degraded_rows} routed rows degraded on a healthy fleet",
     )
-    require(
-        recall["routed"] >= MIN_RECALL_RATIO * recall["full"],
-        f"routed recall@{run.top_k} {recall['routed']:.4f} is below "
-        f"{MIN_RECALL_RATIO:.0%} of the all-shards recall {recall['full']:.4f}",
-    )
     print(
-        f"routing: recall ratio {recall['routed'] / recall['full']:.3f} >= "
-        f"{MIN_RECALL_RATIO} while querying {groups['routed']:.1f}/"
-        f"{run.shards} groups ✓"
+        f"routing: answers bit-identical to the full fan-out while querying "
+        f"{groups['routed']:.2f}/{run.shards} groups per query ✓"
     )
     run.gate("routed_over_full", speedup(scores, "routed", over="full"))
 

@@ -60,23 +60,6 @@ def _load_vectors(path: str) -> np.ndarray:
     raise SystemExit(f"unsupported vector file {path!r} (use .npy or .fvecs)")
 
 
-def _spill(value: str):
-    """Parse --spill: a positive int, or the string 'all'."""
-    if value == "all":
-        return "all"
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a segment count or 'all', got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"spill must be >= 1, got {value!r}"
-        )
-    return parsed
-
-
 #: ``bench`` builds a small registry dataset: its own defaults for four
 #: config fields, and the ``build`` flags it has never had (the dataset
 #: fixes the metric; the rest are layouts and scorers it does not sweep).
@@ -130,8 +113,8 @@ def _check_query_mode(args: argparse.Namespace) -> None:
         for flag, spec in BrokerPolicy.flags().items()
         if getattr(args, spec.name) != spec.default
     ]
-    extras = (("--spill", args.spill), ("--trace-out", args.trace_out))
-    remote_only += [flag for flag, value in extras if value is not None]
+    if args.trace_out is not None:
+        remote_only.append("--trace-out")
     if args.searchers and args.no_checkpoint:
         args.error("--no-checkpoint belongs to the offline job (no --searchers)")
     if remote_only and not args.searchers:
@@ -192,7 +175,6 @@ def _query_remote(
                 top_k=args.top_k,
                 index_name="default",
                 ef=args.ef,
-                spill=args.spill,
             )
         )
         elapsed = time.perf_counter() - begin
@@ -202,13 +184,6 @@ def _query_remote(
             f"{len(service.searchers)} remote searchers in {elapsed:.2f}s "
             f"({elapsed / queries.shape[0] * 1e3:.2f} ms/query wall)"
         )
-        if args.spill is not None and args.spill != "all":
-            routed = response.shards_routed
-            print(
-                f"  routed (spill={args.spill}): mean "
-                f"{routed.mean():.2f} of {response.num_shards} "
-                "shard groups queried per row"
-            )
         if response.degraded_rows:
             print(
                 f"  DEGRADED: {response.degraded_rows} of "
@@ -472,17 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
             "('h:1,h:2'), or ';'-separated replica groups with ','-"
             "separated interchangeable replicas inside each "
             "('h:1,h:2;h:3,h:4' = two shards, two replicas each)"
-        ),
-    )
-    query.add_argument(
-        "--spill",
-        type=_spill,
-        default=None,
-        help=(
-            "route each query to its top-SPILL segments and fan out "
-            "only to the shard groups hosting them ('all' or omitted = "
-            "query every shard group; requires a segment-aligned index "
-            "for real fan-out savings)"
         ),
     )
     BrokerPolicy.add_flags(query)  # the knob fields: remote mode's policy

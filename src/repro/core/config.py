@@ -46,8 +46,8 @@ class LannsConfig(FlagFields):
         stable key hash, so every shard hosts every segment and queries
         must visit every shard.  ``"segment"`` aligns shards with
         segments (requires ``num_shards == num_segments``): shard ``s``
-        hosts exactly segment ``s``, which lets the online router prune
-        fan-out to the top-``spill`` segments' shards.
+        hosts exactly segment ``s``, which lets the broker ask only the
+        shards hosting a query's routed segments.
     num_segments:
         Second-level partitions per shard.  Must be a power of two for the
         hyperplane segmenters (the tree is binary).
@@ -85,7 +85,7 @@ class LannsConfig(FlagFields):
         "hash",
         "'segment' aligns shards with segments (requires shards == "
         "segments): each shard hosts exactly one segment, which lets the "
-        "online router prune fan-out to the top-spill shard groups",
+        "broker ask only the shards hosting a query's routed segments",
         choices=SHARDING_MODES,
     )
     segmenter: str = knob(
@@ -160,23 +160,20 @@ class LannsConfig(FlagFields):
         """Number of (shard, segment) HNSW indices built."""
         return self.num_shards * self.num_segments
 
-    def per_shard_budget(
-        self, top_k: int, num_groups: int | None = None
-    ) -> int:
+    def per_shard_budget(self, top_k: int) -> int:
         """The perShardTopK each queried shard is asked for (Eq. 5-6).
 
-        ``num_groups`` is the fan-out width the budget must cover
-        (default: every shard).  Eq. 5-6 model a query's neighbors as
-        uniformly hashed across the shards queried; the segment-aligned
-        layout concentrates them in a few nearby segments instead, so
-        there -- as with ``use_per_shard_topk`` off -- the only budget
-        that cannot truncate answers below ``top_k`` is ``top_k`` itself.
+        Eq. 5-6 model a query's neighbors as uniformly hashed across the
+        ``num_shards`` shards; the segment-aligned layout concentrates
+        them in a few nearby segments instead, so there -- as with
+        ``use_per_shard_topk`` off -- the only budget that cannot
+        truncate answers below ``top_k`` is ``top_k`` itself.
         """
         if not self.use_per_shard_topk or self.sharding == "segment":
             return int(top_k)
         return per_shard_top_k(
             int(top_k),
-            self.num_shards if num_groups is None else num_groups,
+            self.num_shards,
             self.topk_confidence,
             paper_literal=self.paper_literal_probit,
         )

@@ -81,9 +81,8 @@ class ShardIndex:
         candidates merge per query through the vectorised batch merge.
 
         ``probes`` (one segment-id tuple per row) overrides the
-        segmenter's routing -- the broker's router pushes its spilled
-        segment choice down here, since under the segment-aligned layout
-        a query's *natural* segment may be empty on this shard.
+        segmenter's routing -- how a contextual index scopes a query to
+        the named contexts' segments.
 
         ``cost`` optionally accumulates this batch's search work (see
         :class:`~repro.obs.cost.SearchCost`); every executed

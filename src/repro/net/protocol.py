@@ -269,16 +269,17 @@ class ShardCall:
 
     The fields are the newest ``FRAME_FIELDS["SEARCH"]`` entry under its
     own names, plus the payload (``queries``, the ``(B, dim)`` block):
-    ``top_k`` is the perShardTopK budget, ``probes`` the router's per-row
-    segment push-down, ``trace`` the broker's trace context (the shard
-    then reports its span tree), ``cost`` asks for search-cost counters.
+    ``top_k`` is the perShardTopK budget, ``probes`` an optional per-row
+    segment override of the shard's own routing, ``trace`` the broker's
+    trace context (the shard then reports its span tree), ``cost`` asks
+    for search-cost counters.
     The one exception: ``deadline`` is an absolute ``time.monotonic()``
     instant on *this* host and becomes the table's ``deadline_ms`` --
     remaining budget, because monotonic clocks do not compare across
     hosts -- only where the client packs the frame; the server pins it
     back to its own clock.
 
-    Immutable because it is shared: every shard of an unrouted fan-out,
+    Immutable because it is shared: every shard of an unpruned fan-out,
     a hedge and a failover get the same object, on the fan-out loop and
     on executor threads alike.  Results are bit-identical whatever
     ``trace`` / ``cost`` say.

@@ -1,6 +1,6 @@
 """Admission: the result cache and the micro-batcher in front of a search.
 
-An unrouted request is answered per row from the LRU **result cache**
+A request is answered per row from the LRU **result cache**
 (:mod:`repro.online.cache`, keyed by each row's bytes and filled with
 the fresh rows that came back fully answered); its misses are one block
 that opportunistic **micro-batching** (:mod:`repro.online.microbatch`) may
@@ -27,7 +27,7 @@ from repro.online.types import SearchResponse
 
 
 class Admission:
-    """Cache -> micro-batch -> ``execute`` for the default fan-out.
+    """Cache -> micro-batch -> ``execute``, for every request.
 
     ``num_shards`` / ``epoch`` are the deployment's share of every cache
     key (see :func:`~repro.online.cache.result_cache_key`);
@@ -55,7 +55,7 @@ class Admission:
         )
         self.batcher: MicroBatcher | None = (
             MicroBatcher(
-                lambda key, queries: self._run(key, queries)[:3],
+                lambda key, queries: self._run(key, queries)[:4],
                 max_batch=max_batch,
                 max_wait_ms=max_wait_ms,
                 on_queue_wait=partial(clock.record, "queue_wait"),
@@ -74,14 +74,13 @@ class Admission:
     ) -> SearchResponse:
         """Answer rows from the cache; admit the rest as one block.
 
-        Cache hits always count as fully answered: degraded rows are
-        never cached.  The response carries no ``replicas_used``
-        (coalescing makes per-request replica attribution ambiguous).
+        Cache hits always count as fully answered by the groups their
+        row was routed to: degraded rows are never cached.
         """
         num_queries = queries.shape[0]
         cost = None
         if not self.cache.enabled:
-            ids, dists, answered, cost = self.admit(key, queries, trace)
+            ids, dists, answered, routed, cost = self.admit(key, queries, trace)
         else:
             with self.clock.stage("cache", trace) as stage:
                 keys = [
@@ -89,35 +88,40 @@ class Admission:
                     for row in queries
                 ]
                 ids, dists = empty_part(num_queries, key.top_k)
+                routed = np.zeros(num_queries, dtype=np.int64)
                 miss_rows: list[int] = []
                 for row, row_key in enumerate(keys):
                     cached = self.cache.get(row_key)
                     if cached is None:
                         miss_rows.append(row)
                     else:
-                        ids[row], dists[row] = cached
+                        ids[row], dists[row], routed[row] = cached
                 stage.annotate(
                     hits=num_queries - len(miss_rows), misses=len(miss_rows)
                 )
-            answered = np.full(num_queries, self.num_shards, dtype=np.int64)
+            answered = routed.copy()
             if miss_rows:
                 misses = np.asarray(miss_rows, dtype=np.int64)
-                fresh_ids, fresh_dists, fresh_answered, cost = self.admit(
-                    key, queries[misses], trace
+                fresh_ids, fresh_dists, fresh_answered, fresh_routed, cost = (
+                    self.admit(key, queries[misses], trace)
                 )
                 ids[misses] = fresh_ids
                 dists[misses] = fresh_dists
                 answered[misses] = fresh_answered
+                routed[misses] = fresh_routed
                 for slot, row in enumerate(miss_rows):
-                    if int(fresh_answered[slot]) == self.num_shards:
+                    if fresh_answered[slot] == fresh_routed[slot]:
                         self.cache.put(
-                            keys[row], fresh_ids[slot], fresh_dists[slot]
+                            keys[row],
+                            fresh_ids[slot],
+                            fresh_dists[slot],
+                            int(fresh_routed[slot]),
                         )
         return SearchResponse(
             ids=ids,
             dists=dists,
             shards_answered=answered,
-            shards_routed=np.full(num_queries, self.num_shards, dtype=np.int64),
+            shards_routed=routed,
             num_shards=self.num_shards,
             cost=cost,
         )
@@ -125,7 +129,7 @@ class Admission:
     def admit(
         self, key: AdmissionKey, queries: np.ndarray, trace: Trace | None = None
     ) -> tuple:
-        """``(ids, dists, answered, cost)`` of one block, run through
+        """``(ids, dists, answered, routed, cost)`` of one block, run through
         micro-batching when on, else directly.
 
         Traced requests bypass the micro-batcher: the batch kernels are
@@ -144,6 +148,12 @@ class Admission:
 
     def _run(self, key, queries, trace=None) -> tuple:
         """One search, per-row arrays first: the micro-batcher slices the
-        first three back across the requests it coalesced."""
+        first four back across the requests it coalesced."""
         response = self._execute(key, queries, trace)
-        return response.ids, response.dists, response.shards_answered, response.cost
+        return (
+            response.ids,
+            response.dists,
+            response.shards_answered,
+            response.shards_routed,
+            response.cost,
+        )

@@ -9,16 +9,17 @@ responsible for calculating and passing the perShardTopK to each shard."
 are thin wrappers over it.  It is a pipeline, each step one stage of the
 broker's :class:`~repro.obs.clock.StageClock`::
 
-    validate -> route -> cache -> admit -> fan out -> merge -> record
+    validate -> cache -> admit -> route -> fan out -> merge -> record
 
-- **route** (:mod:`repro.online.router`): a routed request maps each
-  query to its top-``spill`` segments and fans out only to the shard
-  groups hosting them (``spill=None``/``"all"`` queries every group).
-- **cache -> admit** (:mod:`repro.online.admission`).  Routed requests
-  bypass both: cache keys and admission keys do not carry ``spill``,
-  and coalescing rows with different fan-out shapes would change
-  answers.  Everything else a request could vary is the broker's one
-  :class:`BrokerPolicy`, so no other request skips admission.
+- **cache -> admit** (:mod:`repro.online.admission`): every request
+  is answered from the result cache where it can be, and its misses
+  are one block the micro-batcher may coalesce with others.
+- **route** (:mod:`repro.online.router`), per admitted block, only
+  where the index's occupancy table leaves something to prune: each
+  row is routed by the segmenter's own rule -- the one every shard
+  runs -- and sent only to the shard groups hosting its segments.
+  Routing is a pure function of the query, so it changes no answer,
+  cache key or admission key.
 - **fan out** (:mod:`repro.online.fanout`), inline or on one event loop
   as the fleet dictates, with replica failover
   (:mod:`repro.online.failover`) and hedged requests
@@ -48,7 +49,7 @@ from repro.online.fanout import Batch, FanOut, work_list
 from repro.online.hedging import resolve_hedge_delay
 from repro.online.microbatch import AdmissionKey, admission_key
 from repro.online.replicas import ReplicaGroup
-from repro.online.router import Router, RoutingPlan
+from repro.online.router import Router
 from repro.online.searcher import SearcherNode  # noqa: F401 (re-export)
 from repro.online.types import SearchRequest, SearchResponse
 from repro.segmenters.base import Segmenter
@@ -200,16 +201,13 @@ class Broker:
         concatenated in shard order).
     config:
         The index configuration (for perShardTopK parameters).
-    segmenter:
-        The index's trained segmenter.  When given, the broker builds a
-        :class:`~repro.online.router.Router` and accepts routed requests
-        (``SearchRequest.spill``); without it, only ``spill=None/"all"``
-        requests are served.
-    segment_sizes:
-        Per-shard per-segment occupancy (the manifest's
-        ``segment_sizes``), letting the router prune fan-out to the
-        shards actually hosting a segment.  ``None`` assumes full
-        occupancy (probes are restricted, fan-out is not).
+    segmenter, segment_sizes:
+        The index's trained segmenter and its per-shard per-segment
+        occupancy (the manifest's ``segment_sizes``).  When the table
+        shows some segment missing from some shard, the broker builds a
+        :class:`~repro.online.router.Router` and asks each shard group
+        only about the rows routed to a segment it hosts; otherwise (or
+        without them) every group receives every row.
     cache / cache_size / cache_epoch:
         Result-cache wiring; see :mod:`repro.online.cache`.
     name:
@@ -267,12 +265,8 @@ class Broker:
             )
         self.config = config
         self.router: Router | None = (
-            Router(
-                segmenter,
-                config.num_shards,
-                segment_sizes=segment_sizes,
-            )
-            if segmenter is not None
+            Router(segmenter, segment_sizes)
+            if segmenter is not None and Router.prunes(segment_sizes)
             else None
         )
         self.name = str(name)
@@ -342,16 +336,11 @@ class Broker:
             "replicas": [group.stats() for group in self.groups],
         }
 
-    def per_shard_budget(
-        self, top_k: int, num_groups: int | None = None
-    ) -> int:
+    def per_shard_budget(self, top_k: int) -> int:
         """The perShardTopK this broker passes to each searcher.
 
-        ``num_groups`` is the fan-out width the budget must cover:
-        routed requests pass the widest per-row group count of their
-        plan, because Eq. 5-6 size the budget for answers spread over
-        *every* shard queried -- sizing from the full deployment while
-        querying ``spill`` groups would cap each answer below ``top_k``.
+        A pruned group hosts none of a row's segments, so pruning never
+        changes the budget: it is the deployment's.
 
         Degenerate cases (all reachable through micro-batch coalescing,
         pinned by ``tests/test_online_serving.py::
@@ -372,7 +361,7 @@ class Broker:
         - **empty batch**: no fan-out happens at all; the budget is only
           computed for batches with at least one row.
         """
-        return self.config.per_shard_budget(top_k, num_groups)
+        return self.config.per_shard_budget(top_k)
 
     def effective_ef(self, ef: int | None) -> int:
         """Canonicalise ``ef``: ``None`` means the config's ``ef_search``.
@@ -390,24 +379,13 @@ class Broker:
         """Serve one :class:`SearchRequest` end to end.
 
         The one serving path: ``search``/``search_batch`` wrap this.
-        Unrouted requests flow through the result cache and the
-        micro-batching admission layer (their responses carry
-        ``replicas_used=None`` -- coalescing makes per-request replica
-        attribution ambiguous); routed requests go straight to the
-        fan-out with full metadata.  A request the broker cannot serve
-        is rejected before it is counted or traced; one that fails later
-        is in the latency histogram and the slow-query log like any
-        other.
+        Every request flows through the result cache and the
+        micro-batching admission layer.  A request that fails is in the
+        latency histogram and the slow-query log like any other.
         """
         queries = request.queries
         num_queries = queries.shape[0]
         num_shards = len(self.groups)
-        if request.routed and self.router is None:
-            raise ValueError(
-                "routed request (spill set) on a broker without a "
-                "router: construct the Broker with the index's "
-                "segmenter (OnlineService does this automatically)"
-            )
         if num_queries == 0:
             ids, dists = empty_part(0, request.top_k)
             return SearchResponse(
@@ -428,41 +406,30 @@ class Broker:
         whole = self.timings.stage("request", histogram=_REQUEST_SECONDS)
         try:
             with whole:
-                if not request.routed:
-                    response = self._admission.serve(key, queries, trace)
-                else:
-                    with self.timings.stage(
-                        "route", trace, window="route", spill=request.spill
-                    ) as route:
-                        plan = self.router.plan(queries, request.spill)
-                        route.annotate(groups=plan.groups_queried)
-                    widths, rows = np.unique(plan.routed_counts, return_counts=True)
-                    for width, count in zip(widths.tolist(), rows.tolist()):
-                        self.tally.count("routed_rows", count, groups=width)
-                    response = self._search(key, queries, trace, plan=plan)
-                    response.timings["route_ms"] = route.seconds * 1000.0
+                response = self._admission.serve(key, queries, trace)
         finally:
             kept = self.tracer.finish(trace, whole.seconds, whole.error)
         return replace(response, trace=trace.to_dict()) if kept else response
 
     def _search(
-        self,
-        key: AdmissionKey,
-        queries: np.ndarray,
-        trace: Trace | None = None,
-        *,
-        plan: RoutingPlan | None = None,
+        self, key: AdmissionKey, queries: np.ndarray, trace: Trace | None = None
     ) -> SearchResponse:
-        """Fan out -> merge: one lockstep batch, full serving metadata.
-
-        Also what the admission layer runs per (possibly coalesced)
-        block.  ``plan=None`` asks every shard group; a routing plan
-        asks each group about its routed rows only, so the per-shard
-        budget must cover the plan's width, not the full deployment's.
+        """Route -> fan out -> merge: one lockstep batch, full serving
+        metadata -- what the admission layer runs per (possibly
+        coalesced) block.  Without a router every shard group is asked
+        about every row.
         """
         policy = self.policy
         num_queries = queries.shape[0]
         num_shards = len(self.groups)
+        plan = None
+        if self.router is not None:
+            with self.timings.stage("route", trace, window="route") as route:
+                plan = self.router.plan(queries)
+                route.annotate(groups=plan.groups_queried)
+            widths, rows = np.unique(plan.routed_counts, return_counts=True)
+            for width, count in zip(widths.tolist(), rows.tolist()):
+                self.tally.count("routed_rows", count, groups=width)
         work, routed = work_list(queries, plan, num_shards)
         if not work:
             # Every row routed nowhere (its segments are hosted on no
@@ -474,13 +441,9 @@ class Broker:
                 shards_answered=np.zeros(num_queries, dtype=np.int64),
                 shards_routed=routed,
                 num_shards=num_shards,
-                replicas_used=(-1,) * num_shards,
                 cost=SearchCost().as_dict() if policy.collect_cost else None,
             )
-        budget = self.per_shard_budget(
-            key.top_k,
-            None if plan is None else int(plan.routed_counts.max()),
-        )
+        budget = self.per_shard_budget(key.top_k)
         batch = Batch(
             call=ShardCall(
                 key.index_name,
@@ -500,7 +463,7 @@ class Broker:
             result = self._fanout.run(batch, work, routed, fanout.span)
         with self.timings.stage(
             "merge", trace, window="merge", parts=len(result.parts)
-        ) as merge:
+        ):
             ids, dists = merge_shard_results_batch(result.parts, key.top_k)
         return SearchResponse(
             ids=ids,
@@ -508,11 +471,6 @@ class Broker:
             shards_answered=result.answered,
             shards_routed=routed,
             num_shards=num_shards,
-            replicas_used=result.replicas_used,
-            timings={
-                "fanout_ms": fanout.seconds * 1000.0,
-                "merge_ms": merge.seconds * 1000.0,
-            },
             cost=result.cost,
         )
 
@@ -545,7 +503,6 @@ class Broker:
         top_k: int,
         *,
         ef: int | None = None,
-        spill: int | str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Serve a query batch: a thin wrapper over :meth:`execute`.
 
@@ -558,7 +515,6 @@ class Broker:
                 top_k=top_k,
                 index_name=index_name,
                 ef=ef,
-                spill=spill,
             )
         )
         return response.ids, response.dists

@@ -87,7 +87,8 @@ class CacheStats:
 
 
 class QueryResultCache:
-    """Thread-safe LRU cache of merged ``(ids, dists)`` result rows.
+    """Thread-safe LRU cache of merged ``(ids, dists, routed)`` result
+    rows, ``routed`` being how many shard groups the row was asked of.
 
     Parameters
     ----------
@@ -111,7 +112,7 @@ class QueryResultCache:
         self.tally = Tally(_COUNTERS)
         self._lock = threading.Lock()
         self._entries: OrderedDict[
-            CacheKey, tuple[np.ndarray, np.ndarray]
+            CacheKey, tuple[np.ndarray, np.ndarray, int]
         ] = OrderedDict()
 
     @property
@@ -131,7 +132,7 @@ class QueryResultCache:
             *(events.get(e, 0) for e in ("hit", "miss", "eviction", "invalidation"))
         )
 
-    def get(self, key: CacheKey) -> tuple[np.ndarray, np.ndarray] | None:
+    def get(self, key: CacheKey) -> tuple[np.ndarray, np.ndarray, int] | None:
         """Look up one result row; refreshes LRU recency on hit."""
         if not self.enabled:
             return None
@@ -139,12 +140,18 @@ class QueryResultCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                entry = entry[0].copy(), entry[1].copy()
+                entry = entry[0].copy(), entry[1].copy(), entry[2]
         self.tally.count("events", event="miss" if entry is None else "hit")
         return entry
 
-    def put(self, key: CacheKey, ids: np.ndarray, dists: np.ndarray) -> None:
-        """Insert (or refresh) one result row, evicting the LRU tail."""
+    def put(
+        self, key: CacheKey, ids: np.ndarray, dists: np.ndarray, routed: int = 0
+    ) -> None:
+        """Insert (or refresh) one result row, evicting the LRU tail.
+
+        ``routed`` is how many shard groups the row was asked of, what a
+        hit reports as its ``shards_routed``.
+        """
         if not self.enabled:
             return
         ids = np.array(ids, dtype=np.int64, copy=True)
@@ -152,7 +159,7 @@ class QueryResultCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (ids, dists)
+            self._entries[key] = (ids, dists, int(routed))
             evicted = len(self._entries) - self.capacity
             for _ in range(evicted):
                 self._entries.popitem(last=False)

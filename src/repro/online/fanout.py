@@ -58,11 +58,10 @@ Part = tuple[np.ndarray, np.ndarray]
 
 
 class Batch(NamedTuple):
-    """What every shard RPC of one fan-out shares: the unrouted
-    :class:`~repro.net.protocol.ShardCall` (all rows, no probes --
-    index, perShardTopK budget, ``ef``, trace context, cost flag and
-    deadline live there and nowhere else) plus what never crosses the
-    wire."""
+    """What every shard RPC of one fan-out shares: the whole batch's
+    :class:`~repro.net.protocol.ShardCall` (all rows -- index,
+    perShardTopK budget, ``ef``, trace context, cost flag and deadline
+    live there and nowhere else) plus what never crosses the wire."""
 
     call: ShardCall
     hedge_delay: float | None
@@ -70,20 +69,19 @@ class Batch(NamedTuple):
 
     def call_for(self, item: Work) -> ShardCall:
         """``item``'s call, built once: a hedge or a failover re-issues
-        the same object.  An unrouted item *is* the batch's call."""
+        the same object.  An item of all rows *is* the batch's call."""
         if item.rows is None:
             return self.call
-        return replace(self.call, queries=item.queries, probes=item.probes)
+        return replace(self.call, queries=item.queries)
 
 
 class Work(NamedTuple):
-    """One shard group's share of a batch: its sub-batch, the batch rows
-    it covers (``None`` = all of them) and their segment probes."""
+    """One shard group's share of a batch: its sub-batch and the batch
+    rows it covers (``None`` = all of them)."""
 
     group_id: int
     queries: np.ndarray
     rows: np.ndarray | None
-    probes: list[tuple[int, ...]] | None
 
 
 class Outcome(NamedTuple):
@@ -102,15 +100,13 @@ class FanoutResult(NamedTuple):
     ``parts``: one full-width ``(B, budget)`` block per work item (rows
     not asked about, or not answered, hold the ``-1``/``inf`` padding the
     merge treats as absent); ``answered``: per row, how many of its
-    routed groups answered; ``replicas_used``: the winning replica id per
-    shard group (``-1`` for failed or unqueried groups); ``cost``: the
-    summed search-cost dict when collected; ``failures``: the errors of
-    the groups this request degraded past.
+    routed groups answered; ``cost``: the summed search-cost dict when
+    collected; ``failures``: the errors of the groups this request
+    degraded past.
     """
 
     parts: list[Part]
     answered: np.ndarray
-    replicas_used: tuple[int, ...]
     cost: dict | None
     failures: list[TransportError]
 
@@ -120,19 +116,19 @@ def work_list(
 ) -> tuple[list[Work], np.ndarray]:
     """``(work, routed)`` for one batch.
 
-    ``plan=None`` sends the full batch to every shard group (the
-    pre-router behavior, bit-exact); a routing plan sends each group only
-    its routed rows with their segment probes pushed down.  ``work`` is
-    empty when every row routed nowhere (empty hints).
+    ``plan=None`` sends the full batch to every shard group; a routing
+    plan sends each group only its routed rows, which the group routes
+    again by the same rule.  ``work`` is empty when every row routed
+    nowhere (its segments are hosted on no shard).
     """
     if plan is None:
         return (
-            [Work(group_id, queries, None, None) for group_id in range(num_shards)],
+            [Work(group_id, queries, None) for group_id in range(num_shards)],
             np.full(queries.shape[0], num_shards, dtype=np.int64),
         )
     return (
         [
-            Work(group_id, queries[rows], rows, plan.shard_probes[group_id])
+            Work(group_id, queries[rows], rows)
             for group_id, rows in plan.shard_rows.items()
         ],
         plan.routed_counts.copy(),
@@ -143,7 +139,6 @@ def assemble(
     work: list[Work],
     outcomes: list[Outcome],
     routed: np.ndarray,
-    num_shards: int,
     budget: int,
     partial_policy: str,
     tally: Tally,
@@ -159,7 +154,6 @@ def assemble(
     num_queries = routed.shape[0]
     parts: list[Part] = []
     answered = routed.copy()
-    replicas_used = [-1] * num_shards
     failures: list[TransportError] = []
     cost = SearchCost() if collect_cost else None
     for item, outcome in zip(work, outcomes):
@@ -173,10 +167,8 @@ def assemble(
                 answered -= 1
             else:
                 answered[item.rows] -= 1
-        else:
-            replicas_used[item.group_id] = outcome.replica_id
-            if cost is not None:
-                cost.merge(outcome.cost)
+        elif cost is not None:
+            cost.merge(outcome.cost)
         if item.rows is not None or part is None:
             full = empty_part(num_queries, budget)
             if part is not None:
@@ -194,7 +186,6 @@ def assemble(
     return FanoutResult(
         parts=parts,
         answered=answered,
-        replicas_used=tuple(replicas_used),
         cost=cost.as_dict() if cost is not None else None,
         failures=failures,
     )
@@ -324,7 +315,6 @@ class FanOut:
             work,
             venue(batch, work, fanout_span),
             routed,
-            len(self.groups),
             batch.call.top_k,
             self.partial_policy,
             self.tally,

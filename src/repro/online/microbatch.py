@@ -69,10 +69,11 @@ def admission_key(
 
 
 #: ``execute(key, queries)`` -> a tuple of per-row arrays, each with one
-#: entry per query row (e.g. ``(ids, dists)`` or, with partial-result
-#: annotation, ``(ids, dists, shards_answered)``).  The batcher slices
-#: every element of the tuple back out per submitted block, so the
-#: executor can grow its result without the admission layer changing.
+#: entry per query row (e.g. ``(ids, dists)`` or, with the fan-out
+#: annotation, ``(ids, dists, shards_answered, shards_routed)``).  The
+#: batcher slices every element of the tuple back out per submitted
+#: block, so the executor can grow its result without the admission
+#: layer changing.
 ExecuteFn = Callable[[Hashable, np.ndarray], tuple[np.ndarray, ...]]
 
 

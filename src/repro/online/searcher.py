@@ -137,8 +137,9 @@ class SearcherNode:
         One network round-trip's worth of work in the real system: the
         broker ships the whole batch, the searcher lockstep-searches its
         shard and returns ``(B, k)`` id/distance arrays (padded with
-        ``-1`` / ``inf``).  ``probes`` carries the broker router's
-        segment choice (see :meth:`ShardIndex.search_batch`).
+        ``-1`` / ``inf``).  ``probes``, when a caller sends them,
+        override the shard's own routing (see
+        :meth:`ShardIndex.search_batch`).
 
         ``cost`` optionally accumulates this request's search work; the
         collected increments are also counted into this searcher's tally.

@@ -178,9 +178,10 @@ class OnlineService:
                 f"fleet has {len(self.searchers)} searchers but index "
                 f"{index_name!r} needs {config.num_shards}"
             )
-        # The broker embeds the trained segmenter (the router maps each
-        # query to its top-spill segments) -- the persisted-metadata
-        # coupling the paper insists on, now reaching the serving tier.
+        # The broker embeds the trained segmenter (where the occupancy
+        # table leaves shards to prune, it routes each query as the
+        # shards do) -- the persisted-metadata coupling the paper
+        # insists on, now reaching the serving tier.
         segmenter = load_segmenter(fs, index_path, manifest)
         # Who may be hosting ``index_name`` on behalf of this deploy:
         # whatever raises from here on -- a shard that fails to load, a
@@ -458,19 +459,17 @@ class OnlineService:
         *,
         index_name: str = "default",
         ef: int | None = None,
-        spill: int | str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Serve a query batch in one broker fan-out.
 
         Returns ``(B, top_k)`` id/distance arrays padded with ``-1`` /
         ``inf``; per-query results are identical to :meth:`query`.
-        ``spill`` routes the batch through the broker's router (see
-        :class:`~repro.online.types.SearchRequest`); :meth:`execute`
-        returns the partial-result annotation (``shards_answered`` per
-        row) and the rest of the serving metadata.
+        :meth:`execute` returns the partial-result annotation
+        (``shards_answered`` per row) and the rest of the serving
+        metadata.
         """
         return self._broker(index_name).search_batch(
-            index_name, queries, top_k, ef=ef, spill=spill
+            index_name, queries, top_k, ef=ef
         )
 
     def measure_qps(
@@ -481,16 +480,13 @@ class OnlineService:
         index_name: str = "default",
         ef: int | None = None,
         batch_size: int | None = None,
-        spill: int | str | None = None,
     ) -> dict:
         """Serve a query set and report throughput / latency stats.
 
         With ``batch_size=None`` every query is served individually (the
         sequential baseline); otherwise queries are served in batches of
         ``batch_size`` through :meth:`query_batch` and each batch counts
-        as one request for latency purposes.  ``spill`` applies spilled
-        segment routing to the batched mode (the routed-serving
-        benchmark's QPS comparison).  Timing comes from
+        as one request for latency purposes.  Timing comes from
         :mod:`repro.eval.timing` so both modes share one qps definition.
 
         Returns a dict with ``qps``, ``mean_latency_ms``,
@@ -511,7 +507,7 @@ class OnlineService:
         else:
             stats = measure_batch_qps(
                 lambda batch: self.query_batch(
-                    batch, top_k, index_name=index_name, ef=ef, spill=spill
+                    batch, top_k, index_name=index_name, ef=ef
                 ),
                 queries,
                 batch_size,

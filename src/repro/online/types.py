@@ -3,13 +3,14 @@
 Two frozen dataclasses carry a query batch through the serving tier:
 
 - :class:`SearchRequest` -- what changes a query batch's answer and
-  nothing else: the queries themselves, the index, the accuracy knobs
-  (``top_k``, ``ef``) and the routing knob (``spill``).  How the answer
-  is obtained -- deadlines, hedging, caching, batching -- is the
-  broker's one :class:`~repro.online.broker.BrokerPolicy`.
+  nothing else: the queries themselves, the index and the accuracy
+  knobs (``top_k``, ``ef``).  How the answer is obtained is not the
+  request's: routing follows the index's own segmenter, and deadlines,
+  hedging, caching and batching are the broker's one
+  :class:`~repro.online.broker.BrokerPolicy`.
 - :class:`SearchResponse` -- results plus structured serving metadata:
-  which shard groups were routed and answered per row, which replica won
-  each group, and per-stage timings.
+  how many shard groups were routed and answered per row, the search
+  cost and the request's trace.
 
 ``Broker.execute(request) -> response`` is the one entry point;
 ``search``/``search_batch`` are array-in/array-out wrappers over it.
@@ -17,20 +18,16 @@ Two frozen dataclasses carry a query batch through the serving tier:
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.validation import as_matrix
 
-#: ``spill`` value requesting the legacy fan-out to every shard group.
-SPILL_ALL = "all"
-
 
 @dataclass(frozen=True)
 class SearchRequest:
-    """One immutable query batch: the five values that change its answer.
+    """One immutable query batch: the four values that change its answer.
 
     Parameters
     ----------
@@ -43,45 +40,18 @@ class SearchRequest:
         Which deployed index to search.
     ef:
         HNSW beam width; ``None`` uses the index configuration.
-    spill:
-        Segment-routing knob.  ``None`` or :data:`SPILL_ALL` fans out to
-        every shard group (bit-identical to the pre-router broker);
-        a positive integer (any ``operator.index``-able value but a
-        bool, stored as an ``int``) routes each query to its
-        top-``spill`` segments and fans out only to the shard groups
-        hosting them.
     """
 
     queries: np.ndarray
     top_k: int
     index_name: str = "default"
     ef: int | None = None
-    spill: int | str | None = None
 
     def __post_init__(self) -> None:
         queries = as_matrix(self.queries, name="queries")
         object.__setattr__(self, "queries", queries)
         if self.top_k <= 0:
             raise ValueError(f"top_k must be positive, got {self.top_k}")
-        spill = self.spill
-        if spill is None or isinstance(spill, str):
-            if spill not in (None, SPILL_ALL):
-                raise ValueError(
-                    f"spill must be None, {SPILL_ALL!r} or a positive int, "
-                    f"got {spill!r}"
-                )
-            return
-        if isinstance(spill, (bool, np.bool_)):
-            raise TypeError(f"spill must be an int, not a bool: {spill!r}")
-        spill = operator.index(spill)
-        if spill < 1:
-            raise ValueError(f"spill must be >= 1, got {spill}")
-        object.__setattr__(self, "spill", spill)
-
-    @property
-    def routed(self) -> bool:
-        """Whether this request asks for segment-aware (pruned) fan-out."""
-        return self.spill is not None and self.spill != SPILL_ALL
 
 
 @dataclass(frozen=True)
@@ -91,9 +61,10 @@ class SearchResponse:
     ``ids``/``dists`` are ``(B, top_k)`` with ``-1`` / ``inf`` padding,
     exactly as ``search_batch`` returns them.  The metadata arrays
     describe the fan-out: ``shards_routed[row]`` is how many shard groups
-    the router selected for that row (== ``num_shards`` when unrouted) and
-    ``shards_answered[row]`` how many of those actually contributed, so
-    ``shards_answered < shards_routed`` marks a degraded row.
+    host a segment the row routes to (``num_shards`` wherever every group
+    hosts every segment) and ``shards_answered[row]`` how many of those
+    actually contributed, so ``shards_answered < shards_routed`` marks a
+    degraded row.
     """
 
     ids: np.ndarray
@@ -101,8 +72,6 @@ class SearchResponse:
     shards_answered: np.ndarray
     shards_routed: np.ndarray
     num_shards: int
-    replicas_used: tuple[int, ...] | None = None
-    timings: dict[str, float] = field(default_factory=dict)
     #: Aggregated search-cost counters for this batch (hops, distance
     #: comps, ...; see :mod:`repro.obs.cost`), when the broker collected
     #: them.  Cache hits carry no cost (no search ran).

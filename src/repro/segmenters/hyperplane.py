@@ -209,48 +209,10 @@ class HyperplaneTreeSegmenter(Segmenter):
             )
 
     def route_data_batch(self, data: np.ndarray) -> list[tuple[int, ...]]:
-        return self._route(data, spill=self.spill_mode == "physical")
+        return self._route(data, self.spill_mode == "physical")
 
     def route_query_batch(self, queries: np.ndarray) -> list[tuple[int, ...]]:
-        return self._route(queries, spill=self.spill_mode == "virtual")
-
-    def leaf_margins(self, queries: np.ndarray) -> np.ndarray:
-        """Signed margin of each query toward each leaf, shape ``(B, S)``.
-
-        A leaf's score is the *minimum* signed distance-to-split along its
-        root-to-leaf path (``p - split`` where the path turns right,
-        ``split - p`` where it turns left).  The natural no-spill route is
-        the argmax leaf (all its path margins are >= 0), and ranking leaves
-        by descending margin yields nested top-``spill`` probe sets -- the
-        online router's spill knob.
-        """
-        self._require_fitted()
-        queries = as_matrix(queries, dim=self.dim, name="queries")
-        n = queries.shape[0]
-        if self.depth == 0:
-            return np.zeros((n, 1), dtype=np.float64)
-        planes = np.stack(
-            [node.hyperplane for node in self._nodes]
-        ).astype(np.float64)
-        splits = np.array(
-            [node.split for node in self._nodes], dtype=np.float64
-        )
-        # (B, nodes) signed margin toward the *right* child at every node.
-        toward_right = queries.astype(np.float64) @ planes.T - splits
-        margins = np.full((n, self.num_segments), np.inf)
-        for leaf in range(self.num_segments):
-            node_index = 0
-            for level in range(self.depth):
-                # Leaf ids encode the path MSB-first: bit 1 = right turn.
-                bit = (leaf >> (self.depth - 1 - level)) & 1
-                signed = (
-                    toward_right[:, node_index]
-                    if bit
-                    else -toward_right[:, node_index]
-                )
-                np.minimum(margins[:, leaf], signed, out=margins[:, leaf])
-                node_index = 2 * node_index + 1 + bit
-        return margins
+        return self._route(queries, self.spill_mode == "virtual")
 
     # -- persistence -------------------------------------------------------------------
     def to_dict(self) -> dict:

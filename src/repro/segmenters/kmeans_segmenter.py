@@ -134,10 +134,10 @@ class KMeansSegmenter(Segmenter):
         ]
 
     def route_data_batch(self, data: np.ndarray) -> list[tuple[int, ...]]:
-        return self._route(data, spill=self.spill_mode == "physical")
+        return self._route(data, self.spill_mode == "physical")
 
     def route_query_batch(self, queries: np.ndarray) -> list[tuple[int, ...]]:
-        return self._route(queries, spill=self.spill_mode == "virtual")
+        return self._route(queries, self.spill_mode == "virtual")
 
     # -- persistence ---------------------------------------------------------------
     def to_dict(self) -> dict:

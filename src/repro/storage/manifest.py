@@ -117,16 +117,19 @@ class IndexManifest:
                 f"unsupported index format version "
                 f"{payload.get('format_version')!r}"
             )
+        shard_sizes = [int(size) for size in payload["shard_sizes"]]
         segment_sizes = payload.get("segment_sizes")
+        if segment_sizes is not None:
+            segment_sizes = _occupancy(
+                segment_sizes, shard_sizes, payload["config"]["num_segments"]
+            )
         return cls(
             config=payload["config"],
             dim=int(payload["dim"]),
             total_vectors=int(payload["total_vectors"]),
-            shard_sizes=[int(size) for size in payload["shard_sizes"]],
+            shard_sizes=shard_sizes,
             checksums=dict(payload["checksums"]),
-            segment_sizes=None
-            if segment_sizes is None
-            else [[int(size) for size in row] for row in segment_sizes],
+            segment_sizes=segment_sizes,
             quantize=payload.get("quantize"),
             format_version=int(payload["format_version"]),
             created_by=str(payload.get("created_by", "unknown")),
@@ -150,6 +153,28 @@ class IndexManifest:
                 f"{expected}"
             )
         return config
+
+
+def _occupancy(
+    table: list, shard_sizes: list[int], num_segments: int
+) -> list[list[int]]:
+    """``table`` as the ``[shard][segment]`` count table it must be: one
+    row per shard, ``num_segments`` non-negative ints a row, each row
+    summing to its shard's size.  Anything else is a
+    ``SerializationError`` here, not an ``IndexError`` where the broker
+    reads it."""
+    rows = [[int(size) for size in row] for row in table]
+    if len(rows) != len(shard_sizes):
+        raise SerializationError(
+            f"segment_sizes has {len(rows)} rows for {len(shard_sizes)} shards"
+        )
+    for shard, row in enumerate(rows):
+        if len(row) != num_segments or min(row) < 0 or sum(row) != shard_sizes[shard]:
+            raise SerializationError(
+                f"segment_sizes row {shard} is {row}: want {num_segments} "
+                f"non-negative counts summing to shard size {shard_sizes[shard]}"
+            )
+    return rows
 
 
 def write_segment(
@@ -225,7 +250,7 @@ def parse_document(raw: bytes, file: str, parse: Callable[[dict], object]):
         if not isinstance(payload, dict):
             raise TypeError(f"a JSON {type(payload).__name__}, not an object")
         return parse(payload)
-    except (ValueError, TypeError, KeyError, ConfigError) as error:
+    except (ValueError, TypeError, KeyError, ConfigError, SerializationError) as error:
         raise SerializationError(
             f"{file!r} is not a readable document ({error!r})"
         ) from error

@@ -765,7 +765,7 @@ def test_a_request_carries_only_what_changes_its_answer():
     from repro.online.types import SearchRequest
 
     assert [field.name for field in fields(SearchRequest)] == [
-        "queries", "top_k", "index_name", "ef", "spill",
+        "queries", "top_k", "index_name", "ef",
     ]
 
 

@@ -441,12 +441,14 @@ class TestGoldenCommandLines:
     non-default) it holds the subcommand, the ``LannsConfig`` /
     ``BrokerPolicy`` / ``ServerOptions`` value the line meant (``to_dict``
     / ``asdict``, key order included) and the rest of the namespace; and
-    per subcommand every flag's default, choices and requiredness.  Two
+    per subcommand every flag's default, choices and requiredness.  Three
     edits since, each a retired field leaving with its key: the
     ``BrokerPolicy.cache_quantize_decimals`` key (``null`` in all ten
-    ``policy`` rows), and the straggler's ``slow_every`` /
+    ``policy`` rows); the straggler's ``slow_every`` /
     ``slow_delay_s`` (their flags became ``delay_every`` / ``delay_s``
-    of the two rows' ``--chaos-spec``)."""
+    of the two rows' ``--chaos-spec``); and ``query --spill`` (gone from
+    two rows' argv, every ``query`` row's ``rest`` and the flag table;
+    ``--spill 2`` is now an argparse error)."""
 
     @staticmethod
     def linter_namespace(argv, monkeypatch) -> dict:
@@ -592,7 +594,6 @@ class TestQueryModes:
     @pytest.mark.parametrize(
         "extra, belongs_to",
         [
-            (["--spill", "2"], "remote mode"),
             (["--partial-policy", "degrade"], "remote mode"),
             (["--request-timeout-s", "2"], "remote mode"),
             (["--hedge-after-s", "auto"], "remote mode"),

@@ -84,14 +84,11 @@ class TestUpdatesAndSerialization:
 class TestPerShardBudget:
     def test_budget_is_eq_5_6(self):
         """The budget a config asks for is ``per_shard_top_k`` of its
-        fan-out width, confidence and probit reading."""
+        shard count, confidence and probit reading."""
         from repro.core import topk
 
         config = LannsConfig(num_shards=4, num_segments=2, topk_confidence=0.9173)
         assert config.per_shard_budget(37) == topk.per_shard_top_k(37, 4, 0.9173)
-        assert config.per_shard_budget(37, num_groups=3) == topk.per_shard_top_k(
-            37, 3, 0.9173
-        )
         literal = config.with_updates(paper_literal_probit=True)
         assert literal.per_shard_budget(37) == topk.per_shard_top_k(
             37, 4, 0.9173, paper_literal=True

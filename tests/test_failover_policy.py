@@ -120,7 +120,7 @@ def _part(rows: int, budget: int, base: int):
 
 
 def _full_work(queries, groups):
-    return [Work(group, queries, None, None) for group in range(groups)]
+    return [Work(group, queries, None) for group in range(groups)]
 
 
 class TestAssemble:
@@ -132,26 +132,24 @@ class TestAssemble:
         result = assemble(
             work,
             [Outcome(parts[0], None, 0, None), Outcome(parts[1], None, 1, None)],
-            np.full(3, 2, dtype=np.int64), 2, 5, "fail", _tally(),
+            np.full(3, 2, dtype=np.int64), 5, "fail", _tally(),
         )
         assert result.parts[0] is parts[0] and result.parts[1] is parts[1]
-        assert result.replicas_used == (0, 1)
         assert result.answered.tolist() == [2, 2, 2]
         assert result.failures == [] and result.cost is None
 
     def test_routed_rows_scatter_onto_full_width_parts(self):
         rows = np.array([0, 2])
-        work = [Work(1, self.queries[rows], rows, [(0,), (1,)])]
+        work = [Work(1, self.queries[rows], rows)]
         sub = _part(2, 5, 7)
         result = assemble(
             work, [Outcome(sub, None, 3, None)],
-            np.array([1, 0, 1]), 2, 5, "fail", _tally(),
+            np.array([1, 0, 1]), 5, "fail", _tally(),
         )
         ids, dists = result.parts[0]
         assert ids.shape == (3, 5)
         np.testing.assert_array_equal(ids[rows], sub[0])
         assert (ids[1] == -1).all() and np.isinf(dists[1]).all()
-        assert result.replicas_used == (-1, 3)
 
     def test_degrade_drops_the_failed_groups_rows(self):
         tally = _tally()
@@ -159,11 +157,10 @@ class TestAssemble:
         result = assemble(
             work,
             [Outcome(_part(3, 5, 0), None, 0, None), Outcome(None, LOST, -1, None)],
-            np.full(3, 2, dtype=np.int64), 2, 5, "degrade", tally,
+            np.full(3, 2, dtype=np.int64), 5, "degrade", tally,
         )
         assert result.answered.tolist() == [1, 1, 1]
         assert (result.parts[1][0] == -1).all()
-        assert result.replicas_used == (0, -1)
         assert result.failures == [LOST]
         assert tally.snapshot() == {
             "shard_failures": {"1": 1}, "degraded_batches": 1,
@@ -179,7 +176,7 @@ class TestAssemble:
                 _full_work(self.queries, 2),
                 [Outcome(_part(3, 5, 0), None, 0, None),
                  Outcome(None, error, -1, None)],
-                np.full(3, 2, dtype=np.int64), 2, 5, policy, tally,
+                np.full(3, 2, dtype=np.int64), 5, policy, tally,
             )
         assert excinfo.value is error
         assert tally.snapshot() == {}
@@ -198,7 +195,7 @@ class TestAssemble:
             with pytest.raises(TransportError, match="all 2 shards") as excinfo:
                 assemble(
                     work, [Outcome(None, exc, -1, None) for exc in errors],
-                    routed, 2, 5, "degrade", tally,
+                    routed, 5, "degrade", tally,
                 )
             return excinfo.value
 

@@ -7,22 +7,26 @@ cost nothing.  This module checks that once, against one reference per
 index and one brute-force oracle, in every cell of a generated matrix:
 
 1. **Every path answers like the reference.**  Ids and distances are
-   byte-identical to the cell's reference: ``LannsIndex.query_batch``
-   over the whole query pool or, for a routed request, the same shards
-   asked with each row's top-``spill`` segments and merged -- a rule
-   :func:`top_segments` restates, so a router bug cannot move the
-   reference along with the path under test.
+   byte-identical to the cell's reference, ``LannsIndex.query_batch``
+   over the whole query pool; and a broker asks each row of exactly the
+   shard groups hosting a segment the row routes to (:func:`widths`:
+   every group under full occupancy), so pruning is held to the rule
+   the shards run, not only to answers it cannot change.
 2. **The reference is right.**  Its recall@10 against
    :func:`~repro.offline.brute_force.exact_top_k` meets ``RECALL_FLOOR``,
    and every distance it returns is the exact float kernel's score of the
    returned id, bit for bit, in ``(distance, id)`` order.  Every cell
    checks its own reference, and ``test_reference`` checks all of
-   ``REFERENCES``: each index the factors name, unrouted and at each
-   spill, whether or not a cell serves it.
+   ``REFERENCES``: each index the factors name, whether or not a cell
+   serves it, at each spill fraction of ``ALPHAS`` (its segmenter swapped
+   over the one build, as the alpha sweep does).  There the shards asked
+   as a :class:`~repro.online.router.Router` plan prunes them answer
+   like the index, over exactly :func:`widths` groups per row, and no
+   row's answer is worse than at the next narrower alpha.
 
 A cell takes one value of each factor in ``FACTORS``: the index (corpus,
 metric, quantize, sharding, segmenter) and the path it is served through
-(venue, call, admission, cache, spill, trace, chaos).  ``CELLS`` is a
+(venue, call, admission, cache, trace, chaos).  ``CELLS`` is a
 seeded pairwise covering of the valid product -- every pair of factor
 values is served together somewhere -- plus a seeded random slice.
 Inside a cell, hypothesis draws only which query rows (none included)
@@ -49,8 +53,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from benchmarks.harness import swap_segmenter
 from repro.core import merge as merge_module
-from repro.core.builder import build_lanns_index
+from repro.core.builder import LannsBuilder, build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.merge import empty_part, merge_shard_results_batch
 from repro.core.topk import per_shard_top_k
@@ -68,7 +73,7 @@ from repro.online import admission as admission_module
 from repro.online import fanout as fanout_module
 from repro.online.broker import Broker, BrokerPolicy
 from repro.online.cache import QueryResultCache
-from repro.online.router import Router
+from repro.online.router import Router, RoutingPlan
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
@@ -96,7 +101,6 @@ FACTORS = {
     # warm: the name first served another index and was redeployed; every
     # other row is asked, then every row (hits and misses in one batch).
     "cache": ("cold", "warm"),
-    "spill": ("unrouted", "spill1", "spill2"),
     # traced: every request carries a span tree, searcher spans included.
     "trace": ("untraced", "traced"),
     # faults: each shard group is [a replica under a seeded FaultPlan, a
@@ -109,15 +113,19 @@ QUANTIZE = {
     "int8": {"quantize": "int8", "rescore_k": 64},
     "pq": {"quantize": "pq", "rescore_k": 64, "pq_subspaces": 4},
 }
-#: An unrouted batch is asked with ``spill="all"``, a single query with none.
-SPILL = {"unrouted": "all", "spill1": 1, "spill2": 2}
 K = 10
 #: On the lattice the beam is no wider than the result, so a tie decided
 #: differently at the beam boundary shows in the returned ids.
 EF = {"clustered": None, "lattice": K}
 #: Measured over the indices ``CELLS`` builds: 0.982-1.0 clustered,
-#: 0.962-1.0 lattice (ties make an id-exact hit rarer there).
+#: 0.962-1.0 lattice (ties make an id-exact hit rarer there).  Held at
+#: the built alpha and wider: a narrower one trades recall for fan-out.
 RECALL_FLOOR = {"clustered": 0.95, "lattice": 0.9}
+#: The spill fractions each hyperplane index is asked at (the alpha
+#: ablation's sweep); the build's own is ``BUILT_ALPHA``.  Under virtual
+#: spill placement does not depend on alpha, so one build serves all.
+ALPHAS = (0.0, 0.05, 0.10, 0.15, 0.25)
+BUILT_ALPHA = LANNS_2X2.alpha
 POOL = 40
 ALL_ROWS = list(range(POOL))
 #: Ids of the decoy a warm cell's name served before the redeploy.
@@ -138,26 +146,23 @@ def valid(cell: Cell) -> bool:
     """Whether the system has the path ``cell`` names: only a broker
     admits, caches, routes, traces and fails over; the query job takes
     batches; micro-batching needs concurrent clients; only searcher
-    servers batch or fail; only an ``OnlineService`` redeploys; routed
-    requests bypass cache and admission, traced ones admission."""
+    servers batch or fail; only an ``OnlineService`` redeploys; traced
+    requests bypass admission."""
     remote = cell.venue in ("loop", "mixed")
-    plain = ("direct", "cold", "unrouted", "untraced", "calm")
+    plain = ("direct", "cold", "untraced", "calm")
     return (
         (
             cell.venue not in ("memory", "offline")
-            or (cell.admission, cell.cache, cell.spill, cell.trace, cell.chaos) == plain
+            or (cell.admission, cell.cache, cell.trace, cell.chaos) == plain
         )
         and (cell.venue != "offline" or cell.call == "batch")
         and (
             cell.admission == "direct"
-            or (cell.call, cell.spill, cell.trace) == ("threads", "unrouted", "untraced")
+            or (cell.call, cell.trace) == ("threads", "untraced")
         )
         and (cell.admission != "server" or remote)
         and (cell.chaos == "calm" or remote)
-        and (
-            cell.cache == "cold"
-            or (cell.venue in ("inline", "loop") and cell.spill == "unrouted")
-        )
+        and (cell.cache == "cold" or cell.venue in ("inline", "loop"))
     )
 
 
@@ -192,15 +197,19 @@ def generate(seed: int = 31, extra: int = 6) -> list[Cell]:
 
 
 CELLS = generate()
-#: Every index the factors name, asked unrouted and with each spill:
-#: promise 2 holds for each reference, not only for those a cell serves.
+#: Every index the factors name, at each alpha its segmenter has (the
+#: random segmenter routes every query everywhere): promise 2 holds for
+#: each reference, not only for those a cell serves.
 INDEX = list(FACTORS)[:5]
 REFERENCES = [
-    Cell(*(values[0] for values in FACTORS.values()))._replace(
-        **dict(zip(INDEX, index)), spill=spill
+    (
+        Cell(*(values[0] for values in FACTORS.values()))._replace(
+            **dict(zip(INDEX, index))
+        ),
+        alpha,
     )
     for index in itertools.product(*(FACTORS[name] for name in INDEX))
-    for spill in FACTORS["spill"]
+    for alpha in (ALPHAS if index[-1] != "rs" else (BUILT_ALPHA,))
 ]
 SCORER_CELLS = list(itertools.product(("float", "int8", "pq"), FACTORS["metric"]))
 
@@ -228,7 +237,7 @@ class World:
             self._built[key] = make()
         return self._built[key]
 
-    def index(self, cell: Cell, offset: int = 0):
+    def index(self, cell: Cell, offset: int = 0, alpha: float = BUILT_ALPHA):
         def build():
             config = replace(
                 LANNS_2X2,
@@ -240,6 +249,18 @@ class World:
             data = self.corpora[cell.corpus]
             return build_lanns_index(data, np.arange(len(data)) + offset, config=config)
 
+        def swap():
+            """The build routed at ``alpha``: its segmenter refit on the
+            same sample and seed, so only the spill bands move."""
+            built, data = self.index(cell, offset), self.corpora[cell.corpus]
+            config = replace(built.config, alpha=alpha)
+            segmenter = LannsBuilder(config).learn_segmenter(data)
+            placed = built.segmenter.route_data_batch(data)
+            assert segmenter.route_data_batch(data) == placed
+            return swap_segmenter(built, segmenter)
+
+        if alpha != BUILT_ALPHA:
+            return self._once(("index", *cell[:5], offset, alpha), swap)
         return self._once(("index", *cell[:5], offset), build)
 
     def export(self, cell: Cell, offset: int = 0) -> str:
@@ -285,33 +306,24 @@ def world(tmp_path_factory, clustered_data, clustered_queries):
     built.close()
 
 
-def top_segments(segmenter, queries: np.ndarray, spill: int) -> list[tuple]:
-    """The routing rule: the ``spill`` leaves of largest margin, or a
-    segmenter's first ``spill`` routes when it has no margins."""
-    spill = min(spill, segmenter.num_segments)
-    if not hasattr(segmenter, "leaf_margins"):
-        return [tuple(route[:spill]) for route in segmenter.route_query_batch(queries)]
-    order = np.argsort(-segmenter.leaf_margins(queries), axis=1, kind="stable")
-    return [tuple(sorted(row)) for row in order[:, :spill].tolist()]
+def widths(index, queries: np.ndarray) -> list[int]:
+    """Per row, how many shards host a segment the row routes to."""
+    hosted = np.array([shard.segment_sizes for shard in index.shards]) > 0
+    routes = index.segmenter.route_query_batch(queries)
+    return [int(hosted[:, list(route)].any(axis=1).sum()) for route in routes]
 
 
-def reference(world: World, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
+def reference(
+    world: World, cell: Cell, alpha: float = BUILT_ALPHA
+) -> tuple[np.ndarray, np.ndarray]:
     """The cell's reference answers for the whole pool, after checking
-    promise 2 on them.  The recall floor is the index's: it is held by
-    the unrouted reference."""
-    index, queries, ef = world.index(cell), world.queries[cell.corpus], EF[cell.corpus]
-    if cell.spill == "unrouted":
-        ids, dists = index.query_batch(queries, K, ef=ef)
-        recall = recall_at_k(ids, world.oracle(cell), K)
-        assert recall >= RECALL_FLOOR[cell.corpus], (cell, recall)
-    else:
-        probes = top_segments(index.segmenter, queries, SPILL[cell.spill])
-        budget = index.config.per_shard_budget(K)
-        parts = [
-            shard.search_batch(queries, budget, ef=ef, probes=probes)
-            for shard in index.shards
-        ]
-        ids, dists = merge_shard_results_batch(parts, K)
+    promise 2 on them."""
+    index = world.index(cell, alpha=alpha)
+    queries, ef = world.queries[cell.corpus], EF[cell.corpus]
+    ids, dists = index.query_batch(queries, K, ef=ef)
+    recall = recall_at_k(ids, world.oracle(cell), K)
+    floor = RECALL_FLOOR[cell.corpus] if alpha >= BUILT_ALPHA else 0.0
+    assert recall >= floor, (cell, alpha, recall)
     scorer = world.exact(cell)
     prepared = scorer.prepare_queries(queries)
     for row, (row_ids, row_dists) in enumerate(zip(ids, dists)):
@@ -322,6 +334,24 @@ def reference(world: World, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
         ranked = list(zip(row_dists[real].tolist(), row_ids[real].tolist()))
         assert ranked == sorted(ranked), (cell, row)
     return ids, dists
+
+
+def pruned(index, queries: np.ndarray, ef) -> tuple:
+    """``(plan, ids, dists)``: ``index``'s shards asked as a broker that
+    prunes asks them -- each only the rows its :class:`Router` plan sends
+    it, padding for the rest -- and merged."""
+    sizes = [shard.segment_sizes for shard in index.shards]
+    plan = Router(index.segmenter, sizes).plan(queries)
+    budget = index.config.per_shard_budget(K)
+    parts = []
+    for shard_id, shard in enumerate(index.shards):
+        part = empty_part(len(queries), budget)
+        if shard_id in plan.shard_rows:
+            rows = plan.shard_rows[shard_id]
+            found = shard.search_batch(queries[rows], budget, ef=ef)
+            part[0][rows], part[1][rows] = found
+        parts.append(part)
+    return (plan, *merge_shard_results_batch(parts, K))
 
 
 def asker(single, batch, call: str):
@@ -362,7 +392,7 @@ def serve(world: World, cell: Cell):
     ``run(rows, seed, check)``, which asks the pool's ``rows`` and hands
     ``check(rows asked, ids, dists)`` every pass, then checks the path
     really was taken."""
-    index, ef, spill = world.index(cell), EF[cell.corpus], SPILL[cell.spill]
+    index, ef = world.index(cell), EF[cell.corpus]
     pool = world.queries[cell.corpus]
     if cell.venue == "memory":
         ask = asker(
@@ -423,30 +453,31 @@ def serve(world: World, cell: Cell):
             policy=policy,
         )
 
-    def redeploy(path: str) -> None:
-        nonlocal broker
+    served = index  # whose routes and occupancy the broker answers with
+
+    def redeploy(target: Cell, offset: int = 0) -> None:
+        nonlocal broker, served
         if name in service.brokers:
             service.undeploy(name)
-        broker = service.deploy(world.fs, path, index_name=name)
+        broker = service.deploy(world.fs, world.export(target, offset), index_name=name)
+        served = world.index(target, offset)
 
     def single(query):
-        if cell.spill == "unrouted":
-            return broker.search(name, query, K, ef=ef)
-        response = broker.execute(SearchRequest(query[np.newaxis], K, name, ef, spill))
-        return response.ids[0], response.dists[0]
+        return broker.search(name, query, K, ef=ef)
 
     def batch(queries):
-        response = broker.execute(SearchRequest(queries, K, name, ef, spill))
+        response = broker.execute(SearchRequest(queries, K, name, ef))
         assert response.fully_answered
+        assert response.shards_routed.tolist() == widths(served, queries), cell
         return response.ids, response.dists
 
     ask = asker(single, batch, cell.call)
 
     def run(rows: list[int], seed: int, check) -> None:
         if cell.cache == "warm":
-            redeploy(world.export(cell._replace(quantize="none", sharding="hash"), DECOY))
+            redeploy(cell._replace(quantize="none", sharding="hash"), DECOY)
             ask(pool[rows], seed)  # the decoy's answers, cached under this name
-            redeploy(world.export(cell))
+            redeploy(cell)
         coalesced = world.fleets["batched"][1]._batcher.tally
         admitted = coalesced.snapshot().get("rows_admitted", 0)
         if cell.cache == "warm":
@@ -454,6 +485,8 @@ def serve(world: World, cell: Cell):
             check(rows[::2], *ask(pool[rows[::2]], seed))
         check(rows, *ask(pool[rows], seed))
         if rows:
+            if cell.call == "single":  # ``broker.search`` hides the fan-out
+                batch(pool[rows])
             stats = broker.stats()
             assert cell.cache == "cold" or stats["cache"]["hits"] >= len(rows[::2])
             assert (
@@ -468,7 +501,7 @@ def serve(world: World, cell: Cell):
 
     try:
         if service is not None and cell.cache == "cold":
-            redeploy(world.export(cell))
+            redeploy(cell)
         yield run
         if faults:
             counts = broker.stats()["counts"]
@@ -501,10 +534,24 @@ def check_cell(world: World, cell: Cell, drive) -> None:
 
 
 @pytest.mark.parametrize(
-    "cell", REFERENCES, ids=lambda cell: "-".join((*cell[:5], cell.spill))
+    "cell, alpha",
+    REFERENCES,
+    ids=["-".join((*cell[:5], f"a{alpha}")) for cell, alpha in REFERENCES],
 )
-def test_reference(world, cell):
-    reference(world, cell)
+def test_reference(world, cell, alpha):
+    ids, dists = reference(world, cell, alpha)
+    index, queries = world.index(cell, alpha=alpha), world.queries[cell.corpus]
+    plan, routed_ids, routed_dists = pruned(index, queries, EF[cell.corpus])
+    assert plan.routed_counts.tolist() == widths(index, queries), (cell, alpha)
+    assert routed_ids.tobytes() == ids.tobytes(), (cell, alpha)
+    assert routed_dists.tobytes() == dists.tobytes(), (cell, alpha)
+    if cell.segmenter != "rs" and alpha != ALPHAS[0]:
+        # Routes nest as alpha grows, so every k-th distance can only fall.
+        narrower = ALPHAS[ALPHAS.index(alpha) - 1]
+        _, narrower_dists = world.index(cell, alpha=narrower).query_batch(
+            queries, K, ef=EF[cell.corpus]
+        )
+        assert (dists <= narrower_dists).all(), (cell, alpha, narrower)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids="-".join)
@@ -607,6 +654,16 @@ def _gemv_bias(init):
     return planted
 
 
+class _DropsLast:
+    """A segmenter whose every query route loses its last segment."""
+
+    def __init__(self, segmenter) -> None:
+        self.segmenter = segmenter
+
+    def route_query_batch(self, queries):
+        return [route[:-1] for route in self.segmenter.route_query_batch(queries)]
+
+
 def _numpy_cost(observed_search):
     def planted(node, call, recorder=None):
         ids, dists, cost = observed_search(node, call, recorder)
@@ -619,7 +676,7 @@ def _numpy_cost(observed_search):
 #: each replacing the attribute by ``wrap(original)``.
 BUGS = {
     "per_shard_budget-off-by-one": [
-        (Broker, "per_shard_budget", lambda f: lambda self, k, groups=None: f(self, k, groups) - 1)
+        (Broker, "per_shard_budget", lambda f: lambda self, k: f(self, k) - 1)
     ],
     "batch_top_k-tie-break-flip": [(merge_module, "batch_top_k", _flip_ties)],
     # Both fences down: nothing invalidates the name, no epoch keys it.
@@ -627,22 +684,33 @@ BUGS = {
         (QueryResultCache, "invalidate", lambda f: lambda self, name: 0),
         (admission_module, "result_cache_key", lambda f: lambda *a, epoch=0, **kw: f(*a, **kw)),
     ],
-    # Planted where the plan reads its segments, so the plan drops them.
+    # Planted on the route the plan reads, so the plan drops segments.
     "Router.plan-drops-last-spill-segment": [
         (
             Router,
-            "top_segments",
-            lambda f: lambda self, queries, spill: [
-                route[:-1] for route in f(self, queries, spill)
-            ],
+            "__init__",
+            lambda f: lambda self, segmenter, sizes: f(
+                self, _DropsLast(segmenter), sizes
+            ),
+        )
+    ],
+    # Asks every group every row: answers cannot tell, only the width check.
+    "router-prunes-nothing": [
+        (
+            Router,
+            "plan",
+            lambda f: lambda self, queries: RoutingPlan(
+                {shard: np.arange(len(queries)) for shard in range(self.num_shards)},
+                np.full(len(queries), self.num_shards),
+            ),
         )
     ],
     "segment-budget-sized-as-hash": [
         (
             LannsConfig,
             "per_shard_budget",
-            lambda f: lambda self, k, groups=None: per_shard_top_k(
-                k, groups or self.num_shards, self.topk_confidence
+            lambda f: lambda self, k: per_shard_top_k(
+                k, self.num_shards, self.topk_confidence
             ),
         )
     ],

@@ -22,7 +22,7 @@ from tests.conftest import LANNS_2X2, host_all
 def entry(value: int, k: int = 4):
     ids = np.arange(value, value + k, dtype=np.int64)
     dists = np.linspace(0.0, 1.0, k) + value
-    return ids, dists
+    return ids, dists, 2
 
 
 def key_of(tag: int, index_name: str = "idx") -> tuple:
@@ -38,17 +38,18 @@ def searchers(lanns):
 class TestQueryResultCacheUnit:
     def test_roundtrip_is_bit_identical(self):
         cache = QueryResultCache(4)
-        ids, dists = entry(7)
-        cache.put(key_of(1), ids, dists)
+        ids, dists, routed = entry(7)
+        cache.put(key_of(1), ids, dists, routed)
         got = cache.get(key_of(1))
         assert got is not None
         np.testing.assert_array_equal(got[0], ids)
         np.testing.assert_array_equal(got[1], dists)
+        assert got[2] == routed
 
     def test_get_and_put_return_and_store_copies(self):
         cache = QueryResultCache(4)
-        ids, dists = entry(7)
-        cache.put(key_of(1), ids, dists)
+        ids, dists, routed = entry(7)
+        cache.put(key_of(1), ids, dists, routed)
         ids[:] = -999  # caller mutates its own arrays after put...
         first = cache.get(key_of(1))
         first[0][:] = -777  # ...and mutates what get handed back

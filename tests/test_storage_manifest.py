@@ -107,6 +107,13 @@ def _with(key, value):
     return lambda raw: json.dumps({**json.loads(raw), key: value}).encode()
 
 
+def _occupancy(edit):
+    """The manifest with its ``segment_sizes`` table replaced by ``edit`` of it."""
+    return lambda raw: _with(
+        "segment_sizes", edit(json.loads(raw)["segment_sizes"])
+    )(raw)
+
+
 #: One injected fault per row: what the damaged document holds, as a
 #: function of the bytes that were written.
 DOCUMENT_FAULTS = {
@@ -124,6 +131,15 @@ MANIFEST_FAULTS = {
         **json.loads(raw),
         "config": {**json.loads(raw)["config"], "num_shards": 0},
     }).encode(),
+    # The occupancy table the broker prunes fan-out with: checked on read.
+    "occupancy_short": _occupancy(lambda rows: rows[:-1]),
+    "occupancy_long_row": _occupancy(lambda rows: [rows[0] + [0], *rows[1:]]),
+    "occupancy_negative": _occupancy(
+        lambda rows: [[sum(rows[0]) + 1, -1], *rows[1:]]
+    ),
+    "occupancy_wrong_sum": _occupancy(
+        lambda rows: [[rows[0][0] + 1, *rows[0][1:]], *rows[1:]]
+    ),
 }
 SEGMENTER_FAULTS = {
     **DOCUMENT_FAULTS,

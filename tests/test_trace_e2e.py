@@ -4,7 +4,8 @@ A routed + hedged remote request against a segment-aligned, quantized
 index must come back with ONE trace whose span tree covers both sides
 of the wire:
 
-- broker side: ``route`` -> ``fanout`` (one ``shard_rpc`` per queried
+- broker side: ``cache`` -> ``queue_wait`` -> ``route`` -> ``fanout``
+  (one ``shard_rpc`` per queried
   group, hedge attempts as ``attempt`` children with win/loss
   annotations) -> ``merge``;
 - searcher side: ``decode`` -> ``descend`` -> ``beam`` -> ``rescore``
@@ -100,21 +101,17 @@ class TestRemoteTraceEndToEnd:
             )
             service.deploy(shared_fs, INDEX_PATH, index_name="traced")
 
-            # Routed (spill = all segments, so the slow shard is in the
-            # fan-out) and hedged: the paper's serving path, traced.
-            response = service.execute(
-                SearchRequest(
-                    queries=queries,
-                    top_k=5,
-                    index_name="traced",
-                    spill=NUM_SHARDS,
-                )
-            )
+            # Admitted, fanned out and hedged: the paper's serving path,
+            # traced.
+            request = SearchRequest(queries=queries, top_k=5, index_name="traced")
+            response = service.execute(request)
             trace = response.trace
             assert trace is not None
             assert trace["sampled"]
 
             top_level = [span["name"] for span in trace["spans"]]
+            assert "cache" in top_level
+            assert "queue_wait" in top_level
             assert "route" in top_level
             assert "fanout" in top_level
             assert "merge" in top_level
@@ -168,16 +165,13 @@ class TestRemoteTraceEndToEnd:
             assert response.cost["rescore_rows"] > 0
             assert response.cost["distance_comps"] > 0
 
-            # Unrouted traced request: the admission-layer spans appear.
-            unrouted = service.execute(
-                SearchRequest(queries=queries, top_k=5, index_name="traced")
-            )
-            assert unrouted.trace is not None
-            assert unrouted.trace["trace_id"] != trace["trace_id"]
-            names = [span["name"] for span in unrouted.trace["spans"]]
-            assert "queue_wait" in names
+            # The same rows again are cache hits: traced, never fanned out.
+            cached = service.execute(request)
+            assert cached.trace is not None
+            assert cached.trace["trace_id"] != trace["trace_id"]
+            names = [span["name"] for span in cached.trace["spans"]]
             assert "cache" in names
-            assert "fanout" in names
+            assert "fanout" not in names
 
             tracer_stats = service.stats()["indices"]["traced"]["tracer"]
             assert tracer_stats["started"] == 2
