@@ -4,7 +4,8 @@ The paper's Figure 1 (from ann-benchmarks) motivates choosing HNSW: on
 SIFT1M it dominates tree-based (Annoy), hashing (LSH), quantization
 (Faiss-IVF) and the exact scan across the recall/QPS trade-off.
 
-Here every family is our own from-scratch implementation, each swept
+Here every family is our own from-scratch implementation
+(``benchmarks/baselines.py``), each swept
 over its speed/accuracy knob, reporting *two* cost metrics per point:
 
 - ``qps``: measured wall-clock throughput.  At our scaled-down size a
@@ -25,17 +26,18 @@ the brute-force anchor pins recall = 1.0.
 import numpy as np
 import pytest
 
-from repro.baselines.annoy_forest import RPForestIndex
-from repro.baselines.base import HnswAdapter
-from repro.baselines.exact import BruteForceIndex
-from repro.baselines.ivf import IvfFlatIndex
-from repro.baselines.lsh import LshIndex
-from repro.baselines.pq import PqIndex
-from repro.eval.timing import measure_qps
-from repro.offline.recall import recall_at_k
-
+from benchmarks.baselines import (
+    BruteForceIndex,
+    HnswAdapter,
+    IvfFlatIndex,
+    LshIndex,
+    PqIndex,
+    RPForestIndex,
+)
 from benchmarks.conftest import BENCH_HNSW
 from benchmarks.harness import report
+from repro.eval.timing import measure_qps
+from repro.offline.recall import recall_at_k
 
 
 @pytest.fixture(scope="module")

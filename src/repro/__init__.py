@@ -15,8 +15,6 @@ paper *"LANNS: A Web-Scale Approximate Nearest Neighbor Lookup System"*
   format.
 - :mod:`repro.offline` / :mod:`repro.online` -- the offline (Spark-style)
   pipelines and the online searcher/broker serving tier.
-- :mod:`repro.baselines` -- from-scratch ANN baselines (Annoy-like RP
-  forest, LSH, IVF, IVF-PQ, brute force) used for the Figure 1 frontier.
 - :mod:`repro.data` / :mod:`repro.eval` -- synthetic dataset recipes with
   the paper's dimensionalities and ground truth; the qps definitions and
   serving load tests behind ``OnlineService.measure_qps`` and

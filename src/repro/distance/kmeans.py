@@ -1,7 +1,8 @@
 """Lloyd's k-means with k-means++ seeding, from scratch.
 
-Used as the coarse quantizer of :class:`~repro.baselines.ivf.IvfFlatIndex`
-and for the per-subspace codebooks of product quantization.  Kept small:
+Trains the per-subspace codebooks of
+:class:`~repro.distance.scorer.PqAdcCodec` and the cells of
+:class:`~repro.segmenters.kmeans_segmenter.KMeansSegmenter`.  Kept small:
 vectorised assignment, empty-cluster re-seeding, early stop on stable
 assignments.
 """

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.distance.kmeans import kmeans
 from repro.distance.metrics import (
     CosineDistance,
     EuclideanDistance,
@@ -23,6 +24,8 @@ from repro.distance.metrics import (
     Metric,
     get_metric,
 )
+from repro.errors import CodecNotFittedError, SerializationError
+from repro.utils.validation import as_matrix, payload_member
 
 #: A float32 zero to clamp with: a Python ``0.0`` operand sends a small
 #: ufunc call down numpy's slower weak-scalar path.
@@ -262,8 +265,8 @@ class Scorer:
     def score_all_batch(self, queries: np.ndarray) -> np.ndarray:
         """Reduced distances from a *prepared* ``(B, d)`` batch to all rows.
 
-        One ``(B, d) @ (d, n)`` GEMM; the matrix-level scoring path used
-        by exhaustive rescoring and the brute-force baselines.
+        One ``(B, d) @ (d, n)`` GEMM; the matrix-level scoring path of
+        the flat scan.
         """
         self.ops += self._count * queries.shape[0]
         data = self.data
@@ -363,8 +366,6 @@ class Int8Codec:
 
     def _require_fitted(self) -> None:
         if self.scale is None:
-            from repro.errors import CodecNotFittedError
-
             raise CodecNotFittedError(
                 "Int8Codec has no scale/offset; call fit() before "
                 "encode/decode"
@@ -406,12 +407,20 @@ class Int8Codec:
         return {"codec_scale": self.scale, "codec_offset": self.offset}
 
     @classmethod
-    def from_arrays(cls, payload: dict) -> "Int8Codec":
-        """Inverse of :meth:`to_arrays`."""
+    def from_arrays(cls, payload: dict, dim: int) -> "Int8Codec":
+        """Inverse of :meth:`to_arrays` for ``dim``-wide rows; a member
+        that is missing or not ``dim`` wide is a ``SerializationError``."""
         codec = cls()
-        codec.scale = np.asarray(payload["codec_scale"], dtype=np.float32)
-        codec.offset = np.asarray(payload["codec_offset"], dtype=np.float32)
+        codec.scale, codec.offset = (
+            payload_member(payload, name, np.float32, (dim,))
+            for name in ("codec_scale", "codec_offset")
+        )
         return codec
+
+    def codes_from(self, payload: dict, count: int) -> np.ndarray:
+        """The payload's ``(count, d)`` codes, refused unless so shaped."""
+        width = self.scale.shape[0]
+        return payload_member(payload, "codec_codes", np.int8, (count, width))
 
 
 def pq_subspaces_for(dim: int, requested: int) -> int:
@@ -427,12 +436,53 @@ def pq_subspaces_for(dim: int, requested: int) -> int:
     return 1
 
 
+def pq_codebooks(
+    data: np.ndarray, num_subspaces: int, num_codes: int, *, seed: int
+) -> np.ndarray:
+    """Product-quantization codebooks of ``data``: ``(m, ks, d / m)``
+    float64, one k-means per subspace of ``d / m`` dimensions (15
+    iterations, seeded ``seed + subspace``), ``ks = min(num_codes, n)``.
+    ``num_subspaces`` must divide ``d``."""
+    data = as_matrix(data, name="data")
+    if data.shape[1] % num_subspaces != 0:
+        raise ValueError(
+            f"dim {data.shape[1]} is not divisible by "
+            f"num_subspaces={num_subspaces}"
+        )
+    width = data.shape[1] // num_subspaces
+    num_codes = min(num_codes, data.shape[0])
+    return np.stack(
+        [
+            kmeans(
+                data[:, sub * width : (sub + 1) * width],
+                num_codes,
+                max_iters=15,
+                seed=seed + sub,
+            )[0]
+            for sub in range(num_subspaces)
+        ]
+    )
+
+
+def pq_encode(codebooks: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """``(n, m)`` uint16 codes: the nearest codeword of each subspace."""
+    subspaces, _, width = codebooks.shape
+    data = as_matrix(data, dim=subspaces * width, name="data")
+    codes = np.empty((data.shape[0], subspaces), dtype=np.uint16)
+    for sub, centers in enumerate(codebooks):
+        chunk = data[:, sub * width : (sub + 1) * width]
+        cross = chunk.astype(np.float64) @ centers.T
+        norms = np.einsum("ij,ij->i", centers, centers)
+        codes[:, sub] = np.argmin(norms[np.newaxis, :] - 2.0 * cross, axis=1)
+    return codes
+
+
 class PqAdcCodec:
     """Product-quantization codec scored via ADC lookup tables.
 
-    Wraps the (fixed) :class:`~repro.baselines.pq.ProductQuantizer`:
-    codebooks are trained per segment at build time, each row compresses
-    to one ``uint16`` code per subspace, and a query builds one
+    Codebooks (:func:`pq_codebooks`, up to 256 codewords) are trained
+    per segment at build time, each row compresses to one ``uint16``
+    code per subspace (:func:`pq_encode`), and a query builds one
     ``(num_subspaces, num_codes)`` table whose lookups replace the
     full-dimension dot product.
     """
@@ -446,36 +496,27 @@ class PqAdcCodec:
             )
         self.requested_subspaces = int(num_subspaces)
         self.seed = int(seed)
-        self._pq = None  # fitted ProductQuantizer
-        #: float32 codebooks (m, ks, d/m) used by the scoring hot path.
+        #: float64 codebooks (m, ks, d/m): what is encoded against and
+        #: persisted.
+        self.codebooks: np.ndarray | None = None
+        #: float32 copy of ``codebooks`` used by the scoring hot path.
         self.codebooks32: np.ndarray | None = None
         self.center_sq: np.ndarray | None = None  # (m, ks) float32
 
     @property
     def is_fitted(self) -> bool:
         """Whether codebooks have been trained."""
-        return self.codebooks32 is not None
+        return self.codebooks is not None
 
     @property
     def num_subspaces(self) -> int:
         """Effective subspace count (after divisor adjustment)."""
-        if self.codebooks32 is None:
+        if self.codebooks is None:
             return self.requested_subspaces
-        return int(self.codebooks32.shape[0])
-
-    def _require_fitted(self) -> None:
-        if self.codebooks32 is None:
-            from repro.errors import CodecNotFittedError
-
-            raise CodecNotFittedError(
-                "PqAdcCodec has no codebooks; call fit() before "
-                "encode/decode"
-            )
+        return int(self.codebooks.shape[0])
 
     def fit(self, data: np.ndarray) -> "PqAdcCodec":
         """Train one k-means codebook per subspace on ``data``."""
-        from repro.baselines.pq import ProductQuantizer
-
         data = np.asarray(data, dtype=np.float32)
         if data.ndim != 2 or data.shape[0] == 0:
             raise ValueError(
@@ -495,51 +536,66 @@ class PqAdcCodec:
                 data.shape[0], size=_PQ_TRAIN_SAMPLE, replace=False
             )
             train = data[np.sort(rows, kind="stable")]
-        self._pq = ProductQuantizer(
-            subspaces, max(2, min(256, train.shape[0])), seed=self.seed
-        ).fit(train)
-        self._finish()
+        self._adopt(pq_codebooks(train, subspaces, 256, seed=self.seed))
         return self
 
-    def _finish(self) -> None:
-        self.codebooks32 = self._pq.codebooks.astype(np.float32)
+    def _adopt(self, codebooks: np.ndarray) -> None:
+        self.codebooks = codebooks
+        self.codebooks32 = codebooks.astype(np.float32)
         self.center_sq = np.einsum(
             "mkd,mkd->mk", self.codebooks32, self.codebooks32
         )
 
+    def _require_fitted(self) -> None:
+        if self.codebooks is None:
+            raise CodecNotFittedError(
+                "PqAdcCodec has no codebooks; call fit() before encode"
+            )
+
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Compress rows to ``(n, m)`` uint16 codes."""
         self._require_fitted()
-        return self._pq.encode(data)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Reconstruct (approximate) float32 rows from codes."""
-        self._require_fitted()
-        return self._pq.decode(codes)
+        return pq_encode(self.codebooks, data)
 
     def to_arrays(self) -> dict:
         """Npz-friendly dict form (full-precision codebooks)."""
         self._require_fitted()
         return {
-            "codec_codebooks": self._pq.codebooks,
+            "codec_codebooks": self.codebooks,
             "codec_pq_seed": np.asarray(self.seed),
         }
 
     @classmethod
-    def from_arrays(cls, payload: dict) -> "PqAdcCodec":
-        """Inverse of :meth:`to_arrays`."""
-        from repro.baselines.pq import ProductQuantizer
-
-        codebooks = np.asarray(payload["codec_codebooks"], dtype=np.float64)
-        subspaces, num_codes, width = codebooks.shape
-        codec = cls(subspaces, seed=int(payload["codec_pq_seed"]))
-        pq = ProductQuantizer(subspaces, max(2, num_codes), seed=codec.seed)
-        pq.codebooks = codebooks
-        pq.num_codes = num_codes
-        pq.dim = subspaces * width
-        codec._pq = pq
-        codec._finish()
+    def from_arrays(cls, payload: dict, dim: int) -> "PqAdcCodec":
+        """Inverse of :meth:`to_arrays` for ``dim``-wide rows; codebooks
+        that are missing or do not split ``dim`` into subspaces are a
+        ``SerializationError``."""
+        codebooks = payload_member(payload, "codec_codebooks", np.float64)
+        shape = codebooks.shape
+        if len(shape) != 3 or shape[0] * shape[2] != dim or not shape[1]:
+            raise SerializationError(
+                f"HNSW payload member 'codec_codebooks' has shape {shape}, "
+                f"expected (subspaces, codewords, width) with "
+                f"subspaces * width == dim {dim}"
+            )
+        seed = int(payload_member(payload, "codec_pq_seed"))
+        codec = cls(shape[0], seed=seed)
+        codec._adopt(codebooks)
         return codec
+
+    def codes_from(self, payload: dict, count: int) -> np.ndarray:
+        """The payload's ``(count, m)`` codes, refused unless so shaped
+        and each names one of its subspace's codewords."""
+        subspaces, num_codes, _ = self.codebooks.shape
+        codes = payload_member(
+            payload, "codec_codes", np.uint16, (count, subspaces)
+        )
+        if codes.max(initial=0) >= num_codes:
+            raise SerializationError(
+                f"HNSW payload member 'codec_codes' holds code "
+                f"{codes.max()}, past the {num_codes} codewords"
+            )
+        return codes
 
 
 class QuantizedStore:
@@ -645,23 +701,21 @@ class QuantizedStore:
         cls,
         scorer: Scorer,
         payload: dict,
+        count: int,
         *,
         pq_subspaces: int = 8,
         seed: int = 0,
     ) -> "QuantizedStore":
-        """Rebuild a store (codes are restored, not retrained)."""
+        """Rebuild a store of ``count`` rows (codes are restored, not
+        retrained); a codec member no search could use is a
+        ``SerializationError`` naming it."""
         kind = str(payload["codec_kind"])
         store = cls(scorer, kind, pq_subspaces=pq_subspaces, seed=seed)
         if "codec_codes" not in payload:
             return store
-        if kind == "int8":
-            store.codec = Int8Codec.from_arrays(payload)
-            store.codes = np.asarray(payload["codec_codes"], dtype=np.int8)
-        else:
-            store.codec = PqAdcCodec.from_arrays(payload)
-            store.codes = np.asarray(
-                payload["codec_codes"], dtype=np.uint16
-            )
+        codec_type = Int8Codec if kind == "int8" else PqAdcCodec
+        store.codec = codec_type.from_arrays(payload, scorer.dim)
+        store.codes = store.codec.codes_from(payload, count)
         store._finish_refresh()
         return store
 

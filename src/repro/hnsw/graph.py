@@ -27,14 +27,7 @@ import threading
 import numpy as np
 
 from repro.errors import SerializationError
-
-
-def payload_member(payload: dict, name: str, dtype=None) -> np.ndarray:
-    """``payload[name]`` as an array; a payload without it is a
-    :class:`~repro.errors.SerializationError` naming the member."""
-    if name not in payload:
-        raise SerializationError(f"HNSW payload has no member {name!r}")
-    return np.asarray(payload[name], dtype=dtype)
+from repro.utils.validation import payload_member
 
 
 class HnswGraph:

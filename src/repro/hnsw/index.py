@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.distance.scorer import QuantizedStore, Scorer
 from repro.errors import IndexNotBuiltError, SerializationError
-from repro.hnsw.graph import HnswGraph, VisitedPool, payload_member
+from repro.hnsw.graph import HnswGraph, VisitedPool
 from repro.hnsw.heuristic import (
     select_neighbors_heuristic_batch,
     select_neighbors_simple,
@@ -30,7 +30,7 @@ from repro.hnsw.search import (
 )
 from repro.obs.tracing import current_recorder, maybe_span
 from repro.utils import container
-from repro.utils.validation import as_matrix, as_vector
+from repro.utils.validation import as_matrix, as_vector, payload_member
 
 _IDS_DTYPE = np.int64
 
@@ -772,17 +772,8 @@ class HnswIndex:
         n = int(member("count"))
         if n == 0:
             return index
-        vectors = member("vectors", np.float32)
-        external = member("external_ids", _IDS_DTYPE)
-        for name, array, shape in (
-            ("vectors", vectors, (n, index.dim)),
-            ("external_ids", external, (n,)),
-        ):
-            if array.shape != shape:
-                raise SerializationError(
-                    f"HNSW payload member {name!r} has shape {array.shape}, "
-                    f"expected {shape} for count {n}"
-                )
+        vectors = member("vectors", np.float32, (n, index.dim))
+        external = member("external_ids", _IDS_DTYPE, (n,))
         external_ids = external.tolist()
         id_to_row = {ext: row for row, ext in enumerate(external_ids)}
         # The invariants add() enforces: -1 is the batch padding sentinel,
@@ -802,14 +793,10 @@ class HnswIndex:
             quantized = QuantizedStore.from_arrays(
                 index._scorer,
                 payload,
+                n,
                 pq_subspaces=params.pq_subspaces,
                 seed=params.seed,
             )
-            if quantized.codes is not None and quantized.count != n:
-                raise SerializationError(
-                    f"HNSW payload member 'codec_codes' has {quantized.count} "
-                    f"rows, expected {n}"
-                )
         index._scorer.adopt_rows(vectors)
         index._graph, index._quantized = graph, quantized
         index._external_ids, index._id_to_row = external_ids, id_to_row

@@ -115,25 +115,17 @@ class MsgType(IntEnum):
 #: a field the sender may omit (it unpacks as ``None``); unmarked fields
 #: are always present.  The protocol evolves additively: each version's
 #: tuple must be a *prefix* of the next one -- new fields append,
-#: optional, and nothing reorders or disappears -- so a v1 peer can
-#: always decode the required core of a v3 frame.
+#: optional, and no required field reorders or disappears -- so a v1
+#: peer can always decode the required core of a v3 frame.
 #:
 #: ``OK`` is a union: it answers DEPLOY/UNDEPLOY (``hosted``), STATS
 #: (``stats``) and PING (``shard_id``), so all of its fields are
 #: per-request optional.
 FRAME_FIELDS = {
     "SEARCH": {
-        1: ("index", "top_k", "ef", "probes?"),
-        2: ("index", "top_k", "ef", "probes?", "trace?", "cost?"),
-        3: (
-            "index",
-            "top_k",
-            "ef",
-            "probes?",
-            "trace?",
-            "cost?",
-            "deadline_ms?",
-        ),
+        1: ("index", "top_k", "ef"),
+        2: ("index", "top_k", "ef", "trace?", "cost?"),
+        3: ("index", "top_k", "ef", "trace?", "cost?", "deadline_ms?"),
     },
     "DEPLOY": {1: ("index", "path", "root?")},
     "UNDEPLOY": {1: ("index",)},
@@ -167,7 +159,6 @@ _FIELD_TYPES = {
     "index": str,
     "top_k": int,
     "ef": lambda value: None if value is None else int(value),
-    "probes": lambda rows: [tuple(int(seg) for seg in row) for row in rows],
     "deadline_ms": float,
     "path": str,
     "root": str,
@@ -269,10 +260,9 @@ class ShardCall:
 
     The fields are the newest ``FRAME_FIELDS["SEARCH"]`` entry under its
     own names, plus the payload (``queries``, the ``(B, dim)`` block):
-    ``top_k`` is the perShardTopK budget, ``probes`` an optional per-row
-    segment override of the shard's own routing, ``trace`` the broker's
-    trace context (the shard then reports its span tree), ``cost`` asks
-    for search-cost counters.
+    ``top_k`` is the perShardTopK budget, ``trace`` the broker's trace
+    context (the shard then reports its span tree), ``cost`` asks for
+    search-cost counters.
     The one exception: ``deadline`` is an absolute ``time.monotonic()``
     instant on *this* host and becomes the table's ``deadline_ms`` --
     remaining budget, because monotonic clocks do not compare across
@@ -289,7 +279,6 @@ class ShardCall:
     queries: np.ndarray
     top_k: int
     ef: int | None = None
-    probes: list[tuple[int, ...]] | None = None
     trace: dict | None = None
     cost: bool | None = None
     deadline: float | None = None

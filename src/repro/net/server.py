@@ -151,7 +151,7 @@ class ServerOptions(FlagFields):
     retry_after_s: float = knob(
         0.05, "backoff hint carried inside OVERLOADED error frames"
     )
-    #: Only plain SEARCH frames (no probes/trace/cost extras) coalesce.
+    #: Only plain SEARCH frames (no trace/cost extras) coalesce.
     batch_max: int = knob(
         1,
         "server-side micro-batching: coalesce up to this many query "
@@ -427,8 +427,8 @@ class SearcherServer:
         A reply block is ``rows x top_k`` ids and as many distances (16
         bytes a cell), so one that cannot fit a frame this server may
         send is refused before anything allocates it, and non-finite
-        query rows would search to garbage.  (``top_k < 1``, a dimension
-        mismatch and bad ``probes`` are the shard's own ``ValueError`` s.)
+        query rows would search to garbage.  (``top_k < 1`` and a
+        dimension mismatch are the shard's own ``ValueError`` s.)
         """
         queries = call.queries
         if queries.ndim != 2:
@@ -446,7 +446,7 @@ class SearcherServer:
     ) -> tuple[np.ndarray, np.ndarray, dict | None]:
         """Run one admitted search: coalesced server-side when possible.
 
-        Plain calls (no per-request probes/trace/cost extras) go
+        Plain calls (no per-request trace/cost extras) go
         through the server-side micro-batcher, which merges frames from
         *different* broker connections into one lockstep batch --
         batch-composition invariance guarantees the rows come back
@@ -455,7 +455,6 @@ class SearcherServer:
         """
         if (
             self._batcher is not None
-            and call.probes is None
             and not call.cost
             and recorder is None
         ):

@@ -9,7 +9,7 @@ fleet moves out of process.
 
 The whole shard contract is ``search(call) -> reply``: one immutable
 :class:`~repro.net.protocol.ShardCall` (the SEARCH message: index, query
-block, ``top_k``, ``ef``, ``probes``, ``trace``, ``cost``, ``deadline``)
+block, ``top_k``, ``ef``, ``trace``, ``cost``, ``deadline``)
 in, one :class:`~repro.net.protocol.ShardReply` (ids, dists, ``cost``,
 ``trace``) out.  No transport spells those fields: a new per-request
 signal is one entry appended to ``FRAME_FIELDS`` and one dataclass

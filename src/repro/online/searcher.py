@@ -129,7 +129,6 @@ class SearcherNode:
         k: int,
         *,
         ef: int | None = None,
-        probes: list[tuple[int, ...]] | None = None,
         cost=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Serve a query batch against the hosted shard of ``index_name``.
@@ -137,9 +136,7 @@ class SearcherNode:
         One network round-trip's worth of work in the real system: the
         broker ships the whole batch, the searcher lockstep-searches its
         shard and returns ``(B, k)`` id/distance arrays (padded with
-        ``-1`` / ``inf``).  ``probes``, when a caller sends them,
-        override the shard's own routing (see
-        :meth:`ShardIndex.search_batch`).
+        ``-1`` / ``inf``); the shard routes each row itself.
 
         ``cost`` optionally accumulates this request's search work; the
         collected increments are also counted into this searcher's tally.
@@ -148,7 +145,7 @@ class SearcherNode:
         self.tally.count("queries_served", int(np.asarray(queries).shape[0]))
         before = cost.as_dict() if cost is not None else None
         result = self._shard(index_name).search_batch(
-            queries, k, ef=ef, probes=probes, cost=cost
+            queries, k, ef=ef, cost=cost
         )
         if cost is not None:
             for field in _COST_FIELDS:
@@ -194,7 +191,6 @@ def observed_search(
             call.queries,
             call.top_k,
             ef=call.ef,
-            probes=call.probes,
             cost=cost,
         )
     finally:

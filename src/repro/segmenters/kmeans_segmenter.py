@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.distance.kmeans import kmeans
 from repro.segmenters.base import SPILL_MODES, Segmenter, register_segmenter
 from repro.utils.validation import as_matrix
 
@@ -75,8 +76,6 @@ class KMeansSegmenter(Segmenter):
 
     def fit(self, data: np.ndarray) -> "KMeansSegmenter":
         """Cluster (a sample of) the data into ``num_segments`` cells."""
-        from repro.baselines.kmeans import kmeans
-
         data = as_matrix(data, name="data")
         if data.shape[0] < self.num_segments:
             raise ValueError(

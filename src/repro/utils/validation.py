@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import SerializationError
+
 
 def as_matrix(data: np.ndarray, *, dim: int | None = None, name: str = "data") -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float32 2-D array.
@@ -64,3 +66,20 @@ def check_probability(value: float, name: str) -> None:
     """Raise ``ValueError`` unless ``value`` is in the closed unit interval."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def payload_member(
+    payload: dict, name: str, dtype=None, shape: tuple | None = None
+) -> np.ndarray:
+    """``payload[name]`` of a segment payload as an array; a payload
+    without it, or with it in another ``shape`` when one is given, is a
+    :class:`~repro.errors.SerializationError` naming the member."""
+    if name not in payload:
+        raise SerializationError(f"HNSW payload has no member {name!r}")
+    array = np.asarray(payload[name], dtype=dtype)
+    if shape is not None and array.shape != shape:
+        raise SerializationError(
+            f"HNSW payload member {name!r} has shape {array.shape}, "
+            f"expected {shape}"
+        )
+    return array

@@ -1081,7 +1081,7 @@ def test_every_module_has_a_caller_besides_its_own_tests():
         for name, path in files.items()
         if path.name not in ("__init__.py", "__main__.py")
     }
-    assert len(modules) > 80
+    assert len(modules) > 70
     assert modules - reached == set(kept)
 
 

@@ -1,15 +1,18 @@
-"""Tests for the from-scratch ANN baselines (Figure 1 participants)."""
+"""Tests for the Figure 1 comparators (``benchmarks/baselines.py``) and
+the k-means they and the system share."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.annoy_forest import RPForestIndex
-from repro.baselines.base import HnswAdapter
-from repro.baselines.exact import BruteForceIndex
-from repro.baselines.ivf import IvfFlatIndex
-from repro.baselines.kmeans import kmeans
-from repro.baselines.lsh import LshIndex
-from repro.baselines.pq import PqIndex, ProductQuantizer
+from benchmarks.baselines import (
+    BruteForceIndex,
+    HnswAdapter,
+    IvfFlatIndex,
+    LshIndex,
+    PqIndex,
+    RPForestIndex,
+)
+from repro.distance.kmeans import kmeans
 from repro.offline.brute_force import exact_top_k
 from tests.conftest import FAST_HNSW
 
@@ -178,29 +181,22 @@ class TestRPForest:
 
 
 class TestPq:
-    def test_quantizer_roundtrip_error_shrinks_with_codes(self, clustered_data):
-        coarse = ProductQuantizer(num_subspaces=4, num_codes=4, seed=0).fit(
-            clustered_data
-        )
-        fine = ProductQuantizer(num_subspaces=4, num_codes=64, seed=0).fit(
-            clustered_data
-        )
-        def error(quantizer):
-            decoded = quantizer.decode(quantizer.encode(clustered_data))
-            return float(np.linalg.norm(decoded - clustered_data))
-        assert error(fine) < error(coarse)
+    def test_reconstruction_error_shrinks_with_codes(self, clustered_data):
+        def error(num_codes):
+            index = PqIndex(4, num_codes, seed=0).fit(clustered_data)
+            decoded = index.codebooks[np.arange(4), index._codes]  # (n, m, d / m)
+            return float(np.linalg.norm(decoded.reshape(600, 16) - clustered_data))
+
+        assert error(64) < error(4)
 
     def test_dim_must_divide(self, clustered_data):
         with pytest.raises(ValueError, match="divisible"):
-            ProductQuantizer(num_subspaces=5).fit(clustered_data)  # 16 % 5
+            PqIndex(num_subspaces=5).fit(clustered_data)  # 16 % 5
 
     def test_adc_approximates_true_distance(self, clustered_data, clustered_queries):
-        quantizer = ProductQuantizer(num_subspaces=8, num_codes=32, seed=0).fit(
-            clustered_data
-        )
-        codes = quantizer.encode(clustered_data)
+        index = PqIndex(num_subspaces=8, num_codes=32, seed=0).fit(clustered_data)
         query = clustered_queries[0]
-        adc = np.sqrt(quantizer.adc_scores(query, codes))
+        adc = np.sqrt(index.adc_scores(query))
         true = np.linalg.norm(clustered_data - query, axis=1)
         correlation = np.corrcoef(adc, true)[0, 1]
         assert correlation > 0.95
@@ -211,11 +207,19 @@ class TestPq:
         ).fit(clustered_data)
         assert recall_of(index, clustered_queries, truth) >= 0.6
 
+    def test_no_rerank_distances_are_exact_and_sorted(self, clustered_data):
+        index = PqIndex(4, 16, rerank=0, seed=0).fit(clustered_data)
+        for query in clustered_data[::75] + 0.1:
+            ids, dists = index.search(query, 10)
+            assert np.all(np.diff(dists) >= 0.0)
+            exact = np.linalg.norm(clustered_data[ids].astype(np.float64) - query, axis=1)
+            np.testing.assert_allclose(dists, exact)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProductQuantizer(num_subspaces=0)
+            PqIndex(num_subspaces=0)
         with pytest.raises(ValueError):
-            ProductQuantizer(num_codes=1)
+            PqIndex(num_codes=1)
         with pytest.raises(ValueError):
             PqIndex(rerank=-1)
 

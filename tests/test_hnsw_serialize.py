@@ -45,6 +45,29 @@ def small_index(clustered_data):
     )
 
 
+@pytest.fixture(scope="module")
+def indices(small_index, clustered_data):
+    """``small_index`` and its int8 / PQ twins (PQ: 4 subspaces of 200
+    codewords)."""
+    return {
+        "float": small_index,
+        **{
+            kind: build_hnsw(
+                clustered_data[:200],
+                params=replace(FAST_HNSW, quantize=kind, pq_subspaces=4),
+            )
+            for kind in ("int8", "pq")
+        },
+    }
+
+
+def recoded(payload, code: int) -> np.ndarray:
+    """``payload``'s PQ codes with the first row's first code ``code``."""
+    codes = payload["codec_codes"].copy()
+    codes[0, 0] = code
+    return codes
+
+
 def slot_bases(payload) -> np.ndarray:
     """Table row of each node's level 0, as the loader derives it."""
     spans = payload["levels"].astype(np.int64) + 1
@@ -190,8 +213,8 @@ class TestArrayRoundtrip:
             HnswIndex.from_arrays(payload)
 
     @pytest.mark.parametrize(
-        "member, value, named",
-        [
+        "kind, member, value, named",
+        [("float", *row) for row in [
             # The ten rows format 1 had, ``indptr_0`` / ``indices_0`` now
             # ``table`` / ``degrees``.
             ("levels", None, "'levels'"),
@@ -252,15 +275,34 @@ class TestArrayRoundtrip:
                 lambda p: rewired(p, slot=0, column=0, node=int(p["table"][0, 1])),
                 "duplicate",
             ),
+        ]]
+        + [
+            # Codec members: but for the row counts, none used to be a
+            # SerializationError -- a code past the codebook searched another
+            # subspace's table; the rest raised numpy or KeyErrors.
+            ("int8", "codec_codes", lambda p: p["codec_codes"][:-1], "has .*199"),
+            ("pq", "codec_codes", lambda p: p["codec_codes"][:-1], "has .*199"),
+            ("pq", "codec_codes", lambda p: recoded(p, 300), "code 300"),
+            ("pq", "codec_codes", lambda p: recoded(p, 60000), "code 60000"),
+            ("pq", "codec_codes", lambda p: p["codec_codes"][:, :-1], "'codec_codes'"),
+            (
+                "pq",
+                "codec_codebooks",
+                lambda p: p["codec_codebooks"][0],
+                "'codec_codebooks'",
+            ),
+            ("pq", "codec_pq_seed", None, "'codec_pq_seed'"),
+            ("int8", "codec_scale", lambda p: p["codec_scale"][:-1], "'codec_scale'"),
+            ("int8", "codec_codes", lambda p: p["codec_codes"][:, :-1], "'codec_codes'"),
         ],
     )
     def test_a_payload_that_cannot_search_does_not_load(
-        self, small_index, member, value, named
+        self, indices, kind, member, value, named
     ):
         """One payload member dropped (``value`` None) or replaced: each
         is refused by name, and none gets as far as a numpy broadcast or
         index error at load or at the first search."""
-        payload = small_index.to_arrays()
+        payload = indices[kind].to_arrays()
         if value is None:
             del payload[member]
         else:
@@ -278,18 +320,6 @@ class TestArrayRoundtrip:
         payload = small_index.to_arrays()
         payload["external_ids"] = ids(payload["external_ids"])
         with pytest.raises(SerializationError, match="'external_ids'"):
-            HnswIndex.from_arrays(payload)
-
-    @pytest.mark.parametrize("kind", ["int8", "pq"])
-    def test_codes_for_another_row_count_do_not_load(self, clustered_data, kind):
-        """Used to load and fail at the first quantized search."""
-        index = build_hnsw(
-            clustered_data[:120],
-            params=replace(FAST_HNSW, quantize=kind, pq_subspaces=4),
-        )
-        payload = index.to_arrays()
-        payload["codec_codes"] = payload["codec_codes"][:-1]
-        with pytest.raises(SerializationError, match="'codec_codes' has 119 rows"):
             HnswIndex.from_arrays(payload)
 
     def test_a_refused_payload_built_nothing(self, small_index, monkeypatch):

@@ -479,9 +479,6 @@ HOSTILE_CALLS = {
     "nan": ({}, _rows(np.nan)),
     "inf": ({}, _rows(np.inf)),
     "-inf": ({}, _rows(-np.inf)),
-    "probes one row short": ({"probes": [(0,)]}, _rows()),
-    "probe segment out of range": ({"probes": [(0,), (7,)]}, _rows()),
-    "negative probe segment": ({"probes": [(0,), (-1,)]}, _rows()),
 }
 #: The ones only the server can judge; the shard never sees them.
 REFUSED_BEFORE_ADMISSION = {"top_k=10**9", "1-d block", "nan", "inf", "-inf"}

@@ -1,4 +1,4 @@
-"""Quantized beam search + exact rescore, and the PQ codec fixes.
+"""Quantized beam search + exact rescore, and the codecs behind it.
 
 Covers the compressed-domain scoring tier: codec round trips, the
 not-fitted error contract, what ``rescore_k`` buys, and persistence
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.pq import PqIndex, ProductQuantizer
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.data import clustered_gaussians
@@ -37,66 +36,6 @@ from repro.storage.manifest import load_manifest, save_lanns_index
 
 def _corpus(n=1500, dim=24, seed=0):
     return clustered_gaussians(n, dim, num_clusters=8, seed=seed)
-
-
-# -- satellite: ProductQuantizer fixes ------------------------------------------------
-
-
-class TestProductQuantizerFixes:
-    def test_clamped_fit_updates_num_codes(self):
-        data = _corpus(n=10, dim=8)
-        quantizer = ProductQuantizer(2, 256, seed=0).fit(data)
-        assert quantizer.num_codes == 10
-        assert quantizer.codebooks.shape[1] == quantizer.num_codes
-
-    def test_clamped_fit_round_trips(self):
-        data = _corpus(n=10, dim=8)
-        quantizer = ProductQuantizer(2, 256, seed=0).fit(data)
-        restored = ProductQuantizer.from_dict(quantizer.to_dict())
-        assert restored.num_codes == quantizer.num_codes
-        np.testing.assert_array_equal(
-            restored.codebooks, quantizer.codebooks
-        )
-        np.testing.assert_array_equal(
-            restored.encode(data), quantizer.encode(data)
-        )
-
-    def test_from_dict_rejects_inconsistent_num_codes(self):
-        data = _corpus(n=32, dim=8)
-        payload = ProductQuantizer(2, 16, seed=0).fit(data).to_dict()
-        payload["num_codes"] = 99
-        with pytest.raises(ValueError, match="num_codes"):
-            ProductQuantizer.from_dict(payload)
-
-    @pytest.mark.parametrize("method", ["encode", "decode", "adc_table"])
-    def test_unfitted_quantizer_raises_clear_error(self, method):
-        quantizer = ProductQuantizer(2, 16)
-        argument = (
-            np.zeros((3, 2), dtype=np.uint16)
-            if method == "decode"
-            else np.zeros(8 if method == "adc_table" else (3, 8))
-        )
-        with pytest.raises(CodecNotFittedError, match="fit"):
-            getattr(quantizer, method)(argument)
-
-    def test_is_fitted_flag(self):
-        quantizer = ProductQuantizer(2, 16)
-        assert not quantizer.is_fitted
-        quantizer.fit(_corpus(n=64, dim=8))
-        assert quantizer.is_fitted
-
-    def test_pq_index_no_rerank_distances_are_sorted(self):
-        data = _corpus(n=400, dim=16, seed=3)
-        index = PqIndex(4, 16, rerank=0, seed=0)
-        index.fit(data)
-        for query in _corpus(n=8, dim=16, seed=4):
-            ids, dists = index.search(query, 10)
-            assert np.all(np.diff(dists) >= 0.0)
-            # The distances really are exact for the returned ids.
-            exact = np.sqrt(
-                ((data[ids].astype(np.float64) - query) ** 2).sum(axis=1)
-            )
-            np.testing.assert_allclose(dists, exact)
 
 
 # -- satellite: score_pairs query_sq ------------------------------------------------
@@ -167,7 +106,7 @@ class TestInt8Codec:
     def test_array_round_trip(self):
         data = _corpus(n=100, dim=8)
         codec = Int8Codec().fit(data)
-        restored = Int8Codec.from_arrays(codec.to_arrays())
+        restored = Int8Codec.from_arrays(codec.to_arrays(), 8)
         np.testing.assert_array_equal(
             restored.encode(data), codec.encode(data)
         )
@@ -187,18 +126,28 @@ class TestPqAdcCodec:
         assert codec.encode(data).shape == (300, 5)
 
     def test_unfitted_raises(self):
+        codec = PqAdcCodec(4)
+        assert not codec.is_fitted
         with pytest.raises(CodecNotFittedError, match="fit"):
-            PqAdcCodec(4).encode(_corpus(n=4, dim=8))
+            codec.encode(_corpus(n=4, dim=8))
+        with pytest.raises(CodecNotFittedError, match="fit"):
+            codec.to_arrays()
 
-    def test_array_round_trip(self):
-        data = _corpus(n=300, dim=16)
+    def test_fewer_rows_than_codewords_clamps_the_codebooks(self):
+        codec = PqAdcCodec(2, seed=0).fit(_corpus(n=10, dim=8))
+        assert codec.is_fitted
+        assert codec.codebooks.shape == (2, 10, 4)
+
+    @pytest.mark.parametrize("rows", [10, 300])
+    def test_array_round_trip(self, rows):
+        data = _corpus(n=rows, dim=16)
         codec = PqAdcCodec(4, seed=2).fit(data)
-        restored = PqAdcCodec.from_arrays(codec.to_arrays())
+        restored = PqAdcCodec.from_arrays(codec.to_arrays(), 16)
         np.testing.assert_array_equal(
             restored.encode(data), codec.encode(data)
         )
         np.testing.assert_array_equal(
-            restored.codebooks32, codec.codebooks32
+            restored.codebooks, codec.codebooks
         )
 
 

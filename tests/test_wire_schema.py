@@ -54,12 +54,11 @@ floats = st.floats(allow_nan=False, allow_infinity=False)
 json_dicts = st.dictionaries(st.text(max_size=8), ints, max_size=3)
 
 #: One value strategy per field name in the table (what unpack returns
-#: for it: probe rows come back as tuples).
+#: for it).
 FIELD_VALUES = {
     "index": st.text(max_size=12),
     "top_k": ints,
     "ef": st.none() | ints,
-    "probes": st.lists(st.lists(ints, max_size=3).map(tuple), max_size=3),
     "trace": json_dicts,
     "cost": st.just(True) | json_dicts,
     "deadline_ms": floats,
@@ -137,11 +136,11 @@ class TestCodec:
             unpack(MsgType.SEARCH, {"index": "main", "top_k": "ten", "ef": 1})
         with pytest.raises(ProtocolError, match="SEARCH.*'top_k'.*ill-typed"):
             unpack(MsgType.SEARCH, {"index": "main", "top_k": None, "ef": 1})
-        with pytest.raises(ProtocolError, match="SEARCH.*'probes'.*ill-typed"):
-            unpack(
-                MsgType.SEARCH,
-                {"index": "main", "top_k": 1, "ef": 1, "probes": 5},
-            )
+        # A retired field is an undeclared key like any other: ignored.
+        request = unpack(
+            MsgType.SEARCH, {"index": "main", "top_k": 1, "ef": 1, "probes": 5}
+        )
+        assert not hasattr(request, "probes")
 
     def test_v1_frames_unpack_with_later_fields_none(self):
         queries = np.zeros((2, 4), dtype=np.float32)
@@ -155,7 +154,6 @@ class TestCodec:
         msg_type, header, _ = decode_frame(data)
         request = unpack(msg_type, header)
         assert (request.index, request.top_k, request.ef) == ("main", 5, 48)
-        assert request.probes is None
         assert request.trace is None and request.cost is None
         assert request.deadline_ms is None
 
@@ -199,13 +197,12 @@ class TestGoldenBytes:
             index="ab-test",
             top_k=np.int64(7),
             ef=48,
-            probes=[(0, 2), (np.int64(1),)],
             trace={"trace_id": "t-1", "sampled": True},
             cost=True,
             deadline_ms=500.0,
         )
         assert header_bytes(MsgType.SEARCH, full, (self.QUERIES,)) == (
-            b'{"index":"ab-test","top_k":7,"ef":48,"probes":[[0,2],[1]],'
+            b'{"index":"ab-test","top_k":7,"ef":48,'
             b'"trace":{"trace_id":"t-1","sampled":true},"cost":true,'
             b'"deadline_ms":500.0,' + self.SEARCH_TAIL
         )
@@ -227,16 +224,12 @@ class TestGoldenBytes:
         client.call = record
         asyncio.run(client.search(ShardCall("main", self.QUERIES, 1)))
         asyncio.run(
-            client.search(
-                ShardCall(
-                    "main", self.QUERIES, 1, ef=16, probes=[(), ()], deadline=0.0
-                )
-            )
+            client.search(ShardCall("main", self.QUERIES, 1, ef=16, deadline=0.0))
         )
         assert sent == [
             b'{"index":"main","top_k":1,"ef":null,' + self.SEARCH_TAIL,
-            b'{"index":"main","top_k":1,"ef":16,"probes":[[],[]],'
-            b'"deadline_ms":0.0,' + self.SEARCH_TAIL,
+            b'{"index":"main","top_k":1,"ef":16,"deadline_ms":0.0,'
+            + self.SEARCH_TAIL,
         ]
 
     def test_result(self):
@@ -311,7 +304,7 @@ class TestRegistry:
     def test_non_prefix_evolution_flagged(self):
         # v2 reorders v1's fields: a v1 peer would read a sheared header.
         table = copy.deepcopy(FRAME_FIELDS)
-        table["SEARCH"][2] = ("top_k", "index", "ef", "probes?", "trace?")
+        table["SEARCH"][2] = ("top_k", "index", "ef", "trace?")
         assert any("not a prefix" in p for p in registry_problems(table))
 
     def test_unknown_version_flagged(self):
@@ -368,7 +361,6 @@ class TestWellFramedGarbage:
         good = pack(MsgType.SEARCH, index=INDEX_NAME, top_k=4, ef=None)
         garbage = [
             (MsgType.SEARCH, {"index": INDEX_NAME, "ef": None}, "top_k"),
-            (MsgType.SEARCH, {**good, "probes": 5}, "probes"),
             (MsgType.SEARCH, {**good, "top_k": "ten"}, "top_k"),
             (MsgType.DEPLOY, {"index": "other", "root": "/tmp"}, "path"),
         ]
@@ -399,6 +391,28 @@ class TestWellFramedGarbage:
             assert stats["counts"]["requests_served"] == len(garbage)
         finally:
             server.stop()
+
+    def test_a_frame_still_carrying_probes_is_served_as_without(self, shard):
+        """``probes`` left the SEARCH schema: an older peer's frame that
+        still carries the key is answered exactly like one without it."""
+        node = SearcherNode(0)
+        node.host(INDEX_NAME, shard)
+        server = SearcherServer(node).start_in_thread()
+        queries = make_clustered(3, 16, seed=43)
+        good = pack(MsgType.SEARCH, index=INDEX_NAME, top_k=4, ef=None)
+        try:
+            host, port = server.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as s:
+                replies = [
+                    exchange(s, MsgType.SEARCH, header, (queries,))
+                    for header in (good, {**good, "probes": [[0], [1], []]})
+                ]
+        finally:
+            server.stop()
+        (plain_type, _, plain), (legacy_type, _, legacy) = replies
+        assert plain_type == legacy_type == MsgType.RESULT
+        for ours, theirs in zip(plain, legacy):
+            np.testing.assert_array_equal(ours, theirs)
 
     def test_ping_reply_without_shard_id_is_a_protocol_error(self):
         listener = socket.create_server(("127.0.0.1", 0))
