@@ -19,7 +19,10 @@ scoring call than the same pairs do as a row of a larger batch.
 command -- one segment group of 1 ... 64 rows on the heap kernels and
 on the array kernels, int8 and float, per corpus shape: ids, distances
 and ``SearchCost`` must be equal; ms per query per venue is printed,
-not gated.
+not gated.  Then the table beside ``_MAX_LOCKSTEP``: requests to a
+2-segment int8 shard sized to 64 ... 192 (query, segment) pairs, each
+searched as one lockstep group and as one group per segment; the
+answers and ``SearchCost`` must be equal, ms per query is printed.
 
 With ``--clients N`` the benchmark instead load-tests the concurrent
 serving core (``repro.eval.concurrent_serving_throughput``, the body of
@@ -55,6 +58,8 @@ from harness import (
     summary,
 )
 from repro.core.builder import build_lanns_index
+from repro.core.config import LannsConfig
+from repro.core.merge import empty_part, merge_segment_results_batch
 from repro.data.synthetic import clustered_gaussians, make_queries
 from repro.distance.scorer import Scorer
 from repro.eval.serving import concurrent_serving_throughput
@@ -71,6 +76,9 @@ FULL = dict(
     # venues: (rows, dim, M, ef) per segment, group sizes, min-of-N passes
     venue_shapes=((4000, 64, 12, 64), (2400, 32, 6, 10)),
     venue_rows=(1, 4, 8, 10, 12, 16, 24, 32, 64), venue_passes=21,
+    # venues: a 2-segment shard of twice the first shape, int8; requests
+    # sized to these (query, segment) pair counts
+    group_pairs=(64, 96, 128, 192),
 )
 SIZES = {
     "full": FULL,
@@ -276,6 +284,94 @@ def check_venues(run, env) -> None:
         payload={"smoke": run.smoke},
     )
     print("parity: ids, distances and SearchCost equal on both venues ✓")
+    check_shard_groups(run)
+
+
+def check_shard_groups(run) -> None:
+    """A shard request as one lockstep group of (query, segment) pairs
+    against one group per probed segment, by pairs in the request."""
+    num_base, dim, m, ef = run.venue_shapes[0]
+    vectors = clustered_gaussians(2 * num_base, dim, seed=SEED)
+    config = LannsConfig(
+        num_shards=1, num_segments=2, segmenter="rh", seed=SEED,
+        hnsw=HnswParams(
+            M=m, ef_construction=56, ef_search=ef, seed=SEED, quantize="int8"
+        ),
+    )
+    shard = build_lanns_index(vectors, config=config).shards[0]
+    queries = make_queries(vectors, 8 * max(run.group_pairs), seed=SEED + 1)
+    probes = [len(route) for route in shard.segmenter.route_query_batch(queries)]
+    answers: dict = {}
+
+    def grouped(rows, request: int) -> None:
+        cost = SearchCost()
+        found = shard.search_batch(rows, run.top_k, cost=cost)
+        answers["group", request] = *found, cost
+
+    def per_segment(rows, request: int) -> None:
+        # Each probed segment searched as its own lockstep group, then
+        # merged as the shard merges.
+        cost, ids, dists = SearchCost(), [], []
+        routes = shard.segmenter.route_query_batch(rows)
+        for segment_id, segment in enumerate(shard.segments):
+            mine = [row for row, route in enumerate(routes) if segment_id in route]
+            cost.segments_probed += len(mine)
+            found = empty_part(len(rows), run.top_k)
+            found[0][mine], found[1][mine] = segment.search_batch(
+                rows[mine], run.top_k, cost=cost
+            )
+            ids.append(found[0])
+            dists.append(found[1])
+        answers["per segment", request] = (
+            *merge_segment_results_batch(np.hstack(ids), np.hstack(dists), run.top_k),
+            cost,
+        )
+
+    chosen = hnsw_index._MAX_LOCKSTEP
+    lines = {name: {"shard": f"2 x {num_base} x {dim} int8", "search": name}
+             for name in ("group", "per segment")}
+    try:
+        hnsw_index._MAX_LOCKSTEP = max(run.group_pairs)
+        for target in run.group_pairs:
+            # Consecutive requests of the first queries that reach
+            # ``target`` pairs, four per stream.
+            requests, start = [], 0
+            for _ in range(4):
+                reached = np.cumsum(probes[start:]) >= target
+                stop = start + int(reached.argmax()) + 1
+                requests.append(queries[start:stop])
+                start = stop
+            scores = interleaved(
+                {
+                    name: [partial(call, rows, n) for n, rows in enumerate(requests)]
+                    for name, call in (("group", grouped), ("per segment", per_segment))
+                },
+                run.venue_passes,
+            )
+            for n, rows in enumerate(requests):
+                group, alone = answers["group", n], answers["per segment", n]
+                require(
+                    group[0].tobytes() == alone[0].tobytes()
+                    and group[1].tobytes() == alone[1].tobytes()
+                    and group[2] == alone[2],
+                    f"{len(rows)} queries: the shard group differs from "
+                    "per-segment search in ids, distances or cost",
+                )
+            for name in lines:
+                lines[name][f"{target} pairs"] = scores[name].sum() / start * 1e3
+    finally:
+        hnsw_index._MAX_LOCKSTEP = chosen
+    report(
+        "shard_groups",
+        list(lines.values()),
+        title=(
+            "A shard request as one group of (query, segment) pairs vs one "
+            f"group per segment, ms per query (min of {run.venue_passes}; "
+            f"_MAX_LOCKSTEP = {chosen})"
+        ),
+        payload={"smoke": run.smoke},
+    )
+    print("parity: a shard group answers and costs as per-segment search ✓")
 
 
 def check_concurrent(run, env) -> None:

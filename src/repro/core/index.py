@@ -17,7 +17,7 @@ from repro.core.merge import (
     merge_shard_results_batch,
 )
 from repro.errors import IndexNotBuiltError
-from repro.hnsw.index import HnswIndex
+from repro.hnsw.index import HnswIndex, search_segments
 from repro.segmenters.base import Segmenter
 from repro.sharding.sharder import HashSharder
 from repro.utils.validation import as_matrix, as_vector
@@ -76,13 +76,16 @@ class ShardIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched shard search: route, lockstep-search, merge (level 1).
 
-        Query routing is one vectorised ``route_query_batch`` call; each
-        probed segment searches its sub-batch in lockstep; the segment
-        candidates merge per query through the vectorised batch merge.
+        Query routing is one vectorised ``route_query_batch`` call; the
+        request's (query, probed segment) pairs are one lockstep group
+        (:func:`~repro.hnsw.index.search_segments`): each segment descends
+        its own rows, one beam and one rescore serve every pair; the
+        segment candidates merge per query through the vectorised batch
+        merge.
 
-        ``probes`` (one segment-id tuple per row) overrides the
-        segmenter's routing -- how a contextual index scopes a query to
-        the named contexts' segments.
+        ``probes`` (one segment-id tuple per row, no segment named twice)
+        overrides the segmenter's routing -- how a contextual index
+        scopes a query to the named contexts' segments.
 
         ``cost`` optionally accumulates this batch's search work (see
         :class:`~repro.obs.cost.SearchCost`); every executed
@@ -114,6 +117,10 @@ class ShardIndex:
                             f"probe segment {segment_id} of row {row} out "
                             f"of range for {num_segments} segments"
                         )
+                if len(set(probed)) != len(probed):
+                    raise ValueError(
+                        f"probe row {row} names a segment twice: {tuple(probed)}"
+                    )
             routes = probes
         else:
             routes = self.segmenter.route_query_batch(queries)
@@ -127,27 +134,30 @@ class ShardIndex:
         max_probes = max((len(probed) for probed in routes), default=0)
         if max_probes == 0:
             return empty_part(num_queries, k)
+        probed_rows = [
+            (self.segments[segment_id], np.asarray(rows, dtype=np.int64))
+            for segment_id, rows in sorted(segment_rows.items())
+            if len(self.segments[segment_id])
+        ]
+        if not probed_rows:
+            return empty_part(num_queries, k)
+        if cost is not None:
+            cost.segments_probed += sum(rows.size for _, rows in probed_rows)
+        found = search_segments(
+            [
+                (segment, queries[rows], min(k, len(segment)))
+                for segment, rows in probed_rows
+            ],
+            ef,
+            cost,
+        )
         cand_ids, cand_dists = empty_part(num_queries, max_probes * k)
         next_slot = np.zeros(num_queries, dtype=np.int64)
-        any_results = False
-        for segment_id in sorted(segment_rows):
-            segment = self.segments[segment_id]
-            if len(segment) == 0:
-                continue
-            rows = np.asarray(segment_rows[segment_id], dtype=np.int64)
-            budget = min(k, len(segment))
-            if cost is not None:
-                cost.segments_probed += len(rows)
-            found_ids, found_dists = segment.search_batch(
-                queries[rows], budget, ef=ef, cost=cost
-            )
-            columns = next_slot[rows, np.newaxis] * k + np.arange(budget)
+        for (_, rows), (found_ids, found_dists) in zip(probed_rows, found):
+            columns = next_slot[rows, np.newaxis] * k + np.arange(found_ids.shape[1])
             cand_ids[rows[:, np.newaxis], columns] = found_ids
             cand_dists[rows[:, np.newaxis], columns] = found_dists
             next_slot[rows] += 1
-            any_results = True
-        if not any_results:
-            return empty_part(num_queries, k)
         return merge_segment_results_batch(cand_ids, cand_dists, k)
 
 

@@ -34,7 +34,7 @@ _ZERO = np.float32(0.0)
 
 def _gather_dot(
     data: np.ndarray,
-    ids: np.ndarray,
+    ids: np.ndarray | None,
     query_side: np.ndarray,
     query_rows: np.ndarray | None,
     query_const: np.ndarray | None = None,
@@ -45,7 +45,8 @@ def _gather_dot(
     Returns ``dots[i] = data[ids[i]] . query_side[query_rows[i]]`` and,
     when the per-query ``(B,)`` ``query_const`` is given, each pair's
     ``query_const[query_rows[i]]`` in a form that broadcasts against
-    ``dots``.
+    ``dots``.  ``ids=None``: ``data`` holds the pairs' rows already
+    gathered, in pair order (:class:`StackedScorer`).
 
     **The one-row contract.**  When ``query_side`` has exactly one row --
     a property of the batch, not an option -- every pair is scored
@@ -62,12 +63,10 @@ def _gather_dot(
     may score a pair.  That covers neighbor selection too:
     :meth:`Scorer.score_gathered` reduces the same way.
     """
+    rows = data if ids is None else data.take(ids, axis=0)
     if query_side.shape[0] == 1:
-        dots = np.einsum("nd,d->n", data.take(ids, axis=0), query_side[0])
-        return dots, query_const
-    dots = np.einsum(
-        "nd,nd->n", data.take(ids, axis=0), query_side.take(query_rows, axis=0)
-    )
+        return np.einsum("nd,d->n", rows, query_side[0]), query_const
+    dots = np.einsum("nd,nd->n", rows, query_side.take(query_rows, axis=0))
     if query_const is not None:
         query_const = query_const.take(query_rows)
     return dots, query_const
@@ -75,14 +74,15 @@ def _gather_dot(
 
 def _euclidean_from_dots(
     row_sq: np.ndarray,
-    ids: np.ndarray,
+    ids: np.ndarray | None,
     dots: np.ndarray,
     pair_const: np.ndarray,
 ) -> np.ndarray:
     """``max(row_sq[ids] - 2 dots + pair_const, 0)``, in place on the
-    gathered norms: the Euclidean expansion both the float and the int8
-    scorer finish a :func:`_gather_dot` with."""
-    scores = row_sq.take(ids)
+    gathered norms (``ids=None``: ``row_sq`` is them, in pair order): the
+    Euclidean expansion both the float and the int8 scorer finish a
+    :func:`_gather_dot` with."""
+    scores = row_sq if ids is None else row_sq.take(ids)
     dots += dots  # 2 * dots, exactly, without a scalar operand
     scores -= dots
     scores += pair_const
@@ -250,14 +250,38 @@ class Scorer:
             Optional precomputed :meth:`query_sq_norms` of ``queries``.
         """
         self.ops += len(ids)
+        if query_sq is None and self._is_euclidean:
+            query_sq = self.query_sq_norms(queries)
+        return self._pairs(
+            self._data, self._sq_norms, ids, queries, query_sq, query_rows
+        )
+
+    # What :class:`StackedScorer` asks of each pair scorer: ``stored``,
+    # the ``(rows, norms)`` a pair's id gathers from (norms ``None``
+    # unless Euclidean); ``bound(queries, query_sq)``, the ``(side,
+    # const)`` a pair's query row gathers from; and ``_pairs``, the
+    # scores from both -- ``ids=None`` when the stored side is already
+    # gathered, in pair order.
+    @property
+    def stored(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The stored rows, and their squared norms for Euclidean."""
+        return self._data, self._sq_norms if self._is_euclidean else None
+
+    def bound(
+        self, queries: np.ndarray, query_sq: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The prepared queries, and their squared norms for Euclidean."""
+        if not self._is_euclidean:
+            return queries, None
+        if query_sq is None:
+            query_sq = self.query_sq_norms(queries)
+        return queries, query_sq
+
+    def _pairs(self, rows, norms, ids, side, const, query_rows) -> np.ndarray:
         if self._is_euclidean:
-            if query_sq is None:
-                query_sq = self.query_sq_norms(queries)
-            dots, pair_sq = _gather_dot(
-                self._data, ids, queries, query_rows, query_sq
-            )
-            return _euclidean_from_dots(self._sq_norms, ids, dots, pair_sq)
-        dots, _ = _gather_dot(self._data, ids, queries, query_rows)
+            dots, pair_sq = _gather_dot(rows, ids, side, query_rows, const)
+            return _euclidean_from_dots(norms, ids, dots, pair_sq)
+        dots, _ = _gather_dot(rows, ids, side, query_rows)
         if self._is_cosine:
             return 1.0 - dots
         return -dots
@@ -755,6 +779,7 @@ class _Int8View:
             self._q_const = 1.0 - bias
         else:
             self._q_const = -bias
+        self.stored = self._codes, self._code_sq
 
     def score_pairs(
         self,
@@ -772,13 +797,19 @@ class _Int8View:
         but the view's precomputed transforms are what actually score,
         through the same :func:`_gather_dot`.
         """
-        scorer = self._scorer
-        scorer.ops += len(ids)
-        dots, pair_const = _gather_dot(
-            self._codes, ids, self._qs, query_rows, self._q_const
+        self._scorer.ops += len(ids)
+        return self._pairs(
+            self._codes, self._code_sq, ids, self._qs, self._q_const, query_rows
         )
-        if scorer._is_euclidean:
-            return _euclidean_from_dots(self._code_sq, ids, dots, pair_const)
+
+    def bound(self, queries=None, query_sq=None) -> tuple[np.ndarray, np.ndarray]:
+        """The pre-scaled queries and their per-query constants."""
+        return self._qs, self._q_const
+
+    def _pairs(self, rows, norms, ids, side, const, query_rows) -> np.ndarray:
+        dots, pair_const = _gather_dot(rows, ids, side, query_rows, const)
+        if norms is not None:  # Euclidean
+            return _euclidean_from_dots(norms, ids, dots, pair_const)
         # cosine and inner product share the shape const - dot.
         return pair_const - dots
 
@@ -817,6 +848,7 @@ class _PqAdcView:
         self._flat_offsets = (
             np.arange(subspaces, dtype=np.int64) * num_codes
         )
+        self.stored = self._codes, None
 
     def score_pairs(
         self,
@@ -832,17 +864,91 @@ class _PqAdcView:
         one-row contract: a view bound to one row looks every pair up in
         that row's table and does not read ``query_rows``.
         """
-        scorer = self._scorer
-        scorer.ops += len(ids)
-        flat = self._codes.take(ids, axis=0) + self._flat_offsets
-        if self._tables.shape[0] > 1:
+        self._scorer.ops += len(ids)
+        return self._pairs(self._codes, None, ids, self._tables, None, query_rows)
+
+    def bound(self, queries=None, query_sq=None) -> tuple[np.ndarray, None]:
+        """The per-query flat lookup tables."""
+        return self._tables, None
+
+    def _pairs(self, rows, norms, ids, tables, const, query_rows) -> np.ndarray:
+        codes = rows if ids is None else rows.take(ids, axis=0)
+        flat = codes + self._flat_offsets
+        if tables.shape[0] > 1:
             # Each pair's lookups, offset to its query's table in the
             # flattened (B, m * ks) stack.
-            flat += (query_rows * self._tables.shape[1])[:, np.newaxis]
-        sums = self._tables.take(flat).sum(axis=1)
+            flat += (query_rows * tables.shape[1])[:, np.newaxis]
+        sums = tables.take(flat).sum(axis=1)
+        scorer = self._scorer
         if scorer._is_euclidean:
             np.maximum(sums, 0.0, out=sums)
             return sums
         if scorer._is_cosine:
             return 1.0 - sums
         return -sums
+
+
+class StackedScorer:
+    """Several segments' pair scorers of one kind as one
+    :class:`~repro.hnsw.search.PairScorer` over their query rows stacked
+    in order: the scorer of a lockstep group that spans segments.
+
+    A pair's query row says whose stored rows its id names.  The kernels
+    hand over pairs sorted by row, so each scorer gathers its own
+    ``stored`` side -- rows, codes, norms -- for its run of pairs into
+    one buffer, and the query side runs once over every pair, by the
+    first scorer's ``_pairs`` on the stacked ``bound`` arrays: one
+    reduction per call however many segments the group spans.  Scorers
+    stack when their query sides do (one kind, one metric, one width);
+    a pair scores exactly as its own scorer scores it.  Nothing of a
+    segment is copied but the gathered pairs, and each owning
+    :class:`Scorer` still counts its own ``ops``.
+    """
+
+    def __init__(
+        self, scorers: list, queries: list[np.ndarray], query_sqs: list[np.ndarray]
+    ) -> None:
+        """``scorers[i]`` scores the prepared ``queries[i]`` (squared
+        norms ``query_sqs[i]``): the next rows of the stack."""
+        # Per scorer: whose ``ops`` its pairs count in (a view's owning
+        # Scorer), and its stored rows and norms.
+        self._pieces = [
+            (getattr(scorer, "_scorer", scorer), *scorer.stored) for scorer in scorers
+        ]
+        self._starts = np.cumsum([rows.shape[0] for rows in queries])[:-1]
+        sides, consts = zip(
+            *(
+                scorer.bound(rows, query_sq)
+                for scorer, rows, query_sq in zip(scorers, queries, query_sqs)
+            )
+        )
+        self._side = np.concatenate(sides)
+        self._const = None if consts[0] is None else np.concatenate(consts)
+        self._pairs = scorers[0]._pairs
+
+    def score_pairs(
+        self,
+        queries: np.ndarray,
+        query_rows: np.ndarray | None,
+        ids: np.ndarray,
+        query_sq: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Reduced distances of pairs whose rows ascend; ``queries`` /
+        ``query_sq`` are accepted for the seam and not read."""
+        _, stored_rows, stored_norms = self._pieces[0]
+        rows = np.empty((ids.size, *stored_rows.shape[1:]), dtype=stored_rows.dtype)
+        norms = None
+        if stored_norms is not None:
+            norms = np.empty(ids.size, dtype=stored_norms.dtype)
+        first = 0
+        stops = [*query_rows.searchsorted(self._starts).tolist(), ids.size]
+        for (owner, stored_rows, stored_norms), stop in zip(self._pieces, stops):
+            if first < stop:
+                owner.ops += stop - first
+                part = ids[first:stop]
+                # mode="clip": with ``out``, the default "raise" buffers.
+                stored_rows.take(part, axis=0, out=rows[first:stop], mode="clip")
+                if norms is not None:
+                    stored_norms.take(part, out=norms[first:stop], mode="clip")
+            first = stop
+        return self._pairs(rows, norms, None, self._side, self._const, query_rows)

@@ -131,10 +131,31 @@ class HnswGraph:
         """Out-degree of ``node`` at ``level``."""
         return int(self.degrees[self._slot(node, level)])
 
-    def neighbor_rows(self, nodes: np.ndarray, level: int) -> np.ndarray:
+    @property
+    def width(self) -> int:
+        """Slots per table row: the larger degree bound."""
+        return self.table.shape[1]
+
+    def neighbor_rows(
+        self, nodes: np.ndarray, level: int, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """The padded ``(len(nodes), width)`` neighbor rows of ``nodes`` at
-        ``level`` (every node must participate there)."""
-        return self.table.take(self.base[nodes] + level, axis=0)
+        ``level`` (every node must participate there).
+
+        ``rows`` -- the ascending lockstep-group row each node is expanded
+        for -- is where a group spanning several segments splits the
+        question between their tables; one graph answers every row alike
+        and does not read it.
+        """
+        slots = self.base.take(nodes)
+        if level:
+            slots += level
+        return self.table.take(slots, axis=0)
+
+    def row_tables(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(table, base)`` for each of ``rows`` group rows: the heap
+        kernel's per-row reads (one graph serves every row)."""
+        return [(self.table, self.base)] * rows
 
     def set_neighbors(self, node: int, level: int, neighbor_ids: list[int]) -> None:
         """Replace the neighbor list of ``node`` at ``level``."""

@@ -10,10 +10,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.distance.scorer import QuantizedStore, Scorer
+from repro.distance.scorer import QuantizedStore, Scorer, StackedScorer
 from repro.errors import IndexNotBuiltError, SerializationError
 from repro.hnsw.graph import HnswGraph, VisitedPool
 from repro.hnsw.heuristic import (
@@ -38,16 +39,30 @@ _IDS_DTYPE = np.int64
 #: accepts.
 _FORMAT_VERSION = 2
 
-#: Upper bound on queries searched in one lockstep round.  Each lockstep
-#: query needs its own O(num_nodes) visited set, pooled per thread: on
-#: the heap venue one Python-list :class:`VisitedTable` per query (8
-#: bytes per slot), on the array venue one row of a shared
-#: :class:`VisitedEpochs` (1 byte per slot, ``rows x num_nodes`` in all).
-#: An unbounded batch would cost O(B * num_nodes) memory either way;
-#: larger groups also stop amortising once the flat scoring calls are a
-#: few thousand rows wide.  search_batch slices big batches into groups
-#: of this size.
-_MAX_LOCKSTEP = 64
+#: Upper bound on the rows of one lockstep group: (query, segment)
+#: pairs, which :func:`search_segments` fills in part order -- a shard
+#: request's probed segments, or a segment's batch.  Each row needs its
+#: own visited set, pooled per thread by the group's first segment: on
+#: the heap venue one Python-list :class:`VisitedTable` per row (8 bytes
+#: per slot), on the array venue one row of a :class:`VisitedEpochs`,
+#: ``rows x`` the largest segment's capacity bytes in all -- 128 x 4928
+#: = 616 KiB for the ledger's 4000-row segments, 128 MiB per thread for
+#: a million-slot segment.  The table below is a command --
+#: ``benchmarks/bench_batch_throughput.py --check venues`` -- which also
+#: asserts that a shard group answers and costs what per-segment search
+#: does: a 2 x 4000 x 64 int8 shard (M = 12, ef = 64), four requests
+#: sized to each pair count, searched as one group and as one group per
+#: segment, ms per query, min of 21:
+#:
+#:     pairs              64      96     128     192
+#:     one group         0.184   0.156   0.138   0.126
+#:     per segment       0.216   0.180   0.153   0.132
+#:
+#: Per query a group keeps getting cheaper as it grows (x0.91 from 128
+#: to 192 pairs) while its scratch grows with it.  128 holds every
+#: 64-query request to two segments in one group; at 64 the ledger's
+#: ~83 pairs would split 64 + 19.
+_MAX_LOCKSTEP = 128
 
 #: Smallest lockstep group -- query group or construction wave -- run on
 #: the array venue (``search.descend_arrays`` / ``search_arrays``);
@@ -124,6 +139,8 @@ class HnswIndex:
         # largest external id ever stored.
         self._next_id = 0
         self._rng = np.random.default_rng(self.params.seed)
+        # Visited scratch of the lockstep groups this index leads (its
+        # own waves and queries, or a shard request's first segment).
         self._visited_pool = VisitedPool()
         # Compressed-domain scoring tier: the beam search traverses on
         # codes, the final candidates are rescored exactly (see
@@ -303,7 +320,7 @@ class HnswIndex:
         every row sees the same pre-wave links), pooling each round's
         distance evaluations into one vectorised call exactly like the
         batched query path -- through the same :meth:`_descend` /
-        :meth:`_beam`, so a wide wave runs on the array kernels and a
+        :func:`_beam`, so a wide wave runs on the array kernels and a
         narrow one (or the few rows of a wave that reach an upper layer)
         on the heaps.  Because wave members cannot find each other
         by traversal, every row's candidates are augmented with its
@@ -366,8 +383,9 @@ class HnswIndex:
         cand_dists = np.full(cand_ids.shape, np.inf, dtype=np.float32)
         for layer in range(int(join.max()), -1, -1):
             active = np.flatnonzero(join >= layer)
-            found = self._beam(
-                scorer, "float", queries[active], query_sq[active],
+            found = _beam(
+                self._visited_pool, graph, scorer, "float",
+                queries[active], query_sq[active],
                 beam_ids[active], beam_dists[active], ef, layer,
             )
             beam_ids[active], beam_dists[active] = found
@@ -478,175 +496,151 @@ class HnswIndex:
         target_levels: np.ndarray,
         cost=None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy descent of one lockstep group -- a query group or a
-        construction wave -- to its per-row ``target_levels``: entry
-        nodes (int64) and reduced entry distances (float32).
+        """Greedy descent of this segment's rows of a lockstep group -- a
+        query group or a construction wave -- to their per-row
+        ``target_levels``: entry nodes (int64) and reduced entry
+        distances (float32).  Every segment descends from its own entry
+        point, so a group that spans segments descends segment by
+        segment.
 
-        The venue is a property of the group: ``_ARRAY_MIN_ROWS`` rows or
-        more run on the array kernel, fewer on the heap kernel; both walk
-        the same path.  Under an active tracing recorder the stage is a
-        ``descend`` span tagged ``scorer=<arm>``, ``kernel=heap|array``
-        and ``rounds=<n>``.
+        The venue is a property of the rows: ``_ARRAY_MIN_ROWS`` or more
+        run on the array kernel, fewer on the heap kernel; both walk the
+        same path.  ``cost`` gains the walk's hops and, as
+        ``distance_comps``, the pairs it scored.  Under an active tracing
+        recorder the stage is a ``descend`` span tagged ``scorer=<arm>``,
+        ``kernel=heap|array``, ``rounds=<n>`` and ``pairs=<n>``.
         """
         arrays = queries.shape[0] >= _ARRAY_MIN_ROWS
         with maybe_span(
             current_recorder(), "descend",
             scorer=arm, kernel="array" if arrays else "heap",
         ) as span:
+            notes = span["annotations"] if span is not None else {}
             kernel = descend_arrays if arrays else descend_to_levels_batch
-            return kernel(
+            found = kernel(
                 self._graph, traversal, queries, target_levels, query_sq, cost,
-                span["annotations"] if span is not None else None,
+                notes,
             )
+        if cost is not None:
+            cost.distance_comps += notes["pairs"]
+        return found
 
-    def _beam(
-        self,
-        traversal,
-        arm: str,
-        queries: np.ndarray,
-        query_sq: np.ndarray,
-        entries: np.ndarray,
-        entry_dists: np.ndarray,
-        ef: int,
-        level: int,
-        cost=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Beam search of one lockstep group at ``level`` from ``(rows,
-        <= ef)`` seed beams: ``(rows, ef)`` ids / reduced distances
-        sorted by ``(distance, node)``, ``-1`` / ``inf`` past a short
-        beam (seeds come in the same form).
-
-        The venue is chosen as in :meth:`_descend`; both kernels apply
-        one beam rule (:mod:`repro.hnsw.search`), so the choice moves
-        time and never a result.  The ``beam`` span carries the same tags
-        plus ``ef`` and ``num_queries``.
-        """
-        graph = self._graph
-        num_queries = queries.shape[0]
-        arrays = num_queries >= _ARRAY_MIN_ROWS
-        with maybe_span(
-            current_recorder(), "beam",
-            scorer=arm, kernel="array" if arrays else "heap",
-            ef=ef, num_queries=num_queries,
-        ) as span:
-            pool = self._visited_pool
-            if arrays:
-                kernel = search_arrays
-                visited = pool.get_epochs(graph.capacity, num_queries)
-            else:
-                kernel = search_layer_batch
-                visited = pool.get_many(len(graph), num_queries)
-            return kernel(
-                graph, traversal, queries, entries, entry_dists, ef, level,
-                visited, query_sq, cost,
-                span["annotations"] if span is not None else None,
-            )
-
+    @staticmethod
     def _search_many(
-        self, queries: np.ndarray, k: int, ef: int | None, cost=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Search one lockstep group: ``(B, <= k)`` ids and true distances,
-        rows that found fewer padded with ``-1`` / ``inf``.
+        parts: list[tuple["HnswIndex", np.ndarray, int]],
+        ef: int | None,
+        cost=None,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Search one lockstep group: for each ``(segment, queries, k)``
+        part, ``(B, <= k)`` ids and true distances, rows that found fewer
+        padded with ``-1`` / ``inf``.
 
-        The single query code path (:meth:`search` is a batch of one):
-        candidates -> exact rescore iff they were scored approximately ->
-        gather external ids.  Only who scores the candidates varies.
-        Below ``params.min_graph_size`` rows the graph buys nothing, so
-        the whole segment is the candidate set, scored exactly by
-        :meth:`Scorer.score_all_batch` (arm ``flat``).  Otherwise the
-        lockstep descend + beam kernels score with the float
-        :class:`Scorer` (``float``) or, unchanged, with a per-batch
-        :meth:`QuantizedStore.view` over compressed codes (``int8`` /
-        ``pq``) slotted in through :class:`~repro.hnsw.search.PairScorer`.
-        Approximate scores only decide *which* candidates survive: the
-        beam keeps ``max(beam, rescore_k)`` of them and every survivor is
-        rescored by the float :meth:`Scorer.score_pairs`, so returned
-        distances are bit-identical to the float arm for any candidate
-        both return.  A group of ``_ARRAY_MIN_ROWS`` rows or more runs
-        descend + beam on the array kernels, a smaller one on the heap
-        kernels.  Every arm scores a row independently of which other
-        rows share the batch and both venues apply one beam rule
+        The single query code path: a group's rows are (query, segment)
+        pairs, and :meth:`search_batch` is the group of one segment.  Per
+        part: candidates -> exact rescore iff they were scored
+        approximately -> gather external ids.  Only who scores the
+        candidates varies.  Below ``params.min_graph_size`` rows the graph
+        buys nothing, so the whole segment is the candidate set, scored
+        exactly by :meth:`Scorer.score_all_batch` (arm ``flat``).
+        Otherwise each segment descends its own rows from its own entry
+        point, and the level-0 beam and the exact rescore run once over
+        every part of one beam width and arm (:func:`_search_graphs`),
+        scored by the float :class:`Scorer` (``float``) or, unchanged, by
+        a per-part :meth:`QuantizedStore.view` over compressed codes
+        (``int8`` / ``pq``) slotted in through
+        :class:`~repro.hnsw.search.PairScorer`.  Approximate scores only
+        decide *which* candidates survive: the beam keeps ``max(beam,
+        rescore_k)`` of them and every survivor is rescored by the float
+        :meth:`Scorer.score_pairs`, so returned distances are
+        bit-identical to the float arm for any candidate both return.
+        Every arm scores a row independently of which other rows share
+        the group and both venues apply one beam rule
         (:mod:`repro.hnsw.search`), so results do not depend on how
-        queries are grouped.
+        queries and segments are grouped.
 
         ``cost`` (an optional :class:`~repro.obs.cost.SearchCost`)
         accumulates hops / candidates from the kernels, ``rescore_rows``
-        and this batch's ``Scorer.ops`` delta as ``distance_comps`` --
-        under concurrent searches of one segment the delta can
-        misattribute work between batches, but the totals stay exact.
-        Under an active tracing recorder
-        (:func:`~repro.obs.tracing.current_recorder`) every stage is a
-        span -- ``scan``, or ``descend`` / ``beam`` (/ ``rescore``) --
-        tagged ``scorer=<arm>`` and, for the two graph stages,
-        ``kernel=heap|array`` and ``rounds=<n>``; with no recorder and
-        ``cost=None`` nothing but the search runs.
+        and, as ``distance_comps``, the pairs this group scored itself --
+        descend, beam, rescore and flat scan -- so concurrent searches of
+        one segment each count their own.  Under an active tracing
+        recorder (:func:`~repro.obs.tracing.current_recorder`) every stage
+        is a span -- ``scan``, or ``descend`` per segment and ``beam``
+        (/ ``rescore``) per group -- tagged ``scorer=<arm>`` and, for the
+        two graph stages, ``kernel=heap|array`` and ``rounds=<n>``; with
+        no recorder and ``cost=None`` nothing but the search runs.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        graph, scorer = self._graph, self._scorer
-        if len(graph) == 0:
-            raise IndexNotBuiltError("search on an empty HNSW index")
-        num_queries = queries.shape[0]
-        prepared = scorer.prepare_queries(queries)
-        recorder = current_recorder()
-        ops_before = scorer.ops if cost is not None else 0
-        if len(graph) < self.params.min_graph_size:
-            # Rows are scored one at a time on purpose: BLAS accumulation
-            # order inside a multi-row GEMM varies with the batch shape,
-            # and the serving stack's coalescing layers rely on every
-            # row's result being bit-independent of which other rows
-            # share the batch.  The stable argsort breaks distance ties
-            # by internal row -- the (distance, node) order of the sorted
-            # beam below and of the blocked exact scan in
-            # :func:`repro.offline.brute_force.exact_top_k`.
-            width = min(k, len(graph))
-            rows = np.empty((num_queries, width), dtype=_IDS_DTYPE)
-            reduced = np.empty((num_queries, width), dtype=np.float32)
-            with maybe_span(
-                recorder, "scan", scorer="flat",
-                rows=len(graph), num_queries=num_queries,
-            ):
-                for row in range(num_queries):
-                    scores = scorer.score_all_batch(prepared[row : row + 1])[0]
-                    rows[row] = np.argsort(scores, kind="stable")[:k]
-                    reduced[row] = scores[rows[row]]
-        else:
-            query_sq = scorer.query_sq_norms(prepared)
-            depth = max(ef if ef is not None else self.params.ef_search, k)
+        answers: list = [None] * len(parts)
+        beams: dict[tuple, list[_Piece]] = {}
+        for number, (index, queries, k) in enumerate(parts):
+            if k <= 0:
+                raise ValueError(f"k must be positive, got {k}")
+            graph, scorer, params = index._graph, index._scorer, index.params
+            if len(graph) == 0:
+                raise IndexNotBuiltError("search on an empty HNSW index")
+            prepared = scorer.prepare_queries(queries)
+            if len(graph) < params.min_graph_size:
+                answers[number] = index._answer(*index._scan(prepared, k, cost), k)
+                continue
+            depth = max(ef if ef is not None else params.ef_search, k)
             traversal, arm = scorer, "float"
-            if self._quantized is not None:
-                traversal = self._quantized.view(prepared)
-                arm = self._quantized.kind
-                depth = max(depth, self.params.rescore_k)
-            entries, entry_dists = self._descend(
-                traversal, arm, prepared, query_sq,
-                np.zeros(num_queries, dtype=_IDS_DTYPE), cost,
-            )
-            rows, reduced = self._beam(
-                traversal, arm, prepared, query_sq,
-                entries[:, np.newaxis], entry_dists[:, np.newaxis],
-                depth, 0, cost,
-            )
-            if traversal is not scorer:
-                # Exact rescore: one flat float32 scoring call for every
-                # beam survivor of the whole batch, then the same
-                # (distance, node) order the float arm's sorted beam has.
-                found = rows >= 0
-                flat_rows = rows[found]
-                with maybe_span(
-                    recorder, "rescore", scorer=arm, rows=flat_rows.size
-                ):
-                    reduced[found] = scorer.score_pairs(
-                        prepared,
-                        np.nonzero(found)[0],
-                        flat_rows,
-                        query_sq,
-                    )
-                    rows, reduced = sort_candidates(rows, reduced)
-                if cost is not None:
-                    cost.rescore_rows += int(flat_rows.size)
+            if index._quantized is not None:
+                traversal = index._quantized.view(prepared)
+                arm = index._quantized.kind
+                depth = max(depth, params.rescore_k)
+            query_sq = scorer.query_sq_norms(prepared)
+            piece = _Piece(index, prepared, query_sq, traversal, k, number)
+            # Parts share a beam when they share its width and their
+            # graphs and scorers stack (_SegmentGroup, StackedScorer).
+            side = traversal.bound(prepared, query_sq)[0]
+            key = (arm, depth, graph.width, index.metric_name, side.shape[1:])
+            beams.setdefault(key, []).append(piece)
+        for (arm, depth, *_), pieces in beams.items():
+            rows, reduced = _search_graphs(pieces, arm, depth, cost)
+            start = 0
+            for piece in pieces:
+                stop = start + piece.rows
+                answers[piece.number] = piece.index._answer(
+                    rows[start:stop], reduced[start:stop], piece.k
+                )
+                start = stop
+        return answers
+
+    def _scan(
+        self, prepared: np.ndarray, k: int, cost=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The flat arm: every stored row scored exactly against each
+        prepared query, ``(B, min(k, n))`` rows and reduced distances.
+
+        Rows are scored one at a time on purpose: BLAS accumulation order
+        inside a multi-row GEMM varies with the batch shape, and the
+        serving stack's coalescing layers rely on every row's result
+        being bit-independent of which other rows share the batch.  The
+        stable argsort breaks distance ties by internal row -- the
+        (distance, node) order of the sorted beam and of the blocked
+        exact scan in :func:`repro.offline.brute_force.exact_top_k`.
+        """
+        scorer, count = self._scorer, len(self._graph)
+        num_queries = prepared.shape[0]
+        width = min(k, count)
+        rows = np.empty((num_queries, width), dtype=_IDS_DTYPE)
+        reduced = np.empty((num_queries, width), dtype=np.float32)
+        with maybe_span(
+            current_recorder(), "scan", scorer="flat",
+            rows=count, num_queries=num_queries,
+        ):
+            for row in range(num_queries):
+                scores = scorer.score_all_batch(prepared[row : row + 1])[0]
+                rows[row] = np.argsort(scores, kind="stable")[:k]
+                reduced[row] = scores[rows[row]]
         if cost is not None:
-            cost.distance_comps += scorer.ops_since(ops_before)
+            cost.distance_comps += num_queries * count
+        return rows, reduced
+
+    def _answer(
+        self, rows: np.ndarray, reduced: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """External ids and true distances of a part's first ``k``
+        candidates."""
         external = self._external_array
         if external is None:
             # One trailing -1, so that an unused slot (row -1) gathers
@@ -655,7 +649,7 @@ class HnswIndex:
         # + 0.0: a zero distance is +0.0 whichever kernel found it.
         return (
             external[rows[:, :k]],
-            scorer.to_true(reduced[:, :k].astype(np.float64) + 0.0),
+            self._scorer.to_true(reduced[:, :k].astype(np.float64) + 0.0),
         )
 
     def search(
@@ -681,7 +675,7 @@ class HnswIndex:
             ``min(k, len(index))``.
         """
         query = as_vector(query, dim=self.dim, name="query")
-        ids, dists = self._search_many(query[np.newaxis, :], k, ef)
+        ids, dists = self.search_batch(query[np.newaxis, :], k, ef)
         found = np.count_nonzero(ids[0] >= 0)  # padding comes last
         return ids[0, :found], dists[0, :found]
 
@@ -695,36 +689,20 @@ class HnswIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Search many queries in lockstep; ``(B, k)`` id/distance arrays.
 
-        Per-query results are identical to calling :meth:`search` in a
-        loop; the batch amortises query preparation, entry-point descent
-        setup and pools every round's distance evaluations into one
-        vectorised call.  Rows are padded with id ``-1`` / distance
-        ``inf`` when the index holds fewer than ``k`` points.  ``cost``
-        optionally accumulates this batch's search work (see
+        The one-segment case of :func:`search_segments`.  Per-query
+        results are identical to calling :meth:`search` in a loop; the
+        batch amortises query preparation, entry-point descent setup and
+        pools every round's distance evaluations into one vectorised
+        call.  Rows are padded with id ``-1`` / distance ``inf`` when the
+        index holds fewer than ``k`` points.  ``cost`` optionally
+        accumulates this batch's search work (see
         :class:`~repro.obs.cost.SearchCost`); results are identical
         either way.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         queries = as_matrix(queries, dim=self.dim, name="queries")
-        n = queries.shape[0]
-        found = [
-            self._search_many(queries[start : start + _MAX_LOCKSTEP], k, ef, cost)
-            for start in range(0, n, _MAX_LOCKSTEP)
-        ]
-        if len(found) == 1 and found[0][0].shape[1] == k:
-            # One lockstep group, every request of the serving path: its
-            # int64 / float64 arrays are the answer as they stand.
-            return found[0]
-        ids = np.full((n, k), -1, dtype=_IDS_DTYPE)
-        dists = np.full((n, k), np.inf, dtype=np.float64)
-        for start, (found_ids, found_dists) in zip(
-            range(0, n, _MAX_LOCKSTEP), found
-        ):
-            width = found_ids.shape[1]  # < k on a segment smaller than k
-            ids[start : start + _MAX_LOCKSTEP, :width] = found_ids
-            dists[start : start + _MAX_LOCKSTEP, :width] = found_dists
-        return ids, dists
+        return search_segments([(self, queries, k)], ef, cost)[0]
 
     # -- persistence --------------------------------------------------------------------
     def to_arrays(self) -> dict:
@@ -829,6 +807,246 @@ class HnswIndex:
                 f"HNSW index {file!r} is not a readable segment ({error})"
             ) from error
         return cls.from_arrays(payload)
+
+
+# -- lockstep groups --------------------------------------------------------------
+#
+# A lockstep group's rows are (query, segment) pairs: one segment's batch
+# (HnswIndex.search_batch) or a whole shard request's probed segments
+# (core.index.ShardIndex.search_batch).  Each segment descends its own
+# rows from its own entry point; the level-0 beam and the exact rescore
+# then run once over every row of the group.
+
+
+class _Piece(NamedTuple):
+    """One segment's rows of a lockstep group, prepared for its scorers."""
+
+    index: HnswIndex
+    prepared: np.ndarray
+    query_sq: np.ndarray
+    traversal: object  # the segment's PairScorer for the beam
+    k: int
+    number: int  # which part of the caller's list
+
+    @property
+    def rows(self) -> int:
+        return self.prepared.shape[0]
+
+
+class _SegmentGroup:
+    """The graph of a lockstep group whose rows span several segments,
+    ordered by segment (:class:`~repro.hnsw.search.LockstepGraph`).
+
+    Every question arrives sorted by row, so each is split at the
+    segment boundaries and put to that segment's own table.  Nothing is
+    copied: node ids stay segment-local, and the visited scratch a
+    kernel borrows is ``rows x`` the largest segment's capacity.  Its
+    scorer is a :class:`~repro.distance.scorer.StackedScorer` of the
+    segments' own.
+    """
+
+    def __init__(self, pieces: list[_Piece]) -> None:
+        graphs = [piece.index._graph for piece in pieces]
+        self.width = graphs[0].width
+        self.capacity = max(graph.capacity for graph in graphs)
+        self._nodes = max(len(graph) for graph in graphs)
+        self._tables = [(graph.table, graph.base) for graph in graphs]
+        self._counts = [piece.rows for piece in pieces]
+        self._starts = np.cumsum(self._counts)[:-1]
+
+    def __len__(self) -> int:
+        """Node ids a row can name: below the largest segment's count."""
+        return self._nodes
+
+    def neighbor_rows(
+        self, nodes: np.ndarray, level: int, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        out = np.empty((nodes.size, self.width), dtype=np.int32)
+        first = 0
+        stops = [*rows.searchsorted(self._starts).tolist(), rows.size]
+        for (table, base), stop in zip(self._tables, stops):
+            if first < stop:
+                slots = base.take(nodes[first:stop])
+                if level:
+                    slots += level
+                # mode="clip": with ``out``, the default "raise" buffers.
+                table.take(slots, axis=0, out=out[first:stop], mode="clip")
+            first = stop
+        return out
+
+    def row_tables(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [
+            table
+            for table, count in zip(self._tables, self._counts)
+            for _ in range(count)
+        ]
+
+
+def _beam(
+    pool: VisitedPool,
+    graph,
+    traversal,
+    arm: str,
+    queries: np.ndarray,
+    query_sq: np.ndarray | None,
+    entries: np.ndarray,
+    entry_dists: np.ndarray,
+    ef: int,
+    level: int,
+    cost=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Beam search of one lockstep group at ``level`` from ``(rows,
+    <= ef)`` seed beams: ``(rows, ef)`` ids / reduced distances sorted by
+    ``(distance, node)``, ``-1`` / ``inf`` past a short beam (seeds come
+    in the same form).  ``graph`` is a segment's
+    :class:`~repro.hnsw.graph.HnswGraph` or a :class:`_SegmentGroup`;
+    ``pool`` lends the visited scratch, ``rows x`` its capacity.
+
+    The venue is chosen as in :meth:`HnswIndex._descend`; both kernels
+    apply one beam rule (:mod:`repro.hnsw.search`), so the choice moves
+    time and never a result.  ``cost`` gains the kernel's hops and candidates,
+    and each candidate again as ``distance_comps``: one pair scored.  The
+    ``beam`` span carries the same tags plus ``ef`` and ``num_queries``.
+    """
+    num_queries = queries.shape[0]
+    arrays = num_queries >= _ARRAY_MIN_ROWS
+    with maybe_span(
+        current_recorder(), "beam",
+        scorer=arm, kernel="array" if arrays else "heap",
+        ef=ef, num_queries=num_queries,
+    ) as span:
+        if arrays:
+            kernel = search_arrays
+            visited = pool.get_epochs(graph.capacity, num_queries)
+        else:
+            kernel = search_layer_batch
+            visited = pool.get_many(len(graph), num_queries)
+        before = cost.candidates_visited if cost is not None else 0
+        found = kernel(
+            graph, traversal, queries, entries, entry_dists, ef, level,
+            visited, query_sq, cost,
+            span["annotations"] if span is not None else None,
+        )
+    if cost is not None:
+        cost.distance_comps += cost.candidates_visited - before
+    return found
+
+
+def _search_graphs(
+    pieces: list[_Piece], arm: str, depth: int, cost=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Descend each piece's segment, then beam the whole group once at
+    width ``depth`` and, off the float arm, rescore every survivor
+    exactly: ``(rows, depth)`` internal rows and reduced distances,
+    pieces in order, each sorted by ``(distance, node)``."""
+    seeds = [
+        piece.index._descend(
+            piece.traversal, arm, piece.prepared, piece.query_sq,
+            np.zeros(piece.rows, dtype=_IDS_DTYPE), cost,
+        )
+        for piece in pieces
+    ]
+    (first, *others) = pieces
+    entries, entry_dists = seeds[0]
+
+    def joined(scorers: list):
+        """The group's scorer: a piece's own, or theirs stacked."""
+        if not others:
+            return scorers[0]
+        return StackedScorer(
+            scorers,
+            [piece.prepared for piece in pieces],
+            [piece.query_sq for piece in pieces],
+        )
+
+    graph, prepared, query_sq = first.index._graph, first.prepared, first.query_sq
+    if others:
+        graph = _SegmentGroup(pieces)
+        prepared = np.concatenate([piece.prepared for piece in pieces])
+        query_sq = np.concatenate([piece.query_sq for piece in pieces])
+        entries = np.concatenate([found[0] for found in seeds])
+        entry_dists = np.concatenate([found[1] for found in seeds])
+    rows, reduced = _beam(
+        first.index._visited_pool, graph,
+        joined([piece.traversal for piece in pieces]), arm, prepared, query_sq,
+        entries[:, np.newaxis], entry_dists[:, np.newaxis], depth, 0, cost,
+    )
+    if arm != "float":
+        # Exact rescore: one flat float32 scoring call for every beam
+        # survivor of the whole group, then the same (distance, node)
+        # order the float arm's sorted beam has.
+        found = rows >= 0
+        flat_rows = rows[found]
+        with maybe_span(current_recorder(), "rescore", scorer=arm, rows=flat_rows.size):
+            exact = joined([piece.index._scorer for piece in pieces])
+            reduced[found] = exact.score_pairs(
+                prepared, np.nonzero(found)[0], flat_rows, query_sq
+            )
+            rows, reduced = sort_candidates(rows, reduced)
+        if cost is not None:
+            cost.rescore_rows += int(flat_rows.size)
+            cost.distance_comps += int(flat_rows.size)
+    return rows, reduced
+
+
+def search_segments(
+    parts: list[tuple[HnswIndex, np.ndarray, int]],
+    ef: int | None = None,
+    cost=None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Search each ``(segment, queries, k)`` part: per part ``(B, k)``
+    int64 external ids and float64 true distances, ascending, padded
+    with ``-1`` / ``inf`` where a segment holds fewer than ``k`` rows.
+
+    A part's rows are (query, segment) pairs; they fill lockstep groups
+    (:meth:`HnswIndex._search_many`) of at most ``_MAX_LOCKSTEP`` pairs in
+    part order, so a shard request whose queries probe two segments
+    shares every beam round between them.  Results are identical however
+    the pairs are grouped.
+    """
+    groups: list[list[tuple[int, int, int]]] = [[]]
+    room = _MAX_LOCKSTEP
+    for number, (_, queries, _) in enumerate(parts):
+        start, count = 0, queries.shape[0]
+        while start < count:
+            if room == 0:
+                groups.append([])
+                room = _MAX_LOCKSTEP
+            stop = min(count, start + room)
+            groups[-1].append((number, start, stop))
+            room -= stop - start
+            start = stop
+    answers: list = [None] * len(parts)
+    for group in groups:
+        found = HnswIndex._search_many(
+            [
+                (parts[number][0], parts[number][1][start:stop], parts[number][2])
+                for number, start, stop in group
+            ],
+            ef,
+            cost,
+        )
+        for (number, start, stop), (ids, dists) in zip(group, found):
+            shape = (parts[number][1].shape[0], parts[number][2])
+            if ids.shape == shape:
+                # A whole part at full width, every request of the
+                # serving path: its arrays are the answer as they stand.
+                answers[number] = ids, dists
+                continue
+            if answers[number] is None:
+                answers[number] = (
+                    np.full(shape, -1, dtype=_IDS_DTYPE),
+                    np.full(shape, np.inf, dtype=np.float64),
+                )
+            width = ids.shape[1]  # < k on a segment smaller than k
+            answers[number][0][start:stop, :width] = ids
+            answers[number][1][start:stop, :width] = dists
+    return [
+        found
+        if found is not None
+        else (np.full((0, k), -1, dtype=_IDS_DTYPE), np.full((0, k), np.inf))
+        for found, (_, _, k) in zip(answers, parts)
+    ]
 
 
 def build_hnsw(

@@ -68,11 +68,14 @@ _IDS_DTYPE = np.int64
 class PairScorer(Protocol):
     """The scorer seam of the lockstep kernels: one flat scoring call.
 
-    Satisfied by the float :class:`~repro.distance.scorer.Scorer` and by
+    Satisfied by the float :class:`~repro.distance.scorer.Scorer`, by
     the per-batch compressed-code views
     :meth:`QuantizedStore.view <repro.distance.scorer.QuantizedStore.view>`
-    returns; the kernels below ask nothing else of whoever scores, so a
-    new scoring tier plugs in by implementing this one method with
+    returns, and by a multi-segment group's
+    :class:`~repro.distance.scorer.StackedScorer` of those; the kernels
+    below ask nothing else of whoever scores, so a new scoring tier
+    plugs in by implementing this one method (and, to join a stack,
+    ``stored`` / ``bound`` / ``_pairs``) with
     :meth:`Scorer.score_pairs`'s batch-composition invariance, its
     float32 result (the array venue packs distances into 32 bits) and
     its one-row contract: when ``queries`` has exactly one row every
@@ -88,6 +91,28 @@ class PairScorer(Protocol):
         ids: np.ndarray,
         query_sq: np.ndarray | None = None,
     ) -> np.ndarray: ...
+
+
+class LockstepGraph(Protocol):
+    """The graph seam of the two beam kernels: whose links a row follows.
+
+    :class:`~repro.hnsw.graph.HnswGraph` answers for every row of a group
+    on one segment.  A group whose rows span several segments -- a shard
+    request's (query, probed segment) pairs, ordered by segment -- answers
+    by splitting each question at its segment boundaries, and scores
+    through the :class:`PairScorer` seam the same way: every question
+    arrives sorted by row.  Descent never asks: it walks one segment from
+    that segment's entry point.
+    """
+
+    @property
+    def width(self) -> int: ...
+
+    def neighbor_rows(
+        self, nodes: np.ndarray, level: int, rows: np.ndarray | None = None
+    ) -> np.ndarray: ...
+
+    def row_tables(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]: ...
 
 
 def descend_to_levels_batch(
@@ -115,14 +140,15 @@ def descend_to_levels_batch(
     given, each round adds the queries that moved to ``hops`` -- one
     bounded increment per round, so ``cost=None`` leaves the hot path
     untouched.  ``notes``, when given, receives ``rounds``: the lockstep
-    scoring rounds run (a trace span's annotations, in practice).
+    scoring rounds run (a trace span's annotations, in practice), and
+    ``pairs``: the (query, node) pairs scored, entry points included.
     """
     num_queries = queries.shape[0]
     # A group of one row scores every pair against that row: no
     # ``query_rows`` operand is built (see :class:`PairScorer`).
     one_row = num_queries == 1
     target_levels = target_levels.tolist()
-    rounds = 0
+    rounds, pairs = 0, num_queries
     entry = graph.entry_point
     entry_dists = scorer.score_pairs(
         queries,
@@ -150,6 +176,7 @@ def descend_to_levels_batch(
             if not flat_ids:
                 break
             rounds += 1
+            pairs += len(flat_ids)
             dists = scorer.score_pairs(
                 queries,
                 None if one_row else np.asarray(span_rows).repeat(span_counts),
@@ -171,7 +198,7 @@ def descend_to_levels_batch(
                 cost.hops += len(moved)
             active = moved
     if notes is not None:
-        notes["rounds"] = rounds
+        notes["rounds"], notes["pairs"] = rounds, pairs
     return (
         np.asarray(current, dtype=_IDS_DTYPE),
         np.asarray(current_dist, dtype=np.float32),
@@ -179,7 +206,7 @@ def descend_to_levels_batch(
 
 
 def search_layer_batch(
-    graph: HnswGraph,
+    graph: LockstepGraph,
     scorer: PairScorer,
     queries: np.ndarray,
     entries: np.ndarray,
@@ -222,7 +249,7 @@ def search_layer_batch(
     """
     num_queries = queries.shape[0]
     one_row = num_queries == 1  # no ``query_rows`` operand: see PairScorer
-    adjacency, base = graph.table, graph.base  # direct access: hot loop
+    tables = graph.row_tables(num_queries)  # direct access: hot loop
     # Per query -- candidates: min-heap of unexpanded pairs; results: the
     # beam, a max-heap keyed (-dist, -node) whose root is its largest pair.
     candidates: list[list[tuple[float, int]]] = []
@@ -255,6 +282,7 @@ def search_layer_batch(
             res = results[i]
             table = visited[i]
             tags, epoch = table.tags, table.epoch
+            adjacency, base = tables[i]
             fresh: list[int] = []
             while cand:
                 dist, node = heapq.heappop(cand)
@@ -434,12 +462,13 @@ def descend_arrays(
     ``target_levels`` is an integer array, one level per query.  Returns
     the per-query entry nodes (int64) and their reduced entry distances
     (float32): the same walk, and the same ``cost.hops`` and
-    ``notes["rounds"]``, with each round's argmin taken over one padded
-    ``(rows, width)`` array.
+    ``notes["rounds"]`` / ``notes["pairs"]``, with each round's argmin
+    taken over one padded ``(rows, width)`` array.
     """
     num_queries = queries.shape[0]
-    width = graph.table.shape[1]
+    width = graph.width
     rounds = hops = 0
+    pairs = num_queries
     current = np.full(num_queries, graph.entry_point, dtype=_IDS_DTYPE)
     current_dist = scorer.score_pairs(
         queries, np.arange(num_queries), current, query_sq
@@ -458,6 +487,7 @@ def descend_arrays(
             if linked.size == 0:
                 break
             rounds += 1
+            pairs += linked.size
             neighbors = neighbors.reshape(-1)
             dists = unlinked[: neighbors.size].copy()
             dists[linked] = scorer.score_pairs(
@@ -479,12 +509,12 @@ def descend_arrays(
     if cost is not None:
         cost.hops += hops
     if notes is not None:
-        notes["rounds"] = rounds
+        notes["rounds"], notes["pairs"] = rounds, pairs
     return current, current_dist
 
 
 def search_arrays(
-    graph: HnswGraph,
+    graph: LockstepGraph,
     scorer: PairScorer,
     queries: np.ndarray,
     entries: np.ndarray,
@@ -522,7 +552,7 @@ def search_arrays(
     frontier had no unvisited neighbor sits the round out.
     """
     num_queries, seeds = entries.shape
-    width = graph.table.shape[1]
+    width = graph.width
     tags, epoch = visited.tags, np.uint8(visited.epoch)
     live = np.arange(num_queries)
     offsets = (live * visited.stride)[:, np.newaxis]
@@ -562,7 +592,7 @@ def search_arrays(
             position = column[going] + starts[: live.size]
         rounds += 1
         flat[position] = frontier | 1
-        neighbors = graph.neighbor_rows((frontier >> 1) & _LOW31, level)
+        neighbors = graph.neighbor_rows((frontier >> 1) & _LOW31, level, live)
         slots = offsets + neighbors
         # Flat positions, in the (live rows, width) grid, of the
         # neighbors this round is the first to see.

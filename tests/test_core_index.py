@@ -65,6 +65,16 @@ class TestShardIndex:
         assert ids.shape == (1, 5)
         assert dists[0].tolist() == sorted(dists[0].tolist())
 
+    @pytest.mark.parametrize("probed", [(0, 0), (0, 0, 0), (1, 2, 1)])
+    def test_a_probe_row_naming_a_segment_twice_is_refused(
+        self, lanns, clustered_queries, probed
+    ):
+        """A repeated segment would be searched, and charged, once per
+        mention -- two rows of one lockstep group for one pair."""
+        shard = lanns.shards[0]
+        with pytest.raises(ValueError, match="row 1 names a segment twice"):
+            shard.search_batch(clustered_queries[:2], 5, probes=[(3,), probed])
+
     def test_len_counts_all_segments(self, lanns):
         shard = lanns.shards[0]
         assert len(shard) == sum(shard.segment_sizes)

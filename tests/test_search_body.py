@@ -35,6 +35,9 @@ import pytest
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
+from repro.core.contextual import build_contextual_index
+from repro.core.index import ShardIndex
+from repro.core.merge import merge_segment_results_batch
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import VisitedPool
 from repro.hnsw.index import (
@@ -47,6 +50,7 @@ from repro.hnsw.search import descend_arrays, search_arrays, search_layer_batch
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
 from repro.online.microbatch import MicroBatcher
+from repro.segmenters.random_segmenter import RandomSegmenter
 from tests.conftest import FAST_HNSW, make_lattice
 
 ARMS = {
@@ -83,16 +87,22 @@ def corpora(clustered_data) -> dict[str, np.ndarray]:
 @pytest.fixture(scope="module")
 def query_sets(corpora) -> dict[str, np.ndarray]:
     """``_MAX_LOCKSTEP + 1`` queries per corpus: noisy rows of the
-    clustered one, on- and half-lattice points of the lattice."""
+    clustered one, on- and half-lattice points of the lattice.  They are
+    drawn in blocks of 65, the first exactly as when 65 was the whole
+    set, so the pinned digests read the same rows whatever
+    ``_MAX_LOCKSTEP`` is."""
     rng = np.random.default_rng(5)
-    count = _MAX_LOCKSTEP + 1
+    count, block = _MAX_LOCKSTEP + 1, 65
     data = corpora["clustered"]
-    rows = rng.integers(0, data.shape[0], size=count)
-    noise = rng.normal(scale=0.2, size=(count, data.shape[1]))
-    half = rng.integers(-2, 3, size=(count, 6)) / 2.0
+    clustered, lattice = [], []
+    for _ in range(-(-count // block)):
+        rows = rng.integers(0, data.shape[0], size=block)
+        noise = rng.normal(scale=0.2, size=(block, data.shape[1]))
+        clustered.append(data[rows] + noise)
+        lattice.append(rng.integers(-2, 3, size=(block, 6)) / 2.0)
     return {
-        "clustered": (data[rows] + noise).astype(np.float32),
-        "lattice": half.astype(np.float32),
+        "clustered": np.concatenate(clustered)[:count].astype(np.float32),
+        "lattice": np.concatenate(lattice)[:count].astype(np.float32),
     }
 
 
@@ -236,6 +246,99 @@ def test_every_candidate_source_records_its_stage(indices, queries, arm, batch):
         assert spans["rescore"]["rows"] == cost.rescore_rows
 
 
+#: Shards a request spans as one lockstep group of (query, segment)
+#: pairs: the group of one segment; two segments routed by hyperplanes;
+#: twelve context segments, all probed, so that one query alone is a
+#: twelve-row, array-venue group; and two segments every query probes,
+#: one of them empty, below ``min_graph_size`` (the flat arm beside a
+#: graph arm) or of 100 rows (PQ codebooks of 256 and 100 codewords do
+#: not stack: two beams).
+SHARD_SHAPES = ("one", "two", "contexts", "empty", "flat", "uneven")
+
+
+def _shard(data: np.ndarray, shape: str, params) -> ShardIndex:
+    ids = np.arange(data.shape[0]) * ID_STRIDE + ID_BASE
+    if shape in ("one", "two"):
+        config = LannsConfig(
+            num_shards=1, num_segments={"one": 1, "two": 2}[shape], segmenter="rh",
+            hnsw=params, seed=3,
+        )
+        return build_lanns_index(data, config=config, ids=ids).shards[0]
+    if shape == "contexts":
+        labels = [f"c{row % 12}" for row in range(data.shape[0])]
+        return build_contextual_index(data, labels, ids=ids, hnsw=params).shards[0]
+    if shape == "empty":
+        other = HnswIndex(data.shape[1], params=params)
+    elif shape == "flat":
+        params = replace(params, min_graph_size=100)
+        other = build_hnsw(data[500:560], ids=ids[500:560], params=params)
+    else:
+        other = build_hnsw(data[500:600], ids=ids[500:600], params=params)
+    big = build_hnsw(data[:500], ids=ids[:500], params=params)
+    return ShardIndex(0, [big, other], RandomSegmenter(2))
+
+
+@pytest.fixture(scope="module")
+def shards(corpora) -> dict[tuple[str, str], ShardIndex]:
+    data = corpora["clustered"]
+    return {
+        (arm, shape): _shard(data, shape, replace(FAST_HNSW, **ARMS[arm]))
+        for arm in ("float", "int8", "pq")
+        for shape in SHARD_SHAPES
+    }
+
+
+@pytest.mark.parametrize("shape", SHARD_SHAPES)
+@pytest.mark.parametrize("arm", ("float", "int8", "pq"))
+def test_a_shard_request_is_its_pairs_searched_alone(shards, queries, arm, shape):
+    """``ShardIndex.search_batch`` is one lockstep group over every
+    (query, probed segment) pair -- each segment descends its own rows,
+    one beam and one rescore serve them all.  Each row must answer, and
+    the request be charged, as that row searched alone in each of its
+    probed segments and merged: ids, distances and ``SearchCost``."""
+    shard = shards[arm, shape]
+    rows = queries[: 2 * _ARRAY_MIN_ROWS]
+    cost = SearchCost()
+    ids, dists = shard.search_batch(rows, K, cost=cost)
+    alone_cost = SearchCost()
+    for row, probed in enumerate(shard.segmenter.route_query_batch(rows)):
+        cand_ids, cand_dists = [], []
+        for segment in [shard.segments[s] for s in sorted(probed)]:
+            if len(segment) == 0:
+                continue
+            alone_cost.segments_probed += 1
+            found_ids, found_dists = segment.search_batch(
+                rows[row : row + 1], K, cost=alone_cost
+            )
+            cand_ids.append(found_ids)
+            cand_dists.append(found_dists)
+        want_ids, want_dists = merge_segment_results_batch(
+            np.hstack(cand_ids), np.hstack(cand_dists), K
+        )
+        assert ids[row].tobytes() == want_ids[0].tobytes()
+        assert dists[row].tobytes() == want_dists[0].tobytes()
+    assert cost == alone_cost
+    # One query alone: a twelve-row group on the array venue; a graph
+    # arm and a flat arm sharing the request; one beam, or two for PQ.
+    recorder = SpanRecorder()
+    token = activate(recorder)
+    try:
+        one = shard.search_batch(rows[:1], K)
+    finally:
+        deactivate(token)
+    assert one[0].tobytes() == ids[:1].tobytes()
+    spans = recorder.export()
+    beams = [span["annotations"] for span in spans if span["name"] == "beam"]
+    if shape == "contexts":
+        assert [(beam["num_queries"], beam["kernel"]) for beam in beams] == [
+            (12, "array")
+        ]
+    if shape == "flat":
+        assert [span["name"] for span in spans].count("scan") == 1
+    if shape == "uneven":
+        assert len(beams) == (2 if arm == "pq" else 1)
+
+
 class TestVenues:
     """What only the array venue has: a coalescing caller upstream and a
     per-thread scratch."""
@@ -369,22 +472,29 @@ class TestVenues:
 
     def test_two_threads_search_one_segment(self, all_indices, query_sets):
         """Graph shared, scratch per thread: concurrent groups on one
-        segment return what they return alone."""
+        segment return what they return alone, and each is charged what
+        it costs alone -- the pairs it scored, not a share of the
+        segment's running count."""
         index = all_indices["lattice", "int8", "euclidean"]
         queries = query_sets["lattice"]
         groups = [
             queries[:_ARRAY_MIN_ROWS],
             queries[_ARRAY_MIN_ROWS : 3 * _ARRAY_MIN_ROWS],
         ]
-        want = [index.search_batch(group, K) for group in groups]
+        want = []
+        for group in groups:
+            cost = SearchCost()
+            want.append((*index.search_batch(group, K, cost=cost), cost))
         wrong: list[int] = []
 
         def hammer(which: int) -> None:
             for _ in range(60):
-                ids, dists = index.search_batch(groups[which], K)
+                cost = SearchCost()
+                ids, dists = index.search_batch(groups[which], K, cost=cost)
                 if (
                     ids.tobytes() != want[which][0].tobytes()
                     or dists.tobytes() != want[which][1].tobytes()
+                    or cost != want[which][2]
                 ):
                     wrong.append(which)
 
