@@ -15,12 +15,15 @@ and every timed batch answer must equal the timed single-query answers
 bit for bit.  ``one_row``: a single query -- a lockstep group of one
 row, the serving path -- runs on the heap kernels and pays no more per
 scoring call than the same pairs do as a row of a larger batch.
-``venues``: the table beside ``hnsw/index.py::_ARRAY_MIN_ROWS`` as a
-command -- one segment group of 1 ... 64 rows on the heap kernels and
-on the array kernels, int8 and float, per corpus shape: ids, distances
-and ``SearchCost`` must be equal; ms per query per venue is printed,
-not gated.  Then the table beside ``_MAX_LOCKSTEP``: requests to a
-2-segment int8 shard sized to 64 ... 192 (query, segment) pairs, each
+``venues``: the tables beside ``hnsw/index.py::_ARRAY_MIN_ROWS`` and
+``_QUERY_EXPAND`` as a command -- one segment group of 1 ... 128 rows on
+the heap kernels and on the array kernels, int8 and float, per corpus
+shape and step width W = 1 ... 4: ids, distances and ``SearchCost`` must
+be equal at every W (the step-width parity table); ms per query, beam
+rounds, comps per query and recall@10 are printed, not gated, with the
+W and the crossover the table reads.  Then the table beside
+``_MAX_LOCKSTEP``: requests to a 2-segment int8 shard sized to
+64 ... 192 (query, segment) pairs, each
 searched as one lockstep group and as one group per segment; the
 answers and ``SearchCost`` must be equal, ms per query is printed.
 
@@ -66,6 +69,8 @@ from repro.eval.serving import concurrent_serving_throughput
 from repro.hnsw.params import HnswParams
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
+from repro.offline.brute_force import exact_top_k
+from repro.offline.recall import recall_at_k
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 
@@ -75,7 +80,8 @@ FULL = dict(
     max_batch=32, max_wait_ms=2.0,  # --clients: the micro-batch flush rule
     # venues: (rows, dim, M, ef) per segment, group sizes, min-of-N passes
     venue_shapes=((4000, 64, 12, 64), (2400, 32, 6, 10)),
-    venue_rows=(1, 4, 8, 10, 12, 16, 24, 32, 64), venue_passes=21,
+    venue_rows=(1, 4, 10, 16, 64, 128), venue_expands=(1, 2, 3, 4),
+    venue_passes=21,
     # venues: a 2-segment shard of twice the first shape, int8; requests
     # sized to these (query, segment) pair counts
     group_pairs=(64, 96, 128, 192),
@@ -160,9 +166,9 @@ def check_batched(run, env) -> None:
     run.gate("batched_speedup", max(row["speedup"] for row in rows))
 
 
-def traced_kernels(segment, queries, top_k: int, ef: int | None = None) -> dict:
-    """``{"descend": kernel, "beam": kernel}``: the venue tags of one
-    traced segment group."""
+def traced_spans(segment, queries, top_k: int, ef: int | None = None) -> dict:
+    """``{"descend": notes, "beam": notes}``: the span annotations (venue
+    ``kernel``, ``rounds``, ...) of one traced segment group."""
     recorder = SpanRecorder()
     token = activate(recorder)
     try:
@@ -170,10 +176,17 @@ def traced_kernels(segment, queries, top_k: int, ef: int | None = None) -> dict:
     finally:
         deactivate(token)
     return {
-        span["name"]: span["annotations"]["kernel"]
+        span["name"]: span["annotations"]
         for span in recorder.export()
         if span["name"] in ("descend", "beam")
     }
+
+
+def traced_kernels(segment, queries, top_k: int, ef: int | None = None) -> dict:
+    """``{"descend": kernel, "beam": kernel}``: the venue tags of one
+    traced segment group."""
+    spans = traced_spans(segment, queries, top_k, ef)
+    return {name: notes["kernel"] for name, notes in spans.items()}
 
 
 def check_one_row(run, env) -> None:
@@ -217,19 +230,26 @@ def check_one_row(run, env) -> None:
 
 def check_venues(run, env) -> None:
     floors = {"heap": sys.maxsize, "array": 1}  # _ARRAY_MIN_ROWS per venue
-    chosen = hnsw_index._ARRAY_MIN_ROWS
+    chosen = hnsw_index._ARRAY_MIN_ROWS, hnsw_index._QUERY_EXPAND
     answers: dict = {}
 
-    def group(segment, queries, venue: str) -> None:
-        cost = SearchCost()
+    def pick(venue: str, expand: int) -> None:
         hnsw_index._ARRAY_MIN_ROWS = floors[venue]
-        answers[venue] = *segment.search_batch(queries, run.top_k, cost=cost), cost
+        hnsw_index._QUERY_EXPAND = expand
+
+    def group(segment, queries, venue: str, expand: int) -> None:
+        cost = SearchCost()
+        pick(venue, expand)
+        answers[venue, expand] = (
+            *segment.search_batch(queries, run.top_k, cost=cost), cost,
+        )
 
     table = []
     try:
         for num_base, dim, m, ef in run.venue_shapes:
             vectors = clustered_gaussians(num_base, dim, seed=SEED)
             queries = make_queries(vectors, max(run.venue_rows), seed=SEED + 1)
+            truth = exact_top_k(vectors, queries, run.top_k)[0]
             for quantize in ("int8", "none"):
                 segment = hnsw_index.build_hnsw(
                     vectors,
@@ -238,53 +258,134 @@ def check_venues(run, env) -> None:
                         quantize=quantize,
                     ),
                 )
-                lines = {
-                    venue: {
-                        "segment": f"{num_base} x {dim}",
-                        "scorer": "float" if quantize == "none" else quantize,
-                        "venue": venue,
-                    }
-                    for venue in floors
-                }
-                for venue, floor in floors.items():
-                    hnsw_index._ARRAY_MIN_ROWS = floor
-                    ran = traced_kernels(segment, queries, run.top_k)
-                    require(
-                        ran == {"descend": venue, "beam": venue},
-                        f"asked for {venue}, traced {ran}",
-                    )
+                lines = {}
+                for expand in run.venue_expands:
+                    for venue in floors:
+                        pick(venue, expand)
+                        spans = {
+                            rows: traced_spans(segment, queries[:rows], run.top_k)
+                            for rows in (1, max(run.venue_rows))
+                        }
+                        ran = {
+                            name: notes["kernel"] for name, notes in spans[1].items()
+                        }
+                        require(
+                            ran == {"descend": venue, "beam": venue},
+                            f"asked for {venue}, traced {ran}",
+                        )
+                        lines[venue, expand] = {
+                            "segment": f"{num_base} x {dim}",
+                            "scorer": "float" if quantize == "none" else quantize,
+                            "W": expand,
+                            "venue": venue,
+                            **{
+                                f"rounds@{rows}": found["beam"]["rounds"]
+                                for rows, found in spans.items()
+                            },
+                        }
                 for rows in run.venue_rows:
                     scores = interleaved(
                         {
-                            venue: [partial(group, segment, queries[:rows], venue)]
+                            (venue, expand): [
+                                partial(group, segment, queries[:rows], venue, expand)
+                            ]
+                            for expand in run.venue_expands
                             for venue in floors
                         },
                         run.venue_passes,
                     )
-                    heap, array = answers["heap"], answers["array"]
-                    require(
-                        (heap[0] == array[0]).all()
-                        and heap[1].tobytes() == array[1].tobytes()
-                        and heap[2] == array[2],
-                        f"{rows} rows of {num_base} x {dim} ({quantize}): "
-                        "the venues differ in ids, distances or cost",
-                    )
-                    for venue in floors:
-                        lines[venue][str(rows)] = scores[venue][0] / rows * 1e3
+                    for expand in run.venue_expands:
+                        heap, array = answers["heap", expand], answers["array", expand]
+                        require(
+                            (heap[0] == array[0]).all()
+                            and heap[1].tobytes() == array[1].tobytes()
+                            and heap[2] == array[2],
+                            f"{rows} rows of {num_base} x {dim} ({quantize}), "
+                            f"W = {expand}: the venues differ in ids, distances "
+                            "or cost",
+                        )
+                        for venue in floors:
+                            line = lines[venue, expand]
+                            line[str(rows)] = scores[venue, expand][0] / rows * 1e3
+                            if rows == max(run.venue_rows):
+                                line["comps/q"] = heap[2].distance_comps / rows
+                                line["recall@10"] = recall_at_k(
+                                    heap[0], truth[:rows], run.top_k
+                                )
                 table += lines.values()
     finally:
-        hnsw_index._ARRAY_MIN_ROWS = chosen
+        hnsw_index._ARRAY_MIN_ROWS, hnsw_index._QUERY_EXPAND = chosen
     report(
         "venues",
         table,
         title=(
-            "One segment group per venue, ms per query by rows in the group "
-            f"(min of {run.venue_passes}; _ARRAY_MIN_ROWS = {chosen})"
+            "One segment group per venue and step width W, ms per query by "
+            f"rows in the group (min of {run.venue_passes}; _ARRAY_MIN_ROWS "
+            f"= {chosen[0]}, _QUERY_EXPAND = {chosen[1]})"
         ),
         payload={"smoke": run.smoke},
     )
-    print("parity: ids, distances and SearchCost equal on both venues ✓")
+    print(
+        "parity: ids, distances and SearchCost equal on both venues at "
+        f"every W in {tuple(run.venue_expands)} ✓"
+    )
+    print_step_choice(run, table, chosen[0])
     check_shard_groups(run)
+
+
+def print_step_choice(run, table: list[dict], floor: int) -> None:
+    """The rule ``_QUERY_EXPAND`` is read by, applied to ``table``: the W
+    with the lowest one-row ms per query (heap venue, summed over the
+    segments) among those where no array cell at ``_ARRAY_MIN_ROWS`` or
+    more rows is slower than W = 1; and, at that W, the first row count
+    from which the array venue is faster on every segment.  Printed, not
+    gated: timings on a shared box."""
+    cells = {
+        (line["segment"], line["scorer"], line["W"], line["venue"]): line
+        for line in table
+    }
+    wide = [rows for rows in run.venue_rows if rows >= floor]
+    eligible = {}
+    for expand in run.venue_expands:
+        slower = sum(
+            line[str(rows)] > cells[key[:2] + (1, "array")][str(rows)]
+            for key, line in cells.items()
+            if key[2:] == (expand, "array")
+            for rows in wide
+        )
+        one_row = sum(
+            line["1"] for key, line in cells.items() if key[2:] == (expand, "heap")
+        )
+        print(
+            f"W = {expand}: one row {one_row:.3f} ms per query (heap, summed), "
+            f"{slower} array cells at >= {floor} rows slower than W = 1"
+        )
+        if not slower:
+            eligible[expand] = one_row
+    best = min(eligible, key=eligible.get)
+    wins = [
+        all(
+            line[str(rows)] < cells[key[:3] + ("heap",)][str(rows)]
+            for key, line in cells.items()
+            if key[2:] == (best, "array")
+        )
+        for rows in run.venue_rows
+    ]
+    crossover = next(
+        (
+            rows
+            for at, rows in enumerate(run.venue_rows)
+            if all(wins[at:])
+        ),
+        None,
+    )
+    print(
+        f"rule: W = {best} (_QUERY_EXPAND = {hnsw_index._QUERY_EXPAND}); "
+        f"at W = {best} the array venue wins every segment from {crossover} "
+        f"rows (_ARRAY_MIN_ROWS = {floor})"
+        + (" -- smoke size: not the table the constants are read from"
+           if run.smoke else "")
+    )
 
 
 def check_shard_groups(run) -> None:

@@ -5,7 +5,7 @@ the metric can reuse across queries (squared norms for Euclidean, row
 normalisation for cosine).  The HNSW kernels call
 :meth:`Scorer.score_pairs` once per lockstep round -- the one traversal
 scoring call, build side included -- and a serving request is a lockstep
-group of one row making ~80 such calls for ~5 pairs each, so what that
+group of one row making ~27 such calls for ~17 pairs each, so what that
 path costs is numpy dispatch, not FLOPs.  :func:`_gather_dot` is the one
 place a round's pairs are gathered and reduced: a batch of one row pays
 for one gather and one reduction against that row, a larger batch for
@@ -122,21 +122,13 @@ class Scorer:
         #: reported by the Figure 1 benchmark).  Compressed-domain
         #: scoring counts too: the quantized views below bump the owning
         #: scorer's counter, so ``ops`` is the total scoring work --
-        #: exact, int8 and PQ alike.  Search-cost accounting reads this
-        #: via :meth:`ops_since` deltas.
+        #: exact, int8 and PQ alike.  Search-cost accounting does not
+        #: read it: ``SearchCost.distance_comps`` counts the pairs each
+        #: search scored, so concurrent searches never share a delta.
         self.ops = 0
         self._is_euclidean = isinstance(self.metric, EuclideanDistance)
         self._is_cosine = isinstance(self.metric, CosineDistance)
         self._is_ip = isinstance(self.metric, InnerProductDistance)
-
-    def ops_since(self, baseline: int) -> int:
-        """Distance evaluations since a captured ``self.ops`` baseline.
-
-        The cost-accounting idiom: grab ``ops`` before a search, call
-        this after.  With concurrent batches on one scorer the delta may
-        misattribute work between them, but the totals stay exact.
-        """
-        return self.ops - baseline
 
     # -- storage ----------------------------------------------------------------
     def __len__(self) -> int:

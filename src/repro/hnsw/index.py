@@ -91,11 +91,39 @@ _MAX_LOCKSTEP = 128
 #: cells read 0.92x-1.02x from run to run); 10 is the first size at which
 #: arrays won every cell of every run (12 before the round was rebuilt),
 #: and a default 64-row construction wave sits x3-4 past it.  A single
-#: row is x2.1-2.3 slower on arrays than on heaps -- the floor ROADMAP
-#: 2(c) asks for.  Both venues apply the same beam rule (see
+#: row is x2.1-2.3 slower on arrays than on heaps, which is why there
+#: are two venues (ROADMAP 8).  Both apply the same beam rule (see
 #: :mod:`repro.hnsw.search`), so the constant moves time and never a
 #: result.
 _ARRAY_MIN_ROWS = 10
+
+#: Step width W of every query beam: a round expands each row's
+#: ``_QUERY_EXPAND`` smallest unexpanded members (the step rule of
+#: :mod:`repro.hnsw.search`) and scores all they found in one call.
+#: Construction waves keep W = 1, Algorithm 2 verbatim, so graphs and
+#: exports do not depend on it.  The table below is a command --
+#: ``benchmarks/bench_batch_throughput.py --check venues`` -- which also
+#: asserts that both venues return the same ids, distances and
+#: ``SearchCost`` at every W.  On the four segments of the table above:
+#: one row on the heap venue (ms per query, summed over the four, min of
+#: 21), array groups of 10 ... 128 rows slower than at W = 1 (of 16),
+#: beam rounds of one 4000 x 64 float row, and comps per query on the
+#: 4000 x 64 / 2400 x 32 float segments:
+#:
+#:     W                          1      2      3      4
+#:     one row, heap (sum)      2.437  2.065  1.799  1.701
+#:     array cells slower         -      3      3      0
+#:     beam rounds, one row      53     33     22     17
+#:     comps per query         295.9  297.5  298.5  299.8
+#:                             106.6  108.7  112.6  116.7
+#:
+#: W = 4 is the fastest single row among the widths that slow no array
+#: group: W = 2 and 3 lose 0.3-9 % on 2400 x 32 groups of 10 and 16 rows,
+#: whose busiest row still takes most of its rounds.  The extra
+#: comparisons lift recall (2400 x 32 float recall@10 0.928 -> 0.952).
+#: At W = 4 the array venue still wins every segment from 10 rows, so
+#: ``_ARRAY_MIN_ROWS`` stays where it is.
+_QUERY_EXPAND = 4
 
 
 class HnswIndex:
@@ -894,6 +922,7 @@ def _beam(
     ef: int,
     level: int,
     cost=None,
+    expand: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Beam search of one lockstep group at ``level`` from ``(rows,
     <= ef)`` seed beams: ``(rows, ef)`` ids / reduced distances sorted by
@@ -903,10 +932,12 @@ def _beam(
     ``pool`` lends the visited scratch, ``rows x`` its capacity.
 
     The venue is chosen as in :meth:`HnswIndex._descend`; both kernels
-    apply one beam rule (:mod:`repro.hnsw.search`), so the choice moves
-    time and never a result.  ``cost`` gains the kernel's hops and candidates,
-    and each candidate again as ``distance_comps``: one pair scored.  The
-    ``beam`` span carries the same tags plus ``ef`` and ``num_queries``.
+    apply one beam rule (:mod:`repro.hnsw.search`) at step width
+    ``expand`` -- 1 for a construction wave, ``_QUERY_EXPAND`` for a
+    query group -- so the choice moves time and never a result.
+    ``cost`` gains the kernel's hops and candidates, and each candidate
+    again as ``distance_comps``: one pair scored.  The ``beam`` span
+    carries the same tags plus ``ef`` and ``num_queries``.
     """
     num_queries = queries.shape[0]
     arrays = num_queries >= _ARRAY_MIN_ROWS
@@ -925,7 +956,7 @@ def _beam(
         found = kernel(
             graph, traversal, queries, entries, entry_dists, ef, level,
             visited, query_sq, cost,
-            span["annotations"] if span is not None else None,
+            span["annotations"] if span is not None else None, expand,
         )
     if cost is not None:
         cost.distance_comps += cost.candidates_visited - before
@@ -970,6 +1001,7 @@ def _search_graphs(
         first.index._visited_pool, graph,
         joined([piece.traversal for piece in pieces]), arm, prepared, query_sq,
         entries[:, np.newaxis], entry_dists[:, np.newaxis], depth, 0, cost,
+        _QUERY_EXPAND,
     )
     if arm != "float":
         # Exact rescore: one flat float32 scoring call for every beam

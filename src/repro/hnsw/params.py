@@ -60,10 +60,11 @@ class HnswParams(FlagFields):
     #: ``1`` both mean waves of one row.  Larger waves amortise more
     #: numpy dispatch but search a slightly staler snapshot; the default
     #: matches the serving path's lockstep group size.  One-row
-    #: waves search on the heap kernels and select neighbors ~13 % slower
-    #: than 64-row waves do: ~100 us per row through the stacked
-    #: ``(P, C, C)`` round, where the tuple loop it replaced took ~40
-    #: (stated, not fixed: ROADMAP 2(d); no ledger workload builds so).
+    #: waves search on the heap kernels and select with up to ``m - 1``
+    #: one-column scoring calls per row, which a 64-row wave shares: a
+    #: one-row-wave build measured +3.4 % against the stacked GEMM round
+    #: that column selection replaced (ROADMAP 8; no ledger workload
+    #: builds so).
     build_batch: int = knob(
         64,
         "construction wave size: rows inserted per lockstep wave "

@@ -23,21 +23,29 @@ kernels' heaps and Python lists never leave them.
 **The beam rule.**  Both beam kernels in this module -- the lockstep
 heaps of :func:`search_layer_batch` and the array kernel
 :func:`search_arrays` -- are the same function of their inputs, exact
-distance ties included:
+distance ties included, at every step width ``expand`` (W):
 
     *the beam is the* ``ef`` *smallest* ``(distance, node)`` *pairs seen;
-    expand the smallest unexpanded member; stop when none is left.*
+    a step expands the W smallest unexpanded members in that order -- a
+    neighbor an earlier expansion of the step found is not new to a
+    later one -- and merges all they found at once; stop when none is
+    left.*
 
-``(distance, node)`` is a total order, so the rule has one answer no
-matter in which order a kernel meets the pairs.  Micro-batching makes
-the kernel a query runs on depend on arrival timing, which is why "equal
-up to ties" would not be enough.  In the heap loops the rule reads: a
-newcomer enters a full beam iff ``d < worst or (d == worst and node <
-worst_node)``; result heaps are keyed ``(-d, -node)`` so the root is the
-largest pair; and a popped candidate that is larger than the root has
-been evicted, as has everything still queued behind it.  (The loops
-test ``d <= worst`` / ``d >= worst`` first, so the node comparison and
-the root's node are only touched on an exact distance tie.)
+Construction waves step with W = 1, Algorithm 2 verbatim; every query
+beam with ``hnsw.index._QUERY_EXPAND``.  ``(distance, node)`` is a total
+order, so the rule has one answer no matter in which order a kernel
+meets the pairs.  Micro-batching makes the kernel a query runs on
+depend on arrival timing, which is why "equal up to ties" would not be
+enough.  In the heap loops the rule reads: a newcomer enters a full beam
+iff ``d < worst or (d == worst and node < worst_node)``; result heaps
+are keyed ``(-d, -node)`` so the root is the largest pair; a popped
+candidate that is larger than the root as the round began has been
+evicted, as has everything still queued behind it, and every other pop
+counts toward W, found it something or not.  A step that found nothing
+leaves the beam as it was: a heap row takes its next step in the same
+round, an array row in the next.  (The loops test ``d <= worst`` /
+``d >= worst`` first, so the node comparison and the root's node are
+only touched on an exact distance tie.)
 """
 
 from __future__ import annotations
@@ -205,6 +213,11 @@ def descend_to_levels_batch(
     )
 
 
+def _check_expand(expand: int) -> None:
+    if not 0 < expand < 256:
+        raise ValueError(f"a step expands 1 to 255 members, got {expand}")
+
+
 def search_layer_batch(
     graph: LockstepGraph,
     scorer: PairScorer,
@@ -217,6 +230,7 @@ def search_layer_batch(
     query_sq: np.ndarray | None = None,
     cost=None,
     notes: dict | None = None,
+    expand: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Beam search at one layer (``SEARCH-LAYER``, Algorithm 2), one per
     query, in lockstep.
@@ -235,11 +249,16 @@ def search_layer_batch(
         One reset :class:`VisitedTable` per query.
     cost:
         Optional :class:`~repro.obs.cost.SearchCost`: each round adds
-        the queries that advanced to ``hops`` and the fresh neighbors
-        scored to ``candidates_visited`` (two bounded increments per
-        round; ``None`` leaves the hot path untouched).
+        the expansions that found an unvisited neighbor to ``hops`` and
+        the fresh neighbors scored to ``candidates_visited`` (two
+        bounded increments per round; ``None`` leaves the hot path
+        untouched).
     notes:
-        When given, receives ``rounds``: the lockstep scoring rounds run.
+        When given, receives ``rounds``: the scoring rounds run, each
+        one step of every query still searching (after any steps of it
+        that found nothing).
+    expand:
+        The step width W of the beam rule (see the module docstring).
 
     Returns
     -------
@@ -247,6 +266,7 @@ def search_layer_batch(
     ``(distance, node)`` and padded with ``-1`` / ``inf``.  The heaps and
     Python lists below never leave this function.
     """
+    _check_expand(expand)
     num_queries = queries.shape[0]
     one_row = num_queries == 1  # no ``query_rows`` operand: see PairScorer
     tables = graph.row_tables(num_queries)  # direct access: hot loop
@@ -277,6 +297,7 @@ def search_layer_batch(
         flat_ids: list[int] = []
         span_rows: list[int] = []
         span_counts: list[int] = []
+        hops = 0
         for i in active:
             cand = candidates[i]
             res = results[i]
@@ -284,26 +305,35 @@ def search_layer_batch(
             tags, epoch = table.tags, table.epoch
             adjacency, base = tables[i]
             fresh: list[int] = []
-            while cand:
-                dist, node = heapq.heappop(cand)
-                if (
-                    dist >= -res[0][0]
-                    and len(res) >= ef
-                    and (dist > -res[0][0] or node > -res[0][1])
-                ):
-                    cand.clear()  # evicted, like all behind it: done
-                    break
-                # The row's padding is ``node`` itself: visited, so it
-                # filters out with the visited neighbors.
-                fresh = [
-                    neighbor
-                    for neighbor in adjacency[base[node] + level].tolist()
-                    if tags[neighbor] != epoch
-                ]
-                if fresh:
-                    for neighbor in fresh:
-                        tags[neighbor] = epoch
-                    break
+            # Nothing merges before phase 3: the beam is as the round began.
+            worst, worst_node = -res[0][0], -res[0][1]
+            full = len(res) >= ef
+            # A step that scored nothing leaves the beam as it was, so
+            # the row's next step follows in the same round.
+            while cand and not fresh:
+                for _ in range(expand):
+                    dist, node = heapq.heappop(cand)
+                    if (
+                        dist >= worst
+                        and full
+                        and (dist > worst or node > worst_node)
+                    ):
+                        cand.clear()  # evicted, like all behind it: done
+                        break
+                    # The row's padding is ``node`` itself: visited, so
+                    # it filters out with the visited neighbors.
+                    found = [
+                        neighbor
+                        for neighbor in adjacency[base[node] + level].tolist()
+                        if tags[neighbor] != epoch
+                    ]
+                    if found:
+                        hops += 1
+                        for neighbor in found:
+                            tags[neighbor] = epoch
+                        fresh += found
+                    if not cand:
+                        break
             if fresh:
                 span_rows.append(i)
                 span_counts.append(len(fresh))
@@ -312,7 +342,7 @@ def search_layer_batch(
             break
         rounds += 1
         if cost is not None:
-            cost.hops += len(span_rows)
+            cost.hops += hops
             cost.candidates_visited += len(flat_ids)
 
         # Phase 2: one vectorised scoring call for the whole round.
@@ -368,8 +398,10 @@ def search_layer_batch(
 # are -- 5 find the frontier, 4 mark it and read its node, 3 gather the
 # neighbor rows, 8 test the visited tags and gather the fresh pairs, 2
 # charge the cost, 9 score (Euclidean, float or int8), 5 pack the keys
-# and 4 merge them -- where the heap kernels above pay interpreter time
-# per row and per neighbor.  That trade only wins for a group that is
+# and 4 merge them (at W = 1; a wider step adds 4 calls per further
+# pick and 7 that keep a row's expansions from scoring one neighbor
+# twice) -- where the heap kernels above pay interpreter time per row
+# and per neighbor.  That trade only wins for a group that is
 # wide enough: HnswIndex picks the venue from the group it was handed,
 # a query group and a construction wave alike.  What a round costs is
 # dispatch and copies, not FLOPs, so every gather is a flat ``take``
@@ -384,13 +416,15 @@ def search_layer_batch(
 # (nodes are unique within a row, so the flag bit never decides), one
 # in-place ``sort`` per round merges a round's newcomers into every row,
 # and the first key with a clear low bit is the smallest unexpanded
-# member.  Unused slots hold ``_PAD``: larger than any real key, flag
-# bit set.
+# member -- the W first are a step.  Unused slots hold ``_PAD``: larger
+# than any real key, flag bit set.
 
 _PAD = np.iinfo(np.int64).max
 #: The low 31 bits: a key's node field, or a float32's magnitude.
 _LOW31 = np.int32((1 << 31) - 1)
 _ZERO = np.float32(0.0)  # a Python 0.0 operand takes a slower path
+#: A visited tag above every expansion's claim (a step expands < 255).
+_UNCLAIMED = np.uint8(255)
 #: Which 32-bit word of an int64 key is its ``node, expanded`` half.
 _NODE_WORD = 0 if sys.byteorder == "little" else 1
 
@@ -525,6 +559,7 @@ def search_arrays(
     query_sq: np.ndarray | None = None,
     cost=None,
     notes: dict | None = None,
+    expand: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`search_layer_batch` with the per-query state in arrays.
 
@@ -544,73 +579,111 @@ def search_arrays(
     -------
     ``(ids, dists)``: ``(B, ef)`` int64 / float32 beams sorted by
     ``(distance, node)`` and padded with ``-1`` / ``inf`` -- per query
-    what :func:`search_layer_batch` returns.  ``cost`` is charged exactly
-    as the heap kernel charges it: a hop per expansion that found an
-    unvisited neighbor, a candidate per neighbor scored.  ``notes``
-    receives ``rounds``, here the expansions of the busiest query: unlike
-    a heap row, which pops on within the round, an array row whose
-    frontier had no unvisited neighbor sits the round out.
+    what :func:`search_layer_batch` returns, at the same step width
+    ``expand``.  ``cost`` is charged exactly as the heap kernel charges
+    it: a hop per expansion that found an unvisited neighbor, a
+    candidate per neighbor scored.  ``notes`` receives ``rounds``, here
+    the steps of the busiest query: unlike a heap row, which steps on
+    within the round, an array row whose step found nothing sits the
+    round out.
     """
+    _check_expand(expand)
     num_queries, seeds = entries.shape
     width = graph.width
+    span = expand * width  # a row's neighbor cells per round
     tags, epoch = visited.tags, np.uint8(visited.epoch)
     live = np.arange(num_queries)
     offsets = (live * visited.stride)[:, np.newaxis]
     seeded = entries >= 0
     tags[(offsets + entries)[seeded]] = epoch
     # Columns [:ef] are the beam, columns [ef:] the round's newcomers.
-    merged = np.full((num_queries, ef + width), _PAD, dtype=np.int64)
+    merged = np.full((num_queries, ef + span), _PAD, dtype=np.int64)
     merged[:, :seeds] = np.where(seeded, _pack(entry_dists, entries), _PAD)
     merged.sort(axis=1)
     beams = np.empty((num_queries, ef), dtype=np.int64)
     # Flat state, allocated once per group and read by prefix as rows
-    # retire: where row r starts in ``merged``, the (live, width) grid a
-    # round's newcomers are laid out in, the buffer their keys are packed
-    # into, and which query owns each cell of the grid.
-    starts = live * (ef + width)
-    grid = np.empty(num_queries * width, dtype=np.int64)
+    # retire: where row r starts in ``merged`` and in a (live, ef) copy,
+    # the round's picks, the (live, span) grid a round's newcomers are
+    # laid out in, the buffer their keys are packed into, which query
+    # owns each cell of the grid, which row each expansion is for, and
+    # which of its row's expansions each cell belongs to.
+    starts = live * (ef + span)
+    if expand > 1:
+        starts = starts[:, np.newaxis]
+    tops = live * ef
+    picks = np.empty((num_queries, expand), dtype=np.int64)
+    grid = np.empty(num_queries * span, dtype=np.int64)
     keys = np.empty_like(grid)
-    owners = live.repeat(width)
+    owners = live.repeat(span)
+    expanding = live.repeat(expand)
+    claims = np.empty((num_queries, expand, width), dtype=np.uint8)
+    claims[...] = np.arange(expand, dtype=np.uint8)[:, np.newaxis]
+    claims = claims.reshape(-1)
     flat = merged.reshape(-1)
     charged = cost is not None
     rounds = hops = candidates = 0
     while True:
         # The smallest unexpanded member is the first key with a clear
         # flag bit; a row without one answers position 0, whose flag is
-        # set, and is finished.
-        column = (merged[:, :ef] & 1).argmin(axis=1)
+        # set, and is finished.  Each further pick flags the one before
+        # in a copy; a row short of unexpanded members answers position
+        # 0 again -- a member expanded already, whose neighbors are
+        # claimed.
+        flags = merged[:, :ef] & 1
+        column = flags.argmin(axis=1)
+        if expand > 1:
+            marks, at = flags.reshape(-1), tops[: live.size]
+            column, picks[: live.size, 0] = picks[: live.size], column
+            for step in range(1, expand):
+                marks[column[:, step - 1] + at] = 1
+                column[:, step] = flags.argmin(axis=1)
         position = column + starts[: live.size]
         frontier = flat.take(position)
-        if np.bitwise_or.reduce(frontier) & 1:
-            going = (frontier & 1) == 0
+        first = frontier if expand == 1 else frontier[:, 0]
+        if np.bitwise_or.reduce(first) & 1:
+            going = (first & 1) == 0
             beams[live[~going]] = merged[~going, :ef]
             live, offsets, merged = live[going], offsets[going], merged[going]
             if live.size == 0:
                 break
-            flat, owners = merged.reshape(-1), live.repeat(width)
+            flat, owners = merged.reshape(-1), live.repeat(span)
+            expanding = live.repeat(expand)
             frontier = frontier[going]
             position = column[going] + starts[: live.size]
         rounds += 1
         flat[position] = frontier | 1
-        neighbors = graph.neighbor_rows((frontier >> 1) & _LOW31, level, live)
-        slots = offsets + neighbors
-        # Flat positions, in the (live rows, width) grid, of the
-        # neighbors this round is the first to see.
+        neighbors = graph.neighbor_rows(
+            ((frontier >> 1) & _LOW31).reshape(-1), level, expanding
+        )
+        slots = offsets + neighbors.reshape(live.size, span)
+        # Flat positions, in the (live rows, span) grid, of the
+        # neighbors no earlier round has seen.
         fresh = (tags.take(slots) != epoch).reshape(-1).nonzero()[0]
         if fresh.size == 0:
             continue
-        tags[slots.reshape(-1).take(fresh)] = epoch
+        marked = slots.reshape(-1).take(fresh)
+        if expand > 1:
+            # Expansions run in order: a neighbor an earlier expansion of
+            # the row found is not fresh to a later one.  Each cell
+            # claims its slot with its expansion's number, the smallest
+            # claim stands, and only the cells holding it stay fresh.
+            claim = claims.take(fresh)
+            tags[marked] = _UNCLAIMED
+            np.minimum.at(tags, marked, claim)
+            fresh = fresh[tags.take(marked) == claim]
+        tags[marked] = epoch
         ids = neighbors.reshape(-1).take(fresh)
         pair_rows = owners.take(fresh)
         if charged:
-            # ``fresh`` ascends, so a hop is a change of owner.
-            hops += np.count_nonzero(pair_rows[1:] != pair_rows[:-1]) + 1
+            # ``fresh`` ascends, so a hop is a change of expansion.
+            steps = fresh // width
+            hops += np.count_nonzero(steps[1:] != steps[:-1]) + 1
             candidates += fresh.size
         dists = scorer.score_pairs(queries, pair_rows, ids, query_sq)
-        newcomers = grid[: live.size * width]
+        newcomers = grid[: live.size * span]
         newcomers.fill(_PAD)
         newcomers[fresh] = _pack(dists, ids, keys[: fresh.size])
-        merged[:, ef:] = newcomers.reshape(-1, width)
+        merged[:, ef:] = newcomers.reshape(-1, span)
         merged.sort(axis=1)
     if charged:
         cost.hops += int(hops)  # count_nonzero hands back a numpy integer

@@ -76,7 +76,7 @@ class AsyncSearcherTransport(abc.ABC):
     @abc.abstractmethod
     async def search_batch_async(self, call: ShardCall) -> ShardReply:
         """Coroutine twin of :meth:`SearcherTransport.search` (the name
-        is the frozen ledger's patch point; goes with ROADMAP 1(c))."""
+        is the frozen ledger's patch point; goes with ROADMAP 2(a))."""
 
 
 class LocalSearcherTransport(SearcherTransport):
@@ -140,7 +140,7 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
         return await self.client.core.search(call)
 
     def search_batch(self, *call, **fields) -> ShardReply:
-        """The frozen ledger's blocking probe; goes with ROADMAP 1(c)."""
+        """The frozen ledger's blocking probe; goes with ROADMAP 2(a)."""
         return self.search(ShardCall(*call, **fields))
 
     def deploy(
@@ -166,7 +166,7 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
 
 #: The name the remote transport had while a blocking-only sibling
 #: existed; the frozen ``benchmarks/ledger`` still imports (and patches
-#: ``search_batch_async`` on) it.  Goes with ROADMAP 1(c).
+#: ``search_batch_async`` on) it.  Goes with ROADMAP 2(a).
 AsyncRemoteSearcherTransport = RemoteSearcherTransport
 
 

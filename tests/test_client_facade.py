@@ -12,7 +12,7 @@
   both ``search`` and ``search_batch_async``, answer bit-identically to
   the in-process shard.
 - The names the frozen ``benchmarks/ledger`` reaches the shard call by
-  stay reachable (they go with ROADMAP 1(c)).
+  stay reachable (they go with ROADMAP 2(a)).
 """
 
 from __future__ import annotations

@@ -7,7 +7,11 @@ dists)`` arrays; ``descend`` / ``beam`` below (unchanged names, same
 tests) read the one row back as ``(node, distance)`` / ``(dist, node)``
 pairs.  ``TestBeamKeys`` holds the array venue's packed key on its own:
 every array-venue parity test passes through it, none looked at it.
+``TestStepRule`` holds both beam kernels, on lockstep groups of built
+indices, to :func:`reference_beam` at every step width.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,16 +19,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance.scorer import Scorer
-from repro.hnsw.graph import HnswGraph, VisitedTable
+from repro.hnsw.graph import HnswGraph, VisitedPool, VisitedTable
+from repro.hnsw.index import _QUERY_EXPAND, build_hnsw
 from repro.hnsw.search import (
     _PAD,
     _pack,
     _unpack,
     descend_to_levels_batch,
+    search_arrays,
     search_layer_batch,
     sort_candidates,
 )
-from tests.conftest import as_pairs, as_stack, prepare_one, score_one
+from repro.obs.cost import SearchCost
+from tests.conftest import (
+    FAST_HNSW,
+    as_pairs,
+    as_stack,
+    make_clustered,
+    make_lattice,
+    prepare_one,
+    score_one,
+)
 
 
 def line_graph(num_points: int, level: int = 0):
@@ -209,3 +224,132 @@ class TestBeamKeys:
                 _pack(np.zeros(3, dtype=dtype), ids)
         with pytest.raises(TypeError, match="float32"):
             sort_candidates(ids[np.newaxis], np.zeros((1, 3)))
+
+
+def reference_beam(seeds, ef, expand, neighbors, score):
+    """``SEARCH-LAYER`` (Algorithm 2) with a step width, literally, over
+    ``(distance, node)`` tuples: the beam is the ``ef`` smallest pairs
+    seen; a step takes the ``expand`` smallest unexpanded members and
+    expands them in that order -- a neighbor an earlier expansion of the
+    step found is not new to a later one -- then merges everything found
+    at once; stop when no member is unexpanded.  ``neighbors(node)``
+    lists a node's links, ``score(nodes)`` their distances.  Returns the
+    beam, the expansions that found a new node (hops) and the nodes
+    scored (candidates)."""
+    seen = {node for _, node in seeds}
+    beam = sorted(seeds)[:ef]
+    expanded: set[int] = set()
+    hops = candidates = 0
+    while True:
+        step = [(dist, node) for dist, node in beam if node not in expanded]
+        if not step:
+            return beam, hops, candidates
+        found = []
+        for _, node in step[:expand]:
+            expanded.add(node)
+            new = [other for other in neighbors(node) if other not in seen]
+            seen.update(new)
+            hops += bool(new)
+            candidates += len(new)
+            found += zip(score(new), new)
+        beam = sorted(beam + found)[:ef]
+
+
+#: The W values both kernels are held to: Algorithm 2 itself, two
+#: widths, and the one every query beam runs at.
+EXPANDS = sorted({1, 2, 3, _QUERY_EXPAND})
+SCORERS = {
+    "float": {},
+    "int8": {"quantize": "int8"},
+    "pq": {"quantize": "pq", "pq_subspaces": 4},
+}
+
+
+@pytest.fixture(scope="module")
+def step_indices():
+    """One index per corpus (clustered, tie lattice) and scorer tier."""
+    corpora = {"clustered": make_clustered(600, 16, seed=1), "lattice": make_lattice()}
+    return {
+        (corpus, scorer): build_hnsw(data, params=replace(FAST_HNSW, **extra))
+        for corpus, data in corpora.items()
+        for scorer, extra in SCORERS.items()
+    }
+
+
+class TestStepRule:
+    """Both beam kernels are :func:`reference_beam` at every step width:
+    beams, hops and candidates, row by row of one lockstep group."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus=st.sampled_from(["clustered", "lattice"]),
+        scorer=st.sampled_from(list(SCORERS)),
+        expand=st.sampled_from(EXPANDS),
+        level=st.sampled_from([0, 0, 1]),
+        ef=st.sampled_from([3, 8, 20]),
+        draw=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        seeds=st.integers(1, 3),
+    )
+    def test_both_kernels_are_the_step_rule(
+        self, step_indices, corpus, scorer, expand, level, ef, draw, rows, seeds
+    ):
+        index = step_indices[corpus, scorer]
+        graph, exact = index.graph, index._scorer
+        rng = np.random.default_rng(draw)
+        data = exact.data
+        queries = data[rng.integers(0, len(data), size=rows)] + rng.normal(
+            scale=0.3, size=(rows, data.shape[1])
+        ).astype(np.float32)
+        prepared = exact.prepare_queries(queries)
+        query_sq = exact.query_sq_norms(prepared)
+        traversal = exact
+        if index._quantized is not None:
+            traversal = index._quantized.view(prepared)
+        members = np.flatnonzero(np.asarray(graph.levels) >= level)
+        entries = np.stack(
+            [rng.choice(members, size=seeds, replace=False) for _ in range(rows)]
+        )
+        entry_dists = traversal.score_pairs(
+            prepared, np.arange(rows).repeat(seeds), entries.reshape(-1), query_sq
+        ).reshape(rows, seeds)
+        if seeds > 1:
+            entries[1::2, -1], entry_dists[1::2, -1] = -1, np.inf  # a seed short
+
+        def neighbors(node):
+            links = graph.neighbor_rows(np.array([node]), level)[0].tolist()
+            return [other for other in links if other != node]  # padding
+
+        want, hops, candidates = [], 0, 0
+        for row in range(rows):
+
+            def score(nodes, row=row):
+                return traversal.score_pairs(
+                    prepared, np.full(len(nodes), row), np.array(nodes, dtype=np.int64),
+                    query_sq,
+                ).tolist()
+
+            seeded = [
+                (dist, node)
+                for dist, node in zip(entry_dists[row].tolist(), entries[row].tolist())
+                if node >= 0
+            ]
+            beam, row_hops, row_candidates = reference_beam(
+                seeded, ef, expand, neighbors, score
+            )
+            want.append(beam)
+            hops += row_hops
+            candidates += row_candidates
+
+        pool = VisitedPool()
+        for kernel, visited in (
+            (search_layer_batch, pool.get_many(len(graph), rows)),
+            (search_arrays, pool.get_epochs(graph.capacity, rows)),
+        ):
+            cost = SearchCost()
+            found = kernel(
+                graph, traversal, prepared, entries, entry_dists, ef, level,
+                visited, query_sq, cost, None, expand,
+            )
+            assert as_pairs(*found) == want, kernel.__name__
+            assert (cost.hops, cost.candidates_visited) == (hops, candidates)

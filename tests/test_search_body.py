@@ -43,6 +43,7 @@ from repro.hnsw.graph import VisitedPool
 from repro.hnsw.index import (
     _ARRAY_MIN_ROWS,
     _MAX_LOCKSTEP,
+    _QUERY_EXPAND,
     HnswIndex,
     build_hnsw,
 )
@@ -70,6 +71,9 @@ BATCHES = (
     _MAX_LOCKSTEP + 1,
 )
 K = 10
+#: Step widths the two beam kernels are compared at: Algorithm 2, two
+#: wider steps, and the one every query beam runs at.
+EXPANDS = sorted({1, 2, 3, _QUERY_EXPAND})
 #: Beam width per corpus: on the lattice the beam is no wider than the
 #: result, so a tie decided differently at the beam boundary shows in
 #: the returned ids, not only in the cost.
@@ -344,10 +348,10 @@ class TestVenues:
     per-thread scratch."""
 
     @staticmethod
-    def both_kernels(index, queries, entries, entry_dists, level):
+    def both_kernels(index, queries, entries, entry_dists, level, expand):
         """Run the heap and the array beam kernel from the same ``(rows,
-        s)`` seeds at ``level``: each one's ``(ids, dists)`` beams, and
-        what each charged."""
+        s)`` seeds at ``level`` and step width ``expand``: each one's
+        ``(ids, dists)`` beams, and what each charged."""
         graph, scorer = index.graph, index._scorer
         query_sq = scorer.query_sq_norms(queries)
         rows = queries.shape[0]
@@ -355,11 +359,12 @@ class TestVenues:
         heap_cost, array_cost = SearchCost(), SearchCost()
         lockstep = search_layer_batch(
             graph, scorer, queries, entries, entry_dists, K, level,
-            pool.get_many(len(graph), rows), query_sq, heap_cost,
+            pool.get_many(len(graph), rows), query_sq, heap_cost, None, expand,
         )
         arrays = search_arrays(
             graph, scorer, queries, entries, entry_dists, K, level,
-            pool.get_epochs(graph.capacity, rows), query_sq, array_cost,
+            pool.get_epochs(graph.capacity, rows), query_sq, array_cost, None,
+            expand,
         )
         return lockstep, arrays, heap_cost, array_cost
 
@@ -371,10 +376,14 @@ class TestVenues:
             assert heap.dtype == array.dtype
             np.testing.assert_array_equal(heap, array)
 
+    @pytest.mark.parametrize("expand", EXPANDS)
     @pytest.mark.parametrize("metric", METRICS)
-    def test_two_kernels_one_beam_rule(self, all_indices, query_sets, metric):
+    def test_two_kernels_one_beam_rule(
+        self, all_indices, query_sets, metric, expand
+    ):
         """Both beam kernels search the tied corpus from the same seed,
-        below the index's venue choice: heap vs array, kernel to kernel."""
+        below the index's venue choice: heap vs array, kernel to kernel,
+        at every step width."""
         index = all_indices["lattice", "float", metric]
         graph, scorer = index.graph, index._scorer
         queries = scorer.prepare_queries(query_sets["lattice"][:_ARRAY_MIN_ROWS])
@@ -382,16 +391,18 @@ class TestVenues:
         entries = np.full(rows, graph.entry_point, dtype=np.int64)
         entry_dists = scorer.score_pairs(queries, np.arange(rows), entries)
         lockstep, arrays, heap_cost, array_cost = self.both_kernels(
-            index, queries, entries[:, np.newaxis], entry_dists[:, np.newaxis], 0
+            index, queries, entries[:, np.newaxis], entry_dists[:, np.newaxis], 0,
+            expand,
         )
         self.assert_same_beams(lockstep, arrays)
         assert heap_cost == array_cost
         # The corpus does what it is for: beams end inside a tie.
         assert (lockstep[1][:, -1] == lockstep[1][:, -2]).any()
 
+    @pytest.mark.parametrize("expand", EXPANDS)
     @pytest.mark.parametrize("metric", METRICS)
     def test_one_beam_rule_above_the_base_layer_from_many_seeds(
-        self, all_indices, query_sets, metric
+        self, all_indices, query_sets, metric, expand
     ):
         """What a construction wave asks of the kernels and a query never
         does: ``level > 0`` and a whole seed beam per row -- unsorted
@@ -412,7 +423,7 @@ class TestVenues:
         ).reshape(rows, seeds)
         entries[::3, -1], entry_dists[::3, -1] = -1, np.inf
         lockstep, arrays, heap_cost, array_cost = self.both_kernels(
-            index, queries, entries, entry_dists, level
+            index, queries, entries, entry_dists, level, expand
         )
         self.assert_same_beams(lockstep, arrays)
         assert heap_cost == array_cost and heap_cost.hops > 0
