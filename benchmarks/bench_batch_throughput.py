@@ -16,7 +16,7 @@ bit for bit.  ``one_row``: a single query -- a lockstep group of one
 row, the serving path -- runs on the heap kernels and pays no more per
 scoring call than the same pairs do as a row of a larger batch.
 ``venues``: the tables beside ``hnsw/index.py::_ARRAY_MIN_ROWS`` and
-``_QUERY_EXPAND`` as a command -- one segment group of 1 ... 128 rows on
+``_STEP_WIDTH`` as a command -- one segment group of 1 ... 128 rows on
 the heap kernels and on the array kernels, int8 and float, per corpus
 shape and step width W = 1 ... 4: ids, distances and ``SearchCost`` must
 be equal at every W (the step-width parity table); ms per query, beam
@@ -230,12 +230,12 @@ def check_one_row(run, env) -> None:
 
 def check_venues(run, env) -> None:
     floors = {"heap": sys.maxsize, "array": 1}  # _ARRAY_MIN_ROWS per venue
-    chosen = hnsw_index._ARRAY_MIN_ROWS, hnsw_index._QUERY_EXPAND
+    chosen = hnsw_index._ARRAY_MIN_ROWS, hnsw_index._STEP_WIDTH
     answers: dict = {}
 
     def pick(venue: str, expand: int) -> None:
         hnsw_index._ARRAY_MIN_ROWS = floors[venue]
-        hnsw_index._QUERY_EXPAND = expand
+        hnsw_index._STEP_WIDTH = expand
 
     def group(segment, queries, venue: str, expand: int) -> None:
         cost = SearchCost()
@@ -244,84 +244,90 @@ def check_venues(run, env) -> None:
             *segment.search_batch(queries, run.top_k, cost=cost), cost,
         )
 
+    # Every segment is built before the sweep patches the step width,
+    # which construction reads too: each line of the table compares
+    # kernels over the one graph the shipped W builds.
+    segments = []
+    for num_base, dim, m, ef in run.venue_shapes:
+        vectors = clustered_gaussians(num_base, dim, seed=SEED)
+        queries = make_queries(vectors, max(run.venue_rows), seed=SEED + 1)
+        truth = exact_top_k(vectors, queries, run.top_k)[0]
+        for quantize in ("int8", "none"):
+            segment = hnsw_index.build_hnsw(
+                vectors,
+                params=HnswParams(
+                    M=m, ef_construction=56, ef_search=ef, seed=SEED,
+                    quantize=quantize,
+                ),
+            )
+            segments.append((f"{num_base} x {dim}", quantize, segment, queries, truth))
     table = []
     try:
-        for num_base, dim, m, ef in run.venue_shapes:
-            vectors = clustered_gaussians(num_base, dim, seed=SEED)
-            queries = make_queries(vectors, max(run.venue_rows), seed=SEED + 1)
-            truth = exact_top_k(vectors, queries, run.top_k)[0]
-            for quantize in ("int8", "none"):
-                segment = hnsw_index.build_hnsw(
-                    vectors,
-                    params=HnswParams(
-                        M=m, ef_construction=56, ef_search=ef, seed=SEED,
-                        quantize=quantize,
-                    ),
-                )
-                lines = {}
-                for expand in run.venue_expands:
-                    for venue in floors:
-                        pick(venue, expand)
-                        spans = {
-                            rows: traced_spans(segment, queries[:rows], run.top_k)
-                            for rows in (1, max(run.venue_rows))
-                        }
-                        ran = {
-                            name: notes["kernel"] for name, notes in spans[1].items()
-                        }
-                        require(
-                            ran == {"descend": venue, "beam": venue},
-                            f"asked for {venue}, traced {ran}",
-                        )
-                        lines[venue, expand] = {
-                            "segment": f"{num_base} x {dim}",
-                            "scorer": "float" if quantize == "none" else quantize,
-                            "W": expand,
-                            "venue": venue,
-                            **{
-                                f"rounds@{rows}": found["beam"]["rounds"]
-                                for rows, found in spans.items()
-                            },
-                        }
-                for rows in run.venue_rows:
-                    scores = interleaved(
-                        {
-                            (venue, expand): [
-                                partial(group, segment, queries[:rows], venue, expand)
-                            ]
-                            for expand in run.venue_expands
-                            for venue in floors
-                        },
-                        run.venue_passes,
+        for shape, quantize, segment, queries, truth in segments:
+            lines = {}
+            for expand in run.venue_expands:
+                for venue in floors:
+                    pick(venue, expand)
+                    spans = {
+                        rows: traced_spans(segment, queries[:rows], run.top_k)
+                        for rows in (1, max(run.venue_rows))
+                    }
+                    ran = {
+                        name: notes["kernel"] for name, notes in spans[1].items()
+                    }
+                    require(
+                        ran == {"descend": venue, "beam": venue},
+                        f"asked for {venue}, traced {ran}",
                     )
-                    for expand in run.venue_expands:
-                        heap, array = answers["heap", expand], answers["array", expand]
-                        require(
-                            (heap[0] == array[0]).all()
-                            and heap[1].tobytes() == array[1].tobytes()
-                            and heap[2] == array[2],
-                            f"{rows} rows of {num_base} x {dim} ({quantize}), "
-                            f"W = {expand}: the venues differ in ids, distances "
-                            "or cost",
-                        )
-                        for venue in floors:
-                            line = lines[venue, expand]
-                            line[str(rows)] = scores[venue, expand][0] / rows * 1e3
-                            if rows == max(run.venue_rows):
-                                line["comps/q"] = heap[2].distance_comps / rows
-                                line["recall@10"] = recall_at_k(
-                                    heap[0], truth[:rows], run.top_k
-                                )
-                table += lines.values()
+                    lines[venue, expand] = {
+                        "segment": shape,
+                        "scorer": "float" if quantize == "none" else quantize,
+                        "W": expand,
+                        "venue": venue,
+                        **{
+                            f"rounds@{rows}": found["beam"]["rounds"]
+                            for rows, found in spans.items()
+                        },
+                    }
+            for rows in run.venue_rows:
+                scores = interleaved(
+                    {
+                        (venue, expand): [
+                            partial(group, segment, queries[:rows], venue, expand)
+                        ]
+                        for expand in run.venue_expands
+                        for venue in floors
+                    },
+                    run.venue_passes,
+                )
+                for expand in run.venue_expands:
+                    heap, array = answers["heap", expand], answers["array", expand]
+                    require(
+                        (heap[0] == array[0]).all()
+                        and heap[1].tobytes() == array[1].tobytes()
+                        and heap[2] == array[2],
+                        f"{rows} rows of {shape} ({quantize}), "
+                        f"W = {expand}: the venues differ in ids, distances "
+                        "or cost",
+                    )
+                    for venue in floors:
+                        line = lines[venue, expand]
+                        line[str(rows)] = scores[venue, expand][0] / rows * 1e3
+                        if rows == max(run.venue_rows):
+                            line["comps/q"] = heap[2].distance_comps / rows
+                            line["recall@10"] = recall_at_k(
+                                heap[0], truth[:rows], run.top_k
+                            )
+            table += lines.values()
     finally:
-        hnsw_index._ARRAY_MIN_ROWS, hnsw_index._QUERY_EXPAND = chosen
+        hnsw_index._ARRAY_MIN_ROWS, hnsw_index._STEP_WIDTH = chosen
     report(
         "venues",
         table,
         title=(
             "One segment group per venue and step width W, ms per query by "
             f"rows in the group (min of {run.venue_passes}; _ARRAY_MIN_ROWS "
-            f"= {chosen[0]}, _QUERY_EXPAND = {chosen[1]})"
+            f"= {chosen[0]}, _STEP_WIDTH = {chosen[1]})"
         ),
         payload={"smoke": run.smoke},
     )
@@ -334,7 +340,7 @@ def check_venues(run, env) -> None:
 
 
 def print_step_choice(run, table: list[dict], floor: int) -> None:
-    """The rule ``_QUERY_EXPAND`` is read by, applied to ``table``: the W
+    """The rule ``_STEP_WIDTH`` is read by, applied to ``table``: the W
     with the lowest one-row ms per query (heap venue, summed over the
     segments) among those where no array cell at ``_ARRAY_MIN_ROWS`` or
     more rows is slower than W = 1; and, at that W, the first row count
@@ -380,7 +386,7 @@ def print_step_choice(run, table: list[dict], floor: int) -> None:
         None,
     )
     print(
-        f"rule: W = {best} (_QUERY_EXPAND = {hnsw_index._QUERY_EXPAND}); "
+        f"rule: W = {best} (_STEP_WIDTH = {hnsw_index._STEP_WIDTH}); "
         f"at W = {best} the array venue wins every segment from {crossover} "
         f"rows (_ARRAY_MIN_ROWS = {floor})"
         + (" -- smoke size: not the table the constants are read from"

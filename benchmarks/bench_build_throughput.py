@@ -18,6 +18,13 @@ one-row wave's on the heaps -- and all three of its stages: ``descend``,
 builds ``TestPinnedGraphs`` pins by graph and export digest -- each
 digest moves only if a distance selection compares changes its bits.)
 
+``widths`` -- the table beside ``hnsw/index.py::_STEP_WIDTH`` for
+construction, as a command: one segment per shape built at step widths
+W = 1, 2, 4, 8 (interleaved), with rows/s, beam rounds per wave and
+recall@10 (queries at the shipped W, equal ``ef_construction``).  At
+``_STEP_WIDTH`` every shape must build no slower than at W = 1, at a
+recall no worse than W = 1's minus the same tolerance.
+
 ``job_modes`` -- ``build_index_job`` over a multi-segment config on a
 ``LocalCluster``, once per execution mode (``inline`` / ``threads`` /
 ``processes``).  All modes must produce identical segment checksums;
@@ -33,6 +40,7 @@ import os
 import sys
 from functools import partial
 
+import repro.hnsw.index as hnsw_index
 from harness import (
     SEED,
     Gate,
@@ -44,7 +52,7 @@ from harness import (
     scratch_fs,
     speedup,
 )
-from repro.data.synthetic import clustered_gaussians
+from repro.data.synthetic import clustered_gaussians, make_queries
 from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.obs.tracing import SpanRecorder, activate, deactivate
@@ -55,19 +63,30 @@ from repro.sparklite.cluster import LocalCluster
 
 #: Rows per construction wave of the wide-wave build (the default).
 WAVE = 64
-#: How far below the one-row waves' recall the wide waves' may fall.
+#: How far below the one-row waves' recall the wide waves' may fall (and
+#: ``_STEP_WIDTH``'s below W = 1's).
 RECALL_TOLERANCE = 0.02
+#: The construction step widths ``widths`` sweeps.
+WIDTHS = (1, 2, 4, 8)
 FULL = dict(
     num_base=8000, segment_rows=6000, num_queries=200, dim=48,
     shards=2, segments=2, executors=4, top_k=10, ef=64, passes=3,
+    # widths: (rows, dim) per segment, min-of-N passes
+    width_shapes=((250, 64), (1200, 32), (4000, 64), (16000, 64)),
+    width_passes=7,
 )
 SIZES = {
     "full": FULL,
     "smoke": FULL
-    | dict(num_base=1500, segment_rows=1500, num_queries=48, passes=2),
+    | dict(
+        num_base=1500, segment_rows=1500, num_queries=48, passes=2,
+        width_shapes=((250, 64), (1200, 32)), width_passes=3,
+    ),
 }
 GATES = {
     "wide_wave_speedup": Gate(full=2.0, smoke=None),
+    # The slowest shape's build at _STEP_WIDTH over its build at W = 1.
+    "step_width_speedup": Gate(full=1.0, smoke=None),
     # Needs >= 2 cores; never held on one (nothing parallel to show).
     "processes_over_inline": Gate(full=1.0, smoke=None, strict=True),
 }
@@ -168,6 +187,74 @@ def check_waves(run, _env) -> None:
     run.gate("wide_wave_speedup", speedup(scores, f"wave = {WAVE}", over="wave = 1"))
 
 
+def check_widths(run, _env) -> None:
+    chosen = hnsw_index._STEP_WIDTH
+    require(chosen in WIDTHS, f"_STEP_WIDTH = {chosen} is not swept")
+    params = HnswParams(M=12, ef_construction=56, seed=SEED)
+    table, speedups = [], []
+    for num_rows, dim in run.width_shapes:
+        vectors = clustered_gaussians(num_rows, dim, seed=SEED)
+        queries = make_queries(vectors, run.num_queries, seed=SEED + 1)
+        truth, _ = exact_top_k(vectors, queries, run.top_k)
+
+        def build(width: int, recorder=None):
+            # The width drives construction only: every query below
+            # runs at the shipped one.
+            hnsw_index._STEP_WIDTH = width
+            token = activate(recorder) if recorder is not None else None
+            try:
+                return build_hnsw(vectors, params=params)
+            finally:
+                hnsw_index._STEP_WIDTH = chosen
+                if token is not None:
+                    deactivate(token)
+
+        scores = interleaved(
+            {f"W = {width}": [partial(build, width)] for width in WIDTHS},
+            run.width_passes,
+        )
+        lines = {}
+        for width in WIDTHS:
+            recorder = SpanRecorder()
+            index = build(width, recorder)
+            spans = recorder.export()
+            waves = sum(span["name"] == "descend" for span in spans)
+            rounds = sum(
+                span["annotations"]["rounds"]
+                for span in spans
+                if span["name"] == "beam"
+            )
+            lines[width] = {
+                "segment": f"{num_rows} x {dim}",
+                "W": width,
+                "rows/s": num_rows / float(scores[f"W = {width}"][0]),
+                "rounds/wave": rounds / waves,
+                "recall@10": recall_at_k(
+                    index.search_batch(queries, run.top_k, ef=run.ef)[0],
+                    truth, run.top_k,
+                ),
+            }
+        table += lines.values()
+        require(
+            lines[chosen]["recall@10"] >= lines[1]["recall@10"] - RECALL_TOLERANCE,
+            f"{num_rows} x {dim}: W = {chosen} recall "
+            f"{lines[chosen]['recall@10']:.4f} is more than {RECALL_TOLERANCE} "
+            f"below W = 1 {lines[1]['recall@10']:.4f}",
+        )
+        speedups.append(speedup(scores, f"W = {chosen}", over="W = 1"))
+    report(
+        "build_widths",
+        table,
+        title=(
+            "Construction step width W: rows/s (min of "
+            f"{run.width_passes}), beam rounds per {WAVE}-row wave and recall@10 "
+            f"(M=12, ef_construction=56; queries at ef={run.ef}, W = {chosen})"
+        ),
+        payload={"smoke": run.smoke},
+    )
+    run.gate("step_width_speedup", min(speedups))
+
+
 def check_job_modes(run, _env) -> None:
     vectors, _, config = corpus(run)
     checksums, build_stage_s = {}, {}
@@ -211,4 +298,4 @@ def check_job_modes(run, _env) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main([check_waves, check_job_modes], SIZES, GATES))
+    sys.exit(main([check_waves, check_widths, check_job_modes], SIZES, GATES))

@@ -97,33 +97,54 @@ _MAX_LOCKSTEP = 128
 #: result.
 _ARRAY_MIN_ROWS = 10
 
-#: Step width W of every query beam: a round expands each row's
-#: ``_QUERY_EXPAND`` smallest unexpanded members (the step rule of
-#: :mod:`repro.hnsw.search`) and scores all they found in one call.
-#: Construction waves keep W = 1, Algorithm 2 verbatim, so graphs and
-#: exports do not depend on it.  The table below is a command --
-#: ``benchmarks/bench_batch_throughput.py --check venues`` -- which also
+#: Step width W of every beam, construction wave and query alike: a
+#: round expands each row's ``_STEP_WIDTH`` smallest unexpanded members
+#: (the step rule of :mod:`repro.hnsw.search`) and scores all they found
+#: in one call.  Both tables below are commands.  Queries --
+#: ``benchmarks/bench_batch_throughput.py --check venues``, which also
 #: asserts that both venues return the same ids, distances and
-#: ``SearchCost`` at every W.  On the four segments of the table above:
-#: one row on the heap venue (ms per query, summed over the four, min of
-#: 21), array groups of 10 ... 128 rows slower than at W = 1 (of 16),
-#: beam rounds of one 4000 x 64 float row, and comps per query on the
-#: 4000 x 64 / 2400 x 32 float segments:
+#: ``SearchCost`` at every W.  On the four segments of the table above
+#: (built at W = 4, one CPU): one row on the heap venue (ms per query,
+#: summed over the four, min of 21), array groups of 10 ... 128 rows
+#: slower than at W = 1 (of 16), beam rounds of one 4000 x 64 float row,
+#: and comps per query on the 4000 x 64 / 2400 x 32 float segments:
 #:
 #:     W                          1      2      3      4
-#:     one row, heap (sum)      2.437  2.065  1.799  1.701
-#:     array cells slower         -      3      3      0
+#:     one row, heap (sum)      2.554  2.302  1.944  1.835
+#:     array cells slower         -      2      3      0
 #:     beam rounds, one row      53     33     22     17
-#:     comps per query         295.9  297.5  298.5  299.8
+#:     comps per query         295.8  297.5  298.4  299.7
 #:                             106.6  108.7  112.6  116.7
 #:
 #: W = 4 is the fastest single row among the widths that slow no array
-#: group: W = 2 and 3 lose 0.3-9 % on 2400 x 32 groups of 10 and 16 rows,
+#: group: W = 2 and 3 lose 2-7 % on 2400 x 32 groups of 10 and 16 rows,
 #: whose busiest row still takes most of its rounds.  The extra
 #: comparisons lift recall (2400 x 32 float recall@10 0.928 -> 0.952).
 #: At W = 4 the array venue still wins every segment from 10 rows, so
 #: ``_ARRAY_MIN_ROWS`` stays where it is.
-_QUERY_EXPAND = 4
+#:
+#: Construction -- ``benchmarks/bench_build_throughput.py --check
+#: widths``: one segment per shape built at each W (M 12,
+#: ef_construction 56, 64-row waves; rows/s min of 7 interleaved builds
+#: on one CPU of a 2-core x86 box) and the beam rounds of a wave, summed
+#: over its layers.  Recall@10 at the shipped W (ef 64) is equal at
+#: every W on every shape (1.000; 0.9965 at 16000 x 64):
+#:
+#:     W                         1      2      4      8
+#:     rows/s       250 x 64   9894  12103  13072  12637
+#:                 1200 x 32   7281   9101   9147   9470
+#:                 4000 x 64   5559   7165   6026   6332
+#:                16000 x 64   4348   4881   4773   5318
+#:     rounds/wave  250 x 64   43.5   23.0   12.8    8.0
+#:                 1200 x 32   70.9   40.3   23.6   14.6
+#:                 4000 x 64   95.1   54.2   30.8   18.8
+#:                16000 x 64  107.3   61.7   35.4   21.7
+#:
+#: At W = 4 every shape builds x1.08-1.32 faster than at W = 1 (a second
+#: run: x1.11-1.27), at equal recall, in a third of the rounds.  Among
+#: W = 2, 4 and 8 the box's drift (+/-15 % over seconds) decides the
+#: order shape by shape, so the query table above picks the one W.
+_STEP_WIDTH = 4
 
 
 class HnswIndex:
@@ -922,7 +943,6 @@ def _beam(
     ef: int,
     level: int,
     cost=None,
-    expand: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Beam search of one lockstep group at ``level`` from ``(rows,
     <= ef)`` seed beams: ``(rows, ef)`` ids / reduced distances sorted by
@@ -933,8 +953,8 @@ def _beam(
 
     The venue is chosen as in :meth:`HnswIndex._descend`; both kernels
     apply one beam rule (:mod:`repro.hnsw.search`) at step width
-    ``expand`` -- 1 for a construction wave, ``_QUERY_EXPAND`` for a
-    query group -- so the choice moves time and never a result.
+    ``_STEP_WIDTH`` -- a construction wave and a query group alike --
+    so the choice moves time and never a result.
     ``cost`` gains the kernel's hops and candidates, and each candidate
     again as ``distance_comps``: one pair scored.  The ``beam`` span
     carries the same tags plus ``ef`` and ``num_queries``.
@@ -956,7 +976,7 @@ def _beam(
         found = kernel(
             graph, traversal, queries, entries, entry_dists, ef, level,
             visited, query_sq, cost,
-            span["annotations"] if span is not None else None, expand,
+            span["annotations"] if span is not None else None, _STEP_WIDTH,
         )
     if cost is not None:
         cost.distance_comps += cost.candidates_visited - before
@@ -1001,7 +1021,6 @@ def _search_graphs(
         first.index._visited_pool, graph,
         joined([piece.traversal for piece in pieces]), arm, prepared, query_sq,
         entries[:, np.newaxis], entry_dists[:, np.newaxis], depth, 0, cost,
-        _QUERY_EXPAND,
     )
     if arm != "float":
         # Exact rescore: one flat float32 scoring call for every beam

@@ -42,7 +42,8 @@ class HnswParams(FlagFields):
     #: clustered data).
     use_heuristic: bool = True
     #: Indices holding fewer than this many vectors answer queries by an
-    #: exact ``(B, d) @ (d, n)`` GEMM scan instead of graph traversal --
+    #: exact scan instead of graph traversal, one query row at a time
+    #: against every stored row (:meth:`~repro.hnsw.HnswIndex._scan`) --
     #: on tiny segments (skewed segmenter splits, small tail shards) the
     #: flat scan is both exact and faster than beam search.  ``0``
     #: (default) disables the fallback; the graph is still *built*
@@ -50,8 +51,8 @@ class HnswParams(FlagFields):
     #: to graph search transparently.
     min_graph_size: int = knob(
         0,
-        "segments smaller than this answer by exact GEMM scan instead of "
-        "graph search (0 disables)",
+        "segments smaller than this answer by an exact per-row scan instead "
+        "of graph search (0 disables)",
     )
     #: Construction wave size: :meth:`~repro.hnsw.HnswIndex.add` groups
     #: incoming rows into waves of this many, descends and beam-searches

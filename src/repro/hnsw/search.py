@@ -31,8 +31,9 @@ distance ties included, at every step width ``expand`` (W):
     later one -- and merges all they found at once; stop when none is
     left.*
 
-Construction waves step with W = 1, Algorithm 2 verbatim; every query
-beam with ``hnsw.index._QUERY_EXPAND``.  ``(distance, node)`` is a total
+Every beam, construction wave and query alike, steps with
+``hnsw.index._STEP_WIDTH`` (W = 1 is Algorithm 2 verbatim).
+``(distance, node)`` is a total
 order, so the rule has one answer no matter in which order a kernel
 meets the pairs.  Micro-batching makes the kernel a query runs on
 depend on arrival timing, which is why "equal up to ties" would not be
@@ -394,14 +395,15 @@ def search_layer_batch(
 # -- array venue ----------------------------------------------------------------------
 #
 # The same lockstep searches with the per-query state held in arrays: a
-# round is 40 numpy calls over every live row, however many rows there
-# are -- 5 find the frontier, 4 mark it and read its node, 3 gather the
+# round is 59 numpy calls over every live row at the step width every
+# beam runs at (W = 4), however many rows there are.  At W = 1 it is 40
+# -- 5 find the frontier, 4 mark it and read its node, 3 gather the
 # neighbor rows, 8 test the visited tags and gather the fresh pairs, 2
 # charge the cost, 9 score (Euclidean, float or int8), 5 pack the keys
-# and 4 merge them (at W = 1; a wider step adds 4 calls per further
-# pick and 7 that keep a row's expansions from scoring one neighbor
-# twice) -- where the heap kernels above pay interpreter time per row
-# and per neighbor.  That trade only wins for a group that is
+# and 4 merge them -- and a wider step adds 4 calls per further pick
+# and 7 that keep a row's expansions from scoring one neighbor twice;
+# the heap kernels above pay interpreter time per row and per neighbor
+# instead.  That trade only wins for a group that is
 # wide enough: HnswIndex picks the venue from the group it was handed,
 # a query group and a construction wave alike.  What a round costs is
 # dispatch and copies, not FLOPs, so every gather is a flat ``take``

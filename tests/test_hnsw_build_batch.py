@@ -7,6 +7,7 @@ vectorised serialization / id-validation paths.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from repro.data.synthetic import clustered_gaussians
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import HnswGraph, VisitedEpochs
 from repro.hnsw.heuristic import select_neighbors_heuristic_batch
-from repro.hnsw.index import HnswIndex, build_hnsw
+import repro.hnsw.index as hnsw_index
+from repro.hnsw.index import _STEP_WIDTH, HnswIndex, build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.hnsw.search import descend_to_levels_batch
 from repro.offline.brute_force import exact_top_k
 from repro.offline.recall import recall_at_k
 from tests.conftest import make_clustered
+from tests.test_hnsw_search import reference_beam
 
 
 def fast_params(**overrides) -> HnswParams:
@@ -282,6 +285,44 @@ def payload_digest(payload: dict) -> str:
     return digest.hexdigest()[:16]
 
 
+def reference_build(data, *, width: int = _STEP_WIDTH, **build) -> HnswIndex:
+    """``build_hnsw(data, **build)`` with every wave beam replaced by
+    :func:`~tests.test_hnsw_search.reference_beam` at step width
+    ``width``: row by row, over the pre-wave graph the wave searches (no
+    link of the wave is applied yet), scored by the exact
+    :meth:`Scorer.score_pairs` one pair list at a time."""
+
+    def beam(
+        pool, graph, scorer, arm, queries, query_sq, entries, entry_dists, ef,
+        level, cost=None,
+    ):
+        assert type(scorer) is Scorer and arm == "float" and cost is None
+        ids = np.full((queries.shape[0], ef), -1, dtype=np.int64)
+        dists = np.full(ids.shape, np.inf, dtype=np.float32)
+        for row in range(queries.shape[0]):
+
+            def score(nodes, row=row):
+                return scorer.score_pairs(
+                    queries, np.full(len(nodes), row),
+                    np.array(nodes, dtype=np.int64), query_sq,
+                ).tolist()
+
+            seeds = [
+                (dist, node)
+                for dist, node in zip(entry_dists[row].tolist(), entries[row].tolist())
+                if node >= 0
+            ]
+            found, _, _ = reference_beam(
+                seeds, ef, width, lambda node: graph.neighbors(node, level), score
+            )
+            if found:
+                dists[row, : len(found)], ids[row, : len(found)] = zip(*found)
+        return ids, dists
+
+    with mock.patch.object(hnsw_index, "_beam", beam):
+        return build_hnsw(data, **build)
+
+
 #: ``(seed, rows, build_batch) -> (graph digest, to_arrays digest)`` of
 #: ``make_clustered(rows, 16, seed=seed + 10)`` under ``fast_params``.
 #: The *graph* column was recorded at commit 727d78d (list-of-lists
@@ -296,22 +337,33 @@ def payload_digest(payload: dict) -> str:
 #: once, at PR 26, for format_version 2 -- ``table`` / ``degrees`` as the
 #: graph holds them in place of per-level ``indptr_<l>`` / ``indices_<l>``
 #: -- and checked against a clone of the parent, 4d00302: the same 18
-#: values come from its builds with those members swapped by hand.
+#: values come from its builds with those members swapped by hand.  When
+#: construction waves took the step width of every query beam (W = 1 ->
+#: ``_STEP_WIDTH``), the 4000-row builds here and in
+#: ``PINNED_MODE_GRAPHS`` moved (the 250-row beams already held every
+#: member either way); each new value is :func:`reference_build`'s, not
+#: the production build's, with the value at the parent 93a6428 beside it.
 PINNED_GRAPHS = {
     (0, 250, 1): ("29d74e8db615eebc", "8a6e7014aa1053c9"),
     (0, 250, 64): ("f2aad883f1e76b78", "6e3ed99c844e92b3"),
-    (0, 4000, 1): ("0662f307bf1990ff", "0c7987df3421faf1"),
-    (0, 4000, 64): ("38f81053ce4f5029", "4bbde6efdefcb967"),
+    # At 93a6428: ("0662f307bf1990ff", "0c7987df3421faf1").
+    (0, 4000, 1): ("7d37d1b523247a7a", "b56f837b0328e394"),
+    # At 93a6428: ("38f81053ce4f5029", "4bbde6efdefcb967").
+    (0, 4000, 64): ("5aedd5c8ba5468b6", "790dfd080aaa19fe"),
     (1, 250, 1): ("4f445d71ad2d8cf2", "0f23abdfa8dbf635"),
     (1, 250, 64): ("efc2ae0373cd2e04", "199fc555e4496c30"),
     # At 9823991: ("29bb3b2b18829395", "335cab38c81372b9").
-    (1, 4000, 1): ("8cfd54afa9a38883", "445d8ba6c42fcd1b"),
+    # At 93a6428: ("8cfd54afa9a38883", "445d8ba6c42fcd1b").
+    (1, 4000, 1): ("b7358908f9ecb8c8", "0a0b8d9e36680d0f"),
     # At 9823991: ("11c217c2e6766894", "ed535bd910e07c76").
-    (1, 4000, 64): ("dd4af24230e269e1", "2ae62b95d50477ba"),
+    # At 93a6428: ("dd4af24230e269e1", "2ae62b95d50477ba").
+    (1, 4000, 64): ("a647d34ca0a3da9b", "036530fd10a25ded"),
     (2, 250, 1): ("d7fd724c8f8b2ead", "871482a916a90558"),
     (2, 250, 64): ("1d4a73ed22ac7743", "aad8fbda10ec7deb"),
-    (2, 4000, 1): ("f35e86f6f2e4f777", "f713a1219a121742"),
-    (2, 4000, 64): ("b914e3d4ae976b19", "a6fb3d02df5f6e8f"),
+    # At 93a6428: ("f35e86f6f2e4f777", "f713a1219a121742").
+    (2, 4000, 1): ("9af51ba24fbad82c", "7b1e08a7d7514085"),
+    # At 93a6428: ("b914e3d4ae976b19", "a6fb3d02df5f6e8f").
+    (2, 4000, 64): ("570444270642da36", "6b036f3b054e91ff"),
 }
 
 
@@ -327,12 +379,15 @@ PINNED_MODES = {
 }
 PINNED_MODE_GRAPHS = {
     ("simple", 250): ("ecd4709462eecce0", "0b2a7bab33de68f3"),
-    ("simple", 4000): ("2c047431bf1b0e76", "7ec4beb63abbc3a0"),
+    # At 93a6428: ("2c047431bf1b0e76", "7ec4beb63abbc3a0").
+    ("simple", 4000): ("0846341593a760fd", "6eae551ca5edbe6c"),
     ("no_keep_pruned", 250): ("4b35da1d40a08372", "6616735f46afebe5"),
     # At 9823991: ("f624bbb019146d8d", "aaa8cc99e8722905").
-    ("no_keep_pruned", 4000): ("adfd42435a4f6377", "1665ab9a98751493"),
+    # At 93a6428: ("adfd42435a4f6377", "1665ab9a98751493").
+    ("no_keep_pruned", 4000): ("1a3a351d6693a45b", "e530f7b944600041"),
     ("cosine", 250): ("d0405283ddcd7bcb", "186432f740b42974"),
-    ("cosine", 4000): ("ce5610896922227d", "6adcbbc67eb63f4e"),
+    # At 93a6428: ("ce5610896922227d", "6adcbbc67eb63f4e").
+    ("cosine", 4000): ("043c795c892c0415", "e5468b5f6f6b2605"),
 }
 
 
@@ -385,6 +440,23 @@ class TestPinnedGraphs:
         assert (
             graph_digest(index), payload_digest(index.to_arrays())
         ) == PINNED_MODE_GRAPHS[mode, rows]
+
+
+class TestReferenceWaveBuild:
+    @pytest.mark.parametrize("build_batch", [1, 64])
+    def test_the_build_is_the_reference_wave_build(self, build_batch):
+        """Every wave beam is :func:`reference_beam` at ``_STEP_WIDTH``,
+        by graph and export digest -- on a corpus whose graph a step
+        width of one would change (a narrow ``ef_construction``)."""
+        data = make_clustered(600, 16, seed=10)
+        params = fast_params(build_batch=build_batch, ef_construction=8)
+
+        def digests(index):
+            return graph_digest(index), payload_digest(index.to_arrays())
+
+        want = digests(reference_build(data, params=params))
+        assert digests(build_hnsw(data, params=params)) == want
+        assert digests(reference_build(data, params=params, width=1)) != want
 
 
 class TestTableUnderRandomAdds:

@@ -181,7 +181,7 @@ class TestMetrics:
 
 
 class TestBruteForceFallback:
-    """`min_graph_size`: tiny indices answer by exact GEMM scan."""
+    """`min_graph_size`: tiny indices answer by an exact per-row scan."""
 
     def make_params(self, threshold: int):
         from dataclasses import replace

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import HnswGraph, VisitedPool, VisitedTable
-from repro.hnsw.index import _QUERY_EXPAND, build_hnsw
+from repro.hnsw.index import _STEP_WIDTH, build_hnsw
 from repro.hnsw.search import (
     _PAD,
     _pack,
@@ -256,8 +256,8 @@ def reference_beam(seeds, ef, expand, neighbors, score):
 
 
 #: The W values both kernels are held to: Algorithm 2 itself, two
-#: widths, and the one every query beam runs at.
-EXPANDS = sorted({1, 2, 3, _QUERY_EXPAND})
+#: widths, and the one every beam runs at.
+EXPANDS = sorted({1, 2, 3, _STEP_WIDTH})
 SCORERS = {
     "float": {},
     "int8": {"quantize": "int8"},

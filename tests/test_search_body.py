@@ -43,7 +43,7 @@ from repro.hnsw.graph import VisitedPool
 from repro.hnsw.index import (
     _ARRAY_MIN_ROWS,
     _MAX_LOCKSTEP,
-    _QUERY_EXPAND,
+    _STEP_WIDTH,
     HnswIndex,
     build_hnsw,
 )
@@ -72,8 +72,8 @@ BATCHES = (
 )
 K = 10
 #: Step widths the two beam kernels are compared at: Algorithm 2, two
-#: wider steps, and the one every query beam runs at.
-EXPANDS = sorted({1, 2, 3, _QUERY_EXPAND})
+#: wider steps, and the one every beam runs at.
+EXPANDS = sorted({1, 2, 3, _STEP_WIDTH})
 #: Beam width per corpus: on the lattice the beam is no wider than the
 #: result, so a tie decided differently at the beam boundary shows in
 #: the returned ids, not only in the cost.
