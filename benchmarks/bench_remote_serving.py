@@ -9,7 +9,9 @@ fronts them with the broker, and
 at a time and in batches, interleaved with an in-process fleet over the
 same export (the remote numbers include real framing + socket round
 trips); every remote answer, ids and distances, must be bit-identical
-to the in-process one;
+to the in-process one.  A replay of the one-query stream then prices
+the searcher side: the searcher processes' CPU (user + system, from
+``/proc/<pid>/stat``) per SEARCH RPC they served;
 
 ``hedging`` -- injects a **straggler**: a fresh fleet where one
 searcher's fault plan stalls every other request, served through the
@@ -19,9 +21,10 @@ serving, and the broker must report the ``loop`` venue (all in-flight
 shard RPCs on one thread);
 
 ``rpc_cost`` -- prices **one RPC**: PING round trip, one-query SEARCH
-round trip and the same search in process, against an in-thread server
-whose transports count write calls -- a SEARCH round trip must be
-exactly one write per side, and a PING must be cheaper than a SEARCH.
+round trip and the same search in process, against an in-thread server,
+counting the client transport's write calls and the server's frame
+sends -- a SEARCH round trip must be exactly one write per side, and a
+PING must be cheaper than a SEARCH.
 
 What a SIGKILLed searcher does to the ``degrade`` and ``fail`` policies
 is ``tests/test_remote_serving.py::
@@ -32,10 +35,12 @@ test_kill_one_searcher_process_mid_flight``.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from functools import partial
+from pathlib import Path
 
 from harness import (
     INDEX_NAME,
@@ -67,6 +72,9 @@ SLOW_DELAY_S = 0.25
 HEDGE_AFTER_S = 0.05
 #: Queries per request of the batched streams.
 BATCH = 32
+#: Replays of the one-query stream the searcher CPU is read over (the
+#: ``/proc`` clock ticks at 10 ms).
+CPU_PASSES = 10
 # Three shards: a fan-out worth hedging, one of them the straggler.
 FULL = dict(
     num_base=6000, num_queries=128, dim=32, shards=3, segments=2,
@@ -149,11 +157,19 @@ def check_throughput(run, env) -> None:
             }
             scores = interleaved(streams, run.passes)
             stages = remote.stats()["indices"][INDEX_NAME]["stages"]
+            members = [member for (member,) in groups]
+            cpu_ms = searcher_cpu_ms_per_rpc(
+                members, streams["remote fleet (sequential RPC)"]
+            )
         finally:
             remote.close()
     require_parity(singles, want_ids, want_dists, "remote single-query")
     require_parity(batches, want_ids, want_dists, "remote batched")
     print("parity: remote fleet results bit-identical to in-process ✓")
+    print(
+        f"searcher CPU: {cpu_ms:.3f} ms per one-query SEARCH RPC (user + "
+        f"system of {len(members)} searcher processes, {CPU_PASSES} replays)"
+    )
     report(
         "remote_serving",
         [
@@ -164,8 +180,43 @@ def check_throughput(run, env) -> None:
             f"Remote serving over loopback RPC ({run.shards} searcher "
             f"subprocesses; {run.num_base} x {run.dim}, {len(queries)} queries)"
         ),
-        payload={"smoke": run.smoke, "remote_stages": stages},
+        payload={
+            "smoke": run.smoke,
+            "remote_stages": stages,
+            "searcher_cpu_ms_per_rpc": cpu_ms,
+        },
     )
+
+
+def cpu_seconds(pid: int) -> float:
+    """User + system CPU seconds process ``pid`` has used, all threads."""
+    stat = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(stat[11]) + int(stat[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def searcher_cpu_ms_per_rpc(members, requests) -> float:
+    """Searcher CPU per SEARCH RPC over :data:`CPU_PASSES` replays of
+    ``requests``: the processes' CPU over the SEARCH RPCs they served."""
+
+    def served() -> int:
+        total = 0
+        for member in members:
+            client = RemoteSearcherClient(member.address)
+            try:
+                total += client.stats()["counts"]["requests_served"]
+            finally:
+                client.close()
+        return total
+
+    def cpu() -> float:
+        return sum(cpu_seconds(member.process.pid) for member in members)
+
+    rpcs, began = served(), cpu()
+    for _ in range(CPU_PASSES):
+        for request in requests:
+            request()
+    spent = cpu() - began
+    return spent / (served() - rpcs) * 1e3
 
 
 def check_hedging(run, env) -> None:
@@ -214,19 +265,18 @@ def check_hedging(run, env) -> None:
 
 
 class CountingTransport:
-    """A transport that counts the write calls made on it."""
+    """A client transport that counts the write calls made on it."""
 
-    def __init__(self, transport, counts: Counter, side: str) -> None:
+    def __init__(self, transport, counts: Counter) -> None:
         self._transport = transport
         self._counts = counts
-        self._side = side
 
     def write(self, data) -> None:
-        self._counts[self._side] += 1
+        self._counts["client"] += 1
         self._transport.write(data)
 
     def writelines(self, buffers) -> None:
-        self._counts[self._side] += 1
+        self._counts["client"] += 1
         self._transport.writelines(buffers)
 
     def __getattr__(self, name: str):
@@ -235,24 +285,28 @@ class CountingTransport:
 
 @contextmanager
 def counted_writes():
-    """Connections made inside the block (either side of the wire, this
-    process) write through a :class:`CountingTransport`; yields the
-    ``{"client": n, "server": n}`` counter."""
+    """Writes made inside the block on either side of the wire, this
+    process: the client connections' transport writes and the server's
+    frame sends (each one ``sendall``); yields the ``{"client": n,
+    "server": n}`` counter."""
     counts: Counter = Counter()
-    originals = {}
-    for side, module in (("client", net_client), ("server", net_server)):
-        connection = module._Connection
-        originals[connection] = made = connection.connection_made
+    connection = net_client._Connection
+    made, send = connection.connection_made, net_server._send
 
-        def connection_made(self, transport, made=made, side=side):
-            made(self, CountingTransport(transport, counts, side))
+    def connection_made(self, transport):
+        made(self, CountingTransport(transport, counts))
 
-        connection.connection_made = connection_made
+    def counted_send(sock, frame) -> None:
+        counts["server"] += 1
+        send(sock, frame)
+
+    connection.connection_made = connection_made
+    net_server._send = counted_send
     try:
         yield counts
     finally:
-        for connection, made in originals.items():
-            connection.connection_made = made
+        connection.connection_made = made
+        net_server._send = send
 
 
 def check_rpc_cost(run, env) -> None:

@@ -5,8 +5,8 @@ machines*, each hosting one shard.  This package is that wire layer:
 
 - :mod:`repro.net.protocol` -- length-prefixed binary framing that ships
   numpy query/result blocks zero-copy;
-- :mod:`repro.net.server` -- an asyncio TCP server wrapping a
-  :class:`~repro.online.searcher.SearcherNode`;
+- :mod:`repro.net.server` -- a thread-per-connection TCP server
+  wrapping a :class:`~repro.online.searcher.SearcherNode`;
 - :mod:`repro.net.client` -- the pooled, retrying, deadline-aware
   asyncio RPC client, and its blocking facade for plain threads;
 - :mod:`repro.net.loop` -- the event-loop thread that the broker's

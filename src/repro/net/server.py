@@ -1,4 +1,4 @@
-"""``SearcherServer``: an asyncio TCP front for one searcher node.
+"""``SearcherServer``: a thread-per-connection TCP front for one searcher node.
 
 One server process hosts one :class:`~repro.online.searcher.SearcherNode`
 (= one shard position of every deployed index) and serves the broker's
@@ -12,38 +12,42 @@ RPCs over the :mod:`repro.net.protocol` framing:
   :meth:`SearcherServer.stats` dict, see there);
 - ``PING``      -- liveness + shard-id handshake.
 
-One :class:`_Connection` (an :class:`asyncio.Protocol`) per accepted
-socket feeds ``data_received`` chunks to a sans-IO
-:class:`~repro.net.protocol.FrameReader`; a complete frame starts **one
-task** running :meth:`SearcherServer._dispatch`, and that task's last
-act is the response's single ``transport.writelines`` -- one frame in,
-one wake-up, one write out.  Request handling is per-connection
-sequential, which keeps the protocol trivially orderable (a pipelined
-frame waits its turn, and the socket is not read while one waits);
-concurrency comes from the client's connection pool.  A hang-up is
-``connection_lost`` / ``eof_received`` cancelling the in-flight task.
+One accept thread hands each accepted socket to **its own thread**,
+which feeds ``recv`` chunks to a sans-IO
+:class:`~repro.net.protocol.FrameReader` and answers each frame it
+completes where it stands: check, admit, search (or wait on the
+micro-batcher), then the response's single ``sendall`` -- one frame in,
+one write out, no hand-off between threads.  Request handling is
+per-connection sequential, which keeps the protocol trivially orderable
+(a pipelined frame waits its turn in the socket, which is not read
+while one is answered); concurrency comes from the client's connection
+pool, one thread per pooled connection.
 
-What stays off the loop, and why: searches and shard loads run on a
-thread-pool executor (or the micro-batcher's flusher thread), so the
-loop keeps accepting connections, answering pings, shedding with
-``OVERLOADED`` and noticing hang-ups while numpy works.  Running a
-search inline on the loop would save its two thread hand-offs but
-serialise every search of the process on one thread and make
-``max_in_flight`` meaningless.
+Why a thread per connection: a searcher's peers are a few brokers with
+a small pool each, so the threads are few, and a SEARCH answered on the
+thread that read it pays for no task and no hand-off between threads.
+Those cost an asyncio front with an executor ~0.16 ms of searcher CPU
+per one-query SEARCH RPC (0.74-0.86 ms -> 0.58-0.70 ms, one pinned CPU
+of a 2-vCPU KVM guest).  Nothing serialises --
+searches from different connections run on different threads -- and a
+connection's thread sheds or refuses a frame the moment it reads it.
 
 Overload safety (PR 10): the server *admits* SEARCH work instead of
 executing everything that arrives.  ``max_in_flight`` bounds concurrent
-searches, ``queue_cap`` bounds how many more may wait; anything beyond
-both is shed instantly with a structured ``OVERLOADED`` error frame
-carrying a ``retry_after_s`` hint, so a broker still has budget to fail
-over instead of discovering the overload via timeout.  Requests that
-ship a ``deadline_ms`` remaining budget are rejected (cheaply) once
-that budget is spent -- on arrival or after queueing -- and a client
-that hangs up mid-request (a cancelled hedge loser) has its in-flight
-work abandoned rather than computed for nobody.  With ``batch_max > 1``
-a server-side :class:`~repro.online.microbatch.MicroBatcher` coalesces
-SEARCH frames arriving from many broker connections into lockstep
-batches (safe because the kernels are batch-composition invariant).
+searches across all connections, ``queue_cap`` bounds how many more may
+wait; anything beyond both is shed instantly with a structured
+``OVERLOADED`` error frame carrying a ``retry_after_s`` hint, so a
+broker still has budget to fail over instead of discovering the
+overload via timeout.  Requests that ship a ``deadline_ms`` remaining
+budget are rejected (cheaply) once that budget is spent -- on arrival
+or after queueing -- and a client that hangs up mid-request (a
+cancelled hedge loser) has its work abandoned rather than answered to
+nobody: a thread waiting for a slot or sleeping an injected stall
+watches its socket for the hang-up, one that searched checks it before
+replying.  With ``batch_max > 1`` a server-side
+:class:`~repro.online.microbatch.MicroBatcher` coalesces SEARCH frames
+arriving from many broker connections into lockstep batches (safe
+because the kernels are batch-composition invariant).
 
 Launch standalone via ``repro.cli serve-searcher --shard-id S --port P``
 (prints a ``SEARCHER-READY`` line used by :mod:`repro.net.fleet`), or
@@ -52,13 +56,12 @@ in-process via :meth:`SearcherServer.start_in_thread` (tests).
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
+import select
+import socket
 import threading
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -101,6 +104,16 @@ _COUNTERS = {
         faults="Chaos faults injected at the server boundary, labelled by kind.",
     ),
 }
+
+#: Bytes asked of one ``recv``: a frame of a few hundred query rows.
+_RECV_BYTES = 1 << 16
+#: How often a request queued for an admission slot looks for a hang-up.
+_QUEUED_POLL_S = 0.01
+#: Pause before the next ``accept`` after one failed (out of descriptors).
+_ACCEPT_RETRY_S = 1.0
+#: The ``poll`` event of a peer that closed its sending side (Linux);
+#: a hang-up or a socket error is reported whatever the mask.
+_HANG_UP = getattr(select, "POLLRDHUP", 0)
 
 #: Stdout line a launched server prints once it is accepting connections.
 READY_PREFIX = "SEARCHER-READY"
@@ -193,6 +206,8 @@ class ServerOptions(FlagFields):
         object.__setattr__(self, "chaos", chaos or None)
 
 
+
+
 class SearcherServer:
     """Serve one :class:`SearcherNode` over TCP.
 
@@ -209,10 +224,10 @@ class SearcherServer:
         fine over loopback, where broker and searcher share a disk.
     options, **fields:
         The knobs: a :class:`ServerOptions`, its fields as keywords, or
-        both (the keywords win).  ``queue_cap`` and ``retry_after_s``
-        are read off ``self.options`` per request, and ``self.chaos`` is
-        the live :class:`FaultPlan` (a test may assign a fresh one); the
-        rest is consumed when serving starts.  Frames are capped at
+        both (the keywords win).  The admission knobs are read off
+        ``self.options`` per request, and ``self.chaos`` is the live
+        :class:`FaultPlan` (a test may assign a fresh one); the batching
+        knobs are consumed here.  Frames are capped at
         ``DEFAULT_MAX_FRAME`` bytes both ways.
     """
 
@@ -238,8 +253,8 @@ class SearcherServer:
         #: Connections, frames, sheds, expiries, abandonments and
         #: injected faults: the ``counts`` of the STATS reply.
         self.tally = Tally(_COUNTERS, shard=node.shard_id)
-        #: The repr of the last abandoned dispatch that died with an
-        #: error rather than a clean cancel, for postmortems.
+        #: The repr of the last abandoned request that died with an
+        #: error rather than a clean hang-up, for postmortems.
         self._last_abandoned_error: str | None = None
         self._batcher = (
             MicroBatcher(
@@ -250,23 +265,57 @@ class SearcherServer:
             if self.options.batch_max > 1
             else None
         )
-        #: Live connections; only the event-loop thread touches the set.
-        self._connections: set[_Connection] = set()
-        self._admission: asyncio.Semaphore | None = None
-        #: SEARCH frames currently waiting for an admission slot.  Only
-        #: the event-loop thread touches this, so no lock is needed.
+        #: Admission: searches running and requests waiting for a slot
+        #: (the ``in_flight`` / ``queued`` gauges of STATS); a finished
+        #: search notifies one waiter.
+        self._slot_freed = threading.Condition()
+        self._in_flight = 0
         self._queued = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
+        #: Live connections, each with the thread serving it.
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._listener: socket.socket | None = None
+        #: Set once serving ends: a hang-up from then on is the server's
+        #: own, not a client abandoning its request.
+        self._stopping = threading.Event()
+        #: The accept thread of :meth:`start_in_thread`.
         self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._failed: BaseException | None = None
 
     # -- request handling --------------------------------------------------------------
-    def _inject_fault(self, transport: asyncio.Transport) -> str | None:
+    def _answer(self, sock: socket.socket, hung_up, frame: tuple) -> bool:
+        """Answer one frame on its connection's thread; ``False`` ends
+        the connection (an injected reset, or the peer hung up on a
+        SEARCH)."""
+        msg_type = frame[0]
+        stall_s = 0.0
+        if msg_type == MsgType.SEARCH and self.chaos is not None:
+            kind = self._inject_fault(sock)
+            if kind in ("reset", "drop", "overload"):
+                return kind != "reset"
+            if kind == "delay":
+                stall_s = self.chaos.delay_s
+        try:
+            response = self._dispatch(*frame, hung_up, stall_s)
+        except _HungUp:
+            self._abandoned(None)
+            return False
+        except Exception as exc:  # -> structured error frame
+            if msg_type == MsgType.SEARCH and hung_up():
+                self._abandoned(exc)
+                return False
+            response = error_frame(exc)
+        else:
+            if msg_type == MsgType.SEARCH and hung_up():
+                self._abandoned(None)
+                return False
+        self.tally.count("frames_served")
+        _send(sock, response)
+        return True
+
+    def _inject_fault(self, sock: socket.socket) -> str | None:
         """Apply the chaos plan's next decision to this SEARCH frame.
 
-        Returns the drawn kind so the connection knows whether to serve
+        Returns the drawn kind so the caller knows whether to serve
         (``None``), serve after a stall (``"delay"``, which
         :meth:`_dispatch` holds and counts), skip the response
         (``"drop"``/``"overload"``) or kill the connection (``"reset"``).
@@ -280,50 +329,76 @@ class SearcherServer:
                 f"injected overload (shard {self.node.shard_id})",
                 retry_after_s=self.options.retry_after_s,
             )
-            transport.writelines(error_frame(shed))
             self.tally.count("frames_served")
+            _send(sock, error_frame(shed))
         # "reset" and "drop" need no action here: the caller closes the
         # connection / withholds the response respectively.
         return kind
 
-    def _abandoned(self, exc: BaseException) -> None:
-        """A SEARCH whose client hung up ended in ``exc``, not an answer."""
-        if not isinstance(exc, asyncio.CancelledError):
+    def _abandoned(self, exc: Exception | None) -> None:
+        """A SEARCH whose client hung up ended in ``exc`` (``None``: it
+        was searched, or left its queue or stall), not an answer."""
+        if self._stopping.is_set():
+            return  # the server hung up, not the client
+        if exc is not None:
             # Nobody is listening for this error any more; keep it
-            # visible in stats rather than folding it into a clean cancel.
+            # visible in stats rather than folding it into a clean hang-up.
             self.tally.count("abandoned_errors")
             self._last_abandoned_error = repr(exc)
         self.tally.count("abandoned")
 
-    async def _admit(self) -> bool:
-        """Take an admission slot, or shed the request with OVERLOADED.
+    def _admit(self, hung_up) -> None:
+        """Take a search slot, queue for one, or shed with OVERLOADED.
 
-        Returns whether a slot was actually taken (``False`` when
-        admission is disabled).  The shed decision and the waiter count
-        both live on the event-loop thread, so check-then-act is
-        race-free without a lock.
+        The shed decision and both gauges live under one lock, so
+        check-then-act is race-free across connection threads.  A
+        queued request watches its socket while it waits: a hang-up
+        leaves the queue at once (:class:`_HungUp`) and never takes the
+        slot.
         """
-        if self._admission is None:
-            return False
-        options = self.options
-        if self._admission.locked() and self._queued >= options.queue_cap:
+        limit = self.options.max_in_flight
+        with self._slot_freed:
+            full = limit and self._in_flight >= limit
+            shed = full and self._queued >= self.options.queue_cap
+            if not full:
+                self._in_flight += 1
+            elif not shed:
+                self._queued += 1
+            queued = self._queued
+        if shed:
             self.tally.count("shed")
             raise OverloadedError(
                 f"searcher shard {self.node.shard_id} is at capacity "
-                f"({options.max_in_flight} in flight, {self._queued} queued)",
-                retry_after_s=options.retry_after_s,
+                f"({limit} in flight, {queued} queued)",
+                retry_after_s=self.options.retry_after_s,
             )
-        self._queued += 1
-        try:
-            await self._admission.acquire()
-        finally:
-            self._queued -= 1
-        return True
+        while full:
+            gone = hung_up()
+            with self._slot_freed:
+                full = self._in_flight >= limit
+                if gone:
+                    self._queued -= 1
+                    self._slot_freed.notify()  # pass the wake-up on
+                    raise _HungUp
+                if full:
+                    self._slot_freed.wait(_QUEUED_POLL_S)
+                else:
+                    self._queued -= 1
+                    self._in_flight += 1
 
-    async def _dispatch(
-        self, msg_type: MsgType, header: dict, arrays: list, stall_s: float = 0.0
+    def _release(self) -> None:
+        with self._slot_freed:
+            self._in_flight -= 1
+            self._slot_freed.notify()
+
+    def _dispatch(
+        self,
+        msg_type: MsgType,
+        header: dict,
+        arrays: list,
+        hung_up,
+        stall_s: float = 0.0,
     ) -> list:
-        loop = asyncio.get_running_loop()
         if msg_type == MsgType.PING:
             return self._ok(shard_id=self.node.shard_id)
         if msg_type == MsgType.SEARCH:
@@ -358,23 +433,23 @@ class SearcherServer:
                 recorder = SpanRecorder(at=arrived)
                 recorder.end_span(recorder.start_span("decode", at=arrived))
             self._refuse_if_spent(call, "on arrival")
-            admitted = await self._admit()
+            self._admit(hung_up)
             try:
                 # Queueing may have eaten the rest of the budget: the
                 # client has already given up, so executing now would
                 # burn CPU on an answer nobody reads.
                 self._refuse_if_spent(call, "waiting for admission")
                 if stall_s:
-                    # An injected ``delay`` stalls this request only (the
-                    # event loop keeps serving other connections) and
-                    # holds its admission slot, as a real stall would.
+                    # An injected ``delay`` stalls this request only and
+                    # holds its admission slot, as a real stall would;
+                    # a hang-up ends it early.
                     self.tally.count("faults", kind="delay")
                     with maybe_span(recorder, "stall", injected=True):
-                        await asyncio.sleep(stall_s)
-                ids, dists, cost = await self._execute_search(loop, call, recorder)
+                        if hung_up(stall_s):
+                            raise _HungUp
+                ids, dists, cost = self._execute_search(call, recorder)
             finally:
-                if admitted:
-                    self._admission.release()
+                self._release()
             if recorder is not None:
                 with recorder.span("encode"):
                     ids = np.ascontiguousarray(ids)
@@ -390,8 +465,7 @@ class SearcherServer:
                 [ids, dists],
             )
         if msg_type == MsgType.DEPLOY:
-            request = unpack(MsgType.DEPLOY, header)
-            await loop.run_in_executor(None, self._deploy, request)
+            self._deploy(unpack(MsgType.DEPLOY, header))
             return self._ok(hosted=self.node.hosted_indices)
         if msg_type == MsgType.UNDEPLOY:
             self.node.unhost(unpack(MsgType.UNDEPLOY, header).index)
@@ -402,14 +476,18 @@ class SearcherServer:
 
     def stats(self) -> dict:
         """The STATS reply: the node's identity, ``options``, ``counts``
-        (the node's, this server's and its micro-batcher's tallies),
+        (the node's, this server's and its micro-batcher's tallies, and
+        the live ``in_flight`` / ``queued`` admission gauges),
         ``last_abandoned_error`` and the process-wide ``metrics``
         snapshot, which a broker (or ``repro.cli stats``) merges across
         a fleet into one view."""
         stats = self.node.stats()
+        counts = stats["counts"]
         if self._batcher is not None:
-            stats["counts"].update(self._batcher.tally.snapshot())
-        stats["counts"].update(self.tally.snapshot())
+            counts.update(self._batcher.tally.snapshot())
+        counts.update(self.tally.snapshot())
+        with self._slot_freed:
+            counts.update(in_flight=self._in_flight, queued=self._queued)
         stats["options"] = asdict(self.options)
         stats["last_abandoned_error"] = self._last_abandoned_error
         stats["metrics"] = _REGISTRY.snapshot()
@@ -426,10 +504,13 @@ class SearcherServer:
         The header was well-typed; the *values* are still the peer's.
         A reply block is ``rows x top_k`` ids and as many distances (16
         bytes a cell), so one that cannot fit a frame this server may
-        send is refused before anything allocates it, and non-finite
-        query rows would search to garbage.  (``top_k < 1`` and a
-        dimension mismatch are the shard's own ``ValueError`` s.)
+        send is refused before anything allocates it, non-finite query
+        rows would search to garbage, and a NaN budget would never be
+        spent.  (``top_k < 1`` and a dimension mismatch are the shard's
+        own ``ValueError`` s.)
         """
+        if call.deadline is not None and np.isnan(call.deadline):
+            raise ValueError("SEARCH deadline_ms is NaN")
         queries = call.queries
         if queries.ndim != 2:
             raise ValueError(f"SEARCH queries must be (rows, dim), got {queries.shape}")
@@ -441,8 +522,8 @@ class SearcherServer:
         if not np.isfinite(queries).all():
             raise ValueError("SEARCH queries hold NaN or infinite values")
 
-    async def _execute_search(
-        self, loop, call: ShardCall, recorder
+    def _execute_search(
+        self, call: ShardCall, recorder
     ) -> tuple[np.ndarray, np.ndarray, dict | None]:
         """Run one admitted search: coalesced server-side when possible.
 
@@ -450,8 +531,8 @@ class SearcherServer:
         through the server-side micro-batcher, which merges frames from
         *different* broker connections into one lockstep batch --
         batch-composition invariance guarantees the rows come back
-        bit-identical to a solo execution.  Calls carrying extras
-        execute alone on the thread-pool executor.
+        bit-identical to a solo execution.  Calls carrying extras search
+        alone, on this connection's thread.
         """
         if (
             self._batcher is not None
@@ -459,13 +540,9 @@ class SearcherServer:
             and recorder is None
         ):
             key = admission_key(call.index, call.top_k, call.ef, call.queries)
-            ids, dists = await asyncio.wrap_future(
-                self._batcher.submit(key, call.queries)
-            )
+            ids, dists = self._batcher.submit(key, call.queries).result()
             return ids, dists, None
-        return await loop.run_in_executor(
-            None, observed_search, self.node, call, recorder
-        )
+        return observed_search(self.node, call, recorder)
 
     def _batched_search(
         self, key: AdmissionKey, queries: np.ndarray
@@ -494,46 +571,84 @@ class SearcherServer:
     def _ok(**fields) -> list:
         return encode_frame(MsgType.OK, pack(MsgType.OK, **fields))
 
+    # -- connections -------------------------------------------------------------------
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """One accepted socket, on its own thread: frames in, one at a
+        time, answers out, until either side hangs up."""
+        reader = FrameReader()
+        hung_up = _hang_up_watch(sock)
+        try:
+            while data := sock.recv(_RECV_BYTES):
+                for frame in reader.feed(data):
+                    if not self._answer(sock, hung_up, frame):
+                        return
+            # The protocol is one frame in, one frame out, so a peer that
+            # closes its sending side is gone -- with a ProtocolError to
+            # hear if it was cut off mid-frame.
+            error = reader.eof_error()
+            if isinstance(error, ProtocolError):
+                raise error
+        except ProtocolError as exc:
+            # Tell the peer what broke, then drop the connection: after a
+            # garbled frame the stream offset is unknown.
+            with contextlib.suppress(OSError):
+                _send(sock, error_frame(exc))
+        except OSError:
+            pass  # a reset peer, or a stopping server
+        finally:
+            with self._lock:
+                del self._connections[sock]
+            sock.close()
+
+    def _accept(self) -> None:
+        """Hand each accepted socket to a thread of its own until
+        :meth:`stop`; then hang up on every connection and join its
+        thread, so a stopped server leaves no thread behind."""
+        listener = self._listener
+        try:
+            while not self._stopping.is_set():
+                try:
+                    sock, _ = listener.accept()
+                except OSError:
+                    # Shut down by stop(), or out of descriptors: wait a
+                    # moment rather than spin.
+                    self._stopping.wait(_ACCEPT_RETRY_S)
+                    continue
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self.tally.count("connections_accepted")
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(sock,),
+                    name=f"searcher-{self.node.shard_id}-connection",
+                    daemon=True,
+                )
+                with self._lock:
+                    self._connections[sock] = thread
+                thread.start()
+        finally:
+            self._stopping.set()
+            listener.close()
+            with self._lock:
+                live = list(self._connections.items())
+                for sock, _ in live:
+                    with contextlib.suppress(OSError):
+                        sock.shutdown(socket.SHUT_RDWR)
+            for _, thread in live:
+                thread.join()
+
     # -- lifecycle ---------------------------------------------------------------------
-    async def _serve(self, on_ready=None) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        # Fresh per serve: an asyncio primitive binds to the loop that
-        # first awaits it, and each run()/start_in_thread() owns a new
-        # loop.
-        self._admission = (
-            asyncio.Semaphore(self.options.max_in_flight)
-            if self.options.max_in_flight > 0
-            else None
-        )
-        self._queued = 0
-        server = await self._loop.create_server(
-            partial(_Connection, self), self.host, self.port
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        if on_ready is not None:
-            on_ready(self)
-        self._ready.set()
-        async with server:
-            await self._stop.wait()
-            # No task owns a connection, so nothing else would close the
-            # idle ones; an in-flight request is cancelled (not counted
-            # as abandoned) by its connection_lost.
-            for connection in list(self._connections):
-                connection.transport.abort()
-            await asyncio.sleep(0)
+    def _listen(self) -> None:
+        self._stopping.clear()
+        self._listener = socket.create_server((self.host, self.port))
+        self.port = self._listener.getsockname()[1]
 
     def run(self, *, announce: bool = True) -> int:
         """Serve until interrupted (the ``serve-searcher`` entry point)."""
-
-        def on_ready(server: "SearcherServer") -> None:
-            if announce:
-                print(
-                    ready_line(server.node.shard_id, server.port), flush=True
-                )
-
+        self._listen()
+        if announce:
+            print(ready_line(self.node.shard_id, self.port), flush=True)
         try:
-            asyncio.run(self._serve(on_ready))
+            self._accept()
         except KeyboardInterrupt:
             pass
         finally:
@@ -541,42 +656,35 @@ class SearcherServer:
                 self._batcher.close()
         return 0
 
-    def start_in_thread(self, timeout: float = 30.0) -> "SearcherServer":
-        """Run the server on a daemon thread; returns once it is listening.
+    def start_in_thread(self) -> "SearcherServer":
+        """Serve on a daemon accept thread; returns once it is listening.
 
         For tests and embedded fleets: the caller's thread stays free,
         ``self.port`` holds the bound port, :meth:`stop` shuts down.
         """
-
-        def runner() -> None:
-            try:
-                asyncio.run(self._serve())
-            except BaseException as exc:  # surfaced by the waiter below
-                self._failed = exc
-                self._ready.set()
-
+        self._listen()
         self._thread = threading.Thread(
-            target=runner, name=f"searcher-server-{self.node.shard_id}",
+            target=self._accept,
+            name=f"searcher-server-{self.node.shard_id}",
             daemon=True,
         )
         self._thread.start()
-        if not self._ready.wait(timeout):
-            raise TimeoutError("searcher server did not start in time")
-        if self._failed is not None:
-            raise RuntimeError("searcher server failed to start") from self._failed
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
         """Stop a :meth:`start_in_thread` server (idempotent).
 
-        Raises :class:`TimeoutError` if the server thread is still alive
-        after ``timeout`` -- a silent return here would leak a live
-        server holding the port and make the next bind-to-same-port
-        restart fail mysteriously.
+        Raises :class:`TimeoutError` if the accept thread -- which joins
+        every connection's thread on its way out -- is still alive after
+        ``timeout``: a silent return here would leak a live server
+        holding the port and make the next bind-to-same-port restart
+        fail mysteriously.
         """
-        if self._loop is not None and self._stop is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop.set)
+        self._stopping.set()
+        if self._listener is not None:
+            with contextlib.suppress(OSError):
+                # Wakes the accept() the accept thread is blocked in.
+                self._listener.shutdown(socket.SHUT_RDWR)
         if self._thread is not None:
             self._thread.join(timeout)
             if self._thread.is_alive():
@@ -594,118 +702,19 @@ class SearcherServer:
         return f"{self.host}:{self.port}"
 
 
-class _Connection(asyncio.Protocol):
-    """One accepted socket: frames in, one request at a time, frames out.
+class _HungUp(Exception):
+    """The peer hung up while its SEARCH queued for a slot or stalled."""
 
-    ``data_received`` feeds the frame reader and queues what it
-    completes; the head of the queue runs as one task (:meth:`_answer`)
-    that ends with the response's single ``writelines``.  The next
-    frame starts when that task is done *and* the transport is not
-    holding an unflushed response (``pause_writing``), and while frames
-    are queued behind it the socket is not read, so a peer that
-    pipelines or stops reading is back-pressured instead of buffered.
-    """
 
-    def __init__(self, server: SearcherServer) -> None:
-        self.server = server
-        self.reader = FrameReader()
-        self.transport: asyncio.Transport | None = None
-        #: Decoded frames not started yet -- or, last, the
-        #: :class:`ProtocolError` that ended the stream.
-        self.pending: deque = deque()
-        self.task: asyncio.Task | None = None
-        self.write_paused = False
-        #: The peer went away while ``task`` was running.
-        self.hung_up = False
+def _hang_up_watch(sock: socket.socket):
+    """``hung_up(wait_s=0.0)``: whether the peer of ``sock`` has hung up,
+    waiting up to ``wait_s`` for it, without reading a byte -- a
+    pipelined frame is not a hang-up, a closed sending side is."""
+    poller = select.poll()
+    poller.register(sock, _HANG_UP)
+    return lambda wait_s=0.0: bool(poller.poll(wait_s * 1e3))
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.server.tally.count("connections_accepted")
-        self.server._connections.add(self)
 
-    def data_received(self, data: bytes) -> None:
-        try:
-            self.pending.extend(self.reader.feed(data))
-        except ProtocolError as exc:
-            self.pending.append(exc)
-        self._pump()
-
-    def eof_received(self) -> None:
-        """The protocol is one frame in, one frame out, so a peer that
-        closes its sending side is gone: returning ``None`` closes the
-        transport and :meth:`connection_lost` abandons what is in flight."""
-        if self.task is None:
-            error = self.reader.eof_error()
-            if isinstance(error, ProtocolError):  # cut off mid-frame
-                self.pending.append(error)
-                self._pump()
-
-    def connection_lost(self, exc: Exception | None) -> None:
-        """Hang-up (client timed out, failed over, or cancelled a hedge
-        loser): nobody wants the answer any more, so the request is
-        cancelled -- queued work frees its admission slot at once, work
-        already on an executor thread finishes and is discarded."""
-        self.server._connections.discard(self)
-        self.pending.clear()
-        if self.task is not None:
-            self.hung_up = not self.server._stop.is_set()
-            self.task.cancel()
-
-    def pause_writing(self) -> None:
-        self.write_paused = True
-
-    def resume_writing(self) -> None:
-        self.write_paused = False
-        self._pump()
-
-    def _hang_up(self) -> None:
-        self.pending.clear()
-        self.transport.close()  # after flushing what was already written
-
-    def _pump(self) -> None:
-        """Start the next queued request if the connection is free."""
-        if self.task is None and not self.write_paused and self.pending:
-            item = self.pending.popleft()
-            if isinstance(item, ProtocolError):
-                # Tell the peer what broke, then drop the connection:
-                # after a garbled frame the stream offset is unknown.
-                self.transport.writelines(error_frame(item))
-                self._hang_up()
-            else:
-                self.task = self.server._loop.create_task(self._answer(*item))
-        # Both calls are idempotent: read only while nothing is waiting.
-        if self.pending:
-            self.transport.pause_reading()
-        else:
-            self.transport.resume_reading()
-
-    async def _answer(
-        self, msg_type: MsgType, header: dict, arrays: list
-    ) -> None:
-        server = self.server
-        try:
-            stall_s = 0.0
-            if msg_type == MsgType.SEARCH and server.chaos is not None:
-                action = server._inject_fault(self.transport)
-                if action == "reset":
-                    self._hang_up()
-                if action in ("reset", "drop", "overload"):
-                    return
-                if action == "delay":
-                    stall_s = server.chaos.delay_s
-            try:
-                response = await server._dispatch(msg_type, header, arrays, stall_s)
-            except Exception as exc:  # -> structured error frame
-                if self.hung_up:
-                    raise
-                response = error_frame(exc)
-            server.tally.count("frames_served")
-            self.transport.writelines(response)
-        except BaseException as exc:
-            if not self.hung_up:
-                raise  # server shutdown, or a bug asyncio should report
-            if msg_type == MsgType.SEARCH:
-                server._abandoned(exc)
-        finally:
-            self.task = None
-            self._pump()
+def _send(sock: socket.socket, frame: list) -> None:
+    """Write one encoded frame: one ``sendall``."""
+    sock.sendall(b"".join(frame))

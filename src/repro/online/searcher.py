@@ -7,8 +7,9 @@ A searcher can host the same shard of *several* indices ("to enable
 online A/B tests between different modeling techniques"), keyed by index
 name.  Hosting changes (deploy/undeploy) may race in-flight searches on
 other threads (an in-process broker's callers, the searcher server's
-executor), so the hosting table is copy-on-write: a search either sees
-an index fully attached or not at all, never a half-mutated dict.
+connection threads), so the hosting table is copy-on-write: a search
+either sees an index fully attached or not at all, never a half-mutated
+dict.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import build_lanns_index
@@ -34,6 +34,7 @@ from repro.errors import (
 )
 from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import (
+    DEFAULT_MAX_FRAME,
     MAGIC,
     MAX_HEADER_BYTES,
     PREFIX_SIZE,
@@ -437,14 +438,21 @@ def shard():
 
 
 @pytest.fixture
-def server(shard, request):
+def server(shard, request, monkeypatch):
+    """A live server on threads of this process (``max_in_flight=2``
+    unless the test's ``param`` says otherwise); the test fails if any
+    thread dies of an uncaught exception -- a server thread has no one
+    else to report it to."""
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
     node = SearcherNode(0)
     node.host(INDEX_NAME, shard)
     live = SearcherServer(
-        node, max_in_flight=2, **getattr(request, "param", {})
+        node, **{"max_in_flight": 2, **getattr(request, "param", {})}
     ).start_in_thread()
     yield live
     live.stop()
+    assert [crash.exc_value for crash in crashes] == []
 
 
 def connect(server) -> socket.socket:
@@ -460,9 +468,49 @@ def live_search_frame(rows: int = 2) -> bytes:
     )
 
 
+#: The query width of the served index.
+DIM = 16
+
+
+@st.composite
+def hostile_calls(draw):
+    """A well-framed, well-typed SEARCH whose *values* are hostile --
+    one or more of: ``top_k`` below 1 or beyond a frame's worth of
+    reply, a query block that is not ``(rows, DIM)``, non-finite cells,
+    a spent or NaN ``deadline_ms`` -- as ``(header fields, query block)``."""
+    rows = draw(st.integers(1, 4))
+    flaws = draw(
+        st.sets(st.sampled_from(["top_k", "shape", "cells", "deadline"]), min_size=1)
+    )
+    top_k = 3
+    if "top_k" in flaws:
+        top_k = draw(
+            st.integers(max_value=0)
+            | st.integers(DEFAULT_MAX_FRAME // 16 // rows + 1, 2**63)
+        )
+    shape = (rows, DIM)
+    if "shape" in flaws:
+        shape = draw(
+            st.tuples(st.integers(0, 40))
+            | st.tuples(st.just(rows), st.integers(0, 40).filter(lambda d: d != DIM))
+            | st.tuples(st.just(rows), st.integers(1, 3), st.integers(1, 8))
+        )
+    seed = draw(st.integers(0, 2**32 - 1))
+    queries = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+    if "cells" in flaws and queries.size:
+        cells = queries.reshape(-1)
+        hit = st.sets(st.integers(0, cells.size - 1), min_size=1, max_size=3)
+        for cell in draw(hit):
+            cells[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    deadline_ms = draw(st.sampled_from([None, 60_000.0]))
+    if "deadline" in flaws:
+        deadline_ms = draw(st.floats(max_value=0.0) | st.just(float("nan")))
+    return {"top_k": top_k, "deadline_ms": deadline_ms}, queries
+
+
 def _rows(planted: float | None = None) -> np.ndarray:
     """Two good query rows, with ``planted`` in one cell when given."""
-    rows = make_clustered(2, 16, seed=53)
+    rows = make_clustered(2, DIM, seed=53)
     if planted is not None:
         rows[1, 3] = planted
     return rows
@@ -475,7 +523,7 @@ HOSTILE_CALLS = {
     "top_k=-1": ({"top_k": -1}, _rows()),
     "top_k=10**9": ({"top_k": 10**9}, _rows()),
     "(B, 0) block": ({}, np.empty((2, 0), dtype=np.float32)),
-    "1-d block": ({}, np.zeros(16, dtype=np.float32)),
+    "1-d block": ({}, np.zeros(DIM, dtype=np.float32)),
     "nan": ({}, _rows(np.nan)),
     "inf": ({}, _rows(np.inf)),
     "-inf": ({}, _rows(-np.inf)),
@@ -503,10 +551,15 @@ def assert_serving_and_idle(server, *, abandoned: int) -> None:
         ((msg_type, _, arrays),) = recv_frames(sock, 1)
     assert msg_type == MsgType.RESULT
     assert arrays[0].shape == (2, 3)
-    assert server._queued == 0
-    assert server._admission._value == server.options.max_in_flight
+    assert gauges(server) == {"in_flight": 0, "queued": 0}
     assert server.tally.snapshot().get("abandoned", 0) == abandoned
     assert server._thread.is_alive()
+
+
+def gauges(server) -> dict:
+    """The live admission gauges of the server's STATS ``counts``."""
+    counts = server.stats()["counts"]
+    return {name: counts[name] for name in ("in_flight", "queued")}
 
 
 class TestLiveServer:
@@ -544,45 +597,41 @@ class TestLiveServer:
 
     @pytest.mark.parametrize("name", [*MALFORMED, *TRUNCATED])
     def test_malformed_stream_gets_an_error_frame_and_a_hangup(
-        self, server, name, caplog
+        self, server, name
     ):
         data, message = {**MALFORMED, **TRUNCATED}[name]
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            with connect(server) as sock:
-                if name in MALFORMED:
-                    # Behind a good request, in the same segment: the
-                    # request is answered first, then the server hangs up.
-                    sock.sendall(live_search_frame() + data)
-                    replies = recv_frames(sock, 3)
-                else:
-                    # EOF mid-request is a hang-up, so let the good
-                    # request finish before cutting the next one short.
-                    sock.sendall(live_search_frame())
-                    replies = recv_frames(sock, 1)
-                    sock.sendall(data)
-                    sock.shutdown(socket.SHUT_WR)
-                    replies += recv_frames(sock, 2)
-            assert_serving_and_idle(server, abandoned=0)
+        with connect(server) as sock:
+            if name in MALFORMED:
+                # Behind a good request, in the same segment: the
+                # request is answered first, then the server hangs up.
+                sock.sendall(live_search_frame() + data)
+                replies = recv_frames(sock, 3)
+            else:
+                # EOF mid-request is a hang-up, so let the good
+                # request finish before cutting the next one short.
+                sock.sendall(live_search_frame())
+                replies = recv_frames(sock, 1)
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                replies += recv_frames(sock, 2)
+        assert_serving_and_idle(server, abandoned=0)
         assert [reply[0] for reply in replies] == [MsgType.RESULT, MsgType.ERROR]
         error = unpack(MsgType.ERROR, replies[1][1])
         assert error.error_type == "ProtocolError"
         assert re.search(message, error.message)
-        assert caplog.records == []  # no traceback in the server thread
 
-    def test_random_blobs_never_kill_the_server(self, server, caplog):
+    def test_random_blobs_never_kill_the_server(self, server):
         rng = np.random.default_rng(17)
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            for _ in range(40):
-                blob = rng.integers(
-                    0, 256, size=int(rng.integers(1, 200)), dtype=np.uint8
-                ).tobytes()
-                with connect(server) as sock:
-                    sock.sendall(blob)
-                    sock.shutdown(socket.SHUT_WR)
-                    replies = recv_frames(sock, 2)
-                assert [reply[0] for reply in replies] == [MsgType.ERROR]
-            assert_serving_and_idle(server, abandoned=0)
-        assert caplog.records == []
+        for _ in range(40):
+            blob = rng.integers(
+                0, 256, size=int(rng.integers(1, 200)), dtype=np.uint8
+            ).tobytes()
+            with connect(server) as sock:
+                sock.sendall(blob)
+                sock.shutdown(socket.SHUT_WR)
+                replies = recv_frames(sock, 2)
+            assert [reply[0] for reply in replies] == [MsgType.ERROR]
+        assert_serving_and_idle(server, abandoned=0)
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_CALLS))
     def test_a_hostile_call_in_a_valid_frame_is_a_value_error(
@@ -602,7 +651,7 @@ class TestLiveServer:
             ),
             (queries,),
         )
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
+        with caplog.at_level(logging.WARNING):
             with connect(server) as sock:
                 sock.sendall(hostile + live_search_frame())
                 replies = recv_frames(sock, 2)
@@ -616,6 +665,38 @@ class TestLiveServer:
             2 if name in REFUSED_BEFORE_ADMISSION else 3
         )
         assert caplog.records == [] and len(recwarn) == 0
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(call=hostile_calls())
+    def test_a_hostile_call_in_a_valid_frame_is_refused(
+        self, server, call, recwarn
+    ):
+        """A well-framed, well-typed SEARCH whose *values* are hostile is
+        refused with a ``ValueError`` frame -- before admission for what
+        only the server can judge (a reply that could not fit a frame,
+        non-finite rows, a NaN budget), by the shard for the rest -- or
+        a ``DeadlineExceededError`` one for a spent budget, and the same
+        connection keeps serving."""
+        fields, queries = call
+        hostile = frame_to_bytes(
+            MsgType.SEARCH,
+            pack(MsgType.SEARCH, index=INDEX_NAME, ef=None, **fields),
+            (queries,),
+        )
+        with connect(server) as sock:
+            sock.sendall(hostile + live_search_frame())
+            replies = recv_frames(sock, 2)
+        assert [reply[0] for reply in replies] == [MsgType.ERROR, MsgType.RESULT]
+        error = unpack(MsgType.ERROR, replies[0][1])
+        assert error.error_type in ("ValueError", "DeadlineExceededError"), (
+            error.message
+        )
+        assert_serving_and_idle(server, abandoned=0)
+        assert len(recwarn) == 0
 
     def test_an_empty_query_block_is_answered_empty(self, server):
         empty = frame_to_bytes(
@@ -637,9 +718,36 @@ class TestLiveServer:
         with connect(server) as sock:
             sock.sendall(live_search_frame())
             wait_until(lambda: "faults" in server.tally.snapshot())
-            assert server._admission._value == server.options.max_in_flight - 1
+            assert gauges(server)["in_flight"] == server.options.max_in_flight - 1
         wait_until(lambda: "abandoned" in server.tally.snapshot())
         assert "abandoned_errors" not in server.tally.snapshot()
+        assert_serving_and_idle(server, abandoned=1)
+
+    @pytest.mark.parametrize(
+        "server",
+        [{"max_in_flight": 1, "queue_cap": 1, "chaos": "delay_every=1,delay_s=1.0"}],
+        indirect=True,
+    )
+    def test_hangup_while_queued_abandons_it_without_taking_the_slot(
+        self, server
+    ):
+        """A request queued for the one slot whose client hangs up leaves
+        the queue at once: counted ``abandoned``, never stalled or
+        searched, and the slot passes on to the next request."""
+        with connect(server) as holder:
+            holder.sendall(live_search_frame())
+            wait_until(lambda: "faults" in server.tally.snapshot())
+            with connect(server) as queued:
+                queued.sendall(live_search_frame())
+                wait_until(lambda: gauges(server)["queued"] == 1)
+            wait_until(lambda: "abandoned" in server.tally.snapshot())
+            assert gauges(server) == {"in_flight": 1, "queued": 0}
+            ((msg_type, _, _),) = recv_frames(holder, 1)
+        assert msg_type == MsgType.RESULT
+        # The queued request drew a stall it never slept, and only the
+        # holder was searched.
+        assert server.tally.snapshot()["faults"] == {"delay": 1}
+        assert server.node.tally.snapshot()["requests_served"] == 1
         assert_serving_and_idle(server, abandoned=1)
 
 
