@@ -1,8 +1,9 @@
 """Asyncio-hygiene checker.
 
 The fan-out hot path (``net/``, ``online/fanout.py`` and the hedge race
-in ``online/hedging.py``) runs on a single event-loop thread; one
-blocking call stalls every in-flight shard RPC.  Inside ``async def``
+in ``online/hedging.py``) runs on the process's one event-loop thread,
+shared by every broker and client; one blocking call stalls every
+in-flight shard RPC of the process.  Inside ``async def``
 bodies this checker bans:
 
 - ``time.sleep(...)`` (use ``asyncio.sleep``)

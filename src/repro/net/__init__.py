@@ -9,8 +9,8 @@ machines*, each hosting one shard.  This package is that wire layer:
   wrapping a :class:`~repro.online.searcher.SearcherNode`;
 - :mod:`repro.net.client` -- the pooled, retrying, deadline-aware
   asyncio RPC client, and its blocking facade for plain threads;
-- :mod:`repro.net.loop` -- the event-loop thread that the broker's
-  fan-out and the blocking facade submit coroutines to;
+- :mod:`repro.net.loop` -- the process's one event loop, which every
+  broker's fan-out and every blocking facade call runs on;
 - :mod:`repro.net.transport` -- the ``SearcherTransport`` abstraction
   the broker drives, with one in-process and one remote implementation;
 - :mod:`repro.net.fleet` -- spawn/await/stop real searcher subprocesses

@@ -1,12 +1,12 @@
 """RPC clients for one searcher: an asyncio core and a blocking facade.
 
 :class:`AsyncRemoteSearcherClient` is the only implementation of the
-client side of the wire.  The broker's fan-out loop awaits it natively
-(one coroutine per shard RPC, N in flight on one thread); reliability is
-layered as:
+client side of the wire.  The broker's fan-out awaits it natively on
+the process loop (one coroutine per shard RPC, N in flight on one
+thread); reliability is layered as:
 
 - **connection pool** -- a small stack of idle connections per searcher
-  and per event loop, so concurrent batches don't serialize on one
+  on the process loop, so concurrent batches don't serialize on one
   connection and repeated requests skip the TCP handshake.  A
   connection is a :class:`_Connection` (an :class:`asyncio.Protocol`
   over a sans-IO :class:`~repro.net.protocol.FrameReader`) and its
@@ -33,16 +33,18 @@ one crash can't poison later requests.
 :class:`RemoteSearcherClient` is the same client for plain threads --
 the control plane (deploy / verify / undeploy / stats), the CLI, test
 and benchmark drivers.  It holds no socket, pool, timeout or retry code:
-each method submits the core's coroutine to the process-wide
-:func:`~repro.net.loop.client_loop` thread and blocks for the result.
+each method runs the core's coroutine on the process loop through
+:func:`repro.net.loop.run` and blocks for the result.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import random
 import threading
 import time
+import weakref
 import zlib
 from functools import partial
 
@@ -54,7 +56,7 @@ from repro.errors import (
     ProtocolError,
     TransportError,
 )
-from repro.net.loop import client_loop
+from repro.net.loop import on_process_loop, process_loop, run
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     REPLY_TYPE,
@@ -86,6 +88,8 @@ _COUNTERS = get_registry().counters(
     closes="Connections a client closed.",
     retried="RPC retries a client made after a connectivity failure.",
 )
+#: Every live client, so that a forked child can drop what it inherited.
+_CLIENTS: weakref.WeakSet = weakref.WeakSet()
 
 
 def parse_address(address: str | tuple) -> tuple[str, int]:
@@ -158,12 +162,11 @@ class AsyncRemoteSearcherClient:
     flight on **one** event-loop thread instead of burning a thread per
     RPC.
 
-    Connections are pooled *per event loop*: an asyncio transport is
-    bound to the loop that opened it, and one client instance may be driven by
-    several loops (the service shares its transports across deployed
-    indices, each broker owning its own loop, and the blocking facade
-    drives the shared client loop).  Checkout inside a coroutine always
-    hands back a connection opened on the running loop.
+    Connections are pooled on the process loop
+    (:func:`~repro.net.loop.process_loop`) only, where every broker's
+    fan-out and every blocking facade call runs: an asyncio transport is
+    bound to the loop that opened it.  A coroutine awaited on any other
+    loop dials its own connection and closes it when the call ends.
 
     Cancellation safety -- what hedging leans on: an RPC cancelled
     mid-flight (the hedge race's loser) always **discards** its
@@ -182,7 +185,7 @@ class AsyncRemoteSearcherClient:
     connect_timeout_s:
         Budget for establishing one TCP connection.
     pool_size:
-        Idle connections kept per searcher and loop.  More concurrent
+        Idle connections kept per searcher.  More concurrent
         requests than this still work -- extras dial fresh connections
         and the surplus is closed on return.
     retries:
@@ -229,11 +232,12 @@ class AsyncRemoteSearcherClient:
         )
         self.max_frame = int(max_frame)
         self._lock = threading.Lock()
-        self._pools: dict[object, list[tuple]] = {}
+        self._pool: list[_Connection] = []
         self._closed = False
         #: Rows answered, RPCs sent, connections opened / closed and
         #: retries; ``connects - closes`` is :attr:`open_connections`.
         self.tally = Tally(_COUNTERS, searcher=self.address)
+        _CLIENTS.add(self)
 
     def _jitter(self, delay: float) -> float:
         """Full-jitter backoff draw: uniform in ``[0, delay]``.
@@ -295,83 +299,48 @@ class AsyncRemoteSearcherClient:
         self.tally.count("connects")
         return conn
 
-    async def _checkout(self, deadline: float | None) -> _Connection:
-        loop = asyncio.get_running_loop()
+    async def _checkout(
+        self, deadline: float | None, pooled: bool
+    ) -> _Connection:
         with self._lock:
             if self._closed:
                 raise ConnectionLostError(
                     f"client for {self.address} is closed"
                 )
-            pool = self._pools.get(loop)
-            if pool:
-                return pool.pop()
-        if pool is None:
-            # A loop can only have died since the last time a *new* loop
-            # showed up, so this is the one place that needs to look.
-            self._reap_dead_pools()
-            with self._lock:
-                self._pools.setdefault(loop, [])
+            if pooled and self._pool:
+                return self._pool.pop()
         return await self._dial(deadline)
 
-    def _checkin(self, conn: _Connection, loop) -> None:
+    def _checkin(self, conn: _Connection, pooled: bool) -> None:
         with self._lock:
-            if not self._closed:
-                pool = self._pools[loop]  # _checkout put it there
-                if len(pool) < self.pool_size:
-                    pool.append(conn)
-                    return
+            if pooled and not self._closed and len(self._pool) < self.pool_size:
+                self._pool.append(conn)
+                return
         self._discard(conn)
-
-    def _reap_dead_pools(self) -> None:
-        """Drop pools whose event loop is gone.
-
-        One client outlives any single broker (the service shares its
-        transports across deployed indices), so when a broker's fan-out
-        loop closes, the connections checked in under it would
-        otherwise linger unreachable -- every deploy/undeploy cycle
-        leaking ``pool_size`` sockets per searcher.
-        """
-        with self._lock:
-            dead = [loop for loop in self._pools if loop.is_closed()]
-            reaped = [(loop, self._pools.pop(loop)) for loop in dead]
-        for loop, pool in reaped:
-            for conn in pool:
-                self._close_pooled(loop, conn)
 
     def _discard(self, conn: _Connection) -> None:
         conn.transport.close()
         self.tally.count("closes")
 
-    def _close_pooled(self, loop, conn: _Connection) -> None:
-        """Close a pooled connection from any thread, loop alive or not."""
-        try:
-            loop.call_soon_threadsafe(conn.transport.close)
-        except RuntimeError:
-            # Loop already gone: close the underlying socket *object*
-            # (idempotent, so the transport destructor's double-close
-            # is a no-op -- unlike closing the raw fd, which could hit
-            # a reused descriptor number).
-            raw = getattr(conn.transport, "_sock", None)
-            if raw is not None:
-                try:
-                    raw.close()
-                except OSError:
-                    pass
-        self.tally.count("closes")
-
     def close(self) -> None:
         """Close every pooled connection; the client rejects further calls.
 
-        Callable from any thread: pooled connections are closed via
-        their owning loop when it is still running, or at the socket
-        level when the loop is already gone (broker shut down first).
+        Callable from any thread: the pooled connections are closed on
+        the process loop that owns them.
         """
         with self._lock:
             self._closed = True
-            pools, self._pools = self._pools, {}
-        for loop, pool in pools.items():
-            for conn in pool:
-                self._close_pooled(loop, conn)
+            pool, self._pool = self._pool, []
+        for conn in pool:
+            process_loop().call_soon_threadsafe(conn.transport.close)
+            self.tally.count("closes")
+
+    def _forget_pool(self) -> None:
+        """Fork hook: the pooled sockets are the parent's, so the child
+        drops them unclosed (the inherited loop keeps them referenced)."""
+        self._lock = threading.Lock()  # a parent's thread may hold the old one
+        with self._lock:
+            self._pool = []
 
     # -- core call machinery -----------------------------------------------------------
     @staticmethod
@@ -395,14 +364,15 @@ class AsyncRemoteSearcherClient:
         arrays: tuple,
         deadline: float | None,
     ) -> tuple[MsgType, dict, list[np.ndarray]]:
-        conn = await self._checkout(deadline)
+        pooled = on_process_loop()
+        conn = await self._checkout(deadline, pooled)
         loop = asyncio.get_running_loop()
         budget = self.timeout_s
         if deadline is not None:
             try:
                 budget = min(budget, self._remaining(deadline))
             except DeadlineExceededError:
-                self._checkin(conn, loop)
+                self._checkin(conn, pooled)
                 raise
         # One frame, one write, one future: the reply (or the hang-up)
         # resolves it from data_received, and one timer bounds the whole
@@ -420,7 +390,7 @@ class AsyncRemoteSearcherClient:
             raise
         finally:
             timer.cancel()
-        self._checkin(conn, loop)
+        self._checkin(conn, pooled)
         return response
 
     async def call(
@@ -605,51 +575,34 @@ class RemoteSearcherClient:
 
     Takes the core's constructor arguments and offers its RPC surface to
     plain threads: each method runs the same-named coroutine of
-    :attr:`core` on the shared :func:`~repro.net.loop.client_loop`
-    thread and blocks for its result (or re-raises its exception).  Safe
-    to share between threads; the connections it opens are pooled by the
-    core under that loop.
+    :attr:`core` on the process loop through :func:`repro.net.loop.run`
+    and blocks for its result (or re-raises its exception), refusing a
+    caller inside a running event loop.  Safe to share between threads;
+    the connections it opens are pooled by the core.
     """
 
     def __init__(self, address: str | tuple, **core_kwargs) -> None:
         self.core = AsyncRemoteSearcherClient(address, **core_kwargs)
 
-    def _block(self, coroutine_fn, *args, **kwargs):
-        name = coroutine_fn.__name__
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass  # no loop on this thread: blocking it stalls nothing
-        else:
-            # Waiting here would stall every task of the caller's loop --
-            # and deadlock outright when that loop is the client loop.
-            raise RuntimeError(
-                f"RemoteSearcherClient.{name}() blocks and was called "
-                f"from a running event loop; await "
-                f"AsyncRemoteSearcherClient.{name}() (this client's "
-                f"`.core.{name}`) instead"
-            )
-        return client_loop().submit(coroutine_fn(*args, **kwargs)).result()
-
     def search(self, call: ShardCall) -> ShardReply:
         """Blocking :meth:`AsyncRemoteSearcherClient.search`."""
-        return self._block(self.core.search, call)
+        return run(self.core.search(call))
 
     def deploy(self, *args, **kwargs) -> list[str]:
         """Blocking :meth:`AsyncRemoteSearcherClient.deploy`."""
-        return self._block(self.core.deploy, *args, **kwargs)
+        return run(self.core.deploy(*args, **kwargs))
 
     def undeploy(self, *args, **kwargs) -> list[str]:
         """Blocking :meth:`AsyncRemoteSearcherClient.undeploy`."""
-        return self._block(self.core.undeploy, *args, **kwargs)
+        return run(self.core.undeploy(*args, **kwargs))
 
     def stats(self, **kwargs) -> dict:
         """Blocking :meth:`AsyncRemoteSearcherClient.stats`."""
-        return self._block(self.core.stats, **kwargs)
+        return run(self.core.stats(**kwargs))
 
     def ping(self, **kwargs) -> int:
         """Blocking :meth:`AsyncRemoteSearcherClient.ping`."""
-        return self._block(self.core.ping, **kwargs)
+        return run(self.core.ping(**kwargs))
 
     def close(self) -> None:
         """Close every pooled connection; the client rejects further calls."""
@@ -661,3 +614,11 @@ class RemoteSearcherClient:
 
     def __repr__(self) -> str:
         return f"RemoteSearcherClient({self.address!r})"
+
+
+def _forget_pools_in_child() -> None:
+    for client in list(_CLIENTS):
+        client._forget_pool()
+
+
+os.register_at_fork(after_in_child=_forget_pools_in_child)

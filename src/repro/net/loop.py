@@ -1,106 +1,88 @@
-"""``LoopThread``: one daemon thread running an asyncio event loop.
+"""The process's one event loop, and the one way to block on it.
 
-The serving tier's public API is synchronous (``Broker.execute`` callers,
-the micro-batch flusher and the control plane are plain threads) while
-every RPC is a coroutine of
-:class:`~repro.net.client.AsyncRemoteSearcherClient`.  A ``LoopThread``
-is the bridge: :meth:`LoopThread.submit` schedules a coroutine on the
-loop from any thread and hands back a ``concurrent.futures.Future``.
+The serving tier's public API is synchronous (``Broker.execute``
+callers, the micro-batch flusher and the control plane are plain
+threads) while every RPC is a coroutine of
+:class:`~repro.net.client.AsyncRemoteSearcherClient`.  Every loop-venue
+:class:`~repro.online.broker.Broker` fan-out and every blocking
+:class:`~repro.net.client.RemoteSearcherClient` call hands its
+coroutine to :func:`run`, which runs it on the one loop of the process
+(:func:`process_loop`) and blocks the calling thread for the result.
 
-Two kinds exist in a process: each loop-venue
-:class:`~repro.online.broker.Broker` owns a private ``broker-async-loop``
-and closes it with itself; every blocking
-:class:`~repro.net.client.RemoteSearcherClient` shares the one
-``client-async-loop`` that :func:`client_loop` starts on first use.
+The loop's daemon thread, ``process-async-loop``, starts on first use,
+never at import, so a process that only serves in-process shards runs
+none; it is never stopped, because brokers and clients come and go for
+the life of the process.  A forked child inherits the loop but not its
+thread: it starts its own on first use (see :func:`_forget_in_child`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import os
 import threading
 
-__all__ = ["LoopThread", "client_loop"]
+__all__ = ["THREAD_NAME", "on_process_loop", "process_loop", "run"]
+
+THREAD_NAME = "process-async-loop"
+
+_loop: asyncio.AbstractEventLoop | None = None
+_lock = threading.Lock()
+#: Loops a forked child inherited from its parents; see _forget_in_child.
+_inherited: list[asyncio.AbstractEventLoop] = []
 
 
-class LoopThread:
-    """One background thread running an asyncio loop until :meth:`close`.
+def process_loop() -> asyncio.AbstractEventLoop:
+    """The process's event loop, started with its thread on first call."""
+    global _loop
+    with _lock:
+        if _loop is None:
+            loop = asyncio.new_event_loop()
+            threading.Thread(
+                target=loop.run_forever, name=THREAD_NAME, daemon=True
+            ).start()
+            _loop = loop
+        return _loop
 
-    One thread total, regardless of how many coroutines are in flight.
+
+def on_process_loop() -> bool:
+    """Whether the calling coroutine runs on the process loop."""
+    return asyncio.get_running_loop() is _loop
+
+
+def run(coro):
+    """Run ``coro`` on the process loop and block for its result.
+
+    Refuses with ``RuntimeError`` (closing ``coro`` unstarted) when the
+    calling thread runs an event loop: blocking it would stall every
+    task of that loop, and deadlock outright on the process loop itself.
     """
-
-    def __init__(self, name: str) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._lock = threading.Lock()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.call_soon(self._started.set)
-        try:
-            self.loop.run_forever()
-        finally:
-            # Cancel whatever close() interrupted, then let the
-            # cancellations unwind so client connections get discarded.
-            pending = asyncio.all_tasks(self.loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self.loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            self.loop.close()
-
-    def submit(self, coro):
-        """Schedule ``coro`` on the loop; returns a concurrent Future.
-
-        Raises ``RuntimeError`` after :meth:`close` began.  The lock
-        orders submission against shutdown: a submit that wins the lock
-        queues its task-creation callback *before* close() queues
-        ``loop.stop`` (``call_soon_threadsafe`` is FIFO), so the task
-        exists by the time the loop stops and the shutdown sweep
-        resolves its future with a cancellation -- never a silent
-        forever-pending future.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(f"{self._thread.name} is closed")
-            return asyncio.run_coroutine_threadsafe(coro, self.loop)
-
-    def close(self, timeout: float = 30.0) -> None:
-        with self._lock:
-            self._closed = True
-        with contextlib.suppress(RuntimeError):
-            self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            # A silent return here would leak a live loop thread still
-            # running RPCs against an owner the caller believes is gone.
-            raise TimeoutError(
-                f"{self._thread.name} thread still alive after {timeout}s "
-                "(an in-flight RPC is wedged past every deadline)"
-            )
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return asyncio.run_coroutine_threadsafe(coro, process_loop()).result()
+    name = coro.__qualname__
+    coro.close()
+    raise RuntimeError(
+        f"blocking on {name}() from a running event loop would stall "
+        f"it; await {name}() in a coroutine, or block from a plain "
+        "thread (asyncio.to_thread)"
+    )
 
 
-_client_loop: LoopThread | None = None
-_client_loop_lock = threading.Lock()
+def _forget_in_child() -> None:
+    """Fork hook: the parent's loop has no thread in the child.
 
-
-def client_loop() -> LoopThread:
-    """The process-wide loop every blocking client submits to.
-
-    Started on the first call, never at import, so a process that only
-    serves in-process shards runs no such thread; a daemon that is never
-    closed, because clients come and go for the life of the process.
+    It is kept, never closed or collected: its selector, self-pipe and
+    the sockets registered with it are shared with the parent, and
+    closing them here would unregister them from under the parent's
+    loop.  The child starts a fresh loop on first use.
     """
-    global _client_loop
-    with _client_loop_lock:
-        if _client_loop is None:
-            _client_loop = LoopThread("client-async-loop")
-        return _client_loop
+    global _loop, _lock
+    if _loop is not None:
+        _inherited.append(_loop)
+    _loop = None
+    _lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_in_child)

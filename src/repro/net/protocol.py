@@ -270,9 +270,8 @@ class ShardCall:
     back to its own clock.
 
     Immutable because it is shared: every shard of an unpruned fan-out,
-    a hedge and a failover get the same object, on the fan-out loop and
-    on executor threads alike.  Results are bit-identical whatever
-    ``trace`` / ``cost`` say.
+    a hedge and a failover get the same object.  Results are
+    bit-identical whatever ``trace`` / ``cost`` say.
     """
 
     index: str

@@ -15,10 +15,10 @@ in, one :class:`~repro.net.protocol.ShardReply` (ids, dists, ``cost``,
 signal is one entry appended to ``FRAME_FIELDS`` and one dataclass
 field, set where the call is built and read where it is served.
 
-A transport that also implements :class:`AsyncSearcherTransport` is
-awaited on the broker's fan-out loop; the one remote transport does, so
-any fleet holding it is searched there (failover, hedging and the
-retry-after pause live only on that loop).
+A fleet is all :class:`LocalSearcherTransport` (searched inline on the
+caller's thread) or all :class:`AsyncSearcherTransport` (awaited on the
+process's event loop, the only home of failover, hedging and the
+retry-after pause); the broker refuses a mix.
 
 Deadlines: ``call.deadline`` is an absolute ``time.monotonic()`` instant.
 The remote transport enforces it on the wire; the local transport
@@ -66,11 +66,10 @@ class SearcherTransport(abc.ABC):
 class AsyncSearcherTransport(abc.ABC):
     """Marker + contract for transports with a native-async search path.
 
-    The broker's asyncio fan-out multiplexes every transport that
-    implements this on one event loop; transports without it (the
-    in-process kind) fall back to an executor call.  Implementations
-    must tolerate several concurrent :meth:`search_batch_async` calls
-    for one shard -- that is exactly what a hedged request is.
+    The broker's fan-out multiplexes a fleet of these on the process
+    loop.  Implementations must tolerate several concurrent
+    :meth:`search_batch_async` calls for one shard -- that is exactly
+    what a hedged request is.
     """
 
     @abc.abstractmethod
@@ -103,11 +102,11 @@ class LocalSearcherTransport(SearcherTransport):
 class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
     """A shard behind TCP, driven through one :class:`RemoteSearcherClient`.
 
-    Both search paths are the same client code on different threads:
-    :meth:`search_batch_async` awaits the client's asyncio core on the
-    caller's event loop (the broker's fan-out), while :meth:`search`
-    and the control plane (``verify`` / ``deploy`` / ``undeploy`` /
-    ``stats``) block a plain thread on the facade.
+    Both search paths are the same client code: :meth:`search_batch_async`
+    awaits the client's asyncio core on the caller's event loop (the
+    broker's fan-out, on the process loop), while :meth:`search` and the
+    control plane (``verify`` / ``deploy`` / ``undeploy`` / ``stats``)
+    block a plain thread on the facade.
 
     ``shard_id`` is the position this transport holds in the broker's
     fleet; :meth:`verify` confirms the process at ``address`` actually

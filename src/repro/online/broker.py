@@ -20,8 +20,8 @@ broker's :class:`~repro.obs.clock.StageClock`::
   runs -- and sent only to the shard groups hosting its segments.
   Routing is a pure function of the query, so it changes no answer,
   cache key or admission key.
-- **fan out** (:mod:`repro.online.fanout`), inline or on one event loop
-  as the fleet dictates, with replica failover
+- **fan out** (:mod:`repro.online.fanout`), inline or on the process's
+  event loop as the fleet dictates, with replica failover
   (:mod:`repro.online.failover`) and hedged requests
   (:mod:`repro.online.hedging`) on the loop.
 - **merge**: :func:`~repro.core.merge.merge_shard_results_batch` over
@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.config import LannsConfig
 from repro.core.merge import empty_part, merge_shard_results_batch
 from repro.net.protocol import ShardCall
-from repro.net.transport import AsyncSearcherTransport, SearcherTransport
+from repro.net.transport import SearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.cost import SearchCost
 from repro.obs.metrics import Tally, get_registry
@@ -102,11 +102,10 @@ class BrokerPolicy(FlagFields):
     ``repro.cli query --searchers``.
     """
 
-    #: Tail-tolerance knob (needs at least one
-    #: :class:`~repro.net.transport.AsyncSearcherTransport` in the
-    #: fleet -- a hedge that could never fire is rejected, not dropped):
-    #: when an async-capable shard has not answered within this many
-    #: seconds and budget remains before the deadline, the same RPC is
+    #: Tail-tolerance knob (needs the ``loop`` venue, a remote fleet --
+    #: a hedge that could never fire is rejected, not dropped): when a
+    #: shard has not answered within this many seconds and budget
+    #: remains before the deadline, the same RPC is
     #: re-issued -- on a *different replica* of the group when one is
     #: available, else on a second connection to the same process.
     #: First reply wins, the loser is cancelled.  ``None`` disables
@@ -252,17 +251,6 @@ class Broker:
             for group in self.groups
             for transport in group.transports
         ]
-        # Hedges race a second RPC on the fan-out loop, which only an
-        # AsyncSearcherTransport can multiplex: a hedge delay no
-        # transport could honor is refused, not silently dropped.
-        if policy.hedge_after_s is not None and not any(
-            isinstance(t, AsyncSearcherTransport) for t in self.transports
-        ):
-            raise ValueError(
-                "hedge_after_s needs at least one AsyncSearcherTransport "
-                "in the fleet (hedges are raced on the fan-out event loop; "
-                "in-process transports cannot hedge)"
-            )
         self.config = config
         self.router: Router | None = (
             Router(segmenter, segment_sizes)
@@ -294,6 +282,14 @@ class Broker:
         #: Where the fan-out runs -- derived from the fleet, see
         #: :mod:`repro.online.fanout`.
         self.venue = self._fanout.venue
+        # Hedges are raced on the event loop: a hedge delay no shard
+        # could honor is refused, not silently dropped.
+        if policy.hedge_after_s is not None and self.venue != "loop":
+            raise ValueError(
+                "hedge_after_s needs the loop venue, a fleet of "
+                "AsyncSearcherTransport (hedges are raced on the event "
+                "loop; in-process transports cannot hedge)"
+            )
         self._admission = Admission(
             self._search,
             self.cache,
@@ -305,15 +301,12 @@ class Broker:
         )
 
     def close(self) -> None:
-        """Drain the admission layer and stop the fan-out loop.
+        """Drain the admission layer.
 
         Idempotent and safe to call with requests in flight: pending
-        micro-batches execute before the flusher exits, and requests
-        the loop can no longer serve re-run their fan-out on the
-        caller's thread instead of hanging.
+        micro-batches execute before the flusher exits.
         """
         self._admission.close()
-        self._fanout.close()
 
     def stats(self) -> dict:
         """Serving state: this broker's ``counts`` (its tally's snapshot),

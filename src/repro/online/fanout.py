@@ -11,12 +11,16 @@ option:
   (Routing it through the event loop instead costs +0.5-0.7 ms on a
   2.5-3.0 ms single-query request -- the whole latency budget of the
   ledger's ``local_single`` workload.)
-- ``"loop"`` -- the fleet holds any other transport.  All shard RPCs of
-  a batch are multiplexed on one private asyncio loop thread, the only
-  home of replica **failover**, the ``OVERLOADED`` retry-after pause
-  (:mod:`repro.online.failover`) and **hedged requests**
-  (:mod:`repro.online.hedging`; :mod:`repro.online.replicas` keeps the
-  per-replica health/load ledger both venues report to).
+- ``"loop"`` -- every transport is an
+  :class:`~repro.net.transport.AsyncSearcherTransport`.  All shard RPCs
+  of a batch are multiplexed on the process's one event loop
+  (:mod:`repro.net.loop`), the only home of replica **failover**, the
+  ``OVERLOADED`` retry-after pause (:mod:`repro.online.failover`) and
+  **hedged requests** (:mod:`repro.online.hedging`;
+  :mod:`repro.online.replicas` keeps the per-replica health/load ledger
+  both venues report to).
+
+A fleet that mixes the two kinds is refused.
 
 Either venue yields one :class:`Outcome` per :class:`Work` item;
 :func:`assemble` turns them into the :class:`FanoutResult` to merge.
@@ -25,31 +29,21 @@ Either venue yields one :class:`Outcome` per :class:`Work` item;
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import CancelledError as FutureCancelledError
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.merge import empty_part
-from repro.errors import DeadlineExceededError, OverloadedError, TransportError
-from repro.net.loop import LoopThread
+from repro.errors import OverloadedError, TransportError
+from repro.net import loop
 from repro.net.protocol import ShardCall, ShardReply
-from repro.net.transport import (
-    AsyncSearcherTransport,
-    LocalSearcherTransport,
-    SearcherTransport,
-)
+from repro.net.transport import AsyncSearcherTransport, LocalSearcherTransport
 from repro.obs.clock import Stage, StageClock
 from repro.obs.cost import SearchCost
 from repro.obs.metrics import Tally
 from repro.obs.tracing import Trace
-from repro.online.failover import (
-    budget_left,
-    degrades,
-    retry_after_pause,
-    should_fail_over,
-)
+from repro.online.failover import degrades, retry_after_pause, should_fail_over
 from repro.online.hedging import hedged_search
 from repro.online.replicas import ReplicaGroup, ReplicaState
 from repro.online.router import RoutingPlan
@@ -277,24 +271,17 @@ class FanOut:
         self.clock = clock
         self.tally = tally
         self.partial_policy = partial_policy
-        self.venue = (
-            "inline"
-            if all(
-                isinstance(transport, LocalSearcherTransport)
-                for group in groups
-                for transport in group.transports
+        transports = [t for group in groups for t in group.transports]
+        if all(isinstance(t, LocalSearcherTransport) for t in transports):
+            self.venue = "inline"
+        elif all(isinstance(t, AsyncSearcherTransport) for t in transports):
+            self.venue = "loop"
+        else:
+            raise ValueError(
+                "a fleet is all in-process (LocalSearcherTransport) or all "
+                "remote (AsyncSearcherTransport); got "
+                + ", ".join(sorted({type(t).__name__ for t in transports}))
             )
-            else "loop"
-        )
-        self._loop: LoopThread | None = (
-            LoopThread("broker-async-loop") if self.venue == "loop" else None
-        )
-
-    def close(self) -> None:
-        """Stop the loop thread; fan-outs it can no longer serve re-run
-        on their caller's thread instead of hanging."""
-        if self._loop is not None:
-            self._loop.close()
 
     def run(
         self,
@@ -310,10 +297,13 @@ class FanOut:
         parents, because the loop venue runs on a thread where the
         recorder's nesting stack cannot be used.
         """
-        venue = self._inline if self.venue == "inline" else self._on_loop
+        if self.venue == "inline":
+            outcomes = self._inline(batch, work, fanout_span)
+        else:
+            outcomes = loop.run(self._gather(batch, work, fanout_span))
         return assemble(
             work,
-            venue(batch, work, fanout_span),
+            outcomes,
             routed,
             batch.call.top_k,
             self.partial_policy,
@@ -346,32 +336,7 @@ class FanOut:
             outcomes.append(outcome)
         return outcomes
 
-    # -- loop venue (any remote transport) ----------------------------------------------
-    def _on_loop(
-        self, batch: Batch, work: list[Work], fanout_span: dict | None
-    ) -> list[Outcome]:
-        """Run :meth:`_gather` on the loop thread and wait for it.
-
-        When :meth:`close` got there first -- the loop refuses the
-        submission, or tears the running fan-out down -- the transports
-        are still alive, so the same coroutine is re-run from the top
-        on a private loop on the caller's thread: one implementation,
-        whichever thread ends up driving it.
-        """
-        coro = self._gather(batch, work, fanout_span)
-        try:
-            future = self._loop.submit(coro)
-        except RuntimeError:
-            coro.close()
-        else:
-            try:
-                return future.result()
-            except (FutureCancelledError, asyncio.CancelledError):
-                # The wrapper future raises concurrent.futures'
-                # CancelledError, a *different* class from asyncio's.
-                pass
-        return asyncio.run(self._gather(batch, work, fanout_span))
-
+    # -- loop venue (remote fleets) ------------------------------------------------------
     async def _gather(
         self, batch: Batch, work: list[Work], fanout_span: dict | None
     ) -> list[Outcome]:
@@ -406,7 +371,7 @@ class FanOut:
                     self.clock, batch.trace, group, target, rpc.span,
                     window="shard_rpc", hedge=hedge,
                 ) as attempt:
-                    attempt.reply = await self._search_one(target.transport, call)
+                    attempt.reply = await target.transport.search_batch_async(call)
                 return attempt
 
             while True:
@@ -443,30 +408,3 @@ class FanOut:
                     return outcome
             rpc.annotate(ok=False, replica=-1)
         return Outcome(None, last, -1, None)
-
-    @staticmethod
-    async def _search_one(
-        transport: SearcherTransport, call: ShardCall
-    ) -> ShardReply:
-        """One shard RPC on the event loop.
-
-        Async-capable transports are awaited natively (the remote
-        client enforces the deadline on the wire); the in-process
-        shards of a mixed fleet run on the loop's default executor with
-        the wait bounded by the remaining budget.
-        """
-        if isinstance(transport, AsyncSearcherTransport):
-            return await transport.search_batch_async(call)
-        deadline = call.deadline
-        wait = None if deadline is None else max(budget_left(deadline), 0.0)
-        try:
-            return await asyncio.wait_for(
-                asyncio.get_running_loop().run_in_executor(
-                    None, transport.search, call
-                ),
-                wait,
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            raise DeadlineExceededError(
-                f"shard {transport.shard_id} missed the request deadline"
-            ) from None

@@ -14,7 +14,6 @@ import contextlib
 from collections.abc import Callable, Coroutine
 
 from repro.errors import TransportError
-from repro.net.transport import AsyncSearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.metrics import Tally
 from repro.online.failover import budget_left
@@ -71,19 +70,14 @@ async def hedged_search(
     """One replica's answer, hedging a straggling RPC when allowed.
 
     The hedge fires only when (a) hedging is configured (``delay`` was
-    resolved for this batch), (b) the transport can multiplex a second
-    in-flight RPC, and (c) budget remains before the request deadline.
-    The hedge lands on a *different* replica when the group has an
-    untried, non-draining, async-capable sibling -- that is what lets it
-    dodge a slow process, not just a slow connection -- and on a second
+    resolved for this batch) and (b) budget remains before the request
+    deadline.  The hedge lands on a *different* replica when the group
+    has an untried, non-draining sibling -- that is what lets it dodge a
+    slow process, not just a slow connection -- and on a second
     connection to the same process otherwise.  Returns whatever the
     winning ``issue`` task returned.
     """
-    if not (
-        delay is not None
-        and isinstance(replica.transport, AsyncSearcherTransport)
-        and budget_left(deadline) > delay
-    ):
+    if not (delay is not None and budget_left(deadline) > delay):
         return await issue(replica)  # no hedge can fire: nothing to race
     primary = asyncio.create_task(issue(replica))
     done, _ = await asyncio.wait({primary}, timeout=delay)
@@ -92,10 +86,7 @@ async def hedged_search(
     # second RPC that cannot answer in time either.
     if not done and budget_left(deadline) > 0:
         alternate = group.pick(exclude=tried)
-        if alternate is not None and (
-            alternate.draining
-            or not isinstance(alternate.transport, AsyncSearcherTransport)
-        ):
+        if alternate is not None and alternate.draining:
             alternate = None
         if alternate is None:
             alternate = replica  # second connection, same process

@@ -117,7 +117,7 @@ class OnlineService:
             self.remote = True
 
             # One client per searcher: the broker awaits its asyncio
-            # core on the fan-out loop; deploy / verify / undeploy /
+            # core on the process loop; deploy / verify / undeploy /
             # stats block this thread on the same client's facade.
             def connect(address: str, shard_id: int):
                 return RemoteSearcherTransport(

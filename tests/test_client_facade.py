@@ -5,9 +5,11 @@
   half-read connection is discarded.
 - A deadline that expires between checkout and send returns the pooled
   connection instead of leaking it.
-- The facade refuses to block a running event loop.
-- All facades of a process share one lazily started loop thread; an
-  in-process service starts none.
+- Neither the facade nor a loop-venue broker blocks a running event
+  loop: both refuse, the process loop included.
+- All facades and brokers of a process share one lazily started loop
+  thread; an in-process service starts none, and a forked child starts
+  its own.
 - One facade shared by many threads, and one transport driven through
   both ``search`` and ``search_batch_async``, answer bit-identically to
   the in-process shard.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import multiprocessing
 import socket
 import subprocess
 import sys
@@ -33,6 +36,7 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import DeadlineExceededError
 from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
+from repro.net.loop import process_loop
 from repro.net.protocol import MsgType, ShardCall, frame_to_bytes
 from repro.net.server import SearcherServer
 from repro.net.transport import (
@@ -205,6 +209,57 @@ class TestFacade:
         assert client.open_connections == 0
 
 
+def ping_within(client: RemoteSearcherClient, seconds: float) -> None:
+    began = time.monotonic()
+    assert client.ping() == 0
+    assert time.monotonic() - began < seconds
+
+
+class TestOneLoop:
+    def test_a_blocking_broker_call_inside_a_loop_raises(self, server, queries):
+        """From a coroutine under ``asyncio.run`` or on the process loop
+        itself (which would deadlock): refused before any RPC."""
+        transport = RemoteSearcherTransport(server.address, 0)
+        broker = Broker([transport], CONFIG)
+
+        async def misuse():
+            return broker.search_batch(INDEX_NAME, queries[:2], 5)
+
+        try:
+            with pytest.raises(RuntimeError, match="running event loop"):
+                asyncio.run(misuse())
+            on_loop = asyncio.run_coroutine_threadsafe(misuse(), process_loop())
+            with pytest.raises(RuntimeError, match="running event loop"):
+                on_loop.result(timeout=10)
+            assert transport.client.tally.snapshot() == {}
+        finally:
+            broker.close()
+            transport.close()
+
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded:DeprecationWarning"
+    )
+    def test_a_forked_child_pings_on_its_own_loop(self, server):
+        """The child inherits the loop but not its thread, and the
+        pooled socket is the parent's: it must neither hang nor touch it."""
+        client = RemoteSearcherClient(server.address, timeout_s=2.0, retries=0)
+        try:
+            assert client.ping() == 0
+            child = multiprocessing.get_context("fork").Process(
+                target=ping_within, args=(client, 2.0)
+            )
+            child.start()
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            assert child.exitcode == 0
+            assert client.ping() == 0
+            assert client.tally.snapshot()["connects"] == 1
+        finally:
+            client.close()
+
+
 class TestOneRemoteTransport:
     def test_alias_names_the_same_class(self):
         assert AsyncRemoteSearcherTransport is RemoteSearcherTransport
@@ -312,6 +367,7 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.hnsw.index import HnswParams
 from repro.net.client import RemoteSearcherClient
+from repro.net.loop import THREAD_NAME
 from repro.net.server import SearcherServer
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
@@ -361,7 +417,15 @@ for thread in threads:
 for thread in threads:
     thread.join(60)
 assert not any(thread.is_alive() for thread in threads)
-assert loop_threads() == ["client-async-loop"], loop_threads()
+assert loop_threads() == [THREAD_NAME], loop_threads()
+
+# A/B: two indices deployed on the remote fleet, one broker each.
+ab = OnlineService(searchers=[server.address])
+for name in ("a", "b"):
+    ab.deploy(fs, "census", index_name=name)
+    ab.query_batch(rng.normal(size=(4, 8)).astype(np.float32), 3, index_name=name)
+assert loop_threads() == [THREAD_NAME], loop_threads()
+ab.close()
 for client in clients:
     client.close()
 assert [client.open_connections for client in clients] == [0] * 12
@@ -374,8 +438,9 @@ class TestThreadCensus:
     def test_in_process_service_starts_none_and_all_facades_share_one(
         self, tmp_path
     ):
-        """Run in a fresh interpreter: the client loop is process-wide,
-        so other tests of this run may already have started it."""
+        """Run in a fresh interpreter: the loop is process-wide, so other
+        tests of this run may already have started it.  The 12 facades
+        and an A/B service's two brokers share the one loop thread."""
         script = CENSUS_SCRIPT.replace("ROOT", repr(str(tmp_path)))
         done = subprocess.run(
             [sys.executable, "-c", script],

@@ -1,11 +1,11 @@
 """The broker's fan-out venue is derived from the fleet, not configured.
 
 - An all-in-process fleet is searched **inline** on the calling thread:
-  no ``broker-*`` thread is ever started.
-- A fleet holding any remote transport runs on the **loop**: exactly one
-  ``broker-async-loop`` thread, whatever mix of transports it fronts.
-- Both venues answer like the reference index: the ``inline`` / ``loop``
-  / ``mixed`` venues of ``tests/test_path_matrix.py``.
+  no thread is ever started.
+- An all-remote fleet runs on the **loop**: its RPCs are awaited on the
+  process loop's thread.  A fleet mixing the two kinds is refused.
+- Both venues answer like the reference index: the ``inline`` /
+  ``loop`` venues of ``tests/test_path_matrix.py``.
 - ``close()`` racing in-flight loop-venue requests never hangs them and
   never leaks a connection: each request answers bit-identically or
   raises a :mod:`repro.errors` taxonomy error within its deadline.
@@ -22,6 +22,7 @@ import pytest
 
 from repro.errors import LannsError
 from repro.net.chaos import FaultPlan
+from repro.net.loop import THREAD_NAME, process_loop
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
@@ -47,14 +48,6 @@ def servers(nodes):
         server.stop()
 
 
-def broker_threads() -> list[str]:
-    return sorted(
-        thread.name
-        for thread in threading.enumerate()
-        if thread.name.startswith("broker-")
-    )
-
-
 def remote(servers, **kwargs):
     return [
         RemoteSearcherTransport(server.address, shard_id, **kwargs)
@@ -66,38 +59,58 @@ class TestVenueSelection:
     def test_in_process_fleet_is_inline_and_starts_no_thread(
         self, nodes, queries
     ):
-        assert broker_threads() == []
+        before = set(threading.enumerate())
         broker = Broker(nodes, LANNS_2X2)
         try:
             assert broker.venue == "inline"
             assert broker.stats()["venue"] == "inline"
             broker.search_batch("venue", queries, 10)
-            assert broker_threads() == []
+            assert not set(threading.enumerate()) - before
         finally:
             broker.close()
 
-    @pytest.mark.parametrize("fleet_kind", ["async", "mixed"])
     def test_remote_fleet_runs_one_loop(
-        self, nodes, servers, queries, fleet_kind
+        self, servers, queries, monkeypatch
     ):
+        """Every RPC of the fan-out is awaited on the process loop."""
+        awaited_on: set[str] = set()
+        search = RemoteSearcherTransport.search_batch_async
+
+        async def recording(transport, call):
+            awaited_on.add(threading.current_thread().name)
+            return await search(transport, call)
+
+        monkeypatch.setattr(
+            RemoteSearcherTransport, "search_batch_async", recording
+        )
         transports = remote(servers)
-        fleet = list(transports)
-        if fleet_kind == "mixed":
-            fleet[0] = nodes[0]
-        assert broker_threads() == []
-        broker = Broker(fleet, LANNS_2X2, request_timeout_s=30.0)
+        broker = Broker(transports, LANNS_2X2, request_timeout_s=30.0)
         try:
             assert broker.venue == "loop"
             got = broker.execute(
                 SearchRequest(queries=queries, top_k=10, index_name="venue")
             )
-            assert broker_threads() == ["broker-async-loop"]
+            assert awaited_on == {THREAD_NAME}
             assert (got.shards_answered == LANNS_2X2.num_shards).all()
         finally:
             broker.close()
             for transport in transports:
                 transport.close()
-        assert broker_threads() == []
+
+    @pytest.mark.parametrize("mix", ["across_groups", "within_a_group"])
+    def test_a_mixed_fleet_is_refused(self, nodes, servers, mix):
+        transports = remote(servers)
+        fleet = (
+            [nodes[0], transports[1]]
+            if mix == "across_groups"
+            else [[nodes[0], transports[0]], transports[1]]
+        )
+        try:
+            with pytest.raises(ValueError, match="all in-process .* or all remote"):
+                Broker(fleet, LANNS_2X2)
+        finally:
+            for transport in transports:
+                transport.close()
 
 
     def test_unhedged_fanout_creates_one_task_per_group(
@@ -109,7 +122,8 @@ class TestVenueSelection:
         timeout wrapper or peek."""
         transports = remote(servers)
         broker = Broker(transports, LANNS_2X2, request_timeout_s=30.0)
-        loop = broker._fanout._loop.loop
+        loop = process_loop()
+        factory = loop.get_task_factory()
         created: list[str] = []
 
         def counting(loop, coro, **kwargs):
@@ -124,6 +138,7 @@ class TestVenueSelection:
                 "FanOut._group_call"
             ] * LANNS_2X2.num_shards
         finally:
+            loop.call_soon_threadsafe(loop.set_task_factory, factory)
             broker.close()
             for transport in transports:
                 transport.close()
@@ -133,11 +148,11 @@ class TestCloseRace:
     def test_close_with_requests_in_flight_never_hangs_or_leaks(
         self, nodes, servers, queries
     ):
-        """Clients keep issuing requests while ``close()`` tears the loop
-        down under them (first the broker, then the transports): a torn
-        fan-out re-runs on the caller's thread against the still-open
-        transports; once those are closed too it fails with a taxonomy
-        error.  Nothing hangs past the deadline, nothing leaks."""
+        """Clients keep issuing requests while ``close()`` runs under them
+        (first the broker, then the transports): the broker's close
+        leaves the process loop and the transports serving; once those
+        are closed too a request fails with a taxonomy error.  Nothing
+        hangs past the deadline, nothing leaks."""
         inline = Broker(nodes, LANNS_2X2)
         expected = [inline.search("venue", query, 8) for query in queries]
         inline.close()
@@ -171,8 +186,7 @@ class TestCloseRace:
             wait_until(lambda: len(outcomes) >= 4)
             broker.close()
             served_after_close = len(outcomes)
-            # The loop is gone, the transports are not: requests keep
-            # answering, now driven from the callers' own threads.
+            # The transports are still open: requests keep answering.
             wait_until(lambda: len(outcomes) >= served_after_close + 8)
             for transport in transports:
                 transport.close()
@@ -192,6 +206,5 @@ class TestCloseRace:
             np.testing.assert_array_equal(result[0], expected[row][0])
             np.testing.assert_array_equal(result[1], expected[row][1])
         assert answered >= served_after_close + 8 - 4
-        assert broker_threads() == []
         for transport in transports:
             assert transport.client.open_connections == 0

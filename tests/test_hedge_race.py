@@ -42,12 +42,6 @@ class StubTransport(SearcherTransport, AsyncSearcherTransport):
         return {}
 
 
-class SyncOnlyTransport(SearcherTransport):
-    shard_id = 0
-    search = StubTransport.search
-    stats = StubTransport.stats
-
-
 def tally() -> Tally:
     registry = MetricsRegistry()
     return Tally(
@@ -190,20 +184,18 @@ class TestHedgedSearch:
         assert result == (0, True) and tried == [0]
         assert counts == {"hedges": 1, "hedge_wins": 1}
 
-    def test_draining_or_sync_sibling_is_not_a_hedge_target(self):
-        for sibling in (StubTransport(), SyncOnlyTransport()):
-            group = ReplicaGroup(0, [StubTransport(), sibling])
-            if isinstance(sibling, StubTransport):
-                group.drain(1)
+    def test_a_draining_sibling_is_not_a_hedge_target(self):
+        group = ReplicaGroup(0, [StubTransport(), StubTransport()])
+        group.drain(1)
 
-            async def issue(replica, hedge=False):
-                await asyncio.sleep(0.05 if not hedge else 30.0)
-                return (replica.replica_id, hedge)
+        async def issue(replica, hedge=False):
+            await asyncio.sleep(0.05 if not hedge else 30.0)
+            return (replica.replica_id, hedge)
 
-            result, tried, counts = run_hedged(issue, group, delay=0.01)
-            # Hedged on the same process; the primary still won.
-            assert result == (0, False) and tried == [0]
-            assert counts == {"hedges": 1}
+        result, tried, counts = run_hedged(issue, group, delay=0.01)
+        # Hedged on the same process; the primary still won.
+        assert result == (0, False) and tried == [0]
+        assert counts == {"hedges": 1}
 
     def test_no_hedge_without_budget_for_the_delay(self):
         group = ReplicaGroup(0, [StubTransport(), StubTransport()])

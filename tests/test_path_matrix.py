@@ -65,7 +65,6 @@ from repro.errors import LannsError
 from repro.net import server as server_module
 from repro.net.chaos import FaultPlan
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
 from repro.offline.brute_force import exact_top_k
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
@@ -90,8 +89,8 @@ FACTORS = {
     "segmenter": ("rh", "apd", "rs"),
     # memory: LannsIndex itself; offline: the query job over the export;
     # inline: the export deployed on an in-process fleet; loop: in-thread
-    # searcher servers over loopback; mixed: shard 0 in process, 1 remote.
-    "venue": ("memory", "offline", "inline", "loop", "mixed"),
+    # searcher servers over loopback.
+    "venue": ("memory", "offline", "inline", "loop"),
     # single: one query per call (the heap kernels); batch: the drawn
     # rows in one call (heap or array kernels by size); threads: four
     # concurrent clients, each alternating a single query and a pair.
@@ -148,7 +147,7 @@ def valid(cell: Cell) -> bool:
     batches; micro-batching needs concurrent clients; only searcher
     servers batch or fail; only an ``OnlineService`` redeploys; traced
     requests bypass admission."""
-    remote = cell.venue in ("loop", "mixed")
+    remote = cell.venue == "loop"
     plain = ("direct", "cold", "untraced", "calm")
     return (
         (
@@ -428,30 +427,13 @@ def serve(world: World, cell: Cell):
         request_timeout_s=30.0,
         trace_sample_rate=float(cell.trace == "traced"),
     )
-    broker = service = transports = None
-    retries = 0 if faults else 2  # a fault is the sibling's to absorb
-    if cell.venue == "mixed":
-        node = SearcherNode(0)
-        node.host(name, index.shards[0])
-        transports = [
-            RemoteSearcherTransport(address, 1, retries=retries) for address in group(1)
-        ]
-        for transport in transports:
-            transport.deploy(name, world.export(cell), root=str(world.fs.root))
-        broker = Broker(
-            [node, transports],
-            index.config,
-            segmenter=index.segmenter,
-            segment_sizes=[shard.segment_sizes for shard in index.shards],
-            policy=policy,
-        )
-    else:
-        service = OnlineService(
-            searchers=[group(0), group(1)] if cell.venue == "loop" else None,
-            cache_size=256 if cell.cache == "warm" else 0,
-            rpc_retries=retries,
-            policy=policy,
-        )
+    broker = None
+    service = OnlineService(
+        searchers=[group(0), group(1)] if cell.venue == "loop" else None,
+        cache_size=256 if cell.cache == "warm" else 0,
+        rpc_retries=0 if faults else 2,  # a fault is the sibling's to absorb
+        policy=policy,
+    )
 
     served = index  # whose routes and occupancy the broker answers with
 
@@ -500,22 +482,16 @@ def serve(world: World, cell: Cell):
             assert cell.trace == "untraced" or stats["tracer"]["kept"] > 0
 
     try:
-        if service is not None and cell.cache == "cold":
+        if cell.cache == "cold":
             redeploy(cell)
         yield run
         if faults:
             counts = broker.stats()["counts"]
             assert counts.get("failovers", 0) + counts.get("hedges", 0) >= 1
     finally:
-        if service is not None:
-            if name in service.brokers:
-                service.undeploy(name)
-            service.close()
-        else:
-            broker.close()
-            for transport in transports:
-                transport.undeploy(name)
-                transport.close()
+        if name in service.brokers:
+            service.undeploy(name)
+        service.close()
 
 
 def check_cell(world: World, cell: Cell, drive) -> None:

@@ -4,7 +4,7 @@ Most run against *in-thread* asyncio searcher servers (real sockets,
 fast startup); the kill-mid-flight test spawns *real searcher
 subprocesses* so a SIGKILL exercises genuine connection-reset paths.
 That answers over the wire -- micro-batched, cached, server-batched --
-equal in-process serving is the ``loop`` / ``mixed`` venue of
+equal in-process serving is the ``loop`` venue of
 ``tests/test_path_matrix.py``.  Failure taxonomy under test:
 
 - connection refused at deploy -> raises (and rolls back the fleet);
