@@ -618,6 +618,8 @@ class HnswIndex:
         two graph stages, ``kernel=heap|array`` and ``rounds=<n>``; with
         no recorder and ``cost=None`` nothing but the search runs.
         """
+        if ef is not None and ef < 1:
+            raise ValueError(f"ef must be positive, got {ef}")
         answers: list = [None] * len(parts)
         beams: dict[tuple, list[_Piece]] = {}
         for number, (index, queries, k) in enumerate(parts):
@@ -636,6 +638,10 @@ class HnswIndex:
                 traversal = index._quantized.view(prepared)
                 arm = index._quantized.kind
                 depth = max(depth, params.rescore_k)
+            # A beam as wide as the segment already holds every node it
+            # reaches, so a wider one (a peer-chosen ef) adds only memory;
+            # k columns stay, the width of the padded answer.
+            depth = min(depth, max(len(graph), k))
             query_sq = scorer.query_sq_norms(prepared)
             piece = _Piece(index, prepared, query_sq, traversal, k, number)
             # Parts share a beam when they share its width and their

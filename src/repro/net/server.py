@@ -15,13 +15,12 @@ RPCs over the :mod:`repro.net.protocol` framing:
 One accept thread hands each accepted socket to **its own thread**,
 which feeds ``recv`` chunks to a sans-IO
 :class:`~repro.net.protocol.FrameReader` and answers each frame it
-completes where it stands: check, admit, search (or wait on the
-micro-batcher), then the response's single ``sendall`` -- one frame in,
-one write out, no hand-off between threads.  Request handling is
-per-connection sequential, which keeps the protocol trivially orderable
-(a pipelined frame waits its turn in the socket, which is not read
-while one is answered); concurrency comes from the client's connection
-pool, one thread per pooled connection.
+completes where it stands: check, admit, search, then the response's
+single ``sendall`` -- one frame in, one write out, no hand-off between
+threads.  Request handling is per-connection sequential, which keeps the
+protocol trivially orderable (a pipelined frame waits its turn in the
+socket, which is not read while one is answered); concurrency comes from
+the client's connection pool, one thread per pooled connection.
 
 Why a thread per connection: a searcher's peers are a few brokers with
 a small pool each, so the threads are few, and a SEARCH answered on the
@@ -44,10 +43,9 @@ or after queueing -- and a client that hangs up mid-request (a
 cancelled hedge loser) has its work abandoned rather than answered to
 nobody: a thread waiting for a slot or sleeping an injected stall
 watches its socket for the hang-up, one that searched checks it before
-replying.  With ``batch_max > 1`` a server-side
-:class:`~repro.online.microbatch.MicroBatcher` coalesces SEARCH frames
-arriving from many broker connections into lockstep batches (safe
-because the kernels are batch-composition invariant).
+replying.  Rows are coalesced once, before the fan-out, by the broker's
+admission layer (``BrokerPolicy.max_batch``); a searcher searches each
+SEARCH as it arrives.
 
 Launch standalone via ``repro.cli serve-searcher --shard-id S --port P``
 (prints a ``SEARCHER-READY`` line used by :mod:`repro.net.fleet`), or
@@ -83,7 +81,6 @@ from repro.net.protocol import (
 )
 from repro.obs.metrics import Tally, get_registry
 from repro.obs.tracing import SpanRecorder, maybe_span
-from repro.online.microbatch import AdmissionKey, MicroBatcher, admission_key
 from repro.online.searcher import SearcherNode, observed_search
 from repro.utils.flags import CASTS, FlagFields, knob
 
@@ -138,7 +135,7 @@ def parse_ready_line(line: str) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class ServerOptions(FlagFields):
-    """How one searcher admits, batches and perturbs its SEARCH work.
+    """How one searcher admits and perturbs its SEARCH work.
 
     The one place a server knob's name, type, default, validation and
     help line are written.  The ``serve-searcher`` flags
@@ -164,15 +161,6 @@ class ServerOptions(FlagFields):
     retry_after_s: float = knob(
         0.05, "backoff hint carried inside OVERLOADED error frames"
     )
-    #: Only plain SEARCH frames (no trace/cost extras) coalesce.
-    batch_max: int = knob(
-        1,
-        "server-side micro-batching: coalesce up to this many query "
-        "rows across connections per lockstep batch (1 disables)",
-    )
-    batch_wait_ms: float = knob(
-        2.0, "max wait before a partial server-side micro-batch flushes"
-    )
     #: A seeded :class:`~repro.net.chaos.FaultPlan` in its ``spec()``
     #: form (a plan is accepted and stored as that string, which is what
     #: crosses the process boundary); one fault decision is drawn per
@@ -196,16 +184,12 @@ class ServerOptions(FlagFields):
             raise ValueError(
                 f"retry_after_s must be >= 0, got {self.retry_after_s}"
             )
-        if self.batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
         chaos = self.chaos
         if isinstance(chaos, FaultPlan):
             chaos = chaos.spec()
         elif chaos:
             FaultPlan.parse(chaos)  # a bad spec is refused here, not at serve time
         object.__setattr__(self, "chaos", chaos or None)
-
-
 
 
 class SearcherServer:
@@ -226,9 +210,8 @@ class SearcherServer:
         The knobs: a :class:`ServerOptions`, its fields as keywords, or
         both (the keywords win).  The admission knobs are read off
         ``self.options`` per request, and ``self.chaos`` is the live
-        :class:`FaultPlan` (a test may assign a fresh one); the batching
-        knobs are consumed here.  Frames are capped at
-        ``DEFAULT_MAX_FRAME`` bytes both ways.
+        :class:`FaultPlan` (a test may assign a fresh one).  Frames are
+        capped at ``DEFAULT_MAX_FRAME`` bytes both ways.
     """
 
     def __init__(
@@ -256,15 +239,6 @@ class SearcherServer:
         #: The repr of the last abandoned request that died with an
         #: error rather than a clean hang-up, for postmortems.
         self._last_abandoned_error: str | None = None
-        self._batcher = (
-            MicroBatcher(
-                self._batched_search,
-                max_batch=self.options.batch_max,
-                max_wait_ms=self.options.batch_wait_ms,
-            )
-            if self.options.batch_max > 1
-            else None
-        )
         #: Admission: searches running and requests waiting for a slot
         #: (the ``in_flight`` / ``queued`` gauges of STATS); a finished
         #: search notifies one waiter.
@@ -447,7 +421,7 @@ class SearcherServer:
                     with maybe_span(recorder, "stall", injected=True):
                         if hung_up(stall_s):
                             raise _HungUp
-                ids, dists, cost = self._execute_search(call, recorder)
+                ids, dists, cost = observed_search(self.node, call, recorder)
             finally:
                 self._release()
             if recorder is not None:
@@ -476,15 +450,12 @@ class SearcherServer:
 
     def stats(self) -> dict:
         """The STATS reply: the node's identity, ``options``, ``counts``
-        (the node's, this server's and its micro-batcher's tallies, and
-        the live ``in_flight`` / ``queued`` admission gauges),
-        ``last_abandoned_error`` and the process-wide ``metrics``
-        snapshot, which a broker (or ``repro.cli stats``) merges across
-        a fleet into one view."""
+        (the node's and this server's tallies, and the live ``in_flight``
+        / ``queued`` admission gauges), ``last_abandoned_error`` and the
+        process-wide ``metrics`` snapshot, which a broker (or
+        ``repro.cli stats``) merges across a fleet into one view."""
         stats = self.node.stats()
         counts = stats["counts"]
-        if self._batcher is not None:
-            counts.update(self._batcher.tally.snapshot())
         counts.update(self.tally.snapshot())
         with self._slot_freed:
             counts.update(in_flight=self._in_flight, queued=self._queued)
@@ -521,36 +492,6 @@ class SearcherServer:
             )
         if not np.isfinite(queries).all():
             raise ValueError("SEARCH queries hold NaN or infinite values")
-
-    def _execute_search(
-        self, call: ShardCall, recorder
-    ) -> tuple[np.ndarray, np.ndarray, dict | None]:
-        """Run one admitted search: coalesced server-side when possible.
-
-        Plain calls (no per-request trace/cost extras) go
-        through the server-side micro-batcher, which merges frames from
-        *different* broker connections into one lockstep batch --
-        batch-composition invariance guarantees the rows come back
-        bit-identical to a solo execution.  Calls carrying extras search
-        alone, on this connection's thread.
-        """
-        if (
-            self._batcher is not None
-            and not call.cost
-            and recorder is None
-        ):
-            key = admission_key(call.index, call.top_k, call.ef, call.queries)
-            ids, dists = self._batcher.submit(key, call.queries).result()
-            return ids, dists, None
-        return observed_search(self.node, call, recorder)
-
-    def _batched_search(
-        self, key: AdmissionKey, queries: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Micro-batcher execute hook (runs on the flusher thread)."""
-        return self.node.search_batch(
-            key.index_name, queries, key.top_k, ef=key.ef
-        )
 
     def _deploy(self, request) -> None:
         # Imported here: the server must start fast and the storage stack
@@ -651,9 +592,6 @@ class SearcherServer:
             self._accept()
         except KeyboardInterrupt:
             pass
-        finally:
-            if self._batcher is not None:
-                self._batcher.close()
         return 0
 
     def start_in_thread(self) -> "SearcherServer":
@@ -693,8 +631,6 @@ class SearcherServer:
                     f"port {self.port}) still alive after {timeout}s"
                 )
             self._thread = None
-        if self._batcher is not None:
-            self._batcher.close()
 
     @property
     def address(self) -> str:

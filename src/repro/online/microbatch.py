@@ -13,13 +13,13 @@ under sustained load the oldest pending request has usually already aged
 past ``max_wait_ms`` by the time the flusher is free and the flush is
 immediate.  Under light load a lone request waits at most ``max_wait_ms``.
 
-Requests are grouped by an *admission key* (:func:`admission_key`, the
-one the broker and ``SearcherServer(batch_max=)`` both build) because
-only requests with identical search parameters can share a lockstep
-batch.  Correctness rests on the batch kernels being batch-composition
-invariant -- a row's result never depends on which other rows share the
-batch -- which the ``micro`` and ``server`` cells of
-``tests/test_path_matrix.py`` pin down.
+Requests are grouped by an *admission key* (:func:`admission_key`)
+because only requests with identical search parameters can share a
+lockstep batch.  Correctness rests on the batch kernels being
+batch-composition invariant -- a row's result never depends on which
+other rows share the batch -- which the ``micro`` cells of
+``tests/test_path_matrix.py`` pin down.  This is the one coalescing
+layer: a searcher searches each SEARCH it receives as it arrives.
 """
 
 from __future__ import annotations
@@ -278,24 +278,13 @@ class MicroBatcher:
                 self.largest_batch = max(self.largest_batch, rows)
             self.tally.count("flushes", reason=reason)
             self.tally.count("rows_executed", rows)
-            # Claim each future before computing: a waiter cancelled
-            # after flush (e.g. an abandoned server-side request) is
-            # skipped here and can no longer race result delivery for
-            # the rest of the batch.
-            claimed = [
-                block.future.set_running_or_notify_cancel()
-                for block in blocks
-            ]
-            if not any(claimed):
-                return
             parts = self._execute(key, stacked)
             start = 0
-            for block, live in zip(blocks, claimed):
+            for block in blocks:
                 stop = start + block.queries.shape[0]
-                if live:
-                    block.future.set_result(
-                        tuple(part[start:stop] for part in parts)
-                    )
+                block.future.set_result(
+                    tuple(part[start:stop] for part in parts)
+                )
                 start = stop
         except BaseException as exc:
             for block in blocks:

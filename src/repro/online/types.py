@@ -39,7 +39,7 @@ class SearchRequest:
     index_name:
         Which deployed index to search.
     ef:
-        HNSW beam width; ``None`` uses the index configuration.
+        HNSW beam width, positive; ``None`` uses the index configuration.
     """
 
     queries: np.ndarray
@@ -52,6 +52,8 @@ class SearchRequest:
         object.__setattr__(self, "queries", queries)
         if self.top_k <= 0:
             raise ValueError(f"top_k must be positive, got {self.top_k}")
+        if self.ef is not None and self.ef < 1:
+            raise ValueError(f"ef must be positive, got {self.ef}")
 
 
 @dataclass(frozen=True)

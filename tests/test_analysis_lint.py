@@ -1157,7 +1157,8 @@ def test_every_frame_field_is_written_and_read():
     keyword) or no receiver reads off an unpacked message (as an
     attribute) is a dead wire field.  SEARCH is written and RESULT read
     field for field through :class:`ShardCall` / :class:`ShardReply`
-    (next test), so their dataclass fields count as the keyword."""
+    (next test), so their dataclass fields count as the keyword; the
+    searcher reads a call's ``ef`` and ``cost`` in ``observed_search``."""
     from dataclasses import fields
 
     from repro.net.protocol import FRAME_FIELDS, ShardCall, ShardReply
@@ -1165,8 +1166,8 @@ def test_every_frame_field_is_written_and_read():
     written = {field.name for field in fields(ShardCall)}
     written |= {field.name for field in fields(ShardReply)}
     read = set()
-    for name in ("client", "server", "protocol"):
-        path = default_repo_root() / "src" / "repro" / "net" / f"{name}.py"
+    for name in ("net/client", "net/server", "net/protocol", "online/searcher"):
+        path = default_repo_root() / "src" / "repro" / f"{name}.py"
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.keyword):
                 written.add(node.arg)

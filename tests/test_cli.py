@@ -350,8 +350,6 @@ class TestServeSearcherFlags:
         "--max-in-flight": 0,
         "--queue-cap": 0,
         "--retry-after-s": 0.05,
-        "--batch-max": 1,
-        "--batch-wait-ms": 2.0,
         "--chaos-spec": None,
     }
 
@@ -399,19 +397,21 @@ class TestServeSearcherFlags:
             chaos="seed=9,drop_rate=0.5,delay_every=2,delay_s=0.01",
         )
         assert (server.chaos.seed, server.chaos.delay_every) == (9, 2)
-        with pytest.raises(ValueError, match="batch_max must be >= 1"):
-            main(["serve-searcher", "--shard-id", "0", "--batch-max", "0"])
 
-    def test_the_retired_straggler_flags_are_refused(self, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--slow-every", "2"), ("--batch-max", "4"), ("--batch-wait-ms", "1")],
+    )
+    def test_the_retired_flags_are_refused(self, capsys, flag, value):
         """A stall is a ``FaultPlan`` ``delay`` (``--chaos-spec
-        delay_every=N,delay_s=S``); the straggler's own flags left with
-        their fields, so argparse refuses them."""
+        delay_every=N,delay_s=S``) and rows coalesce at the broker
+        (``BrokerPolicy.max_batch``); the straggler's and the searcher
+        micro-batcher's flags left with their fields, so argparse
+        refuses them."""
         with pytest.raises(SystemExit) as refused:
-            build_parser().parse_args(
-                ["serve-searcher", "--shard-id", "0", "--slow-every", "2"]
-            )
+            build_parser().parse_args(["serve-searcher", "--shard-id", "0", flag, value])
         assert refused.value.code == 2
-        assert "--slow-every" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 def subparser(name: str) -> argparse.ArgumentParser:
@@ -441,14 +441,16 @@ class TestGoldenCommandLines:
     non-default) it holds the subcommand, the ``LannsConfig`` /
     ``BrokerPolicy`` / ``ServerOptions`` value the line meant (``to_dict``
     / ``asdict``, key order included) and the rest of the namespace; and
-    per subcommand every flag's default, choices and requiredness.  Three
+    per subcommand every flag's default, choices and requiredness.  Four
     edits since, each a retired field leaving with its key: the
     ``BrokerPolicy.cache_quantize_decimals`` key (``null`` in all ten
     ``policy`` rows); the straggler's ``slow_every`` /
     ``slow_delay_s`` (their flags became ``delay_every`` / ``delay_s``
     of the two rows' ``--chaos-spec``); and ``query --spill`` (gone from
     two rows' argv, every ``query`` row's ``rest`` and the flag table;
-    ``--spill 2`` is now an argparse error)."""
+    ``--spill 2`` is now an argparse error); and the searcher's
+    ``batch_max`` / ``batch_wait_ms`` (gone from every ``serve-searcher``
+    row's ``options``, the flag table and one row's argv)."""
 
     @staticmethod
     def linter_namespace(argv, monkeypatch) -> dict:

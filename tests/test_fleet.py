@@ -224,8 +224,6 @@ class TestOptionsCrossTheProcessBoundary:
         max_in_flight=2,
         queue_cap=5,
         retry_after_s=0.125,
-        batch_max=4,
-        batch_wait_ms=1.5,
         chaos="seed=7,delay_every=4,delay_s=0.001",
     )
 
@@ -257,8 +255,8 @@ class TestOptionsCrossTheProcessBoundary:
         ]  # b863b1d's bare launch, token for token
 
     def test_an_unknown_field_is_a_type_error_naming_it(self):
-        with pytest.raises(TypeError, match="batch_maxx"):
-            fleet_mod.launch_searcher(0, batch_maxx=2)
+        with pytest.raises(TypeError, match="queue_capp"):
+            fleet_mod.launch_searcher(0, queue_capp=2)
 
     @pytest.mark.parametrize("chaos_shard", [None, 1])
     def test_every_member_of_a_replicated_fleet_takes_the_options(

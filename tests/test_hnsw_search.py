@@ -353,3 +353,18 @@ class TestStepRule:
             )
             assert as_pairs(*found) == want, kernel.__name__
             assert (cost.hops, cost.candidates_visited) == (hops, candidates)
+
+
+@pytest.mark.parametrize("scorer", list(SCORERS))
+@pytest.mark.parametrize("rows", [1, 12])
+def test_a_beam_wider_than_the_segment_is_the_segment(step_indices, scorer, rows):
+    """``ef`` beyond the node count answers as ``ef = len(index)`` does --
+    ids, distances and cost -- instead of sizing a beam by it."""
+    index = step_indices["clustered", scorer]
+    queries = make_clustered(rows, 16, seed=7)
+    answers = []
+    for ef in (len(index), 10**12):
+        cost = SearchCost()
+        ids, dists = index.search_batch(queries, 10, ef=ef, cost=cost)
+        answers.append((ids.tobytes(), dists.tobytes(), cost.as_dict()))
+    assert answers[0] == answers[1]

@@ -476,11 +476,15 @@ DIM = 16
 def hostile_calls(draw):
     """A well-framed, well-typed SEARCH whose *values* are hostile --
     one or more of: ``top_k`` below 1 or beyond a frame's worth of
-    reply, a query block that is not ``(rows, DIM)``, non-finite cells,
-    a spent or NaN ``deadline_ms`` -- as ``(header fields, query block)``."""
+    reply, ``ef`` below 1, a query block that is not ``(rows, DIM)``,
+    non-finite cells, a spent or NaN ``deadline_ms`` -- as ``(header
+    fields, query block)``."""
     rows = draw(st.integers(1, 4))
     flaws = draw(
-        st.sets(st.sampled_from(["top_k", "shape", "cells", "deadline"]), min_size=1)
+        st.sets(
+            st.sampled_from(["top_k", "ef", "shape", "cells", "deadline"]),
+            min_size=1,
+        )
     )
     top_k = 3
     if "top_k" in flaws:
@@ -488,6 +492,7 @@ def hostile_calls(draw):
             st.integers(max_value=0)
             | st.integers(DEFAULT_MAX_FRAME // 16 // rows + 1, 2**63)
         )
+    ef = draw(st.integers(max_value=0)) if "ef" in flaws else None
     shape = (rows, DIM)
     if "shape" in flaws:
         shape = draw(
@@ -505,7 +510,7 @@ def hostile_calls(draw):
     deadline_ms = draw(st.sampled_from([None, 60_000.0]))
     if "deadline" in flaws:
         deadline_ms = draw(st.floats(max_value=0.0) | st.just(float("nan")))
-    return {"top_k": top_k, "deadline_ms": deadline_ms}, queries
+    return {"top_k": top_k, "ef": ef, "deadline_ms": deadline_ms}, queries
 
 
 def _rows(planted: float | None = None) -> np.ndarray:
@@ -522,6 +527,8 @@ HOSTILE_CALLS = {
     "top_k=0": ({"top_k": 0}, _rows()),
     "top_k=-1": ({"top_k": -1}, _rows()),
     "top_k=10**9": ({"top_k": 10**9}, _rows()),
+    "ef=0": ({"ef": 0}, _rows()),
+    "ef=-1": ({"ef": -1}, _rows()),
     "(B, 0) block": ({}, np.empty((2, 0), dtype=np.float32)),
     "1-d block": ({}, np.zeros(DIM, dtype=np.float32)),
     "nan": ({}, _rows(np.nan)),
@@ -684,7 +691,7 @@ class TestLiveServer:
         fields, queries = call
         hostile = frame_to_bytes(
             MsgType.SEARCH,
-            pack(MsgType.SEARCH, index=INDEX_NAME, ef=None, **fields),
+            pack(MsgType.SEARCH, index=INDEX_NAME, **fields),
             (queries,),
         )
         with connect(server) as sock:

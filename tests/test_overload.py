@@ -1,7 +1,7 @@
 """Overload-safety tests: admission, deadlines, abandonment, shutdown.
 
-The server-side half of PR 10, pinned against a real in-thread asyncio
-searcher (raw sockets where the client library would get in the way):
+The server-side half of PR 10, pinned against a real in-thread searcher
+(raw sockets where the client library would get in the way):
 
 - a saturated searcher sheds surplus SEARCH frames instantly with a
   structured ``OVERLOADED`` error carrying the configured retry-after
@@ -11,8 +11,6 @@ searcher (raw sockets where the client library would get in the way):
   ``DeadlineExceededError`` instead of executing for nobody;
 - a client that hangs up mid-request has its in-flight work abandoned
   (counted, not computed);
-- server-side micro-batching coalesces SEARCH frames from *different*
-  connections into one lockstep batch;
 - ``SearcherServer.stop()`` raises instead of silently leaking a thread
   that outlives ``join(timeout)``;
 - client reconnect backoff is full jitter, deterministic per seed;
@@ -251,8 +249,6 @@ class TestAdmission:
             SearcherServer(SearcherNode(0), max_in_flight=-1)
         with pytest.raises(ValueError, match="retry_after_s"):
             SearcherServer(SearcherNode(0), retry_after_s=-0.1)
-        with pytest.raises(ValueError, match="batch_max"):
-            SearcherServer(SearcherNode(0), batch_max=0)
 
 
 class TestDeadlinePropagation:
@@ -345,64 +341,6 @@ class TestHangupAbandonment:
             ids, _ = raw_search(server.address, queries[:1])
             assert ids.shape == (1, 3)
         finally:
-            server.stop()
-
-
-class TestServerSideMicroBatch:
-    def test_coalesces_across_connections(self, shared_fs, index, queries):
-        """That coalesced answers equal solo ones is the ``server`` cells
-        of ``tests/test_path_matrix.py``; here, that frames coalesce."""
-        server = start_server(shared_fs, batch_max=4, batch_wait_ms=250.0)
-        barrier = threading.Barrier(3)
-        results: list = [None] * 3
-        errors: list = []
-
-        def request(slot: int) -> None:
-            client = RemoteSearcherClient(server.address, retries=0)
-            try:
-                barrier.wait(timeout=10)
-                results[slot] = client.search(
-                    ShardCall(INDEX_NAME, queries[slot : slot + 1], 3)
-                )
-            except BaseException as exc:
-                errors.append(exc)
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(target=request, args=(slot,))
-            for slot in range(3)
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not errors, f"batched request failed: {errors[:1]!r}"
-            assert [reply.ids.shape for reply in results] == [(1, 3)] * 3
-            stats = RemoteSearcherClient(server.address, retries=0)
-            try:
-                counts = stats.stats()["counts"]
-            finally:
-                stats.close()
-            assert counts["rows_executed"] == 3
-            assert sum(counts["flushes"].values()) < 3, (
-                "three simultaneous frames never coalesced"
-            )
-        finally:
-            server.stop()
-
-    def test_requests_with_extras_bypass_the_batcher(
-        self, shared_fs, index, queries
-    ):
-        server = start_server(shared_fs, batch_max=4, batch_wait_ms=5.0)
-        client = RemoteSearcherClient(server.address, retries=0)
-        try:
-            reply = client.search(ShardCall(INDEX_NAME, queries[:2], 3, cost=True))
-            assert reply.cost, "cost accounting lost server-side"
-            assert "rows_admitted" not in client.stats()["counts"]
-        finally:
-            client.close()
             server.stop()
 
 

@@ -95,8 +95,8 @@ FACTORS = {
     # rows in one call (heap or array kernels by size); threads: four
     # concurrent clients, each alternating a single query and a pair.
     "call": ("single", "batch", "threads"),
-    # micro: the broker's micro-batcher; server: the searchers' own.
-    "admission": ("direct", "micro", "server"),
+    # micro: the broker's micro-batcher, the one layer that coalesces.
+    "admission": ("direct", "micro"),
     # warm: the name first served another index and was redeployed; every
     # other row is asked, then every row (hits and misses in one batch).
     "cache": ("cold", "warm"),
@@ -131,7 +131,6 @@ ALL_ROWS = list(range(POOL))
 DECOY = 1_000_000
 FLEETS = {
     "plain": {},
-    "batched": {"batch_max": 8, "batch_wait_ms": 2.0},
     # Every SEARCH a chaotic replica sees fails, sheds or stalls.
     "chaotic": {
         "chaos": FaultPlan(
@@ -145,8 +144,8 @@ def valid(cell: Cell) -> bool:
     """Whether the system has the path ``cell`` names: only a broker
     admits, caches, routes, traces and fails over; the query job takes
     batches; micro-batching needs concurrent clients; only searcher
-    servers batch or fail; only an ``OnlineService`` redeploys; traced
-    requests bypass admission."""
+    servers fail; only an ``OnlineService`` redeploys; traced requests
+    bypass admission."""
     remote = cell.venue == "loop"
     plain = ("direct", "cold", "untraced", "calm")
     return (
@@ -159,7 +158,6 @@ def valid(cell: Cell) -> bool:
             cell.admission == "direct"
             or (cell.call, cell.trace) == ("threads", "untraced")
         )
-        and (cell.admission != "server" or remote)
         and (cell.chaos == "calm" or remote)
         and (cell.cache == "cold" or cell.venue in ("inline", "loop"))
     )
@@ -215,7 +213,7 @@ SCORER_CELLS = list(itertools.product(("float", "int8", "pq"), FACTORS["metric"]
 
 class World:
     """What the cells share: indices and their exports (built on first
-    use), the exact kernel and the oracle, and three in-thread fleets."""
+    use), the exact kernel and the oracle, and two in-thread fleets."""
 
     def __init__(self, root, corpora: dict, queries: dict) -> None:
         self.fs = LocalHdfs(root)
@@ -411,7 +409,7 @@ def serve(world: World, cell: Cell):
         yield job
         return
     name, faults = "-".join(cell), cell.chaos == "faults"
-    clean = world.fleets["batched" if cell.admission == "server" else "plain"]
+    clean = world.fleets["plain"]
 
     def group(shard: int) -> list[str]:
         chaotic = [world.fleets["chaotic"][shard].address] if faults else []
@@ -422,7 +420,6 @@ def serve(world: World, cell: Cell):
             server.chaos = FaultPlan.parse(server.options.chaos)
     policy = BrokerPolicy(
         max_batch=8 if cell.admission == "micro" else 1,
-        collect_cost=cell.admission != "server",  # cost-carrying frames never coalesce
         hedge_after_s=0.01 if faults else None,
         request_timeout_s=30.0,
         trace_sample_rate=float(cell.trace == "traced"),
@@ -460,8 +457,6 @@ def serve(world: World, cell: Cell):
             redeploy(cell._replace(quantize="none", sharding="hash"), DECOY)
             ask(pool[rows], seed)  # the decoy's answers, cached under this name
             redeploy(cell)
-        coalesced = world.fleets["batched"][1]._batcher.tally
-        admitted = coalesced.snapshot().get("rows_admitted", 0)
         if cell.cache == "warm":
             # Every other row first: then the warm pass mixes hits and misses.
             check(rows[::2], *ask(pool[rows[::2]], seed))
@@ -474,10 +469,6 @@ def serve(world: World, cell: Cell):
             assert (
                 cell.admission != "micro"
                 or stats["microbatch"]["rows_executed"] >= len(rows)
-            )
-            assert (
-                cell.admission != "server"
-                or coalesced.snapshot()["rows_admitted"] > admitted
             )
             assert cell.trace == "untraced" or stats["tracer"]["kept"] > 0
 
