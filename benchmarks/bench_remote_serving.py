@@ -15,14 +15,14 @@ the searcher side: the searcher processes' CPU (user + system, from
 
 ``hedging`` -- injects a **straggler**: a fresh fleet where one
 searcher's fault plan stalls every other request, served through the
-asyncio fan-out without and with hedged requests -- hedged p99 must
+remote fan-out without and with hedged requests -- hedged p99 must
 beat unhedged p99, results must stay bit-identical to in-process
-serving, and the broker must report the ``loop`` venue (all in-flight
-shard RPCs on one thread);
+serving, and the broker must report the ``remote`` venue (all in-flight
+shard RPCs polled on the calling thread);
 
 ``rpc_cost`` -- prices **one RPC**: PING round trip, one-query SEARCH
 round trip and the same search in process, against an in-thread server,
-counting the client transport's write calls and the server's frame
+counting the client sockets' write calls and the server's frame
 sends -- a SEARCH round trip must be exactly one write per side, and a
 PING must be cheaper than a SEARCH.
 
@@ -254,58 +254,59 @@ def check_hedging(run, env) -> None:
                 service.close()
     counts = stats["counts"]
     require(counts.get("hedges", 0) >= 1, "the straggler shard never got hedged")
-    require(stats["venue"] == "loop", "remote fan-out did not run on the loop")
+    require(stats["venue"] == "remote", "the remote fleet ran the wrong venue")
     print(
         f"hedging: straggler stalls {SLOW_DELAY_S * 1e3:.0f}ms, hedge after "
         f"{HEDGE_AFTER_S * 1e3:.0f}ms -> p99 {p99_ms['unhedged']:.1f}ms "
         f"unhedged vs {p99_ms['hedged']:.1f}ms hedged ({counts['hedges']} "
-        f"hedges, {counts.get('hedge_wins', 0)} wins; bit-parity ✓, loop venue ✓)"
+        f"hedges, {counts.get('hedge_wins', 0)} wins; bit-parity ✓, remote venue ✓)"
     )
     run.gate("hedged_p99", p99_ms["unhedged"] / p99_ms["hedged"])
 
 
-class CountingTransport:
-    """A client transport that counts the write calls made on it."""
+class CountingSocket:
+    """A client socket that counts the write calls made on it, through
+    any of the socket's write methods."""
 
-    def __init__(self, transport, counts: Counter) -> None:
-        self._transport = transport
+    def __init__(self, sock, counts: Counter) -> None:
+        self._sock = sock
         self._counts = counts
 
-    def write(self, data) -> None:
-        self._counts["client"] += 1
-        self._transport.write(data)
-
-    def writelines(self, buffers) -> None:
-        self._counts["client"] += 1
-        self._transport.writelines(buffers)
-
     def __getattr__(self, name: str):
-        return getattr(self._transport, name)
+        attr = getattr(self._sock, name)
+        if name not in ("send", "sendall", "sendmsg"):
+            return attr
+
+        def write(*args, **kwargs):
+            self._counts["client"] += 1
+            return attr(*args, **kwargs)
+
+        return write
 
 
 @contextmanager
 def counted_writes():
     """Writes made inside the block on either side of the wire, this
-    process: the client connections' transport writes and the server's
+    process: the client connections' socket writes and the server's
     frame sends (each one ``sendall``); yields the ``{"client": n,
     "server": n}`` counter."""
     counts: Counter = Counter()
     connection = net_client._Connection
-    made, send = connection.connection_made, net_server._send
+    init, send = connection.__init__, net_server._send
 
-    def connection_made(self, transport):
-        made(self, CountingTransport(transport, counts))
+    def counting_init(self, sock, max_frame):
+        init(self, CountingSocket(sock, counts), max_frame)
 
     def counted_send(sock, frame) -> None:
         counts["server"] += 1
         send(sock, frame)
 
-    connection.connection_made = connection_made
+    connection.__init__ = counting_init
     net_server._send = counted_send
     try:
         yield counts
     finally:
-        connection.connection_made = made
+        connection.__init__ = init
         net_server._send = send
 
 

@@ -3,8 +3,8 @@
 Two halves:
 
 - an AST invariant linter (``python -m repro.analysis`` /
-  ``repro.cli lint``) with four checkers tuned to this codebase:
-  lock-discipline, asyncio-hygiene, determinism and error-discipline,
+  ``repro.cli lint``) with three checkers tuned to this codebase:
+  lock-discipline, determinism and error-discipline,
   filtered through a justified suppression baseline
   (``baseline.toml``);
 - a runtime concurrency sanitizer (:mod:`repro.analysis.sanitizer`)

@@ -40,8 +40,6 @@ BUILTIN_WHITELIST = {
 # established contracts).
 DOTTED_WHITELIST = {
     ("argparse", "ArgumentTypeError"),
-    ("asyncio", "TimeoutError"),
-    ("asyncio", "CancelledError"),
 }
 
 BROAD_HANDLERS = {"Exception", "BaseException"}

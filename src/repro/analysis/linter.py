@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import check_async, check_determinism, check_errors, check_locks
+from . import check_determinism, check_errors, check_locks
 from .baseline import BaselineError, apply_baseline, load_baseline
 from .diagnostics import Finding, ModuleSource
 
@@ -31,8 +31,6 @@ ORDER_SCOPE = (
     "repro/core/topk.py",
     "repro/core/merge.py",
 )
-#: Event-loop modules where a blocking call stalls the fan-out.
-ASYNC_SCOPE = ("repro/net/", "repro/online/")
 #: Modules whose exceptions are routed on by type.
 ERROR_SCOPE = ("repro/net/", "repro/online/", "repro/cli.py")
 
@@ -88,8 +86,6 @@ def run_lint(
             errors.append(f"{rel}: {exc}")
             continue
         findings.extend(check_locks.run(module))
-        if _in_scope(rel, ASYNC_SCOPE):
-            findings.extend(check_async.run(module))
         if _in_scope(rel, DETERMINISM_SCOPE):
             findings.extend(check_determinism.run(module))
         if _in_scope(rel, ORDER_SCOPE):
@@ -105,8 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.cli lint",
         description="Repo-specific invariant linter "
-        "(lock discipline, asyncio hygiene, determinism, "
-        "error discipline).",
+        "(lock discipline, determinism, error discipline).",
     )
     parser.add_argument(
         "paths",

@@ -10,9 +10,9 @@ are checked continuously, per process:
   ``A``; a new edge that closes a cycle is a potential deadlock, even
   if the schedule that would actually deadlock never ran.
 - **hold-while-blocking**: blocking primitives (``time.sleep``,
-  ``concurrent.futures.Future.result``, ``socket.create_connection``
-  and blocking ``socket.socket`` methods) called while the thread
-  holds any tracked lock — the classic way one slow peer stalls every
+  ``concurrent.futures.Future.result``, ``socket.create_connection``,
+  blocking ``socket.socket`` methods and a ``select.poll`` wait)
+  called while the thread holds any tracked lock — the classic way one slow peer stalls every
   thread queued on that lock.
 
 Violations are *recorded*, not raised, so a full test run reports all
@@ -27,6 +27,7 @@ instances are siblings, not an ordering).
 from __future__ import annotations
 
 import concurrent.futures
+import select
 import socket
 import threading
 import time
@@ -39,6 +40,7 @@ _real_condition = threading.Condition
 _real_sleep = time.sleep
 _real_future_result = concurrent.futures.Future.result
 _real_create_connection = socket.create_connection
+_real_poll = select.poll
 
 
 @dataclass
@@ -279,6 +281,25 @@ def _patched_create_connection(*args, **kwargs):
     return _real_create_connection(*args, **kwargs)
 
 
+class _SanitizedPoll:
+    """``select.poll()`` whose wait is a blocking call -- unless its
+    timeout is 0.  The remote fan-out and the client park the thread
+    here, never in a socket call: their sockets are non-blocking."""
+
+    __slots__ = ("_poll",)
+
+    def __init__(self) -> None:
+        self._poll = _real_poll()
+
+    def __getattr__(self, name: str):
+        return getattr(self._poll, name)
+
+    def poll(self, timeout=None):
+        if timeout != 0:
+            _check_blocking("select.poll.poll()")
+        return self._poll.poll(timeout)
+
+
 _SOCKET_METHODS = ("recv", "recv_into", "recvfrom", "sendall", "accept")
 _real_socket_methods = {
     name: getattr(socket.socket, name) for name in _SOCKET_METHODS
@@ -287,7 +308,7 @@ _real_socket_methods = {
 
 def _make_socket_patch(name: str, original):
     def patched(self, *args, **kwargs):
-        # Non-blocking sockets (asyncio's) never park the thread.
+        # Non-blocking sockets never park the thread.
         if self.gettimeout() != 0:
             _check_blocking(f"socket.socket.{name}()")
         return original(self, *args, **kwargs)
@@ -307,6 +328,7 @@ def install() -> None:
     time.sleep = _patched_sleep
     concurrent.futures.Future.result = _patched_future_result
     socket.create_connection = _patched_create_connection
+    select.poll = _SanitizedPoll
     for name in _SOCKET_METHODS:
         setattr(
             socket.socket,
@@ -330,6 +352,7 @@ def uninstall() -> None:
     time.sleep = _real_sleep
     concurrent.futures.Future.result = _real_future_result
     socket.create_connection = _real_create_connection
+    select.poll = _real_poll
     for name in _SOCKET_METHODS:
         setattr(socket.socket, name, _real_socket_methods[name])
 

@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False,
         help=(
             "run the repo-specific invariant linter (lock discipline, "
-            "asyncio hygiene, determinism, error discipline)"
+            "determinism, error discipline)"
         ),
     )
     lint.add_argument("argv", nargs="*", help="the linter's arguments")

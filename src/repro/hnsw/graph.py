@@ -340,10 +340,9 @@ class HnswGraph:
         ids = table[linked]
         if not ((ids >= 0) & (ids < n)).all():
             return f"'table': neighbor id outside [0, {n})"
-        # Padding sorts as distinct negatives, so only real repeats tie.
-        ordered = np.sort(
-            np.where(linked, table, -1 - np.arange(width)), axis=1, kind="stable"
-        )
+        # Padding sorts as distinct negatives, so only real repeats tie;
+        # equal ids are indistinguishable, so any sort kind finds them.
+        ordered = np.sort(np.where(linked, table, -1 - np.arange(width)), axis=1)
         repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         if repeats.any():
             node, level, _ = first(repeats)

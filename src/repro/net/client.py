@@ -1,47 +1,54 @@
-"""RPC clients for one searcher: an asyncio core and a blocking facade.
+"""The RPC client for one searcher: a pool of non-blocking sockets.
 
-:class:`AsyncRemoteSearcherClient` is the only implementation of the
-client side of the wire.  The broker's fan-out awaits it natively on
-the process loop (one coroutine per shard RPC, N in flight on one
-thread); reliability is layered as:
+:class:`RemoteSearcherClient` is the only implementation of the client
+side of the wire.  Every RPC is an :class:`Rpc`: started on the calling
+thread (its frame written at once when the socket takes it) and finished
+by whoever polls its socket -- :func:`poll` for the client's own blocking
+calls, and the same function for the broker's fan-out, which waits on
+every shard RPC of a batch at once (:mod:`repro.online.fanout`).  No
+socket call ever parks the thread: a connect, a send the socket's buffer
+cannot take whole and a reply are all waited for by the poll, so one
+unreachable or stalled searcher holds up nobody else's RPC, hedge or
+timer.  Reliability is layered as:
 
-- **connection pool** -- a small stack of idle connections per searcher
-  on the process loop, so concurrent batches don't serialize on one
-  connection and repeated requests skip the TCP handshake.  A
-  connection is a :class:`_Connection` (an :class:`asyncio.Protocol`
-  over a sans-IO :class:`~repro.net.protocol.FrameReader`) and its
-  transport; one round trip is **one** ``transport.writelines`` of the
-  encoded frame and **one** future the reply's ``data_received``
-  resolves;
-- **request timeouts** -- each attempt's whole round trip runs under one
-  cumulative budget: the per-call deadline, capped by the client-wide
-  ``timeout_s``.  One ``loop.call_later`` timer fails that future with
-  :class:`~repro.errors.DeadlineExceededError` when the budget expires,
-  however slowly the peer trickles bytes;
+- **connection pool** -- a small, thread-safe stack of idle sockets per
+  searcher, each with its sans-IO
+  :class:`~repro.net.protocol.FrameReader`, so concurrent batches don't
+  serialize on one connection and repeated requests skip the TCP
+  handshake;
+- **timeouts** -- a dial runs under ``connect_timeout_s``, then the
+  attempt's send and reply under one cumulative budget, ``timeout_s``;
+  the per-call deadline caps both.  The poll never sleeps past either,
+  so a dropped SYN, or a peer that stops reading or trickles bytes,
+  cannot stretch an attempt: :class:`~repro.errors.DeadlineExceededError`
+  when the budget expires;
 - **bounded retries with backoff** -- connectivity failures (refused,
-  reset, EOF, garbled frames) retry idempotent calls up to ``retries``
-  times, reconnecting with exponential backoff plus *full jitter*
-  (uniform in ``[0, delay]``, seeded per client) so the retries of many
-  brokers hitting one recovering searcher spread out instead of
-  arriving in synchronized waves.  Timeouts and server-side
-  :class:`~repro.errors.RemoteCallError` s never retry: the former
-  would double tail latency, the latter would repeat a bug.
+  reset, EOF, garbled frames, a connect that timed out before the
+  deadline) retry idempotent calls up to ``retries`` times, reconnecting
+  with exponential backoff plus *full jitter* (uniform in ``[0,
+  delay]``, seeded per client) so the retries of many brokers hitting
+  one recovering searcher spread out instead of arriving in synchronized
+  waves.  The pause is a timer of the poll, not a sleep.  Timeouts and
+  server-side :class:`~repro.errors.RemoteCallError` s never retry: the
+  former would double tail latency, the latter would repeat a bug.
 
-A dead connection is always discarded, never returned to the pool, so
-one crash can't poison later requests.
-
-:class:`RemoteSearcherClient` is the same client for plain threads --
-the control plane (deploy / verify / undeploy / stats), the CLI, test
-and benchmark drivers.  It holds no socket, pool, timeout or retry code:
-each method runs the core's coroutine on the process loop through
-:func:`repro.net.loop.run` and blocks for the result.
+A dead, timed-out or abandoned connection is always discarded, never
+returned to the pool: its reply may still be in the pipe, and would
+poison whatever request checked the connection out next.  No lock is
+held across a socket call.  Name resolution (``getaddrinfo``, once per
+dial) is the one step that may block; a numeric address needs no
+lookup.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
+import math
 import os
 import random
+import select
+import socket
 import threading
 import time
 import weakref
@@ -56,7 +63,6 @@ from repro.errors import (
     ProtocolError,
     TransportError,
 )
-from repro.net.loop import on_process_loop, process_loop, run
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     REPLY_TYPE,
@@ -90,6 +96,8 @@ _COUNTERS = get_registry().counters(
 )
 #: Every live client, so that a forked child can drop what it inherited.
 _CLIENTS: weakref.WeakSet = weakref.WeakSet()
+#: Bytes asked of one ``recv``: a reply of a few hundred query rows.
+_RECV_BYTES = 1 << 16
 
 
 def parse_address(address: str | tuple) -> tuple[str, int]:
@@ -105,75 +113,327 @@ def parse_address(address: str | tuple) -> tuple[str, int]:
     return host, int(port)
 
 
-class _Connection(asyncio.Protocol):
-    """One pooled socket: at most one RPC in flight.
+def refuse_in_running_loop(name: str) -> None:
+    """Raise ``RuntimeError`` when the calling thread runs an event loop.
 
-    :meth:`expect` parks the future the next frame (or the hang-up, or
-    the caller's timer through :meth:`fail`) resolves.  A connection
-    that died while idle in the pool stays there, and fails the request
-    that next draws it with the error it died of -- which is what makes
-    that request retry on a fresh dial.
+    Every blocking entry point -- a client call, a remote fan-out --
+    asks before it sends anything: blocking the thread would stall every
+    task of that loop.
+    """
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return
+    raise RuntimeError(
+        f"blocking on {name}() from a running event loop would stall it; "
+        "call it from a plain thread (asyncio.to_thread)"
+    )
+
+
+class _Connection:
+    """One socket and the reader that cuts its replies.
+
+    A pooled connection is ``connected``; a fresh one is connecting
+    until its socket polls writable (:meth:`Rpc._connect`).
     """
 
-    def __init__(self, max_frame: int) -> None:
-        self.transport: asyncio.Transport | None = None
-        self._reader = FrameReader(max_frame=max_frame)
-        self._reply: asyncio.Future | None = None
-        self._lost: TransportError | None = None
+    __slots__ = ("sock", "reader", "connected")
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
+    def __init__(self, sock: socket.socket, max_frame: int) -> None:
+        self.sock = sock
+        self.reader = FrameReader(max_frame=max_frame)
+        self.connected = False
 
-    def expect(self, loop) -> asyncio.Future:
-        self._reply = loop.create_future()
-        if self._lost is not None:
-            self.fail(self._lost)
-        return self._reply
 
-    def fail(self, exc: TransportError) -> None:
-        if self._reply is not None and not self._reply.done():
-            self._reply.set_exception(exc)
+class Rpc:
+    """One RPC of a client, from its first send to its decoded reply.
 
-    def data_received(self, data: bytes) -> None:
-        try:
-            for frame in self._reader.feed(data):
-                if self._reply is None or self._reply.done():
-                    raise ProtocolError("the searcher sent an unrequested frame")
-                self._reply.set_result(frame)
-        except ProtocolError as exc:
-            self._lost = exc
-            self.fail(exc)
-            self.transport.close()
+    A poller registers :attr:`sock` (``None`` while a retry waits out
+    its backoff) for :attr:`events`, wakes the RPC by :attr:`wake_at` (a
+    ``time.monotonic`` instant: the connect's or the attempt's budget,
+    or the end of the backoff) and calls :meth:`step`.  Once
+    :attr:`done`, :meth:`result` returns the decoded reply or raises the
+    :class:`~repro.errors.TransportError` it ended with.  :meth:`cancel`
+    abandons it -- a hedge race's loser, a torn-down fan-out --
+    discarding its socket.
+    """
 
-    def connection_lost(self, exc: Exception | None) -> None:
-        if self._lost is None:
-            self._lost = (
-                self._reader.eof_error()
-                if exc is None
-                else ConnectionLostError(f"connection failed: {exc}")
+    __slots__ = (
+        "client", "frame", "deadline", "decode", "tries_left", "delay",
+        "last", "addrs", "conn", "out", "budget", "wake_at", "done",
+        "value", "error",
+    )
+
+    def __init__(
+        self,
+        client: RemoteSearcherClient,
+        frame: bytes,
+        deadline: float | None,
+        idempotent: bool,
+        decode,
+    ) -> None:
+        self.client = client
+        self.frame = frame
+        self.deadline = deadline
+        self.decode = decode
+        self.tries_left = client.retries if idempotent else 0
+        self.delay = client.backoff_s
+        self.last: TransportError | None = None
+        #: The addresses a dial in progress has yet to try.
+        self.addrs: list = []
+        self.conn: _Connection | None = None
+        #: The part of ``frame`` the socket has yet to take.
+        self.out = memoryview(b"")
+        self.budget = 0.0
+        self.wake_at = math.inf
+        self.done = False
+        self.value = None
+        self.error: TransportError | None = None
+        self._send()
+
+    @property
+    def sock(self) -> socket.socket | None:
+        return None if self.conn is None else self.conn.sock
+
+    @property
+    def events(self) -> int:
+        """What :attr:`sock` is polled for: writable while it connects
+        or the frame is being sent, then readable."""
+        if self.conn.connected and not self.out:
+            return select.POLLIN
+        return select.POLLOUT
+
+    def rpcs(self) -> tuple[Rpc]:
+        """What :func:`poll` waits on for this RPC alone: itself."""
+        return (self,)
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+    def step(self, now: float, ready: set) -> None:
+        """Move on if the socket is ``ready``; fire a due timer."""
+        if self.done:
+            return
+        if self in ready:
+            if not self.conn.connected:
+                self._connect()
+            elif self.out:
+                self._write()
+            else:
+                self._read()
+            if self.done:
+                return
+        if now >= self.wake_at:
+            if self.conn is None:
+                self._send()  # the backoff is over
+            elif not self.conn.connected:
+                message = (
+                    f"connect to {self.client.address} timed out after "
+                    f"{self.budget:.3f}s"
+                )
+                # A blown *caller* deadline must not retry; a plain
+                # connect timeout (SYN dropped: firewall, host
+                # mid-reboot) is a connectivity failure like
+                # refused/reset and gets the same bounded retries.
+                if self.deadline is not None and now >= self.deadline:
+                    self._lost(DeadlineExceededError(message))
+                else:
+                    self._lost(ConnectionLostError(message))
+            else:
+                self._lost(
+                    DeadlineExceededError(
+                        f"searcher {self.client.address} did not answer "
+                        f"within {self.budget:.3f}s"
+                    )
+                )
+
+    def cancel(self) -> None:
+        """Abandon the RPC; its socket, reply possibly in flight, is closed."""
+        if self.conn is not None:
+            self.client._discard(self.conn)
+            self.conn = None
+        self.done = True
+
+    # -- one attempt ---------------------------------------------------------------------
+    def _send(self) -> None:
+        """Start an attempt: on a pooled socket, or on a fresh dial."""
+        client = self.client
+        client.tally.count("requests_sent")
+        now = time.monotonic()
+        remaining = math.inf if self.deadline is None else self.deadline - now
+        if remaining <= 0:
+            return self._fail(
+                DeadlineExceededError("request deadline already expired")
             )
-        self.fail(self._lost)
+        try:
+            conn = client._checkout()
+            if conn is None:
+                self.addrs = client._resolve()
+                conn = client._dial(self.addrs)
+        except TransportError as exc:
+            return self._fail(exc)
+        self.conn = conn
+        if conn.connected:
+            return self._transmit()
+        self.budget = min(client.connect_timeout_s, remaining)
+        self.wake_at = now + self.budget
+        # A loopback or LAN connect has usually finished by now: send
+        # before the caller starts its next RPC, not a poll later.
+        if _writable(conn.sock):
+            self._connect()
+
+    def _connect(self) -> None:
+        """The dialing socket polled ready: connected, or refused."""
+        conn = self.conn
+        err = conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if not err:
+            conn.connected = True
+            self.client.tally.count("connects")
+            return self._transmit()
+        conn.sock.close()
+        try:
+            self.conn = self.client._dial(
+                self.addrs, OSError(err, os.strerror(err))
+            )
+        except TransportError as exc:
+            self.conn = None
+            self._fail(exc)
+
+    def _transmit(self) -> None:
+        """Start the attempt's budget on a connected socket and send."""
+        budget = self.client.timeout_s
+        if self.deadline is not None:
+            budget = max(min(budget, self.deadline - time.monotonic()), 0.0)
+        self.budget = budget
+        self.wake_at = time.monotonic() + budget
+        self.out = memoryview(self.frame)
+        self._write()
+
+    def _write(self) -> None:
+        try:
+            sent = self.conn.sock.send(self.out)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            return self._lost(ConnectionLostError(f"connection failed: {exc}"))
+        self.out = self.out[sent:]
+
+    def _read(self) -> None:
+        conn = self.conn
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return  # a spurious wake-up: nothing to read yet
+        except OSError as exc:
+            return self._lost(ConnectionLostError(f"connection failed: {exc}"))
+        if not data:
+            return self._lost(conn.reader.eof_error())
+        try:
+            frames = list(conn.reader.feed(data))
+        except ProtocolError as exc:
+            return self._lost(exc)
+        if not frames:
+            return
+        self.conn = None
+        if len(frames) > 1 or conn.reader.buffered:
+            # A frame nobody asked for: the stream is out of step.
+            self.client._discard(conn)
+        else:
+            self.client._checkin(conn)
+        msg_type, header, arrays = frames[0]
+        try:
+            raise_if_error(msg_type, header)
+            self.value = self.decode(msg_type, header, arrays)
+        except TransportError as exc:
+            self.error = exc
+        self.done = True
+
+    def _lost(self, exc: TransportError) -> None:
+        """The attempt's socket failed or timed out: discard it."""
+        self.client._discard(self.conn)
+        self.conn = None
+        self._fail(exc)
+
+    def _fail(self, exc: TransportError) -> None:
+        """Retry a connectivity failure while tries remain; else end.
+
+        A failure that ends the call is chained to the connectivity
+        failure that drove earlier retries, so a refused connection does
+        not read as a slow searcher.
+        """
+        client = self.client
+        if isinstance(exc, (ConnectionLostError, ProtocolError)):
+            self.last = exc
+            if self.tries_left:
+                self.tries_left -= 1
+                client.tally.count("retried")
+                pause = client._jitter(self.delay)
+                self.delay = min(self.delay * 2.0, client.backoff_max_s)
+                if self.deadline is not None:
+                    remaining = self.deadline - time.monotonic()
+                    if remaining <= 0:
+                        exc = DeadlineExceededError(
+                            "request deadline expired during retry backoff"
+                        )
+                        exc.__cause__ = self.last
+                        self.error, self.done = exc, True
+                        return
+                    pause = min(pause, remaining)
+                self.wake_at = time.monotonic() + max(pause, 0.0)
+                return
+        elif self.last is not None and exc.__cause__ is None:
+            exc.__cause__ = self.last
+        self.error, self.done = exc, True
 
 
-class AsyncRemoteSearcherClient:
-    """Asyncio RPC client for one remote searcher process.
+def poll(waiters) -> None:
+    """Wait on every waiter's sockets and timers until each is ``done``.
 
-    Every RPC is a coroutine, so a broker can keep N shard requests in
-    flight on **one** event-loop thread instead of burning a thread per
-    RPC.
+    A waiter is an :class:`Rpc`, or anything else with ``done``,
+    ``wake_at``, ``rpcs()`` (the RPCs whose sockets to watch) and
+    ``step(now, ready)``: the broker's per-group fan-out calls.  One
+    ``select.poll`` per turn, on the calling thread; its timeout is the
+    earliest ``wake_at``.
+    """
+    pending = [waiter for waiter in waiters if not waiter.done]
+    while pending:
+        poller = select.poll()
+        owners = {}
+        wake_at = math.inf
+        for waiter in pending:
+            wake_at = min(wake_at, waiter.wake_at)
+            for rpc in waiter.rpcs():
+                sock = rpc.sock
+                if sock is not None:
+                    owners[sock.fileno()] = rpc
+                    poller.register(sock, rpc.events)
+        timeout = None
+        if wake_at != math.inf:
+            timeout = max(0, math.ceil((wake_at - time.monotonic()) * 1e3))
+        ready = {owners[fd] for fd, _ in poller.poll(timeout)}
+        now = time.monotonic()
+        for waiter in pending:
+            waiter.step(now, ready)
+        pending = [waiter for waiter in pending if not waiter.done]
 
-    Connections are pooled on the process loop
-    (:func:`~repro.net.loop.process_loop`) only, where every broker's
-    fan-out and every blocking facade call runs: an asyncio transport is
-    bound to the loop that opened it.  A coroutine awaited on any other
-    loop dials its own connection and closes it when the call ends.
 
-    Cancellation safety -- what hedging leans on: an RPC cancelled
-    mid-flight (the hedge race's loser) always **discards** its
-    connection instead of pooling it, because the abandoned response is
-    still in the pipe and would poison whatever request checked the
-    connection out next.  Closing the socket also tells the searcher to
-    stop caring about the abandoned request's answer.
+def _writable(sock: socket.socket) -> bool:
+    """Whether ``sock`` polls writable (or errored) right now."""
+    probe = select.poll()
+    probe.register(sock, select.POLLOUT)
+    return bool(probe.poll(0))
+
+
+class RemoteSearcherClient:
+    """RPC client for one remote searcher process.
+
+    Safe to share between threads: each call checks a socket out of the
+    pool for its round trip.  The blocking methods (:meth:`search`,
+    :meth:`deploy`, :meth:`undeploy`, :meth:`stats`, :meth:`ping`) refuse
+    a caller inside a running event loop; :meth:`start_search` only
+    starts the RPC, for a caller that polls many at once.
 
     Parameters
     ----------
@@ -261,225 +521,115 @@ class AsyncRemoteSearcherClient:
         return counts.get("connects", 0) - counts.get("closes", 0)
 
     # -- connection management ---------------------------------------------------------
-    async def _dial(self, deadline: float | None) -> _Connection:
-        budget = self.connect_timeout_s
-        if deadline is not None:
-            budget = min(budget, self._remaining(deadline))
-        loop = asyncio.get_running_loop()
-        dialing = asyncio.ensure_future(
-            loop.create_connection(
-                partial(_Connection, self.max_frame), self.host, self.port
-            )
-        )
+    def _resolve(self) -> list:
+        """The searcher's addresses, in the order a dial tries them."""
         try:
-            done, _ = await asyncio.wait({dialing}, timeout=budget)
-        except asyncio.CancelledError:
-            dialing.cancel()
-            raise
-        if not done:
-            dialing.cancel()
-            # A blown *caller* deadline must not retry; a plain connect
-            # timeout (SYN dropped: firewall, host mid-reboot) is a
-            # connectivity failure like refused/reset and should get the
-            # same bounded retries.
-            if deadline is not None and deadline - time.monotonic() <= 0:
-                raise DeadlineExceededError(
-                    f"connect to {self.address} timed out after "
-                    f"{budget:.3f}s"
-                )
-            raise ConnectionLostError(
-                f"connect to {self.address} timed out after {budget:.3f}s"
-            )
-        try:
-            _, conn = dialing.result()
+            return socket.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM)
         except OSError as exc:
             raise ConnectionLostError(
                 f"cannot connect to searcher {self.address}: {exc}"
             ) from None
-        self.tally.count("connects")
-        return conn
 
-    async def _checkout(
-        self, deadline: float | None, pooled: bool
-    ) -> _Connection:
+    def _dial(self, addrs: list, error: OSError | None = None) -> _Connection:
+        """Start a non-blocking connect to the next of ``addrs`` that
+        takes one (popping what it tries); the poll sees it through.
+        ``error`` is why the previous address failed."""
+        while addrs:
+            family, kind, proto, _, sockaddr = addrs.pop(0)
+            sock = socket.socket(family, kind, proto)
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            err = sock.connect_ex(sockaddr)
+            if err in (0, errno.EINPROGRESS):
+                return _Connection(sock, self.max_frame)
+            sock.close()
+            error = OSError(err, os.strerror(err))
+        raise ConnectionLostError(
+            f"cannot connect to searcher {self.address}: {error}"
+        )
+
+    def _checkout(self) -> _Connection | None:
+        """A pooled connection, or ``None``: dial a fresh one."""
         with self._lock:
             if self._closed:
                 raise ConnectionLostError(
                     f"client for {self.address} is closed"
                 )
-            if pooled and self._pool:
+            if self._pool:
                 return self._pool.pop()
-        return await self._dial(deadline)
+        return None
 
-    def _checkin(self, conn: _Connection, pooled: bool) -> None:
+    def _checkin(self, conn: _Connection) -> None:
         with self._lock:
-            if pooled and not self._closed and len(self._pool) < self.pool_size:
+            if not self._closed and len(self._pool) < self.pool_size:
                 self._pool.append(conn)
                 return
         self._discard(conn)
 
     def _discard(self, conn: _Connection) -> None:
-        conn.transport.close()
-        self.tally.count("closes")
+        conn.sock.close()
+        if conn.connected:
+            self.tally.count("closes")
 
     def close(self) -> None:
         """Close every pooled connection; the client rejects further calls.
 
-        Callable from any thread: the pooled connections are closed on
-        the process loop that owns them.
+        Callable from any thread: an RPC in flight finishes on its own
+        socket, which is then closed instead of pooled.
         """
         with self._lock:
             self._closed = True
             pool, self._pool = self._pool, []
         for conn in pool:
-            process_loop().call_soon_threadsafe(conn.transport.close)
-            self.tally.count("closes")
+            self._discard(conn)
 
     def _forget_pool(self) -> None:
-        """Fork hook: the pooled sockets are the parent's, so the child
-        drops them unclosed (the inherited loop keeps them referenced)."""
+        """Fork hook: the pooled sockets are the parent's connections, so
+        the child drops them without a word on the wire."""
         self._lock = threading.Lock()  # a parent's thread may hold the old one
         with self._lock:
             self._pool = []
 
-    # -- core call machinery -----------------------------------------------------------
-    @staticmethod
-    def _remaining(deadline: float) -> float:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise DeadlineExceededError("request deadline already expired")
-        return remaining
-
-    def _expire(self, conn: _Connection, budget: float) -> None:
-        conn.fail(
-            DeadlineExceededError(
-                f"searcher {self.address} did not answer within {budget:.3f}s"
-            )
-        )
-
-    async def _once(
+    # -- RPCs ------------------------------------------------------------------------------
+    def _start(
         self,
         msg_type: MsgType,
-        header: dict,
-        arrays: tuple,
-        deadline: float | None,
-    ) -> tuple[MsgType, dict, list[np.ndarray]]:
-        pooled = on_process_loop()
-        conn = await self._checkout(deadline, pooled)
-        loop = asyncio.get_running_loop()
-        budget = self.timeout_s
-        if deadline is not None:
-            try:
-                budget = min(budget, self._remaining(deadline))
-            except DeadlineExceededError:
-                self._checkin(conn, pooled)
-                raise
-        # One frame, one write, one future: the reply (or the hang-up)
-        # resolves it from data_received, and one timer bounds the whole
-        # round trip, however slowly the peer trickles bytes.
-        reply = conn.expect(loop)
-        timer = loop.call_later(budget, self._expire, conn, budget)
-        try:
-            conn.transport.writelines(encode_frame(msg_type, header, arrays))
-            response = await reply
-        except BaseException:
-            # A timed-out or cancelled RPC (hedge loser, torn-down
-            # fan-out) leaves its response in the pipe, a failed one a
-            # dead socket: never pool this connection.
-            self._discard(conn)
-            raise
-        finally:
-            timer.cancel()
-        self._checkin(conn, pooled)
-        return response
-
-    async def call(
-        self,
-        msg_type: MsgType,
-        header: dict | None = None,
         arrays: tuple = (),
         *,
         deadline: float | None = None,
         idempotent: bool = True,
-    ) -> tuple[MsgType, dict, list[np.ndarray]]:
-        """One RPC round trip; returns ``(msg_type, header, arrays)``.
+        decode=None,
+        **fields,
+    ) -> Rpc:
+        """Start one schema-checked RPC: ``fields`` packed into the
+        request header, the reply (which must be of the type that
+        answers ``msg_type``) unpacked and handed to ``decode(reply,
+        arrays)`` (default: the reply alone).
 
         ``deadline`` is an absolute ``time.monotonic()`` instant shared
         across retries.  Error frames raise
         :class:`~repro.errors.RemoteCallError` (never retried).
         """
-        header = header or {}
-        attempts = (self.retries + 1) if idempotent else 1
-        delay = self.backoff_s
-        last: Exception | None = None
-        for attempt in range(attempts):
-            if attempt:
-                self.tally.count("retried")
-                pause = self._jitter(delay)
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        # The deadline died during backoff: the timeout
-                        # is a symptom.  Keep the connectivity failure
-                        # that drove the retries as the cause, or a
-                        # refused connection reads as a slow searcher.
-                        raise DeadlineExceededError(
-                            "request deadline expired during retry backoff"
-                        ) from last
-                    pause = min(pause, remaining)
-                await asyncio.sleep(max(pause, 0.0))
-                delay = min(delay * 2.0, self.backoff_max_s)
-            try:
-                self.tally.count("requests_sent")
-                resp_type, resp_header, resp_arrays = await self._once(
-                    msg_type, header, arrays, deadline
-                )
-            except DeadlineExceededError as exc:
-                # Retrying a blown budget only makes it later.  Chain
-                # the connectivity error from earlier attempts (an
-                # expired deadline discovered inside _dial/_once raises
-                # bare) so the real cause isn't masked as a timeout.
-                if last is not None and exc.__cause__ is None:
-                    raise exc from last
-                raise
-            except (ConnectionLostError, ProtocolError) as exc:
-                last = exc
-                continue
-            raise_if_error(resp_type, resp_header)
-            return resp_type, resp_header, resp_arrays
-        assert last is not None
-        raise last
-
-    async def _request(
-        self,
-        msg_type: MsgType,
-        arrays: tuple = (),
-        *,
-        deadline: float | None = None,
-        idempotent: bool = True,
-        **fields,
-    ) -> tuple:
-        """One schema-checked RPC: pack ``fields`` into the request
-        header, :meth:`call`, and unpack the reply, which must be of the
-        type that answers ``msg_type``.  Returns ``(reply, arrays)``."""
-        reply_type, header, reply_arrays = await self.call(
-            msg_type,
-            pack(msg_type, **fields),
-            arrays,
-            deadline=deadline,
-            idempotent=idempotent,
+        frame = b"".join(encode_frame(msg_type, pack(msg_type, **fields), arrays))
+        return Rpc(
+            self,
+            frame,
+            deadline,
+            idempotent,
+            partial(_unpack_reply, msg_type, decode or _reply_only),
         )
-        if reply_type != REPLY_TYPE[msg_type]:
-            raise ProtocolError(
-                f"{msg_type.name} was answered with {reply_type.name}, "
-                f"expected {REPLY_TYPE[msg_type].name}"
-            )
-        return unpack(reply_type, header), reply_arrays
 
-    # -- the searcher RPC surface ------------------------------------------------------
-    async def search(self, call: ShardCall) -> ShardReply:
-        """One shard search over the wire: the one place a
-        :class:`ShardCall` is packed and a :class:`ShardReply` unpacked.
+    def _call(self, name: str, start, *args, **kwargs):
+        """Block the calling thread on one RPC."""
+        refuse_in_running_loop(f"{type(self).__name__}.{name}")
+        rpc = start(*args, **kwargs)
+        poll((rpc,))
+        return rpc.result()
+
+    def start_search(self, call: ShardCall) -> Rpc:
+        """Send one shard search; the returned :class:`Rpc` yields its
+        :class:`ShardReply`.  The one place a :class:`ShardCall` is
+        packed and a :class:`ShardReply` unpacked.
 
         Every field of the call ships under its own name, so a field
         appended to ``FRAME_FIELDS`` and to the dataclass needs no edit
@@ -491,10 +641,11 @@ class AsyncRemoteSearcherClient:
         # Ships as *remaining* budget, so the searcher can reject
         # already-expired work before burning CPU.
         deadline = fields.pop("deadline")
-        result, arrays = await self._request(
+        return self._start(
             MsgType.SEARCH,
             (queries,),
             deadline=deadline,
+            decode=partial(self._shard_reply, (queries.shape[0], int(call.top_k))),
             deadline_ms=(
                 None
                 if deadline is None
@@ -502,23 +653,28 @@ class AsyncRemoteSearcherClient:
             ),
             **fields,
         )
+
+    def _shard_reply(self, want: tuple[int, int], result, arrays) -> ShardReply:
         if len(arrays) != 2:
             raise ProtocolError(
                 f"search result carries {len(arrays)} arrays, expected 2"
             )
         ids = np.asarray(arrays[0], dtype=np.int64)
         dists = np.asarray(arrays[1], dtype=np.float64)
-        want = (queries.shape[0], int(call.top_k))
         if ids.shape != want or dists.shape != want:
             raise ProtocolError(
                 f"search result shapes {ids.shape}/{dists.shape} do not "
                 f"match the requested {want}"
             )
-        self.tally.count("queries_served", queries.shape[0])
+        self.tally.count("queries_served", want[0])
         del result.index  # the RESULT's echo of the call's own field
         return ShardReply(ids, dists, **vars(result))
 
-    async def deploy(
+    def search(self, call: ShardCall) -> ShardReply:
+        """One shard search over the wire (see :meth:`start_search`)."""
+        return self._call("search", self.start_search, call)
+
+    def deploy(
         self,
         index_name: str,
         index_path: str,
@@ -527,7 +683,9 @@ class AsyncRemoteSearcherClient:
         deadline: float | None = None,
     ) -> list[str]:
         """Host this searcher's shard of an exported index (not retried)."""
-        reply, _ = await self._request(
+        reply = self._call(
+            "deploy",
+            self._start,
             MsgType.DEPLOY,
             deadline=deadline,
             idempotent=False,
@@ -537,11 +695,13 @@ class AsyncRemoteSearcherClient:
         )
         return reply.hosted or []
 
-    async def undeploy(
+    def undeploy(
         self, index_name: str, *, deadline: float | None = None
     ) -> list[str]:
         """Unhost an index (not retried)."""
-        reply, _ = await self._request(
+        reply = self._call(
+            "undeploy",
+            self._start,
             MsgType.UNDEPLOY,
             deadline=deadline,
             idempotent=False,
@@ -549,71 +709,33 @@ class AsyncRemoteSearcherClient:
         )
         return reply.hosted or []
 
-    async def stats(self, *, deadline: float | None = None) -> dict:
+    def stats(self, *, deadline: float | None = None) -> dict:
         """The remote server's STATS reply (see ``SearcherServer.stats``)."""
-        reply, _ = await self._request(MsgType.STATS, deadline=deadline)
+        reply = self._call("stats", self._start, MsgType.STATS, deadline=deadline)
         return reply.stats or {}
 
-    async def ping(self, *, deadline: float | None = None) -> int:
+    def ping(self, *, deadline: float | None = None) -> int:
         """Liveness probe; returns the remote node's shard id."""
-        reply, _ = await self._request(MsgType.PING, deadline=deadline)
+        reply = self._call("ping", self._start, MsgType.PING, deadline=deadline)
         if reply.shard_id is None:
             raise ProtocolError("the OK reply to PING names no shard id")
         return reply.shard_id
 
     def __repr__(self) -> str:
-        return f"AsyncRemoteSearcherClient({self.address!r})"
-
-
-def _core_view(name: str) -> property:
-    """Read-only facade attribute showing the core's ``name``."""
-    return property(lambda self: getattr(self.core, name))
-
-
-class RemoteSearcherClient:
-    """Blocking facade over one :class:`AsyncRemoteSearcherClient`.
-
-    Takes the core's constructor arguments and offers its RPC surface to
-    plain threads: each method runs the same-named coroutine of
-    :attr:`core` on the process loop through :func:`repro.net.loop.run`
-    and blocks for its result (or re-raises its exception), refusing a
-    caller inside a running event loop.  Safe to share between threads;
-    the connections it opens are pooled by the core.
-    """
-
-    def __init__(self, address: str | tuple, **core_kwargs) -> None:
-        self.core = AsyncRemoteSearcherClient(address, **core_kwargs)
-
-    def search(self, call: ShardCall) -> ShardReply:
-        """Blocking :meth:`AsyncRemoteSearcherClient.search`."""
-        return run(self.core.search(call))
-
-    def deploy(self, *args, **kwargs) -> list[str]:
-        """Blocking :meth:`AsyncRemoteSearcherClient.deploy`."""
-        return run(self.core.deploy(*args, **kwargs))
-
-    def undeploy(self, *args, **kwargs) -> list[str]:
-        """Blocking :meth:`AsyncRemoteSearcherClient.undeploy`."""
-        return run(self.core.undeploy(*args, **kwargs))
-
-    def stats(self, **kwargs) -> dict:
-        """Blocking :meth:`AsyncRemoteSearcherClient.stats`."""
-        return run(self.core.stats(**kwargs))
-
-    def ping(self, **kwargs) -> int:
-        """Blocking :meth:`AsyncRemoteSearcherClient.ping`."""
-        return run(self.core.ping(**kwargs))
-
-    def close(self) -> None:
-        """Close every pooled connection; the client rejects further calls."""
-        self.core.close()
-
-    address = _core_view("address")
-    open_connections = _core_view("open_connections")
-    tally = _core_view("tally")
-
-    def __repr__(self) -> str:
         return f"RemoteSearcherClient({self.address!r})"
+
+
+def _unpack_reply(msg_type: MsgType, decode, reply_type, header, arrays):
+    if reply_type != REPLY_TYPE[msg_type]:
+        raise ProtocolError(
+            f"{msg_type.name} was answered with {reply_type.name}, "
+            f"expected {REPLY_TYPE[msg_type].name}"
+        )
+    return decode(unpack(reply_type, header), arrays)
+
+
+def _reply_only(reply, arrays):
+    return reply
 
 
 def _forget_pools_in_child() -> None:

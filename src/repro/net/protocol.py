@@ -21,11 +21,11 @@ payloads are the raw C-contiguous bytes of ``float32`` / ``float64`` /
 arrays (no serialization pass) and decoding reconstructs them with
 ``np.frombuffer`` over slices of the received buffer (no copy).
 
-Sockets: this module does no IO.  A sender passes :func:`encode_frame`'s
-buffer list to **one** ``transport.writelines`` -- one frame, one write
-call, one ``send`` (``sendmsg`` on Python 3.12+) -- and a receiver feeds
-whatever ``data_received`` hands it to a :class:`FrameReader`, the only
-caller of :func:`parse_prefix` / :func:`decode_body` on a socket path.
+Sockets: this module does no IO.  A sender joins :func:`encode_frame`'s
+buffer list for **one** write -- one frame, one ``sendall`` or ``send``
+(only a frame larger than the socket's buffer takes a client more) --
+and a receiver feeds whatever ``recv`` hands it to a
+:class:`FrameReader`, the only caller of :func:`parse_prefix` / :func:`decode_body` on a socket path.
 The reader's contract: a prefix is validated as soon as its
 :data:`PREFIX_SIZE` bytes exist, i.e. before any of an oversized or
 garbled frame's payload is buffered; a frame lying whole in one chunk
@@ -307,13 +307,9 @@ def encode_frame(
 ) -> list:
     """Build one frame as a list of buffers (prefix, header, raw arrays).
 
-    The list goes to one ``transport.writelines`` call.  The array
-    entries are :class:`memoryview` s over the (C-contiguous) inputs, so
-    building the frame copies nothing; what the transport then does
-    depends on the interpreter: on Python 3.12+ ``writelines`` hands the
-    views to ``sendmsg`` and a query/result block is never copied in
-    user space, on 3.10 / 3.11 it joins them into one ``bytes`` first
-    (one copy, one ``send``).
+    The array entries are :class:`memoryview` s over the (C-contiguous)
+    inputs, so building the frame copies nothing; both ends join the
+    list into one ``bytes`` for one write (one copy).
     ``version`` lets tests (and a peer pinned to an older dialect) emit
     any :data:`SUPPORTED_VERSIONS` frame.
     """
@@ -566,11 +562,16 @@ class FrameReader:
             yield msg_type, header, arrays
         self._buffer += view[start:]
 
+    @property
+    def buffered(self) -> int:
+        """Bytes fed but not yet cut into a frame."""
+        return len(self._buffer)
+
     def eof_error(self) -> TransportError:
         """What to report when the stream ends here: a
         :class:`ConnectionLostError` between frames (a clean hang-up),
         a :class:`ProtocolError` inside one."""
-        have = len(self._buffer)
+        have = self.buffered
         if not have:
             return ConnectionLostError("connection closed")
         if self._head is None:

@@ -16,28 +16,28 @@ signal is one entry appended to ``FRAME_FIELDS`` and one dataclass
 field, set where the call is built and read where it is served.
 
 A fleet is all :class:`LocalSearcherTransport` (searched inline on the
-caller's thread) or all :class:`AsyncSearcherTransport` (awaited on the
-process's event loop, the only home of failover, hedging and the
+caller's thread) or all :class:`RemoteSearcherTransport` (RPCs started
+with :meth:`RemoteSearcherTransport.start_search` and polled together on
+the caller's thread, the only home of failover, hedging and the
 retry-after pause); the broker refuses a mix.
 
 Deadlines: ``call.deadline`` is an absolute ``time.monotonic()`` instant.
 The remote transport enforces it on the wire; the local transport
-*ignores* it -- in-process numpy work is not cancellable, and the broker
-already bounds its own wait on the fan-out future.
+*ignores* it -- in-process numpy work is not cancellable.
 """
 
 from __future__ import annotations
 
 import abc
+import asyncio
 
-from repro.net.client import CONNECTIVITY_FAILURES, RemoteSearcherClient
+from repro.net.client import CONNECTIVITY_FAILURES, RemoteSearcherClient, Rpc
 from repro.net.protocol import ShardCall, ShardReply
 from repro.obs.tracing import SpanRecorder
 from repro.online.searcher import SearcherNode, observed_search
 
 __all__ = [
     "SearcherTransport",
-    "AsyncSearcherTransport",
     "LocalSearcherTransport",
     "RemoteSearcherTransport",
     "as_transport",
@@ -63,21 +63,6 @@ class SearcherTransport(abc.ABC):
         """Release transport resources (no-op for in-process shards)."""
 
 
-class AsyncSearcherTransport(abc.ABC):
-    """Marker + contract for transports with a native-async search path.
-
-    The broker's fan-out multiplexes a fleet of these on the process
-    loop.  Implementations must tolerate several concurrent
-    :meth:`search_batch_async` calls for one shard -- that is exactly
-    what a hedged request is.
-    """
-
-    @abc.abstractmethod
-    async def search_batch_async(self, call: ShardCall) -> ShardReply:
-        """Coroutine twin of :meth:`SearcherTransport.search` (the name
-        is the frozen ledger's patch point; goes with ROADMAP 2(a))."""
-
-
 class LocalSearcherTransport(SearcherTransport):
     """In-process shard: the observed search of a :class:`SearcherNode`."""
 
@@ -99,14 +84,13 @@ class LocalSearcherTransport(SearcherTransport):
         return f"LocalSearcherTransport({self.node!r})"
 
 
-class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
+class RemoteSearcherTransport(SearcherTransport):
     """A shard behind TCP, driven through one :class:`RemoteSearcherClient`.
 
-    Both search paths are the same client code: :meth:`search_batch_async`
-    awaits the client's asyncio core on the caller's event loop (the
-    broker's fan-out, on the process loop), while :meth:`search` and the
-    control plane (``verify`` / ``deploy`` / ``undeploy`` / ``stats``)
-    block a plain thread on the facade.
+    :meth:`start_search` starts a shard RPC for the broker's fan-out to
+    poll; :meth:`search` and the control plane (``verify`` / ``deploy``
+    / ``undeploy`` / ``stats``) block the calling thread on the same
+    client.
 
     ``shard_id`` is the position this transport holds in the broker's
     fleet; :meth:`verify` confirms the process at ``address`` actually
@@ -135,11 +119,16 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
     def search(self, call: ShardCall) -> ShardReply:
         return self.client.search(call)
 
+    def start_search(self, call: ShardCall) -> Rpc:
+        """Send ``call``; the fan-out polls the returned RPC."""
+        return self.client.start_search(call)
+
+    # The frozen ``benchmarks/ledger`` imports, calls or patches these;
+    # nothing under ``src/`` does.  They go with ROADMAP 2(a).
     async def search_batch_async(self, call: ShardCall) -> ShardReply:
-        return await self.client.core.search(call)
+        return await asyncio.to_thread(self.search, call)
 
     def search_batch(self, *call, **fields) -> ShardReply:
-        """The frozen ledger's blocking probe; goes with ROADMAP 2(a)."""
         return self.search(ShardCall(*call, **fields))
 
     def deploy(
@@ -163,9 +152,7 @@ class RemoteSearcherTransport(SearcherTransport, AsyncSearcherTransport):
         )
 
 
-#: The name the remote transport had while a blocking-only sibling
-#: existed; the frozen ``benchmarks/ledger`` still imports (and patches
-#: ``search_batch_async`` on) it.  Goes with ROADMAP 2(a).
+#: The frozen ``benchmarks/ledger`` imports this name; goes with ROADMAP 2(a).
 AsyncRemoteSearcherTransport = RemoteSearcherTransport
 
 

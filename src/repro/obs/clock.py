@@ -139,8 +139,8 @@ class StageClock:
     Memory is bounded for long-lived brokers: exact ``count`` and
     ``total`` run forever, while the percentiles come from a sliding
     window of the most recent ``window`` samples per stage.  Recording
-    happens under a lock (client, flusher and fan-out loop threads record
-    concurrently).  ``labels`` (``broker=<name>``) go on every histogram
+    happens under a lock (client and flusher threads, each driving its
+    own fan-outs, record concurrently).  ``labels`` (``broker=<name>``) go on every histogram
     observation a stage makes.
     """
 

@@ -25,13 +25,12 @@ shifts a remote recorder's spans onto the local timeline when splicing.
 
 Searcher-side kernels pick up the active recorder ambiently
 (:func:`current_recorder` / :func:`activate`); the broker's fan-out
-passes span objects explicitly instead, because its RPCs run on a
-separate event-loop thread where context variables do not follow.
+passes span objects explicitly instead, because it keeps every shard's
+RPCs in flight at once, interleaved on one thread.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
 import random
@@ -56,10 +55,7 @@ def _new_span(name: str, start_ms: float, annotations: dict) -> dict:
 
 def failure_annotations(exc: BaseException) -> dict:
     """What a span (or a trace's root) says about the exception that
-    ended it: ``outcome=error`` + ``error=<type>``, or
-    ``outcome=cancelled`` for an asyncio cancellation."""
-    if isinstance(exc, asyncio.CancelledError):
-        return {"outcome": "cancelled"}
+    ended it: ``outcome=error`` + ``error=<type>``."""
     return {"outcome": "error", "error": type(exc).__name__}
 
 
@@ -85,8 +81,8 @@ class SpanRecorder:
     ``span()`` is the nested context-manager interface (single-threaded
     use: the searcher's request handler, the broker's request thread);
     ``start_span``/``end_span`` are the explicit-parent interface for
-    code running off-thread (the broker's fan-out event loop), where
-    nesting-by-stack would race.
+    spans that interleave (the broker's fan-out attempts), where
+    nesting-by-stack would cross them.
     """
 
     def __init__(self, at: float | None = None) -> None:

@@ -20,10 +20,10 @@ broker's :class:`~repro.obs.clock.StageClock`::
   runs -- and sent only to the shard groups hosting its segments.
   Routing is a pure function of the query, so it changes no answer,
   cache key or admission key.
-- **fan out** (:mod:`repro.online.fanout`), inline or on the process's
-  event loop as the fleet dictates, with replica failover
+- **fan out** (:mod:`repro.online.fanout`) on the calling thread,
+  inline or over the wire as the fleet dictates, with replica failover
   (:mod:`repro.online.failover`) and hedged requests
-  (:mod:`repro.online.hedging`) on the loop.
+  (:mod:`repro.online.hedging`) for a remote fleet.
 - **merge**: :func:`~repro.core.merge.merge_shard_results_batch` over
   the fan-out's full-width parts.  None of those modules imports this one.
 """
@@ -102,7 +102,7 @@ class BrokerPolicy(FlagFields):
     ``repro.cli query --searchers``.
     """
 
-    #: Tail-tolerance knob (needs the ``loop`` venue, a remote fleet --
+    #: Tail-tolerance knob (needs the ``remote`` venue, a remote fleet --
     #: a hedge that could never fire is rejected, not dropped): when a
     #: shard has not answered within this many seconds and budget
     #: remains before the deadline, the same RPC is
@@ -282,14 +282,10 @@ class Broker:
         #: Where the fan-out runs -- derived from the fleet, see
         #: :mod:`repro.online.fanout`.
         self.venue = self._fanout.venue
-        # Hedges are raced on the event loop: a hedge delay no shard
-        # could honor is refused, not silently dropped.
-        if policy.hedge_after_s is not None and self.venue != "loop":
-            raise ValueError(
-                "hedge_after_s needs the loop venue, a fleet of "
-                "AsyncSearcherTransport (hedges are raced on the event "
-                "loop; in-process transports cannot hedge)"
-            )
+        # A hedge delay no shard could honor is refused, not silently
+        # dropped.
+        if policy.hedge_after_s is not None and self.venue != "remote":
+            raise ValueError("hedge_after_s needs a remote fleet")
         self._admission = Admission(
             self._search,
             self.cache,

@@ -2,23 +2,22 @@
 
 :class:`FanOut` owns the fleet-facing half of a request.  It runs in one
 of two **venues**, chosen from the fleet it was given, never by an
-option:
+option, and both run on the calling thread:
 
 - ``"inline"`` -- every transport is a
   :class:`~repro.net.transport.LocalSearcherTransport`.  In-process numpy
   work cannot be shed, hedged, failed over or deadline-cancelled, so each
-  shard group is ``pick -> attempt -> part`` on the calling thread.
-  (Routing it through the event loop instead costs +0.5-0.7 ms on a
-  2.5-3.0 ms single-query request -- the whole latency budget of the
-  ledger's ``local_single`` workload.)
-- ``"loop"`` -- every transport is an
-  :class:`~repro.net.transport.AsyncSearcherTransport`.  All shard RPCs
-  of a batch are multiplexed on the process's one event loop
-  (:mod:`repro.net.loop`), the only home of replica **failover**, the
-  ``OVERLOADED`` retry-after pause (:mod:`repro.online.failover`) and
-  **hedged requests** (:mod:`repro.online.hedging`;
-  :mod:`repro.online.replicas` keeps the per-replica health/load ledger
-  both venues report to).
+  shard group is ``pick -> attempt -> part`` in turn.
+- ``"remote"`` -- every transport is a
+  :class:`~repro.net.transport.RemoteSearcherTransport`.  Every group's
+  RPC is sent first, then one ``select.poll`` waits on every attempt in
+  flight (:func:`repro.net.client.poll`); its timeout is the earliest
+  pending timer -- a hedge delay, an attempt's budget, a retry-after
+  pause or a reconnect backoff.  This venue is the only home of replica
+  **failover**, the ``OVERLOADED`` retry-after pause
+  (:mod:`repro.online.failover`) and **hedged requests**
+  (:mod:`repro.online.hedging`; :mod:`repro.online.replicas` keeps the
+  per-replica health/load ledger both venues report to).
 
 A fleet that mixes the two kinds is refused.
 
@@ -28,7 +27,8 @@ Either venue yields one :class:`Outcome` per :class:`Work` item;
 
 from __future__ import annotations
 
-import asyncio
+import math
+import time
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -36,15 +36,20 @@ import numpy as np
 
 from repro.core.merge import empty_part
 from repro.errors import OverloadedError, TransportError
-from repro.net import loop
+from repro.net.client import poll, refuse_in_running_loop
 from repro.net.protocol import ShardCall, ShardReply
-from repro.net.transport import AsyncSearcherTransport, LocalSearcherTransport
+from repro.net.transport import LocalSearcherTransport, RemoteSearcherTransport
 from repro.obs.clock import Stage, StageClock
 from repro.obs.cost import SearchCost
 from repro.obs.metrics import Tally
 from repro.obs.tracing import Trace
-from repro.online.failover import degrades, retry_after_pause, should_fail_over
-from repro.online.hedging import hedged_search
+from repro.online.failover import (
+    budget_left,
+    degrades,
+    retry_after_pause,
+    should_fail_over,
+)
+from repro.online.hedging import first_reply, hedge_target
 from repro.online.replicas import ReplicaGroup, ReplicaState
 from repro.online.router import RoutingPlan
 
@@ -189,18 +194,22 @@ class Attempt(Stage):
     """One replica attempt in either venue: ledger slot, span, reply.
 
     The ``attempt`` stage around the shard RPC, a child span of the
-    group's ``shard_rpc`` span.  The ``with`` block holds the replica's
-    in-flight slot and stores the transport's answer in ``reply``.  On
-    exit the group's in-flight/EWMA ledger is settled from the stage's
-    own duration and the span closes with ``outcome`` ``ok`` / ``error``
-    / ``cancelled`` (a cancelled hedge loser releases its slot without
-    polluting the latency EWMA); the searcher's own spans are spliced
-    under the successful attempt that produced them.  ``win`` is left
-    ``False`` -- a completed loser (both answered in one tick) stays a
-    loss; :meth:`settle` flips the race winner.
+    group's ``shard_rpc`` span.  Entering takes the replica's in-flight
+    slot; leaving settles the group's in-flight/EWMA ledger from the
+    stage's own duration and closes the span with ``outcome`` ``ok`` /
+    ``error``, and the searcher's own spans are spliced under the
+    successful attempt that produced them.  A race's loser still in
+    flight is closed by :meth:`cancel` instead: ``cancelled``, its slot released
+    without polluting the latency EWMA.  ``win`` is left ``False`` -- a
+    completed loser (both answered by one poll) stays a loss;
+    :meth:`settle` flips the race winner.
+
+    Inline, the ``with`` block stores the transport's answer in
+    ``reply``; remote, ``rpc`` is the RPC in flight and :meth:`close`
+    leaves the stage once it is done.
     """
 
-    __slots__ = ("group", "replica", "reply")
+    __slots__ = ("group", "replica", "reply", "rpc")
 
     def __init__(
         self,
@@ -225,6 +234,7 @@ class Attempt(Stage):
         self.group = group
         self.replica = replica
         self.reply: ShardReply | None = None
+        self.rpc = None
 
     def __enter__(self) -> Attempt:
         self.group.begin(self.replica)
@@ -237,10 +247,28 @@ class Attempt(Stage):
             if self.span is not None and self.reply.trace:
                 self.trace.attach_remote(self.span, self.reply.trace)
         else:
-            cancelled = isinstance(exc, asyncio.CancelledError)
-            self.group.finish(
-                self.replica, outcome="cancelled" if cancelled else "error"
-            )
+            self.group.finish(self.replica, outcome="error")
+
+    @property
+    def done(self) -> bool:
+        return self.rpc.done
+
+    def close(self) -> None:
+        """Leave the stage with the finished RPC's reply or error."""
+        try:
+            self.reply = self.rpc.result()
+        except TransportError as exc:
+            self.__exit__(type(exc), exc, None)
+        else:
+            self.__exit__(None, None, None)
+
+    def cancel(self) -> None:
+        """Abandon the RPC in flight (its socket is discarded, never
+        pooled) and leave the stage ``cancelled``."""
+        self.rpc.cancel()
+        self.annotate(outcome="cancelled")
+        Stage.__exit__(self, None, None, None)
+        self.group.finish(self.replica, outcome="cancelled")
 
     def settle(self) -> Outcome:
         """Mark this attempt, which delivered ``reply``, as the winner."""
@@ -254,7 +282,7 @@ class Attempt(Stage):
 class FanOut:
     """Runs fan-outs over one fleet of replica groups.
 
-    ``clock`` times the ``shard_rpc`` / ``attempt`` stages (on the loop
+    ``clock`` times the ``shard_rpc`` / ``attempt`` stages (on the remote
     venue every attempt is also one sample of the ``shard_rpc`` window
     -- the per-RPC wall time ``hedge_after_s`` is tuned against);
     ``tally`` counts failovers, hedges, sheds and degraded shards.
@@ -274,12 +302,12 @@ class FanOut:
         transports = [t for group in groups for t in group.transports]
         if all(isinstance(t, LocalSearcherTransport) for t in transports):
             self.venue = "inline"
-        elif all(isinstance(t, AsyncSearcherTransport) for t in transports):
-            self.venue = "loop"
+        elif all(isinstance(t, RemoteSearcherTransport) for t in transports):
+            self.venue = "remote"
         else:
             raise ValueError(
                 "a fleet is all in-process (LocalSearcherTransport) or all "
-                "remote (AsyncSearcherTransport); got "
+                "remote (RemoteSearcherTransport); got "
                 + ", ".join(sorted({type(t).__name__ for t in transports}))
             )
 
@@ -294,13 +322,13 @@ class FanOut:
 
         A traced group is one ``shard_rpc`` child of ``fanout_span``
         with each attempt (hedges included) as its child -- explicit
-        parents, because the loop venue runs on a thread where the
-        recorder's nesting stack cannot be used.
+        parents, because the remote venue interleaves the groups'
+        attempts and the recorder's nesting stack cannot follow them.
         """
         if self.venue == "inline":
             outcomes = self._inline(batch, work, fanout_span)
         else:
-            outcomes = loop.run(self._gather(batch, work, fanout_span))
+            outcomes = self._remote(batch, work, fanout_span)
         return assemble(
             work,
             outcomes,
@@ -336,75 +364,183 @@ class FanOut:
             outcomes.append(outcome)
         return outcomes
 
-    # -- loop venue (remote fleets) ------------------------------------------------------
-    async def _gather(
+    # -- remote venue (remote fleets) ----------------------------------------------------
+    def _remote(
         self, batch: Batch, work: list[Work], fanout_span: dict | None
     ) -> list[Outcome]:
-        """Multiplex one batch's group RPCs (and their hedges)."""
-        return await asyncio.gather(
-            *(self._group_call(batch, item, fanout_span) for item in work)
+        """Send every group's RPC, then poll them all to their outcomes.
+
+        An exception that escapes (a bug, an interrupt) abandons every
+        attempt still in flight, so no socket is pooled mid-reply.
+        """
+        refuse_in_running_loop("FanOut.run")
+        calls: list[GroupCall] = []
+        try:
+            for item in work:
+                calls.append(GroupCall(self, batch, item, fanout_span))
+                calls[-1].step(time.monotonic(), set())
+            poll(calls)
+        except BaseException as exc:
+            for call in calls:
+                call.abandon(exc)
+            raise
+        return [call.outcome for call in calls]
+
+
+class GroupCall:
+    """One work item on the remote venue: its group's attempts, stepped
+    by :func:`repro.net.client.poll` until the group has an outcome.
+
+    Picks the least-loaded replica, hedges an attempt that straggles
+    past the batch's hedge delay while budget remains, retries failures
+    a sibling may retry on untried siblings while deadline budget
+    remains, and honors one ``OVERLOADED`` retry-after pause per
+    request.  The last failure travels in the :class:`Outcome`.
+    """
+
+    __slots__ = (
+        "fanout", "batch", "group", "call", "deadline", "tried", "last",
+        "waited_retry", "stage", "shard_rpc", "race", "hedge_at", "resume_at",
+        "outcome", "done",
+    )
+
+    def __init__(
+        self, fanout: FanOut, batch: Batch, item: Work, fanout_span: dict | None
+    ) -> None:
+        self.fanout = fanout
+        self.batch = batch
+        self.group = fanout.groups[item.group_id]
+        self.call = batch.call_for(item)
+        self.deadline = self.call.deadline
+        self.tried: list[int] = []
+        self.last: TransportError | None = None
+        self.waited_retry = False
+        self.stage = fanout.clock.stage(
+            "shard_rpc", batch.trace, parent=fanout_span, shard=item.group_id
+        )
+        self.shard_rpc = self.stage.__enter__()
+        #: The current replica's attempts: the primary, then its hedge.
+        self.race: list[Attempt] = []
+        self.hedge_at = math.inf
+        #: When the next replica is picked while ``race`` is empty.
+        self.resume_at = -math.inf
+        self.outcome: Outcome | None = None
+        self.done = False
+
+    @property
+    def wake_at(self) -> float:
+        return min(
+            self.hedge_at,
+            self.resume_at,
+            *(attempt.rpc.wake_at for attempt in self.race if not attempt.done),
         )
 
-    async def _group_call(
-        self, batch: Batch, item: Work, fanout_span: dict | None
-    ) -> Outcome:
-        """One group's outcome on the loop: hedged search + failover.
+    def rpcs(self) -> list:
+        return [attempt.rpc for attempt in self.race if not attempt.done]
 
-        Picks the least-loaded replica, retries failures a sibling may
-        retry on untried siblings while deadline budget remains, and
-        honors one ``OVERLOADED`` retry-after pause per request.  Never
-        raises a :class:`TransportError`: the last failure travels in
-        the outcome.
-        """
-        group = self.groups[item.group_id]
-        call = batch.call_for(item)
-        deadline = call.deadline
-        tried: list[int] = []
-        last: TransportError | None = None
-        waited_retry = False
-        with self.clock.stage(
-            "shard_rpc", batch.trace, parent=fanout_span, shard=item.group_id
-        ) as rpc:
+    def step(self, now: float, ready: set) -> None:
+        for attempt in self.race:
+            if not attempt.done:
+                attempt.rpc.step(now, ready)
+                if attempt.done:
+                    attempt.close()
+        self._advance(now)
 
-            async def issue(target: ReplicaState, hedge: bool = False):
-                with Attempt(
-                    self.clock, batch.trace, group, target, rpc.span,
-                    window="shard_rpc", hedge=hedge,
-                ) as attempt:
-                    attempt.reply = await target.transport.search_batch_async(call)
-                return attempt
+    def _advance(self, now: float) -> None:
+        """Act on everything due at ``now`` until the group waits."""
+        while not self.done:
+            if not self.race:
+                if now < self.resume_at:
+                    return
+                self._pick()
+                continue
+            try:
+                winner = first_reply(self.race)
+            except TransportError as exc:
+                self._failed(exc)
+                continue
+            if winner is not None:
+                for attempt in self.race:
+                    if not attempt.done:
+                        attempt.cancel()
+                if winner is not self.race[0]:
+                    self.fanout.tally.count("hedge_wins")
+                outcome = winner.settle()
+                self.shard_rpc.annotate(ok=True, replica=outcome.replica_id)
+                return self._finish(outcome)
+            if now < self.hedge_at:
+                return
+            # Once out of budget the primary is about to time out; a
+            # hedge now would be a second RPC that cannot answer in time.
+            self.hedge_at = math.inf
+            if budget_left(self.deadline) > 0:
+                replica = self.race[0].replica
+                self.fanout.tally.count("hedges")
+                self._issue(hedge_target(self.group, replica, self.tried), True)
 
-            while True:
-                replica = group.pick(exclude=tried)
-                if replica is None:
-                    pause = retry_after_pause(last, deadline, waited_retry)
-                    if pause is None:
-                        break
-                    # Every replica shed with OVERLOADED and the hint
-                    # fits the deadline: back off once, then re-try the
-                    # whole group.
-                    await asyncio.sleep(pause)
-                    waited_retry = True
-                    tried.clear()
-                    continue
-                if tried:
-                    # A sibling is actually taking over, not just a dead end.
-                    self.tally.count("failovers")
-                tried.append(replica.replica_id)
-                try:
-                    attempt = await hedged_search(
-                        issue, group, replica, tried,
-                        deadline, batch.hedge_delay, self.tally,
-                    )
-                except TransportError as exc:
-                    last = exc
-                    if isinstance(exc, OverloadedError):
-                        self.tally.count("overloaded")
-                    if not should_fail_over(exc, deadline):
-                        break
-                else:
-                    outcome = attempt.settle()
-                    rpc.annotate(ok=True, replica=outcome.replica_id)
-                    return outcome
-            rpc.annotate(ok=False, replica=-1)
-        return Outcome(None, last, -1, None)
+    def _pick(self) -> None:
+        """Start the next replica's attempt, pause, or give up."""
+        self.resume_at = math.inf
+        replica = self.group.pick(exclude=self.tried)
+        if replica is None:
+            pause = retry_after_pause(self.last, self.deadline, self.waited_retry)
+            if pause is None:
+                self.shard_rpc.annotate(ok=False, replica=-1)
+                return self._finish(Outcome(None, self.last, -1, None))
+            # Every replica shed with OVERLOADED and the hint fits the
+            # deadline: back off once, then re-try the whole group.
+            self.resume_at = time.monotonic() + pause
+            self.waited_retry = True
+            self.tried.clear()
+            return
+        if self.tried:
+            # A sibling is actually taking over, not just a dead end.
+            self.fanout.tally.count("failovers")
+        self.tried.append(replica.replica_id)
+        delay = self.batch.hedge_delay
+        hedging = delay is not None and budget_left(self.deadline) > delay
+        self._issue(replica)
+        self.hedge_at = time.monotonic() + delay if hedging else math.inf
+
+    def _issue(self, replica: ReplicaState, hedge: bool = False) -> None:
+        attempt = Attempt(
+            self.fanout.clock, self.batch.trace, self.group, replica,
+            self.shard_rpc.span, window="shard_rpc", hedge=hedge,
+        )
+        attempt.__enter__()
+        try:
+            attempt.rpc = replica.transport.start_search(self.call)
+        except BaseException as exc:
+            attempt.__exit__(type(exc), exc, None)
+            raise
+        self.race.append(attempt)
+        if attempt.done:
+            attempt.close()
+
+    def _failed(self, exc: TransportError) -> None:
+        """The replica's race is lost: fail over, or give up."""
+        self.race = []
+        self.hedge_at = math.inf
+        self.last = exc
+        if isinstance(exc, OverloadedError):
+            self.fanout.tally.count("overloaded")
+        if should_fail_over(exc, self.deadline):
+            self.resume_at = -math.inf
+        else:
+            self.shard_rpc.annotate(ok=False, replica=-1)
+            self._finish(Outcome(None, exc, -1, None))
+
+    def _finish(self, outcome: Outcome) -> None:
+        self.outcome, self.done = outcome, True
+        self.stage.__exit__(None, None, None)
+
+    def abandon(self, exc: BaseException) -> None:
+        """Tear the group down: an exception escaped the fan-out."""
+        if self.done:
+            return
+        for attempt in self.race:
+            if not attempt.done:
+                attempt.rpc.cancel()
+                attempt.__exit__(type(exc), exc, None)
+        self.done = True
+        self.stage.__exit__(type(exc), exc, None)

@@ -1,22 +1,16 @@
 """Hedged shard RPCs: when to fire a second request, and who wins the race.
 
-Lives on the fan-out event loop only (in-process numpy cannot be
-raced).  The module never sees an RPC: it is handed ``issue(replica,
-hedge=False)``, a coroutine function that performs one attempt, and
-races the tasks it makes of it -- which is what lets
-``tests/test_hedge_race.py`` drive the race with stub coroutines.
+The remote fan-out (:mod:`repro.online.fanout`) asks this module three
+things, all pure of IO (in-process numpy cannot be raced):
+:func:`resolve_hedge_delay` once per batch, :func:`hedge_target` when an
+attempt straggles past that delay, and :func:`first_reply` each time an
+attempt of a race finishes -- which is what lets
+``tests/test_hedge_race.py`` check the rule on stub attempts.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
-from collections.abc import Callable, Coroutine
-
-from repro.errors import TransportError
 from repro.obs.clock import StageClock
-from repro.obs.metrics import Tally
-from repro.online.failover import budget_left
 from repro.online.replicas import ReplicaGroup, ReplicaState
 
 #: Adaptive hedging (``hedge_after_s="auto"``): the delay is derived per
@@ -58,86 +52,36 @@ def resolve_hedge_delay(
     return max(sample[1] * AUTO_HEDGE_MULTIPLIER, AUTO_HEDGE_MIN_DELAY_S)
 
 
-async def hedged_search(
-    issue: Callable[..., Coroutine],
-    group: ReplicaGroup,
-    replica: ReplicaState,
-    tried: list[int],
-    deadline: float | None,
-    delay: float | None,
-    tally: Tally,
-):
-    """One replica's answer, hedging a straggling RPC when allowed.
+def hedge_target(
+    group: ReplicaGroup, replica: ReplicaState, tried: list[int]
+) -> ReplicaState:
+    """Where the hedge of a straggling attempt on ``replica`` goes.
 
-    The hedge fires only when (a) hedging is configured (``delay`` was
-    resolved for this batch) and (b) budget remains before the request
-    deadline.  The hedge lands on a *different* replica when the group
-    has an untried, non-draining sibling -- that is what lets it dodge a
-    slow process, not just a slow connection -- and on a second
-    connection to the same process otherwise.  Returns whatever the
-    winning ``issue`` task returned.
+    To an untried, non-draining sibling when the group has one -- that
+    is what lets the hedge dodge a slow process, not just a slow
+    connection; the sibling is then spent for failover too -- and to a
+    second connection to ``replica`` otherwise.
     """
-    if not (delay is not None and budget_left(deadline) > delay):
-        return await issue(replica)  # no hedge can fire: nothing to race
-    primary = asyncio.create_task(issue(replica))
-    done, _ = await asyncio.wait({primary}, timeout=delay)
-    # Once out of budget the in-flight primary is about to raise
-    # its own DeadlineExceededError; a hedge now would be a
-    # second RPC that cannot answer in time either.
-    if not done and budget_left(deadline) > 0:
-        alternate = group.pick(exclude=tried)
-        if alternate is not None and alternate.draining:
-            alternate = None
-        if alternate is None:
-            alternate = replica  # second connection, same process
-        else:
-            tried.append(alternate.replica_id)
-        tally.count("hedges")
-        hedge = asyncio.create_task(issue(alternate, hedge=True))
-        winner = await first_reply(primary, hedge)
-        if winner is hedge:
-            tally.count("hedge_wins")
-        return await winner
-    return await primary
+    alternate = group.pick(exclude=tried)
+    if alternate is None or alternate.draining:
+        return replica
+    tried.append(alternate.replica_id)
+    return alternate
 
 
-async def first_reply(primary: asyncio.Task, hedge: asyncio.Task):
-    """Race the primary against its hedge; first *success* wins.
+def first_reply(race: list):
+    """The race rule over one replica's attempts: the primary, then its
+    hedge (each with ``done`` and ``error``).
 
-    Returns the winning (finished) task.  One task failing does not
-    settle the race while the other still runs -- a dead primary with a
-    live hedge is exactly the save hedging exists for.  When both fail,
-    the primary's error is raised.  The loser is cancelled AND awaited,
-    so its connection is discarded (never pooled) before the batch
-    returns.
+    Returns the winner -- the first attempt to succeed; the primary if
+    both did by the same poll -- or ``None`` while undecided.  A failure
+    does not settle the race while the other attempt runs: a dead
+    primary with a live hedge is exactly the save hedging exists for.
+    When every attempt failed, the primary's error is raised.
     """
-    pending = {primary, hedge}
-    failures: dict = {}
-    winner = None
-    unexpected: BaseException | None = None
-    while pending and winner is None and unexpected is None:
-        done, pending = await asyncio.wait(
-            pending, return_when=asyncio.FIRST_COMPLETED
-        )
-        # Settle the whole completion wave before deciding: set
-        # iteration order is arbitrary, and a success must win
-        # deterministically even when the other task failed in the
-        # same tick.
-        for task in done:
-            exc = task.exception()
-            if exc is None:
-                winner = winner if winner is not None else task
-            elif isinstance(exc, TransportError):
-                failures[task] = exc
-            else:
-                unexpected = exc
-    for straggler in pending:
-        straggler.cancel()
-    for straggler in pending:
-        with contextlib.suppress(asyncio.CancelledError, TransportError):
-            await straggler
-    if winner is not None:
-        return winner
-    if unexpected is not None:
-        raise unexpected
-    raise failures.get(primary, failures.get(hedge))
+    for attempt in race:
+        if attempt.done and attempt.error is None:
+            return attempt
+    if all(attempt.done for attempt in race):
+        raise race[0].error
+    return None

@@ -116,9 +116,9 @@ class OnlineService:
                 raise ValueError("remote fleet needs at least one address")
             self.remote = True
 
-            # One client per searcher: the broker awaits its asyncio
-            # core on the process loop; deploy / verify / undeploy /
-            # stats block this thread on the same client's facade.
+            # One client per searcher: the broker's fan-out and
+            # deploy / verify / undeploy / stats all block the calling
+            # thread on it.
             def connect(address: str, shard_id: int):
                 return RemoteSearcherTransport(
                     address, shard_id, retries=rpc_retries

@@ -3,8 +3,7 @@
 Each checker gets a must-flag fixture (a seeded violation it has to
 catch) and a must-pass fixture (idiomatic code it must not flag),
 including the known false-positive traps: lock-free initialisation in
-``__init__``, ``*_locked`` helper methods, executor thunks nested in
-async defs, and ``.result()`` on a completed asyncio task.
+``__init__`` and ``*_locked`` helper methods.
 """
 
 import ast
@@ -16,7 +15,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import check_async, check_determinism, check_errors, check_locks
+from repro.analysis import check_determinism, check_errors, check_locks
 from repro.analysis.baseline import (
     BaselineError,
     Suppression,
@@ -121,103 +120,6 @@ class TestLockDiscipline:
                     self.items.append(item)
             """
         assert check_locks.run(_mod(source)) == []
-
-
-# -- asyncio-hygiene ----------------------------------------------------------------
-
-
-class TestAsyncHygiene:
-
-    def test_time_sleep_in_async_def_flagged(self):
-        source = """
-            import time
-
-            async def poll():
-                time.sleep(0.1)
-            """
-        findings = check_async.run(_mod(source))
-        assert ("asyncio-hygiene", "blocking-sleep") in _rules(findings)
-
-    def test_asyncio_sleep_clean(self):
-        source = """
-            import asyncio
-
-            async def poll():
-                await asyncio.sleep(0.1)
-            """
-        assert check_async.run(_mod(source)) == []
-
-    def test_sync_def_not_in_scope(self):
-        source = """
-            import time
-
-            def worker():
-                time.sleep(0.1)
-            """
-        assert check_async.run(_mod(source)) == []
-
-    def test_executor_thunk_nested_in_async_def_clean(self):
-        # The blocking call lives in a nested sync def handed to
-        # run_in_executor — exactly how blocking work *should* be done.
-        source = """
-            import asyncio
-            import time
-
-            async def search(loop):
-                def blocking():
-                    time.sleep(0.5)
-                    return 42
-
-                return await loop.run_in_executor(None, blocking)
-            """
-        assert check_async.run(_mod(source)) == []
-
-    def test_future_result_flagged(self):
-        source = """
-            async def gather(future):
-                return future.result()
-            """
-        findings = check_async.run(_mod(source))
-        assert ("asyncio-hygiene", "future-result") in _rules(findings)
-
-    def test_result_on_completed_task_clean(self):
-        # .result() on an awaited asyncio.Task never blocks.
-        source = """
-            import asyncio
-
-            async def gather(coro):
-                task = asyncio.create_task(coro)
-                await asyncio.wait([task])
-                return task.result()
-            """
-        assert check_async.run(_mod(source)) == []
-
-    def test_sync_socket_recv_flagged(self):
-        source = """
-            async def read(sock):
-                return sock.recv(4096)
-            """
-        findings = check_async.run(_mod(source))
-        assert ("asyncio-hygiene", "sync-socket") in _rules(findings)
-
-    def test_sync_client_in_async_def_flagged(self):
-        source = """
-            async def fan_out(address):
-                client = RemoteSearcherClient(address)
-                return client
-            """
-        findings = check_async.run(_mod(source))
-        assert ("asyncio-hygiene", "sync-client") in _rules(findings)
-
-    def test_blocking_facade_shape_clean(self):
-        # A plain method may wait on the loop thread's future; only an
-        # 'async def' may not.
-        source = """
-            class Facade:
-                def ping(self):
-                    return client_loop().submit(self.core.ping()).result()
-            """
-        assert check_async.run(_mod(source)) == []
 
 
 # -- determinism --------------------------------------------------------------------
@@ -506,7 +408,7 @@ class TestBaseline:
             symbol="Broker.search",
         )
         stale_supp = Suppression(
-            checker="asyncio-hygiene",
+            checker="determinism",
             file="src/repro/net/client.py",
             justification="why",
         )
@@ -1240,11 +1142,10 @@ def test_the_shard_call_field_list_is_spelled_once():
                     f"{path.name}:{node.name}({name})" for name in names & banned
                 ]
     assert offenders == []
-    # One abstract search per transport contract, taking just the call.
-    from repro.net.transport import AsyncSearcherTransport, SearcherTransport
+    # One abstract search per transport, taking just the call.
+    from repro.net.transport import SearcherTransport
 
     assert SearcherTransport.__abstractmethods__ == {"search", "stats"}
-    assert AsyncSearcherTransport.__abstractmethods__ == {"search_batch_async"}
 
 
 class TestServingTierShape:

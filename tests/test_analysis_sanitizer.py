@@ -143,6 +143,33 @@ class TestBlockingUnderLock:
         )
 
 
+    def test_a_client_call_under_lock_detected(self, sanitized):
+        """A client call -- like the remote fan-out, which polls the
+        same RPCs -- parks the calling thread in its ``select.poll``
+        wait: holding a lock across it is flagged."""
+        from repro.net.client import RemoteSearcherClient
+        from repro.net.server import SearcherServer
+        from repro.online.searcher import SearcherNode
+
+        server = SearcherServer(SearcherNode(0)).start_in_thread()
+        client = RemoteSearcherClient(server.address)
+        lock = threading.Lock()
+        try:
+            client.ping()  # dials outside the lock
+            watermark = len(sanitizer.violations())
+            with lock:
+                client.ping()
+        finally:
+            client.close()
+            server.stop()
+        calls = {
+            v.message.split("()")[0]
+            for v in _new_since(watermark)
+            if v.kind == "blocking-call"
+        }
+        assert calls == {"select.poll.poll"}, calls
+
+
 class TestPrimitiveSemantics:
     """The instrumented primitives must behave exactly like the real ones."""
 

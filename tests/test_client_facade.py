@@ -1,16 +1,15 @@
-"""One RPC client core; ``RemoteSearcherClient`` is a blocking facade.
+"""One RPC client, ``RemoteSearcherClient``, over non-blocking sockets.
 
-- The core enforces one cumulative budget per attempt: a peer trickling
-  a reply byte by byte cannot stretch an RPC past its deadline, and the
-  half-read connection is discarded.
-- A deadline that expires between checkout and send returns the pooled
-  connection instead of leaking it.
-- Neither the facade nor a loop-venue broker blocks a running event
-  loop: both refuse, the process loop included.
-- All facades and brokers of a process share one lazily started loop
-  thread; an in-process service starts none, and a forked child starts
-  its own.
-- One facade shared by many threads, and one transport driven through
+- The client enforces one cumulative budget per attempt: a peer
+  trickling a reply byte by byte cannot stretch an RPC past its
+  deadline, and the half-read connection is discarded.
+- A call whose deadline has already expired leaves the pooled
+  connection pooled instead of leaking it.
+- Neither a client call nor a remote-venue broker blocks a running
+  event loop: both refuse.
+- No client or broker starts a thread; a forked child dials its own
+  connection and leaves the parent's pooled one serving.
+- One client shared by many threads, and one transport driven through
   both ``search`` and ``search_batch_async``, answer bit-identically to
   the in-process shard.
 - The names the frozen ``benchmarks/ledger`` reaches the shard call by
@@ -35,8 +34,7 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import DeadlineExceededError
-from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
-from repro.net.loop import process_loop
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import MsgType, ShardCall, frame_to_bytes
 from repro.net.server import SearcherServer
 from repro.net.transport import (
@@ -81,7 +79,7 @@ def server(shard):
     running.stop()
 
 
-class TestCoreBudget:
+class TestBudget:
     def test_trickled_reply_cannot_outlive_the_deadline(self):
         """A peer that answers one byte every 20 ms keeps each read
         alive; only a budget over the whole round trip stops it."""
@@ -105,20 +103,16 @@ class TestCoreBudget:
 
         peer = threading.Thread(target=trickle, daemon=True)
         peer.start()
-        client = AsyncRemoteSearcherClient(
-            listener.getsockname()[:2], retries=0
-        )
+        client = RemoteSearcherClient(listener.getsockname()[:2], retries=0)
         began = time.monotonic()
         try:
             with pytest.raises(DeadlineExceededError, match="did not answer"):
-                asyncio.run(
-                    client.search(
-                        ShardCall(
-                            INDEX_NAME,
-                            np.zeros((1, 16), np.float32),
-                            3,
-                            deadline=began + 0.15,
-                        )
+                client.search(
+                    ShardCall(
+                        INDEX_NAME,
+                        np.zeros((1, 16), np.float32),
+                        3,
+                        deadline=began + 0.15,
                     )
                 )
             assert time.monotonic() - began < len(reply) * 0.02 / 2
@@ -130,7 +124,7 @@ class TestCoreBudget:
         assert not peer.is_alive()
 
 
-class TestFacade:
+class TestClient:
     def test_deadline_expiring_after_checkout_returns_the_connection(
         self, server
     ):
@@ -159,14 +153,17 @@ class TestFacade:
             return client.ping()
 
         try:
-            with pytest.raises(RuntimeError, match=r"await .*\.ping\(\)"):
+            with pytest.raises(
+                RuntimeError, match=r"RemoteSearcherClient\.ping\(\) from a running"
+            ):
                 asyncio.run(misuse())
             assert client.tally.snapshot() == {}
-            assert asyncio.run(client.core.ping()) == 0
+            # The way out the refusal names: a plain thread.
+            assert asyncio.run(asyncio.to_thread(client.ping)) == 0
         finally:
             client.close()
 
-    def test_one_facade_shared_by_eight_threads_is_bit_identical(
+    def test_one_client_shared_by_eight_threads_is_bit_identical(
         self, server, shard, queries
     ):
         want_ids, want_dists = shard.search_batch(queries, 5)
@@ -203,7 +200,7 @@ class TestFacade:
             assert counts["queries_served"] == 8 * 50 * 2
             assert counts["requests_sent"] == 8 * 50
             # Quiescent: whatever is still open is idle in the pool.
-            assert 1 <= client.open_connections <= client.core.pool_size
+            assert 1 <= client.open_connections <= client.pool_size
         finally:
             client.close()
         assert client.open_connections == 0
@@ -215,10 +212,10 @@ def ping_within(client: RemoteSearcherClient, seconds: float) -> None:
     assert time.monotonic() - began < seconds
 
 
-class TestOneLoop:
+class TestBlockingCallers:
     def test_a_blocking_broker_call_inside_a_loop_raises(self, server, queries):
-        """From a coroutine under ``asyncio.run`` or on the process loop
-        itself (which would deadlock): refused before any RPC."""
+        """From a coroutine under ``asyncio.run``: refused before any
+        RPC."""
         transport = RemoteSearcherTransport(server.address, 0)
         broker = Broker([transport], CONFIG)
 
@@ -228,9 +225,6 @@ class TestOneLoop:
         try:
             with pytest.raises(RuntimeError, match="running event loop"):
                 asyncio.run(misuse())
-            on_loop = asyncio.run_coroutine_threadsafe(misuse(), process_loop())
-            with pytest.raises(RuntimeError, match="running event loop"):
-                on_loop.result(timeout=10)
             assert transport.client.tally.snapshot() == {}
         finally:
             broker.close()
@@ -239,9 +233,9 @@ class TestOneLoop:
     @pytest.mark.filterwarnings(
         "ignore:This process .* is multi-threaded:DeprecationWarning"
     )
-    def test_a_forked_child_pings_on_its_own_loop(self, server):
-        """The child inherits the loop but not its thread, and the
-        pooled socket is the parent's: it must neither hang nor touch it."""
+    def test_a_forked_child_pings_on_its_own_connection(self, server):
+        """The pooled socket is the parent's: the child dials its own,
+        and the parent's still serves afterwards."""
         client = RemoteSearcherClient(server.address, timeout_s=2.0, retries=0)
         try:
             assert client.ping() == 0
@@ -302,10 +296,13 @@ class TestOneRemoteTransport:
         self, server, shard, queries, monkeypatch
     ):
         """``benchmarks/ledger/layers.py`` times a shard RPC by wrapping
-        two class attributes with ``(*args, **kwargs)`` functions; every
-        loop-venue RPC must cross the first and every search a process
-        runs the second, or its ``net.transport`` / ``online.searcher``
-        rows silently go empty (only CI's bench-smoke would notice)."""
+        two class attributes with ``(*args, **kwargs)`` functions.  Every
+        search a process runs must cross the second, or its
+        ``online.searcher`` rows silently go empty (only CI's bench-smoke
+        would notice).  The first, ``search_batch_async``, is crossed by
+        nothing since the fan-out starts its RPCs on the calling thread:
+        the traced ledger's ``net.transport`` rows stay empty until
+        ROADMAP 2(a) ports it."""
         crossed = Counter()
 
         def counting(owner, attribute, is_async):
@@ -334,13 +331,13 @@ class TestOneRemoteTransport:
         transport = RemoteSearcherTransport(server.address, 0)
         remote = Broker([transport], CONFIG)
         try:
-            assert remote.venue == "loop"
+            assert remote.venue == "remote"
             got = remote.search_batch(INDEX_NAME, queries[:3], 5)
         finally:
             remote.close()
             transport.close()
-        # One shard RPC, and the server's search of it in this process.
-        assert crossed == {"search_batch_async": 1, "search_batch": 1}
+        # The server's search of the one shard RPC, in this process.
+        assert crossed == {"search_batch": 1}
 
         local = Broker([server.node], CONFIG)
         try:
@@ -348,7 +345,7 @@ class TestOneRemoteTransport:
             inline = local.search_batch(INDEX_NAME, queries[:3], 5)
         finally:
             local.close()
-        assert crossed == {"search_batch_async": 1, "search_batch": 2}
+        assert crossed == {"search_batch": 2}
         for ids, dists in (got, inline):
             np.testing.assert_array_equal(ids, want[0])
             np.testing.assert_array_equal(dists, want[1])
@@ -367,7 +364,6 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.hnsw.index import HnswParams
 from repro.net.client import RemoteSearcherClient
-from repro.net.loop import THREAD_NAME
 from repro.net.server import SearcherServer
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
@@ -375,8 +371,12 @@ from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
 
 
-def loop_threads():
-    return [t.name for t in threading.enumerate() if "async-loop" in t.name]
+def started_threads():  # besides the main one and the searcher's
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t is not threading.main_thread() and not t.name.startswith("searcher")
+    ]
 
 
 rng = np.random.default_rng(5)
@@ -396,14 +396,14 @@ service.deploy(fs, "census", index_name="census")
 service.query_batch(
     rng.normal(size=(4, 8)).astype(np.float32), 3, index_name="census"
 )
-assert loop_threads() == [], loop_threads()
+assert started_threads() == [], started_threads()
 service.close()
 
 node = SearcherNode(0)
 node.host("census", index.shards[0])
 server = SearcherServer(node).start_in_thread()
 clients = [RemoteSearcherClient(server.address) for _ in range(12)]
-assert loop_threads() == [], "constructing a client started a thread"
+assert started_threads() == [], "constructing a client started a thread"
 
 
 def drive(worker):
@@ -417,14 +417,14 @@ for thread in threads:
 for thread in threads:
     thread.join(60)
 assert not any(thread.is_alive() for thread in threads)
-assert loop_threads() == [THREAD_NAME], loop_threads()
+assert started_threads() == [], started_threads()
 
 # A/B: two indices deployed on the remote fleet, one broker each.
 ab = OnlineService(searchers=[server.address])
 for name in ("a", "b"):
     ab.deploy(fs, "census", index_name=name)
     ab.query_batch(rng.normal(size=(4, 8)).astype(np.float32), 3, index_name=name)
-assert loop_threads() == [THREAD_NAME], loop_threads()
+assert started_threads() == [], started_threads()
 ab.close()
 for client in clients:
     client.close()
@@ -435,12 +435,10 @@ print("census-ok")
 
 
 class TestThreadCensus:
-    def test_in_process_service_starts_none_and_all_facades_share_one(
-        self, tmp_path
-    ):
-        """Run in a fresh interpreter: the loop is process-wide, so other
-        tests of this run may already have started it.  The 12 facades
-        and an A/B service's two brokers share the one loop thread."""
+    def test_no_service_client_or_broker_starts_a_thread(self, tmp_path):
+        """Run in a fresh interpreter, so no other test's threads count:
+        an in-process service, 12 clients pinged from 8 threads and an
+        A/B service's two remote brokers start none."""
         script = CENSUS_SCRIPT.replace("ROOT", repr(str(tmp_path)))
         done = subprocess.run(
             [sys.executable, "-c", script],

@@ -2,18 +2,17 @@
 
 - An all-in-process fleet is searched **inline** on the calling thread:
   no thread is ever started.
-- An all-remote fleet runs on the **loop**: its RPCs are awaited on the
-  process loop's thread.  A fleet mixing the two kinds is refused.
+- An all-remote fleet is **remote**: its RPCs are started and polled on
+  the calling thread too.  A fleet mixing the two kinds is refused.
 - Both venues answer like the reference index: the ``inline`` /
-  ``loop`` venues of ``tests/test_path_matrix.py``.
-- ``close()`` racing in-flight loop-venue requests never hangs them and
+  ``remote`` venues of ``tests/test_path_matrix.py``.
+- ``close()`` racing in-flight remote requests never hangs them and
   never leaks a connection: each request answers bit-identically or
   raises a :mod:`repro.errors` taxonomy error within its deadline.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -22,7 +21,6 @@ import pytest
 
 from repro.errors import LannsError
 from repro.net.chaos import FaultPlan
-from repro.net.loop import THREAD_NAME, process_loop
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
@@ -69,28 +67,26 @@ class TestVenueSelection:
         finally:
             broker.close()
 
-    def test_remote_fleet_runs_one_loop(
+    def test_remote_fleet_runs_on_the_calling_thread(
         self, servers, queries, monkeypatch
     ):
-        """Every RPC of the fan-out is awaited on the process loop."""
-        awaited_on: set[str] = set()
-        search = RemoteSearcherTransport.search_batch_async
+        """Every RPC of the fan-out is started on the caller's thread."""
+        started_on: set[threading.Thread] = set()
+        start = RemoteSearcherTransport.start_search
 
-        async def recording(transport, call):
-            awaited_on.add(threading.current_thread().name)
-            return await search(transport, call)
+        def recording(transport, call):
+            started_on.add(threading.current_thread())
+            return start(transport, call)
 
-        monkeypatch.setattr(
-            RemoteSearcherTransport, "search_batch_async", recording
-        )
+        monkeypatch.setattr(RemoteSearcherTransport, "start_search", recording)
         transports = remote(servers)
         broker = Broker(transports, LANNS_2X2, request_timeout_s=30.0)
         try:
-            assert broker.venue == "loop"
+            assert broker.venue == "remote"
             got = broker.execute(
                 SearchRequest(queries=queries, top_k=10, index_name="venue")
             )
-            assert awaited_on == {THREAD_NAME}
+            assert started_on == {threading.current_thread()}
             assert (got.shards_answered == LANNS_2X2.num_shards).all()
         finally:
             broker.close()
@@ -113,46 +109,15 @@ class TestVenueSelection:
                 transport.close()
 
 
-    def test_unhedged_fanout_creates_one_task_per_group(
-        self, servers, queries
-    ):
-        """With no hedge to race, a shard RPC is awaited in its group's
-        task: the only tasks of a warm fan-out are ``_gather`` (the
-        submission) and ``gather``'s one per group -- no per-RPC task,
-        timeout wrapper or peek."""
-        transports = remote(servers)
-        broker = Broker(transports, LANNS_2X2, request_timeout_s=30.0)
-        loop = process_loop()
-        factory = loop.get_task_factory()
-        created: list[str] = []
-
-        def counting(loop, coro, **kwargs):
-            created.append(coro.__qualname__)
-            return asyncio.Task(coro, loop=loop, **kwargs)
-
-        try:
-            broker.search_batch("venue", queries, 10)  # dials the pool
-            loop.call_soon_threadsafe(loop.set_task_factory, counting)
-            broker.search_batch("venue", queries, 10)
-            assert sorted(created) == ["FanOut._gather"] + [
-                "FanOut._group_call"
-            ] * LANNS_2X2.num_shards
-        finally:
-            loop.call_soon_threadsafe(loop.set_task_factory, factory)
-            broker.close()
-            for transport in transports:
-                transport.close()
-
-
 class TestCloseRace:
     def test_close_with_requests_in_flight_never_hangs_or_leaks(
         self, nodes, servers, queries
     ):
         """Clients keep issuing requests while ``close()`` runs under them
         (first the broker, then the transports): the broker's close
-        leaves the process loop and the transports serving; once those
-        are closed too a request fails with a taxonomy error.  Nothing
-        hangs past the deadline, nothing leaks."""
+        leaves the transports serving; once those are closed too a
+        request fails with a taxonomy error.  Nothing hangs past the
+        deadline, nothing leaks."""
         inline = Broker(nodes, LANNS_2X2)
         expected = [inline.search("venue", query, 8) for query in queries]
         inline.close()

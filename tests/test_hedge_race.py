@@ -1,213 +1,235 @@
-"""The hedge race on stub coroutines: no RPC, no server, no ``Broker``.
+"""The hedge race on stub RPCs: no socket, no server, no ``Broker``.
 
-:mod:`repro.online.hedging` is handed ``issue(replica, hedge=False)`` and
-races the tasks it makes of it, so the whole race -- who wins, whose
-error surfaces, that the loser is cancelled *and* awaited -- is
-checkable with coroutines that sleep, return and raise on cue.
+The remote fan-out polls whatever a transport's ``start_search``
+returns.  A stub RPC that finishes at a set instant with a reply or an
+error runs the race -- who wins, whose error surfaces, that the loser is
+cancelled -- through the real venue (``FanOut.run`` over one group),
+timers and all; :func:`~repro.online.hedging.first_reply`, the rule
+itself, is checked on bare stub attempts.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.errors import ConnectionLostError, DeadlineExceededError
-from repro.net.transport import AsyncSearcherTransport, SearcherTransport
+from repro.net.protocol import ShardCall, ShardReply
+from repro.net.transport import RemoteSearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.metrics import MetricsRegistry, Tally
+from repro.online.fanout import Batch, FanOut, work_list
 from repro.online.hedging import (
     AUTO_HEDGE_MIN_SAMPLES,
     AUTO_HEDGE_MULTIPLIER,
     first_reply,
-    hedged_search,
     resolve_hedge_delay,
 )
 from repro.online.replicas import ReplicaGroup
 
 
-class StubTransport(SearcherTransport, AsyncSearcherTransport):
-    """An async-capable transport that is never actually called."""
+class StubRpc:
+    """Finishes ``after`` seconds from its start: ``value`` is the
+    answer's id, or the exception its ``result`` raises -- or, for a
+    non-transport error, the exception its poll raises."""
 
-    shard_id = 0
+    sock = None
 
-    def search(self, call):
-        raise AssertionError("the race never reaches a transport")
+    def __init__(self, value, after: float, log: list) -> None:
+        self.value = value
+        self.wake_at = time.monotonic() + after
+        self.done = False
+        self.log = log
 
-    async def search_batch_async(self, call):
-        raise AssertionError("the race never reaches a transport")
+    def step(self, now: float, ready: set) -> None:
+        if not self.done and now >= self.wake_at:
+            self.done = True
+            if isinstance(self.value, KeyError):
+                raise self.value
+            self.log.append("finished")
 
-    def stats(self) -> dict:
-        return {}
+    def cancel(self) -> None:
+        self.done = True
+        self.log.append("cancelled")
+
+    def result(self):
+        if isinstance(self.value, BaseException):
+            raise self.value
+        ids = np.array([[self.value]], dtype=np.int64)
+        return ShardReply(ids, np.zeros((1, 1)), None, None)
+
+
+class StubTransport(RemoteSearcherTransport):
+    """A replica whose n-th attempt answers ``script[n]`` = ``(value,
+    after)``; ``log`` records how each attempt ended."""
+
+    def __init__(self, *script) -> None:
+        self.shard_id = 0
+        self.script = list(script)
+        self.log: list[str] = []
+
+    def start_search(self, call):
+        assert self.script, "an attempt this replica was not scripted for"
+        value, after = self.script.pop(0)
+        return StubRpc(value, after, self.log)
+
+    def close(self) -> None:
+        pass
 
 
 def tally() -> Tally:
     registry = MetricsRegistry()
-    return Tally(
-        {
-            "hedges": registry.counter("hedges"),
-            "hedge_wins": registry.counter("hedge_wins"),
-        }
-    )
+    names = ("hedges", "hedge_wins", "failovers", "overloaded")
+    return Tally({name: registry.counter(name) for name in names})
 
 
-async def reply(value, after: float = 0.0, log: list | None = None):
-    """Return ``value`` (or raise it) after ``after`` seconds; ``log``
-    records how the coroutine ended."""
-    try:
-        await asyncio.sleep(after)
-    except asyncio.CancelledError:
-        if log is not None:
-            log.append("cancelled")
-        raise
-    if log is not None:
-        log.append("finished")
-    if isinstance(value, BaseException):
-        raise value
-    return value
-
-
-def race(primary, hedge):
-    async def main():
-        return await first_reply(
-            asyncio.create_task(primary), asyncio.create_task(hedge)
-        )
-
-    return asyncio.run(main())
+def race(group: ReplicaGroup, *, delay, deadline=None, counts=None):
+    """One single-row batch over ``group`` through the remote venue:
+    ``(id of the answer, counts)``; pass ``counts`` to read them after
+    a race that raised."""
+    counts = tally() if counts is None else counts
+    fanout = FanOut([group], StageClock(), counts, "fail")
+    call = ShardCall("stub", np.zeros((1, 2), np.float32), 1, deadline=deadline)
+    work, routed = work_list(call.queries, None, 1)
+    result = fanout.run(Batch(call, delay, None), work, routed)
+    return int(result.parts[0][0][0, 0]), counts.snapshot()
 
 
 class TestFirstReply:
-    def test_same_tick_success_beats_failure(self):
-        # Both complete in one loop iteration, in either role.
-        lost = ConnectionLostError("primary died")
-        assert race(reply(lost), reply("hedge")).result() == "hedge"
-        assert race(reply("primary"), reply(lost)).result() == "primary"
+    """The rule over one replica's attempts, primary first."""
+
+    ok = SimpleNamespace(done=True, error=None)
+    running = SimpleNamespace(done=False, error=None)
+
+    @staticmethod
+    def failed(message: str = "lost") -> SimpleNamespace:
+        return SimpleNamespace(done=True, error=ConnectionLostError(message))
+
+    def test_same_poll_success_beats_failure(self):
+        failed = self.failed()
+        assert first_reply([failed, self.ok]) is self.ok
+        assert first_reply([self.ok, failed]) is self.ok
+        both = SimpleNamespace(done=True, error=None)
+        assert first_reply([self.ok, both]) is self.ok, "the primary"
 
     def test_a_failure_does_not_settle_the_race(self):
-        lost = ConnectionLostError("primary died")
-        winner = race(reply(lost), reply("hedge", after=0.05))
-        assert winner.result() == "hedge"
+        assert first_reply([self.failed(), self.running]) is None
+        assert first_reply([self.running, self.failed()]) is None
+        assert first_reply([self.running]) is None
+
+    def test_both_fail_raises_the_primarys_error(self):
+        primary, hedge = self.failed("primary"), self.failed("hedge")
+        with pytest.raises(ConnectionLostError) as excinfo:
+            first_reply([primary, hedge])
+        assert excinfo.value is primary.error
+
+
+class TestRaceOnTheVenue:
+    def test_a_failure_does_not_settle_the_race(self):
+        # The primary dies after the hedge fired; the hedge answers later.
+        lone = StubTransport(
+            (ConnectionLostError("primary died"), 0.03), (7, 0.1)
+        )
+        answer, counts = race(ReplicaGroup(0, [lone]), delay=0.01)
+        assert answer == 7
+        assert counts == {"hedges": 1, "hedge_wins": 1}
+        assert lone.log == ["finished", "finished"]
 
     def test_both_fail_raises_the_primarys_error(self):
         primary = ConnectionLostError("primary")
-        hedge = DeadlineExceededError("hedge")
+        lone = StubTransport((primary, 0.05), (DeadlineExceededError("hedge"), 0.0))
         with pytest.raises(ConnectionLostError) as excinfo:
-            race(reply(primary, after=0.02), reply(hedge))
+            race(ReplicaGroup(0, [lone]), delay=0.01)
         assert excinfo.value is primary
 
-    def test_loser_is_cancelled_and_awaited(self):
-        log: list[str] = []
-
-        async def main():
-            primary = asyncio.create_task(reply("slow", after=30.0, log=log))
-            hedge = asyncio.create_task(reply("fast"))
-            winner = await first_reply(primary, hedge)
-            # Awaited, not merely cancel()-requested: by the time the
-            # race returns the loser has already unwound.
-            assert primary.done() and primary.cancelled()
-            assert log == ["cancelled"]
-            return winner is hedge
-
-        assert asyncio.run(main())
+    def test_loser_is_cancelled(self):
+        lone = StubTransport((1, 30.0), (2, 0.0))
+        began = time.monotonic()
+        answer, _ = race(ReplicaGroup(0, [lone]), delay=0.01)
+        assert answer == 2 and time.monotonic() - began < 5.0
+        # The hedge finished first; the primary was abandoned, not awaited.
+        assert lone.log == ["finished", "cancelled"]
 
     def test_unexpected_exception_cancels_the_straggler(self):
-        log: list[str] = []
-
-        async def main():
-            straggler = asyncio.create_task(reply("late", after=30.0, log=log))
-            broken = asyncio.create_task(reply(KeyError("bug")))
-            with pytest.raises(KeyError):
-                await first_reply(straggler, broken)
-            assert straggler.cancelled() and log == ["cancelled"]
-
-        asyncio.run(main())
+        lone = StubTransport((1, 30.0), (KeyError("bug"), 0.0))
+        with pytest.raises(KeyError):
+            race(ReplicaGroup(0, [lone]), delay=0.01)
+        assert lone.log == ["cancelled"]
 
 
-def run_hedged(issue, group, *, delay, deadline=None):
-    """Race from replica 0 (already in ``tried``, as the fan-out has it)."""
-    tried, counts = [0], tally()
-
-    async def main():
-        return await hedged_search(
-            issue, group, group.replicas[0], tried, deadline, delay, counts
-        )
-
-    return asyncio.run(main()), tried, counts.snapshot()
-
-
-class TestHedgedSearch:
+class TestWhenToHedge:
     def test_no_delay_no_hedge(self):
-        group = ReplicaGroup(0, [StubTransport(), StubTransport()])
-        issued = []
-
-        async def issue(replica, hedge=False):
-            issued.append((replica.replica_id, hedge))
-            return "primary"
-
-        result, tried, counts = run_hedged(issue, group, delay=None)
-        assert result == "primary" and issued == [(0, False)]
-        assert tried == [0] and counts == {}
+        first, second = StubTransport((1, 0.0)), StubTransport()
+        answer, counts = race(ReplicaGroup(0, [first, second]), delay=None)
+        assert answer == 1 and counts == {}
 
     def test_fast_primary_is_not_hedged(self):
-        group = ReplicaGroup(0, [StubTransport(), StubTransport()])
-
-        async def issue(replica, hedge=False):
-            return (replica.replica_id, hedge)
-
-        result, _, counts = run_hedged(issue, group, delay=5.0)
-        assert result == (0, False) and counts == {}
+        first, second = StubTransport((1, 0.0)), StubTransport()
+        answer, counts = race(ReplicaGroup(0, [first, second]), delay=5.0)
+        assert answer == 1 and counts == {}
 
     def test_straggler_is_hedged_on_an_untried_sibling(self):
-        group = ReplicaGroup(0, [StubTransport(), StubTransport()])
-        log: list[str] = []
-
-        async def issue(replica, hedge=False):
-            if not hedge:
-                return await reply("primary", after=30.0, log=log)
-            return (replica.replica_id, hedge)
-
-        result, tried, counts = run_hedged(issue, group, delay=0.01)
-        assert result == (1, True)
-        assert tried == [0, 1], "the sibling is spent for failover too"
+        first, second = StubTransport((1, 30.0)), StubTransport((2, 0.0))
+        answer, counts = race(ReplicaGroup(0, [first, second]), delay=0.01)
+        assert answer == 2
         assert counts == {"hedges": 1, "hedge_wins": 1}
-        assert log == ["cancelled"]
+        assert first.log == ["cancelled"]
 
     def test_lone_replica_hedges_on_a_second_connection(self):
-        group = ReplicaGroup(0, [StubTransport()])
-
-        async def issue(replica, hedge=False):
-            await asyncio.sleep(30.0 if not hedge else 0.0)
-            return (replica.replica_id, hedge)
-
-        result, tried, counts = run_hedged(issue, group, delay=0.01)
-        assert result == (0, True) and tried == [0]
+        lone = StubTransport((1, 30.0), (2, 0.0))
+        answer, counts = race(ReplicaGroup(0, [lone]), delay=0.01)
+        assert answer == 2
         assert counts == {"hedges": 1, "hedge_wins": 1}
 
     def test_a_draining_sibling_is_not_a_hedge_target(self):
-        group = ReplicaGroup(0, [StubTransport(), StubTransport()])
+        first, second = StubTransport((1, 0.05), (2, 30.0)), StubTransport()
+        group = ReplicaGroup(0, [first, second])
         group.drain(1)
-
-        async def issue(replica, hedge=False):
-            await asyncio.sleep(0.05 if not hedge else 30.0)
-            return (replica.replica_id, hedge)
-
-        result, tried, counts = run_hedged(issue, group, delay=0.01)
+        answer, counts = race(group, delay=0.01)
         # Hedged on the same process; the primary still won.
-        assert result == (0, False) and tried == [0]
-        assert counts == {"hedges": 1}
+        assert answer == 1 and counts == {"hedges": 1}
+        assert first.log == ["finished", "cancelled"]
+
+    def test_a_hedged_sibling_is_spent_for_failover(self):
+        """Both attempts of the race fail: no third attempt goes to the
+        sibling the hedge already tried."""
+        primary = ConnectionLostError("primary")
+        first = StubTransport((primary, 0.05))
+        second = StubTransport((ConnectionLostError("hedge"), 0.0))
+        counts = tally()
+        with pytest.raises(ConnectionLostError) as excinfo:
+            race(ReplicaGroup(0, [first, second]), delay=0.01, counts=counts)
+        assert excinfo.value is primary
+        assert counts.snapshot() == {"hedges": 1}, "no failover"
+        assert first.log == second.log == ["finished"]
+
+    def test_a_hedge_on_a_second_connection_leaves_the_sibling_untried(self):
+        """The hedge went to the same replica, so failover may still
+        take the (draining, but only untried) sibling."""
+        first = StubTransport(
+            (ConnectionLostError("primary"), 0.05),
+            (ConnectionLostError("hedge"), 0.0),
+        )
+        second = StubTransport((3, 0.0))
+        group = ReplicaGroup(0, [first, second])
+        group.drain(1)
+        answer, counts = race(group, delay=0.01)
+        assert answer == 3
+        assert counts == {"hedges": 1, "failovers": 1}
+        assert first.log == ["finished", "finished"]
+        assert second.log == ["finished"]
 
     def test_no_hedge_without_budget_for_the_delay(self):
-        group = ReplicaGroup(0, [StubTransport(), StubTransport()])
-
-        async def issue(replica, hedge=False):
-            await asyncio.sleep(0.03)
-            return (replica.replica_id, hedge)
-
-        result, _, counts = run_hedged(
-            issue, group, delay=0.01, deadline=time.monotonic() + 0.005
+        first, second = StubTransport((1, 0.03)), StubTransport()
+        answer, counts = race(
+            ReplicaGroup(0, [first, second]),
+            delay=0.01,
+            deadline=time.monotonic() + 0.005,
         )
-        assert result == (0, False) and counts == {}
+        assert answer == 1 and counts == {}
 
 
 class TestResolveHedgeDelay:

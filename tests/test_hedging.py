@@ -1,4 +1,4 @@
-"""Asyncio fan-out + hedged shard requests: counts, budget, no leaks.
+"""The remote fan-out + hedged shard requests: counts, budget, no leaks.
 
 The straggler model: one searcher (shard 1) stalls every other SEARCH
 request (a ``FaultPlan`` with ``delay_every=2``) -- a per-request pause
@@ -18,12 +18,13 @@ Invariants under test:
 - cancelled losers discard their connections -- pool occupancy stays
   bounded and close() drains to zero open sockets;
 - the ``hedges`` / ``hedge_wins`` of ``stats()["counts"]`` count correctly;
-- the async fan-out holds every in-flight shard RPC with O(1) threads
-  (the process loop's, no pool thread per RPC).
+- a remote fan-out holds every in-flight shard RPC on the calling
+  thread: it starts no thread and no event loop (so no task).
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from dataclasses import FrozenInstanceError
@@ -33,7 +34,6 @@ import pytest
 
 from repro.core.merge import merge_shard_results_batch
 from repro.net.chaos import FaultPlan
-from repro.net.loop import THREAD_NAME
 from repro.net.protocol import ShardCall
 from repro.net.server import SearcherServer
 from repro.net.transport import RemoteSearcherTransport
@@ -43,6 +43,7 @@ from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
 from tests.conftest import LANNS_2X2, LANNS_PATH, host_all
+from tests.test_remote_serving import full_backlog
 
 NUM_SHARDS = LANNS_2X2.num_shards
 SLOW_SHARD = 1
@@ -204,9 +205,9 @@ class RecordingTransport(RemoteSearcherTransport):
         super().__init__(*args, **kwargs)
         self.calls: list[ShardCall] = []
 
-    async def search_batch_async(self, call: ShardCall):
+    def start_search(self, call: ShardCall):
         self.calls.append(call)
-        return await super().search_batch_async(call)
+        return super().start_search(call)
 
 
 def flatten(spans):
@@ -356,6 +357,34 @@ class TestHedgeDeadlineBudget:
         finally:
             close_all(broker, transports)
 
+    def test_a_hedge_answers_while_the_primary_dial_hangs(
+        self, fleet, queries, baseline
+    ):
+        """Shard 0's first replica drops SYNs, so its dial neither
+        completes nor fails; the dial holds up no timer, and the hedge
+        on the sibling answers long before the deadline."""
+        request = SearchRequest(queries=queries[:4], top_k=10, index_name="hedge")
+        with full_backlog() as unreachable:
+            stuck = RemoteSearcherTransport(unreachable, 0, retries=0)
+            transports = make_transports(fleet)
+            broker = Broker(
+                [[stuck, transports[0]], *transports[1:]],
+                LANNS_2X2,
+                hedge_after_s=0.05,
+                request_timeout_s=3.0,
+            )
+            try:
+                began = time.monotonic()
+                response = broker.execute(request)
+                assert time.monotonic() - began < 1.0
+                counts = broker.stats()["counts"]
+                assert counts.get("hedge_wins", 0) >= 1
+            finally:
+                close_all(broker, [stuck, *transports])
+        want = baseline.execute(request)
+        np.testing.assert_array_equal(response.ids, want.ids)
+        np.testing.assert_array_equal(response.dists, want.dists)
+
 
 class TestConnectionHygiene:
     def test_cancelled_losers_do_not_leak_connections(
@@ -375,7 +404,7 @@ class TestConnectionHygiene:
             for _ in range(5):
                 broker.search_batch("hedge", queries[:4], 10)
             assert broker.stats()["counts"].get("hedges", 0) == 5
-            slow_client = transports[SLOW_SHARD].client.core
+            slow_client = transports[SLOW_SHARD].client
             assert slow_client.open_connections <= slow_client.pool_size, (
                 f"{slow_client.open_connections} sockets open after 5 "
                 f"hedged batches (pool_size={slow_client.pool_size})"
@@ -383,7 +412,7 @@ class TestConnectionHygiene:
         finally:
             close_all(broker, transports)
         for transport in transports:
-            assert transport.client.core.open_connections == 0, (
+            assert transport.client.open_connections == 0, (
                 "close() must drain every pooled connection"
             )
 
@@ -406,39 +435,57 @@ class TestConnectionHygiene:
             broker.search_batch("hedge", queries[:2], 5)
             try:
                 for transport in transports:
-                    client = transport.client.core
+                    client = transport.client
                     assert (
                         client.open_connections <= client.pool_size
                     ), (
                         f"{client.open_connections} sockets open after 4 "
                         "broker generations over one transport"
                     )
-                assert threads_added(before) <= {THREAD_NAME}
+                assert threads_added(before) == set()
             finally:
                 broker.close()
         finally:
             for transport in transports:
                 transport.close()
         for transport in transports:
-            assert transport.client.core.open_connections == 0
+            assert transport.client.open_connections == 0
 
-    def test_loop_venue_uses_one_loop_thread(self, fleet, queries):
-        """O(1) threads for N in-flight remote RPCs: the loop-venue
-        broker runs on the process loop's thread and adds nothing per
-        RPC (the loop itself, if this test is the first to use it)."""
-        before = set(threading.enumerate())
-        transports = make_transports(fleet)
+    def test_remote_fanout_starts_no_thread_and_no_task(
+        self, fleet, queries, monkeypatch
+    ):
+        """Every RPC of a hedged fan-out -- the straggler's primary and
+        its hedge included -- is started and polled on the calling
+        thread; no thread is started and no event loop made, so no
+        task can exist."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fan-out made an event loop")
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "__init__", refuse)
+        transports = [
+            RecordingTransport(server.address, shard_id)
+            for shard_id, server in enumerate(fleet)
+        ]
+        started_on = set()
+        for transport in transports:
+            start = transport.start_search
+            transport.start_search = lambda call, start=start: (
+                started_on.add(threading.current_thread()) or start(call)
+            )
         broker = Broker(
             transports,
             LANNS_2X2,
             hedge_after_s=0.05,
             request_timeout_s=30.0,
         )
+        before = set(threading.enumerate())
         try:
             broker.search_batch("hedge", queries[:4], 10)
-            assert threads_added(before) <= {THREAD_NAME}
-            assert THREAD_NAME in {t.name for t in threading.enumerate()}
-            assert broker.stats()["venue"] == "loop"
+            assert broker.stats()["counts"]["hedges"] == 1
+            assert threads_added(before) == set()
+            assert started_on == {threading.current_thread()}
+            assert broker.stats()["venue"] == "remote"
         finally:
             close_all(broker, transports)
 
@@ -459,18 +506,17 @@ class TestServiceIntegration:
                 SearchRequest(queries=queries, top_k=10, index_name="svc")
             )
             assert (response.shards_answered == NUM_SHARDS).all()
-            assert remote.brokers["svc"].stats()["venue"] == "loop"
+            assert remote.brokers["svc"].stats()["venue"] == "remote"
             assert remote.brokers["svc"].policy.hedge_after_s == 0.05
             remote.undeploy("svc")
         finally:
             remote.close()
 
-    def test_hedging_requires_async_transport(self, fleet):
-        """Never silently drop a hedge: a fleet with no async-capable
-        transport (all in-process) rejects the knob; value validation is
-        independent of the fleet."""
+    def test_hedging_requires_a_remote_fleet(self, fleet):
+        """Never silently drop a hedge: an in-process fleet rejects the
+        knob; value validation is independent of the fleet."""
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        with pytest.raises(ValueError, match="AsyncSearcherTransport"):
+        with pytest.raises(ValueError, match="remote fleet"):
             Broker(nodes, LANNS_2X2, hedge_after_s=0.1)
         with pytest.raises(ValueError, match="must be positive"):
             Broker(nodes, LANNS_2X2, hedge_after_s=0.0)
@@ -552,7 +598,7 @@ class TestAdaptiveHedging:
             for transport in transports:
                 transport.close()
         nodes = [SearcherNode(shard_id) for shard_id in range(NUM_SHARDS)]
-        with pytest.raises(ValueError, match="AsyncSearcherTransport"):
+        with pytest.raises(ValueError, match="remote fleet"):
             Broker(nodes, LANNS_2X2, hedge_after_s="auto")
 
     def test_auto_end_to_end_with_straggler(

@@ -35,7 +35,7 @@ from repro.errors import (
     OverloadedError,
     RemoteCallError,
 )
-from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import (
     PREFIX_SIZE,
     MsgType,
@@ -363,20 +363,16 @@ class TestShutdownRaises:
 
 class TestBackoffJitter:
     def test_jitter_is_bounded_and_deterministic_per_seed(self):
-        """One RNG implementation: the facade draws through its core, so
-        a seed (or the address-hash default) fixes the schedule for
-        blocking and awaiting callers alike."""
+        """A seed (or the address-hash default) fixes the schedule."""
 
         def draws(**kwargs):
-            core = AsyncRemoteSearcherClient("127.0.0.1:1", **kwargs)
-            return [core._jitter(0.2) for _ in range(16)]
+            client = RemoteSearcherClient("127.0.0.1:1", **kwargs)
+            return [client._jitter(0.2) for _ in range(16)]
 
         assert draws(backoff_seed=7) == draws(backoff_seed=7)
         assert all(0.0 <= draw <= 0.2 for draw in draws(backoff_seed=7))
         assert draws(backoff_seed=7) != draws(backoff_seed=8)
         assert draws() == draws()
-        facade = RemoteSearcherClient("127.0.0.1:1")
-        assert [facade.core._jitter(0.2) for _ in range(16)] == draws()
 
     def test_retries_actually_draw_jittered_pauses(self):
         client = RemoteSearcherClient(

@@ -88,9 +88,9 @@ FACTORS = {
     "sharding": ("hash", "segment"),
     "segmenter": ("rh", "apd", "rs"),
     # memory: LannsIndex itself; offline: the query job over the export;
-    # inline: the export deployed on an in-process fleet; loop: in-thread
+    # inline: the export deployed on an in-process fleet; remote: in-thread
     # searcher servers over loopback.
-    "venue": ("memory", "offline", "inline", "loop"),
+    "venue": ("memory", "offline", "inline", "remote"),
     # single: one query per call (the heap kernels); batch: the drawn
     # rows in one call (heap or array kernels by size); threads: four
     # concurrent clients, each alternating a single query and a pair.
@@ -146,7 +146,7 @@ def valid(cell: Cell) -> bool:
     batches; micro-batching needs concurrent clients; only searcher
     servers fail; only an ``OnlineService`` redeploys; traced requests
     bypass admission."""
-    remote = cell.venue == "loop"
+    remote = cell.venue == "remote"
     plain = ("direct", "cold", "untraced", "calm")
     return (
         (
@@ -159,7 +159,7 @@ def valid(cell: Cell) -> bool:
             or (cell.call, cell.trace) == ("threads", "untraced")
         )
         and (cell.chaos == "calm" or remote)
-        and (cell.cache == "cold" or cell.venue in ("inline", "loop"))
+        and (cell.cache == "cold" or cell.venue in ("inline", "remote"))
     )
 
 
@@ -426,7 +426,7 @@ def serve(world: World, cell: Cell):
     )
     broker = None
     service = OnlineService(
-        searchers=[group(0), group(1)] if cell.venue == "loop" else None,
+        searchers=[group(0), group(1)] if cell.venue == "remote" else None,
         cache_size=256 if cell.cache == "warm" else 0,
         rpc_retries=0 if faults else 2,  # a fault is the sibling's to absorb
         policy=policy,

@@ -102,6 +102,23 @@ def black_hole():
         sock.close()
 
 
+@contextlib.contextmanager
+def full_backlog():
+    """A listener that never accepts, its accept queue already full: a
+    connect to it neither completes nor fails (its SYNs are dropped, as
+    by a firewall or a host mid-reboot)."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(0)  # a queue of one
+    host, port = listener.getsockname()
+    filler = socket.create_connection((host, port), timeout=5)
+    try:
+        yield f"{host}:{port}"
+    finally:
+        filler.close()
+        listener.close()
+
+
 def execute(target, queries, top_k, index_name):
     """One structured request against a ``Broker`` or ``OnlineService``."""
     return target.execute(
@@ -389,8 +406,8 @@ class TestDeadlineCauseChaining:
     thing (slow searcher vs searcher not listening at all)."""
 
     def test_deadline_chains_connectivity_cause(self):
-        """Driven through the blocking facade, so the chain is also
-        checked to survive the hop from the loop thread to the caller."""
+        """Driven through the blocking client, so the chain is also
+        checked to survive the poll that ends the call."""
         client = RemoteSearcherClient(
             refused_address(), retries=3, backoff_s=0.05
         )

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import copy
 import socket
 import threading
@@ -27,7 +26,8 @@ from hypothesis import strategies as st
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import OverloadedError, ProtocolError
-from repro.net.client import AsyncRemoteSearcherClient, RemoteSearcherClient
+from repro.net import client as client_module
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import (
     FRAME_FIELDS,
     PREFIX_SIZE,
@@ -207,25 +207,33 @@ class TestGoldenBytes:
             b'"deadline_ms":500.0,' + self.SEARCH_TAIL
         )
 
-    def test_search_as_the_client_sends_it(self):
+    def test_search_as_the_client_sends_it(self, monkeypatch):
         """The client's call site maps its arguments onto the same
         bytes: no ``cost`` key unless asked, an expired deadline ships
         as a zero budget."""
         sent = []
-        client = AsyncRemoteSearcherClient("127.0.0.1:1")
 
-        async def record(msg_type, header, arrays=(), **_):
-            sent.append(header_bytes(msg_type, header, arrays))
-            return MsgType.RESULT, {"index": "main"}, [
-                np.zeros((2, 1), np.int64),
-                np.zeros((2, 1), np.float64),
-            ]
+        class Recorded:
+            """Keeps the frame the client built and answers it at once
+            (a real RPC would refuse the expired deadline unsent)."""
 
-        client.call = record
-        asyncio.run(client.search(ShardCall("main", self.QUERIES, 1)))
-        asyncio.run(
-            client.search(ShardCall("main", self.QUERIES, 1, ef=16, deadline=0.0))
-        )
+            done = True
+
+            def __init__(self, client, frame, deadline, idempotent, decode):
+                _, header_len, _ = parse_prefix(frame[:PREFIX_SIZE])
+                sent.append(frame[PREFIX_SIZE : PREFIX_SIZE + header_len])
+                self.value = decode(MsgType.RESULT, {"index": "main"}, [
+                    np.zeros((2, 1), np.int64),
+                    np.zeros((2, 1), np.float64),
+                ])
+
+            def result(self):
+                return self.value
+
+        monkeypatch.setattr(client_module, "Rpc", Recorded)
+        client = RemoteSearcherClient("127.0.0.1:1")
+        client.search(ShardCall("main", self.QUERIES, 1))
+        client.search(ShardCall("main", self.QUERIES, 1, ef=16, deadline=0.0))
         assert sent == [
             b'{"index":"main","top_k":1,"ef":null,' + self.SEARCH_TAIL,
             b'{"index":"main","top_k":1,"ef":16,"deadline_ms":0.0,'
