@@ -7,17 +7,18 @@ suffers at equal ef, and the effect is what the heuristic's
 diversity-aware pruning prevents.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.data.datasets import load_dataset
-from repro.eval.timing import measure_qps
 from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
 from repro.offline.recall import recall_at_k
 
 from benchmarks.conftest import BENCH_HNSW
-from benchmarks.harness import report
+from benchmarks.harness import interleaved, report, summary
 
 TOP_K = 10
 EFS = [12, 24, 48, 96]
@@ -55,12 +56,12 @@ def test_ablation_neighbor_heuristic(benchmark, heuristic_setup):
                 for i, query in enumerate(queries):
                     found, _ = index.search(query, TOP_K, ef=ef)
                     ids[i, : len(found)] = found
-                stats = measure_qps(
-                    lambda q, idx=index, ef=ef: idx.search(q, TOP_K, ef=ef),
-                    queries,
-                )
+                requests = [
+                    partial(index.search, query, TOP_K, ef=ef) for query in queries
+                ]
+                scores = interleaved({label: requests}, 1)[label]
                 row[f"{label} R@{TOP_K}"] = recall_at_k(ids, truth, TOP_K)
-                row[f"{label} QPS"] = stats["qps"]
+                row[f"{label} QPS"] = summary(scores)["qps"]
             rows.append(row)
         return rows
 

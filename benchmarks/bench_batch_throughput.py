@@ -28,10 +28,9 @@ searched as one lockstep group and as one group per segment; the
 answers and ``SearchCost`` must be equal, ms per query is printed.
 
 With ``--clients N`` the benchmark instead load-tests the concurrent
-serving core (``repro.eval.concurrent_serving_throughput``, the body of
-``repro.cli bench --clients``): ``N`` closed-loop client threads issue
-*single-query* calls against the micro-batching broker, then the same
-query set is re-served out of its result cache.  Micro-batched
+serving core: ``N`` closed-loop client threads (``harness.closed_loop``)
+issue *single-query* calls against the micro-batching broker, then the
+same query set is re-served out of its result cache.  Micro-batched
 concurrent singles must reach >= 1.5x the sequential path and cached
 repeats >= 5x, with per-query parity (ids *and* distances) asserted
 in-run for both.
@@ -52,6 +51,7 @@ from harness import (
     INDEX_NAME,
     SEED,
     Gate,
+    closed_loop,
     corpus,
     interleaved,
     main,
@@ -65,7 +65,6 @@ from repro.core.config import LannsConfig
 from repro.core.merge import empty_part, merge_segment_results_batch
 from repro.data.synthetic import clustered_gaussians, make_queries
 from repro.distance.scorer import Scorer
-from repro.eval.serving import concurrent_serving_throughput
 from repro.hnsw.params import HnswParams
 from repro.obs.cost import SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
@@ -107,12 +106,17 @@ def setup(run):
     yield build_lanns_index(vectors, config=config), queries
 
 
+def hosted(index) -> list[SearcherNode]:
+    """One in-process searcher per shard of ``index``."""
+    searchers = [SearcherNode(shard.shard_id) for shard in index.shards]
+    for searcher, shard in zip(searchers, index.shards):
+        searcher.host(INDEX_NAME, shard)
+    return searchers
+
+
 def check_batched(run, env) -> None:
     index, queries = env
-    searchers = [SearcherNode(shard_id) for shard_id in range(run.shards)]
-    for shard_id, searcher in enumerate(searchers):
-        searcher.host(INDEX_NAME, index.shards[shard_id])
-    broker = Broker(searchers, index.config)
+    broker = Broker(hosted(index), index.config)
     singles: list = [None] * len(queries)
     batches: dict = {}
 
@@ -482,28 +486,61 @@ def check_shard_groups(run) -> None:
 
 
 def check_concurrent(run, env) -> None:
+    """A plain broker serves the queries one call at a time (*sequential*);
+    the micro-batching broker with a result cache serves them from
+    ``run.clients`` closed-loop threads (*concurrent*), then again out of
+    its now-filled cache (*cached*).  Every concurrent and cached answer
+    must equal the sequential one bit for bit, ids and distances."""
     index, queries = env
-    load = concurrent_serving_throughput(
-        index,
-        queries,
-        run.top_k,
-        ef=run.ef,
-        clients=run.clients,
+    searchers = hosted(index)
+    baseline = Broker(searchers, index.config)
+    core = Broker(
+        searchers,
+        index.config,
         max_batch=run.max_batch,
         max_wait_ms=run.max_wait_ms,
+        cache_size=2 * len(queries),
     )
+
+    def search(broker):
+        return partial(broker.search, INDEX_NAME, top_k=run.top_k, ef=run.ef)
+
+    def one_by_one(broker) -> dict:
+        calls = [partial(search(broker), query) for query in queries]
+        return summary(interleaved({"calls": calls}, 1)["calls"])
+
+    try:
+        expected = [search(baseline)(query) for query in queries]
+        sequential = one_by_one(baseline)
+        answers, concurrent = closed_loop(search(core), queries, run.clients)
+        cached = one_by_one(core)  # the concurrent pass filled the cache
+        # Before the parity re-serves below, so the hit/miss counters
+        # reflect the measured traffic only.
+        served = core.stats()
+        for row, (want_ids, want_dists) in enumerate(expected):
+            for what, (ids, dists) in (
+                ("concurrent", answers[row]),
+                ("cached", search(core)(queries[row])),
+            ):
+                require((ids == want_ids).all(), f"{what} id mismatch at query {row}")
+                require(
+                    (dists == want_dists).all(),
+                    f"{what} distance mismatch at query {row}",
+                )
+    finally:
+        baseline.close()
+        core.close()
     print("parity: concurrent + cached results identical to sequential ✓")
+    clients = concurrent["clients"]
     rows = [
-        {"mode": mode, "qps": load[key]["qps"], "p99_ms": load[key]["p99_ms"],
-         "speedup": ratio}
-        for mode, key, ratio in (
-            ("sequential", "sequential", 1.0),
-            (f"micro-batched x{load['clients']} clients", "concurrent",
-             load["concurrent_speedup"]),
-            ("cached repeat queries", "cached", load["cache_speedup"]),
+        {"mode": mode, "qps": stats["qps"], "p99_ms": stats["p99_ms"],
+         "speedup": stats["qps"] / sequential["qps"]}
+        for mode, stats in (
+            ("sequential", sequential),
+            (f"micro-batched x{clients} clients", concurrent),
+            ("cached repeat queries", cached),
         )
     ]
-    core = load["core_stats"]
     report(
         "concurrent_throughput",
         rows,
@@ -512,27 +549,23 @@ def check_concurrent(run, env) -> None:
             f"vs sequential; max_batch={run.max_batch}, "
             f"max_wait_ms={run.max_wait_ms})"
         ),
-        payload={
-            "smoke": run.smoke,
-            "clients": load["clients"],
-            "stages": core["stages"],
-        },
+        payload={"smoke": run.smoke, "clients": clients, "stages": served["stages"]},
     )
-    micro = core["microbatch"]
+    micro = served["microbatch"]
     print(
         f"micro-batches: {sum(micro['flushes'].values())} for "
         f"{micro['rows_executed']} rows (largest {micro['largest_batch']}); "
-        f"cache: {core['cache']['hits']} hits / {core['cache']['misses']} misses"
+        f"cache: {served['cache']['hits']} hits / {served['cache']['misses']} misses"
     )
     for stage in ("queue_wait", "fanout", "merge"):
-        if stage in core["stages"]:
-            stats = core["stages"][stage]
+        if stage in served["stages"]:
+            stats = served["stages"][stage]
             print(
                 f"  {stage:>10}: mean {stats['mean_ms']:.3f} ms  "
                 f"p99 {stats['p99_ms']:.3f} ms  (n={stats['count']})"
             )
-    run.gate("concurrent_speedup", load["concurrent_speedup"])
-    run.gate("cache_speedup", load["cache_speedup"])
+    run.gate("concurrent_speedup", rows[1]["speedup"])
+    run.gate("cache_speedup", rows[2]["speedup"])
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ recall >= 0.95 while computing >= 10x fewer distances than the scan, and
 the brute-force anchor pins recall = 1.0.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,7 @@ from benchmarks.baselines import (
     RPForestIndex,
 )
 from benchmarks.conftest import BENCH_HNSW
-from benchmarks.harness import report
-from repro.eval.timing import measure_qps
+from benchmarks.harness import interleaved, report, summary
 from repro.offline.recall import recall_at_k
 
 
@@ -66,12 +67,13 @@ def sweep_index(index, queries, truth, k, label, parameter):
         if not isinstance(index, HnswAdapter)
         else index._index.distance_ops / len(queries)
     )
-    stats = measure_qps(lambda q: index.search(q, k), queries)
+    requests = [partial(index.search, query, k) for query in queries]
+    qps = summary(interleaved({label: requests}, 1)[label])["qps"]
     return {
         "algorithm": label,
         "params": parameter,
         "recall": recall_at_k(ids, truth, k),
-        "qps": stats["qps"],
+        "qps": qps,
         "dists/query": dists_per_query,
     }
 

@@ -24,18 +24,19 @@ alpha-independent under virtual spill); physical-spill placement depends
 on alpha, so those are built per cell.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.data.datasets import load_dataset
-from repro.eval.timing import measure_qps
 from repro.offline.recall import recall_at_k
 from repro.segmenters.learner import learn_segmenter
 
 from benchmarks.conftest import BENCH_EF, BENCH_HNSW
-from benchmarks.harness import report, swap_segmenter
+from benchmarks.harness import interleaved, report, summary, swap_segmenter
 
 SEGMENT_COUNTS = [1, 4, 8, 16]
 SPILLS = [0.10, 0.20, 0.30]  # fraction routed to both children per level
@@ -63,9 +64,10 @@ def run_cell(dataset, index, top_k):
     for row, query in enumerate(dataset.queries):
         found = one_query(query)
         ids[row, : len(found)] = found
-    stats = measure_qps(lambda q: one_query(q), dataset.queries)
+    requests = [partial(one_query, query) for query in dataset.queries]
+    qps = summary(interleaved({"cell": requests}, 1)["cell"])["qps"]
     recall = recall_at_k(ids, dataset.ground_truth(top_k), top_k)
-    return recall, stats["qps"]
+    return recall, qps
 
 
 def test_table7_spill_tradeoff(benchmark, groups):

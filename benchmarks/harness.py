@@ -12,7 +12,8 @@ everything else they need is here, once:
   shut down;
 * :func:`interleaved` -- the one timing rule: the configurations under
   comparison take turns request by request, each request is scored by
-  its minimum across passes;
+  its minimum across passes; :func:`closed_loop` times concurrent
+  clients, where turns cannot be taken;
 * :func:`report` -- print a result table, write
   ``benchmarks/results/<name>.txt`` + ``.json``;
 * :func:`main` -- ``--smoke``, ``--check <name>`` and, where a script
@@ -20,9 +21,9 @@ everything else they need is here, once:
   size is a named constant in the script's table.
 
 The paper-table benches (pytest, ``benchmarks/conftest.py``) use
-:func:`report` and the offline experiment flow at the bottom of this
-file (moved here from ``repro.eval``, which keeps only what ``src/``
-itself calls).
+:func:`report`, :func:`interleaved` and the offline experiment flow at
+the bottom of this file.  ``src/`` keeps no timer of its own: a
+broker's requests are timed by its stage clock.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import argparse
 import json
 import sys
 import tempfile
+import threading
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -172,6 +174,57 @@ def interleaved(
             if took < scores[name][row]:
                 scores[name][row] = took
     return scores
+
+
+def closed_loop(
+    call: Callable[[object], object], items: Sequence, clients: int
+) -> tuple[list, dict]:
+    """Serve ``items`` from ``clients`` closed-loop threads.
+
+    Each client owns a strided slice of ``items`` and calls ``call`` on
+    them one at a time (a new request only after the previous answer),
+    modelling independent callers rather than an open-loop flood.  All
+    clients start together behind a barrier.  Returns the per-item
+    results in item order and a :func:`summary`-style dict whose ``qps``
+    is items over the barrier-to-last-finish wall time (``wall_s``);
+    the quantiles pool every per-call sample.
+    """
+    if clients <= 0:
+        raise ValueError(f"clients must be positive, got {clients}")
+    clients = min(clients, max(len(items), 1))
+    results: list = [None] * len(items)
+    latencies = np.zeros(len(items))
+    barrier = threading.Barrier(clients + 1)
+    errors: list[BaseException] = []
+
+    def client(worker: int) -> None:
+        try:
+            barrier.wait()
+            for row in range(worker, len(items), clients):
+                tick = perf_counter()
+                results[row] = call(items[row])
+                latencies[row] = perf_counter() - tick
+        except BaseException as exc:  # raised on the caller's thread below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=client, args=(worker,)) for worker in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
+    begin = perf_counter()
+    for thread in threads:
+        thread.join()
+    wall = perf_counter() - begin
+    if errors:
+        raise errors[0]
+    return results, {
+        "qps": len(items) / wall,
+        "wall_s": wall,
+        "clients": clients,
+        **quantile_summary(latencies),
+    }
 
 
 def speedup(scores: Mapping[str, np.ndarray], name: str, over: str) -> float:

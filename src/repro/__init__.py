@@ -15,10 +15,10 @@ paper *"LANNS: A Web-Scale Approximate Nearest Neighbor Lookup System"*
   format.
 - :mod:`repro.offline` / :mod:`repro.online` -- the offline (Spark-style)
   pipelines and the online searcher/broker serving tier.
-- :mod:`repro.data` / :mod:`repro.eval` -- synthetic dataset recipes with
-  the paper's dimensionalities and ground truth; the qps definitions and
-  serving load tests behind ``OnlineService.measure_qps`` and
-  ``repro.cli bench`` (the benchmark harness is ``benchmarks/harness.py``).
+- :mod:`repro.data` -- synthetic dataset recipes with the paper's
+  dimensionalities and ground truth.  Requests are timed by the broker's
+  stage clock (``Broker.stats()["stages"]["request"]``); the benchmark
+  harness is ``benchmarks/harness.py``.
 
 Quickstart::
 

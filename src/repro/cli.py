@@ -41,7 +41,7 @@ from repro.errors import LannsError
 from repro.net.server import SearcherServer, ServerOptions
 from repro.offline.indexing import build_index_job
 from repro.offline.querying import query_index_job
-from repro.online.broker import BrokerPolicy
+from repro.online.broker import Broker, BrokerPolicy
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
@@ -316,9 +316,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.core.builder import build_lanns_index
     from repro.data.datasets import load_dataset
-    from repro.eval.serving import serving_throughput
     from repro.offline.recall import recall_at_k
 
+    if args.batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {args.batch_size}")
     dataset = load_dataset(args.dataset)
     config = LannsConfig.from_args(args)
     print(f"dataset {dataset!r}")
@@ -326,50 +327,40 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     index = build_lanns_index(dataset.base, config=config)
     print(f"build: {time.perf_counter() - begin:.1f}s")
     top_k = min(args.top_k, dataset.num_base)
-    report = serving_throughput(
-        index,
-        dataset.queries,
-        top_k,
-        ef=args.ef,
-        batch_size=args.batch_size,
-        collect_ids=True,
-    )
-    recall = recall_at_k(report["ids"], dataset.ground_truth(top_k), top_k)
-    sequential, batched = report["sequential"], report["batched"]
+    queries = dataset.queries
+    searchers = [SearcherNode(shard.shard_id) for shard in index.shards]
+    for searcher, shard in zip(searchers, index.shards):
+        searcher.host("bench", shard)
+    # One broker per pass, so each one's request window times one pass.
+    sequential, batched = Broker(searchers, config), Broker(searchers, config)
+    try:
+        for query in queries:
+            sequential.search("bench", query, top_k, ef=args.ef)
+        ids = np.concatenate([
+            batched.search_batch(
+                "bench", queries[start : start + args.batch_size], top_k, ef=args.ef
+            )[0]
+            for start in range(0, len(queries), args.batch_size)
+        ])
+        passes = [
+            broker.stats()["stages"]["request"] for broker in (sequential, batched)
+        ]
+    finally:
+        sequential.close()
+        batched.close()
+    # Queries, not requests, per second of summed request time.
+    qps = [len(queries) / (request["total_ms"] / 1e3) for request in passes]
+    recall = recall_at_k(ids, dataset.ground_truth(top_k), top_k)
     print(
-        f"recall@{top_k}: {recall:.4f}  "
-        f"qps: {sequential['qps']:.0f}  p99: {sequential['p99_ms']:.2f} ms"
+        f"recall@{top_k}: {recall:.4f}  qps: {qps[0]:.0f}  "
+        f"p50: {passes[0]['p50_ms']:.2f} ms  p99: {passes[0]['p99_ms']:.2f} ms"
     )
     print(
-        f"batched (B={args.batch_size}) qps: {batched['qps']:.0f}  "
-        f"batch p99: {batched['p99_batch_ms']:.2f} ms  "
-        f"speedup: {report['speedup']:.2f}x"
+        f"batched (B={args.batch_size}) qps: {qps[1]:.0f}  "
+        f"batch p50: {passes[1]['p50_ms']:.2f} ms  "
+        f"batch p99: {passes[1]['p99_ms']:.2f} ms  "
+        f"speedup: {qps[1] / qps[0]:.2f}x"
     )
-    if args.clients > 0:
-        from repro.eval.serving import concurrent_serving_throughput
-
-        load = concurrent_serving_throughput(
-            index,
-            dataset.queries,
-            top_k,
-            ef=args.ef,
-            clients=args.clients,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            cache_size=args.cache_size,
-        )
-        concurrent, cached = load["concurrent"], load["cached"]
-        print(
-            f"concurrent ({load['clients']} clients, micro-batch "
-            f"{args.max_batch}/{args.max_wait_ms}ms) qps: "
-            f"{concurrent['qps']:.0f}  p99: {concurrent['p99_ms']:.2f} ms  "
-            f"speedup: {load['concurrent_speedup']:.2f}x"
-        )
-        print(
-            f"cached repeats qps: {cached['qps']:.0f}  "
-            f"speedup: {load['cache_speedup']:.2f}x  "
-            f"(hits: {load['core_stats']['cache']['hits']})"
-        )
     return 0
 
 
@@ -514,36 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="batch size for the batched serving measurement",
-    )
-    bench.add_argument(
-        "--clients",
-        type=int,
-        default=0,
-        help=(
-            "also load-test the concurrent serving core with this many "
-            "closed-loop client threads (0 = skip)"
-        ),
-    )
-    bench.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="micro-batch flush size for the concurrent load test",
-    )
-    bench.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch flush deadline (ms) for the concurrent load test",
-    )
-    bench.add_argument(
-        "--cache-size",
-        type=int,
-        default=None,
-        help=(
-            "broker result-cache capacity for the concurrent load test "
-            "(default: 2x the query count)"
-        ),
     )
     LannsConfig.add_flags(bench, defaults=_BENCH_DEFAULTS, omit=_BENCH_OMITS)
     bench.set_defaults(handler=_cmd_bench)

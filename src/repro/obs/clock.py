@@ -7,7 +7,8 @@ sees:
 
 - the **window**: the per-broker sliding window of recent samples behind
   ``Broker.stats()["stages"]`` and adaptive hedging's ``shard_rpc``
-  median (:meth:`StageClock.quantile`);
+  median (:meth:`StageClock.quantile`); the ``request`` window is the
+  library's one request timer (``repro.cli bench`` reads its QPS);
 - a **histogram** of the metrics registry (``lanns_broker_request_seconds``);
 - the **span** of a traced request -- opened at the first reading,
   closed with the difference, under an explicit ``parent`` when the
@@ -37,29 +38,22 @@ from repro.obs.tracing import SpanRecorder, failure_annotations
 now = time.perf_counter
 
 
-def quantile_summary(
-    latencies_s: np.ndarray, *, infix: str = ""
-) -> dict[str, float]:
+def quantile_summary(latencies_s: np.ndarray) -> dict[str, float]:
     """The shared latency-quantile block: p50/p90/p99/max in milliseconds.
 
-    Every throughput helper of :mod:`repro.eval.timing` and the broker's
-    per-stage summary report the same four quantile keys, so they are
-    computed in exactly one place.  ``infix`` is inserted before the
-    ``_ms`` suffix (``infix="_batch"`` yields ``p99_batch_ms``), letting
-    the batch-granular helpers keep their historical key names.  An
+    The broker's per-stage summary and the bench harness report the same
+    four quantile keys, so they are computed in exactly one place.  An
     empty sample set reports zeros.
     """
     values = np.asarray(latencies_s, dtype=np.float64)
     if values.size == 0:
-        stats = {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-    else:
-        stats = {
-            "p50": float(np.quantile(values, 0.50) * 1e3),
-            "p90": float(np.quantile(values, 0.90) * 1e3),
-            "p99": float(np.quantile(values, 0.99) * 1e3),
-            "max": float(values.max() * 1e3),
-        }
-    return {f"{name}{infix}_ms": value for name, value in stats.items()}
+        return {"p50_ms": 0.0, "p90_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
+    return {
+        "p50_ms": float(np.quantile(values, 0.50) * 1e3),
+        "p90_ms": float(np.quantile(values, 0.90) * 1e3),
+        "p99_ms": float(np.quantile(values, 0.99) * 1e3),
+        "max_ms": float(values.max() * 1e3),
+    }
 
 
 class Stage:

@@ -39,7 +39,7 @@ def _build_and_persist_partition(
     """Build one partition and write it from "the executor".
 
     Module-level and picklable, so the build stage can run under any
-    cluster execution mode (inline / threads / processes).
+    cluster execution mode (inline / processes).
     """
     index = build_segment_index(part_vectors, part_ids, config, seed)
     return key, write_segment(fs, output_path, *key, index), len(index)

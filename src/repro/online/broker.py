@@ -370,7 +370,8 @@ class Broker:
         The one serving path: ``search``/``search_batch`` wrap this.
         Every request flows through the result cache and the
         micro-batching admission layer.  A request that fails is in the
-        latency histogram and the slow-query log like any other.
+        latency histogram, the ``stats()["stages"]["request"]`` window and
+        the slow-query log like any other.
         """
         queries = request.queries
         num_queries = queries.shape[0]
@@ -392,7 +393,9 @@ class Broker:
         )
         self.tally.count("queries_served", num_queries)
         trace = self.tracer.begin()
-        whole = self.timings.stage("request", histogram=_REQUEST_SECONDS)
+        whole = self.timings.stage(
+            "request", window="request", histogram=_REQUEST_SECONDS
+        )
         try:
             with whole:
                 response = self._admission.serve(key, queries, trace)

@@ -35,7 +35,6 @@ from repro.errors import (
     RemoteCallError,
     TransportError,
 )
-from repro.eval.timing import measure_batch_qps, measure_qps
 from repro.net.fleet import parse_fleet_spec
 from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker, BrokerPolicy
@@ -471,52 +470,3 @@ class OnlineService:
         return self._broker(index_name).search_batch(
             index_name, queries, top_k, ef=ef
         )
-
-    def measure_qps(
-        self,
-        queries: np.ndarray,
-        top_k: int,
-        *,
-        index_name: str = "default",
-        ef: int | None = None,
-        batch_size: int | None = None,
-    ) -> dict:
-        """Serve a query set and report throughput / latency stats.
-
-        With ``batch_size=None`` every query is served individually (the
-        sequential baseline); otherwise queries are served in batches of
-        ``batch_size`` through :meth:`query_batch` and each batch counts
-        as one request for latency purposes.  Timing comes from
-        :mod:`repro.eval.timing` so both modes share one qps definition.
-
-        Returns a dict with ``qps``, ``mean_latency_ms``,
-        ``p99_latency_ms`` (the paper reports p99), ``count`` and
-        ``batch_size``.
-        """
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[np.newaxis, :]
-        if batch_size is None:
-            stats = measure_qps(
-                lambda query: self.query(
-                    query, top_k, index_name=index_name, ef=ef
-                ),
-                queries,
-            )
-            mean_ms, p99_ms = stats["mean_ms"], stats["p99_ms"]
-        else:
-            stats = measure_batch_qps(
-                lambda batch: self.query_batch(
-                    batch, top_k, index_name=index_name, ef=ef
-                ),
-                queries,
-                batch_size,
-            )
-            mean_ms, p99_ms = stats["mean_batch_ms"], stats["p99_batch_ms"]
-        return {
-            "count": int(queries.shape[0]),
-            "batch_size": batch_size,
-            "qps": stats["qps"],
-            "mean_latency_ms": mean_ms,
-            "p99_latency_ms": p99_ms,
-        }

@@ -4,10 +4,9 @@ Execution model
 ---------------
 A *stage* is a list of zero-argument task callables run together.  Tasks
 are distributed round-robin over ``num_executors`` virtual executors and
-executed inline (deterministic, default), on a thread pool, or on a
-process pool (``mode="processes"`` -- real GIL-free parallelism for
-Python-heavy tasks such as per-partition HNSW builds; tasks and results
-must be picklable).
+executed inline (deterministic, default) or on a process pool
+(``mode="processes"`` -- real GIL-free parallelism for Python-heavy tasks
+such as per-partition HNSW builds; tasks and results must be picklable).
 
 Failure injection (Section 5.3.1)
 ---------------------------------
@@ -31,7 +30,7 @@ from __future__ import annotations
 import pickle
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +39,20 @@ from repro.errors import ClusterError, StageTimeoutError
 from repro.sparklite.metrics import StageMetrics, TaskRecord
 from repro.storage.hdfs import LocalHdfs
 
-#: Execution modes for real (not simulated) parallelism.  ``"processes"``
-#: escapes the GIL entirely (one OS process per worker) and is what makes
-#: multi-partition HNSW builds actually run in parallel -- the build hot
-#: loop is Python-heavy, so ``"threads"`` only overlaps the numpy
-#: fraction.  Tasks and their results must be picklable under
+#: Execution modes.  ``"processes"`` escapes the GIL (one OS process per
+#: worker) and is what makes multi-partition HNSW builds run in parallel;
+#: the build hot loop is Python-bound, so a thread pool would cost more
+#: than it gives.  Tasks and their results must be picklable under
 #: ``"processes"`` (module-level callables / ``functools.partial``, not
 #: closures).
-EXECUTION_MODES = ("inline", "threads", "processes")
+EXECUTION_MODES = ("inline", "processes")
 
 
 def _timed_call(fn: Callable[[], object]) -> tuple[object, float]:
-    """Run one task in a worker process, timing it there.
+    """Run one task, timing it where it runs.
 
     Module-level so the process pool can pickle it; the in-worker
-    duration keeps per-task timings comparable with the other modes
+    duration keeps per-task timings comparable across modes
     (parent-side timing would fold in queueing and IPC).
     """
     begin = time.perf_counter()
@@ -95,13 +93,12 @@ class LocalCluster:
         Virtual executor count; tasks are assigned round-robin.  Also the
         default executor count for simulated makespans.
     mode:
-        ``"inline"`` (sequential, deterministic timing -- default),
-        ``"threads"`` (real thread pool; numpy kernels release the GIL)
-        or ``"processes"`` (process pool; escapes the GIL -- tasks and
+        ``"inline"`` (sequential, deterministic timing -- default) or
+        ``"processes"`` (process pool; escapes the GIL -- tasks and
         results must be picklable).  Failure injection draws the same
-        deterministic fate stream in every mode, and ``"processes"``
-        applies it with ``"inline"``'s in-order semantics, so results
-        (including retry/checkpoint behavior) are mode-independent for
+        deterministic fate stream in both modes and settles it in task
+        order before any task runs, so results (including
+        retry/checkpoint behavior) are mode-independent for
         deterministic tasks.
     failure_rate:
         Probability that a task attempt kills its executor.
@@ -255,61 +252,33 @@ class LocalCluster:
         ``pool`` is the stage's shared process pool (``"processes"``
         mode with more than one pending task; ``None`` otherwise).
         """
-        # Draw failure fates up-front so inline and threaded execution see
-        # the same deterministic stream.
+        # Draw failure fates up-front and settle them in task order: a
+        # task whose executor was killed earlier this round fails too.
+        # Only surviving attempts run, inline or on the pool.
         fates = (
             self._rng.random(len(pending)) < self.failure_rate
             if self.failure_rate > 0.0
             else np.zeros(len(pending), dtype=bool)
         )
         dead: set[int] = set()
-
-        def attempt(position: int, state: _TaskState) -> None:
+        runnable: list[_TaskState] = []
+        for position, state in enumerate(pending):
             executor = state.index % self.num_executors
             state.attempts += 1
             if executor in dead or fates[position]:
                 dead.add(executor)
                 metrics.failures += 1
-                return
-            begin = time.perf_counter()
-            state.result = state.fn()
-            state.duration = time.perf_counter() - begin
-            state.executor = executor
-            state.done = True
-
+                continue
+            runnable.append(state)
         if pool is not None:
-            # Fates are settled in the parent, in task order (identical
-            # to inline semantics: a task whose executor was killed
-            # earlier this round fails too); only surviving attempts
-            # ship to worker processes.
-            runnable: list[_TaskState] = []
-            for position, state in enumerate(pending):
-                executor = state.index % self.num_executors
-                state.attempts += 1
-                if executor in dead or fates[position]:
-                    dead.add(executor)
-                    metrics.failures += 1
-                    continue
-                runnable.append(state)
-            futures = [
-                pool.submit(_timed_call, state.fn) for state in runnable
-            ]
-            for state, future in zip(runnable, futures):
-                state.result, state.duration = future.result()
-                state.executor = state.index % self.num_executors
-                state.done = True
-        elif self.mode == "threads" and len(pending) > 1:
-            workers = min(self.num_executors, len(pending))
-            with ThreadPoolExecutor(max_workers=workers) as thread_pool:
-                futures = [
-                    thread_pool.submit(attempt, position, state)
-                    for position, state in enumerate(pending)
-                ]
-                for future in futures:
-                    future.result()
+            futures = [pool.submit(_timed_call, state.fn) for state in runnable]
+            outcomes = (future.result() for future in futures)
         else:
-            for position, state in enumerate(pending):
-                attempt(position, state)
+            outcomes = (_timed_call(state.fn) for state in runnable)
+        for state, (result, duration) in zip(runnable, outcomes):
+            state.result, state.duration = result, duration
+            state.executor = state.index % self.num_executors
+            state.done = True
         return dead
 
     def last_stage(self) -> StageMetrics:

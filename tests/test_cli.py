@@ -129,6 +129,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["bench", "--clients", "2"], "--clients"),
+            (["bench", "--max-batch", "8"], "--max-batch"),
+            (["bench", "--max-wait-ms", "1"], "--max-wait-ms"),
+            (["bench", "--cache-size", "64"], "--cache-size"),
+            (["build", "--out", "idx", "--cluster-mode", "threads"], "'threads'"),
+        ],
+    )
+    def test_the_removed_bench_and_build_options_are_refused(self, capsys, argv, named):
+        """``bench``'s load test and sparklite's ``threads`` mode are gone."""
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(argv)
+        assert refused.value.code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestServeAndRemoteQuery:
     def test_query_through_remote_searchers(self, corpus, capsys):
@@ -290,27 +307,22 @@ class TestEveryFlagReachesItsConsumer:
         ((_, kwargs),) = jobs
         assert kwargs == arrived
 
-    def test_bench_flags_reach_the_load_test(self, monkeypatch):
-        import repro.eval.serving
+    def test_bench_flags_reach_the_broker_passes(self, monkeypatch):
+        import repro.cli
 
         monkeypatch.setenv("REPRO_SCALE", "0.02")  # 200 vectors, 10 queries
-        sweeps = spy(monkeypatch, repro.eval.serving, "serving_throughput")
-        loads = spy(monkeypatch, repro.eval.serving, "concurrent_serving_throughput")
+        singles = spy(monkeypatch, repro.cli.Broker, "search")
+        batches = spy(monkeypatch, repro.cli.Broker, "search_batch")
         argv = [
-            "bench", "--segments", "2", "--batch-size", "4", "--clients", "2",
+            "bench", "--segments", "2", "--batch-size", "4",
             "--hnsw-m", "6", "--ef-construction", "30", "--ef", "33",
-            "--max-batch", "5", "--max-wait-ms", "0.5", "--cache-size", "7",
         ]
         assert main(argv) == 0
-        ((_, swept),) = sweeps
-        assert swept["ef"] == 33
-        ((_, loaded),) = loads
-        assert {
-            name: loaded[name]
-            for name in ("ef", "clients", "max_batch", "max_wait_ms", "cache_size")
-        } == {
-            "ef": 33, "clients": 2, "max_batch": 5, "max_wait_ms": 0.5, "cache_size": 7,
-        }
+        assert [kwargs for _, kwargs in singles] == [{"ef": 33}] * 10
+        # Every ``search`` is a batch of one; the batched pass sends 4, 4, 2.
+        sizes = [len(args[2]) for args, _ in batches]
+        assert sizes == [1] * 10 + [4, 4, 2]
+        assert {kwargs["ef"] for _, kwargs in batches} == {33}
 
     def test_stats_timeout_reaches_the_client(self, monkeypatch, capsys):
         import repro.net.client

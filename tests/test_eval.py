@@ -1,6 +1,6 @@
-"""Tests for ``repro.eval`` (the qps definitions ``src/`` uses) and for the
-bench harness (``benchmarks/harness.py``): timing rule, gates, tables,
-and the offline experiment flow the paper-table benches run."""
+"""Tests for the bench harness (``benchmarks/harness.py``): timing rules,
+gates, tables, and the offline experiment flow the paper-table benches
+run."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from benchmarks import harness
 from benchmarks.harness import (
     Gate,
     build_partitioned,
+    closed_loop,
     evaluate_recall,
     format_table,
     interleaved,
@@ -20,26 +21,8 @@ from benchmarks.harness import (
 )
 from repro.core.config import LannsConfig
 from repro.data.datasets import Dataset
-from repro.eval.timing import measure_batch_qps, measure_qps
 from repro.segmenters.learner import learn_segmenter
 from tests.conftest import FAST_HNSW
-
-
-class TestMeasure:
-    def test_qps_keys(self):
-        stats = measure_qps(lambda q: None, np.zeros((5, 2)))
-        assert set(stats) == {
-            "qps", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"
-        }
-        assert stats["qps"] > 0
-        assert stats["max_ms"] >= stats["p99_ms"] >= stats["p50_ms"]
-
-    def test_batch_qps_counts_queries_not_batches(self):
-        seen = []
-        stats = measure_batch_qps(lambda b: seen.append(len(b)), np.zeros((7, 2)), 3)
-        assert seen == [3, 3, 1]
-        assert stats["batches"] == 3 and stats["batch_size"] == 3
-        assert stats["qps"] > 0
 
 
 class FakeClock:
@@ -127,6 +110,12 @@ class TestInterleaved:
         stats = summary(np.array([0.001, 0.003]), ops=8)
         assert stats["qps"] == pytest.approx(2000.0)
         assert stats["p50_ms"] == pytest.approx(2.0)
+
+    def test_closed_loop_answers_in_item_order(self):
+        results, stats = closed_loop(lambda item: 2 * item, list(range(7)), 3)
+        assert results == [0, 2, 4, 6, 8, 10, 12]
+        assert stats["clients"] == 3 and stats["qps"] > 0
+        assert closed_loop(abs, [-1], 8)[1]["clients"] == 1
 
 
 class TestMain:

@@ -220,9 +220,13 @@ def _flatten(spans):
 
 
 class TestBrokerObservability:
-    def test_stats_schema_snapshot(self, lanns):
+    def test_stats_schema_snapshot(self, lanns, clustered_queries):
         broker = make_broker(lanns)
+        for query in clustered_queries[:7]:
+            broker.search("main", query, 5)
         stats = broker.stats()
+        request = stats["stages"]["request"]  # the one request timer
+        assert request["count"] == 7 and request["p99_ms"] >= request["p50_ms"]
         assert set(stats) == {
             "counts",
             "cache",

@@ -106,11 +106,8 @@ class TestBuildJob:
                 cluster, fs, clustered_data, config, "idx", ids=np.arange(5)
             )
 
-    @pytest.mark.parametrize("mode", ["threads", "processes"])
-    def test_execution_mode_parity(
-        self, fs, clustered_data, config, mode, tmp_path
-    ):
-        """Every execution mode writes byte-identical segment files."""
+    def test_execution_mode_parity(self, fs, clustered_data, config, tmp_path):
+        """Both execution modes write byte-identical segment files."""
         from repro.storage.hdfs import LocalHdfs
 
         inline_fs = LocalHdfs(tmp_path / "inline")
@@ -118,7 +115,7 @@ class TestBuildJob:
         inline_manifest, _ = build_index_job(
             inline_cluster, inline_fs, clustered_data, config, "idx"
         )
-        other_cluster = LocalCluster(num_executors=4, mode=mode, fs=fs)
+        other_cluster = LocalCluster(num_executors=4, mode="processes", fs=fs)
         other_manifest, _ = build_index_job(
             other_cluster, fs, clustered_data, config, "idx"
         )

@@ -203,20 +203,6 @@ class TestOnlineService:
         with pytest.raises(KeyError, match="not deployed"):
             service.query(clustered_queries[0], 5, index_name="nope")
 
-    def test_measure_qps_stats(self, service, clustered_queries):
-        stats = service.measure_qps(clustered_queries[:10], 5)
-        assert stats["count"] == 10
-        assert stats["qps"] > 0
-        assert stats["p99_latency_ms"] >= stats["mean_latency_ms"] * 0.5
-
-    def test_measure_qps_batch_mode(self, service, clustered_queries):
-        stats = service.measure_qps(clustered_queries[:16], 5, batch_size=8)
-        assert stats["count"] == 16
-        assert stats["batch_size"] == 8
-        assert stats["qps"] > 0
-        with pytest.raises(ValueError, match="batch_size"):
-            service.measure_qps(clustered_queries[:4], 5, batch_size=0)
-
     def test_shard_count_mismatch_on_shared_fleet(self, service, fs, clustered_data):
         other = build_lanns_index(
             clustered_data[:200],

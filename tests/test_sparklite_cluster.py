@@ -1,5 +1,8 @@
 """Tests for the sparklite cluster: execution, failures, checkpoints."""
 
+import operator
+from functools import partial
+
 import pytest
 
 from repro.errors import ClusterError, StageTimeoutError
@@ -45,13 +48,13 @@ class TestBasicExecution:
         with pytest.raises(ClusterError):
             LocalCluster().last_stage()
 
-    def test_threads_mode_same_results(self):
+    def test_processes_mode_same_results(self):
         inline = LocalCluster(num_executors=4, mode="inline")
-        threaded = LocalCluster(num_executors=4, mode="threads")
-        tasks = make_tasks(9)
+        pooled = LocalCluster(num_executors=4, mode="processes")
+        tasks = [partial(operator.mul, value, 10) for value in range(9)]
         assert (
             inline.run_tasks(tasks, stage="a").results
-            == threaded.run_tasks(tasks, stage="b").results
+            == pooled.run_tasks(tasks, stage="b").results
         )
 
     def test_makespan_available_per_stage(self):
@@ -66,6 +69,7 @@ class TestValidation:
         [
             {"num_executors": 0},
             {"mode": "spark"},
+            {"mode": "threads"},
             {"failure_rate": 1.0},
             {"failure_rate": -0.1},
             {"max_rounds": 0},

@@ -212,7 +212,9 @@ def test_failed_request_stays_in_the_latency_record():
         assert failed["fanout"] == "DeadlineExceededError"
         stats = broker.tracer.stats()
         assert stats["started"] == stats["kept"] == stats["slow_queries"] == 1
-        assert np.isfinite(broker.stats()["stages"]["fanout"]["max_ms"])
+        stages = broker.stats()["stages"]
+        assert np.isfinite(stages["fanout"]["max_ms"])
+        assert stages["request"]["count"] == 1
     finally:
         broker.close()
         transport.close()
