@@ -30,6 +30,7 @@ from repro.distance.kmeans import kmeans
 from repro.distance.scorer import pq_codebooks, pq_encode
 from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
+from repro.obs.cost import SearchCost
 from repro.offline.brute_force import exact_top_k
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import as_matrix, as_vector
@@ -115,13 +116,18 @@ class HnswAdapter(AnnIndex):
 
     def _fit(self, data: np.ndarray) -> None:
         self._index = build_hnsw(data, params=self.params)
-        # Separate build-time work from the query-time counter.
-        self._index.reset_distance_ops()
 
     def search(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        result = self._index.search(query, k, ef=self.ef_search)
-        self.ops = self._index.distance_ops
-        return result
+        query = as_vector(query, dim=self.data.shape[1], name="query")
+        cost = SearchCost()
+        ids, dists = self._index.search_batch(
+            query[np.newaxis], k, self.ef_search, cost=cost
+        )
+        # The pairs the search algorithm reads, not ``Scorer.ops``: a
+        # single query's descent scores its top levels in one call.
+        self.ops += cost.distance_comps
+        found = np.count_nonzero(ids[0] >= 0)  # padding comes last
+        return ids[0, :found], dists[0, :found]
 
 
 class BruteForceIndex(AnnIndex):

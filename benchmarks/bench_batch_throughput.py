@@ -22,6 +22,11 @@ shape and step width W = 1 ... 4: ids, distances and ``SearchCost`` must
 be equal at every W (the step-width parity table); ms per query, beam
 rounds, comps per query and recall@10 are printed, not gated, with the
 W and the crossover the table reads.  Then the table beside
+``hnsw/search.py::_DENSE_UPPER``: one row's heap descent on each
+segment, and at full size on an 8000 x 64 one (its level 1 alone holds
+over 512 nodes) and a 32000 x 64 one, at every one-call budget -- entry
+nodes and distances must be equal at every budget; ms per query and
+pairs scored per query are printed.  Then the table beside
 ``_MAX_LOCKSTEP``: requests to a 2-segment int8 shard sized to
 64 ... 192 (query, segment) pairs, each
 searched as one lockstep group and as one group per segment; the
@@ -47,6 +52,7 @@ from functools import partial
 import numpy as np
 
 import repro.hnsw.index as hnsw_index
+import repro.hnsw.search as hnsw_search
 from harness import (
     INDEX_NAME,
     SEED,
@@ -84,12 +90,16 @@ FULL = dict(
     # venues: a 2-segment shard of twice the first shape, int8; requests
     # sized to these (query, segment) pair counts
     group_pairs=(64, 96, 128, 192),
+    # venues: the heap descent's one-call budgets (None: every upper
+    # level), on the venue segments plus these (rows, dim, M, ef) ones
+    dense_budgets=(0, 256, 512, 1024, 2048, None),
+    dense_shapes=((8000, 64, 12, 64), (32000, 64, 12, 64)),
 )
 SIZES = {
     "full": FULL,
     "smoke": FULL | dict(
         num_base=1200, num_queries=48, batch_sizes=(16,),
-        venue_shapes=((600, 16, 6, 10),), venue_passes=2,
+        venue_shapes=((600, 16, 6, 10),), venue_passes=2, dense_shapes=(),
     ),
 }
 GATES = {
@@ -340,7 +350,97 @@ def check_venues(run, env) -> None:
         f"every W in {tuple(run.venue_expands)} ✓"
     )
     print_step_choice(run, table, chosen[0])
+    check_dense_budget(run, segments)
     check_shard_groups(run)
+
+
+def check_dense_budget(run, segments: list) -> None:
+    """One row's heap descent at every budget of ``_DENSE_UPPER``: the top
+    levels holding at most that many nodes scored in one call, the rest
+    in pooled rounds.  Entry nodes and distance bits must not depend on
+    the budget; ms per query (descend only, min of ``venue_passes``) and
+    the pairs the scorer counted per query are printed."""
+    for num_base, dim, m, ef in run.dense_shapes:
+        vectors = clustered_gaussians(num_base, dim, seed=SEED)
+        segment = hnsw_index.build_hnsw(
+            vectors,
+            params=HnswParams(M=m, ef_construction=56, ef_search=ef, seed=SEED),
+        )
+        queries = make_queries(vectors, max(run.venue_rows), seed=SEED + 1)
+        segments = [
+            *segments, (f"{num_base} x {dim}", "none", segment, queries, None)
+        ]
+    chosen = hnsw_search._DENSE_UPPER
+    budgets = {
+        str(budget): budget for budget in run.dense_budgets if budget is not None
+    }
+    if None in run.dense_budgets:
+        budgets["all"] = sys.maxsize
+    try:
+        table = [dense_line(run, budgets, *segment[:4]) for segment in segments]
+    finally:
+        hnsw_search._DENSE_UPPER = chosen
+    report(
+        "dense_budget",
+        table,
+        title=(
+            "One row's heap descent by one-call budget: ms per query (min of "
+            f"{run.venue_passes}) and pairs scored per query; 'upper' is the "
+            f"nodes per level from 1 up (_DENSE_UPPER = {chosen})"
+        ),
+        payload={"smoke": run.smoke},
+    )
+    print("parity: entry nodes and distances equal at every budget ✓")
+
+
+def dense_line(run, budgets: dict, shape, quantize, segment, queries) -> dict:
+    """One segment's line of the budget table: each query's one-row heap
+    descent at every budget, timed interleaved, then once more each to
+    count pairs and compare entries with the first budget's."""
+    exact = segment._scorer
+    rows = range(len(queries))
+    prepared = [exact.prepare_queries(queries[row : row + 1]) for row in rows]
+    query_sq = [exact.query_sq_norms(query) for query in prepared]
+    # A compressed-code view scores the one batch it was made for.
+    traversal = [
+        exact if segment._quantized is None else segment._quantized.view(query)
+        for query in prepared
+    ]
+    levels = np.zeros(1, dtype=np.int64)
+    found: dict = {}
+
+    def descend(name: str, row: int) -> None:
+        hnsw_search._DENSE_UPPER = budgets[name]
+        found[name, row] = hnsw_search.descend_to_levels_batch(
+            segment.graph, traversal[row], prepared[row], levels, query_sq[row]
+        )
+
+    scores = interleaved(
+        {name: [partial(descend, name, row) for row in rows] for name in budgets},
+        run.venue_passes,
+    )
+    line = {
+        "segment": shape,
+        "scorer": "float" if quantize == "none" else quantize,
+        "upper": "/".join(str(len(tier)) for tier in segment.graph.upper[1:]),
+    }
+    pairs = {}
+    first = next(iter(budgets))
+    for name in budgets:
+        before = segment.distance_ops
+        for row in rows:
+            descend(name, row)
+        pairs[f"pairs@{name}"] = (segment.distance_ops - before) / len(queries)
+        require(
+            all(
+                found[name, row][i].tobytes() == found[first, row][i].tobytes()
+                for row in rows
+                for i in (0, 1)
+            ),
+            f"{shape} ({quantize}): budget {name} moves an entry node or distance",
+        )
+        line[f"ms@{name}"] = scores[name].sum() / len(queries) * 1e3
+    return line | pairs
 
 
 def print_step_choice(run, table: list[dict], floor: int) -> None:

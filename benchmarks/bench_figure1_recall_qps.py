@@ -13,9 +13,10 @@ over its speed/accuracy knob, reporting *two* cost metrics per point:
   the brute-force anchor beats Python-loop algorithms -- the paper's
   crossover happens at millions of vectors where the scan costs ~50ms.
 - ``dists/query``: full-vector distance computations per query -- the
-  scale-free work metric.  On this axis HNSW's asymptotic advantage is
-  visible at any size, and it is the metric the frontier assertions use
-  against the exact scan.
+  scale-free work metric (HNSW's is ``SearchCost.distance_comps``, the
+  pairs the search algorithm reads).  On this axis HNSW's asymptotic
+  advantage is visible at any size, and it is the metric the frontier
+  assertions use against the exact scan.
 
 Reproduction claims: HNSW dominates the comparable candidate-generation
 baselines (RP-forest, LSH, IVF) in wall-clock (recall, QPS), reaches
@@ -57,16 +58,10 @@ def frontier_data(sift_dataset):
 def sweep_index(index, queries, truth, k, label, parameter):
     ids = np.full((len(queries), k), -1, dtype=np.int64)
     index.ops = 0
-    if isinstance(index, HnswAdapter):
-        index._index.reset_distance_ops()
     for row, query in enumerate(queries):
         found, _ = index.search(query, k)
         ids[row, : len(found)] = found
-    dists_per_query = (
-        index.ops / len(queries)
-        if not isinstance(index, HnswAdapter)
-        else index._index.distance_ops / len(queries)
-    )
+    dists_per_query = index.ops / len(queries)
     requests = [partial(index.search, query, k) for query in queries]
     qps = summary(interleaved({label: requests}, 1)[label])["qps"]
     return {

@@ -111,7 +111,8 @@ def batch_top_k(
         Results per row.
     dedupe:
         Keep each id once per row, at its best distance (physical spill
-        can surface a point from several segments).
+        can surface a point from several segments).  A block in which no
+        row repeats an id skips the machinery.
 
     Returns
     -------
@@ -127,11 +128,6 @@ def batch_top_k(
             f"and {ids.shape}"
         )
     num_rows, num_cols = ids.shape
-    out_ids = np.full((num_rows, k), -1, dtype=np.int64)
-    out_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
-    if num_rows == 0 or num_cols == 0:
-        return out_ids, out_dists
-
     # One (B, 1) row index serves every gather and the scatter below:
     # ``x[row, order]`` is ``take_along_axis(x, order, axis=1)`` without
     # numpy's Python-level helper rebuilding the same index tuple on each
@@ -141,20 +137,29 @@ def batch_top_k(
     ids_sorted = ids[row, order]
     dists_sorted = dists[row, order]
     if dedupe:
-        # Keep an entry iff its id has no earlier (better-distance)
-        # occurrence in the same row.  A stable per-row argsort on id
-        # groups duplicates adjacently while preserving distance order
-        # inside each group, so the first element of every run is the
-        # best; scattering that mask back through the argsort gives the
-        # keep mask.  No arithmetic on ids, so any int64 ids are safe.
-        by_id = np.argsort(ids_sorted, axis=1, kind="stable")
-        grouped = ids_sorted[row, by_id]
-        first_of_run = np.ones((num_rows, num_cols), dtype=bool)
-        first_of_run[:, 1:] = grouped[:, 1:] != grouped[:, :-1]
-        keep = np.empty((num_rows, num_cols), dtype=bool)
-        keep[row, by_id] = first_of_run
-    else:
-        keep = np.ones((num_rows, num_cols), dtype=bool)
+        # Hash sharding never repeats an id across shards, so most blocks
+        # have nothing to drop: one sort and one compare find out.
+        by_value = np.sort(ids, axis=1, kind="stable")
+        dedupe = bool((by_value[:, 1:] == by_value[:, :-1]).any())
+    out_ids = np.full((num_rows, k), -1, dtype=np.int64)
+    out_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
+    if not dedupe:
+        width = min(k, num_cols)
+        out_ids[:, :width] = ids_sorted[:, :k]
+        out_dists[:, :width] = dists_sorted[:, :k]
+        return out_ids, out_dists
+    # Keep an entry iff its id has no earlier (better-distance)
+    # occurrence in the same row.  A stable per-row argsort on id groups
+    # duplicates adjacently while preserving distance order inside each
+    # group, so the first element of every run is the best; scattering
+    # that mask back through the argsort gives the keep mask.  No
+    # arithmetic on ids, so any int64 ids are safe.
+    by_id = np.argsort(ids_sorted, axis=1, kind="stable")
+    grouped = ids_sorted[row, by_id]
+    first_of_run = np.ones((num_rows, num_cols), dtype=bool)
+    first_of_run[:, 1:] = grouped[:, 1:] != grouped[:, :-1]
+    keep = np.empty((num_rows, num_cols), dtype=bool)
+    keep[row, by_id] = first_of_run
     rank = np.cumsum(keep, axis=1)
     take = keep & (rank <= k)
     rows, cols = np.nonzero(take)

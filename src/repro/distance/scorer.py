@@ -5,8 +5,9 @@ the metric can reuse across queries (squared norms for Euclidean, row
 normalisation for cosine).  The HNSW kernels call
 :meth:`Scorer.score_pairs` once per lockstep round -- the one traversal
 scoring call, build side included -- and a serving request is a lockstep
-group of one row making ~27 such calls for ~17 pairs each, so what that
-path costs is numpy dispatch, not FLOPs.  :func:`_gather_dot` is the one
+group of one row making one call of a few hundred pairs for its descent
+(every node of the top levels) and ~17 beam rounds of ~15 pairs each,
+so what that path costs is numpy dispatch, not FLOPs.  :func:`_gather_dot` is the one
 place a round's pairs are gathered and reduced: a batch of one row pays
 for one gather and one reduction against that row, a larger batch for
 the two ``(pairs, d)`` gathers it needs.
@@ -118,13 +119,15 @@ class Scorer:
         self._data = np.empty((capacity, self.dim), dtype=np.float32)
         self._sq_norms = np.empty(capacity, dtype=np.float32)
         self._count = 0
-        #: Running count of distance evaluations (the work metric
-        #: reported by the Figure 1 benchmark).  Compressed-domain
+        #: Running count of the pairs actually scored.  Compressed-domain
         #: scoring counts too: the quantized views below bump the owning
         #: scorer's counter, so ``ops`` is the total scoring work --
-        #: exact, int8 and PQ alike.  Search-cost accounting does not
+        #: exact, int8 and PQ alike -- including what a search scores
+        #: beyond what it reads (a one-row descent scores every node of
+        #: the top levels in one call).  Search-cost accounting does not
         #: read it: ``SearchCost.distance_comps`` counts the pairs each
-        #: search scored, so concurrent searches never share a delta.
+        #: search algorithm reads, equal on both venues, so concurrent
+        #: searches never share a delta.
         self.ops = 0
         self._is_euclidean = isinstance(self.metric, EuclideanDistance)
         self._is_cosine = isinstance(self.metric, CosineDistance)

@@ -53,11 +53,15 @@ class HnswGraph:
         ``levels[node]`` is the top level of ``node`` (0 = base layer only).
     entry_point:
         Node id used as the global entry point, or ``-1`` when empty.
+    upper:
+        ``upper[l]`` lists, in id order, the nodes whose top level is
+        ``l >= 1``; ``upper[0]`` stays empty.  The heap descent scores
+        the top levels from it (:meth:`upper_prefix`).
     """
 
     __slots__ = (
         "table", "degrees", "base", "levels", "entry_point", "max_level",
-        "_slots",
+        "upper", "_slots", "_prefix",
     )
 
     def __init__(self, width: int) -> None:
@@ -69,7 +73,9 @@ class HnswGraph:
         self.levels: list[int] = []
         self.entry_point: int = -1
         self.max_level: int = -1
+        self.upper: list[list[int]] = [[]]
         self._slots = 0  # table rows in use
+        self._prefix: tuple = ()  # upper_prefix's (key, answer)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -112,9 +118,48 @@ class HnswGraph:
         self.base[first : first + spans.size] = start + np.cumsum(spans) - spans
         self.table[start:stop] = np.repeat(nodes, spans)[:, np.newaxis]
         self.degrees[start:stop] = 0
-        self.levels.extend((spans - 1).tolist())
+        levels = (spans - 1).tolist()
+        self.levels.extend(levels)
+        for offset in np.flatnonzero(spans > 1).tolist():
+            level = levels[offset]
+            while len(self.upper) <= level:
+                self.upper.append([])
+            self.upper[level].append(first + offset)
         self._slots = stop
         return first
+
+    def upper_prefix(
+        self, budget: int
+    ) -> tuple[np.ndarray, dict[int, int], dict[int, int]]:
+        """The nodes of the top levels that together hold at most
+        ``budget`` nodes, from ``max_level`` down.
+
+        Returns ``(nodes, position, counts)``: ``nodes`` (int64) orders
+        them by top level, highest first, then by id, so the nodes of
+        levels ``>= l`` are its first ``counts[l]``; ``position`` maps a
+        node to its index there.  A level is in ``counts`` iff it fits
+        the budget, so an empty ``counts`` means the top level alone is
+        over it.  The answer is kept until the node count, ``max_level``
+        or ``budget`` changes -- nothing else moves a node's level.
+        """
+        key = (len(self.levels), self.max_level, budget)
+        if self._prefix and self._prefix[0] == key:
+            return self._prefix[1]
+        nodes: list[int] = []
+        counts: dict[int, int] = {}
+        for level in range(self.max_level, 0, -1):
+            tier = self.upper[level]
+            if len(nodes) + len(tier) > budget:
+                break
+            nodes += tier
+            counts[level] = len(nodes)
+        answer = (
+            np.asarray(nodes, dtype=np.int64),
+            {node: at for at, node in enumerate(nodes)},
+            counts,
+        )
+        self._prefix = (key, answer)
+        return answer
 
     def _slot(self, node: int, level: int) -> int:
         """The table row of ``node`` at ``level``."""
@@ -275,6 +320,10 @@ class HnswGraph:
         graph = cls(width)
         graph.table, graph.degrees, graph._slots = table, degrees, slots
         graph.levels = levels.tolist()
+        graph.upper = [[]] + [
+            np.flatnonzero(levels == level).tolist()
+            for level in range(1, int(levels.max(initial=0)) + 1)
+        ]
         graph.base = np.cumsum(levels + 1, dtype=np.int64) - levels - 1
         graph.entry_point = int(payload_member(payload, "entry_point"))
         graph.max_level = int(payload_member(payload, "max_level"))

@@ -555,9 +555,12 @@ class HnswIndex:
         The venue is a property of the rows: ``_ARRAY_MIN_ROWS`` or more
         run on the array kernel, fewer on the heap kernel; both walk the
         same path.  ``cost`` gains the walk's hops and, as
-        ``distance_comps``, the pairs it scored.  Under an active tracing
-        recorder the stage is a ``descend`` span tagged ``scorer=<arm>``,
-        ``kernel=heap|array``, ``rounds=<n>`` and ``pairs=<n>``.
+        ``distance_comps``, the pairs it read (the heap kernel scores a
+        lone row's top levels whole: see
+        :func:`~repro.hnsw.search.descend_to_levels_batch`).
+        Under an active tracing recorder the stage is a ``descend`` span
+        tagged ``scorer=<arm>``, ``kernel=heap|array``, ``rounds=<n>``
+        and ``pairs=<n>``.
         """
         arrays = queries.shape[0] >= _ARRAY_MIN_ROWS
         with maybe_span(
@@ -609,7 +612,7 @@ class HnswIndex:
 
         ``cost`` (an optional :class:`~repro.obs.cost.SearchCost`)
         accumulates hops / candidates from the kernels, ``rescore_rows``
-        and, as ``distance_comps``, the pairs this group scored itself --
+        and, as ``distance_comps``, the pairs this group's search read --
         descend, beam, rescore and flat scan -- so concurrent searches of
         one segment each count their own.  Under an active tracing
         recorder (:func:`~repro.obs.tracing.current_recorder`) every stage

@@ -20,6 +20,16 @@ form, neighbor selection (:mod:`repro.hnsw.heuristic`) consumes and
 returns it, and :func:`sort_candidates` restores its order; the heap
 kernels' heaps and Python lists never leave them.
 
+**The descent rule.**  Both descent kernels walk each row from the
+entry point down to its target level, moving at each level to the first
+closest neighbor (in link order) while it is strictly closer.  The heap
+kernel, given one row, scores every node of the top levels that together
+hold at most ``_DENSE_UPPER`` nodes in one call and walks them over its
+distances; every other level, and every level of a larger group, takes a
+pooled scoring round per step.  Both report the walk's own work -- hops,
+rounds, the pairs it reads -- so a query's cost is one number on
+either venue.
+
 **The beam rule.**  Both beam kernels in this module -- the lockstep
 heaps of :func:`search_layer_batch` and the array kernel
 :func:`search_arrays` -- are the same function of their inputs, exact
@@ -124,6 +134,38 @@ class LockstepGraph(Protocol):
     def row_tables(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]: ...
 
 
+#: A one-row heap descent scores the top levels that together hold at most
+#: this many nodes in one call, then walks them over the returned
+#: distances; lower levels, and every level of a group of 2 or more rows
+#: (whose one call would score rows x nodes pairs -- the table measures
+#: one row only), take a pooled round per step.  A round costs dispatch, a
+#: call's pairs cost gathers: at d = 64 one call of 1024 pairs costs
+#: about six rounds of 24.  The table below is a command --
+#: ``benchmarks/bench_batch_throughput.py --check venues``, which also
+#: asserts that every budget finds the same entry nodes and distances:
+#: one row's heap descent by budget, ms per query (min of 21, one CPU)
+#: over pairs scored per query (segments built M = 12 / 6 as in the
+#: ``_ARRAY_MIN_ROWS`` table; "upper" is the nodes per level from 1 up):
+#:
+#:     budget:                              0      256    512    1024   all
+#:     4000 x 64 int8    314/21/6         0.151  0.096  0.083  0.082  0.082
+#:                                         45     48    341    341    341
+#:     4000 x 64 float   314/21/6         0.160  0.100  0.082  0.082  0.081
+#:     2400 x 32 int8    338/63/8/4       0.120  0.071  0.063  0.063  0.061
+#:                                         39     87    413    413    413
+#:     2400 x 32 float   338/63/8/4       0.126  0.077  0.077  0.076  0.077
+#:     8000 x 64 float   634/43/9         0.117  0.079  0.076  0.101  0.101
+#:                                         60     77     77    686    686
+#:     32000 x 64 float  2477/209/22/2    0.148  0.094  0.091  0.089  0.337
+#:                                         63    255    255    255   2710
+#:
+#: One call wins while the levels it covers are small: x1.5-2.0 over
+#: rounds alone (budget 0) on every segment.  A level of 600 nodes or
+#: more costs more scored whole than walked in rounds (8000 x 64 at
+#: 1024, 32000 x 64 unbounded), so the budget stays under that size.
+_DENSE_UPPER = 512
+
+
 def descend_to_levels_batch(
     graph: HnswGraph,
     scorer: PairScorer,
@@ -137,38 +179,78 @@ def descend_to_levels_batch(
 
     Query ``i`` of the *prepared* ``(B, d)`` batch walks from the global
     entry point down through layers ``max_level .. target_levels[i] + 1``,
-    moving at each to a strictly closer neighbor until none is (a local
-    minimum); the result is the per-query entry nodes (int64) and
-    reduced entry distances (float32) to use at ``target_levels[i]``, an
-    integer array.  The construction wave needs the per-query targets:
-    each new row stops descending at its own drawn level, yet all rows
-    of a wave share every round's scoring call (the query path passes
-    all zeros).  The graph must be non-empty.
+    moving at each to the first closest neighbor while it is strictly
+    closer (a local minimum stops it); the result is the per-query entry
+    nodes (int64) and reduced entry distances (float32) to use at
+    ``target_levels[i]``, an integer array.  The construction wave needs
+    the per-query targets: each new row stops descending at its own drawn
+    level, yet all rows of a wave share every scoring call (the query
+    path passes all zeros).  The graph must be non-empty.
+
+    A group of one row scores every node of the top levels that
+    together hold at most ``_DENSE_UPPER`` nodes
+    (:meth:`HnswGraph.upper_prefix`) in one call and walks them over its
+    distances; each level below them, and every level of a larger group,
+    takes one pooled scoring round per step of the rows still moving.  A
+    pair scores alike in any call, so where the budget falls moves no
+    node and no distance bit.
 
     ``cost`` is an optional :class:`~repro.obs.cost.SearchCost`: when
-    given, each round adds the queries that moved to ``hops`` -- one
-    bounded increment per round, so ``cost=None`` leaves the hot path
-    untouched.  ``notes``, when given, receives ``rounds``: the lockstep
-    scoring rounds run (a trace span's annotations, in practice), and
-    ``pairs``: the (query, node) pairs scored, entry points included.
+    given, ``hops`` gains the moves the walk made -- one increment, so
+    ``cost=None`` leaves the hot path untouched.  ``notes``, when given,
+    receives the walk's own work, whatever the one call scored beyond
+    it: ``rounds``, a lockstep round per step of the rows still walking
+    a level (a trace span's annotations, in practice), and ``pairs``,
+    the (query, node) pairs the walk reads, entry points included --
+    what :func:`descend_arrays` reports for the same walk.
     """
     num_queries = queries.shape[0]
     # A group of one row scores every pair against that row: no
     # ``query_rows`` operand is built (see :class:`PairScorer`).
     one_row = num_queries == 1
     target_levels = target_levels.tolist()
-    rounds, pairs = 0, num_queries
-    entry = graph.entry_point
-    entry_dists = scorer.score_pairs(
-        queries,
-        None if one_row else np.arange(num_queries),
-        np.full(num_queries, entry, dtype=_IDS_DTYPE),
-        query_sq,
-    )
-    current = [entry] * num_queries
-    current_dist = entry_dists.tolist()
+    lowest = min(target_levels, default=0)
+    rounds, pairs, hops = 0, num_queries, 0
+    entry, top = graph.entry_point, graph.max_level
     table, degrees, base = graph.table, graph.degrees, graph.base
-    for level in range(graph.max_level, min(target_levels, default=0), -1):
+    current = [entry] * num_queries
+    floor = top + 1  # levels floor .. top are walked over one call's scores
+    if one_row:
+        nodes, position, counts = graph.upper_prefix(_DENSE_UPPER)
+        floor = max(min(counts, default=floor), lowest + 1)
+    if floor <= top:
+        scored = scorer.score_pairs(
+            queries, None, nodes[: counts[floor]], query_sq
+        )
+        if np.isnan(scored).any():
+            floor = top + 1  # min() is not argmin on NaN: take the rounds
+        scored = scored.tolist()
+        node, dist = entry, scored[position[entry]]
+        for level in range(top, floor - 1, -1):
+            while True:
+                slot = base[node] + level
+                count = int(degrees[slot])
+                if not count:
+                    break  # local minimum: settled at this level
+                rounds += 1
+                pairs += count
+                links = table[slot, :count].tolist()
+                found = [scored[position[link]] for link in links]
+                best = min(found)  # the first of equal minima, as argmin
+                if not best < dist:
+                    break
+                node, dist = links[found.index(best)], best
+                hops += 1
+        current[0] = node
+        current_dist = [dist]
+    else:
+        current_dist = scorer.score_pairs(
+            queries,
+            None if one_row else np.arange(num_queries),
+            np.full(num_queries, entry, dtype=_IDS_DTYPE),
+            query_sq,
+        ).tolist()
+    for level in range(floor - 1, lowest, -1):
         active = [i for i in range(num_queries) if target_levels[i] < level]
         while active:
             flat_ids: list[int] = []
@@ -203,9 +285,10 @@ def descend_to_levels_batch(
                     current_dist[i] = best_dist
                     moved.append(i)
                 offset += count
-            if cost is not None:
-                cost.hops += len(moved)
+            hops += len(moved)
             active = moved
+    if cost is not None:
+        cost.hops += hops
     if notes is not None:
         notes["rounds"], notes["pairs"] = rounds, pairs
     return (

@@ -13,8 +13,10 @@ collected for):
 
 - ``hops``: greedy/beam advance steps taken (one per query per round a
   query moved or popped a candidate).
-- ``distance_comps``: full distance evaluations, including quantized
-  code scoring and the exact rescore (the ``Scorer.ops`` delta).
+- ``distance_comps``: the distances the search algorithm reads --
+  descent, beam (quantized code scoring included), exact rescore, flat
+  scan.  Not the ``Scorer.ops`` delta: a one-row descent scores every
+  node of the top levels in one call and reads only its walk's pairs.
 - ``candidates_visited``: neighbor candidates scored by the beam rounds.
 - ``segments_probed``: (query row, segment) probe executions.
 - ``rescore_rows``: beam survivors rescored exactly (quantized path).

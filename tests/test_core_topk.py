@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.topk import batch_top_k, per_shard_top_k, probit
 
@@ -119,7 +121,85 @@ class TestPerShardTopK:
         assert hashlib.sha256(table.tobytes()).hexdigest() == GRID_SHA256
 
 
+#: Candidate distances a merge meets: finite or infinite, never NaN.
+MERGE_DISTS = st.floats(allow_nan=False) | st.sampled_from([np.inf, 0.0, 1.0])
+
+
+@st.composite
+def merge_blocks(draw, repeats: bool):
+    """A ``(B, C)`` candidate block and a ``k`` on either side of ``C``:
+    with ``repeats`` some row names an id twice (ids from a narrow range,
+    ``-1`` / ``inf`` padding at the end of a row); without, every row's
+    ids are distinct, at most one of them the padding id ``-1``."""
+    num_rows = draw(st.integers(1, 4))
+    num_cols = draw(st.integers(2 if repeats else 1, 10))
+    ids, dists = [], []
+    for _ in range(num_rows):
+        if repeats:
+            row = draw(st.lists(st.integers(0, 5), min_size=num_cols, max_size=num_cols))
+            padded = draw(st.integers(0, num_cols))
+            row[num_cols - padded :] = [-1] * padded
+        else:
+            row = draw(st.permutations(range(-1, 2 * num_cols)))[:num_cols]
+        ids.append(row)
+        dists.append(
+            [
+                np.inf if node < 0 else dist
+                for node, dist in zip(
+                    row,
+                    draw(st.lists(MERGE_DISTS, min_size=num_cols, max_size=num_cols)),
+                )
+            ]
+        )
+    if repeats and not any(len(set(row)) < num_cols for row in ids):
+        ids[0][1], dists[0][1] = ids[0][0], dists[0][0]
+    k = draw(st.integers(1, num_cols + 3))
+    return np.array(dists, dtype=np.float64), np.array(ids, dtype=np.int64), k
+
+
+def merged_row(dists: list, ids: list, k: int, dedupe: bool) -> list:
+    """One row of :func:`batch_top_k`, literally: ascending ``(distance,
+    id)`` pairs, each id once at its best distance (when ``dedupe``),
+    the first ``k``, then ``(inf, -1)`` padding."""
+    if dedupe:
+        best: dict = {}
+        for dist, node in zip(dists, ids):
+            if node not in best or dist < best[node]:
+                best[node] = dist
+        pairs = sorted((dist, node) for node, dist in best.items())
+    else:
+        pairs = sorted(zip(dists, ids))
+    return (pairs + [(np.inf, -1)] * k)[:k]
+
+
 class TestBatchTopK:
+    @pytest.mark.parametrize("dedupe", [True, False])
+    @pytest.mark.parametrize("repeats", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_row_is_its_literal_merge(self, repeats, dedupe, data):
+        """Both branches -- a block that repeats an id and one that does
+        not -- answer the per-row reference, in fresh writable arrays."""
+        dists, ids, k = data.draw(merge_blocks(repeats))
+        held = dists.copy(), ids.copy()
+        out_ids, out_dists = batch_top_k(dists, ids, k, dedupe=dedupe)
+        assert (out_ids.dtype, out_dists.dtype) == (np.int64, np.float64)
+        assert out_ids.shape == out_dists.shape == (len(ids), k)
+        for out in (out_ids, out_dists):
+            assert out.flags.writeable and out.flags.owndata
+            assert not np.shares_memory(out, ids) and not np.shares_memory(out, dists)
+        np.testing.assert_array_equal(dists, held[0])
+        np.testing.assert_array_equal(ids, held[1])
+        got = [
+            list(zip(row_dists, row_ids))
+            for row_dists, row_ids in zip(out_dists.tolist(), out_ids.tolist())
+        ]
+        want = [
+            merged_row(row_dists, row_ids, k, dedupe)
+            for row_dists, row_ids in zip(dists.tolist(), ids.tolist())
+        ]
+        assert got == want
+
     def test_a_canonical_block_re_merges_to_itself(self):
         """What a one-shard broker does on every request: merging the
         output of a merge is the identity, padding included."""

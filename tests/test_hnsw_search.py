@@ -8,9 +8,12 @@ tests) read the one row back as ``(node, distance)`` / ``(dist, node)``
 pairs.  ``TestBeamKeys`` holds the array venue's packed key on its own:
 every array-venue parity test passes through it, none looked at it.
 ``TestStepRule`` holds both beam kernels, on lockstep groups of built
-indices, to :func:`reference_beam` at every step width.
+indices, to :func:`reference_beam` at every step width, and
+``TestDescentRule`` both descent kernels to :func:`reference_descent`
+wherever the heap descent's one-call budget falls.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hnsw.index as hnsw_index
+import repro.hnsw.search as hnsw_search
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import HnswGraph, VisitedPool, VisitedTable
-from repro.hnsw.index import _STEP_WIDTH, build_hnsw
+from repro.hnsw.index import _STEP_WIDTH, HnswIndex, build_hnsw
 from repro.hnsw.search import (
     _PAD,
     _pack,
@@ -31,6 +36,7 @@ from repro.hnsw.search import (
     sort_candidates,
 )
 from repro.obs.cost import SearchCost
+from repro.obs.tracing import SpanRecorder, activate, deactivate
 from tests.conftest import (
     FAST_HNSW,
     as_pairs,
@@ -255,6 +261,34 @@ def reference_beam(seeds, ef, expand, neighbors, score):
         beam = sorted(beam + found)[:ef]
 
 
+def reference_descent(entry, top, target, neighbors, score):
+    """Greedy descent, literally, over ``(distance, node)`` pairs: from
+    ``entry`` down through levels ``top .. target + 1``, at each level
+    move to the first closest of the current node's links while it is
+    strictly closer.  ``neighbors(node, level)`` lists a node's links,
+    ``score(nodes)`` their distances.  Returns the pair it stops at, its
+    moves (hops), the pairs it read, the entry included, and its scoring
+    steps per level."""
+    (dist,) = score([entry])
+    here = (dist, entry)
+    hops, pairs, steps = 0, 1, {}
+    for level in range(top, target, -1):
+        steps[level] = 0
+        while links := neighbors(here[1], level):
+            steps[level] += 1
+            pairs += len(links)
+            found = list(zip(score(links), links))
+            best = found[0]
+            for pair in found[1:]:
+                if pair[0] < best[0]:
+                    best = pair
+            if not best[0] < here[0]:
+                break
+            here = best
+            hops += 1
+    return here, hops, pairs, steps
+
+
 #: The W values both kernels are held to: Algorithm 2 itself, two
 #: widths, and the one every beam runs at.
 EXPANDS = sorted({1, 2, 3, _STEP_WIDTH})
@@ -368,3 +402,164 @@ def test_a_beam_wider_than_the_segment_is_the_segment(step_indices, scorer, rows
         ids, dists = index.search_batch(queries, 10, ef=ef, cost=cost)
         answers.append((ids.tobytes(), dists.tobytes(), cost.as_dict()))
     assert answers[0] == answers[1]
+
+
+def upper_recomputed(levels) -> list[list[int]]:
+    """``HnswGraph.upper`` from ``levels`` alone."""
+    return [[]] + [
+        [node for node, top in enumerate(levels) if top == level]
+        for level in range(1, max(levels, default=0) + 1)
+    ]
+
+
+class TestDescentRule:
+    """Both descent kernels are :func:`reference_descent` -- entry
+    nodes, entry-distance bits, hops, ``distance_comps`` and the
+    ``descend`` span's rounds and pairs -- with the heap descent's
+    one-call budget covering no level, the top levels only, or all; for
+    rows descended alone (the one-call walk) and as one group (rounds)."""
+
+    @pytest.mark.parametrize("budget", ["none", "split", "all"])
+    @pytest.mark.parametrize("group", ["alone", "together"])
+    @pytest.mark.parametrize("scorer", list(SCORERS))
+    @pytest.mark.parametrize("corpus", ["clustered", "lattice"])
+    def test_both_kernels_are_the_greedy_walk(
+        self, step_indices, monkeypatch, corpus, scorer, group, budget
+    ):
+        index = step_indices[corpus, scorer]
+        graph, exact = index.graph, index._scorer
+        levels = np.asarray(graph.levels)
+        top = graph.max_level
+        assert top >= 2, "the split budget needs two upper levels"
+        monkeypatch.setattr(
+            hnsw_search,
+            "_DENSE_UPPER",
+            {
+                "none": 0,
+                "split": int(np.count_nonzero(levels >= 2)),
+                "all": hnsw_search._DENSE_UPPER,
+            }[budget],
+        )
+        counts = graph.upper_prefix(hnsw_search._DENSE_UPPER)[2]
+        assert min(counts, default=None) == {"none": None, "split": 2, "all": 1}[
+            budget
+        ]
+        rows = 32
+        rng = np.random.default_rng(rows + 7 * len(graph))
+        data = exact.data
+        shape = (rows, data.shape[1])
+        # Half steps off the lattice tie distances at every level.
+        noise = (
+            rng.normal(scale=0.3, size=shape)
+            if corpus == "clustered"
+            else rng.choice([-0.5, 0.0, 0.5], size=shape)
+        )
+        queries = data[rng.integers(0, len(data), size=rows)] + noise.astype(
+            np.float32
+        )
+        targets = rng.integers(0, top + 1, size=rows)
+        targets[0] = 0
+        prepared = exact.prepare_queries(queries)
+        query_sq = exact.query_sq_norms(prepared)
+
+        def traversal(batch):
+            if index._quantized is None:
+                return exact, "float"
+            return index._quantized.view(batch), scorer
+
+        walks = []
+        for row in range(rows):
+            view = traversal(prepared[row : row + 1])[0]
+
+            def score(nodes, view=view, row=row):
+                return view.score_pairs(
+                    prepared[row : row + 1],
+                    None,
+                    np.array(nodes, dtype=np.int64),
+                    query_sq[row : row + 1],
+                ).tolist()
+
+            walks.append(
+                reference_descent(
+                    graph.entry_point, top, int(targets[row]), graph.neighbors, score
+                )
+            )
+
+        groups = [[row] for row in range(rows)] if group == "alone" else [range(rows)]
+        for members in groups:
+            members = list(members)
+            want = [walks[row] for row in members]
+            busiest = {}
+            for _, _, _, steps in want:
+                for level, count in steps.items():
+                    busiest[level] = max(busiest.get(level, 0), count)
+            batch = prepared[members]
+            view, arm = traversal(batch)
+            for floor in (sys.maxsize, 1):  # heap, then array
+                monkeypatch.setattr(hnsw_index, "_ARRAY_MIN_ROWS", floor)
+                cost, recorder = SearchCost(), SpanRecorder()
+                token = activate(recorder)
+                try:
+                    nodes, dists = index._descend(
+                        view, arm, batch, query_sq[members], targets[members], cost
+                    )
+                finally:
+                    deactivate(token)
+                (span,) = [s for s in recorder.export() if s["name"] == "descend"]
+                notes = span["annotations"]
+                assert notes["kernel"] == ("heap" if floor > 1 else "array")
+                assert nodes.tolist() == [here[1] for here, *_ in want]
+                assert dists.tobytes() == np.array(
+                    [here[0] for here, *_ in want], dtype=np.float32
+                ).tobytes()
+                pairs = sum(walk[2] for walk in want)
+                assert (cost.hops, cost.distance_comps) == (
+                    sum(walk[1] for walk in want),
+                    pairs,
+                )
+                assert (notes["rounds"], notes["pairs"]) == (
+                    sum(busiest.values()),
+                    pairs,
+                )
+
+
+@pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_query_descends_alike_on_both_kernels(monkeypatch, poison):
+    """A non-finite coordinate makes a row mix NaN with infinities, on
+    which Python's ``min`` is not ``argmin``: the one-call walk must
+    still stop where the array kernel stops.  Inner product, because
+    ``-<q, x>`` there is ``-inf``, ``+inf`` or NaN by the sign of
+    ``x_0`` and a walk can move; under Euclidean every score of such a
+    row is ``inf`` or NaN and no walk leaves the entry point."""
+    index = build_hnsw(make_lattice(), metric="inner_product", params=FAST_HNSW)
+    assert hnsw_search._DENSE_UPPER >= len(index.graph.upper_prefix(10**9)[0])
+    scorer = index._scorer
+    prepared = scorer.prepare_queries(make_lattice()[:64])
+    prepared[:, 0] = poison
+    zeros = np.zeros(1, dtype=np.int64)
+    answers = {}
+    with np.errstate(invalid="ignore"):
+        for floor in (sys.maxsize, 1):  # heap, then array
+            monkeypatch.setattr(hnsw_index, "_ARRAY_MIN_ROWS", floor)
+            answers[floor] = [
+                index._descend(scorer, "float", row[np.newaxis], None, zeros, None)
+                for row in prepared
+            ]
+    for (heap_nodes, heap_dists), (array_nodes, array_dists) in zip(
+        answers[sys.maxsize], answers[1]
+    ):
+        assert heap_nodes.tolist() == array_nodes.tolist()
+        assert heap_dists.tobytes() == array_dists.tobytes()
+
+
+@pytest.mark.parametrize("corpus", ["clustered", "lattice"])
+def test_the_upper_levels_are_kept_through_build_load_and_add(corpus):
+    data = make_clustered(600, 16, seed=1) if corpus == "clustered" else make_lattice()
+    index = build_hnsw(data[:-40], params=FAST_HNSW)
+    assert index.graph.upper == upper_recomputed(index.graph.levels)
+    loaded = HnswIndex.from_arrays(index.to_arrays())
+    assert loaded.graph.upper == upper_recomputed(loaded.graph.levels)
+    for vectors in (data[-40:-1], data[-1:]):  # a wave, then a row
+        loaded.add(vectors)
+        assert loaded.graph.upper == upper_recomputed(loaded.graph.levels)
+    assert len(loaded.graph.upper) > 2
