@@ -275,7 +275,7 @@ def check_venues(run, env) -> None:
                 ),
             )
             segments.append((f"{num_base} x {dim}", quantize, segment, queries, truth))
-    table = []
+    table, spreads = [], {}
     try:
         for shape, quantize, segment, queries, truth in segments:
             lines = {}
@@ -304,16 +304,22 @@ def check_venues(run, env) -> None:
                         },
                     }
             for rows in run.venue_rows:
-                scores = interleaved(
-                    {
-                        (venue, expand): [
-                            partial(group, segment, queries[:rows], venue, expand)
-                        ]
-                        for expand in run.venue_expands
-                        for venue in floors
-                    },
-                    run.venue_passes,
-                )
+                # Two runs of half the passes each: a cell is their min,
+                # and its spread how far the two halves disagree.
+                halves = [
+                    interleaved(
+                        {
+                            (venue, expand): [
+                                partial(group, segment, queries[:rows], venue, expand)
+                            ]
+                            for expand in run.venue_expands
+                            for venue in floors
+                        },
+                        passes,
+                    )
+                    for passes in (run.venue_passes - run.venue_passes // 2,
+                                   run.venue_passes // 2)
+                ]
                 for expand in run.venue_expands:
                     heap, array = answers["heap", expand], answers["array", expand]
                     require(
@@ -326,7 +332,13 @@ def check_venues(run, env) -> None:
                     )
                     for venue in floors:
                         line = lines[venue, expand]
-                        line[str(rows)] = scores[venue, expand][0] / rows * 1e3
+                        first, second = (
+                            half[venue, expand][0] / rows * 1e3 for half in halves
+                        )
+                        line[str(rows)] = min(first, second)
+                        spreads[shape, line["scorer"], expand, venue, rows] = abs(
+                            first - second
+                        )
                         if rows == max(run.venue_rows):
                             line["comps/q"] = heap[2].distance_comps / rows
                             line["recall@10"] = recall_at_k(
@@ -349,7 +361,7 @@ def check_venues(run, env) -> None:
         "parity: ids, distances and SearchCost equal on both venues at "
         f"every W in {tuple(run.venue_expands)} ✓"
     )
-    print_step_choice(run, table, chosen[0])
+    print_step_choice(run, table, spreads, chosen[0])
     check_dense_budget(run, segments)
     check_shard_groups(run)
 
@@ -443,52 +455,80 @@ def dense_line(run, budgets: dict, shape, quantize, segment, queries) -> dict:
     return line | pairs
 
 
-def print_step_choice(run, table: list[dict], floor: int) -> None:
-    """The rule ``_STEP_WIDTH`` is read by, applied to ``table``: the W
-    with the lowest one-row ms per query (heap venue, summed over the
-    segments) among those where no array cell at ``_ARRAY_MIN_ROWS`` or
-    more rows is slower than W = 1; and, at that W, the first row count
-    from which the array venue is faster on every segment.  Printed, not
-    gated: timings on a shared box."""
+def step_rule(
+    table: list[dict], spreads: dict, rows: tuple, expands: tuple, floor: int
+) -> tuple[dict, int, int | None]:
+    """The rule ``_STEP_WIDTH`` is read by, applied to ``table``.
+
+    Every comparison allows for ``spreads``: how far the two halves of a
+    cell's passes disagreed (a box whose speed wanders flags a cell or
+    three of any W by noise alone).  A W is eligible when no array cell
+    at ``floor`` or more rows is slower than W = 1's by more than the
+    two cells' spreads.  The rule picks, among the eligible W whose
+    one-row ms per query (heap venue, summed over the segments) is
+    within the spreads of the fastest's, the one taking the fewest beam
+    rounds for one row; and, at that W, the first row count from which
+    the array venue is faster on every segment.  Returns ``({W: (one-row
+    ms, its spread, slower cells)}, W, crossover)``.
+    """
     cells = {
         (line["segment"], line["scorer"], line["W"], line["venue"]): line
         for line in table
     }
-    wide = [rows for rows in run.venue_rows if rows >= floor]
-    eligible = {}
-    for expand in run.venue_expands:
+    wide = [count for count in rows if count >= floor]
+    scores, rounds = {}, {}
+    for expand in expands:
         slower = sum(
-            line[str(rows)] > cells[key[:2] + (1, "array")][str(rows)]
+            line[str(count)] - cells[key[:2] + (1, "array")][str(count)]
+            > spreads[key + (count,)] + spreads[key[:2] + (1, "array", count)]
             for key, line in cells.items()
             if key[2:] == (expand, "array")
-            for rows in wide
+            for count in wide
         )
-        one_row = sum(
-            line["1"] for key, line in cells.items() if key[2:] == (expand, "heap")
+        heap = [key for key in cells if key[2:] == (expand, "heap")]
+        scores[expand] = (
+            sum(cells[key]["1"] for key in heap),
+            sum(spreads[key + (1,)] for key in heap),
+            slower,
         )
-        print(
-            f"W = {expand}: one row {one_row:.3f} ms per query (heap, summed), "
-            f"{slower} array cells at >= {floor} rows slower than W = 1"
-        )
-        if not slower:
-            eligible[expand] = one_row
-    best = min(eligible, key=eligible.get)
+        rounds[expand] = sum(cells[key]["rounds@1"] for key in heap)
+    eligible = [expand for expand, (_, _, slower) in scores.items() if not slower]
+    fastest = min(eligible, key=lambda expand: scores[expand][0])
+    best = min(
+        (
+            expand
+            for expand in eligible
+            if scores[expand][0] - scores[fastest][0]
+            <= scores[expand][1] + scores[fastest][1]
+        ),
+        key=rounds.get,
+    )
     wins = [
         all(
-            line[str(rows)] < cells[key[:3] + ("heap",)][str(rows)]
+            line[str(count)] < cells[key[:3] + ("heap",)][str(count)]
             for key, line in cells.items()
             if key[2:] == (best, "array")
         )
-        for rows in run.venue_rows
+        for count in rows
     ]
     crossover = next(
-        (
-            rows
-            for at, rows in enumerate(run.venue_rows)
-            if all(wins[at:])
-        ),
-        None,
+        (count for at, count in enumerate(rows) if all(wins[at:])), None
     )
+    return scores, best, crossover
+
+
+def print_step_choice(run, table: list[dict], spreads: dict, floor: int) -> None:
+    """:func:`step_rule` on the venue table.  Printed, not gated:
+    timings on a shared box."""
+    scores, best, crossover = step_rule(
+        table, spreads, run.venue_rows, run.venue_expands, floor
+    )
+    for expand, (one_row, spread, slower) in scores.items():
+        print(
+            f"W = {expand}: one row {one_row:.3f} +/- {spread:.3f} ms per query "
+            f"(heap, summed), {slower} array cells at >= {floor} rows slower "
+            "than W = 1 beyond their spread"
+        )
     print(
         f"rule: W = {best} (_STEP_WIDTH = {hnsw_index._STEP_WIDTH}); "
         f"at W = {best} the array venue wins every segment from {crossover} "

@@ -10,8 +10,10 @@ at a time and in batches, interleaved with an in-process fleet over the
 same export (the remote numbers include real framing + socket round
 trips); every remote answer, ids and distances, must be bit-identical
 to the in-process one.  A replay of the one-query stream then prices
-the searcher side: the searcher processes' CPU (user + system, from
-``/proc/<pid>/stat``) per SEARCH RPC they served;
+both sides, as CPU (user + system, from ``/proc/<pid>/stat``): the
+searcher processes' per SEARCH RPC they served, and this process's --
+the broker's -- per request, every one a cache miss (the remote service
+caches nothing);
 
 ``hedging`` -- injects a **straggler**: a fresh fleet where one
 searcher's fault plan stalls every other request, served through the
@@ -158,7 +160,7 @@ def check_throughput(run, env) -> None:
             scores = interleaved(streams, run.passes)
             stages = remote.stats()["indices"][INDEX_NAME]["stages"]
             members = [member for (member,) in groups]
-            cpu_ms = searcher_cpu_ms_per_rpc(
+            cpu_ms, broker_ms = cpu_ms_per_request(
                 members, streams["remote fleet (sequential RPC)"]
             )
         finally:
@@ -168,7 +170,8 @@ def check_throughput(run, env) -> None:
     print("parity: remote fleet results bit-identical to in-process ✓")
     print(
         f"searcher CPU: {cpu_ms:.3f} ms per one-query SEARCH RPC (user + "
-        f"system of {len(members)} searcher processes, {CPU_PASSES} replays)"
+        f"system of {len(members)} searcher processes, {CPU_PASSES} replays); "
+        f"broker CPU: {broker_ms:.3f} ms per one-query cache miss"
     )
     report(
         "remote_serving",
@@ -184,6 +187,7 @@ def check_throughput(run, env) -> None:
             "smoke": run.smoke,
             "remote_stages": stages,
             "searcher_cpu_ms_per_rpc": cpu_ms,
+            "broker_cpu_ms_per_miss": broker_ms,
         },
     )
 
@@ -194,9 +198,10 @@ def cpu_seconds(pid: int) -> float:
     return (int(stat[11]) + int(stat[12])) / os.sysconf("SC_CLK_TCK")
 
 
-def searcher_cpu_ms_per_rpc(members, requests) -> float:
-    """Searcher CPU per SEARCH RPC over :data:`CPU_PASSES` replays of
-    ``requests``: the processes' CPU over the SEARCH RPCs they served."""
+def cpu_ms_per_request(members, requests) -> tuple[float, float]:
+    """CPU over :data:`CPU_PASSES` replays of ``requests``: the searcher
+    processes' per SEARCH RPC they served, and this process's (the
+    broker's) per request replayed."""
 
     def served() -> int:
         total = 0
@@ -211,12 +216,16 @@ def searcher_cpu_ms_per_rpc(members, requests) -> float:
     def cpu() -> float:
         return sum(cpu_seconds(member.process.pid) for member in members)
 
-    rpcs, began = served(), cpu()
+    rpcs, began, broker_began = served(), cpu(), cpu_seconds(os.getpid())
     for _ in range(CPU_PASSES):
         for request in requests:
             request()
+    broker = cpu_seconds(os.getpid()) - broker_began
     spent = cpu() - began
-    return spent / (served() - rpcs) * 1e3
+    return (
+        spent / (served() - rpcs) * 1e3,
+        broker / (CPU_PASSES * len(requests)) * 1e3,
+    )
 
 
 def check_hedging(run, env) -> None:

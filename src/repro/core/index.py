@@ -79,9 +79,15 @@ class ShardIndex:
         Query routing is one vectorised ``route_query_batch`` call; the
         request's (query, probed segment) pairs are one lockstep group
         (:func:`~repro.hnsw.index.search_segments`): each segment descends
-        its own rows, one beam and one rescore serve every pair; the
+        its own rows, one beam and one rescore serve every pair.  Where
+        each row probes one segment, answered in strictly ascending
+        finite distances, those answers are the shard's; otherwise the
         segment candidates merge per query through the vectorised batch
-        merge.
+        merge.  A query row holding NaN or ``inf`` is refused with a
+        ``ValueError``, as a broker's
+        :class:`~repro.online.types.SearchRequest` refuses it: a shard is
+        also searched without a broker (library callers, any peer of a
+        searcher server).
 
         ``probes`` (one segment-id tuple per row, no segment named twice)
         overrides the segmenter's routing -- how a contextual index
@@ -99,7 +105,7 @@ class ShardIndex:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        queries = as_matrix(queries, name="queries")
+        queries = as_matrix(queries, name="queries", finite=True)
         num_queries = queries.shape[0]
         if num_queries == 0:
             return empty_part(num_queries, k)
@@ -151,6 +157,25 @@ class ShardIndex:
             ef,
             cost,
         )
+        # Level 1 merges only where candidate lists meet.  When each row
+        # probes one segment and its answer ascends strictly, below
+        # ``inf``, those answers are the shard's, padded where a segment
+        # holds fewer than ``k`` rows.  Otherwise -- a row probing two
+        # segments, a tie (ordered by id), an ``inf`` or NaN (ordered
+        # around the padding) -- the request is merged whole, in one
+        # vectorised call.
+        if max_probes == 1 and all(
+            (found_dists[:, 1:] > found_dists[:, :-1]).all()
+            and (found_dists[:, -1] < np.inf).all()
+            for _, found_dists in found
+        ):
+            if found[0][0].shape == (num_queries, k):
+                return found[0]  # one segment answered every row in full
+            ids, dists = empty_part(num_queries, k)
+            for (_, rows), (found_ids, found_dists) in zip(probed_rows, found):
+                ids[rows, : found_ids.shape[1]] = found_ids
+                dists[rows, : found_ids.shape[1]] = found_dists
+            return ids, dists
         cand_ids, cand_dists = empty_part(num_queries, max_probes * k)
         next_slot = np.zeros(num_queries, dtype=np.int64)
         for (_, rows), (found_ids, found_dists) in zip(probed_rows, found):

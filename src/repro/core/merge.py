@@ -11,6 +11,12 @@ can surface the same id from two segments, so the segment-level merge
 dedupes by id (keeping the best distance).  Hash sharding stores every id
 in exactly one shard, so the shard-level merge needs no dedupe; it keeps
 it anyway for safety.
+
+The segment-level merge runs only where two segments' lists meet: a
+shard request whose rows each probe one segment, answered in strictly
+ascending finite distances, returns those answers
+(:meth:`~repro.core.index.ShardIndex.search_batch`).  The broker merges
+every fan-out.
 """
 
 from __future__ import annotations

@@ -475,10 +475,9 @@ class SearcherServer:
         The header was well-typed; the *values* are still the peer's.
         A reply block is ``rows x top_k`` ids and as many distances (16
         bytes a cell), so one that cannot fit a frame this server may
-        send is refused before anything allocates it, non-finite query
-        rows would search to garbage, and a NaN budget would never be
-        spent.  (``top_k < 1`` and a dimension mismatch are the shard's
-        own ``ValueError`` s.)
+        send is refused before anything allocates it, and a NaN budget
+        would never be spent.  (``top_k < 1``, a dimension mismatch and
+        non-finite query rows are the shard's own ``ValueError`` s.)
         """
         if call.deadline is not None and np.isnan(call.deadline):
             raise ValueError("SEARCH deadline_ms is NaN")
@@ -490,8 +489,6 @@ class SearcherServer:
                 f"a reply of {queries.shape[0]} rows x top_k={call.top_k} "
                 f"cannot fit the {DEFAULT_MAX_FRAME}-byte frame limit"
             )
-        if not np.isfinite(queries).all():
-            raise ValueError("SEARCH queries hold NaN or infinite values")
 
     def _deploy(self, request) -> None:
         # Imported here: the server must start fast and the storage stack

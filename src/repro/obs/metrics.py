@@ -91,9 +91,7 @@ class Counter(_Metric):
     def inc(self, value: float = 1, **labels) -> None:
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        self._add(_label_key(labels), value)
-
-    def _add(self, key: tuple, value: float) -> None:
+        key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0) + value
 
@@ -341,32 +339,69 @@ class Tally:
     ``lanns_broker_hedges_total{broker="broker"}``), so an owner's
     ``stats()`` cannot read its own share back from there.  ``count``
     therefore bumps the owner's private total and the labelled registry
-    series in one call -- the only call site an event needs -- and
+    series in one step -- the only call site an event needs -- and
     ``snapshot`` is the consistent view of the private totals.  Serving
     code bumps a registry counter through nothing else.
+
+    A count is one acquisition of the registry's lock, which guards the
+    owner's totals too: each ``(name, labels)`` is bound once to its
+    registry series, series key and total, so a count only adds.
     """
 
     def __init__(self, counters: dict[str, Counter], **labels) -> None:
         self._counters = counters
         self._labels = labels
-        self._key = _label_key(labels)
-        self._lock = threading.Lock()
+        (self._lock,) = {counter._lock for counter in counters.values()}
         self._totals: dict = {}
+        key = _label_key(labels)
+        #: ``name`` or ``(name, *labels.items())`` -> ``(series, series
+        #: key, totals dict, total key)``; a labelled cell is bound on its
+        #: first count, so a never-counted name shows nowhere.
+        self._cells: dict = {
+            name: (counter._series, key, self._totals, name)
+            for name, counter in counters.items()
+        }
 
     def count(self, name: str, value: int = 1, **labels) -> None:
         """Add ``value`` to counter ``name``; extra ``labels`` (``shard=3``)
         select a sub-series, totalled under ``name`` keyed by label value
         (``{"shard_failures": {"3": 1}}``)."""
+        if value < 0:
+            raise ValueError(f"count {name} cannot decrease")
         with self._lock:
-            totals, key = self._totals, name
-            for label in labels.values():
-                totals = totals.setdefault(key, {})
-                key = str(label)
-            totals[key] = totals.get(key, 0) + value
-        if labels:
-            self._counters[name].inc(value, **self._labels, **labels)
-        else:
-            self._counters[name]._add(self._key, value)
+            cell = self._cells.get((name, *labels.items()) if labels else name)
+            if cell is None:
+                cell = self._bind(name, labels)
+            series, key, totals, total = cell
+            totals[total] = totals.get(total, 0) + value
+            series[key] = series.get(key, 0) + value
+
+    def count_each(self, counts: dict[str, int]) -> None:
+        """:meth:`count` every unlabelled ``{name: value}``, under one
+        acquisition of the lock."""
+        if any(value < 0 for value in counts.values()):
+            raise ValueError(f"counts cannot decrease: {counts}")
+        cells = self._cells
+        with self._lock:
+            for name, value in counts.items():
+                series, key, totals, total = cells[name]
+                totals[total] = totals.get(total, 0) + value
+                series[key] = series.get(key, 0) + value
+
+    def _bind(self, name: str, labels: dict) -> tuple:
+        """The cell of a labelled count (called holding the lock)."""
+        totals, total = self._totals, name
+        for label in labels.values():
+            totals = totals.setdefault(total, {})
+            total = str(label)
+        cell = (
+            self._counters[name]._series,
+            _label_key({**self._labels, **labels}),
+            totals,
+            total,
+        )
+        self._cells[(name, *labels.items())] = cell
+        return cell
 
     def snapshot(self) -> dict:
         """Every total counted so far, as a fresh JSON-safe dict (absent =

@@ -142,17 +142,23 @@ class SearcherNode:
         ``cost`` optionally accumulates this request's search work; the
         collected increments are also counted into this searcher's tally.
         """
-        self.tally.count("requests_served")
-        self.tally.count("queries_served", int(np.asarray(queries).shape[0]))
+        counts = {
+            "requests_served": 1,
+            "queries_served": int(np.asarray(queries).shape[0]),
+        }
         before = cost.as_dict() if cost is not None else None
-        result = self._shard(index_name).search_batch(
-            queries, k, ef=ef, cost=cost
-        )
-        if cost is not None:
-            for field in _COST_FIELDS:
-                delta = getattr(cost, field) - before[field]
-                if delta:
-                    self.tally.count(field, delta)
+        try:
+            result = self._shard(index_name).search_batch(
+                queries, k, ef=ef, cost=cost
+            )
+            if cost is not None:
+                for field in _COST_FIELDS:
+                    delta = getattr(cost, field) - before[field]
+                    if delta:
+                        counts[field] = delta
+        finally:
+            # A refused request is served too; only a search's work counts.
+            self.tally.count_each(counts)
         return result
 
     def _shard(self, index_name: str):

@@ -33,7 +33,8 @@ class SearchRequest:
     ----------
     queries:
         ``(B, dim)`` float batch (a single vector is promoted to a batch
-        of one).
+        of one); a NaN or infinite value is a ``ValueError`` here, before
+        any shard of either venue is asked.
     top_k:
         Number of neighbours per query; must be positive.
     index_name:
@@ -48,7 +49,7 @@ class SearchRequest:
     ef: int | None = None
 
     def __post_init__(self) -> None:
-        queries = as_matrix(self.queries, name="queries")
+        queries = as_matrix(self.queries, name="queries", finite=True)
         object.__setattr__(self, "queries", queries)
         if self.top_k <= 0:
             raise ValueError(f"top_k must be positive, got {self.top_k}")

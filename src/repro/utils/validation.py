@@ -12,7 +12,13 @@ import numpy as np
 from repro.errors import SerializationError
 
 
-def as_matrix(data: np.ndarray, *, dim: int | None = None, name: str = "data") -> np.ndarray:
+def as_matrix(
+    data: np.ndarray,
+    *,
+    dim: int | None = None,
+    name: str = "data",
+    finite: bool = False,
+) -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float32 2-D array.
 
     A single vector is promoted to a 1-row matrix.
@@ -25,6 +31,9 @@ def as_matrix(data: np.ndarray, *, dim: int | None = None, name: str = "data") -
         When given, the required number of columns.
     name:
         Argument name used in error messages.
+    finite:
+        Refuse a NaN or infinite value (a query that would search to
+        NaN distances).
     """
     array = np.asarray(data, dtype=np.float32)
     if array.ndim == 1:
@@ -37,6 +46,8 @@ def as_matrix(data: np.ndarray, *, dim: int | None = None, name: str = "data") -
         raise ValueError(
             f"{name} has dimension {array.shape[1]}, expected {dim}"
         )
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"{name} hold NaN or infinite values")
     if not array.flags.c_contiguous:
         array = np.ascontiguousarray(array)
     return array

@@ -1,16 +1,21 @@
 """Tests for ShardIndex / LannsIndex: routing, merging, correctness."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.index import LannsIndex, ShardIndex
 from repro.core.merge import merge_segment_results_batch, merge_shard_results_batch
 from repro.errors import IndexNotBuiltError
-from repro.hnsw.index import build_hnsw
+from repro.hnsw.index import HnswIndex, build_hnsw
 from repro.segmenters.random_segmenter import RandomSegmenter
 from tests.conftest import FAST_HNSW
+from tests.test_core_topk import merged_row
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,128 @@ class TestShardIndex:
     def test_len_counts_all_segments(self, lanns):
         shard = lanns.shards[0]
         assert len(shard) == sum(shard.segment_sizes)
+
+
+#: Every point of the 4 x 4 x 4 integer lattice: exact distance ties.
+LATTICE = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.float32)
+
+
+@pytest.fixture(scope="module")
+def lattice_shard() -> ShardIndex:
+    """Segments over :data:`LATTICE`: two that share 20 ids at the same
+    points (physical spill), one of four points (shorter than most
+    ``k``), one empty, one of every other point of the upper half, and
+    one of two points, one so far off that its distance overflows to
+    ``inf`` (which the merge orders after the ``-1`` padding)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = build_hnsw(
+            np.array([[1.5, 1.5, 1.5], [2e19, 0, 0]], dtype=np.float32),
+            ids=np.array([400, 401]),
+            params=FAST_HNSW,
+        )
+    point_id = np.arange(64) * 37 % 64  # ids out of insertion order
+    segments = [
+        build_hnsw(LATTICE[:40], ids=point_id[:40], params=FAST_HNSW),
+        build_hnsw(LATTICE[20:60], ids=point_id[20:60], params=FAST_HNSW),
+        build_hnsw(LATTICE[60:] + 0.5, ids=np.arange(203, 199, -1), params=FAST_HNSW),
+        HnswIndex(dim=3, params=FAST_HNSW),
+        build_hnsw(LATTICE[30:64:2], ids=point_id[30:64:2] + 300, params=FAST_HNSW),
+        far,
+    ]
+    return ShardIndex(0, segments, RandomSegmenter(len(segments)))
+
+
+def reference_shard_answer(shard, queries, k, probes, ef):
+    """Level 1 as every row once ran it: each probed non-empty segment's
+    answer (the pair searched alone) packed into its own ``k`` slots of
+    a ``max_probes * k`` row padded with ``(-1, inf)``, then the literal
+    per-row merge."""
+    width = max(len(probed) for probed in probes) * k
+    out_ids, out_dists = [], []
+    for row, probed in enumerate(probes):
+        ids, dists = [-1] * width, [np.inf] * width
+        slot = 0
+        for segment_id in sorted(probed):
+            segment = shard.segments[segment_id]
+            if not len(segment):
+                continue
+            found_ids, found_dists = segment.search_batch(
+                queries[row : row + 1], min(k, len(segment)), ef=ef
+            )
+            for column, (node, dist) in enumerate(zip(found_ids[0], found_dists[0])):
+                ids[slot * k + column], dists[slot * k + column] = int(node), float(dist)
+            slot += 1
+        merged = merged_row(dists, ids, k, dedupe=True)
+        out_dists.append([dist for dist, _ in merged])
+        out_ids.append([node for _, node in merged])
+    return np.array(out_ids, dtype=np.int64), np.array(out_dists, dtype=np.float64)
+
+
+@st.composite
+def lattice_requests(draw):
+    """Query rows on (or half a step off) the lattice, 1-3 probes per
+    row, a ``k`` on both sides of the short segment, an ``ef``."""
+    rows = draw(st.integers(1, 6))
+    cells = st.integers(-1, 8).map(lambda half_steps: half_steps / 2)
+    queries = np.array(
+        draw(st.lists(st.tuples(cells, cells, cells), min_size=rows, max_size=rows)),
+        dtype=np.float32,
+    )
+    probes = [
+        tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)))
+        for _ in range(rows)
+    ]
+    return queries, probes, draw(st.integers(1, 12)), draw(st.sampled_from([None, 4, 64]))
+
+
+class TestLevelOneMerge:
+    """A request whose rows each probe one segment skips the merge; every
+    row still answers what packing its segments' answers and merging
+    them did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(request=lattice_requests())
+    def test_every_row_answers_its_packed_merge(self, lattice_shard, request):
+        queries, probes, k, ef = request
+        with np.errstate(over="ignore", invalid="ignore"):
+            ids, dists = lattice_shard.search_batch(queries, k, ef=ef, probes=probes)
+            want = reference_shard_answer(lattice_shard, queries, k, probes, ef)
+        want_ids, want_dists = want
+        assert (ids.dtype, dists.dtype) == (np.int64, np.float64)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dists, want_dists)
+
+    def test_an_answer_reaching_inf_is_merged_around_the_padding(self, lattice_shard):
+        """The overflow segment answers a query at its near point with
+        one finite and one ``inf`` distance; at ``k = 4`` the merge puts
+        one padding entry before the ``inf`` id, as the literal merge
+        does, where the answer as it stands would not."""
+        queries = np.full((1, 3), 1.5, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ids, dists = lattice_shard.search_batch(queries, 4, probes=[(5,)])
+            want = reference_shard_answer(lattice_shard, queries, 4, [(5,)], None)
+        assert ids.tolist() == [[400, -1, 401, -1]]
+        np.testing.assert_array_equal(ids, want[0])
+        np.testing.assert_array_equal(dists, want[1])
+
+    def test_only_a_request_where_answers_meet_is_merged(self, lattice_shard, monkeypatch):
+        """Rows each probing one segment, answered in distinct finite
+        distances, reach no merge; a row probing two, or a tie in one
+        answer, merges the request."""
+        merges = []
+
+        def spy(ids, dists, k):
+            merges.append(ids.shape[0])
+            return merge_segment_results_batch(ids, dists, k)
+
+        monkeypatch.setattr("repro.core.index.merge_segment_results_batch", spy)
+        queries = LATTICE[[0, 5, 21, 33]] + [0.11, 0.23, 0.37]
+        lattice_shard.search_batch(queries, 6, probes=[(0,), (1,), (4,), (2,)])
+        lattice_shard.search_batch(queries[:1], 4, probes=[(0,)])
+        assert merges == []
+        lattice_shard.search_batch(queries, 6, probes=[(0,), (0, 1), (4,), (2,)])
+        lattice_shard.search_batch(LATTICE[:1], 4, probes=[(0,)])  # 3 ties at 1.0
+        assert merges == [4, 1]
 
 
 class TestLannsIndex:

@@ -536,7 +536,8 @@ HOSTILE_CALLS = {
     "-inf": ({}, _rows(-np.inf)),
 }
 #: The ones only the server can judge; the shard never sees them.
-REFUSED_BEFORE_ADMISSION = {"top_k=10**9", "1-d block", "nan", "inf", "-inf"}
+#: Non-finite rows are the shard's: every venue's search refuses them.
+REFUSED_BEFORE_ADMISSION = {"top_k=10**9", "1-d block"}
 
 
 def recv_frames(sock: socket.socket, count: int) -> list:
@@ -647,7 +648,7 @@ class TestLiveServer:
         """A well-framed, well-typed SEARCH whose *values* are hostile is
         refused with a ``ValueError`` frame -- before admission for what
         only the server can judge (a reply that could not fit a frame,
-        non-finite rows), by the shard for the rest -- and the same
+        a 1-d block), by the shard for the rest -- and the same
         connection keeps serving."""
         fields, queries = HOSTILE_CALLS[name]
         hostile = frame_to_bytes(
@@ -685,7 +686,7 @@ class TestLiveServer:
         """A well-framed, well-typed SEARCH whose *values* are hostile is
         refused with a ``ValueError`` frame -- before admission for what
         only the server can judge (a reply that could not fit a frame,
-        non-finite rows, a NaN budget), by the shard for the rest -- or
+        a NaN budget), by the shard for the rest -- or
         a ``DeadlineExceededError`` one for a spent budget, and the same
         connection keeps serving."""
         fields, queries = call

@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,60 @@ class TestMetricsRegistry:
 
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+
+class TestMetricsGolden:
+    def test_a_scripted_session_reports_what_it_reported_when_recorded(self):
+        """``tests/metrics_script.py`` in a fresh interpreter: the
+        registry's ``snapshot()`` and ``render_text()``, a
+        ``merge_snapshot()`` of two fleets, every searcher's STATS
+        ``counts`` and every broker's ``counts`` equal
+        ``metrics_golden.json``, recorded before a tally bound its
+        registry cells and a searcher counted a request in one call."""
+        tests = Path(__file__).resolve().parent
+        src = str(tests.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        printed = subprocess.run(
+            [sys.executable, str(tests / "metrics_script.py")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        golden = json.loads((tests / "metrics_golden.json").read_text())
+        got = json.loads(printed)
+        assert set(got) == set(golden)
+        for part in golden:
+            assert got[part] == golden[part], part
+
+    def test_counters_never_fall_when_an_owner_closes(self, lanns, clustered_queries):
+        """Closing a broker takes nothing back from the registry, and a
+        new owner under the same labels adds onto the shared series."""
+        registry = get_registry()
+
+        def counters() -> dict:
+            return {
+                (name, json.dumps(key)): value
+                for name, entry in registry.snapshot().items()
+                if entry["kind"] == "counter"
+                for key, value in entry["series"]
+            }
+
+        seen = counters()
+        for round_ in range(2):
+            broker = make_broker(lanns, cache_size=4, name="monotonic")
+            broker.search_batch("main", clustered_queries[:5], 5)
+            broker.search_batch("main", clustered_queries[3:6], 5)
+            served = broker.tally.snapshot()["queries_served"]
+            before_close = counters()
+            broker.close()
+            after = counters()
+            assert after == before_close
+            assert all(after.get(key, 0) >= value for key, value in seen.items())
+            key = ("lanns_broker_queries_total", json.dumps([["broker", "monotonic"]]))
+            assert after[key] == seen.get(key, 0) + served
+            seen = after
 
 
 class TestSearchCost:

@@ -6,11 +6,12 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import MetadataMismatchError
+from repro.net.server import SearcherServer
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.storage.manifest import save_lanns_index
-from tests.conftest import FAST_HNSW, LANNS_2X2, host_all
+from tests.conftest import FAST_HNSW, LANNS_2X2, LANNS_PATH, host_all
 
 
 @pytest.fixture
@@ -167,6 +168,47 @@ class TestBudgetAndPaddingDegenerateCases:
         after = [searcher.tally.snapshot() for searcher in broker.searchers]
         assert after == before  # no shard was bothered
 
+
+class TestNonFiniteQueries:
+    """A query row holding NaN or inf is refused with the same
+    ``ValueError`` by the shard, an inline broker and a remote one --
+    the brokers before any shard is asked."""
+
+    MESSAGE = "queries hold NaN or infinite values"
+
+    @pytest.fixture(scope="class")
+    def remote(self, lanns_fs):
+        servers = [
+            SearcherServer(SearcherNode(shard), root=str(lanns_fs.root)).start_in_thread()
+            for shard in range(LANNS_2X2.num_shards)
+        ]
+        service = OnlineService(searchers=[server.address for server in servers])
+        service.deploy(lanns_fs, LANNS_PATH)
+        yield service, servers
+        service.close()
+        for server in servers:
+            server.stop()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_every_venue_refuses_it(self, lanns, clustered_queries, remote, bad):
+        service, servers = remote
+        queries = clustered_queries[:3].copy()
+        queries[0, 0] = bad
+        nodes = host_all(lanns)
+        inline = Broker(nodes, LANNS_2X2)
+        served = [server.stats()["counts"].get("requests_served", 0) for server in servers]
+        for search in (
+            lambda: lanns.shards[0].search_batch(queries, 5),
+            lambda: inline.search_batch("main", queries, 5),
+            lambda: service.query_batch(queries, 5),
+        ):
+            with pytest.raises(ValueError, match=self.MESSAGE) as refused:
+                search()
+            assert type(refused.value) is ValueError
+        assert [node.stats()["counts"] for node in nodes] == [{}, {}]
+        assert [
+            server.stats()["counts"].get("requests_served", 0) for server in servers
+        ] == served
 
 class TestOnlineService:
     def test_double_deploy_rejected(self, service, fs):
