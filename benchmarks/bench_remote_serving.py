@@ -19,8 +19,7 @@ caches nothing);
 searcher's fault plan stalls every other request, served through the
 remote fan-out without and with hedged requests -- hedged p99 must
 beat unhedged p99, results must stay bit-identical to in-process
-serving, and the broker must report the ``remote`` venue (all in-flight
-shard RPCs polled on the calling thread);
+serving, and at least one hedge must have fired;
 
 ``rpc_cost`` -- prices **one RPC**: PING round trip, one-query SEARCH
 round trip and the same search in process, against an in-thread server,
@@ -263,12 +262,11 @@ def check_hedging(run, env) -> None:
                 service.close()
     counts = stats["counts"]
     require(counts.get("hedges", 0) >= 1, "the straggler shard never got hedged")
-    require(stats["venue"] == "remote", "the remote fleet ran the wrong venue")
     print(
         f"hedging: straggler stalls {SLOW_DELAY_S * 1e3:.0f}ms, hedge after "
         f"{HEDGE_AFTER_S * 1e3:.0f}ms -> p99 {p99_ms['unhedged']:.1f}ms "
         f"unhedged vs {p99_ms['hedged']:.1f}ms hedged ({counts['hedges']} "
-        f"hedges, {counts.get('hedge_wins', 0)} wins; bit-parity ✓, remote venue ✓)"
+        f"hedges, {counts.get('hedge_wins', 0)} wins; bit-parity ✓)"
     )
     run.gate("hedged_p99", p99_ms["unhedged"] / p99_ms["hedged"])
 

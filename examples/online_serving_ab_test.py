@@ -61,10 +61,10 @@ def main() -> None:
         broker = service.deploy(fs, "prod/model-a", index_name="model-a")
         service.deploy(fs, "prod/model-b", index_name="model-b")
         print(f"deployed: {service.deployed_indices}")
+        hosting = service.searchers[0][0].stats()
         print(
-            "searcher 0 hosts "
-            f"{service.searchers[0].hosted_indices} "
-            f"({service.searchers[0].memory_vectors()} vectors)"
+            f"searcher 0 hosts {hosting['hosted_indices']} "
+            f"({hosting['memory_vectors']} vectors)"
         )
         print(f"broker perShardTopK for topK=15: {broker.per_shard_budget(15)}")
 

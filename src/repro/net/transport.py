@@ -7,7 +7,7 @@ invisible above this line.  That is what lets the micro-batcher, the
 result cache, the perShardTopK math and the merge run unchanged when the
 fleet moves out of process.
 
-The whole shard contract is ``search(call) -> reply``: one immutable
+The data contract is ``search(call) -> reply``: one immutable
 :class:`~repro.net.protocol.ShardCall` (the SEARCH message: index, query
 block, ``top_k``, ``ef``, ``trace``, ``cost``, ``deadline``)
 in, one :class:`~repro.net.protocol.ShardReply` (ids, dists, ``cost``,
@@ -15,11 +15,14 @@ in, one :class:`~repro.net.protocol.ShardReply` (ids, dists, ``cost``,
 signal is one entry appended to ``FRAME_FIELDS`` and one dataclass
 field, set where the call is built and read where it is served.
 
-A fleet is all :class:`LocalSearcherTransport` (searched inline on the
-caller's thread) or all :class:`RemoteSearcherTransport` (RPCs started
-with :meth:`RemoteSearcherTransport.start_search` and polled together on
-the caller's thread, the only home of failover, hedging and the
-retry-after pause); the broker refuses a mix.
+The broker's fan-out starts every shard's RPC with ``start_search`` and
+polls them together on the caller's thread; the service deploys with
+``verify`` / ``deploy`` / ``undeploy``.  Both transports answer all of
+it, so a fleet may mix them freely.  An in-process ``start_search``
+searches before it returns (:class:`AnsweredRpc`): numpy work cannot be
+cancelled, so that attempt is never hedged, failed over or paused.
+``remote`` is the one thing a caller may ask: whether a blocking poll
+or a hedge can ever be needed.
 
 Deadlines: ``call.deadline`` is an absolute ``time.monotonic()`` instant.
 The remote transport enforces it on the wire; the local transport
@@ -30,11 +33,14 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import math
 
 from repro.net.client import CONNECTIVITY_FAILURES, RemoteSearcherClient, Rpc
 from repro.net.protocol import ShardCall, ShardReply
 from repro.obs.tracing import SpanRecorder
 from repro.online.searcher import SearcherNode, observed_search
+from repro.storage.hdfs import LocalHdfs
+from repro.storage.manifest import load_shard
 
 __all__ = [
     "SearcherTransport",
@@ -49,6 +55,9 @@ class SearcherTransport(abc.ABC):
     """What the broker needs from a shard, wherever it runs."""
 
     shard_id: int
+    #: Whether the shard sits behind a socket (its RPC may wait, fail
+    #: over or be hedged) rather than in this process.
+    remote = False
 
     @abc.abstractmethod
     def search(self, call: ShardCall) -> ShardReply:
@@ -63,8 +72,28 @@ class SearcherTransport(abc.ABC):
         """Release transport resources (no-op for in-process shards)."""
 
 
+class AnsweredRpc:
+    """An in-process shard RPC: answered before :meth:`start_search`
+    returned, so the fan-out's poll never waits on it."""
+
+    __slots__ = ("reply",)
+    done = True
+    error = None
+    wake_at = math.inf
+
+    def __init__(self, reply: ShardReply) -> None:
+        self.reply = reply
+
+    def result(self) -> ShardReply:
+        return self.reply
+
+
 class LocalSearcherTransport(SearcherTransport):
-    """In-process shard: the observed search of a :class:`SearcherNode`."""
+    """In-process shard: the observed search of a :class:`SearcherNode`.
+
+    The control plane mirrors :class:`~repro.net.server.SearcherServer`'s:
+    ``deploy`` loads the node's shard from the filesystem at ``root``.
+    """
 
     def __init__(self, node: SearcherNode) -> None:
         self.node = node
@@ -76,6 +105,20 @@ class LocalSearcherTransport(SearcherTransport):
         return ShardReply(
             ids, dists, cost, recorder.export() if recorder is not None else None
         )
+
+    def start_search(self, call: ShardCall) -> AnsweredRpc:
+        """Search ``call`` now; an exception is the caller's."""
+        return AnsweredRpc(self.search(call))
+
+    def verify(self) -> None:
+        """Nothing to check: the node is the shard."""
+
+    def deploy(self, index_name: str, index_path: str, *, root: str) -> None:
+        shard = load_shard(LocalHdfs(root), index_path, self.shard_id)
+        self.node.host(index_name, shard)
+
+    def undeploy(self, index_name: str) -> None:
+        self.node.unhost(index_name)
 
     def stats(self) -> dict:
         return self.node.stats()
@@ -96,6 +139,8 @@ class RemoteSearcherTransport(SearcherTransport):
     fleet; :meth:`verify` confirms the process at ``address`` actually
     serves that shard (deploy-time sanity check).
     """
+
+    remote = True
 
     def __init__(
         self, address: str | tuple, shard_id: int, **client_kwargs

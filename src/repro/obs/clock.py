@@ -13,8 +13,8 @@ sees:
 - the **span** of a traced request -- opened at the first reading,
   closed with the difference, under an explicit ``parent`` when the
   stage runs off the request thread;
-- ``Stage.seconds``, which the broker copies into
-  ``SearchResponse.timings``.
+- ``Stage.seconds``: the request's wall time the tracer judges slow,
+  and an attempt's latency in its replica's EWMA.
 
 Nothing else under ``repro.online`` reads ``time.perf_counter``
 (``tests/test_analysis_lint.py`` pins that); deadline arithmetic is

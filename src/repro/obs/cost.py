@@ -5,8 +5,9 @@ graph hops, distance computations and candidate visits a query spends.
 :class:`SearchCost` is the accumulator the lockstep HNSW kernels write
 into -- passed as an optional ``cost=None`` parameter so the hot path is
 bit-for-bit unchanged when accounting is off -- and the serving tier
-carries over the wire (``as_dict`` / ``from_dict`` / ``merge``) into
-``SearchResponse.cost`` and the metrics registry.
+carries over the wire as its ``as_dict`` form, summed per fan-out
+(``online/fanout.py::assemble``) into ``SearchResponse.cost`` and the
+metrics registry.
 
 Counter semantics (all totals over the query batch the cost was
 collected for):

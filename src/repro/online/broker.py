@@ -20,10 +20,10 @@ broker's :class:`~repro.obs.clock.StageClock`::
   runs -- and sent only to the shard groups hosting its segments.
   Routing is a pure function of the query, so it changes no answer,
   cache key or admission key.
-- **fan out** (:mod:`repro.online.fanout`) on the calling thread,
-  inline or over the wire as the fleet dictates, with replica failover
+- **fan out** (:mod:`repro.online.fanout`) on the calling thread, one
+  path for in-process and remote shards alike, with replica failover
   (:mod:`repro.online.failover`) and hedged requests
-  (:mod:`repro.online.hedging`) for a remote fleet.
+  (:mod:`repro.online.hedging`) for the remote ones.
 - **merge**: :func:`~repro.core.merge.merge_shard_results_batch` over
   the fan-out's full-width parts.  None of those modules imports this one.
 """
@@ -102,15 +102,15 @@ class BrokerPolicy(FlagFields):
     ``repro.cli query --searchers``.
     """
 
-    #: Tail-tolerance knob (needs the ``remote`` venue, a remote fleet --
-    #: a hedge that could never fire is rejected, not dropped): when a
-    #: shard has not answered within this many seconds and budget
-    #: remains before the deadline, the same RPC is
-    #: re-issued -- on a *different replica* of the group when one is
-    #: available, else on a second connection to the same process.
-    #: First reply wins, the loser is cancelled.  ``None`` disables
-    #: hedging; ``"auto"`` derives the delay per batch from the live
-    #: ``shard_rpc`` window (median x ``AUTO_HEDGE_MULTIPLIER``).
+    #: Tail-tolerance knob (needs a remote shard in the fleet -- a hedge
+    #: that could never fire is rejected, not dropped): when a shard has
+    #: not answered within this many seconds and budget remains before
+    #: the deadline, the same RPC is re-issued -- on a *different
+    #: replica* of the group when one is available, else on a second
+    #: connection to the same process.  First reply wins, the loser is
+    #: cancelled.  ``None`` disables hedging; ``"auto"`` derives the
+    #: delay per batch from the live ``shard_rpc`` window (median x
+    #: ``AUTO_HEDGE_MULTIPLIER``).
     hedge_after_s: float | str | None = knob(
         None,
         "hedge a straggling shard RPC on a second connection after this "
@@ -279,12 +279,9 @@ class Broker:
         self._fanout = FanOut(
             self.groups, self.timings, self.tally, policy.partial_policy
         )
-        #: Where the fan-out runs -- derived from the fleet, see
-        #: :mod:`repro.online.fanout`.
-        self.venue = self._fanout.venue
         # A hedge delay no shard could honor is refused, not silently
         # dropped.
-        if policy.hedge_after_s is not None and self.venue != "remote":
+        if policy.hedge_after_s is not None and not self._fanout.remote:
             raise ValueError("hedge_after_s needs a remote fleet")
         self._admission = Admission(
             self._search,
@@ -307,7 +304,7 @@ class Broker:
     def stats(self) -> dict:
         """Serving state: this broker's ``counts`` (its tally's snapshot),
         the cache's and the micro-batcher's, the per-stage latency
-        windows, the venue, the tracer and the replica ledgers.  The
+        windows, the tracer and the replica ledgers.  The
         knobs are ``self.policy``; a searcher's own counts are its STATS
         reply."""
         batcher = self._admission.batcher
@@ -320,7 +317,6 @@ class Broker:
                 else None
             ),
             "stages": self.timings.summary(),
-            "venue": self.venue,
             "tracer": self.tracer.stats(),
             "replicas": [group.stats() for group in self.groups],
         }

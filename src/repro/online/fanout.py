@@ -1,27 +1,19 @@
 """The shard fan-out: one batch out to the replica groups, parts back.
 
-:class:`FanOut` owns the fleet-facing half of a request.  It runs in one
-of two **venues**, chosen from the fleet it was given, never by an
-option, and both run on the calling thread:
+:class:`FanOut` owns the fleet-facing half of a request, on the calling
+thread, with one path for every fleet: each group's RPC is started with
+``transport.start_search``, then one ``select.poll`` waits on every
+attempt in flight (:func:`repro.net.client.poll`); its timeout is the
+earliest pending timer -- a hedge delay, an attempt's budget, a
+retry-after pause or a reconnect backoff.  A remote attempt may fail
+over to a sibling replica, wait out one ``OVERLOADED`` retry-after pause
+(:mod:`repro.online.failover`) or be hedged
+(:mod:`repro.online.hedging`); an in-process attempt is answered when it
+is issued, so none of that ever applies to it, and an exception it
+raises is the caller's.  :mod:`repro.online.replicas` keeps the
+per-replica health/load ledger every attempt reports to.
 
-- ``"inline"`` -- every transport is a
-  :class:`~repro.net.transport.LocalSearcherTransport`.  In-process numpy
-  work cannot be shed, hedged, failed over or deadline-cancelled, so each
-  shard group is ``pick -> attempt -> part`` in turn.
-- ``"remote"`` -- every transport is a
-  :class:`~repro.net.transport.RemoteSearcherTransport`.  Every group's
-  RPC is sent first, then one ``select.poll`` waits on every attempt in
-  flight (:func:`repro.net.client.poll`); its timeout is the earliest
-  pending timer -- a hedge delay, an attempt's budget, a retry-after
-  pause or a reconnect backoff.  This venue is the only home of replica
-  **failover**, the ``OVERLOADED`` retry-after pause
-  (:mod:`repro.online.failover`) and **hedged requests**
-  (:mod:`repro.online.hedging`; :mod:`repro.online.replicas` keeps the
-  per-replica health/load ledger both venues report to).
-
-A fleet that mixes the two kinds is refused.
-
-Either venue yields one :class:`Outcome` per :class:`Work` item;
+The fan-out yields one :class:`Outcome` per :class:`Work` item;
 :func:`assemble` turns them into the :class:`FanoutResult` to merge.
 """
 
@@ -38,9 +30,8 @@ from repro.core.merge import empty_part
 from repro.errors import OverloadedError, TransportError
 from repro.net.client import poll, refuse_in_running_loop
 from repro.net.protocol import ShardCall, ShardReply
-from repro.net.transport import LocalSearcherTransport, RemoteSearcherTransport
 from repro.obs.clock import Stage, StageClock
-from repro.obs.cost import SearchCost
+from repro.obs.cost import FIELDS as COST_FIELDS
 from repro.obs.metrics import Tally
 from repro.obs.tracing import Trace
 from repro.online.failover import (
@@ -154,7 +145,7 @@ def assemble(
     parts: list[Part] = []
     answered = routed.copy()
     failures: list[TransportError] = []
-    cost = SearchCost() if collect_cost else None
+    cost = dict.fromkeys(COST_FIELDS, 0) if collect_cost else None
     for item, outcome in zip(work, outcomes):
         part = outcome.part
         if outcome.error is not None:
@@ -166,8 +157,9 @@ def assemble(
                 answered -= 1
             else:
                 answered[item.rows] -= 1
-        elif cost is not None:
-            cost.merge(outcome.cost)
+        elif cost is not None and outcome.cost is not None:
+            for field in COST_FIELDS:
+                cost[field] += int(outcome.cost.get(field, 0))
         if item.rows is not None or part is None:
             full = empty_part(num_queries, budget)
             if part is not None:
@@ -185,13 +177,13 @@ def assemble(
     return FanoutResult(
         parts=parts,
         answered=answered,
-        cost=cost.as_dict() if cost is not None else None,
+        cost=cost,
         failures=failures,
     )
 
 
 class Attempt(Stage):
-    """One replica attempt in either venue: ledger slot, span, reply.
+    """One replica attempt: ledger slot, span, reply.
 
     The ``attempt`` stage around the shard RPC, a child span of the
     group's ``shard_rpc`` span.  Entering takes the replica's in-flight
@@ -204,9 +196,8 @@ class Attempt(Stage):
     completed loser (both answered by one poll) stays a loss;
     :meth:`settle` flips the race winner.
 
-    Inline, the ``with`` block stores the transport's answer in
-    ``reply``; remote, ``rpc`` is the RPC in flight and :meth:`close`
-    leaves the stage once it is done.
+    ``rpc`` is the transport's RPC; :meth:`close` leaves the stage once
+    it is done, with its reply in ``reply``.
     """
 
     __slots__ = ("group", "replica", "reply", "rpc")
@@ -218,12 +209,10 @@ class Attempt(Stage):
         group: ReplicaGroup,
         replica: ReplicaState,
         group_span: dict | None,
-        *,
-        window: str | None,
         hedge: bool = False,
     ) -> None:
         super().__init__(
-            clock, "attempt", trace, group_span, window, None,
+            clock, "attempt", trace, group_span, "shard_rpc", None,
             {
                 "replica": replica.replica_id,
                 "hedge": hedge,
@@ -282,10 +271,10 @@ class Attempt(Stage):
 class FanOut:
     """Runs fan-outs over one fleet of replica groups.
 
-    ``clock`` times the ``shard_rpc`` / ``attempt`` stages (on the remote
-    venue every attempt is also one sample of the ``shard_rpc`` window
-    -- the per-RPC wall time ``hedge_after_s`` is tuned against);
-    ``tally`` counts failovers, hedges, sheds and degraded shards.
+    ``clock`` times the ``shard_rpc`` / ``attempt`` stages (every
+    attempt is also one sample of the ``shard_rpc`` window -- the
+    per-RPC wall time ``hedge_after_s`` is tuned against); ``tally``
+    counts failovers, hedges, sheds and degraded shards.
     """
 
     def __init__(
@@ -299,17 +288,11 @@ class FanOut:
         self.clock = clock
         self.tally = tally
         self.partial_policy = partial_policy
-        transports = [t for group in groups for t in group.transports]
-        if all(isinstance(t, LocalSearcherTransport) for t in transports):
-            self.venue = "inline"
-        elif all(isinstance(t, RemoteSearcherTransport) for t in transports):
-            self.venue = "remote"
-        else:
-            raise ValueError(
-                "a fleet is all in-process (LocalSearcherTransport) or all "
-                "remote (RemoteSearcherTransport); got "
-                + ", ".join(sorted({type(t).__name__ for t in transports}))
-            )
+        #: Whether a poll may block: only then is a running event loop
+        #: on the calling thread refused.
+        self.remote = any(
+            transport.remote for group in groups for transport in group.transports
+        )
 
     def run(
         self,
@@ -322,58 +305,15 @@ class FanOut:
 
         A traced group is one ``shard_rpc`` child of ``fanout_span``
         with each attempt (hedges included) as its child -- explicit
-        parents, because the remote venue interleaves the groups'
-        attempts and the recorder's nesting stack cannot follow them.
+        parents, because the groups' attempts interleave and the
+        recorder's nesting stack cannot follow them.  Every group's RPC
+        is sent, then all are polled to their outcomes; an exception
+        that escapes (a bug, an interrupt, an in-process search's error)
+        abandons every attempt still in flight, so no socket is pooled
+        mid-reply.
         """
-        if self.venue == "inline":
-            outcomes = self._inline(batch, work, fanout_span)
-        else:
-            outcomes = self._remote(batch, work, fanout_span)
-        return assemble(
-            work,
-            outcomes,
-            routed,
-            batch.call.top_k,
-            self.partial_policy,
-            self.tally,
-            bool(batch.call.cost),
-        )
-
-    # -- inline venue (in-process fleets) -----------------------------------------------
-    def _inline(
-        self, batch: Batch, work: list[Work], fanout_span: dict | None
-    ) -> list[Outcome]:
-        """Only reached when the whole fleet is in-process: there is no
-        connection to lose, no admission queue to shed from and no way
-        to cancel numpy mid-kernel, so there is nothing to fail over,
-        retry or hedge, and an exception (unknown index, malformed
-        batch) is the caller's."""
-        outcomes = []
-        for item in work:
-            group = self.groups[item.group_id]
-            with self.clock.stage(
-                "shard_rpc", batch.trace, parent=fanout_span, shard=item.group_id
-            ) as rpc:
-                replica = group.pick()
-                with Attempt(
-                    self.clock, batch.trace, group, replica, rpc.span, window=None
-                ) as attempt:
-                    attempt.reply = replica.transport.search(batch.call_for(item))
-                outcome = attempt.settle()
-                rpc.annotate(ok=True, replica=outcome.replica_id)
-            outcomes.append(outcome)
-        return outcomes
-
-    # -- remote venue (remote fleets) ----------------------------------------------------
-    def _remote(
-        self, batch: Batch, work: list[Work], fanout_span: dict | None
-    ) -> list[Outcome]:
-        """Send every group's RPC, then poll them all to their outcomes.
-
-        An exception that escapes (a bug, an interrupt) abandons every
-        attempt still in flight, so no socket is pooled mid-reply.
-        """
-        refuse_in_running_loop("FanOut.run")
+        if self.remote:
+            refuse_in_running_loop("FanOut.run")
         calls: list[GroupCall] = []
         try:
             for item in work:
@@ -384,12 +324,20 @@ class FanOut:
             for call in calls:
                 call.abandon(exc)
             raise
-        return [call.outcome for call in calls]
+        return assemble(
+            work,
+            [call.outcome for call in calls],
+            routed,
+            batch.call.top_k,
+            self.partial_policy,
+            self.tally,
+            bool(batch.call.cost),
+        )
 
 
 class GroupCall:
-    """One work item on the remote venue: its group's attempts, stepped
-    by :func:`repro.net.client.poll` until the group has an outcome.
+    """One work item: its group's attempts, stepped by
+    :func:`repro.net.client.poll` until the group has an outcome.
 
     Picks the least-loaded replica, hedges an attempt that straggles
     past the batch's hedge delay while budget remains, retries failures
@@ -505,7 +453,7 @@ class GroupCall:
     def _issue(self, replica: ReplicaState, hedge: bool = False) -> None:
         attempt = Attempt(
             self.fanout.clock, self.batch.trace, self.group, replica,
-            self.shard_rpc.span, window="shard_rpc", hedge=hedge,
+            self.shard_rpc.span, hedge,
         )
         attempt.__enter__()
         try:

@@ -6,19 +6,18 @@ serialized index to HDFS; each searcher node deserializes *its shard*
 broker fronts the fleet.  Deploying a second index under another name
 onto the same fleet models the paper's online A/B test construct.
 
-The fleet can be **in-process** (the default: the service creates one
-:class:`SearcherNode` per shard and loads shards itself) or **remote**
-(pass ``searchers=...``: each address is a running
-``repro.cli serve-searcher`` process, ``deploy`` becomes one RPC per
-searcher, and queries travel over the :mod:`repro.net` wire protocol).
-Remote shard positions may be **replica groups** -- several
-interchangeable processes serving the same shard
-(``"a:1,a:2;b:1,b:2"``): the broker load-balances across them, fails
-over on connectivity losses, hedges stragglers onto siblings, and
-:meth:`rolling_restart` cycles one group through a restart with zero
-dropped queries.  Everything above the transport -- micro-batching, the
-result cache, the router, perShardTopK, the merge -- is identical in
-all modes.
+The fleet is one list of replica groups, one group of
+:class:`~repro.net.transport.SearcherTransport` per shard.  By default
+it is **in-process** (one :class:`SearcherNode` per shard, made on the
+first deploy); ``searchers=...`` makes it **remote** (each address is a
+running ``repro.cli serve-searcher`` process and queries travel over the
+:mod:`repro.net` wire protocol).  Either way ``deploy`` is one
+``verify`` + ``deploy`` per transport, and everything above the
+transport -- micro-batching, the result cache, the router, perShardTopK,
+the merge -- is one path.  A group of several remote replicas
+(``"a:1,a:2;b:1,b:2"``) is load-balanced, failed over on connectivity
+losses and hedged onto siblings, and :meth:`rolling_restart` cycles it
+through a restart with zero dropped queries.
 """
 
 from __future__ import annotations
@@ -36,13 +35,17 @@ from repro.errors import (
     TransportError,
 )
 from repro.net.fleet import parse_fleet_spec
-from repro.net.transport import RemoteSearcherTransport
+from repro.net.transport import (
+    LocalSearcherTransport,
+    RemoteSearcherTransport,
+    SearcherTransport,
+)
 from repro.online.broker import Broker, BrokerPolicy
 from repro.online.cache import QueryResultCache
 from repro.online.searcher import SearcherNode
 from repro.online.types import SearchRequest, SearchResponse
 from repro.storage.hdfs import LocalHdfs
-from repro.storage.manifest import load_manifest, load_segmenter, load_shard
+from repro.storage.manifest import load_manifest, load_segmenter
 
 
 class OnlineService:
@@ -81,9 +84,9 @@ class OnlineService:
     def __init__(
         self,
         *,
-        # Accepted and ignored: selects nothing since the broker derives
-        # its fan-out venue from the fleet.  Last caller is
-        # benchmarks/ledger/workloads.py (frozen); drop both together.
+        # Accepted and ignored: the fan-out has one path for every
+        # fleet.  Last caller is benchmarks/ledger/workloads.py
+        # (frozen); drop both together.
         async_fanout: bool = False,
         cache_size: int = 0,
         searchers: str | Sequence | None = None,
@@ -99,6 +102,8 @@ class OnlineService:
         self.deployments: dict[str, tuple[LocalHdfs, str]] = {}
         self.cache = QueryResultCache(cache_size)
         self._deploy_epoch = 0
+        #: One replica group per shard, in shard order.
+        self.searchers: list[list[SearcherTransport]] = []
         if searchers is None:
             if self.policy.hedge_after_s is not None:
                 # Fail here, not at the first deploy's Broker(), which
@@ -107,40 +112,24 @@ class OnlineService:
                     "hedge_after_s needs a remote fleet (in-process "
                     "shards cannot hedge)"
                 )
-            self.remote = False
-            self.searchers: list = []
         else:
             groups = parse_fleet_spec(searchers)
             if not groups:
                 raise ValueError("remote fleet needs at least one address")
-            self.remote = True
-
             # One client per searcher: the broker's fan-out and
             # deploy / verify / undeploy / stats all block the calling
             # thread on it.
-            def connect(address: str, shard_id: int):
-                return RemoteSearcherTransport(
-                    address, shard_id, retries=rpc_retries
-                )
-
-            # Single-replica groups stay bare transports so the legacy
-            # flat view (service.searchers[s].stats()) keeps working.
             self.searchers = [
-                connect(group[0], shard_id)
-                if len(group) == 1
-                else [connect(address, shard_id) for address in group]
+                [
+                    RemoteSearcherTransport(address, shard_id, retries=rpc_retries)
+                    for address in group
+                ]
                 for shard_id, group in enumerate(groups)
             ]
 
-    def _all_transports(self) -> list:
-        """Every searcher/transport of every group, group-major."""
-        flat: list = []
-        for entry in self.searchers:
-            if isinstance(entry, list):
-                flat.extend(entry)
-            else:
-                flat.append(entry)
-        return flat
+    def _all_transports(self) -> list[SearcherTransport]:
+        """Every transport of every group, group-major."""
+        return [transport for group in self.searchers for transport in group]
 
     @property
     def deployed_indices(self) -> list[str]:
@@ -190,24 +179,12 @@ class OnlineService:
         # a corrected one can reuse the name.
         hosting: list = []
         try:
-            if self.remote:
-                self._deploy_remote(fs, index_path, index_name, hosting)
-            else:
-                if not self.searchers:
-                    self.searchers = [
-                        SearcherNode(shard_id)
-                        for shard_id in range(config.num_shards)
-                    ]
-                for shard_id, searcher in enumerate(self.searchers):
-                    shard = load_shard(
-                        fs,
-                        index_path,
-                        shard_id,
-                        manifest=manifest,
-                        segmenter=segmenter,
-                    )
-                    searcher.host(index_name, shard)
-                    hosting.append(searcher)
+            if not self.searchers:
+                self.searchers = [
+                    [LocalSearcherTransport(SearcherNode(shard_id))]
+                    for shard_id in range(config.num_shards)
+                ]
+            self._host(fs, index_path, index_name, hosting)
             # A previous deployment under this name may have left cached
             # results behind (the cache outlives brokers); drop them
             # before the new index starts answering.  The bumped epoch
@@ -244,20 +221,18 @@ class OnlineService:
         """
         for member in members:
             try:
-                if self.remote:
-                    member.undeploy(index_name)
-                else:
-                    member.unhost(index_name)
-            except (TransportError, OSError):
+                member.undeploy(index_name)
+            except (TransportError, OSError, KeyError):
                 pass
 
-    def _deploy_remote(
+    def _host(
         self, fs: LocalHdfs, index_path: str, index_name: str, rollback: list
     ) -> None:
-        """One DEPLOY RPC per searcher; ``rollback`` collects who to undo.
+        """``verify`` + ``deploy`` per transport; ``rollback`` collects
+        who to undo.
 
-        Each searcher process loads its own shard from ``fs``'s root
-        (shared over loopback; a real cluster would point every server
+        Each searcher loads its own shard from ``fs``'s root (a remote
+        process over loopback; a real cluster would point every server
         at the same HDFS).  Replica groups deploy onto every member.
         Under the ``fail`` policy any failure -- connection refused,
         checksum mismatch, wrong shard id -- aborts the deploy
@@ -334,21 +309,15 @@ class OnlineService:
         serve the group's full traffic throughout, so no query is
         dropped or degraded.
 
-        Requires a remote fleet and a group of at least two replicas --
-        restarting a group's only member necessarily drops its shard.
+        Requires a group of at least two replicas -- restarting a
+        group's only member necessarily drops its shard.
         """
-        if not self.remote:
-            raise ValueError(
-                "rolling restart requires a remote fleet (in-process "
-                "searchers have no process to restart)"
-            )
         if not 0 <= shard_id < len(self.searchers):
             raise ValueError(
                 f"shard {shard_id} out of range for "
                 f"{len(self.searchers)} shards"
             )
-        entry = self.searchers[shard_id]
-        group = entry if isinstance(entry, list) else [entry]
+        group = self.searchers[shard_id]
         if len(group) < 2:
             raise ValueError(
                 f"rolling restart of shard {shard_id} needs a replica "
@@ -397,17 +366,17 @@ class OnlineService:
                     broker.groups[shard_id].restore(replica_id)
 
     def close(self) -> None:
-        """Close every broker (drains admission layers); idempotent.
+        """Close every broker (drains admission layers) and every
+        transport; idempotent.
 
-        For a remote fleet, also closes the per-searcher connection
-        pools (the searcher *processes* keep running -- they are owned
-        by whoever launched them).
+        A remote transport closes its connection pool (the searcher
+        *processes* keep running -- they are owned by whoever launched
+        them).
         """
         for broker in self.brokers.values():
             broker.close()
-        if self.remote:
-            for transport in self._all_transports():
-                transport.close()
+        for transport in self._all_transports():
+            transport.close()
 
     def stats(self) -> dict:
         """Service-wide serving stats: shared cache plus per-index brokers.

@@ -34,7 +34,7 @@ class SearchRequest:
     queries:
         ``(B, dim)`` float batch (a single vector is promoted to a batch
         of one); a NaN or infinite value is a ``ValueError`` here, before
-        any shard of either venue is asked.
+        any shard is asked.
     top_k:
         Number of neighbours per query; must be positive.
     index_name:

@@ -1,11 +1,11 @@
-"""The broker's fan-out venue is derived from the fleet, not configured.
+"""The broker's fan-out has one path, whatever the fleet holds.
 
-- An all-in-process fleet is searched **inline** on the calling thread:
-  no thread is ever started.
-- An all-remote fleet is **remote**: its RPCs are started and polled on
-  the calling thread too.  A fleet mixing the two kinds is refused.
-- Both venues answer like the reference index: the ``inline`` /
-  ``remote`` venues of ``tests/test_path_matrix.py``.
+- An all-in-process fleet starts no thread; an all-remote fleet's RPCs
+  are started and polled on the calling thread.
+- A fleet mixing in-process and remote shards -- across groups or within
+  one -- answers bit-equal to the all-in-process broker.  Both pure
+  fleets answer like the reference index: the ``inline`` / ``remote``
+  venues of ``tests/test_path_matrix.py``.
 - ``close()`` racing in-flight remote requests never hangs them and
   never leaks a connection: each request answers bit-identically or
   raises a :mod:`repro.errors` taxonomy error within its deadline.
@@ -22,7 +22,7 @@ import pytest
 from repro.errors import LannsError
 from repro.net.chaos import FaultPlan
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
+from repro.net.transport import LocalSearcherTransport, RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.types import SearchRequest
 from tests.conftest import LANNS_2X2, host_all, wait_until
@@ -53,60 +53,58 @@ def remote(servers, **kwargs):
     ]
 
 
-class TestVenueSelection:
-    def test_in_process_fleet_is_inline_and_starts_no_thread(
-        self, nodes, queries
-    ):
-        before = set(threading.enumerate())
-        broker = Broker(nodes, LANNS_2X2)
-        try:
-            assert broker.venue == "inline"
-            assert broker.stats()["venue"] == "inline"
-            broker.search_batch("venue", queries, 10)
-            assert not set(threading.enumerate()) - before
-        finally:
-            broker.close()
+def fleet(kind: str, nodes, transports) -> list:
+    return {
+        "in_process": nodes,
+        "remote": transports,
+        "across_groups": [nodes[0], transports[1]],
+        "within_a_group": [[nodes[0], transports[0]], transports[1]],
+    }[kind]
 
-    def test_remote_fleet_runs_on_the_calling_thread(
-        self, servers, queries, monkeypatch
+
+class TestOnePath:
+    @pytest.mark.parametrize(
+        "kind", ["in_process", "remote", "across_groups", "within_a_group"]
+    )
+    def test_every_fleet_answers_like_an_in_process_one(
+        self, nodes, servers, queries, kind, monkeypatch
     ):
-        """Every RPC of the fan-out is started on the caller's thread."""
+        """Every RPC is started on the calling thread (an in-process
+        fleet starts no thread at all), and ids, distances and cost are
+        bit-equal to the in-process broker's -- within a group, from
+        either replica."""
+        request = SearchRequest(queries=queries, top_k=10, index_name="venue")
+        want = Broker(nodes, LANNS_2X2).execute(request)
         started_on: set[threading.Thread] = set()
-        start = RemoteSearcherTransport.start_search
-
-        def recording(transport, call):
-            started_on.add(threading.current_thread())
-            return start(transport, call)
-
-        monkeypatch.setattr(RemoteSearcherTransport, "start_search", recording)
-        transports = remote(servers)
-        broker = Broker(transports, LANNS_2X2, request_timeout_s=30.0)
-        try:
-            assert broker.venue == "remote"
-            got = broker.execute(
-                SearchRequest(queries=queries, top_k=10, index_name="venue")
+        for owner in (LocalSearcherTransport, RemoteSearcherTransport):
+            start = owner.start_search
+            monkeypatch.setattr(
+                owner, "start_search", lambda transport, call, start=start: (
+                    started_on.add(threading.current_thread())
+                    or start(transport, call)
+                ),
             )
-            assert started_on == {threading.current_thread()}
-            assert (got.shards_answered == LANNS_2X2.num_shards).all()
+        transports = remote(servers)
+        broker = Broker(fleet(kind, nodes, transports), LANNS_2X2)
+        before = set(threading.enumerate())
+        try:
+            answers = [broker.execute(request)]
+            broker.groups[0].drain(0)  # a sibling, where there is one, answers
+            answers.append(broker.execute(request))
+            picks = [replica.picks for replica in broker.groups[0].replicas]
+            if kind == "in_process":
+                assert not set(threading.enumerate()) - before
         finally:
             broker.close()
             for transport in transports:
                 transport.close()
-
-    @pytest.mark.parametrize("mix", ["across_groups", "within_a_group"])
-    def test_a_mixed_fleet_is_refused(self, nodes, servers, mix):
-        transports = remote(servers)
-        fleet = (
-            [nodes[0], transports[1]]
-            if mix == "across_groups"
-            else [[nodes[0], transports[0]], transports[1]]
-        )
-        try:
-            with pytest.raises(ValueError, match="all in-process .* or all remote"):
-                Broker(fleet, LANNS_2X2)
-        finally:
-            for transport in transports:
-                transport.close()
+        assert started_on == {threading.current_thread()}
+        assert picks == ([1, 1] if kind == "within_a_group" else [2])
+        for got in answers:
+            assert (got.shards_answered == LANNS_2X2.num_shards).all()
+            assert (got.ids.tobytes(), got.dists.tobytes(), got.cost) == (
+                want.ids.tobytes(), want.dists.tobytes(), want.cost
+            )
 
 
 class TestCloseRace:

@@ -485,7 +485,6 @@ class TestConnectionHygiene:
             assert broker.stats()["counts"]["hedges"] == 1
             assert threads_added(before) == set()
             assert started_on == {threading.current_thread()}
-            assert broker.stats()["venue"] == "remote"
         finally:
             close_all(broker, transports)
 
@@ -501,12 +500,11 @@ class TestServiceIntegration:
         )
         try:
             remote.deploy(lanns_fs, LANNS_PATH, index_name="svc")
-            assert isinstance(remote.searchers[0], RemoteSearcherTransport)
+            assert isinstance(remote.searchers[0][0], RemoteSearcherTransport)
             response = remote.execute(
                 SearchRequest(queries=queries, top_k=10, index_name="svc")
             )
             assert (response.shards_answered == NUM_SHARDS).all()
-            assert remote.brokers["svc"].stats()["venue"] == "remote"
             assert remote.brokers["svc"].policy.hedge_after_s == 0.05
             remote.undeploy("svc")
         finally:

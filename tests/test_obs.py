@@ -290,11 +290,9 @@ class TestBrokerObservability:
             "cache",
             "microbatch",
             "stages",
-            "venue",
             "tracer",
             "replicas",
         }
-        assert stats["venue"] == "inline"
         assert set(stats["tracer"]) == {"started", "kept", "slow_queries"}
 
     def test_searcher_stats_schema_snapshot(self, lanns):

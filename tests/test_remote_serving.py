@@ -4,7 +4,7 @@ Most run against *in-thread* asyncio searcher servers (real sockets,
 fast startup); the kill-mid-flight test spawns *real searcher
 subprocesses* so a SIGKILL exercises genuine connection-reset paths.
 That answers over the wire -- micro-batched, cached, server-batched --
-equal in-process serving is the ``loop`` venue of
+equal in-process serving is the ``remote`` venue of
 ``tests/test_path_matrix.py``.  Failure taxonomy under test:
 
 - connection refused at deploy -> raises (and rolls back the fleet);
@@ -140,12 +140,13 @@ class TestRemoteStats:
         remote = OnlineService(searchers=addresses)
         try:
             remote.deploy(lanns_fs, LANNS_PATH, index_name="st")
-            stats = remote.searchers[0].stats()
+            (transport,) = remote.searchers[0]
+            stats = transport.stats()
             assert stats["shard_id"] == 0
             assert "st" in stats["hosted_indices"]
             assert stats["memory_vectors"] > 0
             remote.undeploy("st")
-            assert "st" not in remote.searchers[0].stats()["hosted_indices"]
+            assert "st" not in transport.stats()["hosted_indices"]
         finally:
             remote.close()
 
@@ -171,7 +172,7 @@ class TestDeployFailures:
 
     @pytest.mark.parametrize("remote", [False, True], ids=["in-process", "loopback"])
     def test_failed_broker_step_leaves_nothing_hosted(
-        self, monkeypatch, lanns_fs, servers, addresses, queries, lanns, remote
+        self, monkeypatch, lanns_fs, addresses, queries, lanns, remote
     ):
         """Whatever raises after hosting began -- here the ``Broker``
         construction itself -- takes the index back off every searcher,
@@ -188,9 +189,8 @@ class TestDeployFailures:
                 patched.setattr(service_module, "Broker", refuse)
                 with pytest.raises(ValueError, match="cannot run that policy"):
                     service.deploy(lanns_fs, LANNS_PATH, index_name="fb")
-            nodes = [server.node for server in servers] if remote else service.searchers
-            assert len(nodes) == NUM_SHARDS
-            assert ["fb" in node.hosted_indices for node in nodes] == [False] * NUM_SHARDS
+            hosted = ["fb" in t.stats()["hosted_indices"] for (t,) in service.searchers]
+            assert hosted == [False] * NUM_SHARDS
             assert service.deployed_indices == []
             with pytest.raises(KeyError):
                 service.undeploy("fb")

@@ -491,9 +491,10 @@ class TestRollingRestart:
         finally:
             broker.groups[0].restore(1)
 
-    def test_rolling_restart_requires_remote_fleet(self):
+    def test_rolling_restart_requires_remote_fleet(self, lanns_fs):
         service = OnlineService()
-        with pytest.raises(ValueError, match="remote"):
+        service.deploy(lanns_fs, LANNS_PATH)
+        with pytest.raises(ValueError, match="replica group of >= 2"):
             service.rolling_restart(0, lambda shard, replica: None)
 
     def test_rolling_restart_requires_a_sibling(self, grid):
