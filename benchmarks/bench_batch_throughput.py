@@ -1,14 +1,14 @@
-"""Batched serving throughput: `Broker.search_batch` vs sequential search.
+"""Batched serving throughput: batched vs one-row `Broker.execute` requests.
 
 The LANNS paper serves ~2.5k QPS per shard by amortising work across
 concurrent traffic; this benchmark measures the reproduction's analogue,
 the lockstep batched query engine.  One broker fronts a sharded index
 and serves the same query stream two ways, interleaved:
 
-* *sequential* -- one `Broker.search` call per query (each internally a
+* *sequential* -- one one-row `Broker.execute` request per query (a
   batch of one, so both modes exercise the identical kernel), and
-* *batched* -- `Broker.search_batch` over fixed-size batches, i.e. one
-  shard fan-out and one vectorised multi-query merge per batch.
+* *batched* -- one request per fixed-size batch, i.e. one shard fan-out
+  and one vectorised multi-query merge per batch.
 
 ``batched``: the best batch size must deliver >= 2x the sequential QPS,
 and every timed batch answer must equal the timed single-query answers
@@ -63,6 +63,7 @@ from harness import (
     interleaved,
     main,
     report,
+    request,
     require,
     speedup,
     summary,
@@ -135,13 +136,11 @@ def check_batched(run, env) -> None:
     batches: dict = {}
 
     def single(row: int) -> None:
-        singles[row] = broker.search(
-            INDEX_NAME, queries[row], run.top_k, ef=run.ef
-        )
+        singles[row] = broker.execute(request(queries[row], run))
 
     def batch(size: int, start: int) -> None:
-        batches[size, start] = broker.search_batch(
-            INDEX_NAME, queries[start : start + size], run.top_k, ef=run.ef
+        batches[size, start] = broker.execute(
+            request(queries[start : start + size], run)
         )
 
     requests = {"sequential": [partial(single, row) for row in range(len(queries))]}
@@ -152,13 +151,11 @@ def check_batched(run, env) -> None:
     scores = interleaved(requests, run.passes)
     broker.close()
 
-    for (size, start), (ids, dists) in batches.items():
-        for row, (one_ids, one_dists) in enumerate(singles[start : start + size]):
-            count = len(one_ids)
+    for (size, start), got in batches.items():
+        for row, one in enumerate(singles[start : start + size]):
             require(
-                (ids[row, :count] == one_ids).all()
-                and (ids[row, count:] == -1).all()
-                and (dists[row, :count] == one_dists).all(),
+                (got.ids[row] == one.ids[0]).all()
+                and (got.dists[row] == one.dists[0]).all(),
                 f"batch of {size} differs from the single-query answer "
                 f"at query {start + row}",
             )
@@ -174,8 +171,8 @@ def check_batched(run, env) -> None:
         "batch_throughput",
         rows,
         title=(
-            "Batched serving throughput (Broker.search_batch vs sequential "
-            f"Broker.search; {run.num_base} x {run.dim}, {run.shards} x "
+            "Batched serving throughput (batched vs one-row "
+            f"Broker.execute; {run.num_base} x {run.dim}, {run.shards} x "
             f"{run.segments} partitions, {len(queries)} queries, ef={run.ef})"
         ),
         payload={"smoke": run.smoke},
@@ -650,19 +647,17 @@ def check_concurrent(run, env) -> None:
     )
 
     def search(broker):
-        return partial(broker.search, INDEX_NAME, top_k=run.top_k, ef=run.ef)
+        return lambda query: broker.execute(request(query, run))
 
     def one_by_one(broker) -> dict:
         calls = [partial(search(broker), query) for query in queries]
         return summary(interleaved({"calls": calls}, 1)["calls"])
 
     def same(what: str, answers) -> None:
-        for row, ((ids, dists), (want_ids, want_dists)) in enumerate(
-            zip(answers, expected)
-        ):
-            require((ids == want_ids).all(), f"{what} id mismatch at query {row}")
+        for row, (got, want) in enumerate(zip(answers, expected)):
+            require((got.ids == want.ids).all(), f"{what} id mismatch at query {row}")
             require(
-                (dists == want_dists).all(),
+                (got.dists == want.dists).all(),
                 f"{what} distance mismatch at query {row}",
             )
 

@@ -53,6 +53,7 @@ from harness import (
     interleaved,
     main,
     report,
+    request,
     require,
     speedup,
     summary,
@@ -110,28 +111,28 @@ def served(service, queries, run, rows_per_request: int, answers: dict) -> list:
     ``rows_per_request`` at a time; each answer lands in ``answers``."""
 
     def serve(start: int) -> None:
-        answers[start] = service.query_batch(
-            queries[start : start + rows_per_request], run.top_k, ef=run.ef
-        )
+        answers[start] = service.execute(request(
+            queries[start : start + rows_per_request], run
+        ))
 
     return [
         partial(serve, start) for start in range(0, len(queries), rows_per_request)
     ]
 
 
-def require_parity(answers: dict, want_ids, want_dists, what: str) -> None:
-    for start, (ids, dists) in answers.items():
-        stop = start + len(ids)
+def require_parity(answers: dict, want, what: str) -> None:
+    for start, got in answers.items():
+        stop = start + len(got.ids)
         require(
-            (ids == want_ids[start:stop]).all()
-            and (dists == want_dists[start:stop]).all(),
+            (got.ids == want.ids[start:stop]).all()
+            and (got.dists == want.dists[start:stop]).all(),
             f"{what} result differs from in-process serving at query {start}",
         )
 
 
 def check_throughput(run, env) -> None:
     fs, _, queries, local = env
-    want_ids, want_dists = local.query_batch(queries, run.top_k, ef=run.ef)
+    want = local.execute(request(queries, run))
     with fleet(fs, run.shards) as (groups, addresses):
         print(
             "fleet: "
@@ -164,8 +165,8 @@ def check_throughput(run, env) -> None:
             )
         finally:
             remote.close()
-    require_parity(singles, want_ids, want_dists, "remote single-query")
-    require_parity(batches, want_ids, want_dists, "remote batched")
+    require_parity(singles, want, "remote single-query")
+    require_parity(batches, want, "remote batched")
     print("parity: remote fleet results bit-identical to in-process ✓")
     print(
         f"searcher CPU: {cpu_ms:.3f} ms per one-query SEARCH RPC (user + "
@@ -237,7 +238,7 @@ def check_hedging(run, env) -> None:
     """
     fs, _, queries, local = env
     probe = queries[:32]
-    want_ids, want_dists = local.query_batch(probe, run.top_k, ef=run.ef)
+    want = local.execute(request(probe, run))
     p99_ms, stats = {}, {}
     with fleet(
         fs, run.shards, chaos_shard=1, chaos=f"delay_every=2,delay_s={SLOW_DELAY_S}"
@@ -254,7 +255,7 @@ def check_hedging(run, env) -> None:
                 scores = interleaved(
                     {name: served(service, probe, run, 1, answers)}, 1
                 )
-                require_parity(answers, want_ids, want_dists, name)
+                require_parity(answers, want, name)
                 p99_ms[name] = summary(scores[name])["p99_ms"]
                 stats = service.brokers[INDEX_NAME].stats()
                 service.undeploy(INDEX_NAME)

@@ -56,6 +56,7 @@ from repro.obs.clock import quantile_summary
 from repro.offline.indexing import build_index_job
 from repro.offline.querying import QueryJobResult, query_index_job
 from repro.offline.recall import recall_curve
+from repro.online.types import SearchRequest
 from repro.segmenters.base import Segmenter
 from repro.sparklite.cluster import LocalCluster
 from repro.sparklite.metrics import StageMetrics
@@ -99,6 +100,12 @@ def corpus(sizes, **config) -> tuple[np.ndarray, np.ndarray, LannsConfig]:
         seed=SEED,
     )
     return vectors, queries, LannsConfig(**{**fields, **config})
+
+
+def request(queries, run) -> SearchRequest:
+    """``queries`` (one row or a batch) as one request for
+    :data:`INDEX_NAME` at the run's ``top_k`` and ``ef``."""
+    return SearchRequest(queries, run.top_k, INDEX_NAME, run.ef)
 
 
 @contextmanager

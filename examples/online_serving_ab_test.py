@@ -20,6 +20,7 @@ from repro import LannsConfig, HnswParams, build_lanns_index
 from repro.data import groups_like, make_queries
 from repro.offline import exact_top_k, recall_at_k
 from repro.online import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage import LocalHdfs, save_lanns_index
 
 
@@ -71,10 +72,10 @@ def main() -> None:
         # Serve both arms and score them.
         results = {}
         for arm in ("model-a", "model-b"):
-            ids = np.full((len(queries), 15), -1, dtype=np.int64)
-            for row, query in enumerate(queries):
-                found, _ = service.query(query, 15, index_name=arm, ef=96)
-                ids[row, : len(found)] = found
+            ids = np.concatenate([
+                service.execute(SearchRequest(query, 15, arm, 96)).ids
+                for query in queries
+            ])
             results[arm] = recall_at_k(ids, truth, 15)
         # Throughput and p99 from the running system: the model-A broker's
         # own request clock, over the queries it just served.

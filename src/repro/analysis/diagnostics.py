@@ -72,30 +72,6 @@ class ModuleSource:
         )
 
 
-def qualname_collector(tree: ast.Module) -> dict[int, str]:
-    """Map every def/class line to its dotted qualname (``Cls.meth``).
-
-    Used by checkers to stamp ``Finding.symbol`` without each one
-    re-implementing scope tracking.
-    """
-
-    out: dict[int, str] = {}
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                qual = f"{prefix}.{child.name}" if prefix else child.name
-                out[child.lineno] = qual
-                visit(child, qual)
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return out
-
-
 def enclosing_symbol(tree: ast.Module, lineno: int) -> str:
     """Best-effort dotted symbol containing ``lineno``."""
 

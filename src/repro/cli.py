@@ -252,7 +252,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Pretty-print exported trace JSON as indented span trees.
 
     Accepts a single trace dict (``query --trace-out``), a list of them
-    (``Tracer.export_json``), or ``-`` for stdin.
+    (``Tracer.export`` dumped as JSON), or ``-`` for stdin.
     """
     from repro.obs.tracing import format_trace
 
@@ -335,11 +335,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     sequential, batched = Broker(searchers, config), Broker(searchers, config)
     try:
         for query in queries:
-            sequential.search("bench", query, top_k, ef=args.ef)
+            sequential.execute(SearchRequest(query, top_k, "bench", args.ef))
         ids = np.concatenate([
-            batched.search_batch(
-                "bench", queries[start : start + args.batch_size], top_k, ef=args.ef
-            )[0]
+            batched.execute(SearchRequest(
+                queries[start : start + args.batch_size], top_k, "bench", args.ef
+            )).ids
             for start in range(0, len(queries), args.batch_size)
         ])
         passes = [

@@ -232,10 +232,6 @@ class HnswIndex:
         """Full-vector distance evaluations so far (build + search)."""
         return self._scorer.ops
 
-    def reset_distance_ops(self) -> None:
-        """Zero the distance counter (e.g. after build, before search)."""
-        self._scorer.ops = 0
-
     def vector(self, external_id: int) -> np.ndarray:
         """Stored vector for ``external_id`` (normalised for cosine)."""
         return np.array(self._scorer.data[self._id_to_row[external_id]])

@@ -7,20 +7,22 @@ invisible above this line.  That is what lets the micro-batcher, the
 result cache, the perShardTopK math and the merge run unchanged when the
 fleet moves out of process.
 
-The data contract is ``search(call) -> reply``: one immutable
-:class:`~repro.net.protocol.ShardCall` (the SEARCH message: index, query
-block, ``top_k``, ``ef``, ``trace``, ``cost``, ``deadline``)
-in, one :class:`~repro.net.protocol.ShardReply` (ids, dists, ``cost``,
-``trace``) out.  No transport spells those fields: a new per-request
-signal is one entry appended to ``FRAME_FIELDS`` and one dataclass
-field, set where the call is built and read where it is served.
+The data contract is ``start_search(call).result() -> reply``: one
+immutable :class:`~repro.net.protocol.ShardCall` (the SEARCH message:
+index, query block, ``top_k``, ``ef``, ``trace``, ``cost``,
+``deadline``) in, one :class:`~repro.net.protocol.ShardReply` (ids,
+dists, ``cost``, ``trace``) out.  No transport spells those fields: a
+new per-request signal is one entry appended to ``FRAME_FIELDS`` and
+one dataclass field, set where the call is built and read where it is
+served.
 
 The broker's fan-out starts every shard's RPC with ``start_search`` and
 polls them together on the caller's thread; the service deploys with
-``verify`` / ``deploy`` / ``undeploy``.  Both transports answer all of
-it, so a fleet may mix them freely.  An in-process ``start_search``
-searches before it returns (:class:`AnsweredRpc`): numpy work cannot be
-cancelled, so that attempt is never hedged, failed over or paused.
+``verify`` / ``deploy`` / ``undeploy``.  Those four and ``stats`` are
+the abstract set, so a fleet may mix the two transports freely.  An
+in-process ``start_search`` searches before it returns
+(:class:`AnsweredRpc`): numpy work cannot be cancelled, so that attempt
+is never hedged, failed over or paused.
 ``remote`` is the one thing a caller may ask: whether a blocking poll
 or a hedge can ever be needed.
 
@@ -52,7 +54,7 @@ __all__ = [
 
 
 class SearcherTransport(abc.ABC):
-    """What the broker needs from a shard, wherever it runs."""
+    """What the broker and the service need from a shard, wherever it runs."""
 
     shard_id: int
     #: Whether the shard sits behind a socket (its RPC may wait, fail
@@ -60,8 +62,22 @@ class SearcherTransport(abc.ABC):
     remote = False
 
     @abc.abstractmethod
-    def search(self, call: ShardCall) -> ShardReply:
-        """Lockstep shard search of ``call.queries``."""
+    def start_search(self, call: ShardCall):
+        """Start the lockstep shard search of ``call.queries``; the
+        returned RPC has ``done``, ``error``, ``wake_at`` and
+        ``result()`` for the fan-out's poll."""
+
+    @abc.abstractmethod
+    def verify(self) -> None:
+        """Check the transport reaches the shard it claims to serve."""
+
+    @abc.abstractmethod
+    def deploy(self, index_name: str, index_path: str, *, root: str) -> None:
+        """Host shard ``shard_id`` of the index exported at ``index_path``."""
+
+    @abc.abstractmethod
+    def undeploy(self, index_name: str) -> None:
+        """Stop hosting ``index_name``."""
 
     @abc.abstractmethod
     def stats(self) -> dict:
@@ -99,16 +115,13 @@ class LocalSearcherTransport(SearcherTransport):
         self.node = node
         self.shard_id = node.shard_id
 
-    def search(self, call: ShardCall) -> ShardReply:
-        recorder = SpanRecorder() if call.trace is not None else None
-        ids, dists, cost = observed_search(self.node, call, recorder)
-        return ShardReply(
-            ids, dists, cost, recorder.export() if recorder is not None else None
-        )
-
     def start_search(self, call: ShardCall) -> AnsweredRpc:
         """Search ``call`` now; an exception is the caller's."""
-        return AnsweredRpc(self.search(call))
+        recorder = SpanRecorder() if call.trace is not None else None
+        ids, dists, cost = observed_search(self.node, call, recorder)
+        return AnsweredRpc(ShardReply(
+            ids, dists, cost, recorder.export() if recorder is not None else None
+        ))
 
     def verify(self) -> None:
         """Nothing to check: the node is the shard."""

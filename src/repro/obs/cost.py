@@ -53,25 +53,8 @@ class SearchCost:
         self.segments_probed = int(segments_probed)
         self.rescore_rows = int(rescore_rows)
 
-    def merge(self, other: "SearchCost | dict | None") -> "SearchCost":
-        """Add another cost (or its ``as_dict`` form) into this one."""
-        if other is None:
-            return self
-        if isinstance(other, dict):
-            other = SearchCost.from_dict(other)
-        for field in FIELDS:
-            setattr(self, field, getattr(self, field) + getattr(other, field))
-        return self
-
     def as_dict(self) -> dict:
         return {field: getattr(self, field) for field in FIELDS}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SearchCost":
-        """Build from ``as_dict`` output; unknown keys are ignored."""
-        return cls(**{
-            field: int(payload.get(field, 0)) for field in FIELDS
-        })
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SearchCost):

@@ -31,7 +31,6 @@ RPCs in flight at once, interleaved on one thread.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import threading
@@ -294,9 +293,6 @@ class Tracer:
     def export(self) -> list[dict]:
         """Kept traces as JSON-safe dicts (newest last)."""
         return [trace.to_dict() for trace in self.traces()]
-
-    def export_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.export(), indent=indent)
 
     def stats(self) -> dict:
         """Traces started and kept, and slow queries logged (the rate and

@@ -5,9 +5,9 @@ responsible for calculating and passing the perShardTopK to each shard."
 
 :meth:`Broker.execute` takes a frozen
 :class:`~repro.online.types.SearchRequest` and returns a
-:class:`~repro.online.types.SearchResponse`; ``search``/``search_batch``
-are thin wrappers over it.  It is a pipeline, each step one stage of the
-broker's :class:`~repro.obs.clock.StageClock`::
+:class:`~repro.online.types.SearchResponse`, the one way to ask a
+fleet.  It is a pipeline, each step one stage of the broker's
+:class:`~repro.obs.clock.StageClock`::
 
     validate -> cache -> admit -> route -> fan out -> merge -> record
 
@@ -50,11 +50,9 @@ from repro.online.hedging import resolve_hedge_delay
 from repro.online.microbatch import AdmissionKey, admission_key
 from repro.online.replicas import ReplicaGroup
 from repro.online.router import Router
-from repro.online.searcher import SearcherNode  # noqa: F401 (re-export)
 from repro.online.types import SearchRequest, SearchResponse
 from repro.segmenters.base import Segmenter
 from repro.utils.flags import FlagFields, knob
-from repro.utils.validation import as_vector
 
 _REGISTRY = get_registry()
 #: What a broker counts, by :class:`~repro.obs.metrics.Tally` name.
@@ -191,7 +189,8 @@ class Broker:
     ----------
     searchers:
         One entry per shard, in shard order.  Each entry is either a
-        single searcher (a raw :class:`SearcherNode` or a
+        single searcher (a raw
+        :class:`~repro.online.searcher.SearcherNode` or a
         :class:`~repro.net.transport.SearcherTransport`) or a
         list/tuple of interchangeable replicas serving that shard.
         ``self.searchers`` keeps the argument as given; ``self.groups``
@@ -363,7 +362,6 @@ class Broker:
     def execute(self, request: SearchRequest) -> SearchResponse:
         """Serve one :class:`SearchRequest` end to end.
 
-        The one serving path: ``search``/``search_batch`` wrap this.
         Every request flows through the result cache and the
         micro-batching admission layer.  A request that fails is in the
         latency histogram, the ``stats()["stages"]["request"]`` window and
@@ -461,48 +459,3 @@ class Broker:
             num_shards=num_shards,
             cost=result.cost,
         )
-
-    # -- array-in / array-out wrappers ------------------------------------------------
-    def search(
-        self,
-        index_name: str,
-        query: np.ndarray,
-        top_k: int,
-        *,
-        ef: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve one query end to end (a batch of one).
-
-        Returns
-        -------
-        (ids, distances): ascending by distance, at most ``top_k``.
-        """
-        query = as_vector(query, name="query")
-        ids, dists = self.search_batch(
-            index_name, query[np.newaxis, :], top_k, ef=ef
-        )
-        valid = ids[0] >= 0
-        return ids[0][valid], dists[0][valid]
-
-    def search_batch(
-        self,
-        index_name: str,
-        queries: np.ndarray,
-        top_k: int,
-        *,
-        ef: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve a query batch: a thin wrapper over :meth:`execute`.
-
-        Returns ``(B, top_k)`` id/distance arrays padded with ``-1`` /
-        ``inf``; call :meth:`execute` for the serving metadata.
-        """
-        response = self.execute(
-            SearchRequest(
-                queries=queries,
-                top_k=top_k,
-                index_name=index_name,
-                ef=ef,
-            )
-        )
-        return response.ids, response.dists

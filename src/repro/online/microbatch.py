@@ -106,7 +106,7 @@ class MicroBatcher:
 
     Notes
     -----
-    Blocks are never split: a multi-row ``query_batch`` block stays
+    Blocks are never split: a multi-row request's block stays
     contiguous inside the coalesced batch (a block larger than
     ``max_batch`` simply flushes alone), which keeps result slicing
     trivial and preserves the caller's one-request-one-fan-out latency

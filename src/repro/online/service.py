@@ -26,8 +26,6 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import replace
 
-import numpy as np
-
 from repro.core.config import LannsConfig
 from repro.errors import (
     ConnectionLostError,
@@ -408,34 +406,3 @@ class OnlineService:
     def execute(self, request: SearchRequest) -> SearchResponse:
         """Serve one structured request against its deployed index."""
         return self._broker(request.index_name).execute(request)
-
-    def query(
-        self,
-        query: np.ndarray,
-        top_k: int,
-        *,
-        index_name: str = "default",
-        ef: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve one query against a deployed index."""
-        return self._broker(index_name).search(index_name, query, top_k, ef=ef)
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        top_k: int,
-        *,
-        index_name: str = "default",
-        ef: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve a query batch in one broker fan-out.
-
-        Returns ``(B, top_k)`` id/distance arrays padded with ``-1`` /
-        ``inf``; per-query results are identical to :meth:`query`.
-        :meth:`execute` returns the partial-result annotation
-        (``shards_answered`` per row) and the rest of the serving
-        metadata.
-        """
-        return self._broker(index_name).search_batch(
-            index_name, queries, top_k, ef=ef
-        )

@@ -12,8 +12,8 @@ Two frozen dataclasses carry a query batch through the serving tier:
   how many shard groups were routed and answered per row, the search
   cost and the request's trace.
 
-``Broker.execute(request) -> response`` is the one entry point;
-``search``/``search_batch`` are array-in/array-out wrappers over it.
+``Broker.execute(request) -> response`` (and ``OnlineService.execute``,
+which picks the broker by ``index_name``) is the one entry point.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ class SearchRequest:
 class SearchResponse:
     """Results of one executed :class:`SearchRequest`.
 
-    ``ids``/``dists`` are ``(B, top_k)`` with ``-1`` / ``inf`` padding,
-    exactly as ``search_batch`` returns them.  The metadata arrays
-    describe the fan-out: ``shards_routed[row]`` is how many shard groups
-    host a segment the row routes to (``num_shards`` wherever every group
-    hosts every segment) and ``shards_answered[row]`` how many of those
-    actually contributed, so ``shards_answered < shards_routed`` marks a
-    degraded row.
+    ``ids``/``dists`` are ``(B, top_k)`` with ``-1`` / ``inf`` padding
+    past a short row.  The metadata arrays describe the fan-out:
+    ``shards_routed[row]`` is how many shard groups host a segment the
+    row routes to (``num_shards`` wherever every group hosts every
+    segment) and ``shards_answered[row]`` how many of those actually
+    contributed, so ``shards_answered < shards_routed`` marks a degraded
+    row.
     """
 
     ids: np.ndarray

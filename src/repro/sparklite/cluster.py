@@ -60,10 +60,6 @@ def _timed_call(fn: Callable[[], object]) -> tuple[object, float]:
     return result, time.perf_counter() - begin
 
 
-class ExecutorDeathError(ClusterError):
-    """Raised inside a task attempt when its executor is killed."""
-
-
 @dataclass
 class StageResult:
     """Results plus metrics for one completed stage."""

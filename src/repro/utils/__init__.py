@@ -5,7 +5,6 @@ from repro.utils.validation import (
     as_matrix,
     as_vector,
     check_positive,
-    check_probability,
 )
 
 __all__ = [
@@ -14,5 +13,4 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "check_positive",
-    "check_probability",
 ]

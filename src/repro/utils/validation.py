@@ -73,12 +73,6 @@ def check_positive(value: int | float, name: str) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def check_probability(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is in the closed unit interval."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
 def payload_member(
     payload: dict, name: str, dtype=None, shape: tuple | None = None
 ) -> np.ndarray:

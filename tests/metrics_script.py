@@ -32,6 +32,7 @@ from repro.net.server import SearcherServer
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
 
@@ -68,11 +69,11 @@ def stable_text(text: str, clocks: set) -> list:
 
 def serve(service: OnlineService, queries: np.ndarray) -> None:
     """The request script every fleet runs."""
-    service.query_batch(queries[:6], 10)
+    service.execute(SearchRequest(queries[:6], 10))
     for row in queries[:4]:
-        service.query(row, 5)
-    service.query_batch(queries[2:8], 10)  # four rows hit the cache
-    service.query(queries[9], 25, ef=60)
+        service.execute(SearchRequest(row, 5))
+    service.execute(SearchRequest(queries[2:8], 10))  # four rows hit the cache
+    service.execute(SearchRequest(queries[9], 25, ef=60))
 
 
 def main() -> None:

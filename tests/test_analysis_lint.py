@@ -7,6 +7,7 @@ including the known false-positive traps: lock-free initialisation in
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -1146,10 +1147,16 @@ def test_the_shard_call_field_list_is_spelled_once():
                     f"{path.name}:{node.name}({name})" for name in names & banned
                 ]
     assert offenders == []
-    # One abstract search per transport, taking just the call.
+    # The abstract set is what the fleet path calls: the fan-out's
+    # start_search, taking just the call, and the service's control plane.
     from repro.net.transport import SearcherTransport
 
-    assert SearcherTransport.__abstractmethods__ == {"search", "stats"}
+    assert SearcherTransport.__abstractmethods__ == {
+        "start_search", "verify", "deploy", "undeploy", "stats"
+    }
+    assert list(
+        inspect.signature(SearcherTransport.start_search).parameters
+    ) == ["self", "call"]
 
 
 class TestServingTierShape:
@@ -1211,6 +1218,24 @@ class TestServingTierShape:
             assert "StageLatencyRecorder" not in path.read_text(), path
         for path in (self.src / "online").glob("*.py"):
             assert "perf_counter" not in path.read_text(), path
+
+    def test_execute_is_the_one_way_to_ask_a_fleet(self):
+        """``execute(SearchRequest)`` is the broker's and the service's
+        only serving entry point: no public method takes query arrays."""
+        from repro.online.broker import Broker
+        from repro.online.service import OnlineService
+
+        for owner in (Broker, OnlineService):
+            assert list(inspect.signature(owner.execute).parameters) == [
+                "self", "request"
+            ]
+            takes_queries = {
+                name
+                for name, method in inspect.getmembers(owner, inspect.isfunction)
+                if not name.startswith("_")
+                and {"query", "queries"} & set(inspect.signature(method).parameters)
+            }
+            assert takes_queries == set(), owner.__name__
 
 
 class TestBenchSurface:

@@ -171,7 +171,9 @@ class TestChaosFailover:
                 LANNS_2X2,
                 partial_policy="fail",
             )
-            results = [broker.search_batch("r", queries, 5) for _ in range(4)]
+            results = [
+                broker.execute(SearchRequest(queries, 5, "r")) for _ in range(4)
+            ]
             return results, broker.stats()
         finally:
             if broker is not None:
@@ -193,7 +195,7 @@ class TestChaosFailover:
             )
         finally:
             chaotic.stop()
-        assert all((ids >= 0).all() for ids, _ in results)
+        assert all((response.ids >= 0).all() for response in results)
         assert stats["counts"].get("failovers", 0) >= 1
 
     def test_failover_covers_injected_overload(
@@ -208,7 +210,7 @@ class TestChaosFailover:
             )
         finally:
             chaotic.stop()
-        assert all((ids >= 0).all() for ids, _ in results)
+        assert all((response.ids >= 0).all() for response in results)
         assert stats["counts"].get("failovers", 0) >= 1
 
     def test_fully_overloaded_group_waits_retry_after_then_raises(
@@ -237,7 +239,7 @@ class TestChaosFailover:
             )
             tick = time.monotonic()
             with pytest.raises(OverloadedError):
-                broker.search_batch("r", queries, 5)
+                broker.execute(SearchRequest(queries, 5, "r"))
             elapsed = time.monotonic() - tick
             # One honored retry-after pause, then the structured error
             # (not a timeout) -- the group re-shed on the second lap.

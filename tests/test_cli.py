@@ -311,18 +311,18 @@ class TestEveryFlagReachesItsConsumer:
         import repro.cli
 
         monkeypatch.setenv("REPRO_SCALE", "0.02")  # 200 vectors, 10 queries
-        singles = spy(monkeypatch, repro.cli.Broker, "search")
-        batches = spy(monkeypatch, repro.cli.Broker, "search_batch")
+        calls = spy(monkeypatch, repro.cli.Broker, "execute")
         argv = [
             "bench", "--segments", "2", "--batch-size", "4",
             "--hnsw-m", "6", "--ef-construction", "30", "--ef", "33",
         ]
         assert main(argv) == 0
-        assert [kwargs for _, kwargs in singles] == [{"ef": 33}] * 10
-        # Every ``search`` is a batch of one; the batched pass sends 4, 4, 2.
-        sizes = [len(args[2]) for args, _ in batches]
+        requests = [request for (_, request), _ in calls]
+        # The sequential pass sends ten one-row requests; the batched
+        # pass 4, 4, 2.
+        sizes = [len(request.queries) for request in requests]
         assert sizes == [1] * 10 + [4, 4, 2]
-        assert {kwargs["ef"] for _, kwargs in batches} == {33}
+        assert {request.ef for request in requests} == {33}
 
     def test_stats_timeout_reaches_the_client(self, monkeypatch, capsys):
         import repro.net.client

@@ -44,6 +44,7 @@ from repro.net.transport import (
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from tests.conftest import FAST_HNSW, make_clustered
 
 INDEX_NAME = "facade"
@@ -220,7 +221,7 @@ class TestBlockingCallers:
         broker = Broker([transport], CONFIG)
 
         async def misuse():
-            return broker.search_batch(INDEX_NAME, queries[:2], 5)
+            return broker.execute(SearchRequest(queries[:2], 5, INDEX_NAME))
 
         try:
             with pytest.raises(RuntimeError, match="running event loop"):
@@ -331,7 +332,7 @@ class TestOneRemoteTransport:
         transport = RemoteSearcherTransport(server.address, 0)
         remote = Broker([transport], CONFIG)
         try:
-            got = remote.search_batch(INDEX_NAME, queries[:3], 5)
+            got = remote.execute(SearchRequest(queries[:3], 5, INDEX_NAME))
         finally:
             remote.close()
             transport.close()
@@ -340,13 +341,13 @@ class TestOneRemoteTransport:
 
         local = Broker([server.node], CONFIG)
         try:
-            inline = local.search_batch(INDEX_NAME, queries[:3], 5)
+            inline = local.execute(SearchRequest(queries[:3], 5, INDEX_NAME))
         finally:
             local.close()
         assert crossed == {"search_batch": 2}
-        for ids, dists in (got, inline):
-            np.testing.assert_array_equal(ids, want[0])
-            np.testing.assert_array_equal(dists, want[1])
+        for response in (got, inline):
+            np.testing.assert_array_equal(response.ids, want[0])
+            np.testing.assert_array_equal(response.dists, want[1])
 
     def test_the_ledgers_service_keyword_is_still_accepted(self):
         OnlineService(async_fanout=True).close()
@@ -365,6 +366,7 @@ from repro.net.client import RemoteSearcherClient
 from repro.net.server import SearcherServer
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import save_lanns_index
 
@@ -391,8 +393,8 @@ fs = LocalHdfs(ROOT)
 save_lanns_index(index, fs, "census")
 service = OnlineService()
 service.deploy(fs, "census", index_name="census")
-service.query_batch(
-    rng.normal(size=(4, 8)).astype(np.float32), 3, index_name="census"
+service.execute(
+    SearchRequest(rng.normal(size=(4, 8)).astype(np.float32), 3, "census")
 )
 assert started_threads() == [], started_threads()
 service.close()
@@ -421,7 +423,7 @@ assert started_threads() == [], started_threads()
 ab = OnlineService(searchers=[server.address])
 for name in ("a", "b"):
     ab.deploy(fs, "census", index_name=name)
-    ab.query_batch(rng.normal(size=(4, 8)).astype(np.float32), 3, index_name=name)
+    ab.execute(SearchRequest(rng.normal(size=(4, 8)).astype(np.float32), 3, name))
 assert started_threads() == [], started_threads()
 ab.close()
 for client in clients:

@@ -117,7 +117,9 @@ class TestCloseRace:
         request fails with a taxonomy error.  Nothing hangs past the
         deadline, nothing leaks."""
         inline = Broker(nodes, LANNS_2X2)
-        expected = [inline.search("venue", query, 8) for query in queries]
+        expected = [
+            inline.execute(SearchRequest(query, 8, "venue")) for query in queries
+        ]
         inline.close()
         # Every SEARCH stalls a little, so close() finds RPCs in flight.
         for server in servers:
@@ -133,7 +135,9 @@ class TestCloseRace:
             while not stop.is_set():
                 began = time.perf_counter()
                 try:
-                    result: object = broker.search("venue", queries[row], 8)
+                    result: object = broker.execute(
+                        SearchRequest(queries[row], 8, "venue")
+                    )
                 except BaseException as exc:
                     result = exc
                 outcomes.append((row, result, time.perf_counter() - began))
@@ -166,8 +170,8 @@ class TestCloseRace:
                 assert isinstance(result, LannsError), repr(result)
                 continue
             answered += 1
-            np.testing.assert_array_equal(result[0], expected[row][0])
-            np.testing.assert_array_equal(result[1], expected[row][1])
+            np.testing.assert_array_equal(result.ids, expected[row].ids)
+            np.testing.assert_array_equal(result.dists, expected[row].dists)
         assert answered >= served_after_close + 8 - 4
         for transport in transports:
             assert transport.client.open_connections == 0

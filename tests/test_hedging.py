@@ -133,14 +133,14 @@ class TestHedgeCounts:
             request_timeout_s=30.0,
         )
         try:
-            broker.search_batch("hedge", queries, 10)
+            broker.execute(SearchRequest(queries, 10, "hedge"))
             assert broker.stats()["counts"].get("hedges", 0) == 1
             assert broker.stats()["counts"].get("hedge_wins", 0) == 1
             # Second batch: the hedge cycle repeats deterministically.
-            broker.search_batch("hedge", queries, 10)
+            broker.execute(SearchRequest(queries, 10, "hedge"))
             assert broker.stats()["counts"].get("hedges", 0) == 2
             # Single-query path through the same hedged fan-out.
-            broker.search("hedge", queries[0], 10)
+            broker.execute(SearchRequest(queries[0], 10, "hedge"))
             assert broker.stats()["counts"].get("hedges", 0) == 3
         finally:
             close_all(broker, transports)
@@ -150,7 +150,7 @@ class TestHedgeCounts:
         broker = Broker(transports, LANNS_2X2)
         try:
             begin = time.perf_counter()
-            broker.search_batch("hedge", queries, 10)
+            broker.execute(SearchRequest(queries, 10, "hedge"))
             elapsed = time.perf_counter() - begin
             assert broker.stats()["counts"].get("hedges", 0) == 0
             assert elapsed >= SLOW_DELAY_S * 0.8, (
@@ -176,7 +176,7 @@ class TestHedgeCounts:
         def client(worker: int) -> None:
             try:
                 for row in range(worker, queries.shape[0], 4):
-                    broker.search("hedge", queries[row], 8)
+                    broker.execute(SearchRequest(queries[row], 8, "hedge"))
             except BaseException as exc:
                 errors.append(exc)
 
@@ -402,7 +402,7 @@ class TestConnectionHygiene:
         )
         try:
             for _ in range(5):
-                broker.search_batch("hedge", queries[:4], 10)
+                broker.execute(SearchRequest(queries[:4], 10, "hedge"))
             assert broker.stats()["counts"].get("hedges", 0) == 5
             slow_client = transports[SLOW_SHARD].client
             assert slow_client.open_connections <= slow_client.pool_size, (
@@ -429,10 +429,10 @@ class TestConnectionHygiene:
                     LANNS_2X2,
                     request_timeout_s=30.0,
                 )
-                broker.search_batch("hedge", queries[:2], 5)
+                broker.execute(SearchRequest(queries[:2], 5, "hedge"))
                 broker.close()
             broker = Broker(transports, LANNS_2X2, request_timeout_s=30.0)
-            broker.search_batch("hedge", queries[:2], 5)
+            broker.execute(SearchRequest(queries[:2], 5, "hedge"))
             try:
                 for transport in transports:
                     client = transport.client
@@ -481,7 +481,7 @@ class TestConnectionHygiene:
         )
         before = set(threading.enumerate())
         try:
-            broker.search_batch("hedge", queries[:4], 10)
+            broker.execute(SearchRequest(queries[:4], 10, "hedge"))
             assert broker.stats()["counts"]["hedges"] == 1
             assert threads_added(before) == set()
             assert started_on == {threading.current_thread()}
@@ -613,17 +613,18 @@ class TestAdaptiveHedging:
             (auto_broker.timings.quantile("shard_rpc", 0.5) or (0, 0.0))[0]
             < AUTO_HEDGE_MIN_SAMPLES
         ):
-            auto_broker.search_batch("hedge", warm, 5)
+            auto_broker.execute(SearchRequest(warm, 5, "hedge"))
         assert auto_broker.stats()["counts"].get("hedges", 0) == 0
         delay = hedge_delay(auto_broker)
         assert delay is not None and delay < 0.08
-        want_ids, want_dists = baseline.search_batch("hedge", queries, 5)
+        request = SearchRequest(queries, 5, "hedge")
+        want = baseline.execute(request)
         # Every other SEARCH frame to the slow shard stalls, so one of
         # two consecutive primaries must out-wait the derived delay.
         for _ in range(2):
-            ids, dists = auto_broker.search_batch("hedge", queries, 5)
-            assert np.array_equal(ids, want_ids)
-            assert np.array_equal(dists, want_dists)
+            got = auto_broker.execute(request)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.dists, want.dists)
         assert auto_broker.stats()["counts"].get("hedges", 0) >= 1
 
     def test_service_accepts_auto(self, fleet, lanns_fs):

@@ -19,6 +19,7 @@ from repro.offline.learn import learn_segmenter_job
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.sparklite.cluster import LocalCluster
 from repro.storage.hdfs import LocalHdfs
 from tests.conftest import make_clustered
@@ -98,10 +99,10 @@ class TestOnlineServing:
     def test_online_recall(self, platform):
         service = OnlineService()
         service.deploy(platform["fs"], "indices/main")
-        ids = np.full((20, 10), -1, dtype=np.int64)
-        for row, query in enumerate(platform["queries"][:20]):
-            found, _ = service.query(query, 10, ef=64)
-            ids[row, : len(found)] = found
+        ids = np.concatenate([
+            service.execute(SearchRequest(query, 10, ef=64)).ids
+            for query in platform["queries"][:20]
+        ])
         recall = recall_at_k(ids, platform["truth"][:20], 10)
         floor = 0.60 if platform["kind"] == "rh" else 0.88
         assert recall >= floor

@@ -17,6 +17,7 @@ import pytest
 
 from repro.online.broker import Broker
 from repro.online.microbatch import MicroBatcher
+from repro.online.types import SearchRequest
 from tests.conftest import LANNS_2X2, host_all
 
 NUM_CLIENTS = 8
@@ -31,7 +32,12 @@ def searchers(lanns):
 def singles(searchers, clustered_queries):
     """Sequential answers from a plain broker."""
     plain = Broker(searchers, LANNS_2X2)
-    return [plain.search("main", query, 8, ef=48) for query in clustered_queries]
+    return [plain.execute(ask(query)) for query in clustered_queries]
+
+
+def ask(query):
+    """The one request shape every test here sends."""
+    return SearchRequest(query, 8, "main", 48)
 
 
 def make_core(searchers, **kwargs):
@@ -214,12 +220,9 @@ class TestBrokerShutdown:
             started.wait(timeout=30)
             for _repeat in range(5):
                 for row in range(client, num_queries, NUM_CLIENTS):
-                    ids, dists = core.search(
-                        "main", clustered_queries[row], 8, ef=48
-                    )
-                    want_ids, want_dists = singles[row]
-                    np.testing.assert_array_equal(ids, want_ids)
-                    np.testing.assert_array_equal(dists, want_dists)
+                    got = core.execute(ask(clustered_queries[row]))
+                    np.testing.assert_array_equal(got.ids, singles[row].ids)
+                    np.testing.assert_array_equal(got.dists, singles[row].dists)
 
         closer_done = threading.Event()
 
@@ -236,15 +239,16 @@ class TestBrokerShutdown:
         close_thread.join(timeout=60)
         assert closer_done.is_set(), "close() deadlocked"
         # The broker still answers (inline + sequential fan-out) after close.
-        ids, dists = core.search("main", clustered_queries[0], 8, ef=48)
-        np.testing.assert_array_equal(ids, singles[0][0])
+        got = core.execute(ask(clustered_queries[0]))
+        np.testing.assert_array_equal(got.ids, singles[0].ids)
         core.close()  # idempotent after full shutdown
 
     def test_empty_batch_skips_admission(self, searchers):
         core = make_core(searchers, cache_size=16)
         try:
             empty = np.empty((0, 16), dtype=np.float32)
-            ids, dists = core.search_batch("main", empty, 7, ef=48)
+            response = core.execute(SearchRequest(empty, 7, "main", 48))
+            ids, dists = response.ids, response.dists
             assert ids.shape == (0, 7) and dists.shape == (0, 7)
             assert "blocks_admitted" not in core.stats()["microbatch"]
         finally:

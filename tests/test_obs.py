@@ -24,12 +24,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.errors import ConnectionLostError
 from repro.obs.cost import FIELDS, SearchCost
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, get_registry
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, Tally, get_registry
 from repro.obs.tracing import SpanRecorder, Tracer, format_trace
 from repro.online.broker import Broker
+from repro.online.fanout import Outcome, Work, assemble
 from repro.online.searcher import SearcherNode
 from repro.online.types import SearchRequest
 from tests.conftest import LANNS_2X2, host_all
@@ -167,8 +170,8 @@ class TestMetricsGolden:
         seen = counters()
         for round_ in range(2):
             broker = make_broker(lanns, cache_size=4, name="monotonic")
-            broker.search_batch("main", clustered_queries[:5], 5)
-            broker.search_batch("main", clustered_queries[3:6], 5)
+            broker.execute(SearchRequest(clustered_queries[:5], 5, "main"))
+            broker.execute(SearchRequest(clustered_queries[3:6], 5, "main"))
             served = broker.tally.snapshot()["queries_served"]
             before_close = counters()
             broker.close()
@@ -184,18 +187,36 @@ class TestSearchCost:
     def test_starts_at_zero(self):
         assert SearchCost().as_dict() == {field: 0 for field in FIELDS}
 
-    def test_merge_and_round_trip(self):
-        cost = SearchCost()
-        cost.hops = 3
-        cost.distance_comps = 10
-        other = SearchCost()
-        other.hops = 2
-        other.rescore_rows = 7
-        cost.merge(other).merge(None).merge({"hops": 1})
+    def test_a_fanout_sums_its_replies_costs(self):
+        """``assemble`` sums each answered group's cost dict: a missing
+        field adds 0, an unknown key and a reply without cost add
+        nothing, and a failed group's cost is not counted."""
+        queries = np.zeros((2, 4), dtype=np.float32)
+        part = (np.zeros((2, 3), np.int64), np.zeros((2, 3)))
+        lost = ConnectionLostError("gone")
+        costs = [
+            {"hops": 3, "distance_comps": 10},
+            {"hops": 2, "rescore_rows": 7},
+            None,
+            {"hops": 1, "unknown": 5},
+        ]
+        outcomes = [Outcome(part, None, 0, cost) for cost in costs]
+        outcomes.append(Outcome(None, lost, -1, {"hops": 100}))
+        registry = MetricsRegistry()
+        tally = Tally({
+            name: registry.counter(name)
+            for name in ("shard_failures", "degraded_batches")
+        })
+        result = assemble(
+            [Work(group, queries, None) for group in range(len(outcomes))],
+            outcomes, np.full(2, len(outcomes)), 3, "degrade", tally,
+            collect_cost=True,
+        )
+        cost = SearchCost(**result.cost)
         assert cost.hops == 6
         assert cost.distance_comps == 10
         assert cost.rescore_rows == 7
-        assert SearchCost.from_dict(cost.as_dict()) == cost
+        assert cost.as_dict() == result.cost
 
 
 class TestTracer:
@@ -281,7 +302,7 @@ class TestBrokerObservability:
     def test_stats_schema_snapshot(self, lanns, clustered_queries):
         broker = make_broker(lanns)
         for query in clustered_queries[:7]:
-            broker.search("main", query, 5)
+            broker.execute(SearchRequest(query, 5, "main"))
         stats = broker.stats()
         request = stats["stages"]["request"]  # the one request timer
         assert request["count"] == 7 and request["p99_ms"] >= request["p50_ms"]
@@ -313,11 +334,11 @@ class TestBrokerObservability:
         the counts of one reply agree with each other."""
         broker = make_broker(lanns, cache_size=64, max_batch=4, max_wait_ms=0.0)
         try:
-            broker.search_batch("main", clustered_queries[:6], 5)
+            broker.execute(SearchRequest(clustered_queries[:6], 5, "main"))
             stats = broker.stats()
             frozen = copy.deepcopy(stats)
             for _ in range(3):
-                broker.search_batch("main", clustered_queries[6:12], 5)
+                broker.execute(SearchRequest(clustered_queries[6:12], 5, "main"))
             assert stats == frozen
             cache, micro = stats["cache"], stats["microbatch"]
             assert stats["counts"]["queries_served"] == 6

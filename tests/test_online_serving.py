@@ -10,6 +10,7 @@ from repro.net.server import SearcherServer
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage.manifest import save_lanns_index
 from tests.conftest import FAST_HNSW, LANNS_2X2, LANNS_PATH, host_all
 
@@ -84,8 +85,8 @@ class TestBroker:
 
     def test_query_batch_padding(self, lanns, clustered_queries):
         broker = Broker(host_all(lanns), LANNS_2X2)
-        ids, dists = broker.search_batch("main", clustered_queries[:3], 5)
-        assert ids.shape == (3, 5)
+        response = broker.execute(SearchRequest(clustered_queries[:3], 5, "main"))
+        assert response.ids.shape == (3, 5)
 
 
 class TestBudgetAndPaddingDegenerateCases:
@@ -114,9 +115,10 @@ class TestBudgetAndPaddingDegenerateCases:
     ):
         broker = Broker(host_all(lanns), LANNS_2X2)
         top_k = len(lanns) + 17  # more than every stored vector
-        ids, dists = broker.search_batch(
-            "main", clustered_queries[:4], top_k, ef=48
+        response = broker.execute(
+            SearchRequest(clustered_queries[:4], top_k, "main", 48)
         )
+        ids, dists = response.ids, response.dists
         assert ids.shape == (4, top_k)
         for row in range(4):
             valid = ids[row] >= 0
@@ -128,13 +130,12 @@ class TestBudgetAndPaddingDegenerateCases:
             assert (np.diff(dists[row][valid]) >= 0).all()
             row_ids = ids[row][valid]
             assert len(set(row_ids.tolist())) == count  # no duplicates
-        # The single-query wrapper strips the same padding.
-        single_ids, single_dists = broker.search(
-            "main", clustered_queries[0], top_k, ef=48
+        # A one-row request pads exactly as its row of the batch.
+        single = broker.execute(
+            SearchRequest(clustered_queries[0], top_k, "main", 48)
         )
-        assert (single_ids >= 0).all()
-        assert np.isfinite(single_dists).all()
-        np.testing.assert_array_equal(single_ids, ids[0][ids[0] >= 0])
+        np.testing.assert_array_equal(single.ids, ids[:1])
+        np.testing.assert_array_equal(single.dists, dists[:1])
 
     def test_topk_beyond_corpus_matches_sequential_under_microbatch(
         self, lanns, clustered_queries
@@ -147,12 +148,13 @@ class TestBudgetAndPaddingDegenerateCases:
         top_k = len(lanns) + 5
         try:
             for query in clustered_queries[:3]:
-                want = plain.search("main", query, top_k, ef=48)
-                got_cold = core.search("main", query, top_k, ef=48)
-                got_hot = core.search("main", query, top_k, ef=48)
-                np.testing.assert_array_equal(got_cold[0], want[0])
-                np.testing.assert_array_equal(got_hot[0], want[0])
-                np.testing.assert_array_equal(got_hot[1], want[1])
+                request = SearchRequest(query, top_k, "main", 48)
+                want = plain.execute(request)
+                got_cold = core.execute(request)
+                got_hot = core.execute(request)
+                np.testing.assert_array_equal(got_cold.ids, want.ids)
+                np.testing.assert_array_equal(got_hot.ids, want.ids)
+                np.testing.assert_array_equal(got_hot.dists, want.dists)
         finally:
             plain.close()
             core.close()
@@ -160,9 +162,10 @@ class TestBudgetAndPaddingDegenerateCases:
     def test_empty_batch_returns_shaped_sentinels_without_fanout(self, lanns):
         broker = Broker(host_all(lanns), LANNS_2X2)
         before = [searcher.tally.snapshot() for searcher in broker.searchers]
-        ids, dists = broker.search_batch(
-            "main", np.empty((0, 16), dtype=np.float32), 9
+        response = broker.execute(
+            SearchRequest(np.empty((0, 16), dtype=np.float32), 9, "main")
         )
+        ids, dists = response.ids, response.dists
         assert ids.shape == (0, 9) and dists.shape == (0, 9)
         assert ids.dtype == np.int64 and dists.dtype == np.float64
         after = [searcher.tally.snapshot() for searcher in broker.searchers]
@@ -199,8 +202,8 @@ class TestNonFiniteQueries:
         served = [server.stats()["counts"].get("requests_served", 0) for server in servers]
         for search in (
             lambda: lanns.shards[0].search_batch(queries, 5),
-            lambda: inline.search_batch("main", queries, 5),
-            lambda: service.query_batch(queries, 5),
+            lambda: inline.execute(SearchRequest(queries, 5, "main")),
+            lambda: service.execute(SearchRequest(queries, 5)),
         ):
             with pytest.raises(ValueError, match=self.MESSAGE) as refused:
                 search()
@@ -233,17 +236,17 @@ class TestOnlineService:
         save_lanns_index(variant, fs, "prod/variant")
         service.deploy(fs, "prod/variant", index_name="variant")
         assert service.deployed_indices == ["default", "variant"]
-        ids_a, _ = service.query(clustered_queries[0], 5, index_name="default")
-        ids_b, _ = service.query(clustered_queries[0], 5, index_name="variant")
-        assert len(ids_a) == len(ids_b) == 5
+        a = service.execute(SearchRequest(clustered_queries[0], 5, "default"))
+        b = service.execute(SearchRequest(clustered_queries[0], 5, "variant"))
+        assert (a.ids >= 0).sum() == (b.ids >= 0).sum() == 5
         service.undeploy("variant")
         assert service.deployed_indices == ["default"]
         with pytest.raises(KeyError):
-            service.query(clustered_queries[0], 5, index_name="variant")
+            service.execute(SearchRequest(clustered_queries[0], 5, "variant"))
 
     def test_unknown_index_query(self, service, clustered_queries):
         with pytest.raises(KeyError, match="not deployed"):
-            service.query(clustered_queries[0], 5, index_name="nope")
+            service.execute(SearchRequest(clustered_queries[0], 5, "nope"))
 
     def test_shard_count_mismatch_on_shared_fleet(self, service, fs, clustered_data):
         other = build_lanns_index(

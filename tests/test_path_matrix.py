@@ -442,7 +442,8 @@ def serve(world: World, cell: Cell):
         served = world.index(target, offset)
 
     def single(query):
-        return broker.search(name, query, K, ef=ef)
+        response = broker.execute(SearchRequest(query, K, name, ef))
+        return response.ids[0], response.dists[0]
 
     def batch(queries):
         response = broker.execute(SearchRequest(queries, K, name, ef))
@@ -462,7 +463,7 @@ def serve(world: World, cell: Cell):
             check(rows[::2], *ask(pool[rows[::2]], seed))
         check(rows, *ask(pool[rows], seed))
         if rows:
-            if cell.call == "single":  # ``broker.search`` hides the fan-out
+            if cell.call == "single":  # ``single`` hides the fan-out
                 batch(pool[rows])
             stats = broker.stats()
             assert cell.cache == "cold" or stats["cache"]["hits"] >= len(rows[::2])

@@ -17,6 +17,7 @@ from repro.offline.indexing import build_index_job
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest
 from repro.storage.manifest import save_lanns_index
 from tests.conftest import FAST_HNSW, make_clustered
 
@@ -68,12 +69,13 @@ class TestCosineEndToEnd:
         save_lanns_index(index, fs, "prod/cos")
         service = OnlineService()
         service.deploy(fs, "prod/cos")
-        ids = np.full((len(queries), 10), -1, dtype=np.int64)
-        for row, query in enumerate(queries):
-            found, dists = service.query(query, 10, ef=64)
-            ids[row, : len(found)] = found
-            # Cosine distances live in [0, 2].
-            assert (dists >= -1e-6).all() and (dists <= 2.0 + 1e-6).all()
+        responses = [
+            service.execute(SearchRequest(query, 10, ef=64)) for query in queries
+        ]
+        ids = np.concatenate([response.ids for response in responses])
+        dists = np.concatenate([response.dists for response in responses])
+        # Cosine distances live in [0, 2].
+        assert (dists >= -1e-6).all() and (dists <= 2.0 + 1e-6).all()
         assert recall_at_k(ids, truth, 10) >= 0.75
 
 

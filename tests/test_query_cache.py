@@ -15,6 +15,7 @@ from repro.core.builder import build_lanns_index
 from repro.online.broker import Broker
 from repro.online.cache import QueryResultCache, result_cache_key
 from repro.online.service import OnlineService
+from repro.online.types import SearchRequest, SearchResponse
 from repro.storage.manifest import save_lanns_index
 from tests.conftest import LANNS_2X2, host_all
 
@@ -153,17 +154,20 @@ class TestScaledQueries:
         cold = Broker(nodes, config)
         warm = Broker(nodes, config, cache_size=128)
         try:
-            want = cold.search_batch("main", scaled, 10)
-            unscaled = cold.search_batch("main", clustered_queries, 10)
+            want = cold.execute(SearchRequest(scaled, 10, "main"))
+            unscaled = cold.execute(SearchRequest(clustered_queries, 10, "main"))
             # The answers differ, so serving q's rows for 2q would show.
-            assert not all(map(np.array_equal, want, unscaled))
-            warm.search_batch("main", clustered_queries, 10)
-            got = warm.search_batch("main", scaled, 10)
+            assert not (
+                np.array_equal(want.ids, unscaled.ids)
+                and np.array_equal(want.dists, unscaled.dists)
+            )
+            warm.execute(SearchRequest(clustered_queries, 10, "main"))
+            got = warm.execute(SearchRequest(scaled, 10, "main"))
         finally:
             cold.close()
             warm.close()
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.dists, want.dists)
 
 
 class TestBrokerCaching:
@@ -172,12 +176,12 @@ class TestBrokerCaching:
         try:
             for query in clustered_queries[:10]:
                 for _ in range(2):
-                    cached.search("main", query, 10, ef=48)
+                    cached.execute(SearchRequest(query, 10, "main", 48))
             stats = cached.stats()["cache"]
             assert (stats["hits"], stats["misses"]) == (10, 10)
             # Rows 0-2 warm at another top_k, then 0-5: 3 hits, 6 misses.
-            cached.search_batch("main", clustered_queries[:3], 5, ef=48)
-            cached.search_batch("main", clustered_queries[:6], 5, ef=48)
+            cached.execute(SearchRequest(clustered_queries[:3], 5, "main", 48))
+            cached.execute(SearchRequest(clustered_queries[:6], 5, "main", 48))
             stats = cached.stats()["cache"]
             assert (stats["hits"], stats["misses"]) == (13, 16)
         finally:
@@ -188,10 +192,10 @@ class TestBrokerCaching:
     ):
         cached = Broker(searchers, LANNS_2X2, cache_size=32)
         try:
-            cached.search("main", clustered_queries[0], 5)
-            cached.search(
-                "main", clustered_queries[0], 5, ef=LANNS_2X2.hnsw.ef_search
-            )
+            cached.execute(SearchRequest(clustered_queries[0], 5, "main"))
+            cached.execute(SearchRequest(
+                clustered_queries[0], 5, "main", LANNS_2X2.hnsw.ef_search
+            ))
             stats = cached.stats()["cache"]
             assert stats["hits"] == 1
         finally:
@@ -201,7 +205,7 @@ class TestBrokerCaching:
         uncached = Broker(searchers, LANNS_2X2, cache_size=0)
         try:
             for query in clustered_queries[:5]:
-                uncached.search("main", query, 5, ef=48)
+                uncached.execute(SearchRequest(query, 5, "main", 48))
             assert uncached.stats()["cache"]["misses"] == 0
         finally:
             uncached.close()
@@ -221,12 +225,12 @@ class TestServiceInvalidation:
         # subset index only holds rows < 300.
         probe = None
         for query in clustered_queries:
-            ids, _ = service.query(query, 10, index_name="x")
+            ids = service.execute(SearchRequest(query, 10, "x")).ids
             if (ids >= 300).any():
                 probe = query
                 break
         assert probe is not None, "no query distinguishes the two indices"
-        stale_ids, _ = service.query(probe, 10, index_name="x")  # cache hit
+        service.execute(SearchRequest(probe, 10, "x"))  # cache hit
         assert service.cache.stats.hits >= 1
         old_epoch = service.brokers["x"].cache_epoch
 
@@ -236,7 +240,7 @@ class TestServiceInvalidation:
         # The epoch fence: even a put racing past the invalidation above
         # could never be keyed like the new deployment's lookups.
         assert service.brokers["x"].cache_epoch > old_epoch
-        fresh_ids, _ = service.query(probe, 10, index_name="x")
+        fresh_ids = service.execute(SearchRequest(probe, 10, "x")).ids
         assert (fresh_ids < 300).all(), "stale cached result served"
         service.close()
 
@@ -254,13 +258,13 @@ class TestServiceInvalidation:
         # close()-drain (not the timer) is what must execute them.
         service = OnlineService(max_batch=64, max_wait_ms=2000.0)
         broker = service.deploy(fs, "prod/full", index_name="x")
-        results: dict[int, tuple] = {}
+        results: dict[int, SearchResponse] = {}
         errors: list[BaseException] = []
 
         def client(worker):
             try:
-                results[worker] = service.query(
-                    clustered_queries[worker], 5, index_name="x"
+                results[worker] = service.execute(
+                    SearchRequest(clustered_queries[worker], 5, "x")
                 )
             except BaseException as exc:
                 errors.append(exc)
@@ -284,10 +288,12 @@ class TestServiceInvalidation:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, f"admitted request failed mid-drain: {errors[0]}"
-        for worker, (ids, dists) in results.items():
-            want_ids, want_dists = lanns.query(clustered_queries[worker], 5)
-            np.testing.assert_array_equal(ids, want_ids)
-            np.testing.assert_array_equal(dists, want_dists)
+        for worker, got in results.items():
+            want_ids, want_dists = lanns.query_batch(
+                clustered_queries[worker : worker + 1], 5
+            )
+            np.testing.assert_array_equal(got.ids, want_ids)
+            np.testing.assert_array_equal(got.dists, want_dists)
 
     def test_cache_shared_across_deployed_indices(
         self, fs, lanns, clustered_queries
@@ -297,10 +303,10 @@ class TestServiceInvalidation:
         service.deploy(fs, "prod/full", index_name="a")
         service.deploy(fs, "prod/full", index_name="b")
         query = clustered_queries[0]
-        service.query(query, 5, index_name="a")
-        service.query(query, 5, index_name="b")  # same bytes, other index
+        service.execute(SearchRequest(query, 5, "a"))
+        service.execute(SearchRequest(query, 5, "b"))  # same bytes, other index
         assert service.cache.stats.hits == 0  # keys carry the index name
-        service.query(query, 5, index_name="a")
+        service.execute(SearchRequest(query, 5, "a"))
         assert service.cache.stats.hits == 1
         assert len(service.cache) == 2
         service.close()

@@ -195,7 +195,7 @@ class TestDeployFailures:
             with pytest.raises(KeyError):
                 service.undeploy("fb")
             service.deploy(lanns_fs, LANNS_PATH, index_name="fb")
-            ids, _ = service.query_batch(queries[:4], 5, index_name="fb")
+            ids = execute(service, queries[:4], 5, "fb").ids
             assert ids.shape == (4, 5) and (ids >= 0).all()
             service.undeploy("fb")
         finally:
@@ -280,9 +280,7 @@ class TestDeployFailures:
             broker = Broker(transports, LANNS_2X2, partial_policy=policy)
             try:
                 with pytest.raises(expected) as excinfo:
-                    broker.search_batch(
-                        "never-deployed", np.zeros((1, 16), np.float32), 5
-                    )
+                    execute(broker, np.zeros((1, 16), np.float32), 5, "never-deployed")
                 if policy == "degrade":
                     # The cause trail must still name the real error.
                     assert isinstance(excinfo.value.__cause__, RemoteCallError)
@@ -387,7 +385,7 @@ class TestTimeouts:
                     with pytest.raises(
                         (DeadlineExceededError, TransportError)
                     ):
-                        strict.search_batch("tmo", probe, 10)
+                        strict.execute(SearchRequest(probe, 10, "tmo"))
                 finally:
                     for transport in strict.transports:
                         transport.close()
@@ -470,7 +468,7 @@ class TestKilledSearcherProcess:
             assert broker.stats()["counts"]["shard_failures"]["1"] >= 1
 
             with pytest.raises(TransportError):
-                strict.query_batch(probe, 10, index_name="strictkill")
+                execute(strict, probe, 10, "strictkill")
         finally:
             if degrade is not None:
                 degrade.close()

@@ -331,7 +331,7 @@ class TestFailover:
             transport.close()
 
     def test_dead_replica_fails_over_to_sibling(self, broker, queries):
-        ids, dists = broker.search_batch("r", queries, 5)
+        ids = broker.execute(SearchRequest(queries, 5, "r")).ids
         assert (ids >= 0).all()
         stats = broker.stats()
         assert stats["counts"].get("failovers", 0) >= 1
@@ -340,7 +340,7 @@ class TestFailover:
         # Later requests keep succeeding and the sibling absorbs the
         # load without re-burning a failover every time the ledger
         # already knows replica 0 is failing.
-        ids2, _ = broker.search_batch("r", queries, 5)
+        ids2 = broker.execute(SearchRequest(queries, 5, "r")).ids
         assert (ids2 >= 0).all()
 
     def test_exhausted_group_still_raises_under_fail(
@@ -356,7 +356,7 @@ class TestFailover:
         )
         try:
             with pytest.raises(TransportError):
-                broker.search_batch("r", queries, 5)
+                broker.execute(SearchRequest(queries, 5, "r"))
             # No sibling existed, so nothing "took over": dead ends are
             # not failovers.
             assert broker.stats()["counts"].get("failovers", 0) == 0

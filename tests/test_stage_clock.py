@@ -26,6 +26,7 @@ from repro.obs.metrics import MetricsRegistry, Tally, get_registry
 from repro.obs.tracing import SpanRecorder, Tracer
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
+from repro.online.types import SearchRequest
 from tests.conftest import FAST_HNSW, make_clustered
 
 
@@ -195,7 +196,7 @@ def test_failed_request_stays_in_the_latency_record():
     queries = make_clustered(2, 16, seed=30)
     try:
         with pytest.raises(DeadlineExceededError):
-            broker.search_batch("stall", queries, 3)
+            broker.execute(SearchRequest(queries, 3, "stall"))
         series = get_registry().histogram(
             "lanns_broker_request_seconds"
         ).value(broker="latency-record")

@@ -8,7 +8,6 @@ from repro.utils.validation import (
     as_matrix,
     as_vector,
     check_positive,
-    check_probability,
 )
 
 
@@ -92,11 +91,3 @@ class TestChecks:
         check_positive(1, "x")
         with pytest.raises(ValueError, match="x"):
             check_positive(0, "x")
-
-    def test_check_probability(self):
-        check_probability(0.0, "p")
-        check_probability(1.0, "p")
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-        with pytest.raises(ValueError):
-            check_probability(-0.1, "p")
