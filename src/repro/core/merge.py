@@ -33,25 +33,6 @@ from repro.core.topk import batch_top_k
 # candidates: ascending ``(distance, id)``, best distance kept per id.
 
 
-def merge_candidates_batch(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]],
-    k: int,
-    *,
-    dedupe: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge several aligned ``(B, k_i)`` (ids, dists) blocks per query.
-
-    Padding entries (id ``-1`` / distance ``inf``) pass through and pad
-    the output rows.
-    """
-    if not parts:
-        raise ValueError("merge_candidates_batch needs at least one block")
-    ids = np.concatenate([block_ids for block_ids, _ in parts], axis=1)
-    dists = np.concatenate([block_dists for _, block_dists in parts], axis=1)
-    out_ids, out_dists = batch_top_k(dists, ids, k, dedupe=dedupe)
-    return out_ids, out_dists
-
-
 def merge_segment_results_batch(
     ids: np.ndarray,
     dists: np.ndarray,
@@ -64,7 +45,7 @@ def merge_segment_results_batch(
     pre-packed ``(B, C)`` candidate matrix pair -- the shard packs each
     query's probed-segment results into per-row slots.
     """
-    return batch_top_k(dists, ids, k, dedupe=True)
+    return batch_top_k(dists, ids, k)
 
 
 def empty_part(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,5 +65,14 @@ def merge_shard_results_batch(
     parts: Sequence[tuple[np.ndarray, np.ndarray]],
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Second-level merge: per-shard blocks -> final topK."""
-    return merge_candidates_batch(parts, k, dedupe=True)
+    """Second-level merge: aligned per-shard ``(B, k_i)`` (ids, dists)
+    blocks -> final topK.
+
+    Padding entries (id ``-1`` / distance ``inf``) pass through and pad
+    the output rows.
+    """
+    if not parts:
+        raise ValueError("merge_shard_results_batch needs at least one block")
+    ids = np.concatenate([block_ids for block_ids, _ in parts], axis=1)
+    dists = np.concatenate([block_dists for _, block_dists in parts], axis=1)
+    return batch_top_k(dists, ids, k)

@@ -110,9 +110,11 @@ def batch_top_k(
     k:
         Results per row.
     dedupe:
-        Keep each id once per row, at its best distance (physical spill
-        can surface a point from several segments).  A block in which no
-        row repeats an id skips the machinery.
+        Always ``True``, the one merge there is: each id is kept once
+        per row, at its best distance (physical spill can surface a
+        point from several segments).  A block in which no row repeats
+        an id skips the machinery.  The keyword stays for the wrappers
+        that forward it (``tests/test_path_matrix.py::_flip_ties``).
 
     Returns
     -------
@@ -120,6 +122,8 @@ def batch_top_k(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    if dedupe is not True:
+        raise ValueError("batch_top_k always keeps each id once per row")
     dists = np.asarray(dists, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.int64)
     if dists.shape != ids.shape or ids.ndim != 2:
@@ -136,14 +140,12 @@ def batch_top_k(
     order = np.lexsort((ids, dists), axis=-1)
     ids_sorted = ids[row, order]
     dists_sorted = dists[row, order]
-    if dedupe:
-        # Hash sharding never repeats an id across shards, so most blocks
-        # have nothing to drop: one sort and one compare find out.
-        by_value = np.sort(ids, axis=1, kind="stable")
-        dedupe = bool((by_value[:, 1:] == by_value[:, :-1]).any())
+    # Hash sharding never repeats an id across shards, so most blocks
+    # have nothing to drop: one sort and one compare find out.
+    by_value = np.sort(ids, axis=1, kind="stable")
     out_ids = np.full((num_rows, k), -1, dtype=np.int64)
     out_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
-    if not dedupe:
+    if not (by_value[:, 1:] == by_value[:, :-1]).any():
         width = min(k, num_cols)
         out_ids[:, :width] = ids_sorted[:, :k]
         out_dists[:, :width] = dists_sorted[:, :k]

@@ -4,14 +4,16 @@ LANNS's online architecture is a broker fanning queries out to *searcher
 machines*, each hosting one shard.  This package is that wire layer:
 
 - :mod:`repro.net.protocol` -- length-prefixed binary framing that ships
-  numpy query/result blocks zero-copy;
+  numpy query/result blocks zero-copy, the shard call and reply, and the
+  ``SearcherTransport`` interface the broker drives;
 - :mod:`repro.net.server` -- a thread-per-connection TCP server
   wrapping a :class:`~repro.online.searcher.SearcherNode`;
-- :mod:`repro.net.client` -- the pooled, retrying, deadline-aware RPC
-  client over non-blocking sockets, and the one ``select.poll`` loop that
-  waits on its RPCs on the calling thread;
-- :mod:`repro.net.transport` -- the ``SearcherTransport`` abstraction
-  the broker drives, with one in-process and one remote implementation;
+- :mod:`repro.net.client` -- ``RemoteSearcherClient``, the transport
+  over TCP: a pooled, retrying, deadline-aware RPC client over
+  non-blocking sockets, and the one ``select.poll`` loop that waits on
+  its RPCs on the calling thread;
+- :mod:`repro.net.transport` -- ``LocalSearcherTransport``, the
+  transport in process;
 - :mod:`repro.net.fleet` -- spawn/await/stop real searcher subprocesses
   over loopback (benchmarks and failure-injection tests).
 """
@@ -20,7 +22,6 @@ from repro.net.client import RemoteSearcherClient
 from repro.net.server import SearcherServer, ServerOptions
 from repro.net.transport import (
     LocalSearcherTransport,
-    RemoteSearcherTransport,
     SearcherTransport,
     as_transport,
 )
@@ -31,6 +32,5 @@ __all__ = [
     "ServerOptions",
     "SearcherTransport",
     "LocalSearcherTransport",
-    "RemoteSearcherTransport",
     "as_transport",
 ]

@@ -47,6 +47,7 @@ exception type and message, surfaced to callers as
 
 from __future__ import annotations
 
+import abc
 import json
 import struct
 from dataclasses import dataclass
@@ -64,9 +65,9 @@ from repro.errors import (
     TransportError,
 )
 
-#: Bump on any frame-layout or semantics change.  Version 2 (PR 8) adds
+#: Bump on any frame-layout or semantics change.  Version 2 adds
 #: the optional ``trace`` context to SEARCH headers and the optional
-#: ``cost`` / ``trace`` entries to RESULT headers.  Version 3 (PR 10)
+#: ``cost`` / ``trace`` entries to RESULT headers.  Version 3
 #: adds the optional ``deadline_ms`` remaining-budget hint to SEARCH
 #: headers and the optional ``retry_after_s`` backoff hint to ERROR
 #: headers -- pure header additions, so decoding still accepts older
@@ -295,6 +296,44 @@ class ShardReply:
     dists: np.ndarray
     cost: dict | None = None
     trace: list | None = None
+
+
+class SearcherTransport(abc.ABC):
+    """What the broker and the service need from a shard, wherever it
+    runs: ``LocalSearcherTransport`` in process, ``RemoteSearcherClient``
+    over TCP (see :mod:`repro.net.transport`)."""
+
+    #: The fleet position this transport serves.
+    shard_id: int | None
+    #: Whether the shard sits behind a socket (its RPC may wait, fail
+    #: over or be hedged) rather than in this process.
+    remote = False
+
+    @abc.abstractmethod
+    def start_search(self, call: ShardCall):
+        """Start the lockstep shard search of ``call.queries``; the
+        returned RPC has ``done``, ``error``, ``wake_at`` and
+        ``result()`` for the fan-out's poll."""
+
+    @abc.abstractmethod
+    def verify(self) -> None:
+        """Check the transport reaches the shard it claims to serve."""
+
+    @abc.abstractmethod
+    def deploy(self, index_name: str, index_path: str, *, root: str) -> None:
+        """Host shard ``shard_id`` of the index exported at ``index_path``."""
+
+    @abc.abstractmethod
+    def undeploy(self, index_name: str) -> None:
+        """Stop hosting ``index_name``."""
+
+    @abc.abstractmethod
+    def stats(self) -> dict:
+        """The underlying searcher's identity and ``counts`` (in process
+        ``SearcherNode.stats``, remotely its STATS reply)."""
+
+    def close(self) -> None:
+        """Release transport resources (no-op for in-process shards)."""
 
 
 # -- encoding ------------------------------------------------------------------------

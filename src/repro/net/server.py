@@ -31,7 +31,7 @@ of a 2-vCPU KVM guest).  Nothing serialises --
 searches from different connections run on different threads -- and a
 connection's thread sheds or refuses a frame the moment it reads it.
 
-Overload safety (PR 10): the server *admits* SEARCH work instead of
+Overload safety: the server *admits* SEARCH work instead of
 executing everything that arrives.  ``max_in_flight`` bounds concurrent
 searches across all connections, ``queue_cap`` bounds how many more may
 wait; anything beyond both is shed instantly with a structured
@@ -491,19 +491,13 @@ class SearcherServer:
             )
 
     def _deploy(self, request) -> None:
-        # Imported here: the server must start fast and the storage stack
-        # pulls in the whole offline layer.
-        from repro.storage.hdfs import LocalHdfs
-        from repro.storage.manifest import load_shard
-
         root = self.root if self.root is not None else request.root
         if not root:
             raise ValueError(
                 "DEPLOY needs a filesystem root: start the server with "
                 "--root or include 'root' in the request"
             )
-        shard = load_shard(LocalHdfs(root), request.path, self.node.shard_id)
-        self.node.host(request.index, shard)
+        self.node.deploy(request.index, request.path, root=root)
 
     @staticmethod
     def _ok(**fields) -> list:

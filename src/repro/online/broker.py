@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.config import LannsConfig
 from repro.core.merge import empty_part, merge_shard_results_batch
 from repro.net.protocol import ShardCall
-from repro.net.transport import SearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.cost import SearchCost
 from repro.obs.metrics import Tally, get_registry
@@ -193,10 +192,9 @@ class Broker:
         :class:`~repro.online.searcher.SearcherNode` or a
         :class:`~repro.net.transport.SearcherTransport`) or a
         list/tuple of interchangeable replicas serving that shard.
-        ``self.searchers`` keeps the argument as given; ``self.groups``
-        holds one :class:`~repro.online.replicas.ReplicaGroup` per
-        shard; ``self.transports`` is the flat wrapped view (groups
-        concatenated in shard order).
+        ``self.groups`` holds one
+        :class:`~repro.online.replicas.ReplicaGroup` per shard, the
+        broker's one view of its fleet.
     config:
         The index configuration (for perShardTopK parameters).
     segmenter, segment_sizes:
@@ -243,12 +241,6 @@ class Broker:
                 breaker_cooldown_s=policy.breaker_cooldown_s,
             )
             for shard_id, entry in enumerate(searchers)
-        ]
-        self.searchers = searchers
-        self.transports: list[SearcherTransport] = [
-            transport
-            for group in self.groups
-            for transport in group.transports
         ]
         self.config = config
         self.router: Router | None = (

@@ -80,6 +80,16 @@ class SearcherNode:
                 sum(len(s) for s in updated.values()), shard=self.shard_id
             )
 
+    def deploy(self, index_name: str, index_path: str, *, root: str) -> None:
+        """Load this node's shard of the index exported at ``index_path``
+        under the filesystem ``root`` and host it as ``index_name``."""
+        # Imported here: a searcher server must start fast and the
+        # storage stack pulls in the whole offline layer.
+        from repro.storage.hdfs import LocalHdfs
+        from repro.storage.manifest import load_shard
+
+        self.host(index_name, load_shard(LocalHdfs(root), index_path, self.shard_id))
+
     def unhost(self, index_name: str) -> None:
         """Detach a hosted index (e.g. at the end of an A/B test)."""
         with self._host_lock:
@@ -100,9 +110,10 @@ class SearcherNode:
     def stats(self) -> dict:
         """Identity and counts: the core of the STATS RPC's reply.
 
-        ``hosted_indices`` and ``memory_vectors`` come from one read of
-        the copy-on-write hosting table, so a concurrent deploy cannot
-        make them disagree.
+        ``hosted_indices`` and ``memory_vectors`` (total stored vectors:
+        "the majority of storage needed in the online node comes from the
+        vector representations") come from one read of the copy-on-write
+        hosting table, so a concurrent deploy cannot make them disagree.
         """
         with self._host_lock:
             indices = self._indices
@@ -112,15 +123,6 @@ class SearcherNode:
             "memory_vectors": sum(len(shard) for shard in indices.values()),
             "counts": self.tally.snapshot(),
         }
-
-    def memory_vectors(self) -> int:
-        """Total stored vectors across hosted indices.
-
-        "The majority of storage needed in the online node comes from the
-        vector representations" -- this is the proxy the capacity tests
-        use.
-        """
-        return sum(len(shard) for shard in self._indices.values())
 
     # -- serving --------------------------------------------------------------------
     def search_batch(

@@ -32,12 +32,9 @@ from repro.errors import (
     RemoteCallError,
     TransportError,
 )
+from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import parse_fleet_spec
-from repro.net.transport import (
-    LocalSearcherTransport,
-    RemoteSearcherTransport,
-    SearcherTransport,
-)
+from repro.net.transport import LocalSearcherTransport, SearcherTransport
 from repro.online.broker import Broker, BrokerPolicy
 from repro.online.cache import QueryResultCache
 from repro.online.searcher import SearcherNode
@@ -114,12 +111,11 @@ class OnlineService:
             groups = parse_fleet_spec(searchers)
             if not groups:
                 raise ValueError("remote fleet needs at least one address")
-            # One client per searcher: the broker's fan-out and
-            # deploy / verify / undeploy / stats all block the calling
-            # thread on it.
+            # One client per searcher: the broker's fan-out polls its
+            # RPCs; deploy / verify / undeploy / stats block on it.
             self.searchers = [
                 [
-                    RemoteSearcherTransport(address, shard_id, retries=rpc_retries)
+                    RemoteSearcherClient(address, shard_id, retries=rpc_retries)
                     for address in group
                 ]
                 for shard_id, group in enumerate(groups)

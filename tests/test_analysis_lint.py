@@ -612,6 +612,15 @@ RETIRED = {
          "concurrent_serving_throughput"],
         (("src def", "bench def", "script name"), "721308d"),
     ),
+    # A shard is one object per side of the wire: the class that forwarded
+    # to the client (its ledger names are aliases now), the node's second
+    # count of its vectors, the one-caller merge and a tuple nothing read
+    # (the parent's id, as above).
+    **dict.fromkeys(
+        ["RemoteSearcherTransport", "memory_vectors", "merge_candidates_batch"],
+        (("src def",), "ddef7c8"),
+    ),
+    "CONNECTIVITY_FAILURES": (("src name", "readme"), "ddef7c8"),
 }
 
 

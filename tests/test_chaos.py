@@ -23,9 +23,9 @@ import pytest
 
 from repro.errors import OverloadedError
 from repro.net.chaos import FAULT_KINDS, FaultPlan
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import ShardCall
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
@@ -49,8 +49,8 @@ def start_server(lanns_fs, shard_id: int, *, port: int = 0, **kwargs):
     ).start_in_thread()
 
 
-def connect(address: str, shard_id: int) -> RemoteSearcherTransport:
-    return RemoteSearcherTransport(
+def connect(address: str, shard_id: int) -> RemoteSearcherClient:
+    return RemoteSearcherClient(
         address, shard_id, timeout_s=10.0, retries=0, pool_size=1
     )
 

@@ -217,8 +217,8 @@ class TestBlockingCallers:
     def test_a_blocking_broker_call_inside_a_loop_raises(self, server, queries):
         """From a coroutine under ``asyncio.run``: refused before any
         RPC."""
-        transport = RemoteSearcherTransport(server.address, 0)
-        broker = Broker([transport], CONFIG)
+        client = RemoteSearcherClient(server.address, 0)
+        broker = Broker([client], CONFIG)
 
         async def misuse():
             return broker.execute(SearchRequest(queries[:2], 5, INDEX_NAME))
@@ -226,10 +226,10 @@ class TestBlockingCallers:
         try:
             with pytest.raises(RuntimeError, match="running event loop"):
                 asyncio.run(misuse())
-            assert transport.client.tally.snapshot() == {}
+            assert client.tally.snapshot() == {}
         finally:
             broker.close()
-            transport.close()
+            client.close()
 
     @pytest.mark.filterwarnings(
         "ignore:This process .* is multi-threaded:DeprecationWarning"
@@ -257,7 +257,13 @@ class TestBlockingCallers:
 
 class TestOneRemoteTransport:
     def test_alias_names_the_same_class(self):
-        assert AsyncRemoteSearcherTransport is RemoteSearcherTransport
+        """The remote transport is the client; the frozen ledger's two
+        names for it are aliases, not a class that forwards."""
+        assert (
+            RemoteSearcherTransport
+            is AsyncRemoteSearcherTransport
+            is RemoteSearcherClient
+        )
 
     def test_both_search_paths_agree_and_count_each_row_once(
         self, server, shard, queries
@@ -273,11 +279,11 @@ class TestOneRemoteTransport:
                 np.testing.assert_array_equal(reply.ids, want_ids)
                 np.testing.assert_array_equal(reply.dists, want_dists)
                 assert reply.cost is None and reply.trace is None
-            counts = transport.client.tally.snapshot()
+            counts = transport.tally.snapshot()
             assert counts["queries_served"] == 2 * queries.shape[0]
         finally:
             transport.close()
-        assert transport.client.open_connections == 0
+        assert transport.open_connections == 0
 
     def test_the_positional_shim_is_search_of_the_same_call(
         self, server, queries

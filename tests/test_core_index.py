@@ -134,7 +134,7 @@ def reference_shard_answer(shard, queries, k, probes, ef):
             for column, (node, dist) in enumerate(zip(found_ids[0], found_dists[0])):
                 ids[slot * k + column], dists[slot * k + column] = int(node), float(dist)
             slot += 1
-        merged = merged_row(dists, ids, k, dedupe=True)
+        merged = merged_row(dists, ids, k)
         out_dists.append([dist for dist, _ in merged])
         out_ids.append([node for _, node in merged])
     return np.array(out_ids, dtype=np.int64), np.array(out_dists, dtype=np.float64)

@@ -157,32 +157,28 @@ def merge_blocks(draw, repeats: bool):
     return np.array(dists, dtype=np.float64), np.array(ids, dtype=np.int64), k
 
 
-def merged_row(dists: list, ids: list, k: int, dedupe: bool) -> list:
+def merged_row(dists: list, ids: list, k: int) -> list:
     """One row of :func:`batch_top_k`, literally: ascending ``(distance,
-    id)`` pairs, each id once at its best distance (when ``dedupe``),
-    the first ``k``, then ``(inf, -1)`` padding."""
-    if dedupe:
-        best: dict = {}
-        for dist, node in zip(dists, ids):
-            if node not in best or dist < best[node]:
-                best[node] = dist
-        pairs = sorted((dist, node) for node, dist in best.items())
-    else:
-        pairs = sorted(zip(dists, ids))
+    id)`` pairs, each id once at its best distance, the first ``k``,
+    then ``(inf, -1)`` padding."""
+    best: dict = {}
+    for dist, node in zip(dists, ids):
+        if node not in best or dist < best[node]:
+            best[node] = dist
+    pairs = sorted((dist, node) for node, dist in best.items())
     return (pairs + [(np.inf, -1)] * k)[:k]
 
 
 class TestBatchTopK:
-    @pytest.mark.parametrize("dedupe", [True, False])
     @pytest.mark.parametrize("repeats", [False, True])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_every_row_is_its_literal_merge(self, repeats, dedupe, data):
+    def test_every_row_is_its_literal_merge(self, repeats, data):
         """Both branches -- a block that repeats an id and one that does
         not -- answer the per-row reference, in fresh writable arrays."""
         dists, ids, k = data.draw(merge_blocks(repeats))
         held = dists.copy(), ids.copy()
-        out_ids, out_dists = batch_top_k(dists, ids, k, dedupe=dedupe)
+        out_ids, out_dists = batch_top_k(dists, ids, k)
         assert (out_ids.dtype, out_dists.dtype) == (np.int64, np.float64)
         assert out_ids.shape == out_dists.shape == (len(ids), k)
         for out in (out_ids, out_dists):
@@ -195,7 +191,7 @@ class TestBatchTopK:
             for row_dists, row_ids in zip(out_dists.tolist(), out_ids.tolist())
         ]
         want = [
-            merged_row(row_dists, row_ids, k, dedupe)
+            merged_row(row_dists, row_ids, k)
             for row_dists, row_ids in zip(dists.tolist(), ids.tolist())
         ]
         assert got == want
@@ -245,6 +241,11 @@ class TestBatchTopK:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             batch_top_k(np.zeros((1, 1)), np.zeros((1, 1), np.int64), 0)
+
+    def test_there_is_no_merge_that_keeps_a_repeated_id(self):
+        """Every merge dedupes; asking for the other kind is refused."""
+        with pytest.raises(ValueError, match="once per row"):
+            batch_top_k(np.zeros((1, 2)), np.zeros((1, 2), np.int64), 2, dedupe=False)
 
     def test_no_cross_row_key_collision_with_negative_ids(self):
         """Arbitrary int ids must not alias across rows in the dedupe."""

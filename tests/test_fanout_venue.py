@@ -21,8 +21,9 @@ import pytest
 
 from repro.errors import LannsError
 from repro.net.chaos import FaultPlan
+from repro.net.client import RemoteSearcherClient
 from repro.net.server import SearcherServer
-from repro.net.transport import LocalSearcherTransport, RemoteSearcherTransport
+from repro.net.transport import LocalSearcherTransport
 from repro.online.broker import Broker
 from repro.online.types import SearchRequest
 from tests.conftest import LANNS_2X2, host_all, wait_until
@@ -48,7 +49,7 @@ def servers(nodes):
 
 def remote(servers, **kwargs):
     return [
-        RemoteSearcherTransport(server.address, shard_id, **kwargs)
+        RemoteSearcherClient(server.address, shard_id, **kwargs)
         for shard_id, server in enumerate(servers)
     ]
 
@@ -76,7 +77,7 @@ class TestOnePath:
         request = SearchRequest(queries=queries, top_k=10, index_name="venue")
         want = Broker(nodes, LANNS_2X2).execute(request)
         started_on: set[threading.Thread] = set()
-        for owner in (LocalSearcherTransport, RemoteSearcherTransport):
+        for owner in (LocalSearcherTransport, RemoteSearcherClient):
             start = owner.start_search
             monkeypatch.setattr(
                 owner, "start_search", lambda transport, call, start=start: (
@@ -174,4 +175,4 @@ class TestCloseRace:
             np.testing.assert_array_equal(result.dists, expected[row].dists)
         assert answered >= served_after_close + 8 - 4
         for transport in transports:
-            assert transport.client.open_connections == 0
+            assert transport.open_connections == 0

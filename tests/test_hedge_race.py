@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConnectionLostError, DeadlineExceededError
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import ShardCall, ShardReply
-from repro.net.transport import RemoteSearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.metrics import MetricsRegistry, Tally
 from repro.online.fanout import Batch, FanOut, work_list
@@ -62,7 +62,7 @@ class StubRpc:
         return ShardReply(ids, np.zeros((1, 1)), None, None)
 
 
-class StubTransport(RemoteSearcherTransport):
+class StubTransport(RemoteSearcherClient):
     """A replica whose n-th attempt answers ``script[n]`` = ``(value,
     after)``; ``log`` records how each attempt ended."""
 

@@ -34,9 +34,9 @@ import pytest
 
 from repro.core.merge import merge_shard_results_batch
 from repro.net.chaos import FaultPlan
+from repro.net.client import RemoteSearcherClient
 from repro.net.protocol import ShardCall
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.hedging import resolve_hedge_delay
 from repro.online.searcher import SearcherNode
@@ -97,7 +97,7 @@ def fleet(lanns):
 
 def make_transports(servers, **kwargs):
     return [
-        RemoteSearcherTransport(server.address, shard_id, **kwargs)
+        RemoteSearcherClient(server.address, shard_id, **kwargs)
         for shard_id, server in enumerate(servers)
     ]
 
@@ -198,7 +198,7 @@ class TestHedgeCounts:
             close_all(broker, transports)
 
 
-class RecordingTransport(RemoteSearcherTransport):
+class RecordingTransport(RemoteSearcherClient):
     """Remembers every call the fan-out hands it."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -365,7 +365,7 @@ class TestHedgeDeadlineBudget:
         on the sibling answers long before the deadline."""
         request = SearchRequest(queries=queries[:4], top_k=10, index_name="hedge")
         with full_backlog() as unreachable:
-            stuck = RemoteSearcherTransport(unreachable, 0, retries=0)
+            stuck = RemoteSearcherClient(unreachable, 0, retries=0)
             transports = make_transports(fleet)
             broker = Broker(
                 [[stuck, transports[0]], *transports[1:]],
@@ -404,7 +404,7 @@ class TestConnectionHygiene:
             for _ in range(5):
                 broker.execute(SearchRequest(queries[:4], 10, "hedge"))
             assert broker.stats()["counts"].get("hedges", 0) == 5
-            slow_client = transports[SLOW_SHARD].client
+            slow_client = transports[SLOW_SHARD]
             assert slow_client.open_connections <= slow_client.pool_size, (
                 f"{slow_client.open_connections} sockets open after 5 "
                 f"hedged batches (pool_size={slow_client.pool_size})"
@@ -412,7 +412,7 @@ class TestConnectionHygiene:
         finally:
             close_all(broker, transports)
         for transport in transports:
-            assert transport.client.open_connections == 0, (
+            assert transport.open_connections == 0, (
                 "close() must drain every pooled connection"
             )
 
@@ -435,7 +435,7 @@ class TestConnectionHygiene:
             broker.execute(SearchRequest(queries[:2], 5, "hedge"))
             try:
                 for transport in transports:
-                    client = transport.client
+                    client = transport
                     assert (
                         client.open_connections <= client.pool_size
                     ), (
@@ -449,7 +449,7 @@ class TestConnectionHygiene:
             for transport in transports:
                 transport.close()
         for transport in transports:
-            assert transport.client.open_connections == 0
+            assert transport.open_connections == 0
 
     def test_remote_fanout_starts_no_thread_and_no_task(
         self, fleet, queries, monkeypatch
@@ -500,7 +500,7 @@ class TestServiceIntegration:
         )
         try:
             remote.deploy(lanns_fs, LANNS_PATH, index_name="svc")
-            assert isinstance(remote.searchers[0][0], RemoteSearcherTransport)
+            assert isinstance(remote.searchers[0][0], RemoteSearcherClient)
             response = remote.execute(
                 SearchRequest(queries=queries, top_k=10, index_name="svc")
             )

@@ -55,7 +55,7 @@ class TestSearcherNode:
         )
         searcher.host("model-b", variant.shards[0])
         assert searcher.hosted_indices == ["model-a", "model-b"]
-        assert searcher.memory_vectors() == len(lanns.shards[0]) + len(
+        assert searcher.stats()["memory_vectors"] == len(lanns.shards[0]) + len(
             variant.shards[0]
         )
         searcher.unhost("model-b")
@@ -160,15 +160,16 @@ class TestBudgetAndPaddingDegenerateCases:
             core.close()
 
     def test_empty_batch_returns_shaped_sentinels_without_fanout(self, lanns):
-        broker = Broker(host_all(lanns), LANNS_2X2)
-        before = [searcher.tally.snapshot() for searcher in broker.searchers]
+        nodes = host_all(lanns)
+        broker = Broker(nodes, LANNS_2X2)
+        before = [searcher.tally.snapshot() for searcher in nodes]
         response = broker.execute(
             SearchRequest(np.empty((0, 16), dtype=np.float32), 9, "main")
         )
         ids, dists = response.ids, response.dists
         assert ids.shape == (0, 9) and dists.shape == (0, 9)
         assert ids.dtype == np.int64 and dists.dtype == np.float64
-        after = [searcher.tally.snapshot() for searcher in broker.searchers]
+        after = [searcher.tally.snapshot() for searcher in nodes]
         assert after == before  # no shard was bothered
 
 

@@ -102,12 +102,12 @@ class TestPartitioningTransparency:
         assert budget * num_shards >= top_k
 
 
-def top_k_oracle(pairs, k, dedupe):
-    """The ``k`` smallest ``(distance, id)`` pairs, one per id if ``dedupe``."""
+def top_k_oracle(pairs, k):
+    """The ``k`` smallest ``(distance, id)`` pairs, one per id."""
     # Descending order, so an id's last write is its smallest distance.
     best = {}
-    for slot, (dist, item) in enumerate(sorted(pairs, reverse=True)):
-        best[item if dedupe else slot] = (dist, item)
+    for dist, item in sorted(pairs, reverse=True):
+        best[item] = (dist, item)
     return sorted(best.values())[:k]
 
 
@@ -132,10 +132,9 @@ class TestBatchTopKAgainstOracle:
             )
         ),
         st.integers(1, 20),
-        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_rows_equal_the_sorted_dict(self, rows, k, dedupe):
+    def test_rows_equal_the_sorted_dict(self, rows, k):
         dists = np.array(
             [[np.inf if slot is None else slot[0] for slot in row] for row in rows],
             dtype=np.float64,
@@ -144,11 +143,11 @@ class TestBatchTopKAgainstOracle:
             [[-1 if slot is None else slot[1] for slot in row] for row in rows],
             dtype=np.int64,
         ).reshape(len(rows), -1)
-        got_ids, got_dists = batch_top_k(dists, ids, k, dedupe=dedupe)
+        got_ids, got_dists = batch_top_k(dists, ids, k)
         assert got_ids.shape == got_dists.shape == (len(rows), k)
         for row, slots in enumerate(rows):
             pairs = [slot for slot in slots if slot is not None]
-            expected = top_k_oracle(pairs, k, dedupe)
+            expected = top_k_oracle(pairs, k)
             found = len(expected)
             assert list(zip(got_dists[row], got_ids[row]))[:found] == expected
             # Past the real results: only padding.

@@ -35,8 +35,8 @@ from repro.errors import (
 )
 from repro.net.client import RemoteSearcherClient
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
+from repro.online.replicas import ReplicaGroup
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
@@ -139,7 +139,13 @@ class TestRemoteStats:
     def test_remote_stats_rpc(self, lanns_fs, addresses, lanns):
         remote = OnlineService(searchers=addresses)
         try:
-            remote.deploy(lanns_fs, LANNS_PATH, index_name="st")
+            broker = remote.deploy(lanns_fs, LANNS_PATH, index_name="st")
+            # One object per shard on this side of the wire: the client.
+            for shard_id, group in enumerate(remote.searchers):
+                assert [type(member) for member in group] == [RemoteSearcherClient]
+                assert group[0].shard_id == shard_id
+                assert broker.groups[shard_id].transports == group
+            assert not {"searchers", "transports"} & set(vars(broker))
             (transport,) = remote.searchers[0]
             stats = transport.stats()
             assert stats["shard_id"] == 0
@@ -149,6 +155,60 @@ class TestRemoteStats:
             assert "st" not in transport.stats()["hosted_indices"]
         finally:
             remote.close()
+
+
+class TestOneObjectPerSide:
+    """A shard is one object on each side of the wire: the fleet holds
+    the clients themselves, and every deploy is the node's own."""
+
+    def test_a_client_without_a_shard_position_joins_no_group(self, addresses):
+        probe = RemoteSearcherClient(addresses[0])
+        try:
+            with pytest.raises(ValueError, match="serves shard None"):
+                ReplicaGroup(0, [probe])
+            with pytest.raises(ValueError, match="expected shard None"):
+                probe.verify()
+        finally:
+            probe.close()
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["in-process", "loopback"])
+    def test_every_deploy_is_one_node_deploy_per_shard(
+        self, monkeypatch, lanns_fs, addresses, remote
+    ):
+        """The service's in-process transports and the servers' DEPLOY
+        handlers (in this process, on their threads) both load a shard
+        through ``SearcherNode.deploy``."""
+        deployed = []
+        original = SearcherNode.deploy
+
+        def counting(node, *args, **kwargs):
+            deployed.append(node.shard_id)
+            return original(node, *args, **kwargs)
+
+        monkeypatch.setattr(SearcherNode, "deploy", counting)
+        service = OnlineService(searchers=addresses if remote else None)
+        try:
+            service.deploy(lanns_fs, LANNS_PATH, index_name="own")
+            assert sorted(deployed) == list(range(NUM_SHARDS))
+            service.undeploy("own")
+        finally:
+            service.close()
+
+    def test_a_deploy_without_a_root_is_refused(self, monkeypatch):
+        """A server started without ``--root`` refuses a DEPLOY that
+        names none, before its node loads anything."""
+        deployed = []
+        monkeypatch.setattr(SearcherNode, "deploy", lambda *a, **k: deployed.append(a))
+        bare = SearcherServer(SearcherNode(0)).start_in_thread()
+        client = RemoteSearcherClient(bare.address, 0)
+        try:
+            with pytest.raises(RemoteCallError, match="needs a filesystem root"):
+                client.deploy("nr", LANNS_PATH)
+            assert client.stats()["hosted_indices"] == []
+        finally:
+            client.close()
+            bare.stop()
+        assert deployed == []
 
 
 class TestDeployFailures:
@@ -274,7 +334,7 @@ class TestDeployFailures:
             ("degrade", TransportError),
         ):
             transports = [
-                RemoteSearcherTransport(address, shard_id)
+                RemoteSearcherClient(address, shard_id)
                 for shard_id, address in enumerate(addresses)
             ]
             broker = Broker(transports, LANNS_2X2, partial_policy=policy)
@@ -302,7 +362,7 @@ class TestDeployFailures:
             for client in clients[:1]:
                 client.deploy("ph", LANNS_PATH, root=str(lanns_fs.root))
             transports = [
-                RemoteSearcherTransport(address, shard_id)
+                RemoteSearcherClient(address, shard_id)
                 for shard_id, address in enumerate(addresses)
             ]
             broker = Broker(
@@ -344,8 +404,8 @@ class TestTimeouts:
                         "tmo", LANNS_PATH, root=str(lanns_fs.root)
                     )
                 transports = [
-                    RemoteSearcherTransport(addresses[0], 0),
-                    RemoteSearcherTransport(silent, 1, retries=0),
+                    RemoteSearcherClient(addresses[0], 0),
+                    RemoteSearcherClient(silent, 1, retries=0),
                 ]
                 degrade = Broker(
                     transports,
@@ -372,11 +432,12 @@ class TestTimeouts:
                     for transport in transports:
                         transport.close()
 
+                transports = [
+                    RemoteSearcherClient(addresses[0], 0),
+                    RemoteSearcherClient(silent, 1, retries=0),
+                ]
                 strict = Broker(
-                    [
-                        RemoteSearcherTransport(addresses[0], 0),
-                        RemoteSearcherTransport(silent, 1, retries=0),
-                    ],
+                    transports,
                     LANNS_2X2,
                     partial_policy="fail",
                     request_timeout_s=0.5,
@@ -387,7 +448,7 @@ class TestTimeouts:
                     ):
                         strict.execute(SearchRequest(probe, 10, "tmo"))
                 finally:
-                    for transport in strict.transports:
+                    for transport in transports:
                         transport.close()
                     strict.close()
             finally:

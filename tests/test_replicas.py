@@ -23,9 +23,9 @@ import time
 import pytest
 
 from repro.errors import TransportError
+from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import parse_fleet_spec
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
 from repro.online.broker import Broker
 from repro.online.replicas import ReplicaGroup
 from repro.online.searcher import SearcherNode
@@ -52,8 +52,8 @@ def start_server(lanns_fs, shard_id: int, *, port: int = 0, **kwargs):
     ).start_in_thread()
 
 
-def connect(address: str, shard_id: int) -> RemoteSearcherTransport:
-    return RemoteSearcherTransport(
+def connect(address: str, shard_id: int) -> RemoteSearcherClient:
+    return RemoteSearcherClient(
         address, shard_id, timeout_s=10.0, retries=0, pool_size=1
     )
 

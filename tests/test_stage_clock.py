@@ -19,8 +19,8 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import DeadlineExceededError
+from repro.net.client import RemoteSearcherClient
 from repro.net.server import SearcherServer
-from repro.net.transport import RemoteSearcherTransport
 from repro.obs.clock import StageClock
 from repro.obs.metrics import MetricsRegistry, Tally, get_registry
 from repro.obs.tracing import SpanRecorder, Tracer
@@ -188,7 +188,7 @@ def test_failed_request_stays_in_the_latency_record():
     node = SearcherNode(0)
     node.host("stall", index.shards[0])
     server = SearcherServer(node, chaos="delay_every=1,delay_s=1.0").start_in_thread()
-    transport = RemoteSearcherTransport(server.address, 0, retries=0)
+    transport = RemoteSearcherClient(server.address, 0, retries=0)
     broker = Broker(
         [transport], config, request_timeout_s=0.15, slow_query_log_s=0.05,
         name="latency-record",
