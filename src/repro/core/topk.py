@@ -92,8 +92,6 @@ def batch_top_k(
     dists: np.ndarray,
     ids: np.ndarray,
     k: int,
-    *,
-    dedupe: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised per-row top-k over ``(B, C)`` candidate arrays.
 
@@ -101,6 +99,9 @@ def batch_top_k(
     in ascending ``(distance, id)`` order -- equal distances are ordered
     by id, so the result is a function of the row's set of pairs, not of
     their column order -- with one ``lexsort`` over the whole batch.
+    Each id is kept once per row, at its best distance (physical spill
+    can surface a point from several segments); a block in which no row
+    repeats an id skips that machinery.
 
     Parameters
     ----------
@@ -109,12 +110,6 @@ def batch_top_k(
         entries are id ``-1`` / distance ``inf``.
     k:
         Results per row.
-    dedupe:
-        Always ``True``, the one merge there is: each id is kept once
-        per row, at its best distance (physical spill can surface a
-        point from several segments).  A block in which no row repeats
-        an id skips the machinery.  The keyword stays for the wrappers
-        that forward it (``tests/test_path_matrix.py::_flip_ties``).
 
     Returns
     -------
@@ -122,8 +117,6 @@ def batch_top_k(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if dedupe is not True:
-        raise ValueError("batch_top_k always keeps each id once per row")
     dists = np.asarray(dists, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.int64)
     if dists.shape != ids.shape or ids.ndim != 2:

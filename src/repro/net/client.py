@@ -91,6 +91,8 @@ _COUNTERS = get_registry().counters(
 _CLIENTS: weakref.WeakSet = weakref.WeakSet()
 #: Bytes asked of one ``recv``: a reply of a few hundred query rows.
 _RECV_BYTES = 1 << 16
+#: Ceiling of the reconnect backoff, in seconds (see ``backoff_s``).
+_BACKOFF_MAX_S = 1.0
 
 
 def parse_address(address: str | tuple) -> tuple[str, int]:
@@ -363,7 +365,7 @@ class Rpc:
                 self.tries_left -= 1
                 client.tally.count("retried")
                 pause = client._jitter(self.delay)
-                self.delay = min(self.delay * 2.0, client.backoff_max_s)
+                self.delay = min(self.delay * 2.0, _BACKOFF_MAX_S)
                 if self.deadline is not None:
                     remaining = self.deadline - time.monotonic()
                     if remaining <= 0:
@@ -449,10 +451,10 @@ class RemoteSearcherClient(SearcherTransport):
         and the surplus is closed on return.
     retries:
         Connectivity-failure retries for idempotent calls.
-    backoff_s / backoff_max_s:
+    backoff_s:
         Reconnect backoff ceiling schedule: retry ``n`` waits a uniform
-        random ("full jitter") slice of ``min(backoff_s * 2**n,
-        backoff_max_s)``.
+        random ("full jitter") slice of ``min(backoff_s * 2**n, 1.0)``
+        seconds (the ceiling is ``_BACKOFF_MAX_S``).
     backoff_seed:
         Seed for the jitter RNG; defaults to a per-address hash so each
         client desynchronizes deterministically without configuration.
@@ -470,7 +472,6 @@ class RemoteSearcherClient(SearcherTransport):
         pool_size: int = 2,
         retries: int = 2,
         backoff_s: float = 0.05,
-        backoff_max_s: float = 1.0,
         backoff_seed: int | None = None,
         max_frame: int = DEFAULT_MAX_FRAME,
     ) -> None:
@@ -487,7 +488,6 @@ class RemoteSearcherClient(SearcherTransport):
         self.pool_size = int(pool_size)
         self.retries = int(retries)
         self.backoff_s = float(backoff_s)
-        self.backoff_max_s = float(backoff_max_s)
         self._backoff_rng = random.Random(
             zlib.crc32(self.address.encode())
             if backoff_seed is None

@@ -30,6 +30,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.net.server import ServerOptions
 
+#: Seconds a SIGTERMed searcher gets to exit before it is SIGKILLed.
+_TERMINATE_GRACE_S = 5.0
+
 
 def _src_path() -> str:
     """The ``src`` directory containing the ``repro`` package."""
@@ -66,14 +69,14 @@ class SearcherProcess:
             self.process.kill()
         self.process.wait(timeout=30)
 
-    def terminate(self, grace_s: float = 5.0) -> None:
-        """Polite stop: SIGTERM, then SIGKILL after ``grace_s``."""
+    def terminate(self) -> None:
+        """Polite stop: SIGTERM, then SIGKILL after ``_TERMINATE_GRACE_S``."""
         if not self.alive():
             self.process.wait(timeout=30)
             return
         self.process.terminate()
         try:
-            self.process.wait(timeout=grace_s)
+            self.process.wait(timeout=_TERMINATE_GRACE_S)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait(timeout=30)

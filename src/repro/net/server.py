@@ -44,7 +44,7 @@ cancelled hedge loser) has its work abandoned rather than answered to
 nobody: a thread waiting for a slot or sleeping an injected stall
 watches its socket for the hang-up, one that searched checks it before
 replying.  Rows are coalesced once, before the fan-out, by the broker's
-admission layer (``BrokerPolicy.max_batch``); a searcher searches each
+micro-batcher (``BrokerPolicy.max_batch``); a searcher searches each
 SEARCH as it arrives.
 
 Launch standalone via ``repro.cli serve-searcher --shard-id S --port P``
@@ -239,7 +239,7 @@ class SearcherServer:
         #: The repr of the last abandoned request that died with an
         #: error rather than a clean hang-up, for postmortems.
         self._last_abandoned_error: str | None = None
-        #: Admission: searches running and requests waiting for a slot
+        #: Searches running and requests waiting for an admission slot
         #: (the ``in_flight`` / ``queued`` gauges of STATS); a finished
         #: search notifies one waiter.
         self._slot_freed = threading.Condition()
@@ -574,11 +574,11 @@ class SearcherServer:
         self._listener = socket.create_server((self.host, self.port))
         self.port = self._listener.getsockname()[1]
 
-    def run(self, *, announce: bool = True) -> int:
-        """Serve until interrupted (the ``serve-searcher`` entry point)."""
+    def run(self) -> int:
+        """Serve until interrupted (the ``serve-searcher`` entry point),
+        announcing the bound port with :func:`ready_line` on stdout."""
         self._listen()
-        if announce:
-            print(ready_line(self.node.shard_id, self.port), flush=True)
+        print(ready_line(self.node.shard_id, self.port), flush=True)
         try:
             self._accept()
         except KeyboardInterrupt:

@@ -3,10 +3,10 @@
 - :class:`~repro.online.searcher.SearcherNode` -- hosts one shard (of one
   or more named indices, enabling A/B tests), performs the in-node
   segment-level merge.
-- :class:`~repro.online.broker.Broker` -- fans a query out to every
-  searcher with the ``perShardTopK`` budget and does the final merge,
-  behind a result cache and an opportunistic micro-batching admission
-  layer.
+- :class:`~repro.online.broker.Broker` -- answers what it can from its
+  result cache, coalesces the misses in its micro-batcher, fans them out
+  to every searcher with the ``perShardTopK`` budget and does the final
+  merge.
 - :class:`~repro.online.microbatch.MicroBatcher` -- coalesces requests
   arriving from many client threads into lockstep batches.
 - :class:`~repro.online.cache.QueryResultCache` -- broker-level LRU over

@@ -11,9 +11,11 @@ fleet.  It is a pipeline, each step one stage of the broker's
 
     validate -> cache -> admit -> route -> fan out -> merge -> record
 
-- **cache -> admit** (:mod:`repro.online.admission`): every request
-  is answered from the result cache where it can be, and its misses
-  are one block the micro-batcher may coalesce with others.
+- **cache -> admit** (:meth:`Broker._serve`): every row is answered
+  from the result cache (:mod:`repro.online.cache`) where it can be,
+  and the misses are one block the micro-batcher
+  (:mod:`repro.online.microbatch`) may coalesce with other threads'
+  blocks under the same admission key.
 - **route** (:mod:`repro.online.router`), per admitted block, only
   where the index's occupancy table leaves something to prune: each
   row is routed by the segmenter's own rule -- the one every shard
@@ -31,6 +33,7 @@ fleet.  It is a pipeline, each step one stage of the broker's
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,12 +44,11 @@ from repro.obs.clock import StageClock
 from repro.obs.cost import SearchCost
 from repro.obs.metrics import Tally, get_registry
 from repro.obs.tracing import Trace, Tracer
-from repro.online.admission import Admission
-from repro.online.cache import QueryResultCache
+from repro.online.cache import QueryResultCache, result_cache_key
 from repro.online.failover import PARTIAL_POLICIES, deadline_after
 from repro.online.fanout import Batch, FanOut, work_list
 from repro.online.hedging import resolve_hedge_delay
-from repro.online.microbatch import AdmissionKey, admission_key
+from repro.online.microbatch import AdmissionKey, MicroBatcher, admission_key
 from repro.online.replicas import ReplicaGroup
 from repro.online.router import Router
 from repro.online.types import SearchRequest, SearchResponse
@@ -267,6 +269,12 @@ class Broker:
             cache if cache is not None else QueryResultCache(cache_size)
         )
         self.cache_epoch = int(cache_epoch)
+        #: A row's cache key; the deployment's share of it is fixed here.
+        self._row_key = partial(
+            result_cache_key,
+            num_shards=config.num_shards,
+            epoch=self.cache_epoch,
+        )
         self._fanout = FanOut(
             self.groups, self.timings, self.tally, policy.partial_policy
         )
@@ -274,23 +282,27 @@ class Broker:
         # dropped.
         if policy.hedge_after_s is not None and not self._fanout.remote:
             raise ValueError("hedge_after_s needs a remote fleet")
-        self._admission = Admission(
-            self._search,
-            self.cache,
-            self.timings,
-            num_shards=config.num_shards,
-            epoch=self.cache_epoch,
-            max_batch=policy.max_batch,
-            max_wait_ms=policy.max_wait_ms,
+        # The micro-batcher slices the per-row arrays (the first four)
+        # back across the blocks it coalesced.
+        self._batcher: MicroBatcher | None = (
+            MicroBatcher(
+                lambda key, queries: self._search(key, queries)[:4],
+                max_batch=policy.max_batch,
+                max_wait_ms=policy.max_wait_ms,
+                on_queue_wait=partial(self.timings.record, "queue_wait"),
+            )
+            if policy.max_batch > 1
+            else None
         )
 
     def close(self) -> None:
-        """Drain the admission layer.
+        """Drain the micro-batcher.
 
         Idempotent and safe to call with requests in flight: pending
         micro-batches execute before the flusher exits.
         """
-        self._admission.close()
+        if self._batcher is not None:
+            self._batcher.close()
 
     def stats(self) -> dict:
         """Serving state: this broker's ``counts`` (its tally's snapshot),
@@ -298,7 +310,7 @@ class Broker:
         windows, the tracer and the replica ledgers.  The
         knobs are ``self.policy``; a searcher's own counts are its STATS
         reply."""
-        batcher = self._admission.batcher
+        batcher = self._batcher
         return {
             "counts": self.tally.snapshot(),
             "cache": self.cache.stats.as_dict(),
@@ -344,7 +356,7 @@ class Broker:
 
         The HNSW layer resolves ``ef=None`` to ``params.ef_search``
         itself, so pinning the default here changes nothing downstream --
-        but it gives the cache and the admission layer a stable key, so
+        but it gives the cache and the micro-batcher a stable key, so
         ``ef=None`` and an explicit ``ef=ef_search`` share cache entries
         and micro-batches.
         """
@@ -355,9 +367,9 @@ class Broker:
         """Serve one :class:`SearchRequest` end to end.
 
         Every request flows through the result cache and the
-        micro-batching admission layer.  A request that fails is in the
-        latency histogram, the ``stats()["stages"]["request"]`` window and
-        the slow-query log like any other.
+        micro-batcher.  A request that fails is in the latency histogram,
+        the ``stats()["stages"]["request"]`` window and the slow-query log
+        like any other.
         """
         queries = request.queries
         num_queries = queries.shape[0]
@@ -384,18 +396,94 @@ class Broker:
         )
         try:
             with whole:
-                response = self._admission.serve(key, queries, trace)
+                response = self._serve(key, queries, trace)
         finally:
             kept = self.tracer.finish(trace, whole.seconds, whole.error)
         return replace(response, trace=trace.to_dict()) if kept else response
 
+    def _serve(
+        self, key: AdmissionKey, queries: np.ndarray, trace: Trace | None
+    ) -> SearchResponse:
+        """Answer rows from the cache; admit the rest as one block.
+
+        Cache hits always count as fully answered by the groups their
+        row was routed to: degraded rows are never cached.
+        """
+        num_queries = queries.shape[0]
+        cost = None
+        if not self.cache.enabled:
+            ids, dists, answered, routed, cost = self._admit(key, queries, trace)
+        else:
+            with self.timings.stage("cache", trace) as stage:
+                keys = [
+                    self._row_key(key.index_name, row, key.top_k, key.ef)
+                    for row in queries
+                ]
+                ids, dists = empty_part(num_queries, key.top_k)
+                routed = np.zeros(num_queries, dtype=np.int64)
+                miss_rows: list[int] = []
+                for row, row_key in enumerate(keys):
+                    cached = self.cache.get(row_key)
+                    if cached is None:
+                        miss_rows.append(row)
+                    else:
+                        ids[row], dists[row], routed[row] = cached
+                stage.annotate(
+                    hits=num_queries - len(miss_rows), misses=len(miss_rows)
+                )
+            answered = routed.copy()
+            if miss_rows:
+                misses = np.asarray(miss_rows, dtype=np.int64)
+                fresh_ids, fresh_dists, fresh_answered, fresh_routed, cost = (
+                    self._admit(key, queries[misses], trace)
+                )
+                ids[misses] = fresh_ids
+                dists[misses] = fresh_dists
+                answered[misses] = fresh_answered
+                routed[misses] = fresh_routed
+                for slot, row in enumerate(miss_rows):
+                    if fresh_answered[slot] == fresh_routed[slot]:
+                        self.cache.put(
+                            keys[row],
+                            fresh_ids[slot],
+                            fresh_dists[slot],
+                            int(fresh_routed[slot]),
+                        )
+        return SearchResponse(
+            ids=ids,
+            dists=dists,
+            shards_answered=answered,
+            shards_routed=routed,
+            num_shards=len(self.groups),
+            cost=cost,
+        )
+
+    def _admit(
+        self, key: AdmissionKey, queries: np.ndarray, trace: Trace | None
+    ) -> tuple:
+        """:meth:`_search` one block, through the micro-batcher when on.
+
+        Traced requests bypass the micro-batcher: the batch kernels are
+        batch-composition invariant, so executing the block alone is
+        bit-identical, and bypassing keeps the whole span tree -- and
+        the cost counters -- attributable to *this* request instead of
+        to whichever strangers it would have coalesced with (a coalesced
+        block reports no cost: per-request attribution of a shared
+        lockstep batch is ambiguous).
+        """
+        if self._batcher is None or trace is not None:
+            with self.timings.stage("queue_wait", trace, coalesced=False):
+                pass
+            return self._search(key, queries, trace)
+        return (*self._batcher.submit(key, queries).result(), None)
+
     def _search(
         self, key: AdmissionKey, queries: np.ndarray, trace: Trace | None = None
-    ) -> SearchResponse:
-        """Route -> fan out -> merge: one lockstep batch, full serving
-        metadata -- what the admission layer runs per (possibly
-        coalesced) block.  Without a router every shard group is asked
-        about every row.
+    ) -> tuple:
+        """Route -> fan out -> merge: one lockstep batch, as ``(ids,
+        dists, shards_answered, shards_routed, cost)`` -- what
+        :meth:`_admit` runs per (possibly coalesced) block.  Without a
+        router every shard group is asked about every row.
         """
         policy = self.policy
         num_queries = queries.shape[0]
@@ -413,13 +501,12 @@ class Broker:
             # Every row routed nowhere (its segments are hosted on no
             # shard): nothing to ask.
             ids, dists = empty_part(num_queries, key.top_k)
-            return SearchResponse(
-                ids=ids,
-                dists=dists,
-                shards_answered=np.zeros(num_queries, dtype=np.int64),
-                shards_routed=routed,
-                num_shards=num_shards,
-                cost=SearchCost().as_dict() if policy.collect_cost else None,
+            return (
+                ids,
+                dists,
+                np.zeros(num_queries, dtype=np.int64),
+                routed,
+                SearchCost().as_dict() if policy.collect_cost else None,
             )
         budget = self.per_shard_budget(key.top_k)
         batch = Batch(
@@ -443,11 +530,4 @@ class Broker:
             "merge", trace, window="merge", parts=len(result.parts)
         ):
             ids, dists = merge_shard_results_batch(result.parts, key.top_k)
-        return SearchResponse(
-            ids=ids,
-            dists=dists,
-            shards_answered=result.answered,
-            shards_routed=routed,
-            num_shards=num_shards,
-            cost=result.cost,
-        )
+        return ids, dists, result.answered, routed, result.cost

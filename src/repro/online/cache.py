@@ -3,9 +3,9 @@
 Real ANN query streams are highly skewed (TCAM-style LSH serving exploits
 exactly this): a small set of heavy-hitter queries repeats often enough
 that caching their *exact* merged results buys a large effective QPS at
-negligible memory cost.  The cache sits in front of the broker's
-admission layer: hits skip the whole fan-out, misses are filled after the
-final merge.
+negligible memory cost.  The broker looks every row up before its
+micro-batcher (:meth:`~repro.online.broker.Broker._serve`): hits skip the
+whole fan-out, misses are filled after the final merge.
 
 Keys are exact-match tuples ``(index_name, query_bytes, top_k, ef,
 num_shards, epoch)`` over the *canonicalised* query's bytes

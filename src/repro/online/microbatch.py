@@ -1,7 +1,7 @@
-"""Opportunistic micro-batching: the broker's request-admission layer.
+"""Opportunistic micro-batching: the broker's cache misses, coalesced.
 
 Under multi-client load, single-query requests arriving on many threads
-would each pay a full shard fan-out.  The admission layer instead
+would each pay a full shard fan-out.  The broker's micro-batcher instead
 collects concurrently arriving requests into *micro-batches* and executes
 them through the existing lockstep batch path, so concurrent singles get
 batched QPS instead of queueing behind each other.

@@ -42,6 +42,11 @@ from repro.online.types import SearchRequest, SearchResponse
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import load_manifest, load_segmenter
 
+#: Seconds a rolling restart waits for a fenced replica's in-flight
+#: requests to finish, and for its replacement to answer a ping.
+_DRAIN_TIMEOUT_S = 30.0
+_VERIFY_TIMEOUT_S = 30.0
+
 
 class OnlineService:
     """A searcher fleet plus broker, loaded from exported indices.
@@ -271,7 +276,7 @@ class OnlineService:
         """Remove an index from every searcher (end of an A/B test).
 
         The broker is closed *before* unhosting: close() drains requests
-        still pending in the admission layer, and they must drain against
+        still pending in its micro-batcher, and they must drain against
         searchers that still host the index.
         """
         if index_name not in self.brokers:
@@ -287,9 +292,6 @@ class OnlineService:
         self,
         shard_id: int,
         restart: Callable[[int, int], None],
-        *,
-        drain_timeout_s: float = 30.0,
-        verify_timeout_s: float = 30.0,
     ) -> None:
         """Restart shard ``shard_id``'s replica group with zero drops.
 
@@ -299,9 +301,9 @@ class OnlineService:
         ``restart(shard_id, replica_id)`` hook replaces the process at
         the same address, (4) a ping handshake confirms the replacement
         is up and announces the right shard, (5) every deployed index is
-        re-hosted onto it, and (6) the fence lifts.  Sibling replicas
-        serve the group's full traffic throughout, so no query is
-        dropped or degraded.
+        re-hosted onto it, and (6) the fence lifts; (2) and (4) each give
+        up after 30 s.  Sibling replicas serve the group's full traffic
+        throughout, so no query is dropped or degraded.
 
         Requires a group of at least two replicas -- restarting a
         group's only member necessarily drops its shard.
@@ -322,7 +324,7 @@ class OnlineService:
             for broker in self.brokers.values():
                 broker.groups[shard_id].drain(replica_id)
             try:
-                deadline = time.monotonic() + drain_timeout_s
+                deadline = time.monotonic() + _DRAIN_TIMEOUT_S
                 while any(
                     broker.groups[shard_id].in_flight(replica_id) > 0
                     for broker in self.brokers.values()
@@ -331,11 +333,11 @@ class OnlineService:
                         raise TimeoutError(
                             f"shard {shard_id} replica {replica_id} still "
                             f"has in-flight requests after "
-                            f"{drain_timeout_s}s"
+                            f"{_DRAIN_TIMEOUT_S}s"
                         )
                     time.sleep(0.002)
                 restart(shard_id, replica_id)
-                deadline = time.monotonic() + verify_timeout_s
+                deadline = time.monotonic() + _VERIFY_TIMEOUT_S
                 while True:
                     try:
                         transport.verify()
@@ -360,7 +362,7 @@ class OnlineService:
                     broker.groups[shard_id].restore(replica_id)
 
     def close(self) -> None:
-        """Close every broker (drains admission layers) and every
+        """Close every broker (drains their micro-batchers) and every
         transport; idempotent.
 
         A remote transport closes its connection pool (the searcher

@@ -621,6 +621,14 @@ RETIRED = {
         (("src def",), "ddef7c8"),
     ),
     "CONNECTIVITY_FAILURES": (("src name", "readme"), "ddef7c8"),
+    # The broker owns its cache and micro-batcher: the one-caller layer
+    # between them, and five keywords no caller set, now constants (the
+    # parent's id, as above).
+    "Admission": (("src def",), "c122a3e"),
+    **dict.fromkeys(
+        ["backoff_max_s", "announce", "grace_s", "drain_timeout_s", "verify_timeout_s"],
+        (("src parameter",), "c122a3e"),
+    ),
 }
 
 
@@ -753,7 +761,6 @@ class TestServingKnobSurface:
     LEAVES = {
         "online/replicas.py:__init__": {"breaker_threshold", "breaker_cooldown_s"},
         "online/microbatch.py:__init__": {"max_batch", "max_wait_ms"},
-        "online/admission.py:__init__": {"max_batch", "max_wait_ms"},
         "online/fanout.py:__init__": {"partial_policy"},
         "online/fanout.py:assemble": {"partial_policy", "collect_cost"},
         "online/failover.py:degrades": {"partial_policy"},
@@ -1169,10 +1176,10 @@ def test_the_shard_call_field_list_is_spelled_once():
 
 
 class TestServingTierShape:
-    """The broker stays a pipeline over four modules and one clock."""
+    """The broker stays a pipeline over three modules and one clock."""
 
     src = default_repo_root() / "src" / "repro"
-    seams = ("admission", "fanout", "failover", "hedging")
+    seams = ("fanout", "failover", "hedging")
 
     def test_no_online_module_over_700_lines(self):
         sizes = {

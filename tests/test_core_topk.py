@@ -2,6 +2,7 @@
 merge primitive."""
 
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -243,9 +244,8 @@ class TestBatchTopK:
             batch_top_k(np.zeros((1, 1)), np.zeros((1, 1), np.int64), 0)
 
     def test_there_is_no_merge_that_keeps_a_repeated_id(self):
-        """Every merge dedupes; asking for the other kind is refused."""
-        with pytest.raises(ValueError, match="once per row"):
-            batch_top_k(np.zeros((1, 2)), np.zeros((1, 2), np.int64), 2, dedupe=False)
+        """Every merge dedupes: there is no keyword to ask for the other kind."""
+        assert "dedupe" not in inspect.signature(batch_top_k).parameters
 
     def test_no_cross_row_key_collision_with_negative_ids(self):
         """Arbitrary int ids must not alias across rows in the dedupe."""

@@ -68,7 +68,7 @@ from repro.net.server import SearcherServer
 from repro.offline.brute_force import exact_top_k
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
-from repro.online import admission as admission_module
+from repro.online import broker as broker_module
 from repro.online import fanout as fanout_module
 from repro.online.broker import Broker, BrokerPolicy
 from repro.online.cache import QueryResultCache
@@ -592,8 +592,8 @@ def test_scorer(kind, metric, dim, pairs, lattice, seed):
 
 def _flip_ties(batch_top_k):
     # id -> -id - 2 reverses the id order and keeps the -1 padding.
-    def flipped(dists, ids, k, *, dedupe=True):
-        out_ids, out_dists = batch_top_k(dists, -np.asarray(ids) - 2, k, dedupe=dedupe)
+    def flipped(dists, ids, k):
+        out_ids, out_dists = batch_top_k(dists, -np.asarray(ids) - 2, k)
         return -out_ids - 2, out_dists
 
     return flipped
@@ -650,7 +650,7 @@ BUGS = {
     # Both fences down: nothing invalidates the name, no epoch keys it.
     "stale-cache-survives-redeploy": [
         (QueryResultCache, "invalidate", lambda f: lambda self, name: 0),
-        (admission_module, "result_cache_key", lambda f: lambda *a, epoch=0, **kw: f(*a, **kw)),
+        (broker_module, "result_cache_key", lambda f: lambda *a, epoch=0, **kw: f(*a, **kw)),
     ],
     # Planted on the route the plan reads, so the plan drops segments.
     "Router.plan-drops-last-spill-segment": [

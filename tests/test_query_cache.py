@@ -276,7 +276,7 @@ class TestServiceInvalidation:
         for thread in threads:
             thread.start()
         deadline = time.perf_counter() + 30.0
-        tally = broker._admission.batcher.tally
+        tally = broker._batcher.tally
         while (
             tally.snapshot().get("blocks_admitted", 0) < 4
             and time.perf_counter() < deadline
