@@ -172,10 +172,6 @@ class HnswGraph:
         slot = self._slot(node, level)
         return self.table[slot, : self.degrees[slot]].tolist()
 
-    def degree(self, node: int, level: int) -> int:
-        """Out-degree of ``node`` at ``level``."""
-        return int(self.degrees[self._slot(node, level)])
-
     @property
     def width(self) -> int:
         """Slots per table row: the larger degree bound."""

@@ -211,8 +211,8 @@ class ReplicaGroup:
         measured siblings (an implicit ``0.0`` would send every tie to
         the coldest replica) nor starved behind them (``+inf`` would
         keep it unmeasured forever).  Picking a half-open replica marks
-        its probe as outstanding.  Returns ``None`` when every replica
-        is excluded.
+        its probe as outstanding and publishes the half-open state.
+        Returns ``None`` when every replica is excluded.
         """
         excluded = set(exclude)
         now = time.monotonic()
@@ -249,6 +249,7 @@ class ReplicaGroup:
             chosen.picks += 1
             if self._breaker_state_locked(chosen, now) == 2:
                 chosen.breaker_probing = True
+                self._publish_breaker_locked(chosen, now)
             return chosen
 
     # -- accounting --------------------------------------------------------------

@@ -133,15 +133,6 @@ class LocalHdfs:
             return True
         return False
 
-    def rename(self, source: str, destination: str) -> None:
-        """Atomically move ``source`` to ``destination``."""
-        src = self._resolve(source)
-        dst = self._resolve(destination)
-        if not src.exists():
-            raise StorageError(f"no such path: {source!r}")
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(src, dst)
-
     # -- temp paths -------------------------------------------------------------------------
     def make_temp_path(self, prefix: str = "tmp") -> str:
         """A fresh path under ``_tmp/`` (not created yet)."""

@@ -7,12 +7,15 @@ including the known false-positive traps: lock-free initialisation in
 """
 
 import ast
+import functools
 import inspect
 import os
 import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,100 @@ def _mod(source: str, path: str = "src/repro/net/example.py") -> ModuleSource:
 
 def _rules(findings) -> set:
     return {(f.checker, f.rule) for f in findings}
+
+
+# -- the code the pins read: one parse, one reference index -------------------------
+
+ROOT = default_repo_root()
+SRC = ROOT / "src" / "repro"
+
+
+@functools.cache
+def parsed() -> dict:
+    """``{path: tree}``, each file parsed once: ``src/repro``,
+    ``examples/`` and the benchmarks that are not tests."""
+    paths = [*SRC.rglob("*.py"), *(ROOT / "examples").glob("*.py")]
+    paths += (ROOT / "benchmarks").rglob("*.py")
+    tests = ("test_", "conftest")
+    return {p: ast.parse(p.read_text()) for p in sorted(paths) if not p.name.startswith(tests)}
+
+
+def code(pattern: str, under: Path = SRC) -> dict:
+    """``{path: tree}`` of the parsed files under ``under`` matching ``pattern``."""
+    return {path: parsed()[path] for path in sorted(under.glob(pattern)) if path in parsed()}
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def parameters(fn) -> set:
+    spec = fn.args
+    return {arg.arg for arg in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs)}
+
+
+@functools.cache
+def references() -> tuple:
+    """One walk of every parsed file: ``defs``, the ``(path, qualified
+    name, node)`` of each def and class under ``src/repro``; ``sites``,
+    ``word -> [(path, line, kind)]`` where ``kind`` is ``def``, ``arg``,
+    ``keyword``, ``name`` / ``attribute`` (loaded), ``store`` or ``string``;
+    ``imports``, ``path -> [(module, alias or None)]``."""
+    defs, sites, imports = [], {}, {}
+
+    def walk(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            word, kind, inner = None, None, owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+                if SRC in path.parents:
+                    defs.append((path, inner, child))
+                word, kind = child.name, "def"
+            elif isinstance(child, (ast.Name, ast.Attribute)):
+                word = getattr(child, "id", None) or child.attr
+                loaded = isinstance(child.ctx, ast.Load)
+                kind = type(child).__name__.lower() if loaded else "store"
+            elif isinstance(child, (ast.arg, ast.keyword)) and child.arg:
+                word, kind = child.arg, type(child).__name__
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                word, kind = child.value, "string"
+            elif isinstance(child, ast.Import):
+                imports.setdefault(path, []).extend((a.name, None) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                if child.level:  # relative: resolve against the package
+                    package = module_name(path).split(".")
+                    package = package if path.name == "__init__.py" else package[:-1]
+                    package = package[: len(package) - child.level + 1]
+                    base = ".".join([*package, base] if base else package)
+                imports.setdefault(path, []).extend((base, a.name) for a in child.names)
+            if kind:
+                sites.setdefault(word, []).append((path, child.lineno, kind))
+            walk(child, path, inner)
+
+    for path, tree in parsed().items():
+        walk(tree, path, "")
+    return defs, sites, imports
+
+
+def within(path: Path, line: int, *qualified: str) -> bool:
+    """Whether ``line`` of ``path`` is in the body of a def ``qualified`` names."""
+    return any(
+        where == path and node.lineno <= line <= node.end_lineno
+        for where, name, node in references()[0]
+        if name in qualified
+    )
+
+
+def words(kind: str, *names: str) -> set:
+    """The words with a ``kind`` site in ``src/repro/<name>.py``."""
+    files = {SRC / f"{name}.py" for name in names}
+    return {
+        word
+        for word, found in references()[1].items()
+        if any(site == kind and path in files for path, _, site in found)
+    }
 
 
 # -- lock-discipline ----------------------------------------------------------------
@@ -130,82 +227,45 @@ class TestDeterminism:
 
     PATH = "src/repro/hnsw/example.py"
 
-    def test_legacy_np_random_flagged(self):
-        source = """
-            import numpy as np
-
-            def jitter(n):
-                return np.random.rand(n)
-            """
-        findings = check_determinism.run(_mod(source, self.PATH))
-        assert ("determinism", "legacy-np-random") in _rules(findings)
-
-    def test_unseeded_default_rng_flagged(self):
-        source = """
-            import numpy as np
-
-            def make_rng():
-                return np.random.default_rng()
-            """
-        findings = check_determinism.run(_mod(source, self.PATH))
-        assert ("determinism", "unseeded-rng") in _rules(findings)
-
-    def test_seeded_default_rng_clean(self):
-        source = """
-            import numpy as np
-
-            def make_rng(seed):
-                return np.random.default_rng(seed)
-            """
-        assert check_determinism.run(_mod(source, self.PATH)) == []
-
-    def test_stdlib_random_flagged(self):
-        source = """
-            import random
-
-            def pick(items):
-                return random.choice(items)
-            """
-        findings = check_determinism.run(_mod(source, self.PATH))
-        assert ("determinism", "stdlib-random") in _rules(findings)
-
-    def test_wall_clock_flagged(self):
-        source = """
-            import time
-
-            def stamp():
-                return time.time()
-            """
-        findings = check_determinism.run(_mod(source, self.PATH))
-        assert ("determinism", "wall-clock") in _rules(findings)
-
-    def test_perf_counter_clean(self):
-        # Monotonic timers are fine — only wall clocks leak real time
-        # into kernel outputs.
-        source = """
-            import time
-
-            def stamp():
-                return time.perf_counter()
-            """
-        assert check_determinism.run(_mod(source, self.PATH)) == []
-
     @pytest.mark.parametrize(
-        "call",
+        "module, call, rule",
         [
-            "np.argsort(scores)",
-            "np.argsort(scores, axis=1)",
-            "np.sort(keys, axis=1)",
-            "keys.sort(axis=1)",
-            "scores[rows].argsort()",
-            'np.argsort(scores, kind="quicksort")',
-            "np.argpartition(scores, k)[:k]",
-            "scores.partition(k)",
-            # Stability does not rescue a partition.
-            'np.argpartition(scores, k, kind="stable")',
+            ("numpy as np", "np.random.rand(n)", "legacy-np-random"),
+            ("numpy as np", "np.random.default_rng()", "unseeded-rng"),
+            ("numpy as np", "np.random.default_rng(n)", None),
+            ("random", "random.choice(n)", "stdlib-random"),
+            ("time", "time.time()", "wall-clock"),
+            # Monotonic timers are fine -- only wall clocks leak real time
+            # into kernel outputs.
+            ("time", "time.perf_counter()", None),
         ],
     )
-    def test_unstable_order_flagged(self, call):
+    def test_randomness_and_clocks(self, module, call, rule):
+        source = f"import {module}\n\ndef f(n):\n    return {call}\n"
+        findings = check_determinism.run(_mod(source, self.PATH))
+        assert _rules(findings) == ({("determinism", rule)} if rule else set())
+
+    @pytest.mark.parametrize(
+        "call, unstable",
+        [
+            ("np.argsort(scores)", True),
+            ("np.argsort(scores, axis=1)", True),
+            ("np.sort(keys, axis=1)", True),
+            ("keys.sort(axis=1)", True),
+            ("scores[rows].argsort()", True),
+            ('np.argsort(scores, kind="quicksort")', True),
+            ("np.argpartition(scores, k)[:k]", True),
+            ("scores.partition(k)", True),
+            # Stability does not rescue a partition.
+            ('np.argpartition(scores, k, kind="stable")', True),
+            ('np.argsort(scores, kind="stable")', False),
+            ('np.argsort(scores, axis=1, kind="stable")[:, :k]', False),
+            ('keys.sort(axis=1, kind="stable")', False),
+            ("np.lexsort((rows, scores), axis=-1)", False),
+            ("sorted(zip(scores, rows))", False),
+        ],
+    )
+    def test_unstable_order(self, call, unstable):
         source = f"""
             import numpy as np
 
@@ -213,28 +273,8 @@ class TestDeterminism:
                 return {call}
             """
         findings = check_determinism.run_order(_mod(source, self.PATH))
-        assert _rules(findings) == {("determinism", "unstable-order")}
-        assert len(findings) == 1
-        assert findings[0].symbol == "rank"
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            'np.argsort(scores, kind="stable")',
-            'np.argsort(scores, axis=1, kind="stable")[:, :k]',
-            'keys.sort(axis=1, kind="stable")',
-            "np.lexsort((rows, scores), axis=-1)",
-            "sorted(zip(scores, rows))",
-        ],
-    )
-    def test_stable_order_clean(self, call):
-        source = f"""
-            import numpy as np
-
-            def rank(scores, keys, rows, k):
-                return {call}
-            """
-        assert check_determinism.run_order(_mod(source, self.PATH)) == []
+        found = [(f.checker, f.rule, f.symbol) for f in findings]
+        assert found == [("determinism", "unstable-order", "rank")] * unstable
 
     def test_unstable_order_scope(self, tmp_path):
         """The rule follows the modules that rank candidates, which is
@@ -268,91 +308,72 @@ class TestErrorDiscipline:
 
     TAXONOMY = {"LannsError", "ConfigError", "TransportError"}
 
-    def _run(self, source: str):
-        return check_errors.run(_mod(source), self.TAXONOMY)
-
-    def test_off_taxonomy_raise_flagged(self):
-        source = """
-            def connect(address):
-                raise MadeUpNetworkError(address)
-            """
-        findings = self._run(source)
-        assert ("error-discipline", "off-taxonomy-raise") in _rules(findings)
-
-    def test_taxonomy_and_builtin_raises_clean(self):
-        source = """
-            def connect(address, retries):
-                if retries < 0:
-                    raise ValueError(f"retries must be >= 0, got {retries}")
-                raise TransportError(address)
-            """
-        assert self._run(source) == []
-
-    def test_locally_defined_error_clean(self):
-        source = """
-            class HandshakeError(Exception):
-                pass
-
-            def connect(address):
-                raise HandshakeError(address)
-            """
-        assert self._run(source) == []
-
-    def test_bare_reraise_clean(self):
-        source = """
-            def forward(primary, failures):
-                try:
-                    return primary()
-                except Exception:
-                    raise
-            """
-        assert self._run(source) == []
-
-    def test_silent_swallow_flagged(self):
-        source = """
-            def cleanup(resource):
-                try:
-                    resource.close()
-                except Exception:
+    @pytest.mark.parametrize(
+        "rule, source",
+        [
+            ("off-taxonomy-raise", """
+                def connect(address):
+                    raise MadeUpNetworkError(address)
+                """),
+            (None, """
+                def connect(address, retries):
+                    if retries < 0:
+                        raise ValueError(f"retries must be >= 0, got {retries}")
+                    raise TransportError(address)
+                """),
+            (None, """
+                class HandshakeError(Exception):
                     pass
-            """
-        findings = self._run(source)
-        assert ("error-discipline", "silent-swallow") in _rules(findings)
 
-    def test_suppress_exception_flagged(self):
-        source = """
-            from contextlib import suppress
+                def connect(address):
+                    raise HandshakeError(address)
+                """),
+            (None, """
+                def forward(primary, failures):
+                    try:
+                        return primary()
+                    except Exception:
+                        raise
+                """),
+            ("silent-swallow", """
+                def cleanup(resource):
+                    try:
+                        resource.close()
+                    except Exception:
+                        pass
+                """),
+            ("silent-swallow", """
+                from contextlib import suppress
 
-            def cleanup(resource):
-                with suppress(Exception):
-                    resource.close()
-            """
-        findings = self._run(source)
-        assert ("error-discipline", "silent-swallow") in _rules(findings)
+                def cleanup(resource):
+                    with suppress(Exception):
+                        resource.close()
+                """),
+            (None, """
+                from contextlib import suppress
 
-    def test_narrow_suppress_clean(self):
-        source = """
-            from contextlib import suppress
+                def cleanup(resource):
+                    with suppress(OSError):
+                        resource.close()
+                """),
+            # Broad catches are fine when the error is *used* (logged,
+            # recorded, re-raised) -- only silent drops are flagged.
+            (None, """
+                import sys
 
-            def cleanup(resource):
-                with suppress(OSError):
-                    resource.close()
-            """
-        assert self._run(source) == []
-
-    def test_handled_broad_except_clean(self):
-        # Broad catches are fine when the error is *used* (logged,
-        # recorded, re-raised) — only silent drops are flagged.
-        source = """
-            import sys
-
-            def cleanup(resource):
-                try:
-                    resource.close()
-                except Exception as exc:
-                    print(f"close failed: {exc}", file=sys.stderr)
-            """
-        assert self._run(source) == []
+                def cleanup(resource):
+                    try:
+                        resource.close()
+                    except Exception as exc:
+                        print(f"close failed: {exc}", file=sys.stderr)
+                """),
+        ],
+        ids=["off-taxonomy", "taxonomy-and-builtin", "locally-defined", "bare-reraise",
+             "silent-swallow", "suppress-exception", "narrow-suppress", "handled-broad"],
+    )
+    def test_raises_and_catches(self, rule, source):
+        findings = check_errors.run(_mod(source), self.TAXONOMY)
+        assert _rules(findings) == ({("error-discipline", rule)} if rule else set())
 
 
 # -- baseline -----------------------------------------------------------------------
@@ -421,6 +442,18 @@ class TestBaseline:
 # -- driver / diagnostics -----------------------------------------------------------
 
 
+def flags_declared(trees) -> set:
+    """The ``--`` flags the ``add_argument`` calls in ``trees`` declare."""
+    return {
+        arg.value
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+    }
+
+
 def test_hnsw_index_has_one_search_body():
     """The float / quantized / flat-scan fork must not quietly regrow."""
     from repro.hnsw.index import HnswIndex
@@ -434,20 +467,14 @@ def test_the_one_row_scoring_branch_is_written_once():
     helper holds the ``"nd,d->n"`` reduction every dot-product scorer
     shares, and no one-row twin sits beside the two beam and two descend
     kernels."""
-    import ast
-    from pathlib import Path
-
-    import repro
     from repro.hnsw import search
 
-    holders = []
-    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                isinstance(leaf, ast.Constant) and leaf.value == "nd,d->n"
-                for leaf in ast.walk(node)
-            ):
-                holders.append((path.name, node.name))
+    holders = [
+        (path.name, node.name)
+        for path, _, node in references()[0]
+        if not isinstance(node, ast.ClassDef)
+        and any(getattr(leaf, "value", None) == "nd,d->n" for leaf in ast.walk(node))
+    ]
     assert holders == [("scorer.py", "_gather_dot")]
 
     kernels = sorted(
@@ -498,22 +525,18 @@ def test_hnsw_graph_has_one_adjacency():
     assert [name for name, size in held.items() if size >= edges] == ["table"]
     assert graph.table.ndim == 2 and graph.table.dtype == np.int32
     # ... and the index keeps no graph-sized integer array of its own.
-    beside = {
-        name: value
+    beside = [
+        name
         for name, value in vars(index).items()
-        if isinstance(value, np.ndarray)
-        and value.dtype.kind == "i"
-        and value.size >= edges
-    }
-    assert beside == {}
+        if isinstance(value, np.ndarray) and value.dtype.kind == "i" and value.size >= edges
+    ]
+    assert beside == []
 
 
 def test_both_venues_speak_one_candidate_currency():
     """A heap kernel and its array twin are interchangeable: apart from
     the visited scratch each brings, the signatures are one -- so no
     adapter has a place to grow between them and their one caller."""
-    import inspect
-
     from repro.hnsw import search
 
     def signature(kernel):
@@ -524,9 +547,7 @@ def test_both_venues_speak_one_candidate_currency():
 
     assert signature(search.search_layer_batch) == signature(search.search_arrays)
     assert "visited" in inspect.signature(search.search_arrays).parameters
-    assert signature(search.descend_to_levels_batch) == signature(
-        search.descend_arrays
-    )
+    assert signature(search.descend_to_levels_batch) == signature(search.descend_arrays)
     assert "visited" not in inspect.signature(search.descend_arrays).parameters
 
 
@@ -534,35 +555,44 @@ def test_construction_keeps_candidates_in_arrays():
     """From beam kernel to adjacency table a candidate set is ``(ids,
     dists)`` arrays: the ``(dist, node)`` tuple lists and the adapter
     that fed them must not quietly regrow."""
-    hnsw = default_repo_root() / "src" / "repro" / "hnsw"
     for name in ("index.py", "heuristic.py"):
-        source = (hnsw / name).read_text()
-        assert "tuple[float, int]" not in source, name
-        assert "beams_as_arrays" not in source, name
+        source = (SRC / "hnsw" / name).read_text()
+        assert "tuple[float, int]" not in source and "beams_as_arrays" not in source, name
 
 
-#: Names deleted on purpose: ``name -> (where it must not come back, the
-#: commit that retired it)``.  The places are name sets one walk collects:
-#: defs under ``src/`` ("src def"); parameters under ``src/`` ("src
-#: parameter") and of ``SearcherServer`` ("server parameter"); every
-#: name, attribute and def under ``src/repro/net`` ("net name"); every
-#: name, attribute and keyword under ``src/`` ("src name") and in
-#: ``examples/*.py`` / ``benchmarks/*.py`` ("script name"); string
-#: constants under ``src/``, by prefix ("src string"); the words of
-#: README.md ("readme"); defs of ``benchmarks/bench_*.py`` ("bench def").
-RETIRED = {
-    # One construction path and one merge: the sequential insert, its
-    # private kernels (two more are the kernel pin's) and the tuple merge.
-    **dict.fromkeys(
-        ["_insert_row", "_link_back", "greedy_descent", "score_ids", "merge_top_k",
-         "TopKHeap"], (("src def",), "b7a06f6"),
+def place(kinds: set, where):
+    """Whether a word has a ``kinds`` site at a ``(path, line)`` ``where`` holds."""
+    return lambda word: any(
+        kind in kinds and where(path, line)
+        for path, line, kind in references()[1].get(word, ())
+    )
+
+
+SPELLED = {"name", "attribute", "store", "keyword"}
+#: Where a retired name must not come back: ``src/`` is ``src/repro``,
+#: "net" its ``net/`` package and a script a top-level ``examples/*.py``
+#: or ``benchmarks/*.py``; a "src string" is matched by prefix.
+PLACES = {
+    "src def": place({"def"}, lambda path, _: SRC in path.parents),
+    "src parameter": place({"arg"}, lambda path, _: SRC in path.parents),
+    "server parameter": place({"arg"}, lambda *site: within(*site, "SearcherServer")),
+    "net name": place(SPELLED | {"def"}, lambda path, _: path.parent == SRC / "net"),
+    "src name": place(SPELLED, lambda path, _: SRC in path.parents),
+    "script name": place(
+        SPELLED, lambda path, _: path.parent in (ROOT / "examples", ROOT / "benchmarks")
     ),
-    # One adjacency: the graph's second and third representations, and
-    # format 1's per-level member family (f-string heads too).
-    **dict.fromkeys(["padded", "PaddedAdjacency", "set_level_csr"], (("src def",), "a219e4e")),
-    "beams_as_arrays": (("src def",), "5cf6190"),
-    **dict.fromkeys(["fill_info_out", "observed_search_batch"], (("src def",), "6145b78")),
-    **dict.fromkeys(["level_csr", "load_level_csr"], (("src def",), "c9e3740")),
+    "bench def": place({"def"}, lambda path, _: path.match("benchmarks/bench_*.py")),
+    "src string": lambda name: any(
+        word.startswith(name) and place({"string"}, lambda path, _: SRC in path.parents)(word)
+        for word in references()[1]
+    ),
+    "readme": lambda name: name in re.findall(r"\w+", (ROOT / "README.md").read_text()),
+}
+#: Names deleted on purpose: ``name -> (where it must not come back, the
+#: commit that retired it)``.  A def or class that comes back is the
+#: reachability pin's to catch: nothing names it.
+RETIRED = {
+    # One adjacency: format 1's per-level member family (f-string heads too).
     **dict.fromkeys(["indptr_", "indices_"], (("src string",), "c9e3740")),
     # The wire on asyncio streams, its helpers and per-RPC ``wait_for``.
     **dict.fromkeys(
@@ -587,11 +617,10 @@ RETIRED = {
     **dict.fromkeys(
         ["INHERIT", "overrides_policy", "routing_hints", "cache_quantize_decimals",
          "quantize_decimals", "_canonical_query_bytes"],
-        (("src def", "src parameter", "src name", "script name", "readme"), "4eb3f8c"),
+        (("src parameter", "src name", "script name", "readme"), "4eb3f8c"),
     ),
-    # A count is written once: the private twins of tallied counters and
-    # the hand-built STATS nesting went (the parent's id, as above).
-    "_count_request": (("src def",), "2b563c3"),
+    # A count is written once: the hand-built STATS nesting went (the
+    # parent's id, as above).
     **dict.fromkeys(
         ["searches_shed", "searches_expired", "searches_abandoned",
          "fleet_queries_served", "server_microbatch", "flush_reasons",
@@ -610,21 +639,16 @@ RETIRED = {
     **dict.fromkeys(
         ["measure_qps", "measure_batch_qps", "serving_throughput",
          "concurrent_serving_throughput"],
-        (("src def", "bench def", "script name"), "721308d"),
+        (("bench def", "script name"), "721308d"),
     ),
     # A shard is one object per side of the wire: the class that forwarded
-    # to the client (its ledger names are aliases now), the node's second
-    # count of its vectors, the one-caller merge and a tuple nothing read
-    # (the parent's id, as above).
-    **dict.fromkeys(
-        ["RemoteSearcherTransport", "memory_vectors", "merge_candidates_batch"],
-        (("src def",), "ddef7c8"),
-    ),
+    # to the client (its ledger names are aliases now, so a class that came
+    # back would be reached) and a tuple nothing read (the parent's id, as
+    # above).
+    "RemoteSearcherTransport": (("src def",), "ddef7c8"),
     "CONNECTIVITY_FAILURES": (("src name", "readme"), "ddef7c8"),
-    # The broker owns its cache and micro-batcher: the one-caller layer
-    # between them, and five keywords no caller set, now constants (the
-    # parent's id, as above).
-    "Admission": (("src def",), "c122a3e"),
+    # The broker owns its cache and micro-batcher: five keywords no caller
+    # set, now constants (the parent's id, as above).
     **dict.fromkeys(
         ["backoff_max_s", "announce", "grace_s", "drain_timeout_s", "verify_timeout_s"],
         (("src parameter",), "c122a3e"),
@@ -633,54 +657,11 @@ RETIRED = {
 
 
 def test_retired_names_stay_retired():
-    root = default_repo_root()
-    seen = {place: set() for places, _ in RETIRED.values() for place in places}
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-    def names(node) -> set:
-        """The identifier a name, an attribute or a keyword spells."""
-        if isinstance(node, ast.Name):
-            return {node.id}
-        if isinstance(node, ast.Attribute):
-            return {node.attr}
-        return {node.arg} if isinstance(node, ast.keyword) else set()
-
-    for path in (root / "src").rglob("*.py"):
-        in_net = path.parent.name == "net"
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, defs):
-                seen["src def"].add(node.name)
-                if in_net:
-                    seen["net name"].add(node.name)
-                if node.name == "SearcherServer":
-                    seen["server parameter"] |= {
-                        arg.arg for fn in ast.walk(node) if isinstance(fn, ast.arguments)
-                        for arg in (*fn.args, *fn.kwonlyargs)
-                    }
-            seen["src name"] |= names(node)
-            if isinstance(node, ast.arg):
-                seen["src parameter"].add(node.arg)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                seen["src string"].add(node.value)
-            elif in_net and isinstance(node, (ast.Name, ast.Attribute)):
-                seen["net name"].add(getattr(node, "id", None) or node.attr)
-    seen["readme"] = set(re.findall(r"\w+", (root / "README.md").read_text()))
-    scripts = [*(root / "examples").glob("*.py"), *(root / "benchmarks").glob("*.py")]
-    for path in scripts:
-        for node in ast.walk(ast.parse(path.read_text())):
-            seen["script name"] |= names(node)
-    for path in (root / "benchmarks").glob("bench_*.py"):
-        seen["bench def"] |= {
-            node.name
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.FunctionDef)
-        }
     back = {
-        (name, place)
+        (name, where)
         for name, (places, _) in RETIRED.items()
-        for place in places
-        if name in seen[place]
-        or (place == "src string" and any(s.startswith(name) for s in seen[place]))
+        for where in places
+        if PLACES[where](name)
     }
     assert back == set()
 
@@ -688,8 +669,6 @@ def test_retired_names_stay_retired():
 def test_a_request_carries_only_what_changes_its_answer():
     """``deadline_s`` / ``hedging`` are too generic to retire as bare
     names (``hedging`` is also a module): the field list pins them."""
-    from dataclasses import fields
-
     from repro.online.types import SearchRequest
 
     assert [field.name for field in fields(SearchRequest)] == [
@@ -701,10 +680,9 @@ def test_the_index_reaches_its_scorer_through_public_names():
     """``from_arrays`` used to write four private fields of ``Scorer``;
     loading goes through ``Scorer.adopt_rows`` and nothing in
     ``hnsw/index.py`` reads or writes a ``_``-prefixed scorer attribute."""
-    path = default_repo_root() / "src" / "repro" / "hnsw" / "index.py"
     private = [
         f"{ast.unparse(node)} (line {node.lineno})"
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(parsed()[SRC / "hnsw" / "index.py"])
         if isinstance(node, ast.Attribute)
         and node.attr.startswith("_")
         and "scorer" in ast.unparse(node.value).rsplit(".", 1)[-1]
@@ -712,41 +690,112 @@ def test_the_index_reaches_its_scorer_through_public_names():
     assert private == []
 
 
-def test_every_config_field_is_read():
-    """A ``HnswParams`` / ``LannsConfig`` field that nothing reads outside
-    the class's own validation and (de)serialization is a dead knob."""
-    from dataclasses import fields
+#: What may stand unreached, ``{name: why}``: a module (dotted), a def or
+#: class (qualified name) or a knob field (``Class.field``).
+UNREACHED = {
+    "repro.cli": "the entry point: `python -m repro.cli`, fleet children",
+    **dict.fromkeys(["repro.analysis.sanitizer", "format_violations"], "tests/conftest.py "
+                    "installs it, and prints its report, under REPRO_SANITIZE=1"),
+    **dict.fromkeys(["repro.core.contextual", "build_contextual_index",
+                     "ContextualLannsIndex.context_sizes"],
+                    "the paper's Section 8 extension (context-scoped indices); no CLI"),
+    **dict.fromkeys(["repro.segmenters.kmeans_segmenter", "KMeansSegmenter"],
+                    "segmenter kind 'kmeans' (the paper's 'built to be extensible' "
+                    "demonstration), registered on import and reached by kind"),
+    **dict.fromkeys([f"_MethodWalker.visit_{node}" for node in
+                     ("With", "FunctionDef", "AsyncFunctionDef", "Lambda", "Attribute")],
+                    "ast.NodeVisitor calls it by the node's class"),
+    **dict.fromkeys(["_SanitizedLock.locked", "_SanitizedLock._at_fork_reinit",
+                     "_SanitizedRLock._is_owned", "_SanitizedRLock._release_save",
+                     "_SanitizedRLock._acquire_restore", "_SanitizedRLock._at_fork_reinit"],
+                    "the lock protocol threading.Condition and the fork hooks call"),
+    "RemoteSearcherClient.search_batch_async": "the frozen ledger patches it by name",
+    "HashSharder.shard_of": "the tests' placement reference",
+    **dict.fromkeys(["read_ivecs", "write_fvecs", "write_ivecs"],
+                    "the SIFT/GIST formats, kept as a set with read_fvecs"),
+    "failure_bound_knn": "theory.py's bounds: ROADMAP 3(b) calls them",
+    **dict.fromkeys(["HnswGraph.set_neighbors", "HnswGraph.add_link",
+                     "HnswGraph.check_invariants"],
+                    "the tests' hand-built graphs and structural check"),
+    **dict.fromkeys(["load_learnt_segmenter", "OnlineService.rolling_restart",
+                     "Segmenter.route_data", "LocalCluster.last_stage", "Counter.inc",
+                     "LocalHdfs.read_json", "LocalHdfs.ls", "LocalHdfs.temp_path",
+                     "RemoteSearcherClient.open_connections"], "library API a test calls"),
+}
 
+
+PLUMBING = ("to_dict", "from_dict", "__post_init__")
+
+
+@functools.cache
+def unreached() -> dict:
+    """What nothing but its own tests reaches, by question: (a) a
+    ``src/repro`` module no other ``src`` module, benchmark or example
+    imports, by its own name or a name its package re-exports; (b) a def
+    or class under ``src/repro`` nothing loads by name outside its own
+    body; (c) a knob field nothing under ``src`` reads as an attribute
+    outside its class's validation and (de)serialization."""
     from repro.core.config import LannsConfig
     from repro.hnsw.params import HnswParams
+    from repro.net.server import ServerOptions
+    from repro.online.broker import BrokerPolicy
 
-    configs = {"HnswParams": HnswParams, "LannsConfig": LannsConfig}
-    plumbing = {"to_dict", "from_dict", "__post_init__"}
-    read = set()
-
-    def collect(node, owner=None):
-        if isinstance(node, ast.ClassDef):
-            owner = node.name
-        elif (
-            isinstance(node, ast.FunctionDef)
-            and owner in configs
-            and node.name in plumbing
-        ):
-            return
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        for child in ast.iter_child_nodes(node):
-            collect(child, owner)
-
-    for path in (default_repo_root() / "src" / "repro").rglob("*.py"):
-        collect(ast.parse(path.read_text()))
-    dead = {
-        f"{name}.{field.name}"
-        for name, cls in configs.items()
-        for field in fields(cls)
-        if field.name not in read
+    defs, sites, imports = references()
+    modules = {module_name(path): path for path in code("**/*.py")}
+    exported = {
+        (module_name(path), alias): module
+        for path in code("**/__init__.py")
+        for module, alias in imports.get(path, ())
+        if alias
     }
-    assert dead == set()
+    reached = set()
+    for path, pairs in imports.items():
+        me = module_name(path) if SRC in path.parents else ""
+        for module, alias in pairs:
+            targets = {module, f"{module}.{alias}", exported.get((module, alias))}
+            if path.name == "__init__.py":  # re-exporting its own modules is no call
+                targets = {t for t in targets if t and not t.startswith(me + ".")}
+            reached |= targets - {me}
+    assert len(modules) > 70 and len(defs) > 800
+    return {
+        "module": {
+            name
+            for name, path in modules.items()
+            if name not in reached and path.name not in ("__init__.py", "__main__.py")
+        },
+        "def": {
+            qualified
+            for path, qualified, node in defs
+            if not re.fullmatch(r"__\w+__", node.name)
+            and not any(
+                kind in ("name", "attribute") and not within(*site, qualified)
+                for *site, kind in sites.get(node.name, ())
+            )
+        },
+        "field": {
+            f"{cls.__name__}.{field.name}"
+            for cls in (HnswParams, LannsConfig, ServerOptions, BrokerPolicy)
+            for field in fields(cls)
+            if not any(
+                kind == "attribute" and SRC in site[0].parents
+                and not within(*site, *(f"{cls.__name__}.{m}" for m in PLUMBING))
+                for *site, kind in sites.get(field.name, ())
+            )
+        },
+    }
+
+
+@pytest.mark.parametrize("question", ["module", "def", "field"])
+def test_everything_under_src_is_reached(question):
+    """What only its own tests reach has an ``UNREACHED`` reason: at 4d7059d
+    ``storage/records.py`` (an Avro-like container nothing wrote) had no
+    importer; a retired def that comes back is named by nothing."""
+    assert unreached()[question] - set(UNREACHED) == set()
+
+
+def test_no_unreached_entry_is_stale():
+    """An ``UNREACHED`` entry that is reached, or names nothing, fails."""
+    assert set(UNREACHED) - set().union(*unreached().values()) == set()
 
 
 class TestServingKnobSurface:
@@ -754,8 +803,6 @@ class TestServingKnobSurface:
     (ROADMAP 5(c), constructor keywords): everything downstream is a
     loop over the fields, so none is dead and none is spelled twice."""
 
-    root = default_repo_root()
-    src = root / "src" / "repro"
     #: Leaf components that take single fields under their own names --
     #: and two parameters that only share a name with a knob.
     LEAVES = {
@@ -769,8 +816,6 @@ class TestServingKnobSurface:
     }
     @staticmethod
     def knobs() -> dict:
-        from dataclasses import fields
-
         from repro.net.server import ServerOptions
         from repro.online.broker import BrokerPolicy
 
@@ -779,47 +824,6 @@ class TestServingKnobSurface:
             for cls in (ServerOptions, BrokerPolicy)
         }
 
-    def functions(self):
-        """``(where, parameter names, owning class)`` of every def."""
-
-        def walk(node, where, owner):
-            for child in ast.iter_child_nodes(node):
-                inner = child.name if isinstance(child, ast.ClassDef) else owner
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    spec = child.args
-                    names = {
-                        arg.arg
-                        for arg in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs)
-                    }
-                    yield f"{where}:{child.name}", names, owner
-                yield from walk(child, where, inner)
-
-        for path in self.src.rglob("*.py"):
-            where = path.relative_to(self.src).as_posix()
-            yield from walk(ast.parse(path.read_text()), where, None)
-
-    def test_every_field_is_read_outside_its_dataclass(self):
-        knobs = self.knobs()
-        read = set()
-
-        def collect(node):
-            if isinstance(node, ast.ClassDef) and node.name in knobs:
-                return
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            for child in ast.iter_child_nodes(node):
-                collect(child)
-
-        for path in self.src.rglob("*.py"):
-            collect(ast.parse(path.read_text()))
-        dead = {
-            f"{cls}.{name}"
-            for cls, names in knobs.items()
-            for name in names
-            if name not in read
-        }
-        assert dead == set()
-
     def test_no_function_respells_a_field_as_a_parameter(self):
         """Fails at b863b1d with the six spellings: ``SearcherServer``,
         ``launch_searcher``, ``launch_fleet``, ``Broker`` and
@@ -827,9 +831,11 @@ class TestServingKnobSurface:
         knobs = self.knobs()
         every = set().union(*knobs.values())
         respelled = {
-            where: names & every
-            for where, names, owner in self.functions()
-            if owner not in knobs and names & every
+            f"{path.relative_to(SRC).as_posix()}:{node.name}": parameters(node) & every
+            for path, qualified, node in references()[0]
+            if not isinstance(node, ast.ClassDef)
+            and qualified.split(".")[0] not in knobs
+            and parameters(node) & every
         }
         assert respelled == self.LEAVES
 
@@ -841,11 +847,11 @@ class TestServingKnobSurface:
         names = self.knobs()["ServerOptions"]
         names |= {name.replace("_", "-") for name in names}
         spelled = re.compile(r"\b(" + "|".join(sorted(names)) + r")\b")
-        assert spelled.findall((self.src / "cli.py").read_text()) == []
-        assert spelled.findall((self.src / "net" / "fleet.py").read_text()) == ["chaos"]
+        assert spelled.findall((SRC / "cli.py").read_text()) == []
+        assert spelled.findall((SRC / "net" / "fleet.py").read_text()) == ["chaos"]
 
     def test_readme_knob_table_names_every_field(self):
-        readme = (self.root / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         table = readme.split("Useful knobs", 1)[1].split("\n## ", 1)[0]
         named = set(re.findall(r"`(?:--)?([\w-]+)`", table))
         named |= {name.replace("-", "_") for name in named}
@@ -858,7 +864,6 @@ class TestIndexKnobSurface:
     ``BrokerPolicy`` knob a user can type is written once, on its field
     (``repro.utils.flags.knob``), and ``cli.py`` generates the rest."""
 
-    src = default_repo_root() / "src" / "repro"
     #: The seven sets of values a knob may take, and each one's home.
     CHOICES = {
         "SEGMENTER_KINDS": "core/config.py",
@@ -880,7 +885,7 @@ class TestIndexKnobSurface:
         from repro.online.broker import BrokerPolicy
 
         flags = {**LannsConfig.flags(), **BrokerPolicy.flags()}
-        tree = ast.parse((self.src / "cli.py").read_text())
+        tree = parsed()[SRC / "cli.py"]
         literals = {
             node.value
             for node in ast.walk(tree)
@@ -889,20 +894,16 @@ class TestIndexKnobSurface:
         read_off_args = {
             node.attr
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "args"
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "args"
         }
         assert len(flags) == 18 and literals & set(flags) == set()
         assert read_off_args & {spec.name for spec in flags.values()} == set()
-        for constructor in ("LannsConfig", "HnswParams", "BrokerPolicy"):
-            handed = [
-                node
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == constructor
-            ]
-            assert handed == [], constructor
+        handed = {
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert handed & {"LannsConfig", "HnswParams", "BrokerPolicy"} == set()
 
     def test_readme_knob_table_names_every_flagged_field(self):
         """The serving-side README check's twin (that one, in
@@ -911,7 +912,7 @@ class TestIndexKnobSurface:
         take -- read off the field, as argparse and ``__post_init__`` do."""
         from repro.core.config import LannsConfig
 
-        readme = (default_repo_root() / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         table = readme.split("Useful knobs", 1)[1].split("\n## ", 1)[0]
         for flag, spec in LannsConfig.flags().items():
             rows = [line for line in table.splitlines() if f"`{spec.name}`" in line]
@@ -930,90 +931,23 @@ class TestIndexKnobSurface:
             module = "repro." + home.removesuffix(".py").replace("/", ".")
             members[name] = frozenset(getattr(importlib.import_module(module), name))
         typed = {name: [] for name in self.CHOICES}
-        for path in sorted(self.src.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+        for path, tree in code("**/*.py").items():
+            for node in ast.walk(tree):
                 if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and all(
                     isinstance(item, ast.Constant) for item in node.elts
                 ):
                     literal = frozenset(item.value for item in node.elts)
                     for name, values in members.items():
                         if literal == values:
-                            typed[name].append(path.relative_to(self.src).as_posix())
+                            typed[name].append(path.relative_to(SRC).as_posix())
         assert typed == {name: [home] for name, home in self.CHOICES.items()}
 
 
-def test_every_module_has_a_caller_besides_its_own_tests():
-    """A ``src/repro`` module is imported by another ``src`` module, a
-    benchmark or an example -- through its own name or through a name
-    its package re-exports -- not only by its test file: at 4d7059d
-    ``storage/records.py`` (an Avro-like container nothing wrote) was,
-    and ``sparklite/dataset.py`` hung off one method nothing called."""
-    root = default_repo_root()
-    src = root / "src"
-    kept = {
-        "repro.cli": "the entry point: `python -m repro.cli`, fleet children",
-        "repro.analysis.sanitizer": "tests/conftest.py installs it under "
-        "REPRO_SANITIZE=1 (CI's sanitized tier-1 run)",
-        "repro.core.contextual": "the paper's Section 8 extension (context-"
-        "scoped indices), end to end; a library feature with no CLI",
-        "repro.segmenters.kmeans_segmenter": "registers segmenter kind 'kmeans' "
-        "on import (the paper's 'built to be extensible' demonstration); "
-        "reached by kind through segmenter_from_dict, not by an import",
-    }
-
-    def module_name(path):
-        parts = path.relative_to(src).with_suffix("").parts
-        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-
-    def imported(path):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                yield from ((alias.name, None) for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:  # relative: resolve against the package
-                    package = module_name(path).split(".")
-                    package = package if path.name == "__init__.py" else package[:-1]
-                    package = package[: len(package) - node.level + 1]
-                    base = ".".join([*package, base] if base else package)
-                yield from ((base, alias.name) for alias in node.names)
-
-    files = {module_name(path): path for path in (src / "repro").rglob("*.py")}
-    reexports = {
-        name: {alias: module for module, alias in imported(path) if alias}
-        for name, path in files.items()
-        if path.name == "__init__.py"
-    }
-    callers = [*files.values(), *(root / "examples").glob("*.py")]
-    callers += [
-        path
-        for path in (root / "benchmarks").rglob("*.py")
-        if not path.name.startswith(("test_", "conftest"))
-    ]
-    reached = set()
-    for path in callers:
-        me = module_name(path) if src in path.parents else None
-        for module, alias in imported(path):
-            targets = {module, f"{module}.{alias}", reexports.get(module, {}).get(alias)}
-            if me is not None and path.name == "__init__.py":
-                # A package re-exporting its own modules is not a caller.
-                targets = {t for t in targets if t and not t.startswith(me + ".")}
-            reached |= targets - {me}
-    modules = {
-        name
-        for name, path in files.items()
-        if path.name not in ("__init__.py", "__main__.py")
-    }
-    assert len(modules) > 70
-    assert modules - reached == set(kept)
-
-
-def fresh_process(code: str) -> list[str]:
-    """What ``code`` prints in a fresh interpreter on this checkout, split."""
-    src = str(default_repo_root() / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def fresh_process(program: str) -> list[str]:
+    """What ``program`` prints in a fresh interpreter on this checkout, split."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", program],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -1042,15 +976,10 @@ def test_tally_count_is_the_only_way_to_count():
     under ``online/`` or ``net/`` is a second count of an event some
     owner's ``Tally.count`` should write once (and its ``stats()`` read
     back from that tally's snapshot)."""
-    src = default_repo_root() / "src" / "repro"
     bumps = [
-        f"{path.relative_to(src)}:{node.lineno}"
-        for package in ("online", "net")
-        for path in sorted((src / package).glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "inc"
+        f"{path.relative_to(SRC)}:{line}"
+        for path, line, kind in references()[1].get("inc", ())
+        if kind == "attribute" and path.parent in (SRC / "online", SRC / "net")
     ]
     assert bumps == []
 
@@ -1058,7 +987,7 @@ def test_tally_count_is_the_only_way_to_count():
 def test_the_readme_metrics_table_names_every_registered_series():
     """README's Metrics table lists exactly the series a serving process
     registers (``{a,b}`` in a row expands; ``x`` / ``y`` is two)."""
-    readme = (default_repo_root() / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("### Metrics", 1)[1].split("\n### ", 1)[0]
     listed = set()
     for row in re.findall(r"^\| (`lanns_.*?) \|", section, flags=re.M):
@@ -1082,25 +1011,17 @@ def test_every_frame_field_is_written_and_read():
     field for field through :class:`ShardCall` / :class:`ShardReply`
     (next test), so their dataclass fields count as the keyword; the
     searcher reads a call's ``ef`` and ``cost`` in ``observed_search``."""
-    from dataclasses import fields
-
     from repro.net.protocol import FRAME_FIELDS, ShardCall, ShardReply
 
-    written = {field.name for field in fields(ShardCall)}
-    written |= {field.name for field in fields(ShardReply)}
-    read = set()
-    for name in ("net/client", "net/server", "net/protocol", "online/searcher"):
-        path = default_repo_root() / "src" / "repro" / f"{name}.py"
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.keyword):
-                written.add(node.arg)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    files = ("net/client", "net/server", "net/protocol", "online/searcher")
+    written = {field.name for field in (*fields(ShardCall), *fields(ShardReply))}
+    written |= words("keyword", *files)
+    read = words("attribute", *files)
     declared = {
         field.rstrip("?")
         for versions in FRAME_FIELDS.values()
-        for fields in versions.values()
-        for field in fields
+        for names in versions.values()
+        for field in names
     }
     assert declared - (written & read) == set()
 
@@ -1111,8 +1032,6 @@ def test_the_shard_call_is_the_search_message():
     ``deadline_ms``, RESULT's echo of ``index`` dropped -- and the far
     side reads every field: the searcher off the call, the fan-out off
     the reply."""
-    from dataclasses import fields
-
     from repro.net.protocol import FRAME_FIELDS, ShardCall, ShardReply
 
     def newest(message):
@@ -1124,19 +1043,8 @@ def test_the_shard_call_is_the_search_message():
     assert call - {"queries", "deadline"} == newest("SEARCH") - {"deadline_ms"}
     assert {"queries", "deadline"} <= call
     assert reply - {"ids", "dists"} == newest("RESULT") - {"index"}
-
-    src = default_repo_root() / "src" / "repro"
-
-    def attributes_read(*paths):
-        return {
-            node.attr
-            for path in paths
-            for node in ast.walk(ast.parse((src / path).read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        }
-
-    assert call - attributes_read("net/server.py", "online/searcher.py") == set()
-    assert reply - attributes_read("online/fanout.py") == set()
+    assert call - words("attribute", "net/server", "online/searcher") == set()
+    assert reply - words("attribute", "online/fanout") == set()
 
 
 def test_the_shard_call_field_list_is_spelled_once():
@@ -1145,23 +1053,13 @@ def test_the_shard_call_field_list_is_spelled_once():
     broker (``net/``, ``online/searcher.py``) takes the two extras the
     call carries (``collect_cost`` stays the ``Broker`` /
     ``OnlineService`` policy keyword)."""
-    src = default_repo_root() / "src" / "repro"
-    wire_side = {*(src / "net").glob("*.py"), src / "online" / "searcher.py"}
     offenders = []
-    for path in src.rglob("*.py"):
+    for path, _, node in references()[0]:
         banned = {"info_out"}
-        if path in wire_side:
+        if path.parent.name == "net" or path == SRC / "online" / "searcher.py":
             banned |= {"trace_ctx", "collect_cost"}
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                spec = node.args
-                names = {
-                    arg.arg
-                    for arg in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs)
-                }
-                offenders += [
-                    f"{path.name}:{node.name}({name})" for name in names & banned
-                ]
+        if not isinstance(node, ast.ClassDef):
+            offenders += [f"{path.name}:{node.name}({n})" for n in parameters(node) & banned]
     assert offenders == []
     # The abstract set is what the fleet path calls: the fan-out's
     # start_search, taking just the call, and the service's control plane.
@@ -1178,28 +1076,20 @@ def test_the_shard_call_field_list_is_spelled_once():
 class TestServingTierShape:
     """The broker stays a pipeline over three modules and one clock."""
 
-    src = default_repo_root() / "src" / "repro"
     seams = ("fanout", "failover", "hedging")
 
     def test_no_online_module_over_700_lines(self):
         sizes = {
             path.name: len(path.read_text().splitlines())
-            for path in (self.src / "online").glob("*.py")
+            for path in (SRC / "online").glob("*.py")
         }
         assert {name: n for name, n in sizes.items() if n > 700} == {}
 
     def test_seams_never_import_the_broker(self):
         for seam in self.seams:
-            tree = ast.parse((self.src / "online" / f"{seam}.py").read_text())
-            imported = set()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    imported.update(alias.name for alias in node.names)
-                elif isinstance(node, ast.ImportFrom):
-                    imported.add(node.module)
-                    imported.update(
-                        f"{node.module}.{alias.name}" for alias in node.names
-                    )
+            pairs = references()[2][SRC / "online" / f"{seam}.py"]
+            imported = {module for module, _ in pairs}
+            imported |= {f"{module}.{alias}" for module, alias in pairs if alias}
             assert "repro.online.broker" not in imported, seam
 
     def test_headers_are_only_read_through_the_schema(self):
@@ -1207,32 +1097,32 @@ class TestServingTierShape:
         subscripts or ``.get``s a raw header with a string key."""
         raw_read = re.compile(r"""\b(result_)?header(\.get\(|\[)["']""")
         for name in ("client", "server", "transport"):
-            source = (self.src / "net" / f"{name}.py").read_text()
+            source = (SRC / "net" / f"{name}.py").read_text()
             assert raw_read.search(source) is None, name
 
     def test_the_wire_runs_on_one_frame_reader(self):
         """Exactly one function besides ``decode_frame`` (the sans-IO
-        reader's ``feed``) parses a frame off a buffer (the asyncio-streams
-        code it replaced is in ``RETIRED``)."""
-        parsers = set()
-        for path in (self.src / "net").glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    calls = {
-                        getattr(call.func, "id", None)
-                        for call in ast.walk(node)
-                        if isinstance(call, ast.Call)
-                    }
-                    if calls & {"parse_prefix", "decode_body"}:
-                        parsers.add(node.name)
+        reader's ``feed``) parses a frame off a buffer (``RETIRED``'s
+        "net name" rows keep out the asyncio-streams code it replaced)."""
+        parsers = {
+            node.name
+            for path, _, node in references()[0]
+            if path.parent == SRC / "net"
+            and not isinstance(node, ast.ClassDef)
+            and any(
+                getattr(call.func, "id", None) in ("parse_prefix", "decode_body")
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            )
+        }
         assert parsers == {"decode_frame", "feed"}
 
     def test_one_clock(self):
         """No second stage recorder anywhere, and nothing under
         ``online/`` reads ``perf_counter`` behind the obs clock's back."""
-        for path in self.src.rglob("*.py"):
+        for path in SRC.rglob("*.py"):
             assert "StageLatencyRecorder" not in path.read_text(), path
-        for path in (self.src / "online").glob("*.py"):
+        for path in (SRC / "online").glob("*.py"):
             assert "perf_counter" not in path.read_text(), path
 
     def test_execute_is_the_one_way_to_ask_a_fleet(self):
@@ -1258,24 +1148,23 @@ class TestBenchSurface:
     """Docs and CI never claim a gate that does not run, and the bench
     scripts have no knob nobody turns (ROADMAP 1(d) + 5(c))."""
 
-    root = default_repo_root()
     #: Bench files no ``ci.yml`` step runs -- say so here, on purpose.
     NOT_IN_CI: set = set()
     #: "in CI" / "bench-smoke", but not "not in CI" / "never in CI".
     CLAIM = re.compile(r"(?<!not )(?<!never )in CI\b|bench-smoke")
 
     def ci(self) -> str:
-        return (self.root / ".github" / "workflows" / "ci.yml").read_text()
+        return (ROOT / ".github" / "workflows" / "ci.yml").read_text()
 
     def benches_ci_runs(self) -> set:
         return {
             path.name
             for pattern in re.findall(r"benchmarks/(bench_[\w*]+\.py)", self.ci())
-            for path in (self.root / "benchmarks").glob(pattern)
+            for path in (ROOT / "benchmarks").glob(pattern)
         }
 
     def test_every_bench_is_in_ci_or_listed_as_not(self):
-        benches = {path.name for path in (self.root / "benchmarks").glob("bench_*.py")}
+        benches = {path.name for path in (ROOT / "benchmarks").glob("bench_*.py")}
         assert len(benches) >= 18  # 7 scripts + 11 table / figure / ablation files
         assert benches - self.benches_ci_runs() == self.NOT_IN_CI
 
@@ -1284,10 +1173,10 @@ class TestBenchSurface:
         the last five CHANGES.md entries, that says "in CI" or
         "bench-smoke" names only bench files a ``ci.yml`` step runs
         (PR 10's phantom ``bench_overload`` gate went four PRs unseen)."""
-        docs = [self.root / "README.md", self.root / "ROADMAP.md"]
-        docs += sorted((self.root / "benchmarks").rglob("README.md"))
+        docs = [ROOT / "README.md", ROOT / "ROADMAP.md"]
+        docs += sorted((ROOT / "benchmarks").rglob("README.md"))
         units = [para for doc in docs for para in doc.read_text().split("\n\n")]
-        changes = (self.root / "CHANGES.md").read_text()
+        changes = (ROOT / "CHANGES.md").read_text()
         units += re.split(r"(?m)^(?=- PR )", changes)[-5:]
         claimed = {
             name
@@ -1301,15 +1190,15 @@ class TestBenchSurface:
         """A ``tests/<file>.py`` or ``tests/<file>.py::<name>`` cited by
         ``src/``, the README, a bench script or the verify skill names a
         test file, and a ``def`` / ``class`` of that name in it."""
-        docs = [*(self.root / "src").rglob("*.py"), self.root / "README.md"]
-        docs += [*(self.root / "benchmarks").glob("*.py")]
-        docs += [self.root / ".claude/skills/verify/SKILL.md"]
+        docs = [*(ROOT / "src").rglob("*.py"), ROOT / "README.md"]
+        docs += [*(ROOT / "benchmarks").glob("*.py")]
+        docs += [ROOT / ".claude/skills/verify/SKILL.md"]
         dangling = set()
         for doc in docs:
             for stem, name in re.findall(
                 r"tests/(\w+)\.py(?:::\s*(\w+))?", doc.read_text()
             ):
-                test = self.root / "tests" / f"{stem}.py"
+                test = ROOT / "tests" / f"{stem}.py"
                 if not test.exists() or (
                     name
                     and not re.search(
@@ -1323,17 +1212,9 @@ class TestBenchSurface:
         """An ``add_argument`` flag of a ``benchmarks/*.py`` parser that no
         ``ci.yml`` step and no README command line passes to a bench
         script is a dead knob (101 of them at c9e3740)."""
-        declared = {
-            arg.value
-            for path in (self.root / "benchmarks").glob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", None) == "add_argument"
-            for arg in node.args
-            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
-        }
+        declared = flags_declared(code("*.py", ROOT / "benchmarks").values())
         assert "--smoke" in declared  # the walk sees the harness's parser
-        commands = self.ci() + (self.root / "README.md").read_text()
+        commands = self.ci() + (ROOT / "README.md").read_text()
         dead = {
             flag
             for flag in declared
@@ -1351,23 +1232,14 @@ class TestBenchSurface:
         ``tests/test_cli.py::TestEveryFlagReachesItsConsumer``).  The
         ``serve-searcher`` knob flags are not in this walk at all:
         ``ServerOptions.add_flags`` generates them from fields that
-        ``TestServingKnobSurface`` holds to a reader."""
-        declared = {
-            arg.value
-            for node in ast.walk(
-                ast.parse((self.root / "src" / "repro" / "cli.py").read_text())
-            )
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", None) == "add_argument"
-            for arg in node.args
-            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
-        }
+        ``test_everything_under_src_is_reached`` holds to a reader."""
+        declared = flags_declared([parsed()[SRC / "cli.py"]])
         assert {"--root", "--shard-id"} <= declared
         assert "--max-in-flight" not in declared
-        docs = self.ci() + (self.root / "README.md").read_text()
-        docs += (self.root / ".claude/skills/verify/SKILL.md").read_text()
+        docs = self.ci() + (ROOT / "README.md").read_text()
+        docs += (ROOT / ".claude/skills/verify/SKILL.md").read_text()
         driven = set(re.findall(r"--[a-z][\w-]*", docs))
-        for path in (self.root / "tests").glob("*.py"):
+        for path in (ROOT / "tests").glob("*.py"):
             text = path.read_text()
             if "from repro.cli import" in text:
                 driven |= set(re.findall(r'"(--[a-z][\w-]*)"', text))
@@ -1378,25 +1250,13 @@ class TestBenchSurface:
         in ``benchmarks/harness.py``: no script parses arguments, opens
         a temp dir, launches a fleet or defines a timer again: no import
         of those tools, and no def under a ``RETIRED`` bench name."""
-        retired = {
-            name for name, (places, _) in RETIRED.items() if "bench def" in places
-        }
-        for path in (self.root / "benchmarks").glob("bench_*.py"):
-            tree = ast.parse(path.read_text())
-            defined = {
-                node.name
-                for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef)
-            }
-            assert defined & retired == set(), path.name
-            imported = {
-                alias.name
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names
-            }
-            own = {"argparse", "tempfile", "launch_fleet", "launch_searcher"}
-            own |= {"perf_counter", "timeit", "save_lanns_index"}
+        retired = [name for name, (places, _) in RETIRED.items() if "bench def" in places]
+        assert [name for name in retired if PLACES["bench def"](name)] == []
+        own = {"argparse", "tempfile", "launch_fleet", "launch_searcher"}
+        own |= {"perf_counter", "timeit", "save_lanns_index"}
+        for path in code("bench_*.py", ROOT / "benchmarks"):
+            pairs = references()[2].get(path, ())
+            imported = {alias or module for module, alias in pairs}
             assert imported & own == set(), path.name
 
 
@@ -1435,5 +1295,5 @@ class TestDriver:
         assert main([]) == 0
 
     def test_repo_has_no_parse_errors(self):
-        _, errors = run_lint(default_repo_root())
+        _, errors = run_lint(ROOT)
         assert errors == []

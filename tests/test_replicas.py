@@ -26,8 +26,9 @@ from repro.errors import TransportError
 from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import parse_fleet_spec
 from repro.net.server import SearcherServer
+from repro.obs.metrics import get_registry
 from repro.online.broker import Broker
-from repro.online.replicas import ReplicaGroup
+from repro.online.replicas import BREAKER_STATES, ReplicaGroup
 from repro.online.searcher import SearcherNode
 from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
@@ -250,6 +251,32 @@ class TestCircuitBreaker:
         assert not flaky.breaker_probing
         # The breaker is still half-open and a new probe may go out.
         assert group.pick(exclude=[1]).replica_id == 0
+
+    def test_the_state_gauge_follows_every_transition(self):
+        """``lanns_replica_breaker_state`` reads the index of the state
+        ``stats()`` reports: closed, open, the half-open probe, closed."""
+        group = ReplicaGroup(
+            7, [SearcherNode(7), SearcherNode(7)],
+            breaker_threshold=2, breaker_cooldown_s=0.2,
+        )
+        flaky = group.replicas[0]
+        gauge = get_registry().gauge("lanns_replica_breaker_state")
+
+        def gauge_matches(expected: str) -> None:
+            assert self.state(group, 0) == expected
+            assert gauge.value(shard=7, replica=0) == BREAKER_STATES.index(expected)
+
+        self.fail(group, flaky)
+        gauge_matches("closed")
+        self.fail(group, flaky)
+        gauge_matches("open")
+        time.sleep(0.25)
+        probe = group.pick(exclude=[1])
+        assert probe is flaky and flaky.breaker_probing
+        gauge_matches("half-open")
+        group.begin(probe)
+        group.finish(probe, 0.01)
+        gauge_matches("closed")
 
     def test_every_breaker_open_still_serves(self):
         group = self.make_group(size=1, threshold=1, cooldown=60.0)

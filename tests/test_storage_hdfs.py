@@ -100,16 +100,6 @@ class TestNamespace:
         with pytest.raises(StorageError, match="root"):
             fs.delete("")
 
-    def test_rename(self, fs):
-        fs.write_text("old/name", "payload")
-        fs.rename("old/name", "new/name")
-        assert fs.read_text("new/name") == "payload"
-        assert not fs.exists("old/name")
-
-    def test_rename_missing_source(self, fs):
-        with pytest.raises(StorageError):
-            fs.rename("nope", "somewhere")
-
     def test_path_escape_rejected(self, fs):
         with pytest.raises(StorageError, match="escapes"):
             fs.write_text("../outside", "x")
