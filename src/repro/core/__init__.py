@@ -14,7 +14,6 @@ from repro.core.merge import (
 )
 from repro.core.index import LannsIndex, ShardIndex
 from repro.core.builder import LannsBuilder, build_lanns_index
-from repro.core.contextual import ContextualLannsIndex, build_contextual_index
 
 __all__ = [
     "LannsConfig",
@@ -25,6 +24,4 @@ __all__ = [
     "ShardIndex",
     "LannsBuilder",
     "build_lanns_index",
-    "ContextualLannsIndex",
-    "build_contextual_index",
 ]

@@ -71,13 +71,13 @@ class ShardIndex:
         k: int,
         *,
         ef: int | None = None,
-        probes: list[tuple[int, ...]] | None = None,
         cost=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched shard search: route, lockstep-search, merge (level 1).
 
-        Query routing is one vectorised ``route_query_batch`` call; the
-        request's (query, probed segment) pairs are one lockstep group
+        Routing is the segmenter's: one vectorised ``route_query_batch``
+        call names the segments each row probes.  The request's (query,
+        probed segment) pairs are one lockstep group
         (:func:`~repro.hnsw.index.search_segments`): each segment descends
         its own rows, one beam and one rescore serve every pair.  Where
         each row probes one segment, answered in strictly ascending
@@ -88,10 +88,6 @@ class ShardIndex:
         :class:`~repro.online.types.SearchRequest` refuses it: a shard is
         also searched without a broker (library callers, any peer of a
         searcher server).
-
-        ``probes`` (one segment-id tuple per row, no segment named twice)
-        overrides the segmenter's routing -- how a contextual index
-        scopes a query to the named contexts' segments.
 
         ``cost`` optionally accumulates this batch's search work (see
         :class:`~repro.obs.cost.SearchCost`); every executed
@@ -109,27 +105,7 @@ class ShardIndex:
         num_queries = queries.shape[0]
         if num_queries == 0:
             return empty_part(num_queries, k)
-        if probes is not None:
-            if len(probes) != num_queries:
-                raise ValueError(
-                    f"probes has {len(probes)} rows for "
-                    f"{num_queries} queries"
-                )
-            num_segments = self.segmenter.num_segments
-            for row, probed in enumerate(probes):
-                for segment_id in probed:
-                    if not 0 <= segment_id < num_segments:
-                        raise ValueError(
-                            f"probe segment {segment_id} of row {row} out "
-                            f"of range for {num_segments} segments"
-                        )
-                if len(set(probed)) != len(probed):
-                    raise ValueError(
-                        f"probe row {row} names a segment twice: {tuple(probed)}"
-                    )
-            routes = probes
-        else:
-            routes = self.segmenter.route_query_batch(queries)
+        routes = self.segmenter.route_query_batch(queries)
         segment_rows: dict[int, list[int]] = {}
         for row, probed in enumerate(routes):
             for segment_id in probed:
@@ -138,8 +114,6 @@ class ShardIndex:
         # so the merge width scales with probes-per-query (1-2 under
         # virtual spill), not with the shard's total segment count.
         max_probes = max((len(probed) for probed in routes), default=0)
-        if max_probes == 0:
-            return empty_part(num_queries, k)
         probed_rows = [
             (self.segments[segment_id], np.asarray(rows, dtype=np.int64))
             for segment_id, rows in sorted(segment_rows.items())

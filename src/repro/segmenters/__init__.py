@@ -25,7 +25,6 @@ from repro.segmenters.hyperplane import HyperplaneNode, HyperplaneTreeSegmenter
 from repro.segmenters.rh import RandomHyperplaneSegmenter
 from repro.segmenters.apd import ApdSegmenter, second_singular_vector
 from repro.segmenters.kmeans_segmenter import KMeansSegmenter
-from repro.segmenters.context import ContextSegmenter
 from repro.segmenters.learner import learn_segmenter, make_segmenter
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "RandomHyperplaneSegmenter",
     "ApdSegmenter",
     "KMeansSegmenter",
-    "ContextSegmenter",
     "second_singular_vector",
     "learn_segmenter",
     "make_segmenter",

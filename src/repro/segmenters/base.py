@@ -7,6 +7,9 @@ A segmenter answers two questions:
 - ``route_query(q)`` -- which segment(s) should a query probe?  More than
   one only under *virtual* spill.
 
+A shard searches exactly the segments ``route_query_batch`` names; its
+routing has no other source.
+
 The LANNS paper pre-learns one segmenter per index and shares it across
 all shards (Section 5.1), which is why segmenters serialize independently
 of any index data.

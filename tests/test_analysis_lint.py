@@ -696,9 +696,6 @@ UNREACHED = {
     "repro.cli": "the entry point: `python -m repro.cli`, fleet children",
     **dict.fromkeys(["repro.analysis.sanitizer", "format_violations"], "tests/conftest.py "
                     "installs it, and prints its report, under REPRO_SANITIZE=1"),
-    **dict.fromkeys(["repro.core.contextual", "build_contextual_index",
-                     "ContextualLannsIndex.context_sizes"],
-                    "the paper's Section 8 extension (context-scoped indices); no CLI"),
     **dict.fromkeys(["repro.segmenters.kmeans_segmenter", "KMeansSegmenter"],
                     "segmenter kind 'kmeans' (the paper's 'built to be extensible' "
                     "demonstration), registered on import and reached by kind"),

@@ -1,5 +1,6 @@
 """Tests for ShardIndex / LannsIndex: routing, merging, correctness."""
 
+import inspect
 import itertools
 
 import numpy as np
@@ -13,6 +14,8 @@ from repro.core.index import LannsIndex, ShardIndex
 from repro.core.merge import merge_segment_results_batch, merge_shard_results_batch
 from repro.errors import IndexNotBuiltError
 from repro.hnsw.index import HnswIndex, build_hnsw
+from repro.obs.cost import SearchCost
+from repro.segmenters.base import SPILL_MODES, get_segmenter_class, registered_kinds
 from repro.segmenters.random_segmenter import RandomSegmenter
 from tests.conftest import FAST_HNSW
 from tests.test_core_topk import merged_row
@@ -70,16 +73,6 @@ class TestShardIndex:
         assert ids.shape == (1, 5)
         assert dists[0].tolist() == sorted(dists[0].tolist())
 
-    @pytest.mark.parametrize("probed", [(0, 0), (0, 0, 0), (1, 2, 1)])
-    def test_a_probe_row_naming_a_segment_twice_is_refused(
-        self, lanns, clustered_queries, probed
-    ):
-        """A repeated segment would be searched, and charged, once per
-        mention -- two rows of one lockstep group for one pair."""
-        shard = lanns.shards[0]
-        with pytest.raises(ValueError, match="row 1 names a segment twice"):
-            shard.search_batch(clustered_queries[:2], 5, probes=[(3,), probed])
-
     def test_len_counts_all_segments(self, lanns):
         shard = lanns.shards[0]
         assert len(shard) == sum(shard.segment_sizes)
@@ -112,6 +105,24 @@ def lattice_shard() -> ShardIndex:
         far,
     ]
     return ShardIndex(0, segments, RandomSegmenter(len(segments)))
+
+
+class Routed(RandomSegmenter):
+    """Routes query row ``i`` to the segments ``routes[i]`` names."""
+
+    def __init__(self, num_segments, routes):
+        super().__init__(num_segments)
+        self.routes = routes
+
+    def route_query_batch(self, queries):
+        assert len(queries) == len(self.routes)
+        return self.routes
+
+
+def routed_search(shard, queries, k, probes, ef=None, cost=None):
+    """``shard``'s segments searched with row ``i`` probing ``probes[i]``."""
+    routed = ShardIndex(0, shard.segments, Routed(len(shard.segments), probes))
+    return routed.search_batch(queries, k, ef=ef, cost=cost)
 
 
 def reference_shard_answer(shard, queries, k, probes, ef):
@@ -167,7 +178,7 @@ class TestLevelOneMerge:
     def test_every_row_answers_its_packed_merge(self, lattice_shard, request):
         queries, probes, k, ef = request
         with np.errstate(over="ignore", invalid="ignore"):
-            ids, dists = lattice_shard.search_batch(queries, k, ef=ef, probes=probes)
+            ids, dists = routed_search(lattice_shard, queries, k, probes, ef)
             want = reference_shard_answer(lattice_shard, queries, k, probes, ef)
         want_ids, want_dists = want
         assert (ids.dtype, dists.dtype) == (np.int64, np.float64)
@@ -181,7 +192,7 @@ class TestLevelOneMerge:
         does, where the answer as it stands would not."""
         queries = np.full((1, 3), 1.5, dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
-            ids, dists = lattice_shard.search_batch(queries, 4, probes=[(5,)])
+            ids, dists = routed_search(lattice_shard, queries, 4, [(5,)])
             want = reference_shard_answer(lattice_shard, queries, 4, [(5,)], None)
         assert ids.tolist() == [[400, -1, 401, -1]]
         np.testing.assert_array_equal(ids, want[0])
@@ -199,12 +210,130 @@ class TestLevelOneMerge:
 
         monkeypatch.setattr("repro.core.index.merge_segment_results_batch", spy)
         queries = LATTICE[[0, 5, 21, 33]] + [0.11, 0.23, 0.37]
-        lattice_shard.search_batch(queries, 6, probes=[(0,), (1,), (4,), (2,)])
-        lattice_shard.search_batch(queries[:1], 4, probes=[(0,)])
+        routed_search(lattice_shard, queries, 6, [(0,), (1,), (4,), (2,)])
+        routed_search(lattice_shard, queries[:1], 4, [(0,)])
         assert merges == []
-        lattice_shard.search_batch(queries, 6, probes=[(0,), (0, 1), (4,), (2,)])
-        lattice_shard.search_batch(LATTICE[:1], 4, probes=[(0,)])  # 3 ties at 1.0
+        routed_search(lattice_shard, queries, 6, [(0,), (0, 1), (4,), (2,)])
+        routed_search(lattice_shard, LATTICE[:1], 4, [(0,)])  # 3 ties at 1.0
         assert merges == [4, 1]
+
+
+#: Every registered segmenter kind, under each spill mode it offers.
+ROUTING_CASES = {
+    "rs": ("rs", {}),
+    **{
+        f"{kind}-{mode}": (kind, {"spill_mode": mode})
+        for kind in ("apd", "kmeans", "rh")
+        for mode in SPILL_MODES
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ROUTING_CASES))
+def routed_shard(request, clustered_data) -> ShardIndex:
+    """One four-segment shard over :func:`clustered_data`, built around
+    a segmenter of the case's kind and spill mode."""
+    kind, options = ROUTING_CASES[request.param]
+    segmenter = get_segmenter_class(kind)(4, seed=0, **options).fit(clustered_data)
+    config = LannsConfig(num_shards=1, num_segments=4, hnsw=FAST_HNSW, seed=5)
+    return build_lanns_index(clustered_data, config=config, segmenter=segmenter).shards[0]
+
+
+class TestRoutingRule:
+    """A shard searches exactly the segments its segmenter's
+    ``route_query_batch`` names for each row; there is no other source
+    of routes."""
+
+    def test_every_registered_kind_is_a_case(self):
+        assert sorted({kind for kind, _ in ROUTING_CASES.values()}) == registered_kinds()
+
+    def test_search_batch_takes_no_routes_of_its_own(self, lattice_shard):
+        parameters = inspect.signature(ShardIndex.search_batch).parameters
+        assert list(parameters) == ["self", "queries", "k", "ef", "cost"]
+        with pytest.raises(TypeError, match="probes"):
+            lattice_shard.search_batch(LATTICE[:1], 4, probes=[(0,)])
+
+    def test_a_segmenter_names_each_probed_segment_once(
+        self, routed_shard, clustered_queries
+    ):
+        """The shard no longer checks routes, so every segmenter must
+        hand it at least one in-range segment per row, none twice (a
+        repeated segment would be searched, and charged, once per
+        mention), and the row's own ``route_query``."""
+        segmenter = routed_shard.segmenter
+        routes = segmenter.route_query_batch(clustered_queries)
+        assert len(routes) == len(clustered_queries)
+        for query, probed in zip(clustered_queries, routes):
+            assert probed
+            assert len(set(probed)) == len(probed)
+            assert all(0 <= segment < segmenter.num_segments for segment in probed)
+            assert segmenter.route_query(query) == probed
+
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_a_shard_answers_its_routed_segments_merged(
+        self, routed_shard, clustered_queries, rows
+    ):
+        """Under each segmenter, each row answers the packed merge of the
+        segments its route names, searched alone, and each executed
+        (row, non-empty segment) pair is charged one probe.  One and
+        seven rows run the heap kernels, forty the array ones."""
+        queries = clustered_queries[:rows]
+        routes = routed_shard.segmenter.route_query_batch(queries)
+        cost = SearchCost()
+        ids, dists = routed_shard.search_batch(queries, 10, cost=cost)
+        want_ids, want_dists = reference_shard_answer(
+            routed_shard, queries, 10, routes, None
+        )
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(dists, want_dists)
+        assert cost.segments_probed == sum(
+            1
+            for probed in routes
+            for segment in probed
+            if len(routed_shard.segments[segment])
+        )
+
+    @pytest.mark.parametrize(
+        "probes",
+        [
+            [()],
+            [(), ()],
+            [(3,)],
+            [(), (3,)],
+            [(2,), ()],
+            [(), (0,), (3,), (0, 4)],
+        ],
+    )
+    def test_a_row_routed_to_no_vector_answers_padding(self, lattice_shard, probes):
+        """A row routed nowhere, or only to the empty segment, answers
+        ``k`` padding entries and is charged no probe, whether or not
+        other rows of the request find vectors; those answer as if the
+        unrouted rows were not there."""
+        k = 4
+        queries = LATTICE[: len(probes)] + np.float32(0.25)
+        cost = SearchCost()
+        ids, dists = routed_search(lattice_shard, queries, k, probes, cost=cost)
+        assert (ids.shape, dists.shape) == ((len(probes), k), (len(probes), k))
+        answered = [
+            row
+            for row, probed in enumerate(probes)
+            if any(len(lattice_shard.segments[segment]) for segment in probed)
+        ]
+        unanswered = [row for row in range(len(probes)) if row not in answered]
+        assert (ids[unanswered] == -1).all()
+        assert (dists[unanswered] == np.inf).all()
+        if answered:
+            want_ids, want_dists = reference_shard_answer(
+                lattice_shard, queries[answered], k, [probes[row] for row in answered], None
+            )
+            np.testing.assert_array_equal(ids[answered], want_ids)
+            np.testing.assert_array_equal(dists[answered], want_dists)
+        assert cost.segments_probed == sum(
+            1
+            for probed in probes
+            for segment in probed
+            if len(lattice_shard.segments[segment])
+        )
 
 
 class TestLannsIndex:

@@ -35,7 +35,6 @@ import pytest
 
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
-from repro.core.contextual import build_contextual_index
 from repro.core.index import ShardIndex
 from repro.core.merge import merge_segment_results_batch
 from repro.distance.scorer import Scorer
@@ -255,12 +254,12 @@ def test_every_candidate_source_records_its_stage(indices, queries, arm, batch):
 
 #: Shards a request spans as one lockstep group of (query, segment)
 #: pairs: the group of one segment; two segments routed by hyperplanes;
-#: twelve context segments, all probed, so that one query alone is a
-#: twelve-row, array-venue group; and two segments every query probes,
-#: one of them empty, below ``min_graph_size`` (the flat arm beside a
-#: graph arm) or of 100 rows (PQ codebooks of 256 and 100 codewords do
-#: not stack: two beams).
-SHARD_SHAPES = ("one", "two", "contexts", "empty", "flat", "uneven")
+#: twelve segments behind a random segmenter, which probes them all, so
+#: that one query alone is a twelve-row, array-venue group; and two
+#: segments every query probes, one of them empty, below
+#: ``min_graph_size`` (the flat arm beside a graph arm) or of 100 rows
+#: (PQ codebooks of 256 and 100 codewords do not stack: two beams).
+SHARD_SHAPES = ("one", "two", "twelve", "empty", "flat", "uneven")
 
 
 def _shard(data: np.ndarray, shape: str, params) -> ShardIndex:
@@ -271,9 +270,11 @@ def _shard(data: np.ndarray, shape: str, params) -> ShardIndex:
             hnsw=params, seed=3,
         )
         return build_lanns_index(data, config=config, ids=ids).shards[0]
-    if shape == "contexts":
-        labels = [f"c{row % 12}" for row in range(data.shape[0])]
-        return build_contextual_index(data, labels, ids=ids, hnsw=params).shards[0]
+    if shape == "twelve":
+        segments = [
+            build_hnsw(data[s::12], ids=ids[s::12], params=params) for s in range(12)
+        ]
+        return ShardIndex(0, segments, RandomSegmenter(12))
     if shape == "empty":
         other = HnswIndex(data.shape[1], params=params)
     elif shape == "flat":
@@ -336,7 +337,7 @@ def test_a_shard_request_is_its_pairs_searched_alone(shards, queries, arm, shape
     assert one[0].tobytes() == ids[:1].tobytes()
     spans = recorder.export()
     beams = [span["annotations"] for span in spans if span["name"] == "beam"]
-    if shape == "contexts":
+    if shape == "twelve":
         assert [(beam["num_queries"], beam["kernel"]) for beam in beams] == [
             (12, "array")
         ]

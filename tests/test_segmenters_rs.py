@@ -13,7 +13,7 @@ from repro.segmenters.random_segmenter import RandomSegmenter
 
 class TestRegistry:
     def test_all_kinds_registered(self):
-        assert registered_kinds() == ["apd", "context", "kmeans", "rh", "rs"]
+        assert registered_kinds() == ["apd", "kmeans", "rh", "rs"]
 
     def test_lookup(self):
         assert get_segmenter_class("rs") is RandomSegmenter
