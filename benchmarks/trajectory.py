@@ -21,15 +21,16 @@ never the working tree, so what is measured is what a commit holds.
     the per-pair ratios, how many pairs the change won, and a verdict
     against the metric's ``BENCHMARK.json`` bound -- ``BREACH`` exits
     non-zero; a lean smaller than the parent's own spread, or a spread
-    wider than the bound, is ``unresolved``, never "unchanged".  When a
-    timing metric's median of ratios moves by more than half its bound,
-    the same number of pairs runs the parent against a second export of
-    itself (an A/A control) and its lean and win count are printed
-    beside the change's.  Every run made is in the per-pair lists under
-    the table -- and, with ``--record <n>`` beside ``--compare``,
-    appended to ``BENCH_<n>.json`` under ``pairs`` (the control's under
-    ``control``; nothing is re-recorded; the file is created if the PR
-    has none yet).
+    wider than the bound, is ``unresolved``, never "unchanged" (past a
+    spread wider than the bound, only a change whose every run is worse
+    than every parent run breaches).  When a timing metric's median of
+    ratios moves by more than half its bound, the same number of pairs
+    runs the parent against a second export of itself (an A/A control)
+    and its lean and win count are printed beside the change's.  Every
+    run made is in the per-pair lists under the table -- and, with
+    ``--record <n>`` beside ``--compare``, appended to ``BENCH_<n>.json``
+    under ``pairs`` (the control's under ``control``; nothing is
+    re-recorded; the file is created if the PR has none yet).
 
 ``python3 benchmarks/trajectory.py --series``
     Print one markdown table of the trajectory so far: per workload and
@@ -228,13 +229,18 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str
     ratios, wins = lean(metric, parent, change)
     spread = (q3 - q1) / parent_median if parent_median else 0.0
     worse = (change_median - parent_median) / parent_median if parent_median else 0.0
-    worse = worse if metric["better"] == "lower" else -worse
-    breached = worse > metric["bound"]
+    lower = metric["better"] == "lower"
+    worse = worse if lower else -worse
+    wide = spread > metric["bound"]
+    # Past a spread wider than the bound a median gap proves nothing; only
+    # a change whose every run is worse than every parent run does.
+    apart = min(change) > max(parent) if lower else max(change) < min(parent)
+    breached = worse > metric["bound"] and (apart or not wide)
     if breached:
         word = f"**BREACH** (worse by {worse:.1%})"
     elif all(ratio == 1.0 for ratio in ratios):
         word = "equal"
-    elif spread > metric["bound"]:
+    elif wide:
         word = "unresolved: parent spread exceeds the bound"
     elif abs(worse) <= spread:
         word = "within bound; lean unresolved (inside parent spread)"

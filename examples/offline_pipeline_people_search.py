@@ -48,9 +48,7 @@ def main() -> None:
         )
 
         # Figure 5: learn the segmenter once, share it across shards.
-        segmenter = learn_segmenter_job(
-            cluster, fs, base, config, output_path="segmenters/people.json"
-        )
+        segmenter = learn_segmenter_job(cluster, base, config)
         print(f"learnt segmenter: {segmenter!r}")
 
         # Figure 6: distributed two-level index build.

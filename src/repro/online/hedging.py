@@ -57,13 +57,13 @@ def hedge_target(
 ) -> ReplicaState:
     """Where the hedge of a straggling attempt on ``replica`` goes.
 
-    To an untried, non-draining sibling when the group has one -- that
-    is what lets the hedge dodge a slow process, not just a slow
-    connection; the sibling is then spent for failover too -- and to a
-    second connection to ``replica`` otherwise.
+    To an untried sibling when the group has one -- that is what lets
+    the hedge dodge a slow process, not just a slow connection; the
+    sibling is then spent for failover too -- and to a second connection
+    to ``replica`` otherwise.
     """
     alternate = group.pick(exclude=tried)
-    if alternate is None or alternate.draining:
+    if alternate is None:
         return replica
     tried.append(alternate.replica_id)
     return alternate

@@ -217,7 +217,7 @@ class MicroBatcher:
     ) -> tuple[Hashable | None, str | None, float | None]:
         """Pick a flush-ready group (with *why* it flushed: ``size`` --
         the batch filled, ``timeout`` -- its oldest request aged out,
-        ``close`` -- the batcher is draining), else the wait until one
+        ``close`` -- the batcher is closing), else the wait until one
         ripens."""
         tick = now()
         ready: Hashable | None = None

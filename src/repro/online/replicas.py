@@ -7,16 +7,13 @@ health/load ledger:
 - ``in_flight``    -- requests currently outstanding on the replica,
 - ``ewma_latency`` -- exponentially weighted moving average of observed
   RPC latency (the same signal the ``shard_rpc`` stage records),
-- ``consecutive_failures`` -- transport failures since the last success,
-- ``draining``     -- administratively removed from the pick rotation
-  (rolling restarts drain a replica, wait for in-flight to reach zero,
-  restart it, then restore it).
+- ``consecutive_failures`` -- transport failures since the last success.
 
 :meth:`ReplicaGroup.pick` implements the load-aware choice: healthy
-non-draining replicas first, least in-flight, EWMA latency as the
-tie-break.  Failover and cross-replica hedging are built on ``pick``'s
-``exclude`` parameter: callers accumulate the replicas they already
-tried and ask for a different one.
+replicas first, least in-flight, EWMA latency as the tie-break.
+Failover and cross-replica hedging are built on ``pick``'s ``exclude``
+parameter: callers accumulate the replicas they already tried and ask
+for a different one.
 
 With ``breaker_threshold > 0`` each replica additionally carries a
 circuit breaker over ``consecutive_failures``: once the streak reaches
@@ -76,9 +73,9 @@ class ReplicaState:
         "picks",
         "failures",
         "consecutive_failures",
-        "draining",
         "breaker_open_until",
         "breaker_probing",
+        "breaker_published",
     )
 
     def __init__(self, transport: SearcherTransport, replica_id: int) -> None:
@@ -89,12 +86,13 @@ class ReplicaState:
         self.picks = 0
         self.failures = 0
         self.consecutive_failures = 0
-        self.draining = False
         #: Circuit breaker: the instant (``time.monotonic``) the open
         #: state expires into half-open, and whether the half-open probe
         #: is currently outstanding.
         self.breaker_open_until = 0.0
         self.breaker_probing = False
+        #: The state ``lanns_replica_breaker_state`` last read for it.
+        self.breaker_published = 0
 
     def snapshot(self) -> dict:
         return {
@@ -104,7 +102,6 @@ class ReplicaState:
             "picks": self.picks,
             "failures": self.failures,
             "consecutive_failures": self.consecutive_failures,
-            "draining": self.draining,
         }
 
 
@@ -188,11 +185,25 @@ class ReplicaGroup:
     def _publish_breaker_locked(
         self, replica: ReplicaState, now: float
     ) -> None:
+        replica.breaker_published = self._breaker_state_locked(replica, now)
         _BREAKER_STATE.set(
-            self._breaker_state_locked(replica, now),
+            replica.breaker_published,
             shard=self.shard_id,
             replica=replica.replica_id,
         )
+
+    def _refresh_breakers_locked(self, now: float) -> None:
+        """Publish every state that moved since it was last published.
+
+        Only time moves a breaker outside ``finish``: an open one whose
+        cooldown ran out is half-open, picked or not.
+        """
+        for replica in self.replicas:
+            if (
+                self._breaker_state_locked(replica, now)
+                != replica.breaker_published
+            ):
+                self._publish_breaker_locked(replica, now)
 
     # -- selection ---------------------------------------------------------------
     def pick(
@@ -200,18 +211,16 @@ class ReplicaGroup:
     ) -> ReplicaState | None:
         """Choose the least-loaded replica not in ``exclude``.
 
-        Draining replicas are skipped while an alternative exists (that
-        is the zero-drop guarantee of rolling restarts), and so are
-        replicas whose circuit breaker is open (or half-open with the
-        probe already outstanding); among the rest, replicas with
-        consecutive failures are deprioritized, then least in-flight
-        wins with EWMA latency as tie-break.  A replica with no latency
-        sample yet (fresh, or just restored from a rolling restart)
-        ranks at the pool's median EWMA: neither preferred over
-        measured siblings (an implicit ``0.0`` would send every tie to
-        the coldest replica) nor starved behind them (``+inf`` would
-        keep it unmeasured forever).  Picking a half-open replica marks
-        its probe as outstanding and publishes the half-open state.
+        Replicas whose circuit breaker is open (or half-open with the
+        probe already outstanding) are skipped while an alternative
+        exists; among the rest, replicas with consecutive failures are
+        deprioritized, then least in-flight wins with EWMA latency as
+        tie-break.  A replica with no latency sample yet ranks at the
+        pool's median EWMA: neither preferred over measured siblings (an
+        implicit ``0.0`` would send every tie to the coldest replica)
+        nor starved behind them (``+inf`` would keep it unmeasured
+        forever).  Picking a half-open replica marks its probe as
+        outstanding; every pick publishes the breaker states that moved.
         Returns ``None`` when every replica is excluded.
         """
         excluded = set(exclude)
@@ -224,11 +233,12 @@ class ReplicaGroup:
             ]
             if not candidates:
                 return None
-            live = [r for r in candidates if not r.draining]
             ready = [
-                r for r in live if not self._breaker_blocked_locked(r, now)
+                r
+                for r in candidates
+                if not self._breaker_blocked_locked(r, now)
             ]
-            pool = ready or live or candidates
+            pool = ready or candidates
             known = [
                 r.ewma_latency_s
                 for r in pool
@@ -249,7 +259,7 @@ class ReplicaGroup:
             chosen.picks += 1
             if self._breaker_state_locked(chosen, now) == 2:
                 chosen.breaker_probing = True
-                self._publish_breaker_locked(chosen, now)
+            self._refresh_breakers_locked(now)
             return chosen
 
     # -- accounting --------------------------------------------------------------
@@ -325,31 +335,10 @@ class ReplicaGroup:
         if tripped:
             self.tally.count("breaker_trips", replica=replica.replica_id)
 
-    # -- administration ----------------------------------------------------------
-    def drain(self, replica_id: int) -> None:
-        """Remove a replica from the pick rotation (rolling restart)."""
-        with self._lock:
-            self.replicas[replica_id].draining = True
-
-    def restore(self, replica_id: int) -> None:
-        """Return a drained replica to the rotation with a clean slate."""
-        now = time.monotonic()
-        with self._lock:
-            replica = self.replicas[replica_id]
-            replica.draining = False
-            replica.consecutive_failures = 0
-            replica.ewma_latency_s = None
-            replica.breaker_open_until = 0.0
-            replica.breaker_probing = False
-            self._publish_breaker_locked(replica, now)
-
-    def in_flight(self, replica_id: int) -> int:
-        with self._lock:
-            return self.replicas[replica_id].in_flight
-
     def stats(self) -> dict:
         now = time.monotonic()
         with self._lock:
+            self._refresh_breakers_locked(now)
             snapshots = []
             for replica in self.replicas:
                 snapshot = replica.snapshot()

@@ -16,14 +16,13 @@ running ``repro.cli serve-searcher`` process and queries travel over the
 transport -- micro-batching, the result cache, the router, perShardTopK,
 the merge -- is one path.  A group of several remote replicas
 (``"a:1,a:2;b:1,b:2"``) is load-balanced, failed over on connectivity
-losses and hedged onto siblings, and :meth:`rolling_restart` cycles it
-through a restart with zero dropped queries.
+losses and hedged onto siblings; nothing takes a replica out of the
+rotation by hand.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import replace
 
 from repro.core.config import LannsConfig
@@ -41,11 +40,6 @@ from repro.online.searcher import SearcherNode
 from repro.online.types import SearchRequest, SearchResponse
 from repro.storage.hdfs import LocalHdfs
 from repro.storage.manifest import load_manifest, load_segmenter
-
-#: Seconds a rolling restart waits for a fenced replica's in-flight
-#: requests to finish, and for its replacement to answer a ping.
-_DRAIN_TIMEOUT_S = 30.0
-_VERIFY_TIMEOUT_S = 30.0
 
 
 class OnlineService:
@@ -97,9 +91,6 @@ class OnlineService:
         self.policy = replace(policy or BrokerPolicy(), **fields)
         self.brokers: dict[str, Broker] = {}
         self.configs: dict[str, LannsConfig] = {}
-        #: ``index_name -> (fs, index_path)`` for every live deploy
-        #: (what :meth:`rolling_restart` re-hosts onto fresh replicas).
-        self.deployments: dict[str, tuple[LocalHdfs, str]] = {}
         self.cache = QueryResultCache(cache_size)
         self._deploy_epoch = 0
         #: One replica group per shard, in shard order.
@@ -208,7 +199,6 @@ class OnlineService:
             raise
         self.brokers[index_name] = broker
         self.configs[index_name] = config
-        self.deployments[index_name] = (fs, index_path)
         return broker
 
     def _unhost(self, members: list, index_name: str) -> None:
@@ -286,80 +276,6 @@ class OnlineService:
         self.cache.invalidate(index_name)
         del self.brokers[index_name]
         del self.configs[index_name]
-        del self.deployments[index_name]
-
-    def rolling_restart(
-        self,
-        shard_id: int,
-        restart: Callable[[int, int], None],
-    ) -> None:
-        """Restart shard ``shard_id``'s replica group with zero drops.
-
-        One replica at a time: (1) the replica is fenced off in every
-        broker (``drain`` -- no new picks, no hedges land on it), (2)
-        its in-flight requests are waited out, (3) the caller's
-        ``restart(shard_id, replica_id)`` hook replaces the process at
-        the same address, (4) a ping handshake confirms the replacement
-        is up and announces the right shard, (5) every deployed index is
-        re-hosted onto it, and (6) the fence lifts; (2) and (4) each give
-        up after 30 s.  Sibling replicas serve the group's full traffic
-        throughout, so no query is dropped or degraded.
-
-        Requires a group of at least two replicas -- restarting a
-        group's only member necessarily drops its shard.
-        """
-        if not 0 <= shard_id < len(self.searchers):
-            raise ValueError(
-                f"shard {shard_id} out of range for "
-                f"{len(self.searchers)} shards"
-            )
-        group = self.searchers[shard_id]
-        if len(group) < 2:
-            raise ValueError(
-                f"rolling restart of shard {shard_id} needs a replica "
-                f"group of >= 2 (got {len(group)}): restarting the only "
-                "replica would drop the shard"
-            )
-        for replica_id, transport in enumerate(group):
-            for broker in self.brokers.values():
-                broker.groups[shard_id].drain(replica_id)
-            try:
-                deadline = time.monotonic() + _DRAIN_TIMEOUT_S
-                while any(
-                    broker.groups[shard_id].in_flight(replica_id) > 0
-                    for broker in self.brokers.values()
-                ):
-                    if time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"shard {shard_id} replica {replica_id} still "
-                            f"has in-flight requests after "
-                            f"{_DRAIN_TIMEOUT_S}s"
-                        )
-                    time.sleep(0.002)
-                restart(shard_id, replica_id)
-                deadline = time.monotonic() + _VERIFY_TIMEOUT_S
-                while True:
-                    try:
-                        transport.verify()
-                        break
-                    except TransportError:
-                        if time.monotonic() > deadline:
-                            raise
-                        time.sleep(0.05)
-                for index_name, (fs, index_path) in self.deployments.items():
-                    try:
-                        transport.deploy(
-                            index_name, index_path, root=str(fs.root)
-                        )
-                    except RemoteCallError as exc:
-                        # "already hosts": the hook restarted in place
-                        # without wiping state (or never killed the
-                        # process) -- the replica is serviceable.
-                        if exc.error_type != "ValueError":
-                            raise
-            finally:
-                for broker in self.brokers.values():
-                    broker.groups[shard_id].restore(replica_id)
 
     def close(self) -> None:
         """Close every broker (drains their micro-batchers) and every

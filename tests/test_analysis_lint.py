@@ -714,8 +714,7 @@ UNREACHED = {
     **dict.fromkeys(["HnswGraph.set_neighbors", "HnswGraph.add_link",
                      "HnswGraph.check_invariants"],
                     "the tests' hand-built graphs and structural check"),
-    **dict.fromkeys(["load_learnt_segmenter", "OnlineService.rolling_restart",
-                     "Segmenter.route_data", "LocalCluster.last_stage", "Counter.inc",
+    **dict.fromkeys(["Segmenter.route_data", "LocalCluster.last_stage", "Counter.inc",
                      "LocalHdfs.read_json", "LocalHdfs.ls", "LocalHdfs.temp_path",
                      "RemoteSearcherClient.open_connections"], "library API a test calls"),
 }

@@ -90,8 +90,11 @@ class TestOnePath:
         before = set(threading.enumerate())
         try:
             answers = [broker.execute(request)]
-            broker.groups[0].drain(0)  # a sibling, where there is one, answers
+            # Replica 0 held busy: a sibling, where there is one, answers.
+            busy = broker.groups[0].replicas[0]
+            broker.groups[0].begin(busy)
             answers.append(broker.execute(request))
+            broker.groups[0].finish(busy, outcome="cancelled")
             picks = [replica.picks for replica in broker.groups[0].replicas]
             if kind == "in_process":
                 assert not set(threading.enumerate()) - before

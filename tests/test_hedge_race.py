@@ -26,6 +26,7 @@ from repro.online.hedging import (
     AUTO_HEDGE_MIN_SAMPLES,
     AUTO_HEDGE_MULTIPLIER,
     first_reply,
+    hedge_target,
     resolve_hedge_delay,
 )
 from repro.online.replicas import ReplicaGroup
@@ -178,20 +179,21 @@ class TestWhenToHedge:
         assert counts == {"hedges": 1, "hedge_wins": 1}
         assert first.log == ["cancelled"]
 
+    def test_a_straggler_is_hedged_on_the_least_loaded_sibling(self):
+        first, busy = StubTransport((1, 30.0)), StubTransport()
+        idle = StubTransport((3, 0.0))
+        group = ReplicaGroup(0, [first, busy, idle])
+        group.begin(group.replicas[1])
+        answer, counts = race(group, delay=0.01)
+        assert answer == 3
+        assert counts == {"hedges": 1, "hedge_wins": 1}
+        assert first.log == ["cancelled"] and busy.log == []
+
     def test_lone_replica_hedges_on_a_second_connection(self):
         lone = StubTransport((1, 30.0), (2, 0.0))
         answer, counts = race(ReplicaGroup(0, [lone]), delay=0.01)
         assert answer == 2
         assert counts == {"hedges": 1, "hedge_wins": 1}
-
-    def test_a_draining_sibling_is_not_a_hedge_target(self):
-        first, second = StubTransport((1, 0.05), (2, 30.0)), StubTransport()
-        group = ReplicaGroup(0, [first, second])
-        group.drain(1)
-        answer, counts = race(group, delay=0.01)
-        # Hedged on the same process; the primary still won.
-        assert answer == 1 and counts == {"hedges": 1}
-        assert first.log == ["finished", "cancelled"]
 
     def test_a_hedged_sibling_is_spent_for_failover(self):
         """Both attempts of the race fail: no third attempt goes to the
@@ -206,22 +208,6 @@ class TestWhenToHedge:
         assert counts.snapshot() == {"hedges": 1}, "no failover"
         assert first.log == second.log == ["finished"]
 
-    def test_a_hedge_on_a_second_connection_leaves_the_sibling_untried(self):
-        """The hedge went to the same replica, so failover may still
-        take the (draining, but only untried) sibling."""
-        first = StubTransport(
-            (ConnectionLostError("primary"), 0.05),
-            (ConnectionLostError("hedge"), 0.0),
-        )
-        second = StubTransport((3, 0.0))
-        group = ReplicaGroup(0, [first, second])
-        group.drain(1)
-        answer, counts = race(group, delay=0.01)
-        assert answer == 3
-        assert counts == {"hedges": 1, "failovers": 1}
-        assert first.log == ["finished", "finished"]
-        assert second.log == ["finished"]
-
     def test_no_hedge_without_budget_for_the_delay(self):
         first, second = StubTransport((1, 0.03)), StubTransport()
         answer, counts = race(
@@ -230,6 +216,31 @@ class TestWhenToHedge:
             deadline=time.monotonic() + 0.005,
         )
         assert answer == 1 and counts == {}
+
+
+class TestHedgeTarget:
+    @staticmethod
+    def make_group(size: int) -> ReplicaGroup:
+        return ReplicaGroup(0, [StubTransport() for _ in range(size)])
+
+    def test_an_untried_sibling_is_taken_and_spent(self):
+        group = self.make_group(2)
+        tried = [0]
+        assert hedge_target(group, group.replicas[0], tried) is group.replicas[1]
+        assert tried == [0, 1]
+
+    def test_with_every_sibling_tried_the_replica_takes_it(self):
+        group = self.make_group(2)
+        tried = [1, 0]
+        assert hedge_target(group, group.replicas[0], tried) is group.replicas[0]
+        assert tried == [1, 0]
+
+    def test_the_least_loaded_untried_sibling_takes_it(self):
+        group = self.make_group(3)
+        group.begin(group.replicas[1])
+        tried = [0]
+        assert hedge_target(group, group.replicas[0], tried) is group.replicas[2]
+        assert tried == [0, 2]
 
 
 class TestResolveHedgeDelay:

@@ -47,9 +47,7 @@ def platform(request, tmp_path_factory):
         segmenter_sample_size=700,
         seed=9,
     )
-    segmenter = learn_segmenter_job(
-        cluster, fs, data, config, output_path="segmenter.json"
-    )
+    segmenter = learn_segmenter_job(cluster, data, config)
     manifest, build_metrics = build_index_job(
         cluster, fs, data, config, "indices/main", segmenter=segmenter
     )

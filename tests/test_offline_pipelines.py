@@ -7,7 +7,7 @@ from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.errors import MetadataMismatchError
 from repro.offline.indexing import build_index_job
-from repro.offline.learn import learn_segmenter_job, load_learnt_segmenter
+from repro.offline.learn import learn_segmenter_job
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
 from repro.sparklite.cluster import LocalCluster
@@ -34,20 +34,10 @@ def config():
 
 
 class TestLearnJob:
-    def test_learns_and_persists(self, cluster, fs, clustered_data, config):
-        segmenter = learn_segmenter_job(
-            cluster, fs, clustered_data, config, output_path="segmenters/s1"
-        )
+    def test_learns_as_a_cluster_stage(self, cluster, clustered_data, config):
+        segmenter = learn_segmenter_job(cluster, clustered_data, config)
         assert segmenter.is_fitted
-        restored = load_learnt_segmenter(fs, "segmenters/s1")
-        assert restored.route_data_batch(clustered_data[:20]) == (
-            segmenter.route_data_batch(clustered_data[:20])
-        )
         assert cluster.last_stage().stage == "learn-segmenter"
-
-    def test_no_persistence_without_path(self, cluster, fs, clustered_data, config):
-        learn_segmenter_job(cluster, fs, clustered_data, config)
-        assert fs.ls_recursive("") == []
 
 
 class TestBuildJob:
@@ -72,7 +62,7 @@ class TestBuildJob:
         assert hits / 200 >= 0.85
 
     def test_shared_segmenter_reused(self, cluster, fs, clustered_data, config):
-        segmenter = learn_segmenter_job(cluster, fs, clustered_data, config)
+        segmenter = learn_segmenter_job(cluster, clustered_data, config)
         manifest, _ = build_index_job(
             cluster, fs, clustered_data, config, "idx", segmenter=segmenter
         )

@@ -1,4 +1,4 @@
-"""Replica-group tests: load-aware pick, failover, hedging, restarts.
+"""Replica-group tests: load-aware pick, breakers, failover, hedging.
 
 The ledger unit tests drive :class:`ReplicaGroup` directly; the serving
 tests run real in-thread asyncio searcher servers so a connection refused
@@ -6,18 +6,15 @@ is a refused connection and a straggler is an actually-slow socket.
 Pinned here:
 
 - ``pick`` is load-aware (least in-flight, EWMA tie-break), deprioritizes
-  failing replicas, and skips draining replicas while a sibling exists;
+  failing replicas, and skips tripped breakers while a sibling exists;
 - an unreachable replica fails over to its sibling transparently (the
   ``failovers`` counter counts actual takeovers, not dead ends);
 - hedged retries land on a *different* replica of the same group, so a
-  slow replica is covered by its fast sibling;
-- a rolling restart of a replica group drops zero queries under the
-  strict ``fail`` policy while traffic keeps flowing.
+  slow replica is covered by its fast sibling.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -27,10 +24,10 @@ from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import parse_fleet_spec
 from repro.net.server import SearcherServer
 from repro.obs.metrics import get_registry
+from repro.online import replicas as replicas_module
 from repro.online.broker import Broker
 from repro.online.replicas import BREAKER_STATES, ReplicaGroup
 from repro.online.searcher import SearcherNode
-from repro.online.service import OnlineService
 from repro.online.types import SearchRequest
 from tests.conftest import LANNS_2X2, LANNS_PATH
 
@@ -44,10 +41,9 @@ def queries(clustered_queries):
     return clustered_queries[:16]
 
 
-def start_server(lanns_fs, shard_id: int, *, port: int = 0, **kwargs):
+def start_server(lanns_fs, shard_id: int, **kwargs):
     return SearcherServer(
         SearcherNode(shard_id),
-        port=port,
         root=str(lanns_fs.root),
         **kwargs,
     ).start_in_thread()
@@ -107,17 +103,17 @@ class TestReplicaGroupLedger:
         group.begin(measured)  # one request in flight on the measured one
         assert group.pick().replica_id == 1
 
-    def test_restored_replica_not_preferred_over_measured_sibling(self):
-        group = self.make_group(2)
-        for replica in group.replicas:
+    def test_unmeasured_replica_ties_at_the_pool_median(self):
+        group = self.make_group(3)
+        for replica in group.replicas[:2]:
             group.begin(replica)
             group.finish(replica, 0.05)
-        # A rolling restart clears replica 1's EWMA; the fresh replica
-        # must not win every tie against its equally-loaded sibling.
-        group.drain(1)
-        group.restore(1)
-        assert group.replicas[1].ewma_latency_s is None
-        assert group.pick().replica_id == 0
+        group.begin(group.replicas[0])  # replicas 1 and 2 are idle
+        # Replica 2 was never measured: it ranks at the pool's median
+        # EWMA, ties its equally-loaded sibling and loses the id
+        # tie-break, where an implicit 0.0 would win every such tie.
+        assert group.replicas[2].ewma_latency_s is None
+        assert group.pick().replica_id == 1
 
     def test_pick_deprioritizes_failing_replicas(self):
         group = self.make_group(2)
@@ -135,17 +131,6 @@ class TestReplicaGroupLedger:
         assert flaky.failures == 1
         assert group.pick().replica_id == 0
 
-    def test_pick_skips_draining_until_no_alternative(self):
-        group = self.make_group(2)
-        group.drain(0)
-        for _ in range(3):
-            assert group.pick().replica_id == 1
-        # Every sibling excluded: the draining replica is still better
-        # than answering nobody (degrade fallback).
-        assert group.pick(exclude=[1]).replica_id == 0
-        group.restore(0)
-        assert group.pick().replica_id == 0
-
     def test_pick_returns_none_when_all_excluded(self):
         group = self.make_group(2)
         assert group.pick(exclude=[0, 1]) is None
@@ -158,6 +143,52 @@ class TestReplicaGroupLedger:
         assert replica.in_flight == 0
         assert replica.failures == 0
         assert replica.ewma_latency_s is None
+
+    def test_stats_reports_each_replicas_ledger(self):
+        group = self.make_group(2)
+        first = group.pick()
+        group.begin(first)
+        group.finish(first, 0.02)
+        # The cold sibling ties at the pool median and loses the id
+        # tie-break: replica 0 is picked again and stays in flight.
+        group.begin(group.pick())
+        group.begin(group.replicas[1])
+        group.finish(group.replicas[1], outcome="error")
+        ledger = {
+            "in_flight": 0, "ewma_latency_s": None, "picks": 0,
+            "failures": 0, "consecutive_failures": 0,
+            "breaker_state": "closed",
+        }
+        assert group.stats() == {
+            "shard_id": 0,
+            "counts": {},
+            "replicas": [
+                {
+                    **ledger, "replica_id": 0, "in_flight": 1,
+                    "ewma_latency_s": 0.02, "picks": 2,
+                },
+                {
+                    **ledger, "replica_id": 1, "failures": 1,
+                    "consecutive_failures": 1,
+                },
+            ],
+        }
+
+    def test_the_load_gauges_follow_begin_and_finish(self):
+        group = ReplicaGroup(6, [SearcherNode(6)])
+        replica = group.replicas[0]
+        in_flight = get_registry().gauge("lanns_replica_in_flight")
+        ewma_ms = get_registry().gauge("lanns_replica_ewma_ms")
+        group.begin(replica)
+        group.begin(replica)
+        assert in_flight.value(shard=6, replica=0) == 2
+        group.finish(replica, 0.004)
+        assert in_flight.value(shard=6, replica=0) == 1
+        assert ewma_ms.value(shard=6, replica=0) == pytest.approx(4.0)
+        # A cancelled hedge loser releases its slot and measures nothing.
+        group.finish(replica, 0.5, outcome="cancelled")
+        assert in_flight.value(shard=6, replica=0) == 0
+        assert ewma_ms.value(shard=6, replica=0) == pytest.approx(4.0)
 
     def test_group_rejects_transport_of_another_shard(self):
         with pytest.raises(ValueError, match="serves shard"):
@@ -229,6 +260,25 @@ class TestCircuitBreaker:
         assert flaky.consecutive_failures == 0
         assert group.pick().replica_id == 0
 
+    def test_an_outstanding_probe_keeps_traffic_on_the_sibling(self):
+        group = self.make_group(threshold=2, cooldown=0.03)
+        flaky, sibling = group.replicas
+        self.fail(group, flaky)
+        self.fail(group, flaky)
+        self.fail(group, sibling)  # failing too, under the threshold
+        group.begin(sibling)
+        group.begin(sibling)
+        time.sleep(0.05)
+        probe = group.pick()
+        assert probe is flaky and flaky.breaker_probing
+        group.begin(probe)
+        # One request decides recovery: until it lands, the sibling
+        # takes the traffic although it carries more load.
+        for _ in range(3):
+            assert group.pick() is sibling
+        group.finish(probe, 0.01)
+        assert group.pick() is flaky
+
     def test_failed_probe_reopens_with_new_trip(self):
         group = self.make_group(threshold=1, cooldown=0.03)
         flaky = group.replicas[0]
@@ -254,10 +304,12 @@ class TestCircuitBreaker:
 
     def test_the_state_gauge_follows_every_transition(self):
         """``lanns_replica_breaker_state`` reads the index of the state
-        ``stats()`` reports: closed, open, the half-open probe, closed."""
+        ``stats()`` reports: closed, open, the half-open probe, closed,
+        open again, and half-open once the cooldown ran out, though
+        nobody picks that replica."""
         group = ReplicaGroup(
             7, [SearcherNode(7), SearcherNode(7)],
-            breaker_threshold=2, breaker_cooldown_s=0.2,
+            breaker_threshold=2, breaker_cooldown_s=0.05,
         )
         flaky = group.replicas[0]
         gauge = get_registry().gauge("lanns_replica_breaker_state")
@@ -270,28 +322,87 @@ class TestCircuitBreaker:
         gauge_matches("closed")
         self.fail(group, flaky)
         gauge_matches("open")
-        time.sleep(0.25)
+        time.sleep(0.08)
         probe = group.pick(exclude=[1])
         assert probe is flaky and flaky.breaker_probing
         gauge_matches("half-open")
         group.begin(probe)
         group.finish(probe, 0.01)
         gauge_matches("closed")
+        self.fail(group, flaky)
+        self.fail(group, flaky)
+        gauge_matches("open")
+        time.sleep(0.08)
+        # Read before any stats(): only the sibling's pick can publish it.
+        assert group.pick(exclude=[0]).replica_id == 1
+        assert gauge.value(shard=7, replica=0) == BREAKER_STATES.index("half-open")
+
+    def test_pick_skips_an_open_breaker_until_no_alternative(self):
+        group = self.make_group(threshold=1, cooldown=60.0)
+        flaky = group.replicas[0]
+        self.fail(group, flaky)
+        for _ in range(3):
+            assert group.pick().replica_id == 1
+        # Every sibling excluded: the open replica is still better than
+        # answering nobody, and that fallback is not its half-open probe.
+        assert group.pick(exclude=[1]) is flaky
+        assert not flaky.breaker_probing
+        assert self.state(group, 0) == "open"
+        # Its answer closes the breaker and it wins the id tie-break again.
+        group.begin(flaky)
+        group.finish(flaky)
+        assert self.state(group, 0) == "closed"
+        assert group.pick().replica_id == 0
+
+    @staticmethod
+    def record_gauge_sets(monkeypatch) -> list:
+        published: list = []
+        monkeypatch.setattr(
+            replicas_module._BREAKER_STATE,
+            "set",
+            lambda value, **labels: published.append((value, labels)),
+        )
+        return published
+
+    def test_a_group_that_never_trips_publishes_nothing_on_pick(
+        self, monkeypatch
+    ):
+        """``pick`` runs on every shard RPC: while no breaker moves, it
+        and ``stats()`` leave the gauge alone."""
+        group = self.make_group(size=3, threshold=2)
+        self.fail(group, group.replicas[2])  # one failure, under threshold
+        published = self.record_gauge_sets(monkeypatch)
+        for _ in range(5):
+            group.begin(group.pick())
+        assert self.state(group, 2) == "closed"
+        group.stats()
+        assert published == []
+
+    def test_stats_publishes_a_breaker_whose_cooldown_ran_out(
+        self, monkeypatch
+    ):
+        group = ReplicaGroup(
+            8, [SearcherNode(8), SearcherNode(8)],
+            breaker_threshold=1, breaker_cooldown_s=0.03,
+        )
+        gauge = get_registry().gauge("lanns_replica_breaker_state")
+        self.fail(group, group.replicas[0])
+        assert gauge.value(shard=8, replica=0) == BREAKER_STATES.index("open")
+        time.sleep(0.05)
+        published = self.record_gauge_sets(monkeypatch)
+        assert self.state(group, 0) == "half-open"
+        assert published == [
+            (BREAKER_STATES.index("half-open"), {"shard": 8, "replica": 0})
+        ]
+        # Published once: the next look finds nothing that moved.
+        group.stats()
+        assert len(published) == 1
 
     def test_every_breaker_open_still_serves(self):
         group = self.make_group(size=1, threshold=1, cooldown=60.0)
         self.fail(group, group.replicas[0])
         assert self.state(group, 0) == "open"
         # Zero-drop fallback: a suspect replica beats answering nobody.
-        assert group.pick().replica_id == 0
-
-    def test_restore_clears_breaker_state(self):
-        group = self.make_group(threshold=1, cooldown=60.0)
-        self.fail(group, group.replicas[0])
-        group.drain(0)
-        group.restore(0)
-        assert self.state(group, 0) == "closed"
-        assert group.replicas[0].consecutive_failures == 0
         assert group.pick().replica_id == 0
 
     def test_disabled_by_default(self):
@@ -435,105 +546,3 @@ class TestCrossReplicaHedging:
                 transport.close()
             for server in (slow, fast, other):
                 server.stop()
-
-
-class TestRollingRestart:
-    @pytest.fixture()
-    def grid(self, lanns_fs):
-        """Two replica groups of two in-thread servers each."""
-        servers = [
-            [start_server(lanns_fs, shard) for _ in range(2)]
-            for shard in range(NUM_SHARDS)
-        ]
-        yield servers
-        for group in servers:
-            for server in group:
-                server.stop()
-
-    @pytest.fixture()
-    def service(self, grid, lanns_fs):
-        service = OnlineService(
-            searchers=[
-                [server.address for server in group] for group in grid
-            ],
-            partial_policy="fail",
-            request_timeout_s=30.0,
-        )
-        service.deploy(lanns_fs, LANNS_PATH)
-        yield service
-        service.close()
-
-    def test_rolling_restart_drops_zero_queries(
-        self, grid, service, lanns_fs, queries
-    ):
-        stop = threading.Event()
-        errors: list[BaseException] = []
-        degraded = [0]
-        served = [0]
-
-        def client():
-            while not stop.is_set():
-                try:
-                    response = service.execute(
-                        SearchRequest(
-                            queries=queries, top_k=5, index_name="default"
-                        )
-                    )
-                except BaseException as exc:
-                    errors.append(exc)
-                    return
-                degraded[0] += response.degraded_rows
-                served[0] += 1
-
-        restarted: list[tuple[int, int]] = []
-
-        def restart(shard_id: int, replica_id: int) -> None:
-            old = grid[shard_id][replica_id]
-            old.stop()
-            grid[shard_id][replica_id] = start_server(
-                lanns_fs, shard_id, port=old.port
-            )
-            restarted.append((shard_id, replica_id))
-
-        thread = threading.Thread(target=client)
-        thread.start()
-        try:
-            service.rolling_restart(0, restart)
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        assert not errors, f"queries failed during restart: {errors[:1]!r}"
-        assert degraded[0] == 0
-        assert served[0] > 0
-        assert restarted == [(0, 0), (0, 1)]
-        # The restarted replicas host the index again: drain them
-        # from the OTHER side and the group still answers.
-        broker = service.brokers["default"]
-        broker.groups[0].drain(1)
-        try:
-            response = service.execute(
-                SearchRequest(queries=queries, top_k=5, index_name="default")
-            )
-            assert response.fully_answered
-        finally:
-            broker.groups[0].restore(1)
-
-    def test_rolling_restart_requires_remote_fleet(self, lanns_fs):
-        service = OnlineService()
-        service.deploy(lanns_fs, LANNS_PATH)
-        with pytest.raises(ValueError, match="replica group of >= 2"):
-            service.rolling_restart(0, lambda shard, replica: None)
-
-    def test_rolling_restart_requires_a_sibling(self, grid):
-        service = OnlineService(
-            searchers=[group[0].address for group in grid],
-        )
-        try:
-            with pytest.raises(ValueError, match="replica group of >= 2"):
-                service.rolling_restart(0, lambda shard, replica: None)
-        finally:
-            service.close()
-
-    def test_rolling_restart_shard_out_of_range(self, grid, service):
-        with pytest.raises(ValueError, match="out of range"):
-            service.rolling_restart(7, lambda shard, replica: None)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import MetadataMismatchError, SerializationError
-from repro.offline.learn import load_learnt_segmenter
+from repro.online.service import OnlineService
 from repro.storage.manifest import (
     IndexManifest,
     load_lanns_index,
@@ -177,8 +177,24 @@ class TestBadDocuments:
             load_segmenter(fs, "idx")
 
     @pytest.mark.parametrize("fault", sorted(SEGMENTER_FAULTS))
-    def test_a_bad_learnt_segmenter_names_the_file(self, lanns, fs, fault):
-        raw = json.dumps(lanns.segmenter.to_dict()).encode()
-        fs.write_bytes("segmenters/s1", SEGMENTER_FAULTS[fault](raw))
-        with pytest.raises(SerializationError, match="segmenters/s1"):
-            load_learnt_segmenter(fs, "segmenters/s1")
+    def test_every_reader_of_a_bad_segmenter_names_the_file(
+        self, lanns, fs, fault
+    ):
+        """The whole-index load and the serving deploy read the same
+        ``segmenter.json``: both refuse it by name, and the refused
+        deploy leaves no broker behind."""
+        save_lanns_index(lanns, fs, "idx")
+        raw = SEGMENTER_FAULTS[fault](fs.read_bytes("idx/segmenter.json"))
+        fs.write_bytes("idx/segmenter.json", raw)
+        manifest = fs.read_json("idx/metadata.json")
+        manifest["checksums"]["segmenter.json"] = hashlib.sha256(raw).hexdigest()
+        fs.write_json("idx/metadata.json", manifest)
+        with pytest.raises(SerializationError, match="idx/segmenter.json"):
+            load_lanns_index(fs, "idx")
+        service = OnlineService()
+        try:
+            with pytest.raises(SerializationError, match="idx/segmenter.json"):
+                service.deploy(fs, "idx")
+            assert service.brokers == {}
+        finally:
+            service.close()

@@ -74,6 +74,13 @@ def trajectory(repo: Path, *args: str) -> subprocess.CompletedProcess:
     )  # fmt: skip
 
 
+def load_trajectory():
+    spec = importlib.util.spec_from_file_location("trajectory", TRAJECTORY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def stage(repo: Path, speed: str) -> None:
     (repo / "speed.txt").write_text(speed)
     git(repo, "add", "speed.txt")
@@ -112,6 +119,25 @@ def test_compare_exits_non_zero_on_a_breach_and_calls_a_tie_equal(repo):
     assert "unknown workloads ['w9']" in trajectory(
         repo, "--compare", "HEAD", "--workloads", "w9"
     ).stderr
+
+
+def test_a_spread_wider_than_the_bound_breaches_only_when_the_runs_part():
+    """The parent's runs spread wider than the bound: a median gap past
+    the bound is unresolved while the two sides' runs overlap, and a
+    breach once every change run is worse than every parent run."""
+    verdict = load_trajectory().verdict
+    setup = {"name": "setup_s", "better": "lower", "bound": 0.25}
+    # Five pairs of a workload's setup time: IQR 37 %, medians 27 % apart.
+    parent = [0.013796, 0.011422, 0.014911, 0.019338, 0.019534]
+    change = [0.0119, 0.012847, 0.018946, 0.019149, 0.019239]
+    cells, breached = verdict(setup, parent, change)
+    assert not breached
+    assert cells.endswith("| unresolved: parent spread exceeds the bound")
+    cells, breached = verdict(setup, parent, [0.0196, 0.02, 0.021, 0.022, 0.023])
+    assert breached and "**BREACH** (worse by 40.8%)" in cells
+    rate = {"name": "throughput_per_s", "better": "higher", "bound": 0.2}
+    assert verdict(rate, [100, 140, 180], [90, 95, 99])[1]
+    assert not verdict(rate, [100, 140, 180], [90, 95, 101])[1]
 
 
 def test_compare_beside_record_adds_its_pairs_to_the_bench_file(repo, tmp_path):
@@ -160,9 +186,7 @@ def test_a_timing_lean_past_half_its_bound_runs_an_a_a_control(
     second export of itself for as many pairs, and the control's lean --
     here one pair of three won by noise -- is printed beside the
     change's.  ``w2`` leans 4 %: no control runs for it."""
-    spec = importlib.util.spec_from_file_location("trajectory", TRAJECTORY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_trajectory()
     made = []
 
     def run_once(tree, benchmark, workload, trace, seed):
