@@ -27,6 +27,7 @@ from repro.hnsw.search import (
     descend_to_levels_batch,
     search_arrays,
     search_layer_batch,
+    smallest_k,
     sort_candidates,
 )
 from repro.obs.tracing import current_recorder, maybe_span
@@ -668,24 +669,23 @@ class HnswIndex:
         Rows are scored one at a time on purpose: BLAS accumulation order
         inside a multi-row GEMM varies with the batch shape, and the
         serving stack's coalescing layers rely on every row's result
-        being bit-independent of which other rows share the batch.  The
-        stable argsort breaks distance ties by internal row -- the
-        (distance, node) order of the sorted beam and of the blocked
-        exact scan in :func:`repro.offline.brute_force.exact_top_k`.
+        being bit-independent of which other rows share the batch.
+        :func:`~repro.hnsw.search.smallest_k` breaks distance ties by
+        internal row -- the (distance, node) order of the sorted beam and
+        of the blocked exact scan in
+        :func:`repro.offline.brute_force.exact_top_k`.
         """
         scorer, count = self._scorer, len(self._graph)
         num_queries = prepared.shape[0]
-        width = min(k, count)
-        rows = np.empty((num_queries, width), dtype=_IDS_DTYPE)
-        reduced = np.empty((num_queries, width), dtype=np.float32)
+        scores = np.empty((num_queries, count), dtype=np.float32)
         with maybe_span(
             current_recorder(), "scan", scorer="flat",
             rows=count, num_queries=num_queries,
         ):
             for row in range(num_queries):
-                scores = scorer.score_all_batch(prepared[row : row + 1])[0]
-                rows[row] = np.argsort(scores, kind="stable")[:k]
-                reduced[row] = scores[rows[row]]
+                scores[row] = scorer.score_all_batch(prepared[row : row + 1])[0]
+            rows = smallest_k(scores, k)
+            reduced = np.take_along_axis(scores, rows, axis=1)
         if cost is not None:
             cost.distance_comps += num_queries * count
         return rows, reduced

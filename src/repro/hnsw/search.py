@@ -567,6 +567,31 @@ def sort_candidates(
     return _unpack(keys)
 
 
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's ``k`` smallest values, in order: exactly
+    ``np.argsort(values, axis=1, kind="stable")[:, :k]``.
+
+    ``values`` is ``(rows, n)`` of any real dtype; ``(rows, min(k, n))``
+    int64 columns come back.  A partition finds each row's k-th value;
+    every column at or below it survives, so all ties with it stay in;
+    the survivors are sorted stably by (value, column) and each row keeps
+    its first ``k``.  NaN sorts last, as in a stable argsort: a row whose
+    k-th value is NaN keeps every column.  The cost is one pass over the
+    block plus a sort of ~k survivors per row, against a full sort.
+    """
+    rows, n = values.shape
+    if k >= n:
+        return np.argsort(values, axis=1, kind="stable")
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    # kth != kth is NaN's test in every dtype.
+    row_of, column = np.nonzero((values <= kth) | (kth != kth))
+    # lexsort is stable, and nonzero lists each row's columns ascending.
+    order = np.lexsort((values[row_of, column], row_of))
+    counts = np.bincount(row_of, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    return column[order[starts[:, np.newaxis] + np.arange(k)]]
+
+
 def descend_arrays(
     graph: HnswGraph,
     scorer: PairScorer,

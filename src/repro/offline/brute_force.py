@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.merge import merge_shard_results_batch
 from repro.distance.metrics import Metric, get_metric
+from repro.hnsw.search import smallest_k
 from repro.sparklite.cluster import LocalCluster
 from repro.utils.validation import as_matrix
 
@@ -28,8 +29,13 @@ def exact_top_k(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact k-NN by blocked full scan (single process).
 
-    Tiles the query axis and blocks the data axis, so memory stays at
-    ``O(block_size ** 2)`` whatever the number of queries.  The query
+    Tiles the query axis and blocks the data axis.  Per ``tile x block``
+    of distances, the metric's GEMM and the block's selection hold a few
+    arrays of that shape in the distances' dtype (float32 for float32
+    inputs) plus one of booleans; what is merged is ``(tile, 2 k)``.  So
+    memory stays a small multiple of ``block_size ** 2 * 4`` bytes
+    whatever the number of queries (``tests/test_offline_brute_force.py``
+    pins the peak under five times that).  The query
     tiles are balanced (``ceil(queries / block_size)`` near-equal parts):
     a BLAS may round a GEMM of one to three rows differently from the
     same rows inside a larger one, and no tile is such a tail.
@@ -52,19 +58,26 @@ def exact_top_k(
 def _scan(
     data: np.ndarray, queries: np.ndarray, k: int, metric_obj: Metric, block_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`exact_top_k` of one query tile, one data block at a time."""
+    """:func:`exact_top_k` of one query tile, one data block at a time.
+
+    Each block's ``k`` smallest are selected in the block's own dtype and
+    only they are cast to float64 (exact, so order-preserving); merging
+    them after the running best breaks every distance tie toward the
+    lower id, as one stable sort of all columns so far would.
+    """
     num_queries = queries.shape[0]
     best_dists = np.full((num_queries, k), np.inf, dtype=np.float64)
     best_ids = np.full((num_queries, k), -1, dtype=np.int64)
     for start in range(0, data.shape[0], block_size):
-        block = data[start : start + block_size]
-        dists = metric_obj.pairwise(queries, block).astype(np.float64)
-        block_ids = np.arange(start, start + block.shape[0], dtype=np.int64)
-        merged_dists = np.concatenate([best_dists, dists], axis=1)
-        merged_ids = np.concatenate(
-            [best_ids, np.broadcast_to(block_ids, dists.shape)], axis=1
+        dists = metric_obj.pairwise(queries, data[start : start + block_size])
+        columns = smallest_k(dists, k)
+        # best_dists is float64, so the concatenation casts the survivors.
+        merged_dists = np.concatenate(
+            [best_dists, np.take_along_axis(dists, columns, axis=1)], axis=1
         )
-        order = np.argsort(merged_dists, axis=1, kind="stable")[:, :k]
+        del dists  # before the next block's GEMM, not beside it
+        merged_ids = np.concatenate([best_ids, columns + start], axis=1)
+        order = smallest_k(merged_dists, k)
         best_dists = np.take_along_axis(merged_dists, order, axis=1)
         best_ids = np.take_along_axis(merged_ids, order, axis=1)
     return best_ids, best_dists

@@ -235,12 +235,14 @@ class Broker:
             raise ValueError(
                 f"{len(searchers)} searchers for {config.num_shards} shards"
             )
+        self.name = str(name)
         self.groups: list[ReplicaGroup] = [
             ReplicaGroup(
                 shard_id,
                 entry if isinstance(entry, (list, tuple)) else [entry],
                 breaker_threshold=policy.breaker_threshold,
                 breaker_cooldown_s=policy.breaker_cooldown_s,
+                broker=self.name,
             )
             for shard_id, entry in enumerate(searchers)
         ]
@@ -250,7 +252,6 @@ class Broker:
             if segmenter is not None and Router.prunes(segment_sizes)
             else None
         )
-        self.name = str(name)
         #: The one clock: every stage duration of this broker -- the
         #: ``stats()["stages"]`` windows and adaptive hedging's
         #: ``shard_rpc`` median included -- is recorded through it.

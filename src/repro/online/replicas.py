@@ -111,7 +111,9 @@ class ReplicaGroup:
     ``breaker_threshold`` consecutive transport failures trip a
     per-replica circuit breaker for ``breaker_cooldown_s`` (``0``
     disables breakers entirely -- the pre-breaker behaviour, where a
-    failing replica is merely deprioritized).
+    failing replica is merely deprioritized).  Its metric series are
+    labelled by the owning ``broker``'s name as well as by shard and
+    replica, so the groups of two brokers never share one.
     """
 
     def __init__(
@@ -121,6 +123,7 @@ class ReplicaGroup:
         *,
         breaker_threshold: int = 0,
         breaker_cooldown_s: float = 1.0,
+        broker: str = "broker",
     ) -> None:
         if not searchers:
             raise ValueError(f"shard {shard_id} has an empty replica group")
@@ -147,7 +150,8 @@ class ReplicaGroup:
                     f"shard {replica.transport.shard_id}"
                 )
         self._lock = threading.Lock()
-        self.tally = Tally(_COUNTERS, shard=self.shard_id)
+        self.broker = str(broker)
+        self.tally = Tally(_COUNTERS, broker=self.broker, shard=self.shard_id)
 
     def __len__(self) -> int:
         with self._lock:
@@ -188,6 +192,7 @@ class ReplicaGroup:
         replica.breaker_published = self._breaker_state_locked(replica, now)
         _BREAKER_STATE.set(
             replica.breaker_published,
+            broker=self.broker,
             shard=self.shard_id,
             replica=replica.replica_id,
         )
@@ -269,6 +274,7 @@ class ReplicaGroup:
             replica.in_flight += 1
             _IN_FLIGHT.set(
                 replica.in_flight,
+                broker=self.broker,
                 shard=self.shard_id,
                 replica=replica.replica_id,
             )
@@ -290,6 +296,7 @@ class ReplicaGroup:
             replica.in_flight = max(0, replica.in_flight - 1)
             _IN_FLIGHT.set(
                 replica.in_flight,
+                broker=self.broker,
                 shard=self.shard_id,
                 replica=replica.replica_id,
             )
@@ -329,6 +336,7 @@ class ReplicaGroup:
                         )
                     _EWMA_MS.set(
                         replica.ewma_latency_s * 1e3,
+                        broker=self.broker,
                         shard=self.shard_id,
                         replica=replica.replica_id,
                     )

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.hnsw.index as hnsw_index
@@ -33,6 +33,7 @@ from repro.hnsw.search import (
     descend_to_levels_batch,
     search_arrays,
     search_layer_batch,
+    smallest_k,
     sort_candidates,
 )
 from repro.obs.cost import SearchCost
@@ -230,6 +231,43 @@ class TestBeamKeys:
                 _pack(np.zeros(3, dtype=dtype), ids)
         with pytest.raises(TypeError, match="float32"):
             sort_candidates(ids[np.newaxis], np.zeros((1, 3)))
+
+
+#: A few values, so rows tie heavily, with both zeros, both infinities
+#: and NaN among them.
+TIED_VALUES = [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, np.nan]
+
+
+@st.composite
+def tied_blocks(draw):
+    """A ``(rows, n)`` block of :data:`TIED_VALUES` (integers for an
+    integer dtype) and a ``k`` from 1 to past ``n``."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
+    pool = TIED_VALUES if dtype != np.int64 else [-1, 0, 1, 2]
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * n, max_size=rows * n))
+    k = draw(st.sampled_from([1, n, n + 2]) | st.integers(1, n + 2))
+    return np.array(cells, dtype=dtype).reshape(rows, n), k
+
+
+class TestSmallestK:
+    """:func:`smallest_k` selects by partition, then fixes the order of
+    the survivors (the total-order fix-up ``analysis/baseline.toml``
+    cites): its answer is a stable argsort's, ties, infinities and NaN
+    included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tied_blocks())
+    @example((np.array([[3.0], [np.nan]]), 1))  # one-column rows
+    @example((np.array([[np.nan, 1.0, np.nan, 1.0]]), 3))  # a NaN k-th value
+    @example((np.array([[1.0, 1.0, 1.0, 0.0, 1.0]]), 2))  # ties past the k-th
+    def test_is_the_stable_argsort_prefix(self, block):
+        values, k = block
+        got = smallest_k(values, k)
+        np.testing.assert_array_equal(
+            got, np.argsort(values, axis=1, kind="stable")[:, :k]
+        )
+        assert got.dtype == np.int64
 
 
 def reference_beam(seeds, ef, expand, neighbors, score):

@@ -1,5 +1,7 @@
 """Tests for exact search: blocked scan and the distributed job (Fig 8)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,44 @@ class TestExactTopK:
         np.testing.assert_array_max_ulp(
             tiled_dists.astype(np.float32), want_dists.astype(np.float32), maxulp=1
         )
+
+    @pytest.mark.parametrize("block_size", [3, 7, 1000])
+    def test_integer_ties_across_blocks_go_to_the_lower_id(self, block_size):
+        """Integer-valued rows with many repeats, so equal distances fall
+        in different blocks: the lower id wins, as in one stable sort of
+        the exact distances."""
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 3, size=(60, 4)).astype(np.float32)
+        data[7] = data[6]  # a tie on each side of a block edge
+        data[21] = data[20]
+        queries = np.concatenate([data[[6, 20]], rng.integers(0, 3, size=(30, 4))])
+        queries = queries.astype(np.float32)
+        squared = ((queries[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
+        want = np.argsort(squared, axis=1, kind="stable")[:, :9]
+        ids, dists = exact_top_k(data, queries, 9, block_size=block_size)
+        np.testing.assert_array_equal(ids, want)
+        np.testing.assert_array_equal(
+            dists, np.sqrt(np.take_along_axis(squared, want, axis=1))
+        )
+        assert list(ids[0, :2]) == [6, 7] and list(ids[1, :2]) == [20, 21]
+
+    def test_memory_is_a_small_multiple_of_one_block(self):
+        """Traced peak of a 1024-query tile against 4096 x 64 in 1024-row
+        blocks, in units of one ``tile x block`` float32 array (4 MiB).
+        The selection holds ~3 of them; putting back the merge that
+        concatenates every block onto the running best as float64 and
+        int64 and stable-argsorts it reads 11.1 and fails."""
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((4096, 64), dtype=np.float32)
+        queries = rng.standard_normal((1024, 64), dtype=np.float32)
+        exact_top_k(data[:100], queries[:10], 10)  # one-time setup, untraced
+        tracemalloc.start()
+        try:
+            exact_top_k(data, queries, 10, block_size=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (1024 * 1024 * 4) < 5.0
 
     def test_k_clamped_to_n(self, clustered_data, clustered_queries):
         ids, _ = exact_top_k(clustered_data[:5], clustered_queries[:3], 10)

@@ -181,14 +181,14 @@ class TestReplicaGroupLedger:
         ewma_ms = get_registry().gauge("lanns_replica_ewma_ms")
         group.begin(replica)
         group.begin(replica)
-        assert in_flight.value(shard=6, replica=0) == 2
+        assert in_flight.value(broker="broker", shard=6, replica=0) == 2
         group.finish(replica, 0.004)
-        assert in_flight.value(shard=6, replica=0) == 1
-        assert ewma_ms.value(shard=6, replica=0) == pytest.approx(4.0)
+        assert in_flight.value(broker="broker", shard=6, replica=0) == 1
+        assert ewma_ms.value(broker="broker", shard=6, replica=0) == pytest.approx(4.0)
         # A cancelled hedge loser releases its slot and measures nothing.
         group.finish(replica, 0.5, outcome="cancelled")
-        assert in_flight.value(shard=6, replica=0) == 0
-        assert ewma_ms.value(shard=6, replica=0) == pytest.approx(4.0)
+        assert in_flight.value(broker="broker", shard=6, replica=0) == 0
+        assert ewma_ms.value(broker="broker", shard=6, replica=0) == pytest.approx(4.0)
 
     def test_group_rejects_transport_of_another_shard(self):
         with pytest.raises(ValueError, match="serves shard"):
@@ -316,7 +316,7 @@ class TestCircuitBreaker:
 
         def gauge_matches(expected: str) -> None:
             assert self.state(group, 0) == expected
-            assert gauge.value(shard=7, replica=0) == BREAKER_STATES.index(expected)
+            assert gauge.value(broker="broker", shard=7, replica=0) == BREAKER_STATES.index(expected)
 
         self.fail(group, flaky)
         gauge_matches("closed")
@@ -335,7 +335,7 @@ class TestCircuitBreaker:
         time.sleep(0.08)
         # Read before any stats(): only the sibling's pick can publish it.
         assert group.pick(exclude=[0]).replica_id == 1
-        assert gauge.value(shard=7, replica=0) == BREAKER_STATES.index("half-open")
+        assert gauge.value(broker="broker", shard=7, replica=0) == BREAKER_STATES.index("half-open")
 
     def test_pick_skips_an_open_breaker_until_no_alternative(self):
         group = self.make_group(threshold=1, cooldown=60.0)
@@ -387,12 +387,15 @@ class TestCircuitBreaker:
         )
         gauge = get_registry().gauge("lanns_replica_breaker_state")
         self.fail(group, group.replicas[0])
-        assert gauge.value(shard=8, replica=0) == BREAKER_STATES.index("open")
+        assert gauge.value(broker="broker", shard=8, replica=0) == BREAKER_STATES.index("open")
         time.sleep(0.05)
         published = self.record_gauge_sets(monkeypatch)
         assert self.state(group, 0) == "half-open"
         assert published == [
-            (BREAKER_STATES.index("half-open"), {"shard": 8, "replica": 0})
+            (
+                BREAKER_STATES.index("half-open"),
+                {"broker": "broker", "shard": 8, "replica": 0},
+            )
         ]
         # Published once: the next look finds nothing that moved.
         group.stats()
@@ -420,6 +423,40 @@ class TestCircuitBreaker:
             self.make_group(threshold=-1)
         with pytest.raises(ValueError, match="breaker_cooldown_s"):
             self.make_group(cooldown=0.0)
+
+
+def test_two_brokers_keep_their_replica_series_apart():
+    """A service builds one broker, with its own groups, per deployed
+    index: each group's gauges and trips carry its broker's name, so one
+    index's shard 0 replica 0 does not overwrite the other's."""
+    registry = get_registry()
+    brokers = {
+        name: Broker(
+            [SearcherNode(0), SearcherNode(1)], LANNS_2X2, name=name,
+            breaker_threshold=1,
+        )
+        for name in ("two-brokers-a", "two-brokers-b")
+    }
+    try:
+        first = brokers["two-brokers-a"].groups[0]
+        second = brokers["two-brokers-b"].groups[0]
+        first.begin(first.replicas[0])
+        first.begin(first.replicas[0])
+        second.begin(second.replicas[0])
+        second.finish(second.replicas[0], outcome="error")
+        labels = {"shard": 0, "replica": 0}
+        in_flight = registry.gauge("lanns_replica_in_flight")
+        assert in_flight.value(broker="two-brokers-a", **labels) == 2
+        assert in_flight.value(broker="two-brokers-b", **labels) == 0
+        state = registry.gauge("lanns_replica_breaker_state")
+        assert state.value(broker="two-brokers-a", **labels) == 0
+        assert state.value(broker="two-brokers-b", **labels) == 1
+        trips = registry.counter("lanns_replica_breaker_trips_total")
+        assert trips.value(broker="two-brokers-a", **labels) == 0
+        assert trips.value(broker="two-brokers-b", **labels) == 1
+    finally:
+        for broker in brokers.values():
+            broker.close()
 
 
 class TestFleetSpec:
