@@ -6,7 +6,7 @@ Compares three per-shard fetch policies on a sharded People-like index:
 - ``normal``: the paper's normal-approximation budget with the standard
   z = probit((1+p)/2) reading (~1.96 at p=0.95);
 - ``literal``: the paper's formula read literally, z = probit(1 - p/2)
-  (~0.063) -- the typo discussed in DESIGN.md substitution #7.
+  (~0.063) -- a typo, as ``repro.core.topk``'s module docstring argues.
 
 Expected: ``normal`` cuts per-shard work substantially at (nearly) zero
 recall cost; ``literal`` under-fetches and costs recall, evidence that

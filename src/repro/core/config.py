@@ -20,6 +20,7 @@ from repro.errors import ConfigError
 from repro.hnsw.params import HnswParams
 from repro.segmenters.base import SPILL_MODES
 from repro.utils.flags import FlagFields, knob
+from repro.utils.validation import check_retired
 
 #: Segmenter kinds accepted by the platform.
 SEGMENTER_KINDS = ("rs", "rh", "apd")
@@ -66,11 +67,6 @@ class LannsConfig(FlagFields):
     topk_confidence:
         ``topK.confidence`` for the perShardTopK optimisation (Eq. 5-6);
         paper default 0.95.
-    use_per_shard_topk:
-        Disable to always fetch full topK from each shard.
-    paper_literal_probit:
-        Use the paper's literal ``(1 - p/2)`` quantile instead of the
-        standard ``(1 + p)/2``; see DESIGN.md substitution #7.
     segmenter_sample_size:
         Subsample budget for segmenter learning (paper: 250k).
     seed:
@@ -102,10 +98,12 @@ class LannsConfig(FlagFields):
     )
     hnsw: HnswParams = field(default_factory=HnswParams)
     topk_confidence: float = 0.95
-    use_per_shard_topk: bool = True
-    paper_literal_probit: bool = False
     segmenter_sample_size: int = 250_000
     seed: int = knob(0, "master seed; per-segment HNSW seeds derive from it")
+
+    #: Keys earlier exports persisted, each with what this build reads
+    #: them as: the Eq. 5-6 budget on, with the standard quantile.
+    _RETIRED = {"use_per_shard_topk": (True,), "paper_literal_probit": (False,)}
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -146,37 +144,22 @@ class LannsConfig(FlagFields):
         return (self.num_shards, self.num_segments)
 
     @property
-    def quantize(self) -> str:
-        """Compressed-domain scoring backend (``hnsw.quantize``).
-
-        ``"none"``, ``"int8"`` or ``"pq"``; surfaced here because the
-        manifest, serving stats and CLI all report it at deployment
-        granularity even though it lives on the per-segment HNSW params.
-        """
-        return self.hnsw.quantize
-
-    @property
     def total_partitions(self) -> int:
         """Number of (shard, segment) HNSW indices built."""
         return self.num_shards * self.num_segments
 
     def per_shard_budget(self, top_k: int) -> int:
-        """The perShardTopK each queried shard is asked for (Eq. 5-6).
+        """The perShardTopK each queried shard is asked for: Eq. 5-6 at
+        ``topk_confidence`` with the standard ``(1 + p)/2`` quantile.
 
         Eq. 5-6 model a query's neighbors as uniformly hashed across the
         ``num_shards`` shards; the segment-aligned layout concentrates
-        them in a few nearby segments instead, so there -- as with
-        ``use_per_shard_topk`` off -- the only budget that cannot
-        truncate answers below ``top_k`` is ``top_k`` itself.
+        them in a few nearby segments instead, so there the only budget
+        that cannot truncate answers below ``top_k`` is ``top_k`` itself.
         """
-        if not self.use_per_shard_topk or self.sharding == "segment":
+        if self.sharding == "segment":
             return int(top_k)
-        return per_shard_top_k(
-            int(top_k),
-            self.num_shards,
-            self.topk_confidence,
-            paper_literal=self.paper_literal_probit,
-        )
+        return per_shard_top_k(int(top_k), self.num_shards, self.topk_confidence)
 
     def with_updates(self, **changes) -> "LannsConfig":
         """A copy with the given fields replaced (validates again)."""
@@ -189,10 +172,12 @@ class LannsConfig(FlagFields):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LannsConfig":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`: unknown keys are ignored, a
+        ``_RETIRED`` key at another value than this build's is a
+        ``ValueError`` naming it."""
         payload = dict(payload)
-        hnsw_payload = payload.pop("hnsw", None)
-        hnsw = HnswParams.from_dict(hnsw_payload) if hnsw_payload else HnswParams()
+        hnsw = HnswParams.from_dict(payload.pop("hnsw", {}))
+        check_retired(payload, cls._RETIRED)
         known = {spec.name for spec in fields(cls)} - {"hnsw"}
         return cls(
             hnsw=hnsw, **{k: v for k, v in payload.items() if k in known}

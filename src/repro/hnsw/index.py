@@ -176,9 +176,7 @@ class HnswIndex:
         self.params = params or HnswParams()
         self.metric_name = metric if isinstance(metric, str) else metric.name
         self._scorer = Scorer(metric, dim)
-        self._graph = HnswGraph(
-            max(self.params.effective_max_m, self.params.effective_max_m0)
-        )
+        self._graph = HnswGraph(2 * self.params.M)
         self._external_ids: list[int] = []
         # Array form of _external_ids (plus a padding slot) for the search
         # tail, built on first use; whatever writes _external_ids resets
@@ -242,7 +240,7 @@ class HnswIndex:
         uniform = float(self._rng.random())
         # Guard against log(0).
         uniform = max(uniform, np.finfo(np.float64).tiny)
-        return int(-math.log(uniform) * self.params.effective_ml)
+        return int(-math.log(uniform) * (1.0 / math.log(self.params.M)))
 
     def add(self, vectors: np.ndarray, ids: np.ndarray | None = None) -> None:
         """Insert vectors (Algorithm 1 of Malkov & Yashunin).
@@ -329,10 +327,7 @@ class HnswIndex:
     def _max_degrees(self, layers: np.ndarray) -> np.ndarray:
         """Out-degree bound at each of ``layers`` (the base layer allows
         more)."""
-        params = self.params
-        return np.where(
-            layers == 0, params.effective_max_m0, params.effective_max_m
-        )
+        return np.where(layers == 0, 2 * self.params.M, self.params.M)
 
     def _select_neighbors(
         self, ids: np.ndarray, dists: np.ndarray, m: int, keep_pruned: bool
@@ -443,9 +438,7 @@ class HnswIndex:
             cand_dists[problems, ef:] = np.where(
                 offered, mate_dists[active], np.inf
             )
-        selected = self._select_neighbors(
-            cand_ids, cand_dists, params.M, params.keep_pruned_connections
-        )
+        selected = self._select_neighbors(cand_ids, cand_dists, params.M, True)
 
         # Apply phase: deterministic row order.  Every forward list is
         # written, then every reverse link is appended in that same order
@@ -490,12 +483,12 @@ class HnswIndex:
         wave row that linked to it in the candidate set, which can only
         widen the pool the diversity heuristic picks from.
 
-        Pruned candidates are never kept (``keep_pruned=False``, whatever
-        ``params.keep_pruned_connections`` says): an over-full list is
-        being *pruned*, and padding it straight back to the degree bound
-        densifies the graph far beyond the degree profile a per-edge
-        shrink gives -- which measurably slows every later wave's beam
-        search.  hnswlib's reverse-link shrink makes the same call.
+        Pruned candidates are never kept here (``keep_pruned=False``;
+        insertion keeps them): an over-full list is being *pruned*, and
+        padding it straight back to the degree bound densifies the graph
+        far beyond the degree profile a per-edge shrink gives -- which
+        measurably slows every later wave's beam search.  hnswlib's
+        reverse-link shrink makes the same call.
         """
         graph = self._graph
         scorer = self._scorer
@@ -795,7 +788,12 @@ class HnswIndex:
                 f"this build reads {_FORMAT_VERSION}"
             )
         member = functools.partial(payload_member, payload)
-        params = HnswParams.from_dict(json.loads(str(member("params_json"))))
+        try:
+            params = HnswParams.from_dict(json.loads(str(member("params_json"))))
+        except (ValueError, TypeError) as error:
+            raise SerializationError(
+                f"HNSW payload member 'params_json' is no parameter set ({error})"
+            ) from error
         index = cls(
             dim=int(member("dim")),
             metric=str(member("metric")),
@@ -815,9 +813,7 @@ class HnswIndex:
                 "HNSW payload member 'external_ids' holds a negative or a "
                 "repeated id"
             )
-        graph = HnswGraph.from_arrays(
-            payload, n, params.effective_max_m, params.effective_max_m0
-        )
+        graph = HnswGraph.from_arrays(payload, n, params.M, 2 * params.M)
         quantized = index._quantized
         if quantized is not None and "codec_kind" in payload:
             # Codes are restored, not retrained: the persisted codec is

@@ -2,14 +2,14 @@
 
 Names follow the original paper / hnswlib conventions:
 
-- ``M`` -- target out-degree on the upper layers; ``max_m0`` (default
-  ``2 * M``) bounds the base layer, which needs more links because it holds
-  every element.
+- ``M`` -- out-degree bound on the upper layers; the base layer, which
+  holds every element, allows ``2 * M`` (hnswlib's fixed bounds).
 - ``ef_construction`` -- beam width used while inserting.
 - ``ef_search`` -- default beam width used while querying; per-query
   override is available on :meth:`repro.hnsw.HnswIndex.search`.
-- ``ml`` -- level-generation factor; the level of a new point is
-  ``floor(-ln(U) * ml)``.  The paper recommends ``1 / ln(M)``.
+
+The level of a new point is ``floor(-ln(U) * mL)`` with the paper's
+recommended level-generation factor ``mL = 1 / ln(M)``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 from repro.distance.scorer import QUANTIZE_KINDS
 from repro.utils.flags import FlagFields, knob
+from repro.utils.validation import check_retired
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,7 @@ class HnswParams(FlagFields):
     M: int = knob(16, "target out-degree (base layer: twice it)", flag="--hnsw-m")
     ef_construction: int = knob(100, "beam width while inserting")
     ef_search: int = 50
-    max_m: int | None = None
-    max_m0: int | None = None
-    ml: float | None = None
     seed: int = 0
-    keep_pruned_connections: bool = True
     #: Use SELECT-NEIGHBORS-HEURISTIC (True, the paper's choice) or plain
     #: closest-M selection (False; ablation only -- hurts recall on
     #: clustered data).
@@ -105,6 +102,16 @@ class HnswParams(FlagFields):
         "of the dimensionality)",
     )
 
+    #: Keys earlier exports persisted, each with what this build reads
+    #: them as, given ``M``: ``null`` or the degree bounds and level factor
+    #: ``M`` fixes, and insertion keeping pruned candidates.
+    _RETIRED = {
+        "max_m": lambda M: (None, M),
+        "max_m0": lambda M: (None, 2 * M),
+        "ml": lambda M: (None, 1.0 / math.log(M)),
+        "keep_pruned_connections": lambda M: (True,),
+    }
+
     def __post_init__(self) -> None:
         if self.M < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
@@ -114,12 +121,6 @@ class HnswParams(FlagFields):
             )
         if self.ef_search < 1:
             raise ValueError(f"ef_search must be >= 1, got {self.ef_search}")
-        if self.max_m is not None and self.max_m < 1:
-            raise ValueError(f"max_m must be >= 1, got {self.max_m}")
-        if self.max_m0 is not None and self.max_m0 < 1:
-            raise ValueError(f"max_m0 must be >= 1, got {self.max_m0}")
-        if self.ml is not None and self.ml <= 0:
-            raise ValueError(f"ml must be positive, got {self.ml}")
         if self.min_graph_size < 0:
             raise ValueError(
                 f"min_graph_size must be >= 0, got {self.min_graph_size}"
@@ -138,27 +139,20 @@ class HnswParams(FlagFields):
                 f"pq_subspaces must be >= 1, got {self.pq_subspaces}"
             )
 
-    @property
-    def effective_max_m(self) -> int:
-        """Maximum out-degree on layers above the base layer."""
-        return self.max_m if self.max_m is not None else self.M
-
-    @property
-    def effective_max_m0(self) -> int:
-        """Maximum out-degree on the base layer (default ``2 * M``)."""
-        return self.max_m0 if self.max_m0 is not None else 2 * self.M
-
-    @property
-    def effective_ml(self) -> float:
-        """Level-generation factor (default ``1 / ln(M)``)."""
-        return self.ml if self.ml is not None else 1.0 / math.log(self.M)
-
     def to_dict(self) -> dict:
         """Plain-dict form used by the serialization layer (field order)."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HnswParams":
-        """Inverse of :meth:`to_dict` (ignores unknown keys)."""
+        """Inverse of :meth:`to_dict`: unknown keys are ignored, a
+        ``_RETIRED`` key at another value than this build's is a
+        ``ValueError`` naming it."""
+        if not isinstance(payload, dict):
+            raise TypeError(
+                f"HNSW parameters are a {type(payload).__name__}, not a dict"
+            )
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        params = cls(**{k: v for k, v in payload.items() if k in known})
+        check_retired(payload, {k: fix(params.M) for k, fix in cls._RETIRED.items()})
+        return params

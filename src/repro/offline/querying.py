@@ -78,7 +78,6 @@ def query_index_job(
     ef: int | None = None,
     num_query_partitions: int | None = None,
     checkpoint: bool = True,
-    output_path: str | None = None,
 ) -> QueryJobResult:
     """Run a (large) query set against a persisted index (Figure 7).
 
@@ -92,8 +91,6 @@ def query_index_job(
     checkpoint:
         Persist partial results to a temp path (Section 5.3.1).  Keep on
         when ``cluster.failure_rate > 0`` or stages may time out.
-    output_path:
-        Optional final-results destination (one npz with ids/dists).
     """
     if top_k <= 0:
         raise ValueError(f"top_k must be positive, got {top_k}")
@@ -219,10 +216,4 @@ def query_index_job(
     for part_rows, (part_ids, part_dists) in zip(query_parts, outcome.results):
         ids[part_rows] = part_ids
         dists[part_rows] = part_dists
-    if output_path is not None:
-        import io
-
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, ids=ids, dists=dists)
-        fs.write_bytes(output_path, buffer.getvalue())
     return QueryJobResult(ids=ids, dists=dists, stages=stages)

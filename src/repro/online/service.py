@@ -300,7 +300,7 @@ class OnlineService:
         indices: dict[str, dict] = {}
         for name, broker in self.brokers.items():
             entry = broker.stats()
-            entry["quantize"] = self.configs[name].quantize
+            entry["quantize"] = self.configs[name].hnsw.quantize
             indices[name] = entry
         return {
             "cache": self.cache.stats.as_dict(),

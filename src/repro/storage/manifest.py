@@ -83,14 +83,6 @@ class IndexManifest:
     #: indices exported before it existed load fine and simply fan out
     #: to every shard.
     segment_sizes: list[list[int]] | None = None
-    #: Compressed-domain scoring backend the segments were built with
-    #: (``"none"``, ``"int8"`` or ``"pq"``).  A summary of
-    #: ``config["hnsw"]["quantize"]``: the codec itself (scale/offset or
-    #: codebooks plus the per-row codes) is persisted inside each
-    #: segment file and covered by the per-file checksums, exactly
-    #: like the segmenter rides in ``segmenter.json``.  Optional so
-    #: manifests written before the field existed still load.
-    quantize: str | None = None
     format_version: int = _FORMAT_VERSION
     created_by: str = f"repro-lanns/{__version__}"
 
@@ -106,8 +98,6 @@ class IndexManifest:
         }
         if self.segment_sizes is not None:
             payload["segment_sizes"] = self.segment_sizes
-        if self.quantize is not None:
-            payload["quantize"] = self.quantize
         return payload
 
     @classmethod
@@ -130,7 +120,6 @@ class IndexManifest:
             shard_sizes=shard_sizes,
             checksums=dict(payload["checksums"]),
             segment_sizes=segment_sizes,
-            quantize=payload.get("quantize"),
             format_version=int(payload["format_version"]),
             created_by=str(payload.get("created_by", "unknown")),
         )
@@ -213,7 +202,6 @@ def write_metadata(
         shard_sizes=shard_sizes,
         checksums={**checksums, "segmenter.json": _checksum(segmenter_raw)},
         segment_sizes=segment_sizes,
-        quantize=config.quantize,
     )
     fs.write_json(f"{path}/metadata.json", manifest.to_dict())
     return manifest

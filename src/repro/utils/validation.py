@@ -67,6 +67,19 @@ def as_vector(vector: np.ndarray, *, dim: int | None = None, name: str = "vector
     return array
 
 
+def check_retired(payload: dict, accepted: dict) -> None:
+    """Refuse a persisted ``payload`` whose retired key holds a value that
+    ``accepted[key]`` does not list: an export that asked for what this
+    build no longer does must not load as if it had not."""
+    for key, values in accepted.items():
+        value = payload.get(key, values[0])
+        if not any(type(value) is type(v) and value == v for v in values):
+            raise ValueError(
+                f"retired key {key!r} is {value!r}; this build reads it "
+                f"only as {' or '.join(map(repr, values))}"
+            )
+
+
 def check_positive(value: int | float, name: str) -> None:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
     if value <= 0:

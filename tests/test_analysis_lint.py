@@ -71,11 +71,11 @@ def parameters(fn) -> set:
 
 @functools.cache
 def references() -> tuple:
-    """One walk of every parsed file: ``defs``, the ``(path, qualified
-    name, node)`` of each def and class under ``src/repro``; ``sites``,
-    ``word -> [(path, line, kind)]`` where ``kind`` is ``def``, ``arg``,
-    ``keyword``, ``name`` / ``attribute`` (loaded), ``store`` or ``string``;
-    ``imports``, ``path -> [(module, alias or None)]``."""
+    """One walk of every parsed file: ``defs``, the ``(path, qualified name,
+    node)`` of each def and class under ``src/repro``; ``sites``, ``word ->
+    [(path, line, kind)]``, ``kind`` one of ``def``, ``arg``, ``keyword``,
+    ``name`` / ``attribute`` (loaded), ``store``, ``string`` and ``key`` (a
+    dict key, also a ``string``); ``imports``, ``path -> [(module, alias or None)]``."""
     defs, sites, imports = [], {}, {}
 
     def walk(node, path, owner):
@@ -94,6 +94,8 @@ def references() -> tuple:
                 word, kind = child.arg, type(child).__name__
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
                 word, kind = child.value, "string"
+                if isinstance(node, ast.Dict) and child in node.keys:
+                    sites.setdefault(word, []).append((path, child.lineno, "key"))
             elif isinstance(child, ast.Import):
                 imports.setdefault(path, []).extend((a.name, None) for a in child.names)
             elif isinstance(child, ast.ImportFrom):
@@ -725,12 +727,12 @@ PLUMBING = ("to_dict", "from_dict", "__post_init__")
 
 @functools.cache
 def unreached() -> dict:
-    """What nothing but its own tests reaches, by question: (a) a
-    ``src/repro`` module no other ``src`` module, benchmark or example
-    imports, by its own name or a name its package re-exports; (b) a def
-    or class under ``src/repro`` nothing loads by name outside its own
-    body; (c) a knob field nothing under ``src`` reads as an attribute
-    outside its class's validation and (de)serialization."""
+    """What nothing but its own tests reaches, by question: (a) a ``src/repro``
+    module no other ``src`` module, benchmark or example imports, by its name
+    or its package's re-export; (b) a def or class under ``src/repro`` nothing
+    loads by name outside its own body; (c) a knob field no ``src`` attribute
+    reads outside its class's validation and (de)serialization or, in ``HnswParams``
+    / ``LannsConfig``, a non-flag one no keyword or dict key outside it sets."""
     from repro.core.config import LannsConfig
     from repro.hnsw.params import HnswParams
     from repro.net.server import ServerOptions
@@ -777,6 +779,9 @@ def unreached() -> dict:
                 and not within(*site, *(f"{cls.__name__}.{m}" for m in PLUMBING))
                 for *site, kind in sites.get(field.name, ())
             )
+            or cls in (HnswParams, LannsConfig) and "help" not in field.metadata
+            and not any(kind in ("keyword", "key") and not within(*site, cls.__name__)
+                        for *site, kind in sites.get(field.name, ()))
         },
     }
 

@@ -453,7 +453,7 @@ class TestGoldenCommandLines:
     non-default) it holds the subcommand, the ``LannsConfig`` /
     ``BrokerPolicy`` / ``ServerOptions`` value the line meant (``to_dict``
     / ``asdict``, key order included) and the rest of the namespace; and
-    per subcommand every flag's default, choices and requiredness.  Four
+    per subcommand every flag's default, choices and requiredness.  Five
     edits since, each a retired field leaving with its key: the
     ``BrokerPolicy.cache_quantize_decimals`` key (``null`` in all ten
     ``policy`` rows); the straggler's ``slow_every`` /
@@ -462,7 +462,10 @@ class TestGoldenCommandLines:
     two rows' argv, every ``query`` row's ``rest`` and the flag table;
     ``--spill 2`` is now an argparse error); and the searcher's
     ``batch_max`` / ``batch_wait_ms`` (gone from every ``serve-searcher``
-    row's ``options``, the flag table and one row's argv)."""
+    row's ``options``, the flag table and one row's argv); and the six
+    settings only tests set, ``max_m`` / ``max_m0`` / ``ml`` /
+    ``keep_pruned_connections`` / ``use_per_shard_topk`` /
+    ``paper_literal_probit`` (gone from all 16 ``config`` rows)."""
 
     @staticmethod
     def linter_namespace(argv, monkeypatch) -> dict:

@@ -65,7 +65,6 @@ class TestUpdatesAndSerialization:
             metric="cosine",
             hnsw=HnswParams(M=10, ef_construction=64),
             topk_confidence=0.9,
-            use_per_shard_topk=False,
             seed=42,
         )
         restored = LannsConfig.from_dict(config.to_dict())
@@ -84,15 +83,11 @@ class TestUpdatesAndSerialization:
 class TestPerShardBudget:
     def test_budget_is_eq_5_6(self):
         """The budget a config asks for is ``per_shard_top_k`` of its
-        shard count, confidence and probit reading."""
+        shard count and confidence."""
         from repro.core import topk
 
         config = LannsConfig(num_shards=4, num_segments=2, topk_confidence=0.9173)
         assert config.per_shard_budget(37) == topk.per_shard_top_k(37, 4, 0.9173)
-        literal = config.with_updates(paper_literal_probit=True)
-        assert literal.per_shard_budget(37) == topk.per_shard_top_k(
-            37, 4, 0.9173, paper_literal=True
-        )
 
     def test_bad_arguments_still_raise_every_time(self):
         config = LannsConfig(num_shards=4, num_segments=2)

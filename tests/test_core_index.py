@@ -380,17 +380,10 @@ class TestLannsIndex:
         with pytest.raises(IndexNotBuiltError):
             empty.query(clustered_data[0], 5)
 
-    def test_per_shard_budget_respects_flag(self, clustered_data):
-        config = LannsConfig(
-            num_shards=4,
-            hnsw=FAST_HNSW,
-            use_per_shard_topk=False,
-        )
+    def test_per_shard_budget_is_eq_5_6(self, clustered_data):
+        config = LannsConfig(num_shards=4, hnsw=FAST_HNSW)
         index = build_lanns_index(clustered_data[:200], config=config)
-        assert index.per_shard_budget(100) == 100
-        config_on = config.with_updates(use_per_shard_topk=True)
-        index_on = build_lanns_index(clustered_data[:200], config=config_on)
-        assert index_on.per_shard_budget(100) < 100
+        assert index.per_shard_budget(100) < 100
 
     def test_dim_property(self, lanns, clustered_data):
         assert lanns.dim == clustered_data.shape[1]

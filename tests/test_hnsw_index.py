@@ -67,9 +67,7 @@ class TestConstruction:
             index.add(np.ones((2, 5), dtype=np.float32))
 
     def test_graph_invariants_hold(self, built):
-        built.graph.check_invariants(
-            built.params.effective_max_m, built.params.effective_max_m0
-        )
+        built.graph.check_invariants(built.params.M, 2 * built.params.M)
 
     def test_level_distribution_is_geometric_ish(self, built):
         """Most nodes live only on the base layer (power-law levels)."""

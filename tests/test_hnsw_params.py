@@ -1,6 +1,4 @@
-"""Tests for HnswParams validation and derived defaults."""
-
-import math
+"""Tests for HnswParams validation and serialization."""
 
 import dataclasses
 
@@ -21,9 +19,6 @@ class TestValidation:
             {"M": 1},
             {"ef_construction": 0},
             {"ef_search": 0},
-            {"max_m": 0},
-            {"max_m0": -1},
-            {"ml": 0.0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -36,27 +31,9 @@ class TestValidation:
             params.M = 32
 
 
-class TestDerivedDefaults:
-    def test_max_m0_defaults_to_2m(self):
-        assert HnswParams(M=10).effective_max_m0 == 20
-        assert HnswParams(M=10, max_m0=15).effective_max_m0 == 15
-
-    def test_max_m_defaults_to_m(self):
-        assert HnswParams(M=10).effective_max_m == 10
-        assert HnswParams(M=10, max_m=12).effective_max_m == 12
-
-    def test_ml_defaults_to_inverse_log_m(self):
-        assert HnswParams(M=16).effective_ml == pytest.approx(
-            1.0 / math.log(16)
-        )
-        assert HnswParams(M=16, ml=0.5).effective_ml == 0.5
-
-
 class TestSerialization:
     def test_roundtrip(self):
-        params = HnswParams(
-            M=12, ef_construction=77, ef_search=33, max_m0=30, ml=0.4, seed=9
-        )
+        params = HnswParams(M=12, ef_construction=77, ef_search=33, seed=9)
         assert HnswParams.from_dict(params.to_dict()) == params
 
     def test_from_dict_ignores_unknown_keys(self):

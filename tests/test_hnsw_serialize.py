@@ -1,6 +1,7 @@
 """Tests for HNSW persistence: array payloads, files, byte buffers."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,11 @@ def rewired(payload, *, slot: int, column: int, node: int) -> np.ndarray:
     return table
 
 
+def reparamed(payload, **changes) -> np.ndarray:
+    """``params_json`` with ``changes`` made to the persisted parameters."""
+    return np.asarray(json.dumps({**json.loads(str(payload["params_json"])), **changes}))
+
+
 def bumped_degree(payload, *, level: int, degree: int) -> np.ndarray:
     """``degrees`` with the first row of ``level`` claiming ``degree`` links."""
     degrees = payload["degrees"].copy()
@@ -173,10 +179,7 @@ class TestArrayRoundtrip:
         assert len(restored) == 60
         assert restored.graph.capacity == 2 * slots
         assert len(payload["table"]) == slots  # the payload was not grown into
-        restored.graph.check_invariants(
-            restored.params.effective_max_m,
-            restored.params.effective_max_m0,
-        )
+        restored.graph.check_invariants(restored.params.M, 2 * restored.params.M)
 
 
     def test_restored_index_numbers_new_rows_on(self, small_index, clustered_data):
@@ -252,9 +255,7 @@ class TestArrayRoundtrip:
             ),
             (
                 "degrees",
-                lambda p: bumped_degree(
-                    p, level=1, degree=FAST_HNSW.effective_max_m + 1
-                ),
+                lambda p: bumped_degree(p, level=1, degree=FAST_HNSW.M + 1),
                 "'degrees'.*level 1",
             ),
             (
@@ -274,6 +275,17 @@ class TestArrayRoundtrip:
                 "table",
                 lambda p: rewired(p, slot=0, column=0, node=int(p["table"][0, 1])),
                 "duplicate",
+            ),
+            # The parameter set: a ValueError, JSONDecodeError, AttributeError
+            # and TypeError before it was one member.
+            *[
+                ("params_json", lambda p, text=text: np.asarray(text), "'params_json'")
+                for text in ('{"M": 1}', "not json", "[1,2]", '{"M": "x"}')
+            ],
+            (
+                "params_json",
+                lambda p: reparamed(p, max_m0=3),
+                "'params_json'.*retired key 'max_m0'",
             ),
         ]]
         + [
@@ -339,15 +351,16 @@ class TestArrayRoundtrip:
         assert adopted == [200]
 
     def test_params_json_from_an_older_build_loads(self, small_index):
-        """``extend_candidates`` was a field nothing read; payloads that
-        still carry it load, and the key is simply dropped."""
+        """``extend_candidates`` was a field nothing read, and ``M`` now
+        fixes four others; payloads that still carry them, those four at
+        this build's values, load, and the keys are simply dropped."""
         payload = small_index.to_arrays()
-        params = json.loads(str(payload["params_json"]))
-        assert "extend_candidates" not in params
-        payload["params_json"] = np.asarray(
-            json.dumps({**params, "extend_candidates": False})
+        assert "extend_candidates" not in json.loads(str(payload["params_json"]))
+        payload["params_json"] = reparamed(
+            payload, extend_candidates=False, max_m=None, max_m0=2 * FAST_HNSW.M,
+            ml=1.0 / math.log(FAST_HNSW.M), keep_pruned_connections=True,
         )
-        assert HnswIndex.from_arrays(payload).params == small_index.params
+        assert_same_payload(HnswIndex.from_arrays(payload).to_arrays(), small_index.to_arrays())
 
 
 class TestFileRoundtrip:

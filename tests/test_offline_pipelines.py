@@ -86,8 +86,7 @@ class TestBuildJob:
         export_manifest = save_lanns_index(
             build_lanns_index(clustered_data, config=quantized), fs, "export"
         )
-        assert job_manifest.quantize == "int8"
-        assert load_manifest(fs, "job").quantize == "int8"
+        assert load_manifest(fs, "job").lanns_config.hnsw.quantize == "int8"
         assert job_manifest.to_dict() == export_manifest.to_dict()
 
     def test_mismatched_ids_rejected(self, cluster, fs, clustered_data, config):
@@ -171,13 +170,6 @@ class TestQueryJob:
             checkpoint=False,
         )
         assert recall_at_k(result.ids, clustered_truth, 10) >= 0.85
-
-    def test_output_persisted(self, cluster, fs, persisted, clustered_queries):
-        query_index_job(
-            cluster, fs, persisted, clustered_queries[:10], top_k=5,
-            checkpoint=False, output_path="results/out.npz",
-        )
-        assert fs.exists("results/out.npz")
 
     def test_checkpointing_survives_failures(
         self, fs, persisted, clustered_queries, clustered_truth

@@ -78,10 +78,6 @@ class TestBroker:
         searchers = host_all(lanns)
         broker = Broker(searchers, LANNS_2X2)
         assert broker.per_shard_budget(100) < 100
-        off = Broker(
-            searchers, LANNS_2X2.with_updates(use_per_shard_topk=False)
-        )
-        assert off.per_shard_budget(100) == 100
 
     def test_query_batch_padding(self, lanns, clustered_queries):
         broker = Broker(host_all(lanns), LANNS_2X2)

@@ -178,6 +178,4 @@ class TestHnswPropertyRoundtrip:
     @settings(max_examples=20, deadline=None)
     def test_graph_invariants_for_arbitrary_data(self, data):
         index = build_hnsw(data, params=TINY_HNSW)
-        index.graph.check_invariants(
-            TINY_HNSW.effective_max_m, TINY_HNSW.effective_max_m0
-        )
+        index.graph.check_invariants(TINY_HNSW.M, 2 * TINY_HNSW.M)

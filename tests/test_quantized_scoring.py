@@ -236,10 +236,8 @@ class TestQuantizedPersistence:
         )
         fs = LocalHdfs(str(tmp_path))
         index = build_lanns_index(data, config=config)
-        manifest = save_lanns_index(index, fs, "idx")
-        assert manifest.quantize == kind
-        assert load_manifest(fs, "idx").quantize == kind
-        assert manifest.lanns_config.quantize == kind
+        save_lanns_index(index, fs, "idx")
+        assert load_manifest(fs, "idx").lanns_config.hnsw.quantize == kind
         service = OnlineService()
         service.deploy(fs, "idx")
         assert service.stats()["indices"]["default"]["quantize"] == kind

@@ -246,7 +246,7 @@ def test_every_candidate_source_records_its_stage(indices, queries, arm, batch):
             assert spans[stage]["kernel"] == kernel
             assert spans[stage]["rounds"] >= 0
         # No beam settles in fewer rounds than it takes to fill up.
-        widest = index.params.effective_max_m0
+        widest = 2 * index.params.M
         assert spans["beam"]["rounds"] > spans["beam"]["ef"] // widest
     if "rescore" in spans:
         assert spans["rescore"]["rows"] == cost.rescore_rows

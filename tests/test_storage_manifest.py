@@ -1,5 +1,7 @@
 """Tests for the index export format and its metadata coupling."""
 
+import contextlib
+import functools
 import hashlib
 import json
 
@@ -107,6 +109,11 @@ def _with(key, value):
     return lambda raw: json.dumps({**json.loads(raw), key: value}).encode()
 
 
+def _config(**changes):
+    """The manifest with ``changes`` made to its ``config``."""
+    return lambda raw: _with("config", {**json.loads(raw)["config"], **changes})(raw)
+
+
 def _occupancy(edit):
     """The manifest with its ``segment_sizes`` table replaced by ``edit`` of it."""
     return lambda raw: _with(
@@ -127,10 +134,9 @@ MANIFEST_FAULTS = {
     "no_config": _without("config"),
     "dim_not_a_number": _with("dim", "eight"),
     "config_not_an_object": _with("config", 5),
-    "config_out_of_range": lambda raw: json.dumps({
-        **json.loads(raw),
-        "config": {**json.loads(raw)["config"], "num_shards": 0},
-    }).encode(),
+    "config_out_of_range": _config(num_shards=0),
+    "hnsw_not_an_object": _config(hnsw=[1, 2]),
+    "retired_key_changed": _config(use_per_shard_topk=False),
     # The occupancy table the broker prunes fan-out with: checked on read.
     "occupancy_short": _occupancy(lambda rows: rows[:-1]),
     "occupancy_long_row": _occupancy(lambda rows: [rows[0] + [0], *rows[1:]]),
@@ -198,3 +204,33 @@ class TestBadDocuments:
             assert service.brokers == {}
         finally:
             service.close()
+
+
+@pytest.mark.parametrize(
+    "key, fixed, other",
+    [
+        ("use_per_shard_topk", True, False),
+        ("paper_literal_probit", False, True),
+        ("hnsw.keep_pruned_connections", True, False),
+        ("hnsw.max_m", LANNS_2X2.hnsw.M, 3),
+        ("hnsw.max_m0", 2 * LANNS_2X2.hnsw.M, 3),
+        ("hnsw.ml", None, 0.5),
+    ],
+)
+def test_a_retired_key_loads_only_at_this_builds_value(lanns, fs, key, fixed, other):
+    """A setting an earlier export persisted and this build no longer has:
+    at the value this build behaves as, the export loads, passes the drift
+    guard and deploys; at any other, every reader refuses it by file and key."""
+    save_lanns_index(lanns, fs, "idx")
+    manifest = fs.read_json("idx/metadata.json")
+    *nested, name = key.split(".")
+    for refused, value in enumerate((fixed, other)):
+        (manifest["config"]["hnsw"] if nested else manifest["config"])[name] = value
+        fs.write_json("idx/metadata.json", manifest)
+        guarded = functools.partial(load_lanns_index, expected_config=LANNS_2X2)
+        with contextlib.closing(OnlineService()) as service:
+            for read in (load_manifest, guarded, service.deploy):
+                with pytest.raises(
+                    SerializationError, match=f"idx/metadata.json.*retired key '{name}'"
+                ) if refused else contextlib.nullcontext():
+                    read(fs, "idx")
