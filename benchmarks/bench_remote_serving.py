@@ -13,7 +13,8 @@ to the in-process one.  A replay of the one-query stream then prices
 both sides, as CPU (user + system, from ``/proc/<pid>/stat``): the
 searcher processes' per SEARCH RPC they served, and this process's --
 the broker's -- per request, every one a cache miss (the remote service
-caches nothing);
+caches nothing); and each process's peak resident set (``VmHWM``; the
+broker's includes this process's build and in-process fleet);
 
 ``hedging`` -- injects a **straggler**: a fresh fleet where one
 searcher's fault plan stalls every other request, served through the
@@ -163,6 +164,7 @@ def check_throughput(run, env) -> None:
             cpu_ms, broker_ms = cpu_ms_per_request(
                 members, streams["remote fleet (sequential RPC)"]
             )
+            searcher_mib = [peak_rss_mib(member.process.pid) for member in members]
         finally:
             remote.close()
     require_parity(singles, want, "remote single-query")
@@ -172,6 +174,12 @@ def check_throughput(run, env) -> None:
         f"searcher CPU: {cpu_ms:.3f} ms per one-query SEARCH RPC (user + "
         f"system of {len(members)} searcher processes, {CPU_PASSES} replays); "
         f"broker CPU: {broker_ms:.3f} ms per one-query cache miss"
+    )
+    broker_mib = peak_rss_mib(os.getpid())
+    print(
+        "peak RSS (VmHWM): searchers "
+        + ", ".join(f"{mib:.1f}" for mib in searcher_mib)
+        + f" MiB; broker {broker_mib:.1f} MiB"
     )
     report(
         "remote_serving",
@@ -188,6 +196,8 @@ def check_throughput(run, env) -> None:
             "remote_stages": stages,
             "searcher_cpu_ms_per_rpc": cpu_ms,
             "broker_cpu_ms_per_miss": broker_ms,
+            "searcher_peak_rss_mib": searcher_mib,
+            "broker_peak_rss_mib": broker_mib,
         },
     )
 
@@ -196,6 +206,14 @@ def cpu_seconds(pid: int) -> float:
     """User + system CPU seconds process ``pid`` has used, all threads."""
     stat = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
     return (int(stat[11]) + int(stat[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def peak_rss_mib(pid: int) -> float:
+    """Process ``pid``'s peak resident set (``VmHWM``), in MiB."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024
+    raise RuntimeError(f"/proc/{pid}/status has no VmHWM line")
 
 
 def cpu_ms_per_request(members, requests) -> tuple[float, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -177,16 +178,20 @@ class HnswIndex:
         self.metric_name = metric if isinstance(metric, str) else metric.name
         self._scorer = Scorer(metric, dim)
         self._graph = HnswGraph(2 * self.params.M)
-        self._external_ids: list[int] = []
-        # Array form of _external_ids (plus a padding slot) for the search
-        # tail, built on first use; whatever writes _external_ids resets
-        # it to None.
-        self._external_array: np.ndarray | None = None
-        self._id_to_row: dict[int, int] = {}
+        # External id of each row, then -1 in every spare slot (at least
+        # one): the search tail gathers row -1, an unused answer slot,
+        # as the padding id.  add() grows it by doubling, as Scorer grows
+        # its rows; a loaded segment holds its persisted ids plus one slot.
+        self._ids = np.full(1, -1, dtype=_IDS_DTYPE)
+        # id -> row, built when first needed (vector(), or a small add()
+        # into a non-empty index) and kept current by add() from then on.
+        self._id_to_row: dict[int, int] | None = None
         # The id add() numbers from when none are given: one past the
         # largest external id ever stored.
         self._next_id = 0
-        self._rng = np.random.default_rng(self.params.seed)
+        # The level stream, created at the first draw: a loaded segment
+        # never draws, so a searcher never imports numpy.random.
+        self._rng: np.random.Generator | None = None
         # Visited scratch of the lockstep groups this index leads (its
         # own waves and queries, or a shard request's first segment).
         self._visited_pool = VisitedPool()
@@ -223,8 +228,8 @@ class HnswIndex:
 
     @property
     def external_ids(self) -> np.ndarray:
-        """External ids in internal row order."""
-        return np.asarray(self._external_ids, dtype=_IDS_DTYPE)
+        """External ids in internal row order (a fresh copy)."""
+        return self._ids[: len(self._scorer)].copy()
 
     @property
     def distance_ops(self) -> int:
@@ -233,14 +238,27 @@ class HnswIndex:
 
     def vector(self, external_id: int) -> np.ndarray:
         """Stored vector for ``external_id`` (normalised for cosine)."""
-        return np.array(self._scorer.data[self._id_to_row[external_id]])
+        return np.array(self._scorer.data[self._rows_by_id()[external_id]])
+
+    def _rows_by_id(self) -> dict[int, int]:
+        if self._id_to_row is None:
+            self._id_to_row = {
+                ext: row for row, ext in enumerate(self.external_ids.tolist())
+            }
+        return self._id_to_row
 
     # -- construction ----------------------------------------------------------------
-    def _draw_level(self) -> int:
-        uniform = float(self._rng.random())
-        # Guard against log(0).
-        uniform = max(uniform, np.finfo(np.float64).tiny)
-        return int(-math.log(uniform) * (1.0 / math.log(self.params.M)))
+    def _draw_levels(self, n: int) -> list[int]:
+        """One level per row, in row order, from the index's stream: one
+        draw of ``n`` uniforms, the same values as ``n`` scalar draws."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.params.seed)
+        scale = 1.0 / math.log(self.params.M)
+        # max(): guard against log(0).
+        return [
+            int(-math.log(max(uniform, sys.float_info.min)) * scale)
+            for uniform in self._rng.random(n).tolist()
+        ]
 
     def add(self, vectors: np.ndarray, ids: np.ndarray | None = None) -> None:
         """Insert vectors (Algorithm 1 of Malkov & Yashunin).
@@ -272,37 +290,40 @@ class HnswIndex:
                 # -1 is the batch-result padding sentinel; negative
                 # external ids would be indistinguishable from it.
                 raise ValueError("external ids must be non-negative")
-            if np.unique(ids).size != n:
+            if _has_repeat(ids):
                 raise ValueError("duplicate ids within one add() call")
         if n == 0:
             return
-        if self._id_to_row and n >= 1024:
-            # Bulk insert: one vectorised membership check.  The
-            # existing-id array costs O(len(index)) to materialise, so
-            # this only pays off when the batch is large enough to
-            # amortise it.
-            clashes = np.isin(ids, self.external_ids)
+        count = len(self._scorer)
+        if count and n >= 1024:
+            # Bulk insert: one vectorised membership check, O(len(index))
+            # -- paid off by a batch this large.
+            clashes = np.isin(ids, self._ids[:count])
             if clashes.any():
                 clash = int(ids[np.flatnonzero(clashes)[0]])
                 raise ValueError(f"id {clash} already present")
-        elif self._id_to_row:
+        elif count:
             # Small incremental add: the dict probe is O(n) regardless
             # of index size, where the vectorised check would be
             # O(len(index)) per call -- quadratic across many calls.
+            known = self._rows_by_id()
             for external_id in ids.tolist():
-                if external_id in self._id_to_row:
+                if external_id in known:
                     raise ValueError(f"id {external_id} already present")
         rows = self._scorer.add(vectors)
         row_list = rows.tolist()
-        self._external_ids.extend(ids.tolist())
+        if count + n >= self._ids.size:
+            grown = np.full(max(count + n + 1, 2 * self._ids.size), -1, _IDS_DTYPE)
+            grown[:count] = self._ids[:count]
+            self._ids = grown
+        self._ids[count : count + n] = ids
         self._next_id = max(self._next_id, int(ids.max()) + 1)
-        self._external_array = None
-        for row, external_id in zip(row_list, ids.tolist()):
-            self._id_to_row[external_id] = row
+        if self._id_to_row is not None:
+            self._id_to_row.update(zip(ids.tolist(), row_list))
 
         # One level per row, drawn up-front in row order: the RNG stream
         # is consumed identically whatever the wave size.
-        levels = [self._draw_level() for _ in range(n)]
+        levels = self._draw_levels(n)
         graph = self._graph
         start = 0
         if len(graph) == 0:
@@ -687,15 +708,10 @@ class HnswIndex:
         self, rows: np.ndarray, reduced: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """External ids and true distances of a part's first ``k``
-        candidates."""
-        external = self._external_array
-        if external is None:
-            # One trailing -1, so that an unused slot (row -1) gathers
-            # the padding id.
-            external = self._external_array = np.append(self.external_ids, -1)
+        candidates (an unused slot, row -1, gathers the padding id)."""
         # + 0.0: a zero distance is +0.0 whichever kernel found it.
         return (
-            external[rows[:, :k]],
+            self._ids[rows[:, :k]],
             self._scorer.to_true(reduced[:, :k].astype(np.float64) + 0.0),
         )
 
@@ -804,11 +820,9 @@ class HnswIndex:
             return index
         vectors = member("vectors", np.float32, (n, index.dim))
         external = member("external_ids", _IDS_DTYPE, (n,))
-        external_ids = external.tolist()
-        id_to_row = {ext: row for row, ext in enumerate(external_ids)}
         # The invariants add() enforces: -1 is the batch padding sentinel,
         # and two rows under one id would collapse in _id_to_row.
-        if external.min() < 0 or len(id_to_row) != n:
+        if external.min() < 0 or _has_repeat(external):
             raise SerializationError(
                 "HNSW payload member 'external_ids' holds a negative or a "
                 "repeated id"
@@ -827,7 +841,7 @@ class HnswIndex:
             )
         index._scorer.adopt_rows(vectors)
         index._graph, index._quantized = graph, quantized
-        index._external_ids, index._id_to_row = external_ids, id_to_row
+        index._ids = np.append(external, -1)
         index._next_id = int(external.max()) + 1
         return index
 
@@ -857,6 +871,13 @@ class HnswIndex:
                 f"HNSW index {file!r} is not a readable segment ({error})"
             ) from error
         return cls.from_arrays(payload)
+
+
+def _has_repeat(ids: np.ndarray) -> bool:
+    """Whether ``ids`` holds a value twice: one sort, where ``np.unique``
+    would import numpy.ma (~3 MiB) into a process that loads a segment."""
+    ordered = np.sort(ids, kind="stable")
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 # -- lockstep groups --------------------------------------------------------------

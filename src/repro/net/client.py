@@ -42,13 +42,13 @@ lookup.
 
 from __future__ import annotations
 
-import asyncio
 import errno
 import math
 import os
 import random
 import select
 import socket
+import sys
 import threading
 import time
 import weakref
@@ -113,8 +113,13 @@ def refuse_in_running_loop(name: str) -> None:
 
     Every blocking entry point -- a client call, a remote fan-out --
     asks before it sends anything: blocking the thread would stall every
-    task of that loop.
+    task of that loop.  A process that never imported asyncio runs no
+    loop, so the client does not import it (with it, ssl: ~2.4-3 MiB of
+    resident memory in every broker and searcher process).
     """
+    asyncio = sys.modules.get("asyncio")
+    if asyncio is None:
+        return
     try:
         asyncio.get_running_loop()
     except RuntimeError:
@@ -680,6 +685,8 @@ class RemoteSearcherClient(SearcherTransport):
     # The frozen ``benchmarks/ledger`` calls or patches these two; nothing
     # under ``src/`` does.  They go with ROADMAP 2(a).
     async def search_batch_async(self, call: ShardCall) -> ShardReply:
+        import asyncio
+
         return await asyncio.to_thread(self.search, call)
 
     def search_batch(self, *call, **fields) -> ShardReply:

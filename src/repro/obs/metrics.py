@@ -122,9 +122,27 @@ class Gauge(_Metric):
         with self._lock:
             return self._series.get(_label_key(labels), 0)
 
+    def series(self, **labels) -> GaugeSeries:
+        """One label set's series, keyed once (as a :class:`Tally` binds
+        a count): its ``set`` only stores.  Nothing shows until then."""
+        return GaugeSeries(self._series, _label_key(labels), self._lock)
+
     def _merge_series(self, key: tuple, exported) -> None:
         with self._lock:
             self._series[key] = self._series.get(key, 0) + exported
+
+
+class GaugeSeries:
+    """A :class:`Gauge` series bound by :meth:`Gauge.series`."""
+
+    __slots__ = ("_series", "_key", "_lock")
+
+    def __init__(self, series: dict, key: tuple, lock) -> None:
+        self._series, self._key, self._lock = series, key, lock
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._series[self._key] = value
 
 
 class Histogram(_Metric):

@@ -76,9 +76,14 @@ class ReplicaState:
         "breaker_open_until",
         "breaker_probing",
         "breaker_published",
+        "in_flight_gauge",
+        "ewma_gauge",
+        "breaker_gauge",
     )
 
-    def __init__(self, transport: SearcherTransport, replica_id: int) -> None:
+    def __init__(
+        self, transport: SearcherTransport, replica_id: int, **labels
+    ) -> None:
         self.transport = transport
         self.replica_id = replica_id
         self.in_flight = 0
@@ -91,8 +96,14 @@ class ReplicaState:
         #: is currently outstanding.
         self.breaker_open_until = 0.0
         self.breaker_probing = False
-        #: The state ``lanns_replica_breaker_state`` last read for it.
-        self.breaker_published = 0
+        #: The state ``lanns_replica_breaker_state`` last read for it
+        #: (``None`` until its first ``finish`` publishes one).
+        self.breaker_published: int | None = None
+        #: Its series of the three gauges, keyed once.
+        labels["replica"] = replica_id
+        self.in_flight_gauge = _IN_FLIGHT.series(**labels)
+        self.ewma_gauge = _EWMA_MS.series(**labels)
+        self.breaker_gauge = _BREAKER_STATE.series(**labels)
 
     def snapshot(self) -> dict:
         return {
@@ -138,8 +149,14 @@ class ReplicaGroup:
         self.shard_id = int(shard_id)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
+        self.broker = str(broker)
         self.replicas = [
-            ReplicaState(as_transport(searcher), replica_id)
+            ReplicaState(
+                as_transport(searcher),
+                replica_id,
+                broker=self.broker,
+                shard=self.shard_id,
+            )
             for replica_id, searcher in enumerate(searchers)
         ]
         for replica in self.replicas:
@@ -150,7 +167,6 @@ class ReplicaGroup:
                     f"shard {replica.transport.shard_id}"
                 )
         self._lock = threading.Lock()
-        self.broker = str(broker)
         self.tally = Tally(_COUNTERS, broker=self.broker, shard=self.shard_id)
 
     def __len__(self) -> int:
@@ -189,25 +205,21 @@ class ReplicaGroup:
     def _publish_breaker_locked(
         self, replica: ReplicaState, now: float
     ) -> None:
-        replica.breaker_published = self._breaker_state_locked(replica, now)
-        _BREAKER_STATE.set(
-            replica.breaker_published,
-            broker=self.broker,
-            shard=self.shard_id,
-            replica=replica.replica_id,
-        )
+        """Write the breaker's state if it moved since it was last written."""
+        state = self._breaker_state_locked(replica, now)
+        if state != replica.breaker_published:
+            replica.breaker_published = state
+            replica.breaker_gauge.set(state)
 
     def _refresh_breakers_locked(self, now: float) -> None:
         """Publish every state that moved since it was last published.
 
         Only time moves a breaker outside ``finish``: an open one whose
-        cooldown ran out is half-open, picked or not.
+        cooldown ran out is half-open, picked or not.  A replica no
+        ``finish`` has published yet is closed and shows nowhere.
         """
         for replica in self.replicas:
-            if (
-                self._breaker_state_locked(replica, now)
-                != replica.breaker_published
-            ):
+            if replica.breaker_published is not None:
                 self._publish_breaker_locked(replica, now)
 
     # -- selection ---------------------------------------------------------------
@@ -272,12 +284,7 @@ class ReplicaGroup:
         """Record that a request was issued to ``replica``."""
         with self._lock:
             replica.in_flight += 1
-            _IN_FLIGHT.set(
-                replica.in_flight,
-                broker=self.broker,
-                shard=self.shard_id,
-                replica=replica.replica_id,
-            )
+            replica.in_flight_gauge.set(replica.in_flight)
 
     def finish(
         self,
@@ -294,12 +301,7 @@ class ReplicaGroup:
         tripped = False
         with self._lock:
             replica.in_flight = max(0, replica.in_flight - 1)
-            _IN_FLIGHT.set(
-                replica.in_flight,
-                broker=self.broker,
-                shard=self.shard_id,
-                replica=replica.replica_id,
-            )
+            replica.in_flight_gauge.set(replica.in_flight)
             if outcome == "cancelled":
                 replica.breaker_probing = False
                 return
@@ -334,12 +336,7 @@ class ReplicaGroup:
                             EWMA_ALPHA * latency_s
                             + (1.0 - EWMA_ALPHA) * replica.ewma_latency_s
                         )
-                    _EWMA_MS.set(
-                        replica.ewma_latency_s * 1e3,
-                        broker=self.broker,
-                        shard=self.shard_id,
-                        replica=replica.replica_id,
-                    )
+                    replica.ewma_gauge.set(replica.ewma_latency_s * 1e3)
         if tripped:
             self.tally.count("breaker_trips", replica=replica.replica_id)
 

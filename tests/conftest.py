@@ -11,8 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,20 @@ LANNS_2X2 = LannsConfig(
 )
 #: Where :func:`lanns_fs` holds the export of :func:`lanns`.
 LANNS_PATH = "prod/lanns"
+
+
+def fresh_process(program: str) -> list[str]:
+    """What ``program`` prints in a fresh interpreter on this checkout, split."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", program],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
 
 
 def make_clustered(

@@ -9,10 +9,7 @@ including the known false-positive traps: lock-free initialisation in
 import ast
 import functools
 import inspect
-import os
 import re
-import subprocess
-import sys
 import textwrap
 from dataclasses import fields
 from pathlib import Path
@@ -28,6 +25,7 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.diagnostics import Finding, ModuleSource, enclosing_symbol
 from repro.analysis.linter import default_repo_root, main, run_lint
+from tests.conftest import fresh_process
 
 
 def _mod(source: str, path: str = "src/repro/net/example.py") -> ModuleSource:
@@ -942,19 +940,6 @@ class TestIndexKnobSurface:
                         if literal == values:
                             typed[name].append(path.relative_to(SRC).as_posix())
         assert typed == {name: [home] for name, home in self.CHOICES.items()}
-
-
-def fresh_process(program: str) -> list[str]:
-    """What ``program`` prints in a fresh interpreter on this checkout, split."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", program],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    ).stdout.split()
 
 
 def test_a_serving_process_loads_no_heavy_library():

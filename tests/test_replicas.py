@@ -16,6 +16,7 @@ Pinned here:
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.net.client import RemoteSearcherClient
 from repro.net.fleet import parse_fleet_spec
 from repro.net.server import SearcherServer
 from repro.obs.metrics import get_registry
-from repro.online import replicas as replicas_module
 from repro.online.broker import Broker
 from repro.online.replicas import BREAKER_STATES, ReplicaGroup
 from repro.online.searcher import SearcherNode
@@ -355,13 +355,17 @@ class TestCircuitBreaker:
         assert group.pick().replica_id == 0
 
     @staticmethod
-    def record_gauge_sets(monkeypatch) -> list:
+    def record_gauge_sets(monkeypatch, group) -> list:
+        """Every write to ``group``'s breaker series, with its labels."""
         published: list = []
-        monkeypatch.setattr(
-            replicas_module._BREAKER_STATE,
-            "set",
-            lambda value, **labels: published.append((value, labels)),
-        )
+        for replica in group.replicas:
+            labels = dict(
+                broker=group.broker, shard=group.shard_id, replica=replica.replica_id
+            )
+            breaker = SimpleNamespace(
+                set=lambda value, labels=labels: published.append((value, labels))
+            )
+            monkeypatch.setattr(replica, "breaker_gauge", breaker)
         return published
 
     def test_a_group_that_never_trips_publishes_nothing_on_pick(
@@ -371,12 +375,34 @@ class TestCircuitBreaker:
         and ``stats()`` leave the gauge alone."""
         group = self.make_group(size=3, threshold=2)
         self.fail(group, group.replicas[2])  # one failure, under threshold
-        published = self.record_gauge_sets(monkeypatch)
+        published = self.record_gauge_sets(monkeypatch, group)
         for _ in range(5):
             group.begin(group.pick())
         assert self.state(group, 2) == "closed"
         group.stats()
         assert published == []
+
+    def test_finish_writes_a_breaker_state_only_when_it_moved(
+        self, monkeypatch
+    ):
+        """Kills: ``finish`` writing the breaker gauge on every answer (it
+        did 2 of the 8 replica gauge writes of each remote miss)."""
+        group = self.make_group(threshold=2, cooldown=60.0)
+        replica = group.replicas[0]
+        group.begin(replica)
+        group.finish(replica, 0.01)  # the first answer shows the series
+        published = self.record_gauge_sets(monkeypatch, group)
+        for outcome in ("ok", "error", "ok", "error"):
+            group.begin(replica)
+            group.finish(replica, 0.01, outcome=outcome)
+        assert published == []
+        self.fail(group, replica)  # the second error in a row trips it
+        assert published == [
+            (
+                BREAKER_STATES.index("open"),
+                {"broker": "broker", "shard": 0, "replica": 0},
+            )
+        ]
 
     def test_stats_publishes_a_breaker_whose_cooldown_ran_out(
         self, monkeypatch
@@ -389,7 +415,7 @@ class TestCircuitBreaker:
         self.fail(group, group.replicas[0])
         assert gauge.value(broker="broker", shard=8, replica=0) == BREAKER_STATES.index("open")
         time.sleep(0.05)
-        published = self.record_gauge_sets(monkeypatch)
+        published = self.record_gauge_sets(monkeypatch, group)
         assert self.state(group, 0) == "half-open"
         assert published == [
             (
