@@ -36,7 +36,9 @@ never the working tree, so what is measured is what a commit holds.
     Print one markdown table of the trajectory so far: per workload and
     gated metric (``BENCHMARK.json``'s ``end_to_end``), the recorded
     median of every tracked ``BENCH_<n>.json``, oldest PR first (``-``
-    where a file has no such entry).  Runs nothing.
+    where a file has no such entry).  A workload a file records only
+    beside ``--compare`` reads the change side of its first ``pairs``
+    entry.  Runs nothing.
 
 ``--seed <s>`` is forwarded to the benchmark command by either mode (the
 ledger's inputs, graphs and segmenters all derive from it); without it
@@ -173,27 +175,38 @@ def record(root: Path, number: int, seed: int | None, scratch: Path) -> int:
 
 
 # -- series ---------------------------------------------------------------------------
+def medians(record: dict, workload: str) -> dict[str, float]:
+    """One ``BENCH_<n>.json``'s end-to-end medians for ``workload``: its
+    ``workloads`` entry, else the change side of its first ``pairs``
+    entry for that workload."""
+    if workload in record.get("workloads", {}):
+        recorded = record["workloads"][workload]["end_to_end"]
+        return {name: value["median"] for name, value in recorded.items()}
+    for pair in record.get("pairs", []):
+        if pair["workload"] == workload:
+            return {
+                name: statistics.median(sides["change"])
+                for name, sides in pair["metrics"].items()
+            }
+    return {}
+
+
 def series(root: Path) -> int:
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
     tracked = git(root, "ls-files", "BENCH_*.json").split()
     numbers = sorted(
         int(name.removeprefix("BENCH_").removesuffix(".json")) for name in tracked
     )
-    workloads = [
-        json.loads((root / f"BENCH_{n}.json").read_text()).get("workloads", {})
-        for n in numbers
-    ]
+    records = [json.loads((root / f"BENCH_{n}.json").read_text()) for n in numbers]
     print("| workload | metric | " + " | ".join(f"PR {n}" for n in numbers) + " |")
     print("|---|---|" + "---|" * len(numbers))
     for spec in benchmark["workloads"]:
+        columns = [medians(record, spec["name"]) for record in records]
         for metric in benchmark["end_to_end"]:
-            cells = [
-                entry.get(spec["name"], {}).get("end_to_end", {}).get(metric["name"])
-                for entry in workloads
-            ]
+            cells = [column.get(metric["name"]) for column in columns]
             print(
                 f"| {spec['name']} | `{metric['name']}` ({metric['unit']}) | "
-                + " | ".join("-" if c is None else f"{c['median']:.5g}" for c in cells)
+                + " | ".join("-" if c is None else f"{c:.5g}" for c in cells)
                 + " |"
             )
     return 0

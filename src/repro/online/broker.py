@@ -494,9 +494,9 @@ class Broker:
             with self.timings.stage("route", trace, window="route") as route:
                 plan = self.router.plan(queries)
                 route.annotate(groups=plan.groups_queried)
-            widths, rows = np.unique(plan.routed_counts, return_counts=True)
-            for width, count in zip(widths.tolist(), rows.tolist()):
-                self.tally.count("routed_rows", count, groups=width)
+            for width, count in enumerate(np.bincount(plan.routed_counts).tolist()):
+                if count:
+                    self.tally.count("routed_rows", count, groups=width)
         work, routed = work_list(queries, plan, num_shards)
         if not work:
             # Every row routed nowhere (its segments are hosted on no

@@ -2,8 +2,8 @@
 
 A segmenter answers two questions:
 
-- ``route_data(x)``  -- which segment(s) should store ``x``?  More than one
-  only under *physical* spill.
+- ``route_data_batch(x)`` -- which segment(s) should store each row of
+  ``x``?  More than one only under *physical* spill.
 - ``route_query(q)`` -- which segment(s) should a query probe?  More than
   one only under *virtual* spill.
 
@@ -63,10 +63,6 @@ class Segmenter(ABC):
     @abstractmethod
     def route_query_batch(self, queries: np.ndarray) -> list[tuple[int, ...]]:
         """Segment ids each query row should *probe*."""
-
-    def route_data(self, point: np.ndarray) -> tuple[int, ...]:
-        """Segment ids that should store a single point."""
-        return self.route_data_batch(as_matrix(point))[0]
 
     def route_query(self, query: np.ndarray) -> tuple[int, ...]:
         """Segment ids a single query should probe."""

@@ -277,12 +277,6 @@ class LocalCluster:
             state.done = True
         return dead
 
-    def last_stage(self) -> StageMetrics:
-        """Metrics of the most recent stage (raises if none ran)."""
-        if not self.stages:
-            raise ClusterError("no stages have run on this cluster")
-        return self.stages[-1]
-
     def __repr__(self) -> str:
         return (
             f"LocalCluster(num_executors={self.num_executors}, "

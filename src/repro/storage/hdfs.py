@@ -20,7 +20,6 @@ import os
 import shutil
 import tempfile
 import uuid
-from collections.abc import Iterator
 from pathlib import Path
 
 from repro.errors import StorageError
@@ -90,23 +89,10 @@ class LocalHdfs:
         """Read a file as UTF-8 text."""
         return self.read_bytes(path).decode("utf-8")
 
-    def read_json(self, path: str):
-        """Read and parse a JSON document."""
-        return json.loads(self.read_text(path))
-
     # -- namespace operations ------------------------------------------------------------
     def exists(self, path: str) -> bool:
         """Whether a file or directory exists at ``path``."""
         return self._resolve(path).exists()
-
-    def ls(self, path: str = "") -> list[str]:
-        """Sorted names directly under ``path`` (files and directories)."""
-        target = self._resolve(path) if path else self.root
-        if not target.exists():
-            return []
-        if not target.is_dir():
-            raise StorageError(f"not a directory: {path!r}")
-        return sorted(entry.name for entry in target.iterdir())
 
     def ls_recursive(self, path: str = "") -> list[str]:
         """Sorted relative paths of all *files* under ``path``."""
@@ -137,20 +123,6 @@ class LocalHdfs:
     def make_temp_path(self, prefix: str = "tmp") -> str:
         """A fresh path under ``_tmp/`` (not created yet)."""
         return f"_tmp/{prefix}-{uuid.uuid4().hex}"
-
-    @contextlib.contextmanager
-    def temp_path(self, prefix: str = "tmp") -> Iterator[str]:
-        """Context manager: a temp namespace cleaned up on exit.
-
-        Mirrors the paper's use of temporary HDFS paths for partial search
-        results, deleted "as soon as our two-level merging finishes".
-        """
-        path = self.make_temp_path(prefix)
-        try:
-            yield path
-        finally:
-            with contextlib.suppress(StorageError):
-                self.delete(path)
 
     def __repr__(self) -> str:
         return f"LocalHdfs(root={str(self.root)!r})"

@@ -714,9 +714,8 @@ UNREACHED = {
     **dict.fromkeys(["HnswGraph.set_neighbors", "HnswGraph.add_link",
                      "HnswGraph.check_invariants"],
                     "the tests' hand-built graphs and structural check"),
-    **dict.fromkeys(["Segmenter.route_data", "LocalCluster.last_stage", "Counter.inc",
-                     "LocalHdfs.read_json", "LocalHdfs.ls", "LocalHdfs.temp_path",
-                     "RemoteSearcherClient.open_connections"], "library API a test calls"),
+    **dict.fromkeys(["Counter.inc", "RemoteSearcherClient.open_connections"],
+                    "library API a test calls"),
 }
 
 

@@ -9,9 +9,10 @@
   event loop: both refuse.
 - No client or broker starts a thread; a forked child dials its own
   connection and leaves the parent's pooled one serving.
-- One client shared by many threads, and one transport driven through
-  both ``search`` and ``search_batch_async``, answer bit-identically to
-  the in-process shard.
+- One transport driven through both ``search`` and
+  ``search_batch_async`` answers bit-identically to the in-process shard.
+  (A client shared by many threads is the ``remote`` x ``threads`` cells
+  of ``tests/test_path_matrix.py``.)
 - The names the frozen ``benchmarks/ledger`` reaches the shard call by
   stay reachable (they go with ROADMAP 2(a)).
 """
@@ -163,48 +164,6 @@ class TestClient:
             assert asyncio.run(asyncio.to_thread(client.ping)) == 0
         finally:
             client.close()
-
-    def test_one_client_shared_by_eight_threads_is_bit_identical(
-        self, server, shard, queries
-    ):
-        want_ids, want_dists = shard.search_batch(queries, 5)
-        client = RemoteSearcherClient(server.address, retries=0)
-        errors: list[BaseException] = []
-
-        def worker(seed: int) -> None:
-            try:
-                for call in range(50):
-                    row = (seed * 50 + call) % (queries.shape[0] - 1)
-                    reply = client.search(
-                        ShardCall(INDEX_NAME, queries[row : row + 2], 5)
-                    )
-                    np.testing.assert_array_equal(
-                        reply.ids, want_ids[row : row + 2]
-                    )
-                    np.testing.assert_array_equal(
-                        reply.dists, want_dists[row : row + 2]
-                    )
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(seed,)) for seed in range(8)
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert not errors, repr(errors[:1])
-            counts = client.tally.snapshot()
-            assert counts["queries_served"] == 8 * 50 * 2
-            assert counts["requests_sent"] == 8 * 50
-            # Quiescent: whatever is still open is idle in the pool.
-            assert 1 <= client.open_connections <= client.pool_size
-        finally:
-            client.close()
-        assert client.open_connections == 0
 
 
 def ping_within(client: RemoteSearcherClient, seconds: float) -> None:

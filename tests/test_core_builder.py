@@ -123,7 +123,7 @@ class TestBuild:
             inline.query(query, 5)[0], clustered.query(query, 5)[0]
         )
         # The build stage was recorded with one task per partition.
-        stage = cluster.last_stage()
+        stage = cluster.stages[-1]
         assert stage.stage == "hnsw-build"
         assert len(stage.tasks) == config.total_partitions
 

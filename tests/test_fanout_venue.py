@@ -3,9 +3,10 @@
 - An all-in-process fleet starts no thread; an all-remote fleet's RPCs
   are started and polled on the calling thread.
 - A fleet mixing in-process and remote shards -- across groups or within
-  one -- answers bit-equal to the all-in-process broker.  Both pure
-  fleets answer like the reference index: the ``inline`` / ``remote``
-  venues of ``tests/test_path_matrix.py``.
+  one -- asks every replica it picks.  What any fleet answers, and
+  charges, is the ``inline`` / ``remote`` venues of
+  ``tests/test_path_matrix.py``: no bug was found that a mixed fleet
+  shows and both pure ones hide.
 - ``close()`` racing in-flight remote requests never hangs them and
   never leaks a connection: each request answers bit-identically or
   raises a :mod:`repro.errors` taxonomy error within its deadline.
@@ -67,15 +68,12 @@ class TestOnePath:
     @pytest.mark.parametrize(
         "kind", ["in_process", "remote", "across_groups", "within_a_group"]
     )
-    def test_every_fleet_answers_like_an_in_process_one(
+    def test_every_fleet_starts_its_rpcs_on_the_calling_thread(
         self, nodes, servers, queries, kind, monkeypatch
     ):
-        """Every RPC is started on the calling thread (an in-process
-        fleet starts no thread at all), and ids, distances and cost are
-        bit-equal to the in-process broker's -- within a group, from
-        either replica."""
+        """An in-process fleet starts no thread at all; within a group,
+        a busy replica's sibling answers."""
         request = SearchRequest(queries=queries, top_k=10, index_name="venue")
-        want = Broker(nodes, LANNS_2X2).execute(request)
         started_on: set[threading.Thread] = set()
         for owner in (LocalSearcherTransport, RemoteSearcherClient):
             start = owner.start_search
@@ -106,9 +104,6 @@ class TestOnePath:
         assert picks == ([1, 1] if kind == "within_a_group" else [2])
         for got in answers:
             assert (got.shards_answered == LANNS_2X2.num_shards).all()
-            assert (got.ids.tobytes(), got.dists.tobytes(), got.cost) == (
-                want.ids.tobytes(), want.dists.tobytes(), want.cost
-            )
 
 
 class TestCloseRace:

@@ -37,7 +37,7 @@ class TestLearnJob:
     def test_learns_as_a_cluster_stage(self, cluster, clustered_data, config):
         segmenter = learn_segmenter_job(cluster, clustered_data, config)
         assert segmenter.is_fitted
-        assert cluster.last_stage().stage == "learn-segmenter"
+        assert cluster.stages[-1].stage == "learn-segmenter"
 
 
 class TestBuildJob:

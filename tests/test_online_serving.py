@@ -133,28 +133,6 @@ class TestBudgetAndPaddingDegenerateCases:
         np.testing.assert_array_equal(single.ids, ids[:1])
         np.testing.assert_array_equal(single.dists, dists[:1])
 
-    def test_topk_beyond_corpus_matches_sequential_under_microbatch(
-        self, lanns, clustered_queries
-    ):
-        searchers = host_all(lanns)
-        plain = Broker(searchers, LANNS_2X2)
-        core = Broker(
-            searchers, LANNS_2X2, max_batch=4, max_wait_ms=5.0, cache_size=16
-        )
-        top_k = len(lanns) + 5
-        try:
-            for query in clustered_queries[:3]:
-                request = SearchRequest(query, top_k, "main", 48)
-                want = plain.execute(request)
-                got_cold = core.execute(request)
-                got_hot = core.execute(request)
-                np.testing.assert_array_equal(got_cold.ids, want.ids)
-                np.testing.assert_array_equal(got_hot.ids, want.ids)
-                np.testing.assert_array_equal(got_hot.dists, want.dists)
-        finally:
-            plain.close()
-            core.close()
-
     def test_empty_batch_returns_shaped_sentinels_without_fanout(self, lanns):
         nodes = host_all(lanns)
         broker = Broker(nodes, LANNS_2X2)

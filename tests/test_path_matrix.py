@@ -11,7 +11,9 @@ index and one brute-force oracle, in every cell of a generated matrix:
    over the whole query pool; and a broker asks each row of exactly the
    shard groups hosting a segment the row routes to (:func:`widths`:
    every group under full occupancy), so pruning is held to the rule
-   the shards run, not only to answers it cannot change.
+   the shards run, not only to answers it cannot change.  A cold
+   broker charges the whole pool the ``SearchCost`` of each shard
+   searching all of it.
 2. **The reference is right.**  Its recall@10 against
    :func:`~repro.offline.brute_force.exact_top_k` meets ``RECALL_FLOOR``,
    and every distance it returns is the exact float kernel's score of the
@@ -36,8 +38,9 @@ scorer cell of every kind and metric.
 
 To add a path or a factor: add its value to ``FACTORS``, say in
 :func:`valid` which cells cannot take it, and serve it in :func:`serve`;
-the covering places it.  ``test_the_matrix_kills`` plants each bug of
-``BUGS`` and requires the matrix to fail.
+the covering places it.  A new serving path adds a factor value, not a
+parity test.  ``test_the_matrix_kills`` plants each bug of ``BUGS`` and
+requires the matrix to fail.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.harness import swap_segmenter
+from repro.core import index as core_index
 from repro.core import merge as merge_module
 from repro.core.builder import LannsBuilder, build_lanns_index
 from repro.core.config import LannsConfig
@@ -62,9 +66,12 @@ from repro.core.topk import per_shard_top_k
 from repro.distance import scorer as scorer_module
 from repro.distance.scorer import QuantizedStore, Scorer
 from repro.errors import LannsError
+from repro.hnsw import index as hnsw_index
 from repro.net import server as server_module
 from repro.net.chaos import FaultPlan
+from repro.net.client import RemoteSearcherClient
 from repro.net.server import SearcherServer
+from repro.obs.cost import SearchCost
 from repro.offline.brute_force import exact_top_k
 from repro.offline.querying import query_index_job
 from repro.offline.recall import recall_at_k
@@ -449,16 +456,24 @@ def serve(world: World, cell: Cell):
         response = broker.execute(SearchRequest(queries, K, name, ef))
         assert response.fully_answered
         assert response.shards_routed.tolist() == widths(served, queries), cell
+        if len(queries) == POOL and cell.cache == "cold" and response.cost is not None:
+            whole = SearchCost()  # a cost sums over rows, however they are grouped
+            for shard in index.shards:
+                shard.search_batch(pool, index.config.per_shard_budget(K), ef=ef, cost=whole)
+            assert response.cost == whole.as_dict(), cell
         return response.ids, response.dists
 
     ask = asker(single, batch, cell.call)
 
     def run(rows: list[int], seed: int, check) -> None:
+        counted = 0 if broker is None else broker.tally.snapshot().get("queries_served", 0)
         if cell.cache == "warm":
             redeploy(cell._replace(quantize="none", sharding="hash"), DECOY)
             ask(pool[rows], seed)  # the decoy's answers, cached under this name
             redeploy(cell)
-        if cell.cache == "warm":
+            # Scaled rows route elsewhere: their answers must not be a
+            # hit for the rows themselves.
+            batch(2 * pool[rows])
             # Every other row first: then the warm pass mixes hits and misses.
             check(rows[::2], *ask(pool[rows[::2]], seed))
         check(rows, *ask(pool[rows], seed))
@@ -472,6 +487,9 @@ def serve(world: World, cell: Cell):
                 or stats["microbatch"]["rows_executed"] >= len(rows)
             )
             assert cell.trace == "untraced" or stats["tracer"]["kept"] > 0
+            # Each row asked is counted once, however many threads ask.
+            asked = len(rows) * (1 + (cell.call == "single"))
+            assert cell.cache == "warm" or stats["counts"]["queries_served"] - counted == asked
 
     try:
         if cell.cache == "cold":
@@ -640,6 +658,14 @@ def _numpy_cost(observed_search):
     return planted
 
 
+def _short_array_beam(search_arrays):
+    def planted(graph, scorer, queries, entries, entry_dists, ef, *rest):
+        found = search_arrays(graph, scorer, queries, entries, entry_dists, ef - 1, *rest)
+        return [np.pad(a, ((0, 0), (0, 1)), constant_values=pad) for a, pad in zip(found, (-1, np.inf))]
+
+    return planted
+
+
 #: One planted bug per row: ``(owner, attribute, wrap)`` substitutions,
 #: each replacing the attribute by ``wrap(original)``.
 BUGS = {
@@ -699,6 +725,26 @@ BUGS = {
     ],
     "failover-never-tried": [
         (fanout_module, "should_fail_over", lambda f: lambda exc, deadline: False)
+    ],
+    # A query's answer would hang on how many rows arrived with it.
+    "array-venue-beam-one-short": [(hnsw_index, "search_arrays", _short_array_beam)],
+    "shard-merge-keeps-the-first-probe": [
+        (core_index, "merge_segment_results_batch", lambda f: lambda i, d, k: f(i[:, :k], d[:, :k], k))
+    ],
+    "broker-merge-drops-the-last-shard": [
+        (broker_module, "merge_shard_results_batch", lambda f: lambda parts, k: f(parts[:-1], k))
+    ],
+    "searcher-server-drops-the-cost": [
+        (server_module, "observed_search", lambda f: lambda *a: (*f(*a)[:2], None))
+    ],
+    "client-pool-lends-one-socket-twice": [
+        (RemoteSearcherClient, "_checkout", lambda f: lambda self: self._pool[-1] if self._pool else f(self))
+    ],
+    "cache-key-folds-the-scale": [
+        (broker_module, "result_cache_key", lambda f: lambda i, q, *a, **kw: f(i, q / (q @ q) ** 0.5, *a, **kw))
+    ],
+    "cache-keeps-float32-distances": [
+        (QueryResultCache, "put", lambda f: lambda self, key, i, d, *a: f(self, key, i, np.float32(d), *a))
     ],
 }
 

@@ -1,30 +1,21 @@
 """Cross-module property-based tests (hypothesis + seeded numpy fuzzing).
 
-These check the invariants the platform's correctness actually rests on:
-partitioning + two-level merging must be *transparent* -- for exact
-(brute force) search, any (shards, segments) layout must return exactly
-the global answer; HNSW serialization must be lossless for arbitrary
-(well-formed) float32 data; and ``batch_top_k``, both merge levels,
-answers every row as a sort over that row's pairs would -- so no row
-depends on the rows coalesced with it.  (That ``Scorer.score_pairs``
-scores a pair alike in any batch is the scorer cell of
-``tests/test_path_matrix.py``.)
+HNSW serialization must be lossless for arbitrary (well-formed) float32
+data, and ``batch_top_k``, both merge levels, answers every row as a
+sort over that row's pairs would -- so no row depends on the rows
+coalesced with it.  (That partitioning and the two merges cost nothing
+is the reference check of ``tests/test_path_matrix.py``, and that
+``Scorer.score_pairs`` scores a pair alike in any batch is its scorer
+cell.)
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge import (
-    empty_part,
-    merge_segment_results_batch,
-    merge_shard_results_batch,
-)
 from repro.core.topk import batch_top_k, per_shard_top_k
 from repro.hnsw.index import build_hnsw
 from repro.hnsw.params import HnswParams
-from repro.offline.brute_force import exact_top_k
-from repro.sharding.sharder import HashSharder
 from repro.storage.manifest import hnsw_from_bytes, hnsw_to_bytes
 from tests.conftest import assert_same_payload
 
@@ -45,55 +36,7 @@ def small_dataset(draw):
     return np.asarray(flat, dtype=np.float32).reshape(n, dim)
 
 
-class TestPartitioningTransparency:
-    @given(small_dataset(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_exact_search_is_partition_invariant(
-        self, data, num_shards, num_segments, k
-    ):
-        """Brute-force search through the two-level merge equals global
-        brute-force search, for ANY partition layout.
-
-        This is the platform's core correctness contract: partitioning
-        may cost recall only through the *approximate* per-segment index
-        and the segmenter routing, never through the merge machinery.
-        """
-        n = data.shape[0]
-        k = min(k, n)
-        query = data[0]
-        global_ids, _ = exact_top_k(data, query[np.newaxis], k)
-
-        sharder = HashSharder(num_shards)
-        rng = np.random.default_rng(0)
-        segment_of = rng.integers(0, num_segments, size=n)
-        shard_parts = []
-        for shard in range(num_shards):
-            # One k-wide block per segment, side by side on one canvas.
-            cand_ids, cand_dists = empty_part(1, num_segments * k)
-            for segment in range(num_segments):
-                rows = np.asarray(
-                    [
-                        row
-                        for row in range(n)
-                        if sharder.shard_of(row) == shard
-                        and segment_of[row] == segment
-                    ],
-                    dtype=np.int64,
-                )
-                if rows.size == 0:
-                    continue
-                ids, dists = exact_top_k(
-                    data[rows], query[np.newaxis], min(k, rows.size)
-                )
-                columns = slice(segment * k, segment * k + ids.shape[1])
-                cand_ids[0, columns] = rows[ids[0]]
-                cand_dists[0, columns] = dists[0]
-            shard_parts.append(
-                merge_segment_results_batch(cand_ids, cand_dists, k)
-            )
-        merged_ids, _ = merge_shard_results_batch(shard_parts, k)
-        assert merged_ids[0].tolist() == global_ids[0].tolist()
-
+class TestPerShardBudget:
     @given(st.integers(1, 64), st.integers(1, 1000))
     @settings(max_examples=60, deadline=None)
     def test_per_shard_budget_bounds(self, num_shards, top_k):

@@ -1,9 +1,9 @@
 """Tests for the broker-level LRU query result cache.
 
 That a hit answers like the search it replaces -- across a redeploy of
-another index under the same name too -- is the ``warm`` cell family of
-``tests/test_path_matrix.py``; here are the cache's own rules and
-counters.
+another index under the same name, and beside its own row rescaled -- is
+the ``warm`` cell family of ``tests/test_path_matrix.py``; here are the
+cache's own rules and counters.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.builder import build_lanns_index
 from repro.online.broker import Broker
 from repro.online.cache import QueryResultCache, result_cache_key
 from repro.online.service import OnlineService
@@ -139,37 +138,6 @@ class TestCosineCacheKeys:
         assert hash(key) == hash(result_cache_key("idx", zero, 10, 48, 2))
 
 
-class TestScaledQueries:
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "inner_product"])
-    def test_a_warm_hit_answers_like_a_cold_search(
-        self, metric, clustered_data, clustered_queries
-    ):
-        """``q`` cached, then ``2q``: every row is answered as a cold
-        broker answers ``2q``.  Cosine scores are scale-free, but
-        hyperplane routing is not, so a key folded over the scale served
-        ``q``'s row here."""
-        config = LANNS_2X2.with_updates(metric=metric)
-        nodes = host_all(build_lanns_index(clustered_data, config=config))
-        scaled = 2.0 * clustered_queries
-        cold = Broker(nodes, config)
-        warm = Broker(nodes, config, cache_size=128)
-        try:
-            want = cold.execute(SearchRequest(scaled, 10, "main"))
-            unscaled = cold.execute(SearchRequest(clustered_queries, 10, "main"))
-            # The answers differ, so serving q's rows for 2q would show.
-            assert not (
-                np.array_equal(want.ids, unscaled.ids)
-                and np.array_equal(want.dists, unscaled.dists)
-            )
-            warm.execute(SearchRequest(clustered_queries, 10, "main"))
-            got = warm.execute(SearchRequest(scaled, 10, "main"))
-        finally:
-            cold.close()
-            warm.close()
-        np.testing.assert_array_equal(got.ids, want.ids)
-        np.testing.assert_array_equal(got.dists, want.dists)
-
-
 class TestBrokerCaching:
     def test_each_row_is_a_hit_or_a_miss(self, searchers, clustered_queries):
         cached = Broker(searchers, LANNS_2X2, cache_size=128)
@@ -212,38 +180,6 @@ class TestBrokerCaching:
 
 
 class TestServiceInvalidation:
-    def test_redeploy_under_same_name_invalidates_stale_entries(
-        self, fs, lanns, clustered_data, clustered_queries
-    ):
-        subset = build_lanns_index(clustered_data[:300], config=LANNS_2X2)
-        save_lanns_index(lanns, fs, "prod/full")
-        save_lanns_index(subset, fs, "prod/subset")
-
-        service = OnlineService(cache_size=128)
-        service.deploy(fs, "prod/full", index_name="x")
-        # Pick a query whose answer proves which corpus answered: the
-        # subset index only holds rows < 300.
-        probe = None
-        for query in clustered_queries:
-            ids = service.execute(SearchRequest(query, 10, "x")).ids
-            if (ids >= 300).any():
-                probe = query
-                break
-        assert probe is not None, "no query distinguishes the two indices"
-        service.execute(SearchRequest(probe, 10, "x"))  # cache hit
-        assert service.cache.stats.hits >= 1
-        old_epoch = service.brokers["x"].cache_epoch
-
-        service.undeploy("x")
-        assert service.cache.stats.invalidations > 0
-        service.deploy(fs, "prod/subset", index_name="x")
-        # The epoch fence: even a put racing past the invalidation above
-        # could never be keyed like the new deployment's lookups.
-        assert service.brokers["x"].cache_epoch > old_epoch
-        fresh_ids = service.execute(SearchRequest(probe, 10, "x")).ids
-        assert (fresh_ids < 300).all(), "stale cached result served"
-        service.close()
-
     def test_undeploy_drains_admitted_requests_before_unhost(
         self, fs, lanns, clustered_queries
     ):

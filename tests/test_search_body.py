@@ -36,7 +36,6 @@ import pytest
 from repro.core.builder import build_lanns_index
 from repro.core.config import LannsConfig
 from repro.core.index import ShardIndex
-from repro.core.merge import merge_segment_results_batch
 from repro.distance.scorer import Scorer
 from repro.hnsw.graph import VisitedPool
 from repro.hnsw.index import (
@@ -49,7 +48,6 @@ from repro.hnsw.index import (
 from repro.hnsw.search import descend_arrays, search_arrays, search_layer_batch
 from repro.obs.cost import FIELDS, SearchCost
 from repro.obs.tracing import SpanRecorder, activate, deactivate
-from repro.online.microbatch import MicroBatcher
 from repro.segmenters.random_segmenter import RandomSegmenter
 from tests.conftest import FAST_HNSW, make_lattice
 
@@ -301,30 +299,20 @@ def shards(corpora) -> dict[tuple[str, str], ShardIndex]:
 def test_a_shard_request_is_its_pairs_searched_alone(shards, queries, arm, shape):
     """``ShardIndex.search_batch`` is one lockstep group over every
     (query, probed segment) pair -- each segment descends its own rows,
-    one beam and one rescore serve them all.  Each row must answer, and
-    the request be charged, as that row searched alone in each of its
-    probed segments and merged: ids, distances and ``SearchCost``."""
+    one beam and one rescore serve them all.  The request is charged as
+    each row searched alone in each of its probed segments (that it
+    answers so is ``BUGS["shard-merge-keeps-the-first-probe"]`` of
+    ``tests/test_path_matrix.py``)."""
     shard = shards[arm, shape]
     rows = queries[: 2 * _ARRAY_MIN_ROWS]
     cost = SearchCost()
-    ids, dists = shard.search_batch(rows, K, cost=cost)
+    ids, _ = shard.search_batch(rows, K, cost=cost)
     alone_cost = SearchCost()
     for row, probed in enumerate(shard.segmenter.route_query_batch(rows)):
-        cand_ids, cand_dists = [], []
         for segment in [shard.segments[s] for s in sorted(probed)]:
-            if len(segment) == 0:
-                continue
-            alone_cost.segments_probed += 1
-            found_ids, found_dists = segment.search_batch(
-                rows[row : row + 1], K, cost=alone_cost
-            )
-            cand_ids.append(found_ids)
-            cand_dists.append(found_dists)
-        want_ids, want_dists = merge_segment_results_batch(
-            np.hstack(cand_ids), np.hstack(cand_dists), K
-        )
-        assert ids[row].tobytes() == want_ids[0].tobytes()
-        assert dists[row].tobytes() == want_dists[0].tobytes()
+            if len(segment):
+                alone_cost.segments_probed += 1
+                segment.search_batch(rows[row : row + 1], K, cost=alone_cost)
     assert cost == alone_cost
     # One query alone: a twelve-row group on the array venue; a graph
     # arm and a flat arm sharing the request; one beam, or two for PQ.
@@ -348,8 +336,9 @@ def test_a_shard_request_is_its_pairs_searched_alone(shards, queries, arm, shape
 
 
 class TestVenues:
-    """What only the array venue has: a coalescing caller upstream and a
-    per-thread scratch."""
+    """What only the array venue has: a per-thread scratch.  (That a
+    coalesced query answers as it does alone is
+    ``BUGS["array-venue-beam-one-short"]`` of ``tests/test_path_matrix.py``.)"""
 
     @staticmethod
     def both_kernels(index, queries, entries, entry_dists, level, expand):
@@ -434,41 +423,6 @@ class TestVenues:
         found = arrays[0][arrays[0] >= 0]
         assert (np.asarray(graph.levels)[found] >= level).all()
         assert (lockstep[1][:, -1] == lockstep[1][:, -2]).any()
-
-    def test_a_coalesced_query_equals_the_same_query_alone(self, corpora):
-        """Micro-batching decides a query's group size by arrival timing;
-        through ``ShardIndex.search_batch`` the bits must not care."""
-        data = corpora["lattice"]
-        shard = build_lanns_index(
-            data,
-            config=LannsConfig(
-                num_shards=1, num_segments=2, segmenter="rh",
-                hnsw=replace(FAST_HNSW, ef_search=K), seed=3,
-            ),
-        ).shards[0]
-        rows = 2 * _ARRAY_MIN_ROWS
-        queries = data[:rows] + np.float32(0.5)
-        # Segment-level groups really are on both sides of the constant.
-        probes = shard.segmenter.route_query_batch(queries)
-        routed = np.bincount([segment for probe in probes for segment in probe])
-        assert routed.max() >= _ARRAY_MIN_ROWS
-        batcher = MicroBatcher(
-            lambda _key, block: shard.search_batch(block, K),
-            max_batch=rows,
-            max_wait_ms=60_000.0,
-        )
-        try:
-            futures = [
-                batcher.submit("k", queries[row : row + 1]) for row in range(rows)
-            ]
-            coalesced = [future.result(timeout=60) for future in futures]
-        finally:
-            batcher.close()
-        assert batcher.largest_batch == rows
-        for row, (ids, dists) in enumerate(coalesced):
-            alone_ids, alone_dists = shard.search_batch(queries[row : row + 1], K)
-            assert ids.tobytes() == alone_ids.tobytes()
-            assert dists.tobytes() == alone_dists.tobytes()
 
     def test_visited_epochs_wrap_around(self, all_indices, query_sets):
         """The array venue's visited tags are one byte, so the 255th

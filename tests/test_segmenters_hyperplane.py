@@ -150,9 +150,8 @@ class TestLocality:
         center = np.median(data @ direction)
         far_left = (direction * (center - 50.0)).astype(np.float32)
         far_right = (direction * (center + 50.0)).astype(np.float32)
-        assert segmenter.route_data(far_left) != segmenter.route_data(
-            far_right
-        )
+        left, right = segmenter.route_data_batch(np.stack([far_left, far_right]))
+        assert left != right
 
 
 class TestSerialization:

@@ -57,7 +57,7 @@ class TestRandomSegmenter:
 
     def test_single_point_routing(self, clustered_data):
         segmenter = RandomSegmenter(4, seed=3)
-        route = segmenter.route_data(clustered_data[0])
+        (route,) = segmenter.route_data_batch(clustered_data[:1])
         assert len(route) == 1
 
     def test_serialization_roundtrip_preserves_stream(self, clustered_data):

@@ -42,11 +42,6 @@ class TestBasicExecution:
         cluster.run_tasks(make_tasks(2), stage="first")
         cluster.run_tasks(make_tasks(2), stage="second")
         assert [stage.stage for stage in cluster.stages] == ["first", "second"]
-        assert cluster.last_stage().stage == "second"
-
-    def test_last_stage_requires_history(self):
-        with pytest.raises(ClusterError):
-            LocalCluster().last_stage()
 
     def test_processes_mode_same_results(self):
         inline = LocalCluster(num_executors=4, mode="inline")

@@ -93,7 +93,7 @@ class TestMetadataGuards:
 
     def test_unknown_format_version_rejected(self, lanns, fs):
         save_lanns_index(lanns, fs, "idx")
-        payload = fs.read_json("idx/metadata.json")
+        payload = json.loads(fs.read_text("idx/metadata.json"))
         payload["format_version"] = 99
         with pytest.raises(SerializationError, match="version"):
             IndexManifest.from_dict(payload)
@@ -176,7 +176,7 @@ class TestBadDocuments:
         save_lanns_index(lanns, fs, "idx")
         raw = SEGMENTER_FAULTS[fault](fs.read_bytes("idx/segmenter.json"))
         fs.write_bytes("idx/segmenter.json", raw)
-        manifest = fs.read_json("idx/metadata.json")
+        manifest = json.loads(fs.read_text("idx/metadata.json"))
         manifest["checksums"]["segmenter.json"] = hashlib.sha256(raw).hexdigest()
         fs.write_json("idx/metadata.json", manifest)
         with pytest.raises(SerializationError, match="idx/segmenter.json"):
@@ -192,7 +192,7 @@ class TestBadDocuments:
         save_lanns_index(lanns, fs, "idx")
         raw = SEGMENTER_FAULTS[fault](fs.read_bytes("idx/segmenter.json"))
         fs.write_bytes("idx/segmenter.json", raw)
-        manifest = fs.read_json("idx/metadata.json")
+        manifest = json.loads(fs.read_text("idx/metadata.json"))
         manifest["checksums"]["segmenter.json"] = hashlib.sha256(raw).hexdigest()
         fs.write_json("idx/metadata.json", manifest)
         with pytest.raises(SerializationError, match="idx/segmenter.json"):
@@ -222,7 +222,7 @@ def test_a_retired_key_loads_only_at_this_builds_value(lanns, fs, key, fixed, ot
     at the value this build behaves as, the export loads, passes the drift
     guard and deploys; at any other, every reader refuses it by file and key."""
     save_lanns_index(lanns, fs, "idx")
-    manifest = fs.read_json("idx/metadata.json")
+    manifest = json.loads(fs.read_text("idx/metadata.json"))
     *nested, name = key.split(".")
     for refused, value in enumerate((fixed, other)):
         (manifest["config"]["hnsw"] if nested else manifest["config"])[name] = value

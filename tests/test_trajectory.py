@@ -252,3 +252,17 @@ def test_series_tables_the_median_of_every_tracked_bench_file(repo):
         "| w2 | `latency_p50_ms` (ms) | - | - |",
         "| w2 | `throughput_per_s` (1/s) | - | - |",
     ]
+
+
+def test_every_committed_bench_file_fills_its_column():
+    """A file written only beside ``--compare`` holds ``pairs``, no
+    ``workloads``: its column reads the pairs' change side."""
+    root = TRAJECTORY.parent.parent
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    medians = load_trajectory().medians
+    for path in sorted(root.glob("BENCH_*.json")):
+        record = json.loads(path.read_text())
+        for spec in benchmark["workloads"]:
+            column = medians(record, spec["name"])
+            for metric in benchmark["end_to_end"]:
+                assert isinstance(column.get(metric["name"]), (int, float)), (path.name, spec)
