@@ -215,6 +215,10 @@ class LocalCluster:
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
+            if checkpoint_path is not None:
+                # Clean the temp path the way the paper cleans its temporary
+                # HDFS directory, whether or not the stage finished.
+                self.fs.delete(checkpoint_path)
 
         metrics.wall_time = time.perf_counter() - started
         metrics.rounds = rounds
@@ -228,10 +232,6 @@ class LocalCluster:
             for state in states
         ]
         self.stages.append(metrics)
-        if checkpoint_path is not None:
-            # Final results are safely in memory; clean the temp path the
-            # way the paper cleans its temporary HDFS directory.
-            self.fs.delete(checkpoint_path)
         return StageResult(
             results=[state.result for state in states], metrics=metrics
         )

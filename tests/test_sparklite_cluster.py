@@ -135,6 +135,15 @@ class TestFailureInjection:
         cluster.run_tasks(make_tasks(6), stage="tidy", checkpoint=True)
         assert fs.ls_recursive("_tmp") == []
 
+    def test_checkpoint_temp_path_cleaned_after_a_failed_stage(self, tmp_path):
+        fs = LocalHdfs(tmp_path / "hdfs")
+        cluster = LocalCluster(
+            num_executors=4, failure_rate=0.6, max_rounds=3, seed=11, fs=fs
+        )
+        with pytest.raises(StageTimeoutError):
+            cluster.run_tasks(make_tasks(24), stage="doomed", checkpoint=True)
+        assert fs.ls_recursive("_tmp") == []
+
     def test_attempts_counted(self):
         cluster = LocalCluster(
             num_executors=2, failure_rate=0.4, max_rounds=40, seed=5

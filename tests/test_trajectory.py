@@ -254,15 +254,15 @@ def test_series_tables_the_median_of_every_tracked_bench_file(repo):
     ]
 
 
-def test_every_committed_bench_file_fills_its_column():
+@pytest.mark.parametrize(
+    "path", sorted(TRAJECTORY.parent.parent.glob("BENCH_*.json")), ids=lambda path: path.name
+)
+def test_every_committed_bench_file_fills_its_column(path):
     """A file written only beside ``--compare`` holds ``pairs``, no
     ``workloads``: its column reads the pairs' change side."""
-    root = TRAJECTORY.parent.parent
-    benchmark = json.loads((root / "BENCHMARK.json").read_text())
-    medians = load_trajectory().medians
-    for path in sorted(root.glob("BENCH_*.json")):
-        record = json.loads(path.read_text())
-        for spec in benchmark["workloads"]:
-            column = medians(record, spec["name"])
-            for metric in benchmark["end_to_end"]:
-                assert isinstance(column.get(metric["name"]), (int, float)), (path.name, spec)
+    benchmark = json.loads((path.parent / "BENCHMARK.json").read_text())
+    record, medians = json.loads(path.read_text()), load_trajectory().medians
+    for spec in benchmark["workloads"]:
+        column = medians(record, spec["name"])
+        for metric in benchmark["end_to_end"]:
+            assert isinstance(column.get(metric["name"]), (int, float)), spec
